@@ -10,9 +10,8 @@
 package event
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Time is a logical application timestamp in milliseconds.
@@ -64,21 +63,51 @@ func (e Event) Before(other Event) bool {
 
 // String renders the event compactly for logs and test failures.
 func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%d#%d{", e.Type, e.TS, e.Seq)
-	names := make([]string, 0, len(e.Attrs))
-	for k := range e.Attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for i, k := range names {
+	var buf [128]byte
+	return string(AppendEvent(buf[:0], e))
+}
+
+// AppendEvent appends the text Event.String returns for e to dst:
+// TYPE@ts#seq{name=value, ...} with the names in byte order.
+func AppendEvent(dst []byte, e Event) []byte {
+	dst = append(dst, e.Type...)
+	dst = append(dst, '@')
+	dst = strconv.AppendInt(dst, e.TS, 10)
+	dst = append(dst, '#')
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, '{')
+	var buf [8]string
+	for i, k := range sortedNames(buf[:0], e.Attrs) {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		fmt.Fprintf(&b, "%s=%s", k, e.Attrs[k])
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = AppendValue(dst, e.Attrs[k])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
+}
+
+// sortedNames returns the attribute names in byte order, in the empty buf
+// when they fit. Events carry a handful of attributes, so an insertion sort
+// into the caller's stack buffer beats sort.Strings and allocates nothing.
+// An event with more names than buf holds (a decoded line may carry any
+// number) goes to sort.Strings, which keeps it O(n log n).
+func sortedNames(buf []string, attrs Attrs) []string {
+	if len(attrs) > cap(buf) {
+		for k := range attrs {
+			buf = append(buf, k)
+		}
+		sort.Strings(buf)
+		return buf
+	}
+	for k := range attrs {
+		buf = append(buf, k)
+		for i := len(buf) - 1; i > 0 && buf[i] < buf[i-1]; i-- {
+			buf[i], buf[i-1] = buf[i-1], buf[i]
+		}
+	}
+	return buf
 }
 
 // Clone returns a deep copy of the event.

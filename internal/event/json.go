@@ -3,61 +3,516 @@ package event
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 )
 
-// jsonValue is the tagged-union wire form of a Value; exactly one field is
-// set. It matches the trace format's value encoding.
-type jsonValue struct {
-	Int   *int64   `json:"int,omitempty"`
-	Float *float64 `json:"float,omitempty"`
-	Str   *string  `json:"str,omitempty"`
-	Bool  *bool    `json:"bool,omitempty"`
-}
+// This file is the hand-rolled codec for the JSON form of the event model:
+// a Value is the tagged object {"int"|"float"|"str"|"bool": v} and an Event
+// is {"type","ts","seq","attrs":{name: value}}. It is the one definition of
+// the Value form (trace, WAL and checkpoints reach it through MarshalJSON
+// and UnmarshalJSON) and of the trace line. An Event inside a WAL record or
+// a checkpoint is still written by encoding/json over Event's struct tags,
+// which yields the same bytes (TestValueJSONKeepsItsBytes holds the two
+// together). The encoder's output is what encoding/json produces for the
+// same data; the decoder accepts what encoding/json accepts into those
+// shapes except where noted on ParseJSON, and hands any token it does not
+// want to interpret itself (a string with escapes or non-ASCII bytes, a
+// float outside the plain decimal range, the value of a key it does not
+// know) to encoding/json for that token alone.
+
+// maxJSONDepth is encoding/json's nesting limit. Skipped members are held
+// to it so that no line encoding/json rejects is accepted here.
+const maxJSONDepth = 10000
+
+var (
+	eventKeys = []string{"type", "ts", "seq", "attrs"}
+	valueKeys = []string{"int", "float", "str", "bool"}
+)
 
 // MarshalJSON implements json.Marshaler. Invalid values fail rather than
 // serializing silently.
 func (v Value) MarshalJSON() ([]byte, error) {
-	var w jsonValue
-	switch v.kind {
-	case KindInt:
-		w.Int = &v.i
-	case KindFloat:
-		w.Float = &v.f
-	case KindString:
-		w.Str = &v.s
-	case KindBool:
-		w.Bool = &v.b
-	default:
-		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
-	}
-	return json.Marshal(w)
+	return appendValueJSON(make([]byte, 0, 32), v)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	var w jsonValue
-	if err := json.Unmarshal(data, &w); err != nil {
+	val, i, err := parseValueJSON(data, skipSpace(data, 0), 1)
+	if err != nil {
 		return err
 	}
+	if i = skipSpace(data, i); i != len(data) {
+		return jsonErr(data, i, "end of value")
+	}
+	*v = val
+	return nil
+}
+
+// AppendJSON appends the JSON object for e to dst, byte for byte what
+// encoding/json writes for an Event: attribute names sorted, attrs left
+// out when empty, <, >, & and U+2028/9 escaped, NaN and ±Inf an error.
+func AppendJSON(dst []byte, e Event) ([]byte, error) {
+	dst = append(dst, `{"type":`...)
+	dst = appendJSONString(dst, e.Type)
+	dst = append(dst, `,"ts":`...)
+	dst = strconv.AppendInt(dst, e.TS, 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	if len(e.Attrs) > 0 {
+		dst = append(dst, `,"attrs":{`...)
+		var buf [8]string
+		for i, k := range sortedNames(buf[:0], e.Attrs) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, k)
+			dst = append(dst, ':')
+			var err error
+			if dst, err = appendValueJSON(dst, e.Attrs[k]); err != nil {
+				return nil, fmt.Errorf("attribute %q: %w", k, err)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendValueJSON(dst []byte, v Value) ([]byte, error) {
+	switch v.kind {
+	case KindInt:
+		dst = append(dst, `{"int":`...)
+		dst = strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		dst = append(dst, `{"float":`...)
+		if abs := math.Abs(v.f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+			dst = strconv.AppendFloat(dst, v.f, 'f', -1, 64)
+		} else {
+			// Exponent form, NaN and ±Inf follow encoding/json's rules.
+			b, err := json.Marshal(v.f)
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, b...)
+		}
+	case KindString:
+		dst = append(dst, `{"str":`...)
+		dst = appendJSONString(dst, v.s)
+	case KindBool:
+		dst = append(dst, `{"bool":`...)
+		dst = strconv.AppendBool(dst, v.b)
+	default:
+		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONString quotes s. Anything encoding/json would escape (and
+// every non-ASCII byte, which it may replace) goes through encoding/json.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // cannot fail for a string
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// ParseJSON decodes one event object, the whole of data apart from
+// surrounding white space, in a single pass. Members may come in any
+// order; missing ones keep their zero value and unknown ones are skipped
+// after a syntax check. Numbers follow the JSON grammar strictly: ts, seq
+// and int take integer literals within range only, float any literal that
+// fits a float64. Strings are copied out of data, so the caller may reuse
+// it; intern is asked for the string of each event-type and attribute name
+// instead, so a reader can serve repeats from a table.
+//
+// Three inputs that encoding/json lets through are errors here, because
+// each means the line was not written by this package's encoder and
+// guessing which reading was meant would hide that: a known member given
+// twice, null in place of the line or of a known member, and a key that
+// matches a known one only after case folding.
+func ParseJSON(data []byte, intern func([]byte) string) (Event, error) {
+	var e Event
+	var seen [4]bool // indexed like eventKeys
+	i, more, err := openObject(data, skipSpace(data, 0))
+	for more && err == nil {
+		var key []byte
+		if key, i, err = parseKey(data, i); err != nil {
+			break
+		}
+		k := indexKey(eventKeys, key)
+		if k >= 0 {
+			if seen[k] {
+				err = fmt.Errorf("duplicate member %q", key)
+				break
+			}
+			seen[k] = true
+		}
+		switch k {
+		case 0:
+			var s []byte
+			if s, i, err = scanString(data, i); err == nil {
+				e.Type = intern(s)
+			}
+		case 1:
+			e.TS, i, err = parseInt(data, i)
+		case 2:
+			e.Seq, i, err = parseDigits(data, i)
+		case 3:
+			e.Attrs, i, err = parseAttrs(data, i, intern)
+		default:
+			i, err = skipMember(data, i, 1, eventKeys, key)
+		}
+		if err == nil {
+			i, more, err = nextMember(data, i)
+		}
+	}
+	if err != nil {
+		return Event{}, err
+	}
+	if i = skipSpace(data, i); i != len(data) {
+		return Event{}, jsonErr(data, i, "end of line")
+	}
+	return e, nil
+}
+
+// parseAttrs reads the attrs object opening at data[i]. An empty object
+// gives a nil map, as a missing member does.
+func parseAttrs(data []byte, i int, intern func([]byte) string) (Attrs, int, error) {
+	var attrs Attrs
+	i, more, err := openObject(data, i)
+	for more && err == nil {
+		var key []byte
+		if key, i, err = parseKey(data, i); err != nil {
+			break
+		}
+		name := intern(key)
+		var v Value
+		if v, i, err = parseValueJSON(data, i, 3); err != nil {
+			err = fmt.Errorf("attribute %q: %w", name, err)
+			break
+		}
+		if attrs == nil {
+			attrs = make(Attrs)
+		}
+		n := len(attrs)
+		if attrs[name] = v; len(attrs) == n {
+			err = fmt.Errorf("duplicate attribute %q", name)
+			break
+		}
+		i, more, err = nextMember(data, i)
+	}
+	if err != nil {
+		return nil, i, err
+	}
+	return attrs, i, nil
+}
+
+// parseValueJSON reads the tagged value object opening at data[i], itself
+// at nesting level depth, and returns the offset after its closing brace.
+func parseValueJSON(data []byte, i, depth int) (Value, int, error) {
+	var v Value
 	set := 0
-	if w.Int != nil {
-		set++
-		*v = Int(*w.Int)
+	i, more, err := openObject(data, i)
+	for more && err == nil {
+		var key []byte
+		if key, i, err = parseKey(data, i); err != nil {
+			break
+		}
+		k := indexKey(valueKeys, key)
+		if k >= 0 {
+			set++
+		}
+		switch k {
+		case 0:
+			var n int64
+			n, i, err = parseInt(data, i)
+			v = Int(n)
+		case 1:
+			var f float64
+			f, i, err = parseFloat(data, i)
+			v = Float(f)
+		case 2:
+			var s []byte
+			s, i, err = scanString(data, i)
+			v = Str(string(s))
+		case 3:
+			var b bool
+			b, i, err = parseBool(data, i)
+			v = Bool(b)
+		default:
+			i, err = skipMember(data, i, depth, valueKeys, key)
+		}
+		if err == nil {
+			i, more, err = nextMember(data, i)
+		}
 	}
-	if w.Float != nil {
-		set++
-		*v = Float(*w.Float)
-	}
-	if w.Str != nil {
-		set++
-		*v = Str(*w.Str)
-	}
-	if w.Bool != nil {
-		set++
-		*v = Bool(*w.Bool)
+	if err != nil {
+		return Value{}, i, err
 	}
 	if set != 1 {
-		return fmt.Errorf("value must set exactly one of int/float/str/bool, got %d", set)
+		return Value{}, i, fmt.Errorf("value must set exactly one of int/float/str/bool, got %d", set)
 	}
-	return nil
+	return v, i, nil
+}
+
+// jsonErr describes what was wanted at offset i and what stands there.
+func jsonErr(data []byte, i int, want string) error {
+	if i >= len(data) {
+		return fmt.Errorf("offset %d: want %s, got end of input", i, want)
+	}
+	return fmt.Errorf("offset %d: want %s, got %q", i, want, data[i])
+}
+
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\r' || data[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// openObject steps over the '{' at data[i]. more reports that a key's
+// opening quote stands at the returned offset; otherwise the object was
+// empty and the offset is past its '}'.
+func openObject(data []byte, i int) (next int, more bool, err error) {
+	if i >= len(data) || data[i] != '{' {
+		return i, false, jsonErr(data, i, "'{'")
+	}
+	if i = skipSpace(data, i+1); i < len(data) && data[i] == '}' {
+		return i + 1, false, nil
+	}
+	return i, true, nil
+}
+
+// nextMember steps from the end of a member's value to the next key (more)
+// or past the closing '}'.
+func nextMember(data []byte, i int) (next int, more bool, err error) {
+	i = skipSpace(data, i)
+	if i < len(data) && data[i] == '}' {
+		return i + 1, false, nil
+	}
+	if i >= len(data) || data[i] != ',' {
+		return i, false, jsonErr(data, i, "',' or '}'")
+	}
+	return skipSpace(data, i+1), true, nil
+}
+
+// parseKey reads a key and its colon and returns the offset of the value.
+func parseKey(data []byte, i int) (key []byte, next int, err error) {
+	if key, i, err = scanString(data, i); err != nil {
+		return nil, i, err
+	}
+	if i = skipSpace(data, i); i >= len(data) || data[i] != ':' {
+		return nil, i, jsonErr(data, i, "':'")
+	}
+	return key, skipSpace(data, i+1), nil
+}
+
+func indexKey(keys []string, key []byte) int {
+	for k, name := range keys {
+		if string(key) == name {
+			return k
+		}
+	}
+	return -1
+}
+
+// scanString reads the string token opening at data[i] and returns its
+// content and the offset after the closing quote. Printable ASCII without
+// a backslash is returned as a sub-slice of data; any other token is
+// decoded by encoding/json into a slice of its own.
+func scanString(data []byte, i int) (s []byte, next int, err error) {
+	if i >= len(data) || data[i] != '"' {
+		return nil, i, jsonErr(data, i, "'\"'")
+	}
+	for j := i + 1; j < len(data); j++ {
+		c := data[j]
+		if c == '"' {
+			return data[i+1 : j], j + 1, nil
+		}
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			break
+		}
+	}
+	end, err := stringEnd(data, i)
+	if err != nil {
+		return nil, i, err
+	}
+	var decoded string
+	if err := json.Unmarshal(data[i:end], &decoded); err != nil {
+		return nil, i, fmt.Errorf("offset %d: %w", i, err)
+	}
+	return []byte(decoded), end, nil
+}
+
+// stringEnd returns the offset after the quote closing the string that
+// opens at data[i], without checking what lies between.
+func stringEnd(data []byte, i int) (int, error) {
+	for j := i + 1; j < len(data); j++ {
+		switch data[j] {
+		case '\\':
+			j++
+		case '"':
+			return j + 1, nil
+		}
+	}
+	return i, fmt.Errorf("offset %d: unterminated string", i)
+}
+
+// parseDigits reads 0|[1-9][0-9]* into a uint64 and refuses a fraction or
+// exponent after it, which encoding/json refuses for an integer field too.
+func parseDigits(data []byte, i int) (uint64, int, error) {
+	start := i
+	var n uint64
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		d := uint64(data[i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, start, fmt.Errorf("offset %d: integer out of range", start)
+		}
+		n = n*10 + d
+	}
+	if i == start {
+		return 0, i, jsonErr(data, i, "a digit")
+	}
+	if data[start] == '0' && i > start+1 {
+		return 0, start, fmt.Errorf("offset %d: leading zero", start)
+	}
+	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
+		return 0, start, fmt.Errorf("offset %d: want an integer, got a fraction or exponent", start)
+	}
+	return n, i, nil
+}
+
+func parseInt(data []byte, i int) (int64, int, error) {
+	start := i
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	n, i, err := parseDigits(data, i)
+	if err != nil {
+		return 0, i, err
+	}
+	if neg && n <= 1<<63 {
+		return -int64(n), i, nil
+	}
+	if !neg && n <= math.MaxInt64 {
+		return int64(n), i, nil
+	}
+	return 0, start, fmt.Errorf("offset %d: integer out of range", start)
+}
+
+// parseFloat checks the number token at data[i] against the JSON grammar
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and only then converts it:
+// strconv.ParseFloat alone would take Inf, NaN, hex and underscores.
+func parseFloat(data []byte, i int) (float64, int, error) {
+	start := i
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	end := skipDigits(data, i)
+	if end == i {
+		return 0, i, jsonErr(data, i, "a digit")
+	}
+	if data[i] == '0' && end > i+1 {
+		return 0, start, fmt.Errorf("offset %d: leading zero", start)
+	}
+	if i = end; i < len(data) && data[i] == '.' {
+		if end = skipDigits(data, i+1); end == i+1 {
+			return 0, end, jsonErr(data, end, "a digit")
+		}
+		i = end
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if end = skipDigits(data, i); end == i {
+			return 0, i, jsonErr(data, i, "a digit")
+		}
+		i = end
+	}
+	f, err := strconv.ParseFloat(string(data[start:i]), 64)
+	if err != nil {
+		return 0, start, fmt.Errorf("offset %d: %w", start, err)
+	}
+	return f, i, nil
+}
+
+func skipDigits(data []byte, i int) int {
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+func parseBool(data []byte, i int) (bool, int, error) {
+	switch rest := data[i:]; {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		return true, i + 4, nil
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		return false, i + 5, nil
+	}
+	return false, i, jsonErr(data, i, "true or false")
+}
+
+// skipMember steps over the value of a key that is none of known, and
+// refuses a key that encoding/json would have folded onto one of them. The
+// value opens at data[i] inside a container at nesting level depth. Its
+// extent is found by matching quotes and brackets only and then checked
+// by encoding/json, so a line with a syntax error anywhere is an error.
+func skipMember(data []byte, i, depth int, known []string, key []byte) (int, error) {
+	for _, name := range known {
+		if strings.EqualFold(string(key), name) {
+			return i, fmt.Errorf("member %q differs from %q only in case", key, name)
+		}
+	}
+	start := i
+	switch {
+	case i >= len(data):
+		return i, jsonErr(data, i, "a value")
+	case data[i] == '"':
+		end, err := stringEnd(data, i)
+		if err != nil {
+			return i, err
+		}
+		i = end
+	case data[i] == '{' || data[i] == '[':
+		for open := 0; ; {
+			if i >= len(data) {
+				return start, fmt.Errorf("offset %d: unterminated value", start)
+			}
+			switch data[i] {
+			case '"':
+				end, err := stringEnd(data, i)
+				if err != nil {
+					return i, err
+				}
+				i = end
+				continue
+			case '{', '[':
+				if open++; depth+open > maxJSONDepth {
+					return start, fmt.Errorf("offset %d: nested deeper than %d", start, maxJSONDepth)
+				}
+			case '}', ']':
+				open--
+			}
+			if i++; open == 0 {
+				break
+			}
+		}
+	default:
+		for i < len(data) && strings.IndexByte(",}] \t\r\n", data[i]) < 0 {
+			i++
+		}
+	}
+	if !json.Valid(data[start:i]) {
+		return start, fmt.Errorf("offset %d: member %q: invalid value", start, key)
+	}
+	return i, nil
 }

@@ -2,6 +2,8 @@ package event
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -65,5 +67,163 @@ func TestEventJSONOmitsEmptyAttrs(t *testing.T) {
 	}
 	if strings.Contains(string(raw), "attrs") {
 		t.Errorf("empty attrs serialized: %s", raw)
+	}
+}
+
+// refValue is the pointer-union struct Value.MarshalJSON went through
+// before the append encoder; the WAL and the checkpoints hold its bytes.
+type refValue struct {
+	Int   *int64   `json:"int,omitempty"`
+	Float *float64 `json:"float,omitempty"`
+	Str   *string  `json:"str,omitempty"`
+	Bool  *bool    `json:"bool,omitempty"`
+}
+
+func refMarshalValue(v Value) ([]byte, error) {
+	var w refValue
+	switch v.kind {
+	case KindInt:
+		w.Int = &v.i
+	case KindFloat:
+		w.Float = &v.f
+	case KindString:
+		w.Str = &v.s
+	case KindBool:
+		w.Bool = &v.b
+	default:
+		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
+	}
+	return json.Marshal(w)
+}
+
+// refUnmarshalValue is the old Value.UnmarshalJSON.
+func refUnmarshalValue(data []byte) (Value, error) {
+	var w refValue
+	if err := json.Unmarshal(data, &w); err != nil {
+		return Value{}, err
+	}
+	set := 0
+	var v Value
+	if w.Int != nil {
+		set++
+		v = Int(*w.Int)
+	}
+	if w.Float != nil {
+		set++
+		v = Float(*w.Float)
+	}
+	if w.Str != nil {
+		set++
+		v = Str(*w.Str)
+	}
+	if w.Bool != nil {
+		set++
+		v = Bool(*w.Bool)
+	}
+	if set != 1 {
+		return Value{}, fmt.Errorf("value must set exactly one of int/float/str/bool, got %d", set)
+	}
+	return v, nil
+}
+
+// identical compares bit for bit, so -0 and 0 differ.
+func identical(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && math.Float64bits(a.f) == math.Float64bits(b.f) && a.s == b.s && a.b == b.b
+}
+
+func hostileValues() []Value {
+	vs := []Value{
+		Int(0), Int(math.MinInt64), Int(math.MaxInt64), Bool(true), Bool(false),
+		Str(""), Str("plain"), Str("a<b>c&d"), Str("sep \u2028 \u2029"), Str("invalid \xff\xfe utf8 \xe2\x82"),
+		Str("\x00\x01\b\f\n\r\t\x1f\x7f"), Str(`"\`), Str("héllo 😀"), Str(strings.Repeat("long ", 5000)),
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-6, 9.9e-7, 1e-7, 1e20, 1e21, 1.5e300, 5e-324,
+		math.MaxFloat64, -math.MaxFloat64, 0.1, 1.0 / 3, 123456789.125, 1e-9, 1.234e-10} {
+		vs = append(vs, Float(f))
+	}
+	return vs
+}
+
+// TestValueJSONKeepsItsBytes: the append encoder writes what the
+// pointer-union struct wrote, so WAL records and checkpoints written before
+// and after it are the same bytes; and every value reads back bit for bit.
+func TestValueJSONKeepsItsBytes(t *testing.T) {
+	for _, v := range hostileValues() {
+		want, err := refMarshalValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", v, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("marshal %v:\n got %s\nwant %s", v, got, want)
+		}
+		var back Value
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", got, err)
+		}
+		if wantBack, _ := refUnmarshalValue(want); !identical(back, wantBack) {
+			t.Errorf("round trip %v -> %s -> %v, reference %v", v, got, back, wantBack)
+		}
+	}
+	for _, v := range []Value{{}, Float(math.NaN()), Float(math.Inf(1))} {
+		if _, err := json.Marshal(v); err == nil {
+			t.Errorf("%v marshaled", v)
+		}
+	}
+	// A literal golden, so the reference itself cannot drift; reflection
+	// over Event's struct tags and AppendJSON are the same document.
+	e := Event{Type: "T<1>", TS: -5, Seq: 7, Attrs: Attrs{
+		"s": Str("a\"b\u2028&"), "f": Float(1e-7), "g": Float(2.50), "i": Int(-42), "b": Bool(true),
+	}}
+	const golden = `{"type":"T\u003c1\u003e","ts":-5,"seq":7,"attrs":{"b":{"bool":true},"f":{"float":1e-7},"g":{"float":2.5},"i":{"int":-42},"s":{"str":"a\"b\u2028\u0026"}}}`
+	viaReflection, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaAppend, err := AppendJSON(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(viaReflection) != golden || string(viaAppend) != golden {
+		t.Errorf("event JSON:\n json.Marshal %s\n AppendJSON   %s\n golden       %s", viaReflection, viaAppend, golden)
+	}
+}
+
+// TestValueUnmarshalMatchesReference: UnmarshalJSON returns what the
+// pointer-union struct returned, or an error; it is stricter only in the
+// three ways ParseJSON documents.
+func TestValueUnmarshalMatchesReference(t *testing.T) {
+	tests := []struct {
+		raw      string
+		stricter bool
+	}{
+		{raw: `{"int":1}`}, {raw: ` { "float" : -1.5e3 } `}, {raw: "{\n\"str\":\"a\\u00e9\\n\"\n}"}, {raw: `{"bool":false}`},
+		{raw: `{"int":1,"extra":[1,{"a":null}]}`}, {raw: `{"extra":"x","bool":true}`},
+		{raw: `{"float":1}`}, {raw: `{"float":-0}`}, {raw: `{"int":-0}`}, {raw: `{"int":9223372036854775807}`},
+		{raw: `{}`}, {raw: `{"int":1,"str":"x"}`}, {raw: `[1]`}, {raw: `null`}, {raw: `1`}, {raw: `{"int":1.0}`},
+		{raw: `{"int":9223372036854775808}`}, {raw: `{"float":1e999}`}, {raw: `{"int":"1"}`}, {raw: `{"str":1}`},
+		{raw: `{"bool":"true"}`}, {raw: `{"int":1}x`}, {raw: `{"int":1`}, {raw: `{"int":01}`}, {raw: `{"extra":tru,"int":1}`},
+		{raw: `{"int":1,"int":2}`, stricter: true},
+		{raw: `{"int":null,"str":"x"}`, stricter: true},
+		{raw: `{"Int":1}`, stricter: true},
+		{raw: `{"\u017ftr":"x"}`, stricter: true},
+	}
+	for _, tt := range tests {
+		want, refErr := refUnmarshalValue([]byte(tt.raw))
+		var got Value
+		err := json.Unmarshal([]byte(tt.raw), &got)
+		switch {
+		case tt.stricter:
+			if err == nil || refErr != nil {
+				t.Errorf("%s: err = %v, reference err = %v; want an error from the new decoder only", tt.raw, err, refErr)
+			}
+		case (err == nil) != (refErr == nil):
+			t.Errorf("%s: err = %v, reference err = %v", tt.raw, err, refErr)
+		case err == nil && !identical(got, want):
+			t.Errorf("%s: got %v, reference %v", tt.raw, got, want)
+		}
 	}
 }

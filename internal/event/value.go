@@ -95,17 +95,23 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 
 // String renders the value for display.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(AppendValue(buf[:0], v))
+}
+
+// AppendValue appends the text Value.String returns for v to dst.
+func AppendValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(dst, v.b)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 

@@ -235,13 +235,27 @@ func (v *AggValue) key() string {
 func (v *AggValue) Same(o *AggValue) bool { return v.key() == o.key() }
 
 func (v *AggValue) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s(%d,%d]", v.Func, v.WindowStart, v.WindowEnd)
+	var buf [128]byte
+	return string(v.appendText(buf[:0]))
+}
+
+// appendText appends FUNC(start,end] [key=group] = value (n=count).
+func (v *AggValue) appendText(dst []byte) []byte {
+	dst = append(dst, v.Func...)
+	dst = append(dst, '(')
+	dst = strconv.AppendInt(dst, v.WindowStart, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, v.WindowEnd, 10)
+	dst = append(dst, ']')
 	if v.HasGroup {
-		fmt.Fprintf(&b, " key=%s", v.Group)
+		dst = append(dst, " key="...)
+		dst = event.AppendValue(dst, v.Group)
 	}
-	fmt.Fprintf(&b, " = %s (n=%d)", v.Value, v.Count)
-	return b.String()
+	dst = append(dst, " = "...)
+	dst = event.AppendValue(dst, v.Value)
+	dst = append(dst, " (n="...)
+	dst = strconv.AppendInt(dst, v.Count, 10)
+	return append(dst, ')')
 }
 
 // WindowEvent builds the placeholder event aggregate matches carry in

@@ -89,27 +89,28 @@ func (m Match) Last() event.Event { return m.Events[len(m.Events)-1] }
 // Span is the time extent Last.TS − First.TS.
 func (m Match) Span() event.Time { return m.Last().TS - m.First().TS }
 
-// String renders the match for logs and test failures.
+// String renders the match for logs and test failures. It is the line
+// esprun prints per result, so it is built in one stack-seeded buffer and
+// costs the returned string only.
 func (m Match) String() string {
-	var b strings.Builder
+	var buf [512]byte
+	dst := buf[:0]
 	if m.Kind == Retract {
-		b.WriteString("-")
+		dst = append(dst, '-')
 	}
+	dst = append(dst, '[')
 	if m.Agg != nil {
-		b.WriteString("[")
-		b.WriteString(m.Agg.String())
-		b.WriteString("]")
-		return b.String()
-	}
-	b.WriteString("[")
-	for i, e := range m.Events {
-		if i > 0 {
-			b.WriteString("; ")
+		dst = m.Agg.appendText(dst)
+	} else {
+		for i := range m.Events {
+			if i > 0 {
+				dst = append(dst, "; "...)
+			}
+			dst = event.AppendEvent(dst, m.Events[i])
 		}
-		b.WriteString(e.String())
 	}
-	b.WriteString("]")
-	return b.String()
+	dst = append(dst, ']')
+	return string(dst)
 }
 
 // KeySet collects the keys of a slice of matches into a multiset

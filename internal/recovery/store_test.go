@@ -448,6 +448,24 @@ func TestEventAttrsSurviveWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Kill()
+	// The record's bytes are part of the on-disk format: a log written by
+	// an earlier build must hold exactly this payload.
+	const golden = `{"e":{"type":"T","ts":5,"seq":9,"attrs":{"id":{"int":42},"name":{"str":"x y"},"temp":{"float":3.5}}}}`
+	found := false
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found = found || bytes.Contains(data, []byte(golden))
+	}
+	if !found {
+		t.Fatalf("no WAL segment holds the payload %s", golden)
+	}
 	s2, err := Open(dir, Options{DisableFsync: true})
 	if err != nil {
 		t.Fatal(err)

@@ -2,126 +2,63 @@
 // line, for the command-line tools (espgen writes traces, esprun replays
 // them). The format keeps arrival order — a shuffled trace replayed from a
 // file reproduces the disorder exactly — and round-trips every value kind.
+//
+// # Format
+//
+//	line   = ws "{" [ member { "," member } ] "}" ws
+//	member = "type"  ":" string          event type, "" when absent
+//	       | "ts"    ":" integer         int64, 0 when absent
+//	       | "seq"   ":" natural         uint64, no sign, 0 when absent
+//	       | "attrs" ":" "{" [ name ":" value { "," name ":" value } ] "}"
+//	       | string  ":" any JSON value  unknown key: checked, then skipped
+//	value  = "{" tag { "," string ":" any } "}"   exactly one tag, unknown keys skipped
+//	tag    = "int" ":" integer | "float" ":" number | "str" ":" string | "bool" ":" ( "true" | "false" )
+//
+// Members come in any order with JSON white space anywhere between tokens;
+// an empty or white-space-only line is skipped. integer is
+// -?(0|[1-9][0-9]*) within int64, number is any JSON number literal that
+// fits a float64 (no Inf, NaN, hex or underscores), string is any JSON
+// string. The Writer emits members in the order above with attribute
+// names sorted, byte for byte as encoding/json would.
+//
+// The Reader decodes with internal/event's single-pass scanner and has no
+// second, reflection-based path. It returns exactly the event
+// encoding/json would decode from the line, or an error, and is stricter
+// than encoding/json in three documented ways, each an error: a known
+// member or an attribute name given twice (encoding/json keeps the last),
+// null in place of the line or of a known member (encoding/json keeps the
+// zero value), and a key that equals a known one only after case folding,
+// such as "TS" (encoding/json matches it).
 package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"oostream/internal/event"
 )
 
-// wireEvent is the serialized event shape.
-type wireEvent struct {
-	Type  string               `json:"type"`
-	TS    int64                `json:"ts"`
-	Seq   uint64               `json:"seq"`
-	Attrs map[string]wireValue `json:"attrs,omitempty"`
-}
-
-// wireValue is a tagged union; exactly one pointer field is set.
-type wireValue struct {
-	Int   *int64   `json:"int,omitempty"`
-	Float *float64 `json:"float,omitempty"`
-	Str   *string  `json:"str,omitempty"`
-	Bool  *bool    `json:"bool,omitempty"`
-}
-
-func toWire(e event.Event) (wireEvent, error) {
-	w := wireEvent{Type: e.Type, TS: e.TS, Seq: e.Seq}
-	if len(e.Attrs) > 0 {
-		w.Attrs = make(map[string]wireValue, len(e.Attrs))
-		for k, v := range e.Attrs {
-			wv, err := valueToWire(v)
-			if err != nil {
-				return wireEvent{}, fmt.Errorf("attribute %q: %w", k, err)
-			}
-			w.Attrs[k] = wv
-		}
-	}
-	return w, nil
-}
-
-func valueToWire(v event.Value) (wireValue, error) {
-	switch v.Kind() {
-	case event.KindInt:
-		i, _ := v.AsInt()
-		return wireValue{Int: &i}, nil
-	case event.KindFloat:
-		f, _ := v.AsFloat()
-		return wireValue{Float: &f}, nil
-	case event.KindString:
-		s, _ := v.AsString()
-		return wireValue{Str: &s}, nil
-	case event.KindBool:
-		b, _ := v.AsBool()
-		return wireValue{Bool: &b}, nil
-	default:
-		return wireValue{}, fmt.Errorf("cannot serialize %s value", v.Kind())
-	}
-}
-
-func fromWire(w wireEvent) (event.Event, error) {
-	e := event.Event{Type: w.Type, TS: w.TS, Seq: w.Seq}
-	if len(w.Attrs) > 0 {
-		e.Attrs = make(event.Attrs, len(w.Attrs))
-		for k, wv := range w.Attrs {
-			v, err := valueFromWire(wv)
-			if err != nil {
-				return event.Event{}, fmt.Errorf("attribute %q: %w", k, err)
-			}
-			e.Attrs[k] = v
-		}
-	}
-	return e, nil
-}
-
-func valueFromWire(w wireValue) (event.Value, error) {
-	set := 0
-	var v event.Value
-	if w.Int != nil {
-		set++
-		v = event.Int(*w.Int)
-	}
-	if w.Float != nil {
-		set++
-		v = event.Float(*w.Float)
-	}
-	if w.Str != nil {
-		set++
-		v = event.Str(*w.Str)
-	}
-	if w.Bool != nil {
-		set++
-		v = event.Bool(*w.Bool)
-	}
-	if set != 1 {
-		return event.Value{}, fmt.Errorf("value must set exactly one field, got %d", set)
-	}
-	return v, nil
-}
-
 // Writer encodes events to a stream.
 type Writer struct {
 	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriter(w)}
 }
 
 // Write appends one event.
 func (w *Writer) Write(e event.Event) error {
-	we, err := toWire(e)
+	buf, err := event.AppendJSON(w.buf[:0], e)
 	if err != nil {
 		return err
 	}
-	return w.enc.Encode(we)
+	w.buf = append(buf, '\n')
+	_, err = w.bw.Write(w.buf)
+	return err
 }
 
 // WriteAll appends a slice of events.
@@ -137,41 +74,73 @@ func (w *Writer) WriteAll(events []event.Event) error {
 // Flush flushes buffered output; call before closing the underlying file.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
+// Event-type and attribute names repeat on every line of a trace, so the
+// Reader hands out one string per distinct name. The table is bounded in
+// entries and in name length: a stream with unbounded name cardinality
+// fills it once and from then on pays one allocation per name, as a reader
+// without a table would.
+const (
+	maxInterned    = 64
+	maxInternedLen = 64
+)
+
 // Reader decodes events from a stream.
 type Reader struct {
 	scanner *bufio.Scanner
 	line    int
+	names   map[string]string
 }
 
 // NewReader wraps r. Lines up to 16 MiB are accepted.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{scanner: sc}
+	return &Reader{scanner: sc, names: make(map[string]string)}
 }
 
-// Read returns the next event, or io.EOF at end of stream.
+// intern returns the string of a name, from the table when it is there.
+func (r *Reader) intern(b []byte) string {
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(r.names) < maxInterned && len(s) <= maxInternedLen {
+		r.names[s] = s
+	}
+	return s
+}
+
+// Read returns the next event, or io.EOF at end of stream. A decode error
+// names the line; the Reader can go on to the next line after it.
 func (r *Reader) Read() (event.Event, error) {
 	for r.scanner.Scan() {
 		r.line++
 		raw := r.scanner.Bytes()
-		if len(raw) == 0 {
+		if blank(raw) {
 			continue
 		}
-		var w wireEvent
-		if err := json.Unmarshal(raw, &w); err != nil {
-			return event.Event{}, fmt.Errorf("line %d: %w", r.line, err)
-		}
-		e, err := fromWire(w)
+		e, err := event.ParseJSON(raw, r.intern)
 		if err != nil {
 			return event.Event{}, fmt.Errorf("line %d: %w", r.line, err)
 		}
 		return e, nil
 	}
 	if err := r.scanner.Err(); err != nil {
-		return event.Event{}, err
+		// The scanner failed on the line after the last one it delivered
+		// (too long, or the underlying reader broke).
+		return event.Event{}, fmt.Errorf("line %d: %w", r.line+1, err)
 	}
 	return event.Event{}, io.EOF
+}
+
+// blank reports whether line holds JSON white space only.
+func blank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadAll consumes the remaining events.
