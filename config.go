@@ -13,24 +13,29 @@ type Strategy string
 
 // Available strategies.
 const (
-	// StrategyNative is the paper's native out-of-order engine (default).
+	// StrategyNative is the paper's native out-of-order engine (default):
+	// the out-of-order kernel holding negation output until it seals.
 	StrategyNative Strategy = "native"
 	// StrategyInOrder is the classic SASE engine (exact only on sorted
-	// input; the paper's problem-analysis baseline).
+	// input; the paper's problem-analysis baseline). It is the one strategy
+	// that does not run the out-of-order kernel.
 	StrategyInOrder Strategy = "inorder"
-	// StrategyKSlack reorders with a K-slack buffer before an in-order
-	// engine (the levee baseline).
+	// StrategyKSlack reorders with a K-slack buffer in front of the kernel
+	// running at K=0 (the levee baseline: every result waits at the buffer).
 	StrategyKSlack Strategy = "kslack"
-	// StrategySpeculate emits eagerly and compensates with retractions
-	// (the aggressive extension).
+	// StrategySpeculate is the kernel under its emit-then-retract policy:
+	// it emits eagerly and compensates with retractions (the aggressive
+	// extension).
 	StrategySpeculate Strategy = "speculate"
-	// StrategyHybrid runs speculate OR native inside a switching
-	// meta-engine: it speculates while disorder is low and falls back to
-	// native sealing when the retraction rate or the adaptive disorder
-	// bound breaches Config.Adaptive.SLO, handing off at sealed watermarks
-	// so the net output stays exact across switches. The meta-engine always
-	// runs an adaptive controller (set Config.Adaptive.Enabled for dynamic
-	// K; otherwise K stays pinned at Config.K).
+	// StrategyHybrid flips one kernel between the speculate and native
+	// emission policies: it speculates while disorder is low and falls back
+	// to sealing when the retraction rate or the adaptive disorder bound
+	// breaches Config.Adaptive.SLO. A switch rebuilds nothing — matches
+	// already out stay retractable until they seal, matches held back are
+	// released when speculation resumes — so the net output stays exact
+	// across switches. The kernel always runs an adaptive controller (set
+	// Config.Adaptive.Enabled for dynamic K; otherwise K stays pinned at
+	// Config.K).
 	StrategyHybrid Strategy = "hybrid"
 )
 
@@ -157,12 +162,14 @@ type Config struct {
 	// BestEffortLate makes the native engine process bound-violating
 	// events instead of dropping them (completeness is then best-effort).
 	BestEffortLate bool
-	// DisableTriggerOpt disables the native engine's scan optimization
-	// (ablation knob; results are unchanged, CPU cost rises).
+	// DisableTriggerOpt disables the kernel's scan optimization (ablation
+	// knob; results are unchanged, CPU cost rises). Like the next two knobs
+	// it applies to every strategy but StrategyInOrder, which does not run
+	// the kernel.
 	DisableTriggerOpt bool
-	// DisableKeyedStacks disables the native engine's key-partitioned
-	// stacks, which auto-enable when the query is provably partitionable by
-	// an equivalence attribute (see Query.AutoPartitionKey). Ablation knob;
+	// DisableKeyedStacks disables the kernel's key-partitioned stacks,
+	// which auto-enable when the query is provably partitionable by an
+	// equivalence attribute (see Query.AutoPartitionKey). Ablation knob;
 	// results are unchanged, construction cost rises with key cardinality.
 	DisableKeyedStacks bool
 	// PurgeEvery runs state purging every PurgeEvery events; 0 = default
@@ -245,11 +252,11 @@ func (c Config) validate() error {
 	if c.BestEffortLate && c.Strategy != StrategyNative {
 		return fmt.Errorf("BestEffortLate applies only to %q", StrategyNative)
 	}
-	if c.DisableTriggerOpt && c.Strategy != StrategyNative {
-		return fmt.Errorf("DisableTriggerOpt applies only to %q", StrategyNative)
+	if c.DisableTriggerOpt && c.Strategy == StrategyInOrder {
+		return fmt.Errorf("DisableTriggerOpt does not apply to %q", StrategyInOrder)
 	}
-	if c.DisableKeyedStacks && c.Strategy != StrategyNative {
-		return fmt.Errorf("DisableKeyedStacks applies only to %q", StrategyNative)
+	if c.DisableKeyedStacks && c.Strategy == StrategyInOrder {
+		return fmt.Errorf("DisableKeyedStacks does not apply to %q", StrategyInOrder)
 	}
 	if c.OrderedOutput && c.Strategy == StrategySpeculate {
 		return fmt.Errorf("OrderedOutput cannot buffer %q retractions", StrategySpeculate)

@@ -20,8 +20,8 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"shards without attr", Config{Partition: Partition{Shards: 2}}, "without Partition.Attr"},
 		{"negative shards", Config{Partition: Partition{Attr: "sensor", Shards: -1}}, "Shards must be >= 0"},
 		{"best-effort non-native", Config{Strategy: StrategyKSlack, BestEffortLate: true}, "BestEffortLate applies only"},
-		{"trigger-opt non-native", Config{Strategy: StrategyKSlack, DisableTriggerOpt: true}, "DisableTriggerOpt applies only"},
-		{"keyed-stacks non-native", Config{Strategy: StrategySpeculate, DisableKeyedStacks: true}, "DisableKeyedStacks applies only"},
+		{"trigger-opt without the kernel", Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}, "DisableTriggerOpt does not apply"},
+		{"keyed-stacks without the kernel", Config{Strategy: StrategyInOrder, DisableKeyedStacks: true}, "DisableKeyedStacks does not apply"},
 		{"ordered speculate", Config{Strategy: StrategySpeculate, OrderedOutput: true}, "cannot buffer"},
 		{"negative batch size", Config{Batch: Batch{Size: -1}}, "Batch.Size must be >= 0"},
 		{"negative linger", Config{Batch: Batch{Linger: -time.Second}}, "Batch.Linger must be >= 0"},

@@ -11,11 +11,9 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/fiba"
-	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
-	"oostream/internal/speculate"
 )
 
 func compile(t *testing.T, src string) *plan.Plan {
@@ -204,7 +202,7 @@ func TestAdvanceSealsDuringSilence(t *testing.T) {
 
 func TestSpeculativePreviewAndRevision(t *testing.T) {
 	p := compile(t, "AGGREGATE SUM(b.v) OVER SEQ(A a, B b) WITHIN 100")
-	sp, err := speculate.New(p, speculate.Options{K: 50})
+	sp, err := core.New(p, core.Options{K: 50, Emit: core.EmitThenRetract})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +293,9 @@ func TestDifferentialVsOracle(t *testing.T) {
 			want := expected(t, p, events)
 			engines := map[string]engine.Engine{
 				"native": New(p, core.MustNew(p, core.Options{K: k}), false, k),
-				"kslack": New(p, kslack.NewEngine(k, inorder.New(p)), false, k),
+				"kslack": New(p, kslack.NewEngine(k, core.MustNew(p, core.Options{})), false, k),
 			}
-			sp, err := speculate.New(p, speculate.Options{K: k})
+			sp, err := core.New(p, core.Options{K: k, Emit: core.EmitThenRetract})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +361,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestSpeculativeCheckpointRefused(t *testing.T) {
 	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100")
-	sp, err := speculate.New(p, speculate.Options{K: 10})
+	sp, err := core.New(p, core.Options{K: 10, Emit: core.EmitThenRetract})
 	if err != nil {
 		t.Fatal(err)
 	}

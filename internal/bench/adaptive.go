@@ -66,7 +66,6 @@ func E20Adaptive(s Scale) *Table {
 		Notes: []string{
 			"delivery profile: " + prof.String(),
 			fmt.Sprintf("phase boundary at ts=%d; static candidates: quiet-p99=%d, congested-p99=%d, global-p99=%d, max=%d", mid, kQuiet, kCongested, kGlobal, kMax),
-			"hybrid mean_buf/peak_state include its 2·window replay tail, not just reordering state",
 		},
 	}
 

@@ -129,7 +129,13 @@ func sortEvents(events []event.Event) {
 //
 // Metrics counters are NOT checkpointed: a restored engine starts fresh
 // counters (operational metrics describe a process, not the computation).
+//
+// The format holds no vulnerable matches, so an engine that emits ahead of
+// the seal (or still carries vulnerable output from when it did) refuses.
 func (en *Engine) Checkpoint(w io.Writer) error {
+	if en.opts.Emit == EmitThenRetract || en.liveVuln > 0 {
+		return fmt.Errorf("strategy %q does not support checkpointing", en.Name())
+	}
 	cf := checkpointFile{
 		Version:    checkpointVersion,
 		PlanSource: en.plan.Source,

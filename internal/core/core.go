@@ -39,6 +39,16 @@
 // candidate match until the safe clock (maxTS − K) passes the end of its
 // negation gaps, at which point every relevant negative has arrived.
 //
+// That deferral is one of two emission policies over the same stacks,
+// negative stores, construction walk, and purge (Options.Emit). Under
+// EmitThenRetract — the aggressive alternative the paper sketches and the
+// authors' ICDE'09 follow-up develops — a finished binding that passes the
+// negatives seen so far is emitted at once and stays vulnerable until the
+// safe clock passes its seal; a negative arriving inside one of its gaps
+// before then emits a compensating Retract. Inserts minus retracts converge
+// to the sealed result (invariant I7). Without negation the two policies
+// coincide: every binding seals at construction.
+//
 // The same safe clock drives state purging: an instance at a non-final
 // position is dead once safe − Window passes its timestamp; a final-position
 // instance once safe passes it; buffered negatives once safe − 2·Window
@@ -76,11 +86,34 @@ const (
 	BestEffort
 )
 
-// Options configure the native engine.
+// EmitPolicy says when a finished binding is released.
+type EmitPolicy int
+
+const (
+	// SealThenEmit holds a binding until the safe clock passes its negation
+	// gaps: output is final, delayed by up to K (default).
+	SealThenEmit EmitPolicy = iota
+	// EmitThenRetract releases a binding as soon as it passes the negatives
+	// seen so far and compensates with a Retract if a later negative
+	// invalidates it before it seals: no sealing delay, revisable output.
+	EmitThenRetract
+)
+
+// String names the strategy the policy implements.
+func (p EmitPolicy) String() string {
+	if p == EmitThenRetract {
+		return "speculate"
+	}
+	return "native"
+}
+
+// Options configure the engine.
 type Options struct {
 	// K is the disorder bound (slack) in logical milliseconds. Events
 	// delayed more than K against the max seen timestamp are "late".
 	K event.Time
+	// Emit selects the emission policy; default SealThenEmit.
+	Emit EmitPolicy
 	// LatePolicy handles late events; default DropLate.
 	LatePolicy LatePolicy
 	// DisableTriggerOpt turns off the scan optimization and probes for
@@ -102,7 +135,7 @@ type Options struct {
 	Adaptive *adaptive.Controller
 	// AdaptiveFeed marks this engine as the controller's owner: it feeds
 	// watermark-lag observations and live-state sizes. False for engines
-	// sharing a controller someone else feeds (hybrid sub-engines, shards).
+	// sharing a controller someone else feeds (shards).
 	AdaptiveFeed bool
 }
 
@@ -118,6 +151,9 @@ func (o Options) normalized() (Options, error) {
 	if o.LatePolicy != DropLate && o.LatePolicy != BestEffort {
 		return o, fmt.Errorf("unknown late policy %d", o.LatePolicy)
 	}
+	if o.Emit != SealThenEmit && o.Emit != EmitThenRetract {
+		return o, fmt.Errorf("unknown emission policy %d", o.Emit)
+	}
 	if o.PurgeEvery == 0 {
 		o.PurgeEvery = defaultPurgeEvery
 	}
@@ -132,7 +168,7 @@ func (o Options) normalized() (Options, error) {
 // the key-equality predicates, so it is counted and dropped.
 var errMissingKey = errors.New("event lacks the partition key attribute")
 
-// Engine is the native out-of-order SSC engine.
+// Engine is the out-of-order SSC engine.
 type Engine struct {
 	plan *plan.Plan
 	opts Options
@@ -154,6 +190,14 @@ type Engine struct {
 	cross *plan.CrossView
 
 	pending pendingHeap
+	// vuln holds the emitted matches that can still be retracted, per key
+	// group (the zero Value when unkeyed) in emission order, so a negative
+	// probes only its own group and compensations leave in the order their
+	// inserts did — output stays a deterministic function of the event
+	// sequence, which crash recovery replays against. Entries leave when
+	// retracted or, once the safe clock passes their seal, at the next purge.
+	vuln     map[event.Value][]pendingMatch
+	liveVuln int
 	// clock is the maximum timestamp seen (not the latest arrival's).
 	clock   event.Time
 	started bool
@@ -219,7 +263,7 @@ type Engine struct {
 
 var _ engine.Engine = (*Engine)(nil)
 
-// New builds a native out-of-order engine.
+// New builds an out-of-order engine.
 func New(p *plan.Plan, opts Options) (*Engine, error) {
 	opts, err := opts.normalized()
 	if err != nil {
@@ -228,6 +272,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	en := &Engine{
 		plan:         p,
 		opts:         opts,
+		vuln:         make(map[event.Value][]pendingMatch),
 		frontier:     minTime,
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
@@ -276,8 +321,8 @@ func MustNew(p *plan.Plan, opts Options) *Engine {
 	return en
 }
 
-// Name implements engine.Engine.
-func (en *Engine) Name() string { return "native" }
+// Name implements engine.Engine: the strategy the emission policy implements.
+func (en *Engine) Name() string { return en.opts.Emit.String() }
 
 // Observe implements engine.Observable.
 func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
@@ -312,13 +357,16 @@ func (en *Engine) KeyGroups() int {
 // incrementally on insertion and purging (recomputeStateSize cross-checks
 // them in tests).
 func (en *Engine) StateSize() int {
-	return en.liveStack + en.liveNeg + en.pending.Len()
+	return en.liveStack + en.liveNeg + en.pending.Len() + en.liveVuln
 }
 
 // recomputeStateSize walks the actual structures; tests assert it equals
 // the incrementally maintained StateSize after every event.
 func (en *Engine) recomputeStateSize() int {
 	total := en.pending.Len()
+	for _, list := range en.vuln {
+		total += len(list)
+	}
 	if en.Keyed() {
 		en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
 			total += st.Size()
@@ -497,6 +545,7 @@ func (en *Engine) insertUnkeyed(e event.Event, isOOO bool, out []plan.Match) []p
 		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.met.IncPredError) {
 			en.negStores[negIdx].insert(e)
 			en.liveNeg++
+			out = en.retract(negIdx, event.Value{}, e, out)
 		}
 	}
 	last := en.plan.Len() - 1
@@ -544,6 +593,7 @@ func (en *Engine) insertKeyed(e event.Event, isOOO bool, out []plan.Match) []pla
 	for _, negIdx := range en.plan.NegativesForType(e.Type) {
 		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.met.IncPredError) {
 			en.insertKeyedNeg(negIdx, key, e)
+			out = en.retract(negIdx, key, e, out)
 		}
 	}
 	last := en.plan.Len() - 1
@@ -597,12 +647,16 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	return out
 }
 
-// Flush implements engine.Engine: end of stream seals every pending match.
+// Flush implements engine.Engine: end of stream seals every pending match
+// and makes every vulnerable one final.
 func (en *Engine) Flush() []plan.Match {
 	var out []plan.Match
 	for en.pending.Len() > 0 {
 		out = en.finalize(en.popPending(), out)
 	}
+	// Whatever is still vulnerable is final: no negative can follow.
+	clear(en.vuln)
+	en.liveVuln = 0
 	en.met.SetLiveState(en.StateSize())
 	if en.prov {
 		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
@@ -688,9 +742,9 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 }
 
 // emit routes a complete positive binding: sealed immediately when the safe
-// clock already passed every negation gap, otherwise parked in the pending
-// queue until it does. The scratch binding is copied here — the single
-// allocation a match costs.
+// clock already passed every negation gap; otherwise released as vulnerable
+// (EmitThenRetract) or parked in the pending queue until it does. The
+// scratch binding is copied here — the single allocation a match costs.
 func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 	en.enumerated++
 	events := make([]event.Event, len(binding))
@@ -714,6 +768,9 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 	if sealTS <= en.safe() {
 		return en.finalize(pm, out)
 	}
+	if en.opts.Emit == EmitThenRetract {
+		return en.release(pm, out)
+	}
 	if pm.prov != nil {
 		en.lineageLive++
 		en.lineageBytes += pm.prov.SizeBytes()
@@ -721,6 +778,106 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 	heap.Push(&en.pending, pm)
 	return out
 }
+
+// release emits a binding ahead of its seal: finalize checks it against the
+// negatives seen so far, and a match that goes out joins its key group's
+// vulnerable list, where later negatives find it.
+func (en *Engine) release(pm pendingMatch, out []plan.Match) []plan.Match {
+	n := len(out)
+	out = en.finalize(pm, out)
+	if len(out) > n {
+		pm.prov = nil // the record left with the match
+		en.vuln[pm.key] = append(en.vuln[pm.key], pm)
+		en.liveVuln++
+	}
+	return out
+}
+
+// retract compensates the vulnerable matches of the negative's key group
+// whose gap it falls into, in emission order.
+func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []plan.Match) []plan.Match {
+	if en.liveVuln == 0 {
+		return out
+	}
+	list := en.vuln[key]
+	kept := list[:0]
+	for _, pm := range list {
+		lo, hi := en.plan.GapBounds(negIdx, pm.events)
+		if neg.TS <= lo || neg.TS >= hi ||
+			!en.plan.NegMatchesScratch(negIdx, neg, pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
+			kept = append(kept, pm)
+			continue
+		}
+		m := plan.Match{
+			Kind:      plan.Retract,
+			Events:    pm.events,
+			EmitSeq:   event.Seq(en.arrival),
+			EmitClock: en.clock,
+		}
+		if en.prov {
+			m.Prov = en.lineageFor(pm)
+			m.Prov.Kind = provenance.KindRetract
+			m.Prov.EmitClock = en.clock
+			inv := provenance.Ref(neg, -1)
+			m.Prov.InvalidatedBy = &inv
+			en.met.IncLineage()
+		}
+		en.met.AddMatch(true, 0, 0)
+		if en.trace != nil {
+			te := obsv.TraceEvent{Op: obsv.OpRetract, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
+			if en.prov {
+				te.Match = m.Prov.MatchKey()
+			}
+			en.trace.Trace(te)
+		}
+		out = append(out, m)
+	}
+	en.setVulnerable(key, list, kept)
+	return out
+}
+
+// setVulnerable stores a key group's filtered vulnerable list (kept is a
+// prefix-compaction of list) and settles the accounting.
+func (en *Engine) setVulnerable(key event.Value, list, kept []pendingMatch) {
+	if len(kept) == len(list) {
+		return
+	}
+	en.liveVuln -= len(list) - len(kept)
+	clear(list[len(kept):])
+	if len(kept) == 0 {
+		delete(en.vuln, key)
+	} else {
+		en.vuln[key] = kept
+	}
+}
+
+// SetEmitPolicy switches the emission policy mid-stream and returns the
+// output the switch releases (the hybrid meta-engine's lever). Every
+// binding is pending (held back, checked against all its negatives at
+// seal), vulnerable (out, probed by every negative admitted since), or
+// final, so inserts minus retracts stay the sealed result whichever way
+// the policy moves: to EmitThenRetract, each pending binding that passes
+// the negatives seen so far goes out and becomes vulnerable; to
+// SealThenEmit, new bindings wait in pending while the vulnerable ones
+// stay retractable until they seal.
+func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
+	en.opts.Emit = p
+	var out []plan.Match
+	if p == EmitThenRetract {
+		for en.pending.Len() > 0 {
+			out = en.release(en.popPending(), out)
+		}
+	}
+	en.met.IncSwitch()
+	if en.trace != nil {
+		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpSwitch, Engine: en.traceName, Type: p.String(), TS: en.safe(), N: len(out)})
+	}
+	en.publishGauges()
+	return out
+}
+
+// EmitPolicy returns the emission policy in force.
+func (en *Engine) EmitPolicy() EmitPolicy { return en.opts.Emit }
 
 // lineageFor builds the binding-derivable part of a pending match's lineage
 // record (events, key, window, seal). Trigger details are added by emit;
@@ -876,6 +1033,16 @@ func (en *Engine) maybePurge() {
 		}
 	}
 	en.liveNeg -= negPurged
+	// Vulnerable matches the safe clock sealed are final.
+	for key, list := range en.vuln {
+		kept := list[:0]
+		for _, pm := range list {
+			if pm.sealTS > safe {
+				kept = append(kept, pm)
+			}
+		}
+		en.setVulnerable(key, list, kept)
+	}
 	if purged+negPurged > 0 {
 		en.met.ObservePurge(purged + negPurged)
 		if en.trace != nil {
@@ -899,6 +1066,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		StackDepths:   make([]int, en.plan.Len()),
 		NegStoreSizes: make([]int, len(en.plan.Negatives)),
 		Pending:       en.pending.Len(),
+		Vulnerable:    en.liveVuln,
 		Lineage: provenance.LineageStats{
 			Enabled:   en.prov,
 			Live:      en.lineageLive,

@@ -289,6 +289,9 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := New(p, Options{K: 1, LatePolicy: LatePolicy(99)}); err == nil {
 		t.Error("bad policy accepted")
 	}
+	if _, err := New(p, Options{K: 1, Emit: EmitPolicy(7)}); err == nil {
+		t.Error("bad emission policy accepted")
+	}
 }
 
 func TestIrrelevantAndConstFalse(t *testing.T) {

@@ -1,4 +1,4 @@
-package speculate
+package core
 
 import (
 	"testing"
@@ -11,16 +11,7 @@ import (
 	"oostream/internal/plan"
 )
 
-func compile(t *testing.T, src string) *plan.Plan {
-	t.Helper()
-	p, err := plan.ParseAndCompile(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestConvergesToOracleUnderDisorder(t *testing.T) {
+func TestSpeculateConvergesToOracleUnderDisorder(t *testing.T) {
 	// Invariant I7: inserts minus retracts equals the exact result set.
 	queries := []string{
 		"PATTERN SEQ(A a, B b) WITHIN 50",
@@ -35,7 +26,7 @@ func TestConvergesToOracleUnderDisorder(t *testing.T) {
 			sorted := gen.Uniform(150, []string{"A", "B", "N"}, 3, 6, seed)
 			shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 40, Seed: seed + 1})
 			want := oracle.Matches(p, sorted)
-			got := engine.Drain(MustNew(p, Options{K: 40}), shuffled)
+			got := engine.Drain(MustNew(p, Options{Emit: EmitThenRetract, K: 40}), shuffled)
 			if ok, diff := plan.SameResults(want, got); !ok {
 				t.Fatalf("%s seed %d: converged set wrong:\n%s", q, seed, diff)
 			}
@@ -43,13 +34,13 @@ func TestConvergesToOracleUnderDisorder(t *testing.T) {
 	}
 }
 
-func TestConvergenceProperty(t *testing.T) {
+func TestSpeculateConvergenceProperty(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 50")
 	f := func(seed int64) bool {
 		sorted := gen.Uniform(80, []string{"A", "B", "N"}, 2, 5, seed)
 		shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.5, MaxDelay: 30, Seed: seed})
 		want := oracle.Matches(p, sorted)
-		got := engine.Drain(MustNew(p, Options{K: 30}), shuffled)
+		got := engine.Drain(MustNew(p, Options{Emit: EmitThenRetract, K: 30}), shuffled)
 		ok, _ := plan.SameResults(want, got)
 		return ok
 	}
@@ -58,9 +49,9 @@ func TestConvergenceProperty(t *testing.T) {
 	}
 }
 
-func TestEmitsImmediatelyThenRetracts(t *testing.T) {
+func TestSpeculateEmitsImmediatelyThenRetracts(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
-	en := MustNew(p, Options{K: 50})
+	en := MustNew(p, Options{Emit: EmitThenRetract, K: 50})
 	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
 	out := en.Process(event.Event{Type: "B", TS: 30, Seq: 2})
 	if len(out) != 1 || out[0].Kind != plan.Insert {
@@ -82,9 +73,9 @@ func TestEmitsImmediatelyThenRetracts(t *testing.T) {
 	}
 }
 
-func TestNegativeKnownAtConstructionSuppressesInsert(t *testing.T) {
+func TestSpeculateNegativeKnownAtConstructionSuppressesInsert(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
-	en := MustNew(p, Options{K: 50})
+	en := MustNew(p, Options{Emit: EmitThenRetract, K: 50})
 	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
 	en.Process(event.Event{Type: "N", TS: 20, Seq: 2})
 	out := en.Process(event.Event{Type: "B", TS: 30, Seq: 3})
@@ -96,9 +87,9 @@ func TestNegativeKnownAtConstructionSuppressesInsert(t *testing.T) {
 	}
 }
 
-func TestSealedMatchNotRetractable(t *testing.T) {
+func TestSpeculateSealedMatchNotRetractable(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
-	en := MustNew(p, Options{K: 10})
+	en := MustNew(p, Options{Emit: EmitThenRetract, K: 10, PurgeEvery: 1})
 	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
 	out := en.Process(event.Event{Type: "B", TS: 30, Seq: 2})
 	if len(out) != 1 {
@@ -106,7 +97,7 @@ func TestSealedMatchNotRetractable(t *testing.T) {
 	}
 	// Advance safe clock past the gap's seal (30): clock 45 => safe 35.
 	en.Process(event.Event{Type: "A", TS: 45, Seq: 3})
-	if len(en.vulnerable) != 0 {
+	if en.liveVuln != 0 {
 		t.Error("vulnerability should have expired")
 	}
 	// A bound-violating negative (delay > K) is dropped, no retraction.
@@ -119,26 +110,26 @@ func TestSealedMatchNotRetractable(t *testing.T) {
 	}
 }
 
-func TestNoRetractionsWithoutNegation(t *testing.T) {
+func TestSpeculateNoRetractionsWithoutNegation(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
 	sorted := gen.Uniform(300, []string{"A", "B"}, 3, 5, 7)
 	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 30, Seed: 2})
-	got := engine.Drain(MustNew(p, Options{K: 30}), shuffled)
+	got := engine.Drain(MustNew(p, Options{Emit: EmitThenRetract, K: 30}), shuffled)
 	for _, m := range got {
 		if m.Kind == plan.Retract {
 			t.Fatal("positive-only query produced a retraction")
 		}
 	}
-	if en := MustNew(p, Options{K: 30}); en.Name() != "speculate" {
+	if en := MustNew(p, Options{Emit: EmitThenRetract, K: 30}); en.Name() != "speculate" {
 		t.Error("name wrong")
 	}
 }
 
-func TestLowerLatencyThanConservative(t *testing.T) {
+func TestSpeculateLowerLatencyThanConservative(t *testing.T) {
 	// The whole point of speculation: results appear with zero sealing
 	// delay on the happy path.
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
-	en := MustNew(p, Options{K: 1000})
+	en := MustNew(p, Options{Emit: EmitThenRetract, K: 1000})
 	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
 	out := en.Process(event.Event{Type: "B", TS: 30, Seq: 2})
 	if len(out) != 1 {
@@ -149,18 +140,11 @@ func TestLowerLatencyThanConservative(t *testing.T) {
 	}
 }
 
-func TestInvalidOptions(t *testing.T) {
-	p := compile(t, "PATTERN SEQ(A a) WITHIN 10")
-	if _, err := New(p, Options{K: -1}); err == nil {
-		t.Error("negative K accepted")
-	}
-}
-
-func TestStateBoundedByPurge(t *testing.T) {
+func TestSpeculateStateBoundedByPurge(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 50")
 	sorted := gen.Uniform(10_000, []string{"A", "B", "N"}, 10, 5, 3)
 	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.2, MaxDelay: 100, Seed: 4})
-	en := MustNew(p, Options{K: 100, PurgeEvery: 16})
+	en := MustNew(p, Options{Emit: EmitThenRetract, K: 100, PurgeEvery: 16})
 	for _, e := range shuffled {
 		en.Process(e)
 	}

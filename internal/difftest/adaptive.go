@@ -6,6 +6,7 @@ import (
 
 	"oostream"
 	"oostream/internal/adaptive"
+	"oostream/internal/core"
 	"oostream/internal/event"
 	"oostream/internal/hybrid"
 	"oostream/internal/obsv"
@@ -186,7 +187,7 @@ func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 		if err != nil {
 			return &Failure{Case: c, Check: "hybrid-switch", Diff: err.Error()}
 		}
-		en, err := hybrid.New(p, hybrid.Options{Controller: ctrl, StartNative: startNative})
+		en, err := hybrid.New(p, core.Options{}, hybrid.Options{Controller: ctrl, StartNative: startNative})
 		if err != nil {
 			return &Failure{Case: c, Check: "hybrid-switch", Diff: err.Error()}
 		}
@@ -212,7 +213,7 @@ func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 	if err != nil {
 		return &Failure{Case: c, Check: "hybrid-adaptive", Diff: err.Error()}
 	}
-	en, err := hybrid.New(p, hybrid.Options{Controller: ctrl})
+	en, err := hybrid.New(p, core.Options{}, hybrid.Options{Controller: ctrl})
 	if err != nil {
 		return &Failure{Case: c, Check: "hybrid-adaptive", Diff: err.Error()}
 	}

@@ -24,9 +24,10 @@
 //     retracts equal the exact result set after sealing;
 //   - partitioning soundness (I8): sequential and goroutine-per-shard
 //     partitioned execution equal the single engine, as multisets;
-//   - keyed-stacks soundness: on partitionable queries the native engine
-//     runs with key-partitioned stacks by default; the same engine with
-//     keying disabled must produce the identical multiset;
+//   - keyed-stacks soundness: on partitionable queries the kernel runs
+//     with key-partitioned stacks by default; with keying disabled the
+//     native policy must produce the identical multiset and the
+//     speculative policy the identical insert/retract sequence;
 //   - checkpoint transparency: native state serialized and restored
 //     mid-stream continues to the identical result set (through keyed
 //     stacks whenever the query is partitionable, since keying is the
@@ -145,8 +146,20 @@ func Run(c Case) *Failure {
 	if f := fail("kslack", run(q, oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, c.Arrival)); f != nil {
 		return f
 	}
-	if f := fail("speculate", run(q, oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, c.Arrival)); f != nil {
+	speculate := oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}
+	specGot := run(q, speculate, c.Arrival)
+	if f := fail("speculate", specGot); f != nil {
 		return f
+	}
+	// The same ablation under the emit-then-retract policy: a negative
+	// probes only its key group's vulnerable matches, and must compensate
+	// exactly the ones the unkeyed engine finds walking all of them, in the
+	// same (emission) order — element for element, not as a multiset.
+	if q.AutoPartitionKey() != "" {
+		speculate.DisableKeyedStacks = true
+		if diff := identicalMatches(specGot, run(q, speculate, c.Arrival)); diff != "" {
+			return &Failure{Case: c, Check: "speculate-unkeyed", Diff: diff, Truth: len(truth)}
+		}
 	}
 
 	// Provenance-enabled runs: the multiset must be unchanged (lineage is

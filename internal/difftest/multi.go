@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
+	"strings"
 
 	"oostream"
 	"oostream/internal/event"
@@ -53,6 +56,9 @@ func RunMulti(c Case) *Failure {
 		queries[i].truth = oracle.Matches(queries[i].p, sorted)
 	}
 	if f := multiStrategies(c, queries); f != nil {
+		return f
+	}
+	if f := multiKSlack(c, queries); f != nil {
 		return f
 	}
 	if f := multiBatch(c, queries); f != nil {
@@ -194,6 +200,40 @@ func multiStrategies(c Case, queries []multiQuery) *Failure {
 			if ok, diff := plan.SameResults(ind, got[mq.id]); !ok {
 				return &Failure{Case: c, Check: check + "-independent", Diff: diff, Truth: len(ind)}
 			}
+		}
+	}
+	return nil
+}
+
+// multiKSlack checks that the single-query kslack strategy and a one-query
+// QuerySet are one composition — the K-slack buffer in front of the kernel
+// at K=0: per query, every match of one appears in the other with the same
+// events, projection, and lineage. Emission instants are not compared: the
+// Set's prefix gates withhold events that cannot extend a match, so its
+// kernel's clock and traversal counts trail the facade's, whose kernel
+// sees every released event.
+func multiKSlack(c Case, queries []multiQuery) *Failure {
+	content := func(ms []plan.Match) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			rec := *m.Prov
+			rec.EmitClock, rec.Traversed = 0, 0
+			out[i] = fmt.Sprintf("%v %s %v %+v", m.Kind, m.Key(), m.Fields, rec)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, mq := range queries {
+		check := "multi-kslack-facade/" + mq.id
+		set, err := newMultiSet(oostream.QuerySetConfig{K: c.K, Provenance: true}, []multiQuery{mq})
+		if err != nil {
+			return &Failure{Case: c, Check: check, Diff: err.Error()}
+		}
+		want := content(set.ProcessAll(c.Arrival))
+		got := content(run(mq.q, oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K, Provenance: true}, c.Arrival))
+		if !slices.Equal(want, got) {
+			return &Failure{Case: c, Check: check, Truth: len(want),
+				Diff: fmt.Sprintf("one-query QuerySet:\n  %s\nkslack engine:\n  %s", strings.Join(want, "\n  "), strings.Join(got, "\n  "))}
 		}
 	}
 	return nil

@@ -1,8 +1,9 @@
 // Package engine defines the interface every pattern-matching engine in
-// this library implements: the in-order baseline, the K-slack levee, the
-// native out-of-order engine (the paper's contribution), and the
-// speculative extension. The benchmark harness, the runtime pipeline, and
-// the public facade all program against this interface.
+// this library implements: the in-order baseline, the out-of-order kernel
+// (the paper's contribution) under either emission policy, and the layers
+// composed around it (the K-slack levee, the policy-switching hybrid). The
+// benchmark harness, the runtime pipeline, and the public facade all
+// program against this interface.
 package engine
 
 import (

@@ -9,7 +9,6 @@ import (
 	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 	"oostream/internal/plan"
-	"oostream/internal/speculate"
 )
 
 func testPlan(t *testing.T) *plan.Plan {
@@ -28,8 +27,8 @@ func TestAllEnginesImplementInterfaces(t *testing.T) {
 	engines := []engine.Engine{
 		core.MustNew(p, core.Options{K: 10}),
 		inorder.New(p),
-		kslack.NewEngine(10, inorder.New(p)),
-		speculate.MustNew(p, speculate.Options{K: 10}),
+		kslack.NewEngine(10, core.MustNew(p, core.Options{})),
+		core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}),
 	}
 	names := map[string]bool{}
 	for _, en := range engines {

@@ -1,50 +1,22 @@
-// Package hybrid implements the SLO-driven meta-engine: it runs ONE of the
-// two out-of-order strategies at a time — speculative emission (low latency,
-// revisable output) or native sealing (final output, bounded by K) — and
-// switches between them at sealed watermarks as the stream's disorder and
-// the configured service-level objectives demand.
+// Package hybrid implements the SLO-driven meta-engine: one out-of-order
+// kernel (internal/core) whose emission policy it flips — emit-then-retract
+// (low latency, revisable output) while disorder is cheap, seal-then-emit
+// (final output, delayed by K) when the retraction rate or the disorder
+// bound breaches the configured service-level objectives.
 //
-// The meta-engine owns the adaptive controller (it feeds lag observations
-// and state sizes; sub-engines are read-only followers) and performs
-// admission itself against a monotone safe frontier F = max over history of
-// (clock − effective K). Everything below F at arrival is dropped (late) or
-// shed (degradation), exactly as in the adaptive native engine; sub-engines
-// therefore never see a bound-violating event — their own follower
-// frontiers trail F, so they never drop an admitted one either.
-//
-// # Switch protocol
-//
-// A switch hands off at the cut C = F, the sealed watermark: no event below
-// C will ever be admitted again, so output attributable at or below C is
-// final. The hybrid keeps a sorted tail of every admitted relevant event
-// with timestamp above F − 2·Window — by the purge-horizon argument
-// (GapBounds caps a match's seal at first.TS + Window, and a gap reaches at
-// most Window below its first element) the tail contains every constituent,
-// positive or negative, of any match whose seal lies above C. The switch:
-//
-//  1. settles the outgoing engine at the cut — native is driven to
-//     Advance(C + K), pushing its follower frontier exactly to C and
-//     draining every pending match sealing at or below C (final results
-//     that must not be lost); speculate is asked to RetractVulnerable(C),
-//     withdrawing emissions sealing above C (they will be re-derived);
-//  2. discards the old engine and builds a fresh follower of the target
-//     strategy;
-//  3. replays the tail (already sorted, so the replay is an in-order
-//     stream the follower admits in full) and advances the newcomer to the
-//     hybrid clock, SUPPRESSING every replayed match — Insert or Retract —
-//     whose recomputed seal is at or below C: those were already emitted
-//     (or compensated) by the outgoing engine as finals.
-//
-// A post-replay retraction at or below C is impossible: the invalidating
-// negative would carry a timestamp strictly below its gap's hi ≤ C = F and
-// be dropped at hybrid admission. Net output across any number of switches
-// therefore stays exactly the sealed-stream result over the admitted
-// events — the differential harness enforces this against the oracle.
+// The kernel does everything an adaptive engine does: it feeds the
+// controller, admits against the monotone safe frontier, sheds under
+// degradation, constructs, and purges. What lives here is the decision:
+// per-window admission, disorder, and retraction rates read off the
+// kernel's series, a dwell that damps oscillation, and the switch itself,
+// which is core.Engine.SetEmitPolicy — no state is rebuilt or replayed,
+// and that method's comment carries the argument for why net output stays
+// the sealed-stream result across any number of switches (the differential
+// harness enforces it against the oracle).
 package hybrid
 
 import (
 	"fmt"
-	"sort"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/core"
@@ -54,10 +26,9 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
-	"oostream/internal/speculate"
 )
 
-// Mode names the strategy currently running inside the meta-engine.
+// Mode names the policy currently in force (the kernel's own names).
 const (
 	ModeSpeculate = "speculate"
 	ModeNative    = "native"
@@ -66,11 +37,9 @@ const (
 // Options configure the hybrid meta-engine.
 type Options struct {
 	// Controller derives the dynamic K and carries the SLO targets and
-	// degradation limits. Required; the hybrid feeds it (owner role), so it
+	// degradation limits. Required; the kernel feeds it (owner role), so it
 	// must not be fed by anyone else.
 	Controller *adaptive.Controller
-	// PurgeEvery passes through to the sub-engines (0 = their default).
-	PurgeEvery int
 	// StartNative starts in native mode instead of the default speculative
 	// mode (for streams known to open with heavy disorder).
 	StartNative bool
@@ -86,48 +55,24 @@ const defaultMinDwell = 2
 // disorder, speculation retracts almost nothing, so its latency win is free.
 const fallbackOOORate = 0.01
 
-const minTime = event.Time(-1 << 62)
-
 // Engine is the switching meta-engine. It implements the same interface
-// set as the engines it wraps, except Checkpointer.
+// set as the kernel, except Checkpointer.
 type Engine struct {
-	plan *plan.Plan
 	opts Options
-	ctrl *adaptive.Controller
+	core *core.Engine
+	// series is the one the kernel publishes into; the decision windows are
+	// differences of its counters.
+	series *obsv.Series
 
-	mode string
-	// Exactly one of nat/spec is non-nil: the running sub-engine.
-	nat  *core.Engine
-	spec *speculate.Engine
-
-	clock   event.Time
-	started bool
-	// frontier is the monotone safe frontier (see package comment); it is
-	// also every switch's cut.
-	frontier event.Time
-	// tail holds the admitted relevant events with TS > frontier − 2·Window,
-	// sorted by (TS, Seq): the replay source for switches.
-	tail []event.Event
-
-	arrival  uint64
-	shedded  uint64
 	switches uint64
-	// Decision-window counters, reset every DecisionEvery admissions.
-	winN       int
-	winOOO     int
-	winRetract int
-	sinceWin   int
-	dwell      int
+	// win holds the counters at the start of the current decision window.
+	win   counters
+	dwell int
+}
 
-	met       metrics.Collector
-	trace     obsv.TraceHook
-	traceName string
-	prov      bool
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// spans. The meta-engine stamps StageConstruct itself (covering the
-	// sub-engine feed); the sampler is not forwarded to sub-engines, so
-	// switch-time tail replays cannot double-stamp live spans.
-	lat *obsv.LatencySampler
+// counters are the kernel figures the switch policy is a function of.
+type counters struct {
+	admitted, ooo, retracted uint64
 }
 
 var (
@@ -135,13 +80,15 @@ var (
 	_ engine.BatchProcessor = (*Engine)(nil)
 	_ engine.Advancer       = (*Engine)(nil)
 	_ engine.Observable     = (*Engine)(nil)
+	_ engine.LatencySampled = (*Engine)(nil)
 	_ engine.Provenancer    = (*Engine)(nil)
 	_ engine.Introspectable = (*Engine)(nil)
 )
 
-// New builds a hybrid meta-engine starting in speculative mode (or native
-// with opts.StartNative).
-func New(p *plan.Plan, opts Options) (*Engine, error) {
+// New builds a hybrid meta-engine over a kernel configured by kernel (its
+// disorder bound, emission policy, and controller fields are overridden),
+// starting in speculative mode (or native with opts.StartNative).
+func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 	if opts.Controller == nil {
 		return nil, fmt.Errorf("hybrid engine requires an adaptive controller")
 	}
@@ -151,450 +98,146 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	if opts.MinDwell < 0 {
 		return nil, fmt.Errorf("MinDwell must be >= 0, got %d", opts.MinDwell)
 	}
-	en := &Engine{plan: p, opts: opts, ctrl: opts.Controller, frontier: minTime}
-	mode := ModeSpeculate
+	kernel.Adaptive, kernel.AdaptiveFeed = opts.Controller, true
+	kernel.Emit = core.EmitThenRetract
 	if opts.StartNative {
-		mode = ModeNative
+		kernel.Emit = core.SealThenEmit
 	}
-	if err := en.buildSub(mode); err != nil {
+	k, err := core.New(p, kernel)
+	if err != nil {
 		return nil, err
 	}
+	en := &Engine{opts: opts, core: k}
+	// A named series of its own keeps the kernel's trace events under the
+	// meta-engine's identity when no registry series is bound.
+	en.Observe(obsv.NewSeries(en.Name()), nil)
 	return en, nil
-}
-
-// buildSub replaces the running sub-engine with a fresh follower of the
-// given mode. The sub reads the shared controller (dynamic K) but never
-// feeds it — the hybrid is the owner.
-func (en *Engine) buildSub(mode string) error {
-	switch mode {
-	case ModeNative:
-		nat, err := core.New(en.plan, core.Options{Adaptive: en.ctrl, PurgeEvery: en.opts.PurgeEvery})
-		if err != nil {
-			return err
-		}
-		en.nat, en.spec = nat, nil
-	case ModeSpeculate:
-		sp, err := speculate.New(en.plan, speculate.Options{Adaptive: en.ctrl, PurgeEvery: en.opts.PurgeEvery})
-		if err != nil {
-			return err
-		}
-		en.nat, en.spec = nil, sp
-	default:
-		return fmt.Errorf("unknown hybrid mode %q", mode)
-	}
-	en.mode = mode
-	if en.prov {
-		en.subEngine().(engine.Provenancer).EnableProvenance()
-	}
-	return nil
-}
-
-func (en *Engine) subEngine() engine.Engine {
-	if en.nat != nil {
-		return en.nat
-	}
-	return en.spec
-}
-
-func (en *Engine) subAdvance(ts event.Time) []plan.Match {
-	if en.nat != nil {
-		return en.nat.Advance(ts)
-	}
-	return en.spec.Advance(ts)
 }
 
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "hybrid" }
 
-// Mode returns the strategy currently running inside the meta-engine.
-func (en *Engine) Mode() string { return en.mode }
-
-// SetLatencySampler implements engine.LatencySampled (see the lat field).
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.lat = ls }
+// Mode returns the policy currently in force.
+func (en *Engine) Mode() string { return en.core.EmitPolicy().String() }
 
 // Switches returns how many strategy switches have happened.
 func (en *Engine) Switches() uint64 { return en.switches }
 
-// Observe implements engine.Observable. The series and hook bind to the
-// meta-engine itself; sub-engines keep their private collectors — their
-// ingestion view restarts at every switch and would double-report.
+// Observe implements engine.Observable: the kernel publishes into the
+// series and traces under its name. A nil series keeps the current one.
 func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
+	if s != nil {
+		en.series = s
 	}
+	en.core.Observe(en.series, hook)
+	en.win = en.read()
 }
 
-// EnableProvenance implements engine.Provenancer, forwarding to the running
-// sub-engine (and to every future one built at a switch).
-func (en *Engine) EnableProvenance() {
-	en.prov = true
-	en.subEngine().(engine.Provenancer).EnableProvenance()
-}
+// SetLatencySampler implements engine.LatencySampled.
+func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.core.SetLatencySampler(ls) }
 
-// StateSize implements engine.Engine: the replay tail plus the running
-// sub-engine's state.
-func (en *Engine) StateSize() int { return len(en.tail) + en.subEngine().StateSize() }
+// EnableProvenance implements engine.Provenancer.
+func (en *Engine) EnableProvenance() { en.core.EnableProvenance() }
 
-// advanceFrontier folds the controller's current effective K into the
-// monotone frontier, exactly as the adaptive native engine does.
-func (en *Engine) advanceFrontier() {
-	if !en.started {
-		return
-	}
-	if cand := en.clock - en.ctrl.EffectiveK(); cand > en.frontier {
-		en.frontier = cand
-	}
-}
+// StateSize implements engine.Engine: the kernel's state, nothing else.
+func (en *Engine) StateSize() int { return en.core.StateSize() }
+
+// Metrics implements engine.Engine.
+func (en *Engine) Metrics() metrics.Snapshot { return en.core.Metrics() }
 
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
-	out := en.processOne(e, nil)
-	en.publish()
-	return out
+	return en.decide(en.core.Process(e))
 }
 
-// ProcessBatch implements engine.BatchProcessor: the full per-event
-// pipeline (admission, sub-engine feed, switch decisions) runs for every
-// event; only gauge publication is deferred to the batch boundary.
+// ProcessBatch implements engine.BatchProcessor. A switch changes what the
+// following event emits, so the policy runs after every event, exactly as
+// on the per-event path.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	var out []plan.Match
 	for i := range batch {
-		out = en.processOne(batch[i], out)
+		out = append(out, en.Process(batch[i])...)
 	}
-	en.publish()
 	return out
 }
 
-func (en *Engine) publish() {
-	en.met.SetLiveState(en.StateSize())
-	en.met.SetCurrentK(en.ctrl.EffectiveK())
-	en.met.SetDegraded(en.ctrl.Degraded())
+// Advance implements engine.Advancer.
+func (en *Engine) Advance(ts event.Time) []plan.Match { return en.core.Advance(ts) }
+
+// Flush implements engine.Engine.
+func (en *Engine) Flush() []plan.Match { return en.core.Flush() }
+
+func (en *Engine) read() counters {
+	s := en.series
+	return counters{
+		admitted:  s.EventsIn.Load() - s.EventsLate.Load() - s.SheddedEvents.Load(),
+		ooo:       s.EventsOOO.Load(),
+		retracted: s.Retractions.Load(),
+	}
 }
 
-// processOne admits one event against the frontier, feeds it to the
-// running sub-engine, and runs the switch policy at decision-window
-// boundaries.
-func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
-	en.arrival++
-	if !en.plan.Relevant(e.Type) {
-		en.met.IncIrrelevant()
+// decide runs the switch policy once a controller decision window's worth
+// of events has been admitted since the last one.
+func (en *Engine) decide(out []plan.Match) []plan.Match {
+	now := en.read()
+	n := now.admitted - en.win.admitted
+	ctrl := en.opts.Controller
+	if n < uint64(ctrl.Config().DecisionEvery) {
 		return out
 	}
-	isOOO := en.started && e.TS < en.clock
-	var lag event.Time
-	if isOOO {
-		lag = en.clock - e.TS
-	}
-	en.met.IncIn(isOOO, lag)
-	// The hybrid is the controller's owner: same observation point as
-	// Series.WatermarkLag, bound violators included.
-	en.ctrl.ObserveLag(lag)
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
-	// Sample the frontier before the late check so every admitted event is
-	// provably within the current effective K of the clock.
-	en.advanceFrontier()
-	if en.started && e.TS < en.frontier {
-		if en.ctrl.Degraded() && e.TS >= en.clock-en.ctrl.NominalK() {
-			en.shedded++
-			en.met.IncShedded()
-			en.lat.Abandon(e.Seq)
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-			}
-			return out
-		}
-		en.met.IncLate()
-		en.lat.Abandon(e.Seq)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-		}
-		return out
-	}
-	if e.TS > en.clock || !en.started {
-		en.clock = e.TS
-		en.started = true
-		en.advanceFrontier()
-	}
-	en.tailInsert(e)
-	out = en.relay(en.subEngine().Process(e), out)
-	en.lat.StageEnd(e.Seq, obsv.StageConstruct)
-	en.tailTrim()
-	// Degradation watches the meta-engine's total state (replay tail plus
-	// sub-engine); when the limit trips, the clamped effective K pulls the
-	// frontier forward, shedding at admission and shortening the tail.
-	en.ctrl.NoteState(en.StateSize())
-	en.winN++
-	if isOOO {
-		en.winOOO++
-	}
-	en.sinceWin++
-	if en.sinceWin >= en.ctrl.Config().DecisionEvery {
-		en.sinceWin = 0
-		out = en.maybeSwitch(out)
-	}
-	return out
-}
-
-// tailInsert places an admitted event at its sorted position in the replay
-// tail.
-func (en *Engine) tailInsert(e event.Event) {
-	i := sort.Search(len(en.tail), func(i int) bool {
-		return e.Before(en.tail[i])
-	})
-	en.tail = append(en.tail, event.Event{})
-	copy(en.tail[i+1:], en.tail[i:])
-	en.tail[i] = e
-}
-
-// tailTrim drops tail events at or below frontier − 2·Window (no future
-// match with an unsealed gap can involve them; see the package comment).
-// The copy is amortized by only compacting once the dead prefix is large.
-func (en *Engine) tailTrim() {
-	if !en.started {
-		return
-	}
-	cut := en.frontier - 2*en.plan.Window
-	i := sort.Search(len(en.tail), func(i int) bool { return en.tail[i].TS > cut })
-	if i >= 64 || (i > 0 && i >= len(en.tail)/2) {
-		n := copy(en.tail, en.tail[i:])
-		en.tail = en.tail[:n]
-	}
-}
-
-// relay restamps sub-engine (or handoff) matches to the hybrid's clock and
-// arrival counter, records them in the meta-engine's collector, and counts
-// retractions toward the current decision window.
-func (en *Engine) relay(ms []plan.Match, out []plan.Match) []plan.Match {
-	for i := range ms {
-		out = append(out, en.relayOne(ms[i]))
-	}
-	return out
-}
-
-func (en *Engine) relayOne(m plan.Match) plan.Match {
-	m.EmitClock = en.clock
-	m.EmitSeq = event.Seq(en.arrival)
-	if m.Prov != nil {
-		m.Prov.EmitClock = en.clock
-	}
-	retract := m.Kind == plan.Retract
-	if retract {
-		en.winRetract++
-	}
-	en.met.AddMatch(retract, en.clock-m.Last().TS, 0)
-	if en.trace != nil {
-		op := obsv.OpEmit
-		if retract {
-			op = obsv.OpRetract
-		}
-		te := obsv.TraceEvent{Op: op, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-		if m.Prov != nil {
-			te.Match = m.Prov.MatchKey()
-		}
-		en.trace.Trace(te)
-	}
-	return m
-}
-
-// sealOf recomputes a match's seal timestamp from its binding: the max gap
-// hi over the plan's negations, minTime when there are none (such matches
-// seal immediately).
-func (en *Engine) sealOf(m plan.Match) event.Time {
-	seal := minTime
-	for i := range en.plan.Negatives {
-		if _, hi := en.plan.GapBounds(i, m.Events); hi > seal {
-			seal = hi
-		}
-	}
-	return seal
-}
-
-// maybeSwitch evaluates the SLO policy at a decision-window boundary.
-func (en *Engine) maybeSwitch(out []plan.Match) []plan.Match {
+	retRate := float64(now.retracted-en.win.retracted) / float64(n)
+	oooRate := float64(now.ooo-en.win.ooo) / float64(n)
+	en.win = now
 	en.dwell++
-	n := en.winN
-	retRate := float64(en.winRetract) / float64(max(n, 1))
-	oooRate := float64(en.winOOO) / float64(max(n, 1))
-	en.winN, en.winOOO, en.winRetract = 0, 0, 0
-	if en.dwell < en.opts.MinDwell || n == 0 {
+	if en.dwell < en.opts.MinDwell {
 		return out
 	}
-	slo := en.ctrl.SLO()
-	nomK := en.ctrl.NominalK()
-	switch en.mode {
-	case ModeSpeculate:
+	slo := ctrl.SLO()
+	nomK := ctrl.NominalK()
+	switch en.core.EmitPolicy() {
+	case core.EmitThenRetract:
 		// Speculation is violating the SLO when its revision churn exceeds
 		// the tolerated retraction rate, or when the disorder bound has grown
 		// past the latency target (each result stays revisable for ~K, so a
 		// consumer waiting for finality pays more than MaxLatency).
 		if (slo.MaxRetractionRate > 0 && retRate > slo.MaxRetractionRate) ||
 			(slo.MaxLatency > 0 && nomK > slo.MaxLatency) {
-			out = en.switchTo(ModeNative, out)
+			out = append(out, en.ForceSwitch()...)
 		}
-	case ModeNative:
+	case core.SealThenEmit:
 		// Native sealing delays every result by ~K; fall back to speculation
 		// once K has shrunk well under the latency target (hysteresis: half),
 		// or — with no latency target — once disorder is all but gone.
 		if slo.MaxLatency > 0 {
 			if nomK <= slo.MaxLatency/2 {
-				out = en.switchTo(ModeSpeculate, out)
+				out = append(out, en.ForceSwitch()...)
 			}
 		} else if oooRate <= fallbackOOORate && (slo.MaxRetractionRate > 0 || retRate == 0) {
-			out = en.switchTo(ModeSpeculate, out)
+			out = append(out, en.ForceSwitch()...)
 		}
 	}
 	return out
 }
 
-// ForceSwitch immediately switches to the other strategy at the current
-// frontier, returning the handoff emissions (drained finals or
-// compensating retractions, plus any unsuppressed replay output). Test and
-// operational hook; the differential harness uses it to force switches at
-// chosen points.
+// ForceSwitch immediately flips to the other policy and returns what the
+// flip releases: the pending bindings that pass the negatives seen so far
+// when speculation resumes, nothing when sealing does. Test and operational
+// hook; the differential harness uses it to force switches at chosen points.
 func (en *Engine) ForceSwitch() []plan.Match {
-	target := ModeNative
-	if en.mode == ModeNative {
-		target = ModeSpeculate
-	}
-	return en.switchTo(target, nil)
-}
-
-// switchTo performs the three-step handoff described in the package
-// comment: settle the outgoing engine at the cut C = frontier, build a
-// fresh follower, replay the tail suppressing matches sealed at or below C.
-func (en *Engine) switchTo(target string, out []plan.Match) []plan.Match {
-	// Refresh the frontier first: degradation (NoteState) may have clamped
-	// the effective K since the last fold, and the settle step below relies
-	// on clock ≤ cut + effective K to land the outgoing engine's frontier
-	// exactly on the cut — overshooting would drain pendings above the cut
-	// that the replay then re-derives as duplicates.
-	en.advanceFrontier()
-	cut := en.frontier
-	if en.started {
-		if en.nat != nil {
-			// Drive the outgoing native engine's follower frontier exactly to
-			// the cut: clock C+K minus effective K. Pending matches sealing at
-			// or below C drain here — they are final results the replay will
-			// suppress, so losing them is not an option. Pendings above C die
-			// with the engine and are re-derived from the tail.
-			out = en.relay(en.nat.Advance(cut+en.ctrl.EffectiveK()), out)
-		} else {
-			// Withdraw speculative emissions still sealing above the cut; the
-			// replay re-derives whichever of them still hold. Entries at or
-			// below the cut are final and stay emitted.
-			out = en.relay(en.spec.RetractVulnerable(cut), out)
-		}
-	}
-	if err := en.buildSub(target); err != nil {
-		// Unreachable: the same options built an engine at construction time.
-		panic(fmt.Sprintf("hybrid: rebuilding %s sub-engine: %v", target, err))
-	}
-	replayed := 0
-	if en.started && len(en.tail) > 0 {
-		// The tail is sorted, so the fresh follower admits it in full (an
-		// in-order stream never trails its own frontier), then advances to
-		// the hybrid clock — sealing, for native, everything up to the cut.
-		ms := engine.ProcessBatch(en.subEngine(), en.tail)
-		ms = append(ms, en.subAdvance(en.clock)...)
-		replayed = len(en.tail)
-		for i := range ms {
-			if en.sealOf(ms[i]) <= cut {
-				// Already emitted (and, if retracted, compensated) by the
-				// outgoing engine as final output at or below the cut.
-				continue
-			}
-			out = append(out, en.relayOne(ms[i]))
-		}
+	target := core.SealThenEmit
+	if en.core.EmitPolicy() == core.SealThenEmit {
+		target = core.EmitThenRetract
 	}
 	en.switches++
-	en.met.IncSwitch()
 	en.dwell = 0
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpSwitch, Engine: en.traceName, Type: target, TS: cut, N: replayed})
-	}
-	return out
+	return en.core.SetEmitPolicy(target)
 }
 
-// Advance implements engine.Advancer: the heartbeat moves the hybrid clock
-// and frontier, then passes through to the running sub-engine (draining,
-// for native, newly sealed pendings).
-func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if !en.started || ts > en.clock {
-		en.clock = ts
-		en.started = true
-	}
-	en.advanceFrontier()
-	en.tailTrim()
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
-	out := en.relay(en.subAdvance(ts), nil)
-	en.met.SetLiveState(en.StateSize())
-	return out
-}
-
-// Flush implements engine.Engine: end of stream seals everything pending
-// in the running sub-engine.
-func (en *Engine) Flush() []plan.Match {
-	out := en.relay(en.subEngine().Flush(), nil)
-	en.tail = nil
-	en.met.SetLiveState(en.StateSize())
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
-	}
-	return out
-}
-
-// Metrics implements engine.Engine: ingestion, matches, and latency come
-// from the meta-engine's collector (sub-engine views restart at switches);
-// predicate-error and purge counters pass through from the running sub.
-func (en *Engine) Metrics() metrics.Snapshot {
-	outer := en.met.Snapshot()
-	inner := en.subEngine().Metrics()
-	outer.PredErrors = inner.PredErrors
-	outer.Purged = inner.Purged
-	outer.PurgeCalls = inner.PurgeCalls
-	return outer
-}
-
-// StateSnapshot implements engine.Introspectable.
+// StateSnapshot implements engine.Introspectable: the kernel's snapshot
+// with the mode and switch count in its adaptive block.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
-	s := &provenance.StateSnapshot{
-		Engine:    name,
-		Started:   en.started,
-		Clock:     en.clock,
-		Safe:      en.frontier,
-		BufferLen: len(en.tail),
-		Lineage:   provenance.LineageStats{Enabled: en.prov},
-	}
-	cs := en.ctrl.Snapshot()
-	s.Adaptive = &provenance.AdaptiveStats{
-		Enabled:      cs.Enabled,
-		EffectiveK:   cs.EffectiveK,
-		NominalK:     cs.NominalK,
-		MaxKObserved: cs.MaxKObserved,
-		Degraded:     cs.Degraded,
-		Shedded:      en.shedded,
-		Resizes:      cs.Resizes,
-		Mode:         en.mode,
-		Switches:     en.switches,
-	}
-	if intr, ok := en.subEngine().(engine.Introspectable); ok {
-		inner := intr.StateSnapshot()
-		s.Inner = inner
-		s.Lineage.Live = inner.Lineage.Live
-		s.Lineage.Bytes = inner.Lineage.Bytes
-		s.Lineage.Truncated = inner.Lineage.Truncated
-	}
+	s := en.core.StateSnapshot()
+	s.Adaptive.Mode = en.Mode()
+	s.Adaptive.Switches = en.switches
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"oostream/internal/adaptive"
+	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
@@ -57,7 +58,7 @@ func TestForcedSwitchesOracle(t *testing.T) {
 			shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: k, Seed: seed + 7})
 			want := oracle.Matches(p, sorted)
 			for _, startNative := range []bool{false, true} {
-				en, err := New(p, Options{Controller: staticCtrl(t, k), StartNative: startNative})
+				en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, k), StartNative: startNative})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +90,7 @@ func TestSwitchEveryEvent(t *testing.T) {
 	k := event.Time(30)
 	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.5, MaxDelay: k, Seed: 11})
 	want := oracle.Matches(p, sorted)
-	en, err := New(p, Options{Controller: staticCtrl(t, k)})
+	en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestAutoSwitchOnLatencySLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(p, Options{Controller: ctrl, MinDwell: 1})
+	en, err := New(p, core.Options{}, Options{Controller: ctrl, MinDwell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestAutoSwitchOnRetractionRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(p, Options{Controller: ctrl, MinDwell: 1})
+	en, err := New(p, core.Options{}, Options{Controller: ctrl, MinDwell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestDegradationSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(p, Options{Controller: ctrl})
+	en, err := New(p, core.Options{}, Options{Controller: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,33 +256,11 @@ func TestDegradationSheds(t *testing.T) {
 	}
 }
 
-// TestTailBounded: the replay tail must track the frontier, not the whole
-// stream.
-func TestTailBounded(t *testing.T) {
-	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 20")
-	en, err := New(p, Options{Controller: staticCtrl(t, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		typ := "A"
-		if i%2 == 1 {
-			typ = "B"
-		}
-		en.Process(event.Event{Type: typ, TS: event.Time(i), Seq: event.Seq(i)})
-	}
-	// Horizon is frontier − 2·Window = clock − K − 2W = 50 ticks of events,
-	// plus trim hysteresis (compaction waits for a 64-event dead prefix).
-	if len(en.tail) > 50+65 {
-		t.Fatalf("tail grew to %d events, want bounded near 50", len(en.tail))
-	}
-}
-
 // TestHeartbeatRelay: Advance must seal pending native output through the
 // meta-engine.
 func TestHeartbeatRelay(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b, !(N n)) WITHIN 40")
-	en, err := New(p, Options{Controller: staticCtrl(t, 30), StartNative: true})
+	en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, 30), StartNative: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +276,7 @@ func TestHeartbeatRelay(t *testing.T) {
 		t.Fatalf("heartbeat should seal exactly 1 match, got %d", len(got))
 	}
 	if got[0].EmitClock != 81 {
-		t.Fatalf("relayed match not restamped: EmitClock %d", got[0].EmitClock)
+		t.Fatalf("sealed match not stamped with the heartbeat clock: EmitClock %d", got[0].EmitClock)
 	}
 }
 
@@ -305,7 +284,7 @@ func TestHeartbeatRelay(t *testing.T) {
 // emit OpSwitch with the target mode and the sealed cut.
 func TestSwitchTraceAndMetrics(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
-	en, err := New(p, Options{Controller: staticCtrl(t, 10)})
+	en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +319,7 @@ func TestSwitchTraceAndMetrics(t *testing.T) {
 // TestRequiresController: construction without a controller must fail.
 func TestRequiresController(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
-	if _, err := New(p, Options{}); err == nil {
+	if _, err := New(p, core.Options{}, Options{}); err == nil {
 		t.Fatal("expected error for nil controller")
 	}
 }
@@ -355,13 +334,67 @@ func TestDrainMatchesOracleNoSwitch(t *testing.T) {
 		shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: k, Seed: 5})
 		want := oracle.Matches(p, sorted)
 		for _, startNative := range []bool{false, true} {
-			en, err := New(p, Options{Controller: staticCtrl(t, k), StartNative: startNative})
+			en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, k), StartNative: startNative})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := engine.Drain(en, shuffled)
 			if ok, diff := plan.SameResults(want, got); !ok {
 				t.Fatalf("%s startNative=%v: hybrid != oracle:\n%s", q, startNative, diff)
+			}
+		}
+	}
+}
+
+// TestSwitchCycleKeepsFinalMatches: a switch flips a policy on live state —
+// it rebuilds nothing and withdraws nothing. Across a forced
+// speculate→sealed→speculate cycle the only retractions are the ones a late
+// negative forces (so none names a match of the final result set), and the
+// meta-engine's state is the kernel's own — stacks, negatives, pending and
+// vulnerable matches — with no second copy of the recent stream.
+func TestSwitchCycleKeepsFinalMatches(t *testing.T) {
+	for _, q := range testQueries {
+		p := compile(t, q)
+		for seed := int64(0); seed < 5; seed++ {
+			sorted := gen.Uniform(180, testTypes, 3, 6, seed)
+			k := event.Time(40)
+			shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: k, Seed: seed + 7})
+			final := map[string]bool{}
+			for _, m := range oracle.Matches(p, sorted) {
+				final[m.Key()] = true
+			}
+			en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, k)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(ms []plan.Match) {
+				t.Helper()
+				for _, m := range ms {
+					if m.Kind == plan.Retract && final[m.Key()] {
+						t.Fatalf("%s seed %d: retracted %s, which is in the final result set", q, seed, m.Key())
+					}
+				}
+				snap := en.StateSnapshot()
+				want := snap.Pending + snap.Vulnerable
+				for _, n := range snap.StackDepths {
+					want += n
+				}
+				for _, n := range snap.NegStoreSizes {
+					want += n
+				}
+				if got := en.StateSize(); got != want {
+					t.Fatalf("%s seed %d: StateSize %d, kernel holds %d", q, seed, got, want)
+				}
+			}
+			for i, e := range shuffled {
+				check(en.Process(e))
+				if i == len(shuffled)/3 || i == 2*len(shuffled)/3 {
+					check(en.ForceSwitch())
+				}
+			}
+			check(en.Flush())
+			if en.Mode() != ModeSpeculate || en.Switches() != 2 {
+				t.Fatalf("mode %q after %d switches", en.Mode(), en.Switches())
 			}
 		}
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"oostream/internal/adaptive"
+	"oostream/internal/core"
 	"oostream/internal/event"
-	"oostream/internal/inorder"
 	"oostream/internal/plan"
 )
 
@@ -27,7 +27,7 @@ func TestConcurrentSetKDuringProcess(t *testing.T) {
 	events := shuffleBounded(rng, sortedStream(rng, 4_000, []string{"A", "B"}), 30)
 
 	ctrl := adaptive.MustController(adaptive.Config{InitialK: 30})
-	en := NewAdaptiveEngine(ctrl, true, inorder.New(p))
+	en := NewAdaptiveEngine(ctrl, true, core.MustNew(p, core.Options{}))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

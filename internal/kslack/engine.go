@@ -11,9 +11,11 @@ import (
 )
 
 // Engine is the buffer-and-reorder levee strategy: a K-slack buffer in
-// front of any in-order engine. It is the second baseline of the
-// evaluation: exact under the disorder bound, but it pays the full K in
-// result latency and buffers the entire recent stream, relevant or not.
+// front of an engine that then sees a sorted stream — the out-of-order
+// kernel at K=0 behind the facade, the same composition a QuerySet builds
+// around its shared buffer. It is the second baseline of the evaluation:
+// exact under the disorder bound, but it pays the full K in result latency
+// and buffers the entire recent stream, relevant or not.
 type Engine struct {
 	buf   *Buffer
 	inner engine.Engine
@@ -35,7 +37,7 @@ type Engine struct {
 	// the controller's effective K at every push. adaptFeed marks this
 	// engine as the controller's owner — it feeds lag observations and
 	// buffer occupancy; a follower (one shard of a partitioned engine
-	// sharing a controller, or a hybrid sub-engine) only reads.
+	// sharing a controller) only reads.
 	adapt     *adaptive.Controller
 	adaptFeed bool
 	shedded   uint64

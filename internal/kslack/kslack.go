@@ -3,9 +3,10 @@
 // with its native approach. Events are buffered in a min-heap on
 // (timestamp, sequence) and released in timestamp order once the watermark
 // maxSeen − K passes them. Under the disorder bound (no event delayed more
-// than K time units) the released stream is perfectly sorted, so an
-// unmodified in-order engine downstream produces exact results — at the
-// price of buffering memory and up to K added latency on every result.
+// than K time units) the released stream is perfectly sorted, so the engine
+// downstream needs no disorder tolerance of its own (K=0) to produce exact
+// results — at the price of buffering memory and up to K added latency on
+// every result.
 package kslack
 
 import (

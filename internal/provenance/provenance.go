@@ -232,7 +232,7 @@ type StateSnapshot struct {
 	// seal.
 	Pending int `json:"pending,omitempty"`
 	// Vulnerable counts speculatively emitted matches that can still be
-	// retracted (speculate strategy only).
+	// retracted (speculate, and hybrid while or shortly after speculating).
 	Vulnerable int `json:"vulnerable,omitempty"`
 	// MatchSeq and Committed are the supervised runtime's commit horizon:
 	// cumulative match emissions and the highest WAL-committed emission.
@@ -246,7 +246,8 @@ type StateSnapshot struct {
 	// Latency is the sampled wall-clock latency attribution digest, set by
 	// the facade when Config.Latency is enabled.
 	Latency *obsv.LatencyReport `json:"latency,omitempty"`
-	// Inner is the wrapped engine's snapshot (kslack's in-order engine).
+	// Inner is the wrapped engine's snapshot (the kernel behind kslack's
+	// buffer).
 	Inner *StateSnapshot `json:"inner,omitempty"`
 	// Shards holds per-shard snapshots for partitioned engines; the parent
 	// aggregates them.

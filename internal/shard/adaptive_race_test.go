@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"oostream/internal/adaptive"
+	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 )
 
@@ -26,7 +26,7 @@ func TestParallelSharedControllerSetKRace(t *testing.T) {
 
 	ctrl := adaptive.MustController(adaptive.Config{InitialK: k})
 	par, err := NewParallel(mustRouter(t, "id", 4), func(int) (engine.Engine, error) {
-		return kslack.NewAdaptiveEngine(ctrl, false, inorder.New(p)), nil
+		return kslack.NewAdaptiveEngine(ctrl, false, core.MustNew(p, core.Options{})), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,720 +1,25 @@
-// Package speculate implements the aggressive/speculative output strategy
-// sketched as the alternative design point to the paper's conservative
-// negation handling (and developed fully in the authors' ICDE'09 follow-up):
-// matches are emitted the moment their positive binding completes, without
-// waiting for negation gaps to seal; if a qualifying negative event later
-// arrives, a compensating Retract match is emitted for each invalidated
-// result.
-//
-// For queries without negation the speculative engine behaves exactly like
-// the native engine (which already emits eagerly). With negation it trades
-// output finality for latency: downstream consumers must handle revisions.
-// Invariant I7: the insert stream minus the retract stream converges to the
-// exact result set once the stream is sealed.
+// Package speculate is what remains of the separate speculative engine.
+// Speculation is an emission policy of the one out-of-order kernel
+// (core.EmitThenRetract); nothing in the library imports this package. It
+// exists only because benchmark/layers.go, which a library change must
+// leave byte-identical, compiles against these three declarations.
 package speculate
 
 import (
-	"container/heap"
-	"fmt"
-	"sort"
-
-	"oostream/internal/adaptive"
-	"oostream/internal/ais"
-	"oostream/internal/engine"
+	"oostream/internal/core"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
-	"oostream/internal/provenance"
 )
 
-// Options configure the speculative engine.
+// Engine is the kernel.
+type Engine = core.Engine
+
+// Options carries the disorder bound.
 type Options struct {
-	// K is the disorder bound, as in the native engine. It controls purge
-	// horizons and when an emitted match stops being retractable.
 	K event.Time
-	// PurgeEvery runs a purge pass every PurgeEvery events (0 = default
-	// 64, negative = never).
-	PurgeEvery int
-	// Adaptive, when non-nil, makes K dynamic exactly as in the native
-	// engine: the safe clock becomes a monotone frontier over
-	// (clock − controller's effective K). AdaptiveFeed marks this engine as
-	// the controller's owner (it feeds lag observations and state sizes).
-	Adaptive     *adaptive.Controller
-	AdaptiveFeed bool
 }
 
-const defaultPurgeEvery = 64
-
-// Engine is the aggressive out-of-order SSC engine with compensation.
-type Engine struct {
-	plan      *plan.Plan
-	opts      Options
-	stacks    *ais.Stacks
-	negStores []*negStore
-	// vulnerable tracks emitted matches that can still be retracted,
-	// keyed by match key, with a heap for sealing-time expiry.
-	vulnerable map[string]*vulnEntry
-	expiry     vulnHeap
-	vulnSeq    uint64
-	clock      event.Time
-	started    bool
-	// frontier is the adaptive safe clock (see core.Engine.frontier):
-	// monotone max over history of (clock − effective K). minTime when
-	// opts.Adaptive is nil.
-	frontier event.Time
-	// shedded counts events discarded by overload degradation.
-	shedded uint64
-	arrival uint64
-	since   int
-	met     metrics.Collector
-	// trace observes lifecycle steps when non-nil (nil-checked per site).
-	trace     obsv.TraceHook
-	traceName string
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// event spans.
-	lat *obsv.LatencySampler
-
-	// prov enables lineage records (flag-checked per site, like trace).
-	// trig*/visited carry the current trigger through construction.
-	prov    bool
-	trigSeq event.Seq
-	trigTS  event.Time
-	trigPos int
-	visited int
-}
-
-type vulnEntry struct {
-	events []event.Event
-	key    string
-	sealTS event.Time
-	// order is the entry's registration number: retractions are emitted in
-	// original emission order, keeping the engine's output a deterministic
-	// function of the event sequence (which exactly-once crash recovery
-	// replays against).
-	order uint64
-	// retracted marks entries already compensated (lazily removed from
-	// the expiry heap).
-	retracted bool
-}
-
-var _ engine.Engine = (*Engine)(nil)
-
-// New builds a speculative engine.
+// New builds the kernel under the emit-then-retract policy.
 func New(p *plan.Plan, opts Options) (*Engine, error) {
-	if opts.K < 0 {
-		return nil, fmt.Errorf("K must be >= 0, got %d", opts.K)
-	}
-	if opts.PurgeEvery == 0 {
-		opts.PurgeEvery = defaultPurgeEvery
-	}
-	en := &Engine{
-		plan:       p,
-		opts:       opts,
-		frontier:   minTime,
-		stacks:     ais.New(p.Len()),
-		negStores:  make([]*negStore, len(p.Negatives)),
-		vulnerable: make(map[string]*vulnEntry),
-	}
-	for i := range en.negStores {
-		en.negStores[i] = &negStore{}
-	}
-	return en, nil
-}
-
-// MustNew is New for known-good options.
-func MustNew(p *plan.Plan, opts Options) *Engine {
-	en, err := New(p, opts)
-	if err != nil {
-		panic(err)
-	}
-	return en
-}
-
-// Name implements engine.Engine.
-func (en *Engine) Name() string { return "speculate" }
-
-// Observe implements engine.Observable.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
-	}
-}
-
-// EnableProvenance implements engine.Provenancer.
-func (en *Engine) EnableProvenance() { en.prov = true }
-
-// Metrics implements engine.Engine.
-func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
-
-// StateSnapshot implements engine.Introspectable. The speculative engine
-// retains no lineage (output is eager; records leave with their match), so
-// Lineage.Live stays 0; Vulnerable is the still-retractable match count.
-func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
-	s := &provenance.StateSnapshot{
-		Engine:        name,
-		Started:       en.started,
-		Clock:         en.clock,
-		Safe:          en.safe(),
-		StackDepths:   make([]int, en.plan.Len()),
-		NegStoreSizes: make([]int, len(en.negStores)),
-		Vulnerable:    len(en.vulnerable),
-		Lineage:       provenance.LineageStats{Enabled: en.prov},
-	}
-	s.PurgeFrontier = s.Safe - en.plan.Window
-	if ad := en.opts.Adaptive; ad != nil {
-		cs := ad.Snapshot()
-		s.Adaptive = &provenance.AdaptiveStats{
-			Enabled:      cs.Enabled,
-			EffectiveK:   cs.EffectiveK,
-			NominalK:     cs.NominalK,
-			MaxKObserved: cs.MaxKObserved,
-			Degraded:     cs.Degraded,
-			Shedded:      en.shedded,
-			Resizes:      cs.Resizes,
-		}
-	}
-	for pos := 0; pos < en.plan.Len(); pos++ {
-		s.StackDepths[pos] = en.stacks.Stack(pos).Len()
-	}
-	for i, ns := range en.negStores {
-		s.NegStoreSizes[i] = ns.len()
-	}
-	return s
-}
-
-// StateSize implements engine.Engine.
-func (en *Engine) StateSize() int {
-	total := en.stacks.Size() + len(en.vulnerable)
-	for _, ns := range en.negStores {
-		total += ns.len()
-	}
-	return total
-}
-
-const minTime = event.Time(-1 << 62)
-
-func (en *Engine) safe() event.Time {
-	if !en.started {
-		return minTime
-	}
-	if en.opts.Adaptive != nil {
-		return en.frontier
-	}
-	return en.clock - en.opts.K
-}
-
-// advanceFrontier folds the controller's current effective K into the
-// monotone frontier (see core.Engine.advanceFrontier).
-func (en *Engine) advanceFrontier() {
-	if en.opts.Adaptive == nil || !en.started {
-		return
-	}
-	if cand := en.clock - en.opts.Adaptive.EffectiveK(); cand > en.frontier {
-		en.frontier = cand
-	}
-}
-
-// Process implements engine.Engine.
-func (en *Engine) Process(e event.Event) []plan.Match {
-	out := en.processOne(e, nil)
-	en.lat.StageEnd(e.Seq, obsv.StageConstruct)
-	en.maybePurge()
-	en.met.SetLiveState(en.StateSize())
-	en.publishAdaptive()
-	return out
-}
-
-// SetLatencySampler implements engine.LatencySampled.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.lat = ls }
-
-// publishAdaptive refreshes the controller-derived gauges.
-func (en *Engine) publishAdaptive() {
-	if ad := en.opts.Adaptive; ad != nil {
-		en.met.SetCurrentK(ad.EffectiveK())
-		en.met.SetDegraded(ad.Degraded())
-	}
-}
-
-// ProcessBatch implements engine.BatchProcessor. Vulnerable-entry expiry
-// stays per event (it is cheap and keeps the retraction scan small), but
-// the purge pass — output-invisible here for the same window-bound reason
-// as the native engine's, and this engine always drops bound violators —
-// and the state gauge are deferred to the batch boundary.
-func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
-	var out []plan.Match
-	for i := range batch {
-		out = en.processOne(batch[i], out)
-		en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
-	}
-	en.maybePurge()
-	en.met.SetLiveState(en.StateSize())
-	en.publishAdaptive()
-	return out
-}
-
-// processOne is the per-event pipeline shared by Process and ProcessBatch:
-// admission, negative-store insertion with retraction of invalidated
-// matches, AIS insertion with trigger-based construction, and vulnerable
-// expiry. Purging and the gauge are the caller's responsibility.
-func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
-	en.arrival++
-	if !en.plan.Relevant(e.Type) {
-		en.met.IncIrrelevant()
-		return out
-	}
-	isOOO := en.started && e.TS < en.clock
-	var lag event.Time
-	if isOOO {
-		lag = en.clock - e.TS
-	}
-	en.met.IncIn(isOOO, lag)
-	if en.opts.AdaptiveFeed {
-		en.opts.Adaptive.ObserveLag(lag)
-	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
-	en.advanceFrontier()
-	if en.started && e.TS < en.safe() {
-		if ad := en.opts.Adaptive; ad != nil && ad.Degraded() && e.TS >= en.clock-ad.NominalK() {
-			en.shedded++
-			en.met.IncShedded()
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-			}
-			return out
-		}
-		en.met.IncLate()
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-		}
-		return out
-	}
-	if e.TS > en.clock || !en.started {
-		en.clock = e.TS
-		en.started = true
-		en.advanceFrontier()
-	}
-	if !en.plan.ConstFalse {
-		for _, negIdx := range en.plan.NegativesForType(e.Type) {
-			if plan.EvalLocal(en.plan.Negatives[negIdx].Local, e, en.met.IncPredError) {
-				en.negStores[negIdx].insert(e)
-				out = en.retractInvalidated(negIdx, e, out)
-			}
-		}
-		last := en.plan.Len() - 1
-		for _, pos := range en.plan.PositionsForType(e.Type) {
-			if !plan.EvalLocal(en.plan.Positives[pos].Local, e, en.met.IncPredError) {
-				continue
-			}
-			inst := en.stacks.Insert(pos, e)
-			en.met.AddRepairs(en.stacks.LastFixups())
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpStackPush, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-				if fix := en.stacks.LastFixups(); fix > 0 {
-					en.trace.Trace(obsv.TraceEvent{Op: obsv.OpRepair, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: fix})
-				}
-			}
-			if pos == last || isOOO {
-				if en.trace != nil {
-					en.trace.Trace(obsv.TraceEvent{Op: obsv.OpTrigger, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-				}
-				out = en.construct(inst, pos, out)
-			}
-		}
-	}
-	en.expireVulnerable()
-	en.since++
-	if en.opts.AdaptiveFeed {
-		en.opts.Adaptive.NoteState(en.StateSize())
-	}
-	return out
-}
-
-// Advance implements engine.Advancer: a heartbeat moves the clock forward,
-// finalizing (expiring) vulnerable matches whose gaps it seals and purging
-// state. Speculative output was already emitted, so no matches result.
-func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if !en.started || ts > en.clock {
-		en.clock = ts
-		en.started = true
-	}
-	en.advanceFrontier()
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
-	en.expireVulnerable()
-	en.since = en.opts.PurgeEvery
-	en.maybePurge()
-	en.met.SetLiveState(en.StateSize())
-	return nil
-}
-
-// Flush implements engine.Engine: everything was already emitted eagerly;
-// remaining vulnerable entries simply become final.
-func (en *Engine) Flush() []plan.Match {
-	en.vulnerable = make(map[string]*vulnEntry)
-	en.expiry = nil
-	en.met.SetLiveState(en.StateSize())
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
-	}
-	return nil
-}
-
-// RetractVulnerable compensates every still-vulnerable match whose seal
-// timestamp lies above cut, in original emission order, and finalizes
-// (silently drops) the rest. The hybrid meta-engine calls this when
-// switching away from speculation at a sealed watermark C = cut: matches
-// sealing at or below the cut are final — no event that could invalidate
-// them will ever be admitted again, and the replacement engine's replay
-// of the tail suppresses re-emissions at or below the cut, so retracting
-// them would lose results. Matches sealing above the cut are retracted
-// here and re-derived (or not) by the replay. The vulnerable set is
-// emptied either way.
-func (en *Engine) RetractVulnerable(cut event.Time) []plan.Match {
-	var hit []*vulnEntry
-	for _, v := range en.vulnerable {
-		if v.retracted || v.sealTS <= cut {
-			continue
-		}
-		hit = append(hit, v)
-	}
-	sort.Slice(hit, func(i, j int) bool { return hit[i].order < hit[j].order })
-	var out []plan.Match
-	for _, v := range hit {
-		m := plan.Match{
-			Kind:      plan.Retract,
-			Events:    v.events,
-			EmitSeq:   event.Seq(en.arrival),
-			EmitClock: en.clock,
-		}
-		if en.prov {
-			m.Prov = &provenance.Record{
-				Kind:      provenance.KindRetract,
-				Events:    provenance.Refs(v.events),
-				Shard:     -1,
-				WindowLo:  v.events[0].TS,
-				WindowHi:  v.events[0].TS + en.plan.Window,
-				SealTS:    v.sealTS,
-				EmitClock: en.clock,
-				// InvalidatedBy stays nil: no negative event invalidated the
-				// match — the strategy switch withdrew it for re-derivation.
-			}
-			en.met.IncLineage()
-		}
-		en.met.AddMatch(true, 0, 0)
-		if en.trace != nil {
-			te := obsv.TraceEvent{Op: obsv.OpRetract, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-			if m.Prov != nil {
-				te.Match = m.Prov.MatchKey()
-			}
-			en.trace.Trace(te)
-		}
-		out = append(out, m)
-	}
-	en.vulnerable = make(map[string]*vulnEntry)
-	en.expiry = nil
-	en.met.SetLiveState(en.StateSize())
-	return out
-}
-
-// retractInvalidated compensates emitted matches whose gap the new negative
-// event falls into.
-func (en *Engine) retractInvalidated(negIdx int, neg event.Event, out []plan.Match) []plan.Match {
-	var hit []*vulnEntry
-	for _, v := range en.vulnerable {
-		if v.retracted {
-			continue
-		}
-		lo, hi := en.plan.GapBounds(negIdx, v.events)
-		if neg.TS <= lo || neg.TS >= hi {
-			continue
-		}
-		if !en.plan.NegMatches(negIdx, neg, v.events, en.met.IncPredError) {
-			continue
-		}
-		hit = append(hit, v)
-	}
-	// Map iteration order is random; emit compensations in original
-	// emission order so the output stays deterministic across runs.
-	sort.Slice(hit, func(i, j int) bool { return hit[i].order < hit[j].order })
-	for _, v := range hit {
-		v.retracted = true
-		delete(en.vulnerable, v.key)
-		m := plan.Match{
-			Kind:      plan.Retract,
-			Events:    v.events,
-			EmitSeq:   event.Seq(en.arrival),
-			EmitClock: en.clock,
-		}
-		if en.prov {
-			inv := provenance.Ref(neg, -1)
-			m.Prov = &provenance.Record{
-				Kind:          provenance.KindRetract,
-				Events:        provenance.Refs(v.events),
-				Shard:         -1,
-				WindowLo:      v.events[0].TS,
-				WindowHi:      v.events[0].TS + en.plan.Window,
-				SealTS:        v.sealTS,
-				EmitClock:     en.clock,
-				InvalidatedBy: &inv,
-			}
-			en.met.IncLineage()
-		}
-		en.met.AddMatch(true, 0, 0)
-		if en.trace != nil {
-			te := obsv.TraceEvent{Op: obsv.OpRetract, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-			if m.Prov != nil {
-				te.Match = m.Prov.MatchKey()
-			}
-			en.trace.Trace(te)
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// construct is the same middle-out enumeration as the native engine's.
-func (en *Engine) construct(trigger *ais.Instance, pos int, out []plan.Match) []plan.Match {
-	n := en.plan.Len()
-	binding := make([]event.Event, n)
-	binding[pos] = trigger.Event
-	mask := uint64(1) << uint(pos)
-	if !en.plan.CrossSatisfiedAt(pos, mask, binding, en.met.IncPredError) {
-		return out
-	}
-	if en.prov {
-		en.trigSeq = trigger.Event.Seq
-		en.trigTS = trigger.Event.TS
-		en.trigPos = pos
-		en.visited = 0
-	}
-	var down func(p int, mask uint64)
-	var up func(p int, mask uint64)
-	down = func(p int, mask uint64) {
-		if p < 0 {
-			up(pos+1, mask)
-			return
-		}
-		s := en.stacks.Stack(p)
-		lowTS := trigger.Event.TS - en.plan.Window
-		for i := s.UpperBound(binding[p+1].TS) - 1; i >= 0; i-- {
-			cand := s.At(i)
-			if cand.Event.TS < lowTS {
-				break
-			}
-			if en.prov {
-				en.visited++
-			}
-			binding[p] = cand.Event
-			m := mask | 1<<uint(p)
-			if en.plan.CrossSatisfiedAt(p, m, binding, en.met.IncPredError) {
-				down(p-1, m)
-			}
-		}
-	}
-	up = func(p int, mask uint64) {
-		if p >= n {
-			out = en.emit(binding, out)
-			return
-		}
-		s := en.stacks.Stack(p)
-		highTS := binding[0].TS + en.plan.Window
-		for i := s.FirstAfter(binding[p-1].TS); i < s.Len(); i++ {
-			cand := s.At(i)
-			if cand.Event.TS > highTS {
-				break
-			}
-			if en.prov {
-				en.visited++
-			}
-			binding[p] = cand.Event
-			m := mask | 1<<uint(p)
-			if en.plan.CrossSatisfiedAt(p, m, binding, en.met.IncPredError) {
-				up(p+1, m)
-			}
-		}
-	}
-	down(pos-1, mask)
-	return out
-}
-
-// emit checks the negatives known so far and, if none invalidates the
-// binding, emits immediately — registering the match as vulnerable while
-// any of its gaps is still unsealed.
-func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
-	events := make([]event.Event, len(binding))
-	copy(events, binding)
-	sealTS := minTime
-	for negIdx := range en.plan.Negatives {
-		lo, hi := en.plan.GapBounds(negIdx, events)
-		if en.negStores[negIdx].anyInGap(lo, hi, func(t event.Event) bool {
-			return en.plan.NegMatches(negIdx, t, events, en.met.IncPredError)
-		}) {
-			return out
-		}
-		if hi > sealTS {
-			sealTS = hi
-		}
-	}
-	fields, err := en.plan.Project(events)
-	if err != nil {
-		en.met.IncPredError(err)
-		return out
-	}
-	m := plan.Match{
-		Kind:      plan.Insert,
-		Events:    events,
-		Fields:    fields,
-		EmitSeq:   event.Seq(en.arrival),
-		EmitClock: en.clock,
-	}
-	if en.prov {
-		m.Prov = &provenance.Record{
-			Kind:       provenance.KindInsert,
-			Events:     provenance.Refs(events),
-			Shard:      -1,
-			WindowLo:   events[0].TS,
-			WindowHi:   events[0].TS + en.plan.Window,
-			SealTS:     sealTS,
-			TriggerSeq: en.trigSeq,
-			TriggerTS:  en.trigTS,
-			TriggerPos: en.trigPos,
-			Traversed:  en.visited,
-			EmitClock:  en.clock,
-		}
-		en.met.IncLineage()
-	}
-	en.met.AddMatch(false, en.clock-m.Last().TS, 0)
-	if en.trace != nil {
-		te := obsv.TraceEvent{Op: obsv.OpEmit, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-		if m.Prov != nil {
-			te.Match = m.Prov.MatchKey()
-		}
-		en.trace.Trace(te)
-	}
-	out = append(out, m)
-	if sealTS > en.safe() {
-		v := &vulnEntry{events: events, key: m.Key(), sealTS: sealTS, order: en.vulnSeq}
-		en.vulnSeq++
-		en.vulnerable[v.key] = v
-		heap.Push(&en.expiry, v)
-	}
-	return out
-}
-
-// expireVulnerable drops entries whose gaps the safe clock sealed: they can
-// no longer be invalidated.
-func (en *Engine) expireVulnerable() {
-	safe := en.safe()
-	for en.expiry.Len() > 0 {
-		top := en.expiry[0]
-		if !top.retracted && top.sealTS > safe {
-			break
-		}
-		heap.Pop(&en.expiry)
-		if !top.retracted {
-			delete(en.vulnerable, top.key)
-		}
-	}
-}
-
-// maybePurge runs the purge rules once the processed-event counter
-// (advanced by processOne) reaches opts.PurgeEvery; ProcessBatch checks
-// only at batch boundaries.
-func (en *Engine) maybePurge() {
-	if en.opts.PurgeEvery < 0 {
-		return
-	}
-	if en.since < en.opts.PurgeEvery {
-		return
-	}
-	en.since = 0
-	safe := en.safe()
-	last := en.plan.Len() - 1
-	purged := en.stacks.PurgeBefore(func(pos int) event.Time {
-		if pos == last {
-			return safe
-		}
-		return safe - en.plan.Window
-	})
-	for _, ns := range en.negStores {
-		purged += ns.purgeBefore(safe - 2*en.plan.Window)
-	}
-	if purged > 0 {
-		en.met.ObservePurge(purged)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpPurge, Engine: en.traceName, TS: safe, N: purged})
-		}
-	}
-}
-
-// vulnHeap is a min-heap of vulnerable entries on sealTS.
-type vulnHeap []*vulnEntry
-
-func (h vulnHeap) Len() int           { return len(h) }
-func (h vulnHeap) Less(i, j int) bool { return h[i].sealTS < h[j].sealTS }
-func (h vulnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *vulnHeap) Push(x any)        { *h = append(*h, x.(*vulnEntry)) }
-func (h *vulnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return out
-}
-
-// negStore is a sorted buffer of negative events (same structure as the
-// native engine's; kept package-local so each engine stays self-contained).
-type negStore struct {
-	items []event.Event
-}
-
-func (s *negStore) len() int { return len(s.items) }
-
-func (s *negStore) insert(e event.Event) {
-	idx := sort.Search(len(s.items), func(i int) bool {
-		return e.Before(s.items[i])
-	})
-	s.items = append(s.items, event.Event{})
-	copy(s.items[idx+1:], s.items[idx:])
-	s.items[idx] = e
-}
-
-func (s *negStore) anyInGap(lo, hi event.Time, check func(event.Event) bool) bool {
-	start := sort.Search(len(s.items), func(i int) bool {
-		return s.items[i].TS > lo
-	})
-	for i := start; i < len(s.items) && s.items[i].TS < hi; i++ {
-		if check(s.items[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *negStore) purgeBefore(horizon event.Time) int {
-	cut := sort.Search(len(s.items), func(i int) bool {
-		return s.items[i].TS >= horizon
-	})
-	if cut == 0 {
-		return 0
-	}
-	n := copy(s.items, s.items[cut:])
-	for i := n; i < len(s.items); i++ {
-		s.items[i] = event.Event{}
-	}
-	s.items = s.items[:n]
-	return cut
+	return core.New(p, core.Options{K: opts.K, Emit: core.EmitThenRetract})
 }

@@ -10,21 +10,25 @@
 //	WITHIN  12h
 //
 // over unbounded event streams whose events may arrive out of timestamp
-// order, under a bounded-disorder (K-slack) assumption. Four interchangeable
-// strategies implement the same query semantics:
+// order, under a bounded-disorder (K-slack) assumption. Five interchangeable
+// strategies implement the same query semantics; all but the in-order
+// baseline run one out-of-order kernel (timestamp-sorted active instance
+// stacks with out-of-order insertion and predecessor repair, construction
+// triggered by the out-of-order event itself, safe-clock state purging):
 //
-//   - StrategyNative — the paper's contribution: timestamp-sorted active
-//     instance stacks with out-of-order insertion and predecessor repair,
-//     construction triggered by the out-of-order event itself, safe-clock
-//     state purging, and deferred (exact) negation output.
+//   - StrategyNative — the paper's contribution: the kernel holding each
+//     negation result until the safe clock seals its gaps (exact, final).
 //   - StrategyInOrder — the classic SASE engine. Exact on sorted input;
 //     misses matches and emits premature negation results under disorder
 //     (the paper's problem analysis).
-//   - StrategyKSlack — a K-slack reorder buffer in front of the in-order
-//     engine. Exact under the bound, but every result pays up to K latency
+//   - StrategyKSlack — a K-slack reorder buffer in front of the kernel at
+//     K=0. Exact under the bound, but every result pays up to K latency
 //     and the buffer holds the whole recent stream.
-//   - StrategySpeculate — the aggressive extension: emits eagerly and
-//     compensates wrong negation output with Retract matches.
+//   - StrategySpeculate — the aggressive extension: the kernel emitting
+//     eagerly and compensating wrong negation output with Retract matches.
+//   - StrategyHybrid — one kernel whose emission policy flips between the
+//     speculate and native behaviours as disorder and the configured
+//     service-level objectives demand.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduced evaluation.
@@ -49,7 +53,6 @@ import (
 	"oostream/internal/plan"
 	"oostream/internal/runtime"
 	"oostream/internal/shard"
-	"oostream/internal/speculate"
 )
 
 // Re-exported event model types. Events carry an application timestamp in
@@ -317,57 +320,56 @@ func newSingle(q *Query, cfg Config) (engine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every strategy but the in-order baseline runs the one out-of-order
+	// kernel; they differ in its emission policy and in what stands in
+	// front of it.
+	kernel := core.Options{
+		K:                 cfg.K,
+		LatePolicy:        cfg.corePolicy(),
+		DisableTriggerOpt: cfg.DisableTriggerOpt,
+		DisableKeying:     cfg.DisableKeyedStacks,
+		PurgeEvery:        cfg.PurgeEvery,
+	}
 	var inner engine.Engine
 	switch cfg.Strategy {
-	case StrategyNative:
-		opts := core.Options{
-			K:                 cfg.K,
-			LatePolicy:        cfg.corePolicy(),
-			DisableTriggerOpt: cfg.DisableTriggerOpt,
-			DisableKeying:     cfg.DisableKeyedStacks,
-			PurgeEvery:        cfg.PurgeEvery,
+	case StrategyNative, StrategySpeculate:
+		if cfg.Strategy == StrategySpeculate {
+			kernel.Emit = core.EmitThenRetract
 		}
 		if ctrl != nil {
-			opts.Adaptive, opts.AdaptiveFeed = ctrl, true
+			kernel.Adaptive, kernel.AdaptiveFeed = ctrl, true
 		}
-		en, err := core.New(q.plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		inner = en
+		inner, err = core.New(q.plan, kernel)
 	case StrategyInOrder:
 		inner = inorder.New(q.plan)
 	case StrategyKSlack:
+		// The reorder buffer carries all the slack: the kernel behind it
+		// sees a sorted stream and runs at K=0, exactly as a QuerySet's
+		// per-query kernels do behind their shared buffer.
+		kernel.K = 0
+		var sorted *core.Engine
+		if sorted, err = core.New(q.plan, kernel); err != nil {
+			break
+		}
 		if ctrl != nil {
-			inner = kslack.NewAdaptiveEngine(ctrl, true, inorder.New(q.plan))
+			inner = kslack.NewAdaptiveEngine(ctrl, true, sorted)
 		} else {
-			inner = kslack.NewEngine(cfg.K, inorder.New(q.plan))
+			inner = kslack.NewEngine(cfg.K, sorted)
 		}
-	case StrategySpeculate:
-		opts := speculate.Options{K: cfg.K, PurgeEvery: cfg.PurgeEvery}
-		if ctrl != nil {
-			opts.Adaptive, opts.AdaptiveFeed = ctrl, true
-		}
-		en, err := speculate.New(q.plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		inner = en
 	case StrategyHybrid:
-		// The hybrid meta-engine always runs a controller (it owns the
-		// feed); with Adaptive disabled the effective K stays pinned at
+		// The hybrid meta-engine always runs a controller (its kernel owns
+		// the feed); with Adaptive disabled the effective K stays pinned at
 		// Config.K and only the SLO switching logic runs.
-		hctrl, err := adaptive.NewController(cfg.adaptiveConfig())
-		if err != nil {
-			return nil, err
+		var hctrl *adaptive.Controller
+		if hctrl, err = adaptive.NewController(cfg.adaptiveConfig()); err != nil {
+			break
 		}
-		en, err := hybrid.New(q.plan, hybrid.Options{Controller: hctrl, PurgeEvery: cfg.PurgeEvery})
-		if err != nil {
-			return nil, err
-		}
-		inner = en
+		inner, err = hybrid.New(q.plan, kernel, hybrid.Options{Controller: hctrl})
 	default:
-		return nil, fmt.Errorf("unknown strategy %q", cfg.Strategy)
+		err = fmt.Errorf("unknown strategy %q", cfg.Strategy)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if cfg.OrderedOutput {
 		wrapped, err := ordered.New(inner, cfg.K)

@@ -107,8 +107,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(q, Config{Strategy: StrategyKSlack, BestEffortLate: true}); err == nil {
 		t.Error("BestEffortLate outside native accepted")
 	}
-	if _, err := NewEngine(q, Config{Strategy: StrategyKSlack, DisableTriggerOpt: true}); err == nil {
-		t.Error("DisableTriggerOpt outside native accepted")
+	if _, err := NewEngine(q, Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}); err == nil {
+		t.Error("DisableTriggerOpt accepted by the strategy that does not run the kernel")
 	}
 	en, err := NewEngine(q, Config{})
 	if err != nil || en.Strategy() != "native" {
