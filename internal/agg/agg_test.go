@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -269,6 +270,32 @@ func TestGroupedHaving(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatalf("no window passed HAVING; want the id=1 group")
+	}
+}
+
+// TestNaNGroupKeyContributesNothing: a NaN GROUP BY key equals no group,
+// itself included. As a map key it would open one group per match that no
+// later match joins (or, compared by bits, merge what the equality keeps
+// apart), so plan.KeyOf refuses it: the match is counted as a predicate
+// error and dropped, by the operator and by the brute-force truth alike.
+func TestNaNGroupKeyContributesNothing(t *testing.T) {
+	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100 GROUP BY b.id")
+	en := New(p, core.MustNew(p, core.Options{K: 0}), false, 0)
+	events := []event.Event{
+		ev("A", 10, 1, nil),
+		ev("B", 20, 2, event.Attrs{"id": event.Float(math.NaN())}),
+		ev("B", 30, 3, event.Attrs{"id": event.Float(math.NaN())}),
+		ev("B", 40, 4, event.Attrs{"id": event.Int(2)}),
+	}
+	got := engine.Drain(en, events)
+	if same, diff := plan.SameResults(got, expected(t, p, events)); !same {
+		t.Fatalf("NaN group key diverges:\n%s", diff)
+	}
+	if len(got) != 1 || got[0].Agg.Count != 1 {
+		t.Fatalf("want the id=2 window alone with count 1, got %v", got)
+	}
+	if m := en.Metrics(); m.PredErrors != 2 || m.AggInserts != 1 {
+		t.Fatalf("PredErrors = %d, AggInserts = %d, want 2 and 1", m.PredErrors, m.AggInserts)
 	}
 }
 

@@ -163,10 +163,11 @@ func (o Options) normalized() (Options, error) {
 	return o, nil
 }
 
-// errMissingKey reports an event of a pattern-relevant type that lacks the
-// partition key attribute: for a key-partitioned plan it can never satisfy
-// the key-equality predicates, so it is counted and dropped.
-var errMissingKey = errors.New("event lacks the partition key attribute")
+// errMissingKey reports an event of a pattern-relevant type whose partition
+// key attribute is missing or NaN (plan.KeyOf): for a key-partitioned plan
+// it can never satisfy the key-equality predicates, so it is counted and
+// dropped.
+var errMissingKey = errors.New("event has no partition key: attribute missing or NaN")
 
 // Engine is the out-of-order SSC engine.
 type Engine struct {
@@ -259,7 +260,21 @@ type Engine struct {
 	walkTrigTS   event.Time
 	walkTrigSeq  event.Seq
 	walkVisited  int
+	// walkHoist is cross.Hoisted(walkPos): per slot, the predicates over
+	// exactly {trigger, slot} at the levels the walk revisits; nil when the
+	// trigger position has none. verdict[p][i] remembers their outcome for
+	// the candidate at index i of stack p, for the current construct only
+	// (the stacks do not change during a walk).
+	walkHoist [][]int
+	verdict   [][]byte
 }
+
+// Verdicts of a candidate's trigger-pair predicates; the zero value is
+// "not evaluated for this trigger yet".
+const (
+	verdictHolds byte = iota + 1
+	verdictFails
+)
 
 var _ engine.Engine = (*Engine)(nil)
 
@@ -277,6 +292,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
 		localScratch: make([]event.Event, 1),
+		verdict:      make([][]byte, p.Len()),
 	}
 	if attr := p.PartitionKey; attr != "" && !opts.DisableKeying {
 		en.keyAttr = attr
@@ -672,12 +688,13 @@ func (en *Engine) Flush() []plan.Match {
 // or the trigger's key group). Earlier positions are bound walking down
 // from pos, then later positions walking up; cross predicates fire as soon
 // as their referenced slots are all bound (order-independent, see
-// plan.CrossView.SatisfiedAt). The binding buffer is engine scratch,
-// copied only when a complete match emits.
+// plan.CrossView.SatisfiedAt), except the trigger-pair ones, which
+// pairHolds settles once per candidate. The binding buffer is engine
+// scratch, copied only when a complete match emits.
 func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger *ais.Instance, pos int, out []plan.Match) []plan.Match {
 	en.binding[pos] = trigger.Event
 	mask := uint64(1) << uint(pos)
-	if !en.cross.SatisfiedAt(pos, mask, en.binding, en.met.IncPredError) {
+	if !en.cross.SatisfiedAt(pos, pos, mask, en.binding, en.met.IncPredError) {
 		return out
 	}
 	en.walkStacks = st
@@ -688,7 +705,34 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger *ais.Instan
 		en.walkTrigSeq = trigger.Event.Seq
 		en.walkVisited = 0
 	}
+	en.walkHoist = en.cross.Hoisted(pos)
+	for p, idxs := range en.walkHoist {
+		if len(idxs) == 0 {
+			continue
+		}
+		n := st.Stack(p).Len()
+		if cap(en.verdict[p]) < n {
+			en.verdict[p] = make([]byte, n, 2*n)
+		}
+		en.verdict[p] = en.verdict[p][:n]
+		clear(en.verdict[p])
+	}
 	return en.walkDown(pos-1, mask, out)
+}
+
+// pairHolds reports whether the trigger-pair predicates of slot p hold for
+// the candidate at index i of its stack, evaluating them on the candidate's
+// first visit under this trigger. Only then does it touch the binding.
+func (en *Engine) pairHolds(p, i int, cand *ais.Instance) bool {
+	v := &en.verdict[p][i]
+	if *v == 0 {
+		en.binding[p] = cand.Event
+		*v = verdictFails
+		if en.cross.Holds(en.walkHoist[p], en.binding, en.met.IncPredError) {
+			*v = verdictHolds
+		}
+	}
+	return *v == verdictHolds
 }
 
 // walkDown binds positions pos-1 .. 0 with instances earlier than the
@@ -699,6 +743,7 @@ func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 	}
 	s := en.walkStacks.Stack(p)
 	lowTS := en.walkTrigTS - en.plan.Window
+	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
 	for i := s.UpperBound(en.binding[p+1].TS) - 1; i >= 0; i-- {
 		cand := s.At(i)
 		if cand.Event.TS < lowTS {
@@ -707,9 +752,12 @@ func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 		if en.prov {
 			en.walkVisited++
 		}
+		if hoisted && !en.pairHolds(p, i, cand) {
+			continue
+		}
 		en.binding[p] = cand.Event
 		m := mask | 1<<uint(p)
-		if en.cross.SatisfiedAt(p, m, en.binding, en.met.IncPredError) {
+		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
 			out = en.walkDown(p-1, m, out)
 		}
 	}
@@ -724,6 +772,7 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 	}
 	s := en.walkStacks.Stack(p)
 	highTS := en.binding[0].TS + en.plan.Window
+	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
 	for i := s.FirstAfter(en.binding[p-1].TS); i < s.Len(); i++ {
 		cand := s.At(i)
 		if cand.Event.TS > highTS {
@@ -732,9 +781,12 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 		if en.prov {
 			en.walkVisited++
 		}
+		if hoisted && !en.pairHolds(p, i, cand) {
+			continue
+		}
 		en.binding[p] = cand.Event
 		m := mask | 1<<uint(p)
-		if en.cross.SatisfiedAt(p, m, en.binding, en.met.IncPredError) {
+		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
 			out = en.walkUp(p+1, m, out)
 		}
 	}

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"testing"
+
+	"oostream/internal/event"
+	"oostream/internal/gen"
+	"oostream/internal/oracle"
+	"oostream/internal/plan"
+)
+
+// TestHoistedPredicateEvaluatedOnce pins the evaluation count of a
+// trigger-pair predicate. `c.missing > a.missing` errors on every
+// evaluation, so PredErrors counts them: one per distinct (trigger,
+// candidate) pair at the levels a walk revisits, not one per visit.
+func TestHoistedPredicateEvaluatedOnce(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE c.missing > a.missing WITHIN 1000")
+	en := MustNew(p, Options{K: 100, PurgeEvery: -1})
+	steps := []struct {
+		typ   string
+		ts    event.Time
+		evals uint64
+		why   string
+	}{
+		{"A", 10, 0, "in order, not last: no trigger"},
+		{"A", 20, 0, ""},
+		{"B", 30, 0, ""},
+		{"B", 40, 0, ""},
+		{"C", 50, 2, "c triggers: A20 and A10 come up under B40 and again under B30"},
+		{"C", 60, 2, "the same two a-candidates, for a new trigger"},
+		{"A", 5, 2, "late a triggers: C50 and C60 come up under B30 and again under B40"},
+		{"B", 35, 6, "late b triggers: {a,c} is no trigger pair, and each of 3x2 (a,c) comes up once"},
+	}
+	var before uint64
+	for i, st := range steps {
+		if out := en.Process(kev(st.typ, st.ts, event.Seq(i+1), nil)); len(out) != 0 {
+			t.Fatalf("%s@%d: %d matches from a predicate that always errors", st.typ, st.ts, len(out))
+		}
+		after := en.Metrics().PredErrors
+		if got := after - before; got != st.evals {
+			t.Errorf("%s@%d: %d evaluations, want %d (%s)", st.typ, st.ts, got, st.evals, st.why)
+		}
+		before = after
+	}
+}
+
+// TestHoistedVerdictsMatchUnhoisted: on a V-shape whose {a,c} predicate
+// passes for some candidates, fails for some and errors for others, the
+// walk's matches are the oracle's — construct must not carry a verdict from
+// one trigger (or one key group) to the next.
+func TestHoistedVerdictsMatchUnhoisted(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(T a, T b, T c) WHERE a.id = b.id AND b.id = c.id "+
+		"AND b.v < a.v - 1 AND c.v > a.v + 1 WITHIN 60")
+	sorted := gen.Uniform(400, []string{"T"}, 3, 4, 21)
+	for i := range sorted {
+		if i%11 == 0 {
+			continue // no v: the value predicates error on this event
+		}
+		sorted[i].Attrs["v"] = event.Int(int64(i*7919) % 10)
+	}
+	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 40, Seed: 5})
+	keyed := drain(t, p, Options{K: 40}, shuffled)
+	if len(keyed) == 0 {
+		t.Fatal("stream produced no match: the test checks nothing")
+	}
+	unkeyed := drain(t, p, Options{K: 40, DisableKeying: true}, shuffled)
+	if ok, diff := plan.SameResults(unkeyed, keyed); !ok {
+		t.Fatalf("keyed != unkeyed:\n%s", diff)
+	}
+	if ok, diff := plan.SameResults(oracle.Matches(p, sorted), keyed); !ok {
+		t.Fatalf("keyed != oracle:\n%s", diff)
+	}
+}
+
+// TestTriggerWithoutMatchAllocFree: the verdict tables are engine scratch.
+// Once grown, a construction that completes no match allocates nothing.
+func TestTriggerWithoutMatchAllocFree(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.v > b.v AND c.v > a.v + 3 WITHIN 1000000")
+	en := MustNew(p, Options{K: 0, PurgeEvery: -1})
+	seq := event.Seq(0)
+	feed := func(typ string, ts event.Time, v int64) {
+		seq++
+		en.Process(kev(typ, ts, seq, event.Attrs{"v": event.Int(v)}))
+	}
+	for i := 0; i < 100; i++ {
+		feed("A", event.Time(i), int64(5+i%3))
+	}
+	for i := 0; i < 100; i++ {
+		feed("B", event.Time(200+i), int64(i%5))
+	}
+	// c.v = 0 exceeds no a.v + 3: every a fails its trigger pair, on 100
+	// visits each.
+	feed("C", 1000, 0)
+	trigger := en.stacks.Stack(2).Top()
+	evals := en.cross.Evals()
+	allocs := testing.AllocsPerRun(50, func() {
+		if out := en.construct(en.stacks, event.Value{}, trigger, 2, nil); len(out) != 0 {
+			t.Fatalf("got %d matches, want none", len(out))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("construct allocated %.1f times per trigger, want 0", allocs)
+	}
+	// 51 runs (one warm-up), 100 a-candidates, one evaluation each.
+	if got := en.cross.Evals() - evals; got != 51*100 {
+		t.Errorf("%d evaluations over 51 triggers, want %d", got, 51*100)
+	}
+}
+
+var sinkMatches int
+
+// BenchmarkConstructVShape is the construction DFS of the repository
+// benchmark's stock-vshape-native workload on its own (same query, K,
+// generator and disorder; no decode, no rendering):
+// go test -run '^$' -bench ConstructVShape ./internal/core.
+// evals/event is exact and repeats; ns/event is the host's.
+func BenchmarkConstructVShape(b *testing.B) {
+	p, err := plan.ParseAndCompile("PATTERN SEQ(TRADE a, TRADE b, TRADE c) WHERE a.sym = b.sym AND b.sym = c.sym "+
+		"AND b.price < a.price - 3 AND c.price > a.price + 3 WITHIN 2000", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k = 500
+	stream := gen.Shuffle(gen.Stock(gen.DefaultStock(12000, 1)), gen.Disorder{Ratio: 0.2, MaxDelay: k, Seed: 2})
+	b.ReportAllocs()
+	var evals uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		en := MustNew(p, Options{K: k})
+		for _, e := range stream {
+			sinkMatches += len(en.Process(e))
+		}
+		sinkMatches += len(en.Flush())
+		evals += en.cross.Evals()
+	}
+	events := float64(b.N) * float64(len(stream))
+	b.ReportMetric(float64(evals)/events, "evals/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+}

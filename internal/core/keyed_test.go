@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"oostream/internal/engine"
@@ -152,6 +153,55 @@ func TestKeyedDropsMissingKeyEvents(t *testing.T) {
 	}
 	if en.Metrics().PredErrors == 0 {
 		t.Fatal("missing-key drop not counted as predicate error")
+	}
+}
+
+// TestKeyedDropsNaNKeys: NaN equals nothing, itself included, so a NaN
+// partition key can join no match. As a map key it must not exist at all:
+// compared as a float it would open a group per insert that no lookup and no
+// purge ever reaches again, and compared by bit pattern it would group events
+// the equality rejects. plan.KeyOf refuses it, like a missing key.
+func TestKeyedDropsNaNKeys(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(TRADE a, TRADE b) WHERE a.sym = b.sym WITHIN 100")
+	const n = 20000
+	events := make([]event.Event, n)
+	for i := range events {
+		events[i] = kev("TRADE", event.Time(i), event.Seq(i+1), event.Attrs{"sym": event.Float(math.NaN())})
+	}
+	en := MustNew(p, Options{K: 10})
+	if !en.Keyed() {
+		t.Fatal("engine not keyed")
+	}
+	keyed := engine.Drain(en, events)
+	unkeyed := drain(t, p, Options{K: 10, DisableKeying: true}, events)
+	if len(keyed) != 0 || len(unkeyed) != 0 {
+		t.Fatalf("NaN = NaN matched: %d keyed, %d unkeyed matches", len(keyed), len(unkeyed))
+	}
+	en.Advance(n + 1000)
+	if got := en.StateSnapshot().KeyGroups; got != 0 {
+		t.Errorf("KeyGroups after purge = %d, want 0", got)
+	}
+	if got := en.StateSize(); got != 0 {
+		t.Errorf("StateSize after purge = %d, want 0", got)
+	}
+	if got := en.Metrics().PeakKeyGroups; got != 0 {
+		t.Errorf("PeakKeyGroups = %d, want 0: no NaN event may open a group", got)
+	}
+	if got := en.Metrics().PredErrors; got != n {
+		t.Errorf("PredErrors = %d, want %d", got, n)
+	}
+
+	// A stream where some keys are NaN and the rest match.
+	mixed := []event.Event{
+		kev("TRADE", 10, 1, event.Attrs{"sym": event.Float(math.NaN())}),
+		kev("TRADE", 20, 2, event.Attrs{"sym": event.Int(7)}),
+		kev("TRADE", 30, 3, event.Attrs{"sym": event.Float(math.NaN())}),
+		kev("TRADE", 40, 4, event.Attrs{"sym": event.Float(7)}),
+	}
+	keyed = drain(t, p, Options{K: 10}, mixed)
+	unkeyed = drain(t, p, Options{K: 10, DisableKeying: true}, mixed)
+	if ok, diff := plan.SameResults(unkeyed, keyed); !ok || len(keyed) != 1 {
+		t.Fatalf("mixed NaN stream: %d keyed vs %d unkeyed matches, want 1 each:\n%s", len(keyed), len(unkeyed), diff)
 	}
 }
 

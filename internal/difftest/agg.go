@@ -21,6 +21,14 @@ func GenerateAgg(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	query, qtypes := genAggQuery(rng)
 	sorted := genStream(rng, qtypes)
+	for _, e := range sorted {
+		// MIN and MAX over a NaN depend on the order partials merge in (no
+		// ordering holds against it), which the tree and the brute-force
+		// truth do not share: ROADMAP item 4c, not this differential's claim.
+		if isNaN(e.Attrs["v"]) {
+			delete(e.Attrs, "v")
+		}
+	}
 	arrival, k := genDisorder(rng, sorted)
 	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}
 }

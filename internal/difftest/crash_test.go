@@ -75,3 +75,48 @@ func TestGenerateFaultyInjects(t *testing.T) {
 		t.Fatalf("only %d/50 faulty trials contain a duplicate delivery", withDups)
 	}
 }
+
+// TestJSONSafeStripsOnlyNaN: the durability checks run every generated
+// case. jsonSafe leaves out exactly the NaN attributes (a NaN has no JSON
+// form), keeps the missing and float values of a hostile stream, and does
+// not touch the case it was called on.
+func TestJSONSafeStripsOnlyNaN(t *testing.T) {
+	var withNaN, floats, missing int
+	for seed := int64(1); seed <= 200; seed++ {
+		c := Generate(seed)
+		d, changed := c.jsonSafe()
+		if len(d.Arrival) != len(c.Arrival) {
+			t.Fatalf("seed %d: %d events became %d", seed, len(c.Arrival), len(d.Arrival))
+		}
+		stripped := false
+		for i, e := range c.Arrival {
+			v, has := e.Attrs["v"]
+			dv, dhas := d.Arrival[i].Attrs["v"]
+			switch {
+			case isNaN(v):
+				stripped = true
+				if dhas {
+					t.Fatalf("seed %d event %d: NaN survived as %v", seed, i, dv)
+				}
+			case has != dhas || v != dv:
+				t.Fatalf("seed %d event %d: v %v (present %v) became %v (present %v)", seed, i, v, has, dv, dhas)
+			case !has:
+				missing++
+			case v.Kind() == event.KindFloat:
+				floats++
+			}
+			if d.Arrival[i].Attrs["id"] != e.Attrs["id"] || d.Arrival[i].Seq != e.Seq {
+				t.Fatalf("seed %d event %d: identity changed", seed, i)
+			}
+		}
+		if stripped != changed {
+			t.Fatalf("seed %d: case holds a NaN: %v, jsonSafe reports a change: %v", seed, stripped, changed)
+		}
+		if stripped {
+			withNaN++
+		}
+	}
+	if withNaN < 10 || floats < 10 || missing < 10 {
+		t.Errorf("200 seeds: %d cases with a NaN, %d float and %d missing values kept; generator drifted", withNaN, floats, missing)
+	}
+}

@@ -42,6 +42,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"oostream"
@@ -75,6 +77,41 @@ type Case struct {
 	K event.Time
 	// Arrival is the stream in arrival order.
 	Arrival []event.Event
+}
+
+// jsonSafe returns the case with every NaN attribute left out, and whether
+// that changed anything. NaN has no JSON form (encoding/json's rule, which
+// checkpoints and the write-ahead log follow by returning an error), so the
+// checks that write either run on this stream, against its own truth; the
+// missing and float values of a hostile stream stay in it.
+func (c Case) jsonSafe() (Case, bool) {
+	changed := false
+	for i, e := range c.Arrival {
+		kept := e.Attrs
+		for name, v := range e.Attrs {
+			if !isNaN(v) {
+				continue
+			}
+			if len(kept) == len(e.Attrs) {
+				kept = maps.Clone(e.Attrs)
+			}
+			delete(kept, name)
+		}
+		if len(kept) == len(e.Attrs) {
+			continue
+		}
+		if !changed {
+			c.Arrival = slices.Clone(c.Arrival)
+			changed = true
+		}
+		c.Arrival[i].Attrs = kept
+	}
+	return c, changed
+}
+
+func isNaN(v event.Value) bool {
+	f, _ := v.AsFloat()
+	return f != f
 }
 
 // Failure describes a divergence found by Run.
@@ -218,13 +255,18 @@ func Run(c Case) *Failure {
 		return f
 	}
 
-	// Checkpoint/restore round-trip at mid-stream.
-	got, err := runCheckpointed(q, native, c.Arrival)
+	// Checkpoint/restore round-trip at mid-stream, on the stream a checkpoint
+	// can hold (jsonSafe) and against that stream's truth.
+	ck, want := c, truth
+	if d, changed := c.jsonSafe(); changed {
+		ck, want = d, oracleOn(p, d.Arrival)
+	}
+	got, err := runCheckpointed(q, native, ck.Arrival)
 	if err != nil {
 		return errf("checkpoint", err)
 	}
-	if f := fail("checkpoint", got); f != nil {
-		return f
+	if ok, diff := plan.SameResults(want, got); !ok {
+		return &Failure{Case: c, Check: "checkpoint", Diff: diff, Truth: len(want)}
 	}
 
 	// Partitioning soundness (I8), both execution modes, when the query

@@ -13,6 +13,12 @@ func FuzzDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 16; seed++ {
 		f.Add(seed)
 	}
+	// Two arithmetic value predicates through a shared slot over a stream
+	// with missing, float and NaN v — the construction walk's remembered
+	// trigger-pair verdicts: unkeyed with 12 matches, keyed with negation
+	// and 10.
+	f.Add(int64(116))
+	f.Add(int64(169))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if fail := Run(Generate(seed)); fail != nil {
 			t.Fatalf("%s", Shrink(fail).Report())

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -23,7 +24,8 @@ const (
 )
 
 // Schema declares the trial universe: every type carries an integer
-// partition key "id" and an integer value "v".
+// partition key "id" and an integer value "v". It type-checks the queries;
+// nothing holds a stream to it, and genStream strays from it on purpose.
 func Schema() *event.Schema {
 	s := event.NewSchema()
 	for _, t := range types {
@@ -38,7 +40,17 @@ func Schema() *event.Schema {
 // Ev builds a trial-universe event; regression fixtures and repro output
 // use it to keep checked-in cases one line per event.
 func Ev(typ string, ts event.Time, seq event.Seq, id, v int64) event.Event {
-	e := event.New(typ, ts, event.Attrs{"id": event.Int(id), "v": event.Int(v)})
+	return EvWith(typ, ts, seq, id, event.Int(v))
+}
+
+// EvWith is Ev for the events that stray from the schema: v of any kind, or
+// left out when it is the zero Value.
+func EvWith(typ string, ts event.Time, seq event.Seq, id int64, v event.Value) event.Event {
+	attrs := event.Attrs{"id": event.Int(id)}
+	if v.Valid() {
+		attrs["v"] = v
+	}
+	e := event.New(typ, ts, attrs)
 	e.Seq = seq
 	return e
 }
@@ -82,9 +94,10 @@ func GeneratePermuted(seed int64, perm []byte) Case {
 
 // genQuery builds a random SEQ query: 2–4 positive components, optional
 // negation at a random gap, an id-equality chain most of the time (so the
-// shard checks run), and occasional value predicates. It returns the query
-// text and the set of types the pattern references (stream generation
-// biases toward them).
+// shard checks run), and occasional value predicates — one comparison, or on
+// three or more components a pair with arithmetic whose slots share one
+// variable. It returns the query text and the set of types the pattern
+// references (stream generation biases toward them).
 func genQuery(rng *rand.Rand) (string, map[string]bool) {
 	n := 2 + rng.Intn(3)
 	comps := make([]string, n) // component types
@@ -144,7 +157,17 @@ func genQuery(rng *rand.Rand) (string, map[string]bool) {
 		}
 	}
 	// Value predicates: variable-vs-variable comparisons and literal bounds.
-	if rng.Float64() < 0.45 && n >= 2 {
+	if n >= 3 && rng.Float64() < 0.3 {
+		// Two comparisons through a shared slot, the V-shape's form. Whichever
+		// slot triggers, one of the three drawn slots is then bound on a level
+		// the construction walk revisits, so a predicate over exactly the
+		// trigger and that slot is evaluated once per candidate and remembered
+		// (adjacent and non-adjacent pairs both occur across trials).
+		s := rng.Perm(n)[:3]
+		conjuncts = append(conjuncts,
+			fmt.Sprintf("x%d.v < x%d.v - %d", s[0], s[1], rng.Intn(3)),
+			fmt.Sprintf("x%d.v > x%d.v + %d", s[2], s[0], rng.Intn(3)))
+	} else if rng.Float64() < 0.45 && n >= 2 {
 		a := rng.Intn(n - 1)
 		b := a + 1 + rng.Intn(n-a-1)
 		op := [...]string{"<", "<=", ">", ">=", "!="}[rng.Intn(5)]
@@ -172,7 +195,10 @@ func genQuery(rng *rand.Rand) (string, map[string]bool) {
 
 // genStream builds a sorted, sequence-numbered stream of 12–48 events with
 // small timestamp gaps (including zero gaps: equal-timestamp ties are a
-// historic bug class) and small id/v domains.
+// historic bug class) and small id/v domains. One stream in four carries
+// hostile values: v missing (the predicate errors), a float (mixed-kind
+// comparison) or NaN (every ordering is false); every engine must reject
+// exactly the bindings the oracle rejects.
 func genStream(rng *rand.Rand, qtypes map[string]bool) []event.Event {
 	biased := make([]string, 0, len(qtypes))
 	for _, t := range types {
@@ -193,6 +219,7 @@ func genStream(rng *rand.Rand, qtypes map[string]bool) []event.Event {
 	case 2:
 		idRange = 1000
 	}
+	hostile := rng.Intn(4) == 0
 	events := make([]event.Event, 0, nEv)
 	ts := event.Time(0)
 	for i := 0; i < nEv; i++ {
@@ -201,7 +228,18 @@ func genStream(rng *rand.Rand, qtypes map[string]bool) []event.Event {
 		if len(biased) > 0 && rng.Float64() < 0.7 {
 			typ = biased[rng.Intn(len(biased))]
 		}
-		events = append(events, Ev(typ, ts, 0, int64(rng.Intn(idRange)), int64(rng.Intn(valRange))))
+		id, v := int64(rng.Intn(idRange)), event.Int(int64(rng.Intn(valRange)))
+		if hostile {
+			switch rng.Intn(12) {
+			case 0:
+				v = event.Value{}
+			case 1:
+				v = event.Float(float64(rng.Intn(2*valRange)) / 2)
+			case 2:
+				v = event.Float(math.NaN())
+			}
+		}
+		events = append(events, EvWith(typ, ts, 0, id, v))
 	}
 	event.SortByTime(events)
 	for i := range events {

@@ -31,14 +31,23 @@ func (f *Failure) ReproSource() string {
 	fmt.Fprintf(&b, "\tK:     %d,\n", f.Case.K)
 	b.WriteString("\tArrival: []event.Event{\n")
 	for _, e := range f.Case.Arrival {
-		id, v := int64(0), int64(0)
+		id := int64(0)
 		if x, ok := e.Attr("id"); ok {
 			id, _ = x.AsInt()
 		}
-		if x, ok := e.Attr("v"); ok {
-			v, _ = x.AsInt()
+		v, _ := e.Attr("v")
+		if i, ok := v.AsInt(); ok {
+			fmt.Fprintf(&b, "\t\tdifftest.Ev(%q, %d, %d, %d, %d),\n", e.Type, e.TS, e.Seq, id, i)
+			continue
 		}
-		fmt.Fprintf(&b, "\t\tdifftest.Ev(%q, %d, %d, %d, %d),\n", e.Type, e.TS, e.Seq, id, v)
+		// Off-schema v (generate.go's hostile streams): missing, float or NaN.
+		lit := "event.Value{}"
+		if isNaN(v) {
+			lit = "event.Float(math.NaN())"
+		} else if x, ok := v.AsFloat(); ok {
+			lit = fmt.Sprintf("event.Float(%v)", x)
+		}
+		fmt.Fprintf(&b, "\t\tdifftest.EvWith(%q, %d, %d, %d, %s),\n", e.Type, e.TS, e.Seq, id, lit)
 	}
 	b.WriteString("\t},\n}")
 	return b.String()

@@ -83,14 +83,15 @@ func appendValueJSON(dst []byte, v Value) ([]byte, error) {
 	switch v.kind {
 	case KindInt:
 		dst = append(dst, `{"int":`...)
-		dst = strconv.AppendInt(dst, v.i, 10)
+		dst = strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
 		dst = append(dst, `{"float":`...)
-		if abs := math.Abs(v.f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
-			dst = strconv.AppendFloat(dst, v.f, 'f', -1, 64)
+		f := v.float()
+		if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+			dst = strconv.AppendFloat(dst, f, 'f', -1, 64)
 		} else {
 			// Exponent form, NaN and ±Inf follow encoding/json's rules.
-			b, err := json.Marshal(v.f)
+			b, err := json.Marshal(f)
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +102,7 @@ func appendValueJSON(dst []byte, v Value) ([]byte, error) {
 		dst = appendJSONString(dst, v.s)
 	case KindBool:
 		dst = append(dst, `{"bool":`...)
-		dst = strconv.AppendBool(dst, v.b)
+		dst = strconv.AppendBool(dst, v.bool())
 	default:
 		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
 	}

@@ -83,13 +83,16 @@ func refMarshalValue(v Value) ([]byte, error) {
 	var w refValue
 	switch v.kind {
 	case KindInt:
-		w.Int = &v.i
+		i := v.int()
+		w.Int = &i
 	case KindFloat:
-		w.Float = &v.f
+		f := v.float()
+		w.Float = &f
 	case KindString:
 		w.Str = &v.s
 	case KindBool:
-		w.Bool = &v.b
+		b := v.bool()
+		w.Bool = &b
 	default:
 		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
 	}
@@ -126,10 +129,9 @@ func refUnmarshalValue(data []byte) (Value, error) {
 	return v, nil
 }
 
-// identical compares bit for bit, so -0 and 0 differ.
-func identical(a, b Value) bool {
-	return a.kind == b.kind && a.i == b.i && math.Float64bits(a.f) == math.Float64bits(b.f) && a.s == b.s && a.b == b.b
-}
+// identical compares bit for bit, so -0 and 0 differ: floats sit in a
+// Value as their bits.
+func identical(a, b Value) bool { return a == b }
 
 func hostileValues() []Value {
 	vs := []Value{

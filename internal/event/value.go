@@ -42,25 +42,42 @@ var ErrIncomparable = errors.New("values are not comparable")
 
 // Value is a dynamically typed attribute value: one of int64, float64,
 // string, or bool. The zero Value is invalid.
+//
+// The three scalar kinds share the word n — the int64's bits, the float64's
+// IEEE-754 bits, 0/1 for a bool — so a Value is three fields and 32 bytes.
+// The predicate evaluator returns (Value, error) from every node of its
+// closure tree; with a field per kind (five fields, 48 bytes) the
+// construction walk ran 1.7× slower (EXPERIMENTS.md E25). As a Go map key or
+// under ==, floats therefore compare by bit pattern (+0 and −0 differ, a
+// NaN equals itself); Equal, Compare and MapKey keep numeric semantics, and
+// plan.KeyOf keeps NaN out of keys.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str wraps a string.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool wraps a bool.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// int, float and bool read n as the payload of the kind the caller checked.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) bool() bool     { return v.n != 0 }
 
 // Kind returns the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -69,16 +86,21 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) Valid() bool { return v.kind != KindInvalid }
 
 // AsInt returns the int64 payload; ok is false if the kind is not int.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return v.int(), true
+}
 
 // AsFloat returns the value as a float64, converting ints; ok is false for
 // non-numeric kinds.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.int()), true
 	default:
 		return 0, false
 	}
@@ -88,7 +110,12 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
 // AsBool returns the bool payload; ok is false if the kind is not bool.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) {
+	if v.kind != KindBool {
+		return false, false
+	}
+	return v.bool(), true
+}
 
 // IsNumeric reports whether the value is an int or a float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -103,13 +130,13 @@ func (v Value) String() string {
 func AppendValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	case KindString:
 		return strconv.AppendQuote(dst, v.s)
 	case KindBool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.bool())
 	default:
 		return append(dst, "<invalid>"...)
 	}
@@ -122,9 +149,11 @@ func AppendValue(dst []byte, v Value) []byte {
 // their float identity (Equal is not a congruence at that precision
 // boundary; such keys only ever group with bit-identical floats).
 func (v Value) MapKey() Value {
-	if v.kind == KindFloat && v.f == math.Trunc(v.f) &&
-		v.f >= math.MinInt64 && v.f < math.MaxInt64 {
-		return Value{kind: KindInt, i: int64(v.f)}
+	if v.kind != KindFloat {
+		return v
+	}
+	if f := v.float(); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		return Int(int64(f))
 	}
 	return v
 }
@@ -134,7 +163,7 @@ func (v Value) MapKey() Value {
 func (v Value) Equal(o Value) bool {
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
+			return v.n == o.n
 		}
 		vf, _ := v.AsFloat()
 		of, _ := o.AsFloat()
@@ -147,7 +176,7 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.n == o.n
 	default:
 		return false
 	}
@@ -159,7 +188,7 @@ func (v Value) Equal(o Value) bool {
 func (v Value) Compare(o Value) (int, error) {
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.kind == KindInt && o.kind == KindInt {
-			return cmpInt64(v.i, o.i), nil
+			return cmpInt64(v.int(), o.int()), nil
 		}
 		vf, _ := v.AsFloat()
 		of, _ := o.AsFloat()
@@ -178,13 +207,7 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 		return 0, nil
 	case KindBool:
-		switch {
-		case !v.b && o.b:
-			return -1, nil
-		case v.b && !o.b:
-			return 1, nil
-		}
-		return 0, nil
+		return cmpInt64(v.int(), o.int()), nil
 	default:
 		return 0, fmt.Errorf("compare %s values: %w", v.kind, ErrIncomparable)
 	}

@@ -2,8 +2,10 @@ package event
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -141,5 +143,71 @@ func TestCompareEqualConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueSize pins the layout: the predicate evaluator returns
+// (Value, error) from every closure node, and a field per kind (48 bytes)
+// made the construction walk 1.7× slower (EXPERIMENTS.md E25).
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestValueSharedWord: the scalar kinds share one payload word, so an
+// accessor for the wrong kind must not leak another kind's bits, and ==
+// (what a map key uses) sees floats by bit pattern.
+func TestValueSharedWord(t *testing.T) {
+	for _, v := range []Value{Float(2.5), Bool(true), Str("7"), {}} {
+		if i, ok := v.AsInt(); ok || i != 0 {
+			t.Errorf("%v.AsInt() = %d, %v, want 0, false", v, i, ok)
+		}
+	}
+	for _, v := range []Value{Int(1), Float(1), Str("true"), {}} {
+		if b, ok := v.AsBool(); ok || b {
+			t.Errorf("%v.AsBool() = %v, %v, want false, false", v, b, ok)
+		}
+	}
+	if Int(1) == Bool(true) || Int(0) == Float(0) {
+		t.Error("values of different kinds compare == on equal payload bits")
+	}
+	negZero := Float(math.Copysign(0, -1))
+	if negZero == Float(0) || !negZero.Equal(Float(0)) || negZero.MapKey() != Float(0).MapKey() {
+		t.Error("-0: want != as bits, Equal as numbers, one MapKey")
+	}
+	nan := Float(math.NaN())
+	if nan.Equal(nan) || nan != nan.MapKey() {
+		t.Error("NaN: want Equal false and MapKey leaving it alone (plan.KeyOf refuses it as a key)")
+	}
+	if c, err := Bool(false).Compare(Bool(true)); err != nil || c != -1 {
+		t.Errorf("false.Compare(true) = %d, %v, want -1", c, err)
+	}
+}
+
+var sinkCmp int
+
+// BenchmarkValueCompare: the comparison under every `<`/`>` predicate, on
+// the kind pairs the workloads produce.
+func BenchmarkValueCompare(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		x, y Value
+	}{
+		{"float-float", Float(101.25), Float(98.5)},
+		{"int-int", Int(7), Int(9)},
+		{"int-float", Int(7), Float(7.5)},
+		{"string-string", Str("shelf-17"), Str("shelf-18")},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := bc.x.Compare(bc.y)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkCmp += c
+			}
+		})
 	}
 }

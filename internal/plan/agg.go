@@ -100,8 +100,9 @@ func AlignUp(ts, slide event.Time) event.Time {
 // ElementOf maps one inner match to its aggregation-tree element: the
 // element timestamp (the match's last event — the moment the match
 // completes), its partial aggregate, and its GROUP BY key. ok is false when
-// the argument or group attribute is missing or (for the argument)
-// non-numeric; such matches contribute nothing, and the error is reported
+// the argument or group attribute is missing, the argument is non-numeric,
+// or the group key is NaN (KeyOf: it equals no group, itself included);
+// such matches contribute nothing, and the error is reported
 // through errSink (engines route it to the PredErrors counter).
 func (s *AggSpec) ElementOf(m Match, errSink func(error)) (ts event.Time, p fiba.Partial, group event.Value, ok bool) {
 	ts = m.Last().TS
@@ -127,7 +128,7 @@ func (s *AggSpec) ElementOf(m Match, errSink func(error)) (ts event.Time, p fiba
 	if s.GroupSlot >= 0 {
 		g, found := KeyOf(m.Events[s.GroupSlot], s.GroupAttr)
 		if !found {
-			sink(errSink, fmt.Errorf("GROUP BY %s: event %s has no attribute %q", s.GroupAttr, m.Events[s.GroupSlot].Type, s.GroupAttr))
+			sink(errSink, fmt.Errorf("GROUP BY %s: event %s has no attribute %q, or it is NaN", s.GroupAttr, m.Events[s.GroupSlot].Type, s.GroupAttr))
 			return 0, fiba.Partial{}, event.Value{}, false
 		}
 		group = g

@@ -394,11 +394,16 @@ func (p *Plan) autoPartitionKey() string {
 // KeyOf extracts the canonical partition-key value of an event for the
 // given attribute, resolving the "ts" pseudo-attribute exactly as predicate
 // evaluation does (payload attribute first, timestamp fallback). ok is
-// false when the event carries no such key: for a plan partitioned on the
-// attribute, such an event cannot participate in any match (the key
-// equality predicate would fail on it).
+// false when the event carries no such key, or the key is NaN: for a plan
+// partitioned on the attribute, such an event cannot participate in any
+// match (the key equality predicate would fail on it — NaN equals nothing,
+// itself included). As a map key a NaN Value would compare by bit pattern
+// and group events the equality rejects, so it must not become one.
 func KeyOf(e event.Event, attr string) (event.Value, bool) {
 	if v, ok := e.Attr(attr); ok {
+		if f, _ := v.AsFloat(); f != f {
+			return event.Value{}, false
+		}
 		return v.MapKey(), true
 	}
 	if attr == predicate.TSAttr {
@@ -408,55 +413,125 @@ func KeyOf(e event.Event, attr string) (event.Value, bool) {
 }
 
 // CrossView is a slot-indexed view over a subset of the plan's cross
-// predicates. Engines that prove some predicates structurally satisfied
-// (key-partitioned state pre-satisfies the key equalities) evaluate
-// construction through a view excluding them; a nil-skip view is the full
-// predicate set and behaves exactly like Plan.CrossSatisfiedAt.
+// predicates, scheduled for the middle-out construction walk. Engines that
+// prove some predicates structurally satisfied (key-partitioned state
+// pre-satisfies the key equalities) evaluate construction through a view
+// excluding them; a nil-skip view holds the full predicate set.
+//
+// A walk triggered at position t binds t first, then t−1 … 0, then
+// t+1 … n−1, so it visits the candidates of every slot p < t−1, p > t+1 and
+// (when t > 0) p = t+1 once per binding of the slots between. A predicate
+// over exactly {t, p} has one verdict per (trigger, candidate) however
+// often the candidate comes up: the view hoists those out of SatisfiedAt
+// into Hoisted, for the walk to evaluate on a candidate's first visit and
+// remember. Predicates between two non-trigger slots (patterns of four or
+// more steps) are not hoisted.
 type CrossView struct {
-	cross  []CrossPred
-	bySlot [][]int
+	cross []CrossPred
+	// bySlot[t][p] lists what SatisfiedAt evaluates when slot p binds in a
+	// walk triggered at t; hoisted[t][p] lists what it leaves to the walk.
+	// hoisted[t] is nil, and bySlot[t] the plain per-slot index, for a
+	// trigger position with nothing to hoist.
+	bySlot  [][][]int
+	hoisted [][][]int
+	// evals counts predicate evaluations through this view.
+	evals uint64
 }
 
 // CrossView builds a view excluding the cross predicates (by index into
 // Plan.Cross) for which skip returns true. A nil skip keeps all.
 func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
-	v := &CrossView{cross: p.Cross, bySlot: make([][]int, len(p.CrossBySlot))}
+	n := len(p.CrossBySlot)
+	base := make([][]int, n)
 	for slot, idxs := range p.CrossBySlot {
 		for _, idx := range idxs {
-			if skip != nil && skip(idx) {
+			if skip == nil || !skip(idx) {
+				base[slot] = append(base[slot], idx)
+			}
+		}
+	}
+	v := &CrossView{cross: p.Cross, bySlot: make([][][]int, n), hoisted: make([][][]int, n)}
+	for t := 0; t < n; t++ {
+		v.bySlot[t] = base
+		for slot := 0; slot < n; slot++ {
+			revisited := slot < t-1 || slot > t+1 || (slot == t+1 && t > 0)
+			if !revisited {
 				continue
 			}
-			v.bySlot[slot] = append(v.bySlot[slot], idx)
+			pair := uint64(1)<<uint(t) | uint64(1)<<uint(slot)
+			var keep, hoist []int
+			for _, idx := range base[slot] {
+				if p.Cross[idx].Mask == pair {
+					hoist = append(hoist, idx)
+				} else {
+					keep = append(keep, idx)
+				}
+			}
+			if hoist == nil {
+				continue
+			}
+			if v.hoisted[t] == nil {
+				v.hoisted[t] = make([][]int, n)
+				v.bySlot[t] = append([][]int(nil), base...)
+			}
+			v.hoisted[t][slot] = hoist
+			v.bySlot[t][slot] = keep
 		}
 	}
 	return v
 }
 
-// SatisfiedAt is Plan.CrossSatisfiedAt restricted to the view's predicate
-// subset: it evaluates the retained cross predicates that become fully
-// bound by binding the given slot.
-func (v *CrossView) SatisfiedAt(slot int, boundMask uint64, binding []event.Event, errSink func(error)) bool {
-	prevMask := boundMask &^ (1 << uint(slot))
-	for _, idx := range v.bySlot[slot] {
-		cp := v.cross[idx]
-		if cp.Mask&^boundMask != 0 {
-			continue // not all referenced slots bound yet
-		}
-		if cp.Mask&^prevMask == 0 {
-			continue // was already fully bound before this slot; fired earlier
-		}
-		ok, err := cp.Pred.EvalBool(binding)
-		if err != nil {
-			if errSink != nil {
-				errSink(err)
-			}
-			return false
-		}
-		if !ok {
+// Hoisted returns, per slot, the predicates over exactly {trig, slot} that
+// SatisfiedAt leaves out of a walk triggered at trig (evaluate them with
+// Holds); nil when the trigger position has none.
+func (v *CrossView) Hoisted(trig int) [][]int { return v.hoisted[trig] }
+
+// Evals returns how many cross-predicate evaluations the view has run: the
+// construction walk's unit of work, exact where its timings are not. Nothing
+// in the engines reads it; it exists for BenchmarkConstructVShape's
+// evals/event (EXPERIMENTS.md E25), which a predicate that does not error
+// leaves no other way to count. A view belongs to one engine and is not safe
+// for concurrent use.
+func (v *CrossView) Evals() uint64 { return v.evals }
+
+// Holds evaluates the given predicates (indices from Hoisted) under the
+// binding; an evaluation error counts as false and goes to errSink.
+func (v *CrossView) Holds(idxs []int, binding []event.Event, errSink func(error)) bool {
+	for _, idx := range idxs {
+		if !v.holds(idx, binding, errSink) {
 			return false
 		}
 	}
 	return true
+}
+
+// SatisfiedAt evaluates, in a walk triggered at position trig, the retained
+// cross predicates that become fully bound by binding the given slot, less
+// the ones Hoisted(trig) lists for it. boundMask must include slot.
+func (v *CrossView) SatisfiedAt(trig, slot int, boundMask uint64, binding []event.Event, errSink func(error)) bool {
+	prevMask := boundMask &^ (1 << uint(slot))
+	for _, idx := range v.bySlot[trig][slot] {
+		mask := v.cross[idx].Mask
+		if mask&^boundMask != 0 {
+			continue // not all referenced slots bound yet
+		}
+		if mask&^prevMask == 0 {
+			continue // was already fully bound before this slot; fired earlier
+		}
+		if !v.holds(idx, binding, errSink) {
+			return false
+		}
+	}
+	return true
+}
+
+func (v *CrossView) holds(idx int, binding []event.Event, errSink func(error)) bool {
+	v.evals++
+	ok, err := v.cross[idx].Pred.EvalBool(binding) // ok is false on error
+	if err != nil && errSink != nil {
+		errSink(err)
+	}
+	return ok
 }
 
 func (p *Plan) compileReturn(a *query.Analyzed) error {

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -266,6 +268,15 @@ func TestKeyOf(t *testing.T) {
 	if _, ok := KeyOf(e, "missing"); ok {
 		t.Error("KeyOf missing attr should report !ok")
 	}
+	// NaN equals nothing, so it keys nothing; the infinities are ordinary.
+	e.Attrs["id"] = event.Float(math.NaN())
+	if k, ok := KeyOf(e, "id"); ok {
+		t.Errorf("KeyOf NaN = %v, true; want !ok", k)
+	}
+	e.Attrs["id"] = event.Float(math.Inf(1))
+	if k, ok := KeyOf(e, "id"); !ok || k != event.Float(math.Inf(1)) {
+		t.Errorf("KeyOf +Inf = %v, %v", k, ok)
+	}
 }
 
 func TestCrossViewSkipsKeyEqualities(t *testing.T) {
@@ -283,17 +294,74 @@ func TestCrossViewSkipsKeyEqualities(t *testing.T) {
 		event.New("A", 1, event.Attrs{"id": event.Int(1), "x": event.Int(1)}),
 		event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(5)}),
 	}
-	if !v.SatisfiedAt(1, 1<<0|1<<1, binding, nil) {
+	if !v.SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
 		t.Error("view with id skipped should accept ascending x")
 	}
 	// Descending x must still be rejected by the remaining predicate.
 	binding[1].Attrs["x"] = event.Int(0)
-	if v.SatisfiedAt(1, 1<<0|1<<1, binding, nil) {
+	if v.SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
 		t.Error("view must still evaluate non-key predicates")
 	}
 	// The unfiltered view rejects mismatched ids.
 	binding[1].Attrs["x"] = event.Int(5)
-	if p.CrossView(nil).SatisfiedAt(1, 1<<0|1<<1, binding, nil) {
+	if p.CrossView(nil).SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
 		t.Error("unfiltered view must evaluate the id equality")
+	}
+}
+
+// TestCrossViewHoistsTriggerPairs: a predicate over exactly {trigger, slot}
+// moves from SatisfiedAt to Hoisted at the levels a walk revisits (slot <
+// t-1, slot > t+1, slot = t+1 when t > 0) and nowhere else.
+func TestCrossViewHoistsTriggerPairs(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.x > b.x AND b.x < c.x AND c.x > a.x + 3 WITHIN 100")
+	v := p.CrossView(nil)
+	bc, ac := 1, 2 // indices into p.Cross, in WHERE order
+	want := map[int]map[int][]int{
+		0: {2: {ac}}, // a triggers: b is visited once, c once per b
+		1: {2: {bc}}, // b triggers: a is visited once, c once per a
+		2: {0: {ac}}, // c triggers: b is visited once, a once per b
+	}
+	for trig := 0; trig < 3; trig++ {
+		h := v.Hoisted(trig)
+		for slot := 0; slot < 3; slot++ {
+			if got := h[slot]; !reflect.DeepEqual(got, want[trig][slot]) {
+				t.Errorf("Hoisted(%d)[%d] = %v, want %v", trig, slot, got, want[trig][slot])
+			}
+		}
+	}
+	// c=10, b=1, a=9: a.x > b.x holds and c.x > a.x + 3 does not. A walk
+	// triggered at c leaves the second to the caller when a binds; one
+	// triggered at b binds a on its once-visited level and evaluates both.
+	binding := []event.Event{
+		event.New("A", 1, event.Attrs{"x": event.Int(9)}),
+		event.New("B", 2, event.Attrs{"x": event.Int(1)}),
+		event.New("C", 3, event.Attrs{"x": event.Int(10)}),
+	}
+	if !v.SatisfiedAt(2, 0, 1<<0|1<<1|1<<2, binding, nil) {
+		t.Error("SatisfiedAt(trig=2, slot=0) evaluated the hoisted {a,c} predicate")
+	}
+	if v.Holds(v.Hoisted(2)[0], binding, nil) {
+		t.Error("Holds must evaluate the hoisted predicate")
+	}
+	if !v.SatisfiedAt(1, 0, 1<<0|1<<1, binding, nil) || v.SatisfiedAt(1, 2, 1<<0|1<<1|1<<2, binding, nil) {
+		t.Error("trigger b: {a,b} fires at a, and {a,c} stays in SatisfiedAt at c")
+	}
+
+	// Nothing to hoist: two steps (every level is visited once), no cross
+	// predicate, and a key-equality chain the keyed engine skips.
+	chain := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.id = b.id AND a.id = c.id WITHIN 100")
+	for name, qv := range map[string]*CrossView{
+		"two steps":     compile(t, "PATTERN SEQ(A a, B b) WHERE a.x < b.x WITHIN 100").CrossView(nil),
+		"no predicates": compile(t, "PATTERN SEQ(A a, B b, C c) WITHIN 100").CrossView(nil),
+		"skipped chain": chain.CrossView(func(int) bool { return true }),
+	} {
+		for trig := range qv.hoisted {
+			if qv.Hoisted(trig) != nil {
+				t.Errorf("%s: Hoisted(%d) = %v, want nil", name, trig, qv.Hoisted(trig))
+			}
+		}
+	}
+	if chain.CrossView(nil).Hoisted(0) == nil {
+		t.Error("unkeyed chain: a.id = c.id is a trigger pair of a walk triggered at a")
 	}
 }

@@ -21,7 +21,7 @@ func twoSlots(name string) (int, bool) {
 	}
 }
 
-func compileSrc(t *testing.T, src string) *Compiled {
+func compileSrc(t testing.TB, src string) *Compiled {
 	t.Helper()
 	e, err := query.ParseExpr(src)
 	if err != nil {
@@ -231,5 +231,31 @@ func TestComparisonTotalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var sinkBool bool
+
+// BenchmarkEvalBool: one evaluation of the predicate shapes the construction
+// walk runs per candidate — the unit EXPERIMENTS.md E25 counts.
+func BenchmarkEvalBool(b *testing.B) {
+	bind := binding(
+		event.Attrs{"sym": event.Int(3), "price": event.Float(101.25)},
+		event.Attrs{"sym": event.Int(3), "price": event.Float(98.5)},
+	)
+	for _, bc := range []struct{ name, src string }{
+		{"equality", "a.sym = b.sym"},
+		{"comparison", "a.price > b.price"},
+		{"arithmetic", "b.price < a.price - 3"},
+		{"missing-attr", "b.nope < a.price - 3"},
+	} {
+		c := compileSrc(b, bc.src)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ok, _ := c.EvalBool(bind)
+				sinkBool = ok
+			}
+		})
 	}
 }
