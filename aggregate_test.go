@@ -187,7 +187,7 @@ func TestAggregateCheckpointRoundTrip(t *testing.T) {
 	if err := first.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngine(q, &buf)
+	restored, err := RestoreEngine(q, Config{K: 4}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -431,7 +431,7 @@ func BenchmarkE16ObsvOverhead(b *testing.B) {
 // degenerate case, paying only the dispatch wrapper) with key-partitioned
 // stacks on and off. The wins are amortized purge/gauge work and deferred
 // state reclamation; output is identical to per-event processing by the
-// BatchProcessor contract (proved by internal/difftest.RunBatch).
+// ProcessBatch contract (proved by internal/difftest.RunBatch).
 func BenchmarkE18Batch(b *testing.B) {
 	q := benchSeqQuery(b)
 	events := benchStream(0.20, benchK)
@@ -476,13 +476,13 @@ func BenchmarkE18BatchParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				par, err := shard.NewParallel(router, func(int) (engine.Engine, error) {
+				par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
 					sub, err := oostream.NewEngine(q, oostream.Config{K: benchK})
 					if err != nil {
 						return nil, err
 					}
-					return sub.Raw().(engine.Engine), nil
-				})
+					return sub.Raw(), nil
+				}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

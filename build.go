@@ -1,0 +1,259 @@
+package oostream
+
+import (
+	"fmt"
+	"io"
+
+	"oostream/internal/adaptive"
+	"oostream/internal/agg"
+	"oostream/internal/core"
+	"oostream/internal/engine"
+	"oostream/internal/hybrid"
+	"oostream/internal/inorder"
+	"oostream/internal/kslack"
+	"oostream/internal/obsv"
+	"oostream/internal/ordered"
+	"oostream/internal/plan"
+	"oostream/internal/shard"
+)
+
+// builder is the one construction path behind NewEngine, RestoreEngine,
+// NewSupervisedEngine, and the QuerySet factories: it holds the instruments
+// one facade object was configured with and derives every layer's
+// engine.Env from them, so which layer receives which instrument is decided
+// here and nowhere else (DESIGN.md, "Engine contract and Env"). Fresh and
+// restored engines take the same path — a nil reader builds, a non-nil one
+// restores — so they cannot be instrumented differently.
+type builder struct {
+	obs   *Observer
+	trace TraceHook
+	lat   *obsv.LatencySampler
+	prov  bool
+}
+
+// newBuilder derives the instrument set of one facade object from its
+// configuration (Config and QuerySetConfig carry the same four fields).
+func newBuilder(obs *Observer, trace TraceHook, l Latency, prov bool) builder {
+	b := builder{obs: obs, trace: trace, prov: prov}
+	b.lat = b.newLatencySampler(l)
+	return b
+}
+
+func (c Config) builder() builder {
+	return newBuilder(c.Observer, c.Trace, c.Latency, c.Provenance)
+}
+
+// series resolves a registry series, or nil without an Observer (the layer
+// then keeps private counters and traces under its own name).
+func (b builder) series(name string) *obsv.Series {
+	if b.obs == nil {
+		return nil
+	}
+	return b.obs.Series(name)
+}
+
+// newLatencySampler builds the span sampler, or nil when disabled. With an
+// Observer it publishes into the registry's "latency" series, so the
+// wall/stage histograms, span counters, and SLO windows ride the same
+// /metrics and /varz surfaces as every other series; otherwise it records
+// into a private series read via LatencyReport.
+func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
+	if l.SampleEvery <= 0 {
+		return nil
+	}
+	slo := obsv.NewSLOTracker(obsv.SLOConfig{
+		Objective: l.SLO.Objective,
+		Target:    l.SLO.Target,
+		Windows:   l.SLO.Windows,
+	})
+	ls := obsv.NewLatencySampler(l.SampleEvery, b.series("latency"), slo)
+	if b.obs != nil && slo != nil {
+		b.obs.RegisterPrometheus(func(w io.Writer) error {
+			return slo.WritePrometheus(w, "latency")
+		})
+	}
+	return ls
+}
+
+// restorable reports whether the composition cfg describes has a durable
+// format: the native strategy, partitioned or not, aggregating or not,
+// without the ordered-output buffer.
+func (c Config) restorable() bool {
+	return c.Strategy == StrategyNative && !c.OrderedOutput
+}
+
+// build builds (r == nil) or restores the engine cfg describes for p: one
+// strategy engine, or a sharded composition of them when cfg.Partition is
+// set. cfg must already have defaults applied and be validated, against p
+// too (validateQueryConfig). top names the series of the outermost layer;
+// "" selects the default (the strategy for a single engine, "shard(<part>)"
+// for a partitioned one).
+func (b builder) build(p *plan.Plan, cfg Config, top string, r io.Reader) (engine.Engine, error) {
+	if r != nil && !cfg.restorable() {
+		return nil, fmt.Errorf("strategy %q with OrderedOutput=%t has no checkpoint format to restore from (only %q without OrderedOutput does)", cfg.Strategy, cfg.OrderedOutput, StrategyNative)
+	}
+	if cfg.Partition.Attr == "" {
+		if top == "" {
+			top = string(cfg.Strategy)
+		}
+		return b.single(p, cfg, top, r)
+	}
+	router, err := shard.NewRouter(cfg.Partition.Attr, cfg.Partition.Shards)
+	if err != nil {
+		return nil, err
+	}
+	if top == "" {
+		top = "shard(" + singleName(p, cfg) + ")"
+	}
+	// The routing layer counts route errors on its own series and tags
+	// relayed lineage records with the shard index; every other instrument
+	// goes to the parts, each under its own per-shard series.
+	env := engine.Env{Series: b.series(top), Provenance: b.prov}
+	part := func(i int, pr io.Reader) (engine.Engine, error) {
+		return b.single(p, cfg, fmt.Sprintf("%s/shard%d", cfg.Strategy, i), pr)
+	}
+	if r != nil {
+		return shard.Restore(router, env, part, r)
+	}
+	return shard.New(router, env, func(i int) (engine.Engine, error) { return part(i, nil) })
+}
+
+// singleName is the Name() of the engine single builds for cfg.
+func singleName(p *plan.Plan, cfg Config) string {
+	name := string(cfg.Strategy)
+	if cfg.OrderedOutput {
+		name = "ordered(" + name + ")"
+	}
+	if p.Agg != nil {
+		name = "agg(" + name + ")"
+	}
+	return name
+}
+
+// single builds (r == nil) or restores one strategy engine with the
+// ordered-output and aggregation wrappers cfg and p call for, ignoring
+// cfg.Partition. The layer that admits events from the stream and emits
+// the query's visible output owns the series, the hook, and the lineage;
+// the layer that does the construction work owns the sampler's construct
+// boundary.
+func (b builder) single(p *plan.Plan, cfg Config, name string, r io.Reader) (engine.Engine, error) {
+	outer := engine.Env{Series: b.series(name), Trace: b.trace, Provenance: b.prov}
+	strat := outer
+	strat.Latency = b.lat
+	if p.Agg != nil {
+		// The aggregation operator consumes the strategy's matches: its own
+		// collector and hook reflect the visible output, and it builds
+		// lineage itself (the strategy's records would never surface). The
+		// strategy beneath keeps only the construction stage boundary.
+		strat = engine.Env{Latency: b.lat}
+	}
+	if r != nil {
+		kernel := func(ir io.Reader) (engine.Engine, error) { return core.Restore(p, strat, ir) }
+		if p.Agg != nil {
+			// The operator's envelope leads the byte stream; its lateness
+			// bound rides in the payload.
+			return agg.Restore(p, outer, r, kernel)
+		}
+		return kernel(r)
+	}
+	inner, err := b.strategy(p, cfg, strat)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.OrderedOutput {
+		// The order buffer measures nothing and stamps nothing of its own:
+		// every instrument stays with the strategy it wraps.
+		if inner, err = ordered.New(inner, cfg.K); err != nil {
+			return nil, err
+		}
+	}
+	if p.Agg != nil {
+		// The aggregation operator wraps outside the ordered-output buffer
+		// (which releases within K, so the lateness bound still dominates the
+		// matches it sees). The speculative strategy previews windows eagerly
+		// and revises them as retract+insert pairs; every other strategy
+		// seals windows on watermark advance.
+		inner = agg.NewWithEnv(p, inner, cfg.Strategy == StrategySpeculate, aggLateness(p, cfg), outer)
+	}
+	return inner, nil
+}
+
+// strategy builds the bare strategy engine, instrumented by env.
+func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engine, error) {
+	// Each engine (each shard, under Partition) owns a fresh controller:
+	// it feeds its own lag observations and state sizes, so K adapts to the
+	// disorder each shard actually sees.
+	ctrl, err := cfg.adaptiveController()
+	if err != nil {
+		return nil, err
+	}
+	// Every strategy but the in-order baseline runs the one out-of-order
+	// kernel; they differ in its emission policy and in what stands in
+	// front of it.
+	kernel := core.Options{
+		K:                 cfg.K,
+		LatePolicy:        cfg.corePolicy(),
+		DisableTriggerOpt: cfg.DisableTriggerOpt,
+		DisableKeying:     cfg.DisableKeyedStacks,
+		PurgeEvery:        cfg.PurgeEvery,
+		Env:               env,
+	}
+	switch cfg.Strategy {
+	case StrategyNative, StrategySpeculate:
+		if cfg.Strategy == StrategySpeculate {
+			kernel.Emit = core.EmitThenRetract
+		}
+		if ctrl != nil {
+			kernel.Adaptive, kernel.AdaptiveFeed = ctrl, true
+		}
+		return core.New(p, kernel)
+	case StrategyInOrder:
+		return inorder.NewWithEnv(p, env), nil
+	case StrategyKSlack:
+		// The reorder buffer carries all the slack: the kernel behind it
+		// sees a sorted stream and runs at K=0, exactly as a QuerySet's
+		// per-query kernels do behind their shared buffer. The levee keeps
+		// the series, the hook and the sampler (the kernel's view of the
+		// stream is delayed by K and would double-report; the levee stamps
+		// buffer residency and construction around the kernel's batch); the
+		// kernel builds the lineage records the levee restamps.
+		kernel.K = 0
+		kernel.Env = engine.Env{Provenance: env.Provenance}
+		sorted, err := core.New(p, kernel)
+		if err != nil {
+			return nil, err
+		}
+		if ctrl != nil {
+			return kslack.NewAdaptiveEngine(ctrl, true, sorted, env), nil
+		}
+		return kslack.NewEngine(cfg.K, sorted, env), nil
+	case StrategyHybrid:
+		// The hybrid meta-engine always runs a controller (its kernel owns
+		// the feed); with Adaptive disabled the effective K stays pinned at
+		// Config.K and only the SLO switching logic runs. The switch adds no
+		// instrument of its own: the kernel carries them all.
+		hctrl, err := adaptive.NewController(cfg.adaptiveConfig())
+		if err != nil {
+			return nil, err
+		}
+		return hybrid.New(p, kernel, hybrid.Options{Controller: hctrl})
+	default:
+		return nil, fmt.Errorf("unknown strategy %q", cfg.Strategy)
+	}
+}
+
+// aggLateness is the disorder bound the aggregation operator must absorb
+// on top of the wrapped strategy: the strategy can surface a match whose
+// last timestamp trails the stream clock by up to K (0 for the in-order
+// baseline, which buffers nothing), plus one window length when a trailing
+// negation defers emission until the gap seals.
+func aggLateness(p *plan.Plan, cfg Config) Time {
+	l := cfg.K
+	if cfg.Strategy == StrategyInOrder {
+		l = 0
+	}
+	if p.HasTrailingNegation() {
+		l += p.Window
+	}
+	return l
+}

@@ -75,7 +75,7 @@ type Partition struct {
 // Batch configures the batched ingestion path Engine.Run (and the CLIs)
 // drive: events are accumulated into slices of up to Size and handed to
 // ProcessBatch in one call, amortizing per-event pipeline overhead. The
-// BatchProcessor contract guarantees output identical to per-event
+// ProcessBatch contract guarantees output identical to per-event
 // processing (enforced by the differential harness), so batching is purely
 // a throughput/latency trade.
 type Batch struct {

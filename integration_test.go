@@ -132,7 +132,7 @@ func TestFanoutAllStrategies(t *testing.T) {
 	for _, strat := range oostream.Strategies() {
 		cfg := oostream.Config{Strategy: strat, K: tc.k}
 		sequential[string(strat)] = oostream.MustNewEngine(q, cfg).ProcessAll(shuffled)
-		engines = append(engines, oostream.MustNewEngine(q, cfg).Raw().(engine.Engine))
+		engines = append(engines, oostream.MustNewEngine(q, cfg).Raw())
 	}
 
 	f := runtime.NewFanout(engines...)

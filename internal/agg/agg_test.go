@@ -320,7 +320,7 @@ func TestDifferentialVsOracle(t *testing.T) {
 			want := expected(t, p, events)
 			engines := map[string]engine.Engine{
 				"native": New(p, core.MustNew(p, core.Options{K: k}), false, k),
-				"kslack": New(p, kslack.NewEngine(k, core.MustNew(p, core.Options{})), false, k),
+				"kslack": New(p, kslack.NewEngine(k, core.MustNew(p, core.Options{}), engine.Env{}), false, k),
 			}
 			sp, err := core.New(p, core.Options{K: k, Emit: core.EmitThenRetract})
 			if err != nil {
@@ -368,8 +368,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	restored, err := Restore(p, &buf, func(r io.Reader) (engine.Engine, error) {
-		return core.Restore(p, r)
+	restored, err := Restore(p, engine.Env{}, &buf, func(r io.Reader) (engine.Engine, error) {
+		return core.Restore(p, engine.Env{}, r)
 	})
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -400,8 +400,7 @@ func TestSpeculativeCheckpointRefused(t *testing.T) {
 
 func TestMetricsAndSnapshot(t *testing.T) {
 	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100 GROUP BY a.id")
-	en := New(p, core.MustNew(p, core.Options{K: 10}), false, 10)
-	en.EnableProvenance()
+	en := NewWithEnv(p, core.MustNew(p, core.Options{K: 10}), false, 10, engine.Env{Provenance: true})
 	var out []plan.Match
 	out = append(out, en.Process(ev("A", 10, 1, event.Attrs{"id": event.Int(1)}))...)
 	out = append(out, en.Process(ev("B", 20, 2, event.Attrs{"id": event.Int(1)}))...)

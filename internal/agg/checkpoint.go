@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -33,8 +34,7 @@ const aggEnvelopeVersion = 1
 // consumers hold, which a restore cannot reconstruct.
 type aggCheckpoint struct {
 	// Lateness is the operator's disorder bound, persisted so a restore
-	// needs only the plan and the byte stream (facade RestoreEngine has no
-	// Config in scope).
+	// needs only the plan and the byte stream.
 	Lateness   event.Time `json:"lateness"`
 	Clock      event.Time `json:"clock"`
 	Arrival    uint64     `json:"arrival"`
@@ -67,15 +67,17 @@ type ckElem struct {
 	Match  string       `json:"match"`
 }
 
-// Checkpoint implements engine.Checkpointer for sealed-mode operators over
-// a checkpointable inner engine.
+// Checkpoint implements engine.Engine for sealed-mode operators over a
+// checkpointable inner engine.
 func (en *Engine) Checkpoint(w io.Writer) error {
 	if en.speculative {
-		return fmt.Errorf("agg: speculative aggregation does not support checkpointing")
+		return fmt.Errorf("agg: speculative aggregation: %w", engine.ErrNoCheckpoint)
 	}
-	ck, ok := en.inner.(engine.Checkpointer)
-	if !ok {
-		return fmt.Errorf("agg: inner engine %q does not support checkpointing", en.inner.Name())
+	// The envelope leads the stream, so an inner engine that refuses must be
+	// found out before anything is written.
+	var inner bytes.Buffer
+	if err := en.inner.Checkpoint(&inner); err != nil {
+		return fmt.Errorf("agg: inner engine %q: %w", en.inner.Name(), err)
 	}
 	cf := aggCheckpoint{
 		Lateness:   en.lateness,
@@ -124,15 +126,17 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	return ck.Checkpoint(w)
+	_, err = w.Write(inner.Bytes())
+	return err
 }
 
-// Restore rebuilds a sealed-mode operator from a checkpoint. p must be the
-// same compiled plan the checkpointed engine ran with (the lateness bound
-// travels in the checkpoint); restoreInner consumes the remainder of the
-// stream and rebuilds the wrapped engine. Lineage citations are not
-// checkpointed: records emitted for restored elements carry Truncated.
-func Restore(p *plan.Plan, r io.Reader, restoreInner func(io.Reader) (engine.Engine, error)) (*Engine, error) {
+// Restore rebuilds a sealed-mode operator from a checkpoint, instrumented
+// by env as NewWithEnv would. p must be the same compiled plan the
+// checkpointed engine ran with (the lateness bound travels in the
+// checkpoint); restoreInner consumes the remainder of the stream and
+// rebuilds the wrapped engine. Lineage citations are not checkpointed:
+// records emitted for restored elements carry Truncated.
+func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Reader) (engine.Engine, error)) (*Engine, error) {
 	var hdr [15]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("agg: checkpoint header truncated: %w", err)
@@ -160,7 +164,7 @@ func Restore(p *plan.Plan, r io.Reader, restoreInner func(io.Reader) (engine.Eng
 	if err != nil {
 		return nil, err
 	}
-	en := New(p, inner, false, cf.Lateness)
+	en := NewWithEnv(p, inner, false, cf.Lateness, env)
 	en.clock = cf.Clock
 	en.arrival = cf.Arrival
 	en.elemSeq = cf.ElemSeq

@@ -68,10 +68,9 @@ type elemAux struct {
 	refs     []provenance.EventRef
 }
 
-// Engine is the windowed-aggregation operator. It implements
-// engine.Engine plus the optional Observable, Provenancer, Introspectable,
-// Advancer, BatchProcessor, and (sealed mode over a checkpointable inner)
-// Checkpointer interfaces.
+// Engine is the windowed-aggregation operator. It implements engine.Engine;
+// Checkpoint works in sealed mode over a checkpointable inner engine and
+// refuses otherwise.
 type Engine struct {
 	p     *plan.Plan
 	spec  *plan.AggSpec
@@ -104,24 +103,36 @@ type Engine struct {
 	order   []event.Value
 	byMatch map[string]elemRef
 
+	// The instruments of the operator's Env. Series and hook bind to the
+	// operator itself: the inner engine's matches are consumed, not emitted,
+	// so the outer collector is the one that reflects the query's visible
+	// output. prov builds lineage here for the same reason (the inner
+	// engine's records would never surface): each aggregate match cites the
+	// events of the inner matches contributing to its window, capped at
+	// maxProvRefs. The latency sampler is not the operator's: the inner
+	// strategy engine owns the construction stage boundary.
 	trace     obsv.TraceHook
 	traceName string
 	prov      bool
 }
 
 var _ engine.Engine = (*Engine)(nil)
-var _ engine.BatchProcessor = (*Engine)(nil)
-var _ engine.Advancer = (*Engine)(nil)
 
-// New wraps a fully built strategy engine with the aggregation operator
-// compiled into p. speculative selects preview+revision emission (the
-// speculate strategy); lateness is the bound L the facade derived from K
-// and the pattern shape.
+// New is NewWithEnv with no instruments (the signature the repository
+// benchmark compiles against).
 func New(p *plan.Plan, inner engine.Engine, speculative bool, lateness event.Time) *Engine {
+	return NewWithEnv(p, inner, speculative, lateness, engine.Env{})
+}
+
+// NewWithEnv wraps a fully built strategy engine with the aggregation
+// operator compiled into p, instrumented by env. speculative selects
+// preview+revision emission (the speculate strategy); lateness is the
+// bound L the facade derived from K and the pattern shape.
+func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness event.Time, env engine.Env) *Engine {
 	if p.Agg == nil {
 		panic("agg: plan has no aggregate clause")
 	}
-	return &Engine{
+	en := &Engine{
 		p:           p,
 		spec:        p.Agg,
 		inner:       inner,
@@ -129,36 +140,15 @@ func New(p *plan.Plan, inner engine.Engine, speculative bool, lateness event.Tim
 		lateness:    lateness,
 		groups:      make(map[event.Value]*group),
 		byMatch:     make(map[string]elemRef),
+		trace:       env.Trace,
+		prov:        env.Provenance,
 	}
+	en.met, en.traceName = env.Collector(en.Name())
+	return en
 }
 
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "agg(" + en.inner.Name() + ")" }
-
-// Observe implements engine.Observable. The series binds to the operator
-// itself: the inner engine's matches are consumed, not emitted, so the
-// outer collector is the one that reflects the query's visible output.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
-	}
-}
-
-// EnableProvenance implements engine.Provenancer. The inner engine's
-// records would never surface (its matches are consumed), so lineage is
-// built here: each aggregate match cites the events of the inner matches
-// contributing to its window, capped at maxProvRefs.
-func (en *Engine) EnableProvenance() { en.prov = true }
-
-// SetLatencySampler implements engine.LatencySampled by delegating to the
-// inner strategy engine, which owns the construction stage boundary.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) {
-	engine.SetLatencySampler(en.inner, ls)
-}
 
 // StateSize implements engine.Engine: live tree elements plus inner state.
 func (en *Engine) StateSize() int {
@@ -172,7 +162,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return out
 }
 
-// ProcessBatch implements engine.BatchProcessor: the per-event pipeline in
+// ProcessBatch implements engine.Engine: the per-event pipeline in
 // a loop (each event can move the clock and seal windows whose emission
 // metadata depends on that moment), sharing one output slice and deferring
 // only gauge publication to the batch boundary.
@@ -214,15 +204,13 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		// always surface within K of their timestamp — so the plain path
 		// skips the nudge.
 		if len(en.p.Negatives) > 0 {
-			if adv, ok := en.inner.(engine.Advancer); ok {
-				out = en.absorb(adv.Advance(e.TS), out)
-			}
+			out = en.absorb(en.inner.Advance(e.TS), out)
 		}
 	}
 	return en.advanceOutput(out)
 }
 
-// Advance implements engine.Advancer: the heartbeat is forwarded to the
+// Advance implements engine.Engine: the heartbeat is forwarded to the
 // inner engine first (it may seal pending matches, which must be absorbed
 // before the outer clock moves), then windows are sealed under the new
 // watermark.
@@ -230,10 +218,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
 	}
-	var out []plan.Match
-	if adv, ok := en.inner.(engine.Advancer); ok {
-		out = en.absorb(adv.Advance(ts), out)
-	}
+	out := en.absorb(en.inner.Advance(ts), nil)
 	if ts > en.clock {
 		en.clock = ts
 	}
@@ -272,14 +257,10 @@ func (en *Engine) Metrics() metrics.Snapshot {
 	return outer
 }
 
-// StateSnapshot implements engine.Introspectable.
+// StateSnapshot implements engine.Engine.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
 	s := &provenance.StateSnapshot{
-		Engine:  name,
+		Engine:  en.traceName,
 		Started: en.arrival > 0,
 		Clock:   en.clock,
 		Safe:    en.clock - en.lateness,
@@ -304,12 +285,10 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		}
 		s.TopKeyGroups = provenance.TopK(gs, 8)
 	}
-	if intr, ok := en.inner.(engine.Introspectable); ok {
-		inner := intr.StateSnapshot()
-		s.Inner = inner
-		s.StackDepths = inner.StackDepths
-		s.NegStoreSizes = inner.NegStoreSizes
-	}
+	inner := en.inner.StateSnapshot()
+	s.Inner = inner
+	s.StackDepths = inner.StackDepths
+	s.NegStoreSizes = inner.NegStoreSizes
 	return s
 }
 

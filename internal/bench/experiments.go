@@ -481,7 +481,7 @@ func E16Observability(s Scale) *Table {
 // degenerate case (batch=1), with key-partitioned stacks on and off. The
 // batch entry amortizes purge scans and gauge publication across the
 // batch; output is identical to per-event processing by the
-// BatchProcessor contract (proved by internal/difftest.RunBatch), and each
+// ProcessBatch contract (proved by internal/difftest.RunBatch), and each
 // row re-asserts result equality against the batch=1 run.
 func E18Batch(s Scale) *Table {
 	q := seqQuery()

@@ -12,6 +12,7 @@ import (
 
 	"oostream/internal/adaptive"
 	"oostream/internal/ais"
+	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/plan"
 )
@@ -134,7 +135,7 @@ func sortEvents(events []event.Event) {
 // the seal (or still carries vulnerable output from when it did) refuses.
 func (en *Engine) Checkpoint(w io.Writer) error {
 	if en.opts.Emit == EmitThenRetract || en.liveVuln > 0 {
-		return fmt.Errorf("strategy %q does not support checkpointing", en.Name())
+		return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
 	}
 	cf := checkpointFile{
 		Version:    checkpointVersion,
@@ -240,7 +241,8 @@ func (en *Engine) restoreInsertNegative(negIdx int, e event.Event) {
 
 // Restore rebuilds an engine from a checkpoint. The plan must be compiled
 // from the same query text the checkpointed engine ran (verified against
-// the recorded canonical source); options are restored from the checkpoint.
+// the recorded canonical source); options are restored from the checkpoint,
+// instruments come from env exactly as core.Options.Env hands them to New.
 // A keyed engine restores from an unkeyed engine's checkpoint (and vice
 // versa, modulo the recorded DisableKeying option): the format carries
 // plain events and keys are recomputed on insertion.
@@ -248,7 +250,7 @@ func (en *Engine) restoreInsertNegative(negIdx int, e event.Event) {
 // Truncated or corrupted checkpoints are rejected with a descriptive
 // error: the envelope's length and CRC32 are validated before any state is
 // deserialized, so a damaged snapshot can never restore garbage state.
-func Restore(p *plan.Plan, r io.Reader) (*Engine, error) {
+func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
 	first, err := br.Peek(1)
 	if err != nil {
@@ -284,6 +286,7 @@ func Restore(p *plan.Plan, r io.Reader) (*Engine, error) {
 		DisableTriggerOpt: cf.NoTrigOpt,
 		DisableKeying:     cf.NoKeyed,
 		PurgeEvery:        cf.PurgeEvery,
+		Env:               env,
 	}
 	if cf.Adaptive != nil {
 		ctrl, err := adaptive.Restore(*cf.Adaptive)

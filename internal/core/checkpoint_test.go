@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
 	"oostream/internal/plan"
@@ -36,7 +37,7 @@ func TestCheckpointRestoreContinuesExactly(t *testing.T) {
 			if err := first.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			second, err := Restore(p, &buf)
+			second, err := Restore(p, engine.Env{}, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +63,7 @@ func TestCheckpointPreservesPendingNegation(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(p, &buf)
+	restored, err := Restore(p, engine.Env{}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +86,18 @@ func TestRestoreErrors(t *testing.T) {
 	}
 
 	other := compile(t, "PATTERN SEQ(A a, C c) WITHIN 50")
-	if _, err := Restore(other, bytes.NewReader(buf.Bytes())); err == nil ||
+	if _, err := Restore(other, engine.Env{}, bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "is for query") {
 		t.Errorf("plan mismatch: %v", err)
 	}
-	if _, err := Restore(p, strings.NewReader("{garbage")); err == nil {
+	if _, err := Restore(p, engine.Env{}, strings.NewReader("{garbage")); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
-	if _, err := Restore(p, strings.NewReader(`{"version":99}`)); err == nil ||
+	if _, err := Restore(p, engine.Env{}, strings.NewReader(`{"version":99}`)); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version: %v", err)
 	}
-	if _, err := Restore(p, strings.NewReader(`{"version":1,"planSource":"`+p.Source+`","stacks":[[]]}`)); err == nil ||
+	if _, err := Restore(p, engine.Env{}, strings.NewReader(`{"version":1,"planSource":"`+p.Source+`","stacks":[[]]}`)); err == nil ||
 		!strings.Contains(err.Error(), "shape") {
 		t.Errorf("shape mismatch: %v", err)
 	}
@@ -121,23 +122,23 @@ func TestCheckpointEnvelopeRejectsDamage(t *testing.T) {
 	full := buf.Bytes()
 
 	// Sanity: the intact envelope restores.
-	if _, err := Restore(p, bytes.NewReader(full)); err != nil {
+	if _, err := Restore(p, engine.Env{}, bytes.NewReader(full)); err != nil {
 		t.Fatalf("intact checkpoint rejected: %v", err)
 	}
 
 	for _, cut := range []int{0, 1, 5, 14, 15, len(full) / 2, len(full) - 1} {
-		if _, err := Restore(p, bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Restore(p, engine.Env{}, bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d accepted", cut, len(full))
 		}
 	}
 	for _, pos := range []int{0, 6, 8, 12, 15, 40, len(full) - 1} {
 		flipped := append([]byte(nil), full...)
 		flipped[pos] ^= 0x20
-		if _, err := Restore(p, bytes.NewReader(flipped)); err == nil {
+		if _, err := Restore(p, engine.Env{}, bytes.NewReader(flipped)); err == nil {
 			t.Errorf("bit flip at %d accepted", pos)
 		}
 	}
-	if _, err := Restore(p, bytes.NewReader(nil)); err == nil {
+	if _, err := Restore(p, engine.Env{}, bytes.NewReader(nil)); err == nil {
 		t.Error("empty checkpoint accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestCheckpointLegacyV1Restores(t *testing.T) {
 	legacy := `{"version":1,"planSource":"` + p.Source + `","k":10,"latePolicy":1,` +
 		`"purgeEvery":64,"clock":100,"started":true,"arrival":3,"enumerated":0,"since":0,` +
 		`"stacks":[[{"type":"A","ts":100,"seq":1}],[]],"negStores":[],"pending":null}`
-	en, err := Restore(p, strings.NewReader(legacy))
+	en, err := Restore(p, engine.Env{}, strings.NewReader(legacy))
 	if err != nil {
 		t.Fatalf("legacy checkpoint rejected: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestCheckpointRestoresOptionsAndClock(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(p, &buf)
+	r, err := Restore(p, engine.Env{}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

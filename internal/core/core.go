@@ -137,6 +137,10 @@ type Options struct {
 	// watermark-lag observations and live-state sizes. False for engines
 	// sharing a controller someone else feeds (shards).
 	AdaptiveFeed bool
+	// Env carries the engine's instruments (series, trace hook, latency
+	// sampler, provenance switch); the zero value means none. Internal: the
+	// facade's builder fills it, no user-facing knob maps to it.
+	Env engine.Env
 }
 
 const defaultPurgeEvery = 64
@@ -222,15 +226,18 @@ type Engine struct {
 	// classify probes as empty (pure overhead) or productive.
 	enumerated uint64
 	met        metrics.Collector
-	// trace, when non-nil, observes match-lifecycle steps. Every call site
-	// nil-checks first so the unhooked hot path pays one predictable branch
-	// and constructs no TraceEvent. traceName labels emitted trace events
-	// (the bound series name, or the strategy name).
+	// The instruments of opts.Env, fixed at construction. trace, when
+	// non-nil, observes match-lifecycle steps: every call site nil-checks
+	// first so the unhooked hot path pays one predictable branch and
+	// constructs no TraceEvent. traceName labels emitted trace events and
+	// state snapshots (the series name, or the strategy name at
+	// construction).
 	trace     obsv.TraceHook
 	traceName string
 
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// event spans; nil costs one predictable branch per event.
+	// lat, when non-nil, stamps the construction stage boundary on sampled
+	// event spans (admission to the end of processOne); nil costs one
+	// predictable branch per event.
 	lat *obsv.LatencySampler
 
 	// prov enables lineage-record construction on emitted matches. Like the
@@ -289,11 +296,15 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		opts:         opts,
 		vuln:         make(map[event.Value][]pendingMatch),
 		frontier:     minTime,
+		trace:        opts.Env.Trace,
+		lat:          opts.Env.Latency,
+		prov:         opts.Env.Provenance,
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
 		localScratch: make([]event.Event, 1),
 		verdict:      make([][]byte, p.Len()),
 	}
+	en.met, en.traceName = opts.Env.Collector(opts.Emit.String())
 	if attr := p.PartitionKey; attr != "" && !opts.DisableKeying {
 		en.keyAttr = attr
 		en.kstacks = ais.NewKeyed(p.Len())
@@ -339,21 +350,6 @@ func MustNew(p *plan.Plan, opts Options) *Engine {
 
 // Name implements engine.Engine: the strategy the emission policy implements.
 func (en *Engine) Name() string { return en.opts.Emit.String() }
-
-// Observe implements engine.Observable.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
-	}
-}
-
-// EnableProvenance implements engine.Provenancer: every match emitted from
-// now on carries a lineage record. Must be called before the first Process.
-func (en *Engine) EnableProvenance() { en.prov = true }
 
 // Metrics implements engine.Engine.
 func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
@@ -438,12 +434,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return out
 }
 
-// SetLatencySampler implements engine.LatencySampled: sampled events get
-// their admission-to-construction time attributed at the end of
-// processOne.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.lat = ls }
-
-// ProcessBatch implements engine.BatchProcessor: the per-event admission,
+// ProcessBatch implements engine.Engine: the per-event admission,
 // insertion, and pending-drain pipeline runs unchanged for every event,
 // but the purge pass and gauge publication are deferred to the batch
 // boundary. Under DropLate that deferral is output-invisible: purging only
@@ -643,7 +634,7 @@ func (en *Engine) insertKeyedNeg(negIdx int, key event.Value, e event.Event) {
 	en.liveNeg++
 }
 
-// Advance implements engine.Advancer: a heartbeat promising that no future
+// Advance implements engine.Engine: a heartbeat promising that no future
 // event carries a timestamp below ts − K. The clock moves forward, pending
 // negation output whose gaps the new safe clock seals is emitted, and a
 // purge pass runs. Moving the clock backwards is a no-op.
@@ -1103,15 +1094,11 @@ func (en *Engine) maybePurge() {
 	}
 }
 
-// StateSnapshot implements engine.Introspectable: a read-only view of the
-// engine's live state. Not safe concurrently with Process.
+// StateSnapshot implements engine.Engine: a read-only view of the engine's
+// live state. Not safe concurrently with Process.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
 	s := &provenance.StateSnapshot{
-		Engine:        name,
+		Engine:        en.traceName,
 		Started:       en.started,
 		Clock:         en.clock,
 		Safe:          en.safe(),

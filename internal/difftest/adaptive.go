@@ -7,6 +7,7 @@ import (
 	"oostream"
 	"oostream/internal/adaptive"
 	"oostream/internal/core"
+	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/hybrid"
 	"oostream/internal/obsv"
@@ -211,12 +212,11 @@ func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 	if err != nil {
 		return &Failure{Case: c, Check: "hybrid-adaptive", Diff: err.Error()}
 	}
-	en, err := hybrid.New(p, core.Options{}, hybrid.Options{Controller: ctrl})
+	rc := newRejectedCollector()
+	en, err := hybrid.New(p, core.Options{Env: engine.Env{Trace: rc}}, hybrid.Options{Controller: ctrl})
 	if err != nil {
 		return &Failure{Case: c, Check: "hybrid-adaptive", Diff: err.Error()}
 	}
-	rc := newRejectedCollector()
-	en.Observe(nil, rc)
 	var got []plan.Match
 	for i, e := range c.Arrival {
 		got = append(got, en.Process(e)...)
@@ -250,7 +250,7 @@ func adaptiveCheckpoint(c Case, q *oostream.Query, acfg oostream.Adaptive) *Fail
 	if err := en.Checkpoint(&buf); err != nil {
 		return &Failure{Case: c, Check: "adaptive-checkpoint", Diff: err.Error()}
 	}
-	restored, err := oostream.RestoreEngine(q, &buf)
+	restored, err := oostream.RestoreEngine(q, cfg, &buf)
 	if err != nil {
 		return &Failure{Case: c, Check: "adaptive-checkpoint", Diff: err.Error()}
 	}

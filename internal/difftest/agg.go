@@ -252,7 +252,7 @@ func RunAgg(c Case) *Failure {
 		return f
 	}
 
-	// The batch path must agree (BatchProcessor contract through the
+	// The batch path must agree (ProcessBatch contract through the
 	// operator); the partition sizes derive from the seed, keeping the
 	// trial pure.
 	if f := fail("agg-native-batch", runAggBatched(q, native, c.Arrival, c.Seed)); f != nil {

@@ -246,13 +246,13 @@ func runParallelBatched(q *oostream.Query, cfg oostream.Config, events []event.E
 	if err != nil {
 		return nil, err
 	}
-	par, err := shard.NewParallel(router, func(int) (engine.Engine, error) {
+	par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
 		sub, err := oostream.NewEngine(q, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return sub.Raw().(engine.Engine), nil
-	})
+		return sub.Raw(), nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

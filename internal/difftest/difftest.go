@@ -370,7 +370,7 @@ func runCheckpointed(q *oostream.Query, cfg oostream.Config, events []event.Even
 	if err := en.Checkpoint(&buf); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	restored, err := oostream.RestoreEngine(q, &buf)
+	restored, err := oostream.RestoreEngine(q, cfg, &buf)
 	if err != nil {
 		return nil, fmt.Errorf("restore: %w", err)
 	}
@@ -386,13 +386,13 @@ func runParallel(q *oostream.Query, cfg oostream.Config, events []event.Event) (
 	if err != nil {
 		return nil, err
 	}
-	par, err := shard.NewParallel(router, func(int) (engine.Engine, error) {
+	par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
 		sub, err := oostream.NewEngine(q, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return sub.Raw().(engine.Engine), nil
-	})
+		return sub.Raw(), nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"oostream/internal/core"
@@ -20,22 +22,31 @@ func testPlan(t *testing.T) *plan.Plan {
 	return p
 }
 
-// TestAllEnginesImplementInterfaces pins the interface contracts: every
-// strategy is an engine.Engine and an engine.Advancer.
-func TestAllEnginesImplementInterfaces(t *testing.T) {
+// TestAllEnginesImplementTheContract pins the one contract: every strategy
+// is an engine.Engine, and the ones without a durable format refuse
+// Checkpoint with ErrNoCheckpoint, writing nothing.
+func TestAllEnginesImplementTheContract(t *testing.T) {
 	p := testPlan(t)
 	engines := []engine.Engine{
 		core.MustNew(p, core.Options{K: 10}),
 		inorder.New(p),
-		kslack.NewEngine(10, core.MustNew(p, core.Options{})),
+		kslack.NewEngine(10, core.MustNew(p, core.Options{}), engine.Env{}),
 		core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}),
 	}
 	names := map[string]bool{}
 	for _, en := range engines {
-		if _, ok := en.(engine.Advancer); !ok {
-			t.Errorf("%s does not support heartbeats", en.Name())
-		}
 		names[en.Name()] = true
+		var buf bytes.Buffer
+		err := en.Checkpoint(&buf)
+		if en.Name() == "native" {
+			if err != nil || buf.Len() == 0 {
+				t.Errorf("native checkpoint: err=%v, %d bytes", err, buf.Len())
+			}
+			continue
+		}
+		if !errors.Is(err, engine.ErrNoCheckpoint) || buf.Len() != 0 {
+			t.Errorf("%s checkpoint: err=%v (want ErrNoCheckpoint), %d bytes written", en.Name(), err, buf.Len())
+		}
 	}
 	for _, want := range []string{"native", "inorder", "kslack", "speculate"} {
 		if !names[want] {

@@ -12,20 +12,16 @@ import (
 	"testing"
 )
 
-// TestOneKernel is the mechanical form of "one out-of-order SSC kernel":
-// only internal/core builds on the active instance stacks, there is one
-// negative store, and the layers around the kernel (the reorder buffer, the
-// policy switch) reach neither the deleted speculative engine's shim nor
-// the in-order baseline. It parses the root module's sources; nested
-// modules (benchmark/) are not part of it.
-func TestOneKernel(t *testing.T) {
+// walkModule parses every Go source of the root module and hands it to
+// visit with its slash-separated path relative to the module root; nested
+// modules (benchmark/) and dot-directories are not part of it.
+func walkModule(t *testing.T, visit func(rel string, f *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	negStores := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
 		if d.IsDir() {
 			if strings.HasPrefix(d.Name(), ".") && path != root {
 				return filepath.SkipDir
@@ -35,13 +31,29 @@ func TestOneKernel(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		visit(filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator))), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneKernel is the mechanical form of "one out-of-order SSC kernel":
+// only internal/core builds on the active instance stacks, there is one
+// negative store, and the layers around the kernel (the reorder buffer, the
+// policy switch) reach neither the deleted speculative engine's shim nor
+// the in-order baseline.
+func TestOneKernel(t *testing.T) {
+	negStores := 0
+	walkModule(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		isTest := strings.HasSuffix(rel, "_test.go")
 		for _, imp := range f.Imports {
@@ -58,7 +70,7 @@ func TestOneKernel(t *testing.T) {
 			}
 		}
 		if isTest {
-			return nil
+			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "negStore" {
@@ -66,12 +78,71 @@ func TestOneKernel(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if negStores != 1 {
 		t.Errorf("found %d negStore types, want exactly one (internal/core)", negStores)
+	}
+}
+
+// TestOneContract is the mechanical form of "one engine contract,
+// instruments at construction": internal/engine declares exactly one
+// interface, nothing discovers a capability by asserting to an engine
+// interface, and no type has a method that attaches an instrument after
+// construction. Non-test sources only.
+func TestOneContract(t *testing.T) {
+	setters := map[string]bool{
+		"SetLatencySampler": true, "EnableProvenance": true, "ObserveShards": true, "WithLatency": true,
+	}
+	interfaces := 0
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		// isEngineInterface recognizes engine.X, and bare X inside the package.
+		isEngineInterface := func(e ast.Expr) bool {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				pkg, ok := sel.X.(*ast.Ident)
+				return ok && pkg.Name == "engine"
+			}
+			id, ok := e.(*ast.Ident)
+			return ok && dir == "internal/engine" && id.Name == "Engine"
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if _, ok := n.Type.(*ast.InterfaceType); ok && dir == "internal/engine" {
+					interfaces++
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil && isEngineInterface(n.Type) {
+					t.Errorf("%s: type assertion to an engine interface; the contract is one interface, call the method", rel)
+				}
+			case *ast.TypeSwitchStmt:
+				for _, clause := range n.Body.List {
+					for _, typ := range clause.(*ast.CaseClause).List {
+						if isEngineInterface(typ) {
+							t.Errorf("%s: type switch on an engine interface", rel)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Recv == nil || dir == "internal/obsv" || dir == "internal/adaptive" {
+					break
+				}
+				late := setters[n.Name.Name]
+				if n.Name.Name == "Observe" && n.Type.Params.NumFields() == 2 {
+					// Observe(*obsv.Series, obsv.TraceHook), not a histogram's Observe(v).
+					late = true
+				}
+				if late {
+					t.Errorf("%s: method %s attaches an instrument after construction; pass it in the layer's engine.Env", rel, n.Name.Name)
+				}
+			}
+			return true
+		})
+	})
+	if interfaces != 1 {
+		t.Errorf("internal/engine declares %d interface types, want exactly one (Engine)", interfaces)
 	}
 }

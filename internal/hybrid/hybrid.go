@@ -17,6 +17,7 @@ package hybrid
 
 import (
 	"fmt"
+	"io"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/core"
@@ -55,8 +56,8 @@ const defaultMinDwell = 2
 // disorder, speculation retracts almost nothing, so its latency win is free.
 const fallbackOOORate = 0.01
 
-// Engine is the switching meta-engine. It implements the same interface
-// set as the kernel, except Checkpointer.
+// Engine is the switching meta-engine: the kernel's contract, minus a
+// durable format.
 type Engine struct {
 	opts Options
 	core *core.Engine
@@ -75,19 +76,13 @@ type counters struct {
 	admitted, ooo, retracted uint64
 }
 
-var (
-	_ engine.Engine         = (*Engine)(nil)
-	_ engine.BatchProcessor = (*Engine)(nil)
-	_ engine.Advancer       = (*Engine)(nil)
-	_ engine.Observable     = (*Engine)(nil)
-	_ engine.LatencySampled = (*Engine)(nil)
-	_ engine.Provenancer    = (*Engine)(nil)
-	_ engine.Introspectable = (*Engine)(nil)
-)
+var _ engine.Engine = (*Engine)(nil)
 
 // New builds a hybrid meta-engine over a kernel configured by kernel (its
 // disorder bound, emission policy, and controller fields are overridden),
-// starting in speculative mode (or native with opts.StartNative).
+// starting in speculative mode (or native with opts.StartNative). The
+// kernel carries every instrument of kernel.Env; the decision windows are
+// read off its series.
 func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 	if opts.Controller == nil {
 		return nil, fmt.Errorf("hybrid engine requires an adaptive controller")
@@ -103,14 +98,17 @@ func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 	if opts.StartNative {
 		kernel.Emit = core.SealThenEmit
 	}
+	if kernel.Env.Series == nil {
+		// A named series of its own keeps the kernel's trace events under
+		// the meta-engine's identity when no registry series is handed over.
+		kernel.Env.Series = obsv.NewSeries("hybrid")
+	}
 	k, err := core.New(p, kernel)
 	if err != nil {
 		return nil, err
 	}
-	en := &Engine{opts: opts, core: k}
-	// A named series of its own keeps the kernel's trace events under the
-	// meta-engine's identity when no registry series is bound.
-	en.Observe(obsv.NewSeries(en.Name()), nil)
+	en := &Engine{opts: opts, core: k, series: kernel.Env.Series}
+	en.win = en.read()
 	return en, nil
 }
 
@@ -123,22 +121,6 @@ func (en *Engine) Mode() string { return en.core.EmitPolicy().String() }
 // Switches returns how many strategy switches have happened.
 func (en *Engine) Switches() uint64 { return en.switches }
 
-// Observe implements engine.Observable: the kernel publishes into the
-// series and traces under its name. A nil series keeps the current one.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	if s != nil {
-		en.series = s
-	}
-	en.core.Observe(en.series, hook)
-	en.win = en.read()
-}
-
-// SetLatencySampler implements engine.LatencySampled.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.core.SetLatencySampler(ls) }
-
-// EnableProvenance implements engine.Provenancer.
-func (en *Engine) EnableProvenance() { en.core.EnableProvenance() }
-
 // StateSize implements engine.Engine: the kernel's state, nothing else.
 func (en *Engine) StateSize() int { return en.core.StateSize() }
 
@@ -150,7 +132,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return en.decide(en.core.Process(e))
 }
 
-// ProcessBatch implements engine.BatchProcessor. A switch changes what the
+// ProcessBatch implements engine.Engine. A switch changes what the
 // following event emits, so the policy runs after every event, exactly as
 // on the per-event path.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
@@ -161,8 +143,14 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	return out
 }
 
-// Advance implements engine.Advancer.
+// Advance implements engine.Engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match { return en.core.Advance(ts) }
+
+// Checkpoint implements engine.Engine: the switch state (dwell, window
+// counters) has no durable format, and the kernel refuses while speculative.
+func (en *Engine) Checkpoint(io.Writer) error {
+	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
+}
 
 // Flush implements engine.Engine.
 func (en *Engine) Flush() []plan.Match { return en.core.Flush() }
@@ -233,7 +221,7 @@ func (en *Engine) ForceSwitch() []plan.Match {
 	return en.core.SetEmitPolicy(target)
 }
 
-// StateSnapshot implements engine.Introspectable: the kernel's snapshot
+// StateSnapshot implements engine.Engine: the kernel's snapshot
 // with the mode and switch count in its adaptive block.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	s := en.core.StateSnapshot()

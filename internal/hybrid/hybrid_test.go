@@ -215,16 +215,16 @@ func TestDegradationSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(p, core.Options{}, Options{Controller: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var shedTraced int
-	en.Observe(nil, obsv.TraceFunc(func(te obsv.TraceEvent) {
+	hook := obsv.TraceFunc(func(te obsv.TraceEvent) {
 		if te.Op == obsv.OpShed {
 			shedTraced++
 		}
-	}))
+	})
+	en, err := New(p, core.Options{Env: engine.Env{Trace: hook}}, Options{Controller: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// In-order As blow past the state limit (WITHIN 1000 keeps them all
 	// live), engaging degradation; then OOO events inside the nominal bound
 	// but behind the clamped frontier arrive and must be shed.
@@ -284,17 +284,17 @@ func TestHeartbeatRelay(t *testing.T) {
 // emit OpSwitch with the target mode and the sealed cut.
 func TestSwitchTraceAndMetrics(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
-	en, err := New(p, core.Options{}, Options{Controller: staticCtrl(t, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var switchTE *obsv.TraceEvent
-	en.Observe(nil, obsv.TraceFunc(func(te obsv.TraceEvent) {
+	hook := obsv.TraceFunc(func(te obsv.TraceEvent) {
 		if te.Op == obsv.OpSwitch {
 			cp := te
 			switchTE = &cp
 		}
-	}))
+	})
+	en, err := New(p, core.Options{Env: engine.Env{Trace: hook}}, Options{Controller: staticCtrl(t, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	en.Process(event.Event{Type: "A", TS: 100, Seq: 1})
 	en.ForceSwitch()
 	if en.Mode() != ModeNative {

@@ -14,6 +14,8 @@ package inorder
 
 import (
 	"container/heap"
+	"fmt"
+	"io"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -127,13 +129,21 @@ func (h *pendingHeap) Pop() any {
 
 var _ engine.Engine = (*Engine)(nil)
 
-// New builds an in-order engine for the plan.
-func New(p *plan.Plan) *Engine {
+// New builds an in-order engine with no instruments (NewWithEnv's zero-Env
+// form, the signature the repository benchmark compiles against).
+func New(p *plan.Plan) *Engine { return NewWithEnv(p, engine.Env{}) }
+
+// NewWithEnv builds an in-order engine for the plan, instrumented by env.
+func NewWithEnv(p *plan.Plan, env engine.Env) *Engine {
 	en := &Engine{
 		plan:      p,
 		stacks:    make([]*stack, p.Len()),
 		negStores: make([][]event.Event, len(p.Negatives)),
+		trace:     env.Trace,
+		lat:       env.Latency,
+		prov:      env.Provenance,
 	}
+	en.met, en.traceName = env.Collector(en.Name())
 	for i := range en.stacks {
 		en.stacks[i] = &stack{}
 	}
@@ -143,32 +153,19 @@ func New(p *plan.Plan) *Engine {
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "inorder" }
 
-// Observe implements engine.Observable.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
-	}
-}
-
-// EnableProvenance implements engine.Provenancer.
-func (en *Engine) EnableProvenance() { en.prov = true }
-
 // Metrics implements engine.Engine.
 func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
 
-// StateSnapshot implements engine.Introspectable. The in-order engine
-// trusts arrival order, so its safe clock IS its clock.
+// Checkpoint implements engine.Engine: the baseline has no durable format.
+func (en *Engine) Checkpoint(io.Writer) error {
+	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
+}
+
+// StateSnapshot implements engine.Engine. The in-order engine trusts
+// arrival order, so its safe clock IS its clock.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
 	s := &provenance.StateSnapshot{
-		Engine:        name,
+		Engine:        en.traceName,
 		Started:       en.arrival > 0,
 		Clock:         en.clock,
 		Safe:          en.clock,
@@ -214,10 +211,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return out
 }
 
-// SetLatencySampler implements engine.LatencySampled.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.lat = ls }
-
-// ProcessBatch implements engine.BatchProcessor. The classic engine's
+// ProcessBatch implements engine.Engine. The classic engine's
 // clock is the latest arrival's timestamp — it can move backwards — so its
 // purge horizon is semantics-bearing (a deferred purge would retain
 // instances a regressed clock then wrongly re-binds). The batch path
@@ -495,7 +489,7 @@ func (en *Engine) purge() {
 	}
 }
 
-// Advance implements engine.Advancer: a heartbeat carrying only a
+// Advance implements engine.Engine: a heartbeat carrying only a
 // timestamp. Under the in-order assumption it moves the clock like an
 // event would, sealing pending trailing-negation output and purging.
 func (en *Engine) Advance(ts event.Time) []plan.Match {

@@ -1,6 +1,9 @@
 package kslack
 
 import (
+	"fmt"
+	"io"
+
 	"oostream/internal/adaptive"
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -25,13 +28,15 @@ type Engine struct {
 	clock   event.Time
 	arrival uint64
 	// trace observes the levee's own lifecycle steps (admit, drop, emit)
-	// when non-nil; the inner engine keeps its own hook off — its view is
-	// delayed by K and would double-report.
+	// when non-nil. The series and hook bind to the levee, not the inner
+	// engine: the inner view of the stream is delayed by K and would
+	// double-report, so the outer collector is the one that reflects the
+	// live stream.
 	trace     obsv.TraceHook
 	traceName string
-	// prov mirrors the inner engine's provenance flag; restamp then
-	// rewrites each relayed record's emit clock to the outer clock (the
-	// inner engine's clock lags by K).
+	// prov mirrors the inner engine's provenance switch (the inner engine
+	// builds the records); restamp then rewrites each relayed record's emit
+	// clock to the outer clock (the inner engine's clock lags by K).
 	prov bool
 	// adapt, when non-nil, makes the slack dynamic: the buffer re-reads
 	// the controller's effective K at every push. adaptFeed marks this
@@ -45,17 +50,19 @@ type Engine struct {
 	// spans. The levee owns the buffer-residency stage: admitted events
 	// are Held (so the facade's unconditional Finish cannot close a span
 	// still sitting in the reorder buffer) and FinishHeld at release,
-	// after the inner engine has processed them. The sampler is NOT
-	// forwarded to the inner engine — the levee stamps StageConstruct
-	// around the inner batch itself, keeping one stamp per stage.
+	// after the inner engine has processed them. The inner engine gets no
+	// sampler — the levee stamps StageConstruct around the inner batch
+	// itself, keeping one stamp per stage.
 	lat *obsv.LatencySampler
 }
 
 var _ engine.Engine = (*Engine)(nil)
 
-// NewEngine wraps inner with a K-slack reorder buffer.
-func NewEngine(k event.Time, inner engine.Engine) *Engine {
-	return &Engine{buf: NewBuffer(k), inner: inner}
+// NewEngine wraps inner with a K-slack reorder buffer, instrumented by env
+// (series, hook, and sampler stay on the levee; inner is built with the
+// provenance switch alone).
+func NewEngine(k event.Time, inner engine.Engine, env engine.Env) *Engine {
+	return newEngine(NewBuffer(k), inner, env)
 }
 
 // NewAdaptiveEngine wraps inner with a reorder buffer whose slack is the
@@ -63,47 +70,32 @@ func NewEngine(k event.Time, inner engine.Engine) *Engine {
 // engine owns the controller: it feeds watermark-lag observations and
 // buffer occupancy (driving K derivation and overload degradation); pass
 // false for engines sharing a controller someone else feeds.
-func NewAdaptiveEngine(ctrl *adaptive.Controller, feed bool, inner engine.Engine) *Engine {
-	return &Engine{buf: NewBufferDynamic(ctrl.EffectiveK), inner: inner, adapt: ctrl, adaptFeed: feed}
+func NewAdaptiveEngine(ctrl *adaptive.Controller, feed bool, inner engine.Engine, env engine.Env) *Engine {
+	en := newEngine(NewBufferDynamic(ctrl.EffectiveK), inner, env)
+	en.adapt, en.adaptFeed = ctrl, feed
+	return en
+}
+
+func newEngine(buf *Buffer, inner engine.Engine, env engine.Env) *Engine {
+	en := &Engine{buf: buf, inner: inner, trace: env.Trace, prov: env.Provenance, lat: env.Latency}
+	en.met, en.traceName = env.Collector(en.Name())
+	return en
 }
 
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "kslack" }
 
-// SetLatencySampler implements engine.LatencySampled (see the lat field).
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) { en.lat = ls }
-
-// Observe implements engine.Observable. The series and hook bind to the
-// levee itself: the inner engine's ingestion view is delayed by K, so the
-// outer collector is the one that reflects the live stream.
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	en.trace = hook
-	if s != nil && s.Name() != "" {
-		en.traceName = s.Name()
-	} else if en.traceName == "" {
-		en.traceName = en.Name()
-	}
+// Checkpoint implements engine.Engine: the reorder buffer has no durable
+// format.
+func (en *Engine) Checkpoint(io.Writer) error {
+	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
 }
 
-// EnableProvenance implements engine.Provenancer, forwarding to the inner
-// engine (which builds the records; the levee restamps their emit clock).
-func (en *Engine) EnableProvenance() {
-	en.prov = true
-	if pr, ok := en.inner.(engine.Provenancer); ok {
-		pr.EnableProvenance()
-	}
-}
-
-// StateSnapshot implements engine.Introspectable: the levee's buffer
-// occupancy and watermark wrap the inner engine's snapshot.
+// StateSnapshot implements engine.Engine: the levee's buffer occupancy and
+// watermark wrap the inner engine's snapshot.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	name := en.traceName
-	if name == "" {
-		name = en.Name()
-	}
 	s := &provenance.StateSnapshot{
-		Engine:    name,
+		Engine:    en.traceName,
 		Started:   en.arrival > 0,
 		Clock:     en.clock,
 		Safe:      en.buf.Watermark(),
@@ -122,17 +114,15 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 			Resizes:      cs.Resizes,
 		}
 	}
-	if intr, ok := en.inner.(engine.Introspectable); ok {
-		inner := intr.StateSnapshot()
-		s.Inner = inner
-		s.PurgeFrontier = inner.PurgeFrontier
-		s.StackDepths = inner.StackDepths
-		s.NegStoreSizes = inner.NegStoreSizes
-		s.Pending = inner.Pending
-		s.Lineage.Live = inner.Lineage.Live
-		s.Lineage.Bytes = inner.Lineage.Bytes
-		s.Lineage.Truncated = inner.Lineage.Truncated
-	}
+	inner := en.inner.StateSnapshot()
+	s.Inner = inner
+	s.PurgeFrontier = inner.PurgeFrontier
+	s.StackDepths = inner.StackDepths
+	s.NegStoreSizes = inner.NegStoreSizes
+	s.Pending = inner.Pending
+	s.Lineage.Live = inner.Lineage.Live
+	s.Lineage.Bytes = inner.Lineage.Bytes
+	s.Lineage.Truncated = inner.Lineage.Truncated
 	return s
 }
 
@@ -157,7 +147,7 @@ func (en *Engine) publishAdaptive() {
 	en.met.SetDegraded(en.adapt.Degraded())
 }
 
-// ProcessBatch implements engine.BatchProcessor. The levee MUST admit
+// ProcessBatch implements engine.Engine. The levee MUST admit
 // outer events one at a time — each push can move the watermark and
 // release buffered events whose restamped emission metadata (EmitSeq,
 // EmitClock) is defined by the outer clock at that moment — so the batch
@@ -226,10 +216,9 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	return out
 }
 
-// Advance implements engine.Advancer: a heartbeat moves the reorder
-// buffer's watermark to ts − K, releasing (and processing) everything at or
-// below it, and forwards the heartbeat to the inner engine when it supports
-// punctuation.
+// Advance implements engine.Engine: a heartbeat moves the reorder buffer's
+// watermark to ts − K, releasing (and processing) everything at or below
+// it, and forwards the heartbeat to the inner engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
 	if ts > en.clock {
 		en.clock = ts
@@ -238,10 +227,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
 	}
 	out := en.feed(en.buf.Advance(ts))
-	if adv, ok := en.inner.(engine.Advancer); ok {
-		out = append(out, en.restamp(adv.Advance(en.buf.Watermark()))...)
-	}
-	return out
+	return append(out, en.restamp(en.inner.Advance(en.buf.Watermark()))...)
 }
 
 // Flush implements engine.Engine.
@@ -262,7 +248,7 @@ func (en *Engine) feed(released []event.Event) []plan.Match {
 }
 
 // feedInto runs a released run through the inner engine's batch path
-// (identical to per-event feeding by the BatchProcessor contract — the
+// (identical to per-event feeding by the ProcessBatch contract — the
 // outer clock and arrival counter are fixed for the whole run, so every
 // restamp is unchanged) and appends the restamped matches to out.
 func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Match {
@@ -276,7 +262,7 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 	for i := range released {
 		en.lat.StageEnd(released[i].Seq, obsv.StageBuffer)
 	}
-	ms := engine.ProcessBatch(en.inner, released)
+	ms := en.inner.ProcessBatch(released)
 	for i := range released {
 		en.lat.StageEnd(released[i].Seq, obsv.StageConstruct)
 	}

@@ -1,18 +1,20 @@
 package kslack
 
 import (
+	"io"
 	"testing"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/metrics"
 	"oostream/internal/plan"
+	"oostream/internal/provenance"
 )
 
-// stubEngine is a minimal engine.Engine that does NOT implement
-// engine.Advancer, to exercise the levee's punctuation fallback.
+// stubEngine is a minimal engine.Engine recording what the levee hands it.
 type stubEngine struct {
 	processed []event.Event
+	advanced  []event.Time
 	flushed   bool
 }
 
@@ -25,13 +27,28 @@ func (s *stubEngine) Process(e event.Event) []plan.Match {
 	// something to rewrite.
 	return []plan.Match{{Kind: plan.Insert, Events: []event.Event{e}}}
 }
-func (s *stubEngine) Flush() []plan.Match       { s.flushed = true; return nil }
-func (s *stubEngine) Metrics() metrics.Snapshot { return metrics.Snapshot{} }
-func (s *stubEngine) StateSize() int            { return 0 }
+func (s *stubEngine) ProcessBatch(batch []event.Event) []plan.Match {
+	var out []plan.Match
+	for _, e := range batch {
+		out = append(out, s.Process(e)...)
+	}
+	return out
+}
+func (s *stubEngine) Advance(ts event.Time) []plan.Match {
+	s.advanced = append(s.advanced, ts)
+	return nil
+}
+func (s *stubEngine) Flush() []plan.Match        { s.flushed = true; return nil }
+func (s *stubEngine) Checkpoint(io.Writer) error { return engine.ErrNoCheckpoint }
+func (s *stubEngine) Metrics() metrics.Snapshot  { return metrics.Snapshot{} }
+func (s *stubEngine) StateSize() int             { return 0 }
+func (s *stubEngine) StateSnapshot() *provenance.StateSnapshot {
+	return &provenance.StateSnapshot{Engine: s.Name()}
+}
 
-func TestEngineAdvanceWithNonAdvancerInner(t *testing.T) {
+func TestEngineAdvanceReleasesAndForwardsWatermark(t *testing.T) {
 	stub := &stubEngine{}
-	en := NewEngine(10, stub)
+	en := NewEngine(10, stub, engine.Env{})
 	en.Process(event.Event{Type: "A", TS: 5, Seq: 1})
 	if len(stub.processed) != 0 {
 		t.Fatal("event released before watermark")
@@ -43,15 +60,18 @@ func TestEngineAdvanceWithNonAdvancerInner(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("released event's match not forwarded: %v", out)
 	}
-	// The inner engine is not an Advancer: no panic, no extra output.
+	// The inner engine is advanced to the buffer's watermark, not to ts.
 	if out2 := en.Advance(200); len(out2) != 0 {
 		t.Fatalf("second heartbeat produced %v", out2)
+	}
+	if len(stub.advanced) != 2 || stub.advanced[0] != 90 || stub.advanced[1] != 190 {
+		t.Fatalf("inner engine advanced to %v, want [90 190]", stub.advanced)
 	}
 }
 
 func TestEngineRestampsEmissionMetadata(t *testing.T) {
 	stub := &stubEngine{}
-	en := NewEngine(10, stub)
+	en := NewEngine(10, stub, engine.Env{})
 	en.Process(event.Event{Type: "A", TS: 5, Seq: 1})
 	out := en.Process(event.Event{Type: "A", TS: 50, Seq: 2}) // releases ts=5
 	if len(out) != 1 {
@@ -73,7 +93,7 @@ func TestEngineRestampsEmissionMetadata(t *testing.T) {
 }
 
 func TestEngineRestampCountsRetractions(t *testing.T) {
-	en := NewEngine(0, &stubEngine{})
+	en := NewEngine(0, &stubEngine{}, engine.Env{})
 	ms := en.restamp([]plan.Match{
 		{Kind: plan.Retract, Events: []event.Event{{TS: 1}}},
 		{Kind: plan.Insert, Events: []event.Event{{TS: 1}}},
@@ -89,7 +109,7 @@ func TestEngineRestampCountsRetractions(t *testing.T) {
 
 func TestEngineFlushFlushesInner(t *testing.T) {
 	stub := &stubEngine{}
-	en := NewEngine(1000, stub)
+	en := NewEngine(1000, stub, engine.Env{})
 	en.Process(event.Event{Type: "A", TS: 5, Seq: 1})
 	out := en.Flush()
 	if !stub.flushed {

@@ -183,7 +183,7 @@ func TestEngineMatchesOracleOnDisorderedStreams(t *testing.T) {
 		k := event.Time(30)
 		shuffled := shuffleBounded(rng, events, k)
 		want := oracle.Matches(p, events)
-		en := NewEngine(k, core.MustNew(p, core.Options{}))
+		en := NewEngine(k, core.MustNew(p, core.Options{}), engine.Env{})
 		got := engine.Drain(en, shuffled)
 		if ok, diff := plan.SameResults(want, got); !ok {
 			t.Fatalf("seed %d: levee engine wrong (%d vs %d):\n%s", seed, len(want), len(got), diff)
@@ -199,7 +199,7 @@ func TestEngineLatencyReflectsBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := NewEngine(50, core.MustNew(p, core.Options{}))
+	en := NewEngine(50, core.MustNew(p, core.Options{}), engine.Env{})
 	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
 	en.Process(event.Event{Type: "B", TS: 20, Seq: 2})
 	// Nothing released yet; push the watermark past 20.
@@ -224,7 +224,7 @@ func TestEngineStateCountsBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := NewEngine(1000, core.MustNew(p, core.Options{}))
+	en := NewEngine(1000, core.MustNew(p, core.Options{}), engine.Env{})
 	for i := 1; i <= 10; i++ {
 		en.Process(event.Event{Type: "A", TS: event.Time(i), Seq: event.Seq(i)})
 	}

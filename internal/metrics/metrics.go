@@ -3,53 +3,38 @@
 // consumption (live and peak instance counts), result latency (in logical
 // time and in arrival distance), output counts, and correctness counters.
 //
-// A Collector is owned by one engine instance and is a thin veneer over an
-// obsv.Series — the atomic instrument set of the live observability layer.
-// Engines are single-writer, so every publication is one uncontended
-// atomic operation; Snapshot loads the same words from any goroutine
-// without stopping the writer (no mutex on either side). Bind re-points
-// the collector at a registry-owned series, which turns the engine's
-// counters into named, scrapeable time series (Prometheus /metrics, /varz)
-// with zero extra hot-path cost.
+// A Collector is owned by one engine instance and is a thin veneer over the
+// obsv.Series it was built over — the atomic instrument set of the live
+// observability layer: a registry-owned series (named, scrapeable on
+// /metrics and /varz) or a private one. Engines are single-writer, so every
+// publication is one uncontended atomic operation; Snapshot loads the same
+// words from any goroutine without stopping the writer (no mutex on either
+// side).
 package metrics
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"oostream/internal/event"
 	"oostream/internal/obsv"
 )
 
-// Collector accumulates engine measurements. The zero value is ready to
-// use (it lazily allocates a private, unregistered series).
+// Collector accumulates engine measurements into the series it was built
+// over; use NewCollector (the zero value has no series).
 type Collector struct {
-	s atomic.Pointer[obsv.Series]
+	s *obsv.Series
 }
 
-// Bind publishes this collector's measurements into s — typically a series
-// obtained from an obsv.Registry, so scrapes see the engine live. Call
-// before processing starts: counts recorded earlier stay on the private
-// series. A nil s is ignored.
-func (c *Collector) Bind(s *obsv.Series) {
-	if s != nil {
-		c.s.Store(s)
+// NewCollector builds a collector publishing into s — typically a series
+// obtained from an obsv.Registry, so scrapes see the engine live. A nil s
+// gets a private, unregistered series.
+func NewCollector(s *obsv.Series) Collector {
+	if s == nil {
+		s = obsv.NewSeries("")
 	}
-}
-
-// Series returns the series this collector publishes into, allocating a
-// private one on first use.
-func (c *Collector) Series() *obsv.Series {
-	if s := c.s.Load(); s != nil {
-		return s
-	}
-	s := obsv.NewSeries("")
-	if c.s.CompareAndSwap(nil, s) {
-		return s
-	}
-	return c.s.Load()
+	return Collector{s: s}
 }
 
 // Snapshot is a consistent-enough copy of all counters: each field is
@@ -141,7 +126,7 @@ type Snapshot struct {
 // lag is its distance behind the watermark (max timestamp seen; 0 for
 // in-order arrivals).
 func (c *Collector) IncIn(ooo bool, lag event.Time) {
-	s := c.Series()
+	s := c.s
 	s.EventsIn.Inc()
 	if ooo {
 		s.EventsOOO.Inc()
@@ -153,19 +138,19 @@ func (c *Collector) IncIn(ooo bool, lag event.Time) {
 }
 
 // IncLate counts an event rejected for violating the disorder bound.
-func (c *Collector) IncLate() { c.Series().EventsLate.Inc() }
+func (c *Collector) IncLate() { c.s.EventsLate.Inc() }
 
 // IncIrrelevant counts an event whose type the pattern does not mention.
-func (c *Collector) IncIrrelevant() { c.Series().Irrelevant.Inc() }
+func (c *Collector) IncIrrelevant() { c.s.Irrelevant.Inc() }
 
 // IncPredError counts a predicate evaluation error (treated as non-match).
-func (c *Collector) IncPredError(error) { c.Series().PredErrors.Inc() }
+func (c *Collector) IncPredError(error) { c.s.PredErrors.Inc() }
 
 // AddMatch records an emitted match with its latencies: logical is
 // emission clock minus the match's last event timestamp; arrival is the
 // number of arrivals between the match's completion and its emission.
 func (c *Collector) AddMatch(retract bool, logical event.Time, arrival uint64) {
-	s := c.Series()
+	s := c.s
 	if retract {
 		s.Retractions.Inc()
 		return
@@ -181,7 +166,7 @@ func (c *Collector) AddMatch(retract bool, logical event.Time, arrival uint64) {
 // ObserveProbe records a construction probe; empty marks one that
 // enumerated no match (the waste the scan optimization avoids).
 func (c *Collector) ObserveProbe(empty bool) {
-	s := c.Series()
+	s := c.s
 	s.Probes.Inc()
 	if empty {
 		s.EmptyProbes.Inc()
@@ -190,7 +175,7 @@ func (c *Collector) ObserveProbe(empty bool) {
 
 // ObservePurge records a purge pass that removed n instances.
 func (c *Collector) ObservePurge(n int) {
-	s := c.Series()
+	s := c.s
 	s.PurgeCalls.Inc()
 	s.Purged.Add(uint64(n))
 }
@@ -198,49 +183,49 @@ func (c *Collector) ObservePurge(n int) {
 // AddRepairs records n predecessor-pointer repairs from one insertion.
 func (c *Collector) AddRepairs(n int) {
 	if n > 0 {
-		c.Series().Repairs.Add(uint64(n))
+		c.s.Repairs.Add(uint64(n))
 	}
 }
 
 // SetLiveState records the current total state size (stack instances plus
 // any auxiliary buffers) and updates the peak.
-func (c *Collector) SetLiveState(n int) { c.Series().LiveState.Set(int64(n)) }
+func (c *Collector) SetLiveState(n int) { c.s.LiveState.Set(int64(n)) }
 
 // SetKeyGroups records the current number of key-partitioned stack groups
 // and updates the peak.
-func (c *Collector) SetKeyGroups(n int) { c.Series().KeyGroups.Set(int64(n)) }
+func (c *Collector) SetKeyGroups(n int) { c.s.KeyGroups.Set(int64(n)) }
 
 // IncDropped counts an event rejected by admission control (Drop policy).
-func (c *Collector) IncDropped() { c.Series().Dropped.Inc() }
+func (c *Collector) IncDropped() { c.s.Dropped.Inc() }
 
 // IncDeadLettered counts an event routed to the dead-letter channel.
-func (c *Collector) IncDeadLettered() { c.Series().DeadLettered.Inc() }
+func (c *Collector) IncDeadLettered() { c.s.DeadLettered.Inc() }
 
 // IncDupSuppressed counts one suppressed duplicate: a duplicate input
 // event turned away at admission, or a replayed match emission that was
 // already delivered before a crash.
-func (c *Collector) IncDupSuppressed() { c.Series().DupSuppressed.Inc() }
+func (c *Collector) IncDupSuppressed() { c.s.DupSuppressed.Inc() }
 
 // IncRestart counts a supervised restart from a checkpoint.
-func (c *Collector) IncRestart() { c.Series().Restarts.Inc() }
+func (c *Collector) IncRestart() { c.s.Restarts.Inc() }
 
 // ObserveCheckpoint records a completed durable checkpoint: its size and
 // how long writing it took.
 func (c *Collector) ObserveCheckpoint(bytes int, d time.Duration) {
-	s := c.Series()
+	s := c.s
 	s.Checkpoints.Inc()
 	s.CheckpointBytes.Set(int64(bytes))
 	s.CheckpointNanos.Set(int64(d))
 }
 
 // IncShedded counts one event discarded by overload degradation.
-func (c *Collector) IncShedded() { c.Series().SheddedEvents.Inc() }
+func (c *Collector) IncShedded() { c.s.SheddedEvents.Inc() }
 
 // IncSwitch counts one hybrid strategy switch.
-func (c *Collector) IncSwitch() { c.Series().Switches.Inc() }
+func (c *Collector) IncSwitch() { c.s.Switches.Inc() }
 
 // SetCurrentK gauges the effective disorder bound being enforced.
-func (c *Collector) SetCurrentK(k event.Time) { c.Series().CurrentK.Set(int64(k)) }
+func (c *Collector) SetCurrentK(k event.Time) { c.s.CurrentK.Set(int64(k)) }
 
 // SetDegraded gauges the overload-degradation flag.
 func (c *Collector) SetDegraded(on bool) {
@@ -248,31 +233,31 @@ func (c *Collector) SetDegraded(on bool) {
 	if on {
 		v = 1
 	}
-	c.Series().Degraded.Set(v)
+	c.s.Degraded.Set(v)
 }
 
 // IncLineage counts one lineage record built by the provenance layer.
-func (c *Collector) IncLineage() { c.Series().LineageRecords.Inc() }
+func (c *Collector) IncLineage() { c.s.LineageRecords.Inc() }
 
 // SetLineageRetained gauges the lineage records currently retained by the
 // engine and their estimated heap footprint.
 func (c *Collector) SetLineageRetained(live, bytes int) {
-	s := c.Series()
+	s := c.s
 	s.LineageLive.Set(int64(live))
 	s.LineageBytes.Set(int64(bytes))
 }
 
 // IncAggWindow counts one emitted aggregate window value.
-func (c *Collector) IncAggWindow() { c.Series().AggWindows.Inc() }
+func (c *Collector) IncAggWindow() { c.s.AggWindows.Inc() }
 
 // IncAggRevision counts one speculative aggregate revision (a
 // retract+insert pair replacing a previously emitted window value).
-func (c *Collector) IncAggRevision() { c.Series().AggRevisions.Inc() }
+func (c *Collector) IncAggRevision() { c.s.AggRevisions.Inc() }
 
 // IncAggInsert counts one aggregation-tree element insert; fingerHit marks
 // it as absorbed directly by a finger leaf.
 func (c *Collector) IncAggInsert(fingerHit bool) {
-	s := c.Series()
+	s := c.s
 	s.AggInserts.Inc()
 	if fingerHit {
 		s.AggFingerHits.Inc()
@@ -282,14 +267,14 @@ func (c *Collector) IncAggInsert(fingerHit bool) {
 // SetAggTree gauges the aggregation-tree shape: the tallest live tree
 // across groups and the total live elements.
 func (c *Collector) SetAggTree(height, elements int) {
-	s := c.Series()
+	s := c.s
 	s.AggTreeHeight.Set(int64(height))
 	s.AggElements.Set(int64(elements))
 }
 
 // Snapshot returns a copy of all counters.
 func (c *Collector) Snapshot() Snapshot {
-	s := c.Series()
+	s := c.s
 	return Snapshot{
 		EventsIn:      s.EventsIn.Load(),
 		EventsLate:    s.EventsLate.Load(),

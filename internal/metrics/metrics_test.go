@@ -9,7 +9,7 @@ import (
 )
 
 func TestCollectorCounters(t *testing.T) {
-	var c Collector
+	c := NewCollector(nil)
 	c.IncIn(false, 0)
 	c.IncIn(true, 3)
 	c.IncIn(true, 3)
@@ -49,7 +49,7 @@ func TestCollectorCounters(t *testing.T) {
 }
 
 func TestNegativeLatencyClamped(t *testing.T) {
-	var c Collector
+	c := NewCollector(nil)
 	c.AddMatch(false, -5, 0)
 	s := c.Snapshot()
 	if s.LogicalLat.Sum() != 0 || s.LogicalLat.Count() != 1 {
@@ -58,7 +58,7 @@ func TestNegativeLatencyClamped(t *testing.T) {
 }
 
 func TestSnapshotString(t *testing.T) {
-	var c Collector
+	c := NewCollector(nil)
 	c.IncIn(false, 0)
 	c.AddMatch(false, 8, 1)
 	out := c.Snapshot().String()
@@ -125,7 +125,7 @@ func TestHistogramQuantileIsUpperBoundProperty(t *testing.T) {
 }
 
 func TestCollectorConcurrentSnapshot(t *testing.T) {
-	var c Collector
+	c := NewCollector(nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

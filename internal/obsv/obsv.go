@@ -11,9 +11,9 @@
 //     either side.
 //   - Series groups the instruments of one engine instance under a name
 //     ("native", "native/shard3", "supervisor"). internal/metrics.Collector
-//     is a veneer over a Series, so binding an engine's collector to a
-//     registry-owned Series turns its existing counters into live,
-//     scrapeable time series without touching call sites.
+//     is a veneer over a Series, so building an engine's collector over a
+//     registry-owned Series turns its counters into live, scrapeable time
+//     series without touching call sites.
 //   - Registry names and enumerates Series and renders them as
 //     Prometheus text (see WritePrometheus) or a JSON /varz snapshot.
 //
@@ -214,8 +214,8 @@ type Series struct {
 	FullRejects   Counter
 }
 
-// NewSeries creates an unregistered series (engines own one by default;
-// binding swaps in a registry-owned one).
+// NewSeries creates an unregistered series (what an engine built without a
+// registry-owned one publishes into).
 func NewSeries(name string) *Series { return &Series{name: name} }
 
 // Name returns the series name ("" for unregistered private series).

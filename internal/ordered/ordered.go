@@ -17,16 +17,21 @@ package ordered
 import (
 	"container/heap"
 	"fmt"
+	"io"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/metrics"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
 )
 
-// Engine wraps an inner engine with ordered emission.
+// Engine wraps an inner engine with ordered emission. It takes no
+// engine.Env: the wrapper measures nothing of its own (its buffered matches
+// show up in StateSize, which the inner engine's collector reports), adds
+// no stage boundary (the time a match waits in the order buffer is match
+// latency, not event latency), and releases the inner engine's lineage
+// records untouched — every instrument belongs to the inner engine.
 type Engine struct {
 	inner   engine.Engine
 	k       event.Time
@@ -35,10 +40,7 @@ type Engine struct {
 	buf     matchHeap
 }
 
-var (
-	_ engine.Engine   = (*Engine)(nil)
-	_ engine.Advancer = (*Engine)(nil)
-)
+var _ engine.Engine = (*Engine)(nil)
 
 // New wraps inner. K must match the inner engine's disorder bound. The
 // inner engine must not produce retractions (speculative engines cannot be
@@ -58,38 +60,16 @@ func (en *Engine) Name() string { return "ordered(" + en.inner.Name() + ")" }
 // reordering does not change what was measured).
 func (en *Engine) Metrics() metrics.Snapshot { return en.inner.Metrics() }
 
-// Observe implements engine.Observable by delegating to the inner engine
-// (the wrapper measures nothing of its own; its buffered matches show up
-// in StateSize, which the inner engine's collector reports).
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	if obs, ok := en.inner.(engine.Observable); ok {
-		obs.Observe(s, hook)
-	}
+// Checkpoint implements engine.Engine: the order buffer has no durable
+// format.
+func (en *Engine) Checkpoint(io.Writer) error {
+	return fmt.Errorf("%s: %w", en.Name(), engine.ErrNoCheckpoint)
 }
 
-// SetLatencySampler implements engine.LatencySampled by delegating to the
-// inner engine (the wrapper adds no stage boundary of its own; the time a
-// match waits in the order buffer is match latency, not event latency).
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) {
-	engine.SetLatencySampler(en.inner, ls)
-}
-
-// EnableProvenance implements engine.Provenancer by delegating to the
-// inner engine; released matches carry the records it attached.
-func (en *Engine) EnableProvenance() {
-	if pr, ok := en.inner.(engine.Provenancer); ok {
-		pr.EnableProvenance()
-	}
-}
-
-// StateSnapshot implements engine.Introspectable: the inner engine's view,
-// with the order buffer's occupancy added and the wrapper's name.
+// StateSnapshot implements engine.Engine: the inner engine's view, with the
+// order buffer's occupancy added and the wrapper's name.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	intr, ok := en.inner.(engine.Introspectable)
-	if !ok {
-		return nil
-	}
-	s := intr.StateSnapshot()
+	s := en.inner.StateSnapshot()
 	s.Engine = en.Name()
 	s.BufferLen += en.buf.Len()
 	return s
@@ -108,7 +88,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return en.pushInto(matches, nil)
 }
 
-// ProcessBatch implements engine.BatchProcessor. Release must interleave
+// ProcessBatch implements engine.Engine. Release must interleave
 // with admission per event: the inner engine can emit a match whose last
 // timestamp lies below an *earlier* event's safe point (a drained pending,
 // for example), so releasing only at the batch boundary against the final
@@ -129,12 +109,9 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	return out
 }
 
-// Advance implements engine.Advancer.
+// Advance implements engine.Engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
-	var matches []plan.Match
-	if adv, ok := en.inner.(engine.Advancer); ok {
-		matches = adv.Advance(ts)
-	}
+	matches := en.inner.Advance(ts)
 	if ts > en.clock || !en.started {
 		en.clock = ts
 		en.started = true

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/kslack"
 )
@@ -61,10 +60,9 @@ type gateEntry struct {
 	TS  event.Time  `json:"ts"`
 }
 
-// Checkpoint implements engine.Checkpointer, serializing the Set in the
-// v2 format. Every inner engine must itself support checkpointing (the
-// native strategy does); otherwise an error is returned and nothing is
-// written.
+// Checkpoint implements engine.Engine, serializing the Set in the v2
+// format. Every inner engine must itself support checkpointing (the native
+// strategy does); otherwise an error is returned and nothing is written.
 func (s *Set) Checkpoint(w io.Writer) error {
 	maxSeen, started := s.buf.MaxSeen()
 	cp := setCheckpoint{
@@ -77,12 +75,8 @@ func (s *Set) Checkpoint(w io.Writer) error {
 		Queries:      make([]queryCheckpoint, 0, len(s.order)),
 	}
 	for _, q := range s.order {
-		ck, ok := q.en.(engine.Checkpointer)
-		if !ok {
-			return fmt.Errorf("queryset: query %q engine %q does not support checkpointing", q.id, q.en.Name())
-		}
 		var blob bytes.Buffer
-		if err := ck.Checkpoint(&blob); err != nil {
+		if err := q.en.Checkpoint(&blob); err != nil {
 			return fmt.Errorf("queryset: checkpoint query %q: %w", q.id, err)
 		}
 		qc := queryCheckpoint{ID: q.id, Source: q.p.Source, Engine: blob.Bytes()}

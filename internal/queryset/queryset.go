@@ -42,6 +42,7 @@ import (
 	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
+	"oostream/internal/provenance"
 )
 
 // DefaultAdvanceEvery is the default fan-out cadence: after this many
@@ -59,25 +60,32 @@ type Options struct {
 	// 0 means DefaultAdvanceEvery. It trades sealing/purge latency for
 	// per-event cost and never affects final output.
 	AdvanceEvery int
+	// Env carries the Set's own instruments: the series its shared-admission
+	// counters publish into and the latency sampler. The Set stamps
+	// shared-buffer residency and per-query construct segments on sampled
+	// spans itself; inner engines never see the sampler (they run at K=0 on
+	// the sorted stream and add no further buffering). The trace hook and
+	// the provenance switch are not the Set's: the NewEngine and
+	// RestoreEngine factories build every per-query engine with them.
+	Env engine.Env
 	// NewEngine builds the inner engine for a registered query. Required.
 	// It MUST build the engine with a zero disorder bound (the shared
-	// buffer carries all slack); the id is for observability naming.
+	// buffer carries all slack) and with the query's own Env (the facade
+	// names its series "qs/<id>").
 	NewEngine func(id string, p *plan.Plan) (engine.Engine, error)
 	// Compile recompiles a query source during Restore. Only required by
 	// Restore.
 	Compile func(src string) (*plan.Plan, error)
-	// RestoreEngine rebuilds an inner engine from its checkpoint blob.
-	// Only required by Restore.
+	// RestoreEngine rebuilds an inner engine from its checkpoint blob, with
+	// the same Env NewEngine would give it. Only required by Restore.
 	RestoreEngine func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error)
 	// QuerySeries resolves a registered query's observability series, used
-	// to attribute per-query construct time when a latency sampler is
-	// installed. Optional; nil keeps attribution on the shared series only.
+	// to attribute per-query construct time when Env.Latency is set.
+	// Optional; nil keeps attribution on the shared series only.
 	QuerySeries func(id string) *obsv.Series
 }
 
-// Set is the multi-query runtime. It implements the internal engine
-// contract (Process/Flush/Metrics/StateSize plus the Advancer, Batch,
-// Observable, Provenancer, and Checkpointer extensions), with every
+// Set is the multi-query runtime. It implements engine.Engine, with every
 // emitted match tagged with the owning query's id (Match.Query), so it
 // drops into the supervised runtime and pipelines unchanged.
 //
@@ -93,12 +101,8 @@ type Set struct {
 	lastDropped  uint64 // buffer drop count at last Push, for metrics
 	sinceAdvance int
 	sealed       bool
-	prov         bool
 	met          metrics.Collector
-	// lat, when non-nil, stamps shared-buffer residency and per-query
-	// construct segments on sampled spans. Inner engines never see the
-	// sampler: they run at K=0 on the sorted stream, so the Set's own
-	// boundaries are the only meaningful ones.
+	// lat is opts.Env.Latency (nil-safe at every stamp site).
 	lat *obsv.LatencySampler
 }
 
@@ -153,6 +157,8 @@ func New(opts Options) (*Set, error) {
 		buf:     kslack.NewBuffer(opts.K),
 		queries: make(map[string]*queryState),
 		index:   make(map[string][]dispatch),
+		met:     metrics.NewCollector(opts.Env.Series),
+		lat:     opts.Env.Latency,
 	}, nil
 }
 
@@ -192,11 +198,6 @@ func (s *Set) attach(q *queryState) {
 	}
 	if q.keyAttr != "" {
 		q.gateByKey = make(map[event.Value]event.Time)
-	}
-	if s.prov {
-		if pr, ok := q.en.(engine.Provenancer); ok {
-			pr.EnableProvenance()
-		}
 	}
 	s.queries[q.id] = q
 	s.order = append(s.order, q) // nextReg is monotone: stays reg-sorted
@@ -323,7 +324,7 @@ func (s *Set) Process(e event.Event) []plan.Match {
 	return out
 }
 
-// ProcessBatch implements engine.BatchProcessor. A nil or empty batch is
+// ProcessBatch implements engine.Engine. A nil or empty batch is
 // a documented no-op returning nil. Output is identical to per-event
 // Process calls, including the watermark fan-out cadence, so the batch
 // path amortizes only call and output-slice overhead.
@@ -441,9 +442,7 @@ func (s *Set) fan(out *[]plan.Match) {
 	}
 	wm := s.buf.Watermark()
 	for _, q := range s.order {
-		if adv, ok := q.en.(engine.Advancer); ok {
-			s.tag(q, adv.Advance(wm), out)
-		}
+		s.tag(q, q.en.Advance(wm), out)
 		// A gate entry opens probes for events with TS ≤ entry + Window;
 		// future releases have TS ≥ wm, so older entries are dead.
 		if q.keyAttr != "" {
@@ -457,7 +456,7 @@ func (s *Set) fan(out *[]plan.Match) {
 	s.met.SetLiveState(s.StateSize())
 }
 
-// Advance implements engine.Advancer: the source promises stream time has
+// Advance implements engine.Engine: the source promises stream time has
 // reached ts. The shared buffer releases everything at or below ts − K,
 // and every engine is immediately advanced to the new watermark (sealing
 // deferred negation output through silent periods).
@@ -519,27 +518,15 @@ func (s *Set) StateSize() int {
 	return n
 }
 
-// Observe implements engine.Observable for the Set's own shared-admission
-// series. Per-query engine series are bound by the NewEngine factory
-// (the facade names them "qs/<id>").
-func (s *Set) Observe(series *obsv.Series, _ obsv.TraceHook) {
-	s.met.Bind(series)
-}
-
-// SetLatencySampler implements engine.LatencySampled. The sampler is not
-// forwarded to inner engines: the Set owns the buffer and construct
-// boundaries (inner engines run at K=0 on the sorted stream and add no
-// further buffering), and per-query construct segments are mirrored into
-// the series resolved by Options.QuerySeries.
-func (s *Set) SetLatencySampler(ls *obsv.LatencySampler) { s.lat = ls }
-
-// EnableProvenance implements engine.Provenancer: lineage construction is
-// turned on for every registered engine and every future registration.
-func (s *Set) EnableProvenance() {
-	s.prov = true
-	for _, q := range s.order {
-		if pr, ok := q.en.(engine.Provenancer); ok {
-			pr.EnableProvenance()
-		}
+// StateSnapshot implements engine.Engine: per-query snapshots in
+// registration order, aggregated as a sharded engine aggregates its parts,
+// with the shared buffer's occupancy added.
+func (s *Set) StateSnapshot() *provenance.StateSnapshot {
+	subs := make([]*provenance.StateSnapshot, len(s.order))
+	for i, q := range s.order {
+		subs[i] = q.en.StateSnapshot()
 	}
+	snap := provenance.Aggregate(s.Name(), subs)
+	snap.BufferLen += s.buf.Len()
+	return snap
 }

@@ -24,7 +24,7 @@ func testOptions(k event.Time) Options {
 			return plan.ParseAndCompile(src, nil)
 		},
 		RestoreEngine: func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-			return core.Restore(p, r)
+			return core.Restore(p, engine.Env{}, r)
 		},
 	}
 }

@@ -31,20 +31,18 @@ func NewHeartbeatPipeline(en engine.Engine, every time.Duration, clock func() ev
 }
 
 // Run consumes events from in until closed or cancelled, forwarding
-// matches to out (closed before returning) and heartbeating on idle. When
-// the engine does not implement engine.Advancer the heartbeats are no-ops.
+// matches to out (closed before returning) and heartbeating on idle.
 //
 // Cancellation is prompt even mid-heartbeat or with out blocked: every
 // send selects on ctx, and the idle timer is owned by this goroutine and
 // stopped before Run returns — nothing leaks.
 func (p *HeartbeatPipeline) Run(ctx context.Context, in <-chan event.Event, out chan<- plan.Match) error {
 	defer close(out)
-	adv, _ := p.engine.(engine.Advancer)
 	if p.Every <= 0 {
 		return errors.New("heartbeat: Every must be positive (a zero interval busy-loops the idle timer)")
 	}
-	if adv != nil && p.Clock == nil {
-		return errors.New("heartbeat: Clock is required for an engine that supports Advance")
+	if p.Clock == nil {
+		return errors.New("heartbeat: Clock is required")
 	}
 	timer := time.NewTimer(p.Every)
 	defer timer.Stop()
@@ -53,10 +51,8 @@ func (p *HeartbeatPipeline) Run(ctx context.Context, in <-chan event.Event, out 
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-timer.C:
-			if adv != nil {
-				if err := emitAll(ctx, adv.Advance(p.Clock()), out); err != nil {
-					return err
-				}
+			if err := emitAll(ctx, p.engine.Advance(p.Clock()), out); err != nil {
+				return err
 			}
 			timer.Reset(p.Every)
 		case e, ok := <-in:

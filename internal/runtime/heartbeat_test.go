@@ -160,7 +160,7 @@ func TestHeartbeatValidation(t *testing.T) {
 	}
 	hb := &HeartbeatPipeline{engine: core.MustNew(p, core.Options{K: 0}), Every: time.Second}
 	if err := run(hb); err == nil {
-		t.Error("nil Clock accepted for an Advancer engine")
+		t.Error("nil Clock accepted")
 	}
 }
 

@@ -27,16 +27,10 @@ type Pipeline struct {
 	lat *obsv.LatencySampler
 }
 
-// NewPipeline wraps an engine.
-func NewPipeline(en engine.Engine) *Pipeline {
-	return &Pipeline{engine: en}
-}
-
-// WithLatency installs a sampler on the pipeline and returns it (chained
-// at construction by the facade's Run entry).
-func (p *Pipeline) WithLatency(ls *obsv.LatencySampler) *Pipeline {
-	p.lat = ls
-	return p
+// NewPipeline wraps an engine. Of env the pipeline keeps the latency
+// sampler (nil for none).
+func NewPipeline(en engine.Engine, env engine.Env) *Pipeline {
+	return &Pipeline{engine: en, lat: env.Latency}
 }
 
 // Run consumes events from in until it is closed or ctx is cancelled,
@@ -65,10 +59,10 @@ func (p *Pipeline) Run(ctx context.Context, in <-chan event.Event, out chan<- pl
 // RunBatched is Run over the engine's batch path: it blocks for the first
 // event of a batch, then fills greedily up to size — without waiting when
 // linger is zero (whatever is queued on in forms the batch), or waiting up
-// to linger for stragglers otherwise — and hands the batch to
-// engine.ProcessBatch in one call. Output is identical to Run by the
-// BatchProcessor contract; only throughput and latency change. size <= 1
-// falls back to Run.
+// to linger for stragglers otherwise — and hands the batch to the engine's
+// ProcessBatch in one call. Output is identical to Run by the ProcessBatch
+// contract; only throughput and latency change. size <= 1 falls back to
+// Run.
 func (p *Pipeline) RunBatched(ctx context.Context, in <-chan event.Event, out chan<- plan.Match, size int, linger time.Duration) error {
 	if size <= 1 {
 		return p.Run(ctx, in, out)
@@ -84,7 +78,7 @@ func (p *Pipeline) RunBatched(ctx context.Context, in <-chan event.Event, out ch
 			// the event sat in the batch waiting for stragglers.
 			p.lat.StageEnd(batch[i].Seq, obsv.StageQueue)
 		}
-		err := emitAll(ctx, engine.ProcessBatch(p.engine, batch), out)
+		err := emitAll(ctx, p.engine.ProcessBatch(batch), out)
 		for i := range batch {
 			p.lat.Finish(batch[i].Seq)
 		}

@@ -33,7 +33,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	in := make(chan event.Event)
 	out := make(chan plan.Match, 1)
-	pl := NewPipeline(core.MustNew(p, core.Options{K: 50}))
+	pl := NewPipeline(core.MustNew(p, core.Options{K: 50}), engine.Env{})
 
 	ctx := context.Background()
 	feedErr := make(chan error, 1)
@@ -60,7 +60,7 @@ func TestPipelineCancellation(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 100")
 	in := make(chan event.Event)
 	out := make(chan plan.Match)
-	pl := NewPipeline(core.MustNew(p, core.Options{K: 10}))
+	pl := NewPipeline(core.MustNew(p, core.Options{K: 10}), engine.Env{})
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- pl.Run(ctx, in, out) }()
@@ -167,7 +167,7 @@ func TestPipelineEndToEndHelper(t *testing.T) {
 	out := make(chan plan.Match, 1)
 	ctx := context.Background()
 	go func() { _ = FeedSlice(ctx, events, in) }()
-	pl := NewPipeline(core.MustNew(p, core.Options{K: 10}))
+	pl := NewPipeline(core.MustNew(p, core.Options{K: 10}), engine.Env{})
 	errCh := make(chan error, 1)
 	go func() { errCh <- pl.Run(ctx, in, out) }()
 	for range out {

@@ -49,12 +49,24 @@ func (p AdmitPolicy) String() string {
 
 // SupervisorOptions configure a Supervisor.
 type SupervisorOptions struct {
+	// Env carries the supervisor's own instruments: the series its
+	// fault-tolerance counters publish into, the hook that sees checkpoint
+	// and restart steps, and the latency sampler (the supervisor owns the
+	// WAL stage: append plus commit barrier). The inner engine's instruments
+	// are not the supervisor's business: the New and Restore factories close
+	// over the Env they build it with, so every rebuild — first start, crash
+	// restart, panic restart — yields an engine instrumented the same way,
+	// and nothing is re-applied afterwards. A single inner engine typically
+	// shares the supervisor's series: the instrument sets are disjoint
+	// (engines never write the fault-tolerance counters), so one named
+	// series carries the full picture.
+	Env engine.Env
 	// New builds a fresh engine. Required.
 	New func() (engine.Engine, error)
 	// Restore rebuilds an engine from a snapshot written by its
-	// Checkpoint method. When nil (or when the engine does not implement
-	// engine.Checkpointer) the supervisor runs WAL-only: no checkpoint
-	// files are written and recovery replays the full log.
+	// Checkpoint method. When nil the supervisor runs WAL-only: no
+	// checkpoint files are written and recovery replays the full log. Give
+	// one only for engines whose Checkpoint works.
 	Restore func(r io.Reader) (engine.Engine, error)
 	// K is the admission disorder bound: an event with TS < clock−K is a
 	// bound violator (clock = max admitted timestamp). Use the engine's K.
@@ -99,10 +111,8 @@ type supervMeta struct {
 // backoff, and an admission-control layer filters duplicates and disorder
 // bound violators under a configurable policy.
 //
-// Supervisor implements engine.Engine, so it drops into pipelines,
-// fan-outs, and shard parts unchanged. The error-free Engine methods
-// record failures in Err (sticky); callers that can handle errors use
-// ProcessE/FlushE.
+// The error-free methods (Process, ProcessBatch, Flush) record failures in
+// Err (sticky); callers that can handle errors use ProcessE/FlushE.
 //
 // Crash model: the process may die at any event boundary, plus a torn
 // final WAL record from dying mid-append. Reopening the store and calling
@@ -135,15 +145,12 @@ type Supervisor struct {
 	flushed bool
 	err     error
 
-	// Observability bindings, remembered so they survive restarts: every
-	// rebuild constructs a fresh inner engine that must be re-observed.
-	obsSeries *obsv.Series
-	obsHook   obsv.TraceHook
+	// The instruments of opts.Env: trace sees checkpoint and restart steps
+	// under traceName; lat, when non-nil, stamps StageWAL around the append
+	// and commit barriers on sampled spans.
+	trace     obsv.TraceHook
 	traceName string
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// spans (StageWAL around the append and commit barriers). Remembered
-	// like the observability bindings so rebuilds re-forward it.
-	lat *obsv.LatencySampler
+	lat       *obsv.LatencySampler
 }
 
 // NewSupervisor wraps store and opts. Call Start before processing: it
@@ -164,11 +171,15 @@ func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, 
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
 	}
-	return &Supervisor{
+	s := &Supervisor{
 		opts:  opts,
 		store: store,
 		seen:  make(map[uint64]event.Time),
-	}, nil
+		trace: opts.Env.Trace,
+		lat:   opts.Env.Latency,
+	}
+	s.met, s.traceName = opts.Env.Collector("supervised")
+	return s, nil
 }
 
 // Start recovers durable state and readies the supervisor: on a fresh
@@ -208,7 +219,7 @@ func (s *Supervisor) fail(err error) error {
 	return s.err
 }
 
-// Name implements engine.Engine.
+// Name identifies the supervised composition, e.g. "supervised(native)".
 func (s *Supervisor) Name() string {
 	if s.en == nil {
 		return "supervised"
@@ -216,50 +227,7 @@ func (s *Supervisor) Name() string {
 	return "supervised(" + s.en.Name() + ")"
 }
 
-// Observe implements engine.Observable. The supervisor and the inner
-// engine share the series — their instrument sets are disjoint (engines
-// never write the fault-tolerance counters), so one named series carries
-// the full picture. The binding is remembered and re-applied after every
-// restart, since a rebuild constructs a fresh inner engine.
-func (s *Supervisor) Observe(series *obsv.Series, hook obsv.TraceHook) {
-	s.met.Bind(series)
-	s.obsSeries = series
-	s.obsHook = hook
-	if series != nil && series.Name() != "" {
-		s.traceName = series.Name()
-	} else if s.traceName == "" {
-		s.traceName = "supervised"
-	}
-	s.applyObserve()
-}
-
-// applyObserve forwards the remembered bindings to the current engine.
-func (s *Supervisor) applyObserve() {
-	if s.en == nil {
-		return
-	}
-	if s.lat != nil {
-		engine.SetLatencySampler(s.en, s.lat)
-	}
-	if s.obsSeries == nil && s.obsHook == nil {
-		return
-	}
-	if obs, ok := s.en.(engine.Observable); ok {
-		obs.Observe(s.obsSeries, s.obsHook)
-	}
-}
-
-// SetLatencySampler implements engine.LatencySampled: the supervisor owns
-// the WAL stage (append + commit) and forwards the sampler to the inner
-// engine, re-applying it after every restart rebuild.
-func (s *Supervisor) SetLatencySampler(ls *obsv.LatencySampler) {
-	s.lat = ls
-	if s.en != nil {
-		engine.SetLatencySampler(s.en, ls)
-	}
-}
-
-// Process implements engine.Engine; failures park in Err.
+// Process is ProcessE for error-free call sites; failures park in Err.
 func (s *Supervisor) Process(e event.Event) []plan.Match {
 	out, err := s.ProcessE(e)
 	if err != nil {
@@ -282,6 +250,10 @@ func (s *Supervisor) ProcessE(e event.Event) ([]plan.Match, error) {
 	if s.flushed {
 		return nil, errors.New("supervisor: stream already flushed")
 	}
+	// The span opens at offer and closes once the event's matches are
+	// committed (a buffering engine holds it until release).
+	s.lat.Begin(e.Seq)
+	defer s.lat.Finish(e.Seq)
 	if err := s.store.Append(e); err != nil {
 		return nil, s.fail(err)
 	}
@@ -331,7 +303,7 @@ func (s *Supervisor) ProcessBatchE(batch []event.Event) ([]plan.Match, error) {
 	return out, nil
 }
 
-// ProcessBatch implements engine.BatchProcessor; failures park in Err.
+// ProcessBatch is the batch form of Process; failures park in Err.
 func (s *Supervisor) ProcessBatch(batch []event.Event) []plan.Match {
 	out, err := s.ProcessBatchE(batch)
 	if err != nil {
@@ -340,7 +312,7 @@ func (s *Supervisor) ProcessBatch(batch []event.Event) []plan.Match {
 	return out
 }
 
-// Flush implements engine.Engine; failures park in Err.
+// Flush is FlushE for error-free call sites; failures park in Err.
 func (s *Supervisor) Flush() []plan.Match {
 	out, err := s.FlushE()
 	if err != nil {
@@ -380,10 +352,10 @@ func (s *Supervisor) FlushE() ([]plan.Match, error) {
 	return out, nil
 }
 
-// Metrics implements engine.Engine: the inner engine's counters with the
-// supervisor's fault-tolerance counters merged in. Those counters are
-// written only by the supervisor, so assignment is exact whether or not
-// the inner engine shares the supervisor's series (it does under Observe).
+// Metrics returns the inner engine's counters with the supervisor's
+// fault-tolerance counters merged in. Those counters are written only by
+// the supervisor, so assignment is exact whether or not the inner engine
+// shares the supervisor's series.
 func (s *Supervisor) Metrics() metrics.Snapshot {
 	var snap metrics.Snapshot
 	if s.en != nil {
@@ -400,7 +372,7 @@ func (s *Supervisor) Metrics() metrics.Snapshot {
 	return snap
 }
 
-// StateSize implements engine.Engine.
+// StateSize returns the inner engine's buffered-item count.
 func (s *Supervisor) StateSize() int {
 	if s.en == nil {
 		return 0
@@ -456,22 +428,14 @@ func (s *Supervisor) Mutate(fn func(en engine.Engine) ([]plan.Match, error)) ([]
 	return ms, nil
 }
 
-// StateSnapshot implements engine.Introspectable: the inner engine's view
-// annotated with the supervisor's match-sequence and commit horizons.
-// Returns nil when no engine is built yet or the inner engine exposes no
-// introspection.
+// StateSnapshot returns the inner engine's view annotated with the
+// supervisor's match-sequence and commit horizons, or nil when no engine
+// is built yet.
 func (s *Supervisor) StateSnapshot() *provenance.StateSnapshot {
 	if s.en == nil {
 		return nil
 	}
-	intr, ok := s.en.(engine.Introspectable)
-	if !ok {
-		return nil
-	}
-	snap := intr.StateSnapshot()
-	if snap == nil {
-		return nil
-	}
+	snap := s.en.StateSnapshot()
 	snap.Engine = s.Name()
 	snap.MatchSeq = s.matchSeq
 	snap.Committed = s.committed
@@ -614,13 +578,9 @@ func (s *Supervisor) guardedFlush() (out []plan.Match, panicked bool) {
 	return s.en.Flush(), false
 }
 
-func (s *Supervisor) canSnapshot() bool {
-	if s.opts.Restore == nil || s.en == nil {
-		return false
-	}
-	_, ok := s.en.(engine.Checkpointer)
-	return ok
-}
+// canSnapshot reports whether checkpoints are worth writing: only when
+// there is a way to read them back.
+func (s *Supervisor) canSnapshot() bool { return s.opts.Restore != nil }
 
 func (s *Supervisor) shouldCheckpoint() bool {
 	return s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery && s.canSnapshot()
@@ -629,16 +589,15 @@ func (s *Supervisor) shouldCheckpoint() bool {
 // checkpoint durably snapshots the engine plus the supervisor's admission
 // state and rotates the WAL.
 func (s *Supervisor) checkpoint() error {
-	cp := s.en.(engine.Checkpointer)
 	meta := supervMeta{Clock: s.clock, Started: s.started, Seen: s.seen}
 	start := time.Now()
-	n, err := s.store.Checkpoint(cp.Checkpoint, meta, s.matchSeq)
+	n, err := s.store.Checkpoint(s.en.Checkpoint, meta, s.matchSeq)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	s.met.ObserveCheckpoint(n, time.Since(start))
-	if s.obsHook != nil {
-		s.obsHook.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.clock, N: n})
+	if s.trace != nil {
+		s.trace.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.clock, N: n})
 	}
 	s.sinceCkpt = 0
 	return nil
@@ -687,7 +646,6 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	s.durable = rec.Matches
 	s.flushed = false
 	s.sinceCkpt = 0
-	s.applyObserve()
 
 	for _, e := range rec.Replay {
 		ms, p, err := s.offer(e, true)
@@ -734,8 +692,8 @@ func (s *Supervisor) restartLoop() ([]plan.Match, error) {
 			return nil, s.fail(fmt.Errorf("supervisor: engine panicked %d consecutive times; giving up", s.consecRestarts-1))
 		}
 		s.met.IncRestart()
-		if s.obsHook != nil {
-			s.obsHook.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.clock, N: s.consecRestarts})
+		if s.trace != nil {
+			s.trace.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.clock, N: s.consecRestarts})
 		}
 		s.opts.Sleep(backoff)
 		backoff *= 2

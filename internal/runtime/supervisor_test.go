@@ -32,7 +32,7 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 			return core.New(p, core.Options{K: k})
 		},
 		Restore: func(r io.Reader) (engine.Engine, error) {
-			return core.Restore(p, r)
+			return core.Restore(p, engine.Env{}, r)
 		},
 		K:     k,
 		Sleep: noSleep,

@@ -25,9 +25,9 @@ func TestParallelSharedControllerSetKRace(t *testing.T) {
 	events, _ := raceStream(t, 400, k)
 
 	ctrl := adaptive.MustController(adaptive.Config{InitialK: k})
-	par, err := NewParallel(mustRouter(t, "id", 4), func(int) (engine.Engine, error) {
-		return kslack.NewAdaptiveEngine(ctrl, false, core.MustNew(p, core.Options{})), nil
-	})
+	par, err := NewParallel(mustRouter(t, "id", 4), engine.Env{}, func(int) (engine.Engine, error) {
+		return kslack.NewAdaptiveEngine(ctrl, false, core.MustNew(p, core.Options{}), engine.Env{}), nil
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"oostream/internal/engine"
 	"oostream/internal/gen"
 	"oostream/internal/obsv"
 )
@@ -15,15 +16,14 @@ import (
 // with blocked/full counters carried over as deltas.
 func TestParallelShardQueueGauges(t *testing.T) {
 	const shards = 3
-	router, factory := newNativeParts(t, shards)
-	par, err := NewParallel(router, factory)
+	router, factory := newNativeParts(t, shards, engine.Env{})
+	reg := obsv.NewRegistry()
+	par, err := NewParallel(router, engine.Env{}, factory, func(i int) *obsv.Series {
+		return reg.Series(fmt.Sprintf("native/shard%d", i))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obsv.NewRegistry()
-	par.ObserveShards(func(i int) *obsv.Series {
-		return reg.Series(fmt.Sprintf("native/shard%d", i))
-	})
 
 	events := gen.RFID(gen.DefaultRFID(800, 13))
 	events = gen.Shuffle(events, gen.Disorder{Ratio: 0.3, MaxDelay: 2000, Seed: 13})
@@ -47,14 +47,14 @@ func TestParallelShardQueueGauges(t *testing.T) {
 // either completed (wall observations) or abandoned, none leak, and the
 // queue stage was actually attributed by the consumers.
 func TestParallelSamplerSpansAccounted(t *testing.T) {
-	router, factory := newNativeParts(t, 3)
-	par, err := NewParallel(router, factory)
+	series := obsv.NewSeries("latency")
+	ls := obsv.NewLatencySampler(2, series, nil)
+	env := engine.Env{Latency: ls}
+	router, factory := newNativeParts(t, 3, env)
+	par, err := NewParallel(router, env, factory, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := obsv.NewSeries("latency")
-	ls := obsv.NewLatencySampler(2, series, nil)
-	par.SetLatencySampler(ls)
 
 	events := gen.RFID(gen.DefaultRFID(600, 17))
 	events = gen.Shuffle(events, gen.Disorder{Ratio: 0.2, MaxDelay: 2000, Seed: 17})

@@ -21,9 +21,9 @@ type shardCheckpoint struct {
 	Parts       [][]byte `json:"parts"`
 }
 
-// Checkpoint implements engine.Checkpointer by serializing every shard.
-// Every part must itself implement engine.Checkpointer (the facade only
-// builds checkpointable sharded engines from native parts).
+// Checkpoint implements engine.Engine by serializing every shard; a part
+// that cannot checkpoint fails the whole call (the facade restores sharded
+// engines over native parts only).
 func (en *Engine) Checkpoint(w io.Writer) error {
 	ck := shardCheckpoint{
 		Attr:        en.router.attr,
@@ -32,12 +32,8 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		Parts:       make([][]byte, len(en.parts)),
 	}
 	for i, p := range en.parts {
-		cp, ok := p.(engine.Checkpointer)
-		if !ok {
-			return fmt.Errorf("shard %d: engine %q does not support checkpointing", i, p.Name())
-		}
 		var buf bytes.Buffer
-		if err := cp.Checkpoint(&buf); err != nil {
+		if err := p.Checkpoint(&buf); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		ck.Parts[i] = buf.Bytes()
@@ -45,13 +41,13 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	return json.NewEncoder(w).Encode(ck)
 }
 
-var _ engine.Checkpointer = (*Engine)(nil)
-
 // Restore rebuilds a sequential sharded engine from a Checkpoint. The
 // router must match the checkpointed topology (attribute and shard count:
 // re-hashing state into a different partitioning would strand events), and
-// restore is called once per shard with that shard's serialized state.
-func Restore(router *Router, restore func(shard int, r io.Reader) (engine.Engine, error), r io.Reader) (*Engine, error) {
+// restore is called once per shard with that shard's serialized state (and
+// builds the part with that shard's Env, as New's factory does); env is the
+// routing layer's.
+func Restore(router *Router, env engine.Env, restore func(shard int, r io.Reader) (engine.Engine, error), r io.Reader) (*Engine, error) {
 	var ck shardCheckpoint
 	if err := json.NewDecoder(r).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("decode shard checkpoint: %w", err)
@@ -63,13 +59,13 @@ func Restore(router *Router, restore func(shard int, r io.Reader) (engine.Engine
 	if len(ck.Parts) != router.shards {
 		return nil, fmt.Errorf("shard checkpoint has %d parts, want %d", len(ck.Parts), router.shards)
 	}
-	parts := make([]engine.Engine, router.shards)
-	for i, blob := range ck.Parts {
-		sub, err := restore(i, bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("restore shard %d: %w", i, err)
-		}
-		parts[i] = sub
+	parts, err := buildParts(router, func(i int) (engine.Engine, error) {
+		return restore(i, bytes.NewReader(ck.Parts[i]))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("restore %w", err)
 	}
-	return &Engine{router: router, parts: parts, routeErrors: ck.RouteErrors}, nil
+	en := newEngine(router, env, parts)
+	en.routeErrors = ck.RouteErrors
+	return en, nil
 }

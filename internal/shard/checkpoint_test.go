@@ -28,14 +28,14 @@ func TestShardCheckpointRestoreContinuesExactly(t *testing.T) {
 	p := compile(t, shopQuery)
 	events := shopStream(t, 150, 77)
 
-	full, err := New(mustRouter(t, "id", 3), nativeFactory(p, k))
+	full, err := New(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := engine.Drain(full, events)
 
 	for _, cut := range []int{0, 1, 75, len(events)} {
-		first, err := New(mustRouter(t, "id", 3), nativeFactory(p, k))
+		first, err := New(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +47,8 @@ func TestShardCheckpointRestoreContinuesExactly(t *testing.T) {
 		if err := first.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		second, err := Restore(mustRouter(t, "id", 3),
-			func(_ int, r io.Reader) (engine.Engine, error) { return core.Restore(p, r) },
+		second, err := Restore(mustRouter(t, "id", 3), engine.Env{},
+			func(_ int, r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) },
 			&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestShardCheckpointRestoreContinuesExactly(t *testing.T) {
 func TestShardRestoreTopologyMismatch(t *testing.T) {
 	const k = event.Time(2_000)
 	p := compile(t, shopQuery)
-	en, err := New(mustRouter(t, "id", 3), nativeFactory(p, k))
+	en, err := New(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestShardRestoreTopologyMismatch(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restoreCore := func(_ int, r io.Reader) (engine.Engine, error) { return core.Restore(p, r) }
-	if _, err := Restore(mustRouter(t, "id", 4), restoreCore, bytes.NewReader(buf.Bytes())); err == nil ||
+	restoreCore := func(_ int, r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) }
+	if _, err := Restore(mustRouter(t, "id", 4), engine.Env{}, restoreCore, bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "shards") {
 		t.Errorf("shard-count mismatch: %v", err)
 	}
-	if _, err := Restore(mustRouter(t, "tag", 3), restoreCore, bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := Restore(mustRouter(t, "tag", 3), engine.Env{}, restoreCore, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("attribute mismatch accepted")
 	}
 }
@@ -99,6 +99,16 @@ func (pe *panicEngine) Process(e event.Event) []plan.Match {
 	return pe.Engine.Process(e)
 }
 
+// ProcessBatch routes the batch through the poisoned Process (the embedded
+// engine's own batch path would bypass it).
+func (pe *panicEngine) ProcessBatch(batch []event.Event) []plan.Match {
+	var out []plan.Match
+	for _, e := range batch {
+		out = append(out, pe.Process(e)...)
+	}
+	return out
+}
+
 // TestParallelShardPanicIsolated: a panic inside one shard's engine must
 // surface as an error from Run — not crash the process — and must not
 // wedge the feeder on the dead shard's channel.
@@ -108,13 +118,13 @@ func TestParallelShardPanicIsolated(t *testing.T) {
 	events := shopStream(t, 200, 88)
 	poison := events[120].Seq
 
-	par, err := NewParallel(mustRouter(t, "id", 3), func(int) (engine.Engine, error) {
+	par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, func(int) (engine.Engine, error) {
 		en, err := core.New(p, core.Options{K: k})
 		if err != nil {
 			return nil, err
 		}
 		return &panicEngine{Engine: en, poison: poison}, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestParallelFlushPanicIsolated(t *testing.T) {
 	p := compile(t, shopQuery)
 	events := shopStream(t, 50, 99)
 
-	par, err := NewParallel(mustRouter(t, "id", 3), func(shard int) (engine.Engine, error) {
+	par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, func(shard int) (engine.Engine, error) {
 		en, err := core.New(p, core.Options{K: k})
 		if err != nil {
 			return nil, err
@@ -140,7 +150,7 @@ func TestParallelFlushPanicIsolated(t *testing.T) {
 			return &flushPanicEngine{Engine: en}, nil
 		}
 		return en, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

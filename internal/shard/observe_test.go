@@ -8,11 +8,12 @@ import (
 	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/gen"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 )
 
-func newNativeParts(t *testing.T, shards int) (*Router, func(int) (engine.Engine, error)) {
+// newNativeParts returns a router and a factory building native parts, each
+// with env (the parts' own Env: a Parallel or Engine forwards nothing).
+func newNativeParts(t *testing.T, shards int, env engine.Env) (*Router, func(int) (engine.Engine, error)) {
 	t.Helper()
 	p, err := plan.ParseAndCompile(
 		"PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN 6s", gen.RFIDSchema())
@@ -24,7 +25,7 @@ func newNativeParts(t *testing.T, shards int) (*Router, func(int) (engine.Engine
 		t.Fatal(err)
 	}
 	return router, func(int) (engine.Engine, error) {
-		return core.New(p, core.Options{K: 2000})
+		return core.New(p, core.Options{K: 2000, Env: env})
 	}
 }
 
@@ -32,8 +33,8 @@ func newNativeParts(t *testing.T, shards int) (*Router, func(int) (engine.Engine
 // goroutine while the shard goroutines are mid-stream. The collector is
 // built on atomics, so this must be clean under -race.
 func TestParallelMetricsDuringProcess(t *testing.T) {
-	router, factory := newNativeParts(t, 4)
-	par, err := NewParallel(router, factory)
+	router, factory := newNativeParts(t, 4, engine.Env{})
+	par, err := NewParallel(router, engine.Env{}, factory, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,34 +72,5 @@ func TestParallelMetricsDuringProcess(t *testing.T) {
 	}
 	if snap.Matches == 0 {
 		t.Fatal("aggregated snapshot lost the match count")
-	}
-}
-
-// TestParallelObserveFansTraceOut installs a trace hook on the parallel
-// composition and checks every shard reports lifecycle steps through it.
-func TestParallelObserveFansTraceOut(t *testing.T) {
-	router, factory := newNativeParts(t, 3)
-	par, err := NewParallel(router, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	admits := 0
-	par.Observe(nil, obsv.TraceFunc(func(ev obsv.TraceEvent) {
-		if ev.Op == obsv.OpAdmit {
-			mu.Lock()
-			admits++
-			mu.Unlock()
-		}
-	}))
-	events := gen.RFID(gen.DefaultRFID(200, 11))
-	if _, err := par.Drain(context.Background(), events); err != nil {
-		t.Fatal(err)
-	}
-	// Irrelevant events (COUNTER, for this query) are counted but not
-	// admitted into the stacks, so they never reach the trace hook.
-	want := len(events) - int(par.Metrics().Irrelevant)
-	if admits != want {
-		t.Fatalf("trace hook saw %d admits, want %d", admits, want)
 	}
 }

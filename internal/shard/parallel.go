@@ -45,23 +45,34 @@ type Parallel struct {
 	// pop, Finish after the batch's matches reach the merge channel. The
 	// slot table is atomic, so the router→consumer handoff is race-free.
 	lat *obsv.LatencySampler
-	// shardSeries, when set, receives per-shard backpressure gauges:
+	// ringSeries, when set, receives per-shard backpressure gauges:
 	// feed-ring occupancy and blocked/full counter deltas, published by
 	// each consumer at batch boundaries.
-	shardSeries []*obsv.Series
+	ringSeries []*obsv.Series
 }
 
-// NewParallel wraps per-shard engines for concurrent execution.
-func NewParallel(router *Router, factory func(shard int) (engine.Engine, error)) (*Parallel, error) {
-	parts := make([]engine.Engine, router.Shards())
-	for i := range parts {
-		en, err := factory(i)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = en
+// NewParallel wraps per-shard engines for concurrent execution. The factory
+// builds each part with that shard's own Env (a trace hook handed to the
+// parts must be safe for concurrent use: shards run on separate
+// goroutines). Of env the wrapper keeps the sampler — it owns the queue
+// stage (ring wait) and the span open/close, the parts stamp their own
+// construction stage — and the provenance switch (shard tagging).
+// ringSeries, when non-nil, names the series shard i publishes its
+// feed-ring occupancy (QueueDepth) and blocked-push/full-reject counters
+// into — typically the series the part itself was built over.
+func NewParallel(router *Router, env engine.Env, factory func(shard int) (engine.Engine, error), ringSeries func(shard int) *obsv.Series) (*Parallel, error) {
+	parts, err := buildParts(router, factory)
+	if err != nil {
+		return nil, err
 	}
-	return &Parallel{router: router, parts: parts}, nil
+	p := &Parallel{router: router, parts: parts, prov: env.Provenance, lat: env.Latency}
+	if ringSeries != nil {
+		p.ringSeries = make([]*obsv.Series, len(parts))
+		for i := range parts {
+			p.ringSeries[i] = ringSeries(i)
+		}
+	}
+	return p, nil
 }
 
 // Metrics sums the per-shard snapshots, merging histograms exactly. It is
@@ -72,60 +83,11 @@ func (p *Parallel) Metrics() metrics.Snapshot {
 	return aggregate(p.parts)
 }
 
-// Observe fans a trace hook out to every shard engine. The hook must be
-// safe for concurrent use: shards run on separate goroutines. Series
-// binding is per shard (wired by the facade when the parts are built), so
-// s is unused here beyond the engine.Observable contract.
-func (p *Parallel) Observe(_ *obsv.Series, hook obsv.TraceHook) {
-	for _, part := range p.parts {
-		if obs, ok := part.(engine.Observable); ok {
-			obs.Observe(nil, hook)
-		}
-	}
-}
-
-// SetLatencySampler implements engine.LatencySampled: the parallel
-// wrapper owns the queue stage (ring wait) and the span open/close; the
-// per-shard engines stamp their own construction stage.
-func (p *Parallel) SetLatencySampler(ls *obsv.LatencySampler) {
-	p.lat = ls
-	for _, part := range p.parts {
-		engine.SetLatencySampler(part, ls)
-	}
-}
-
-// ObserveShards binds per-shard backpressure series: seriesFor returns the
-// series shard i publishes its feed-ring occupancy (QueueDepth) and
-// blocked-push/full-reject counters into. Must be called before Run.
-func (p *Parallel) ObserveShards(seriesFor func(shard int) *obsv.Series) {
-	p.shardSeries = make([]*obsv.Series, len(p.parts))
-	for i := range p.parts {
-		p.shardSeries[i] = seriesFor(i)
-	}
-}
-
-// EnableProvenance implements engine.Provenancer for the parallel mode:
-// every shard builds records; runShard tags them with the shard index.
-func (p *Parallel) EnableProvenance() {
-	p.prov = true
-	for _, part := range p.parts {
-		if pr, ok := part.(engine.Provenancer); ok {
-			pr.EnableProvenance()
-		}
-	}
-}
-
 // StateSnapshot aggregates per-shard snapshots. Like every StateSnapshot
 // it is not synchronized with processing: call it only while the pipeline
 // is idle (before Run, or after Run/Drain returns).
 func (p *Parallel) StateSnapshot() *provenance.StateSnapshot {
-	subs := make([]*provenance.StateSnapshot, len(p.parts))
-	for i, part := range p.parts {
-		if intr, ok := part.(engine.Introspectable); ok {
-			subs[i] = intr.StateSnapshot()
-		}
-	}
-	return provenance.Aggregate("parallel("+p.parts[0].Name()+")", subs)
+	return provenance.Aggregate("parallel("+p.parts[0].Name()+")", snapshots(p.parts))
 }
 
 // shardMsg is one item on a shard's feed: an event to process or a
@@ -348,8 +310,8 @@ func (p *Parallel) runShard(ctx context.Context, shard int, en engine.Engine, fe
 		return nil
 	}
 	var series *obsv.Series
-	if p.shardSeries != nil {
-		series = p.shardSeries[shard]
+	if p.ringSeries != nil {
+		series = p.ringSeries[shard]
 	}
 	var lastStats ring.Stats
 	publishRing := func() {
@@ -367,7 +329,7 @@ func (p *Parallel) runShard(ctx context.Context, shard int, en engine.Engine, fe
 		if len(batch) == 0 {
 			return nil
 		}
-		err := send(guard(func() []plan.Match { return engine.ProcessBatch(en, batch) }))
+		err := send(guard(func() []plan.Match { return en.ProcessBatch(batch) }))
 		// Spans close only after the batch's matches reached the merge
 		// channel: the emit stage covers merge-send backpressure. A
 		// buffering part (kslack) holds its spans, making these no-ops.
@@ -396,10 +358,8 @@ func (p *Parallel) runShard(ctx context.Context, shard int, en engine.Engine, fe
 				if err := flushBatch(); err != nil {
 					return err
 				}
-				if adv, isAdv := en.(engine.Advancer); isAdv {
-					if err := send(guard(func() []plan.Match { return adv.Advance(msg.ts) })); err != nil {
-						return err
-					}
+				if err := send(guard(func() []plan.Match { return en.Advance(msg.ts) })); err != nil {
+					return err
 				}
 			} else {
 				// The pop ends the event's ring wait.

@@ -36,7 +36,7 @@ func TestParallelHeartbeatFlushesPendingBatch(t *testing.T) {
 		iterations = 40
 	}
 	for it := 0; it < iterations; it++ {
-		par, err := NewParallel(mustRouter(t, "id", 2), nativeFactory(p, k))
+		par, err := NewParallel(mustRouter(t, "id", 2), engine.Env{}, nativeFactory(p, k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestParallelHeartbeatDoesNotReleaseEarly(t *testing.T) {
 		iterations = 40
 	}
 	for it := 0; it < iterations; it++ {
-		par, err := NewParallel(mustRouter(t, "id", 2), nativeFactory(p, k))
+		par, err := NewParallel(mustRouter(t, "id", 2), engine.Env{}, nativeFactory(p, k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,14 +117,14 @@ func TestDrainBatchesEqualsDrain(t *testing.T) {
 	p := compile(t, shopQuery)
 	events, _ := raceStream(t, 100, k)
 
-	seq, err := New(mustRouter(t, "id", 3), nativeFactory(p, k))
+	seq, err := New(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := engine.Drain(seq, events)
 
 	for _, bs := range []int{1, 7, 64, 0} {
-		par, err := NewParallel(mustRouter(t, "id", 3), nativeFactory(p, k))
+		par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

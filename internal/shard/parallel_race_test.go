@@ -49,13 +49,13 @@ func TestParallelConcurrentHeartbeats(t *testing.T) {
 	p := compile(t, shopQuery)
 	events, hbs := raceStream(t, 120, k)
 
-	seq, err := New(mustRouter(t, "id", 4), nativeFactory(p, k))
+	seq, err := New(mustRouter(t, "id", 4), engine.Env{}, nativeFactory(p, k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := engine.Drain(seq, events)
 
-	par, err := NewParallel(mustRouter(t, "id", 4), nativeFactory(p, k))
+	par, err := NewParallel(mustRouter(t, "id", 4), engine.Env{}, nativeFactory(p, k), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestParallelDrain(t *testing.T) {
 	p := compile(t, shopQuery)
 	events, _ := raceStream(t, 80, k)
 
-	seq, err := New(mustRouter(t, "id", 3), nativeFactory(p, k))
+	seq, err := New(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := engine.Drain(seq, events)
 
-	par, err := NewParallel(mustRouter(t, "id", 3), nativeFactory(p, k))
+	par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, nativeFactory(p, k), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/metrics"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
 )
@@ -99,12 +98,13 @@ func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
 }
 
 // Engine partitions a stream across sub-engines, sequentially. It
-// implements engine.Engine and, when the sub-engines support heartbeats,
-// engine.Advancer.
+// implements engine.Engine.
 type Engine struct {
 	router *Router
 	parts  []engine.Engine
-	met    metrics.Collector
+	// met holds the routing layer's own counters (route errors); each part
+	// publishes its own series, which the factory wires when it builds it.
+	met metrics.Collector
 	// routeErrors counts events lacking the key attribute (dropped).
 	routeErrors uint64
 	// prov marks provenance enabled: relayed matches get their lineage
@@ -113,12 +113,25 @@ type Engine struct {
 }
 
 var _ engine.Engine = (*Engine)(nil)
-var _ engine.Advancer = (*Engine)(nil)
 
-// New builds a partitioned engine. The factory is called once per shard;
-// p must be PartitionableBy the router's attribute — callers (the facade)
-// validate that.
-func New(router *Router, factory func(shard int) (engine.Engine, error)) (*Engine, error) {
+// New builds a partitioned engine. The factory is called once per shard
+// and builds each part with that shard's own Env; env is the routing
+// layer's (its series receives the route errors, its provenance switch
+// turns on shard tagging of relayed records). p must be PartitionableBy the
+// router's attribute — callers (the facade) validate that.
+func New(router *Router, env engine.Env, factory func(shard int) (engine.Engine, error)) (*Engine, error) {
+	parts, err := buildParts(router, factory)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(router, env, parts), nil
+}
+
+func newEngine(router *Router, env engine.Env, parts []engine.Engine) *Engine {
+	return &Engine{router: router, parts: parts, met: metrics.NewCollector(env.Series), prov: env.Provenance}
+}
+
+func buildParts(router *Router, factory func(shard int) (engine.Engine, error)) ([]engine.Engine, error) {
 	parts := make([]engine.Engine, router.Shards())
 	for i := range parts {
 		en, err := factory(i)
@@ -127,7 +140,7 @@ func New(router *Router, factory func(shard int) (engine.Engine, error)) (*Engin
 		}
 		parts[i] = en
 	}
-	return &Engine{router: router, parts: parts}, nil
+	return parts, nil
 }
 
 // Name implements engine.Engine.
@@ -150,7 +163,7 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 	return ms
 }
 
-// ProcessBatch implements engine.BatchProcessor: consecutive events that
+// ProcessBatch implements engine.Engine: consecutive events that
 // route to the same shard are handed to that shard's batch path as one
 // subslice. Because shards are independent (an event only ever affects its
 // own shard's matches), regrouping consecutive same-shard runs emits
@@ -163,7 +176,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 		if cur < 0 || start == end {
 			return
 		}
-		ms := engine.ProcessBatch(en.parts[cur], batch[start:end])
+		ms := en.parts[cur].ProcessBatch(batch[start:end])
 		if en.prov {
 			tagShard(ms, cur)
 		}
@@ -196,18 +209,16 @@ func tagShard(ms []plan.Match, shard int) {
 	}
 }
 
-// Advance implements engine.Advancer: heartbeats go to every shard,
+// Advance implements engine.Engine: heartbeats go to every shard,
 // re-synchronizing their clocks.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
 	var out []plan.Match
 	for i, p := range en.parts {
-		if adv, ok := p.(engine.Advancer); ok {
-			ms := adv.Advance(ts)
-			if en.prov {
-				tagShard(ms, i)
-			}
-			out = append(out, ms...)
+		ms := p.Advance(ts)
+		if en.prov {
+			tagShard(ms, i)
 		}
+		out = append(out, ms...)
 	}
 	return out
 }
@@ -225,36 +236,18 @@ func (en *Engine) Flush() []plan.Match {
 	return out
 }
 
-// EnableProvenance implements engine.Provenancer: every shard builds
-// records, and the routing layer tags them with the shard index.
-func (en *Engine) EnableProvenance() {
-	en.prov = true
-	for _, p := range en.parts {
-		if pr, ok := p.(engine.Provenancer); ok {
-			pr.EnableProvenance()
-		}
-	}
-}
-
-// SetLatencySampler implements engine.LatencySampled by forwarding to
-// every shard: sequential routing adds no queue stage, so the parts'
-// construction stamps are the only boundaries.
-func (en *Engine) SetLatencySampler(ls *obsv.LatencySampler) {
-	for _, p := range en.parts {
-		engine.SetLatencySampler(p, ls)
-	}
-}
-
-// StateSnapshot implements engine.Introspectable: per-shard snapshots
-// aggregated under the routing engine's name.
+// StateSnapshot implements engine.Engine: per-shard snapshots aggregated
+// under the routing engine's name.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	subs := make([]*provenance.StateSnapshot, len(en.parts))
-	for i, p := range en.parts {
-		if intr, ok := p.(engine.Introspectable); ok {
-			subs[i] = intr.StateSnapshot()
-		}
+	return provenance.Aggregate(en.Name(), snapshots(en.parts))
+}
+
+func snapshots(parts []engine.Engine) []*provenance.StateSnapshot {
+	subs := make([]*provenance.StateSnapshot, len(parts))
+	for i, p := range parts {
+		subs[i] = p.StateSnapshot()
 	}
-	return provenance.Aggregate(en.Name(), subs)
+	return subs
 }
 
 // RouteErrors returns how many events lacked the partition attribute.
@@ -276,19 +269,6 @@ func (en *Engine) Metrics() metrics.Snapshot {
 	agg := aggregate(en.parts)
 	agg.PredErrors += en.routeErrors
 	return agg
-}
-
-// Observe implements engine.Observable: the trace hook fans out to every
-// shard. Series binding is per shard (each part publishes its own named
-// series — the facade wires that when it builds the parts), so s only
-// receives the routing layer's own counters (route errors).
-func (en *Engine) Observe(s *obsv.Series, hook obsv.TraceHook) {
-	en.met.Bind(s)
-	for _, p := range en.parts {
-		if obs, ok := p.(engine.Observable); ok {
-			obs.Observe(nil, hook)
-		}
-	}
 }
 
 // aggregate sums per-shard snapshots into one. Latency and watermark-lag

@@ -104,7 +104,7 @@ func TestPartitionedEqualsSingleEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		en, err := New(r, nativeFactory(p, 2000))
+		en, err := New(r, engine.Env{}, nativeFactory(p, 2000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestPartitionedEqualsSingleEngine(t *testing.T) {
 func TestPartitionedMetricsAggregate(t *testing.T) {
 	p := compile(t, shopQuery)
 	r, _ := NewRouter("id", 3)
-	en, err := New(r, nativeFactory(p, 2000))
+	en, err := New(r, engine.Env{}, nativeFactory(p, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPartitionedMetricsAggregate(t *testing.T) {
 func TestPartitionedDropsKeylessEvents(t *testing.T) {
 	p := compile(t, shopQuery)
 	r, _ := NewRouter("id", 2)
-	en, err := New(r, nativeFactory(p, 2000))
+	en, err := New(r, engine.Env{}, nativeFactory(p, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPartitionedDropsKeylessEvents(t *testing.T) {
 func TestPartitionedAdvance(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id AND a.id = n.id WITHIN 100")
 	r, _ := NewRouter("id", 2)
-	en, err := New(r, nativeFactory(p, 50))
+	en, err := New(r, engine.Env{}, nativeFactory(p, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestParallelEqualsSequential(t *testing.T) {
 	single := engine.Drain(core.MustNew(p, core.Options{K: 2000}), shuffled)
 
 	r, _ := NewRouter("id", 4)
-	par, err := NewParallel(r, nativeFactory(p, 2000))
+	par, err := NewParallel(r, engine.Env{}, nativeFactory(p, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestParallelEqualsSequential(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	p := compile(t, shopQuery)
 	r, _ := NewRouter("id", 2)
-	par, err := NewParallel(r, nativeFactory(p, 100))
+	par, err := NewParallel(r, engine.Env{}, nativeFactory(p, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,20 +39,12 @@ import (
 	"fmt"
 	"io"
 
-	"oostream/internal/adaptive"
-	"oostream/internal/agg"
-	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/hybrid"
-	"oostream/internal/inorder"
-	"oostream/internal/kslack"
 	"oostream/internal/metrics"
 	"oostream/internal/obsv"
-	"oostream/internal/ordered"
 	"oostream/internal/plan"
 	"oostream/internal/runtime"
-	"oostream/internal/shard"
 )
 
 // Re-exported event model types. Events carry an application timestamp in
@@ -193,7 +185,29 @@ type Engine struct {
 // disorder-bound, partitioning, and observability knobs. When
 // Config.Partition.Attr is set the engine hash-partitions the stream across
 // sub-engines.
-func NewEngine(q *Query, cfg Config) (*Engine, error) {
+func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg, nil) }
+
+// RestoreEngine rebuilds an engine from a Checkpoint, configured and
+// instrumented by cfg exactly as NewEngine would: Observer, Trace, Latency,
+// Provenance, and Batch apply to the restored engine, and a partitioned
+// checkpoint restores under the same cfg.Partition that wrote it (the
+// attribute and shard count must match the checkpointed topology). The
+// query must be compiled from the same text the checkpointed engine ran.
+// The kernel's own options (K, late policy, ablation knobs, the adaptive
+// controller's state) are restored from the checkpoint. Only compositions
+// that checkpoint can be restored — StrategyNative without OrderedOutput;
+// any other cfg is an error. Checkpoints carry no lineage, so with
+// cfg.Provenance matches whose partial state predates the restore carry
+// records marked Truncated.
+func RestoreEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
+	if r == nil {
+		return nil, fmt.Errorf("RestoreEngine: nil checkpoint reader")
+	}
+	return newEngine(q, cfg, r)
+}
+
+// newEngine is NewEngine (r == nil) and RestoreEngine.
+func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -201,231 +215,36 @@ func NewEngine(q *Query, cfg Config) (*Engine, error) {
 	if err := validateQueryConfig(q, cfg); err != nil {
 		return nil, err
 	}
-	inner, err := newInner(q, cfg)
+	b := cfg.builder()
+	inner, err := b.build(q.plan, cfg, "", r)
 	if err != nil {
 		return nil, err
 	}
-	lat := newLatencySampler(cfg)
-	if lat != nil {
-		engine.SetLatencySampler(inner, lat)
-	}
-	return &Engine{inner: inner, batch: cfg.Batch, lat: lat}, nil
-}
-
-// newLatencySampler builds the span sampler from cfg.Latency, or nil when
-// disabled. With an Observer configured it publishes into the registry's
-// "latency" series, so the wall/stage histograms, span counters, and SLO
-// windows ride the same /metrics and /varz surfaces as every other series;
-// otherwise it records into a private series read via LatencyReport.
-func newLatencySampler(cfg Config) *obsv.LatencySampler {
-	if cfg.Latency.SampleEvery <= 0 {
-		return nil
-	}
-	var series *obsv.Series
-	if cfg.Observer != nil {
-		series = cfg.Observer.Series("latency")
-	}
-	slo := obsv.NewSLOTracker(obsv.SLOConfig{
-		Objective: cfg.Latency.SLO.Objective,
-		Target:    cfg.Latency.SLO.Target,
-		Windows:   cfg.Latency.SLO.Windows,
-	})
-	ls := obsv.NewLatencySampler(cfg.Latency.SampleEvery, series, slo)
-	if cfg.Observer != nil && slo != nil {
-		cfg.Observer.RegisterPrometheus(func(w io.Writer) error {
-			return slo.WritePrometheus(w, "latency")
-		})
-	}
-	return ls
-}
-
-// newInner builds the engine behind the facade: a single strategy engine,
-// or a sharded composition of them when cfg.Partition is set. cfg must
-// already have defaults applied and be validated.
-func newInner(q *Query, cfg Config) (engine.Engine, error) {
-	if cfg.Partition.Attr == "" {
-		inner, err := newSingle(q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		observeEngine(inner, cfg, string(cfg.Strategy))
-		enableProvenance(inner, cfg)
-		return inner, nil
-	}
-	if !q.plan.PartitionableBy(cfg.Partition.Attr) {
-		return nil, fmt.Errorf("query is not partitionable by %q: every component must be linked by equality on it", cfg.Partition.Attr)
-	}
-	router, err := shard.NewRouter(cfg.Partition.Attr, cfg.Partition.Shards)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := shard.New(router, func(i int) (engine.Engine, error) {
-		sub, err := newSingle(q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		observeEngine(sub, cfg, fmt.Sprintf("%s/shard%d", cfg.Strategy, i))
-		return sub, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The routing layer publishes its own series (route errors) and fans
-	// the trace hook out to the shards; per-shard series were bound above
-	// and survive the nil-series fan-out.
-	observeEngine(inner, cfg, inner.Name())
-	// Enabling provenance on the routing layer propagates to every shard
-	// and turns on shard-index tagging of relayed records.
-	enableProvenance(inner, cfg)
-	return inner, nil
-}
-
-// enableProvenance turns on lineage-record construction when the config
-// asks for it and the engine supports it (all built-in strategies do).
-func enableProvenance(en engine.Engine, cfg Config) {
-	if !cfg.Provenance {
-		return
-	}
-	if pr, ok := en.(engine.Provenancer); ok {
-		pr.EnableProvenance()
-	}
-}
-
-// observeEngine binds an engine to cfg's observability layer: a registry
-// series under the given name (when cfg.Observer is set) and the trace
-// hook (when cfg.Trace is set). No-op when neither is configured or the
-// engine is not Observable.
-func observeEngine(en engine.Engine, cfg Config, name string) {
-	if cfg.Observer == nil && cfg.Trace == nil {
-		return
-	}
-	obs, ok := en.(engine.Observable)
-	if !ok {
-		return
-	}
-	var s *obsv.Series
-	if cfg.Observer != nil {
-		s = cfg.Observer.Series(name)
-	}
-	obs.Observe(s, cfg.Trace)
-}
-
-// newSingle builds one strategy engine (plus the ordered-output wrapper),
-// ignoring cfg.Partition, Observer, and Trace — callers apply those.
-func newSingle(q *Query, cfg Config) (engine.Engine, error) {
-	// Each engine (each shard, under Partition) owns a fresh controller:
-	// it feeds its own lag observations and state sizes, so K adapts to the
-	// disorder each shard actually sees.
-	ctrl, err := cfg.adaptiveController()
-	if err != nil {
-		return nil, err
-	}
-	// Every strategy but the in-order baseline runs the one out-of-order
-	// kernel; they differ in its emission policy and in what stands in
-	// front of it.
-	kernel := core.Options{
-		K:                 cfg.K,
-		LatePolicy:        cfg.corePolicy(),
-		DisableTriggerOpt: cfg.DisableTriggerOpt,
-		DisableKeying:     cfg.DisableKeyedStacks,
-		PurgeEvery:        cfg.PurgeEvery,
-	}
-	var inner engine.Engine
-	switch cfg.Strategy {
-	case StrategyNative, StrategySpeculate:
-		if cfg.Strategy == StrategySpeculate {
-			kernel.Emit = core.EmitThenRetract
-		}
-		if ctrl != nil {
-			kernel.Adaptive, kernel.AdaptiveFeed = ctrl, true
-		}
-		inner, err = core.New(q.plan, kernel)
-	case StrategyInOrder:
-		inner = inorder.New(q.plan)
-	case StrategyKSlack:
-		// The reorder buffer carries all the slack: the kernel behind it
-		// sees a sorted stream and runs at K=0, exactly as a QuerySet's
-		// per-query kernels do behind their shared buffer.
-		kernel.K = 0
-		var sorted *core.Engine
-		if sorted, err = core.New(q.plan, kernel); err != nil {
-			break
-		}
-		if ctrl != nil {
-			inner = kslack.NewAdaptiveEngine(ctrl, true, sorted)
-		} else {
-			inner = kslack.NewEngine(cfg.K, sorted)
-		}
-	case StrategyHybrid:
-		// The hybrid meta-engine always runs a controller (its kernel owns
-		// the feed); with Adaptive disabled the effective K stays pinned at
-		// Config.K and only the SLO switching logic runs.
-		var hctrl *adaptive.Controller
-		if hctrl, err = adaptive.NewController(cfg.adaptiveConfig()); err != nil {
-			break
-		}
-		inner, err = hybrid.New(q.plan, kernel, hybrid.Options{Controller: hctrl})
-	default:
-		err = fmt.Errorf("unknown strategy %q", cfg.Strategy)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.OrderedOutput {
-		wrapped, err := ordered.New(inner, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		inner = wrapped
-	}
-	if q.plan.Agg != nil {
-		// The aggregation operator consumes the strategy's matches and emits
-		// windowed aggregate values. It wraps outside the ordered-output
-		// buffer (which releases within K, so the lateness bound still
-		// dominates the matches it sees). The speculative strategy previews
-		// windows eagerly and revises them as retract+insert pairs; every
-		// other strategy seals windows on watermark advance.
-		inner = agg.New(q.plan, inner, cfg.Strategy == StrategySpeculate, aggLateness(q, cfg))
-	}
-	return inner, nil
-}
-
-// aggLateness is the disorder bound the aggregation operator must absorb
-// on top of the wrapped strategy: the strategy can surface a match whose
-// last timestamp trails the stream clock by up to K (0 for the in-order
-// baseline, which buffers nothing), plus one window length when a trailing
-// negation defers emission until the gap seals.
-func aggLateness(q *Query, cfg Config) Time {
-	l := cfg.K
-	if cfg.Strategy == StrategyInOrder {
-		l = 0
-	}
-	if q.plan.HasTrailingNegation() {
-		l += q.plan.Window
-	}
-	return l
+	return &Engine{inner: inner, batch: cfg.Batch, lat: b.lat}, nil
 }
 
 // validateQueryConfig checks the constraints that need both the compiled
-// query and the config — today, all about aggregation.
+// query and the config: aggregation, then partitionability.
 func validateQueryConfig(q *Query, cfg Config) error {
 	p := q.plan
-	if p.Agg == nil {
-		return nil
-	}
-	if cfg.adaptiveActive() {
-		return fmt.Errorf("aggregate queries need a fixed lateness bound; Adaptive disorder control cannot be combined with AGGREGATE")
-	}
-	if cfg.BestEffortLate {
-		return fmt.Errorf("aggregate queries cannot run BestEffortLate: bound violators would mutate already-sealed windows")
-	}
-	if cfg.Partition.Attr != "" {
-		if p.Agg.GroupSlot < 0 {
-			return fmt.Errorf("an ungrouped aggregate cannot be partitioned: every shard would emit its own totals for the same window")
+	if p.Agg != nil {
+		if cfg.adaptiveActive() {
+			return fmt.Errorf("aggregate queries need a fixed lateness bound; Adaptive disorder control cannot be combined with AGGREGATE")
 		}
-		if p.Agg.GroupAttr != cfg.Partition.Attr {
-			return fmt.Errorf("partitioned aggregation requires Partition.Attr to equal the GROUP BY attribute: %q != %q", cfg.Partition.Attr, p.Agg.GroupAttr)
+		if cfg.BestEffortLate {
+			return fmt.Errorf("aggregate queries cannot run BestEffortLate: bound violators would mutate already-sealed windows")
 		}
+		if cfg.Partition.Attr != "" {
+			if p.Agg.GroupSlot < 0 {
+				return fmt.Errorf("an ungrouped aggregate cannot be partitioned: every shard would emit its own totals for the same window")
+			}
+			if p.Agg.GroupAttr != cfg.Partition.Attr {
+				return fmt.Errorf("partitioned aggregation requires Partition.Attr to equal the GROUP BY attribute: %q != %q", cfg.Partition.Attr, p.Agg.GroupAttr)
+			}
+		}
+	}
+	if cfg.Partition.Attr != "" && !p.PartitionableBy(cfg.Partition.Attr) {
+		return fmt.Errorf("query is not partitionable by %q: every component must be linked by equality on it", cfg.Partition.Attr)
 	}
 	return nil
 }
@@ -442,22 +261,12 @@ func MustNewEngine(q *Query, cfg Config) *Engine {
 // Strategy returns the engine's strategy name.
 func (e *Engine) Strategy() string { return e.inner.Name() }
 
-// RawEngine is the minimal contract of the engine behind the facade,
-// exposed for harnesses that compose engines directly. It is the exported
-// face of the internal engine interface; the concrete types live in
-// internal packages.
-type RawEngine interface {
-	// Name identifies the strategy, e.g. "native" or "shard(native)".
-	Name() string
-	// Process ingests one event (Seq must be pre-assigned).
-	Process(ev Event) []Match
-	// Flush seals the stream and returns the final matches.
-	Flush() []Match
-	// Metrics returns a snapshot of the engine's counters.
-	Metrics() Metrics
-	// StateSize returns the current buffered-item count.
-	StateSize() int
-}
+// RawEngine is the contract of the engine behind the facade, exposed for
+// harnesses that compose engines directly: Name, Process, ProcessBatch,
+// Advance, Flush, Checkpoint, Metrics, StateSize, and StateSnapshot, with
+// Seq pre-assigned by the caller. It is the one internal engine interface;
+// the concrete types live in internal packages.
+type RawEngine = engine.Engine
 
 // Raw exposes the engine behind the facade for harnesses that compose
 // engines directly. The returned value shares all state with e — use one
@@ -491,10 +300,11 @@ func (e *Engine) Process(ev Event) []Match {
 
 // ProcessBatch ingests a slice of events through the engine's batch path
 // and returns the matches they emit, in the same order per-event Process
-// calls would (the BatchProcessor contract, enforced by the differential
-// harness). Batching amortizes per-event overhead — shared output slice,
-// purge passes and gauge updates deferred to the batch boundary — without
-// changing output, retractions, lineage, or trace semantics.
+// calls would (the engine contract's ProcessBatch clause, enforced by the
+// differential harness). Batching amortizes per-event overhead — shared
+// output slice, purge passes and gauge updates deferred to the batch
+// boundary — without changing output, retractions, lineage, or trace
+// semantics.
 //
 // A nil or empty batch is a documented no-op: it returns nil and leaves
 // all subsequent output unchanged.
@@ -515,7 +325,7 @@ func (e *Engine) ProcessBatch(events []Event) []Match {
 		}
 		e.lat.Begin(events[i].Seq)
 	}
-	ms := engine.ProcessBatch(e.inner, events)
+	ms := e.inner.ProcessBatch(events)
 	for i := range events {
 		e.lat.Finish(events[i].Seq)
 	}
@@ -546,12 +356,7 @@ func (e *Engine) Flush() []Match {
 // time has reached ts, even if no event carries that timestamp. Engines use
 // it to seal pending negation output and purge state through silent
 // periods. Every built-in strategy supports it.
-func (e *Engine) Advance(ts Time) []Match {
-	if adv, ok := e.inner.(engine.Advancer); ok {
-		return adv.Advance(ts)
-	}
-	return nil
-}
+func (e *Engine) Advance(ts Time) []Match { return e.inner.Advance(ts) }
 
 // Metrics returns a snapshot of the engine's counters.
 func (e *Engine) Metrics() Metrics { return e.inner.Metrics() }
@@ -566,16 +371,10 @@ func (e *Engine) StateSize() int { return e.inner.StateSize() }
 // StateSnapshot). Partitioned engines return an aggregate with per-shard
 // sub-snapshots. It is NOT synchronized with Process: call it from the
 // processing goroutine (between events) or while the engine is idle.
-// Returns nil when the strategy composition exposes no introspection.
 func (e *Engine) StateSnapshot() *StateSnapshot {
-	if intr, ok := e.inner.(engine.Introspectable); ok {
-		snap := intr.StateSnapshot()
-		if snap != nil && e.lat != nil {
-			snap.Latency = e.lat.Report()
-		}
-		return snap
-	}
-	return nil
+	snap := e.inner.StateSnapshot()
+	snap.Latency = e.lat.Report()
+	return snap
 }
 
 // LatencyReport returns the sampled wall-clock latency attribution digest:
@@ -585,18 +384,6 @@ func (e *Engine) StateSnapshot() *StateSnapshot {
 // is disabled.
 func (e *Engine) LatencyReport() *LatencyReport { return e.lat.Report() }
 
-// EnableProvenance turns on lineage-record construction, as
-// Config.Provenance does at construction time. It exists for engines that
-// bypass Config — primarily RestoreEngine/RestorePartitionedEngine, which
-// rebuild from a checkpoint that (by design) carries no lineage: matches
-// whose partial state predates the restore carry records marked
-// Truncated. Call it before processing, not mid-stream.
-func (e *Engine) EnableProvenance() {
-	if pr, ok := e.inner.(engine.Provenancer); ok {
-		pr.EnableProvenance()
-	}
-}
-
 // Checkpoint serializes the engine's state for crash recovery. The native
 // strategy and partitioned engines over native parts support it; other
 // strategies return an error. A RestoreEngine'd engine continues the
@@ -604,53 +391,7 @@ func (e *Engine) EnableProvenance() {
 // sequence numbers, feed events with explicit Seq values across the
 // restore boundary (the auto-assign counter is not part of the
 // checkpoint).
-func (e *Engine) Checkpoint(w io.Writer) error {
-	cp, ok := e.inner.(engine.Checkpointer)
-	if !ok {
-		return fmt.Errorf("strategy %q does not support checkpointing", e.inner.Name())
-	}
-	return cp.Checkpoint(w)
-}
-
-// restoreSingle rebuilds one checkpointed strategy engine for a plan: a
-// native engine, wrapped in the sealed-mode aggregation operator when the
-// query aggregates (the operator's envelope leads the byte stream, its
-// lateness bound rides in the payload).
-func restoreSingle(p *plan.Plan, r io.Reader) (engine.Engine, error) {
-	if p.Agg != nil {
-		return agg.Restore(p, r, func(ir io.Reader) (engine.Engine, error) {
-			return core.Restore(p, ir)
-		})
-	}
-	return core.Restore(p, r)
-}
-
-// RestoreEngine rebuilds a native engine from a Checkpoint. The query must
-// be compiled from the same text the checkpointed engine ran.
-func RestoreEngine(q *Query, r io.Reader) (*Engine, error) {
-	inner, err := restoreSingle(q.plan, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner: inner}, nil
-}
-
-// RestorePartitionedEngine rebuilds a partitioned engine (over native
-// parts) from a Checkpoint written by one. The attribute and shard count
-// must match the checkpointed topology.
-func RestorePartitionedEngine(q *Query, byAttr string, shards int, r io.Reader) (*Engine, error) {
-	router, err := shard.NewRouter(byAttr, shards)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := shard.Restore(router, func(_ int, pr io.Reader) (engine.Engine, error) {
-		return restoreSingle(q.plan, pr)
-	}, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner: inner}, nil
-}
+func (e *Engine) Checkpoint(w io.Writer) error { return e.inner.Checkpoint(w) }
 
 // Run consumes events from in until it closes or ctx is cancelled,
 // forwarding matches to out; it flushes on end-of-stream and closes out
@@ -661,7 +402,7 @@ func RestorePartitionedEngine(q *Query, byAttr string, shards int, r io.Reader) 
 // are accumulated (up to Size, waiting at most Linger for a partial batch)
 // and handed to ProcessBatch in one call. Output is identical either way.
 func (e *Engine) Run(ctx context.Context, in <-chan Event, out chan<- Match) error {
-	p := runtime.NewPipeline(e.inner).WithLatency(e.lat)
+	p := runtime.NewPipeline(e.inner, engine.Env{Latency: e.lat})
 	if e.batch.Size > 1 {
 		return p.RunBatched(ctx, in, out, e.batch.Size, e.batch.Linger)
 	}

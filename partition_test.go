@@ -75,7 +75,7 @@ func TestFacadeCheckpointRestore(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngine(q, strings.NewReader(buf.String()))
+	restored, err := RestoreEngine(q, Config{K: 50}, strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

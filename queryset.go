@@ -8,7 +8,6 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/queryset"
-	"oostream/internal/recovery"
 	"oostream/internal/runtime"
 )
 
@@ -82,79 +81,45 @@ func (cfg QuerySetConfig) validate() error {
 	return cfg.Latency.validate()
 }
 
-// innerFactory builds per-query inner engines: the configured strategy at
-// K=0 (the shared buffer reorders), observed under the "qs/<id>" identity.
-func (cfg QuerySetConfig) innerFactory() func(id string, p *plan.Plan) (engine.Engine, error) {
-	ecfg := Config{Strategy: cfg.Strategy}.withDefaults()
-	obsCfg := Config{Observer: cfg.Observer, Trace: cfg.Trace}
-	return func(id string, p *plan.Plan) (engine.Engine, error) {
-		en, err := newSingle(&Query{plan: p}, ecfg)
-		if err != nil {
-			return nil, err
-		}
-		observeEngine(en, obsCfg, "qs/"+id)
-		return en, nil
-	}
-}
-
-// restoreFactory rebuilds per-query engines from checkpoint blobs; only
-// the native strategy supports engine snapshots.
-func (cfg QuerySetConfig) restoreFactory() func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-	if cfg.Strategy != StrategyNative {
-		return nil
-	}
-	obsCfg := Config{Observer: cfg.Observer, Trace: cfg.Trace}
-	return func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-		en, err := restoreSingle(p, r)
-		if err != nil {
-			return nil, err
-		}
-		observeEngine(en, obsCfg, "qs/"+id)
-		return en, nil
-	}
-}
-
-func (cfg QuerySetConfig) setOptions() queryset.Options {
+// setOptions derives the Set's options from cfg and its builder: the Set
+// itself publishes into the series named top and owns the sampler (it
+// stamps shared-buffer residency and per-query construction); every
+// per-query engine — the configured strategy at K=0, since the shared
+// buffer reorders — is built or restored through the same builder under
+// the "qs/<id>" identity with the hook and the provenance switch, and no
+// sampler.
+func (cfg QuerySetConfig) setOptions(b builder, top string) queryset.Options {
+	ecfg := Config{Strategy: cfg.Strategy}
+	qb := b
+	qb.lat = nil
 	opts := queryset.Options{
 		K:            cfg.K,
 		AdvanceEvery: cfg.AdvanceEvery,
-		NewEngine:    cfg.innerFactory(),
+		Env:          engine.Env{Series: b.series(top), Latency: b.lat},
+		NewEngine: func(id string, p *plan.Plan) (engine.Engine, error) {
+			return qb.build(p, ecfg, "qs/"+id, nil)
+		},
 		Compile: func(src string) (*plan.Plan, error) {
 			// The source was schema-checked when first compiled; restore
 			// recompiles the canonical text without re-checking.
 			return plan.ParseAndCompile(src, nil)
 		},
-		RestoreEngine: cfg.restoreFactory(),
 	}
-	if cfg.Observer != nil {
+	if ecfg.restorable() {
+		opts.RestoreEngine = func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
+			return qb.build(p, ecfg, "qs/"+id, r)
+		}
+	}
+	if b.obs != nil {
 		// Per-query construct attribution lands in the same "qs/<id>"
-		// series innerFactory binds the query's counters to.
-		obs := cfg.Observer
-		opts.QuerySeries = func(id string) *obsv.Series { return obs.Series("qs/" + id) }
+		// series the query's counters publish into.
+		opts.QuerySeries = func(id string) *obsv.Series { return b.obs.Series("qs/" + id) }
 	}
 	return opts
 }
 
-// newSetSampler builds the Set's span sampler from cfg, or nil when
-// disabled, reusing the single-engine builder (the sampler publishes into
-// the Observer's "latency" series when one is configured).
-func (cfg QuerySetConfig) newSetSampler() *obsv.LatencySampler {
-	return newLatencySampler(Config{Latency: cfg.Latency, Observer: cfg.Observer})
-}
-
-// finishSet applies the config's provenance and observability bindings to
-// a built (or restored) Set.
-func (cfg QuerySetConfig) finishSet(set *queryset.Set) {
-	if cfg.Provenance {
-		set.EnableProvenance()
-	}
-	if cfg.Observer != nil || cfg.Trace != nil {
-		var s *obsv.Series
-		if cfg.Observer != nil {
-			s = cfg.Observer.Series("queryset")
-		}
-		set.Observe(s, cfg.Trace)
-	}
+func (cfg QuerySetConfig) builder() builder {
+	return newBuilder(cfg.Observer, cfg.Trace, cfg.Latency, cfg.Provenance)
 }
 
 // QuerySet evaluates many registered queries over one event stream,
@@ -174,22 +139,7 @@ type QuerySet struct {
 }
 
 // NewQuerySet builds an empty QuerySet; add queries with Register.
-func NewQuerySet(cfg QuerySetConfig) (*QuerySet, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	set, err := queryset.New(cfg.setOptions())
-	if err != nil {
-		return nil, err
-	}
-	cfg.finishSet(set)
-	lat := cfg.newSetSampler()
-	if lat != nil {
-		set.SetLatencySampler(lat)
-	}
-	return &QuerySet{set: set, lat: lat}, nil
-}
+func NewQuerySet(cfg QuerySetConfig) (*QuerySet, error) { return newQuerySet(cfg, nil) }
 
 // MustNewQuerySet is NewQuerySet for known-good configuration.
 func MustNewQuerySet(cfg QuerySetConfig) *QuerySet {
@@ -202,25 +152,37 @@ func MustNewQuerySet(cfg QuerySetConfig) *QuerySet {
 
 // RestoreQuerySet rebuilds a QuerySet from a Checkpoint (format v2): the
 // shared buffer, the full query registry (sources are recompiled), and
-// every per-query engine state. Only StrategyNative supports it.
+// every per-query engine state, instrumented by cfg exactly as NewQuerySet
+// would. Only StrategyNative supports it.
 func RestoreQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
+	if r == nil {
+		return nil, fmt.Errorf("RestoreQuerySet: nil checkpoint reader")
+	}
+	return newQuerySet(cfg, r)
+}
+
+// newQuerySet is NewQuerySet (r == nil) and RestoreQuerySet.
+func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Strategy != StrategyNative {
+	if r != nil && cfg.Strategy != StrategyNative {
 		return nil, fmt.Errorf("strategy %q does not support checkpointing", cfg.Strategy)
 	}
-	set, err := queryset.Restore(cfg.setOptions(), r)
+	b := cfg.builder()
+	opts := cfg.setOptions(b, "queryset")
+	var set *queryset.Set
+	var err error
+	if r != nil {
+		set, err = queryset.Restore(opts, r)
+	} else {
+		set, err = queryset.New(opts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg.finishSet(set)
-	lat := cfg.newSetSampler()
-	if lat != nil {
-		set.SetLatencySampler(lat)
-	}
-	return &QuerySet{set: set, lat: lat}, nil
+	return &QuerySet{set: set, lat: b.lat}, nil
 }
 
 // Register adds a compiled query under id. The query observes events the
@@ -363,8 +325,7 @@ type SupervisedQuerySet struct {
 	sup     *runtime.Supervisor
 	initial []namedQuery
 	started bool
-	// lat is the wall-clock span sampler (nil unless Latency is set); the
-	// supervisor re-forwards it to the Set across crash restarts.
+	// lat is the wall-clock span sampler (nil unless Latency is set).
 	lat *obsv.LatencySampler
 }
 
@@ -385,59 +346,34 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*Supervised
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	opts := cfg.setOptions()
-	s := &SupervisedQuerySet{}
-	newFn := func() (engine.Engine, error) {
-		set, err := queryset.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.finishSet(set)
-		for _, nq := range s.initial {
-			if err := set.Register(nq.id, nq.q.plan); err != nil {
-				return nil, err
-			}
-		}
-		return set, nil
-	}
-	var restoreFn func(io.Reader) (engine.Engine, error)
-	if cfg.Strategy == StrategyNative {
-		restoreFn = func(r io.Reader) (engine.Engine, error) {
-			set, err := queryset.Restore(opts, r)
+	b := cfg.builder()
+	// The Set beneath the supervisor shares its series (the instrument sets
+	// are disjoint), as a single engine does under NewSupervisedEngine.
+	top := "supervised(queryset)"
+	opts := cfg.setOptions(b, top)
+	s := &SupervisedQuerySet{lat: b.lat}
+	sopts := runtime.SupervisorOptions{
+		Env: engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
+		New: func() (engine.Engine, error) {
+			set, err := queryset.New(opts)
 			if err != nil {
 				return nil, err
 			}
-			cfg.finishSet(set)
+			for _, nq := range s.initial {
+				if err := set.Register(nq.id, nq.q.plan); err != nil {
+					return nil, err
+				}
+			}
 			return set, nil
-		}
+		},
+		K: cfg.K,
 	}
-	store, err := recovery.Open(sc.Dir, sc.storeOptions())
+	if opts.RestoreEngine != nil {
+		sopts.Restore = func(r io.Reader) (engine.Engine, error) { return queryset.Restore(opts, r) }
+	}
+	sup, err := newSupervisor(sc, sopts)
 	if err != nil {
 		return nil, err
-	}
-	sup, err := runtime.NewSupervisor(store, runtime.SupervisorOptions{
-		New:             newFn,
-		Restore:         restoreFn,
-		K:               cfg.K,
-		Policy:          sc.Policy,
-		DeadLetter:      sc.DeadLetter,
-		CheckpointEvery: sc.CheckpointEvery,
-		MaxRestarts:     sc.MaxRestarts,
-	})
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	if cfg.Observer != nil || cfg.Trace != nil {
-		var series *obsv.Series
-		if cfg.Observer != nil {
-			series = cfg.Observer.Series("supervised(queryset)")
-		}
-		sup.Observe(series, cfg.Trace)
-	}
-	s.lat = cfg.newSetSampler()
-	if s.lat != nil {
-		sup.SetLatencySampler(s.lat)
 	}
 	s.sup = sup
 	return s, nil

@@ -1,0 +1,193 @@
+package oostream
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+)
+
+// everythingOn is a Config with every instrument set, a fresh Observer per
+// call (a restart is a new process: a new registry), and a trace hook that
+// counts the emits it sees.
+func everythingOn(partitioned bool) (Config, *Observer, *int) {
+	reg := NewObserver()
+	emits := new(int)
+	var mu sync.Mutex
+	cfg := Config{
+		K:          10,
+		Observer:   reg,
+		Provenance: true,
+		Latency:    Latency{SampleEvery: 1},
+		Trace: TraceFunc(func(ev TraceEvent) {
+			if ev.Op == OpEmit {
+				mu.Lock()
+				*emits++
+				mu.Unlock()
+			}
+		}),
+	}
+	if partitioned {
+		cfg.Partition = Partition{Attr: "id", Shards: 2}
+	}
+	return cfg, reg, emits
+}
+
+// pairStream yields n alternating A/B events over four ids with distinct,
+// increasing Seq and TS starting after from.
+func pairStream(from Seq, n int) []Event {
+	events := make([]Event, n)
+	for i := range events {
+		seq := from + Seq(i) + 1
+		typ := "A"
+		if seq%2 == 0 {
+			typ = "B"
+		}
+		events[i] = pairEvent(typ, Time(seq), seq, int64((seq-1)/2%4))
+	}
+	return events
+}
+
+// checkInstrumented asserts what "instruments reached every layer" means
+// for the n events fed since the engine was (re)built: the series named in
+// ingest counted them, the hook saw every delivered match, every match has
+// lineage, and the span ledger balances with spans actually opened.
+func checkInstrumented(t *testing.T, reg *Observer, ingest []string, n int, emits int, got []Match, lr *LatencyReport) {
+	t.Helper()
+	var in uint64
+	for _, name := range ingest {
+		in += reg.Series(name).EventsIn.Load()
+	}
+	if in != uint64(n) {
+		t.Errorf("EventsIn over %v = %d, want %d", ingest, in, n)
+	}
+	if len(got) == 0 {
+		t.Fatal("stream produced no matches")
+	}
+	if emits != len(got) {
+		t.Errorf("trace hook saw %d emits, %d matches delivered", emits, len(got))
+	}
+	for _, m := range got {
+		if m.Prov == nil {
+			t.Fatalf("match %s carries no lineage", m.Key())
+		}
+	}
+	if lr == nil || lr.SpansSampled != uint64(n) {
+		t.Fatalf("latency report sampled %+v spans, want %d", lr, n)
+	}
+	if lr.Wall.Count+lr.SpansAbandoned != lr.SpansSampled {
+		t.Errorf("span ledger: %d closed + %d abandoned != %d opened", lr.Wall.Count, lr.SpansAbandoned, lr.SpansSampled)
+	}
+}
+
+// TestInstrumentsSurviveSupervisedRestart is the restart finding: a
+// supervised, partitioned engine restored from its own snapshot must be
+// instrumented like a fresh one. Before instruments were handed over at
+// construction, the per-shard series were bound in a factory the restore
+// path never ran, and the shards counted nothing after a restart.
+func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
+	q := pairQuery(t)
+	dir := t.TempDir()
+	sc := SupervisorConfig{Dir: dir, CheckpointEvery: 2, DisableFsync: true}
+	open := func(cfg Config) *SupervisedEngine {
+		t.Helper()
+		s, err := NewSupervisedEngine(q, cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms, err := s.Start(); err != nil || len(ms) != 0 {
+			t.Fatalf("Start: %d matches, err %v", len(ms), err)
+		}
+		return s
+	}
+	feed := func(s *SupervisedEngine, events []Event) []Match {
+		t.Helper()
+		var out []Match
+		for _, ev := range events {
+			ms, err := s.Process(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ms...)
+		}
+		return out
+	}
+
+	cfg, _, _ := everythingOn(true)
+	first := open(cfg)
+	feed(first, pairStream(0, 8)) // the checkpoint at event 8 leaves no WAL suffix
+	first.Kill()
+
+	const n = 12
+	cfg, reg, emits := everythingOn(true)
+	second := open(cfg)
+	got := feed(second, pairStream(8, n))
+	checkInstrumented(t, reg, []string{"native/shard0", "native/shard1"}, n, *emits, got, second.LatencyReport())
+	for _, m := range got {
+		if m.Prov.Shard < 0 || m.Prov.Shard > 1 {
+			t.Fatalf("lineage shard tag %d", m.Prov.Shard)
+		}
+	}
+	if reg.Series("supervised(native)").Checkpoints.Load() == 0 {
+		t.Error("supervisor's own series did not move after the restart")
+	}
+
+	// The same continuation with nothing on yields the same matches.
+	plain := MustNewEngine(q, Config{K: 10, Partition: cfg.Partition})
+	var want []Match
+	for _, ev := range append(pairStream(0, 8), pairStream(8, n)...) {
+		want = append(want, plain.Process(ev)...)
+	}
+	if ok, diff := SameResults(want[len(want)-len(got):], got); !ok {
+		t.Errorf("instrumented restart diverges from the plain run:\n%s", diff)
+	}
+}
+
+// TestRestoreEngineTakesConfig: RestoreEngine(q, cfg, r) instruments the
+// restored engine from cfg, single and partitioned, and refuses a cfg whose
+// composition has no durable format.
+func TestRestoreEngineTakesConfig(t *testing.T) {
+	q := pairQuery(t)
+	for _, partitioned := range []bool{false, true} {
+		cfg, _, _ := everythingOn(partitioned)
+		en := MustNewEngine(q, cfg)
+		for _, ev := range pairStream(0, 8) {
+			en.Process(ev)
+		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+
+		const n = 12
+		cfg, reg, emits := everythingOn(partitioned)
+		restored, err := RestoreEngine(q, cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Match
+		for _, ev := range pairStream(8, n) {
+			got = append(got, restored.Process(ev)...)
+		}
+		ingest := []string{"native"}
+		if partitioned {
+			ingest = []string{"native/shard0", "native/shard1"}
+		}
+		checkInstrumented(t, reg, ingest, n, *emits, got, restored.LatencyReport())
+
+		// A checkpoint restores only under the topology that wrote it.
+		other := cfg
+		other.Partition = Partition{}
+		if !partitioned {
+			other.Partition = Partition{Attr: "id", Shards: 2}
+		}
+		other.Observer, other.Latency = nil, Latency{}
+		if _, err := RestoreEngine(q, other, bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("partitioned=%t checkpoint restored under the other topology", partitioned)
+		}
+	}
+	for _, cfg := range []Config{{Strategy: StrategyKSlack, K: 10}, {K: 10, OrderedOutput: true}} {
+		if _, err := RestoreEngine(q, cfg, bytes.NewReader(nil)); err == nil {
+			t.Errorf("RestoreEngine accepted unrestorable config %+v", cfg)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/recovery"
 	"oostream/internal/runtime"
-	"oostream/internal/shard"
 )
 
 // AdmitPolicy decides what the supervised runtime does with events its
@@ -96,11 +95,10 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // duplicate detection and crash-consistent identity are keyed on Seq, so
 // the facade cannot auto-assign them across a restart.
 type SupervisedEngine struct {
-	sup   *runtime.Supervisor
-	store *recovery.Store
+	sup *runtime.Supervisor
 	// lat is the wall-clock span sampler (nil unless Config.Latency is
-	// set); the supervisor opens spans at offer, stamps WAL and commit
-	// segments, and re-forwards the sampler across crash restarts.
+	// set): the supervisor stamps the WAL and commit segments, the engine it
+	// builds or restores stamps the rest.
 	lat *obsv.LatencySampler
 }
 
@@ -112,10 +110,13 @@ type SupervisedEngine struct {
 //
 // Observability: with Config.Observer set, the supervisor publishes one
 // series named "supervised(<strategy>)" carrying the fault-tolerance
-// counters. For a single engine, the inner engine shares that series (the
+// counters, and the engine directly beneath it shares that series (the
 // instrument sets are disjoint, so one series carries the full picture);
 // for a partitioned engine, each shard additionally publishes its own
-// "<strategy>/shardN" series. Bindings survive crash restarts.
+// "<strategy>/shardN" series. Every engine the supervisor builds — fresh,
+// restored from a checkpoint after a crash, or rebuilt after a panic — is
+// constructed with the same instruments, so Observer, Trace, Latency, and
+// Provenance survive restarts.
 func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*SupervisedEngine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -124,98 +125,43 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Supervised
 	if err := validateQueryConfig(q, cfg); err != nil {
 		return nil, err
 	}
-	engineCfg := cfg
-	// The supervisor owns the span sampler (built in newSupervised from the
-	// original cfg) and forwards it to whatever engine it builds or
-	// restores; the inner facade must not construct a competing one.
-	engineCfg.Latency = Latency{}
-	if cfg.Partition.Attr == "" {
-		// The supervisor forwards its own series binding to the inner
-		// engine (shared series); binding the engine a second time through
-		// NewEngine would clobber that with a differently-named series.
-		engineCfg.Observer = nil
-		engineCfg.Trace = nil
-	}
-	if cfg.Partition.Attr != "" && !q.plan.PartitionableBy(cfg.Partition.Attr) {
-		return nil, fmt.Errorf("query is not partitionable by %q: every component must be linked by equality on it", cfg.Partition.Attr)
-	}
-	newFn := func() (engine.Engine, error) {
-		en, err := NewEngine(q, engineCfg)
-		if err != nil {
-			return nil, err
-		}
-		return en.inner, nil
-	}
-	var restoreFn func(io.Reader) (engine.Engine, error)
-	if cfg.Strategy == StrategyNative && !cfg.OrderedOutput {
-		if cfg.Partition.Attr == "" {
-			restoreFn = func(r io.Reader) (engine.Engine, error) {
-				return restoreSingle(q.plan, r)
-			}
-		} else {
-			restoreFn = func(r io.Reader) (engine.Engine, error) {
-				router, err := shard.NewRouter(cfg.Partition.Attr, cfg.Partition.Shards)
-				if err != nil {
-					return nil, err
-				}
-				return shard.Restore(router, func(_ int, pr io.Reader) (engine.Engine, error) {
-					return restoreSingle(q.plan, pr)
-				}, r)
-			}
-		}
-		if cfg.Provenance && restoreFn != nil {
-			// Checkpoints carry no lineage, so a crash restart must re-enable
-			// provenance on the restored engine; partial state that predates
-			// the restore seals with records marked Truncated.
-			inner := restoreFn
-			restoreFn = func(r io.Reader) (engine.Engine, error) {
-				en, err := inner(r)
-				if err != nil {
-					return nil, err
-				}
-				if pr, ok := en.(engine.Provenancer); ok {
-					pr.EnableProvenance()
-				}
-				return en, nil
-			}
-		}
-	}
-	return newSupervised(cfg, sc, newFn, restoreFn)
-}
-
-func newSupervised(cfg Config, sc SupervisorConfig, newFn func() (engine.Engine, error), restoreFn func(io.Reader) (engine.Engine, error)) (*SupervisedEngine, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
+	b := cfg.builder()
+	top := "supervised(" + string(cfg.Strategy) + ")"
+	opts := runtime.SupervisorOptions{
+		Env: engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
+		New: func() (engine.Engine, error) { return b.build(q.plan, cfg, top, nil) },
+		K:   cfg.K,
+	}
+	if cfg.restorable() {
+		opts.Restore = func(r io.Reader) (engine.Engine, error) { return b.build(q.plan, cfg, top, r) }
+	}
+	sup, err := newSupervisor(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &SupervisedEngine{sup: sup, lat: b.lat}, nil
+}
+
+// newSupervisor opens sc's (validated) durable store and wraps it in a
+// supervisor running opts' factories under sc's policies.
+func newSupervisor(sc SupervisorConfig, opts runtime.SupervisorOptions) (*runtime.Supervisor, error) {
 	store, err := recovery.Open(sc.Dir, sc.storeOptions())
 	if err != nil {
 		return nil, err
 	}
-	sup, err := runtime.NewSupervisor(store, runtime.SupervisorOptions{
-		New:             newFn,
-		Restore:         restoreFn,
-		K:               cfg.K,
-		Policy:          sc.Policy,
-		DeadLetter:      sc.DeadLetter,
-		CheckpointEvery: sc.CheckpointEvery,
-		MaxRestarts:     sc.MaxRestarts,
-	})
+	opts.Policy = sc.Policy
+	opts.DeadLetter = sc.DeadLetter
+	opts.CheckpointEvery = sc.CheckpointEvery
+	opts.MaxRestarts = sc.MaxRestarts
+	sup, err := runtime.NewSupervisor(store, opts)
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	if cfg.Observer != nil || cfg.Trace != nil {
-		var s *obsv.Series
-		if cfg.Observer != nil {
-			s = cfg.Observer.Series("supervised(" + string(cfg.Strategy) + ")")
-		}
-		sup.Observe(s, cfg.Trace)
-	}
-	lat := newLatencySampler(cfg)
-	if lat != nil {
-		sup.SetLatencySampler(lat)
-	}
-	return &SupervisedEngine{sup: sup, store: store, lat: lat}, nil
+	return sup, nil
 }
 
 // Start recovers durable state and readies the engine. On a fresh
@@ -287,10 +233,10 @@ func (s *SupervisedEngine) MatchSeq() uint64 { return s.sup.MatchSeq() }
 // Engine.StateSnapshot) annotated with the supervisor's match-sequence and
 // commit horizons. Like every StateSnapshot it is not synchronized with
 // Process; call it between events or while the engine is idle. Returns
-// nil when the composition exposes no introspection.
+// nil before Start.
 func (s *SupervisedEngine) StateSnapshot() *StateSnapshot {
 	snap := s.sup.StateSnapshot()
-	if snap != nil && s.lat != nil {
+	if snap != nil {
 		snap.Latency = s.lat.Report()
 	}
 	return snap
