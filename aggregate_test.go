@@ -21,7 +21,7 @@ func aggQuery(t *testing.T, src string) *Query {
 }
 
 func aggEvent(typ string, ts Time, seq Seq, id, v int64) Event {
-	return Event{Type: typ, TS: ts, Seq: seq, Attrs: Attrs{"id": Int(id), "v": Int(v)}}
+	return Event{Type: typ, TS: ts, Seq: seq, Attrs: Attrs{"id": Int(id), "v": Int(v)}.List()}
 }
 
 // TestAggregateHandComputed pins the full emitted window set of a tiny

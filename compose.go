@@ -60,11 +60,7 @@ func (c *Composer) Event(m Match) (Event, error) {
 	for i, name := range c.cols {
 		attrs[name] = m.Fields[i]
 	}
-	return Event{
-		Type:  c.typeName,
-		TS:    m.Last().TS,
-		Attrs: attrs,
-	}, nil
+	return NewEvent(c.typeName, m.Last().TS, attrs), nil
 }
 
 // Chain wires a two-stage detection: stage-one matches become composite

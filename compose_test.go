@@ -124,7 +124,8 @@ func TestChainTwoStageDetection(t *testing.T) {
 		for _, m := range ms {
 			var b strings.Builder
 			for _, e := range m.Events {
-				g, _ := e.Attrs["gate"].AsString()
+				gate, _ := e.Attr("gate")
+				g, _ := gate.AsString()
 				b.WriteString(g)
 				b.WriteByte('@')
 				b.WriteString(strconv.FormatInt(e.TS, 10))

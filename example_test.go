@@ -73,13 +73,13 @@ func ExampleEngine_ProcessAllResults() {
 		HAVING w.value > 50`, nil)
 	en := oostream.MustNewEngine(q, oostream.Config{K: 20})
 	stream := []oostream.Event{
-		{Type: "REQ", TS: 10, Seq: 1, Attrs: oostream.Attrs{"id": oostream.Int(1)}},
-		{Type: "RESP", TS: 20, Seq: 2, Attrs: oostream.Attrs{"id": oostream.Int(1), "ms": oostream.Int(80)}},
-		{Type: "REQ", TS: 30, Seq: 3, Attrs: oostream.Attrs{"id": oostream.Int(2)}},
-		{Type: "RESP", TS: 40, Seq: 4, Attrs: oostream.Attrs{"id": oostream.Int(2), "ms": oostream.Int(40)}},
+		{Type: "REQ", TS: 10, Seq: 1, Attrs: oostream.Attrs{"id": oostream.Int(1)}.List()},
+		{Type: "RESP", TS: 20, Seq: 2, Attrs: oostream.Attrs{"id": oostream.Int(1), "ms": oostream.Int(80)}.List()},
+		{Type: "REQ", TS: 30, Seq: 3, Attrs: oostream.Attrs{"id": oostream.Int(2)}.List()},
+		{Type: "RESP", TS: 40, Seq: 4, Attrs: oostream.Attrs{"id": oostream.Int(2), "ms": oostream.Int(40)}.List()},
 		// Second window: both responses fast, so HAVING suppresses it.
-		{Type: "REQ", TS: 110, Seq: 5, Attrs: oostream.Attrs{"id": oostream.Int(3)}},
-		{Type: "RESP", TS: 120, Seq: 6, Attrs: oostream.Attrs{"id": oostream.Int(3), "ms": oostream.Int(10)}},
+		{Type: "REQ", TS: 110, Seq: 5, Attrs: oostream.Attrs{"id": oostream.Int(3)}.List()},
+		{Type: "RESP", TS: 120, Seq: 6, Attrs: oostream.Attrs{"id": oostream.Int(3), "ms": oostream.Int(10)}.List()},
 	}
 	results := en.ProcessAllResults(stream)
 	results = append(results, en.FlushResults()...)

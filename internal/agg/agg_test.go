@@ -30,7 +30,7 @@ func compile(t *testing.T, src string) *plan.Plan {
 }
 
 func ev(typ string, ts event.Time, seq event.Seq, attrs event.Attrs) event.Event {
-	return event.Event{Type: typ, TS: ts, Seq: seq, Attrs: attrs}
+	return event.Event{Type: typ, TS: ts, Seq: seq, Attrs: attrs.List()}
 }
 
 // expected computes the ground-truth aggregate matches: oracle pattern

@@ -134,7 +134,8 @@ func runRescan(events []oostream.Event, window, slide oostream.Time) (time.Durat
 		absorb := func(ms []oostream.Match) {
 			for _, m := range ms {
 				ts := m.Events[len(m.Events)-1].TS
-				val, _ := m.Events[len(m.Events)-1].Attrs["id"].AsInt()
+				id, _ := m.Events[len(m.Events)-1].Attr("id")
+				val, _ := id.AsInt()
 				i := sort.Search(len(elems), func(j int) bool { return elems[j].ts > ts })
 				elems = append(elems, elem{})
 				copy(elems[i+1:], elems[i:])

@@ -117,7 +117,7 @@ func TestSameTypePositiveAndNegative(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(T a, !(T n), T b) WHERE n.x > 5 WITHIN 100")
 	mk := func(ts event.Time, seq event.Seq, x int64) event.Event {
 		return event.Event{Type: "T", TS: ts, Seq: seq,
-			Attrs: event.Attrs{"x": event.Int(x)}}
+			Attrs: event.Attrs{"x": event.Int(x)}.List()}
 	}
 	// Middle event fails the negation's local predicate (x <= 5) but is a
 	// valid positive: matches (1,2), (2,3), (1,3).

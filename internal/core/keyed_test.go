@@ -124,7 +124,7 @@ func TestKeyedAblationsAgree(t *testing.T) {
 
 // kev builds a test event with an optional integer id attribute.
 func kev(typ string, ts event.Time, seq event.Seq, attrs event.Attrs) event.Event {
-	return event.Event{Type: typ, TS: ts, Seq: seq, Attrs: attrs}
+	return event.Event{Type: typ, TS: ts, Seq: seq, Attrs: attrs.List()}
 }
 
 // TestKeyedDropsMissingKeyEvents: events lacking the partition key cannot

@@ -21,13 +21,12 @@ func GenerateAgg(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	query, qtypes := genAggQuery(rng)
 	sorted := genStream(rng, qtypes)
-	for _, e := range sorted {
+	for i := range sorted {
 		// MIN and MAX over a NaN depend on the order partials merge in (no
 		// ordering holds against it), which the tree and the brute-force
-		// truth do not share: ROADMAP item 4c, not this differential's claim.
-		if isNaN(e.Attrs["v"]) {
-			delete(e.Attrs, "v")
-		}
+		// truth do not share: ROADMAP item 5b, not this differential's claim.
+		// Only v can hold one; id is always an int.
+		sorted[i].Attrs = withoutNaN(sorted[i].Attrs)
 	}
 	arrival, k := genDisorder(rng, sorted)
 	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}

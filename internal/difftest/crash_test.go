@@ -90,8 +90,8 @@ func TestJSONSafeStripsOnlyNaN(t *testing.T) {
 		}
 		stripped := false
 		for i, e := range c.Arrival {
-			v, has := e.Attrs["v"]
-			dv, dhas := d.Arrival[i].Attrs["v"]
+			v, has := e.Attr("v")
+			dv, dhas := d.Arrival[i].Attr("v")
 			switch {
 			case isNaN(v):
 				stripped = true
@@ -105,7 +105,8 @@ func TestJSONSafeStripsOnlyNaN(t *testing.T) {
 			case v.Kind() == event.KindFloat:
 				floats++
 			}
-			if d.Arrival[i].Attrs["id"] != e.Attrs["id"] || d.Arrival[i].Seq != e.Seq {
+			id, _ := e.Attr("id")
+			if did, _ := d.Arrival[i].Attr("id"); did != id || d.Arrival[i].Seq != e.Seq {
 				t.Fatalf("seed %d event %d: identity changed", seed, i)
 			}
 		}

@@ -42,7 +42,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -87,16 +86,7 @@ type Case struct {
 func (c Case) jsonSafe() (Case, bool) {
 	changed := false
 	for i, e := range c.Arrival {
-		kept := e.Attrs
-		for name, v := range e.Attrs {
-			if !isNaN(v) {
-				continue
-			}
-			if len(kept) == len(e.Attrs) {
-				kept = maps.Clone(e.Attrs)
-			}
-			delete(kept, name)
-		}
+		kept := withoutNaN(e.Attrs)
 		if len(kept) == len(e.Attrs) {
 			continue
 		}
@@ -108,6 +98,18 @@ func (c Case) jsonSafe() (Case, bool) {
 	}
 	return c, changed
 }
+
+// withoutNaN returns attrs with every NaN attribute left out: attrs itself
+// when there is none, otherwise a list of its own, because copies of an
+// event share one.
+func withoutNaN(attrs event.AttrList) event.AttrList {
+	if !slices.ContainsFunc(attrs, attrIsNaN) {
+		return attrs
+	}
+	return slices.DeleteFunc(slices.Clone(attrs), attrIsNaN)
+}
+
+func attrIsNaN(a event.Attr) bool { return isNaN(a.Value) }
 
 func isNaN(v event.Value) bool {
 	f, _ := v.AsFloat()

@@ -42,7 +42,7 @@ func covStream() ([]event.Event, event.Time) {
 		typ := [...]string{"A", "B", "A", "B", "C", "D"}[rng.Intn(6)]
 		sorted = append(sorted, Ev(typ, ts, event.Seq(i+1), int64(rng.Intn(4)), int64(rng.Intn(valRange))))
 	}
-	delete(sorted[100].Attrs, PartitionAttr)
+	sorted[100].Attrs = slices.DeleteFunc(slices.Clone(sorted[100].Attrs), func(a event.Attr) bool { return a.Name == PartitionAttr })
 	arrival := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 12, Seed: 16})
 	return arrival, gen.MaxDelay(arrival)
 }

@@ -1,6 +1,6 @@
 // Package event defines the event model shared by every component of the
 // library: typed events carrying a logical application timestamp, an arrival
-// sequence number, and a flat attribute map of dynamically typed values.
+// sequence number, and a flat list of named, dynamically typed attributes.
 //
 // Timestamps are logical milliseconds (int64). Application time (TS) is
 // assigned by the event source and may disagree arbitrarily with arrival
@@ -10,8 +10,10 @@
 package event
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Time is a logical application timestamp in milliseconds.
@@ -21,7 +23,8 @@ type Time = int64
 type Seq = uint64
 
 // Event is a single occurrence on the stream. Events are immutable once
-// ingested; operators must not mutate Attrs in place.
+// ingested; copies of an event share one attribute list, so operators must
+// not mutate Attrs in place (Clone first).
 type Event struct {
 	// Type is the event type name, e.g. "SHELF" or "TRADE".
 	Type string `json:"type"`
@@ -29,26 +32,81 @@ type Event struct {
 	TS Time `json:"ts"`
 	// Seq is the arrival sequence number; 0 until assigned by an ingestor.
 	Seq Seq `json:"seq"`
-	// Attrs carries the event payload.
-	Attrs Attrs `json:"attrs,omitempty"`
+	// Attrs carries the event payload; nil when the event has none.
+	Attrs AttrList `json:"attrs,omitempty"`
 }
 
-// Attrs is the payload of an event: attribute name to value.
+// Attr is one named attribute of an event.
+type Attr struct {
+	Name  string
+	Value Value
+}
+
+// AttrList is the payload of an event: its attributes, strictly sorted by
+// name (byte order, no name twice). That is the canonical form: the order
+// every rendering and every encoded byte uses, so nothing sorts per event.
+// New, Attrs.List and the decoder produce it and Clone keeps it; a list
+// built by hand should be in it too, and the JSON encoder refuses one that
+// is not.
+type AttrList []Attr
+
+// Attrs is the literal a caller writes an event's attributes in, name to
+// value; New and List turn it into the AttrList an Event carries.
 type Attrs map[string]Value
 
-// New constructs an event with a copy of the given attributes.
-func New(typ string, ts Time, attrs Attrs) Event {
-	cp := make(Attrs, len(attrs))
-	for k, v := range attrs {
-		cp[k] = v
+// List returns the attributes as a canonical list, nil when there are none.
+func (a Attrs) List() AttrList {
+	if len(a) == 0 {
+		return nil
 	}
-	return Event{Type: typ, TS: ts, Attrs: cp}
+	list := make(AttrList, 0, len(a))
+	for name, v := range a {
+		list = append(list, Attr{name, v})
+	}
+	sortAttrs(list)
+	return list
+}
+
+func sortAttrs(list AttrList) {
+	slices.SortFunc(list, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
+}
+
+// scanWidth is the longest run Get scans.
+const scanWidth = 8
+
+// Get returns the named attribute and whether it is present. Events carry
+// a handful of attributes, so this is a scan, one string comparison each
+// and no hash, and it runs to the end of the list, which keeps it right on
+// a hand-built list that is not sorted. Only a list longer than scanWidth
+// is first halved by its order down to the one run that can hold the name
+// (BenchmarkAttrGet: the plain scan is level with a map lookup at eight
+// attributes and four times behind at 32), so a hand-built list that long
+// has to be canonical. Both loops are small enough for Get to inline into
+// a compiled predicate.
+func (l AttrList) Get(name string) (Value, bool) {
+	for len(l) > scanWidth {
+		if mid := len(l) / 2; l[mid].Name <= name {
+			l = l[mid:]
+		} else {
+			l = l[:mid]
+		}
+	}
+	for i := range l {
+		if l[i].Name == name {
+			return l[i].Value, true
+		}
+	}
+	return Value{}, false
+}
+
+// New constructs an event carrying the given attributes.
+func New(typ string, ts Time, attrs Attrs) Event {
+	return Event{Type: typ, TS: ts, Attrs: attrs.List()}
 }
 
 // Attr returns the named attribute and whether it is present.
 func (e Event) Attr(name string) (Value, bool) {
-	v, ok := e.Attrs[name]
-	return v, ok
+	return e.Attrs.Get(name)
 }
 
 // Before reports whether e is strictly earlier than other in the total
@@ -68,7 +126,7 @@ func (e Event) String() string {
 }
 
 // AppendEvent appends the text Event.String returns for e to dst:
-// TYPE@ts#seq{name=value, ...} with the names in byte order.
+// TYPE@ts#seq{name=value, ...} with the attributes in list order.
 func AppendEvent(dst []byte, e Event) []byte {
 	dst = append(dst, e.Type...)
 	dst = append(dst, '@')
@@ -76,48 +134,21 @@ func AppendEvent(dst []byte, e Event) []byte {
 	dst = append(dst, '#')
 	dst = strconv.AppendUint(dst, e.Seq, 10)
 	dst = append(dst, '{')
-	var buf [8]string
-	for i, k := range sortedNames(buf[:0], e.Attrs) {
+	for i, a := range e.Attrs {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		dst = append(dst, k...)
+		dst = append(dst, a.Name...)
 		dst = append(dst, '=')
-		dst = AppendValue(dst, e.Attrs[k])
+		dst = AppendValue(dst, a.Value)
 	}
 	return append(dst, '}')
 }
 
-// sortedNames returns the attribute names in byte order, in the empty buf
-// when they fit. Events carry a handful of attributes, so an insertion sort
-// into the caller's stack buffer beats sort.Strings and allocates nothing.
-// An event with more names than buf holds (a decoded line may carry any
-// number) goes to sort.Strings, which keeps it O(n log n).
-func sortedNames(buf []string, attrs Attrs) []string {
-	if len(attrs) > cap(buf) {
-		for k := range attrs {
-			buf = append(buf, k)
-		}
-		sort.Strings(buf)
-		return buf
-	}
-	for k := range attrs {
-		buf = append(buf, k)
-		for i := len(buf) - 1; i > 0 && buf[i] < buf[i-1]; i-- {
-			buf[i], buf[i-1] = buf[i-1], buf[i]
-		}
-	}
-	return buf
-}
-
 // Clone returns a deep copy of the event.
 func (e Event) Clone() Event {
-	cp := e
-	cp.Attrs = make(Attrs, len(e.Attrs))
-	for k, v := range e.Attrs {
-		cp.Attrs[k] = v
-	}
-	return cp
+	e.Attrs = slices.Clone(e.Attrs)
+	return e
 }
 
 // ByTime sorts events by (TS, Seq). It implements sort.Interface.

@@ -50,7 +50,7 @@ func TestBefore(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	e := New("A", 5, Attrs{"x": Int(1)})
 	c := e.Clone()
-	c.Attrs["x"] = Int(2)
+	c.Attrs[0].Value = Int(2)
 	if v, _ := e.Attr("x"); !v.Equal(Int(1)) {
 		t.Fatal("clone shares attrs with original")
 	}

@@ -4,23 +4,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // This file is the hand-rolled codec for the JSON form of the event model:
-// a Value is the tagged object {"int"|"float"|"str"|"bool": v} and an Event
-// is {"type","ts","seq","attrs":{name: value}}. It is the one definition of
-// the Value form (trace, WAL and checkpoints reach it through MarshalJSON
-// and UnmarshalJSON) and of the trace line. An Event inside a WAL record or
-// a checkpoint is still written by encoding/json over Event's struct tags,
-// which yields the same bytes (TestValueJSONKeepsItsBytes holds the two
-// together). The encoder's output is what encoding/json produces for the
-// same data; the decoder accepts what encoding/json accepts into those
-// shapes except where noted on ParseJSON, and hands any token it does not
-// want to interpret itself (a string with escapes or non-ASCII bytes, a
-// float outside the plain decimal range, the value of a key it does not
-// know) to encoding/json for that token alone.
+// a Value is the tagged object {"int"|"float"|"str"|"bool": v}, an AttrList
+// the object {name: value} with its names in list order, and an Event
+// {"type","ts","seq","attrs":{name: value}}. It is the one definition of
+// the Value and AttrList forms (trace, WAL and checkpoints reach them
+// through MarshalJSON and UnmarshalJSON) and of the trace line. An Event
+// inside a WAL record or a checkpoint is still written by encoding/json
+// over Event's struct tags, which yields the same bytes
+// (TestValueJSONKeepsItsBytes holds the two together). The encoder's output
+// is what encoding/json produces for the same data held in a map; the
+// decoder accepts what encoding/json accepts into those shapes except where
+// noted on ParseJSON, and hands any token it does not want to interpret
+// itself (a string with escapes or non-ASCII bytes, a float outside the
+// plain decimal range, the value of a key it does not know) to encoding/json
+// for that token alone.
+//
+// Attributes are decoded straight into the list an Event carries: members
+// are appended as they are read into a buffer on the stack, one string
+// comparison each confirms the order the encoder wrote them in, and the
+// list is then allocated once at its exact size. Members in any other order
+// are sorted into place afterwards. No map is built on either path.
 
 // maxJSONDepth is encoding/json's nesting limit. Skipped members are held
 // to it so that no line encoding/json rejects is accepted here.
@@ -50,9 +59,40 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// MarshalJSON implements json.Marshaler: the object {name: value}, which is
+// what encoding/json writes for the same attributes held in a map. A list
+// that is not in canonical form is an error.
+func (l AttrList) MarshalJSON() ([]byte, error) {
+	return appendAttrsJSON(make([]byte, 0, 48*len(l)+2), l)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It holds the object to the
+// rules ParseJSON holds a line's attrs member to; null leaves l as it is,
+// as encoding/json does for a slice or map field.
+func (l *AttrList) UnmarshalJSON(data []byte) error {
+	i := skipSpace(data, 0)
+	if string(data[i:]) == "null" {
+		return nil
+	}
+	list, i, err := parseAttrs(data, i, copyName)
+	if err != nil {
+		return err
+	}
+	if i = skipSpace(data, i); i != len(data) {
+		return jsonErr(data, i, "end of object")
+	}
+	*l = list
+	return nil
+}
+
+// copyName is the intern function of a decoder that keeps no table.
+func copyName(b []byte) string { return string(b) }
+
 // AppendJSON appends the JSON object for e to dst, byte for byte what
-// encoding/json writes for an Event: attribute names sorted, attrs left
-// out when empty, <, >, & and U+2028/9 escaped, NaN and ±Inf an error.
+// encoding/json writes for an Event: attributes in name order, attrs left
+// out when empty, <, >, & and U+2028/9 escaped, NaN and ±Inf an error. So
+// is an attribute list out of canonical form: ParseJSON would refuse the
+// duplicate and read back a different list for the disorder.
 func AppendJSON(dst []byte, e Event) ([]byte, error) {
 	dst = append(dst, `{"type":`...)
 	dst = appendJSONString(dst, e.Type)
@@ -61,20 +101,33 @@ func AppendJSON(dst []byte, e Event) ([]byte, error) {
 	dst = append(dst, `,"seq":`...)
 	dst = strconv.AppendUint(dst, e.Seq, 10)
 	if len(e.Attrs) > 0 {
-		dst = append(dst, `,"attrs":{`...)
-		var buf [8]string
-		for i, k := range sortedNames(buf[:0], e.Attrs) {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, k)
-			dst = append(dst, ':')
-			var err error
-			if dst, err = appendValueJSON(dst, e.Attrs[k]); err != nil {
-				return nil, fmt.Errorf("attribute %q: %w", k, err)
-			}
+		dst = append(dst, `,"attrs":`...)
+		var err error
+		if dst, err = appendAttrsJSON(dst, e.Attrs); err != nil {
+			return nil, err
 		}
-		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendAttrsJSON(dst []byte, l AttrList) ([]byte, error) {
+	dst = append(dst, '{')
+	for i, a := range l {
+		if i > 0 {
+			if prev := l[i-1].Name; prev >= a.Name {
+				if prev == a.Name {
+					return nil, fmt.Errorf("duplicate attribute %q", a.Name)
+				}
+				return nil, fmt.Errorf("attribute %q out of order after %q", a.Name, prev)
+			}
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, a.Name)
+		dst = append(dst, ':')
+		var err error
+		if dst, err = appendValueJSON(dst, a.Value); err != nil {
+			return nil, fmt.Errorf("attribute %q: %w", a.Name, err)
+		}
 	}
 	return append(dst, '}'), nil
 }
@@ -182,10 +235,12 @@ func ParseJSON(data []byte, intern func([]byte) string) (Event, error) {
 	return e, nil
 }
 
-// parseAttrs reads the attrs object opening at data[i]. An empty object
-// gives a nil map, as a missing member does.
-func parseAttrs(data []byte, i int, intern func([]byte) string) (Attrs, int, error) {
-	var attrs Attrs
+// parseAttrs reads the attrs object opening at data[i] into a canonical
+// list. An empty object gives a nil list, as a missing member does.
+func parseAttrs(data []byte, i int, intern func([]byte) string) (AttrList, int, error) {
+	var buf [8]Attr // events carry a handful; more spill to the heap
+	list := buf[:0]
+	sorted := true
 	i, more, err := openObject(data, i)
 	for more && err == nil {
 		var key []byte
@@ -198,20 +253,29 @@ func parseAttrs(data []byte, i int, intern func([]byte) string) (Attrs, int, err
 			err = fmt.Errorf("attribute %q: %w", name, err)
 			break
 		}
-		if attrs == nil {
-			attrs = make(Attrs)
+		if n := len(list); n > 0 && list[n-1].Name >= name {
+			sorted = false
 		}
-		n := len(attrs)
-		if attrs[name] = v; len(attrs) == n {
-			err = fmt.Errorf("duplicate attribute %q", name)
-			break
-		}
+		list = append(list, Attr{name, v})
 		i, more, err = nextMember(data, i)
 	}
 	if err != nil {
 		return nil, i, err
 	}
-	return attrs, i, nil
+	if !sorted {
+		// Sorting once at the end keeps a hostile line of many members
+		// O(n log n), and brings a repeated name next to itself.
+		sortAttrs(list)
+		for j := 1; j < len(list); j++ {
+			if list[j].Name == list[j-1].Name {
+				return nil, i, fmt.Errorf("duplicate attribute %q", list[j].Name)
+			}
+		}
+	}
+	if len(list) == 0 {
+		return nil, i, nil
+	}
+	return slices.Clone(list), i, nil
 }
 
 // parseValueJSON reads the tagged value object opening at data[i], itself

@@ -55,8 +55,8 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	if back.Type != e.Type || back.TS != e.TS || back.Seq != e.Seq || len(back.Attrs) != 3 {
 		t.Errorf("round trip: %v vs %v", e, back)
 	}
-	if !back.Attrs["price"].Equal(Float(99.5)) {
-		t.Errorf("price = %v", back.Attrs["price"])
+	if price, _ := back.Attr("price"); !price.Equal(Float(99.5)) {
+		t.Errorf("price = %v", price)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestValueJSONKeepsItsBytes(t *testing.T) {
 	// over Event's struct tags and AppendJSON are the same document.
 	e := Event{Type: "T<1>", TS: -5, Seq: 7, Attrs: Attrs{
 		"s": Str("a\"b\u2028&"), "f": Float(1e-7), "g": Float(2.50), "i": Int(-42), "b": Bool(true),
-	}}
+	}.List()}
 	const golden = `{"type":"T\u003c1\u003e","ts":-5,"seq":7,"attrs":{"b":{"bool":true},"f":{"float":1e-7},"g":{"float":2.5},"i":{"int":-42},"s":{"str":"a\"b\u2028\u0026"}}}`
 	viaReflection, err := json.Marshal(e)
 	if err != nil {

@@ -69,7 +69,7 @@ func (s *Schema) Validate(e Event) error {
 		return fmt.Errorf("event type %q not declared", e.Type)
 	}
 	for name, kind := range t.Fields {
-		v, ok := e.Attrs[name]
+		v, ok := e.Attr(name)
 		if !ok {
 			return fmt.Errorf("event %s: missing attribute %q", e.Type, name)
 		}

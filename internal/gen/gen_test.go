@@ -128,7 +128,8 @@ func TestRFIDPerItemOrder(t *testing.T) {
 	shelf := map[int64]event.Time{}
 	exit := map[int64]event.Time{}
 	for _, e := range events {
-		id, _ := e.Attrs["id"].AsInt()
+		v, _ := e.Attr("id")
+		id, _ := v.AsInt()
 		switch e.Type {
 		case "SHELF":
 			shelf[id] = e.TS
@@ -151,7 +152,7 @@ func TestIntrusionWorkload(t *testing.T) {
 	counts := map[string]int{}
 	for _, e := range events {
 		counts[e.Type]++
-		if _, ok := e.Attrs["src"]; !ok {
+		if _, ok := e.Attr("src"); !ok {
 			t.Fatal("missing src")
 		}
 	}
@@ -166,9 +167,9 @@ func TestStockWorkload(t *testing.T) {
 		t.Fatal("stock output wrong")
 	}
 	for _, e := range events {
-		p, ok := e.Attrs["price"].AsFloat()
-		if !ok || p < 1 {
-			t.Fatalf("bad price %v", e.Attrs["price"])
+		price, _ := e.Attr("price")
+		if p, ok := price.AsFloat(); !ok || p < 1 {
+			t.Fatalf("bad price %v", price)
 		}
 	}
 }
@@ -181,9 +182,9 @@ func TestUniformWorkload(t *testing.T) {
 	types := map[string]bool{}
 	for _, e := range events {
 		types[e.Type] = true
-		id, ok := e.Attrs["id"].AsInt()
-		if !ok || id < 0 || id >= 5 {
-			t.Fatalf("bad id %v", e.Attrs["id"])
+		v, _ := e.Attr("id")
+		if id, ok := v.AsInt(); !ok || id < 0 || id >= 5 {
+			t.Fatalf("bad id %v", v)
 		}
 	}
 	if len(types) != 3 {

@@ -31,7 +31,7 @@ func randomStream(rng *rand.Rand, n int, types []string, idRange int, maxGap int
 			Type:  types[rng.Intn(len(types))],
 			TS:    ts,
 			Seq:   event.Seq(i + 1),
-			Attrs: event.Attrs{"id": event.Int(int64(rng.Intn(idRange)))},
+			Attrs: event.Attrs{"id": event.Int(int64(rng.Intn(idRange)))}.List(),
 		}
 	}
 	return events

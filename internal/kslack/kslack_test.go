@@ -143,7 +143,7 @@ func sortedStream(rng *rand.Rand, n int, types []string) []event.Event {
 			Type:  types[rng.Intn(len(types))],
 			TS:    ts,
 			Seq:   event.Seq(i + 1),
-			Attrs: event.Attrs{"id": event.Int(int64(rng.Intn(3)))},
+			Attrs: event.Attrs{"id": event.Int(int64(rng.Intn(3)))}.List(),
 		}
 	}
 	return events

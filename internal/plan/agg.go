@@ -175,15 +175,17 @@ func (s *AggSpec) EvalHaving(v *AggValue, errSink func(error)) bool {
 	if s.Having == nil {
 		return true
 	}
-	attrs := event.Attrs{
-		query.HavingValue: v.Value,
-		query.HavingCount: event.Int(v.Count),
-		query.HavingStart: event.Int(int64(v.WindowStart)),
-		query.HavingEnd:   event.Int(int64(v.WindowEnd)),
-	}
+	// In name order, as an event.AttrList is kept.
+	attrs := make(event.AttrList, 0, 5)
+	attrs = append(attrs,
+		event.Attr{Name: query.HavingCount, Value: event.Int(v.Count)},
+		event.Attr{Name: query.HavingEnd, Value: event.Int(int64(v.WindowEnd))})
 	if v.HasGroup {
-		attrs[query.HavingKey] = v.Group
+		attrs = append(attrs, event.Attr{Name: query.HavingKey, Value: v.Group})
 	}
+	attrs = append(attrs,
+		event.Attr{Name: query.HavingStart, Value: event.Int(int64(v.WindowStart))},
+		event.Attr{Name: query.HavingValue, Value: v.Value})
 	w := event.Event{Type: WindowType, TS: v.WindowEnd, Attrs: attrs}
 	ok, err := s.Having.EvalBool([]event.Event{w})
 	if err != nil {

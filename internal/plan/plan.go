@@ -434,8 +434,6 @@ type CrossView struct {
 	// trigger position with nothing to hoist.
 	bySlot  [][][]int
 	hoisted [][][]int
-	// evals counts predicate evaluations through this view.
-	evals uint64
 }
 
 // CrossView builds a view excluding the cross predicates (by index into
@@ -486,14 +484,6 @@ func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
 // Holds); nil when the trigger position has none.
 func (v *CrossView) Hoisted(trig int) [][]int { return v.hoisted[trig] }
 
-// Evals returns how many cross-predicate evaluations the view has run: the
-// construction walk's unit of work, exact where its timings are not. Nothing
-// in the engines reads it; it exists for BenchmarkConstructVShape's
-// evals/event (EXPERIMENTS.md E25), which a predicate that does not error
-// leaves no other way to count. A view belongs to one engine and is not safe
-// for concurrent use.
-func (v *CrossView) Evals() uint64 { return v.evals }
-
 // Holds evaluates the given predicates (indices from Hoisted) under the
 // binding; an evaluation error counts as false and goes to errSink.
 func (v *CrossView) Holds(idxs []int, binding []event.Event, errSink func(error)) bool {
@@ -526,7 +516,6 @@ func (v *CrossView) SatisfiedAt(trig, slot int, boundMask uint64, binding []even
 }
 
 func (v *CrossView) holds(idx int, binding []event.Event, errSink func(error)) bool {
-	v.evals++
 	ok, err := v.cross[idx].Pred.EvalBool(binding) // ok is false on error
 	if err != nil && errSink != nil {
 		errSink(err)

@@ -269,11 +269,11 @@ func TestKeyOf(t *testing.T) {
 		t.Error("KeyOf missing attr should report !ok")
 	}
 	// NaN equals nothing, so it keys nothing; the infinities are ordinary.
-	e.Attrs["id"] = event.Float(math.NaN())
+	e = event.New("A", 42, event.Attrs{"id": event.Float(math.NaN())})
 	if k, ok := KeyOf(e, "id"); ok {
 		t.Errorf("KeyOf NaN = %v, true; want !ok", k)
 	}
-	e.Attrs["id"] = event.Float(math.Inf(1))
+	e = event.New("A", 42, event.Attrs{"id": event.Float(math.Inf(1))})
 	if k, ok := KeyOf(e, "id"); !ok || k != event.Float(math.Inf(1)) {
 		t.Errorf("KeyOf +Inf = %v, %v", k, ok)
 	}
@@ -298,12 +298,12 @@ func TestCrossViewSkipsKeyEqualities(t *testing.T) {
 		t.Error("view with id skipped should accept ascending x")
 	}
 	// Descending x must still be rejected by the remaining predicate.
-	binding[1].Attrs["x"] = event.Int(0)
+	binding[1] = event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(0)})
 	if v.SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
 		t.Error("view must still evaluate non-key predicates")
 	}
 	// The unfiltered view rejects mismatched ids.
-	binding[1].Attrs["x"] = event.Int(5)
+	binding[1] = event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(5)})
 	if p.CrossView(nil).SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
 		t.Error("unfiltered view must evaluate the id equality")
 	}

@@ -23,15 +23,16 @@ func refEventString(e event.Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s@%d#%d{", e.Type, e.TS, e.Seq)
 	names := make([]string, 0, len(e.Attrs))
-	for k := range e.Attrs {
-		names = append(names, k)
+	for _, a := range e.Attrs {
+		names = append(names, a.Name)
 	}
 	sort.Strings(names)
 	for i, k := range names {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", k, refValueString(e.Attrs[k]))
+		v, _ := e.Attr(k)
+		fmt.Fprintf(&b, "%s=%s", k, refValueString(v))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -101,15 +102,15 @@ func handMatches() []plan.Match {
 		"i": event.Int(math.MinInt64), "f": event.Float(2.5), "s": event.Str("pl\"ain\n\x00é\xff"), "b": event.Bool(true),
 		"f2": event.Float(1e21), "f3": event.Float(math.NaN()), "f4": event.Float(math.Copysign(0, -1)), "bad": {},
 		"needs \"quoting\", =": event.Str(""),
-	}}
-	long := event.Event{Type: strings.Repeat("LONG", 100), Attrs: event.Attrs{"s": event.Str(strings.Repeat("x", 600))}}
+	}.List()}
+	long := event.Event{Type: strings.Repeat("LONG", 100), Attrs: event.Attrs{"s": event.Str(strings.Repeat("x", 600))}.List()}
 	agg := func(group event.Value, has bool, val event.Value) *plan.AggValue {
 		return &plan.AggValue{Func: "MAX", WindowStart: -120000, WindowEnd: 40, Group: group, HasGroup: has, Value: val, Count: 3}
 	}
 	return []plan.Match{
 		{},
 		{Kind: plan.Insert, Events: []event.Event{{Type: "BARE", TS: 1, Seq: 2}}},
-		{Kind: plan.Retract, Events: []event.Event{kinds, {Type: "MANY", Attrs: many}, long}},
+		{Kind: plan.Retract, Events: []event.Event{kinds, {Type: "MANY", Attrs: many.List()}, long}},
 		{Kind: plan.Insert, Events: []event.Event{plan.WindowEvent(40)}, Agg: agg(event.Value{}, false, event.Int(9))},
 		{Kind: plan.Retract, Events: []event.Event{plan.WindowEvent(40)}, Agg: agg(event.Str("g\"1"), true, event.Float(0.1))},
 		{Kind: plan.Insert, Agg: agg(event.Bool(false), true, event.Value{})},
@@ -151,8 +152,8 @@ func TestRenderingMatchesReference(t *testing.T) {
 			if got, want := e.String(), refEventString(e); got != want {
 				t.Fatalf("Event.String:\n got %s\nwant %s", got, want)
 			}
-			for _, v := range e.Attrs {
-				if got, want := v.String(), refValueString(v); got != want {
+			for _, a := range e.Attrs {
+				if got, want := a.Value.String(), refValueString(a.Value); got != want {
 					t.Fatalf("Value.String: got %s want %s", got, want)
 				}
 			}

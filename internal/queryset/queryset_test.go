@@ -96,10 +96,10 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 		// Many keys at one timestamp forces tie-breaking on the key.
 		for i := 0; i < 20; i++ {
 			s.Process(event.Event{Type: "A", TS: 10, Seq: event.Seq(i + 1),
-				Attrs: event.Attrs{"id": event.Int(int64(i))}})
+				Attrs: event.Attrs{"id": event.Int(int64(i))}.List()})
 		}
 		s.Process(event.Event{Type: "A", TS: 40, Seq: 99,
-			Attrs: event.Attrs{"id": event.Int(0)}})
+			Attrs: event.Attrs{"id": event.Int(0)}.List()})
 		return s
 	}
 	var a, b bytes.Buffer
@@ -158,7 +158,7 @@ func TestGatePruning(t *testing.T) {
 		ts += 5
 		seq++
 		out = append(out, s.Process(event.Event{Type: typ, TS: ts, Seq: seq,
-			Attrs: event.Attrs{"id": event.Int(id)}})...)
+			Attrs: event.Attrs{"id": event.Int(id)}.List()})...)
 	}
 	// Key 1 opens then goes silent far past the window; key 2 opens late
 	// and completes inside it.

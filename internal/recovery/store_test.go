@@ -27,7 +27,7 @@ func mkEvent(i int) event.Event {
 		Type:  "A",
 		TS:    event.Time(i * 10),
 		Seq:   uint64(i + 1),
-		Attrs: map[string]event.Value{"id": event.Int(int64(i % 3))},
+		Attrs: event.Attrs{"id": event.Int(int64(i % 3))}.List(),
 	}
 }
 
@@ -439,11 +439,11 @@ func TestEventAttrsSurviveWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := event.Event{Type: "T", TS: 5, Seq: 9, Attrs: map[string]event.Value{
+	in := event.Event{Type: "T", TS: 5, Seq: 9, Attrs: event.Attrs{
 		"id":   event.Int(42),
 		"name": event.Str("x y"),
 		"temp": event.Float(3.5),
-	}}
+	}.List()}
 	if err := s.Append(in); err != nil {
 		t.Fatal(err)
 	}
@@ -481,9 +481,9 @@ func TestEventAttrsSurviveWAL(t *testing.T) {
 	if got.Type != in.Type || got.TS != in.TS || got.Seq != in.Seq || len(got.Attrs) != 3 {
 		t.Fatalf("got %+v", got)
 	}
-	for k, v := range in.Attrs {
-		if !got.Attrs[k].Equal(v) {
-			t.Fatalf("attr %s: got %v want %v", k, got.Attrs[k], v)
+	for i, a := range in.Attrs {
+		if got.Attrs[i].Name != a.Name || !got.Attrs[i].Value.Equal(a.Value) {
+			t.Fatalf("attr %d: got %v want %v", i, got.Attrs[i], a)
 		}
 	}
 }

@@ -304,7 +304,7 @@ func TestAdmissionPolicies(t *testing.T) {
 	p := compile(t, supervQuery)
 	mk := func(typ string, ts event.Time, seq uint64) event.Event {
 		return event.Event{Type: typ, TS: ts, Seq: seq,
-			Attrs: map[string]event.Value{"id": event.Int(1)}}
+			Attrs: event.Attrs{"id": event.Int(1)}.List()}
 	}
 	stream := []event.Event{
 		mk("A", 100, 1),

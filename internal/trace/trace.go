@@ -18,12 +18,19 @@
 // an empty or white-space-only line is skipped. integer is
 // -?(0|[1-9][0-9]*) within int64, number is any JSON number literal that
 // fits a float64 (no Inf, NaN, hex or underscores), string is any JSON
-// string. The Writer emits members in the order above with attribute
-// names sorted, byte for byte as encoding/json would.
+// string. The Writer emits members in the order above with the attributes
+// in the order of the event's list, which is by name, byte for byte as
+// encoding/json would write them from a map; it returns an error, and
+// writes nothing, for a hand-built list that is out of order or names an
+// attribute twice.
 //
 // The Reader decodes with internal/event's single-pass scanner and has no
-// second, reflection-based path. It returns exactly the event
-// encoding/json would decode from the line, or an error, and is stricter
+// second, reflection-based path. Attributes go straight into the sorted
+// list an Event carries, allocated once per line at its size: one string
+// comparison per name confirms the order the Writer wrote, members in any
+// other order are sorted afterwards, and no map is built on the way. It
+// returns exactly the event encoding/json would decode from the line, its
+// attributes sorted by name, or an error, and is stricter
 // than encoding/json in three documented ways, each an error: a known
 // member or an attribute name given twice (encoding/json keeps the last),
 // null in place of the line or of a known member (encoding/json keeps the

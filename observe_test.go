@@ -11,7 +11,7 @@ func pairQuery(t *testing.T) *Query {
 }
 
 func pairEvent(typ string, ts Time, seq Seq, id int64) Event {
-	return Event{Type: typ, TS: ts, Seq: seq, Attrs: Attrs{"id": Int(id)}}
+	return Event{Type: typ, TS: ts, Seq: seq, Attrs: Attrs{"id": Int(id)}.List()}
 }
 
 func TestProcessAfterFlushPanics(t *testing.T) {

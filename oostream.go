@@ -53,7 +53,9 @@ import (
 type (
 	// Event is a single stream occurrence.
 	Event = event.Event
-	// Attrs is an event payload.
+	// Attrs is the name-to-value literal an event's attributes are written
+	// in; NewEvent (or Attrs.List) turns it into the sorted list an Event
+	// carries, which Event.Attr reads.
 	Attrs = event.Attrs
 	// Value is a dynamically typed attribute value.
 	Value = event.Value
@@ -85,7 +87,7 @@ var (
 	Bool = event.Bool
 	// NewSchema creates an empty schema.
 	NewSchema = event.NewSchema
-	// NewEvent constructs an event with a copied attribute map.
+	// NewEvent constructs an event carrying the given attributes.
 	NewEvent = event.New
 )
 

@@ -56,9 +56,9 @@ func TestPartitionedEngineMetrics(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		en.Process(Event{Type: "A", TS: Time(i * 2), Seq: Seq(2*i + 1),
-			Attrs: Attrs{"id": Int(int64(i % 5))}})
+			Attrs: Attrs{"id": Int(int64(i % 5))}.List()})
 		en.Process(Event{Type: "B", TS: Time(i*2 + 1), Seq: Seq(2*i + 2),
-			Attrs: Attrs{"id": Int(int64(i % 5))}})
+			Attrs: Attrs{"id": Int(int64(i % 5))}.List()})
 	}
 	en.Flush()
 	m := en.Metrics()
