@@ -6,19 +6,16 @@
 package oostream_test
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sort"
 	"testing"
 
 	"oostream"
-	"oostream/internal/engine"
 	"oostream/internal/fiba"
 	"oostream/internal/gen"
 	"oostream/internal/kslack"
 	"oostream/internal/netsim"
-	"oostream/internal/shard"
 )
 
 const (
@@ -457,44 +454,6 @@ func BenchmarkE18Batch(b *testing.B) {
 				b.ReportMetric(float64(matches), "matches")
 			})
 		}
-	}
-}
-
-// BenchmarkE18BatchParallel measures the goroutine-per-shard topology fed
-// through the batched MPSC ring handoff at a fixed batch size, swept by
-// shard count. Scaling beyond bookkeeping requires spare cores; on a
-// single-CPU host the sweep prices the coordination overhead instead.
-func BenchmarkE18BatchParallel(b *testing.B) {
-	q := benchNegQuery(b)
-	events := benchStream(0.20, benchK)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d/batch=256", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var matches int
-			for i := 0; i < b.N; i++ {
-				router, err := shard.NewRouter("id", shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
-					sub, err := oostream.NewEngine(q, oostream.Config{K: benchK})
-					if err != nil {
-						return nil, err
-					}
-					return sub.Raw(), nil
-				}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms, err := par.DrainBatches(context.Background(), events, 256)
-				if err != nil {
-					b.Fatal(err)
-				}
-				matches = len(ms)
-			}
-			b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(matches), "matches")
-		})
 	}
 }
 

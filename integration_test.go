@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"oostream"
-	"oostream/internal/engine"
 	"oostream/internal/gen"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
-	"oostream/internal/runtime"
 	"oostream/internal/trace"
 )
 
@@ -119,39 +117,38 @@ func TestTraceRoundTripThroughEngine(t *testing.T) {
 	}
 }
 
-// TestFanoutAllStrategies runs all four strategies concurrently over one
-// disordered stream through the fan-out runtime and checks each against
-// its sequential run.
-func TestFanoutAllStrategies(t *testing.T) {
+// TestRunAllStrategies drives every strategy over one disordered stream
+// through the channel pipeline (Engine.Run) and checks each against its
+// own ProcessAll run.
+func TestRunAllStrategies(t *testing.T) {
 	tc := integrationCases()[0]
 	shuffled := gen.Shuffle(tc.sorted, gen.Disorder{Ratio: 0.25, MaxDelay: tc.k, Seed: 11})
 	q := oostream.MustCompile(tc.queries[1], nil)
 
-	sequential := map[string][]oostream.Match{}
-	var engines []engine.Engine
 	for _, strat := range oostream.Strategies() {
 		cfg := oostream.Config{Strategy: strat, K: tc.k}
-		sequential[string(strat)] = oostream.MustNewEngine(q, cfg).ProcessAll(shuffled)
-		engines = append(engines, oostream.MustNewEngine(q, cfg).Raw())
-	}
+		want := oostream.MustNewEngine(q, cfg).ProcessAll(shuffled)
 
-	f := runtime.NewFanout(engines...)
-	in := make(chan oostream.Event)
-	out := make(chan runtime.Tagged, 1)
-	ctx := context.Background()
-	go func() { _ = runtime.FeedSlice(ctx, shuffled, in) }()
-	byEngine := map[string][]oostream.Match{}
-	errCh := make(chan error, 1)
-	go func() { errCh <- f.Run(ctx, in, out) }()
-	for tg := range out {
-		byEngine[tg.Engine] = append(byEngine[tg.Engine], tg.Match)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range sequential {
-		if ok, diff := oostream.SameResults(want, byEngine[name]); !ok {
-			t.Errorf("%s via fanout differs:\n%s", name, diff)
+		en := oostream.MustNewEngine(q, cfg)
+		in := make(chan oostream.Event)
+		out := make(chan oostream.Match, 1)
+		go func() {
+			defer close(in)
+			for _, e := range shuffled {
+				in <- e
+			}
+		}()
+		errCh := make(chan error, 1)
+		go func() { errCh <- en.Run(context.Background(), in, out) }()
+		var got []oostream.Match
+		for m := range out {
+			got = append(got, m)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if ok, diff := oostream.SameResults(want, got); !ok {
+			t.Errorf("%s via Run differs:\n%s", strat, diff)
 		}
 	}
 }

@@ -25,7 +25,7 @@
 // degraded mode and clamps the effective K to MinK, advancing the frontier
 // so state drains; Limits.MaxLag caps the derived K outright, bounding
 // result latency). EffectiveK is an atomic load, so concurrent readers
-// (parallel shards, external resizers via SetK) never race the owner
+// (state snapshots, external resizers via SetK) never race the owner
 // feeding observations.
 package adaptive
 

@@ -379,7 +379,7 @@ func E13Partitioned(s Scale) *Table {
 		t.AddRow(fmtInt(shards), fmtKevS(float64(len(shuffled))/elapsed.Seconds()),
 			fmt.Sprintf("%v", exact), fmtInt(m.PeakState), fmtInt(m.PeakState/shards))
 	}
-	t.Notes = append(t.Notes, "sequential shards isolate partitioning overhead; goroutine-per-shard execution is in internal/shard.Parallel")
+	t.Notes = append(t.Notes, "shards run sequentially on one goroutine: the gain is per-shard state reduction, not parallelism (EXPERIMENTS.md E28)")
 	return t
 }
 
@@ -534,7 +534,6 @@ func E18Batch(s Scale) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"expected: keyed throughput grows with batch size as purge/gauge amortization kicks in, flattening once per-event admission dominates; exact stays true at every size",
-		"shard-parallel scaling of the batched ring handoff is measured by BenchmarkE18BatchParallel (needs spare cores to show >1x)")
+		"expected: keyed throughput grows with batch size as purge/gauge amortization kicks in, flattening once per-event admission dominates; exact stays true at every size")
 	return t
 }

@@ -5,7 +5,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -77,15 +76,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// RenderJSON writes the table as one indented JSON object. Tables render
-// independently; cmd/espbench wraps a run's tables into a single array so
-// the output file is valid JSON as a whole.
-func (t *Table) RenderJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // Cell formatting helpers shared by the experiments.

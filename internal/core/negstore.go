@@ -32,17 +32,6 @@ func (s *negStore) firstAfter(lo event.Time) int {
 	})
 }
 
-// anyInGap reports whether any stored event with lo < TS < hi satisfies
-// check.
-func (s *negStore) anyInGap(lo, hi event.Time, check func(event.Event) bool) bool {
-	for i := s.firstAfter(lo); i < len(s.items) && s.items[i].TS < hi; i++ {
-		if check(s.items[i]) {
-			return true
-		}
-	}
-	return false
-}
-
 // purgeBefore drops every event with TS < horizon, returning the count.
 func (s *negStore) purgeBefore(horizon event.Time) int {
 	cut := sort.Search(len(s.items), func(i int) bool {

@@ -1,18 +1,15 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 
 	"oostream"
-	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
-	"oostream/internal/shard"
 )
 
 // RunBatch executes the batch≡per-event differential: every engine
@@ -30,9 +27,7 @@ import (
 //   - with heartbeats injected at batch boundaries, identical output to
 //     the per-event run advancing at the same stream positions (a
 //     heartbeat at a boundary must not release matches the per-event run
-//     would still be holding, and vice versa);
-//   - the goroutine-per-shard execution mode fed whole batches must
-//     produce the sequential topology's exact match multiset.
+//     would still be holding, and vice versa).
 //
 // Like Run it is a pure function of the Case, so it can serve as a fuzz
 // target (espfuzz -batch) and failures shrink soundly.
@@ -116,25 +111,6 @@ func RunBatch(c Case) *Failure {
 		}
 	}
 
-	// Parallel shards: batches delivered through the MPSC rings must
-	// reproduce the sequential topology's match multiset (output order
-	// across shards is scheduling-dependent, so the comparison is the same
-	// multiset check the per-event parallel path uses).
-	if q.PartitionableBy(PartitionAttr) {
-		cfg := oostream.Config{Strategy: oostream.StrategyNative, K: c.K}
-		want := run(q, oostream.Config{Strategy: oostream.StrategyNative, K: c.K,
-			Partition: oostream.Partition{Attr: PartitionAttr, Shards: shardCount}}, c.Arrival)
-		for _, bs := range []int{1, 0, 2 + rng.Intn(7)} {
-			got, err := runParallelBatched(q, cfg, c.Arrival, bs)
-			if err != nil {
-				return &Failure{Case: c, Check: "batch-shard-parallel", Diff: err.Error(), Truth: len(want)}
-			}
-			if ok, diff := plan.SameResults(want, got); !ok {
-				return &Failure{Case: c, Check: "batch-shard-parallel",
-					Diff: fmt.Sprintf("batchSize=%d: %s", bs, diff), Truth: len(want)}
-			}
-		}
-	}
 	return nil
 }
 
@@ -237,26 +213,6 @@ func runHeartbeatsAtBoundaries(q *oostream.Query, cfg oostream.Config, events []
 		}
 	}
 	return append(out, en.Flush()...)
-}
-
-// runParallelBatched drives the goroutine-per-shard mode through the
-// batched ring handoff (batchSize <= 0 delivers one whole-stream batch).
-func runParallelBatched(q *oostream.Query, cfg oostream.Config, events []event.Event, batchSize int) ([]plan.Match, error) {
-	router, err := shard.NewRouter(PartitionAttr, shardCount)
-	if err != nil {
-		return nil, err
-	}
-	par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
-		sub, err := oostream.NewEngine(q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sub.Raw(), nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return par.DrainBatches(context.Background(), events, batchSize)
 }
 
 // sameMatchSequence compares two match sequences element-wise in emission

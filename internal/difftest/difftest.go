@@ -1,8 +1,8 @@
 // Package difftest is the randomized differential-testing harness that
 // guards the library's central claim: every strategy computes the same
 // match multiset. For a generated (query, stream, disorder) triple it runs
-// all four strategies, the ordered-output wrapper, both shard execution
-// modes, and a mid-stream checkpoint/restore round-trip, and compares
+// all four strategies, the ordered-output wrapper, partitioned execution,
+// and a mid-stream checkpoint/restore round-trip, and compares
 // every result multiset against the brute-force oracle on the sorted
 // stream — which is, by I1, the normative semantics.
 //
@@ -22,8 +22,8 @@
 //     between events never changes the final multiset;
 //   - speculation convergence (I7): the speculative engine's inserts minus
 //     retracts equal the exact result set after sealing;
-//   - partitioning soundness (I8): sequential and goroutine-per-shard
-//     partitioned execution equal the single engine, as multisets;
+//   - partitioning soundness (I8): partitioned execution equals the
+//     single engine, as multisets;
 //   - keyed-stacks soundness: on partitionable queries the kernel runs
 //     with key-partitioned stacks by default; with keying disabled the
 //     native policy must produce the identical multiset and the
@@ -40,17 +40,14 @@ package difftest
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"slices"
 	"time"
 
 	"oostream"
-	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
-	"oostream/internal/shard"
 )
 
 // PartitionAttr is the attribute every generated event carries and
@@ -120,7 +117,7 @@ func isNaN(v event.Value) bool {
 type Failure struct {
 	// Case is the failing trial (possibly shrunk).
 	Case Case
-	// Check names the property that failed, e.g. "native" or "shard-parallel".
+	// Check names the property that failed, e.g. "native" or "shard-seq".
 	Check string
 	// Diff is the multiset diff (oracle vs engine) or error text.
 	Diff string
@@ -271,8 +268,8 @@ func Run(c Case) *Failure {
 		return &Failure{Case: c, Check: "checkpoint", Diff: diff, Truth: len(want)}
 	}
 
-	// Partitioning soundness (I8), both execution modes, when the query
-	// confines matches to one key.
+	// Partitioning soundness (I8), when the query confines matches to one
+	// key.
 	if q.PartitionableBy(PartitionAttr) {
 		sharded := native
 		sharded.Partition = oostream.Partition{Attr: PartitionAttr, Shards: shardCount}
@@ -281,13 +278,6 @@ func Run(c Case) *Failure {
 			return errf("shard-seq", err)
 		}
 		if f := fail("shard-seq", se.ProcessAll(c.Arrival)); f != nil {
-			return f
-		}
-		pgot, err := runParallel(q, native, c.Arrival)
-		if err != nil {
-			return errf("shard-parallel", err)
-		}
-		if f := fail("shard-parallel", pgot); f != nil {
 			return f
 		}
 
@@ -380,23 +370,4 @@ func runCheckpointed(q *oostream.Query, cfg oostream.Config, events []event.Even
 		out = append(out, restored.Process(e)...)
 	}
 	return append(out, restored.Flush()...), nil
-}
-
-// runParallel drives the goroutine-per-shard execution mode.
-func runParallel(q *oostream.Query, cfg oostream.Config, events []event.Event) ([]plan.Match, error) {
-	router, err := shard.NewRouter(PartitionAttr, shardCount)
-	if err != nil {
-		return nil, err
-	}
-	par, err := shard.NewParallel(router, engine.Env{}, func(int) (engine.Engine, error) {
-		sub, err := oostream.NewEngine(q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sub.Raw(), nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return par.Drain(context.Background(), events)
 }

@@ -146,3 +146,77 @@ func TestOneContract(t *testing.T) {
 		t.Errorf("internal/engine declares %d interface types, want exactly one (Engine)", interfaces)
 	}
 }
+
+// TestEveryRunnerHasAnEntryPoint is the mechanical form of "no concurrency
+// nobody runs": every package under internal/ is reachable, through
+// non-test imports, from package oostream or a cmd/ main, and library code
+// starts goroutines only where a caller can get to them. A runner that only
+// tests and the differential harness construct (the goroutine-per-shard
+// runner and its ring, the fan-out runtime, the idle-heartbeat pipeline;
+// EXPERIMENTS.md E28) shows up here before it collects gauges, docs and
+// roadmap items.
+func TestEveryRunnerHasAnEntryPoint(t *testing.T) {
+	// Reachable from neither root on purpose, with the reason.
+	unreached := map[string]string{
+		"internal/speculate": "shim for benchmark/layers.go, a nested module this walk does not enter; goes with ROADMAP 1(b)",
+	}
+	// The only library sources that may hold a go statement.
+	goAllowed := func(rel string) bool {
+		return rel == "result.go" || strings.HasPrefix(rel, "internal/obsv/httpx/")
+	}
+
+	imports := map[string][]string{} // package dir -> module-local package dirs it imports
+	var roots []string
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if dir == "." || (strings.HasPrefix(dir, "cmd/") && f.Name.Name == "main") {
+			roots = append(roots, dir)
+		}
+		if _, ok := imports[dir]; !ok {
+			imports[dir] = nil // a package with no module-local import is still a package
+		}
+		for _, imp := range f.Imports {
+			target, _ := strconv.Unquote(imp.Path.Value)
+			if local, ok := strings.CutPrefix(target, "oostream/"); ok {
+				imports[dir] = append(imports[dir], local)
+			}
+		}
+		if strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/") || goAllowed(rel) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement in library code; only Engine.RunResults and the metrics HTTP server start goroutines", rel)
+			}
+			return true
+		})
+	})
+
+	reached := map[string]bool{}
+	for queue := roots; len(queue) > 0; queue = queue[1:] {
+		if dir := queue[0]; !reached[dir] {
+			reached[dir] = true
+			queue = append(queue, imports[dir]...)
+		}
+	}
+	for dir := range imports {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		reason, allowed := unreached[dir]
+		switch {
+		case allowed && reached[dir]:
+			t.Errorf("%s is reachable now: drop it from the allowlist (was: %s)", dir, reason)
+		case !allowed && !reached[dir]:
+			t.Errorf("%s is imported by no non-test code that package oostream or a cmd/ main reaches: give it an entry point or delete it", dir)
+		}
+	}
+	for dir := range unreached {
+		if _, ok := imports[dir]; !ok {
+			t.Errorf("%s is allowlisted but has no non-test source: drop it from the allowlist", dir)
+		}
+	}
+}

@@ -59,8 +59,8 @@ type Stage uint8
 
 // Stages, in pipeline order.
 const (
-	// StageQueue is ring/channel wait: push into a shard feed (or batch
-	// linger) until the consumer pops it.
+	// StageQueue is batch linger: from channel receive in
+	// Pipeline.RunBatched until the batch is handed to the engine.
 	StageQueue Stage = iota
 	// StageBuffer is reorder-buffer residency: kslack/adaptive buffering or
 	// the QuerySet shared-admission buffer, from admission to release.
@@ -72,7 +72,7 @@ const (
 	// insertion, match construction and sealing.
 	StageConstruct
 	// StageEmit is everything after construction until the span closes:
-	// delivery, merge-send, downstream channel backpressure. It is the
+	// delivery and downstream channel backpressure. It is the
 	// residual tail folded in at Finish, which is what makes the stage sum
 	// equal the wall total.
 	StageEmit
@@ -108,8 +108,8 @@ const (
 )
 
 // latencySlot is one live span. key is the event's Seq+1 (0 = free); all
-// fields are atomics because a span crosses the router→consumer ring
-// handoff and races concurrent scrapes.
+// fields are atomics, so Begin, StageEnd and Finish may come from
+// different goroutines.
 type latencySlot struct {
 	key   atomic.Uint64
 	start atomic.Int64

@@ -204,14 +204,6 @@ type Series struct {
 	SpansSampled   Counter
 	SpansAbandoned Counter
 	SpansDropped   Counter
-
-	// Backpressure instruments (useful with sampling off): QueueDepth
-	// gauges live ring/feed occupancy; BlockedPushes counts producer
-	// pushes that had to park on a full ring; FullRejects counts TryPush
-	// rejections.
-	QueueDepth    Gauge
-	BlockedPushes Counter
-	FullRejects   Counter
 }
 
 // NewSeries creates an unregistered series (what an engine built without a
@@ -391,10 +383,6 @@ func (s *Series) varz() map[string]any {
 		"wall_latency_mean_us":  wall.Mean(),
 		"wall_latency_p95_us":   wall.Quantile(0.95),
 		"wall_latency_max_us":   wall.Max,
-		"queue_depth":           s.QueueDepth.Load(),
-		"queue_depth_peak":      s.QueueDepth.Peak(),
-		"blocked_pushes":        s.BlockedPushes.Load(),
-		"full_rejects":          s.FullRejects.Load(),
 	}
 }
 
@@ -432,8 +420,6 @@ var promCounters = []struct {
 	{"oostream_spans_sampled_total", "Wall-latency spans opened by the sampler", func(s *Series) uint64 { return s.SpansSampled.Load() }},
 	{"oostream_spans_abandoned_total", "Wall-latency spans abandoned (dropped/shed events)", func(s *Series) uint64 { return s.SpansAbandoned.Load() }},
 	{"oostream_spans_dropped_total", "Wall-latency spans dropped at open (slot table full)", func(s *Series) uint64 { return s.SpansDropped.Load() }},
-	{"oostream_ring_blocked_pushes_total", "Producer pushes that parked on a full ring", func(s *Series) uint64 { return s.BlockedPushes.Load() }},
-	{"oostream_ring_full_rejects_total", "Non-blocking ring pushes rejected because the ring was full", func(s *Series) uint64 { return s.FullRejects.Load() }},
 }
 
 // promGauges maps Prometheus gauge names to series gauges.
@@ -455,8 +441,6 @@ var promGauges = []struct {
 	{"oostream_degraded", "1 while overload degradation is shedding events", func(s *Series) int64 { return s.Degraded.Load() }},
 	{"oostream_agg_tree_height", "Tallest live aggregation tree across groups", func(s *Series) int64 { return s.AggTreeHeight.Load() }},
 	{"oostream_agg_elements", "Live aggregation-tree elements across all groups", func(s *Series) int64 { return s.AggElements.Load() }},
-	{"oostream_queue_depth", "Live ring/feed occupancy (events waiting for a consumer)", func(s *Series) int64 { return s.QueueDepth.Load() }},
-	{"oostream_queue_depth_peak", "Peak of oostream_queue_depth", func(s *Series) int64 { return s.QueueDepth.Peak() }},
 }
 
 // promHists maps Prometheus histogram names to series histograms.

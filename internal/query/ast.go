@@ -42,9 +42,6 @@ const (
 	AggMax   AggFunc = "MAX"
 )
 
-// AggFuncs lists the aggregation functions in canonical order.
-func AggFuncs() []AggFunc { return []AggFunc{AggCount, AggSum, AggAvg, AggMin, AggMax} }
-
 // AggClause is the AGGREGATE head of a windowed aggregation query:
 //
 //	AGGREGATE AVG(p.amount) OVER SEQ(PAY p) WHERE p.amount > 0

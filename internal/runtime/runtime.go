@@ -1,11 +1,11 @@
-// Package runtime provides the concurrent plumbing around the (inherently
-// single-threaded) pattern engines: channel-based pipelines with clean
-// shutdown, and multi-query fan-out where one input stream drives several
-// engines on their own goroutines.
+// Package runtime provides the plumbing around the (inherently
+// single-threaded) pattern engines: Pipeline, the channel-to-channel loop
+// behind Engine.Run, and Supervisor, the write-ahead-logged, checkpointed
+// wrapper behind the supervised facade types.
 //
-// Following the project's concurrency rules: every goroutine started here
-// is owned by a Pipeline/Fanout object, is stoppable through the context,
-// and is waited for before Run returns. Channels are unbuffered or size 1.
+// Nothing here starts a goroutine: Pipeline.Run and RunBatched work on the
+// caller's, stop when the context does (every send selects on it), and
+// close their output channel before returning.
 package runtime
 
 import (
@@ -156,157 +156,6 @@ func emitAll(ctx context.Context, matches []plan.Match, out chan<- plan.Match) e
 		case <-ctx.Done():
 			return ctx.Err()
 		case out <- m:
-		}
-	}
-	return nil
-}
-
-// Tagged is a match labelled with the engine that produced it.
-type Tagged struct {
-	// Engine is the producing engine's name.
-	Engine string
-	// Match is the emitted match.
-	Match plan.Match
-}
-
-// Fanout broadcasts one event stream to several engines, each running on
-// its own goroutine, and merges their matches.
-type Fanout struct {
-	engines []engine.Engine
-}
-
-// NewFanout wraps the engines. Engine names should be distinct if the
-// consumer needs to attribute matches.
-func NewFanout(engines ...engine.Engine) *Fanout {
-	return &Fanout{engines: engines}
-}
-
-// Run consumes in until closed or cancelled, feeding every engine, and
-// sends all matches to out (closing it before returning). Each engine runs
-// on its own goroutine with a one-slot feed channel, so a slow engine
-// backpressures the broadcast rather than being skipped.
-func (f *Fanout) Run(ctx context.Context, in <-chan event.Event, out chan<- Tagged) error {
-	defer close(out)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	feeds := make([]chan event.Event, len(f.engines))
-	errs := make(chan error, len(f.engines))
-	merged := make(chan Tagged, 1)
-	done := make(chan struct{})
-
-	workers := 0
-	for i, en := range f.engines {
-		feeds[i] = make(chan event.Event, 1)
-		workers++
-		go func(en engine.Engine, feed <-chan event.Event) {
-			errs <- runEngine(ctx, en, feed, merged)
-		}(en, feeds[i])
-	}
-
-	// Forwarder: moves merged matches to out until all workers finish.
-	forwardErr := make(chan error, 1)
-	go func() {
-		defer close(forwardErr)
-		for {
-			select {
-			case <-done:
-				// Drain anything still buffered.
-				for {
-					select {
-					case t := <-merged:
-						select {
-						case out <- t:
-						case <-ctx.Done():
-							forwardErr <- ctx.Err()
-							return
-						}
-					default:
-						return
-					}
-				}
-			case t := <-merged:
-				select {
-				case out <- t:
-				case <-ctx.Done():
-					forwardErr <- ctx.Err()
-					return
-				}
-			}
-		}
-	}()
-
-	var runErr error
-broadcast:
-	for {
-		select {
-		case <-ctx.Done():
-			runErr = ctx.Err()
-			break broadcast
-		case e, ok := <-in:
-			if !ok {
-				break broadcast
-			}
-			for _, feed := range feeds {
-				select {
-				case <-ctx.Done():
-					runErr = ctx.Err()
-					break broadcast
-				case feed <- e:
-				}
-			}
-		}
-	}
-	for _, feed := range feeds {
-		close(feed)
-	}
-	for i := 0; i < workers; i++ {
-		if err := <-errs; err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	close(done)
-	if err := <-forwardErr; err != nil && runErr == nil {
-		runErr = err
-	}
-	return runErr
-}
-
-func runEngine(ctx context.Context, en engine.Engine, feed <-chan event.Event, merged chan<- Tagged) error {
-	send := func(matches []plan.Match) error {
-		for _, m := range matches {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case merged <- Tagged{Engine: en.Name(), Match: m}:
-			}
-		}
-		return nil
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case e, ok := <-feed:
-			if !ok {
-				return send(en.Flush())
-			}
-			if err := send(en.Process(e)); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// FeedSlice pushes a finite event slice into a channel, respecting ctx, and
-// closes it. Intended to be run on its own goroutine by callers.
-func FeedSlice(ctx context.Context, events []event.Event, out chan<- event.Event) error {
-	defer close(out)
-	for _, e := range events {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case out <- e:
 		}
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
-	"oostream/internal/inorder"
 	"oostream/internal/plan"
 )
 
@@ -22,6 +21,14 @@ func compile(t *testing.T, src string) *plan.Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// feed sends a finite slice into in and closes it.
+func feed(events []event.Event, in chan<- event.Event) {
+	defer close(in)
+	for _, e := range events {
+		in <- e
+	}
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
@@ -36,8 +43,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	pl := NewPipeline(core.MustNew(p, core.Options{K: 50}), engine.Env{})
 
 	ctx := context.Background()
-	feedErr := make(chan error, 1)
-	go func() { feedErr <- FeedSlice(ctx, shuffled, in) }()
+	go feed(shuffled, in)
 
 	var got []plan.Match
 	runErr := make(chan error, 1)
@@ -47,9 +53,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	if err := <-runErr; err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if err := <-feedErr; err != nil {
-		t.Fatalf("FeedSlice: %v", err)
 	}
 	if ok, diff := plan.SameResults(want, got); !ok {
 		t.Fatalf("pipeline output differs:\n%s", diff)
@@ -80,68 +83,6 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-func TestFanoutAllEnginesSeeAllEvents(t *testing.T) {
-	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 100")
-	sorted := gen.Uniform(150, []string{"A", "B"}, 3, 5, 4)
-	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 5})
-
-	native := core.MustNew(p, core.Options{K: 40})
-	naive := inorder.New(p)
-	f := NewFanout(native, naive)
-
-	in := make(chan event.Event)
-	out := make(chan Tagged, 1)
-	ctx := context.Background()
-	go func() { _ = FeedSlice(ctx, shuffled, in) }()
-
-	byEngine := map[string][]plan.Match{}
-	errCh := make(chan error, 1)
-	go func() { errCh <- f.Run(ctx, in, out) }()
-	for tg := range out {
-		byEngine[tg.Engine] = append(byEngine[tg.Engine], tg.Match)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	wantNative := engine.Drain(core.MustNew(p, core.Options{K: 40}), shuffled)
-	if ok, diff := plan.SameResults(wantNative, byEngine["native"]); !ok {
-		t.Fatalf("native through fanout differs:\n%s", diff)
-	}
-	wantNaive := engine.Drain(inorder.New(p), shuffled)
-	if ok, diff := plan.SameResults(wantNaive, byEngine["inorder"]); !ok {
-		t.Fatalf("inorder through fanout differs:\n%s", diff)
-	}
-	if native.Metrics().EventsIn == 0 || naive.Metrics().EventsIn == 0 {
-		t.Fatal("engines did not see events")
-	}
-}
-
-func TestFanoutCancellation(t *testing.T) {
-	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 100")
-	f := NewFanout(core.MustNew(p, core.Options{K: 10}), inorder.New(p))
-	in := make(chan event.Event)
-	out := make(chan Tagged)
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() { errCh <- f.Run(ctx, in, out) }()
-	in <- event.Event{Type: "A", TS: 1, Seq: 1}
-	cancel()
-	// Consumer keeps draining so the fanout can exit.
-	go func() {
-		for range out {
-		}
-	}()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("fanout did not stop on cancel")
-	}
-}
-
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
@@ -166,7 +107,7 @@ func TestPipelineEndToEndHelper(t *testing.T) {
 	in := make(chan event.Event)
 	out := make(chan plan.Match, 1)
 	ctx := context.Background()
-	go func() { _ = FeedSlice(ctx, events, in) }()
+	go feed(events, in)
 	pl := NewPipeline(core.MustNew(p, core.Options{K: 10}), engine.Env{})
 	errCh := make(chan error, 1)
 	go func() { errCh <- pl.Run(ctx, in, out) }()

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"strings"
 	"testing"
@@ -85,81 +84,3 @@ func TestShardRestoreTopologyMismatch(t *testing.T) {
 		t.Error("attribute mismatch accepted")
 	}
 }
-
-// panicEngine wraps an engine and panics when it sees the poison Seq.
-type panicEngine struct {
-	engine.Engine
-	poison uint64
-}
-
-func (pe *panicEngine) Process(e event.Event) []plan.Match {
-	if e.Seq == pe.poison {
-		panic("injected shard fault")
-	}
-	return pe.Engine.Process(e)
-}
-
-// ProcessBatch routes the batch through the poisoned Process (the embedded
-// engine's own batch path would bypass it).
-func (pe *panicEngine) ProcessBatch(batch []event.Event) []plan.Match {
-	var out []plan.Match
-	for _, e := range batch {
-		out = append(out, pe.Process(e)...)
-	}
-	return out
-}
-
-// TestParallelShardPanicIsolated: a panic inside one shard's engine must
-// surface as an error from Run — not crash the process — and must not
-// wedge the feeder on the dead shard's channel.
-func TestParallelShardPanicIsolated(t *testing.T) {
-	const k = event.Time(2_000)
-	p := compile(t, shopQuery)
-	events := shopStream(t, 200, 88)
-	poison := events[120].Seq
-
-	par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, func(int) (engine.Engine, error) {
-		en, err := core.New(p, core.Options{K: k})
-		if err != nil {
-			return nil, err
-		}
-		return &panicEngine{Engine: en, poison: poison}, nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = par.Drain(context.Background(), events)
-	if err == nil || !strings.Contains(err.Error(), "engine panic") {
-		t.Fatalf("shard panic not isolated into an error: %v", err)
-	}
-}
-
-// TestParallelFlushPanicIsolated: a panic during the end-of-stream Flush
-// is isolated the same way.
-func TestParallelFlushPanicIsolated(t *testing.T) {
-	const k = event.Time(2_000)
-	p := compile(t, shopQuery)
-	events := shopStream(t, 50, 99)
-
-	par, err := NewParallel(mustRouter(t, "id", 3), engine.Env{}, func(shard int) (engine.Engine, error) {
-		en, err := core.New(p, core.Options{K: k})
-		if err != nil {
-			return nil, err
-		}
-		if shard == 1 {
-			return &flushPanicEngine{Engine: en}, nil
-		}
-		return en, nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = par.Drain(context.Background(), events)
-	if err == nil || !strings.Contains(err.Error(), "engine panic") {
-		t.Fatalf("flush panic not isolated: %v", err)
-	}
-}
-
-type flushPanicEngine struct{ engine.Engine }
-
-func (fe *flushPanicEngine) Flush() []plan.Match { panic("flush fault") }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // newNativeParts returns a router and a factory building native parts, each
-// with env (the parts' own Env: a Parallel or Engine forwards nothing).
+// with env (the parts' own Env: an Engine forwards nothing).
 func newNativeParts(t *testing.T, shards int, env engine.Env) (*Router, func(int) (engine.Engine, error)) {
 	t.Helper()
 	p, err := plan.ParseAndCompile(
@@ -29,12 +28,13 @@ func newNativeParts(t *testing.T, shards int, env engine.Env) (*Router, func(int
 	}
 }
 
-// TestParallelMetricsDuringProcess reads aggregated metrics from another
-// goroutine while the shard goroutines are mid-stream. The collector is
-// built on atomics, so this must be clean under -race.
-func TestParallelMetricsDuringProcess(t *testing.T) {
+// TestShardMetricsDuringProcess reads aggregated metrics from another
+// goroutine while the sequential engine is mid-stream, which is what a
+// /metrics scrape of a partitioned esprun does. Every part's collector
+// publishes through atomics, so this must be clean under -race.
+func TestShardMetricsDuringProcess(t *testing.T) {
 	router, factory := newNativeParts(t, 4, engine.Env{})
-	par, err := NewParallel(router, engine.Env{}, factory, nil)
+	en, err := New(router, engine.Env{}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +51,21 @@ func TestParallelMetricsDuringProcess(t *testing.T) {
 			case <-done:
 				return
 			default:
-				_ = par.Metrics()
+				_ = en.Metrics()
 			}
 		}
 	}()
-	got, err := par.Drain(context.Background(), events)
+	var got []plan.Match
+	for start := 0; start < len(events); start += 64 {
+		got = append(got, en.ProcessBatch(events[start:min(start+64, len(events))])...)
+	}
+	got = append(got, en.Flush()...)
 	close(done)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) == 0 {
-		t.Fatal("expected matches from the drained stream")
+		t.Fatal("expected matches from the stream")
 	}
-	snap := par.Metrics()
+	snap := en.Metrics()
 	// EventsIn counts relevant ingests; irrelevant events are tallied
 	// separately. Together they must cover the whole stream.
 	if snap.EventsIn+snap.Irrelevant != uint64(len(events)) {

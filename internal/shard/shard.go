@@ -7,15 +7,15 @@
 // bounds hold per shard because each shard sees a subsequence of the
 // arrival order, which can only shrink delays... see note on Clock below).
 //
-// Two execution modes are provided: Engine (sequential routing, implements
-// engine.Engine, deterministic output order) and Parallel (one goroutine
-// per shard over channels, multiset-equal output).
+// Engine routes sequentially on the caller's goroutine: it implements
+// engine.Engine and its output order is deterministic. There is no
+// goroutine-per-shard mode: the kernel spends about 0.5 µs per event, less
+// than a handoff to another goroutine costs (EXPERIMENTS.md E28).
 //
 // Clock note: a shard only observes its own partition's max timestamp, so
 // its safe clock lags the global one — pending negation output seals later
 // than a single engine would, but never incorrectly. Routing heartbeats
-// (Advance) to every shard, as both modes do on Flush, re-synchronizes
-// them.
+// (Advance) to every shard re-synchronizes them.
 package shard
 
 import (
@@ -239,15 +239,11 @@ func (en *Engine) Flush() []plan.Match {
 // StateSnapshot implements engine.Engine: per-shard snapshots aggregated
 // under the routing engine's name.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	return provenance.Aggregate(en.Name(), snapshots(en.parts))
-}
-
-func snapshots(parts []engine.Engine) []*provenance.StateSnapshot {
-	subs := make([]*provenance.StateSnapshot, len(parts))
-	for i, p := range parts {
+	subs := make([]*provenance.StateSnapshot, len(en.parts))
+	for i, p := range en.parts {
 		subs[i] = p.StateSnapshot()
 	}
-	return subs
+	return provenance.Aggregate(en.Name(), subs)
 }
 
 // RouteErrors returns how many events lacked the partition attribute.
@@ -262,21 +258,13 @@ func (en *Engine) StateSize() int {
 	return total
 }
 
-// Metrics implements engine.Engine by summing shard counters. PeakState is
-// the sum of per-shard peaks (an upper bound on the true simultaneous
-// peak); latency histograms are merged exactly.
+// Metrics implements engine.Engine by summing shard counters. Latency and
+// watermark-lag histograms merge exactly (identical bucket layouts);
+// per-shard peak gauges sum to an upper bound on the true simultaneous
+// peak.
 func (en *Engine) Metrics() metrics.Snapshot {
-	agg := aggregate(en.parts)
-	agg.PredErrors += en.routeErrors
-	return agg
-}
-
-// aggregate sums per-shard snapshots into one. Latency and watermark-lag
-// histograms merge exactly (identical bucket layouts); per-shard peak
-// gauges sum to an upper bound on the true simultaneous peak.
-func aggregate(parts []engine.Engine) metrics.Snapshot {
-	var agg metrics.Snapshot
-	for _, p := range parts {
+	agg := metrics.Snapshot{PredErrors: en.routeErrors}
+	for _, p := range en.parts {
 		s := p.Metrics()
 		agg.EventsIn += s.EventsIn
 		agg.EventsLate += s.EventsLate

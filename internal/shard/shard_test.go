@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"testing"
 
 	"oostream/internal/core"
@@ -29,6 +28,15 @@ func nativeFactory(p *plan.Plan, k event.Time) func(int) (engine.Engine, error) 
 	return func(int) (engine.Engine, error) {
 		return core.New(p, core.Options{K: k})
 	}
+}
+
+func mustRouter(t *testing.T, attr string, n int) *Router {
+	t.Helper()
+	r, err := NewRouter(attr, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestRouterDeterministicAndBalanced(t *testing.T) {
@@ -166,63 +174,6 @@ func TestPartitionedAdvance(t *testing.T) {
 	out := en.Advance(90) // safe = 40 >= gap end 30 on every shard
 	if len(out) != 1 {
 		t.Fatalf("heartbeat should seal across shards, got %v", out)
-	}
-}
-
-func TestParallelEqualsSequential(t *testing.T) {
-	p := compile(t, shopQuery)
-	sorted := gen.RFID(gen.DefaultRFID(300, 58))
-	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.2, MaxDelay: 2000, Seed: 59})
-	single := engine.Drain(core.MustNew(p, core.Options{K: 2000}), shuffled)
-
-	r, _ := NewRouter("id", 4)
-	par, err := NewParallel(r, engine.Env{}, nativeFactory(p, 2000), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan event.Event)
-	out := make(chan plan.Match, 1)
-	ctx := context.Background()
-	go func() {
-		defer close(in)
-		for _, e := range shuffled {
-			in <- e
-		}
-	}()
-	var got []plan.Match
-	errCh := make(chan error, 1)
-	go func() { errCh <- par.Run(ctx, in, out) }()
-	for m := range out {
-		got = append(got, m)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if ok, diff := plan.SameResults(single, got); !ok {
-		t.Fatalf("parallel shards differ:\n%s", diff)
-	}
-}
-
-func TestParallelCancellation(t *testing.T) {
-	p := compile(t, shopQuery)
-	r, _ := NewRouter("id", 2)
-	par, err := NewParallel(r, engine.Env{}, nativeFactory(p, 100), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event)
-	out := make(chan plan.Match)
-	errCh := make(chan error, 1)
-	go func() { errCh <- par.Run(ctx, in, out) }()
-	go func() {
-		for range out {
-		}
-	}()
-	in <- event.New("SHELF", 1, event.Attrs{"id": event.Int(1)})
-	cancel()
-	if err := <-errCh; err != context.Canceled {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -169,8 +169,8 @@ func SameResults(a, b []Match) (bool, string) { return plan.SameResults(a, b) }
 
 // Engine evaluates one compiled query under a chosen strategy.
 //
-// Engines are not safe for concurrent Process calls; use Run (or the
-// fan-out helpers) for channel-based concurrent plumbing.
+// Engines are not safe for concurrent Process calls; use Run for
+// channel-based plumbing.
 type Engine struct {
 	inner   engine.Engine
 	nextSeq event.Seq
@@ -397,16 +397,25 @@ func (e *Engine) Checkpoint(w io.Writer) error { return e.inner.Checkpoint(w) }
 
 // Run consumes events from in until it closes or ctx is cancelled,
 // forwarding matches to out; it flushes on end-of-stream and closes out
-// before returning. Auto-assignment of Seq is NOT applied on this path —
-// feed events with sequence numbers (generators assign them).
+// before returning. End-of-stream seals the engine exactly as Flush does;
+// a cancelled Run returns ctx.Err() and leaves it open. Auto-assignment of
+// Seq is NOT applied on this path — feed events with sequence numbers
+// (generators assign them).
 //
 // When Config.Batch.Size > 1, Run drives the engine's batch path: events
 // are accumulated (up to Size, waiting at most Linger for a partial batch)
 // and handed to ProcessBatch in one call. Output is identical either way.
 func (e *Engine) Run(ctx context.Context, in <-chan Event, out chan<- Match) error {
 	p := runtime.NewPipeline(e.inner, engine.Env{Latency: e.lat})
+	var err error
 	if e.batch.Size > 1 {
-		return p.RunBatched(ctx, in, out, e.batch.Size, e.batch.Linger)
+		err = p.RunBatched(ctx, in, out, e.batch.Size, e.batch.Linger)
+	} else {
+		err = p.Run(ctx, in, out)
 	}
-	return p.Run(ctx, in, out)
+	if err == nil {
+		// End of stream: the pipeline flushed the inner engine.
+		e.sealed = true
+	}
+	return err
 }

@@ -2,8 +2,11 @@ package oostream
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"oostream/internal/gen"
 )
@@ -142,6 +145,110 @@ func TestEngineRunPipeline(t *testing.T) {
 	}
 	if ok, diff := SameResults(want, got); !ok {
 		t.Fatalf("pipeline output differs:\n%s", diff)
+	}
+}
+
+// TestRunResultsCancelWithOutUnread: cancellation must end RunResults even
+// when nobody reads out any more, and leave no goroutine behind.
+func TestRunResultsCancelWithOutUnread(t *testing.T) {
+	q := MustCompile("PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN 10s", gen.RFIDSchema())
+	events := gen.RFID(gen.DefaultRFID(200, 8))
+	// Run receives events[stuck] only after its third result is in flight:
+	// the test reads the first, so the second is by then held by the
+	// forwarder with nobody to take it.
+	stuck, ref := 0, MustNewEngine(q, Config{})
+	for n := 0; n < 3; stuck++ {
+		n += len(ref.Process(events[stuck]))
+	}
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	en := MustNewEngine(q, Config{})
+	in := make(chan Event)
+	out := make(chan Result)
+	fed := make(chan struct{})
+	go func() {
+		defer close(in)
+		for i, e := range events {
+			select {
+			case in <- e:
+			case <-ctx.Done():
+				return
+			}
+			if i == stuck {
+				close(fed)
+			}
+		}
+	}()
+	errCh := make(chan error, 1)
+	go func() { errCh <- en.RunResults(ctx, in, out) }()
+	<-out // one result read, then the consumer walks away
+	<-fed
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunResults still blocked 2s after cancellation")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunSealsEngine: a Run that ends on end-of-stream has flushed the
+// engine, so Process must refuse as it does after Flush; a cancelled Run
+// leaves the engine open.
+func TestRunSealsEngine(t *testing.T) {
+	q := pairQuery(t)
+	processPanic := func(en *Engine, ev Event) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		en.Process(ev)
+		return ""
+	}
+	for _, tt := range []struct {
+		name string
+		run  func(*Engine, context.Context, <-chan Event) error
+	}{
+		{"Run", func(en *Engine, ctx context.Context, in <-chan Event) error {
+			return en.Run(ctx, in, make(chan Match, 4))
+		}},
+		{"RunResults", func(en *Engine, ctx context.Context, in <-chan Event) error {
+			return en.RunResults(ctx, in, make(chan Result, 4))
+		}},
+	} {
+		t.Run(tt.name+"/end-of-stream", func(t *testing.T) {
+			en := MustNewEngine(q, Config{K: 10})
+			in := make(chan Event, 2)
+			in <- pairEvent("A", 1, 1, 7)
+			in <- pairEvent("B", 2, 2, 7)
+			close(in)
+			if err := tt.run(en, context.Background(), in); err != nil {
+				t.Fatal(err)
+			}
+			if msg := processPanic(en, pairEvent("A", 3, 3, 7)); !strings.Contains(msg, "sealed") {
+				t.Errorf("Process after a completed run: panic = %q, want the sealed refusal", msg)
+			}
+			if ms := en.Flush(); ms != nil {
+				t.Errorf("Flush after a completed run returned %v", ms)
+			}
+		})
+		t.Run(tt.name+"/cancelled", func(t *testing.T) {
+			en := MustNewEngine(q, Config{K: 10})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := tt.run(en, ctx, make(chan Event)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if msg := processPanic(en, pairEvent("A", 1, 1, 7)); msg != "" {
+				t.Errorf("Process after a cancelled run panicked: %s", msg)
+			}
+		})
 	}
 }
 

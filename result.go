@@ -137,15 +137,23 @@ func (e *Engine) FlushResults() []Result { return Results(e.Flush()) }
 
 // RunResults is Run under the unified Result view: it consumes events from
 // in until it closes or ctx is cancelled, forwards results to out, flushes
-// on end-of-stream, and closes out before returning. Batched ingestion
-// (Config.Batch) applies exactly as in Run.
+// on end-of-stream, and closes out before returning (ctx.Err() when
+// cancelled, even with out unread). Batched ingestion (Config.Batch)
+// applies exactly as in Run.
 func (e *Engine) RunResults(ctx context.Context, in <-chan Event, out chan<- Result) error {
+	defer close(out)
 	mid := make(chan Match, cap(out)+1)
 	done := make(chan error, 1)
 	go func() { done <- e.Run(ctx, in, mid) }()
 	for m := range mid {
-		out <- Result{m: m}
+		select {
+		case out <- Result{m: m}:
+		case <-ctx.Done():
+			// Run selects on ctx at every send, so it returns without
+			// mid being drained.
+			<-done
+			return ctx.Err()
+		}
 	}
-	close(out)
 	return <-done
 }
