@@ -141,7 +141,9 @@ func (s *Stack) String() string {
 
 // Stacks is the full AIS structure: one stack per positive position.
 type Stacks struct {
-	stacks []*Stack
+	// stacks holds the positions by value: a key group is a Stacks, and RFID
+	// workloads open one for every third event.
+	stacks []Stack
 	// lastFix is the number of RIP repairs the most recent Insert caused —
 	// the structural work an out-of-order insertion forces. Engines read it
 	// via LastFixups right after Insert to feed repair metrics.
@@ -150,24 +152,20 @@ type Stacks struct {
 
 // New creates an AIS with n positions.
 func New(n int) *Stacks {
-	s := &Stacks{stacks: make([]*Stack, n)}
-	for i := range s.stacks {
-		s.stacks[i] = &Stack{}
-	}
-	return s
+	return &Stacks{stacks: make([]Stack, n)}
 }
 
 // Len returns the number of positions.
 func (a *Stacks) Len() int { return len(a.stacks) }
 
 // Stack returns the stack at position i.
-func (a *Stacks) Stack(i int) *Stack { return a.stacks[i] }
+func (a *Stacks) Stack(i int) *Stack { return &a.stacks[i] }
 
 // Size returns the total number of live instances across all stacks.
 func (a *Stacks) Size() int {
 	total := 0
-	for _, s := range a.stacks {
-		total += len(s.items)
+	for i := range a.stacks {
+		total += len(a.stacks[i].items)
 	}
 	return total
 }
@@ -181,7 +179,7 @@ func (a *Stacks) Size() int {
 // the classic SASE push: append, RIP = top of the previous stack.
 func (a *Stacks) Insert(pos int, e event.Event) *Instance {
 	inst := &Instance{Event: e}
-	s := a.stacks[pos]
+	s := &a.stacks[pos]
 	idx := s.insertionPoint(inst)
 	s.insertAt(idx, inst)
 
@@ -205,7 +203,7 @@ func (a *Stacks) LastFixups() int { return a.lastFix }
 // Because stacks are sorted and the correct RIP is monotone in x, the run
 // is contiguous and ends at the first x whose RIP already is inst or later.
 func (a *Stacks) fixupNext(nextPos int, inst *Instance) int {
-	next := a.stacks[nextPos]
+	next := &a.stacks[nextPos]
 	n := 0
 	for i := next.FirstAfter(inst.Event.TS); i < len(next.items); i++ {
 		x := next.items[i]
@@ -229,8 +227,8 @@ func (a *Stacks) fixupNext(nextPos int, inst *Instance) int {
 // without touching survivors.
 func (a *Stacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
-	for i, s := range a.stacks {
-		total += s.PurgeBefore(horizon(i))
+	for i := range a.stacks {
+		total += a.stacks[i].PurgeBefore(horizon(i))
 	}
 	return total
 }
@@ -241,7 +239,7 @@ func (a *Stacks) PurgeBefore(horizon func(pos int) event.Time) int {
 // was purged are skipped (their stored RIP is stale by design).
 func (a *Stacks) CheckRIPInvariant() error {
 	for pos := 1; pos < len(a.stacks); pos++ {
-		prev := a.stacks[pos-1]
+		prev := &a.stacks[pos-1]
 		for _, x := range a.stacks[pos].items {
 			want := prev.LatestBefore(x.Event.TS)
 			if want == nil {

@@ -1,6 +1,8 @@
 package ais
 
 import (
+	"fmt"
+
 	"oostream/internal/event"
 )
 
@@ -13,20 +15,35 @@ import (
 //
 // Each group is a full Stacks value with the usual sorted-stack invariants;
 // the keyed layer adds the routing map, an O(1) incrementally maintained
-// total size, and a purge sweep that drops groups once empty (bounding the
-// map at the number of keys live inside the purge horizon).
+// total size, and one expiry order per position (Due) through which a purge
+// pass reaches the groups holding something below the horizon — and only
+// those — dropping the ones it leaves empty (bounding the map at the number
+// of keys live inside the purge horizon).
 //
 // Callers canonicalize keys (event.Value.MapKey / plan.KeyOf) before
 // routing, so Equal-comparing values share a group.
 type KeyedStacks struct {
 	n      int
-	groups map[event.Value]*Stacks
-	size   int
+	groups map[event.Value]*group
+	// due[pos] holds one entry per live instance at position pos, in every
+	// group: {instance timestamp, its group}. Insert adds the entry and the
+	// pass that purges the instance pops it, with the same horizon and the
+	// same comparison, so entries and live instances correspond one to one
+	// between passes (CheckDue).
+	due  []Due[*group]
+	size int
+}
+
+// group is one key's stacks. It carries the key so that a purge reaching it
+// through the order can take it out of the map once it is empty.
+type group struct {
+	Stacks
+	key event.Value
 }
 
 // NewKeyed creates a keyed AIS with n positions per key group.
 func NewKeyed(n int) *KeyedStacks {
-	return &KeyedStacks{n: n, groups: make(map[event.Value]*Stacks)}
+	return &KeyedStacks{n: n, groups: make(map[event.Value]*group), due: make([]Due[*group], n)}
 }
 
 // Positions returns the number of pattern positions per group.
@@ -37,34 +54,51 @@ func (k *KeyedStacks) Groups() int { return len(k.groups) }
 
 // Group returns the stacks for a key, or nil when the key has no live
 // instances.
-func (k *KeyedStacks) Group(key event.Value) *Stacks { return k.groups[key] }
+func (k *KeyedStacks) Group(key event.Value) *Stacks {
+	if g := k.groups[key]; g != nil {
+		return &g.Stacks
+	}
+	return nil
+}
 
 // Insert routes e to its key group (creating it on first use) and inserts
 // at position pos with the usual timestamp ordering and RIP fix-up,
 // returning the new instance and its group for construction to walk.
 func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (*Instance, *Stacks) {
-	st, ok := k.groups[key]
+	g, ok := k.groups[key]
 	if !ok {
-		st = New(k.n)
-		k.groups[key] = st
+		g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key}
+		k.groups[key] = g
 	}
 	k.size++
-	return st.Insert(pos, e), st
+	k.due[pos].Add(e.TS, g)
+	return g.Insert(pos, e), &g.Stacks
 }
 
 // Size returns the total number of live instances across all groups in
 // O(1): it is maintained incrementally by Insert and PurgeBefore.
 func (k *KeyedStacks) Size() int { return k.size }
 
-// PurgeBefore applies the per-position horizon to every group and drops
-// groups left empty, returning the total number of instances removed.
+// PurgeBefore removes, at every position, the instances with a timestamp
+// below horizon(pos) from every group and drops groups left empty,
+// returning the total number of instances removed. The horizon is read once
+// per position and only the groups with an entry below it are touched: the
+// work is proportional to what expired, not to what is alive.
 func (k *KeyedStacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
-	for key, st := range k.groups {
-		total += st.PurgeBefore(horizon)
-		if st.Size() == 0 {
-			delete(k.groups, key)
-		}
+	for pos := range k.due {
+		h := horizon(pos)
+		k.due[pos].PopBefore(h, func(g *group) {
+			s := &g.stacks[pos]
+			if len(s.items) == 0 || s.items[0].Event.TS >= h {
+				// An earlier entry of this pass purged the group already.
+				return
+			}
+			total += s.PurgeBefore(h)
+			if g.Size() == 0 {
+				delete(k.groups, g.key)
+			}
+		})
 	}
 	k.size -= total
 	return total
@@ -72,7 +106,41 @@ func (k *KeyedStacks) PurgeBefore(horizon func(pos int) event.Time) int {
 
 // Range calls f for every live key group, in map order.
 func (k *KeyedStacks) Range(f func(key event.Value, st *Stacks)) {
-	for key, st := range k.groups {
-		f(key, st)
+	for key, g := range k.groups {
+		f(key, &g.Stacks)
 	}
+}
+
+// CheckDue verifies the expiry orders against the stacks they index: per
+// position the entries are sorted, every entry names a group that is in the
+// map, and a group's entries are exactly the timestamps of its live
+// instances. It holds between passes; used by tests and property checks,
+// not called on hot paths.
+func (k *KeyedStacks) CheckDue() error {
+	for pos := range k.due {
+		filed, err := k.due[pos].Filed()
+		if err != nil {
+			return fmt.Errorf("position %d: %w", pos, err)
+		}
+		for g, tss := range filed {
+			if k.groups[g.key] != g {
+				return fmt.Errorf("position %d: %d due entries name a group of key %s that left the map", pos, len(tss), g.key)
+			}
+		}
+		k.Range(func(key event.Value, st *Stacks) {
+			items, want := st.stacks[pos].items, filed[k.groups[key]]
+			if err == nil && len(items) != len(want) {
+				err = fmt.Errorf("position %d key %s: %d live instances, %d due entries", pos, key, len(items), len(want))
+			}
+			for i := 0; err == nil && i < len(items); i++ {
+				if items[i].Event.TS != want[i] {
+					err = fmt.Errorf("position %d key %s: instance %d has ts=%d, its due entry ts=%d", pos, key, i, items[i].Event.TS, want[i])
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,7 +1,10 @@
 package ais
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"oostream/internal/event"
 )
@@ -56,5 +59,197 @@ func TestKeyedStacksPurgeDropsEmptyGroups(t *testing.T) {
 	k.Range(func(_ event.Value, st *Stacks) { total += st.Size() })
 	if total != k.Size() {
 		t.Fatalf("incremental size %d != recomputed %d", k.Size(), total)
+	}
+	if err := k.CheckDue(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanKeyed is the purge KeyedStacks ran before it kept an expiry order:
+// every pass walks every key group. It is the reference the order is held
+// against.
+type scanKeyed struct {
+	n      int
+	groups map[event.Value]*Stacks
+	size   int
+}
+
+func (k *scanKeyed) Insert(key event.Value, pos int, e event.Event) {
+	st, ok := k.groups[key]
+	if !ok {
+		st = New(k.n)
+		k.groups[key] = st
+	}
+	k.size++
+	st.Insert(pos, e)
+}
+
+func (k *scanKeyed) PurgeBefore(horizon func(pos int) event.Time) int {
+	total := 0
+	for key, st := range k.groups {
+		total += st.PurgeBefore(horizon)
+		if st.Size() == 0 {
+			delete(k.groups, key)
+		}
+	}
+	k.size -= total
+	return total
+}
+
+// sameGroups reports the first difference between the reference's groups and
+// the keyed stacks': group set, and per group and position the surviving
+// instances by Seq.
+func sameGroups(ref *scanKeyed, k *KeyedStacks) error {
+	if len(ref.groups) != k.Groups() {
+		return fmt.Errorf("%d groups, reference has %d", k.Groups(), len(ref.groups))
+	}
+	for key, want := range ref.groups {
+		got := k.Group(key)
+		if got == nil {
+			return fmt.Errorf("group %s missing", key)
+		}
+		for pos := 0; pos < ref.n; pos++ {
+			w, g := want.Stack(pos), got.Stack(pos)
+			if w.Len() != g.Len() {
+				return fmt.Errorf("group %s position %d: %s, reference %s", key, pos, g, w)
+			}
+			for i := 0; i < w.Len(); i++ {
+				if w.At(i).Event.Seq != g.At(i).Event.Seq {
+					return fmt.Errorf("group %s position %d index %d: seq %d, reference %d", key, pos, i, g.At(i).Event.Seq, w.At(i).Event.Seq)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestDuePurgeMatchesFullScan drives the keyed stacks and the walk-every-group
+// reference with the same seeded inserts and purge passes — few hot keys and
+// many cold ones, late inserts, timestamps that collide with the horizons,
+// horizons that move backwards and passes with nothing due — and wants the
+// same purged count per pass, the same survivors per group, the same group
+// set and the same Size, with the order's invariant holding after every pass.
+func TestDuePurgeMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(3)
+		keys := []int{1, 4, 50, 2000}[rng.Intn(4)]
+		k := NewKeyed(n)
+		ref := &scanKeyed{n: n, groups: make(map[event.Value]*Stacks)}
+		clock := event.Time(0)
+		horizons := make([]event.Time, n)
+		for step, seq := 0, event.Seq(1); step < 400; step++ {
+			for i := rng.Intn(12); i > 0; i-- {
+				clock += event.Time(rng.Intn(3))
+				e := event.Event{Type: "A", TS: clock - event.Time(rng.Intn(20)), Seq: seq}
+				seq++
+				key, pos := event.Int(int64(rng.Intn(keys))), rng.Intn(n)
+				k.Insert(key, pos, e)
+				ref.Insert(key, pos, e)
+			}
+			if err := k.CheckDue(); err != nil {
+				t.Fatalf("seed %d step %d after inserts: %v", seed, step, err)
+			}
+			for pos := range horizons {
+				switch rng.Intn(4) {
+				case 0: // nothing new falls due, or the horizon moves backwards
+					horizons[pos] -= event.Time(rng.Intn(5))
+				default:
+					horizons[pos] = clock - event.Time(rng.Intn(30))
+				}
+			}
+			horizon := func(pos int) event.Time { return horizons[pos] }
+			got, want := k.PurgeBefore(horizon), ref.PurgeBefore(horizon)
+			if got != want {
+				t.Fatalf("seed %d step %d: purged %d, full scan purged %d", seed, step, got, want)
+			}
+			if k.Size() != ref.size {
+				t.Fatalf("seed %d step %d: Size %d, full scan %d", seed, step, k.Size(), ref.size)
+			}
+			if err := sameGroups(ref, k); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if err := k.CheckDue(); err != nil {
+				t.Fatalf("seed %d step %d after purge: %v", seed, step, err)
+			}
+		}
+	}
+}
+
+// TestPurgeEvaluatesHorizonOncePerPosition: a pass asks for each position's
+// horizon once however many groups are alive (the walk asked once per group
+// and position), and with nothing due it changes nothing.
+func TestPurgeEvaluatesHorizonOncePerPosition(t *testing.T) {
+	const n, groups = 3, 10000
+	k := NewKeyed(n)
+	for i := 0; i < groups; i++ {
+		k.Insert(event.Int(int64(i)), i%n, event.Event{Type: "A", TS: event.Time(1000 + i), Seq: event.Seq(i + 1)})
+	}
+	calls := 0
+	purged := k.PurgeBefore(func(int) event.Time { calls++; return 1000 })
+	if calls != n {
+		t.Errorf("horizon evaluated %d times in one pass over %d groups, want %d", calls, groups, n)
+	}
+	if purged != 0 || k.Groups() != groups || k.Size() != groups {
+		t.Errorf("nothing was due: purged %d, %d groups, size %d", purged, k.Groups(), k.Size())
+	}
+}
+
+// TestPurgeVisitsHotGroupOnce: a group with many entries due at one position
+// is purged by the first of them; the rest find it done.
+func TestPurgeVisitsHotGroupOnce(t *testing.T) {
+	k := NewKeyed(1)
+	hot := event.Int(7)
+	for i := 0; i < 500; i++ {
+		k.Insert(hot, 0, event.Event{Type: "A", TS: event.Time(i), Seq: event.Seq(i + 1)})
+	}
+	k.Insert(event.Int(8), 0, event.Event{Type: "A", TS: 250, Seq: 501})
+	if purged := k.PurgeBefore(func(int) event.Time { return 400 }); purged != 401 {
+		t.Fatalf("purged %d, want 401", purged)
+	}
+	if k.Groups() != 1 || k.Group(hot).Stack(0).Len() != 100 {
+		t.Fatalf("after purge: %d groups, hot group %s", k.Groups(), k.Group(hot).Stack(0))
+	}
+	if err := k.CheckDue(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkKeyedPurge holds the number of live groups fixed (each keeps one
+// instance at position 1 that never falls due) and, per op, inserts 16
+// instances at position 0 into 16 of them and runs the pass that purges
+// exactly those. ns/pass times the pass alone (the inserts pay a map lookup
+// that misses more as the map grows) and must not grow with the group count.
+func BenchmarkKeyedPurge(b *testing.B) {
+	const due = 16
+	for _, groups := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			k := NewKeyed(2)
+			for i := 0; i < groups; i++ {
+				k.Insert(event.Int(int64(i)), 1, event.Event{Type: "B", TS: 1 << 40, Seq: event.Seq(i + 1)})
+			}
+			var now event.Time
+			horizon := func(pos int) event.Time {
+				if pos == 0 {
+					return now + 1
+				}
+				return 0
+			}
+			var inPass time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now = event.Time(i)
+				for j := 0; j < due; j++ {
+					k.Insert(event.Int(int64((i*due+j)%groups)), 0, event.Event{Type: "A", TS: now})
+				}
+				start := time.Now()
+				purged := k.PurgeBefore(horizon)
+				inPass += time.Since(start)
+				if purged != due {
+					b.Fatalf("purged %d, want %d", purged, due)
+				}
+			}
+			b.ReportMetric(float64(inPass.Nanoseconds())/float64(b.N), "ns/pass")
+		})
 	}
 }

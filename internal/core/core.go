@@ -54,8 +54,9 @@
 // instance once safe passes it; buffered negatives once safe − 2·Window
 // passes them (a leading negation's gap reaches one window behind a match
 // whose first element can itself be one window behind the safe clock).
-// Keyed state purges by the same horizons, group by group, dropping key
-// groups that come up empty.
+// Keyed state purges by the same horizons, reaching through an expiry order
+// (ais.Due) the key groups that hold something below them and dropping the
+// ones that come up empty.
 package core
 
 import (
@@ -189,6 +190,11 @@ type Engine struct {
 	kstacks *ais.KeyedStacks
 	knegs   []map[event.Value]*negStore
 	negSkip [][]bool
+	// negDue[i] is the expiry order over knegs[i]: one entry per buffered
+	// negative, {its timestamp, its store}, added by insertKeyedNeg and
+	// popped by the pass that purges the negative, so the two correspond
+	// one to one between passes (CheckDue).
+	negDue []ais.Due[*negStore]
 
 	// cross is the construction-time cross-predicate view: the full set
 	// when unkeyed, the set minus pre-satisfied key equalities when keyed.
@@ -201,8 +207,16 @@ type Engine struct {
 	// inserts did — output stays a deterministic function of the event
 	// sequence, which crash recovery replays against. Entries leave when
 	// retracted or, once the safe clock passes their seal, at the next purge.
-	vuln     map[event.Value][]pendingMatch
+	vuln     map[event.Value]vulnList
 	liveVuln int
+	// vulnDue is the expiry order over vuln when keyed: {sealTS, key} per
+	// released match. A retracted match leaves its entry behind; it pops to
+	// no list or to one with nothing due. purgePass numbers the purge passes
+	// so a list with many entries due is filtered once per pass, and
+	// vulnFilters counts those filters (tests pin it).
+	vulnDue     ais.Due[event.Value]
+	purgePass   uint64
+	vulnFilters int
 	// clock is the maximum timestamp seen (not the latest arrival's).
 	clock   event.Time
 	started bool
@@ -294,7 +308,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	en := &Engine{
 		plan:         p,
 		opts:         opts,
-		vuln:         make(map[event.Value][]pendingMatch),
+		vuln:         make(map[event.Value]vulnList),
 		frontier:     minTime,
 		trace:        opts.Env.Trace,
 		lat:          opts.Env.Latency,
@@ -309,6 +323,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		en.keyAttr = attr
 		en.kstacks = ais.NewKeyed(p.Len())
 		en.knegs = make([]map[event.Value]*negStore, len(p.Negatives))
+		en.negDue = make([]ais.Due[*negStore], len(p.Negatives))
 		for i := range en.knegs {
 			en.knegs[i] = make(map[event.Value]*negStore)
 		}
@@ -376,8 +391,8 @@ func (en *Engine) StateSize() int {
 // the incrementally maintained StateSize after every event.
 func (en *Engine) recomputeStateSize() int {
 	total := en.pending.Len()
-	for _, list := range en.vuln {
-		total += len(list)
+	for _, l := range en.vuln {
+		total += len(l.items)
 	}
 	if en.Keyed() {
 		en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
@@ -395,6 +410,69 @@ func (en *Engine) recomputeStateSize() int {
 		total += ns.len()
 	}
 	return total
+}
+
+// negKey returns the key group of a non-empty keyed negative store: the key
+// every negative in it carries. A store reached through the expiry order
+// leaves the map under it when a purge empties it.
+func (en *Engine) negKey(ns *negStore) event.Value {
+	key, _ := plan.KeyOf(ns.items[0], en.keyAttr)
+	return key
+}
+
+// CheckDue verifies a keyed engine's expiry orders against the state they
+// index: the stacks' (ais.KeyedStacks.CheckDue); per negation, sorted entries
+// that name stores in the map and are exactly each store's buffered
+// timestamps; and for the vulnerable matches, sorted entries among which
+// every live match finds one under its sealTS and key — entries left by
+// retracted matches are allowed, a missing one is not. It holds between
+// purge passes; used by tests and the differential harness, not called on
+// hot paths. An unkeyed engine keeps no order and passes.
+func (en *Engine) CheckDue() error {
+	if !en.Keyed() {
+		return nil
+	}
+	if err := en.kstacks.CheckDue(); err != nil {
+		return err
+	}
+	for negIdx, m := range en.knegs {
+		filed, err := en.negDue[negIdx].Filed()
+		if err != nil {
+			return fmt.Errorf("negation %d: %w", negIdx, err)
+		}
+		for ns, tss := range filed {
+			if ns.len() == 0 || m[en.negKey(ns)] != ns {
+				return fmt.Errorf("negation %d: %d due entries name a store that left the map", negIdx, len(tss))
+			}
+		}
+		for key, ns := range m {
+			want := filed[ns]
+			if len(ns.items) != len(want) {
+				return fmt.Errorf("negation %d key %s: %d buffered negatives, %d due entries", negIdx, key, len(ns.items), len(want))
+			}
+			for i, e := range ns.items {
+				if e.TS != want[i] {
+					return fmt.Errorf("negation %d key %s: negative %d has ts=%d, its due entry ts=%d", negIdx, key, i, e.TS, want[i])
+				}
+			}
+		}
+	}
+	filed, err := en.vulnDue.Filed()
+	if err != nil {
+		return fmt.Errorf("vulnerable: %w", err)
+	}
+	for key, l := range en.vuln {
+		have := make(map[event.Time]int)
+		for _, ts := range filed[key] {
+			have[ts]++
+		}
+		for _, pm := range l.items {
+			if have[pm.sealTS]--; have[pm.sealTS] < 0 {
+				return fmt.Errorf("vulnerable key %s: match sealing at %d has no due entry", key, pm.sealTS)
+			}
+		}
+	}
+	return nil
 }
 
 // safe returns the safe clock: every event with a timestamp below it has
@@ -631,6 +709,7 @@ func (en *Engine) insertKeyedNeg(negIdx int, key event.Value, e event.Event) {
 		m[key] = ns
 	}
 	ns.insert(e)
+	en.negDue[negIdx].Add(e.TS, ns)
 	en.liveNeg++
 }
 
@@ -663,6 +742,7 @@ func (en *Engine) Flush() []plan.Match {
 	}
 	// Whatever is still vulnerable is final: no negative can follow.
 	clear(en.vuln)
+	en.vulnDue = ais.Due[event.Value]{}
 	en.liveVuln = 0
 	en.met.SetLiveState(en.StateSize())
 	if en.prov {
@@ -830,8 +910,13 @@ func (en *Engine) release(pm pendingMatch, out []plan.Match) []plan.Match {
 	out = en.finalize(pm, out)
 	if len(out) > n {
 		pm.prov = nil // the record left with the match
-		en.vuln[pm.key] = append(en.vuln[pm.key], pm)
+		l := en.vuln[pm.key]
+		l.items = append(l.items, pm)
+		en.vuln[pm.key] = l
 		en.liveVuln++
+		if en.Keyed() {
+			en.vulnDue.Add(pm.sealTS, pm.key)
+		}
 	}
 	return out
 }
@@ -842,9 +927,9 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 	if en.liveVuln == 0 {
 		return out
 	}
-	list := en.vuln[key]
-	kept := list[:0]
-	for _, pm := range list {
+	l := en.vuln[key]
+	kept := l.items[:0]
+	for _, pm := range l.items {
 		lo, hi := en.plan.GapBounds(negIdx, pm.events)
 		if neg.TS <= lo || neg.TS >= hi ||
 			!en.plan.NegMatchesScratch(negIdx, neg, pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
@@ -875,23 +960,38 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 		}
 		out = append(out, m)
 	}
-	en.setVulnerable(key, list, kept)
+	if len(kept) < len(l.items) {
+		en.setVulnerable(key, l, kept)
+	}
 	return out
 }
 
 // setVulnerable stores a key group's filtered vulnerable list (kept is a
-// prefix-compaction of list) and settles the accounting.
-func (en *Engine) setVulnerable(key event.Value, list, kept []pendingMatch) {
-	if len(kept) == len(list) {
-		return
-	}
-	en.liveVuln -= len(list) - len(kept)
-	clear(list[len(kept):])
+// prefix-compaction of l.items) and settles the accounting. An emptied list
+// leaves the map.
+func (en *Engine) setVulnerable(key event.Value, l vulnList, kept []pendingMatch) {
+	en.liveVuln -= len(l.items) - len(kept)
+	clear(l.items[len(kept):])
 	if len(kept) == 0 {
 		delete(en.vuln, key)
-	} else {
-		en.vuln[key] = kept
+		return
 	}
+	l.items = kept
+	en.vuln[key] = l
+}
+
+// sealVulnerable drops the matches of one list that the safe clock sealed
+// (they are final) and marks the list as filtered by the current purge pass.
+func (en *Engine) sealVulnerable(key event.Value, l vulnList, safe event.Time) {
+	en.vulnFilters++
+	l.pass = en.purgePass
+	kept := l.items[:0]
+	for _, pm := range l.items {
+		if pm.sealTS > safe {
+			kept = append(kept, pm)
+		}
+	}
+	en.setVulnerable(key, l, kept)
 }
 
 // SetEmitPolicy switches the emission policy mid-stream and returns the
@@ -1059,16 +1159,23 @@ func (en *Engine) maybePurge() {
 		purged = en.stacks.PurgeBefore(horizon)
 	}
 	en.liveStack -= purged
+	// 2·Window cannot overflow: the query analysis caps Window at 1<<60.
 	negHorizon := safe - 2*en.plan.Window
 	negPurged := 0
 	if en.Keyed() {
-		for _, m := range en.knegs {
-			for key, ns := range m {
+		for i := range en.negDue {
+			m := en.knegs[i]
+			en.negDue[i].PopBefore(negHorizon, func(ns *negStore) {
+				if ns.len() == 0 || ns.items[0].TS >= negHorizon {
+					// An earlier entry of this pass purged the store already.
+					return
+				}
+				key := en.negKey(ns)
 				negPurged += ns.purgeBefore(negHorizon)
 				if ns.len() == 0 {
 					delete(m, key)
 				}
-			}
+			})
 		}
 	} else {
 		for _, ns := range en.negStores {
@@ -1076,15 +1183,16 @@ func (en *Engine) maybePurge() {
 		}
 	}
 	en.liveNeg -= negPurged
-	// Vulnerable matches the safe clock sealed are final.
-	for key, list := range en.vuln {
-		kept := list[:0]
-		for _, pm := range list {
-			if pm.sealTS > safe {
-				kept = append(kept, pm)
+	// Vulnerable matches the safe clock sealed (sealTS <= safe) are final.
+	en.purgePass++
+	if en.Keyed() {
+		en.vulnDue.PopBefore(safe+1, func(key event.Value) {
+			if l, ok := en.vuln[key]; ok && l.pass != en.purgePass {
+				en.sealVulnerable(key, l, safe)
 			}
-		}
-		en.setVulnerable(key, list, kept)
+		})
+	} else if l, ok := en.vuln[event.Value{}]; ok {
+		en.sealVulnerable(event.Value{}, l, safe)
 	}
 	if purged+negPurged > 0 {
 		en.met.ObservePurge(purged + negPurged)
@@ -1164,6 +1272,13 @@ type pendingMatch struct {
 	sealTS  event.Time
 	madeSeq uint64
 	prov    *provenance.Record
+}
+
+// vulnList is one key group's vulnerable matches in emission order (never
+// empty while in the map). pass is the last purge pass that filtered it.
+type vulnList struct {
+	items []pendingMatch
+	pass  uint64
 }
 
 // pendingHeap is a min-heap on sealTS.

@@ -69,8 +69,9 @@ func TestKeyedMatchesUnkeyedAcrossSkews(t *testing.T) {
 }
 
 // TestStateSizeIncremental asserts the O(1) StateSize counters equal a full
-// recomputation after every event, for keyed and unkeyed engines, with and
-// without purging.
+// recomputation, and the keyed expiry orders index exactly the live state
+// (CheckDue), after every event, for keyed and unkeyed engines under both
+// emission policies, purging at the default cadence and after every event.
 func TestStateSizeIncremental(t *testing.T) {
 	for _, q := range testQueries {
 		p := compile(t, q)
@@ -79,6 +80,9 @@ func TestStateSizeIncremental(t *testing.T) {
 			{K: 40, DisableKeying: true},
 			{K: 40, PurgeEvery: 1},
 			{K: 40, DisableKeying: true, PurgeEvery: 1},
+			{K: 40, Emit: EmitThenRetract},
+			{K: 40, Emit: EmitThenRetract, PurgeEvery: 1},
+			{K: 40, Emit: EmitThenRetract, DisableKeying: true, PurgeEvery: 1},
 		} {
 			sorted := gen.Uniform(200, testTypes, 3, 6, 11)
 			shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 40, Seed: 3})
@@ -88,10 +92,16 @@ func TestStateSizeIncremental(t *testing.T) {
 				if got, want := en.StateSize(), en.recomputeStateSize(); got != want {
 					t.Fatalf("%s opts=%+v event %d: StateSize %d != recomputed %d", q, opts, i, got, want)
 				}
+				if err := en.CheckDue(); err != nil {
+					t.Fatalf("%s opts=%+v event %d: %v", q, opts, i, err)
+				}
 			}
 			en.Flush()
 			if got, want := en.StateSize(), en.recomputeStateSize(); got != want {
 				t.Fatalf("%s opts=%+v after flush: StateSize %d != recomputed %d", q, opts, got, want)
+			}
+			if err := en.CheckDue(); err != nil {
+				t.Fatalf("%s opts=%+v after flush: %v", q, opts, err)
 			}
 		}
 	}
@@ -286,6 +296,11 @@ func TestKeyedCheckpointRoundtrip(t *testing.T) {
 		}
 		if got, want := restored.StateSize(), restored.recomputeStateSize(); got != want {
 			t.Fatalf("%s: restored counters %d != recomputed %d", q, got, want)
+		}
+		// Restore refills the expiry orders through the same inserts: without
+		// their entries the restored instances and negatives would never purge.
+		if err := restored.CheckDue(); err != nil {
+			t.Fatalf("%s: restored engine: %v", q, err)
 		}
 		for _, e := range shuffled[half:] {
 			out = append(out, restored.Process(e)...)

@@ -27,7 +27,9 @@
 //   - keyed-stacks soundness: on partitionable queries the kernel runs
 //     with key-partitioned stacks by default; with keying disabled the
 //     native policy must produce the identical multiset and the
-//     speculative policy the identical insert/retract sequence;
+//     speculative policy the identical insert/retract sequence, and the
+//     keyed kernel's expiry orders must index exactly its live state
+//     (core.Engine.CheckDue);
 //   - checkpoint transparency: native state serialized and restored
 //     mid-stream continues to the identical result set (through keyed
 //     stacks whenever the query is partitionable, since keying is the
@@ -45,6 +47,7 @@ import (
 	"time"
 
 	"oostream"
+	"oostream/internal/core"
 	"oostream/internal/event"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
@@ -178,6 +181,9 @@ func Run(c Case) *Failure {
 		if f := fail("native-unkeyed", run(q, unkeyed, c.Arrival)); f != nil {
 			return f
 		}
+		if err := checkDueOrders(p, c); err != nil {
+			return errf("keyed-due-orders", err)
+		}
 	}
 	if f := fail("kslack", run(q, oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, c.Arrival)); f != nil {
 		return f
@@ -297,6 +303,28 @@ func Run(c Case) *Failure {
 		}
 		if diff := identicalMatches(ea.ProcessAll(c.Arrival), eb.ProcessAll(c.Arrival)); diff != "" {
 			return &Failure{Case: c, Check: "partition-config", Diff: diff, Truth: len(truth)}
+		}
+	}
+	return nil
+}
+
+// checkDueOrders runs the keyed kernel over the arrival order under both
+// emission policies, purging eight times as often as the default so that a
+// short trial sees several passes, and verifies with the stream fully
+// admitted and not yet flushed that its expiry orders index exactly the live
+// stack instances, buffered negatives and vulnerable matches: an entry lost
+// on any insert path would strand state that no purge pass reaches again.
+func checkDueOrders(p *plan.Plan, c Case) error {
+	for _, emit := range []core.EmitPolicy{core.SealThenEmit, core.EmitThenRetract} {
+		en, err := core.New(p, core.Options{K: c.K, Emit: emit, PurgeEvery: 8})
+		if err != nil {
+			return err
+		}
+		for _, e := range c.Arrival {
+			en.Process(e)
+		}
+		if err := en.CheckDue(); err != nil {
+			return fmt.Errorf("%s: %w", emit, err)
 		}
 	}
 	return nil

@@ -45,6 +45,12 @@ func semanticErrorf(pos Pos, format string, args ...any) error {
 	return &SemanticError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// maxWithin is the longest window a query may ask for, in milliseconds. The
+// engines purge by clock − 2·WITHIN and bound gaps by ts ± WITHIN; above this
+// limit that arithmetic wraps for timestamps in the usual range, and a
+// wrapped purge horizon drops state that matches still need.
+const maxWithin = event.Time(1) << 60
+
 // Analyze checks a parsed query and returns its analyzed form. If schema is
 // non-nil, event types and attribute references are checked against it and
 // expressions are kind-checked; with a nil schema only structural checks run.
@@ -84,6 +90,9 @@ func Analyze(q *Query, schema *event.Schema) (*Analyzed, error) {
 	}
 	if q.Within <= 0 {
 		return nil, semanticErrorf(Pos{1, 1}, "WITHIN clause is required (unbounded patterns need unbounded state)")
+	}
+	if q.Within > maxWithin {
+		return nil, semanticErrorf(Pos{1, 1}, "WITHIN %dms exceeds the limit of %dms (2^60)", q.Within, maxWithin)
 	}
 
 	varTypes := make(map[string]string, len(q.Components))

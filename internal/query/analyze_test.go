@@ -85,6 +85,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"dup var", "PATTERN SEQ(SHELF a, EXIT a) WITHIN 5", "already bound", schema},
 		{"no positives", "PATTERN SEQ(!(SHELF a)) WITHIN 5", "at least one positive", schema},
 		{"no window", "PATTERN SEQ(SHELF a, EXIT b)", "WITHIN clause is required", schema},
+		{"window over limit", "PATTERN SEQ(SHELF a, EXIT b) WITHIN 1152921504606846977", "exceeds the limit of 1152921504606846976ms", schema},
 		{"unknown type", "PATTERN SEQ(NOPE a) WITHIN 5", "not declared in schema", schema},
 		{"unknown var in where", "PATTERN SEQ(SHELF s) WHERE z.id = 1 WITHIN 5", `unknown variable "z"`, schema},
 		{"unknown var no schema", "PATTERN SEQ(SHELF s) WHERE z.id = 1 WITHIN 5", `unknown variable "z"`, nil},

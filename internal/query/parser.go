@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -300,6 +301,9 @@ func parseDurationLiteral(tok Token) (event.Time, error) {
 	unit, ok := durationUnits[strings.ToLower(text[i:])]
 	if !ok {
 		return 0, syntaxErrorf(tok.Pos, "invalid duration unit in %q", text)
+	}
+	if n > math.MaxInt64/unit {
+		return 0, syntaxErrorf(tok.Pos, "duration %q overflows", text)
 	}
 	return n * unit, nil
 }

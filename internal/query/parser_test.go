@@ -172,6 +172,16 @@ func TestParseDurationForms(t *testing.T) {
 			t.Errorf("%q: within = %d, want %d", tt.src, q.Within, tt.want)
 		}
 	}
+	// A literal whose milliseconds do not fit is an error, not a wrapped
+	// (negative, or small and accepted) window.
+	for _, src := range []string{"PATTERN SEQ(A a) WITHIN 99999999999999999h", "PATTERN SEQ(A a) WITHIN 9223372036854776s"} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%q: error = %v, want a duration overflow", src, err)
+		}
+	}
+	if q := mustParse(t, "PATTERN SEQ(A a) WITHIN 9223372036854775s"); q.Within != 9223372036854775000 {
+		t.Errorf("largest whole-second literal: within = %d", q.Within)
+	}
 }
 
 func TestConjuncts(t *testing.T) {

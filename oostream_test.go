@@ -290,3 +290,40 @@ func TestOrderedOutputConfig(t *testing.T) {
 		t.Fatal("speculate + ordered accepted")
 	}
 }
+
+// TestHugeWindowRefused: the engines purge buffered negatives below
+// clock − K − 2·WITHIN. With WITHIN at 2^62 ms or more that product wraps, the
+// horizon lands above every timestamp, the negative is purged while the match
+// it cancels is still open, and the match comes out. Query analysis refuses a
+// window above 2^60 ms, and at that limit the arithmetic still holds: the
+// negative survives 200 events of purge passes and cancels the match, keyed
+// and unkeyed.
+func TestHugeWindowRefused(t *testing.T) {
+	const pattern = "PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id AND a.id = n.id WITHIN "
+	for _, w := range []string{"5000000000000000000", "1152921504606846977"} {
+		_, err := Compile(pattern+w, nil)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the limit of 1152921504606846976ms") {
+			t.Errorf("WITHIN %s: Compile error = %v, want a semantic error naming the limit", w, err)
+		}
+	}
+	events := []Event{
+		NewEvent("A", 100, Attrs{"id": Int(1)}),
+		NewEvent("N", 150, Attrs{"id": Int(1)}),
+	}
+	for i := 0; i < 200; i++ {
+		events = append(events, NewEvent("A", Time(200+i), Attrs{"id": Int(2)}))
+	}
+	events = append(events, NewEvent("B", 500, Attrs{"id": Int(1)}))
+	for _, w := range []string{"6s", "1152921504606846976"} {
+		q, err := Compile(pattern+w, nil)
+		if err != nil {
+			t.Fatalf("WITHIN %s: %v", w, err)
+		}
+		for _, unkeyed := range []bool{false, true} {
+			en := MustNewEngine(q, Config{Strategy: StrategyNative, K: 10, DisableKeyedStacks: unkeyed})
+			if got := en.ProcessAll(events); len(got) != 0 {
+				t.Errorf("WITHIN %s unkeyed=%v: %d matches, want 0 (N@150 cancels A@100 … B@500): %v", w, unkeyed, len(got), got)
+			}
+		}
+	}
+}
