@@ -9,6 +9,7 @@ import (
 
 	"oostream"
 	"oostream/internal/event"
+	"oostream/internal/gen"
 	"oostream/internal/trace"
 )
 
@@ -279,6 +280,31 @@ func TestRunAdaptiveFlagErrors(t *testing.T) {
 	} {
 		if err := run(args, strings.NewReader(""), &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunSummaryGoldenUnkeyed pins the summary line of a query with no
+// partition attribute, byte for byte as printed at the parent of the commit
+// that filed such a query's state under one zero key group: peak state,
+// counts and logical latency do not move with the kernel's layout.
+func TestRunSummaryGoldenUnkeyed(t *testing.T) {
+	sorted := gen.Uniform(400, []string{"A", "B", "N"}, 3, 2, 7)
+	path := writeTrace(t, gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 8}))
+	for strategy, want := range map[string]string{
+		"native":    "strategy=native matches=170 in=400 ooo=96 late=0 matches=170 retract=0 peak=160 lat(mean=39.8 p99=50)\n",
+		"speculate": "strategy=speculate matches=216 in=400 ooo=96 late=0 matches=193 retract=23 peak=161 lat(mean=5.4 p99=35)\n",
+	} {
+		var out bytes.Buffer
+		err := run([]string{
+			"-query", "PATTERN SEQ(A a, !(N n), B b) WITHIN 60",
+			"-strategy", strategy, "-trace", path, "-k", "40", "-quiet",
+		}, strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != want {
+			t.Errorf("%s summary\n got %q\nwant %q", strategy, got, want)
 		}
 	}
 }

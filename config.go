@@ -167,10 +167,12 @@ type Config struct {
 	// it applies to every strategy but StrategyInOrder, which does not run
 	// the kernel.
 	DisableTriggerOpt bool
-	// DisableKeyedStacks disables the kernel's key-partitioned stacks,
-	// which auto-enable when the query is provably partitionable by an
-	// equivalence attribute (see Query.AutoPartitionKey). Ablation knob;
-	// results are unchanged, construction cost rises with key cardinality.
+	// DisableKeyedStacks makes the kernel file every event under one key
+	// group, as it does for a query with no partition attribute, where it
+	// would otherwise group by the attribute the query is provably
+	// partitionable by (see Query.AutoPartitionKey). Ablation knob: a choice
+	// of key, not of code path; results are unchanged, construction cost
+	// rises with key cardinality.
 	DisableKeyedStacks bool
 	// PurgeEvery runs state purging every PurgeEvery events; 0 = default
 	// (64), negative = never (ablation knob; memory then grows unbounded).

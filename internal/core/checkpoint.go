@@ -38,9 +38,9 @@ const envelopeVersion = 2
 // checkpointFile is the serialized engine state. Stack instances are
 // stored as plain events; RIP pointers are rebuilt on restore by
 // re-insertion (the RIP invariant is a pure function of stack contents).
-// Keyed state flattens to the same shape — groups merge into one sorted
-// list per position / negation, and restore re-derives each event's key —
-// so keyed and unkeyed engines share a checkpoint format.
+// Key groups flatten away — they merge into one sorted list per position /
+// negation, and restore re-derives each event's key — so the format is the
+// same whatever the engine keys by.
 type checkpointFile struct {
 	Version    int                 `json:"version"`
 	PlanSource string              `json:"planSource"`
@@ -74,53 +74,41 @@ type checkpointPending struct {
 }
 
 // flatStacks returns the engine's stack contents as one (TS, Seq)-sorted
-// event list per position, merging key groups when the engine is keyed
-// (map iteration order must not leak into the serialized form).
+// event list per position, merging the key groups (map iteration order must
+// not leak into the serialized form).
 func (en *Engine) flatStacks() [][]event.Event {
 	out := make([][]event.Event, en.plan.Len())
-	appendStack := func(pos int, s *ais.Stack) {
-		for i := 0; i < s.Len(); i++ {
-			out[pos] = append(out[pos], s.At(i).Event)
-		}
-	}
-	if en.Keyed() {
-		en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
-			for pos := 0; pos < st.Len(); pos++ {
-				appendStack(pos, st.Stack(pos))
-			}
-		})
+	en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
 		for pos := range out {
-			sortEvents(out[pos])
+			for s, i := st.Stack(pos), 0; i < s.Len(); i++ {
+				out[pos] = append(out[pos], s.At(i).Event)
+			}
 		}
-		return out
-	}
-	for pos := 0; pos < en.stacks.Len(); pos++ {
-		appendStack(pos, en.stacks.Stack(pos))
+	})
+	for pos := range out {
+		sortEvents(out[pos])
 	}
 	return out
 }
 
 // flatNegStores returns the buffered negatives as one sorted list per
-// negation, merging key groups when keyed.
+// negation, merging the key groups.
 func (en *Engine) flatNegStores() [][]event.Event {
 	out := make([][]event.Event, len(en.plan.Negatives))
-	if en.Keyed() {
-		for i, m := range en.knegs {
-			for _, ns := range m {
-				out[i] = append(out[i], ns.items...)
-			}
-			sortEvents(out[i])
+	for i, m := range en.knegs {
+		for _, ns := range m {
+			out[i] = append(out[i], ns.items...)
 		}
-		return out
-	}
-	for i, ns := range en.negStores {
-		out[i] = append([]event.Event(nil), ns.items...)
+		sortEvents(out[i])
 	}
 	return out
 }
 
+// sortEvents orders a merged list by (TS, Seq). Stable, so the events of a
+// single group — already in that order, ties in arrival order — are written
+// as their stack holds them.
 func sortEvents(events []event.Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].Before(events[j]) })
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Before(events[j]) })
 }
 
 // Checkpoint serializes the engine's full state (stacks, negative stores,
@@ -196,9 +184,14 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 	}
 	size := binary.LittleEndian.Uint32(hdr[7:11])
 	want := binary.LittleEndian.Uint32(hdr[11:15])
-	payload := make([]byte, size)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("checkpoint truncated: want %d payload bytes, got %d", size, n)
+	// The declared length is outside input (up to 4 GiB): the buffer grows
+	// with the bytes that actually arrive, never ahead of them.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err != nil {
+		return nil, fmt.Errorf("read checkpoint payload: %w", err)
+	}
+	if uint32(len(payload)) != size {
+		return nil, fmt.Errorf("checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
 	}
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("checkpoint corrupt: CRC32 %08x, want %08x", got, want)
@@ -206,37 +199,16 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// restoreInsertPositive re-inserts a checkpointed stack event, routing it
-// to its key group when the engine is keyed. An event without the key
-// (possible only in checkpoints written by an unkeyed engine) is dropped:
-// it can never satisfy the key-equality predicates, so no match is lost.
-func (en *Engine) restoreInsertPositive(pos int, e event.Event) {
-	if en.Keyed() {
-		key, ok := plan.KeyOf(e, en.keyAttr)
-		if !ok {
-			en.met.IncPredError(errMissingKey)
-			return
-		}
-		en.kstacks.Insert(key, pos, e)
-	} else {
-		en.stacks.Insert(pos, e)
+// restoreKey returns the key group a checkpointed event goes back to. An
+// event without the key (possible only in checkpoints written by an engine
+// that keyed by nothing) is counted and dropped: it can never satisfy the
+// key-equality predicates, so no match is lost.
+func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
+	key, ok := en.keyOf(e)
+	if !ok {
+		en.met.IncPredError(errMissingKey)
 	}
-	en.liveStack++
-}
-
-// restoreInsertNegative re-inserts a checkpointed negative event.
-func (en *Engine) restoreInsertNegative(negIdx int, e event.Event) {
-	if en.Keyed() {
-		key, ok := plan.KeyOf(e, en.keyAttr)
-		if !ok {
-			en.met.IncPredError(errMissingKey)
-			return
-		}
-		en.insertKeyedNeg(negIdx, key, e)
-		return
-	}
-	en.negStores[negIdx].insert(e)
-	en.liveNeg++
+	return key, ok
 }
 
 // Restore rebuilds an engine from a checkpoint. The plan must be compiled
@@ -246,6 +218,10 @@ func (en *Engine) restoreInsertNegative(negIdx int, e event.Event) {
 // A keyed engine restores from an unkeyed engine's checkpoint (and vice
 // versa, modulo the recorded DisableKeying option): the format carries
 // plain events and keys are recomputed on insertion.
+//
+// The payload is outside input even when the envelope's CRC holds (the
+// bare-JSON form has none): its shape is checked against the plan before any
+// of it becomes state the engine indexes by position.
 //
 // Truncated or corrupted checkpoints are rejected with a descriptive
 // error: the envelope's length and CRC32 are validated before any state is
@@ -280,6 +256,11 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 	if len(cf.Stacks) != p.Len() || len(cf.NegStores) != len(p.Negatives) {
 		return nil, fmt.Errorf("checkpoint shape mismatch: %d stacks / %d negstores", len(cf.Stacks), len(cf.NegStores))
 	}
+	for i, pm := range cf.Pending {
+		if len(pm.Events) != p.Len() {
+			return nil, fmt.Errorf("checkpoint shape mismatch: pending binding %d holds %d events, the pattern has %d positions", i, len(pm.Events), p.Len())
+		}
+	}
 	opts := Options{
 		K:                 cf.K,
 		LatePolicy:        LatePolicy(cf.LatePolicy),
@@ -310,22 +291,23 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 	en.since = cf.Since
 	for pos, events := range cf.Stacks {
 		for _, e := range events {
-			en.restoreInsertPositive(pos, e)
+			if key, ok := en.restoreKey(e); ok {
+				en.kstacks.Insert(key, pos, e)
+				en.liveStack++
+			}
 		}
 	}
 	for i, events := range cf.NegStores {
 		for _, e := range events {
-			en.restoreInsertNegative(i, e)
+			if key, ok := en.restoreKey(e); ok {
+				en.insertNeg(i, key, e)
+			}
 		}
 	}
 	for _, pm := range cf.Pending {
-		key := event.Value{}
-		if en.Keyed() && len(pm.Events) > 0 {
-			// Every slot of a complete binding carries the partition key
-			// (the equality chain spans all positions), so slot 0 is
-			// representative.
-			key, _ = plan.KeyOf(pm.Events[0], en.keyAttr)
-		}
+		// Every slot of a complete binding carries the partition key (the
+		// equality chain spans all positions), so slot 0 is representative.
+		key, _ := en.keyOf(pm.Events[0])
 		en.pending = append(en.pending, pendingMatch{
 			events:  pm.Events,
 			key:     key,
@@ -339,9 +321,6 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 	// provenance is enabled on the restored engine their matches emit
 	// truncated records, and the state snapshot reports the truncation.
 	en.restored = true
-	en.met.SetLiveState(en.StateSize())
-	if en.Keyed() {
-		en.met.SetKeyGroups(en.kstacks.Groups())
-	}
+	en.publishGauges()
 	return en, nil
 }

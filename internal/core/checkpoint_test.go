@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +142,38 @@ func TestCheckpointEnvelopeRejectsDamage(t *testing.T) {
 	}
 	if _, err := Restore(p, engine.Env{}, bytes.NewReader(nil)); err == nil {
 		t.Error("empty checkpoint accepted")
+	}
+
+	// A header declaring 2 GiB in front of a few bytes is a truncation like
+	// any other: the declared length must not be allocated ahead of the data.
+	huge := append([]byte(nil), full[:32]...)
+	binary.LittleEndian.PutUint32(huge[7:11], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Restore(p, engine.Env{}, bytes.NewReader(huge))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("2 GiB declared, 17 bytes present: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("restore allocated %d bytes for a 32-byte checkpoint declaring 2 GiB", got)
+	}
+}
+
+// TestRestoreRejectsShortPending: a pending binding must hold one event per
+// pattern position. A shorter one (or none) used to restore and panic later,
+// in Process, when the binding sealed and finalize read its negation gap off
+// a position it does not have.
+func TestRestoreRejectsShortPending(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, !(C c), B b) WITHIN 50")
+	for _, events := range []string{`[{"type":"A","ts":90,"seq":1}]`, `[]`} {
+		ck := `{"version":1,"planSource":"` + p.Source + `","k":10,"latePolicy":1,"purgeEvery":64,` +
+			`"clock":100,"started":true,"arrival":1,"enumerated":1,"since":1,"stacks":[[],[]],"negStores":[[]],` +
+			`"pending":[{"events":` + events + `,"sealTS":95,"madeSeq":1}]}`
+		if _, err := Restore(p, engine.Env{}, strings.NewReader(ck)); err == nil ||
+			!strings.Contains(err.Error(), "pending binding 0 holds") {
+			t.Errorf("pending events %s: %v, want a pending-binding shape error", events, err)
+		}
 	}
 }
 

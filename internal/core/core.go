@@ -22,15 +22,17 @@
 //     complete through it. (The scan optimization of the paper; disable
 //     with Options.DisableTriggerOpt for the ablation experiment.)
 //
-// When the plan proves the query partitionable by an equivalence attribute
-// (plan.PartitionKey, e.g. the item id of the RFID query's
-// `s.id = e.id AND s.id = c.id` chain), the engine keys its stacks and
-// negative stores by that attribute (ais.KeyedStacks): insertion, RIP
-// fix-up, construction, and negation probes touch only the trigger's key
-// group, and the key-equality cross predicates are skipped as structurally
-// pre-satisfied. Every match binds events of one key, so the keyed engine
-// enumerates exactly the unkeyed result set while probing a fraction of
-// the state. Options.DisableKeying turns the optimization off (ablation).
+// All state lives in key groups (ais.KeyedStacks, one negative store per
+// negation and group): insertion, RIP fix-up, construction, and negation
+// probes touch only the trigger's group. When the plan proves the query
+// partitionable by an equivalence attribute (plan.PartitionKey, e.g. the
+// item id of the RFID query's `s.id = e.id AND s.id = c.id` chain), an
+// event's group is its value of that attribute, and the key-equality cross
+// predicates are skipped as structurally pre-satisfied: every match binds
+// events of one key, so the groups enumerate exactly the ungrouped result
+// set while probing a fraction of the state. Without such an attribute — or
+// with Options.DisableKeying (ablation) — every event files under the zero
+// Value: one group, every predicate evaluated.
 //
 // Correct output for negation cannot be produced eagerly under disorder: a
 // qualifying negative event may still be in flight. The engine relies on
@@ -54,9 +56,8 @@
 // instance once safe passes it; buffered negatives once safe − 2·Window
 // passes them (a leading negation's gap reaches one window behind a match
 // whose first element can itself be one window behind the safe clock).
-// Keyed state purges by the same horizons, reaching through an expiry order
-// (ais.Due) the key groups that hold something below them and dropping the
-// ones that come up empty.
+// A purge pass reaches through an expiry order (ais.Due) the key groups that
+// hold something below those horizons and drops the ones that come up empty.
 package core
 
 import (
@@ -120,7 +121,7 @@ type Options struct {
 	// DisableTriggerOpt turns off the scan optimization and probes for
 	// completions on every insertion (ablation; still exact, slower).
 	DisableTriggerOpt bool
-	// DisableKeying turns off key-partitioned stacks even when the plan
+	// DisableKeying files every event under the zero key even when the plan
 	// proves the query partitionable (ablation; still exact, construction
 	// then scans every instance in the window).
 	DisableKeying bool
@@ -179,25 +180,22 @@ type Engine struct {
 	plan *plan.Plan
 	opts Options
 
-	// Unkeyed state: one global AIS and one negative store per negation.
-	stacks    *ais.Stacks
-	negStores []*negStore
-
-	// Keyed state (keyAttr != ""): stacks and negative stores partitioned
-	// by the plan's equivalence attribute; key-equality predicates are
-	// excluded from cross (positives) and marked in negSkip (negations).
+	// Stacks and negative stores, per key group (keyOf). keyAttr is the
+	// plan's equivalence attribute, or "" when every event files under the
+	// zero Value; with an attribute, its key-equality predicates are excluded
+	// from cross (positives) and marked in negSkip (negations; nil without).
 	keyAttr string
 	kstacks *ais.KeyedStacks
 	knegs   []map[event.Value]*negStore
 	negSkip [][]bool
 	// negDue[i] is the expiry order over knegs[i]: one entry per buffered
-	// negative, {its timestamp, its store}, added by insertKeyedNeg and
-	// popped by the pass that purges the negative, so the two correspond
-	// one to one between passes (CheckDue).
+	// negative, {its timestamp, its store}, added by insertNeg and popped by
+	// the pass that purges the negative, so the two correspond one to one
+	// between passes (CheckDue).
 	negDue []ais.Due[*negStore]
 
 	// cross is the construction-time cross-predicate view: the full set
-	// when unkeyed, the set minus pre-satisfied key equalities when keyed.
+	// minus the key equalities the grouping pre-satisfies.
 	cross *plan.CrossView
 
 	pending pendingHeap
@@ -209,9 +207,9 @@ type Engine struct {
 	// retracted or, once the safe clock passes their seal, at the next purge.
 	vuln     map[event.Value]vulnList
 	liveVuln int
-	// vulnDue is the expiry order over vuln when keyed: {sealTS, key} per
-	// released match. A retracted match leaves its entry behind; it pops to
-	// no list or to one with nothing due. purgePass numbers the purge passes
+	// vulnDue is the expiry order over vuln: {sealTS, key} per released
+	// match. A retracted match leaves its entry behind; it pops to no list
+	// or to one with nothing due. purgePass numbers the purge passes
 	// so a list with many entries due is filtered once per pass, and
 	// vulnFilters counts those filters (tests pin it).
 	vulnDue     ais.Due[event.Value]
@@ -270,7 +268,7 @@ type Engine struct {
 	// not allocate: binding holds the partial binding (copied only on
 	// emit), negScratch the negation-probe binding, localScratch the
 	// one-slot local-predicate binding. walk* carry the current trigger's
-	// stacks/key/position through the recursive enumeration; walkTrigSeq
+	// group/key/position through the recursive enumeration; walkTrigSeq
 	// and walkVisited are maintained only under prov.
 	binding      []event.Event
 	negScratch   []event.Event
@@ -308,6 +306,9 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	en := &Engine{
 		plan:         p,
 		opts:         opts,
+		kstacks:      ais.NewKeyed(p.Len()),
+		knegs:        make([]map[event.Value]*negStore, len(p.Negatives)),
+		negDue:       make([]ais.Due[*negStore], len(p.Negatives)),
 		vuln:         make(map[event.Value]vulnList),
 		frontier:     minTime,
 		trace:        opts.Env.Trace,
@@ -319,21 +320,17 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		verdict:      make([][]byte, p.Len()),
 	}
 	en.met, en.traceName = opts.Env.Collector(opts.Emit.String())
+	for i := range en.knegs {
+		en.knegs[i] = make(map[event.Value]*negStore)
+	}
+	skip := make(map[int]bool)
 	if attr := p.PartitionKey; attr != "" && !opts.DisableKeying {
 		en.keyAttr = attr
-		en.kstacks = ais.NewKeyed(p.Len())
-		en.knegs = make([]map[event.Value]*negStore, len(p.Negatives))
-		en.negDue = make([]ais.Due[*negStore], len(p.Negatives))
-		for i := range en.knegs {
-			en.knegs[i] = make(map[event.Value]*negStore)
-		}
-		skip := make(map[int]bool)
 		for _, l := range p.EqLinks {
 			if l.Attr == attr {
 				skip[l.CrossIdx] = true
 			}
 		}
-		en.cross = p.CrossView(func(i int) bool { return skip[i] })
 		en.negSkip = make([][]bool, len(p.Negatives))
 		for i := range en.negSkip {
 			en.negSkip[i] = make([]bool, len(p.Negatives[i].Cross))
@@ -343,14 +340,8 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 				en.negSkip[l.NegIdx][l.CrossIdx] = true
 			}
 		}
-	} else {
-		en.stacks = ais.New(p.Len())
-		en.negStores = make([]*negStore, len(p.Negatives))
-		for i := range en.negStores {
-			en.negStores[i] = &negStore{}
-		}
-		en.cross = p.CrossView(nil)
 	}
+	en.cross = p.CrossView(func(i int) bool { return skip[i] })
 	return en, nil
 }
 
@@ -369,12 +360,24 @@ func (en *Engine) Name() string { return en.opts.Emit.String() }
 // Metrics implements engine.Engine.
 func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
 
-// Keyed reports whether the engine runs with key-partitioned stacks.
+// Keyed reports whether the engine groups its state by a key attribute.
+// Only reports read it: state handling goes through keyOf.
 func (en *Engine) Keyed() bool { return en.keyAttr != "" }
 
-// KeyGroups returns the number of live stack key groups (0 when unkeyed).
+// keyOf returns the key group an event files under: its canonical value of
+// the key attribute (ok false when it has none, plan.KeyOf), or the zero
+// Value for every event of an engine without one.
+func (en *Engine) keyOf(e event.Event) (key event.Value, ok bool) {
+	if en.keyAttr == "" {
+		return event.Value{}, true
+	}
+	return plan.KeyOf(e, en.keyAttr)
+}
+
+// KeyGroups returns the number of live stack key groups (0 when unkeyed:
+// the one group of the zero key is not a partition).
 func (en *Engine) KeyGroups() int {
-	if en.kstacks == nil {
+	if !en.Keyed() {
 		return 0
 	}
 	return en.kstacks.Groups()
@@ -394,44 +397,34 @@ func (en *Engine) recomputeStateSize() int {
 	for _, l := range en.vuln {
 		total += len(l.items)
 	}
-	if en.Keyed() {
-		en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
-			total += st.Size()
-		})
-		for _, m := range en.knegs {
-			for _, ns := range m {
-				total += ns.len()
-			}
+	en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
+		total += st.Size()
+	})
+	for _, m := range en.knegs {
+		for _, ns := range m {
+			total += ns.len()
 		}
-		return total
-	}
-	total += en.stacks.Size()
-	for _, ns := range en.negStores {
-		total += ns.len()
 	}
 	return total
 }
 
-// negKey returns the key group of a non-empty keyed negative store: the key
-// every negative in it carries. A store reached through the expiry order
+// negKey returns the key group of a non-empty negative store: the key every
+// negative in it carries. A store reached through the expiry order
 // leaves the map under it when a purge empties it.
 func (en *Engine) negKey(ns *negStore) event.Value {
-	key, _ := plan.KeyOf(ns.items[0], en.keyAttr)
+	key, _ := en.keyOf(ns.items[0])
 	return key
 }
 
-// CheckDue verifies a keyed engine's expiry orders against the state they
+// CheckDue verifies the engine's expiry orders against the state they
 // index: the stacks' (ais.KeyedStacks.CheckDue); per negation, sorted entries
 // that name stores in the map and are exactly each store's buffered
 // timestamps; and for the vulnerable matches, sorted entries among which
 // every live match finds one under its sealTS and key — entries left by
 // retracted matches are allowed, a missing one is not. It holds between
 // purge passes; used by tests and the differential harness, not called on
-// hot paths. An unkeyed engine keeps no order and passes.
+// hot paths.
 func (en *Engine) CheckDue() error {
-	if !en.Keyed() {
-		return nil
-	}
 	if err := en.kstacks.CheckDue(); err != nil {
 		return err
 	}
@@ -593,11 +586,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		en.advanceFrontier()
 	}
 	if !en.plan.ConstFalse {
-		if en.Keyed() {
-			out = en.insertKeyed(e, isOOO, out)
-		} else {
-			out = en.insertUnkeyed(e, isOOO, out)
-		}
+		out = en.insert(e, isOOO, out)
 	}
 	out = en.drainPending(out)
 	en.since++
@@ -623,36 +612,6 @@ func (en *Engine) publishGauges() {
 	}
 }
 
-// insertUnkeyed is the classic path: one global stack set and negative
-// store, cross predicates all evaluated during construction.
-func (en *Engine) insertUnkeyed(e event.Event, isOOO bool, out []plan.Match) []plan.Match {
-	for _, negIdx := range en.plan.NegativesForType(e.Type) {
-		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.met.IncPredError) {
-			en.negStores[negIdx].insert(e)
-			en.liveNeg++
-			out = en.retract(negIdx, event.Value{}, e, out)
-		}
-	}
-	last := en.plan.Len() - 1
-	for _, pos := range en.plan.PositionsForType(e.Type) {
-		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.met.IncPredError) {
-			continue
-		}
-		inst := en.stacks.Insert(pos, e)
-		en.liveStack++
-		en.noteInsert(en.stacks, e, pos)
-		if pos == last || isOOO || en.opts.DisableTriggerOpt {
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpTrigger, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-			}
-			before := en.enumerated
-			out = en.construct(en.stacks, event.Value{}, inst, pos, out)
-			en.met.ObserveProbe(en.enumerated == before)
-		}
-	}
-	return out
-}
-
 // noteInsert records the instrumentation for one stack insertion: the push
 // itself and any RIP repairs the insertion forced on the next stack.
 func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
@@ -666,18 +625,20 @@ func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
 	}
 }
 
-// insertKeyed routes the event to its key group. Events lacking the key
-// cannot satisfy the key-equality predicates and are counted and dropped,
-// mirroring the unkeyed engine's predicate-error non-match.
-func (en *Engine) insertKeyed(e event.Event, isOOO bool, out []plan.Match) []plan.Match {
-	key, ok := plan.KeyOf(e, en.keyAttr)
+// insert routes the event to its key group: buffered as a negative, pushed
+// on the group's stacks, and — when it can be the last-arriving member of a
+// match — the trigger of a construction over that group. Events lacking the
+// key cannot satisfy the key-equality predicates and are counted and dropped,
+// as the predicate error they would raise ungrouped.
+func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Match {
+	key, ok := en.keyOf(e)
 	if !ok {
 		en.met.IncPredError(errMissingKey)
 		return out
 	}
 	for _, negIdx := range en.plan.NegativesForType(e.Type) {
 		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.met.IncPredError) {
-			en.insertKeyedNeg(negIdx, key, e)
+			en.insertNeg(negIdx, key, e)
 			out = en.retract(negIdx, key, e, out)
 		}
 	}
@@ -701,7 +662,9 @@ func (en *Engine) insertKeyed(e event.Event, isOOO bool, out []plan.Match) []pla
 	return out
 }
 
-func (en *Engine) insertKeyedNeg(negIdx int, key event.Value, e event.Event) {
+// insertNeg buffers a negative in its key group's store and files it in the
+// negation's expiry order.
+func (en *Engine) insertNeg(negIdx int, key event.Value, e event.Event) {
 	m := en.knegs[negIdx]
 	ns := m[key]
 	if ns == nil {
@@ -755,9 +718,9 @@ func (en *Engine) Flush() []plan.Match {
 }
 
 // construct enumerates every match that contains the just-inserted instance
-// at position pos, using only instances already in st (the global stacks,
-// or the trigger's key group). Earlier positions are bound walking down
-// from pos, then later positions walking up; cross predicates fire as soon
+// at position pos, using only instances already in st, the trigger's key
+// group. Earlier positions are bound walking down from pos, then later
+// positions walking up; cross predicates fire as soon
 // as their referenced slots are all bound (order-independent, see
 // plan.CrossView.SatisfiedAt), except the trigger-pair ones, which
 // pairHolds settles once per candidate. The binding buffer is engine
@@ -914,9 +877,7 @@ func (en *Engine) release(pm pendingMatch, out []plan.Match) []plan.Match {
 		l.items = append(l.items, pm)
 		en.vuln[pm.key] = l
 		en.liveVuln++
-		if en.Keyed() {
-			en.vulnDue.Add(pm.sealTS, pm.key)
-		}
+		en.vulnDue.Add(pm.sealTS, pm.key)
 	}
 	return out
 }
@@ -1062,20 +1023,12 @@ func (en *Engine) drainPending(out []plan.Match) []plan.Match {
 	return out
 }
 
-// negStoreFor returns the store to probe for a pending match: the global
-// one when unkeyed, the match's key group otherwise (nil when the group
-// has no buffered negatives — common, and trivially no invalidator).
-func (en *Engine) negStoreFor(negIdx int, pm pendingMatch) *negStore {
-	if en.Keyed() {
-		return en.knegs[negIdx][pm.key]
-	}
-	return en.negStores[negIdx]
-}
-
 // finalize checks the (now sealed) negation gaps and emits the match.
 func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 	for negIdx := range en.plan.Negatives {
-		ns := en.negStoreFor(negIdx, pm)
+		// The store of the match's key group; nil when the group has no
+		// buffered negatives — common, and trivially no invalidator.
+		ns := en.knegs[negIdx][pm.key]
 		if ns == nil {
 			continue
 		}
@@ -1123,7 +1076,7 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 }
 
 // negSkipFor returns the pre-satisfied cross-predicate mask for a negation
-// (nil when unkeyed: everything evaluates).
+// (nil without a key attribute: everything evaluates).
 func (en *Engine) negSkipFor(negIdx int) []bool {
 	if en.negSkip == nil {
 		return nil
@@ -1152,48 +1105,33 @@ func (en *Engine) maybePurge() {
 		}
 		return safe - en.plan.Window
 	}
-	var purged int
-	if en.Keyed() {
-		purged = en.kstacks.PurgeBefore(horizon)
-	} else {
-		purged = en.stacks.PurgeBefore(horizon)
-	}
+	purged := en.kstacks.PurgeBefore(horizon)
 	en.liveStack -= purged
 	// 2·Window cannot overflow: the query analysis caps Window at 1<<60.
 	negHorizon := safe - 2*en.plan.Window
 	negPurged := 0
-	if en.Keyed() {
-		for i := range en.negDue {
-			m := en.knegs[i]
-			en.negDue[i].PopBefore(negHorizon, func(ns *negStore) {
-				if ns.len() == 0 || ns.items[0].TS >= negHorizon {
-					// An earlier entry of this pass purged the store already.
-					return
-				}
-				key := en.negKey(ns)
-				negPurged += ns.purgeBefore(negHorizon)
-				if ns.len() == 0 {
-					delete(m, key)
-				}
-			})
-		}
-	} else {
-		for _, ns := range en.negStores {
+	for i := range en.negDue {
+		m := en.knegs[i]
+		en.negDue[i].PopBefore(negHorizon, func(ns *negStore) {
+			if ns.len() == 0 || ns.items[0].TS >= negHorizon {
+				// An earlier entry of this pass purged the store already.
+				return
+			}
+			key := en.negKey(ns)
 			negPurged += ns.purgeBefore(negHorizon)
-		}
+			if ns.len() == 0 {
+				delete(m, key)
+			}
+		})
 	}
 	en.liveNeg -= negPurged
 	// Vulnerable matches the safe clock sealed (sealTS <= safe) are final.
 	en.purgePass++
-	if en.Keyed() {
-		en.vulnDue.PopBefore(safe+1, func(key event.Value) {
-			if l, ok := en.vuln[key]; ok && l.pass != en.purgePass {
-				en.sealVulnerable(key, l, safe)
-			}
-		})
-	} else if l, ok := en.vuln[event.Value{}]; ok {
-		en.sealVulnerable(event.Value{}, l, safe)
-	}
+	en.vulnDue.PopBefore(safe+1, func(key event.Value) {
+		if l, ok := en.vuln[key]; ok && l.pass != en.purgePass {
+			en.sealVulnerable(key, l, safe)
+		}
+	})
 	if purged+negPurged > 0 {
 		en.met.ObservePurge(purged + negPurged)
 		if en.trace != nil {
@@ -1234,29 +1172,24 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 			Resizes:      cs.Resizes,
 		}
 	}
-	if en.Keyed() {
-		s.KeyAttr = en.keyAttr
-		s.KeyGroups = en.kstacks.Groups()
-		groups := make([]provenance.KeyGroupStat, 0, s.KeyGroups)
-		en.kstacks.Range(func(key event.Value, st *ais.Stacks) {
-			for pos := 0; pos < en.plan.Len(); pos++ {
-				s.StackDepths[pos] += st.Stack(pos).Len()
-			}
-			groups = append(groups, provenance.KeyGroupStat{Key: key.String(), Size: st.Size()})
-		})
-		s.TopKeyGroups = provenance.TopK(groups, 8)
-		for negIdx, m := range en.knegs {
-			for _, ns := range m {
-				s.NegStoreSizes[negIdx] += ns.len()
-			}
-		}
-	} else {
+	groups := make([]provenance.KeyGroupStat, 0, en.kstacks.Groups())
+	en.kstacks.Range(func(key event.Value, st *ais.Stacks) {
 		for pos := 0; pos < en.plan.Len(); pos++ {
-			s.StackDepths[pos] = en.stacks.Stack(pos).Len()
+			s.StackDepths[pos] += st.Stack(pos).Len()
 		}
-		for negIdx, ns := range en.negStores {
-			s.NegStoreSizes[negIdx] = ns.len()
+		groups = append(groups, provenance.KeyGroupStat{Key: key.String(), Size: st.Size()})
+	})
+	for negIdx, m := range en.knegs {
+		for _, ns := range m {
+			s.NegStoreSizes[negIdx] += ns.len()
 		}
+	}
+	if en.Keyed() {
+		// The zero key's one group is not a partition: an engine without a
+		// key attribute reports none.
+		s.KeyAttr = en.keyAttr
+		s.KeyGroups = len(groups)
+		s.TopKeyGroups = provenance.TopK(groups, 8)
 	}
 	return s
 }

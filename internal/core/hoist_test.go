@@ -117,10 +117,11 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	// c.v = 0 exceeds no a.v + 3: every a fails its trigger pair, on 100
 	// visits each.
 	feed("C", 1000, 0)
-	trigger := en.stacks.Stack(2).Top()
+	st := en.kstacks.Group(event.Value{})
+	trigger := st.Stack(2).Top()
 	before := evals
 	allocs := testing.AllocsPerRun(50, func() {
-		if out := en.construct(en.stacks, event.Value{}, trigger, 2, nil); len(out) != 0 {
+		if out := en.construct(st, event.Value{}, trigger, 2, nil); len(out) != 0 {
 			t.Fatalf("got %d matches, want none", len(out))
 		}
 	})

@@ -27,8 +27,10 @@
 //   - keyed-stacks soundness: on partitionable queries the kernel runs
 //     with key-partitioned stacks by default; with keying disabled the
 //     native policy must produce the identical multiset and the
-//     speculative policy the identical insert/retract sequence, and the
-//     keyed kernel's expiry orders must index exactly its live state
+//     speculative policy the identical insert/retract sequence;
+//   - expiry-order soundness: under either policy, keyed by the plan's
+//     attribute or filing everything under the zero key, the kernel's
+//     expiry orders must index exactly its live state
 //     (core.Engine.CheckDue);
 //   - checkpoint transparency: native state serialized and restored
 //     mid-stream continues to the identical result set (through keyed
@@ -181,9 +183,9 @@ func Run(c Case) *Failure {
 		if f := fail("native-unkeyed", run(q, unkeyed, c.Arrival)); f != nil {
 			return f
 		}
-		if err := checkDueOrders(p, c); err != nil {
-			return errf("keyed-due-orders", err)
-		}
+	}
+	if err := checkDueOrders(p, c); err != nil {
+		return errf("due-orders", err)
 	}
 	if f := fail("kslack", run(q, oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, c.Arrival)); f != nil {
 		return f
@@ -308,23 +310,31 @@ func Run(c Case) *Failure {
 	return nil
 }
 
-// checkDueOrders runs the keyed kernel over the arrival order under both
-// emission policies, purging eight times as often as the default so that a
-// short trial sees several passes, and verifies with the stream fully
-// admitted and not yet flushed that its expiry orders index exactly the live
-// stack instances, buffered negatives and vulnerable matches: an entry lost
-// on any insert path would strand state that no purge pass reaches again.
+// checkDueOrders runs every kernel the strategies above are built on — both
+// emission policies, keyed by the plan's attribute and, where it has one,
+// with everything under the zero key as well — over the arrival order,
+// purging eight times as often as the default so that a short trial sees
+// several passes, and verifies with the stream fully admitted and not yet
+// flushed that its expiry orders index exactly the live stack instances,
+// buffered negatives and vulnerable matches: an entry lost on any insert
+// path would strand state that no purge pass reaches again.
 func checkDueOrders(p *plan.Plan, c Case) error {
+	keyings := []bool{false}
+	if p.PartitionKey != "" {
+		keyings = append(keyings, true)
+	}
 	for _, emit := range []core.EmitPolicy{core.SealThenEmit, core.EmitThenRetract} {
-		en, err := core.New(p, core.Options{K: c.K, Emit: emit, PurgeEvery: 8})
-		if err != nil {
-			return err
-		}
-		for _, e := range c.Arrival {
-			en.Process(e)
-		}
-		if err := en.CheckDue(); err != nil {
-			return fmt.Errorf("%s: %w", emit, err)
+		for _, noKey := range keyings {
+			en, err := core.New(p, core.Options{K: c.K, Emit: emit, DisableKeying: noKey, PurgeEvery: 8})
+			if err != nil {
+				return err
+			}
+			for _, e := range c.Arrival {
+				en.Process(e)
+			}
+			if err := en.CheckDue(); err != nil {
+				return fmt.Errorf("%s, keying disabled %v: %w", emit, noKey, err)
+			}
 		}
 	}
 	return nil

@@ -84,6 +84,61 @@ func TestOneKernel(t *testing.T) {
 	}
 }
 
+// TestOneLayout is the mechanical form of "the key group is the kernel's only
+// unit of state": internal/core keeps no bare stack set and no per-negation
+// store list beside the keyed structures (an engine without a key attribute
+// files everything under the zero key), and nothing outside internal/ais
+// builds an ungrouped ais.Stacks. Non-test sources only; the nested
+// benchmark/ module, whose shadow for unkeyed plans still replays ais.New, is
+// not walked (ROADMAP 1(b)).
+func TestOneLayout(t *testing.T) {
+	// isAIS recognizes ais.<name>.
+	isAIS := func(e ast.Expr, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "ais" && sel.Sel.Name == name
+	}
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if dir != "internal/ais" && isAIS(n.Fun, "New") {
+					t.Errorf("%s calls ais.New: stacks live in key groups (ais.NewKeyed), under the zero key when the query has none", rel)
+				}
+			case *ast.StructType:
+				if dir != "internal/core" {
+					break
+				}
+				for _, field := range n.Fields.List {
+					if len(field.Names) == 1 && field.Names[0].Name == "walkStacks" {
+						// Construction scratch: the group of the trigger being
+						// walked, borrowed from the keyed stacks for one construct.
+						continue
+					}
+					if ptr, ok := field.Type.(*ast.StarExpr); ok && isAIS(ptr.X, "Stacks") {
+						t.Errorf("%s: field %v is a bare *ais.Stacks: a second, ungrouped state layout", rel, field.Names)
+					}
+					if arr, ok := field.Type.(*ast.ArrayType); ok && arr.Len == nil {
+						if ptr, ok := arr.Elt.(*ast.StarExpr); ok {
+							if id, ok := ptr.X.(*ast.Ident); ok && id.Name == "negStore" {
+								t.Errorf("%s: field %v is a []*negStore: negative stores are per key group", rel, field.Names)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestOneContract is the mechanical form of "one engine contract,
 // instruments at construction": internal/engine declares exactly one
 // interface, nothing discovers a capability by asserting to an engine

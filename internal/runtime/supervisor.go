@@ -111,8 +111,8 @@ type supervMeta struct {
 // backoff, and an admission-control layer filters duplicates and disorder
 // bound violators under a configurable policy.
 //
-// The error-free methods (Process, ProcessBatch, Flush) record failures in
-// Err (sticky); callers that can handle errors use ProcessE/FlushE.
+// A failure is returned by the call that hit it and stays in Err (sticky):
+// every later Process, ProcessBatch and Flush returns it again.
 //
 // Crash model: the process may die at any event boundary, plus a torn
 // final WAL record from dying mid-append. Reopening the store and calling
@@ -120,7 +120,7 @@ type supervMeta struct {
 // WAL suffix, suppresses match emissions already committed before the
 // crash, and returns the emissions the crash interrupted. Exactly-once
 // delivery holds under the transactional-sink assumption: a match
-// returned by ProcessE is considered delivered (its commit marker is
+// returned by Process is considered delivered (its commit marker is
 // logged before the call returns).
 type Supervisor struct {
 	opts  SupervisorOptions
@@ -208,8 +208,8 @@ func (s *Supervisor) Start() ([]plan.Match, error) {
 	return out, nil
 }
 
-// Err returns the sticky failure recorded by the error-free Engine
-// methods, if any.
+// Err returns the sticky failure, if any: the first error a Process,
+// ProcessBatch or Flush call returned.
 func (s *Supervisor) Err() error { return s.err }
 
 func (s *Supervisor) fail(err error) error {
@@ -227,20 +227,11 @@ func (s *Supervisor) Name() string {
 	return "supervised(" + s.en.Name() + ")"
 }
 
-// Process is ProcessE for error-free call sites; failures park in Err.
-func (s *Supervisor) Process(e event.Event) []plan.Match {
-	out, err := s.ProcessE(e)
-	if err != nil {
-		s.fail(err)
-	}
-	return out
-}
-
-// ProcessE offers one event: it is logged to the WAL, filtered by
+// Process offers one event: it is logged to the WAL, filtered by
 // admission control, processed under the panic guard (restarting from the
 // latest checkpoint on panic), and any surviving matches are committed as
 // delivered before they are returned.
-func (s *Supervisor) ProcessE(e event.Event) ([]plan.Match, error) {
+func (s *Supervisor) Process(e event.Event) ([]plan.Match, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -281,7 +272,7 @@ func (s *Supervisor) ProcessE(e event.Event) ([]plan.Match, error) {
 	return out, nil
 }
 
-// ProcessBatchE offers a batch of events. The fault-tolerance machinery is
+// ProcessBatch offers a batch of events. The fault-tolerance machinery is
 // strictly per event — each event is WAL-appended before it is processed,
 // and each event's matches are committed past the durable horizon before
 // the next event is offered — so an interrupted batch behaves exactly like
@@ -291,10 +282,10 @@ func (s *Supervisor) ProcessE(e event.Event) ([]plan.Match, error) {
 // output-slice overhead, deliberately not the durability barriers.
 // Processing stops at the first error; matches from events already
 // committed are returned alongside it.
-func (s *Supervisor) ProcessBatchE(batch []event.Event) ([]plan.Match, error) {
+func (s *Supervisor) ProcessBatch(batch []event.Event) ([]plan.Match, error) {
 	var out []plan.Match
 	for _, e := range batch {
-		ms, err := s.ProcessE(e)
+		ms, err := s.Process(e)
 		if err != nil {
 			return out, err
 		}
@@ -303,27 +294,9 @@ func (s *Supervisor) ProcessBatchE(batch []event.Event) ([]plan.Match, error) {
 	return out, nil
 }
 
-// ProcessBatch is the batch form of Process; failures park in Err.
-func (s *Supervisor) ProcessBatch(batch []event.Event) []plan.Match {
-	out, err := s.ProcessBatchE(batch)
-	if err != nil {
-		s.fail(err)
-	}
-	return out
-}
-
-// Flush is FlushE for error-free call sites; failures park in Err.
-func (s *Supervisor) Flush() []plan.Match {
-	out, err := s.FlushE()
-	if err != nil {
-		s.fail(err)
-	}
-	return out
-}
-
-// FlushE seals the stream: end-of-stream is logged first, so a crash
+// Flush seals the stream: end-of-stream is logged first, so a crash
 // mid-flush replays to the same final matches.
-func (s *Supervisor) FlushE() ([]plan.Match, error) {
+func (s *Supervisor) Flush() ([]plan.Match, error) {
 	if s.err != nil {
 		return nil, s.err
 	}

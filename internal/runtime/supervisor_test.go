@@ -57,13 +57,13 @@ func driveAll(t *testing.T, s *Supervisor, events []event.Event) []plan.Match {
 	t.Helper()
 	var out []plan.Match
 	for _, e := range events {
-		ms, err := s.ProcessE(e)
+		ms, err := s.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, ms...)
 	}
-	ms, err := s.FlushE()
+	ms, err := s.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestCrashRecoveryExactMatchSet(t *testing.T) {
 		}
 		var got []plan.Match
 		for _, e := range events[:crashAt] {
-			ms, err := s.ProcessE(e)
+			ms, err := s.Process(e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, ms...)
 		}
 		s.Kill()
-		if _, err := s.ProcessE(events[crashAt]); err == nil {
-			t.Fatal("ProcessE after Kill succeeded")
+		if _, err := s.Process(events[crashAt]); err == nil {
+			t.Fatal("Process after Kill succeeded")
 		}
 
 		s2 := openSuperv(t, dir, opts)
@@ -149,13 +149,13 @@ func TestCrashRecoveryExactMatchSet(t *testing.T) {
 		}
 		got = append(got, recovered...)
 		for _, e := range events[crashAt:] {
-			ms, err := s2.ProcessE(e)
+			ms, err := s2.Process(e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, ms...)
 		}
-		ms, err := s2.FlushE()
+		ms, err := s2.Flush()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestCrashRecoveryExactMatchSet(t *testing.T) {
 	}
 }
 
-// TestCrashDuringFlushRecovers: killing after FlushE's marker is durable
+// TestCrashDuringFlushRecovers: killing after Flush's marker is durable
 // but before its matches are delivered replays to the same final set.
 func TestCrashDuringFlushRecovers(t *testing.T) {
 	p := compile(t, supervQuery)
@@ -191,7 +191,7 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 	}
 	var got []plan.Match
 	for _, e := range events {
-		ms, err := s.ProcessE(e)
+		ms, err := s.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, recovered...)
-	if _, err := s2.ProcessE(events[0]); err == nil || !strings.Contains(err.Error(), "flushed") {
+	if _, err := s2.Process(events[0]); err == nil || !strings.Contains(err.Error(), "flushed") {
 		t.Fatalf("recovered supervisor accepted events after durable flush: %v", err)
 	}
 	if ok, diff := plan.SameResults(want, got); !ok {
@@ -275,7 +275,7 @@ func TestPoisonEventExhaustsRestarts(t *testing.T) {
 	}
 	var gotErr error
 	for _, e := range events {
-		if _, err := s.ProcessE(e); err != nil {
+		if _, err := s.Process(e); err != nil {
 			gotErr = err
 			break
 		}
@@ -286,7 +286,7 @@ func TestPoisonEventExhaustsRestarts(t *testing.T) {
 	if s.Err() == nil {
 		t.Fatal("failure not sticky")
 	}
-	if _, err := s.ProcessE(events[0]); err == nil {
+	if _, err := s.Process(events[0]); err == nil {
 		t.Fatal("sticky-failed supervisor accepted an event")
 	}
 	// Backoff doubled then capped: 10ms, 15ms.
@@ -397,7 +397,7 @@ func TestAdmissionSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range events[:40] {
-		if _, err := s.ProcessE(e); err != nil {
+		if _, err := s.Process(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,7 +410,7 @@ func TestAdmissionSurvivesCrash(t *testing.T) {
 	// Re-offer a recent pre-crash event: must be suppressed as duplicate.
 	recent := events[39]
 	before := s2.Metrics().DuplicatesSuppressed
-	if _, err := s2.ProcessE(recent); err != nil {
+	if _, err := s2.Process(recent); err != nil {
 		t.Fatal(err)
 	}
 	if after := s2.Metrics().DuplicatesSuppressed; after != before+1 {
@@ -435,7 +435,7 @@ func TestWALOnlySupervision(t *testing.T) {
 	}
 	var got []plan.Match
 	for _, e := range events[:90] {
-		ms, err := s.ProcessE(e)
+		ms, err := s.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,13 +453,13 @@ func TestWALOnlySupervision(t *testing.T) {
 	}
 	got = append(got, recovered...)
 	for _, e := range events[90:] {
-		ms, err := s2.ProcessE(e)
+		ms, err := s2.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, ms...)
 	}
-	ms, err := s2.FlushE()
+	ms, err := s2.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestCorruptCheckpointFallbackEndToEnd(t *testing.T) {
 	}
 	var got []plan.Match
 	for _, e := range events[:100] {
-		ms, err := s.ProcessE(e)
+		ms, err := s.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,13 +510,13 @@ func TestCorruptCheckpointFallbackEndToEnd(t *testing.T) {
 	}
 	got = append(got, recovered...)
 	for _, e := range events[100:] {
-		ms, err := s2.ProcessE(e)
+		ms, err := s2.Process(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, ms...)
 	}
-	ms, err := s2.FlushE()
+	ms, err := s2.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -447,7 +447,7 @@ func (s *SupervisedQuerySet) Process(ev Event) ([]Match, error) {
 	if ev.Seq == 0 {
 		return nil, fmt.Errorf("supervised query set requires caller-assigned event Seq values")
 	}
-	return s.sup.ProcessE(ev)
+	return s.sup.Process(ev)
 }
 
 // ProcessBatch offers a slice of events with per-event durability
@@ -459,11 +459,11 @@ func (s *SupervisedQuerySet) ProcessBatch(events []Event) ([]Match, error) {
 			return nil, fmt.Errorf("supervised query set requires caller-assigned event Seq values")
 		}
 	}
-	return s.sup.ProcessBatchE(events)
+	return s.sup.ProcessBatch(events)
 }
 
 // Flush seals the stream durably.
-func (s *SupervisedQuerySet) Flush() ([]Match, error) { return s.sup.FlushE() }
+func (s *SupervisedQuerySet) Flush() ([]Match, error) { return s.sup.Flush() }
 
 // Metrics returns the shared-admission counters merged with the
 // fault-tolerance counters.

@@ -175,7 +175,7 @@ func (s *SupervisedEngine) Process(ev Event) ([]Match, error) {
 	if ev.Seq == 0 {
 		return nil, fmt.Errorf("supervised engine requires caller-assigned event Seq values")
 	}
-	return s.sup.ProcessE(ev)
+	return s.sup.Process(ev)
 }
 
 // ProcessBatch offers a slice of events through the supervised batch
@@ -192,7 +192,7 @@ func (s *SupervisedEngine) ProcessBatch(events []Event) ([]Match, error) {
 			return nil, fmt.Errorf("supervised engine requires caller-assigned event Seq values")
 		}
 	}
-	return s.sup.ProcessBatchE(events)
+	return s.sup.ProcessBatch(events)
 }
 
 // ProcessAll offers a finite slice and returns all matches including the
@@ -215,7 +215,7 @@ func (s *SupervisedEngine) ProcessAll(events []Event) ([]Match, error) {
 
 // Flush seals the stream. End-of-stream is logged before the engine
 // flushes, so a crash mid-flush replays to the same final matches.
-func (s *SupervisedEngine) Flush() ([]Match, error) { return s.sup.FlushE() }
+func (s *SupervisedEngine) Flush() ([]Match, error) { return s.sup.Flush() }
 
 // Strategy returns the supervised engine's name, e.g. "supervised(native)".
 func (s *SupervisedEngine) Strategy() string { return s.sup.Name() }
