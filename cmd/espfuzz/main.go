@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch   = fs.Bool("batch", false, "run the batch≡per-event differential instead of the strategy differential")
 		multi   = fs.Bool("multi", false, "run the multi-query QuerySet differential instead of the strategy differential")
 		adapt   = fs.Bool("adaptive", false, "run the adaptive disorder-control differential (dynamic K, shedding, hybrid switching) instead of the strategy differential")
-		agg     = fs.Bool("agg", false, "run the windowed-aggregation differential (FiBA operator, all strategies, checkpoint, partitioning) instead of the strategy differential")
+		agg     = fs.Bool("agg", false, "run the windowed-aggregation differential (the window operator, all strategies, checkpoint, partitioning) instead of the strategy differential")
 		listen  = fs.String("listen", "", "serve live soak progress over HTTP (/varz, /healthz, /debug/pprof) on this address")
 	)
 	if err := fs.Parse(args); err != nil {

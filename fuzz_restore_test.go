@@ -2,7 +2,9 @@ package oostream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -113,6 +115,88 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		if a, b := drive(first), drive(second); a != b {
 			t.Fatalf("%s: output diverges after one more checkpoint and restore\n first: %s\nsecond: %s", tgt.name, a, b)
+		}
+	})
+}
+
+// aggRestoreTargets are the sealed-mode aggregate compositions
+// FuzzRestoreAgg restores into, ungrouped and grouped.
+var aggRestoreTargets = []struct {
+	name  string
+	query string
+	cfg   Config
+}{
+	{"ungrouped", "AGGREGATE MAX(b.id) OVER SEQ(A a, B b) WITHIN 50 SLIDE 5", Config{K: 10}},
+	{"grouped", "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 50 SLIDE 10 GROUP BY a.id", Config{K: 10}},
+	{"trailing-negation", "AGGREGATE SUM(a.id) OVER SEQ(A a, B b, !(C c)) WITHIN 30 SLIDE 10 GROUP BY b.id", Config{K: 10}},
+}
+
+// resealAgg recomputes the CRC of an aggregate checkpoint envelope whose
+// declared payload length fits the bytes present, so that a mutated payload
+// reaches the decoder behind the checksum; anything else is returned as is.
+func resealAgg(data []byte) []byte {
+	if len(data) < 15 || string(data[:6]) != "OOAGGT" {
+		return data
+	}
+	size := binary.LittleEndian.Uint32(data[7:11])
+	if uint64(size) > uint64(len(data)-15) {
+		return data
+	}
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[11:15], crc32.ChecksumIEEE(out[15:15+size]))
+	return out
+}
+
+// FuzzRestoreAgg is FuzzRestoreEngine for the aggregation operator's
+// envelope (its payload first, the kernel's checkpoint after it): error or
+// equivalent state after one more checkpoint-and-restore, never a panic. Each
+// input is tried as given and with its checksum made good.
+func FuzzRestoreAgg(f *testing.F) {
+	queries := make([]*Query, len(aggRestoreTargets))
+	for i, tgt := range aggRestoreTargets {
+		queries[i] = MustCompile(tgt.query, nil)
+		en := MustNewEngine(queries[i], tgt.cfg)
+		for _, e := range restoreStream(40, 24) {
+			en.Process(e)
+		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			f.Fatalf("%s: %v", tgt.name, err)
+		}
+		f.Add(uint8(i), buf.Bytes())
+	}
+	// A declared payload of 4 GiB over a few bytes: refused without
+	// allocating it.
+	f.Add(uint8(0), append([]byte("OOAGGT\x01\xff\xff\xff\xff\x00\x00\x00\x00"), "{}"...))
+
+	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
+		i := int(target) % len(aggRestoreTargets)
+		tgt, q := aggRestoreTargets[i], queries[i]
+		for _, data := range [][]byte{data, resealAgg(data)} {
+			first, err := RestoreEngine(q, tgt.cfg, bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			var again bytes.Buffer
+			if err := first.Checkpoint(&again); err != nil {
+				t.Fatalf("%s: a restored engine cannot checkpoint: %v", tgt.name, err)
+			}
+			second, err := RestoreEngine(q, tgt.cfg, &again)
+			if err != nil {
+				t.Fatalf("%s: a restored engine's own checkpoint does not restore: %v", tgt.name, err)
+			}
+			drive := func(en *Engine) string {
+				var out []Match
+				for _, e := range restoreStream(100, 30) {
+					out = append(out, en.Process(e)...)
+				}
+				out = append(out, en.Advance(1000)...)
+				out = append(out, en.Flush()...)
+				return fmt.Sprint(out)
+			}
+			if a, b := drive(first), drive(second); a != b {
+				t.Fatalf("%s: output diverges after one more checkpoint and restore\n first: %s\nsecond: %s", tgt.name, a, b)
+			}
 		}
 	})
 }

@@ -2,6 +2,8 @@ package agg
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -449,12 +451,127 @@ func TestStatePurgesAsWindowsSeal(t *testing.T) {
 	}
 	elems := 0
 	for _, g := range en.groups {
-		elems += g.tree.Size()
+		elems += g.run.Size()
 	}
-	if elems > 20 {
-		t.Fatalf("tree not purging: %d live elements after stream", elems)
+	if elems > 20 || elems != en.elems {
+		t.Fatalf("not purging: %d live elements after stream (the engine counts %d)", elems, en.elems)
 	}
 	if en.Metrics().Purged == 0 {
 		t.Fatalf("no purges counted")
 	}
+}
+
+// TestCheckpointBytesGolden: the checkpoint serializes elements, not the
+// structure that holds them or its folds, so the bytes a sealed-mode
+// aggregate engine writes after a fixed prefix are those the tree-backed
+// operator wrote (hashes taken at e31257a, the parent of the run).
+func TestCheckpointBytesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		size int
+		sum  string
+	}{
+		{"AGGREGATE SUM(b.v) OVER SEQ(A a, B b) WITHIN 80 SLIDE 40 GROUP BY a.id", 17420, "4a30d0bac879f1b2bbc3dd05a6c4dbb28662d4a55eac4f657ed1eda1692e4901"},
+		{"AGGREGATE MAX(b.v) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 200 SLIDE 4", 28481, "75f8e7e72ef6c1c84e3b715ab46a9d1953f71535512276b62a3786363bb7a72d"},
+		{"AGGREGATE AVG(a.v) OVER SEQ(A a, B b, !(A n)) WITHIN 60 SLIDE 20", 17632, "b5a0d9ec1c7d5c86dcd664be120241ea4aea0b8c1ab1e8e0d7a704307c390b25"},
+	} {
+		p := compile(t, tc.src)
+		const k = event.Time(24)
+		en := New(p, core.MustNew(p, core.Options{K: k}), false, k)
+		for _, e := range genStream(rand.New(rand.NewSource(11)), 300, k)[:220] {
+			en.Process(e)
+		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != tc.size || sum != tc.sum {
+			t.Errorf("%s: checkpoint is %d bytes, sha256 %s; the parent wrote %d bytes, %s", tc.src, buf.Len(), sum, tc.size, tc.sum)
+		}
+	}
+}
+
+// foldStats sums the fold counters of the live groups' runs.
+func (en *Engine) foldStats() (st fiba.RunStats) {
+	for _, g := range en.groups {
+		s := g.run.Stats()
+		st.Queries += s.Queries
+		st.QueryMerges += s.QueryMerges
+		st.Flips += s.Flips
+		st.FlipMerges += s.FlipMerges
+		st.Fallbacks += s.Fallbacks
+	}
+	return st
+}
+
+// TestFoldsCoverBoundedDisorder runs the operator over the real kernel on a
+// K-disordered stream of one match per id, sealed and speculative, and reads
+// the fold counters of its one group: the margin the engine derives from its
+// mode and lateness bound must keep every window read, every revision and
+// every late element inside what the folds cover. Output is checked against
+// the oracle, so a margin too generous to be true would show as a wrong
+// window.
+func TestFoldsCoverBoundedDisorder(t *testing.T) {
+	p := compile(t, "AGGREGATE MAX(b.v) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 3000 SLIDE 5")
+	const k = event.Time(200)
+	// An A and its B every 10 ms, a fifth of the events up to k late.
+	rng := rand.New(rand.NewSource(5))
+	type arrival struct {
+		e  event.Event
+		at event.Time
+	}
+	var arrivals []arrival
+	for i := 0; i < 3000; i++ {
+		for j, typ := range []string{"A", "B"} {
+			ts := event.Time(i*10 + j*5)
+			a := arrival{ev(typ, ts, event.Seq(2*i+j+1), event.Attrs{"id": event.Int(int64(i)), "v": event.Int(int64(rng.Intn(1000)))}), ts}
+			if rng.Intn(5) == 0 {
+				a.at += rng.Int63n(int64(k))
+			}
+			arrivals = append(arrivals, a)
+		}
+	}
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	events := make([]event.Event, len(arrivals))
+	for i := range arrivals {
+		events[i] = arrivals[i].e
+	}
+	want := expected(t, p, sortedByTime(events))
+	for _, speculative := range []bool{false, true} {
+		opts := core.Options{K: k}
+		if speculative {
+			opts.Emit = core.EmitThenRetract
+		}
+		en := New(p, core.MustNew(p, opts), speculative, k)
+		var got []plan.Match
+		var st fiba.RunStats
+		for _, e := range events {
+			got = append(got, en.Process(e)...)
+			if len(en.groups) == 1 {
+				st = en.foldStats()
+			}
+		}
+		got = append(got, en.Flush()...)
+		if same, diff := plan.SameResults(got, want); !same {
+			t.Fatalf("speculative=%v: diverges from oracle:\n%s", speculative, diff)
+		}
+		t.Logf("speculative=%v: %d queries, %d query merges, %d flips, %d flip merges, %d fallbacks",
+			speculative, st.Queries, st.QueryMerges, st.Flips, st.FlipMerges, st.Fallbacks)
+		if st.Queries < 5000 || st.Flips < 5 {
+			t.Fatalf("speculative=%v: %d queries and %d flips: the stream is meant to slide the window ten lengths", speculative, st.Queries, st.Flips)
+		}
+		if st.Fallbacks != 0 {
+			t.Errorf("speculative=%v: %d fallbacks under disorder bounded by K, want 0", speculative, st.Fallbacks)
+		}
+		if st.QueryMerges > 2*st.Queries {
+			t.Errorf("speculative=%v: %d merges over %d queries, want at most 2 a query", speculative, st.QueryMerges, st.Queries)
+		}
+	}
+}
+
+// sortedByTime returns a copy of events in timestamp order.
+func sortedByTime(events []event.Event) []event.Event {
+	out := append([]event.Event(nil), events...)
+	event.SortByTime(out)
+	return out
 }

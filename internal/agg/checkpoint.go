@@ -45,14 +45,15 @@ type aggCheckpoint struct {
 }
 
 // ckGroup is one key group: its GROUP BY value (absent when the query is
-// ungrouped) and its elements in ascending key order, so the restore
-// rebuilds each tree with O(1) in-order appends.
+// ungrouped) and its elements in strictly ascending key order, so the
+// restore rebuilds each run by appends. The folds over a run are caches and
+// are not serialized.
 type ckGroup struct {
 	Key   *event.Value `json:"key,omitempty"`
 	Elems []ckElem     `json:"elems"`
 }
 
-// ckElem is one tree element. Min/Max are pointers because the zero
+// ckElem is one run element. Min/Max are pointers because the zero
 // event.Value is invalid and refuses to marshal (COUNT partials carry no
 // values).
 type ckElem struct {
@@ -86,16 +87,15 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		ElemSeq:    en.elemSeq,
 		Sealed:     en.sealed,
 		SealedInit: en.sealedInit,
-		Groups:     make([]ckGroup, 0, len(en.order)),
+		Groups:     make([]ckGroup, 0, len(en.groups)),
 	}
-	for _, gk := range en.order {
-		g := en.groups[gk]
-		cg := ckGroup{Elems: make([]ckElem, 0, g.tree.Size())}
+	for _, g := range en.groups {
+		cg := ckGroup{Elems: make([]ckElem, 0, g.run.Size())}
 		if g.has {
 			key := g.key
 			cg.Key = &key
 		}
-		g.tree.All(func(k fiba.Key, p fiba.Partial, aux any) bool {
+		g.run.All(func(k fiba.Key, p fiba.Partial, aux any) bool {
 			cg.Elems = append(cg.Elems, ckElem{
 				TS:     k.TS,
 				Seq:    k.Seq,
@@ -149,9 +149,14 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Rea
 	}
 	size := binary.LittleEndian.Uint32(hdr[7:11])
 	want := binary.LittleEndian.Uint32(hdr[11:15])
-	payload := make([]byte, size)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("agg: checkpoint truncated: want %d payload bytes, got %d", size, n)
+	// The declared length is outside input (up to 4 GiB): the buffer grows
+	// with the bytes that actually arrive, never ahead of them.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err != nil {
+		return nil, fmt.Errorf("agg: read checkpoint payload: %w", err)
+	}
+	if uint32(len(payload)) != size {
+		return nil, fmt.Errorf("agg: checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
 	}
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("agg: checkpoint corrupt: CRC32 %08x, want %08x", got, want)
@@ -171,13 +176,16 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Rea
 	en.sealed = cf.Sealed
 	en.sealedInit = cf.SealedInit
 	for _, cg := range cf.Groups {
-		var gk event.Value
-		g := &group{tree: fiba.New(), has: cg.Key != nil}
+		var key event.Value
 		if cg.Key != nil {
-			g.key = *cg.Key
-			gk = g.key.MapKey()
+			key = *cg.Key
 		}
-		for _, ce := range cg.Elems {
+		if en.byKey[mapKey(key, cg.Key != nil)] != nil {
+			return nil, fmt.Errorf("agg: checkpoint holds group %s twice", key)
+		}
+		g := en.newGroup(key, cg.Key != nil)
+		var last fiba.Key
+		for i, ce := range cg.Elems {
 			part := fiba.Partial{
 				Count:  ce.Count,
 				SumI:   ce.SumI,
@@ -191,11 +199,18 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Rea
 				part.Max = *ce.Max
 			}
 			key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
-			g.tree.Insert(key, part, &elemAux{matchKey: ce.Match})
-			en.byMatch[ce.Match] = elemRef{group: gk, key: key}
+			if i > 0 && !last.Less(key) {
+				return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
+			}
+			last = key
+			g.run.Insert(key, part, &elemAux{matchKey: ce.Match})
+			en.elems++
+			en.byMatch[ce.Match] = elemRef{group: g, key: key}
+			// Keys minted from here on must not collide with a restored one.
+			if ce.Seq >= en.elemSeq {
+				en.elemSeq = ce.Seq + 1
+			}
 		}
-		en.groups[gk] = g
-		en.order = append(en.order, gk)
 	}
 	return en, nil
 }

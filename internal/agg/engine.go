@@ -1,15 +1,19 @@
 // Package agg implements the windowed-aggregation operator: a wrapper
 // engine that consumes the pattern matches of any inner strategy engine
 // and emits sliding-window aggregate values (COUNT/SUM/AVG/MIN/MAX) over
-// them, one FiBA tree per GROUP BY key group.
+// them, one sorted run with a two-stacks fold (fiba.Run) per GROUP BY key
+// group.
 //
 // The operator sits outermost — outside the K-slack levee or the ordered-
 // output wrapper — because it needs the inner engine's *matches*, not the
-// raw stream. Each inner match becomes one tree element at the match's
+// raw stream. Each inner match becomes one run element at the match's
 // completion time (its last event's timestamp); retractions from the
-// speculative and hybrid strategies delete their element again. Window
-// values are read off the tree in O(log n) merged partials per window, and
-// the front of the tree is purged in amortized O(1) as windows seal.
+// speculative and hybrid strategies delete their element again. A window
+// value is two searches and one merge of folded partials, and the head of
+// the run is dropped a chunk at a time as windows seal. The fold rests on the
+// lateness bound below: a window is read only once its elements are final
+// (sealed mode) or revised only within that bound of the clock
+// (speculative mode), which is the margin each run is built with.
 //
 // Emission has two modes, mirroring the strategy split:
 //
@@ -28,8 +32,6 @@
 package agg
 
 import (
-	"math"
-
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/fiba"
@@ -44,23 +46,23 @@ import (
 // Truncated instead of growing without bound.
 const maxProvRefs = 64
 
-// group is one GROUP BY key group: its FiBA tree of match elements and,
-// in speculative mode, the window values already previewed (by window
-// end), so revisions can retract exactly what was emitted.
+// group is one GROUP BY key group: its run of match elements and, in
+// speculative mode, the window values already previewed (by window end), so
+// revisions can retract exactly what was emitted.
 type group struct {
 	key     event.Value
 	has     bool
-	tree    *fiba.Tree
+	run     *fiba.Run
 	emitted map[event.Time]*plan.AggValue
 }
 
-// elemRef locates one inner match's tree element for retraction.
+// elemRef locates one inner match's run element for retraction.
 type elemRef struct {
-	group event.Value
+	group *group
 	key   fiba.Key
 }
 
-// elemAux is the per-element payload stored in the tree: the inner match's
+// elemAux is the per-element payload stored in the run: the inner match's
 // identity (for retraction and purge bookkeeping) and, when provenance is
 // on, the citations of the events the match bound.
 type elemAux struct {
@@ -96,12 +98,17 @@ type Engine struct {
 	previewed   event.Time
 	previewInit bool
 
-	// elemSeq disambiguates tree keys for elements at equal timestamps.
+	// elemSeq disambiguates element keys at equal timestamps.
 	elemSeq uint64
 
-	groups  map[event.Value]*group
-	order   []event.Value
+	// groups holds the live groups in insertion order, which is the order
+	// windows are emitted and checkpointed in and the only way they are
+	// walked; byKey finds the group of an arriving element.
+	groups  []*group
+	byKey   map[event.Value]*group
 	byMatch map[string]elemRef
+	// elems is the number of live elements across all groups.
+	elems int
 
 	// The instruments of the operator's Env. Series and hook bind to the
 	// operator itself: the inner engine's matches are consumed, not emitted,
@@ -138,7 +145,7 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 		inner:       inner,
 		speculative: speculative,
 		lateness:    lateness,
-		groups:      make(map[event.Value]*group),
+		byKey:       make(map[event.Value]*group),
 		byMatch:     make(map[string]elemRef),
 		trace:       env.Trace,
 		prov:        env.Provenance,
@@ -150,7 +157,7 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "agg(" + en.inner.Name() + ")" }
 
-// StateSize implements engine.Engine: live tree elements plus inner state.
+// StateSize implements engine.Engine: live elements plus inner state.
 func (en *Engine) StateSize() int {
 	return len(en.byMatch) + en.inner.StateSize()
 }
@@ -176,7 +183,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 }
 
 // processOne admits one event: feed the inner engine, absorb the matches
-// it emits into the trees, then advance the output frontiers under the
+// it emits into the runs, then advance the output frontiers under the
 // (possibly) moved clock. Absorption runs before the clock advances so a
 // match surfacing exactly at the lateness bound lands in its window before
 // that window seals.
@@ -279,9 +286,8 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		s.KeyAttr = en.spec.GroupAttr
 		s.KeyGroups = len(en.groups)
 		var gs []provenance.KeyGroupStat
-		for _, gk := range en.order {
-			g := en.groups[gk]
-			gs = append(gs, provenance.KeyGroupStat{Key: g.key.String(), Size: g.tree.Size()})
+		for _, g := range en.groups {
+			gs = append(gs, provenance.KeyGroupStat{Key: g.key.String(), Size: g.run.Size()})
 		}
 		s.TopKeyGroups = provenance.TopK(gs, 8)
 	}
@@ -292,7 +298,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	return s
 }
 
-// absorb folds a run of inner matches into the trees: inserts add
+// absorb takes a batch of inner matches into the runs: inserts add
 // elements, retractions (speculative/hybrid inner) delete them again. In
 // speculative mode each change revises the previewed windows it touches.
 func (en *Engine) absorb(ms []plan.Match, out []plan.Match) []plan.Match {
@@ -306,24 +312,15 @@ func (en *Engine) absorb(ms []plan.Match, out []plan.Match) []plan.Match {
 	return out
 }
 
-// addElem maps one inner match to a tree element and inserts it.
+// addElem maps one inner match to a run element and inserts it.
 func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	ts, part, gv, ok := en.spec.ElementOf(m, en.met.IncPredError)
 	if !ok {
 		return out
 	}
-	var gk event.Value
-	if en.spec.GroupSlot >= 0 {
-		gk = gv.MapKey()
-	}
-	g := en.groups[gk]
+	g := en.byKey[mapKey(gv, en.spec.GroupSlot >= 0)]
 	if g == nil {
-		g = &group{key: gv, has: en.spec.GroupSlot >= 0, tree: fiba.New()}
-		if en.speculative {
-			g.emitted = make(map[event.Time]*plan.AggValue)
-		}
-		en.groups[gk] = g
-		en.order = append(en.order, gk)
+		g = en.newGroup(gv, en.spec.GroupSlot >= 0)
 	}
 	aux := &elemAux{matchKey: m.Key()}
 	if en.prov {
@@ -331,10 +328,9 @@ func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	}
 	key := fiba.Key{TS: ts, Seq: en.elemSeq}
 	en.elemSeq++
-	before := g.tree.Stats()
-	g.tree.Insert(key, part, aux)
-	en.met.IncAggInsert(g.tree.Stats().FingerHits > before.FingerHits)
-	en.byMatch[aux.matchKey] = elemRef{group: gk, key: key}
+	en.met.IncAggInsert(g.run.Insert(key, part, aux))
+	en.elems++
+	en.byMatch[aux.matchKey] = elemRef{group: g, key: key}
 	if en.speculative {
 		out = en.reviseAround(g, ts, out)
 	}
@@ -352,15 +348,41 @@ func (en *Engine) removeElem(m plan.Match, out []plan.Match) []plan.Match {
 		return out
 	}
 	delete(en.byMatch, k)
-	g := en.groups[ref.group]
-	if g == nil {
-		return out
+	if _, ok := ref.group.run.Delete(ref.key); ok {
+		en.elems--
 	}
-	g.tree.Delete(ref.key)
 	if en.speculative {
-		out = en.reviseAround(g, ref.key.TS, out)
+		out = en.reviseAround(ref.group, ref.key.TS, out)
 	}
 	return out
+}
+
+// newGroup registers an empty group. Its run's margin is how far behind the
+// furthest window end read so far a later read, insert or delete can fall:
+// nothing in sealed mode, where a window is read once and every later element
+// is past its end; the lateness bound plus one slide in speculative mode,
+// where a late element re-reads the previewed windows that contain it (the
+// slide keeps an element exactly at the bound on the covered side).
+func (en *Engine) newGroup(key event.Value, has bool) *group {
+	g := &group{key: key, has: has}
+	if en.speculative {
+		g.run = fiba.NewRun(en.lateness + en.spec.Slide)
+		g.emitted = make(map[event.Time]*plan.AggValue)
+	} else {
+		g.run = fiba.NewRun(0)
+	}
+	en.groups = append(en.groups, g)
+	en.byKey[mapKey(key, has)] = g
+	return g
+}
+
+// mapKey is the byKey key of a group: its GROUP BY value in map-key form,
+// the zero Value when the query is ungrouped.
+func mapKey(key event.Value, has bool) event.Value {
+	if !has {
+		return event.Value{}
+	}
+	return key.MapKey()
 }
 
 // advanceOutput brings emission up to the current clock: previews (spec
@@ -423,21 +445,17 @@ func (en *Engine) reclaim(watermark event.Time) {
 
 // reclaimAll drops every element and group after a flush.
 func (en *Engine) reclaimAll() {
-	n := 0
-	for _, g := range en.groups {
-		n += g.tree.PurgeThrough(fiba.Key{TS: math.MaxInt64, Seq: fiba.MaxSeq}, func(any) {})
+	if en.elems > 0 {
+		en.met.ObservePurge(en.elems)
 	}
-	if n > 0 {
-		en.met.ObservePurge(n)
-	}
-	en.groups = make(map[event.Value]*group)
-	en.order = nil
+	en.groups, en.elems = nil, 0
+	en.byKey = make(map[event.Value]*group)
 	en.byMatch = make(map[string]elemRef)
 }
 
 // nextEnd returns the smallest grid end after cursor whose window holds at
 // least one live element — skipping empty grid slots directly, so a long
-// stream silence costs one tree probe, not one iteration per slide.
+// stream silence costs one search per group, not one iteration per slide.
 func (en *Engine) nextEnd(cursor event.Time, cursorInit bool) (event.Time, bool) {
 	slide := en.spec.Slide
 	if !cursorInit {
@@ -465,7 +483,7 @@ func (en *Engine) minElemTS() (event.Time, bool) {
 	var best event.Time
 	found := false
 	for _, g := range en.groups {
-		if k, ok := g.tree.First(); ok && (!found || k.TS < best) {
+		if k, ok := g.run.First(); ok && (!found || k.TS < best) {
 			best, found = k.TS, true
 		}
 	}
@@ -477,15 +495,10 @@ func (en *Engine) minElemTS() (event.Time, bool) {
 func (en *Engine) firstAfter(t event.Time) (event.Time, bool) {
 	var best event.Time
 	found := false
-	lo := fiba.Key{TS: t, Seq: fiba.MaxSeq}
-	hi := fiba.Key{TS: math.MaxInt64, Seq: fiba.MaxSeq}
 	for _, g := range en.groups {
-		g.tree.Ascend(lo, hi, func(k fiba.Key, _ fiba.Partial, _ any) bool {
-			if !found || k.TS < best {
-				best, found = k.TS, true
-			}
-			return false
-		})
+		if k, ok := g.run.After(fiba.Key{TS: t, Seq: fiba.MaxSeq}); ok && (!found || k.TS < best) {
+			best, found = k.TS, true
+		}
 	}
 	return best, found
 }
@@ -493,8 +506,7 @@ func (en *Engine) firstAfter(t event.Time) (event.Time, bool) {
 // emitEnd emits the window at end for every group that has a value
 // passing HAVING, in group insertion order.
 func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan.Match {
-	for _, gk := range en.order {
-		g := en.groups[gk]
+	for _, g := range en.groups {
 		av := en.windowValue(g, end)
 		if av == nil {
 			continue
@@ -512,7 +524,7 @@ func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan
 // the window is empty or HAVING rejects it.
 func (en *Engine) windowValue(g *group, end event.Time) *plan.AggValue {
 	w := en.p.Window
-	part := g.tree.Query(fiba.Key{TS: end - w, Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
+	part := g.run.Query(fiba.Key{TS: end - w, Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
 	v, n, ok := en.spec.Result(part)
 	if !ok {
 		return nil
@@ -546,7 +558,7 @@ func (en *Engine) reviseAround(g *group, ts event.Time, out []plan.Match) []plan
 	return out
 }
 
-// revise reconciles one previewed window against its current tree value.
+// revise reconciles one previewed window against its current value.
 func (en *Engine) revise(g *group, end event.Time, out []plan.Match) []plan.Match {
 	old := g.emitted[end]
 	nv := en.windowValue(g, end)
@@ -625,7 +637,7 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 	}
 	lo := fiba.Key{TS: av.WindowStart, Seq: fiba.MaxSeq}
 	hi := fiba.Key{TS: av.WindowEnd, Seq: fiba.MaxSeq}
-	g.tree.Ascend(lo, hi, func(_ fiba.Key, _ fiba.Partial, aux any) bool {
+	g.run.Ascend(lo, hi, func(_ fiba.Key, _ fiba.Partial, aux any) bool {
 		a := aux.(*elemAux)
 		if len(a.refs) == 0 || len(r.Events)+len(a.refs) > maxProvRefs {
 			// Elements restored from a checkpoint carry no citations;
@@ -646,9 +658,12 @@ func (en *Engine) purgeFor(end event.Time) {
 	cut := end + en.spec.Slide - en.p.Window
 	n := 0
 	for _, g := range en.groups {
-		n += g.tree.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, func(aux any) {
+		n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, func(aux any) {
 			delete(en.byMatch, aux.(*elemAux).matchKey)
 		})
+		if !en.speculative {
+			continue
+		}
 		for e := range g.emitted {
 			if e <= end {
 				delete(g.emitted, e)
@@ -656,6 +671,7 @@ func (en *Engine) purgeFor(end event.Time) {
 		}
 	}
 	if n > 0 {
+		en.elems -= n
 		en.met.ObservePurge(n)
 		if en.trace != nil {
 			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpPurge, Engine: en.traceName, TS: cut, N: n})
@@ -666,28 +682,22 @@ func (en *Engine) purgeFor(end event.Time) {
 
 // dropEmpty retires groups with no elements and no revisable previews.
 func (en *Engine) dropEmpty() {
-	kept := en.order[:0]
-	for _, gk := range en.order {
-		g := en.groups[gk]
-		if g.tree.Size() == 0 && len(g.emitted) == 0 {
-			delete(en.groups, gk)
+	kept := en.groups[:0]
+	for _, g := range en.groups {
+		if g.run.Size() == 0 && len(g.emitted) == 0 {
+			delete(en.byKey, mapKey(g.key, g.has))
 			continue
 		}
-		kept = append(kept, gk)
+		kept = append(kept, g)
 	}
-	en.order = kept
+	clear(en.groups[len(kept):])
+	en.groups = kept
 }
 
 // publishGauges refreshes the state gauges at call boundaries.
 func (en *Engine) publishGauges() {
-	height, elems := 0, 0
-	for _, g := range en.groups {
-		if h := g.tree.Height(); h > height {
-			height = h
-		}
-		elems += g.tree.Size()
-	}
-	en.met.SetAggTree(height, elems)
+	// A run has no levels: the height gauge reads 1 while anything is live.
+	en.met.SetAggTree(min(en.elems, 1), en.elems)
 	en.met.SetLiveState(en.StateSize())
 	if en.spec.GroupSlot >= 0 {
 		en.met.SetKeyGroups(len(en.groups))

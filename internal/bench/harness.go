@@ -174,7 +174,7 @@ func All() []Experiment {
 		{"E18", "batched admission throughput", E18Batch},
 		{"E19", "multi-query shared admission", E19MultiQuery},
 		{"E20", "adaptive disorder control under drift", E20Adaptive},
-		{"E21", "windowed aggregation: FiBA vs. rescan", E21FibaAggregation},
+		{"E21", "windowed aggregation: run vs. FiBA tree vs. rescan", E21FibaAggregation},
 		{"E22", "wall-clock latency attribution overhead", E22LatencyAttribution},
 	}
 }

@@ -139,6 +139,36 @@ func TestOneLayout(t *testing.T) {
 	})
 }
 
+// TestTreeIsAReference: the aggregation operator runs fiba.Run; fiba.Tree is
+// the structure it is tested and measured against. No non-test source builds
+// one (fiba.New) outside internal/fiba and the experiment harness
+// internal/bench, which no library package imports. The nested benchmark/
+// module, whose per-layer shadow still times the tree, is not walked
+// (ROADMAP 1(b)).
+func TestTreeIsAReference(t *testing.T) {
+	walkModule(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if strings.HasSuffix(rel, "_test.go") || dir == "internal/fiba" || dir == "internal/bench" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fiba" {
+						t.Errorf("%s calls fiba.New: the tree is a test reference; window state is a fiba.Run", rel)
+					}
+				}
+			}
+			return true
+		})
+		for _, imp := range f.Imports {
+			if target, _ := strconv.Unquote(imp.Path.Value); target == "oostream/internal/bench" && !strings.HasPrefix(dir, "cmd/") {
+				t.Errorf("%s imports internal/bench: the experiment harness is for cmd/espbench and tests", rel)
+			}
+		}
+	})
+}
+
 // TestOneContract is the mechanical form of "one engine contract,
 // instruments at construction": internal/engine declares exactly one
 // interface, nothing discovers a capability by asserting to an engine

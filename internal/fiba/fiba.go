@@ -1,6 +1,19 @@
-// Package fiba implements a finger balanced aggregation tree (FiBA) for
-// out-of-order sliding-window aggregation, after Tangwongsan, Hirzel &
-// Schneider's "Optimal and General Out-of-Order Sliding-Window Aggregation".
+// Package fiba holds the window state of out-of-order sliding-window
+// aggregation: the Partial monoid and two structures that answer range
+// aggregates over (timestamp, sequence)-keyed elements with the same method
+// set.
+//
+// Run (run.go) is what the aggregation operator runs: a sorted run of
+// elements in fixed-size chunks under a two-stacks fold, one merge per window
+// while disorder stays within the bound windows are read by.
+//
+// Tree is the reference Run is tested and timed against: a finger balanced
+// aggregation tree (FiBA) after
+// Tangwongsan, Hirzel & Schneider's "Optimal and General Out-of-Order
+// Sliding-Window Aggregation". It pays O(log n) merges per window whatever
+// the disorder, which is why it stays the better structure for elements that
+// arrive later than any bound (BenchmarkE21Fiba, beyond-bound rows); the
+// repository benchmark's per-layer shadow still times it.
 //
 // The tree is a small-fanout B+-tree keyed by (timestamp, sequence) with a
 // partial aggregate cached at every node and finger pointers to the leftmost
@@ -11,11 +24,11 @@
 // stream, where most late events land within K of the frontier.
 //
 // Aggregates are kept as a Partial monoid covering COUNT/SUM/AVG/MIN/MAX
-// simultaneously; a window query merges O(log n) cached partials instead of
+// simultaneously; a tree query merges O(log n) cached partials instead of
 // rescanning elements. Deletions are relaxed (no rebalancing): removing
 // elements can only shrink nodes, and the sliding-window workload purges
 // whole prefixes, so underfull nodes are short-lived. Correctness under the
-// relaxation is enforced by the differential harness in internal/difftest.
+// relaxation is held by the model test against Run and the naive left fold.
 package fiba
 
 import (

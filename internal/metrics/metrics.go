@@ -111,13 +111,16 @@ type Snapshot struct {
 	// speculative retract+insert pairs that replaced an earlier value.
 	AggWindows   uint64
 	AggRevisions uint64
-	// AggInserts counts elements inserted into the aggregation tree and
-	// AggFingerHits the subset absorbed directly by a finger leaf, so
-	// AggFingerHits/AggInserts is the finger hit rate.
+	// AggInserts counts elements inserted into the aggregation operator's
+	// sorted runs and AggFingerHits the subset appended at a run's tail (in
+	// timestamp order: no search, no shift), so AggFingerHits/AggInserts is
+	// the in-order share of inner matches. The names date from the finger
+	// tree the runs replaced and are kept for what reads them.
 	AggInserts    uint64
 	AggFingerHits uint64
-	// AggTreeHeight gauges the tallest live aggregation tree across groups;
-	// AggElements the live elements across all trees.
+	// AggTreeHeight is 1 while any aggregation element is live and 0
+	// otherwise (a run has no levels); AggElements the live elements across
+	// all groups.
 	AggTreeHeight int
 	AggElements   int
 }
@@ -254,18 +257,18 @@ func (c *Collector) IncAggWindow() { c.s.AggWindows.Inc() }
 // retract+insert pair replacing a previously emitted window value).
 func (c *Collector) IncAggRevision() { c.s.AggRevisions.Inc() }
 
-// IncAggInsert counts one aggregation-tree element insert; fingerHit marks
-// it as absorbed directly by a finger leaf.
-func (c *Collector) IncAggInsert(fingerHit bool) {
+// IncAggInsert counts one aggregation element insert; appended marks it as
+// landing at the tail of its group's run (counted as AggFingerHits).
+func (c *Collector) IncAggInsert(appended bool) {
 	s := c.s
 	s.AggInserts.Inc()
-	if fingerHit {
+	if appended {
 		s.AggFingerHits.Inc()
 	}
 }
 
-// SetAggTree gauges the aggregation-tree shape: the tallest live tree
-// across groups and the total live elements.
+// SetAggTree gauges the aggregation state: height is 1 while anything is
+// live, elements the total live elements.
 func (c *Collector) SetAggTree(height, elements int) {
 	s := c.s
 	s.AggTreeHeight.Set(int64(height))

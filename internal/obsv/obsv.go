@@ -165,9 +165,10 @@ type Series struct {
 	// Windowed-aggregation instruments. AggWindows counts emitted window
 	// values; AggRevisions counts speculative revisions (a retract+insert
 	// pair replacing a previously emitted window value); AggInserts counts
-	// elements inserted into the FiBA tree and AggFingerHits the subset that
-	// landed directly in a finger leaf (the in-order/near-frontier fast
-	// path), so finger_hits/inserts is the live finger hit rate.
+	// elements inserted into the operator's sorted runs and AggFingerHits
+	// the subset appended at a run's tail (the in-order fast path: no
+	// search, no shift), so finger_hits/inserts is the live in-order share
+	// of inner matches. The finger names predate the runs.
 	AggWindows    Counter
 	AggRevisions  Counter
 	AggInserts    Counter
@@ -186,8 +187,9 @@ type Series struct {
 	CurrentK Gauge
 	Degraded Gauge
 
-	// AggTreeHeight gauges the tallest live aggregation tree across groups;
-	// AggElements gauges the live elements across all trees.
+	// AggTreeHeight is 1 while any aggregation element is live, 0 otherwise
+	// (a run has no levels); AggElements gauges the live elements across all
+	// groups.
 	AggTreeHeight Gauge
 	AggElements   Gauge
 
@@ -415,8 +417,8 @@ var promCounters = []struct {
 	{"oostream_hybrid_switches_total", "Hybrid meta-engine strategy switches", func(s *Series) uint64 { return s.Switches.Load() }},
 	{"oostream_agg_windows_total", "Aggregate window values emitted", func(s *Series) uint64 { return s.AggWindows.Load() }},
 	{"oostream_agg_revisions_total", "Speculative aggregate revisions (retract+insert pairs)", func(s *Series) uint64 { return s.AggRevisions.Load() }},
-	{"oostream_agg_inserts_total", "Elements inserted into the aggregation tree", func(s *Series) uint64 { return s.AggInserts.Load() }},
-	{"oostream_agg_finger_hits_total", "Aggregation-tree inserts that landed in a finger leaf", func(s *Series) uint64 { return s.AggFingerHits.Load() }},
+	{"oostream_agg_inserts_total", "Elements inserted into the aggregation runs", func(s *Series) uint64 { return s.AggInserts.Load() }},
+	{"oostream_agg_finger_hits_total", "Aggregation inserts appended at the tail of a run (in timestamp order)", func(s *Series) uint64 { return s.AggFingerHits.Load() }},
 	{"oostream_spans_sampled_total", "Wall-latency spans opened by the sampler", func(s *Series) uint64 { return s.SpansSampled.Load() }},
 	{"oostream_spans_abandoned_total", "Wall-latency spans abandoned (dropped/shed events)", func(s *Series) uint64 { return s.SpansAbandoned.Load() }},
 	{"oostream_spans_dropped_total", "Wall-latency spans dropped at open (slot table full)", func(s *Series) uint64 { return s.SpansDropped.Load() }},
@@ -439,8 +441,8 @@ var promGauges = []struct {
 	{"oostream_current_k", "Effective disorder bound being enforced (logical ms)", func(s *Series) int64 { return s.CurrentK.Load() }},
 	{"oostream_max_k", "Largest effective disorder bound ever enforced", func(s *Series) int64 { return s.CurrentK.Peak() }},
 	{"oostream_degraded", "1 while overload degradation is shedding events", func(s *Series) int64 { return s.Degraded.Load() }},
-	{"oostream_agg_tree_height", "Tallest live aggregation tree across groups", func(s *Series) int64 { return s.AggTreeHeight.Load() }},
-	{"oostream_agg_elements", "Live aggregation-tree elements across all groups", func(s *Series) int64 { return s.AggElements.Load() }},
+	{"oostream_agg_tree_height", "1 while any aggregation element is live, else 0 (a run has no levels)", func(s *Series) int64 { return s.AggTreeHeight.Load() }},
+	{"oostream_agg_elements", "Live aggregation elements across all groups", func(s *Series) int64 { return s.AggElements.Load() }},
 }
 
 // promHists maps Prometheus histogram names to series histograms.

@@ -97,7 +97,7 @@ func AlignUp(ts, slide event.Time) event.Time {
 	return q * slide
 }
 
-// ElementOf maps one inner match to its aggregation-tree element: the
+// ElementOf maps one inner match to its aggregation element: the
 // element timestamp (the match's last event — the moment the match
 // completes), its partial aggregate, and its GROUP BY key. ok is false when
 // the argument or group attribute is missing, the argument is non-numeric,

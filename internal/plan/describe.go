@@ -71,7 +71,7 @@ func (p *Plan) Describe() string {
 			fmt.Fprintf(&b, " sliding every %d\n", a.Slide)
 		}
 		if a.GroupSlot >= 0 {
-			fmt.Fprintf(&b, "  group by: [%d].%s (one aggregation tree per key)\n", a.GroupSlot, a.GroupAttr)
+			fmt.Fprintf(&b, "  group by: [%d].%s (one aggregation run per key)\n", a.GroupSlot, a.GroupAttr)
 		}
 		if a.Having != nil {
 			fmt.Fprintf(&b, "  having: %s\n", a.Having)
