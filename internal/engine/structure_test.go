@@ -139,6 +139,66 @@ func TestOneLayout(t *testing.T) {
 	})
 }
 
+// TestOneEvaluator is the mechanical form of "a predicate is a flat program":
+// internal/predicate runs instructions in a loop and builds no tree of
+// closures. No struct of its non-test sources has a func-typed field (by a
+// literal func type or a func type the package names, SlotResolver
+// included), and no function literal there returns (event.Value, error),
+// the signature every node of the deleted tree had.
+func TestOneEvaluator(t *testing.T) {
+	files := map[string]*ast.File{}
+	funcTypes := map[string]bool{}
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || filepath.ToSlash(filepath.Dir(rel)) != "internal/predicate" {
+			return
+		}
+		files[rel] = f
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if _, isFunc := ts.Type.(*ast.FuncType); isFunc {
+					funcTypes[ts.Name.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	if len(files) == 0 {
+		t.Fatal("no source of internal/predicate walked: the test checks nothing")
+	}
+	isFunc := func(e ast.Expr) bool {
+		if id, ok := e.(*ast.Ident); ok {
+			return funcTypes[id.Name]
+		}
+		_, ok := e.(*ast.FuncType)
+		return ok
+	}
+	for rel, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if isFunc(field.Type) {
+						t.Errorf("%s: struct field %v is a function: a predicate is instructions, not closures", rel, field.Names)
+					}
+				}
+			case *ast.FuncLit:
+				res := n.Type.Results
+				if res == nil || len(res.List) != 2 {
+					break
+				}
+				sel, ok := res.List[0].Type.(*ast.SelectorExpr)
+				errType, isIdent := res.List[1].Type.(*ast.Ident)
+				if ok && isIdent && sel.Sel.Name == "Value" && errType.Name == "error" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "event" {
+						t.Errorf("%s: a function literal returns (event.Value, error): that is a node of the closure tree", rel)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestTreeIsAReference: the aggregation operator runs fiba.Run; fiba.Tree is
 // the structure it is tested and measured against. No non-test source builds
 // one (fiba.New) outside internal/fiba and the experiment harness

@@ -45,9 +45,12 @@ var ErrIncomparable = errors.New("values are not comparable")
 //
 // The three scalar kinds share the word n — the int64's bits, the float64's
 // IEEE-754 bits, 0/1 for a bool — so a Value is three fields and 32 bytes.
-// The predicate evaluator returns (Value, error) from every node of its
-// closure tree; with a field per kind (five fields, 48 bytes) the
-// construction walk ran 1.7× slower (EXPERIMENTS.md E25). As a Go map key or
+// That is the largest struct the compiler keeps in registers (four words,
+// at most four fields), and the predicate evaluator hands every operand
+// around as a Value: with a field per kind (five fields, 48 bytes) the
+// construction walk ran 1.7× slower under the closure tree it had then
+// (EXPERIMENTS.md E25) and 1.3× slower under the program it has now
+// (E32). As a Go map key or
 // under ==, floats therefore compare by bit pattern (+0 and −0 differ, a
 // NaN equals itself); Equal, Compare and MapKey keep numeric semantics, and
 // plan.KeyOf keeps NaN out of keys.

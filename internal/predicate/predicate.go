@@ -6,9 +6,15 @@
 //
 // Evaluation is dynamically typed with the same coercion rules the analyzer
 // enforces statically: ints and floats mix in arithmetic and comparisons,
-// everything else must match kinds. Errors (missing attribute, type
-// mismatch, division by zero) are reported to the caller, which typically
-// treats a failed predicate as "no match" while counting the error.
+// everything else must match kinds. A comparison with a NaN on either side
+// is unordered: <, <=, >, >= and = are false, != is true. Errors (missing
+// attribute, type mismatch, division by zero) are reported to the caller,
+// which typically treats a failed predicate as "no match" while counting
+// the error.
+//
+// A compiled expression is a short postfix program (program.go): Compile
+// lowers the tree once, and one loop runs the instructions over a
+// frame-local operand stack and a verdict register.
 package predicate
 
 import (
@@ -38,9 +44,15 @@ var (
 // SlotResolver maps a pattern variable name to its binding slot.
 type SlotResolver func(varName string) (slot int, ok bool)
 
-// Compiled is an executable expression.
+// Compiled is an executable expression. It is immutable, so one Compiled
+// may serve any number of engines.
 type Compiled struct {
-	eval func(binding []event.Event) (event.Value, error)
+	code []instr
+	// depth is the deepest the operand stack gets while code runs.
+	depth int
+	// verdict says the program leaves its result in the verdict register
+	// (a comparison, NOT, AND, OR) and not on the operand stack.
+	verdict bool
 	// refs is the set of slots the expression reads.
 	refs []int
 	// mask is the slot set as a bitmask (slots < 64).
@@ -59,274 +71,208 @@ func (c *Compiled) String() string { return c.src }
 
 // Eval computes the expression value under the binding.
 func (c *Compiled) Eval(binding []event.Event) (event.Value, error) {
-	return c.eval(binding)
+	var v event.Value
+	_, err := c.run(binding, &v)
+	return v, err
 }
 
 // EvalBool evaluates and requires a boolean result.
 func (c *Compiled) EvalBool(binding []event.Event) (bool, error) {
-	v, err := c.eval(binding)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.AsBool()
-	if !ok {
-		return false, fmt.Errorf("predicate %s yielded %s, want bool: %w", c.src, v.Kind(), ErrType)
-	}
-	return b, nil
+	return c.run(binding, nil)
 }
 
-// Compile builds an evaluator for the expression. Variable references are
+// Counted returns a copy of c that adds one to *n each time it is
+// evaluated, before anything else: a predicate that does not error leaves
+// no other trace of having run. The count is an instruction at the head of
+// the copy's program, so a Compiled nobody counts pays nothing for it.
+func (c *Compiled) Counted(n *uint64) *Compiled {
+	counted := *c
+	counted.code = append([]instr{{op: opCount, count: n}}, c.code...)
+	return &counted
+}
+
+// Compile lowers the expression to a program. Variable references are
 // resolved through the resolver; unknown variables are compile errors.
 // Slots must be below 64 (patterns are far shorter in practice).
 func Compile(e query.Expr, resolve SlotResolver) (*Compiled, error) {
-	c := &compiler{resolve: resolve, refSet: make(map[int]bool)}
-	fn, err := c.compile(e)
+	var c compiler
+	verdict, err := c.expr(e, resolve)
 	if err != nil {
 		return nil, err
 	}
-	refs := make([]int, 0, len(c.refSet))
-	var mask uint64
-	for s := range c.refSet {
-		refs = append(refs, s)
-		mask |= 1 << uint(s)
+	var refs []int
+	for s := 0; s < 64; s++ {
+		if c.mask&(1<<uint(s)) != 0 {
+			refs = append(refs, s)
+		}
 	}
-	sortInts(refs)
-	return &Compiled{eval: fn, refs: refs, mask: mask, src: e.String()}, nil
+	return &Compiled{code: c.code, depth: c.deepest, verdict: verdict, refs: refs, mask: c.mask, src: e.String()}, nil
 }
 
+// compiler accumulates the program of one expression. sp follows the
+// operand stack as the emitted code would move it.
 type compiler struct {
-	resolve SlotResolver
-	refSet  map[int]bool
+	code        []instr
+	sp, deepest int
+	mask        uint64
 }
 
-type evalFn func(binding []event.Event) (event.Value, error)
+// emit appends an instruction that moves the stack pointer by delta.
+func (c *compiler) emit(in instr, delta int) {
+	c.code = append(c.code, in)
+	c.sp += delta
+	c.deepest = max(c.deepest, c.sp)
+}
 
-func (c *compiler) compile(e query.Expr) (evalFn, error) {
+// expr emits code for e and reports where it leaves the result: in the
+// verdict register (true) or on top of the operand stack.
+func (c *compiler) expr(e query.Expr, resolve SlotResolver) (verdict bool, err error) {
+	o, inPlace, err := c.operand(e, resolve)
+	if err != nil {
+		return false, err
+	}
+	if inPlace {
+		c.emit(instr{op: opPush, a: o}, +1)
+		return false, nil
+	}
+	switch n := e.(type) {
+	case *query.UnaryExpr:
+		if n.Not {
+			if err := c.truth(n.X, "NOT", resolve); err != nil {
+				return false, err
+			}
+			c.emit(instr{op: opNot}, 0)
+			return true, nil
+		}
+		if err := c.value(n.X, resolve); err != nil {
+			return false, err
+		}
+		c.emit(instr{op: opNeg}, 0)
+		return false, nil
+	case *query.BinaryExpr:
+		switch {
+		case n.Op.IsLogical():
+			return true, c.logical(n, resolve)
+		case n.Op.IsComparison():
+			return true, c.comparison(n, resolve)
+		case n.Op.IsArithmetic():
+			if err := c.value(n.Left, resolve); err != nil {
+				return false, err
+			}
+			if err := c.value(n.Right, resolve); err != nil {
+				return false, err
+			}
+			c.emit(instr{op: opArith, oper: n.Op}, -1)
+			return false, nil
+		default:
+			return false, fmt.Errorf("unknown operator %s at %s", n.Op, n.At)
+		}
+	default:
+		return false, fmt.Errorf("unsupported expression node %T at %s", e, e.Pos())
+	}
+}
+
+// value emits code that leaves e on top of the operand stack.
+func (c *compiler) value(e query.Expr, resolve SlotResolver) error {
+	verdict, err := c.expr(e, resolve)
+	if err == nil && verdict {
+		c.emit(instr{op: opValue}, +1)
+	}
+	return err
+}
+
+// truth emits code that leaves e in the verdict register, for the named
+// connective: a value that is no bool is that connective's type error.
+func (c *compiler) truth(e query.Expr, connective string, resolve SlotResolver) error {
+	verdict, err := c.expr(e, resolve)
+	if err == nil && !verdict {
+		c.emit(instr{op: opTruth, connective: connective}, -1)
+	}
+	return err
+}
+
+// operand returns e as something an instruction reads in place — a literal,
+// an attribute, or an attribute plus or minus a numeric literal — and
+// whether e has that shape.
+func (c *compiler) operand(e query.Expr, resolve SlotResolver) (operand, bool, error) {
 	switch n := e.(type) {
 	case *query.Literal:
-		v := n.Val
-		return func([]event.Event) (event.Value, error) { return v, nil }, nil
+		return operand{mode: literal, val: n.Val}, true, nil
 	case *query.AttrRef:
-		return c.compileAttrRef(n)
-	case *query.UnaryExpr:
-		return c.compileUnary(n)
+		slot, ok := resolve(n.Var)
+		if !ok {
+			return operand{}, false, fmt.Errorf("unknown variable %q at %s", n.Var, n.At)
+		}
+		if slot < 0 || slot >= 64 {
+			return operand{}, false, fmt.Errorf("slot %d out of range for %q", slot, n.Var)
+		}
+		c.mask |= 1 << uint(slot)
+		return operand{mode: attribute, slot: slot, attr: n.Attr, ts: n.Attr == TSAttr, ref: n.String()}, true, nil
 	case *query.BinaryExpr:
-		return c.compileBinary(n)
+		attr, isAttr := n.Left.(*query.AttrRef)
+		k, isLit := n.Right.(*query.Literal)
+		if (n.Op != query.OpAdd && n.Op != query.OpSub) || !isAttr || !isLit || !k.Val.IsNumeric() {
+			return operand{}, false, nil
+		}
+		o, _, err := c.operand(attr, resolve)
+		o.offset, o.val = n.Op, k.Val
+		o.kf, _ = k.Val.AsFloat()
+		o.ki, o.kInt = k.Val.AsInt()
+		if n.Op == query.OpSub {
+			o.kf, o.ki = -o.kf, -o.ki // exact: x - k is x + (-k) in both arithmetics
+		}
+		return o, err == nil, err
 	default:
-		return nil, fmt.Errorf("unsupported expression node %T at %s", e, e.Pos())
+		return operand{}, false, nil
 	}
 }
 
-func (c *compiler) compileAttrRef(n *query.AttrRef) (evalFn, error) {
-	slot, ok := c.resolve(n.Var)
-	if !ok {
-		return nil, fmt.Errorf("unknown variable %q at %s", n.Var, n.At)
+// logical emits AND/OR with today's short-circuit: the right operand is not
+// evaluated (and cannot error) when the left operand decides the result.
+func (c *compiler) logical(n *query.BinaryExpr, resolve SlotResolver) error {
+	if err := c.truth(n.Left, n.Op.String(), resolve); err != nil {
+		return err
 	}
-	if slot < 0 || slot >= 64 {
-		return nil, fmt.Errorf("slot %d out of range for %q", slot, n.Var)
+	op := opAnd
+	if n.Op == query.OpOr {
+		op = opOr
 	}
-	c.refSet[slot] = true
-	attr := n.Attr
-	ref := n.String()
-	return func(binding []event.Event) (event.Value, error) {
-		if slot >= len(binding) {
-			return event.Value{}, fmt.Errorf("%s: slot %d: %w", ref, slot, ErrUnboundSlot)
-		}
-		ev := binding[slot]
-		if v, ok := ev.Attr(attr); ok {
-			return v, nil
-		}
-		if attr == TSAttr {
-			return event.Int(ev.TS), nil
-		}
-		return event.Value{}, fmt.Errorf("%s on %s: %w", ref, ev.Type, ErrMissingAttr)
-	}, nil
+	jump := len(c.code)
+	c.emit(instr{op: op}, 0)
+	if err := c.truth(n.Right, n.Op.String(), resolve); err != nil {
+		return err
+	}
+	c.code[jump].skip = len(c.code) - jump - 1
+	return nil
 }
 
-func (c *compiler) compileUnary(n *query.UnaryExpr) (evalFn, error) {
-	x, err := c.compile(n.X)
+// comparison emits one opCmp. A side that is not an operand is computed
+// onto the stack first; a right side on the stack takes the left side there
+// too, so the left side is still evaluated (and still fails) first.
+func (c *compiler) comparison(n *query.BinaryExpr, resolve SlotResolver) error {
+	a, aInPlace, err := c.operand(n.Left, resolve)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n.Not {
-		return func(binding []event.Event) (event.Value, error) {
-			v, err := x(binding)
-			if err != nil {
-				return event.Value{}, err
-			}
-			b, ok := v.AsBool()
-			if !ok {
-				return event.Value{}, fmt.Errorf("NOT on %s: %w", v.Kind(), ErrType)
-			}
-			return event.Bool(!b), nil
-		}, nil
-	}
-	return func(binding []event.Event) (event.Value, error) {
-		v, err := x(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		switch v.Kind() {
-		case event.KindInt:
-			i, _ := v.AsInt()
-			return event.Int(-i), nil
-		case event.KindFloat:
-			f, _ := v.AsFloat()
-			return event.Float(-f), nil
-		default:
-			return event.Value{}, fmt.Errorf("negation on %s: %w", v.Kind(), ErrType)
-		}
-	}, nil
-}
-
-func (c *compiler) compileBinary(n *query.BinaryExpr) (evalFn, error) {
-	left, err := c.compile(n.Left)
+	b, bInPlace, err := c.operand(n.Right, resolve)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	right, err := c.compile(n.Right)
-	if err != nil {
-		return nil, err
+	in := instr{op: opCmp, oper: n.Op, a: a, b: b}
+	if !aInPlace || !bInPlace {
+		if err := c.value(n.Left, resolve); err != nil {
+			return err
+		}
+		in.a = operand{mode: onStack}
+		in.pops++
 	}
-	op := n.Op
-	switch {
-	case op.IsLogical():
-		return compileLogical(op, left, right), nil
-	case op.IsComparison():
-		return compileComparison(op, left, right), nil
-	case op.IsArithmetic():
-		return compileArithmetic(op, left, right), nil
-	default:
-		return nil, fmt.Errorf("unknown operator %s at %s", op, n.At)
+	if !bInPlace {
+		if err := c.value(n.Right, resolve); err != nil {
+			return err
+		}
+		in.b = operand{mode: onStack}
+		in.pops++
 	}
-}
-
-func compileLogical(op query.BinaryOp, left, right evalFn) evalFn {
-	// AND/OR short-circuit: the right operand is not evaluated (and cannot
-	// error) when the left operand decides the result.
-	return func(binding []event.Event) (event.Value, error) {
-		lv, err := left(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		lb, ok := lv.AsBool()
-		if !ok {
-			return event.Value{}, fmt.Errorf("%s on %s: %w", op, lv.Kind(), ErrType)
-		}
-		if op == query.OpAnd && !lb {
-			return event.Bool(false), nil
-		}
-		if op == query.OpOr && lb {
-			return event.Bool(true), nil
-		}
-		rv, err := right(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		rb, ok := rv.AsBool()
-		if !ok {
-			return event.Value{}, fmt.Errorf("%s on %s: %w", op, rv.Kind(), ErrType)
-		}
-		return event.Bool(rb), nil
-	}
-}
-
-func compileComparison(op query.BinaryOp, left, right evalFn) evalFn {
-	return func(binding []event.Event) (event.Value, error) {
-		lv, err := left(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		rv, err := right(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		switch op {
-		case query.OpEq:
-			return event.Bool(lv.Equal(rv)), nil
-		case query.OpNeq:
-			return event.Bool(!lv.Equal(rv)), nil
-		}
-		cmp, err := lv.Compare(rv)
-		if err != nil {
-			return event.Value{}, fmt.Errorf("%s: %w", op, err)
-		}
-		switch op {
-		case query.OpLt:
-			return event.Bool(cmp < 0), nil
-		case query.OpLte:
-			return event.Bool(cmp <= 0), nil
-		case query.OpGt:
-			return event.Bool(cmp > 0), nil
-		default: // OpGte
-			return event.Bool(cmp >= 0), nil
-		}
-	}
-}
-
-func compileArithmetic(op query.BinaryOp, left, right evalFn) evalFn {
-	return func(binding []event.Event) (event.Value, error) {
-		lv, err := left(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		rv, err := right(binding)
-		if err != nil {
-			return event.Value{}, err
-		}
-		if !lv.IsNumeric() || !rv.IsNumeric() {
-			return event.Value{}, fmt.Errorf("%s on %s and %s: %w", op, lv.Kind(), rv.Kind(), ErrType)
-		}
-		if op == query.OpMod {
-			li, lok := lv.AsInt()
-			ri, rok := rv.AsInt()
-			if !lok || !rok {
-				return event.Value{}, fmt.Errorf("%% needs integers, got %s and %s: %w", lv.Kind(), rv.Kind(), ErrType)
-			}
-			if ri == 0 {
-				return event.Value{}, fmt.Errorf("%%: %w", ErrDivZero)
-			}
-			return event.Int(li % ri), nil
-		}
-		if lv.Kind() == event.KindInt && rv.Kind() == event.KindInt {
-			li, _ := lv.AsInt()
-			ri, _ := rv.AsInt()
-			switch op {
-			case query.OpAdd:
-				return event.Int(li + ri), nil
-			case query.OpSub:
-				return event.Int(li - ri), nil
-			case query.OpMul:
-				return event.Int(li * ri), nil
-			default: // OpDiv
-				if ri == 0 {
-					return event.Value{}, fmt.Errorf("/: %w", ErrDivZero)
-				}
-				return event.Int(li / ri), nil
-			}
-		}
-		lf, _ := lv.AsFloat()
-		rf, _ := rv.AsFloat()
-		switch op {
-		case query.OpAdd:
-			return event.Float(lf + rf), nil
-		case query.OpSub:
-			return event.Float(lf - rf), nil
-		case query.OpMul:
-			return event.Float(lf * rf), nil
-		default: // OpDiv
-			if rf == 0 {
-				return event.Value{}, fmt.Errorf("/: %w", ErrDivZero)
-			}
-			return event.Float(lf / rf), nil
-		}
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	c.emit(in, -in.pops)
+	return nil
 }
