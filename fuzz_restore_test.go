@@ -41,14 +41,27 @@ func restoreStream(from Time, n int) []Event {
 	return events
 }
 
-// shortPendingCheckpoint is the bare-JSON (v1, no CRC envelope) checkpoint of
-// restoreTargets' negation query whose one pending binding holds `events`
-// where the pattern has two positions.
-func shortPendingCheckpoint(events string) string {
+// pendingCheckpoint is the bare-JSON (v1, no CRC envelope) checkpoint of
+// restoreTargets' negation query holding the given pending bindings (JSON
+// objects), in the order given.
+func pendingCheckpoint(pending ...string) string {
 	q := MustCompile("PATTERN SEQ(A a, !(C c), B b) WITHIN 50", nil)
 	return `{"version":1,"planSource":"` + q.Source() + `","k":10,"latePolicy":1,"purgeEvery":64,` +
 		`"clock":100,"started":true,"arrival":1,"enumerated":1,"since":1,"stacks":[[],[]],"negStores":[[]],` +
-		`"pending":[{"events":` + events + `,"sealTS":95,"madeSeq":1}]}`
+		`"pending":[` + strings.Join(pending, ",") + `]}`
+}
+
+// shortPendingCheckpoint's one pending binding holds `events` where the
+// pattern has two positions.
+func shortPendingCheckpoint(events string) string {
+	return pendingCheckpoint(`{"events":` + events + `,"sealTS":95,"madeSeq":1}`)
+}
+
+// pendingBinding is a well-formed pending binding of that query sealing at
+// its B's timestamp.
+func pendingBinding(aTS, bTS Time, madeSeq int) string {
+	return fmt.Sprintf(`{"events":[{"type":"A","ts":%d,"seq":%d},{"type":"B","ts":%d,"seq":%d}],"sealTS":%d,"madeSeq":%d}`,
+		aTS, 2*madeSeq, bTS, 2*madeSeq+1, bTS, madeSeq)
 }
 
 // TestRestoreEngineRejectsShortPending: a checkpoint whose pending binding is
@@ -88,6 +101,12 @@ func FuzzRestoreEngine(f *testing.F) {
 	}
 	f.Add(uint8(2), []byte(shortPendingCheckpoint(`[{"type":"A","ts":90,"seq":1}]`)))
 	f.Add(uint8(2), []byte(shortPendingCheckpoint(`[]`)))
+	// pending in no order at all (a heap's array, or worse), and several
+	// bindings on one sealTS: restore sorts, file order among equals.
+	f.Add(uint8(2), []byte(pendingCheckpoint(pendingBinding(60, 99, 1), pendingBinding(61, 93, 2),
+		pendingBinding(62, 97, 3), pendingBinding(63, 91, 4), pendingBinding(64, 95, 5))))
+	f.Add(uint8(2), []byte(pendingCheckpoint(pendingBinding(70, 96, 1), pendingBinding(71, 92, 2),
+		pendingBinding(72, 96, 3), pendingBinding(73, 92, 4), pendingBinding(74, 96, 5))))
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
 		i := int(target) % len(restoreTargets)

@@ -464,7 +464,12 @@ func TestStatePurgesAsWindowsSeal(t *testing.T) {
 // TestCheckpointBytesGolden: the checkpoint serializes elements, not the
 // structure that holds them or its folds, so the bytes a sealed-mode
 // aggregate engine writes after a fixed prefix are those the tree-backed
-// operator wrote (hashes taken at e31257a, the parent of the run).
+// operator wrote (hashes taken at e31257a, the parent of the run). The third
+// query parks bindings in the kernel's pending queue, several per sealTS:
+// since the one-queue change they leave, and are listed, in completion order
+// where the heap left them in whatever order its sifts did, so that file
+// differs from e31257a's in the order of `pending` and in which of two
+// matches sealing together took the earlier element seq (hash retaken).
 func TestCheckpointBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		src  string
@@ -473,7 +478,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	}{
 		{"AGGREGATE SUM(b.v) OVER SEQ(A a, B b) WITHIN 80 SLIDE 40 GROUP BY a.id", 17420, "4a30d0bac879f1b2bbc3dd05a6c4dbb28662d4a55eac4f657ed1eda1692e4901"},
 		{"AGGREGATE MAX(b.v) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 200 SLIDE 4", 28481, "75f8e7e72ef6c1c84e3b715ab46a9d1953f71535512276b62a3786363bb7a72d"},
-		{"AGGREGATE AVG(a.v) OVER SEQ(A a, B b, !(A n)) WITHIN 60 SLIDE 20", 17632, "b5a0d9ec1c7d5c86dcd664be120241ea4aea0b8c1ab1e8e0d7a704307c390b25"},
+		{"AGGREGATE AVG(a.v) OVER SEQ(A a, B b, !(A n)) WITHIN 60 SLIDE 20", 17632, "34f494f0f16f334ed29ec8e6073f73e6abce714346793e5dd3962207a165f34d"},
 	} {
 		p := compile(t, tc.src)
 		const k = event.Time(24)

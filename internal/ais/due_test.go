@@ -11,7 +11,7 @@ import (
 // TestDueAgainstSortedSlice drives a Due and a plainly sorted reference with
 // the same random adds (in order, late, equal timestamps) and pops (horizons
 // that move both ways): every pop hands over the same items in the same
-// order, and what is left is the same.
+// order, what is left is the same, and Filed reports it entry for entry.
 func TestDueAgainstSortedSlice(t *testing.T) {
 	type entry struct {
 		ts event.Time
@@ -27,7 +27,7 @@ func TestDueAgainstSortedSlice(t *testing.T) {
 				clock += event.Time(rng.Intn(3))
 				e := entry{clock - event.Time(rng.Intn(8)*rng.Intn(2)), id}
 				id++
-				d.Add(e.ts, e.id)
+				d.Insert(e.ts, e.id)
 				// After the entries with the same or an earlier timestamp.
 				at, _ := slices.BinarySearchFunc(ref, e.ts+1, func(x entry, ts event.Time) int { return int(x.ts - ts) })
 				ref = slices.Insert(ref, at, e)
@@ -47,10 +47,17 @@ func TestDueAgainstSortedSlice(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d entries left, want %d", seed, step, d.Len(), len(ref))
 			}
 		}
+		filed, err := d.Filed()
+		if err != nil || len(filed) != len(ref) {
+			t.Fatalf("seed %d: Filed() = %d items, %v; want %d", seed, len(filed), err, len(ref))
+		}
 		var left, want []int
-		d.PopBefore(clock+1, func(id int) { left = append(left, id) })
+		d.PopThrough(clock, func(id int) { left = append(left, id) })
 		for _, e := range ref {
 			want = append(want, e.id)
+			if !slices.Equal(filed[e.id], []event.Time{e.ts}) {
+				t.Fatalf("seed %d: item %d filed under %v, want %d", seed, e.id, filed[e.id], e.ts)
+			}
 		}
 		if !slices.Equal(left, want) {
 			t.Fatalf("seed %d: left %v, want %v", seed, left, want)
@@ -59,15 +66,14 @@ func TestDueAgainstSortedSlice(t *testing.T) {
 }
 
 // TestDueReusesPoppedPrefix: an order whose population is steady stops
-// allocating — the slots a pass pops are the ones later adds fill — and the
-// array stays within a small multiple of what is alive.
+// allocating — the slots a pass pops are the ones later adds fill.
 func TestDueReusesPoppedPrefix(t *testing.T) {
 	const alive = 1000
 	var d Due[int]
 	next := 0
 	round := func() {
 		for i := 0; i < 64; i++ {
-			d.Add(event.Time(next), next)
+			d.Insert(event.Time(next), next)
 			next++
 		}
 		d.PopBefore(event.Time(next-alive), func(int) {})
@@ -78,11 +84,7 @@ func TestDueReusesPoppedPrefix(t *testing.T) {
 	if d.Len() != alive {
 		t.Fatalf("%d entries alive, want %d", d.Len(), alive)
 	}
-	settled := cap(d.entries)
-	if settled > 2*alive {
-		t.Errorf("array holds %d slots for %d live entries", settled, alive)
-	}
-	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 || cap(d.entries) != settled {
-		t.Errorf("steady add and pop allocated %.2f times a round, array %d -> %d slots", allocs, settled, cap(d.entries))
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Errorf("steady add and pop allocated %.2f times a round", allocs)
 	}
 }

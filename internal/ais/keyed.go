@@ -71,7 +71,7 @@ func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (*Instance
 		k.groups[key] = g
 	}
 	k.size++
-	k.due[pos].Add(e.TS, g)
+	k.due[pos].Insert(e.TS, g)
 	return g.Insert(pos, e), &g.Stacks
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -146,13 +145,13 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		cf.Adaptive = &st
 		cf.Frontier = en.frontier
 	}
-	for _, pm := range en.pending {
+	en.pending.Each(func(_ event.Time, pm pendingMatch) {
 		cf.Pending = append(cf.Pending, checkpointPending{
 			Events:  pm.events,
 			SealTS:  pm.sealTS,
 			MadeSeq: pm.madeSeq,
 		})
-	}
+	})
 	payload, err := json.Marshal(cf)
 	if err != nil {
 		return err
@@ -308,15 +307,15 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 		// Every slot of a complete binding carries the partition key (the
 		// equality chain spans all positions), so slot 0 is representative.
 		key, _ := en.keyOf(pm.Events[0])
-		en.pending = append(en.pending, pendingMatch{
+		// The file lists pending in any order (a heap's array, before the
+		// queue): inserting sorts it by sealTS, file order among equals.
+		en.pending.Insert(pm.SealTS, pendingMatch{
 			events:  pm.Events,
 			key:     key,
 			sealTS:  pm.SealTS,
 			madeSeq: pm.MadeSeq,
 		})
 	}
-	// Restore heap order on the pending queue.
-	heap.Init(&en.pending)
 	// Lineage is not checkpointed: restored pendings have nil prov, so if
 	// provenance is enabled on the restored engine their matches emit
 	// truncated records, and the state snapshot reports the truncation.

@@ -3,7 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,5 +218,153 @@ func TestCheckpointRestoresOptionsAndClock(t *testing.T) {
 	}
 	if r.StateSize() != 1 {
 		t.Errorf("state not restored: %d", r.StateSize())
+	}
+}
+
+// pendingOrderStream parks five bindings of SEQ(A a, !(N n), B b) in
+// pending, completed in an order (sealTS 40, 30, 35, 20, 25) a binary heap
+// leaves unsorted in its array, then continues with a late negative that
+// suppresses two of them, more bindings, and enough clock to seal them all.
+var pendingOrderStream = struct {
+	query        string
+	k            event.Time
+	prefix, rest []event.Event
+}{
+	query: "PATTERN SEQ(A a, !(N n), B b) WITHIN 100",
+	k:     50,
+	prefix: []event.Event{
+		{Type: "A", TS: 10, Seq: 1},
+		{Type: "B", TS: 40, Seq: 2}, {Type: "B", TS: 30, Seq: 3}, {Type: "B", TS: 35, Seq: 4},
+		{Type: "B", TS: 20, Seq: 5}, {Type: "B", TS: 25, Seq: 6},
+	},
+	rest: []event.Event{
+		{Type: "N", TS: 33, Seq: 7}, {Type: "A", TS: 22, Seq: 8}, {Type: "B", TS: 60, Seq: 9},
+		{Type: "B", TS: 95, Seq: 10}, {Type: "A", TS: 70, Seq: 11}, {Type: "B", TS: 130, Seq: 12},
+		{Type: "B", TS: 200, Seq: 13},
+	},
+}
+
+// TestRestoreAcceptsAnyPendingOrder: a checkpoint lists pending in whatever
+// order its writer held it — the parent of the one-queue change wrote its
+// heap's array (testdata/pending_heap_order.ckpt is that commit's bytes for
+// pendingOrderStream's prefix: sealTS 20, 25, 35, 40, 30) — and the restored
+// engine continues exactly as the uninterrupted run, match for match.
+func TestRestoreAcceptsAnyPendingOrder(t *testing.T) {
+	s := pendingOrderStream
+	p := compile(t, s.query)
+	whole := MustNew(p, Options{K: s.k})
+	var want []plan.Match
+	for _, e := range s.prefix {
+		want = append(want, whole.Process(e)...)
+	}
+	if len(want) != 0 || whole.pending.Len() != 5 {
+		t.Fatalf("prefix: %d matches out and %d pending, want 0 and 5", len(want), whole.pending.Len())
+	}
+	for _, e := range s.rest {
+		want = append(want, whole.Process(e)...)
+	}
+	want = append(want, whole.Flush()...)
+
+	parent, err := os.ReadFile(filepath.Join("testdata", "pending_heap_order.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf checkpointFile
+	if err := json.Unmarshal(parent[15:], &cf); err != nil {
+		t.Fatal(err)
+	}
+	var seals []event.Time
+	for _, pm := range cf.Pending {
+		seals = append(seals, pm.SealTS)
+	}
+	if slices.IsSorted(seals) || len(seals) != 5 {
+		t.Fatalf("the parent's file lists pending as %v: want five, not sorted", seals)
+	}
+	// permuted is the file as bare JSON (the legacy form, no checksum to
+	// remake) with its pending list reordered.
+	permuted := func(reorder func([]checkpointPending)) []byte {
+		c := cf
+		c.Pending = slices.Clone(cf.Pending)
+		reorder(c.Pending)
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"the parent's bytes, heap order", parent},
+		{"reversed", permuted(slices.Reverse[[]checkpointPending])},
+		{"sorted", permuted(func(l []checkpointPending) {
+			slices.SortFunc(l, func(a, b checkpointPending) int { return int(a.SealTS - b.SealTS) })
+		})},
+	} {
+		en, err := Restore(p, engine.Env{}, bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []plan.Match
+		for _, e := range s.rest {
+			got = append(got, en.Process(e)...)
+		}
+		got = append(got, en.Flush()...)
+		if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
+			t.Errorf("%s: continued\n%s\nthe uninterrupted run\n%s", tc.name, g, w)
+		}
+	}
+}
+
+// TestEqualSealLeavesInCompletionOrder pins the tie rule: bindings that seal
+// at one timestamp leave pending in the order they were completed — on the
+// per-event path, on the batch path and across a restore. (A binary heap
+// handed three equal keys back first, third, second.)
+func TestEqualSealLeavesInCompletionOrder(t *testing.T) {
+	// Trailing negation: every binding of A@10 seals at 10 + 100.
+	p := compile(t, "PATTERN SEQ(A a, B b, !(N n)) WITHIN 100")
+	parked := []event.Event{
+		{Type: "A", TS: 10, Seq: 1},
+		{Type: "B", TS: 20, Seq: 2}, {Type: "B", TS: 30, Seq: 3}, {Type: "B", TS: 25, Seq: 4},
+	}
+	sealing := event.Event{Type: "B", TS: 200, Seq: 5}
+	const want = "[20 30 25]"
+	order := func(out []plan.Match) string {
+		var bs []event.Time
+		for _, m := range out {
+			bs = append(bs, m.Events[1].TS)
+		}
+		return fmt.Sprint(bs)
+	}
+
+	perEvent := MustNew(p, Options{K: 20})
+	for _, e := range parked {
+		if out := perEvent.Process(e); len(out) != 0 {
+			t.Fatalf("%v emitted %v ahead of its seal", e, out)
+		}
+	}
+	if perEvent.pending.Len() != 3 {
+		t.Fatalf("%d pending, want 3", perEvent.pending.Len())
+	}
+	var buf bytes.Buffer
+	if err := perEvent.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := order(perEvent.Process(sealing)); got != want {
+		t.Errorf("per event: B timestamps %s, want %s", got, want)
+	}
+
+	batch := MustNew(p, Options{K: 20})
+	if got := order(batch.ProcessBatch(append(slices.Clone(parked), sealing))); got != want {
+		t.Errorf("batch: B timestamps %s, want %s", got, want)
+	}
+
+	restored, err := Restore(p, engine.Env{}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := order(restored.Process(sealing)); got != want {
+		t.Errorf("restored: B timestamps %s, want %s", got, want)
 	}
 }

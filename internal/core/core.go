@@ -61,9 +61,9 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/ais"
@@ -73,6 +73,7 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
+	"oostream/internal/queue"
 )
 
 // LatePolicy says what to do with events that violate the disorder bound K.
@@ -198,7 +199,9 @@ type Engine struct {
 	// minus the key equalities the grouping pre-satisfies.
 	cross *plan.CrossView
 
-	pending pendingHeap
+	// pending holds the bindings whose negation gaps have yet to seal, due at
+	// their sealTS; those sealing together leave in completion order.
+	pending queue.Queue[pendingMatch]
 	// vuln holds the emitted matches that can still be retracted, per key
 	// group (the zero Value when unkeyed) in emission order, so a negative
 	// probes only its own group and compensations leave in the order their
@@ -588,7 +591,9 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	if !en.plan.ConstFalse {
 		out = en.insert(e, isOOO, out)
 	}
-	out = en.drainPending(out)
+	if en.pending.Len() > 0 {
+		out = en.drainPending(en.safe(), en.finalize, out)
+	}
 	en.since++
 	if en.opts.AdaptiveFeed {
 		en.opts.Adaptive.NoteState(en.StateSize())
@@ -672,7 +677,7 @@ func (en *Engine) insertNeg(negIdx int, key event.Value, e event.Event) {
 		m[key] = ns
 	}
 	ns.insert(e)
-	en.negDue[negIdx].Add(e.TS, ns)
+	en.negDue[negIdx].Insert(e.TS, ns)
 	en.liveNeg++
 }
 
@@ -689,7 +694,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
 	}
-	out := en.drainPending(nil)
+	out := en.drainPending(en.safe(), en.finalize, nil)
 	en.since = en.opts.PurgeEvery // force the next purge check to run
 	en.maybePurge()
 	en.publishGauges()
@@ -699,10 +704,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 // Flush implements engine.Engine: end of stream seals every pending match
 // and makes every vulnerable one final.
 func (en *Engine) Flush() []plan.Match {
-	var out []plan.Match
-	for en.pending.Len() > 0 {
-		out = en.finalize(en.popPending(), out)
-	}
+	out := en.drainPending(math.MaxInt64, en.finalize, nil)
 	// Whatever is still vulnerable is final: no negative can follow.
 	clear(en.vuln)
 	en.vulnDue = ais.Due[event.Value]{}
@@ -861,7 +863,7 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		en.lineageLive++
 		en.lineageBytes += pm.prov.SizeBytes()
 	}
-	heap.Push(&en.pending, pm)
+	en.pending.Insert(pm.sealTS, pm)
 	return out
 }
 
@@ -877,7 +879,7 @@ func (en *Engine) release(pm pendingMatch, out []plan.Match) []plan.Match {
 		l.items = append(l.items, pm)
 		en.vuln[pm.key] = l
 		en.liveVuln++
-		en.vulnDue.Add(pm.sealTS, pm.key)
+		en.vulnDue.Insert(pm.sealTS, pm.key)
 	}
 	return out
 }
@@ -968,9 +970,7 @@ func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
 	en.opts.Emit = p
 	var out []plan.Match
 	if p == EmitThenRetract {
-		for en.pending.Len() > 0 {
-			out = en.release(en.popPending(), out)
-		}
+		out = en.drainPending(math.MaxInt64, en.release, nil)
 	}
 	en.met.IncSwitch()
 	if en.trace != nil {
@@ -1002,24 +1002,17 @@ func (en *Engine) lineageFor(pm pendingMatch) *provenance.Record {
 	return rec
 }
 
-// popPending removes the minimum pending match, releasing its retained
-// lineage accounting.
-func (en *Engine) popPending() pendingMatch {
-	pm := heap.Pop(&en.pending).(pendingMatch)
-	if pm.prov != nil {
-		en.lineageLive--
-		en.lineageBytes -= pm.prov.SizeBytes()
-	}
-	return pm
-}
-
-// drainPending finalizes pending matches whose negation gaps the safe clock
-// has sealed.
-func (en *Engine) drainPending(out []plan.Match) []plan.Match {
-	safe := en.safe()
-	for en.pending.Len() > 0 && en.pending[0].sealTS <= safe {
-		out = en.finalize(en.popPending(), out)
-	}
+// drainPending takes out of pending, in seal order, the matches whose gaps
+// close at or before through (the safe clock; the end of time at end of stream
+// or a policy flip), settles their lineage accounting and hands each to emit.
+func (en *Engine) drainPending(through event.Time, emit func(pendingMatch, []plan.Match) []plan.Match, out []plan.Match) []plan.Match {
+	en.pending.PopThrough(through, func(pm pendingMatch) {
+		if pm.prov != nil {
+			en.lineageLive--
+			en.lineageBytes -= pm.prov.SizeBytes()
+		}
+		out = emit(pm, out)
+	})
 	return out
 }
 
@@ -1127,7 +1120,7 @@ func (en *Engine) maybePurge() {
 	en.liveNeg -= negPurged
 	// Vulnerable matches the safe clock sealed (sealTS <= safe) are final.
 	en.purgePass++
-	en.vulnDue.PopBefore(safe+1, func(key event.Value) {
+	en.vulnDue.PopThrough(safe, func(key event.Value) {
 		if l, ok := en.vuln[key]; ok && l.pass != en.purgePass {
 			en.sealVulnerable(key, l, safe)
 		}
@@ -1212,20 +1205,4 @@ type pendingMatch struct {
 type vulnList struct {
 	items []pendingMatch
 	pass  uint64
-}
-
-// pendingHeap is a min-heap on sealTS.
-type pendingHeap []pendingMatch
-
-func (h pendingHeap) Len() int           { return len(h) }
-func (h pendingHeap) Less(i, j int) bool { return h[i].sealTS < h[j].sealTS }
-func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(pendingMatch)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	old[n-1] = pendingMatch{}
-	*h = old[:n-1]
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"oostream/internal/event"
@@ -151,6 +152,30 @@ func TestLargeKNeverPurgesDuringRun(t *testing.T) {
 	got := drain(t, p, Options{K: 1 << 40, PurgeEvery: 1}, shuffled)
 	if ok, diff := plan.SameResults(want, got); !ok {
 		t.Fatalf("huge K:\n%s", diff)
+	}
+}
+
+// TestVulnerableSealedAtMaxClock: a heartbeat at the top of the timestamp
+// range seals every vulnerable match, as any smaller one past the seal does.
+// The pass used to pop the expiry order below safe+1, which wraps there.
+func TestVulnerableSealedAtMaxClock(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, C c, !(B b)) WITHIN 100")
+	for _, clock := range []event.Time{1000, math.MaxInt64} {
+		en := MustNew(p, Options{K: 0, Emit: EmitThenRetract})
+		en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
+		if out := en.Process(event.Event{Type: "C", TS: 20, Seq: 2}); len(out) != 1 {
+			t.Fatalf("want the match out ahead of its seal, got %v", out)
+		}
+		if v := en.StateSnapshot().Vulnerable; v != 1 {
+			t.Fatalf("before the heartbeat: %d vulnerable, want 1", v)
+		}
+		en.Advance(clock)
+		if v, n := en.StateSnapshot().Vulnerable, en.StateSize(); v != 0 || n != 0 {
+			t.Errorf("Advance(%d): %d vulnerable, state size %d; want 0 and 0", clock, v, n)
+		}
+		if err := en.CheckDue(); err != nil {
+			t.Errorf("Advance(%d): %v", clock, err)
+		}
 	}
 }
 

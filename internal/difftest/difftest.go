@@ -275,6 +275,10 @@ func Run(c Case) *Failure {
 	if ok, diff := plan.SameResults(want, got); !ok {
 		return &Failure{Case: c, Check: "checkpoint", Diff: diff, Truth: len(want)}
 	}
+	// Bindings that seal together leave in completion order across a restore.
+	if diff := identicalMatches(run(q, native, ck.Arrival), got); diff != "" {
+		return &Failure{Case: c, Check: "checkpoint-order", Diff: diff, Truth: len(want)}
+	}
 
 	// Partitioning soundness (I8), when the query confines matches to one
 	// key.

@@ -139,6 +139,61 @@ func TestOneLayout(t *testing.T) {
 	})
 }
 
+// TestOneQueue is the mechanical form of "one release-by-watermark queue":
+// everything that holds items by timestamp and releases what a safe clock has
+// passed (the reorder buffer, both pending sets, the ordered-output buffer,
+// the expiry orders) is an internal/queue.Queue. No non-test source imports
+// container/heap, and no non-test type outside internal/queue has the
+// Len/Less/Swap trio a hand-written heap or sorted holder starts with. The
+// binary heap lives on in internal/queue's tests, as the reference.
+func TestOneQueue(t *testing.T) {
+	trio := map[string]map[string]bool{} // "dir.Type" -> which of Len, Less, Swap it declares
+	walkModule(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if target, _ := strconv.Unquote(imp.Path.Value); target == "container/heap" {
+				t.Errorf("%s imports container/heap: hold and release through internal/queue", rel)
+			}
+		}
+		if dir == "internal/queue" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 {
+				continue
+			}
+			switch fn.Name.Name {
+			case "Len", "Less", "Swap":
+			default:
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if idx, ok := recv.(*ast.IndexExpr); ok { // a generic receiver, T[P]
+				recv = idx.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				name := dir + "." + id.Name
+				if trio[name] == nil {
+					trio[name] = map[string]bool{}
+				}
+				trio[name][fn.Name.Name] = true
+			}
+		}
+	})
+	for name, has := range trio {
+		if len(has) == 3 {
+			t.Errorf("%s declares Len, Less and Swap: a sorted holder of its own; the queue is internal/queue", name)
+		}
+	}
+}
+
 // TestOneEvaluator is the mechanical form of "a predicate is a flat program":
 // internal/predicate runs instructions in a loop and builds no tree of
 // closures. No struct of its non-test sources has a func-typed field (by a

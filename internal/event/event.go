@@ -10,8 +10,8 @@
 package event
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,19 +151,11 @@ func (e Event) Clone() Event {
 	return e
 }
 
-// ByTime sorts events by (TS, Seq). It implements sort.Interface.
-type ByTime []Event
-
-func (s ByTime) Len() int           { return len(s) }
-func (s ByTime) Less(i, j int) bool { return s[i].Before(s[j]) }
-func (s ByTime) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+// compare is Before as a three-way comparison.
+func compare(a, b Event) int { return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Seq, b.Seq)) }
 
 // SortByTime sorts the slice in place by (TS, Seq).
-func SortByTime(events []Event) {
-	sort.Sort(ByTime(events))
-}
+func SortByTime(events []Event) { slices.SortFunc(events, compare) }
 
 // IsSortedByTime reports whether events are in nondecreasing (TS, Seq) order.
-func IsSortedByTime(events []Event) bool {
-	return sort.IsSorted(ByTime(events))
-}
+func IsSortedByTime(events []Event) bool { return slices.IsSortedFunc(events, compare) }

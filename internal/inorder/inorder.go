@@ -13,9 +13,9 @@
 package inorder
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
+	"math"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -23,6 +23,7 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
+	"oostream/internal/queue"
 )
 
 // instance is one stack entry of the classic (append-only) AIS.
@@ -88,8 +89,8 @@ type Engine struct {
 	lat *obsv.LatencySampler
 	// pending holds full bindings waiting for their negation gaps to close
 	// (only trailing negation ever has to wait under the in-order
-	// assumption; the queue is keyed by seal timestamp).
-	pending pendingHeap
+	// assumption), due at sealTS; ties leave in completion order.
+	pending queue.Queue[pendingMatch]
 
 	// prov enables lineage records on emitted matches (flag-checked per
 	// site, like trace). trig*/visited carry the current trigger through
@@ -109,22 +110,6 @@ type pendingMatch struct {
 	sealTS  event.Time
 	madeSeq uint64 // arrival counter when the binding completed
 	prov    *provenance.Record
-}
-
-// pendingHeap is a min-heap on sealTS.
-type pendingHeap []pendingMatch
-
-func (h pendingHeap) Len() int           { return len(h) }
-func (h pendingHeap) Less(i, j int) bool { return h[i].sealTS < h[j].sealTS }
-func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(pendingMatch)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	old[n-1] = pendingMatch{}
-	*h = old[:n-1]
-	return out
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -278,7 +263,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			out = append(out, en.construct(e, rip)...)
 		}
 	}
-	out = en.drainPending(out)
+	out = en.drainPending(en.clock, out)
 	en.purge()
 	return out
 }
@@ -391,27 +376,20 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		en.lineageLive++
 		en.lineageBytes += pm.prov.SizeBytes()
 	}
-	heap.Push(&en.pending, pm)
+	en.pending.Insert(pm.sealTS, pm)
 	return out
 }
 
-// popPending removes the minimum pending match, releasing its retained
-// lineage accounting.
-func (en *Engine) popPending() pendingMatch {
-	pm := heap.Pop(&en.pending).(pendingMatch)
-	if pm.prov != nil {
-		en.lineageLive--
-		en.lineageBytes -= pm.prov.SizeBytes()
-	}
-	return pm
-}
-
-// drainPending finalizes every pending binding whose seal timestamp the
-// clock has reached.
-func (en *Engine) drainPending(out []plan.Match) []plan.Match {
-	for en.pending.Len() > 0 && en.pending[0].sealTS <= en.clock {
-		out = en.finalize(en.popPending(), out)
-	}
+// drainPending finalizes, in seal order, the pending bindings sealing at or
+// before through (the clock; the end of time at Flush), settling their lineage.
+func (en *Engine) drainPending(through event.Time, out []plan.Match) []plan.Match {
+	en.pending.PopThrough(through, func(pm pendingMatch) {
+		if pm.prov != nil {
+			en.lineageLive--
+			en.lineageBytes -= pm.prov.SizeBytes()
+		}
+		out = en.finalize(pm, out)
+	})
 	return out
 }
 
@@ -499,7 +477,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
 	}
-	out := en.drainPending(nil)
+	out := en.drainPending(en.clock, nil)
 	en.purge()
 	en.met.SetLiveState(en.StateSize())
 	return out
@@ -508,10 +486,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 // Flush implements engine.Engine: end of stream means no further negative
 // can arrive, so every pending binding is final-checked and emitted.
 func (en *Engine) Flush() []plan.Match {
-	var out []plan.Match
-	for en.pending.Len() > 0 {
-		out = en.finalize(en.popPending(), out)
-	}
+	out := en.drainPending(math.MaxInt64, nil)
 	en.met.SetLiveState(en.StateSize())
 	if en.prov {
 		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)

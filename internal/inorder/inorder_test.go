@@ -211,3 +211,20 @@ func TestFlushSealsTrailingNegation(t *testing.T) {
 		t.Fatalf("Flush should seal, got %v", out)
 	}
 }
+
+// TestEqualSealLeavesInCompletionOrder: bindings sealing at one timestamp
+// leave pending in the order they were completed, the kernel's tie rule.
+func TestEqualSealLeavesInCompletionOrder(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, B b, !(N n)) WITHIN 100")
+	en := New(p)
+	en.Process(event.Event{Type: "A", TS: 10, Seq: 1})
+	for i, ts := range []event.Time{20, 25, 30} {
+		if out := en.Process(event.Event{Type: "B", TS: ts, Seq: event.Seq(i + 2)}); len(out) != 0 {
+			t.Fatal("should pend")
+		}
+	}
+	out := en.Process(event.Event{Type: "A", TS: 200, Seq: 5})
+	if len(out) != 3 || out[0].Events[1].TS != 20 || out[1].Events[1].TS != 25 || out[2].Events[1].TS != 30 {
+		t.Fatalf("sealed together, want B@20, B@25, B@30 in that order, got %v", out)
+	}
+}

@@ -1,18 +1,17 @@
 // Package kslack implements the K-slack reorder buffer: the classic
 // "levee" defense against out-of-order arrival that the paper contrasts
-// with its native approach. Events are buffered in a min-heap on
-// (timestamp, sequence) and released in timestamp order once the watermark
-// maxSeen − K passes them. Under the disorder bound (no event delayed more
-// than K time units) the released stream is perfectly sorted, so the engine
-// downstream needs no disorder tolerance of its own (K=0) to produce exact
-// results — at the price of buffering memory and up to K added latency on
-// every result.
+// with its native approach. Events are held in (timestamp, sequence) order in
+// the engine's one release-by-watermark queue (internal/queue) and released
+// in that order once the watermark maxSeen − K passes them. Under the
+// disorder bound (no event delayed more than K time units) the released
+// stream is perfectly sorted, so the engine downstream needs no disorder
+// tolerance of its own (K=0) to produce exact results — at the price of
+// buffering memory and up to K added latency on every result.
 package kslack
 
 import (
-	"container/heap"
-
 	"oostream/internal/event"
+	"oostream/internal/queue"
 )
 
 // Buffer is a K-slack reorder buffer. The zero value is not usable; use
@@ -25,7 +24,7 @@ type Buffer struct {
 	// the watermark backwards — releases stay sorted no matter how K moves.
 	bound    func() event.Time
 	frontier event.Time
-	heap     eventHeap
+	held     queue.Queue[event.Event]
 	maxSeen  event.Time
 	started  bool
 	dropped  uint64
@@ -34,7 +33,7 @@ type Buffer struct {
 // NewBuffer creates a reorder buffer with static slack k (logical
 // milliseconds).
 func NewBuffer(k event.Time) *Buffer {
-	return &Buffer{k: k}
+	return &Buffer{k: k, held: queue.Queue[event.Event]{Tie: event.Event.Before}}
 }
 
 // NewBufferDynamic creates a reorder buffer whose slack is re-read from
@@ -47,7 +46,9 @@ func NewBuffer(k event.Time) *Buffer {
 // equals what a static buffer with K = max bound observed would release
 // over the same admitted events.
 func NewBufferDynamic(bound func() event.Time) *Buffer {
-	return &Buffer{bound: bound, frontier: minTime}
+	b := NewBuffer(0)
+	b.bound, b.frontier = bound, minTime
+	return b
 }
 
 // K returns the configured slack (the current bound for dynamic buffers).
@@ -65,31 +66,25 @@ func (b *Buffer) MaxSeen() (event.Time, bool) { return b.maxSeen, b.started }
 // Pending returns a sorted copy of the still-buffered events, for
 // checkpointing. The buffer is unchanged.
 func (b *Buffer) Pending() []event.Event {
-	out := make([]event.Event, len(b.heap))
-	copy(out, b.heap)
-	event.SortByTime(out)
+	out := make([]event.Event, 0, b.held.Len())
+	b.held.Each(func(_ event.Time, e event.Event) { out = append(out, e) })
 	return out
 }
 
-// restoreInto loads checkpointed state: the watermark position
-// (maxSeen/started) and the still-buffered events — all above the implied
-// watermark, as Pending returned them.
-func (b *Buffer) restoreInto(maxSeen event.Time, started bool, pending []event.Event) {
-	b.maxSeen, b.started = maxSeen, started
-	b.heap = append(b.heap[:0], pending...)
-	heap.Init(&b.heap)
-}
-
 // RestoreBuffer rebuilds a buffer from checkpointed state (see Pending and
-// MaxSeen for the capture side).
+// MaxSeen for the capture side): the watermark position and the events above
+// it, in whatever order the file lists them — inserting sorts them.
 func RestoreBuffer(k event.Time, maxSeen event.Time, started bool, pending []event.Event) *Buffer {
 	b := NewBuffer(k)
-	b.restoreInto(maxSeen, started, pending)
+	b.maxSeen, b.started = maxSeen, started
+	for _, e := range pending {
+		b.held.Insert(e.TS, e)
+	}
 	return b
 }
 
 // Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.heap) }
+func (b *Buffer) Len() int { return b.held.Len() }
 
 // Dropped returns how many events were discarded for violating the bound.
 func (b *Buffer) Dropped() uint64 { return b.dropped }
@@ -134,13 +129,8 @@ func (b *Buffer) Push(e event.Event) []event.Event {
 		b.dropped++
 		return nil
 	}
-	heap.Push(&b.heap, e)
-	if !b.started || e.TS > b.maxSeen {
-		b.maxSeen = e.TS
-		b.started = true
-	}
-	b.syncFrontier()
-	return b.release()
+	b.held.Insert(e.TS, e)
+	return b.Advance(e.TS)
 }
 
 // Advance moves the watermark as if an event with timestamp ts had been
@@ -152,57 +142,27 @@ func (b *Buffer) Advance(ts event.Time) []event.Event {
 		b.started = true
 	}
 	b.syncFrontier()
-	return b.release()
+	var out []event.Event
+	b.held.PopThrough(b.Watermark(), func(e event.Event) { out = append(out, e) })
+	return out
 }
 
 // ShedOldest pops and returns the oldest buffered events until at most
 // limit remain — the overload-degradation path. Shed events are discarded
-// outright, never delivered downstream: the remaining heap minimum only
+// outright, never delivered downstream: the remaining minimum only
 // rises, so subsequent releases stay sorted, and the net output over the
 // surviving events is exactly what a run fed only the survivors produces.
 func (b *Buffer) ShedOldest(limit int) []event.Event {
-	if limit < 0 || len(b.heap) <= limit {
+	if limit < 0 || b.held.Len() <= limit {
 		return nil
 	}
-	out := make([]event.Event, 0, len(b.heap)-limit)
-	for len(b.heap) > limit {
-		out = append(out, heap.Pop(&b.heap).(event.Event))
+	out := make([]event.Event, 0, b.held.Len()-limit)
+	for b.held.Len() > limit {
+		e, _ := b.held.Pop()
+		out = append(out, e)
 	}
 	return out
 }
 
 // Flush releases everything regardless of the watermark (end of stream).
-func (b *Buffer) Flush() []event.Event {
-	out := make([]event.Event, 0, len(b.heap))
-	for len(b.heap) > 0 {
-		out = append(out, heap.Pop(&b.heap).(event.Event))
-	}
-	return out
-}
-
-func (b *Buffer) release() []event.Event {
-	var out []event.Event
-	wm := b.Watermark()
-	for len(b.heap) > 0 && b.heap[0].TS <= wm {
-		out = append(out, heap.Pop(&b.heap).(event.Event))
-	}
-	return out
-}
-
-// eventHeap is a min-heap of events on (TS, Seq).
-type eventHeap []event.Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].Before(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event.Event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	old[n-1] = event.Event{}
-	*h = old[:n-1]
-	return out
-}
+func (b *Buffer) Flush() []event.Event { return b.ShedOldest(0) }

@@ -6,16 +6,17 @@
 // (sequenced logs, downstream in-order operators) need the emission order
 // to follow stream time instead.
 //
-// The wrapper holds finished matches in a min-heap and releases one once
-// the safe clock (maxTS − K, tracked from the events it forwards) passes
-// the match's last timestamp: every match still to come ends at or after
-// the safe clock, so nothing can precede a released match. The cost is the
-// same kind of latency the engine's negation sealing already pays —
-// bounded by K — applied to all results.
+// The wrapper is a release policy of the queue every holder in the engine
+// uses (internal/queue): it holds finished matches there in (last timestamp,
+// match key) order and releases one once the safe clock (maxTS − K, tracked
+// from the events it forwards) passes the match's last timestamp: every
+// match still to come ends at or after the safe clock, so nothing can
+// precede a released match. The cost is the same kind of latency the
+// engine's negation sealing already pays — bounded by K — applied to all
+// results.
 package ordered
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 
@@ -24,6 +25,7 @@ import (
 	"oostream/internal/metrics"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
+	"oostream/internal/queue"
 )
 
 // Engine wraps an inner engine with ordered emission. It takes no
@@ -37,7 +39,7 @@ type Engine struct {
 	k       event.Time
 	clock   event.Time
 	started bool
-	buf     matchHeap
+	buf     queue.Queue[heldMatch]
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -50,7 +52,8 @@ func New(inner engine.Engine, k event.Time) (*Engine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("K must be >= 0, got %d", k)
 	}
-	return &Engine{inner: inner, k: k}, nil
+	byKey := func(a, b heldMatch) bool { return a.key < b.key }
+	return &Engine{inner: inner, k: k, buf: queue.Queue[heldMatch]{Tie: byKey}}, nil
 }
 
 // Name implements engine.Engine.
@@ -80,12 +83,7 @@ func (en *Engine) StateSize() int { return en.inner.StateSize() + en.buf.Len() }
 
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
-	matches := en.inner.Process(e)
-	if e.TS > en.clock || !en.started {
-		en.clock = e.TS
-		en.started = true
-	}
-	return en.pushInto(matches, nil)
+	return en.take(e.TS, en.inner.Process(e), nil)
 }
 
 // ProcessBatch implements engine.Engine. Release must interleave
@@ -93,74 +91,50 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 // timestamp lies below an *earlier* event's safe point (a drained pending,
 // for example), so releasing only at the batch boundary against the final
 // clock would order the batch's emissions differently than the per-event
-// path. The wrapper therefore advances the clock and drains the heap after
+// path. The wrapper therefore advances the clock and drains the queue after
 // every event, amortizing only the output slice.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	var out []plan.Match
 	for i := range batch {
-		e := batch[i]
-		matches := en.inner.Process(e)
-		if e.TS > en.clock || !en.started {
-			en.clock = e.TS
-			en.started = true
-		}
-		out = en.pushInto(matches, out)
+		out = en.take(batch[i].TS, en.inner.Process(batch[i]), out)
 	}
 	return out
 }
 
 // Advance implements engine.Engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
-	matches := en.inner.Advance(ts)
-	if ts > en.clock || !en.started {
-		en.clock = ts
-		en.started = true
-	}
-	return en.pushInto(matches, nil)
+	return en.take(ts, en.inner.Advance(ts), nil)
 }
 
 // Flush implements engine.Engine: everything remaining is released in
 // order.
 func (en *Engine) Flush() []plan.Match {
-	out := en.pushInto(en.inner.Flush(), nil)
-	for en.buf.Len() > 0 {
-		out = append(out, heap.Pop(&en.buf).(plan.Match))
+	out := en.take(en.clock, en.inner.Flush(), nil)
+	for h, ok := en.buf.Pop(); ok; h, ok = en.buf.Pop() {
+		out = append(out, h.m)
 	}
 	return out
 }
 
-func (en *Engine) pushInto(matches []plan.Match, out []plan.Match) []plan.Match {
+// take moves the clock to ts, holds the matches the inner engine produced
+// there and appends to out the ones the safe clock has passed, in order.
+func (en *Engine) take(ts event.Time, matches, out []plan.Match) []plan.Match {
+	if ts > en.clock || !en.started {
+		en.clock, en.started = ts, true
+	}
 	for _, m := range matches {
 		if m.Kind == plan.Retract {
 			panic("ordered: inner engine produced a retraction; wrap a conservative strategy")
 		}
-		heap.Push(&en.buf, m)
+		en.buf.Insert(m.Last().TS, heldMatch{m.Key(), m})
 	}
-	safe := en.clock - en.k
-	for en.buf.Len() > 0 && en.buf[0].Last().TS < safe {
-		out = append(out, heap.Pop(&en.buf).(plan.Match))
-	}
+	en.buf.PopBefore(en.clock-en.k, func(h heldMatch) { out = append(out, h.m) })
 	return out
 }
 
-// matchHeap orders matches by (last TS, key).
-type matchHeap []plan.Match
-
-func (h matchHeap) Len() int { return len(h) }
-func (h matchHeap) Less(i, j int) bool {
-	ti, tj := h[i].Last().TS, h[j].Last().TS
-	if ti != tj {
-		return ti < tj
-	}
-	return h[i].Key() < h[j].Key()
-}
-func (h matchHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x any)   { *h = append(*h, x.(plan.Match)) }
-func (h *matchHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	old[n-1] = plan.Match{}
-	*h = old[:n-1]
-	return out
+// heldMatch is a finished match held until the safe clock passes its last
+// timestamp; key, rendered once, orders the matches that end together.
+type heldMatch struct {
+	key string
+	m   plan.Match
 }

@@ -117,5 +117,5 @@ func TestOrderedPanicsOnRetraction(t *testing.T) {
 		}
 	}()
 	en := &Engine{inner: nil, k: 0}
-	en.pushInto([]plan.Match{{Kind: plan.Retract, Events: []event.Event{{TS: 1}}}}, nil)
+	en.take(1, []plan.Match{{Kind: plan.Retract, Events: []event.Event{{TS: 1}}}}, nil)
 }
