@@ -120,38 +120,6 @@ func TestAggregateAllStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestAggregatePartitionedGroupBy checks that sharding on the GROUP BY
-// attribute yields the same window set as the unpartitioned engine.
-func TestAggregatePartitionedGroupBy(t *testing.T) {
-	q := aggQuery(t, `
-		AGGREGATE COUNT(*) OVER SEQ(A a, B b)
-		WHERE a.id = b.id
-		WITHIN 10
-		GROUP BY a.id`)
-	var events []Event
-	seq := Seq(1)
-	for k := Time(0); k < 40; k += 7 {
-		for id := int64(0); id < 5; id++ {
-			events = append(events, aggEvent("A", k+Time(id), seq, id, 0))
-			seq++
-			events = append(events, aggEvent("B", k+Time(id)+2, seq, id, 1))
-			seq++
-		}
-	}
-	want := MustNewEngine(q, Config{K: 5}).ProcessAll(events)
-	if len(want) == 0 {
-		t.Fatal("no windows in sanity workload")
-	}
-	sharded, err := NewEngine(q, Config{K: 5, Partition: Partition{Attr: "id", Shards: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sharded.ProcessAll(events)
-	if ok, diff := SameResults(want, got); !ok {
-		t.Errorf("partitioned aggregation diverges:\n%s", diff)
-	}
-}
-
 // TestAggregateCheckpointRoundTrip snapshots a native aggregate engine
 // mid-stream and checks the restored engine finishes the stream with the
 // same windows as the uninterrupted run.

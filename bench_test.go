@@ -301,33 +301,6 @@ func BenchmarkE12NetworkSim(b *testing.B) {
 	}
 }
 
-// BenchmarkE13Partitioned measures key-partitioned scale-out (sequential
-// shard routing; the speed-up beyond bookkeeping comes from smaller
-// per-shard state).
-func BenchmarkE13Partitioned(b *testing.B) {
-	q := benchNegQuery(b)
-	events := benchStream(0.10, benchK)
-	b.Run("shards=1", func(b *testing.B) {
-		run(b, q, oostream.Config{K: benchK}, events)
-	})
-	for _, shards := range []int{4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var matches int
-			for i := 0; i < b.N; i++ {
-				en, err := oostream.NewEngine(q, oostream.Config{K: benchK,
-					Partition: oostream.Partition{Attr: "id", Shards: shards}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				matches = len(en.ProcessAll(events))
-			}
-			b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(matches), "matches")
-		})
-	}
-}
-
 // BenchmarkE14KeyedStacks compares the native engine with key-partitioned
 // stacks on (the default for this equality-linked query) and off across
 // key cardinalities.

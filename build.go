@@ -1,6 +1,9 @@
 package oostream
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -14,7 +17,6 @@ import (
 	"oostream/internal/obsv"
 	"oostream/internal/ordered"
 	"oostream/internal/plan"
-	"oostream/internal/shard"
 )
 
 // builder is the one construction path behind NewEngine, RestoreEngine,
@@ -76,67 +78,72 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 }
 
 // restorable reports whether the composition cfg describes has a durable
-// format: the native strategy, partitioned or not, aggregating or not,
-// without the ordered-output buffer.
+// format: the native strategy, aggregating or not, without the
+// ordered-output buffer.
 func (c Config) restorable() bool {
 	return c.Strategy == StrategyNative && !c.OrderedOutput
 }
 
-// build builds (r == nil) or restores the engine cfg describes for p: one
-// strategy engine, or a sharded composition of them when cfg.Partition is
-// set. cfg must already have defaults applied and be validated, against p
-// too (validateQueryConfig). top names the series of the outermost layer;
-// "" selects the default (the strategy for a single engine, "shard(<part>)"
-// for a partitioned one).
-func (b builder) build(p *plan.Plan, cfg Config, top string, r io.Reader) (engine.Engine, error) {
-	if r != nil && !cfg.restorable() {
-		return nil, fmt.Errorf("strategy %q with OrderedOutput=%t has no checkpoint format to restore from (only %q without OrderedOutput does)", cfg.Strategy, cfg.OrderedOutput, StrategyNative)
+// checkpoint is durable engine state opened for a restore: the engine
+// checkpoints it holds. A checkpoint an engine wrote is its own one part.
+// One written by the key-partitioned router this library had until
+// EXPERIMENTS.md E34 holds a part per shard — each the state of an engine
+// that saw the events of its share of the keys — and the count of events the
+// router refused for lacking the key; core.Restore and agg.Restore merge the
+// parts into the one engine that would have seen the whole stream, which
+// files its state per key as the shards did between them.
+type checkpoint struct {
+	parts       []io.Reader
+	keyless     uint64
+	partitioned bool
+	// err is why r could not be opened; build returns it.
+	err error
+}
+
+// openCheckpoint reads what r holds; nil for no reader (a fresh engine). The
+// router's envelope is a JSON object naming its attribute, its shard count,
+// its refused events and the shards' checkpoints; anything else is an
+// engine's own checkpoint and is left unread (the kernel's bare-JSON form of
+// before its envelope is an object too, without "parts").
+func openCheckpoint(r io.Reader) *checkpoint {
+	if r == nil {
+		return nil
 	}
-	if cfg.Partition.Attr == "" {
-		if top == "" {
-			top = string(cfg.Strategy)
-		}
-		return b.single(p, cfg, top, r)
+	br := bufio.NewReader(r)
+	if first, err := br.Peek(1); err != nil || first[0] != '{' {
+		return &checkpoint{parts: []io.Reader{br}}
 	}
-	router, err := shard.NewRouter(cfg.Partition.Attr, cfg.Partition.Shards)
+	data, err := io.ReadAll(br)
 	if err != nil {
-		return nil, err
+		return &checkpoint{err: fmt.Errorf("read checkpoint: %w", err)}
 	}
-	if top == "" {
-		top = "shard(" + singleName(p, cfg) + ")"
+	var env struct {
+		Shards      int      `json:"shards"`
+		RouteErrors uint64   `json:"routeErrors"`
+		Parts       [][]byte `json:"parts"`
 	}
-	// The routing layer counts route errors on its own series and tags
-	// relayed lineage records with the shard index; every other instrument
-	// goes to the parts, each under its own per-shard series.
-	env := engine.Env{Series: b.series(top), Provenance: b.prov}
-	part := func(i int, pr io.Reader) (engine.Engine, error) {
-		return b.single(p, cfg, fmt.Sprintf("%s/shard%d", cfg.Strategy, i), pr)
+	if err := json.Unmarshal(data, &env); err != nil || env.Parts == nil {
+		// Not the router's: the kernel reports what is wrong with it.
+		return &checkpoint{parts: []io.Reader{bytes.NewReader(data)}}
 	}
-	if r != nil {
-		return shard.Restore(router, env, part, r)
+	if len(env.Parts) == 0 || len(env.Parts) != env.Shards {
+		return &checkpoint{err: fmt.Errorf("partitioned checkpoint holds %d parts for %d shards", len(env.Parts), env.Shards)}
 	}
-	return shard.New(router, env, func(i int) (engine.Engine, error) { return part(i, nil) })
+	ck := &checkpoint{keyless: env.RouteErrors, partitioned: true}
+	for _, part := range env.Parts {
+		ck.parts = append(ck.parts, bytes.NewReader(part))
+	}
+	return ck
 }
 
-// singleName is the Name() of the engine single builds for cfg.
-func singleName(p *plan.Plan, cfg Config) string {
-	name := string(cfg.Strategy)
-	if cfg.OrderedOutput {
-		name = "ordered(" + name + ")"
-	}
-	if p.Agg != nil {
-		name = "agg(" + name + ")"
-	}
-	return name
-}
-
-// single builds (r == nil) or restores one strategy engine with the
-// ordered-output and aggregation wrappers cfg and p call for, ignoring
-// cfg.Partition. The layer that admits events from the stream and emits
-// the query's visible output owns the series, the hook, and the lineage;
-// the layer that does the construction work owns the sampler's construct
-// boundary.
-func (b builder) single(p *plan.Plan, cfg Config, name string, r io.Reader) (engine.Engine, error) {
+// build builds (from == nil) or restores the engine cfg describes for p: one
+// strategy engine with the ordered-output and aggregation wrappers cfg and
+// p call for, publishing under name. cfg must already have defaults applied
+// and be validated, against p too (validateQueryConfig). The layer that
+// admits events from the stream and emits the query's visible output owns
+// the series, the hook, and the lineage; the layer that does the
+// construction work owns the sampler's construct boundary.
+func (b builder) build(p *plan.Plan, cfg Config, name string, from *checkpoint) (engine.Engine, error) {
 	outer := engine.Env{Series: b.series(name), Trace: b.trace, Provenance: b.prov}
 	strat := outer
 	strat.Latency = b.lat
@@ -147,14 +154,27 @@ func (b builder) single(p *plan.Plan, cfg Config, name string, r io.Reader) (eng
 		// strategy beneath keeps only the construction stage boundary.
 		strat = engine.Env{Latency: b.lat}
 	}
-	if r != nil {
-		kernel := func(ir io.Reader) (engine.Engine, error) { return core.Restore(p, strat, ir) }
-		if p.Agg != nil {
-			// The operator's envelope leads the byte stream; its lateness
-			// bound rides in the payload.
-			return agg.Restore(p, outer, r, kernel)
+	if from != nil {
+		if from.err != nil {
+			return nil, from.err
 		}
-		return kernel(r)
+		if !cfg.restorable() {
+			return nil, fmt.Errorf("strategy %q with OrderedOutput=%t has no checkpoint format to restore from (only %q without OrderedOutput does)", cfg.Strategy, cfg.OrderedOutput, StrategyNative)
+		}
+		kernel := func(parts []io.Reader) (engine.Engine, error) {
+			en, err := core.Restore(p, strat, parts...)
+			if err != nil {
+				return nil, err
+			}
+			en.CountKeyless(from.keyless)
+			return en, nil
+		}
+		if p.Agg != nil {
+			// The operator's envelope leads each part's byte stream; its
+			// lateness bound rides in the payload.
+			return agg.Restore(p, outer, from.parts, kernel)
+		}
+		return kernel(from.parts)
 	}
 	inner, err := b.strategy(p, cfg, strat)
 	if err != nil {
@@ -180,9 +200,6 @@ func (b builder) single(p *plan.Plan, cfg Config, name string, r io.Reader) (eng
 
 // strategy builds the bare strategy engine, instrumented by env.
 func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engine, error) {
-	// Each engine (each shard, under Partition) owns a fresh controller:
-	// it feeds its own lag observations and state sizes, so K adapts to the
-	// disorder each shard actually sees.
 	ctrl, err := cfg.adaptiveController()
 	if err != nil {
 		return nil, err
@@ -203,9 +220,7 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 		if cfg.Strategy == StrategySpeculate {
 			kernel.Emit = core.EmitThenRetract
 		}
-		if ctrl != nil {
-			kernel.Adaptive, kernel.AdaptiveFeed = ctrl, true
-		}
+		kernel.Adaptive = ctrl
 		return core.New(p, kernel)
 	case StrategyInOrder:
 		return inorder.NewWithEnv(p, env), nil
@@ -224,14 +239,14 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 			return nil, err
 		}
 		if ctrl != nil {
-			return kslack.NewAdaptiveEngine(ctrl, true, sorted, env), nil
+			return kslack.NewAdaptiveEngine(ctrl, sorted, env), nil
 		}
 		return kslack.NewEngine(cfg.K, sorted, env), nil
 	case StrategyHybrid:
-		// The hybrid meta-engine always runs a controller (its kernel owns
-		// the feed); with Adaptive disabled the effective K stays pinned at
-		// Config.K and only the SLO switching logic runs. The switch adds no
-		// instrument of its own: the kernel carries them all.
+		// The hybrid meta-engine always runs a controller; with Adaptive
+		// disabled the effective K stays pinned at Config.K and only the SLO
+		// switching logic runs. The switch adds no instrument of its own: the
+		// kernel carries them all.
 		hctrl, err := adaptive.NewController(cfg.adaptiveConfig())
 		if err != nil {
 			return nil, err

@@ -156,7 +156,7 @@ func parseFlight(raw []byte) ([]obsv.TraceEvent, error) {
 	return out, nil
 }
 
-// printState renders a snapshot (and its shards / inner engine,
+// printState renders a snapshot (and its per-query parts / inner engine,
 // indented).
 func printState(w io.Writer, s *provenance.StateSnapshot, indent string) {
 	p := func(format string, args ...any) { fmt.Fprintf(w, indent+format+"\n", args...) }

@@ -1,6 +1,6 @@
 // Command espfuzz runs long differential soak sessions: it draws trial
 // seeds sequentially, runs each through the full differential harness
-// (every strategy, both shard modes, a checkpoint round-trip, and a
+// (every strategy, keyed and unkeyed, a checkpoint round-trip, and a
 // latency-sampler on/off differential — all against the brute-force
 // oracle), shrinks any divergence, and prints a JSON summary. Exit status
 // is non-zero when any trial diverged.
@@ -35,15 +35,14 @@
 // instead: a random AGGREGATE query (COUNT/SUM/AVG/MIN/MAX, sliding
 // windows, GROUP BY, HAVING) runs through every strategy — the
 // speculative engine's preview/revision pairs must net out — plus
-// heartbeats, batching, lineage, a checkpoint round-trip, and partitioned
-// execution on grouped trials, all against a brute-force window oracle.
+// heartbeats, batching, lineage, and a checkpoint round-trip, all against a
+// brute-force window oracle.
 //
 // With -crash each trial instead runs the crash-point differential: the
 // supervised fault-tolerant runtime is killed at seed-derived offsets and
 // recovered from its durable store (checkpoints + write-ahead log), and
 // the recovered run must reproduce the uninterrupted run's exact ordered
-// match sequence across every strategy, the partitioned topology, and
-// corrupted-checkpoint fallback. Half the crash trials draw their arrival
+// match sequence across every strategy and corrupted-checkpoint fallback. Half the crash trials draw their arrival
 // stream from the fault-injecting delivery simulator (drops, duplicate
 // deliveries, source stalls).
 //
@@ -98,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch   = fs.Bool("batch", false, "run the batch≡per-event differential instead of the strategy differential")
 		multi   = fs.Bool("multi", false, "run the multi-query QuerySet differential instead of the strategy differential")
 		adapt   = fs.Bool("adaptive", false, "run the adaptive disorder-control differential (dynamic K, shedding, hybrid switching) instead of the strategy differential")
-		agg     = fs.Bool("agg", false, "run the windowed-aggregation differential (the window operator, all strategies, checkpoint, partitioning) instead of the strategy differential")
+		agg     = fs.Bool("agg", false, "run the windowed-aggregation differential (the window operator, all strategies, checkpoint) instead of the strategy differential")
 		listen  = fs.String("listen", "", "serve live soak progress over HTTP (/varz, /healthz, /debug/pprof) on this address")
 	)
 	if err := fs.Parse(args); err != nil {

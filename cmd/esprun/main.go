@@ -74,8 +74,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		ckptDir   = fs.String("checkpoint-dir", "", "run supervised: durable checkpoint+WAL directory")
 		ckptEvery = fs.Int("checkpoint-every", 1000, "checkpoint every N events (with -checkpoint-dir)")
 		resume    = fs.Bool("resume", false, "resume a previous run from -checkpoint-dir")
-		partAttr  = fs.String("partition", "", "hash-partition the stream on this attribute")
-		shards    = fs.Int("shards", 0, "shard count with -partition (default 1)")
 		listen    = fs.String("listen", "", "serve live observability HTTP on this address (/metrics, /varz, /healthz, /debug/flight, /debug/state, /debug/latency, /debug/pprof), e.g. :9090")
 		linger    = fs.Duration("linger", 0, "with -listen: keep the HTTP endpoint up this long after the trace completes")
 		batchSize = fs.Int("batch", 0, "ingest in batches of this many events (0/1 = per event; output is identical)")
@@ -116,9 +114,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			}
 			return nil
 		}
-		if *partAttr != "" {
-			return fmt.Errorf("-partition is not supported with -queries")
-		}
 	} else {
 		var err error
 		if q, err = oostream.Compile(src, nil); err != nil {
@@ -132,7 +127,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	cfg := oostream.Config{
 		Strategy:   oostream.Strategy(*strategy),
 		K:          oostream.Time(*k),
-		Partition:  oostream.Partition{Attr: *partAttr, Shards: *shards},
 		Provenance: *explain,
 		Batch:      oostream.Batch{Size: *batchSize},
 		Latency: oostream.Latency{

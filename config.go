@@ -58,20 +58,6 @@ type (
 	Limits = adaptive.Limits
 )
 
-// Partition configures hash-partitioned scale-out inside Config: when
-// Attr is non-empty, NewEngine hash-partitions the stream on that
-// attribute across Shards sub-engines, each built from the same Config.
-// The query must be PartitionableBy(Attr) — every component linked by
-// equality on it — or NewEngine fails; matches could otherwise span
-// partitions and be lost. Shards defaults to 1 when Attr is set.
-type Partition struct {
-	// Attr is the partition attribute, e.g. "id". Empty disables
-	// partitioning.
-	Attr string
-	// Shards is the number of sub-engines; 0 with a non-empty Attr means 1.
-	Shards int
-}
-
 // Batch configures the batched ingestion path Engine.Run (and the CLIs)
 // drive: events are accumulated into slices of up to Size and handed to
 // ProcessBatch in one call, amortizing per-event pipeline overhead. The
@@ -182,11 +168,6 @@ type Config struct {
 	// cost bounded by K. Not available with StrategySpeculate
 	// (retractions cannot be order-buffered).
 	OrderedOutput bool
-	// Partition hash-partitions the stream across sub-engines when
-	// Partition.Attr is set; see Partition. On aggregate queries the
-	// attribute must equal the GROUP BY attribute, so each key group's
-	// windows live wholly on one shard.
-	Partition Partition
 	// Provenance makes every emitted (and retracted) match carry a lineage
 	// record (Match.Prov): the contributing events, key group, window
 	// bounds, trigger and traversal detail, and — for retractions — the
@@ -199,10 +180,8 @@ type Config struct {
 	// Observer, when non-nil, publishes the engine's counters, gauges, and
 	// latency/watermark-lag histograms as live named series in the registry
 	// (scrapeable over HTTP via internal/obsv/httpx — the CLIs' -listen
-	// flag). A single engine publishes one series named after its strategy;
-	// a partitioned engine publishes one series per shard
-	// ("native/shard0", …) plus a routing-layer series. Observer and Trace
-	// are the only instrumentation injection points.
+	// flag). An engine publishes one series named after its strategy.
+	// Observer and Trace are the only instrumentation injection points.
 	Observer *Observer
 	// Trace, when non-nil, receives a TraceEvent on every match-lifecycle
 	// step (admit, drop, stack push, predecessor repair, construction
@@ -225,9 +204,7 @@ type Config struct {
 	// (deterministic oldest-first shedding when state or lag exceeds the
 	// bounds); SLO drives StrategyHybrid's switching. Applies to the
 	// native, kslack, speculate, and hybrid strategies; incompatible with
-	// StrategyInOrder, BestEffortLate, and (Enabled) OrderedOutput. With
-	// Partition set, every shard runs its own controller over its share of
-	// the stream.
+	// StrategyInOrder, BestEffortLate, and (Enabled) OrderedOutput.
 	Adaptive Adaptive
 }
 
@@ -235,21 +212,12 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == "" {
 		c.Strategy = StrategyNative
 	}
-	if c.Partition.Attr != "" && c.Partition.Shards == 0 {
-		c.Partition.Shards = 1
-	}
 	return c
 }
 
 func (c Config) validate() error {
 	if c.K < 0 {
 		return fmt.Errorf("K must be >= 0, got %d", c.K)
-	}
-	if c.Partition.Attr == "" && c.Partition.Shards != 0 {
-		return fmt.Errorf("Partition.Shards set without Partition.Attr")
-	}
-	if c.Partition.Attr != "" && c.Partition.Shards < 0 {
-		return fmt.Errorf("Partition.Shards must be >= 0, got %d", c.Partition.Shards)
 	}
 	if c.BestEffortLate && c.Strategy != StrategyNative {
 		return fmt.Errorf("BestEffortLate applies only to %q", StrategyNative)
@@ -312,9 +280,8 @@ func (c Config) adaptiveConfig() Adaptive {
 	return ac
 }
 
-// adaptiveController builds the per-engine controller, or nil when the
-// config doesn't call for one. Each call returns a fresh controller —
-// partitioned configs get one per shard, each owned (fed) by its engine.
+// adaptiveController builds the engine's controller, or nil when the
+// config doesn't call for one.
 func (c Config) adaptiveController() (*adaptive.Controller, error) {
 	if !c.adaptiveActive() {
 		return nil, nil

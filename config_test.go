@@ -17,8 +17,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"negative K", Config{K: -1}, "K must be >= 0"},
-		{"shards without attr", Config{Partition: Partition{Shards: 2}}, "without Partition.Attr"},
-		{"negative shards", Config{Partition: Partition{Attr: "sensor", Shards: -1}}, "Shards must be >= 0"},
 		{"best-effort non-native", Config{Strategy: StrategyKSlack, BestEffortLate: true}, "BestEffortLate applies only"},
 		{"trigger-opt without the kernel", Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}, "DisableTriggerOpt does not apply"},
 		{"keyed-stacks without the kernel", Config{Strategy: StrategyInOrder, DisableKeyedStacks: true}, "DisableKeyedStacks does not apply"},
@@ -67,8 +65,6 @@ func TestConfigValidateAccepts(t *testing.T) {
 		{"hybrid adaptive with SLO", Config{Strategy: StrategyHybrid, K: 100,
 			Adaptive: Adaptive{Enabled: true, SLO: SLO{MaxLatency: 200, MaxRetractionRate: 0.05}}}},
 		{"ordered static non-adaptive", Config{Strategy: StrategyKSlack, K: 10, OrderedOutput: true}},
-		{"partitioned adaptive", Config{K: 100, Partition: Partition{Attr: "sensor", Shards: 4},
-			Adaptive: Adaptive{Enabled: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,12 +101,6 @@ func TestConfigValidateWithQuery(t *testing.T) {
 		{"best-effort aggregate", agg,
 			Config{K: 10, BestEffortLate: true},
 			"BestEffortLate"},
-		{"partitioned ungrouped aggregate", agg,
-			Config{K: 10, Partition: Partition{Attr: "id", Shards: 2}},
-			"cannot be partitioned"},
-		{"partition attr differs from group attr", grouped,
-			Config{K: 10, Partition: Partition{Attr: "sensor", Shards: 2}},
-			"GROUP BY attribute"},
 	}
 	for _, tc := range rejections {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,8 +120,7 @@ func TestConfigValidateWithQuery(t *testing.T) {
 	}{
 		{"plain aggregate", agg, Config{K: 10}},
 		{"speculative aggregate", agg, Config{Strategy: StrategySpeculate, K: 10}},
-		{"partition on the group attribute", grouped,
-			Config{K: 10, Partition: Partition{Attr: "id", Shards: 3}}},
+		{"grouped aggregate", grouped, Config{K: 10}},
 	}
 	for _, tc := range accepts {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,14 +15,28 @@ var restoreTargets = []struct {
 	name  string
 	query string
 	cfg   Config
+	// drive is the stream whatever restored must take.
+	drive []Event
 }{
-	{"unkeyed", "PATTERN SEQ(A a, B b) WITHIN 50", Config{K: 10}},
-	{"keyed", "PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 50", Config{K: 10}},
-	{"negation", "PATTERN SEQ(A a, !(C c), B b) WITHIN 50", Config{K: 10}},
+	{"unkeyed", "PATTERN SEQ(A a, B b) WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
+	{"keyed", "PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
+	{"negation", "PATTERN SEQ(A a, !(C c), B b) WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
 	{"adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
-		Config{K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, MaxK: 40}}},
-	{"partitioned", "PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 50",
-		Config{K: 10, Partition: Partition{Attr: "id", Shards: 2}}},
+		Config{K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, MaxK: 40}}, restoreStream(100, 20)},
+	// The queries of testdata/partitioned: what restores here is a checkpoint a
+	// partitioned engine wrote (TestRestorePartitionedFixture), or a forgery of
+	// one. Their clocks read about 2800.
+	{"partitioned", fixtureNegQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
+	{"partitioned-agg", fixtureAggQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
+}
+
+// shopStream renames a restoreStream to the fixtures' vocabulary.
+func shopStream(events []Event) []Event {
+	shop := map[string]string{"A": "SHELF", "C": "COUNTER", "B": "EXIT"}
+	for i := range events {
+		events[i].Type = shop[events[i].Type]
+	}
+	return events
 }
 
 // restoreStream is the fixed stream a restored engine must take: A, C and B
@@ -90,7 +104,8 @@ func FuzzRestoreEngine(f *testing.F) {
 	for i, tgt := range restoreTargets {
 		queries[i] = MustCompile(tgt.query, nil)
 		en := MustNewEngine(queries[i], tgt.cfg)
-		for _, e := range restoreStream(40, 12) {
+		for _, e := range tgt.drive[:12] {
+			e.TS, e.Seq = e.TS-60, e.Seq-60 // the stream as it was 60 ms earlier
 			en.Process(e)
 		}
 		var buf bytes.Buffer
@@ -107,6 +122,10 @@ func FuzzRestoreEngine(f *testing.F) {
 		pendingBinding(62, 97, 3), pendingBinding(63, 91, 4), pendingBinding(64, 95, 5))))
 	f.Add(uint8(2), []byte(pendingCheckpoint(pendingBinding(70, 96, 1), pendingBinding(71, 92, 2),
 		pendingBinding(72, 96, 3), pendingBinding(73, 92, 4), pendingBinding(74, 96, 5))))
+	// What a partitioned engine wrote at a1962f3, and forgeries of it.
+	for _, h := range hostilePartitioned(f) {
+		f.Add(h.target, h.data)
+	}
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
 		i := int(target) % len(restoreTargets)
@@ -125,10 +144,10 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		drive := func(en *Engine) string {
 			var out []Match
-			for _, e := range restoreStream(100, 20) {
+			for _, e := range tgt.drive {
 				out = append(out, en.Process(e)...)
 			}
-			out = append(out, en.Advance(1000)...)
+			out = append(out, en.Advance(tgt.drive[0].TS+1000)...)
 			out = append(out, en.Flush()...)
 			return fmt.Sprint(out)
 		}

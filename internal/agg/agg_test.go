@@ -370,8 +370,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	restored, err := Restore(p, engine.Env{}, &buf, func(r io.Reader) (engine.Engine, error) {
-		return core.Restore(p, engine.Env{}, r)
+	restored, err := Restore(p, engine.Env{}, []io.Reader{&buf}, func(parts []io.Reader) (engine.Engine, error) {
+		return core.Restore(p, engine.Env{}, parts...)
 	})
 	if err != nil {
 		t.Fatalf("restore: %v", err)

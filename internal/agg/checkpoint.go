@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -47,10 +48,13 @@ type aggCheckpoint struct {
 // ckGroup is one key group: its GROUP BY value (absent when the query is
 // ungrouped) and its elements in strictly ascending key order, so the
 // restore rebuilds each run by appends. The folds over a run are caches and
-// are not serialized.
+// are not serialized. Sealed is written only between a merged restore and
+// the first event after it, for a group whose windows were emitted further
+// than the operator's frontier says (group.sealed).
 type ckGroup struct {
-	Key   *event.Value `json:"key,omitempty"`
-	Elems []ckElem     `json:"elems"`
+	Key    *event.Value `json:"key,omitempty"`
+	Sealed *event.Time  `json:"sealed,omitempty"`
+	Elems  []ckElem     `json:"elems"`
 }
 
 // ckElem is one run element. Min/Max are pointers because the zero
@@ -95,6 +99,9 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 			key := g.key
 			cg.Key = &key
 		}
+		if g.sealed != math.MinInt64 && (!en.sealedInit || g.sealed > en.sealed) {
+			cg.Sealed = &g.sealed
+		}
 		g.run.All(func(k fiba.Key, p fiba.Partial, aux any) bool {
 			cg.Elems = append(cg.Elems, ckElem{
 				TS:     k.TS,
@@ -130,22 +137,28 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	return err
 }
 
-// Restore rebuilds a sealed-mode operator from a checkpoint, instrumented
-// by env as NewWithEnv would. p must be the same compiled plan the
-// checkpointed engine ran with (the lateness bound travels in the
-// checkpoint); restoreInner consumes the remainder of the stream and
-// rebuilds the wrapped engine. Lineage citations are not checkpointed:
-// records emitted for restored elements carry Truncated.
-func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Reader) (engine.Engine, error)) (*Engine, error) {
+// frontier is the highest window end the checkpointed operator had sealed,
+// below every end when it had sealed none.
+func (cf aggCheckpoint) frontier() event.Time {
+	if !cf.SealedInit {
+		return math.MinInt64
+	}
+	return cf.Sealed
+}
+
+// readCheckpoint consumes one operator envelope from r and returns its
+// validated payload decoded; r is left at the wrapped engine's checkpoint.
+func readCheckpoint(r io.Reader) (aggCheckpoint, error) {
+	var cf aggCheckpoint
 	var hdr [15]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("agg: checkpoint header truncated: %w", err)
+		return cf, fmt.Errorf("agg: checkpoint header truncated: %w", err)
 	}
 	if [6]byte(hdr[:6]) != aggMagic {
-		return nil, fmt.Errorf("agg: bad checkpoint magic %q", hdr[:6])
+		return cf, fmt.Errorf("agg: bad checkpoint magic %q", hdr[:6])
 	}
 	if hdr[6] != aggEnvelopeVersion {
-		return nil, fmt.Errorf("agg: checkpoint envelope version %d, want %d", hdr[6], aggEnvelopeVersion)
+		return cf, fmt.Errorf("agg: checkpoint envelope version %d, want %d", hdr[6], aggEnvelopeVersion)
 	}
 	size := binary.LittleEndian.Uint32(hdr[7:11])
 	want := binary.LittleEndian.Uint32(hdr[11:15])
@@ -153,62 +166,102 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader, restoreInner func(io.Rea
 	// with the bytes that actually arrive, never ahead of them.
 	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
 	if err != nil {
-		return nil, fmt.Errorf("agg: read checkpoint payload: %w", err)
+		return cf, fmt.Errorf("agg: read checkpoint payload: %w", err)
 	}
 	if uint32(len(payload)) != size {
-		return nil, fmt.Errorf("agg: checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
+		return cf, fmt.Errorf("agg: checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
 	}
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("agg: checkpoint corrupt: CRC32 %08x, want %08x", got, want)
+		return cf, fmt.Errorf("agg: checkpoint corrupt: CRC32 %08x, want %08x", got, want)
 	}
-	var cf aggCheckpoint
 	if err := json.Unmarshal(payload, &cf); err != nil {
-		return nil, fmt.Errorf("agg: decode checkpoint: %w", err)
+		return cf, fmt.Errorf("agg: decode checkpoint: %w", err)
 	}
-	inner, err := restoreInner(r)
+	return cf, nil
+}
+
+// Restore rebuilds a sealed-mode operator from a checkpoint, instrumented
+// by env as NewWithEnv would: from one part, or from the checkpoints of
+// several operators that each aggregated a share of one stream split by the
+// GROUP BY key, merged into the one operator that would have seen the whole
+// stream. p must be the same compiled plan the checkpointed engine ran with
+// (the lateness bound travels in the checkpoint); restoreInner consumes the
+// remainder of every part and rebuilds the wrapped engine. Lineage citations
+// are not checkpointed: records emitted for restored elements carry
+// Truncated.
+//
+// Merged, the groups unite (one in two parts is not a split by key), the
+// clock is the latest and the event count the sum. Operators that each
+// watched their own clock have sealed through different windows: the merged
+// one resumes from the earliest frontier, what a lagging part has not
+// emitted being still owed, and a group sits out the windows its own
+// operator had already emitted (group.sealed).
+func Restore(p *plan.Plan, env engine.Env, parts []io.Reader, restoreInner func([]io.Reader) (engine.Engine, error)) (*Engine, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("agg: checkpoint has no parts")
+	}
+	files := make([]aggCheckpoint, len(parts))
+	front := event.Time(math.MaxInt64)
+	for i, r := range parts {
+		var err error
+		if files[i], err = readCheckpoint(r); err != nil {
+			return nil, err
+		}
+		if files[i].Lateness != files[0].Lateness {
+			return nil, fmt.Errorf("agg: checkpoint parts disagree on the lateness bound: %d against %d", files[i].Lateness, files[0].Lateness)
+		}
+		front = min(front, files[i].frontier())
+	}
+	inner, err := restoreInner(parts)
 	if err != nil {
 		return nil, err
 	}
-	en := NewWithEnv(p, inner, false, cf.Lateness, env)
-	en.clock = cf.Clock
-	en.arrival = cf.Arrival
-	en.elemSeq = cf.ElemSeq
-	en.sealed = cf.Sealed
-	en.sealedInit = cf.SealedInit
-	for _, cg := range cf.Groups {
-		var key event.Value
-		if cg.Key != nil {
-			key = *cg.Key
-		}
-		if en.byKey[mapKey(key, cg.Key != nil)] != nil {
-			return nil, fmt.Errorf("agg: checkpoint holds group %s twice", key)
-		}
-		g := en.newGroup(key, cg.Key != nil)
-		var last fiba.Key
-		for i, ce := range cg.Elems {
-			part := fiba.Partial{
-				Count:  ce.Count,
-				SumI:   ce.SumI,
-				SumF:   ce.SumF,
-				Floaty: ce.Floaty,
+	en := NewWithEnv(p, inner, false, files[0].Lateness, env)
+	if front != math.MinInt64 {
+		en.sealed, en.sealedInit = front, true
+	}
+	for _, cf := range files {
+		en.clock = max(en.clock, cf.Clock)
+		en.arrival += cf.Arrival
+		en.elemSeq = max(en.elemSeq, cf.ElemSeq)
+		for _, cg := range cf.Groups {
+			var key event.Value
+			if cg.Key != nil {
+				key = *cg.Key
 			}
-			if ce.Min != nil {
-				part.Min = *ce.Min
+			if en.byKey[mapKey(key, cg.Key != nil)] != nil {
+				return nil, fmt.Errorf("agg: checkpoint holds group %s twice", key)
 			}
-			if ce.Max != nil {
-				part.Max = *ce.Max
+			g := en.newGroup(key, cg.Key != nil)
+			if g.sealed = cf.frontier(); cg.Sealed != nil {
+				g.sealed = max(g.sealed, *cg.Sealed)
 			}
-			key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
-			if i > 0 && !last.Less(key) {
-				return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
-			}
-			last = key
-			g.run.Insert(key, part, &elemAux{matchKey: ce.Match})
-			en.elems++
-			en.byMatch[ce.Match] = elemRef{group: g, key: key}
-			// Keys minted from here on must not collide with a restored one.
-			if ce.Seq >= en.elemSeq {
-				en.elemSeq = ce.Seq + 1
+			var last fiba.Key
+			for i, ce := range cg.Elems {
+				part := fiba.Partial{
+					Count:  ce.Count,
+					SumI:   ce.SumI,
+					SumF:   ce.SumF,
+					Floaty: ce.Floaty,
+				}
+				if ce.Min != nil {
+					part.Min = *ce.Min
+				}
+				if ce.Max != nil {
+					part.Max = *ce.Max
+				}
+				key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
+				if i > 0 && !last.Less(key) {
+					return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
+				}
+				last = key
+				g.run.Insert(key, part, &elemAux{matchKey: ce.Match})
+				en.elems++
+				en.byMatch[ce.Match] = elemRef{group: g, key: key}
+				// Keys minted from here on must not collide with a restored one.
+				if ce.Seq >= en.elemSeq {
+					en.elemSeq = ce.Seq + 1
+				}
 			}
 		}
 	}

@@ -32,6 +32,8 @@
 package agg
 
 import (
+	"math"
+
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/fiba"
@@ -54,6 +56,11 @@ type group struct {
 	has     bool
 	run     *fiba.Run
 	emitted map[event.Time]*plan.AggValue
+	// sealed is the highest window end the operator this group was restored
+	// from had emitted (a merged restore resumes from the earliest of its
+	// parts' frontiers, which may lie before it); below every end for a
+	// group made since.
+	sealed event.Time
 }
 
 // elemRef locates one inner match's run element for retraction.
@@ -364,7 +371,7 @@ func (en *Engine) removeElem(m plan.Match, out []plan.Match) []plan.Match {
 // where a late element re-reads the previewed windows that contain it (the
 // slide keeps an element exactly at the bound on the covered side).
 func (en *Engine) newGroup(key event.Value, has bool) *group {
-	g := &group{key: key, has: has}
+	g := &group{key: key, has: has, sealed: math.MinInt64}
 	if en.speculative {
 		g.run = fiba.NewRun(en.lateness + en.spec.Slide)
 		g.emitted = make(map[event.Time]*plan.AggValue)
@@ -507,6 +514,9 @@ func (en *Engine) firstAfter(t event.Time) (event.Time, bool) {
 // passing HAVING, in group insertion order.
 func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan.Match {
 	for _, g := range en.groups {
+		if end <= g.sealed {
+			continue
+		}
 		av := en.windowValue(g, end)
 		if av == nil {
 			continue
@@ -622,7 +632,6 @@ func (en *Engine) emit(g *group, av *plan.AggValue, kind plan.MatchKind, out []p
 func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *provenance.Record {
 	r := &provenance.Record{
 		Kind:      provenance.KindInsert,
-		Shard:     -1,
 		WindowLo:  av.WindowStart,
 		WindowHi:  av.WindowEnd,
 		SealTS:    av.WindowEnd + en.lateness,

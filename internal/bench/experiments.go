@@ -347,42 +347,6 @@ func E12NetworkSim(s Scale) *Table {
 	return t
 }
 
-// E13Partitioned measures the key-partitioned scale-out extension: the
-// shoplifting query is equality-linked on the item id, so the stream can
-// be hash-partitioned and matched by independent engines. Sequential
-// execution isolates the bookkeeping overhead of partitioning; per-shard
-// peak state shows the memory split a real deployment would get per core.
-// Results are checked identical to the single engine's.
-func E13Partitioned(s Scale) *Table {
-	q := negQuery()
-	sorted := rfidSorted(s, 25)
-	shuffled := disorder(sorted, 0.10, defaultK, 26)
-	single := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}, shuffled)
-	t := &Table{
-		ID:      "E13",
-		Title:   "Key-partitioned scale-out (native, sequential shards)",
-		Anchor:  "extension: hash partitioning on the equality-linked attribute",
-		Columns: []string{"shards", "kev/s", "exact", "peak_state_total", "peak_per_shard"},
-	}
-	t.AddRow("1 (unsharded)", fmtKevS(single.Throughput()), "-", fmtInt(single.Metrics.PeakState), fmtInt(single.Metrics.PeakState))
-	for _, shards := range []int{2, 4, 8, 16} {
-		en, err := oostream.NewEngine(q, oostream.Config{K: defaultK,
-			Partition: oostream.Partition{Attr: "id", Shards: shards}})
-		if err != nil {
-			panic(err) // query is statically partitionable
-		}
-		start := time.Now()
-		got := en.ProcessAll(shuffled)
-		elapsed := time.Since(start)
-		exact, _ := oostream.SameResults(single.Matches, got)
-		m := en.Metrics()
-		t.AddRow(fmtInt(shards), fmtKevS(float64(len(shuffled))/elapsed.Seconds()),
-			fmt.Sprintf("%v", exact), fmtInt(m.PeakState), fmtInt(m.PeakState/shards))
-	}
-	t.Notes = append(t.Notes, "shards run sequentially on one goroutine: the gain is per-shard state reduction, not parallelism (EXPERIMENTS.md E28)")
-	return t
-}
-
 // E14KeyCardinality measures the key-partitioned stacks optimization: the
 // native engine automatically keys its active instance stacks by the
 // equality-linked attribute (here the item id), so construction and

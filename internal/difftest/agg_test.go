@@ -9,9 +9,8 @@ import (
 )
 
 // TestAggDifferentialTrials soaks the aggregation differential: every
-// strategy (plus heartbeats, batching, provenance, a checkpoint
-// round-trip, and partitioned execution on grouped trials) against the
-// brute-force window truth. The acceptance bar is ≥200 trials.
+// strategy (plus heartbeats, batching, provenance, and a checkpoint
+// round-trip) against the brute-force window truth. The acceptance bar is ≥200 trials.
 func TestAggDifferentialTrials(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -30,12 +29,12 @@ func TestAggDifferentialTrials(t *testing.T) {
 
 // TestAggGeneratorCoverage asserts the aggregate trial distribution
 // exercises the interesting regions: every function, SLIDE, GROUP BY,
-// HAVING, trailing negation (the widened lateness bound), partitionable
-// grouped trials (the shard check only runs on those), and non-empty
-// window truth.
+// HAVING, trailing negation (the widened lateness bound), grouped trials
+// partitionable by the GROUP BY attribute (a keyed kernel beneath grouped
+// windows), and non-empty window truth.
 func TestAggGeneratorCoverage(t *testing.T) {
 	funcs := map[string]int{}
-	var slide, grouped, having, trailingNeg, shardable, nonEmpty int
+	var slide, grouped, having, trailingNeg, keyedGrouped, nonEmpty int
 	n := 300
 	if testing.Short() {
 		n = 60
@@ -63,7 +62,7 @@ func TestAggGeneratorCoverage(t *testing.T) {
 			trailingNeg++
 		}
 		if p.Agg.GroupAttr == PartitionAttr && p.PartitionableBy(PartitionAttr) {
-			shardable++
+			keyedGrouped++
 		}
 		if len(aggTruth(p, sortedCopy(c))) > 0 {
 			nonEmpty++
@@ -76,7 +75,7 @@ func TestAggGeneratorCoverage(t *testing.T) {
 	}
 	for name, got := range map[string]int{
 		"SLIDE": slide, "GROUP BY": grouped, "HAVING": having,
-		"trailing negation": trailingNeg, "shardable grouped": shardable,
+		"trailing negation": trailingNeg, "keyed grouped": keyedGrouped,
 	} {
 		if got < n/20 {
 			t.Errorf("only %d/%d trials exercise %s", got, n, name)

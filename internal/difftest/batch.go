@@ -67,13 +67,6 @@ func RunBatch(c Case) *Failure {
 		{"batch-speculate-late", oostream.Config{Strategy: oostream.StrategySpeculate, K: lateK, PurgeEvery: 1}},
 		{"batch-speculate-prov", oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K, Provenance: true, PurgeEvery: 1}},
 	}
-	if q.PartitionableBy(PartitionAttr) {
-		part := oostream.Partition{Attr: PartitionAttr, Shards: shardCount}
-		cfgs = append(cfgs,
-			batchCfg{"batch-shard", oostream.Config{Strategy: oostream.StrategyNative, K: c.K, Partition: part}},
-			batchCfg{"batch-shard-prov", oostream.Config{Strategy: oostream.StrategyNative, K: c.K, Partition: part, Provenance: true}},
-		)
-	}
 
 	// Partition schemes are a pure function of the seed. Singleton batches
 	// pin ProcessBatch([e]) ≡ Process(e); the whole-stream batch maximizes

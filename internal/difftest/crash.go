@@ -18,9 +18,8 @@ import (
 // configuration.
 const crashPoints = 3
 
-// RunCrash executes the crash-point differential: for every strategy (and
-// the partitioned topology when the query allows it) it runs the
-// supervised engine uninterrupted, then again with the process killed at
+// RunCrash executes the crash-point differential: for every strategy it
+// runs the supervised engine uninterrupted, then again with the process killed at
 // seed-derived offsets and recovered from durable state — re-delivering
 // the event before each crash point to exercise duplicate admission — and
 // requires the exact ordered match sequence of the two runs to agree,
@@ -82,15 +81,6 @@ func RunCrash(c Case) *Failure {
 		{name: "crash-inorder", make: superv(oostream.Config{Strategy: oostream.StrategyInOrder}, 0)},
 		{name: "crash-kslack", truth: true, make: superv(oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, 0)},
 		{name: "crash-speculate", make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 0)},
-	}
-	if q.PartitionableBy(PartitionAttr) {
-		sharded := native
-		sharded.Partition = oostream.Partition{Attr: PartitionAttr, Shards: shardCount}
-		cfgs = append(cfgs, crashCfg{name: "crash-shard", truth: true,
-			make: func(dir string) (*oostream.SupervisedEngine, error) {
-				return oostream.NewSupervisedEngine(q, sharded,
-					oostream.SupervisorConfig{Dir: dir, CheckpointEvery: 5, DisableFsync: true})
-			}})
 	}
 
 	for _, cfg := range cfgs {

@@ -17,8 +17,7 @@ const crashTrialCount = 60
 // trials, killing and recovering the supervised engine at arbitrary
 // offsets must reproduce the uninterrupted run's exact ordered match
 // sequence — no lost and no duplicated emissions — across all four
-// strategies, the partitioned topology, and a corrupted-checkpoint
-// fallback.
+// strategies and a corrupted-checkpoint fallback.
 func TestCrashDifferentialTrials(t *testing.T) {
 	n := crashTrialCount
 	if testing.Short() {

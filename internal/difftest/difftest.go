@@ -1,8 +1,8 @@
 // Package difftest is the randomized differential-testing harness that
 // guards the library's central claim: every strategy computes the same
 // match multiset. For a generated (query, stream, disorder) triple it runs
-// all four strategies, the ordered-output wrapper, partitioned execution,
-// and a mid-stream checkpoint/restore round-trip, and compares
+// all four strategies, the ordered-output wrapper, and a mid-stream
+// checkpoint/restore round-trip, and compares
 // every result multiset against the brute-force oracle on the sorted
 // stream — which is, by I1, the normative semantics.
 //
@@ -22,10 +22,8 @@
 //     between events never changes the final multiset;
 //   - speculation convergence (I7): the speculative engine's inserts minus
 //     retracts equal the exact result set after sealing;
-//   - partitioning soundness (I8): partitioned execution equals the
-//     single engine, as multisets;
-//   - keyed-stacks soundness: on partitionable queries the kernel runs
-//     with key-partitioned stacks by default; with keying disabled the
+//   - partitioning soundness (I8): on partitionable queries the kernel
+//     files its state per key by default; with keying disabled the
 //     native policy must produce the identical multiset and the
 //     speculative policy the identical insert/retract sequence;
 //   - expiry-order soundness: under either policy, keyed by the plan's
@@ -56,13 +54,8 @@ import (
 )
 
 // PartitionAttr is the attribute every generated event carries and
-// partitionable generated queries link on; the shard checks route by it.
+// partitionable generated queries link on.
 const PartitionAttr = "id"
-
-// shardCount is the shard fan-out used by the partitioned checks. Three
-// shards with small id ranges guarantees both co-located and separated
-// keys occur.
-const shardCount = 3
 
 // Case is one differential trial: a query, a disorder bound, and a
 // concrete arrival order. Sorted truth is derived, not stored — the
@@ -122,7 +115,7 @@ func isNaN(v event.Value) bool {
 type Failure struct {
 	// Case is the failing trial (possibly shrunk).
 	Case Case
-	// Check names the property that failed, e.g. "native" or "shard-seq".
+	// Check names the property that failed, e.g. "native" or "native-unkeyed".
 	Check string
 	// Diff is the multiset diff (oracle vs engine) or error text.
 	Diff string
@@ -280,37 +273,6 @@ func Run(c Case) *Failure {
 		return &Failure{Case: c, Check: "checkpoint-order", Diff: diff, Truth: len(want)}
 	}
 
-	// Partitioning soundness (I8), when the query confines matches to one
-	// key.
-	if q.PartitionableBy(PartitionAttr) {
-		sharded := native
-		sharded.Partition = oostream.Partition{Attr: PartitionAttr, Shards: shardCount}
-		se, err := oostream.NewEngine(q, sharded)
-		if err != nil {
-			return errf("shard-seq", err)
-		}
-		if f := fail("shard-seq", se.ProcessAll(c.Arrival)); f != nil {
-			return f
-		}
-
-		// Partitioned execution under ordered output must be deterministic:
-		// two engines built from the identical Config.Partition must emit
-		// the identical output sequence — same routing, same shard
-		// topology, same order, not merely multiset-equal.
-		ocfg := sharded
-		ocfg.OrderedOutput = true
-		ea, err := oostream.NewEngine(q, ocfg)
-		if err != nil {
-			return errf("partition-config", err)
-		}
-		eb, err := oostream.NewEngine(q, ocfg)
-		if err != nil {
-			return errf("partition-config", err)
-		}
-		if diff := identicalMatches(ea.ProcessAll(c.Arrival), eb.ProcessAll(c.Arrival)); diff != "" {
-			return &Failure{Case: c, Check: "partition-config", Diff: diff, Truth: len(truth)}
-		}
-	}
 	return nil
 }
 

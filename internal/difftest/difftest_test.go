@@ -37,7 +37,8 @@ func TestDifferentialTrials(t *testing.T) {
 
 // TestGeneratorCoverage asserts the trial distribution actually exercises
 // the interesting regions: negation, disorder, partitionable queries (the
-// shard checks only run on those), timestamp ties, and non-empty truth.
+// keyed-vs-unkeyed checks only run on those), timestamp ties, and non-empty
+// truth.
 // Without this, a generator regression could silently hollow out the
 // differential test.
 func TestGeneratorCoverage(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 
 // FuzzDifferential is the seed-driven fuzz entry: the fuzzer explores the
 // 64-bit seed space of Generate, each execution being one full differential
-// trial (all strategies, both shard modes, checkpoint round-trip vs the
+// trial (all strategies, keyed and unkeyed, checkpoint round-trip vs the
 // oracle). Failures are shrunk before reporting, so a crash artifact's
 // output contains a paste-ready regression fixture.
 func FuzzDifferential(f *testing.F) {

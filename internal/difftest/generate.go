@@ -94,7 +94,7 @@ func GeneratePermuted(seed int64, perm []byte) Case {
 
 // genQuery builds a random SEQ query: 2–4 positive components, optional
 // negation at a random gap, an id-equality chain most of the time (so the
-// shard checks run), and occasional value predicates — one comparison, or on
+// kernel keys its state), and occasional value predicates — one comparison, or on
 // three or more components a pair with arithmetic whose slots share one
 // variable. It returns the query text and the set of types the pattern
 // references (stream generation biases toward them).

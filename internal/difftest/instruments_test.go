@@ -31,7 +31,7 @@ const (
 )
 
 // covStream is a disordered stream over the trial universe with one event
-// lacking the partition attribute (so a routing layer's own series moves)
+// lacking the partition attribute (which the keyed kernel counts and drops)
 // and noise of an irrelevant type.
 func covStream() ([]event.Event, event.Time) {
 	rng := rand.New(rand.NewSource(16))
@@ -110,10 +110,8 @@ func mustCompile(t *testing.T, src string) *oostream.Query {
 // covRows enumerates the table.
 func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 	var rows []covRow
-	part := oostream.Partition{Attr: PartitionAttr, Shards: 2}
 
-	// Five strategies × {single, Partition, OrderedOutput, aggregate, and
-	// the two wrappers under Partition}.
+	// Five strategies × {single, OrderedOutput, aggregate}.
 	for _, strat := range oostream.Strategies() {
 		s := string(strat)
 		variants := []struct {
@@ -122,12 +120,8 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 			series      []string
 		}{
 			{"single", covQuery, oostream.Config{}, []string{s}},
-			{"partition", covQuery, oostream.Config{Partition: part}, []string{s + "/shard0", s + "/shard1", "shard(" + s + ")"}},
 			{"ordered", covQuery, oostream.Config{OrderedOutput: true}, []string{s}},
 			{"aggregate", covAgg, oostream.Config{}, []string{s}},
-			// The routing layer's series is named after what it routes to.
-			{"partition+ordered", covQuery, oostream.Config{Partition: part, OrderedOutput: true}, []string{s + "/shard0", s + "/shard1", "shard(ordered(" + s + "))"}},
-			{"partition+aggregate", covAgg, oostream.Config{Partition: part}, []string{s + "/shard0", s + "/shard1", "shard(agg(" + s + "))"}},
 		}
 		for _, v := range variants {
 			cfg := v.cfg
@@ -182,7 +176,6 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 		buffered    bool
 	}{
 		{"native", covQuery, oostream.Config{}, []string{"supervised(native)"}, false},
-		{"native/partition", covQuery, oostream.Config{Partition: part}, []string{"supervised(native)", "native/shard0", "native/shard1"}, false},
 		{"native/aggregate", covAgg, oostream.Config{}, []string{"supervised(native)"}, false},
 		{"kslack", covQuery, oostream.Config{Strategy: oostream.StrategyKSlack}, []string{"supervised(kslack)"}, true},
 	}
@@ -279,7 +272,7 @@ func cloneEvents(events []event.Event) []event.Event {
 func TestInstrumentCoverage(t *testing.T) {
 	events, k := covStream()
 	rows := covRows(t, events, k)
-	if len(rows) < 26+4+5 {
+	if len(rows) < 13+4+4 {
 		t.Fatalf("table has %d rows; a composition stopped building", len(rows))
 	}
 	for _, row := range rows {

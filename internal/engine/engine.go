@@ -2,10 +2,10 @@
 // this library implements — the in-order baseline, the out-of-order kernel
 // (the paper's contribution) under either emission policy, and the layers
 // composed around it (the K-slack levee, the policy-switching hybrid, the
-// ordered-output and aggregation wrappers, the sharded router, the
-// multi-query set) — and Env, the one value through which a layer receives
-// its instruments when it is built. The benchmark harness, the runtime
-// pipeline, and the public facade all program against this package.
+// ordered-output and aggregation wrappers, the multi-query set) — and Env,
+// the one value through which a layer receives its instruments when it is
+// built. The benchmark harness, the runtime pipeline, and the public facade
+// all program against this package.
 package engine
 
 import (

@@ -347,6 +347,61 @@ func TestOneContract(t *testing.T) {
 	}
 }
 
+// TestOnePartitioning is the mechanical form of "the kernel's key groups are
+// the partition": nothing routes a stream across several engines of one
+// query. internal/shard does not exist, oostream.Config has no Partition
+// field, and no non-test type outside internal/queryset (one engine per
+// registered query, not per share of a stream) holds a slice or a map of
+// engine.Engine.
+func TestOnePartitioning(t *testing.T) {
+	if _, err := os.Stat(filepath.Join("..", "shard")); err == nil {
+		t.Error("internal/shard exists: a partitionable query already runs keyed in the kernel (EXPERIMENTS.md E34)")
+	}
+	walkModule(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if strings.HasSuffix(rel, "_test.go") || dir == "internal/queryset" {
+			return
+		}
+		isEngine := func(e ast.Expr) bool {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				pkg, ok := sel.X.(*ast.Ident)
+				return ok && pkg.Name == "engine" && sel.Sel.Name == "Engine"
+			}
+			id, ok := e.(*ast.Ident)
+			return ok && dir == "internal/engine" && id.Name == "Engine"
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok && dir == "." && ts.Name.Name == "Config" {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if name.Name == "Partition" {
+							t.Errorf("%s: Config has a Partition field", rel)
+						}
+					}
+				}
+			}
+			ast.Inspect(ts.Type, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ArrayType:
+					if isEngine(n.Elt) {
+						t.Errorf("%s: type %s holds a slice of engine.Engine; one engine runs one query, keyed", rel, ts.Name.Name)
+					}
+				case *ast.MapType:
+					if isEngine(n.Value) {
+						t.Errorf("%s: type %s holds a map of engine.Engine; one engine runs one query, keyed", rel, ts.Name.Name)
+					}
+				}
+				return true
+			})
+			return false
+		})
+	})
+}
+
 // TestEveryRunnerHasAnEntryPoint is the mechanical form of "no concurrency
 // nobody runs": every package under internal/ is reachable, through
 // non-test imports, from package oostream or a cmd/ main, and library code

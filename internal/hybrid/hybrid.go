@@ -93,7 +93,7 @@ func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 	if opts.MinDwell < 0 {
 		return nil, fmt.Errorf("MinDwell must be >= 0, got %d", opts.MinDwell)
 	}
-	kernel.Adaptive, kernel.AdaptiveFeed = opts.Controller, true
+	kernel.Adaptive = opts.Controller
 	kernel.Emit = core.EmitThenRetract
 	if opts.StartNative {
 		kernel.Emit = core.SealThenEmit

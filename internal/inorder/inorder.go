@@ -358,7 +358,6 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov = &provenance.Record{
 			Kind:       provenance.KindInsert,
 			Events:     provenance.Refs(events),
-			Shard:      -1,
 			WindowLo:   events[0].TS,
 			WindowHi:   events[0].TS + en.plan.Window,
 			SealTS:     sealTS,

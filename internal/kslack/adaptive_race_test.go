@@ -28,7 +28,7 @@ func TestConcurrentSetKDuringProcess(t *testing.T) {
 	events := shuffleBounded(rng, sortedStream(rng, 4_000, []string{"A", "B"}), 30)
 
 	ctrl := adaptive.MustController(adaptive.Config{InitialK: 30})
-	en := NewAdaptiveEngine(ctrl, true, core.MustNew(p, core.Options{}), engine.Env{})
+	en := NewAdaptiveEngine(ctrl, core.MustNew(p, core.Options{}), engine.Env{})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -39,13 +39,10 @@ type Engine struct {
 	// clock to the outer clock (the inner engine's clock lags by K).
 	prov bool
 	// adapt, when non-nil, makes the slack dynamic: the buffer re-reads
-	// the controller's effective K at every push. adaptFeed marks this
-	// engine as the controller's owner — it feeds lag observations and
-	// buffer occupancy; a follower (one shard of a partitioned engine
-	// sharing a controller) only reads.
-	adapt     *adaptive.Controller
-	adaptFeed bool
-	shedded   uint64
+	// the controller's effective K at every push, and the engine feeds the
+	// controller lag observations and buffer occupancy.
+	adapt   *adaptive.Controller
+	shedded uint64
 	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
 	// spans. The levee owns the buffer-residency stage: admitted events
 	// are Held (so the facade's unconditional Finish cannot close a span
@@ -66,13 +63,12 @@ func NewEngine(k event.Time, inner engine.Engine, env engine.Env) *Engine {
 }
 
 // NewAdaptiveEngine wraps inner with a reorder buffer whose slack is the
-// controller's effective K, re-read at every push. When feed is true this
-// engine owns the controller: it feeds watermark-lag observations and
-// buffer occupancy (driving K derivation and overload degradation); pass
-// false for engines sharing a controller someone else feeds.
-func NewAdaptiveEngine(ctrl *adaptive.Controller, feed bool, inner engine.Engine, env engine.Env) *Engine {
+// controller's effective K, re-read at every push. The engine feeds the
+// controller watermark-lag observations and buffer occupancy (driving K
+// derivation and overload degradation).
+func NewAdaptiveEngine(ctrl *adaptive.Controller, inner engine.Engine, env engine.Env) *Engine {
 	en := newEngine(NewBufferDynamic(ctrl.EffectiveK), inner, env)
-	en.adapt, en.adaptFeed = ctrl, feed
+	en.adapt = ctrl
 	return en
 }
 
@@ -173,7 +169,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		lag = en.clock - e.TS
 	}
 	en.met.IncIn(e.TS < en.clock, lag)
-	if en.adaptFeed {
+	if en.adapt != nil {
 		// Same observation point as Series.WatermarkLag — bound violators
 		// included, so a late storm is evidence to grow K, not invisible.
 		en.adapt.ObserveLag(lag)
@@ -199,9 +195,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		// Degradation check runs on the post-push occupancy (before
 		// shedding trims it) so the controller sees the overload; shedding
 		// then bounds the buffer deterministically, oldest first.
-		if en.adaptFeed {
-			en.adapt.NoteState(en.buf.Len())
-		}
+		en.adapt.NoteState(en.buf.Len())
 		if limit := en.adapt.Limits().MaxBufferedEvents; limit > 0 {
 			for _, shed := range en.buf.ShedOldest(limit) {
 				en.shedded++

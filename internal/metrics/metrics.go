@@ -149,6 +149,10 @@ func (c *Collector) IncIrrelevant() { c.s.Irrelevant.Inc() }
 // IncPredError counts a predicate evaluation error (treated as non-match).
 func (c *Collector) IncPredError(error) { c.s.PredErrors.Inc() }
 
+// AddPredErrors counts n predicate errors at once (a restore carrying over
+// the count a checkpoint recorded).
+func (c *Collector) AddPredErrors(n uint64) { c.s.PredErrors.Add(n) }
+
 // AddMatch records an emitted match with its latencies: logical is
 // emission clock minus the match's last event timestamp; arrival is the
 // number of arrivals between the match's completion and its emission.
@@ -356,19 +360,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum += v
 	if v > h.max {
 		h.max = v
-	}
-}
-
-// Merge adds another histogram's observations into h (exact: the bucket
-// layouts are identical). Shard aggregation uses it.
-func (h *Histogram) Merge(o Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
 	}
 }
 

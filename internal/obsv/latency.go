@@ -19,8 +19,7 @@
 //   - Allocation-free spans. Live spans occupy a fixed open-addressed
 //     slot table keyed by Seq; when the table is full the span is counted
 //     dropped and the event proceeds unmeasured. All slot fields are
-//     atomics: spans legally cross goroutines (router → shard consumer)
-//     and scrapes race writers by design.
+//     atomics: scrapes race writers by design.
 //
 // # Span protocol
 //

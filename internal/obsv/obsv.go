@@ -10,7 +10,7 @@
 //     the same words without stopping the writer. No mutex is taken on
 //     either side.
 //   - Series groups the instruments of one engine instance under a name
-//     ("native", "native/shard3", "supervisor"). internal/metrics.Collector
+//     ("native", "qs/q1", "supervised(native)"). internal/metrics.Collector
 //     is a veneer over a Series, so building an engine's collector over a
 //     registry-owned Series turns its counters into live, scrapeable time
 //     series without touching call sites.
@@ -234,7 +234,7 @@ func NewRegistry() *Registry {
 }
 
 // Series returns the series registered under name, creating it on first
-// use (get-or-create: shard factories can resolve the same name safely).
+// use (get-or-create: a rebuilt engine resolves the same name safely).
 func (r *Registry) Series(name string) *Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -253,6 +253,35 @@ func TestAutoPartitionKey(t *testing.T) {
 	}
 }
 
+// TestPartitionableByChecks: PartitionableBy(attr) holds exactly when an
+// equality chain on attr links every component, negated ones included.
+func TestPartitionableByChecks(t *testing.T) {
+	const shopQuery = `
+		PATTERN SEQ(SHELF s, !(COUNTER c), EXIT e)
+		WHERE s.id = e.id AND s.id = c.id
+		WITHIN 6s`
+	tests := []struct {
+		src  string
+		attr string
+		want bool
+	}{
+		{shopQuery, "id", true},
+		{shopQuery, "gate", false},
+		{"PATTERN SEQ(A a, B b) WITHIN 10", "id", false},
+		{"PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 10", "id", true},
+		{"PATTERN SEQ(A a, B b, C c) WHERE a.id = b.id WITHIN 10", "id", false}, // c unlinked
+		{"PATTERN SEQ(A a, B b, C c) WHERE a.id = b.id AND b.id = c.id WITHIN 10", "id", true},
+		{"PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id WITHIN 10", "id", false}, // negation unlinked
+		{"PATTERN SEQ(A a) WITHIN 10", "anything", true},                           // single positive
+		{"PATTERN SEQ(A a, B b) WHERE a.id = b.x WITHIN 10", "id", false},          // different attrs
+	}
+	for _, tt := range tests {
+		if got := compile(t, tt.src).PartitionableBy(tt.attr); got != tt.want {
+			t.Errorf("PartitionableBy(%q) on %q = %v, want %v", tt.attr, tt.src, got, tt.want)
+		}
+	}
+}
+
 func TestKeyOf(t *testing.T) {
 	e := event.New("A", 42, event.Attrs{"id": event.Float(3.0), "s": event.Str("x")})
 	if k, ok := KeyOf(e, "id"); !ok || !k.Equal(event.Int(3)) {

@@ -73,8 +73,6 @@ type Record struct {
 	Key string `json:"key,omitempty"`
 	// KeyAttr is the partition attribute Key was read from.
 	KeyAttr string `json:"keyAttr,omitempty"`
-	// Shard is the shard index the match came from; -1 when unsharded.
-	Shard int `json:"shard"`
 	// WindowLo/WindowHi bound the match's window: [first.TS, first.TS+W].
 	WindowLo event.Time `json:"windowLo"`
 	WindowHi event.Time `json:"windowHi"`
@@ -144,9 +142,6 @@ func (r *Record) String() string {
 	fmt.Fprintf(&b, "] window=[%d,%d]", r.WindowLo, r.WindowHi)
 	if r.Key != "" {
 		fmt.Fprintf(&b, " key=%s=%s", r.KeyAttr, r.Key)
-	}
-	if r.Shard >= 0 {
-		fmt.Fprintf(&b, " shard=%d", r.Shard)
 	}
 	if r.Truncated {
 		b.WriteString(" provenance=truncated")
@@ -249,8 +244,8 @@ type StateSnapshot struct {
 	// Inner is the wrapped engine's snapshot (the kernel behind kslack's
 	// buffer).
 	Inner *StateSnapshot `json:"inner,omitempty"`
-	// Shards holds per-shard snapshots for partitioned engines; the parent
-	// aggregates them.
+	// Shards holds the per-query snapshots a query set aggregates (the JSON
+	// name predates the set).
 	Shards []*StateSnapshot `json:"shards,omitempty"`
 }
 
@@ -280,7 +275,7 @@ type AdaptiveStats struct {
 }
 
 // Aggregate sums sub-snapshots into a parent named engine, keeping the
-// parts under Shards. Clock is the max over parts, Safe the min (the shard
+// parts under Shards. Clock is the max over parts, Safe the min (the part
 // whose safe clock lags gates global sealing), depths and sizes sum, and
 // the heaviest key groups across all parts are kept.
 func Aggregate(engine string, subs []*StateSnapshot) *StateSnapshot {

@@ -46,7 +46,6 @@ func TestRecordString(t *testing.T) {
 		Events:   []EventRef{ref("A", 10, 1), ref("B", 20, 2)},
 		Key:      "3",
 		KeyAttr:  "id",
-		Shard:    -1,
 		WindowLo: 10, WindowHi: 60,
 		TriggerSeq: 2, TriggerPos: 1, Traversed: 4,
 	}
@@ -56,24 +55,20 @@ func TestRecordString(t *testing.T) {
 			t.Fatalf("String() = %q, missing %q", s, want)
 		}
 	}
-	if strings.Contains(s, "shard=") {
-		t.Fatalf("unsharded record should omit shard: %q", s)
-	}
 
 	rt := &Record{
 		Kind:          KindRetract,
 		Events:        []EventRef{ref("A", 10, 1)},
-		Shard:         2,
 		InvalidatedBy: &neg,
 	}
 	s = rt.String()
-	for _, want := range []string{"retract match 1", "shard=2", "invalidatedBy=N@15#5"} {
+	for _, want := range []string{"retract match 1", "invalidatedBy=N@15#5"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("retract String() = %q, missing %q", s, want)
 		}
 	}
 
-	tr := &Record{Kind: KindInsert, Events: []EventRef{ref("A", 10, 1)}, Shard: -1, Truncated: true}
+	tr := &Record{Kind: KindInsert, Events: []EventRef{ref("A", 10, 1)}, Truncated: true}
 	if s := tr.String(); !strings.Contains(s, "provenance=truncated") || strings.Contains(s, "trigger=") {
 		t.Fatalf("truncated String() = %q, want truncated marker and no trigger", s)
 	}

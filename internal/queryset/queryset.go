@@ -519,7 +519,7 @@ func (s *Set) StateSize() int {
 }
 
 // StateSnapshot implements engine.Engine: per-query snapshots in
-// registration order, aggregated as a sharded engine aggregates its parts,
+// registration order, aggregated under the set's name (provenance.Aggregate),
 // with the shared buffer's occupancy added.
 func (s *Set) StateSnapshot() *provenance.StateSnapshot {
 	subs := make([]*provenance.StateSnapshot, len(s.order))

@@ -66,8 +66,12 @@ type SupervisorOptions struct {
 	// Restore rebuilds an engine from a snapshot written by its
 	// Checkpoint method. When nil the supervisor runs WAL-only: no
 	// checkpoint files are written and recovery replays the full log. Give
-	// one only for engines whose Checkpoint works.
-	Restore func(r io.Reader) (engine.Engine, error)
+	// one only for engines whose Checkpoint works. suppress is how many
+	// matches the log holds committed past the snapshot: replay drops the
+	// restored engine's first suppress emissions, by count, as delivered
+	// before the crash, so a Restore that cannot promise the emission order
+	// of the engine that wrote the snapshot must fail unless it is zero.
+	Restore func(r io.Reader, suppress uint64) (engine.Engine, error)
 	// K is the admission disorder bound: an event with TS < clock−K is a
 	// bound violator (clock = max admitted timestamp). Use the engine's K.
 	K event.Time
@@ -591,7 +595,7 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 		if s.opts.Restore == nil {
 			return nil, false, errors.New("supervisor: found an engine snapshot but no Restore factory")
 		}
-		en, err = s.opts.Restore(bytes.NewReader(rec.Snapshot))
+		en, err = s.opts.Restore(bytes.NewReader(rec.Snapshot), rec.Matches-min(rec.Matches, rec.CkptMatches))
 		if err != nil {
 			return nil, false, fmt.Errorf("restore engine snapshot: %w", err)
 		}

@@ -31,7 +31,7 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 		New: func() (engine.Engine, error) {
 			return core.New(p, core.Options{K: k})
 		},
-		Restore: func(r io.Reader) (engine.Engine, error) {
+		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) {
 			return core.Restore(p, engine.Env{}, r)
 		},
 		K:     k,

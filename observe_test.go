@@ -74,27 +74,6 @@ func TestHeartbeatReleasesOrderedOutput(t *testing.T) {
 	}
 }
 
-func TestConfigPartitionValidation(t *testing.T) {
-	q := pairQuery(t)
-	if _, err := NewEngine(q, Config{K: 5, Partition: Partition{Shards: 3}}); err == nil ||
-		!strings.Contains(err.Error(), "Partition.Shards") {
-		t.Fatalf("Shards without Attr: err = %v", err)
-	}
-	unpart := MustCompile("PATTERN SEQ(A a, B b) WITHIN 10", nil)
-	if _, err := NewEngine(unpart, Config{K: 5, Partition: Partition{Attr: "id", Shards: 2}}); err == nil ||
-		!strings.Contains(err.Error(), "not partitionable") {
-		t.Fatalf("unpartitionable query: err = %v", err)
-	}
-	// Shards defaults to 1 when only Attr is set.
-	en, err := NewEngine(q, Config{K: 5, Partition: Partition{Attr: "id"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if en.Strategy() != "shard(native)" {
-		t.Fatalf("Strategy() = %q, want shard(native)", en.Strategy())
-	}
-}
-
 func TestConfigObserverAndTrace(t *testing.T) {
 	q := pairQuery(t)
 	reg := NewObserver()
@@ -126,32 +105,6 @@ func TestConfigObserverAndTrace(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("prometheus output missing %q\n%s", want, sb.String())
 		}
-	}
-}
-
-func TestConfigObserverPartitioned(t *testing.T) {
-	q := pairQuery(t)
-	reg := NewObserver()
-	cfg := Config{K: 10, Observer: reg, Partition: Partition{Attr: "id", Shards: 2}}
-	en := MustNewEngine(q, cfg)
-	for i := int64(0); i < 6; i++ {
-		en.Process(pairEvent("A", Time(10*i+1), Seq(2*i+1), i))
-		en.Process(pairEvent("B", Time(10*i+2), Seq(2*i+2), i))
-	}
-	en.Flush()
-	names := reg.Names()
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"native/shard0", "native/shard1", "shard(native)"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("registry names %v missing %q", names, want)
-		}
-	}
-	var perShard uint64
-	for _, name := range []string{"native/shard0", "native/shard1"} {
-		perShard += reg.Series(name).EventsIn.Load()
-	}
-	if perShard != 12 {
-		t.Fatalf("per-shard EventsIn sums to %d, want 12", perShard)
 	}
 }
 

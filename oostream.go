@@ -146,8 +146,10 @@ func (q *Query) HasNegation() bool { return q.plan.HasNegation() }
 // attributes the query can be partitioned by.
 func (q *Query) Explain() string { return q.plan.Describe() }
 
-// PartitionableBy reports whether hash-partitioning the stream on attr
-// preserves the result set (see Config.Partition).
+// PartitionableBy reports whether every component of the query is linked by
+// equality on attr, so that no match spans two values of it: the condition
+// under which the kernel may file its state per value (AutoPartitionKey
+// names the attribute it picked).
 func (q *Query) PartitionableBy(attr string) bool { return q.plan.PartitionableBy(attr) }
 
 // HasAggregate reports whether the query carries an AGGREGATE clause:
@@ -184,21 +186,19 @@ type Engine struct {
 }
 
 // NewEngine builds an engine for the query. See Config for the strategy,
-// disorder-bound, partitioning, and observability knobs. When
-// Config.Partition.Attr is set the engine hash-partitions the stream across
-// sub-engines.
+// disorder-bound, and observability knobs.
 func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg, nil) }
 
 // RestoreEngine rebuilds an engine from a Checkpoint, configured and
 // instrumented by cfg exactly as NewEngine would: Observer, Trace, Latency,
-// Provenance, and Batch apply to the restored engine, and a partitioned
-// checkpoint restores under the same cfg.Partition that wrote it (the
-// attribute and shard count must match the checkpointed topology). The
-// query must be compiled from the same text the checkpointed engine ran.
-// The kernel's own options (K, late policy, ablation knobs, the adaptive
-// controller's state) are restored from the checkpoint. Only compositions
-// that checkpoint can be restored — StrategyNative without OrderedOutput;
-// any other cfg is an error. Checkpoints carry no lineage, so with
+// Provenance, and Batch apply to the restored engine. The query must be
+// compiled from the same text the checkpointed engine ran. The kernel's own
+// options (K, late policy, ablation knobs, the adaptive controller's state)
+// are restored from the checkpoint. Only compositions that checkpoint can be
+// restored — StrategyNative without OrderedOutput; any other cfg is an
+// error. A checkpoint written under the Config.Partition of earlier versions
+// restores too: its shards' states merge into the one engine, which keys by
+// the query's attribute itself. Checkpoints carry no lineage, so with
 // cfg.Provenance matches whose partial state predates the restore carry
 // records marked Truncated.
 func RestoreEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
@@ -218,7 +218,7 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	b := cfg.builder()
-	inner, err := b.build(q.plan, cfg, "", r)
+	inner, err := b.build(q.plan, cfg, string(cfg.Strategy), openCheckpoint(r))
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 }
 
 // validateQueryConfig checks the constraints that need both the compiled
-// query and the config: aggregation, then partitionability.
+// query and the config: what an aggregate cannot be combined with.
 func validateQueryConfig(q *Query, cfg Config) error {
 	p := q.plan
 	if p.Agg != nil {
@@ -236,17 +236,6 @@ func validateQueryConfig(q *Query, cfg Config) error {
 		if cfg.BestEffortLate {
 			return fmt.Errorf("aggregate queries cannot run BestEffortLate: bound violators would mutate already-sealed windows")
 		}
-		if cfg.Partition.Attr != "" {
-			if p.Agg.GroupSlot < 0 {
-				return fmt.Errorf("an ungrouped aggregate cannot be partitioned: every shard would emit its own totals for the same window")
-			}
-			if p.Agg.GroupAttr != cfg.Partition.Attr {
-				return fmt.Errorf("partitioned aggregation requires Partition.Attr to equal the GROUP BY attribute: %q != %q", cfg.Partition.Attr, p.Agg.GroupAttr)
-			}
-		}
-	}
-	if cfg.Partition.Attr != "" && !p.PartitionableBy(cfg.Partition.Attr) {
-		return fmt.Errorf("query is not partitionable by %q: every component must be linked by equality on it", cfg.Partition.Attr)
 	}
 	return nil
 }
@@ -370,8 +359,7 @@ func (e *Engine) StateSize() int { return e.inner.StateSize() }
 // per-position stack depths, the heaviest key groups, negation-store
 // sizes, buffer occupancy, clock and safe horizon, purge frontier, and
 // lineage retention (see provenance.StateSnapshot re-exported as
-// StateSnapshot). Partitioned engines return an aggregate with per-shard
-// sub-snapshots. It is NOT synchronized with Process: call it from the
+// StateSnapshot). It is NOT synchronized with Process: call it from the
 // processing goroutine (between events) or while the engine is idle.
 func (e *Engine) StateSnapshot() *StateSnapshot {
 	snap := e.inner.StateSnapshot()
@@ -387,11 +375,10 @@ func (e *Engine) StateSnapshot() *StateSnapshot {
 func (e *Engine) LatencyReport() *LatencyReport { return e.lat.Report() }
 
 // Checkpoint serializes the engine's state for crash recovery. The native
-// strategy and partitioned engines over native parts support it; other
-// strategies return an error. A RestoreEngine'd engine continues the
-// stream exactly where this one stopped. When combined with auto-assigned
-// sequence numbers, feed events with explicit Seq values across the
-// restore boundary (the auto-assign counter is not part of the
+// strategy supports it; other strategies return an error. A RestoreEngine'd
+// engine continues the stream exactly where this one stopped. When combined
+// with auto-assigned sequence numbers, feed events with explicit Seq values
+// across the restore boundary (the auto-assign counter is not part of the
 // checkpoint).
 func (e *Engine) Checkpoint(w io.Writer) error { return e.inner.Checkpoint(w) }
 

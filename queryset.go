@@ -107,7 +107,7 @@ func (cfg QuerySetConfig) setOptions(b builder, top string) queryset.Options {
 	}
 	if ecfg.restorable() {
 		opts.RestoreEngine = func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-			return qb.build(p, ecfg, "qs/"+id, r)
+			return qb.build(p, ecfg, "qs/"+id, openCheckpoint(r))
 		}
 	}
 	if b.obs != nil {
@@ -369,7 +369,7 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*Supervised
 		K: cfg.K,
 	}
 	if opts.RestoreEngine != nil {
-		sopts.Restore = func(r io.Reader) (engine.Engine, error) { return queryset.Restore(opts, r) }
+		sopts.Restore = func(r io.Reader, _ uint64) (engine.Engine, error) { return queryset.Restore(opts, r) }
 	}
 	sup, err := newSupervisor(sc, sopts)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // everythingOn is a Config with every instrument set, a fresh Observer per
 // call (a restart is a new process: a new registry), and a trace hook that
 // counts the emits it sees.
-func everythingOn(partitioned bool) (Config, *Observer, *int) {
+func everythingOn() (Config, *Observer, *int) {
 	reg := NewObserver()
 	emits := new(int)
 	var mu sync.Mutex
@@ -29,9 +29,6 @@ func everythingOn(partitioned bool) (Config, *Observer, *int) {
 				mu.Unlock()
 			}
 		}),
-	}
-	if partitioned {
-		cfg.Partition = Partition{Attr: "id", Shards: 2}
 	}
 	return cfg, reg, emits
 }
@@ -84,10 +81,10 @@ func checkInstrumented(t *testing.T, reg *Observer, ingest []string, n int, emit
 }
 
 // TestInstrumentsSurviveSupervisedRestart is the restart finding: a
-// supervised, partitioned engine restored from its own snapshot must be
-// instrumented like a fresh one. Before instruments were handed over at
-// construction, the per-shard series were bound in a factory the restore
-// path never ran, and the shards counted nothing after a restart.
+// supervised engine restored from its own snapshot must be instrumented like
+// a fresh one. Before instruments were handed over at construction, a series
+// bound in a factory the restore path never ran counted nothing after a
+// restart, and a supervised engine never opened a latency span.
 func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 	q := pairQuery(t)
 	dir := t.TempDir()
@@ -116,27 +113,23 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 		return out
 	}
 
-	cfg, _, _ := everythingOn(true)
+	cfg, _, _ := everythingOn()
 	first := open(cfg)
 	feed(first, pairStream(0, 8)) // the checkpoint at event 8 leaves no WAL suffix
 	first.Kill()
 
 	const n = 12
-	cfg, reg, emits := everythingOn(true)
+	cfg, reg, emits := everythingOn()
 	second := open(cfg)
 	got := feed(second, pairStream(8, n))
-	checkInstrumented(t, reg, []string{"native/shard0", "native/shard1"}, n, *emits, got, second.LatencyReport())
-	for _, m := range got {
-		if m.Prov.Shard < 0 || m.Prov.Shard > 1 {
-			t.Fatalf("lineage shard tag %d", m.Prov.Shard)
-		}
-	}
+	// The engine beneath the supervisor shares its series.
+	checkInstrumented(t, reg, []string{"supervised(native)"}, n, *emits, got, second.LatencyReport())
 	if reg.Series("supervised(native)").Checkpoints.Load() == 0 {
 		t.Error("supervisor's own series did not move after the restart")
 	}
 
 	// The same continuation with nothing on yields the same matches.
-	plain := MustNewEngine(q, Config{K: 10, Partition: cfg.Partition})
+	plain := MustNewEngine(q, Config{K: 10})
 	var want []Match
 	for _, ev := range append(pairStream(0, 8), pairStream(8, n)...) {
 		want = append(want, plain.Process(ev)...)
@@ -147,48 +140,32 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 }
 
 // TestRestoreEngineTakesConfig: RestoreEngine(q, cfg, r) instruments the
-// restored engine from cfg, single and partitioned, and refuses a cfg whose
-// composition has no durable format.
+// restored engine from cfg, and refuses a cfg whose composition has no
+// durable format.
 func TestRestoreEngineTakesConfig(t *testing.T) {
 	q := pairQuery(t)
-	for _, partitioned := range []bool{false, true} {
-		cfg, _, _ := everythingOn(partitioned)
-		en := MustNewEngine(q, cfg)
-		for _, ev := range pairStream(0, 8) {
-			en.Process(ev)
-		}
-		var buf bytes.Buffer
-		if err := en.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-
-		const n = 12
-		cfg, reg, emits := everythingOn(partitioned)
-		restored, err := RestoreEngine(q, cfg, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Match
-		for _, ev := range pairStream(8, n) {
-			got = append(got, restored.Process(ev)...)
-		}
-		ingest := []string{"native"}
-		if partitioned {
-			ingest = []string{"native/shard0", "native/shard1"}
-		}
-		checkInstrumented(t, reg, ingest, n, *emits, got, restored.LatencyReport())
-
-		// A checkpoint restores only under the topology that wrote it.
-		other := cfg
-		other.Partition = Partition{}
-		if !partitioned {
-			other.Partition = Partition{Attr: "id", Shards: 2}
-		}
-		other.Observer, other.Latency = nil, Latency{}
-		if _, err := RestoreEngine(q, other, bytes.NewReader(buf.Bytes())); err == nil {
-			t.Errorf("partitioned=%t checkpoint restored under the other topology", partitioned)
-		}
+	cfg, _, _ := everythingOn()
+	en := MustNewEngine(q, cfg)
+	for _, ev := range pairStream(0, 8) {
+		en.Process(ev)
 	}
+	var buf bytes.Buffer
+	if err := en.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 12
+	cfg, reg, emits := everythingOn()
+	restored, err := RestoreEngine(q, cfg, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	for _, ev := range pairStream(8, n) {
+		got = append(got, restored.Process(ev)...)
+	}
+	checkInstrumented(t, reg, []string{"native"}, n, *emits, got, restored.LatencyReport())
+
 	for _, cfg := range []Config{{Strategy: StrategyKSlack, K: 10}, {K: 10, OrderedOutput: true}} {
 		if _, err := RestoreEngine(q, cfg, bytes.NewReader(nil)); err == nil {
 			t.Errorf("RestoreEngine accepted unrestorable config %+v", cfg)

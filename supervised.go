@@ -37,8 +37,8 @@ type SupervisorConfig struct {
 	// CheckpointEvery takes a durable engine snapshot every this many
 	// offered events. 0 disables periodic checkpoints (WAL-only recovery:
 	// the full log replays on restart). Snapshots require a
-	// checkpoint-capable engine (native strategy, or partitioned-native);
-	// other strategies run WAL-only regardless.
+	// checkpoint-capable engine (the native strategy); other strategies run
+	// WAL-only regardless.
 	CheckpointEvery int
 	// Retain keeps the newest N checkpoints (older ones and their log
 	// prefixes are pruned). 0 = default 3.
@@ -102,21 +102,24 @@ type SupervisedEngine struct {
 	lat *obsv.LatencySampler
 }
 
-// NewSupervisedEngine builds a supervised engine over the strategy,
-// disorder bound, and (when Config.Partition is set) partitioned topology
-// in cfg, persisting to sc.Dir. Call Start before processing. The native
-// strategy (without OrderedOutput) recovers from snapshots, partitioned or
-// not; every other configuration runs WAL-only.
+// NewSupervisedEngine builds a supervised engine over the strategy and
+// disorder bound in cfg, persisting to sc.Dir. Call Start before
+// processing. The native strategy (without OrderedOutput) recovers from
+// snapshots; every other configuration runs WAL-only. A directory left by a
+// partitioned engine (Config.Partition of earlier versions) continues under
+// the one engine when its log holds no match committed past its newest
+// checkpoint; otherwise Start refuses it, because replay suppresses
+// delivered matches by count and one engine emits in another order than the
+// shards did.
 //
 // Observability: with Config.Observer set, the supervisor publishes one
 // series named "supervised(<strategy>)" carrying the fault-tolerance
 // counters, and the engine directly beneath it shares that series (the
-// instrument sets are disjoint, so one series carries the full picture);
-// for a partitioned engine, each shard additionally publishes its own
-// "<strategy>/shardN" series. Every engine the supervisor builds — fresh,
-// restored from a checkpoint after a crash, or rebuilt after a panic — is
-// constructed with the same instruments, so Observer, Trace, Latency, and
-// Provenance survive restarts.
+// instrument sets are disjoint, so one series carries the full picture).
+// Every engine the supervisor builds — fresh, restored from a checkpoint
+// after a crash, or rebuilt after a panic — is constructed with the same
+// instruments, so Observer, Trace, Latency, and Provenance survive
+// restarts.
 func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*SupervisedEngine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -136,7 +139,13 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Supervised
 		K:   cfg.K,
 	}
 	if cfg.restorable() {
-		opts.Restore = func(r io.Reader) (engine.Engine, error) { return b.build(q.plan, cfg, top, r) }
+		opts.Restore = func(r io.Reader, suppress uint64) (engine.Engine, error) {
+			from := openCheckpoint(r)
+			if from.partitioned && suppress > 0 {
+				return nil, fmt.Errorf("the newest checkpoint was written by a partitioned engine and the log holds %d matches committed past it: one engine emits in another order than the shards did, so replay cannot tell which of its emissions were delivered", suppress)
+			}
+			return b.build(q.plan, cfg, top, from)
+		}
 	}
 	sup, err := newSupervisor(sc, opts)
 	if err != nil {
