@@ -25,8 +25,7 @@ func aggEvent(typ string, ts Time, seq Seq, id, v int64) Event {
 }
 
 // TestAggregateHandComputed pins the full emitted window set of a tiny
-// tumbling SUM stream against values computed by hand, through the Result
-// view.
+// tumbling SUM stream against values computed by hand, read off Match.Agg.
 func TestAggregateHandComputed(t *testing.T) {
 	q := aggQuery(t, "AGGREGATE SUM(b.v) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 10")
 	en := MustNewEngine(q, Config{K: 2})
@@ -37,23 +36,20 @@ func TestAggregateHandComputed(t *testing.T) {
 		aggEvent("B", 15, 4, 2, 7), // match (A@12,B@15) -> window (10,20]
 		aggEvent("B", 16, 5, 9, 1), // no A with id 9: contributes nothing
 	}
-	rs := en.ProcessAllResults(events)
-	if len(rs) != 2 {
-		t.Fatalf("got %d results, want 2: %v", len(rs), rs)
+	ms := en.ProcessAll(events)
+	if len(ms) != 2 {
+		t.Fatalf("got %d results, want 2: %v", len(ms), ms)
 	}
 	want := []struct {
 		end Time
 		sum int64
 	}{{10, 5}, {20, 7}}
-	for i, r := range rs {
-		if r.Kind() != ResultAggregate {
-			t.Fatalf("result %d kind = %s, want aggregate", i, r.Kind())
-		}
-		if r.Retracted() {
+	for i, m := range ms {
+		if m.Kind == Retract {
 			t.Fatalf("result %d retracted in sealed mode", i)
 		}
-		a, ok := r.Aggregate()
-		if !ok {
+		a := m.Agg
+		if a == nil {
 			t.Fatalf("result %d has no aggregate payload", i)
 		}
 		if a.Func != "SUM" || a.WindowEnd != want[i].end || a.WindowStart != want[i].end-10 {
@@ -66,7 +62,7 @@ func TestAggregateHandComputed(t *testing.T) {
 		if a.HasGroup {
 			t.Errorf("result %d grouped without GROUP BY", i)
 		}
-		if r.String() == "" {
+		if m.String() == "" {
 			t.Errorf("result %d has empty String()", i)
 		}
 	}
@@ -97,10 +93,7 @@ func TestAggregateAllStrategiesAgree(t *testing.T) {
 		sorted[1], sorted[0], sorted[3], sorted[2], sorted[5],
 		sorted[4], sorted[6], sorted[8], sorted[7],
 	}
-	want := make([]Match, 0)
-	for _, r := range MustNewEngine(q, Config{Strategy: StrategyInOrder}).ProcessAllResults(sorted) {
-		want = append(want, r.Match())
-	}
+	want := MustNewEngine(q, Config{Strategy: StrategyInOrder}).ProcessAll(sorted)
 	if len(want) == 0 {
 		t.Fatal("no windows in sanity workload")
 	}
@@ -110,10 +103,7 @@ func TestAggregateAllStrategiesAgree(t *testing.T) {
 			// The in-order strategy presumes sorted arrival.
 			in = sorted
 		}
-		got := make([]Match, 0)
-		for _, r := range MustNewEngine(q, Config{Strategy: s, K: 3}).ProcessAllResults(in) {
-			got = append(got, r.Match())
-		}
+		got := MustNewEngine(q, Config{Strategy: s, K: 3}).ProcessAll(in)
 		if ok, diff := SameResults(want, got); !ok {
 			t.Errorf("strategy %s diverges:\n%s", s, diff)
 		}
@@ -168,61 +158,53 @@ func TestAggregateCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAggregateRunResults drives the channel pipeline under the Result
-// view.
+// TestAggregateRunResults drives an aggregate query's results through the
+// channel pipeline.
 func TestAggregateRunResults(t *testing.T) {
 	q := aggQuery(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 10")
 	en := MustNewEngine(q, Config{K: 2})
 	in := make(chan Event, 8)
-	out := make(chan Result, 8)
+	out := make(chan Match, 8)
 	go func() {
 		in <- aggEvent("A", 1, 1, 1, 0)
 		in <- aggEvent("B", 3, 2, 1, 1)
 		close(in)
 	}()
 	errc := make(chan error, 1)
-	go func() { errc <- en.RunResults(context.Background(), in, out) }()
-	var rs []Result
-	for r := range out {
-		rs = append(rs, r)
+	go func() { errc <- en.Run(context.Background(), in, out) }()
+	var ms []Match
+	for m := range out {
+		ms = append(ms, m)
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 1 {
-		t.Fatalf("got %d results, want 1: %v", len(rs), rs)
+	if len(ms) != 1 {
+		t.Fatalf("got %d results, want 1: %v", len(ms), ms)
 	}
-	a, ok := rs[0].Aggregate()
-	if !ok || a.Func != "COUNT" || a.Count != 1 {
-		t.Fatalf("aggregate = %+v ok=%v, want COUNT of 1", a, ok)
+	if a := ms[0].Agg; a == nil || a.Func != "COUNT" || a.Count != 1 {
+		t.Fatalf("aggregate = %+v, want COUNT of 1", a)
 	}
 }
 
-// TestResultViewOfPatternMatch checks the Result view of a plain pattern
-// query: kind match, no aggregate payload, underlying match intact.
-func TestResultViewOfPatternMatch(t *testing.T) {
+// TestPatternMatchHasNoAgg: a plain pattern query's matches carry no
+// aggregate payload and their events intact.
+func TestPatternMatchHasNoAgg(t *testing.T) {
 	q := MustCompile("PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 10", nil)
 	if q.HasAggregate() {
 		t.Fatal("pattern query reports an aggregate")
 	}
 	en := MustNewEngine(q, Config{K: 1})
-	en.ProcessResults(aggEvent("A", 1, 1, 1, 0))
-	rs := en.ProcessResults(aggEvent("B", 2, 2, 1, 0))
-	rs = append(rs, en.FlushResults()...)
-	if len(rs) != 1 {
-		t.Fatalf("got %d results, want 1", len(rs))
+	en.Process(aggEvent("A", 1, 1, 1, 0))
+	ms := en.Process(aggEvent("B", 2, 2, 1, 0))
+	ms = append(ms, en.Flush()...)
+	if len(ms) != 1 {
+		t.Fatalf("got %d results, want 1", len(ms))
 	}
-	r := rs[0]
-	if r.Kind() != ResultMatch {
-		t.Fatalf("kind = %s, want match", r.Kind())
-	}
-	if _, ok := r.Aggregate(); ok {
+	if ms[0].Agg != nil {
 		t.Error("pattern match has an aggregate payload")
 	}
-	if len(r.Match().Events) != 2 {
-		t.Errorf("underlying match has %d events, want 2", len(r.Match().Events))
-	}
-	if ResultMatch.String() != "match" || ResultAggregate.String() != "aggregate" {
-		t.Error("ResultKind.String misnames the kinds")
+	if len(ms[0].Events) != 2 {
+		t.Errorf("match has %d events, want 2", len(ms[0].Events))
 	}
 }

@@ -358,11 +358,10 @@ func BenchmarkE15RecoveryOverhead(b *testing.B) {
 				if _, err := en.Start(); err != nil {
 					b.Fatal(err)
 				}
-				ms, err := en.ProcessAll(events)
-				if err != nil {
+				matches = len(en.ProcessAll(events))
+				if err := en.Err(); err != nil {
 					b.Fatal(err)
 				}
-				matches = len(ms)
 				if err := en.Close(); err != nil {
 					b.Fatal(err)
 				}

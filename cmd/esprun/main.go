@@ -236,109 +236,61 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 
-	var process func(oostream.Event) ([]oostream.Match, error)
-	var processBatch func([]oostream.Event) ([]oostream.Match, error)
-	var flush func() ([]oostream.Match, error)
-	var name string
-	var stats func() oostream.Metrics
-	var snapshot func() *oostream.StateSnapshot
-	var latReport func() *oostream.LatencyReport
 	if *ckptDir != "" && !*resume {
 		if entries, err := os.ReadDir(*ckptDir); err == nil && len(entries) > 0 {
 			return fmt.Errorf("%s already holds state; pass -resume to continue it (or point at an empty directory)", *ckptDir)
 		}
 	}
-	switch {
-	case registry != nil && *ckptDir != "":
+	// A set or a single engine, in memory or under -checkpoint-dir durable:
+	// one method set drives all four.
+	var en stream
+	var name func() string
+	var set *oostream.QuerySet
+	sc := oostream.SupervisorConfig{Dir: *ckptDir, CheckpointEvery: *ckptEvery}
+	if registry != nil {
 		qcfg := oostream.QuerySetConfig{
 			Strategy: cfg.Strategy, K: cfg.K,
 			Provenance: cfg.Provenance, Observer: cfg.Observer, Trace: cfg.Trace,
 			Latency: cfg.Latency,
 		}
-		s, err := oostream.NewSupervisedQuerySet(qcfg, oostream.SupervisorConfig{
-			Dir:             *ckptDir,
-			CheckpointEvery: *ckptEvery,
-		})
-		if err != nil {
-			return err
+		if *ckptDir != "" {
+			set, err = oostream.NewSupervisedQuerySet(qcfg, sc)
+		} else {
+			set, err = oostream.NewQuerySet(qcfg)
 		}
-		defer s.Close()
-		for _, nq := range registry {
-			if err := s.Register(nq.id, nq.q); err != nil {
-				return err
-			}
+		en, name = set, func() string { return fmt.Sprintf("queryset(%s)×%d", cfg.Strategy, len(registry)) }
+	} else {
+		var single *oostream.Engine
+		if *ckptDir != "" {
+			single, err = oostream.NewSupervisedEngine(q, cfg, sc)
+		} else {
+			single, err = oostream.NewEngine(q, cfg)
 		}
-		recovered, err := s.Start()
-		if err != nil {
-			return err
-		}
-		emit(recovered)
-		process, processBatch, flush, stats = s.Process, s.ProcessBatch, s.Flush, s.Metrics
-		latReport = s.LatencyReport
-		name = fmt.Sprintf("queryset(%s)×%d", cfg.Strategy, len(registry))
-	case registry != nil:
-		qcfg := oostream.QuerySetConfig{
-			Strategy: cfg.Strategy, K: cfg.K,
-			Provenance: cfg.Provenance, Observer: cfg.Observer, Trace: cfg.Trace,
-			Latency: cfg.Latency,
-		}
-		set, err := oostream.NewQuerySet(qcfg)
-		if err != nil {
-			return err
-		}
-		for _, nq := range registry {
-			if err := set.Register(nq.id, nq.q); err != nil {
-				return err
-			}
-		}
-		process = func(e oostream.Event) ([]oostream.Match, error) { return set.Process(e), nil }
-		processBatch = func(evs []oostream.Event) ([]oostream.Match, error) { return set.ProcessBatch(evs), nil }
-		flush = func() ([]oostream.Match, error) { return set.Flush(), nil }
-		stats = set.Metrics
-		latReport = set.LatencyReport
-		name = fmt.Sprintf("queryset(%s)×%d", cfg.Strategy, len(registry))
-	case *ckptDir != "":
-		sen, err := oostream.NewSupervisedEngine(q, cfg, oostream.SupervisorConfig{
-			Dir:             *ckptDir,
-			CheckpointEvery: *ckptEvery,
-		})
-		if err != nil {
-			return err
-		}
-		defer sen.Close()
-		recovered, err := sen.Start()
-		if err != nil {
-			return err
-		}
-		emit(recovered)
-		process, processBatch, flush, name, stats = sen.Process, sen.ProcessBatch, sen.Flush, sen.Strategy(), sen.Metrics
-		snapshot = sen.StateSnapshot
-		latReport = sen.LatencyReport
-	default:
-		en, err := oostream.NewEngine(q, cfg)
-		if err != nil {
-			return err
-		}
-		process = func(e oostream.Event) ([]oostream.Match, error) { return en.Process(e), nil }
-		processBatch = func(evs []oostream.Event) ([]oostream.Match, error) { return en.ProcessBatch(evs), nil }
-		flush = func() ([]oostream.Match, error) { return en.Flush(), nil }
-		name, stats = en.Strategy(), en.Metrics
-		snapshot = en.StateSnapshot
-		latReport = en.LatencyReport
+		en, name = single, single.Strategy
 	}
+	if err != nil {
+		return err
+	}
+	defer en.Close()
+	for _, nq := range registry {
+		if err := set.Register(nq.id, nq.q); err != nil {
+			return err
+		}
+	}
+	recovered, err := en.Start()
+	if err != nil {
+		return err
+	}
+	emit(recovered)
 	publish := func() {
 		if *listen == "" {
 			return
 		}
-		if snapshot != nil {
-			if s := snapshot(); s != nil {
-				stateDoc.Store(s)
-			}
+		if s := en.StateSnapshot(); s != nil {
+			stateDoc.Store(s)
 		}
-		if latReport != nil {
-			if r := latReport(); r != nil {
-				latDoc.Store(r)
-			}
+		if r := en.LatencyReport(); r != nil {
+			latDoc.Store(r)
 		}
 	}
 
@@ -355,13 +307,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		ms, err := processBatch(batch)
+		emit(en.ProcessBatch(batch))
 		batch = batch[:0]
-		if err != nil {
-			return err
-		}
-		emit(ms)
-		return nil
+		return en.Err()
 	}
 	for {
 		e, err := r.Read()
@@ -383,11 +331,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				}
 			}
 		} else {
-			ms, err := process(e)
-			if err != nil {
+			emit(en.Process(e))
+			if err := en.Err(); err != nil {
 				return err
 			}
-			emit(ms)
 		}
 		// Refresh /debug/state from the processing goroutine (snapshots are
 		// not synchronized with Process) at a coarse cadence.
@@ -398,23 +345,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := drainBatch(); err != nil {
 		return err
 	}
-	ms, err := flush()
-	if err != nil {
+	emit(en.Flush())
+	if err := en.Err(); err != nil {
 		return err
 	}
-	emit(ms)
 	publish()
 	if !*quiet && *maxPrint > 0 && total > printed {
 		fmt.Fprintf(stdout, "… %d more matches (raise -max-print)\n", total-printed)
 	}
-	fmt.Fprintf(stdout, "strategy=%s matches=%d %s\n", name, total, stats())
-	if *latSample > 0 && latReport != nil {
-		if r := latReport(); r != nil {
+	fmt.Fprintf(stdout, "strategy=%s matches=%d %s\n", name(), total, en.Metrics())
+	if *latSample > 0 {
+		if r := en.LatencyReport(); r != nil {
 			printLatency(stdout, r)
 		}
 	}
-	if (adaptiveSet || cfg.Strategy == oostream.StrategyHybrid) && snapshot != nil {
-		if s := snapshot(); s != nil && s.Adaptive != nil {
+	if adaptiveSet || cfg.Strategy == oostream.StrategyHybrid {
+		if s := en.StateSnapshot(); s != nil && s.Adaptive != nil {
 			a := s.Adaptive
 			fmt.Fprintf(stdout, "adaptive: k=%d nominal=%d max=%d resizes=%d shed=%d degraded=%v",
 				a.EffectiveK, a.NominalK, a.MaxKObserved, a.Resizes, a.Shedded, a.Degraded)
@@ -448,6 +394,20 @@ func printLatency(w io.Writer, r *oostream.LatencyReport) {
 				win.Window, win.Good, win.Bad, win.GoodRatio, win.BurnRate, r.SLO.ObjectiveMs, r.SLO.Target)
 		}
 	}
+}
+
+// stream is the method set esprun drives: what *oostream.Engine and
+// *oostream.QuerySet have in common.
+type stream interface {
+	Start() ([]oostream.Match, error)
+	Process(oostream.Event) []oostream.Match
+	ProcessBatch([]oostream.Event) []oostream.Match
+	Flush() []oostream.Match
+	Err() error
+	Close() error
+	Metrics() oostream.Metrics
+	StateSnapshot() *oostream.StateSnapshot
+	LatencyReport() *oostream.LatencyReport
 }
 
 // namedQuery is one entry of a -queries file.

@@ -62,10 +62,11 @@ func ExampleEngine_Advance() {
 	// after heartbeat: 1
 }
 
-// ExampleEngine_ProcessAllResults builds a latency alert: the average
-// response time per tumbling window, emitted only when it crosses the
-// threshold in the HAVING clause.
-func ExampleEngine_ProcessAllResults() {
+// ExampleEngine_ProcessAll builds a latency alert: the average response
+// time per tumbling window, emitted only when it crosses the threshold in
+// the HAVING clause. An aggregate query's matches carry the window value in
+// Match.Agg.
+func ExampleEngine_ProcessAll() {
 	q := oostream.MustCompile(`
 		AGGREGATE AVG(r.ms) OVER SEQ(REQ q, RESP r)
 		WHERE  q.id = r.id
@@ -81,10 +82,8 @@ func ExampleEngine_ProcessAllResults() {
 		{Type: "REQ", TS: 110, Seq: 5, Attrs: oostream.Attrs{"id": oostream.Int(3)}.List()},
 		{Type: "RESP", TS: 120, Seq: 6, Attrs: oostream.Attrs{"id": oostream.Int(3), "ms": oostream.Int(10)}.List()},
 	}
-	results := en.ProcessAllResults(stream)
-	results = append(results, en.FlushResults()...)
-	for _, r := range results {
-		if a, ok := r.Aggregate(); ok {
+	for _, m := range en.ProcessAll(stream) {
+		if a := m.Agg; a != nil {
 			fmt.Printf("alert: avg %s ms over %d responses in (%d,%d]\n",
 				a.Value, a.Count, a.WindowStart, a.WindowEnd)
 		}

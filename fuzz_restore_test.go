@@ -3,6 +3,7 @@ package oostream
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -235,6 +236,127 @@ func FuzzRestoreAgg(f *testing.F) {
 			if a, b := drive(first), drive(second); a != b {
 				t.Fatalf("%s: output diverges after one more checkpoint and restore\n first: %s\nsecond: %s", tgt.name, a, b)
 			}
+		}
+	})
+}
+
+// setRestoreQueries are the two queries of the sets FuzzRestoreQuerySet
+// restores: a keyed sequence and a trailing negation, whose match waits for
+// its window to close, so a checkpoint taken mid-stream holds it pending.
+var setRestoreQueries = [][2]string{
+	{"seq", "PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 50"},
+	{"neg", "PATTERN SEQ(A a, B b, !(C c)) WITHIN 50"},
+}
+
+var setRestoreConfig = QuerySetConfig{K: 10}
+
+// setCheckpoint is the checkpoint of a set of setRestoreQueries that took
+// the first n events of a restoreStream that starts at from.
+func setCheckpoint(tb testing.TB, from Time, n int) []byte {
+	tb.Helper()
+	qs := MustNewQuerySet(setRestoreConfig)
+	for _, rq := range setRestoreQueries {
+		if err := qs.Register(rq[0], MustCompile(rq[1], nil)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, e := range restoreStream(from, n) {
+		qs.Process(e)
+	}
+	var buf bytes.Buffer
+	if err := qs.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// forgeSetCheckpoint returns a set checkpoint after edit has had its way
+// with the list of its queries' namespaces.
+func forgeSetCheckpoint(tb testing.TB, data []byte, edit func(queries []any) []any) []byte {
+	tb.Helper()
+	var cp map[string]any
+	if err := json.Unmarshal(data, &cp); err != nil {
+		tb.Fatal(err)
+	}
+	cp["queries"] = edit(cp["queries"].([]any))
+	out, err := json.Marshal(cp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// hostileSetIDs are two forgeries of a set checkpoint that Register would
+// never have let through: a query id listed twice (restored, both engines
+// were dispatched and each match emitted twice) and an empty id.
+func hostileSetIDs(tb testing.TB) []struct {
+	id   string
+	data []byte
+} {
+	real := setCheckpoint(tb, 40, 12)
+	return []struct {
+		id   string
+		data []byte
+	}{
+		{`"seq"`, forgeSetCheckpoint(tb, real, func(qs []any) []any { return append(qs, qs[0]) })},
+		{`""`, forgeSetCheckpoint(tb, real, func(qs []any) []any {
+			qs[1].(map[string]any)["id"] = ""
+			return qs
+		})},
+	}
+}
+
+// TestRestoreQuerySetRefusesHostileIDs: a checkpoint listing a query id
+// twice, or an empty one, is refused with an error naming the id.
+func TestRestoreQuerySetRefusesHostileIDs(t *testing.T) {
+	for _, h := range hostileSetIDs(t) {
+		qs, err := RestoreQuerySet(setRestoreConfig, bytes.NewReader(h.data))
+		if err == nil || !strings.Contains(err.Error(), "query id "+h.id) {
+			t.Errorf("id %s: restored %v with error %v, want one naming the id", h.id, qs, err)
+		}
+	}
+}
+
+// FuzzRestoreQuerySet is FuzzRestoreEngine for the multi-query set's v2
+// checkpoint: error or equivalent state, never a panic. Whatever restores
+// must take a fixed 20-event stream, a heartbeat and a flush, and produce the
+// same output after one more checkpoint-and-restore in front of that stream.
+func FuzzRestoreQuerySet(f *testing.F) {
+	// Real checkpoints of both queries, the negation's match pending and
+	// events held in the shared buffer, and the two forgeries.
+	f.Add(setCheckpoint(f, 40, 12))
+	f.Add(setCheckpoint(f, 60, 20))
+	for _, h := range hostileSetIDs(f) {
+		f.Add(h.data)
+	}
+	drive := restoreStream(100, 20)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := RestoreQuerySet(setRestoreConfig, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := first.Checkpoint(&again); err != nil {
+			t.Fatalf("a restored set cannot checkpoint: %v", err)
+		}
+		second, err := RestoreQuerySet(setRestoreConfig, &again)
+		if err != nil {
+			t.Fatalf("a restored set's own checkpoint does not restore: %v", err)
+		}
+		run := func(qs *QuerySet) string {
+			var out []Match
+			for _, e := range drive {
+				out = append(out, qs.Process(e)...)
+			}
+			out = append(out, qs.Advance(drive[0].TS+1000)...)
+			out = append(out, qs.Flush()...)
+			if err := qs.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(out)
+		}
+		if a, b := run(first), run(second); a != b {
+			t.Fatalf("output diverges after one more checkpoint and restore\n first: %s\nsecond: %s", a, b)
 		}
 	})
 }

@@ -52,9 +52,8 @@ func E21FibaAggregation(s Scale) *Table {
 		opWins := make(map[string]int)
 		var windows, contributors int64
 		for _, m := range opRes.Matches {
-			a := oostream.AsResult(m)
-			agg, ok := a.Aggregate()
-			if !ok {
+			agg := m.Agg
+			if agg == nil {
 				continue
 			}
 			opWins[winKey(agg.WindowEnd, agg.Value.String(), agg.Count)]++

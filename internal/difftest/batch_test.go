@@ -58,7 +58,7 @@ func TestBatchCrashNoDoubleEmit(t *testing.T) {
 			c, _ := Generate(seed).jsonSafe() // the write-ahead log holds no NaN
 			rng := rand.New(rand.NewSource(seed ^ 0xbc7a5))
 			sizes := randomSizes(rng, len(c.Arrival))
-			mk := func(dir string) (*oostream.SupervisedEngine, error) {
+			mk := func(dir string) (*oostream.Engine, error) {
 				q, err := oostream.Compile(c.Query, Schema())
 				if err != nil {
 					return nil, err
@@ -94,12 +94,12 @@ func TestBatchCrashNoDoubleEmit(t *testing.T) {
 	}
 }
 
-// runSupervisedBatched drives the stream through SupervisedEngine
+// runSupervisedBatched drives the stream through a durable Engine's
 // ProcessBatch in the given chunks. When crashes is non-nil, the engine is
 // killed before each listed batch index and recovered from the same
 // directory; the previous batch is then redelivered whole and must emit
 // nothing (its matches were committed before the crash).
-func runSupervisedBatched(mk func(string) (*oostream.SupervisedEngine, error), events []event.Event, sizes []int, crashes []int) ([]plan.Match, error) {
+func runSupervisedBatched(mk func(string) (*oostream.Engine, error), events []event.Event, sizes []int, crashes []int) ([]plan.Match, error) {
 	dir, err := os.MkdirTemp("", "oobatchcrash-*")
 	if err != nil {
 		return nil, err
@@ -129,8 +129,8 @@ func runSupervisedBatched(mk func(string) (*oostream.SupervisedEngine, error), e
 			}
 			out = append(out, ms...)
 			if len(prev) > 0 {
-				dup, err := en.ProcessBatch(prev)
-				if err != nil {
+				dup := en.ProcessBatch(prev)
+				if err := en.Err(); err != nil {
 					return nil, fmt.Errorf("redeliver batch %d: %w", bi-1, err)
 				}
 				if len(dup) != 0 {
@@ -143,18 +143,16 @@ func runSupervisedBatched(mk func(string) (*oostream.SupervisedEngine, error), e
 		}
 		batch := events[pos : pos+sizes[bi]]
 		pos += sizes[bi]
-		ms, err := en.ProcessBatch(batch)
-		if err != nil {
+		out = append(out, en.ProcessBatch(batch)...)
+		if err := en.Err(); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", bi, err)
 		}
-		out = append(out, ms...)
 		prev = batch
 	}
-	ms, err := en.Flush()
-	if err != nil {
+	out = append(out, en.Flush()...)
+	if err := en.Err(); err != nil {
 		return nil, err
 	}
-	out = append(out, ms...)
 	if err := en.Close(); err != nil {
 		return nil, err
 	}

@@ -65,10 +65,10 @@ func RunCrash(c Case) *Failure {
 		name    string
 		truth   bool // also compare the baseline against the oracle
 		corrupt bool
-		make    func(dir string) (*oostream.SupervisedEngine, error)
+		make    func(dir string) (*oostream.Engine, error)
 	}
-	superv := func(cfg oostream.Config, every int) func(string) (*oostream.SupervisedEngine, error) {
-		return func(dir string) (*oostream.SupervisedEngine, error) {
+	superv := func(cfg oostream.Config, every int) func(string) (*oostream.Engine, error) {
+		return func(dir string) (*oostream.Engine, error) {
 			return oostream.NewSupervisedEngine(q, cfg, oostream.SupervisorConfig{
 				Dir: dir, CheckpointEvery: every, DisableFsync: true,
 			})
@@ -161,7 +161,7 @@ func drawOffsets(rng *rand.Rand, limit, n int) []int {
 
 // runSupervised drives one uninterrupted supervised run in a fresh
 // directory.
-func runSupervised(mk func(string) (*oostream.SupervisedEngine, error), events []event.Event) ([]plan.Match, error) {
+func runSupervised(mk func(string) (*oostream.Engine, error), events []event.Event) ([]plan.Match, error) {
 	dir, err := os.MkdirTemp("", "oocrash-base-*")
 	if err != nil {
 		return nil, err
@@ -176,17 +176,14 @@ func runSupervised(mk func(string) (*oostream.SupervisedEngine, error), events [
 	if err != nil {
 		return nil, err
 	}
-	ms, err := en.ProcessAll(events)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, ms...), nil
+	out = append(out, en.ProcessAll(events)...)
+	return out, en.Err()
 }
 
 // runCrashed drives the same stream but kills the engine at each crash
 // offset, recovers from the directory, and re-delivers the previous event
 // (an at-least-once source) before continuing.
-func runCrashed(mk func(string) (*oostream.SupervisedEngine, error), events []event.Event, crashes []int, corrupt bool) ([]plan.Match, error) {
+func runCrashed(mk func(string) (*oostream.Engine, error), events []event.Event, crashes []int, corrupt bool) ([]plan.Match, error) {
 	dir, err := os.MkdirTemp("", "oocrash-kill-*")
 	if err != nil {
 		return nil, err
@@ -224,8 +221,8 @@ func runCrashed(mk func(string) (*oostream.SupervisedEngine, error), events []ev
 			if i > 0 {
 				// Source retransmission: the event before the crash arrives
 				// again; admission must suppress it without new emissions.
-				dup, err := en.Process(events[i-1])
-				if err != nil {
+				dup := en.Process(events[i-1])
+				if err := en.Err(); err != nil {
 					return nil, fmt.Errorf("redeliver %d: %w", i-1, err)
 				}
 				if len(dup) != 0 {
@@ -236,17 +233,15 @@ func runCrashed(mk func(string) (*oostream.SupervisedEngine, error), events []ev
 		if i == len(events) {
 			break
 		}
-		ms, err := en.Process(events[i])
-		if err != nil {
+		out = append(out, en.Process(events[i])...)
+		if err := en.Err(); err != nil {
 			return nil, fmt.Errorf("process %d: %w", i, err)
 		}
-		out = append(out, ms...)
 	}
-	ms, err := en.Flush()
-	if err != nil {
+	out = append(out, en.Flush()...)
+	if err := en.Err(); err != nil {
 		return nil, err
 	}
-	out = append(out, ms...)
 	if err := en.Close(); err != nil {
 		return nil, err
 	}

@@ -201,11 +201,14 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 					}
 					res.matches = append(res.matches, covMust(t)(en.Start())...)
 					for _, e := range span {
-						res.matches = append(res.matches, covMust(t)(en.Process(e))...)
+						res.matches = append(res.matches, en.Process(e)...)
 					}
 					if len(span) == len(events)-cut {
-						res.matches = append(res.matches, covMust(t)(en.Flush())...)
+						res.matches = append(res.matches, en.Flush()...)
 						res.lat = en.LatencyReport()
+					}
+					if err := en.Err(); err != nil {
+						t.Fatal(err)
 					}
 					en.Kill()
 				}
@@ -232,11 +235,14 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 				covRegister(t, qs.Register) // ignored on the resumed directory: the checkpointed registry wins
 				res.matches = append(res.matches, covMust(t)(qs.Start())...)
 				for _, e := range span {
-					res.matches = append(res.matches, covMust(t)(qs.Process(e))...)
+					res.matches = append(res.matches, qs.Process(e)...)
 				}
 				if len(span) == len(events)-cut {
-					res.matches = append(res.matches, covMust(t)(qs.Flush())...)
+					res.matches = append(res.matches, qs.Flush()...)
 					res.lat = qs.LatencyReport()
+				}
+				if err := qs.Err(); err != nil {
+					t.Fatal(err)
 				}
 				qs.Kill()
 			}

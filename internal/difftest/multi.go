@@ -456,7 +456,7 @@ func multiCrash(c Case, queries []multiQuery) *Failure {
 			crashes = append(crashes, off)
 		}
 	}
-	mk := func(dir string) (*oostream.SupervisedQuerySet, error) {
+	mk := func(dir string) (*oostream.QuerySet, error) {
 		s, err := oostream.NewSupervisedQuerySet(
 			oostream.QuerySetConfig{Strategy: oostream.StrategyNative, K: c.K, AdvanceEvery: multiAdvanceEvery(c)},
 			oostream.SupervisorConfig{Dir: dir, CheckpointEvery: 5, DisableFsync: true})
@@ -515,7 +515,7 @@ func multiCrash(c Case, queries []multiQuery) *Failure {
 // and the process is killed and recovered at each crash offset,
 // re-delivering the previous event (an at-least-once source) which must
 // emit nothing.
-func runSupervisedSet(mk func(string) (*oostream.SupervisedQuerySet, error), events []event.Event, queries []multiQuery, regAt, unregAt int, crashes []int, corrupt bool) ([]plan.Match, error) {
+func runSupervisedSet(mk func(string) (*oostream.QuerySet, error), events []event.Event, queries []multiQuery, regAt, unregAt int, crashes []int, corrupt bool) ([]plan.Match, error) {
 	dir, err := os.MkdirTemp("", "oomulti-*")
 	if err != nil {
 		return nil, err
@@ -547,8 +547,8 @@ func runSupervisedSet(mk func(string) (*oostream.SupervisedQuerySet, error), eve
 			}
 			out = append(out, ms...)
 			if i > 0 {
-				dup, err := s.Process(events[i-1])
-				if err != nil {
+				dup := s.Process(events[i-1])
+				if err := s.Err(); err != nil {
 					return nil, fmt.Errorf("redeliver %d: %w", i-1, err)
 				}
 				if len(dup) != 0 {
@@ -571,17 +571,15 @@ func runSupervisedSet(mk func(string) (*oostream.SupervisedQuerySet, error), eve
 		if i == len(events) {
 			break
 		}
-		ms, err := s.Process(events[i])
-		if err != nil {
+		out = append(out, s.Process(events[i])...)
+		if err := s.Err(); err != nil {
 			return nil, fmt.Errorf("process %d: %w", i, err)
 		}
-		out = append(out, ms...)
 	}
-	ms, err := s.Flush()
-	if err != nil {
+	out = append(out, s.Flush()...)
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	out = append(out, ms...)
 	if err := s.Close(); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,8 @@
 // this library implements — the in-order baseline, the out-of-order kernel
 // (the paper's contribution) under either emission policy, and the layers
 // composed around it (the K-slack levee, the policy-switching hybrid, the
-// ordered-output and aggregation wrappers, the multi-query set) — and Env,
+// ordered-output and aggregation wrappers, the multi-query set, the
+// write-ahead-logged supervisor of a durable engine) — and Env,
 // the one value through which a layer receives its instruments when it is
 // built. The benchmark harness, the runtime pipeline, and the public facade
 // all program against this package.
@@ -66,7 +67,8 @@ type Engine interface {
 // ErrNoCheckpoint is what Checkpoint returns (wrapped with the engine's
 // name) when the engine's state cannot be serialized: the in-order
 // baseline, the reorder buffer, the ordered-output wrapper, the hybrid
-// switch, and the kernel while it emits ahead of the seal.
+// switch, the kernel while it emits ahead of the seal, and the supervisor
+// (whose state is its store).
 var ErrNoCheckpoint = errors.New("engine does not support checkpointing")
 
 // Env is the set of instruments one layer is built with. It is passed to

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -417,7 +418,7 @@ func TestEveryRunnerHasAnEntryPoint(t *testing.T) {
 	}
 	// The only library sources that may hold a go statement.
 	goAllowed := func(rel string) bool {
-		return rel == "result.go" || strings.HasPrefix(rel, "internal/obsv/httpx/")
+		return strings.HasPrefix(rel, "internal/obsv/httpx/")
 	}
 
 	imports := map[string][]string{} // package dir -> module-local package dirs it imports
@@ -444,7 +445,7 @@ func TestEveryRunnerHasAnEntryPoint(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if _, ok := n.(*ast.GoStmt); ok {
-				t.Errorf("%s: go statement in library code; only Engine.RunResults and the metrics HTTP server start goroutines", rel)
+				t.Errorf("%s: go statement in library code; only the metrics HTTP server starts goroutines", rel)
 			}
 			return true
 		})
@@ -473,5 +474,97 @@ func TestEveryRunnerHasAnEntryPoint(t *testing.T) {
 		if _, ok := imports[dir]; !ok {
 			t.Errorf("%s is allowlisted but has no non-test source: drop it from the allowlist", dir)
 		}
+	}
+}
+
+// TestOneFacade is the mechanical form of "one facade, one output type": in
+// the root package's non-test sources exactly two exported struct types
+// have a Process method, declared or promoted from an embedded type (Engine
+// and QuerySet; a durable engine is one of them, not a third type), no
+// exported method name ends in Results (Match is the one output type, so
+// there is no second form of a verb), no exported type is named Result or
+// Supervised*, and no panic is called outside a Must* function (misuse is
+// an error, recorded in Err).
+func TestOneFacade(t *testing.T) {
+	methods := map[string]map[string]bool{} // receiver type -> its method names
+	embeds := map[string][]string{}         // struct type -> the types it embeds
+	var exported []string                   // exported struct types
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || filepath.Dir(rel) != "." {
+			return
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					if name := ts.Name.Name; name == "Result" || strings.HasPrefix(name, "Supervised") {
+						t.Errorf("%s: exported type %s: a durable engine is an Engine or a QuerySet, and Match is the one output type", rel, name)
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					exported = append(exported, ts.Name.Name)
+					for _, field := range st.Fields.List {
+						if id, ok := field.Type.(*ast.Ident); ok && len(field.Names) == 0 {
+							embeds[ts.Name.Name] = append(embeds[ts.Name.Name], id.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						if methods[id.Name] == nil {
+							methods[id.Name] = map[string]bool{}
+						}
+						methods[id.Name][d.Name.Name] = true
+					}
+					if d.Name.IsExported() && strings.HasSuffix(d.Name.Name, "Results") {
+						t.Errorf("%s: method %s: a second form of a verb; return []Match", rel, d.Name.Name)
+					}
+				}
+				if strings.HasPrefix(d.Name.Name, "Must") || d.Body == nil {
+					continue
+				}
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+							t.Errorf("%s: %s panics; misuse is an error, recorded in Err", rel, d.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+	var hasProcess func(typ string) bool
+	hasProcess = func(typ string) bool {
+		if methods[typ]["Process"] {
+			return true
+		}
+		for _, e := range embeds[typ] {
+			if hasProcess(e) {
+				return true
+			}
+		}
+		return false
+	}
+	var processors []string
+	for _, typ := range exported {
+		if hasProcess(typ) {
+			processors = append(processors, typ)
+		}
+	}
+	slices.Sort(processors)
+	if !slices.Equal(processors, []string{"Engine", "QuerySet"}) {
+		t.Errorf("exported types with a Process method: %v, want [Engine QuerySet]", processors)
 	}
 }

@@ -137,6 +137,14 @@ func Restore(opts Options, r io.Reader) (*Set, error) {
 	s.buf = kslack.RestoreBuffer(opts.K, cp.MaxSeen, cp.Started, cp.Buffer)
 	s.sinceAdvance = cp.SinceAdvance
 	for _, qc := range cp.Queries {
+		// Register's rules hold for a listed id too: a repeated one would be
+		// dispatched twice, every match of it emitted twice.
+		if qc.ID == "" {
+			return nil, fmt.Errorf("queryset: checkpoint lists query id %q: an id must be non-empty", qc.ID)
+		}
+		if _, dup := s.queries[qc.ID]; dup {
+			return nil, fmt.Errorf("queryset: checkpoint lists query id %q twice", qc.ID)
+		}
 		p, err := opts.Compile(qc.Source)
 		if err != nil {
 			return nil, fmt.Errorf("queryset: recompile query %q: %w", qc.ID, err)

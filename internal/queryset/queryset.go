@@ -317,7 +317,9 @@ func (s *Set) Name() string { return "queryset" }
 // Process admits one event: it enters the shared reorder buffer, and
 // every event the watermark releases is dispatched through the type index
 // to the gated subset of registered engines. Returned matches are tagged
-// with their query id (Match.Query). Panics after Flush.
+// with their query id (Match.Query). A sealed Set takes nothing: after Flush
+// Process and Advance return nil (the facade refuses them first, and records
+// why).
 func (s *Set) Process(e event.Event) []plan.Match {
 	var out []plan.Match
 	s.process(e, &out)
@@ -341,7 +343,7 @@ func (s *Set) ProcessBatch(batch []event.Event) []plan.Match {
 
 func (s *Set) process(e event.Event, out *[]plan.Match) {
 	if s.sealed {
-		panic("queryset: Process called after Flush; the stream is sealed")
+		return
 	}
 	maxSeen, started := s.buf.MaxSeen()
 	ooo := started && e.TS < maxSeen
@@ -462,7 +464,7 @@ func (s *Set) fan(out *[]plan.Match) {
 // deferred negation output through silent periods).
 func (s *Set) Advance(ts event.Time) []plan.Match {
 	if s.sealed {
-		panic("queryset: Advance called after Flush; the stream is sealed")
+		return nil
 	}
 	var out []plan.Match
 	for _, r := range s.buf.Advance(ts) {

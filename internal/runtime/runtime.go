@@ -1,7 +1,7 @@
 // Package runtime provides the plumbing around the (inherently
 // single-threaded) pattern engines: Pipeline, the channel-to-channel loop
 // behind Engine.Run, and Supervisor, the write-ahead-logged, checkpointed
-// wrapper behind the supervised facade types.
+// engine a durable Engine or QuerySet drives.
 //
 // Nothing here starts a goroutine: Pipeline.Run and RunBatched work on the
 // caller's, stop when the context does (every send selects on it), and

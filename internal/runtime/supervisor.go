@@ -115,8 +115,13 @@ type supervMeta struct {
 // backoff, and an admission-control layer filters duplicates and disorder
 // bound violators under a configurable policy.
 //
-// A failure is returned by the call that hit it and stays in Err (sticky):
-// every later Process, ProcessBatch and Flush returns it again.
+// It is one more engine.Engine. Process, ProcessBatch and Flush return the
+// committed matches; a failure is recorded in Err (sticky) and every later
+// call returns nil. What the log cannot make durable is refused the same
+// way: a call before Start, an event whose Seq is 0 (admission and replay
+// key on it), an event after Flush, and Advance (the log records no
+// heartbeats). Checkpoint returns an error wrapping engine.ErrNoCheckpoint:
+// the supervisor's state is its store.
 //
 // Crash model: the process may die at any event boundary, plus a torn
 // final WAL record from dying mid-append. Reopening the store and calling
@@ -212,8 +217,7 @@ func (s *Supervisor) Start() ([]plan.Match, error) {
 	return out, nil
 }
 
-// Err returns the sticky failure, if any: the first error a Process,
-// ProcessBatch or Flush call returned.
+// Err returns the sticky failure, if any: the first error or refused call.
 func (s *Supervisor) Err() error { return s.err }
 
 func (s *Supervisor) fail(err error) error {
@@ -221,6 +225,21 @@ func (s *Supervisor) fail(err error) error {
 		s.err = err
 	}
 	return s.err
+}
+
+// open reports whether the stream takes a call, recording why not: a sticky
+// failure, no Start yet, or a Flush already logged.
+func (s *Supervisor) open() bool {
+	switch {
+	case s.err != nil:
+	case !s.running:
+		s.fail(errors.New("supervisor: Start not called"))
+	case s.flushed:
+		s.fail(errors.New("supervisor: stream already flushed"))
+	default:
+		return true
+	}
+	return false
 }
 
 // Name identifies the supervised composition, e.g. "supervised(native)".
@@ -234,23 +253,23 @@ func (s *Supervisor) Name() string {
 // Process offers one event: it is logged to the WAL, filtered by
 // admission control, processed under the panic guard (restarting from the
 // latest checkpoint on panic), and any surviving matches are committed as
-// delivered before they are returned.
-func (s *Supervisor) Process(e event.Event) ([]plan.Match, error) {
-	if s.err != nil {
-		return nil, s.err
+// delivered before they are returned. The event must carry a unique
+// non-zero Seq.
+func (s *Supervisor) Process(e event.Event) []plan.Match {
+	if !s.open() {
+		return nil
 	}
-	if !s.running {
-		return nil, errors.New("supervisor: Start not called")
-	}
-	if s.flushed {
-		return nil, errors.New("supervisor: stream already flushed")
+	if e.Seq == 0 {
+		s.fail(errors.New("supervisor: event has Seq 0: admission and replay key on a caller-assigned Seq"))
+		return nil
 	}
 	// The span opens at offer and closes once the event's matches are
 	// committed (a buffering engine holds it until release).
 	s.lat.Begin(e.Seq)
 	defer s.lat.Finish(e.Seq)
 	if err := s.store.Append(e); err != nil {
-		return nil, s.fail(err)
+		s.fail(err)
+		return nil
 	}
 	s.lat.StageEnd(e.Seq, obsv.StageWAL)
 	out, panicked, err := s.offer(e, false)
@@ -259,21 +278,21 @@ func (s *Supervisor) Process(e event.Event) ([]plan.Match, error) {
 	// construction stamp between them keeps the segments disjoint.
 	s.lat.StageEnd(e.Seq, obsv.StageWAL)
 	if err != nil {
-		return nil, s.fail(err)
+		s.fail(err)
+		return nil
 	}
 	if panicked {
-		out, err = s.restartLoop()
-		if err != nil {
-			return nil, err
+		if out, err = s.restartLoop(); err != nil {
+			return nil
 		}
 	}
 	s.sinceCkpt++
 	if s.shouldCheckpoint() {
 		if err := s.checkpoint(); err != nil {
-			return out, s.fail(err)
+			s.fail(err)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ProcessBatch offers a batch of events. The fault-tolerance machinery is
@@ -284,49 +303,54 @@ func (s *Supervisor) Process(e event.Event) ([]plan.Match, error) {
 // suppresses matches already delivered, never double-emitting past the
 // commit horizon. The batch entry therefore amortizes only the call and
 // output-slice overhead, deliberately not the durability barriers.
-// Processing stops at the first error; matches from events already
-// committed are returned alongside it.
-func (s *Supervisor) ProcessBatch(batch []event.Event) ([]plan.Match, error) {
+// Processing stops at the first failure; matches from events already
+// committed are returned.
+func (s *Supervisor) ProcessBatch(batch []event.Event) []plan.Match {
 	var out []plan.Match
 	for _, e := range batch {
-		ms, err := s.Process(e)
-		if err != nil {
-			return out, err
+		out = append(out, s.Process(e)...)
+		if s.err != nil {
+			break
 		}
-		out = append(out, ms...)
 	}
-	return out, nil
+	return out
+}
+
+// Advance is refused: the log records events and the flush, not
+// heartbeats, so recovery could not replay what one emitted.
+func (s *Supervisor) Advance(event.Time) []plan.Match {
+	s.fail(errors.New("supervisor: Advance refused: the write-ahead log records no heartbeats"))
+	return nil
 }
 
 // Flush seals the stream: end-of-stream is logged first, so a crash
-// mid-flush replays to the same final matches.
-func (s *Supervisor) Flush() ([]plan.Match, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if !s.running {
-		return nil, errors.New("supervisor: Start not called")
-	}
-	if s.flushed {
-		return nil, nil
+// mid-flush replays to the same final matches. A second Flush returns nil.
+func (s *Supervisor) Flush() []plan.Match {
+	if s.flushed || !s.open() {
+		return nil
 	}
 	if err := s.store.AppendFlush(); err != nil {
-		return nil, s.fail(err)
+		s.fail(err)
+		return nil
 	}
 	s.flushed = true
 	ms, panicked := s.guardedFlush()
 	if panicked {
-		out, err := s.restartLoop() // rebuild replays the flush marker too
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		out, _ := s.restartLoop() // rebuild replays the flush marker too
+		return out
 	}
 	out, err := s.emit(ms)
 	if err != nil {
-		return nil, s.fail(err)
+		s.fail(err)
+		return nil
 	}
-	return out, nil
+	return out
+}
+
+// Checkpoint refuses: the supervisor's state is its store, checkpointed
+// there every SupervisorOptions.CheckpointEvery events.
+func (s *Supervisor) Checkpoint(io.Writer) error {
+	return fmt.Errorf("supervisor: %w: its checkpoints are its store's", engine.ErrNoCheckpoint)
 }
 
 // Metrics returns the inner engine's counters with the supervisor's
@@ -357,17 +381,14 @@ func (s *Supervisor) StateSize() int {
 	return s.en.StateSize()
 }
 
-// MatchSeq returns the cumulative match-emission count (the monotone
-// sequence number the exactly-once machinery is built on).
-func (s *Supervisor) MatchSeq() uint64 { return s.matchSeq }
-
 // Engine exposes the live inner engine for read-only inspection (query
-// listings, per-query metrics). The instance is replaced on every restart;
-// do not retain it across calls. Mutations must go through Mutate.
+// listings, per-query metrics); nil before Start. The instance is replaced
+// on every restart; do not retain it across calls. Mutations must go
+// through Mutate.
 func (s *Supervisor) Engine() engine.Engine { return s.en }
 
 // Mutate applies a control-plane change (e.g. a multi-query Register or
-// Unregister) to the live engine and makes it durable by forcing a
+// Unregister on the live Engine) and makes it durable by forcing a
 // checkpoint, so the mutation survives a kill/recover: the WAL only
 // replays events, never mutations, so a mutation is durable exactly when
 // a checkpoint capturing it is.
@@ -382,7 +403,7 @@ func (s *Supervisor) Engine() engine.Engine { return s.en }
 //
 // An error from fn leaves the supervisor healthy (the mutation is assumed
 // rejected before changing state); a checkpoint failure is sticky.
-func (s *Supervisor) Mutate(fn func(en engine.Engine) ([]plan.Match, error)) ([]plan.Match, error) {
+func (s *Supervisor) Mutate(fn func() ([]plan.Match, error)) ([]plan.Match, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -395,7 +416,7 @@ func (s *Supervisor) Mutate(fn func(en engine.Engine) ([]plan.Match, error)) ([]
 	if !s.canSnapshot() {
 		return nil, errors.New("supervisor: mutations require a checkpoint-capable engine and a Restore factory")
 	}
-	ms, err := fn(s.en)
+	ms, err := fn()
 	if err != nil {
 		return nil, err
 	}

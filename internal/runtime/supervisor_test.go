@@ -52,22 +52,27 @@ func openSuperv(t *testing.T, dir string, opts SupervisorOptions) *Supervisor {
 	return s
 }
 
-// driveAll offers every event and flushes, accumulating emissions.
-func driveAll(t *testing.T, s *Supervisor, events []event.Event) []plan.Match {
+// offer offers every event, accumulating emissions; any failure is fatal.
+func offer(t *testing.T, s *Supervisor, events []event.Event) []plan.Match {
 	t.Helper()
 	var out []plan.Match
 	for _, e := range events {
-		ms, err := s.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, ms...)
+		out = append(out, s.Process(e)...)
 	}
-	ms, err := s.Flush()
-	if err != nil {
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return append(out, ms...)
+	return out
+}
+
+// driveAll offers every event and flushes, accumulating emissions.
+func driveAll(t *testing.T, s *Supervisor, events []event.Event) []plan.Match {
+	t.Helper()
+	out := append(offer(t, s, events), s.Flush()...)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // baseline runs the raw engine without supervision.
@@ -129,17 +134,10 @@ func TestCrashRecoveryExactMatchSet(t *testing.T) {
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		var got []plan.Match
-		for _, e := range events[:crashAt] {
-			ms, err := s.Process(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, ms...)
-		}
+		got := offer(t, s, events[:crashAt])
 		s.Kill()
-		if _, err := s.Process(events[crashAt]); err == nil {
-			t.Fatal("Process after Kill succeeded")
+		if ms := s.Process(events[crashAt]); ms != nil || s.Err() == nil {
+			t.Fatalf("Process after Kill: %v, err %v", ms, s.Err())
 		}
 
 		s2 := openSuperv(t, dir, opts)
@@ -148,18 +146,7 @@ func TestCrashRecoveryExactMatchSet(t *testing.T) {
 			t.Fatalf("crash at %d: recovery: %v", crashAt, err)
 		}
 		got = append(got, recovered...)
-		for _, e := range events[crashAt:] {
-			ms, err := s2.Process(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, ms...)
-		}
-		ms, err := s2.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
+		got = append(got, driveAll(t, s2, events[crashAt:])...)
 		s2.Close()
 
 		if len(got) != len(want) {
@@ -189,14 +176,7 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var got []plan.Match
-	for _, e := range events {
-		ms, err := s.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
+	got := offer(t, s, events)
 	// Simulate dying inside Flush: log the marker, then kill before the
 	// engine flushes.
 	if err := s.store.AppendFlush(); err != nil {
@@ -210,8 +190,8 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, recovered...)
-	if _, err := s2.Process(events[0]); err == nil || !strings.Contains(err.Error(), "flushed") {
-		t.Fatalf("recovered supervisor accepted events after durable flush: %v", err)
+	if ms := s2.Process(events[0]); ms != nil || s2.Err() == nil || !strings.Contains(s2.Err().Error(), "flushed") {
+		t.Fatalf("recovered supervisor accepted events after durable flush: %v, err %v", ms, s2.Err())
 	}
 	if ok, diff := plan.SameResults(want, got); !ok {
 		t.Fatalf("flush-crash output differs:\n%s", diff)
@@ -273,21 +253,17 @@ func TestPoisonEventExhaustsRestarts(t *testing.T) {
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var gotErr error
 	for _, e := range events {
-		if _, err := s.Process(e); err != nil {
-			gotErr = err
+		if s.Process(e); s.Err() != nil {
 			break
 		}
 	}
+	gotErr := s.Err()
 	if gotErr == nil || !strings.Contains(gotErr.Error(), "giving up") {
 		t.Fatalf("poison event did not exhaust restarts: %v", gotErr)
 	}
-	if s.Err() == nil {
-		t.Fatal("failure not sticky")
-	}
-	if _, err := s.Process(events[0]); err == nil {
-		t.Fatal("sticky-failed supervisor accepted an event")
+	if ms := s.Process(events[0]); ms != nil || s.Err() != gotErr {
+		t.Fatalf("sticky-failed supervisor took an event: %v, err %v", ms, s.Err())
 	}
 	// Backoff doubled then capped: 10ms, 15ms.
 	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 15*time.Millisecond {
@@ -396,11 +372,7 @@ func TestAdmissionSurvivesCrash(t *testing.T) {
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events[:40] {
-		if _, err := s.Process(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	offer(t, s, events[:40])
 	s.Kill()
 
 	s2 := openSuperv(t, dir, opts)
@@ -410,9 +382,7 @@ func TestAdmissionSurvivesCrash(t *testing.T) {
 	// Re-offer a recent pre-crash event: must be suppressed as duplicate.
 	recent := events[39]
 	before := s2.Metrics().DuplicatesSuppressed
-	if _, err := s2.Process(recent); err != nil {
-		t.Fatal(err)
-	}
+	offer(t, s2, []event.Event{recent})
 	if after := s2.Metrics().DuplicatesSuppressed; after != before+1 {
 		t.Fatalf("pre-crash duplicate not suppressed after recovery (%d -> %d)", before, after)
 	}
@@ -433,14 +403,7 @@ func TestWALOnlySupervision(t *testing.T) {
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var got []plan.Match
-	for _, e := range events[:90] {
-		ms, err := s.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
+	got := offer(t, s, events[:90])
 	if s.Metrics().Checkpoints != 0 {
 		t.Fatal("WAL-only supervisor wrote checkpoints")
 	}
@@ -452,18 +415,7 @@ func TestWALOnlySupervision(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, recovered...)
-	for _, e := range events[90:] {
-		ms, err := s2.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
-	ms, err := s2.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, ms...)
+	got = append(got, driveAll(t, s2, events[90:])...)
 	if ok, diff := plan.SameResults(want, got); !ok {
 		t.Fatalf("WAL-only recovery differs:\n%s", diff)
 	}
@@ -490,14 +442,7 @@ func TestCorruptCheckpointFallbackEndToEnd(t *testing.T) {
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var got []plan.Match
-	for _, e := range events[:100] {
-		ms, err := s.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
+	got := offer(t, s, events[:100])
 	s.Kill()
 	if err := recovery.CorruptNewestCheckpoint(dir); err != nil {
 		t.Fatal(err)
@@ -509,18 +454,7 @@ func TestCorruptCheckpointFallbackEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, recovered...)
-	for _, e := range events[100:] {
-		ms, err := s2.Process(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
-	ms, err := s2.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, ms...)
+	got = append(got, driveAll(t, s2, events[100:])...)
 
 	if len(got) != len(want) {
 		t.Fatalf("%d matches, want %d", len(got), len(want))

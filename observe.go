@@ -41,8 +41,8 @@ type (
 // pipeline, decomposing real elapsed time into stage durations (queue,
 // buffer, wal, construct, emit) whose sum equals the end-to-end wall time,
 // with optional multi-window SLO burn-rate tracking on top. Read via
-// Engine.LatencyReport / SupervisedEngine.LatencyReport,
-// StateSnapshot.Latency, or the /debug/latency HTTP endpoint.
+// Engine.LatencyReport / QuerySet.LatencyReport, StateSnapshot.Latency, or
+// the /debug/latency HTTP endpoint.
 type (
 	// LatencyReport is the JSON-ready attribution digest: span accounting,
 	// the wall histogram, per-stage summaries, and SLO windows.

@@ -21,17 +21,12 @@ func TestProcessAfterFlushPanics(t *testing.T) {
 			en := MustNewEngine(q, Config{Strategy: strat, K: 10})
 			en.Process(pairEvent("A", 1, 1, 7))
 			en.Flush()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("Process after Flush did not panic")
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "sealed") {
-					t.Fatalf("panic message = %v", r)
-				}
-			}()
-			en.Process(pairEvent("B", 2, 2, 7))
+			if ms := en.Process(pairEvent("B", 2, 2, 7)); ms != nil {
+				t.Fatalf("Process after Flush emitted %v", ms)
+			}
+			if err := en.Err(); err == nil || !strings.Contains(err.Error(), "sealed") {
+				t.Fatalf("Err after Process after Flush = %v, want the sealed refusal", err)
+			}
 		})
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/metrics"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/runtime"
 )
@@ -67,8 +66,16 @@ type (
 	Schema = event.Schema
 	// Kind enumerates value kinds.
 	Kind = event.Kind
-	// Match is one pattern occurrence (or a Retract compensation).
+	// Match is the one output type: a pattern occurrence, a Retract
+	// compensation, or — for an AGGREGATE query — one window's value,
+	// carried in Match.Agg (nil on pattern matches).
 	Match = plan.Match
+	// Aggregate is the window value of an aggregate Match: the function,
+	// the half-open window (WindowStart, WindowEnd] (WindowEnd a multiple of
+	// the SLIDE pitch), the GROUP BY key when HasGroup, the value (COUNT and
+	// int-only SUM are KindInt, AVG and float-tainted SUM KindFloat, MIN/MAX
+	// keep the attribute's kind), and the count of contributing matches.
+	Aggregate = plan.AggValue
 	// MatchKind distinguishes Insert results from Retract compensations.
 	MatchKind = plan.MatchKind
 	// Metrics is a snapshot of an engine's counters.
@@ -154,7 +161,7 @@ func (q *Query) PartitionableBy(attr string) bool { return q.plan.PartitionableB
 
 // HasAggregate reports whether the query carries an AGGREGATE clause:
 // its engines then emit windowed aggregate values instead of raw pattern
-// matches (see Result).
+// matches (see Aggregate).
 func (q *Query) HasAggregate() bool { return q.plan.Agg != nil }
 
 // AutoPartitionKey returns the equivalence attribute the planner selected
@@ -169,20 +176,19 @@ func (q *Query) AutoPartitionKey() string { return q.plan.PartitionKey }
 // compensations) and describes the difference when they diverge.
 func SameResults(a, b []Match) (bool, string) { return plan.SameResults(a, b) }
 
-// Engine evaluates one compiled query under a chosen strategy.
+// Engine evaluates one compiled query under a chosen strategy, in memory
+// (NewEngine, RestoreEngine) or durably (NewSupervisedEngine). Both kinds
+// have one method set and emit Match values: a pattern occurrence, its
+// Retract compensation, or, for an AGGREGATE query, one window's value in
+// Match.Agg. Misuse — an event after Flush, or on a durable engine a call
+// before Start, an event with Seq 0, a heartbeat — returns nil and is
+// recorded in Err; no method panics.
 //
-// Engines are not safe for concurrent Process calls; use Run for
-// channel-based plumbing.
+// Engines are not safe for concurrent calls; use Run for channel-based
+// plumbing.
 type Engine struct {
-	inner   engine.Engine
-	nextSeq event.Seq
-	sealed  bool
-	batch   Batch
-	// lat is the wall-clock span sampler (nil unless Config.Latency is
-	// set): the facade opens spans at ingest and closes them after the
-	// inner engine returns, with the layers in between stamping stage
-	// boundaries. All sampler methods are nil-safe.
-	lat *obsv.LatencySampler
+	facade
+	batch Batch
 }
 
 // NewEngine builds an engine for the query. See Config for the strategy,
@@ -222,7 +228,7 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inner: inner, batch: cfg.Batch, lat: b.lat}, nil
+	return &Engine{facade: inMemory(inner, b.lat), batch: cfg.Batch}, nil
 }
 
 // validateQueryConfig checks the constraints that need both the compiled
@@ -249,7 +255,8 @@ func MustNewEngine(q *Query, cfg Config) *Engine {
 	return en
 }
 
-// Strategy returns the engine's strategy name.
+// Strategy returns the engine's composition name, e.g. "native",
+// "ordered(native)", or "supervised(native)" for a durable engine.
 func (e *Engine) Strategy() string { return e.inner.Name() }
 
 // RawEngine is the contract of the engine behind the facade, exposed for
@@ -259,150 +266,34 @@ func (e *Engine) Strategy() string { return e.inner.Name() }
 // the concrete types live in internal packages.
 type RawEngine = engine.Engine
 
-// Raw exposes the engine behind the facade for harnesses that compose
-// engines directly. The returned value shares all state with e — use one
-// or the other, not both. Unlike the facade, Raw().Process does not
-// auto-assign Seq and does not guard against Process-after-Flush.
-func (e *Engine) Raw() RawEngine { return e.inner }
-
-// Process ingests one event and returns the matches it emits. Events with
-// Seq zero are assigned the next arrival sequence number automatically;
-// events carrying a Seq keep it (useful when the caller needs stable match
-// identity across strategies).
-//
-// Process panics if called after Flush: the stream is sealed — pending
-// negation output has been finalized, so further events would silently
-// produce wrong results.
-func (e *Engine) Process(ev Event) []Match {
-	if e.sealed {
-		panic("oostream: Process called after Flush; the stream is sealed")
-	}
-	if ev.Seq == 0 {
-		e.nextSeq++
-		ev.Seq = e.nextSeq
-	} else if ev.Seq > e.nextSeq {
-		e.nextSeq = ev.Seq
-	}
-	e.lat.Begin(ev.Seq)
-	ms := e.inner.Process(ev)
-	e.lat.Finish(ev.Seq)
-	return ms
-}
-
-// ProcessBatch ingests a slice of events through the engine's batch path
-// and returns the matches they emit, in the same order per-event Process
-// calls would (the engine contract's ProcessBatch clause, enforced by the
-// differential harness). Batching amortizes per-event overhead — shared
-// output slice, purge passes and gauge updates deferred to the batch
-// boundary — without changing output, retractions, lineage, or trace
-// semantics.
-//
-// A nil or empty batch is a documented no-op: it returns nil and leaves
-// all subsequent output unchanged.
-//
-// Seq auto-assignment matches Process and is written into the caller's
-// slice in place (events already carrying a Seq keep it). Like Process, it
-// panics when called after Flush.
-func (e *Engine) ProcessBatch(events []Event) []Match {
-	if e.sealed {
-		panic("oostream: ProcessBatch called after Flush; the stream is sealed")
-	}
-	for i := range events {
-		if events[i].Seq == 0 {
-			e.nextSeq++
-			events[i].Seq = e.nextSeq
-		} else if events[i].Seq > e.nextSeq {
-			e.nextSeq = events[i].Seq
-		}
-		e.lat.Begin(events[i].Seq)
-	}
-	ms := e.inner.ProcessBatch(events)
-	for i := range events {
-		e.lat.Finish(events[i].Seq)
-	}
-	return ms
-}
-
-// ProcessAll ingests a finite slice and returns all matches, including the
-// end-of-stream flush.
-func (e *Engine) ProcessAll(events []Event) []Match {
-	var out []Match
-	for _, ev := range events {
-		out = append(out, e.Process(ev)...)
-	}
-	return append(out, e.Flush()...)
-}
-
-// Flush seals the stream: pending negation output is finalized. Process
-// panics if called afterwards; a second Flush is a no-op returning nil.
-func (e *Engine) Flush() []Match {
-	if e.sealed {
-		return nil
-	}
-	e.sealed = true
-	return e.inner.Flush()
-}
-
-// Advance sends a heartbeat (punctuation): the source promises that stream
-// time has reached ts, even if no event carries that timestamp. Engines use
-// it to seal pending negation output and purge state through silent
-// periods. Every built-in strategy supports it.
-func (e *Engine) Advance(ts Time) []Match { return e.inner.Advance(ts) }
-
-// Metrics returns a snapshot of the engine's counters.
-func (e *Engine) Metrics() Metrics { return e.inner.Metrics() }
-
-// StateSize returns the engine's current buffered-item count.
-func (e *Engine) StateSize() int { return e.inner.StateSize() }
-
-// StateSnapshot returns a read-only view of the engine's live state:
-// per-position stack depths, the heaviest key groups, negation-store
-// sizes, buffer occupancy, clock and safe horizon, purge frontier, and
-// lineage retention (see provenance.StateSnapshot re-exported as
-// StateSnapshot). It is NOT synchronized with Process: call it from the
-// processing goroutine (between events) or while the engine is idle.
-func (e *Engine) StateSnapshot() *StateSnapshot {
-	snap := e.inner.StateSnapshot()
-	snap.Latency = e.lat.Report()
-	return snap
-}
-
-// LatencyReport returns the sampled wall-clock latency attribution digest:
-// span accounting, the end-to-end wall histogram, the per-stage
-// decomposition (whose sum equals the wall total by construction), and the
-// SLO burn-rate windows when configured. Returns nil when Config.Latency
-// is disabled.
-func (e *Engine) LatencyReport() *LatencyReport { return e.lat.Report() }
-
-// Checkpoint serializes the engine's state for crash recovery. The native
-// strategy supports it; other strategies return an error. A RestoreEngine'd
-// engine continues the stream exactly where this one stopped. When combined
-// with auto-assigned sequence numbers, feed events with explicit Seq values
-// across the restore boundary (the auto-assign counter is not part of the
-// checkpoint).
-func (e *Engine) Checkpoint(w io.Writer) error { return e.inner.Checkpoint(w) }
-
 // Run consumes events from in until it closes or ctx is cancelled,
 // forwarding matches to out; it flushes on end-of-stream and closes out
-// before returning. End-of-stream seals the engine exactly as Flush does;
-// a cancelled Run returns ctx.Err() and leaves it open. Auto-assignment of
-// Seq is NOT applied on this path — feed events with sequence numbers
-// (generators assign them).
+// before returning. End-of-stream seals the engine exactly as Flush does
+// and returns Err; a cancelled Run returns ctx.Err() and leaves it open. On
+// a sealed engine Run is refused like Process: it closes out and returns
+// the refusal. Auto-assignment of Seq is NOT applied on this path — feed
+// events with sequence numbers (generators assign them).
 //
 // When Config.Batch.Size > 1, Run drives the engine's batch path: events
 // are accumulated (up to Size, waiting at most Linger for a partial batch)
 // and handed to ProcessBatch in one call. Output is identical either way.
 func (e *Engine) Run(ctx context.Context, in <-chan Event, out chan<- Match) error {
-	p := runtime.NewPipeline(e.inner, engine.Env{Latency: e.lat})
+	if e.shut != nil {
+		close(out)
+		e.refuse()
+		return e.shut
+	}
+	p := runtime.NewPipeline(e.inner, engine.Env{Latency: e.spans})
 	var err error
 	if e.batch.Size > 1 {
 		err = p.RunBatched(ctx, in, out, e.batch.Size, e.batch.Linger)
 	} else {
 		err = p.Run(ctx, in, out)
 	}
-	if err == nil {
-		// End of stream: the pipeline flushed the inner engine.
-		e.sealed = true
+	if err != nil {
+		return err
 	}
-	return err
+	// End of stream: the pipeline flushed the inner engine.
+	e.shut = errSealed
+	return e.Err()
 }

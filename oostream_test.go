@@ -148,16 +148,16 @@ func TestEngineRunPipeline(t *testing.T) {
 	}
 }
 
-// TestRunResultsCancelWithOutUnread: cancellation must end RunResults even
-// when nobody reads out any more, and leave no goroutine behind.
+// TestRunResultsCancelWithOutUnread: cancellation must end Run even when
+// nobody reads its results any more, and leave no goroutine behind.
 func TestRunResultsCancelWithOutUnread(t *testing.T) {
 	q := MustCompile("PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN 10s", gen.RFIDSchema())
 	events := gen.RFID(gen.DefaultRFID(200, 8))
-	// Run receives events[stuck] only after its third result is in flight:
-	// the test reads the first, so the second is by then held by the
-	// forwarder with nobody to take it.
-	stuck, ref := 0, MustNewEngine(q, Config{})
-	for n := 0; n < 3; stuck++ {
+	// events[stuck] completes the second result: the test reads the first
+	// and walks away, so Run, sending the second, has taken its last event.
+	stuck, ref := -1, MustNewEngine(q, Config{})
+	for n := 0; n < 2; {
+		stuck++
 		n += len(ref.Process(events[stuck]))
 	}
 	before := runtime.NumGoroutine()
@@ -165,7 +165,7 @@ func TestRunResultsCancelWithOutUnread(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	en := MustNewEngine(q, Config{})
 	in := make(chan Event)
-	out := make(chan Result)
+	out := make(chan Match)
 	fed := make(chan struct{})
 	go func() {
 		defer close(in)
@@ -181,7 +181,7 @@ func TestRunResultsCancelWithOutUnread(t *testing.T) {
 		}
 	}()
 	errCh := make(chan error, 1)
-	go func() { errCh <- en.RunResults(ctx, in, out) }()
+	go func() { errCh <- en.Run(ctx, in, out) }()
 	<-out // one result read, then the consumer walks away
 	<-fed
 	cancel()
@@ -191,7 +191,7 @@ func TestRunResultsCancelWithOutUnread(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("RunResults still blocked 2s after cancellation")
+		t.Fatal("Run still blocked 2s after cancellation")
 	}
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {
@@ -202,54 +202,38 @@ func TestRunResultsCancelWithOutUnread(t *testing.T) {
 }
 
 // TestRunSealsEngine: a Run that ends on end-of-stream has flushed the
-// engine, so Process must refuse as it does after Flush; a cancelled Run
+// engine, so Process is refused as it is after Flush; a cancelled Run
 // leaves the engine open.
 func TestRunSealsEngine(t *testing.T) {
 	q := pairQuery(t)
-	processPanic := func(en *Engine, ev Event) (msg string) {
-		defer func() { msg, _ = recover().(string) }()
-		en.Process(ev)
-		return ""
-	}
-	for _, tt := range []struct {
-		name string
-		run  func(*Engine, context.Context, <-chan Event) error
-	}{
-		{"Run", func(en *Engine, ctx context.Context, in <-chan Event) error {
-			return en.Run(ctx, in, make(chan Match, 4))
-		}},
-		{"RunResults", func(en *Engine, ctx context.Context, in <-chan Event) error {
-			return en.RunResults(ctx, in, make(chan Result, 4))
-		}},
-	} {
-		t.Run(tt.name+"/end-of-stream", func(t *testing.T) {
-			en := MustNewEngine(q, Config{K: 10})
-			in := make(chan Event, 2)
-			in <- pairEvent("A", 1, 1, 7)
-			in <- pairEvent("B", 2, 2, 7)
-			close(in)
-			if err := tt.run(en, context.Background(), in); err != nil {
-				t.Fatal(err)
-			}
-			if msg := processPanic(en, pairEvent("A", 3, 3, 7)); !strings.Contains(msg, "sealed") {
-				t.Errorf("Process after a completed run: panic = %q, want the sealed refusal", msg)
-			}
-			if ms := en.Flush(); ms != nil {
-				t.Errorf("Flush after a completed run returned %v", ms)
-			}
-		})
-		t.Run(tt.name+"/cancelled", func(t *testing.T) {
-			en := MustNewEngine(q, Config{K: 10})
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if err := tt.run(en, ctx, make(chan Event)); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if msg := processPanic(en, pairEvent("A", 1, 1, 7)); msg != "" {
-				t.Errorf("Process after a cancelled run panicked: %s", msg)
-			}
-		})
-	}
+	t.Run("Run/end-of-stream", func(t *testing.T) {
+		en := MustNewEngine(q, Config{K: 10})
+		in := make(chan Event, 2)
+		in <- pairEvent("A", 1, 1, 7)
+		in <- pairEvent("B", 2, 2, 7)
+		close(in)
+		if err := en.Run(context.Background(), in, make(chan Match, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if ms := en.Process(pairEvent("A", 3, 3, 7)); ms != nil || !errors.Is(en.Err(), errSealed) {
+			t.Errorf("Process after a completed run: %v, Err %v, want the sealed refusal", ms, en.Err())
+		}
+		if ms := en.Flush(); ms != nil {
+			t.Errorf("Flush after a completed run returned %v", ms)
+		}
+	})
+	t.Run("Run/cancelled", func(t *testing.T) {
+		en := MustNewEngine(q, Config{K: 10})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := en.Run(ctx, make(chan Event), make(chan Match)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		en.Process(pairEvent("A", 1, 1, 7))
+		if err := en.Err(); err != nil {
+			t.Errorf("Process after a cancelled run refused: %v", err)
+		}
+	})
 }
 
 func TestMetricsExposed(t *testing.T) {

@@ -149,7 +149,7 @@ func TestRestorePartitionedFixture(t *testing.T) {
 	q := MustCompile(fixtureNegQuery, nil)
 	events := fixtureTrace(t, "neg.trace")
 	want := MustNewEngine(q, Config{K: 200}).ProcessAll(events)
-	open := func(t *testing.T, name string) *SupervisedEngine {
+	open := func(t *testing.T, name string) *Engine {
 		t.Helper()
 		dir := t.TempDir()
 		files, err := os.ReadDir(filepath.Join(fixtureDir, name))
@@ -178,8 +178,8 @@ func TestRestorePartitionedFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, ms...)
-		if ms, err = s.ProcessAll(events[offered:]); err != nil {
-			t.Fatal(err)
+		if ms = s.ProcessAll(events[offered:]); s.Err() != nil {
+			t.Fatal(s.Err())
 		}
 		if ok, diff := SameResults(want, append(got, ms...)); !ok {
 			t.Errorf("supervised continuation diverges from the uninterrupted run:\n%s", diff)

@@ -18,9 +18,9 @@ type QueryStats = queryset.QueryStats
 
 // QuerySetConfig configures a QuerySet — the multi-query engine that
 // shares admission, reordering, and purge scheduling across every
-// registered query. A single-query Engine (NewEngine) is the degenerate
-// case: a QuerySet with one registered query computes the same results,
-// paying a small dispatch overhead for the ability to add more.
+// registered query. A QuerySet with one registered query computes the
+// results of a single-query Engine, but not at its latency: the shared
+// buffer holds every event for K, so a native query's results wait K too.
 type QuerySetConfig struct {
 	// Strategy selects the per-query inner engine; default StrategyNative.
 	// Inner engines run at K=0 — the shared reorder buffer carries all
@@ -127,15 +127,21 @@ func (cfg QuerySetConfig) builder() builder {
 // event-type index dispatching only to queries whose components can
 // consume the event, and prefix gating that skips queries whose pattern
 // cannot have started for the event's key group. Every emitted Match
-// carries the owning query's id in Match.Query.
+// carries the owning query's id in Match.Query. It runs in memory
+// (NewQuerySet, RestoreQuerySet) or durably (NewSupervisedQuerySet), with
+// the method set and the refusals of Engine.
 //
 // Like Engine, a QuerySet is not safe for concurrent calls.
 type QuerySet struct {
-	set     *queryset.Set
-	nextSeq Seq
-	sealed  bool
-	// lat is the wall-clock span sampler (nil unless Latency is set).
-	lat *obsv.LatencySampler
+	facade
+	// staged is the fresh registry of a durable set, Registered before
+	// Start (a resumed directory's checkpointed registry wins).
+	staged []namedQuery
+}
+
+type namedQuery struct {
+	id string
+	q  *Query
 }
 
 // NewQuerySet builds an empty QuerySet; add queries with Register.
@@ -182,163 +188,26 @@ func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QuerySet{set: set, lat: b.lat}, nil
+	return &QuerySet{facade: inMemory(set, b.lat)}, nil
 }
 
-// Register adds a compiled query under id. The query observes events the
-// shared buffer releases after registration; it returns an error on a
-// duplicate or empty id, or after Flush.
-func (qs *QuerySet) Register(id string, q *Query) error {
-	return qs.set.Register(id, q.plan)
-}
-
-// Unregister removes a query, finalizes it against the events released so
-// far, and returns its final matches (tagged with the id). Events still
-// held in the shared reorder buffer are not seen by the departing query;
-// call Advance first to drain up to a known horizon when that matters.
-func (qs *QuerySet) Unregister(id string) ([]Match, error) {
-	return qs.set.Unregister(id)
-}
-
-// Queries returns the registered query ids in registration order.
-func (qs *QuerySet) Queries() []string { return qs.set.Queries() }
-
-// Process ingests one event, auto-assigning Seq exactly like
-// Engine.Process, and returns the matches it releases across all
-// registered queries, each tagged with its query id. Panics after Flush.
-func (qs *QuerySet) Process(ev Event) []Match {
-	if qs.sealed {
-		panic("oostream: Process called after Flush; the stream is sealed")
-	}
-	qs.assignSeq(&ev)
-	qs.lat.Begin(ev.Seq)
-	ms := qs.set.Process(ev)
-	qs.lat.Finish(ev.Seq)
-	return ms
-}
-
-// ProcessBatch ingests a slice of events through the batch path. A nil or
-// empty batch is a documented no-op returning nil. Output is identical to
-// per-event Process calls. Seq auto-assignment matches Process and is
-// written into the caller's slice in place.
-func (qs *QuerySet) ProcessBatch(events []Event) []Match {
-	if qs.sealed {
-		panic("oostream: ProcessBatch called after Flush; the stream is sealed")
-	}
-	for i := range events {
-		qs.assignSeq(&events[i])
-		qs.lat.Begin(events[i].Seq)
-	}
-	ms := qs.set.ProcessBatch(events)
-	for i := range events {
-		qs.lat.Finish(events[i].Seq)
-	}
-	return ms
-}
-
-// ProcessAll ingests a finite slice and returns all matches, including
-// the end-of-stream flush.
-func (qs *QuerySet) ProcessAll(events []Event) []Match {
-	var out []Match
-	for _, ev := range events {
-		out = append(out, qs.Process(ev)...)
-	}
-	return append(out, qs.Flush()...)
-}
-
-func (qs *QuerySet) assignSeq(ev *Event) {
-	if ev.Seq == 0 {
-		qs.nextSeq++
-		ev.Seq = qs.nextSeq
-	} else if ev.Seq > qs.nextSeq {
-		qs.nextSeq = ev.Seq
-	}
-}
-
-// Advance sends a heartbeat: stream time has reached ts. The shared
-// buffer releases everything at or below ts − K and every registered
-// engine advances to the new watermark, sealing pending negation output
-// and purging state through silent periods.
-func (qs *QuerySet) Advance(ts Time) []Match {
-	if qs.sealed {
-		panic("oostream: Advance called after Flush; the stream is sealed")
-	}
-	return qs.set.Advance(ts)
-}
-
-// Flush seals the stream: the shared buffer drains and every query is
-// finalized in registration order. Process panics afterwards; a second
-// Flush is a no-op returning nil.
-func (qs *QuerySet) Flush() []Match {
-	if qs.sealed {
-		return nil
-	}
-	qs.sealed = true
-	return qs.set.Flush()
-}
-
-// Metrics returns the shared-admission counters: events in, late drops at
-// the shared buffer, irrelevant types, and the aggregate state gauge.
-func (qs *QuerySet) Metrics() Metrics { return qs.set.Metrics() }
-
-// QueryMetrics returns one registered query's inner-engine counters.
-func (qs *QuerySet) QueryMetrics(id string) (Metrics, bool) { return qs.set.QueryMetrics(id) }
-
-// Stats returns per-query dispatch/skip accounting in registration order.
-func (qs *QuerySet) Stats() []QueryStats { return qs.set.Stats() }
-
-// StateSize returns buffered events plus the state of every engine.
-func (qs *QuerySet) StateSize() int { return qs.set.StateSize() }
-
-// LatencyReport returns the sampled wall-clock latency attribution digest
-// (see Engine.LatencyReport), or nil when Latency is disabled. Per-query
-// construct segments additionally land in each query's "qs/<id>" series
-// when an Observer is configured.
-func (qs *QuerySet) LatencyReport() *LatencyReport { return qs.lat.Report() }
-
-// Checkpoint serializes the QuerySet in checkpoint format v2: the shared
-// reorder buffer plus one namespaced state blob per registered query, so
-// a restore rebuilds the full registry (see RestoreQuerySet). Every inner
-// engine must support checkpointing (StrategyNative).
-func (qs *QuerySet) Checkpoint(w io.Writer) error { return qs.set.Checkpoint(w) }
-
-// Raw exposes the engine behind the facade for harnesses that compose
-// engines directly (the Set implements the same contract as any engine;
-// matches are tagged with their query id).
-func (qs *QuerySet) Raw() RawEngine { return qs.set }
-
-// SupervisedQuerySet is a QuerySet wrapped in the fault-tolerant runtime:
-// events are WAL-logged before processing, matches are committed to the
+// NewSupervisedQuerySet builds a durable QuerySet persisting to sc.Dir:
+// events are logged before processing, matches are committed to the
 // exactly-once horizon on emission, and checkpoints use format v2 with
-// per-query state namespaces — so live Register/Unregister survives a
-// kill/recover (each mutation forces a checkpoint; the WAL replays events
-// only).
+// per-query state namespaces, so a live Register or Unregister survives a
+// kill and recovery (each forces a checkpoint; the log replays events
+// only). Register the initial queries before Start on a fresh directory; on
+// a resumed one the checkpointed registry wins and those registrations are
+// ignored (reconcile via Queries after Start).
 //
-// Like SupervisedEngine, events must carry caller-assigned unique Seq
-// values. Live mutation requires the native strategy (per-query snapshots);
-// other strategies run WAL-only with a fixed pre-Start registry.
-//
-// One caveat mirrors Supervisor.Mutate: the final flush returned by a
-// live Unregister sits outside the exactly-once horizon — a crash racing
-// the mutation re-runs it, making that output at-least-once.
-type SupervisedQuerySet struct {
-	sup     *runtime.Supervisor
-	initial []namedQuery
-	started bool
-	// lat is the wall-clock span sampler (nil unless Latency is set).
-	lat *obsv.LatencySampler
-}
-
-type namedQuery struct {
-	id string
-	q  *Query
-}
-
-// NewSupervisedQuerySet builds a supervised QuerySet persisting to
-// sc.Dir. Register initial queries before Start on a fresh directory; on
-// a resumed directory the checkpointed registry wins and pre-Start
-// registrations are ignored (reconcile via Queries after Start).
-func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*SupervisedQuerySet, error) {
+// As for NewSupervisedEngine, events must carry caller-assigned unique Seq
+// values, and Advance is refused. Live mutation requires the native
+// strategy (per-query snapshots); other strategies run WAL-only with the
+// registry staged before Start. One caveat mirrors the supervisor's
+// mutations: the final flush a live Unregister returns sits outside the
+// exactly-once horizon — a crash racing the mutation re-runs it, making that
+// output at-least-once.
+func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -351,7 +220,7 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*Supervised
 	// are disjoint), as a single engine does under NewSupervisedEngine.
 	top := "supervised(queryset)"
 	opts := cfg.setOptions(b, top)
-	s := &SupervisedQuerySet{lat: b.lat}
+	qs := &QuerySet{}
 	sopts := runtime.SupervisorOptions{
 		Env: engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
 		New: func() (engine.Engine, error) {
@@ -359,7 +228,7 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*Supervised
 			if err != nil {
 				return nil, err
 			}
-			for _, nq := range s.initial {
+			for _, nq := range qs.staged {
 				if err := set.Register(nq.id, nq.q.plan); err != nil {
 					return nil, err
 				}
@@ -375,121 +244,97 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*Supervised
 	if err != nil {
 		return nil, err
 	}
-	s.sup = sup
-	return s, nil
+	qs.facade = durable(sup, b.lat)
+	return qs, nil
 }
 
-// Start recovers durable state (restoring the checkpointed query registry
-// when one exists) and readies the set; it returns the matches a previous
-// crash interrupted.
-func (s *SupervisedQuerySet) Start() ([]Match, error) {
-	out, err := s.sup.Start()
-	if err != nil {
-		return nil, err
+// set is the live registry: the facade's engine in memory; when durable,
+// the supervisor's current one (replaced on every restart), nil before
+// Start.
+func (qs *QuerySet) set() *queryset.Set {
+	en := qs.inner
+	if qs.sup != nil {
+		en = qs.sup.Engine()
 	}
-	s.started = true
-	return out, nil
+	set, _ := en.(*queryset.Set)
+	return set
 }
 
-// Register adds a query. Before Start it stages the query for the fresh
-// registry; after Start it is a durable live mutation — applied to the
-// running set and sealed with a forced v2 checkpoint, so it survives a
-// kill/recover (native strategy only).
-func (s *SupervisedQuerySet) Register(id string, q *Query) error {
-	if !s.started {
-		for _, nq := range s.initial {
+// mutate applies a registry change: directly in memory; durably through
+// the supervisor, which seals it with a forced checkpoint (native strategy
+// only).
+func (qs *QuerySet) mutate(fn func() ([]Match, error)) ([]Match, error) {
+	if qs.sup == nil {
+		return fn()
+	}
+	return qs.sup.Mutate(fn)
+}
+
+// Register adds a compiled query under id. The query observes events the
+// shared buffer releases after registration; it returns an error on a
+// duplicate or empty id, or after Flush. On a durable set, Register before
+// Start stages the query for the fresh registry; after Start it is a
+// durable live mutation.
+func (qs *QuerySet) Register(id string, q *Query) error {
+	set := qs.set()
+	if set == nil {
+		for _, nq := range qs.staged {
 			if nq.id == id {
 				return fmt.Errorf("queryset: query id %q already registered", id)
 			}
 		}
-		s.initial = append(s.initial, namedQuery{id: id, q: q})
+		qs.staged = append(qs.staged, namedQuery{id: id, q: q})
 		return nil
 	}
-	_, err := s.sup.Mutate(func(en engine.Engine) ([]plan.Match, error) {
-		return nil, en.(*queryset.Set).Register(id, q.plan)
-	})
+	_, err := qs.mutate(func() ([]Match, error) { return nil, set.Register(id, q.plan) })
 	return err
 }
 
-// Unregister removes a query. After Start it is a durable live mutation;
-// the returned final matches sit outside the exactly-once horizon (see
-// the type comment).
-func (s *SupervisedQuerySet) Unregister(id string) ([]Match, error) {
-	if !s.started {
-		for i, nq := range s.initial {
+// Unregister removes a query, finalizes it against the events released so
+// far, and returns its final matches (tagged with the id). Events still
+// held in the shared reorder buffer are not seen by the departing query;
+// call Advance first to drain up to a known horizon when that matters. On a
+// durable set it is a live mutation like Register, and the returned matches
+// sit outside the exactly-once horizon (see NewSupervisedQuerySet).
+func (qs *QuerySet) Unregister(id string) ([]Match, error) {
+	set := qs.set()
+	if set == nil {
+		for i, nq := range qs.staged {
 			if nq.id == id {
-				s.initial = append(s.initial[:i], s.initial[i+1:]...)
+				qs.staged = append(qs.staged[:i], qs.staged[i+1:]...)
 				return nil, nil
 			}
 		}
 		return nil, fmt.Errorf("queryset: query id %q is not registered", id)
 	}
-	return s.sup.Mutate(func(en engine.Engine) ([]plan.Match, error) {
-		return en.(*queryset.Set).Unregister(id)
-	})
+	return qs.mutate(func() ([]Match, error) { return set.Unregister(id) })
 }
 
-// Queries returns the live registry in registration order (after Start).
-func (s *SupervisedQuerySet) Queries() []string {
-	if set, ok := s.sup.Engine().(*queryset.Set); ok {
+// Queries returns the registered query ids in registration order.
+func (qs *QuerySet) Queries() []string {
+	if set := qs.set(); set != nil {
 		return set.Queries()
 	}
-	ids := make([]string, len(s.initial))
-	for i, nq := range s.initial {
+	ids := make([]string, len(qs.staged))
+	for i, nq := range qs.staged {
 		ids[i] = nq.id
 	}
 	return ids
 }
 
-// Process offers one event; it must carry a unique non-zero Seq. Returned
-// matches are committed as delivered before the call returns.
-func (s *SupervisedQuerySet) Process(ev Event) ([]Match, error) {
-	if ev.Seq == 0 {
-		return nil, fmt.Errorf("supervised query set requires caller-assigned event Seq values")
-	}
-	return s.sup.Process(ev)
-}
-
-// ProcessBatch offers a slice of events with per-event durability
-// semantics (see SupervisedEngine.ProcessBatch). A nil or empty batch is
-// a no-op.
-func (s *SupervisedQuerySet) ProcessBatch(events []Event) ([]Match, error) {
-	for _, ev := range events {
-		if ev.Seq == 0 {
-			return nil, fmt.Errorf("supervised query set requires caller-assigned event Seq values")
-		}
-	}
-	return s.sup.ProcessBatch(events)
-}
-
-// Flush seals the stream durably.
-func (s *SupervisedQuerySet) Flush() ([]Match, error) { return s.sup.Flush() }
-
-// Metrics returns the shared-admission counters merged with the
-// fault-tolerance counters.
-func (s *SupervisedQuerySet) Metrics() Metrics { return s.sup.Metrics() }
-
-// QueryMetrics returns one registered query's inner-engine counters.
-func (s *SupervisedQuerySet) QueryMetrics(id string) (Metrics, bool) {
-	if set, ok := s.sup.Engine().(*queryset.Set); ok {
+// QueryMetrics returns one registered query's inner-engine counters (the
+// shared-admission counters are Metrics).
+func (qs *QuerySet) QueryMetrics(id string) (Metrics, bool) {
+	if set := qs.set(); set != nil {
 		return set.QueryMetrics(id)
 	}
 	return Metrics{}, false
 }
 
-// MatchSeq returns the cumulative committed match-emission count.
-func (s *SupervisedQuerySet) MatchSeq() uint64 { return s.sup.MatchSeq() }
-
-// LatencyReport returns the sampled wall-clock latency attribution digest
-// (see Engine.LatencyReport), or nil when Latency is disabled.
-func (s *SupervisedQuerySet) LatencyReport() *LatencyReport { return s.lat.Report() }
-
-// Err returns the sticky failure, if any.
-func (s *SupervisedQuerySet) Err() error { return s.sup.Err() }
-
-// Kill simulates a process crash for testing; reopen the directory with a
-// fresh SupervisedQuerySet to recover.
-func (s *SupervisedQuerySet) Kill() { s.sup.Kill() }
-
-// Close cleanly seals the durable store.
-func (s *SupervisedQuerySet) Close() error { return s.sup.Close() }
+// Stats returns per-query dispatch/skip accounting in registration order.
+func (qs *QuerySet) Stats() []QueryStats {
+	if set := qs.set(); set != nil {
+		return set.Stats()
+	}
+	return nil
+}

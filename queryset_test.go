@@ -2,6 +2,7 @@ package oostream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestQuerySetCheckpointRoundtrip(t *testing.T) {
 }
 
 // TestQuerySetSealed pins the post-Flush surface: Register and Unregister
-// error, Process panics, a second Flush is a silent no-op.
+// error, Process is refused into Err, a second Flush is a silent no-op.
 func TestQuerySetSealed(t *testing.T) {
 	seq, _, events := querySetFixture(t)
 	set := MustNewQuerySet(QuerySetConfig{K: 400})
@@ -223,12 +224,9 @@ func TestQuerySetSealed(t *testing.T) {
 	if got := set.Flush(); got != nil {
 		t.Errorf("second Flush returned %d matches", len(got))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Process after Flush did not panic")
-		}
-	}()
-	set.Process(events[0])
+	if ms := set.Process(events[0]); ms != nil || !errors.Is(set.Err(), errSealed) {
+		t.Errorf("Process after Flush: %v, Err %v, want the sealed refusal", ms, set.Err())
+	}
 }
 
 // TestQuerySetConfigValidation exercises construction errors.

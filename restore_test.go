@@ -89,7 +89,7 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 	q := pairQuery(t)
 	dir := t.TempDir()
 	sc := SupervisorConfig{Dir: dir, CheckpointEvery: 2, DisableFsync: true}
-	open := func(cfg Config) *SupervisedEngine {
+	open := func(cfg Config) *Engine {
 		t.Helper()
 		s, err := NewSupervisedEngine(q, cfg, sc)
 		if err != nil {
@@ -100,15 +100,14 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 		}
 		return s
 	}
-	feed := func(s *SupervisedEngine, events []Event) []Match {
+	feed := func(s *Engine, events []Event) []Match {
 		t.Helper()
 		var out []Match
 		for _, ev := range events {
-			ms, err := s.Process(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ms...)
+			out = append(out, s.Process(ev)...)
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}

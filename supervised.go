@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"oostream/internal/engine"
-	"oostream/internal/obsv"
 	"oostream/internal/recovery"
 	"oostream/internal/runtime"
 )
@@ -80,32 +79,24 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 	}
 }
 
-// SupervisedEngine is an Engine wrapped in the fault-tolerant runtime:
-// every offered event is logged durably before processing, matches carry
-// monotone sequence numbers committed on emission, engine panics restart
-// from the latest checkpoint with capped exponential backoff, and an
-// admission-control layer filters duplicates and bound violators.
+// NewSupervisedEngine builds a durable engine over the strategy and
+// disorder bound in cfg, persisting to sc.Dir: an Engine whose every
+// offered event is logged durably before processing, whose matches carry
+// monotone sequence numbers committed on emission, whose engine panics
+// restart from the latest checkpoint with capped exponential backoff, and
+// whose admission control filters duplicates and bound violators.
 //
-// A process crash at any point loses nothing: reopening the same
-// directory (NewSupervisedEngine + Start) restores the newest valid
-// checkpoint, replays the logged suffix, suppresses matches already
-// delivered before the crash, and returns the ones the crash interrupted.
+// Call Start before the first event. A process crash at any point loses
+// nothing: reopening the same directory (NewSupervisedEngine + Start)
+// restores the newest valid checkpoint, replays the logged suffix,
+// suppresses matches already delivered before the crash, and returns the
+// ones the crash interrupted. Events must carry caller-assigned unique Seq
+// values — duplicate detection and crash-consistent identity are keyed on
+// Seq, so they cannot be assigned across a restart. Advance is refused (the
+// log records no heartbeats), and so is Checkpoint.
 //
-// Unlike Engine, events must carry caller-assigned unique Seq values —
-// duplicate detection and crash-consistent identity are keyed on Seq, so
-// the facade cannot auto-assign them across a restart.
-type SupervisedEngine struct {
-	sup *runtime.Supervisor
-	// lat is the wall-clock span sampler (nil unless Config.Latency is
-	// set): the supervisor stamps the WAL and commit segments, the engine it
-	// builds or restores stamps the rest.
-	lat *obsv.LatencySampler
-}
-
-// NewSupervisedEngine builds a supervised engine over the strategy and
-// disorder bound in cfg, persisting to sc.Dir. Call Start before
-// processing. The native strategy (without OrderedOutput) recovers from
-// snapshots; every other configuration runs WAL-only. A directory left by a
+// The native strategy (without OrderedOutput) recovers from snapshots;
+// every other configuration runs WAL-only. A directory left by a
 // partitioned engine (Config.Partition of earlier versions) continues under
 // the one engine when its log holds no match committed past its newest
 // checkpoint; otherwise Start refuses it, because replay suppresses
@@ -120,7 +111,7 @@ type SupervisedEngine struct {
 // after a crash, or rebuilt after a panic — is constructed with the same
 // instruments, so Observer, Trace, Latency, and Provenance survive
 // restarts.
-func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*SupervisedEngine, error) {
+func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -151,7 +142,7 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Supervised
 	if err != nil {
 		return nil, err
 	}
-	return &SupervisedEngine{sup: sup, lat: b.lat}, nil
+	return &Engine{facade: durable(sup, b.lat), batch: cfg.Batch}, nil
 }
 
 // newSupervisor opens sc's (validated) durable store and wraps it in a
@@ -172,98 +163,3 @@ func newSupervisor(sc SupervisorConfig, opts runtime.SupervisorOptions) (*runtim
 	}
 	return sup, nil
 }
-
-// Start recovers durable state and readies the engine. On a fresh
-// directory it returns no matches; after a crash it returns the matches
-// the crash interrupted (completed by replay but not yet delivered).
-func (s *SupervisedEngine) Start() ([]Match, error) { return s.sup.Start() }
-
-// Process offers one event. The event must carry a unique non-zero Seq.
-// Returned matches are committed as delivered before the call returns.
-func (s *SupervisedEngine) Process(ev Event) ([]Match, error) {
-	if ev.Seq == 0 {
-		return nil, fmt.Errorf("supervised engine requires caller-assigned event Seq values")
-	}
-	return s.sup.Process(ev)
-}
-
-// ProcessBatch offers a slice of events through the supervised batch
-// entry. Durability semantics are identical to per-event Process calls:
-// each event is logged before processing and its matches are committed
-// before the next event is offered, so a crash mid-batch recovers exactly
-// as a crash mid-stream would — replayed, deduplicated, and never
-// double-emitting past the commit horizon. Every event must carry a
-// unique non-zero Seq. Processing stops at the first error; matches
-// already committed are returned alongside it.
-func (s *SupervisedEngine) ProcessBatch(events []Event) ([]Match, error) {
-	for _, ev := range events {
-		if ev.Seq == 0 {
-			return nil, fmt.Errorf("supervised engine requires caller-assigned event Seq values")
-		}
-	}
-	return s.sup.ProcessBatch(events)
-}
-
-// ProcessAll offers a finite slice and returns all matches including the
-// end-of-stream flush.
-func (s *SupervisedEngine) ProcessAll(events []Event) ([]Match, error) {
-	var out []Match
-	for _, ev := range events {
-		ms, err := s.Process(ev)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ms...)
-	}
-	ms, err := s.Flush()
-	if err != nil {
-		return out, err
-	}
-	return append(out, ms...), nil
-}
-
-// Flush seals the stream. End-of-stream is logged before the engine
-// flushes, so a crash mid-flush replays to the same final matches.
-func (s *SupervisedEngine) Flush() ([]Match, error) { return s.sup.Flush() }
-
-// Strategy returns the supervised engine's name, e.g. "supervised(native)".
-func (s *SupervisedEngine) Strategy() string { return s.sup.Name() }
-
-// Metrics returns the inner engine's counters with the fault-tolerance
-// counters (drops, dead letters, duplicate suppressions, restarts,
-// checkpoint size/duration) merged in.
-func (s *SupervisedEngine) Metrics() Metrics { return s.sup.Metrics() }
-
-// MatchSeq returns the cumulative match-emission count — the monotone
-// sequence number exactly-once delivery is built on.
-func (s *SupervisedEngine) MatchSeq() uint64 { return s.sup.MatchSeq() }
-
-// StateSnapshot returns the inner engine's live-state view (see
-// Engine.StateSnapshot) annotated with the supervisor's match-sequence and
-// commit horizons. Like every StateSnapshot it is not synchronized with
-// Process; call it between events or while the engine is idle. Returns
-// nil before Start.
-func (s *SupervisedEngine) StateSnapshot() *StateSnapshot {
-	snap := s.sup.StateSnapshot()
-	if snap != nil {
-		snap.Latency = s.lat.Report()
-	}
-	return snap
-}
-
-// LatencyReport returns the sampled wall-clock latency attribution digest
-// (stage decomposition, end-to-end wall histogram, SLO windows), or nil
-// when Config.Latency is disabled.
-func (s *SupervisedEngine) LatencyReport() *LatencyReport { return s.lat.Report() }
-
-// Err returns the sticky failure, if any (set by a crash, an exhausted
-// restart budget, or a store error).
-func (s *SupervisedEngine) Err() error { return s.sup.Err() }
-
-// Kill simulates a process crash for testing: durable handles are dropped
-// without syncing and the engine fails sticky. Reopen the directory with
-// a fresh SupervisedEngine to recover.
-func (s *SupervisedEngine) Kill() { s.sup.Kill() }
-
-// Close cleanly seals the durable store. The directory remains resumable.
-func (s *SupervisedEngine) Close() error { return s.sup.Close() }
