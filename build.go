@@ -15,7 +15,6 @@ import (
 	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 	"oostream/internal/obsv"
-	"oostream/internal/ordered"
 	"oostream/internal/plan"
 )
 
@@ -63,11 +62,7 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 	if l.SampleEvery <= 0 {
 		return nil
 	}
-	slo := obsv.NewSLOTracker(obsv.SLOConfig{
-		Objective: l.SLO.Objective,
-		Target:    l.SLO.Target,
-		Windows:   l.SLO.Windows,
-	})
+	slo := obsv.NewSLOTracker(obsv.SLOConfig{Objective: l.SLO.Objective, Target: l.SLO.Target})
 	ls := obsv.NewLatencySampler(l.SampleEvery, b.series("latency"), slo)
 	if b.obs != nil && slo != nil {
 		b.obs.RegisterPrometheus(func(w io.Writer) error {
@@ -78,11 +73,8 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 }
 
 // restorable reports whether the composition cfg describes has a durable
-// format: the native strategy, aggregating or not, without the
-// ordered-output buffer.
-func (c Config) restorable() bool {
-	return c.Strategy == StrategyNative && !c.OrderedOutput
-}
+// format: the native strategy, aggregating or not.
+func (c Config) restorable() bool { return c.Strategy == StrategyNative }
 
 // checkpoint is durable engine state opened for a restore: the engine
 // checkpoints it holds. A checkpoint an engine wrote is its own one part.
@@ -137,9 +129,9 @@ func openCheckpoint(r io.Reader) *checkpoint {
 }
 
 // build builds (from == nil) or restores the engine cfg describes for p: one
-// strategy engine with the ordered-output and aggregation wrappers cfg and
-// p call for, publishing under name. cfg must already have defaults applied
-// and be validated, against p too (validateQueryConfig). The layer that
+// strategy engine with the aggregation wrapper p calls for, publishing under
+// name. cfg must already have defaults applied and be validated, against p
+// too (validateQueryConfig). The layer that
 // admits events from the stream and emits the query's visible output owns
 // the series, the hook, and the lineage; the layer that does the
 // construction work owns the sampler's construct boundary.
@@ -159,7 +151,7 @@ func (b builder) build(p *plan.Plan, cfg Config, name string, from *checkpoint) 
 			return nil, from.err
 		}
 		if !cfg.restorable() {
-			return nil, fmt.Errorf("strategy %q with OrderedOutput=%t has no checkpoint format to restore from (only %q without OrderedOutput does)", cfg.Strategy, cfg.OrderedOutput, StrategyNative)
+			return nil, fmt.Errorf("strategy %q has no checkpoint format to restore from (only %q does)", cfg.Strategy, StrategyNative)
 		}
 		kernel := func(parts []io.Reader) (engine.Engine, error) {
 			en, err := core.Restore(p, strat, parts...)
@@ -180,19 +172,10 @@ func (b builder) build(p *plan.Plan, cfg Config, name string, from *checkpoint) 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.OrderedOutput {
-		// The order buffer measures nothing and stamps nothing of its own:
-		// every instrument stays with the strategy it wraps.
-		if inner, err = ordered.New(inner, cfg.K); err != nil {
-			return nil, err
-		}
-	}
 	if p.Agg != nil {
-		// The aggregation operator wraps outside the ordered-output buffer
-		// (which releases within K, so the lateness bound still dominates the
-		// matches it sees). The speculative strategy previews windows eagerly
-		// and revises them as retract+insert pairs; every other strategy
-		// seals windows on watermark advance.
+		// The speculative strategy previews windows eagerly and revises them
+		// as retract+insert pairs; every other strategy seals windows on
+		// watermark advance.
 		inner = agg.NewWithEnv(p, inner, cfg.Strategy == StrategySpeculate, aggLateness(p, cfg), outer)
 	}
 	return inner, nil
@@ -209,7 +192,6 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 	// front of it.
 	kernel := core.Options{
 		K:                 cfg.K,
-		LatePolicy:        cfg.corePolicy(),
 		DisableTriggerOpt: cfg.DisableTriggerOpt,
 		DisableKeying:     cfg.DisableKeyedStacks,
 		PurgeEvery:        cfg.PurgeEvery,
@@ -247,7 +229,7 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 		// disabled the effective K stays pinned at Config.K and only the SLO
 		// switching logic runs. The switch adds no instrument of its own: the
 		// kernel carries them all.
-		hctrl, err := adaptive.NewController(cfg.adaptiveConfig())
+		hctrl, err := adaptive.NewController(cfg.Adaptive, cfg.K)
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		strategy  = fs.String("strategy", "native", "strategy: native, inorder, kslack, speculate, hybrid")
 		k         = fs.Int64("k", 1000, "disorder bound K (logical ms)")
 		adaptOn   = fs.Bool("adaptive", false, "derive K online as a lag quantile (-k then only seeds the controller)")
-		adaptJSON = fs.String("adaptive-config", "", `full adaptive controller config as JSON, e.g. '{"enabled":true,"quantile":0.99,"margin":1.5}' (overrides -adaptive)`)
+		adaptJSON = fs.String("adaptive-config", "", `adaptive controller config as JSON, e.g. '{"enabled":true,"quantile":0.99,"margin":1.5}' (-adaptive sets enabled)`)
 		sloJSON   = fs.String("slo", "", `hybrid switch policy as JSON, e.g. '{"maxLatency":2000,"maxRetractionRate":0.05}'`)
 		limJSON   = fs.String("limits", "", `overload degradation limits as JSON, e.g. '{"maxBufferedEvents":100000,"maxLag":5000}'`)
 		quiet     = fs.Bool("quiet", false, "suppress per-match output")
@@ -128,30 +128,28 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		Strategy:   oostream.Strategy(*strategy),
 		K:          oostream.Time(*k),
 		Provenance: *explain,
-		Batch:      oostream.Batch{Size: *batchSize},
 		Latency: oostream.Latency{
 			SampleEvery: *latSample,
 			SLO:         oostream.LatencySLO{Objective: *latSLO, Target: *latTarget},
 		},
 	}
 	var ac oostream.Adaptive
-	if *adaptJSON != "" {
-		if err := json.Unmarshal([]byte(*adaptJSON), &ac); err != nil {
-			return fmt.Errorf("-adaptive-config: %w", err)
+	for _, opt := range []struct {
+		name, text string
+		into       any
+	}{{"-adaptive-config", *adaptJSON, &ac}, {"-slo", *sloJSON, &ac.SLO}, {"-limits", *limJSON, &ac.Limits}} {
+		if opt.text == "" {
+			continue
 		}
-	} else {
-		ac.Enabled = *adaptOn
-	}
-	if *sloJSON != "" {
-		if err := json.Unmarshal([]byte(*sloJSON), &ac.SLO); err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-	}
-	if *limJSON != "" {
-		if err := json.Unmarshal([]byte(*limJSON), &ac.Limits); err != nil {
-			return fmt.Errorf("-limits: %w", err)
+		// A misspelt key, or one of a removed setting, is an error, not a
+		// setting silently left at its default.
+		dec := json.NewDecoder(strings.NewReader(opt.text))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(opt.into); err != nil {
+			return fmt.Errorf("%s: %w", opt.name, err)
 		}
 	}
+	ac.Enabled = ac.Enabled || *adaptOn
 	cfg.Adaptive = ac
 	adaptiveSet := ac != (oostream.Adaptive{})
 	if adaptiveSet && *queries != "" {

@@ -233,20 +233,25 @@ func TestRunResume(t *testing.T) {
 
 func TestRunAdaptiveFlags(t *testing.T) {
 	path := writeTrace(t, sampleEvents())
-	var out bytes.Buffer
-	err := run([]string{
-		"-query", "PATTERN SEQ(A a, B b) WITHIN 50",
-		"-trace", path, "-k", "100", "-adaptive",
-		"-limits", `{"maxBufferedEvents":100000}`,
-	}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "matches=2") {
-		t.Errorf("output: %s", out.String())
-	}
-	if !strings.Contains(out.String(), "adaptive: k=") {
-		t.Errorf("adaptive summary missing: %s", out.String())
+	for _, flags := range [][]string{
+		{"-adaptive", "-limits", `{"maxBufferedEvents":100000}`},
+		// -adaptive enables the controller whatever the JSON leaves out.
+		{"-adaptive", "-adaptive-config", `{"quantile":0.99}`},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{
+			"-query", "PATTERN SEQ(A a, B b) WITHIN 50",
+			"-trace", path, "-k", "100",
+		}, flags...), strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "matches=2") {
+			t.Errorf("%v output: %s", flags, out.String())
+		}
+		if !strings.Contains(out.String(), "adaptive: k=") {
+			t.Errorf("%v: adaptive summary missing: %s", flags, out.String())
+		}
 	}
 }
 
@@ -276,6 +281,12 @@ func TestRunAdaptiveFlagErrors(t *testing.T) {
 		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-slo", "{not json"},
 		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-limits", "{not json"},
 		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-strategy", "inorder", "-adaptive"},
+		// Unknown keys: a typo, and settings that are no longer settable.
+		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-adaptive-config", `{"quantil":0.99}`},
+		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-adaptive-config", `{"enabled":true,"maxK":500}`},
+		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-adaptive-config", `{"enabled":true,"tolerance":0.2}`},
+		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-slo", `{"maxLatncy":2000}`},
+		{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path, "-limits", `{"maxLag":500,"maxK":400}`},
 	} {
 		if err := run(args, strings.NewReader(""), &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"oostream/internal/adaptive"
-	"oostream/internal/core"
 )
 
 // Strategy selects the out-of-order handling approach.
@@ -58,29 +57,12 @@ type (
 	Limits = adaptive.Limits
 )
 
-// Batch configures the batched ingestion path Engine.Run (and the CLIs)
-// drive: events are accumulated into slices of up to Size and handed to
-// ProcessBatch in one call, amortizing per-event pipeline overhead. The
-// ProcessBatch contract guarantees output identical to per-event
-// processing (enforced by the differential harness), so batching is purely
-// a throughput/latency trade.
-type Batch struct {
-	// Size is the maximum events per batch. 0 or 1 keeps the classic
-	// per-event path.
-	Size int
-	// Linger bounds how long Run waits for a partial batch to fill before
-	// processing it anyway. 0 never waits: whatever is immediately
-	// available on the input channel forms the batch (latency-first;
-	// batching then adapts to backlog). Requires Size > 1.
-	Linger time.Duration
-}
-
 // LatencySLO attaches a multi-window burn-rate tracker to the latency
 // sampler: every sampled event whose end-to-end wall-clock latency is at
 // or below Objective counts good, and the tracker reports the error-budget
-// burn rate over rolling windows (short windows catch fast burns, long
-// windows slow ones). Requires Latency.SampleEvery > 0 — the tracker is
-// fed by sampled spans.
+// burn rate over rolling 1m, 5m and 30m windows (short windows catch fast
+// burns, long windows slow ones). Requires Latency.SampleEvery > 0 — the
+// tracker is fed by sampled spans.
 type LatencySLO struct {
 	// Objective is the per-event wall-clock latency objective. Zero
 	// disables SLO tracking.
@@ -89,8 +71,6 @@ type LatencySLO struct {
 	// (e.g. 0.99). 0 means 0.99; must be below 1 (a 100% target leaves no
 	// error budget to burn).
 	Target float64
-	// Windows are the rolling burn-rate windows; nil means 1m, 5m, 30m.
-	Windows []time.Duration
 }
 
 // Latency configures sampled wall-clock latency attribution: a
@@ -129,11 +109,6 @@ func (l Latency) validate() error {
 	if l.SLO.Objective > 0 && l.SampleEvery == 0 {
 		return fmt.Errorf("Latency.SLO requires Latency.SampleEvery > 0: the tracker is fed by sampled spans")
 	}
-	for _, w := range l.SLO.Windows {
-		if w < time.Second {
-			return fmt.Errorf("Latency.SLO.Windows entries must be >= 1s, got %s", w)
-		}
-	}
 	return nil
 }
 
@@ -143,11 +118,9 @@ type Config struct {
 	Strategy Strategy
 	// K is the disorder bound (slack) in logical milliseconds: no event is
 	// assumed to arrive more than K time units after the maximum timestamp
-	// seen. Ignored by StrategyInOrder.
+	// seen, and one that does is dropped (counted in Metrics). With Adaptive
+	// it is the bound the controller starts at. Ignored by StrategyInOrder.
 	K Time
-	// BestEffortLate makes the native engine process bound-violating
-	// events instead of dropping them (completeness is then best-effort).
-	BestEffortLate bool
 	// DisableTriggerOpt disables the kernel's scan optimization (ablation
 	// knob; results are unchanged, CPU cost rises). Like the next two knobs
 	// it applies to every strategy but StrategyInOrder, which does not run
@@ -163,11 +136,6 @@ type Config struct {
 	// PurgeEvery runs state purging every PurgeEvery events; 0 = default
 	// (64), negative = never (ablation knob; memory then grows unbounded).
 	PurgeEvery int
-	// OrderedOutput buffers matches so they are emitted in timestamp
-	// order (by last element) instead of completion order, at a latency
-	// cost bounded by K. Not available with StrategySpeculate
-	// (retractions cannot be order-buffered).
-	OrderedOutput bool
 	// Provenance makes every emitted (and retracted) match carry a lineage
 	// record (Match.Prov): the contributing events, key group, window
 	// bounds, trigger and traversal detail, and — for retractions — the
@@ -188,9 +156,6 @@ type Config struct {
 	// trigger, emit, retract, purge, heartbeat, flush). Nil costs one
 	// predictable branch per step.
 	Trace TraceHook
-	// Batch configures batched ingestion for Engine.Run; the zero value
-	// keeps the per-event path. Direct ProcessBatch calls work regardless.
-	Batch Batch
 	// Latency configures sampled wall-clock latency attribution: per-stage
 	// span timing on a deterministic 1-in-N event sample, an end-to-end
 	// wall histogram, and an optional SLO burn-rate tracker. Read it back
@@ -199,12 +164,11 @@ type Config struct {
 	// zero value disables sampling at zero cost.
 	Latency Latency
 	// Adaptive configures dynamic disorder control: Enabled re-derives K
-	// online as a lag quantile (Config.K then only seeds the controller,
-	// via InitialK when set, else K); Limits adds overload degradation
-	// (deterministic oldest-first shedding when state or lag exceeds the
-	// bounds); SLO drives StrategyHybrid's switching. Applies to the
-	// native, kslack, speculate, and hybrid strategies; incompatible with
-	// StrategyInOrder, BestEffortLate, and (Enabled) OrderedOutput.
+	// online as a lag quantile (Config.K then only seeds the controller);
+	// Limits adds overload degradation (deterministic oldest-first shedding
+	// when state or lag exceeds the bounds); SLO drives StrategyHybrid's
+	// switching. Applies to the native, kslack, speculate, and hybrid
+	// strategies; incompatible with StrategyInOrder.
 	Adaptive Adaptive
 }
 
@@ -219,46 +183,23 @@ func (c Config) validate() error {
 	if c.K < 0 {
 		return fmt.Errorf("K must be >= 0, got %d", c.K)
 	}
-	if c.BestEffortLate && c.Strategy != StrategyNative {
-		return fmt.Errorf("BestEffortLate applies only to %q", StrategyNative)
-	}
 	if c.DisableTriggerOpt && c.Strategy == StrategyInOrder {
 		return fmt.Errorf("DisableTriggerOpt does not apply to %q", StrategyInOrder)
 	}
 	if c.DisableKeyedStacks && c.Strategy == StrategyInOrder {
 		return fmt.Errorf("DisableKeyedStacks does not apply to %q", StrategyInOrder)
 	}
-	if c.OrderedOutput && c.Strategy == StrategySpeculate {
-		return fmt.Errorf("OrderedOutput cannot buffer %q retractions", StrategySpeculate)
-	}
-	if c.Batch.Size < 0 {
-		return fmt.Errorf("Batch.Size must be >= 0, got %d", c.Batch.Size)
-	}
-	if c.Batch.Linger < 0 {
-		return fmt.Errorf("Batch.Linger must be >= 0, got %s", c.Batch.Linger)
-	}
-	if c.Batch.Linger > 0 && c.Batch.Size <= 1 {
-		return fmt.Errorf("Batch.Linger requires Batch.Size > 1")
+	if c.PurgeEvery != 0 && c.Strategy == StrategyInOrder {
+		return fmt.Errorf("PurgeEvery does not apply to %q", StrategyInOrder)
 	}
 	if err := c.Latency.validate(); err != nil {
 		return err
 	}
-	if _, err := c.adaptiveConfig().Normalized(); err != nil {
+	if _, err := c.Adaptive.Normalized(); err != nil {
 		return fmt.Errorf("Adaptive: %w", err)
 	}
-	if c.adaptiveActive() {
-		if c.Strategy == StrategyInOrder {
-			return fmt.Errorf("Adaptive disorder control is meaningless for %q (no disorder bound)", StrategyInOrder)
-		}
-		if c.BestEffortLate {
-			return fmt.Errorf("Adaptive disorder control requires dropping late events (BestEffortLate breaks the static-max-K equivalence)")
-		}
-	}
-	if c.Adaptive.Enabled && c.OrderedOutput {
-		return fmt.Errorf("OrderedOutput needs a fixed reorder bound; it cannot follow a dynamic K")
-	}
-	if c.Strategy == StrategyHybrid && c.OrderedOutput {
-		return fmt.Errorf("OrderedOutput cannot buffer %q retractions", StrategyHybrid)
+	if c.adaptiveActive() && c.Strategy == StrategyInOrder {
+		return fmt.Errorf("Adaptive disorder control is meaningless for %q (no disorder bound)", StrategyInOrder)
 	}
 	return nil
 }
@@ -270,28 +211,11 @@ func (c Config) adaptiveActive() bool {
 	return c.Adaptive.Enabled || c.Adaptive.Limits != (Limits{})
 }
 
-// adaptiveConfig maps the facade config to the controller's: Config.K
-// seeds InitialK unless the Adaptive block sets its own.
-func (c Config) adaptiveConfig() Adaptive {
-	ac := c.Adaptive
-	if ac.InitialK == 0 {
-		ac.InitialK = c.K
-	}
-	return ac
-}
-
-// adaptiveController builds the engine's controller, or nil when the
-// config doesn't call for one.
+// adaptiveController builds the engine's controller, starting at K, or nil
+// when the config doesn't call for one.
 func (c Config) adaptiveController() (*adaptive.Controller, error) {
 	if !c.adaptiveActive() {
 		return nil, nil
 	}
-	return adaptive.NewController(c.adaptiveConfig())
-}
-
-func (c Config) corePolicy() core.LatePolicy {
-	if c.BestEffortLate {
-		return core.BestEffort
-	}
-	return core.DropLate
+	return adaptive.NewController(c.Adaptive, c.K)
 }

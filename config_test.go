@@ -3,7 +3,6 @@ package oostream
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestConfigValidateRejections pins every rejection the facade config
@@ -17,23 +16,16 @@ func TestConfigValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"negative K", Config{K: -1}, "K must be >= 0"},
-		{"best-effort non-native", Config{Strategy: StrategyKSlack, BestEffortLate: true}, "BestEffortLate applies only"},
 		{"trigger-opt without the kernel", Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}, "DisableTriggerOpt does not apply"},
 		{"keyed-stacks without the kernel", Config{Strategy: StrategyInOrder, DisableKeyedStacks: true}, "DisableKeyedStacks does not apply"},
-		{"ordered speculate", Config{Strategy: StrategySpeculate, OrderedOutput: true}, "cannot buffer"},
-		{"negative batch size", Config{Batch: Batch{Size: -1}}, "Batch.Size must be >= 0"},
-		{"negative linger", Config{Batch: Batch{Linger: -time.Second}}, "Batch.Linger must be >= 0"},
-		{"linger without batching", Config{Batch: Batch{Size: 1, Linger: time.Second}}, "requires Batch.Size > 1"},
-		{"negative initial K", Config{Adaptive: Adaptive{Enabled: true, InitialK: -1}}, "Adaptive"},
+		{"purge cadence without the kernel", Config{Strategy: StrategyInOrder, PurgeEvery: 16}, "PurgeEvery does not apply"},
+		{"negative initial K", Config{K: -1, Adaptive: Adaptive{Enabled: true}}, "K must be >= 0"},
 		{"quantile out of range", Config{Adaptive: Adaptive{Enabled: true, Quantile: 1.5}}, "Adaptive"},
 		{"margin below one", Config{Adaptive: Adaptive{Enabled: true, Margin: 0.5}}, "Adaptive"},
-		{"min above max", Config{Adaptive: Adaptive{Enabled: true, MinK: 10, MaxK: 5}}, "Adaptive"},
+		{"min above max", Config{Adaptive: Adaptive{Enabled: true, MinK: 10, Limits: Limits{MaxLag: 5}}}, "Adaptive"},
 		{"negative buffer limit", Config{Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: -1}}}, "Adaptive"},
 		{"adaptive inorder", Config{Strategy: StrategyInOrder, Adaptive: Adaptive{Enabled: true}}, "no disorder bound"},
 		{"limits inorder", Config{Strategy: StrategyInOrder, Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: 10}}}, "no disorder bound"},
-		{"adaptive best-effort", Config{Adaptive: Adaptive{Enabled: true}, BestEffortLate: true}, "static-max-K"},
-		{"adaptive ordered", Config{Adaptive: Adaptive{Enabled: true}, OrderedOutput: true}, "dynamic K"},
-		{"ordered hybrid", Config{Strategy: StrategyHybrid, OrderedOutput: true}, "cannot buffer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +56,6 @@ func TestConfigValidateAccepts(t *testing.T) {
 		{"hybrid static", Config{Strategy: StrategyHybrid, K: 100}},
 		{"hybrid adaptive with SLO", Config{Strategy: StrategyHybrid, K: 100,
 			Adaptive: Adaptive{Enabled: true, SLO: SLO{MaxLatency: 200, MaxRetractionRate: 0.05}}}},
-		{"ordered static non-adaptive", Config{Strategy: StrategyKSlack, K: 10, OrderedOutput: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,9 +89,6 @@ func TestConfigValidateWithQuery(t *testing.T) {
 		{"degradation-limits aggregate", agg,
 			Config{K: 10, Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: 100}}},
 			"cannot be combined with AGGREGATE"},
-		{"best-effort aggregate", agg,
-			Config{K: 10, BestEffortLate: true},
-			"BestEffortLate"},
 	}
 	for _, tc := range rejections {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,12 +23,17 @@ var restoreTargets = []struct {
 	{"keyed", "PATTERN SEQ(A a, B b) WHERE a.id = b.id WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
 	{"negation", "PATTERN SEQ(A a, !(C c), B b) WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
 	{"adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
-		Config{K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, MaxK: 40}}, restoreStream(100, 20)},
+		Config{K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, Limits: Limits{MaxLag: 40}}}, restoreStream(100, 20)},
 	// The queries of testdata/partitioned: what restores here is a checkpoint a
 	// partitioned engine wrote (TestRestorePartitionedFixture), or a forgery of
 	// one. Their clocks read about 2800.
 	{"partitioned", fixtureNegQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
 	{"partitioned-agg", fixtureAggQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
+	// The query of testdata/adaptive, whose checkpoints a controller with a
+	// second cap wrote (TestRestoreAdaptiveFixture). Their clocks read about
+	// 3600.
+	{"adaptive-legacy", adaptiveFixtureQuery, Config{K: 10, Adaptive: Adaptive{Enabled: true, Limits: Limits{MaxLag: 700}}},
+		shopStream(restoreStream(3500, 40))},
 }
 
 // shopStream renames a restoreStream to the fixtures' vocabulary.
@@ -126,6 +131,9 @@ func FuzzRestoreEngine(f *testing.F) {
 	// What a partitioned engine wrote at a1962f3, and forgeries of it.
 	for _, h := range hostilePartitioned(f) {
 		f.Add(h.target, h.data)
+	}
+	for _, name := range []string{"maxk.ckpt", "limits.ckpt"} {
+		f.Add(uint8(len(restoreTargets)-1), adaptiveFixture(f, name))
 	}
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {

@@ -4,8 +4,8 @@
 // already measure. A Controller owns a decayed lag-quantile Estimator, fed
 // from the same observation point as Series.WatermarkLag (per admitted
 // event: how far its timestamp lags the max timestamp seen), and re-derives
-// K every decision window as a configured quantile times a safety margin,
-// with hysteresis so K moves only on sustained evidence.
+// K every decision window as a configured quantile times a safety margin:
+// at once when the target grows, after a streak of windows when it shrinks.
 //
 // Dynamic K is made safe by the monotone-frontier discipline the engines
 // implement on top of it: an engine never uses clock − K(t) directly as its
@@ -30,6 +30,7 @@
 package adaptive
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -69,41 +70,30 @@ type Limits struct {
 }
 
 // Config configures a Controller. The zero value is not useful; use
-// Normalized (the facade applies defaults through it).
+// Normalized (the facade applies defaults through it). The bound a
+// controller starts at is passed to NewController (the facade passes
+// Config.K).
 type Config struct {
 	// Enabled turns dynamic K derivation on. A disabled controller still
 	// feeds the estimator (the hybrid's SLO checks read it) but keeps K
-	// fixed at InitialK.
+	// fixed at the bound it was built with.
 	Enabled bool `json:"enabled"`
-	// InitialK is the starting bound (and the permanent one when
-	// Enabled is false) — the facade passes Config.K.
-	InitialK event.Time `json:"initialK"`
 	// Quantile is the lag quantile K tracks, e.g. 0.999. Default 0.999.
 	Quantile float64 `json:"quantile"`
 	// Margin is the multiplicative safety margin applied to the quantile
 	// (1.25 = 25% headroom). Default 1.25.
 	Margin float64 `json:"margin"`
-	// MinK and MaxK clamp the derived K. MinK defaults to 0; MaxK 0 means
-	// unclamped (Limits.MaxLag still applies).
+	// MinK is the floor of the derived K, and the bound a degraded
+	// controller clamps to; default 0. Limits.MaxLag is the ceiling.
 	MinK event.Time `json:"minK"`
-	MaxK event.Time `json:"maxK,omitempty"`
 	// DecisionEvery re-derives K every this many lag observations (one
 	// decision window). Default 256.
 	DecisionEvery int `json:"decisionEvery"`
-	// Decay is the per-decision-window multiplicative decay of the lag
-	// histogram (recency weighting). Default 0.7.
-	Decay float64 `json:"decay"`
-	// GrowAfter and ShrinkAfter are the hysteresis streaks: the derived
-	// target must exceed (fall below) the tolerance band for this many
-	// consecutive decision windows before K grows (shrinks). Growing
-	// defaults to 1 window (late drops are worse than buffering); shrinking
-	// to 3.
-	GrowAfter   int `json:"growAfter"`
+	// ShrinkAfter is the hysteresis streak: the derived target must fall
+	// below the dead band for this many consecutive decision windows before
+	// K shrinks. Default 3. K grows on the first window above the band: a
+	// late drop is worse than buffering.
 	ShrinkAfter int `json:"shrinkAfter"`
-	// Tolerance is the relative dead band around the current K: a target
-	// within ±Tolerance·K (or within ToleranceAbs for small K) does not
-	// count as evidence in either direction. Default 0.15.
-	Tolerance float64 `json:"tolerance"`
 
 	// SLO is the hybrid meta-engine's switch policy.
 	SLO SLO `json:"slo"`
@@ -112,12 +102,24 @@ type Config struct {
 }
 
 // minSamples is the cold-start threshold: until this many lifetime
-// observations the controller keeps InitialK (the estimate is noise).
+// observations the controller keeps the bound it was built with (the
+// estimate is noise).
 const minSamples = 64
 
-// toleranceAbs is the absolute dead band floor (logical ms): for tiny K a
-// relative band would be zero and every jitter would count as evidence.
-const toleranceAbs = 4
+// The estimator's recency weighting and the dead band around K were tuned
+// once, in EXPERIMENTS.md E20, and nothing has set other values since.
+const (
+	// decay is the per-decision-window multiplicative decay of the lag
+	// histogram.
+	decay = 0.7
+	// tolerance is the relative dead band around the current K: a target
+	// within ±tolerance·K (or within toleranceAbs for small K) counts as
+	// evidence in neither direction.
+	tolerance = 0.15
+	// toleranceAbs is the absolute dead band floor (logical ms): for tiny K
+	// a relative band would be zero and every jitter would count.
+	toleranceAbs = 4
+)
 
 // Normalized applies defaults and validates.
 func (c Config) Normalized() (Config, error) {
@@ -133,17 +135,8 @@ func (c Config) Normalized() (Config, error) {
 	if c.Margin < 1 {
 		return c, fmt.Errorf("adaptive margin must be >= 1, got %g", c.Margin)
 	}
-	if c.InitialK < 0 {
-		return c, fmt.Errorf("adaptive initial K must be >= 0, got %d", c.InitialK)
-	}
 	if c.MinK < 0 {
 		return c, fmt.Errorf("adaptive MinK must be >= 0, got %d", c.MinK)
-	}
-	if c.MaxK < 0 {
-		return c, fmt.Errorf("adaptive MaxK must be >= 0, got %d", c.MaxK)
-	}
-	if c.MaxK > 0 && c.MinK > c.MaxK {
-		return c, fmt.Errorf("adaptive MinK %d exceeds MaxK %d", c.MinK, c.MaxK)
 	}
 	if c.DecisionEvery == 0 {
 		c.DecisionEvery = 256
@@ -151,32 +144,20 @@ func (c Config) Normalized() (Config, error) {
 	if c.DecisionEvery < 0 {
 		return c, fmt.Errorf("adaptive DecisionEvery must be > 0, got %d", c.DecisionEvery)
 	}
-	if c.Decay == 0 {
-		c.Decay = 0.7
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		return c, fmt.Errorf("adaptive decay must be in (0, 1), got %g", c.Decay)
-	}
-	if c.GrowAfter == 0 {
-		c.GrowAfter = 1
-	}
 	if c.ShrinkAfter == 0 {
 		c.ShrinkAfter = 3
 	}
-	if c.GrowAfter < 0 || c.ShrinkAfter < 0 {
-		return c, fmt.Errorf("adaptive hysteresis streaks must be > 0, got grow=%d shrink=%d", c.GrowAfter, c.ShrinkAfter)
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.15
-	}
-	if c.Tolerance < 0 || c.Tolerance >= 1 {
-		return c, fmt.Errorf("adaptive tolerance must be in [0, 1), got %g", c.Tolerance)
+	if c.ShrinkAfter < 0 {
+		return c, fmt.Errorf("adaptive ShrinkAfter must be > 0, got %d", c.ShrinkAfter)
 	}
 	if c.SLO.MaxLatency < 0 || c.SLO.MaxRetractionRate < 0 {
 		return c, fmt.Errorf("SLO thresholds must be >= 0, got %+v", c.SLO)
 	}
 	if c.Limits.MaxBufferedEvents < 0 || c.Limits.MaxLag < 0 {
 		return c, fmt.Errorf("limits must be >= 0, got %+v", c.Limits)
+	}
+	if c.Limits.MaxLag > 0 && c.MinK > c.Limits.MaxLag {
+		return c, fmt.Errorf("adaptive MinK %d exceeds Limits.MaxLag %d", c.MinK, c.Limits.MaxLag)
 	}
 	return c, nil
 }
@@ -197,42 +178,41 @@ type Controller struct {
 	// Owner-only estimation state.
 	est           Estimator
 	sinceDecision int
-	growStreak    int
 	shrinkStreak  int
 	decisions     uint64
 	resizes       uint64
 }
 
-// NewController builds a controller from a normalized config (call
-// Config.Normalized first; NewController re-normalizes defensively).
-func NewController(cfg Config) (*Controller, error) {
+// NewController builds a controller starting at bound k (the permanent one
+// unless cfg.Enabled) from a normalized config (call Config.Normalized first;
+// NewController re-normalizes defensively).
+func NewController(cfg Config, k event.Time) (*Controller, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
+	if k < 0 {
+		return nil, fmt.Errorf("adaptive initial K must be >= 0, got %d", k)
+	}
 	c := &Controller{cfg: cfg}
-	k := cfg.clamp(cfg.InitialK)
-	c.nomK.Store(int64(k))
+	c.nomK.Store(int64(cfg.clamp(k)))
 	c.publish()
 	return c, nil
 }
 
 // MustController is NewController for known-good configs.
-func MustController(cfg Config) *Controller {
-	c, err := NewController(cfg)
+func MustController(cfg Config, k event.Time) *Controller {
+	c, err := NewController(cfg, k)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// clamp applies MinK, MaxK, and Limits.MaxLag to a candidate bound.
+// clamp applies MinK and Limits.MaxLag to a candidate bound.
 func (c Config) clamp(k event.Time) event.Time {
 	if k < c.MinK {
 		k = c.MinK
-	}
-	if c.MaxK > 0 && k > c.MaxK {
-		k = c.MaxK
 	}
 	if c.Limits.MaxLag > 0 && k > c.Limits.MaxLag {
 		k = c.Limits.MaxLag
@@ -310,7 +290,7 @@ func (c *Controller) ObserveLag(lag event.Time) {
 	}
 	c.sinceDecision = 0
 	c.decide()
-	c.est.Decay(c.cfg.Decay)
+	c.est.Decay(decay)
 }
 
 // LagQuantile returns the current decayed estimate of the configured
@@ -325,36 +305,26 @@ func (c *Controller) decide() {
 		return
 	}
 	if c.est.Samples() < minSamples {
-		return // cold start: keep InitialK until the estimate means something
+		return // cold start: keep the initial bound until the estimate means something
 	}
 	q := c.est.Quantile(c.cfg.Quantile)
 	target := c.cfg.clamp(event.Time(float64(q)*c.cfg.Margin + 0.5))
 	cur := event.Time(c.nomK.Load())
-	band := event.Time(float64(cur) * c.cfg.Tolerance)
-	if band < toleranceAbs {
-		band = toleranceAbs
-	}
+	band := max(event.Time(float64(cur)*tolerance), toleranceAbs)
 	switch {
 	case target > cur+band:
-		c.growStreak++
-		c.shrinkStreak = 0
-		if c.growStreak >= c.cfg.GrowAfter {
-			c.resize(target)
-		}
+		c.resize(target)
 	case target < cur-band:
 		c.shrinkStreak++
-		c.growStreak = 0
 		if c.shrinkStreak >= c.cfg.ShrinkAfter {
 			c.resize(target)
 		}
 	default:
-		c.growStreak = 0
 		c.shrinkStreak = 0
 	}
 }
 
 func (c *Controller) resize(k event.Time) {
-	c.growStreak = 0
 	c.shrinkStreak = 0
 	if event.Time(c.nomK.Load()) == k {
 		return
@@ -387,7 +357,7 @@ func (c *Controller) NoteState(size int) {
 
 // State is the controller's serializable state, embedded in the native
 // engine's checkpoint so a restored engine resumes with the learned K and
-// lag distribution instead of re-learning from InitialK.
+// lag distribution instead of re-learning from its initial bound.
 type State struct {
 	Config   Config     `json:"config"`
 	NominalK event.Time `json:"nominalK"`
@@ -395,7 +365,6 @@ type State struct {
 	Degraded bool       `json:"degraded"`
 
 	SinceDecision int        `json:"sinceDecision"`
-	GrowStreak    int        `json:"growStreak"`
 	ShrinkStreak  int        `json:"shrinkStreak"`
 	Decisions     uint64     `json:"decisions"`
 	Resizes       uint64     `json:"resizes"`
@@ -415,7 +384,6 @@ func (c *Controller) Export() State {
 		MaxK:          event.Time(c.maxK.Load()),
 		Degraded:      c.degraded.Load(),
 		SinceDecision: c.sinceDecision,
-		GrowStreak:    c.growStreak,
 		ShrinkStreak:  c.shrinkStreak,
 		Decisions:     c.decisions,
 		Resizes:       c.resizes,
@@ -426,16 +394,50 @@ func (c *Controller) Export() State {
 	}
 }
 
+// UnmarshalJSON reads a State, also one written when the tuning was
+// settable. Its config.maxK, a second cap clamping exactly as Limits.MaxLag
+// does, folds into Limits.MaxLag; its config.initialK is dropped, since a
+// restored controller resumes at NominalK; and a decay, tolerance or grow
+// streak other than the constants here is refused, since the restored
+// controller would not decide as the one that wrote it.
+func (st *State) UnmarshalJSON(data []byte) error {
+	type plain State
+	var legacy struct {
+		Config struct {
+			MaxK      event.Time `json:"maxK"`
+			Decay     float64    `json:"decay"`
+			Tolerance float64    `json:"tolerance"`
+			GrowAfter int        `json:"growAfter"`
+		} `json:"config"`
+	}
+	if err := json.Unmarshal(data, (*plain)(st)); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		return err
+	}
+	lc := legacy.Config
+	if (lc.Decay != 0 && lc.Decay != decay) || (lc.Tolerance != 0 && lc.Tolerance != tolerance) || lc.GrowAfter > 1 {
+		return fmt.Errorf("adaptive state tuned with decay %g, tolerance %g, growAfter %d: this version pins %g, %g and 1",
+			lc.Decay, lc.Tolerance, lc.GrowAfter, decay, tolerance)
+	}
+	if lc.MaxK > 0 && (st.Config.Limits.MaxLag == 0 || lc.MaxK < st.Config.Limits.MaxLag) {
+		st.Config.Limits.MaxLag = lc.MaxK
+	}
+	return nil
+}
+
 // Restore rebuilds a controller from checkpointed state.
 func Restore(st State) (*Controller, error) {
-	c, err := NewController(st.Config)
+	// Built at bound 0, which publishes MinK, below any bound the writer
+	// published; the checkpointed bounds are set below.
+	c, err := NewController(st.Config, 0)
 	if err != nil {
 		return nil, err
 	}
 	c.nomK.Store(int64(st.NominalK))
 	c.degraded.Store(st.Degraded)
 	c.sinceDecision = st.SinceDecision
-	c.growStreak = st.GrowStreak
 	c.shrinkStreak = st.ShrinkStreak
 	c.decisions = st.Decisions
 	c.resizes = st.Resizes

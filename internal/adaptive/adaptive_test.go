@@ -1,8 +1,10 @@
 package adaptive
 
 import (
+	"encoding/json"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"oostream/internal/event"
@@ -106,12 +108,11 @@ func TestEstimatorDecay(t *testing.T) {
 }
 
 func TestConfigNormalizedDefaults(t *testing.T) {
-	cfg, err := Config{Enabled: true, InitialK: 100}.Normalized()
+	cfg, err := Config{Enabled: true}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Quantile != 0.999 || cfg.Margin != 1.25 || cfg.DecisionEvery != 256 ||
-		cfg.Decay != 0.7 || cfg.GrowAfter != 1 || cfg.ShrinkAfter != 3 || cfg.Tolerance != 0.15 {
+	if cfg.Quantile != 0.999 || cfg.Margin != 1.25 || cfg.DecisionEvery != 256 || cfg.ShrinkAfter != 3 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -121,14 +122,10 @@ func TestConfigNormalizedRejects(t *testing.T) {
 		{Quantile: 1.5},
 		{Quantile: -0.1},
 		{Margin: 0.5},
-		{InitialK: -1},
 		{MinK: -1},
-		{MaxK: -1},
-		{MinK: 100, MaxK: 50},
+		{MinK: 100, Limits: Limits{MaxLag: 50}},
 		{DecisionEvery: -1},
-		{Decay: 1.5},
-		{GrowAfter: -1},
-		{Tolerance: -0.5},
+		{ShrinkAfter: -1},
 		{SLO: SLO{MaxLatency: -1}},
 		{Limits: Limits{MaxBufferedEvents: -1}},
 		{Limits: Limits{MaxLag: -1}},
@@ -137,6 +134,9 @@ func TestConfigNormalizedRejects(t *testing.T) {
 		if _, err := c.Normalized(); err == nil {
 			t.Errorf("case %d: config %+v normalized without error", i, c)
 		}
+	}
+	if _, err := NewController(Config{}, -1); err == nil {
+		t.Error("a negative initial bound built a controller")
 	}
 }
 
@@ -148,12 +148,12 @@ func feed(c *Controller, lag event.Time, n int) {
 }
 
 // TestControllerColdStart: before minSamples observations the controller
-// must keep InitialK no matter what it sees.
+// must keep its initial bound no matter what it sees.
 func TestControllerColdStart(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 500, DecisionEvery: 8})
+	c := MustController(Config{Enabled: true, DecisionEvery: 8}, 500)
 	feed(c, 5000, minSamples-8) // several decision windows, all under the cold-start bar
 	if got := c.EffectiveK(); got != 500 {
-		t.Fatalf("cold start moved K to %d, want InitialK 500", got)
+		t.Fatalf("cold start moved K to %d, want the initial 500", got)
 	}
 	feed(c, 5000, 2*int(minSamples)) // past cold start: now it must grow
 	if got := c.EffectiveK(); got <= 500 {
@@ -164,7 +164,7 @@ func TestControllerColdStart(t *testing.T) {
 // TestControllerTracksQuantile: with steady lag the derived K converges to
 // quantile × margin (within bucket resolution).
 func TestControllerTracksQuantile(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 10, DecisionEvery: 64, Margin: 1.25})
+	c := MustController(Config{Enabled: true, DecisionEvery: 64, Margin: 1.25}, 10)
 	feed(c, 800, 1024)
 	got := c.EffectiveK()
 	want := event.Time(800 * 1.25)
@@ -178,11 +178,10 @@ func TestControllerTracksQuantile(t *testing.T) {
 
 // TestControllerHysteresis drives decision windows white-box (fresh
 // estimator per window, then decide()) so each window's target is exactly
-// the fed lag: growth fires only after GrowAfter windows; shrink needs
+// the fed lag: growth fires on the first high window; shrink needs
 // ShrinkAfter consecutive windows and resets on a contradicting window.
 func TestControllerHysteresis(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 1000, Margin: 1,
-		GrowAfter: 2, ShrinkAfter: 3})
+	c := MustController(Config{Enabled: true, Margin: 1, ShrinkAfter: 3}, 1000)
 	// window closes one decision window whose margin-padded target is
 	// exactly lag (single-bucket estimator, q-interpolation clamps to max).
 	window := func(lag event.Time) {
@@ -193,14 +192,14 @@ func TestControllerHysteresis(t *testing.T) {
 		c.decide()
 	}
 
-	// Growth: one high window is not enough with GrowAfter=2.
-	window(4000)
+	// Growth: one high window is enough; an in-band one is not.
+	window(1100)
 	if got := c.NominalK(); got != 1000 {
-		t.Fatalf("K grew to %d after 1 high window, want 1000 (GrowAfter=2)", got)
+		t.Fatalf("K moved to %d on an in-band window, want 1000", got)
 	}
 	window(4000)
 	if got := c.NominalK(); got != 4000 {
-		t.Fatalf("K = %d after 2 high windows, want 4000", got)
+		t.Fatalf("K = %d after 1 high window, want 4000", got)
 	}
 
 	// Shrink: two low windows do nothing...
@@ -218,7 +217,6 @@ func TestControllerHysteresis(t *testing.T) {
 	// Streak reset: grow back up, two low windows, an in-band window, then
 	// two more low windows — no shrink (the streak was broken).
 	window(4000)
-	window(4000)
 	base := c.NominalK()
 	window(100)
 	window(100)
@@ -228,55 +226,48 @@ func TestControllerHysteresis(t *testing.T) {
 	if got := c.NominalK(); got != base {
 		t.Fatalf("K = %d, want %d: the in-band window should reset the shrink streak", got, base)
 	}
-	// A contradicting (high) window also resets it. (An in-band window
-	// first zeroes the streak left over from the section above.)
+	// A contradicting (high) window also resets it: it grows K at once.
+	// (An in-band window first zeroes the streak left over from above.)
 	window(base)
 	window(100)
 	window(100)
-	window(9000) // grow evidence: resets shrink streak (and starts a grow streak)
+	window(9000)
 	window(100)
 	window(100)
-	if got := c.NominalK(); got != base {
-		t.Fatalf("K = %d, want %d: the high window should reset the shrink streak", got, base)
+	if got := c.NominalK(); got != 9000 {
+		t.Fatalf("K = %d, want 9000: the high window should reset the shrink streak", got)
 	}
 }
 
 // TestControllerToleranceBand: targets within the dead band produce no
 // resizes.
 func TestControllerToleranceBand(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 1000, DecisionEvery: 64, Tolerance: 0.5})
+	c := MustController(Config{Enabled: true, DecisionEvery: 64, Margin: 1}, 1100)
 	feed(c, 1000, 1024)
-	// Estimator q999 of constant 1000 is ~1000–1023; target with margin
-	// 1.25 is ~1250–1280, within ±50% of 1000.
+	// Estimator q999 of constant 1000 is ~1000–1023; with margin 1 the
+	// target is within ±15% of 1100.
 	if got := c.Resizes(); got != 0 {
 		t.Fatalf("resizes = %d inside tolerance band, want 0 (K=%d)", got, c.NominalK())
 	}
 }
 
-// TestControllerClamps: MinK/MaxK and Limits.MaxLag bound the derived K.
+// TestControllerClamps: MinK and Limits.MaxLag bound the derived K.
 func TestControllerClamps(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 100, DecisionEvery: 64, MinK: 50, MaxK: 400})
+	c := MustController(Config{Enabled: true, DecisionEvery: 64, MinK: 50, Limits: Limits{MaxLag: 300}}, 100)
 	feed(c, 10000, 1024)
-	if got := c.EffectiveK(); got != 400 {
-		t.Fatalf("K = %d, want MaxK clamp 400", got)
+	if got := c.EffectiveK(); got != 300 {
+		t.Fatalf("K = %d, want Limits.MaxLag clamp 300", got)
 	}
 	feed(c, 0, 4096)
 	if got := c.EffectiveK(); got != 50 {
 		t.Fatalf("K = %d, want MinK clamp 50", got)
-	}
-
-	c2 := MustController(Config{Enabled: true, InitialK: 100, DecisionEvery: 64,
-		Limits: Limits{MaxLag: 300}})
-	feed(c2, 10000, 1024)
-	if got := c2.EffectiveK(); got != 300 {
-		t.Fatalf("K = %d, want Limits.MaxLag clamp 300", got)
 	}
 }
 
 // TestControllerDisabled: a disabled controller never moves K but still
 // feeds the estimator for SLO reads.
 func TestControllerDisabled(t *testing.T) {
-	c := MustController(Config{InitialK: 77, DecisionEvery: 64})
+	c := MustController(Config{DecisionEvery: 64}, 77)
 	feed(c, 9000, 2048)
 	if got := c.EffectiveK(); got != 77 {
 		t.Fatalf("disabled controller moved K to %d, want 77", got)
@@ -290,8 +281,8 @@ func TestControllerDisabled(t *testing.T) {
 // limit (clamping effective K to MinK), exits at 3/4 of it, and nominal K
 // is preserved throughout.
 func TestControllerDegradation(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 1000, MinK: 10,
-		Limits: Limits{MaxBufferedEvents: 100}})
+	c := MustController(Config{Enabled: true, MinK: 10,
+		Limits: Limits{MaxBufferedEvents: 100}}, 1000)
 	if c.Degraded() {
 		t.Fatal("fresh controller degraded")
 	}
@@ -328,10 +319,10 @@ func TestControllerDegradation(t *testing.T) {
 
 // TestControllerSetK: external resizes clamp and publish atomically.
 func TestControllerSetK(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 100, MinK: 10, MaxK: 500})
+	c := MustController(Config{Enabled: true, MinK: 10, Limits: Limits{MaxLag: 500}}, 100)
 	c.SetK(9999)
 	if got := c.EffectiveK(); got != 500 {
-		t.Fatalf("SetK(9999) -> %d, want MaxK clamp 500", got)
+		t.Fatalf("SetK(9999) -> %d, want Limits.MaxLag clamp 500", got)
 	}
 	c.SetK(-3)
 	if got := c.EffectiveK(); got != 10 {
@@ -344,8 +335,8 @@ func TestControllerSetK(t *testing.T) {
 
 // TestControllerExportRestore round-trips the full controller state.
 func TestControllerExportRestore(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 10, DecisionEvery: 64,
-		Limits: Limits{MaxBufferedEvents: 1000}})
+	c := MustController(Config{Enabled: true, DecisionEvery: 64,
+		Limits: Limits{MaxBufferedEvents: 1000}}, 10)
 	feed(c, 700, 500)
 	c.NoteState(1001)
 	st := c.Export()
@@ -370,11 +361,33 @@ func TestControllerExportRestore(t *testing.T) {
 	}
 }
 
+// TestStateReadsSettableTuning: a state written when the cap and the tuning
+// were settable restores with its config.maxK as Limits.MaxLag (the smaller
+// of the two when both are set), and one tuned away from the pinned
+// constants is refused.
+func TestStateReadsSettableTuning(t *testing.T) {
+	written := `{"config":{"enabled":true,"initialK":10,"quantile":0.999,"margin":1.25,"minK":0,"maxK":700,` +
+		`"decisionEvery":32,"decay":0.7,"growAfter":1,"shrinkAfter":3,"tolerance":0.15,"slo":{},"limits":{"maxLag":900}},` +
+		`"nominalK":650,"maxK":700,"growStreak":0}`
+	var st State
+	if err := json.Unmarshal([]byte(written), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Config.Limits.MaxLag != 700 || st.MaxK != 700 || st.NominalK != 650 {
+		t.Fatalf("read %+v, want Limits.MaxLag 700 and the bounds as written", st)
+	}
+	for _, r := range [][2]string{{`"decay":0.7`, `"decay":0.5`}, {`"tolerance":0.15`, `"tolerance":0.3`}, {`"growAfter":1`, `"growAfter":2`}} {
+		if err := json.Unmarshal([]byte(strings.Replace(written, r[0], r[1], 1)), &st); err == nil {
+			t.Errorf("a state tuned with %s was read", r[1])
+		}
+	}
+}
+
 // TestControllerConcurrentReads exercises the atomic read paths while the
 // owner feeds observations (run with -race).
 func TestControllerConcurrentReads(t *testing.T) {
-	c := MustController(Config{Enabled: true, InitialK: 100, DecisionEvery: 16,
-		Limits: Limits{MaxBufferedEvents: 50}})
+	c := MustController(Config{Enabled: true, DecisionEvery: 16,
+		Limits: Limits{MaxBufferedEvents: 50}}, 100)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

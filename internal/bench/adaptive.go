@@ -74,12 +74,10 @@ func E20Adaptive(s Scale) *Table {
 	// windows so inter-burst lulls do not drag K into the next burst.
 	adaptiveCfg := oostream.Adaptive{
 		Enabled:       true,
-		InitialK:      kQuiet,
 		Quantile:      0.995,
 		Margin:        1.2,
 		MinK:          1,
 		DecisionEvery: 32,
-		GrowAfter:     1,
 		ShrinkAfter:   6,
 	}
 	rows := []struct {

@@ -19,6 +19,10 @@ import (
 // checkpointVersion guards the JSON payload shape.
 const checkpointVersion = 1
 
+// dropLate is the one late policy, recorded in every checkpoint as versions
+// that also had a best-effort policy (2) wrote it.
+const dropLate = 1
+
 // Checkpoint envelope: a fixed binary header protects the JSON payload
 // against truncation and bit rot. Layout:
 //
@@ -59,9 +63,9 @@ type checkpointFile struct {
 	// Frontier and Adaptive carry the dynamic-K state: the monotone safe
 	// clock and the controller (config, learned histogram, hysteresis
 	// streaks), so a restored engine resumes with the learned bound instead
-	// of re-learning from InitialK. Absent (zero/nil) for static-K engines
-	// — and absent from pre-adaptive checkpoints, which therefore restore
-	// unchanged.
+	// of re-learning from the initial one. Absent (zero/nil) for static-K
+	// engines — and absent from pre-adaptive checkpoints, which therefore
+	// restore unchanged.
 	Frontier event.Time      `json:"frontier,omitempty"`
 	Adaptive *adaptive.State `json:"adaptive,omitempty"`
 }
@@ -128,7 +132,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		Version:    checkpointVersion,
 		PlanSource: en.plan.Source,
 		K:          en.opts.K,
-		LatePolicy: int(en.opts.LatePolicy),
+		LatePolicy: dropLate,
 		NoTrigOpt:  en.opts.DisableTriggerOpt,
 		NoKeyed:    en.opts.DisableKeying,
 		PurgeEvery: en.opts.PurgeEvery,
@@ -247,6 +251,9 @@ func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
 	if len(cf.Stacks) != p.Len() || len(cf.NegStores) != len(p.Negatives) {
 		return cf, fmt.Errorf("checkpoint shape mismatch: %d stacks / %d negstores", len(cf.Stacks), len(cf.NegStores))
 	}
+	if cf.LatePolicy != dropLate {
+		return cf, fmt.Errorf("checkpoint written under late policy %d: this version drops every event beyond K (policy %d)", cf.LatePolicy, dropLate)
+	}
 	for i, pm := range cf.Pending {
 		if len(pm.Events) != p.Len() {
 			return cf, fmt.Errorf("checkpoint shape mismatch: pending binding %d holds %d events, the pattern has %d positions", i, len(pm.Events), p.Len())
@@ -263,9 +270,9 @@ func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
 // larger bound is kept, the bound the merged run stays equivalent to. Parts
 // written under different options are not one engine's state.
 func (cf *checkpointFile) absorb(o checkpointFile) error {
-	if o.K != cf.K || o.LatePolicy != cf.LatePolicy || o.NoTrigOpt != cf.NoTrigOpt ||
-		o.NoKeyed != cf.NoKeyed || o.PurgeEvery != cf.PurgeEvery || (o.Adaptive == nil) != (cf.Adaptive == nil) {
-		return fmt.Errorf("written under other options than the first part (K %d against %d, late policy %d against %d, or the ablation switches)", o.K, cf.K, o.LatePolicy, cf.LatePolicy)
+	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt || o.NoKeyed != cf.NoKeyed ||
+		o.PurgeEvery != cf.PurgeEvery || (o.Adaptive == nil) != (cf.Adaptive == nil) {
+		return fmt.Errorf("written under other options than the first part (K %d against %d, or the ablation switches)", o.K, cf.K)
 	}
 	cf.Clock = max(cf.Clock, o.Clock)
 	cf.Frontier = max(cf.Frontier, o.Frontier)
@@ -323,7 +330,6 @@ func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) 
 	}
 	opts := Options{
 		K:                 cf.K,
-		LatePolicy:        LatePolicy(cf.LatePolicy),
 		DisableTriggerOpt: cf.NoTrigOpt,
 		DisableKeying:     cf.NoKeyed,
 		PurgeEvery:        cf.PurgeEvery,

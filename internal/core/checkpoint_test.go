@@ -182,6 +182,21 @@ func TestRestoreRejectsShortPending(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOtherLatePolicy: a checkpoint written under the
+// best-effort late policy (2) of earlier versions is refused, not run as if
+// it had dropped what it processed; one without a policy too.
+func TestRestoreRefusesOtherLatePolicy(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
+	for _, policy := range []string{`"latePolicy":2,`, ``} {
+		ck := `{"version":1,"planSource":"` + p.Source + `","k":10,` + policy + `"purgeEvery":64,` +
+			`"clock":100,"started":true,"stacks":[[],[]],"negStores":[]}`
+		if _, err := Restore(p, engine.Env{}, strings.NewReader(ck)); err == nil ||
+			!strings.Contains(err.Error(), "late policy") {
+			t.Errorf("checkpoint with %q: %v, want a late-policy error", policy, err)
+		}
+	}
+}
+
 // TestCheckpointLegacyV1Restores: bare-JSON checkpoints written before the
 // envelope existed still restore (the decoder sniffs the first byte).
 func TestCheckpointLegacyV1Restores(t *testing.T) {
@@ -200,7 +215,7 @@ func TestCheckpointLegacyV1Restores(t *testing.T) {
 
 func TestCheckpointRestoresOptionsAndClock(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
-	en := MustNew(p, Options{K: 33, LatePolicy: BestEffort, DisableTriggerOpt: true, PurgeEvery: 7})
+	en := MustNew(p, Options{K: 33, DisableTriggerOpt: true, PurgeEvery: 7})
 	en.Process(event.Event{Type: "A", TS: 100, Seq: 1})
 	var buf bytes.Buffer
 	if err := en.Checkpoint(&buf); err != nil {
@@ -210,7 +225,7 @@ func TestCheckpointRestoresOptionsAndClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.opts.K != 33 || r.opts.LatePolicy != BestEffort || !r.opts.DisableTriggerOpt || r.opts.PurgeEvery != 7 {
+	if r.opts.K != 33 || !r.opts.DisableTriggerOpt || r.opts.PurgeEvery != 7 {
 		t.Errorf("options not restored: %+v", r.opts)
 	}
 	if r.clock != 100 || !r.started {

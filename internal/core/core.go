@@ -76,19 +76,6 @@ import (
 	"oostream/internal/queue"
 )
 
-// LatePolicy says what to do with events that violate the disorder bound K.
-type LatePolicy int
-
-const (
-	// DropLate discards bound-violating events (counted in metrics). This
-	// is the paper's model: K is an assumption the source must keep.
-	DropLate LatePolicy = iota + 1
-	// BestEffort processes bound-violating events anyway. Completeness is
-	// no longer guaranteed (state they needed may have been purged), but
-	// nothing already emitted becomes wrong.
-	BestEffort
-)
-
 // EmitPolicy says when a finished binding is released.
 type EmitPolicy int
 
@@ -113,12 +100,12 @@ func (p EmitPolicy) String() string {
 // Options configure the engine.
 type Options struct {
 	// K is the disorder bound (slack) in logical milliseconds. Events
-	// delayed more than K against the max seen timestamp are "late".
+	// delayed more than K against the max seen timestamp are late and are
+	// dropped (counted in metrics): the paper's model, in which K is an
+	// assumption the source must keep.
 	K event.Time
 	// Emit selects the emission policy; default SealThenEmit.
 	Emit EmitPolicy
-	// LatePolicy handles late events; default DropLate.
-	LatePolicy LatePolicy
 	// DisableTriggerOpt turns off the scan optimization and probes for
 	// completions on every insertion (ablation; still exact, slower).
 	DisableTriggerOpt bool
@@ -133,10 +120,8 @@ type Options struct {
 	// monotone frontier over (clock − controller's effective K) instead of
 	// clock − K, so the bound can grow immediately and shrink without ever
 	// moving the frontier backwards — everything the purge horizons assume
-	// about the safe clock keeps holding. Incompatible with BestEffort
-	// (the adaptive ≡ static-max-K equivalence requires DropLate). The
-	// engine that holds the controller feeds it: watermark-lag observations
-	// and live-state sizes.
+	// about the safe clock keeps holding. The engine that holds the
+	// controller feeds it: watermark-lag observations and live-state sizes.
 	Adaptive *adaptive.Controller
 	// Env carries the engine's instruments (series, trace hook, latency
 	// sampler, provenance switch); the zero value means none. Internal: the
@@ -150,20 +135,11 @@ func (o Options) normalized() (Options, error) {
 	if o.K < 0 {
 		return o, fmt.Errorf("K must be >= 0, got %d", o.K)
 	}
-	if o.LatePolicy == 0 {
-		o.LatePolicy = DropLate
-	}
-	if o.LatePolicy != DropLate && o.LatePolicy != BestEffort {
-		return o, fmt.Errorf("unknown late policy %d", o.LatePolicy)
-	}
 	if o.Emit != SealThenEmit && o.Emit != EmitThenRetract {
 		return o, fmt.Errorf("unknown emission policy %d", o.Emit)
 	}
 	if o.PurgeEvery == 0 {
 		o.PurgeEvery = defaultPurgeEvery
-	}
-	if o.Adaptive != nil && o.LatePolicy == BestEffort {
-		return o, fmt.Errorf("adaptive K is incompatible with the best-effort late policy")
 	}
 	return o, nil
 }
@@ -509,28 +485,18 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 // ProcessBatch implements engine.Engine: the per-event admission,
 // insertion, and pending-drain pipeline runs unchanged for every event,
 // but the purge pass and gauge publication are deferred to the batch
-// boundary. Under DropLate that deferral is output-invisible: purging only
-// removes instances the window bound already excludes from every future
-// enumeration (construct's walks break on the window before touching
-// them), so matches, retractions, lineage, and non-purge trace operations
-// are identical to the per-event path. Under BestEffort a bound-violating
-// event may bind state a purge would have removed, making purge timing
-// observable — so that policy keeps the per-event cadence.
+// boundary. That deferral is output-invisible: late events are dropped, and
+// purging only removes instances the window bound already excludes from
+// every future enumeration (construct's walks break on the window before
+// touching them), so matches, retractions, lineage, and non-purge trace
+// operations are identical to the per-event path.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	var out []plan.Match
-	if en.opts.LatePolicy == BestEffort {
-		for i := range batch {
-			out = en.processOne(batch[i], out)
-			en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
-			en.maybePurge()
-		}
-	} else {
-		for i := range batch {
-			out = en.processOne(batch[i], out)
-			en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
-		}
-		en.maybePurge()
+	for i := range batch {
+		out = en.processOne(batch[i], out)
+		en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
 	}
+	en.maybePurge()
 	en.publishGauges()
 	return out
 }
@@ -574,12 +540,10 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			return out
 		}
 		en.met.IncLate()
-		if en.opts.LatePolicy == DropLate {
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-			}
-			return out
+		if en.trace != nil {
+			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 		}
+		return out
 	}
 	if e.TS > en.clock || !en.started {
 		en.clock = e.TS
@@ -1078,7 +1042,7 @@ func (en *Engine) negSkipFor(negIdx int) []bool {
 // (advanced by processOne) reaches opts.PurgeEvery. Process checks after
 // every event; ProcessBatch defers the check to the batch boundary (at
 // most one pass per batch — a longer effective cadence, equally correct
-// under DropLate since purging is output-invisible there).
+// since purging is output-invisible).
 func (en *Engine) maybePurge() {
 	if en.opts.PurgeEvery < 0 {
 		return

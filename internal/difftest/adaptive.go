@@ -51,17 +51,19 @@ func RunAdaptive(c Case) *Failure {
 	event.SortByTime(sorted)
 	truth := oracle.Matches(p, sorted)
 
-	// An adaptive config that must genuinely adapt: it starts at a quarter
+	// An adaptive engine that must genuinely adapt: it starts at a quarter
 	// of the case bound and may grow back up to it, with a fast decision
 	// cadence so even short trials make several decisions.
-	acfg := oostream.Adaptive{
-		Enabled:       true,
-		InitialK:      1 + c.K/4,
-		MinK:          1,
-		MaxK:          c.K,
-		DecisionEvery: 16,
-		GrowAfter:     1,
-		ShrinkAfter:   2,
+	acfg := oostream.Config{
+		Strategy: oostream.StrategyNative,
+		K:        1 + c.K/4,
+		Adaptive: oostream.Adaptive{
+			Enabled:       true,
+			MinK:          1,
+			DecisionEvery: 16,
+			ShrinkAfter:   2,
+			Limits:        oostream.Limits{MaxLag: c.K},
+		},
 	}
 
 	if f := adaptiveNative(c, p, q, acfg); f != nil {
@@ -120,9 +122,10 @@ func oracleOn(p *plan.Plan, events []event.Event) []plan.Match {
 }
 
 // adaptiveNative checks the dynamic-K claims on the native engine.
-func adaptiveNative(c Case, p *plan.Plan, q *oostream.Query, acfg oostream.Adaptive) *Failure {
+func adaptiveNative(c Case, p *plan.Plan, q *oostream.Query, cfg oostream.Config) *Failure {
 	rc := newRejectedCollector()
-	en := oostream.MustNewEngine(q, oostream.Config{Strategy: oostream.StrategyNative, Adaptive: acfg, Trace: rc})
+	cfg.Trace = rc
+	en := oostream.MustNewEngine(q, cfg)
 	got := en.ProcessAll(c.Arrival)
 	admitted := rc.admitted(c.Arrival)
 	wantAdm := oracleOn(p, admitted)
@@ -159,10 +162,11 @@ func adaptiveNative(c Case, p *plan.Plan, q *oostream.Query, acfg oostream.Adapt
 // adaptiveShedding checks overload degradation on the kslack strategy: a
 // deliberately tiny buffer limit forces sheds, which must be exactly the
 // traced/counted events, with the net output exact over the survivors.
-func adaptiveShedding(c Case, p *plan.Plan, q *oostream.Query, acfg oostream.Adaptive) *Failure {
-	acfg.Limits = oostream.Limits{MaxBufferedEvents: 3}
+func adaptiveShedding(c Case, p *plan.Plan, q *oostream.Query, cfg oostream.Config) *Failure {
 	rc := newRejectedCollector()
-	en := oostream.MustNewEngine(q, oostream.Config{Strategy: oostream.StrategyKSlack, Adaptive: acfg, Trace: rc})
+	cfg.Strategy, cfg.Trace = oostream.StrategyKSlack, rc
+	cfg.Adaptive.Limits.MaxBufferedEvents = 3
+	en := oostream.MustNewEngine(q, cfg)
 	got := en.ProcessAll(c.Arrival)
 	m := en.Metrics()
 	if int(m.SheddedEvents) != len(rc.shed) {
@@ -182,7 +186,7 @@ func adaptiveShedding(c Case, p *plan.Plan, q *oostream.Query, acfg oostream.Ada
 // net multiset; with adaptive K the result is exact over the admitted set.
 func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 	for _, startNative := range []bool{false, true} {
-		ctrl, err := adaptive.NewController(adaptive.Config{InitialK: c.K})
+		ctrl, err := adaptive.NewController(adaptive.Config{}, c.K)
 		if err != nil {
 			return &Failure{Case: c, Check: "hybrid-switch", Diff: err.Error()}
 		}
@@ -206,9 +210,9 @@ func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 	// Adaptive K inside the hybrid: net output equals the oracle over the
 	// events the meta-engine admitted, across forced switches.
 	ctrl, err := adaptive.NewController(adaptive.Config{
-		Enabled: true, InitialK: 1 + c.K/4, MinK: 1, MaxK: c.K,
-		DecisionEvery: 16, GrowAfter: 1, ShrinkAfter: 2,
-	})
+		Enabled: true, MinK: 1, DecisionEvery: 16, ShrinkAfter: 2,
+		Limits: adaptive.Limits{MaxLag: c.K},
+	}, 1+c.K/4)
 	if err != nil {
 		return &Failure{Case: c, Check: "hybrid-adaptive", Diff: err.Error()}
 	}
@@ -236,8 +240,7 @@ func hybridSwitches(c Case, p *plan.Plan, truth []plan.Match) *Failure {
 // frontier, published bounds) round-trips through a mid-stream
 // checkpoint: the restored engine must finish the stream with the exact
 // output of the uninterrupted run.
-func adaptiveCheckpoint(c Case, q *oostream.Query, acfg oostream.Adaptive) *Failure {
-	cfg := oostream.Config{Strategy: oostream.StrategyNative, Adaptive: acfg}
+func adaptiveCheckpoint(c Case, q *oostream.Query, cfg oostream.Config) *Failure {
 	full := run(q, cfg, c.Arrival)
 
 	en := oostream.MustNewEngine(q, cfg)

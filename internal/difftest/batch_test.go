@@ -159,17 +159,14 @@ func runSupervisedBatched(mk func(string) (*oostream.Engine, error), events []ev
 	return out, nil
 }
 
-// TestBatchBestEffortPurgeCadence pins the one place deferring purges to
-// the batch boundary is NOT output-invisible: under BestEffortLate a
-// bound-violating event may bind to a window-expired instance that a
-// per-event purge pass would already have removed. The stream is built so
-// the divergence is forced if the batch path defers: A@0's window (4)
-// expires once B@10 lifts the safe clock; the late B@2 then only matches
-// A@0 if the purge between them was skipped. RunBatch's
-// batch-native-besteffort configuration (halved K, PurgeEvery=1) must
-// therefore keep the per-event cadence — random trials rarely compose
-// this exact shape, so it is checked here deterministically.
-func TestBatchBestEffortPurgeCadence(t *testing.T) {
+// TestBatchPurgeCadenceWithLateEvent pins the shape that would make
+// deferring purges to the batch boundary visible if a bound-violating event
+// were ever processed: A@0's window (4) expires once B@10 lifts the safe
+// clock, and the late B@2 would then match A@0 only if the purge between
+// them was skipped. The kernel drops it on both paths, so RunBatch's
+// halved-K configurations (PurgeEvery=1) agree — random trials rarely
+// compose this exact shape, so it is checked here deterministically.
+func TestBatchPurgeCadenceWithLateEvent(t *testing.T) {
 	c := Case{
 		Seed:  -1,
 		Query: "PATTERN SEQ(A x0, B x1) WHERE x0.id = x1.id WITHIN 4",

@@ -1,8 +1,8 @@
 // Package difftest is the randomized differential-testing harness that
 // guards the library's central claim: every strategy computes the same
 // match multiset. For a generated (query, stream, disorder) triple it runs
-// all four strategies, the ordered-output wrapper, and a mid-stream
-// checkpoint/restore round-trip, and compares
+// all five strategies and a mid-stream checkpoint/restore round-trip, and
+// compares
 // every result multiset against the brute-force oracle on the sorted
 // stream — which is, by I1, the normative semantics.
 //
@@ -220,11 +220,6 @@ func Run(c Case) *Failure {
 		if msg := validateLineage(p, universe, got); msg != "" {
 			return &Failure{Case: c, Check: pc.check + "-lineage", Diff: msg, Truth: len(truth)}
 		}
-	}
-
-	// Ordered-output wrapper must reorder, never drop or duplicate.
-	if f := fail("native-ordered", run(q, oostream.Config{Strategy: oostream.StrategyNative, K: c.K, OrderedOutput: true}, c.Arrival)); f != nil {
-		return f
 	}
 
 	// Latency-sampling transparency: the wall-clock attribution sampler is

@@ -111,7 +111,7 @@ func mustCompile(t *testing.T, src string) *oostream.Query {
 func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 	var rows []covRow
 
-	// Five strategies × {single, OrderedOutput, aggregate}.
+	// Five strategies × {single, aggregate}.
 	for _, strat := range oostream.Strategies() {
 		s := string(strat)
 		variants := []struct {
@@ -120,7 +120,6 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 			series      []string
 		}{
 			{"single", covQuery, oostream.Config{}, []string{s}},
-			{"ordered", covQuery, oostream.Config{OrderedOutput: true}, []string{s}},
 			{"aggregate", covAgg, oostream.Config{}, []string{s}},
 		}
 		for _, v := range variants {
@@ -128,7 +127,7 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 			cfg.Strategy, cfg.K = strat, k
 			q := mustCompile(t, v.query)
 			if _, err := oostream.NewEngine(q, cfg); err != nil {
-				continue // not a composition the facade builds (ordered × retracting strategies)
+				t.Fatalf("%s/%s: %v", s, v.name, err)
 			}
 			rows = append(rows, covRow{
 				name:   s + "/" + v.name,
@@ -278,7 +277,7 @@ func cloneEvents(events []event.Event) []event.Event {
 func TestInstrumentCoverage(t *testing.T) {
 	events, k := covStream()
 	rows := covRows(t, events, k)
-	if len(rows) < 13+4+4 {
+	if len(rows) < 10+4+4 {
 		t.Fatalf("table has %d rows; a composition stopped building", len(rows))
 	}
 	for _, row := range rows {

@@ -1,12 +1,15 @@
 package engine_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -142,8 +145,8 @@ func TestOneLayout(t *testing.T) {
 
 // TestOneQueue is the mechanical form of "one release-by-watermark queue":
 // everything that holds items by timestamp and releases what a safe clock has
-// passed (the reorder buffer, both pending sets, the ordered-output buffer,
-// the expiry orders) is an internal/queue.Queue. No non-test source imports
+// passed (the reorder buffer, both pending sets, the expiry orders) is an
+// internal/queue.Queue. No non-test source imports
 // container/heap, and no non-test type outside internal/queue has the
 // Len/Less/Swap trio a hand-written heap or sorted holder starts with. The
 // binary heap lives on in internal/queue's tests, as the reference.
@@ -567,4 +570,376 @@ func TestOneFacade(t *testing.T) {
 	if !slices.Equal(processors, []string{"Engine", "QuerySet"}) {
 		t.Errorf("exported types with a Process method: %v, want [Engine QuerySet]", processors)
 	}
+}
+
+// census names, for every settable value of the library and its commands,
+// what reads it: the reason the value exists. Keys are Config.<Field> (and
+// QuerySetConfig, SupervisorConfig, Latency, LatencySLO, and the Adaptive,
+// SLO and Limits blocks of internal/adaptive), a Strategy or AdmitPolicy
+// constant, or "<command> -<flag>". A reader is one of
+//
+//	experiment E<n>  cited in the claim table at the foot of EXPERIMENTS.md,
+//	                 and a file declaring E<n>… (internal/bench) or
+//	                 BenchmarkE<n>… (its tests, the root tests) names the value
+//	workload <name>  a BENCHMARK.json workload; benchmark/workloads.go names
+//	                 the value
+//	example <dir>    examples/<dir>/main.go names the value
+//	flag <cmd> -<f>  a flag in this census whose main.go names the value, or
+//	                 the JSON block the flag decodes into
+//	ci               (flags) a step of .github/workflows/ci.yml runs the
+//	                 command with the flag
+//	benchmark        (flags) a benchmark/ source builds the command and
+//	                 passes the flag
+//	deployment: …    (supervisor settings and flags) a path or a durability
+//	                 trade that only the deployment can choose, stated
+var census = map[string]string{
+	"Config.Strategy":           "workload rfid-seq-native",
+	"Config.K":                  "workload rfid-seq-native",
+	"Config.DisableTriggerOpt":  "experiment E7",
+	"Config.DisableKeyedStacks": "experiment E14",
+	"Config.PurgeEvery":         "experiment E6",
+	"Config.Provenance":         "flag esprun -explain",
+	"Config.Observer":           "flag esprun -listen",
+	"Config.Trace":              "flag esprun -listen",
+	"Config.Latency":            "flag esprun -latency-sample",
+	"Config.Adaptive":           "experiment E20",
+	"Latency.SampleEvery":       "flag esprun -latency-sample",
+	"Latency.SLO":               "flag esprun -latency-slo",
+	"LatencySLO.Objective":      "flag esprun -latency-slo",
+	"LatencySLO.Target":         "flag esprun -latency-slo-target",
+	"Adaptive.Enabled":          "experiment E20",
+	"Adaptive.Quantile":         "experiment E20",
+	"Adaptive.Margin":           "experiment E20",
+	"Adaptive.MinK":             "experiment E20",
+	"Adaptive.DecisionEvery":    "experiment E20",
+	"Adaptive.ShrinkAfter":      "experiment E20",
+	"Adaptive.SLO":              "experiment E20",
+	"Adaptive.Limits":           "flag esprun -limits",
+	"SLO.MaxLatency":            "experiment E20",
+	"SLO.MaxRetractionRate":     "flag esprun -slo",
+	"Limits.MaxBufferedEvents":  "flag esprun -limits",
+	"Limits.MaxLag":             "flag esprun -limits",
+
+	"QuerySetConfig.Strategy":   "experiment E19",
+	"QuerySetConfig.K":          "experiment E19",
+	"QuerySetConfig.Provenance": "flag esprun -explain",
+	"QuerySetConfig.Observer":   "flag esprun -listen",
+	"QuerySetConfig.Trace":      "flag esprun -listen",
+	"QuerySetConfig.Latency":    "flag esprun -latency-sample",
+
+	"SupervisorConfig.Dir":             "flag esprun -checkpoint-dir",
+	"SupervisorConfig.CheckpointEvery": "flag esprun -checkpoint-every",
+	"SupervisorConfig.DisableFsync":    "experiment E15",
+	"SupervisorConfig.Retain":          "deployment: how many checkpoints the disk keeps",
+	"SupervisorConfig.SyncEveryEvent":  "deployment: fsync per event, the durability of the log's tail",
+	"SupervisorConfig.MaxRestarts":     "deployment: how many engine panics a process survives",
+
+	"StrategyNative":    "workload rfid-seq-native",
+	"StrategyInOrder":   "experiment E1",
+	"StrategyKSlack":    "workload rfid-neg-kslack",
+	"StrategySpeculate": "workload rfid-neg-speculate",
+	"StrategyHybrid":    "experiment E20",
+
+	"espbench -queries":        "ci",
+	"espbench -cpuprofile":     "deployment: where a profile is written",
+	"espbench -memprofile":     "deployment: where a profile is written",
+	"espfuzz -budget":          "ci",
+	"espfuzz -seed":            "ci",
+	"espfuzz -crash":           "ci",
+	"espfuzz -batch":           "ci",
+	"espfuzz -multi":           "ci",
+	"espfuzz -adaptive":        "ci",
+	"espfuzz -agg":             "ci",
+	"espgen -n":                "ci",
+	"espgen -ooo":              "ci",
+	"espgen -k":                "ci",
+	"espgen -out":              "deployment: where the trace is written",
+	"esprun -query":            "benchmark",
+	"esprun -trace":            "benchmark",
+	"esprun -strategy":         "benchmark",
+	"esprun -k":                "benchmark",
+	"esprun -max-print":        "benchmark",
+	"esprun -quiet":            "ci",
+	"esprun -explain":          "ci",
+	"esprun -listen":           "ci",
+	"esprun -linger":           "ci",
+	"esprun -batch":            "ci",
+	"esprun -latency-sample":   "ci",
+	"esprun -latency-slo":      "ci",
+	"esprun -checkpoint-dir":   "deployment: where durable state lives",
+	"esprun -checkpoint-every": "deployment: the checkpoint interval, recovery time against throughput",
+	"esprun -resume":           "deployment: continuing a killed run",
+}
+
+// unread lists the settable values nothing above reads yet, each with why it
+// stays and the ROADMAP item that owes its verdict. Each verdict is a
+// one-line edit: a reader in census, or the value deleted. The list may
+// shrink and not grow (maxUnread is its length when the census began).
+var unread = map[string]string{
+	"QuerySetConfig.AdvanceEvery": "a sealing cadence that never changes output, set by tests only; ROADMAP 3, judged on 1(d)'s multi-100",
+	"SupervisorConfig.Policy":     "admission outcomes; ROADMAP 8(c) counts them in the conservation ledger",
+	"SupervisorConfig.DeadLetter": "admission outcomes; ROADMAP 8(c) counts them in the conservation ledger",
+	"AdmitDrop":                   "the zero Policy; goes with SupervisorConfig.Policy, ROADMAP 8(c)",
+	"AdmitDeadLetter":             "goes with SupervisorConfig.DeadLetter, ROADMAP 8(c)",
+
+	"espbench -scale":  "ROADMAP 2 decides which experiments and modes espbench keeps",
+	"espbench -exp":    "ROADMAP 2 decides which experiments and modes espbench keeps",
+	"espbench -csv":    "ROADMAP 2 decides which experiments and modes espbench keeps",
+	"espbench -json":   "ROADMAP 2 decides which experiments and modes espbench keeps",
+	"espbench -list":   "ROADMAP 2 decides which experiments and modes espbench keeps",
+	"espbench -listen": "ROADMAP 2 decides which experiments and modes espbench keeps",
+
+	"espexplain -state":  "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
+	"espexplain -flight": "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
+	"espexplain -match":  "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
+	"espexplain -event":  "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
+
+	"espfuzz -trials":  "local soak controls (bounds, quiet, live progress); ROADMAP 7(c) puts every soak in CI",
+	"espfuzz -maxfail": "local soak controls (bounds, quiet, live progress); ROADMAP 7(c) puts every soak in CI",
+	"espfuzz -q":       "local soak controls (bounds, quiet, live progress); ROADMAP 7(c) puts every soak in CI",
+	"espfuzz -listen":  "local soak controls (bounds, quiet, live progress); ROADMAP 7(c) puts every soak in CI",
+
+	"espgen -workload": "CI generates only the default RFID trace; ROADMAP 1(d) adds the workloads",
+	"espgen -seed":     "CI generates only the default RFID trace; ROADMAP 1(d) adds the workloads",
+	"espgen -net":      "network-derived disorder, measured by E12 through internal/bench; ROADMAP 1(d) drift-hybrid",
+	"espgen -sources":  "network-derived disorder, measured by E12 through internal/bench; ROADMAP 1(d) drift-hybrid",
+	"espgen -mtbf":     "network-derived disorder, measured by E12 through internal/bench; ROADMAP 1(d) drift-hybrid",
+	"espgen -outage":   "network-derived disorder, measured by E12 through internal/bench; ROADMAP 1(d) drift-hybrid",
+
+	"esprun -query-file":         "no step reads a query from a file; ROADMAP 3",
+	"esprun -queries":            "the multi-query CLI; ROADMAP 1(d)'s multi-100 drives it",
+	"esprun -plan":               "prints the compiled plan; ROADMAP 3",
+	"esprun -adaptive":           "the controller end to end; ROADMAP 1(d)'s drift-hybrid drives it",
+	"esprun -adaptive-config":    "the controller end to end; ROADMAP 1(d)'s drift-hybrid drives it",
+	"esprun -slo":                "the controller end to end; ROADMAP 1(d)'s drift-hybrid drives it",
+	"esprun -limits":             "the controller end to end; ROADMAP 1(d)'s drift-hybrid drives it",
+	"esprun -latency-slo-target": "ROADMAP 8(d) measures the instruments together",
+}
+
+const maxUnread = 33
+
+// TestEverySettableValueHasAReader is the census gate (ROADMAP item 3): it
+// finds every settable value in the tree (struct fields and constants by
+// AST, flags by their fs.<Kind>("name", default, usage) definitions), and
+// each must have a row in census whose reader exists, or in unread, and not
+// both. A row for a value that is gone fails too.
+func TestEverySettableValueHasAReader(t *testing.T) {
+	// The configuration structs by package directory and type name, under
+	// the name the census uses.
+	structs := map[[2]string]string{
+		{".", "Config"}: "Config", {".", "QuerySetConfig"}: "QuerySetConfig", {".", "SupervisorConfig"}: "SupervisorConfig",
+		{".", "Latency"}: "Latency", {".", "LatencySLO"}: "LatencySLO",
+		{"internal/adaptive", "Config"}: "Adaptive", {"internal/adaptive", "SLO"}: "SLO", {"internal/adaptive", "Limits"}: "Limits",
+	}
+	flagKinds := map[string]bool{"String": true, "Int": true, "Int64": true, "Uint64": true, "Bool": true, "Float64": true, "Duration": true}
+	type value struct {
+		ident string // the identifier a reader's source must hold
+		block string // the JSON-decoded struct the value sits in, or ""
+	}
+	values := map[string]value{}
+	idents := map[string]map[string]bool{} // file -> identifiers it holds
+	declares := map[string][]string{}      // experiment ID -> the files declaring it
+	experimentFunc := regexp.MustCompile(`^(?:Benchmark)?(E\d+)[A-Z]`)
+	walkModule(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		idents[rel] = identsOf(f)
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && (dir == "internal/bench" || dir == ".") {
+				if m := experimentFunc.FindStringSubmatch(fn.Name.Name); m != nil {
+					declares[m[1]] = append(declares[m[1]], rel)
+				}
+			}
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || strings.HasSuffix(rel, "_test.go") {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					name, ok := structs[[2]string{dir, spec.Name.Name}]
+					st, isStruct := spec.Type.(*ast.StructType)
+					if !ok || !isStruct {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						block := ""
+						if field.Tag != nil && strings.Contains(field.Tag.Value, "json:") {
+							block = name
+						}
+						for _, id := range field.Names {
+							if id.IsExported() {
+								values[name+"."+id.Name] = value{id.Name, block}
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					if dir != "." || gd.Tok != token.CONST {
+						continue
+					}
+					typ, _ := spec.Type.(*ast.Ident)
+					for _, id := range spec.Names {
+						if (typ != nil && typ.Name == "Strategy") || strings.HasPrefix(id.Name, "Admit") {
+							values[id.Name] = value{ident: id.Name}
+						}
+					}
+				}
+			}
+		}
+		if cmd, ok := strings.CutPrefix(dir, "cmd/"); ok && !strings.HasSuffix(rel, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 3 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				lit, isLit := call.Args[0].(*ast.BasicLit)
+				if ok && isLit && flagKinds[sel.Sel.Name] && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					values[cmd+" -"+name] = value{}
+				}
+				return true
+			})
+		}
+	})
+	for _, want := range []string{"Config.K", "Adaptive.Quantile", "StrategyNative", "AdmitDrop", "esprun -k"} {
+		if _, ok := values[want]; !ok {
+			t.Fatalf("the walk found no %s: the census checks nothing", want)
+		}
+	}
+
+	root := filepath.Join("..", "..")
+	read := func(name string) string {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	_, claims, _ := strings.Cut(read("EXPERIMENTS.md"), "## Summary of claim verification")
+	cited := map[string]bool{}
+	for _, id := range regexp.MustCompile(`\bE\d+\b`).FindAllString(claims, -1) {
+		cited[id] = true
+	}
+	var bench struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	if err := json.Unmarshal([]byte(read("BENCHMARK.json")), &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	ciSteps := strings.Split(strings.ReplaceAll(read(".github/workflows/ci.yml"), "\\\n", " "), "\n")
+	benchSources, err := filepath.Glob(filepath.Join(root, "benchmark", "*.go"))
+	if err != nil || len(benchSources) == 0 {
+		t.Fatalf("no benchmark/ sources: %v", err)
+	}
+	names := func(file string, v value) bool {
+		ids, ok := idents[file]
+		if !ok { // outside the module walk: benchmark/
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, file), nil, parser.SkipObjectResolution)
+			if err == nil {
+				ids = identsOf(f)
+			}
+			idents[file] = ids
+		}
+		return ids[v.ident] || (v.block != "" && ids[v.block])
+	}
+
+	// check reports why reader does not read key, or "".
+	check := func(key string, v value, reader string) string {
+		kind, arg, _ := strings.Cut(reader, " ")
+		cmd, flag, isFlag := strings.Cut(key, " ")
+		switch kind {
+		case "experiment":
+			if !cited[arg] {
+				return arg + " is not cited in EXPERIMENTS.md's claim table"
+			}
+			if !slices.ContainsFunc(declares[arg], func(file string) bool { return names(file, v) }) {
+				return fmt.Sprintf("no declaration of %s in a file naming %s", arg, v.ident)
+			}
+		case "workload":
+			if !workloads[arg] {
+				return arg + " is not a BENCHMARK.json workload"
+			}
+			if !names("benchmark/workloads.go", v) {
+				return "benchmark/workloads.go does not name " + v.ident
+			}
+		case "example":
+			if !names("examples/"+arg+"/main.go", v) {
+				return "examples/" + arg + "/main.go does not name " + v.ident
+			}
+		case "flag":
+			owner, _, _ := strings.Cut(arg, " ")
+			if _, ok := values[arg]; !ok {
+				return arg + " is not a flag"
+			}
+			if !names("cmd/"+owner+"/main.go", v) {
+				return fmt.Sprintf("cmd/%s/main.go names neither %s nor %s", owner, v.ident, v.block)
+			}
+		case "ci":
+			passed := regexp.MustCompile(`(^|\s)` + regexp.QuoteMeta(flag) + `(\s|=|$)`)
+			if !isFlag || !slices.ContainsFunc(ciSteps, func(line string) bool {
+				return strings.Contains(line, "cmd/"+cmd) && passed.MatchString(line)
+			}) {
+				return "no ci.yml step runs cmd/" + cmd + " with " + flag
+			}
+		case "benchmark":
+			found := false
+			for _, src := range benchSources {
+				data, err := os.ReadFile(src)
+				found = found || (err == nil && isFlag && strings.Contains(string(data), `"oostream/cmd/`+cmd+`"`) &&
+					strings.Contains(string(data), strconv.Quote(flag)))
+			}
+			if !found {
+				return "no benchmark/ source builds cmd/" + cmd + " and passes " + flag
+			}
+		case "deployment:":
+			if !isFlag && !strings.HasPrefix(key, "SupervisorConfig.") {
+				return "only supervisor settings and flags are a deployment's to choose"
+			}
+		default:
+			return "unknown reader kind " + kind
+		}
+		return ""
+	}
+
+	for key, v := range values {
+		reader, listed := census[key]
+		why, allowed := unread[key]
+		switch {
+		case listed && allowed:
+			t.Errorf("%s has a reader (%s) and is listed unread (%s): drop it from unread", key, reader, why)
+		case listed:
+			if msg := check(key, v, reader); msg != "" {
+				t.Errorf("%s: reader %q: %s", key, reader, msg)
+			}
+		case !allowed:
+			t.Errorf("%s is settable and nothing reads it: name its reader in census (an experiment of the claim table, a workload, an example, a flag, a CI step) or delete it", key)
+		}
+	}
+	for _, m := range []map[string]string{census, unread} {
+		for key := range m {
+			if _, ok := values[key]; !ok {
+				t.Errorf("%s is in the census but not in the tree: drop its row", key)
+			}
+		}
+	}
+	if len(unread) > maxUnread {
+		t.Errorf("%d unread values, at most %d: the list only shrinks", len(unread), maxUnread)
+	}
+}
+
+// identsOf returns every identifier f holds: names declared, used, selected
+// and used as composite-literal keys.
+func identsOf(f *ast.File) map[string]bool {
+	ids := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			ids[id.Name] = true
+		}
+		return true
+	})
+	return ids
 }

@@ -26,7 +26,7 @@ func compile(t *testing.T, src string) *plan.Plan {
 // pinned at k (the hybrid equivalent of a static-K engine).
 func staticCtrl(t *testing.T, k event.Time) *adaptive.Controller {
 	t.Helper()
-	ctrl, err := adaptive.NewController(adaptive.Config{InitialK: k})
+	ctrl, err := adaptive.NewController(adaptive.Config{}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,9 @@ func TestSwitchEveryEvent(t *testing.T) {
 func TestAutoSwitchOnLatencySLO(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
 	ctrl, err := adaptive.NewController(adaptive.Config{
-		InitialK:      10,
 		DecisionEvery: 16,
 		SLO:           adaptive.SLO{MaxLatency: 100},
-	})
+	}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +158,9 @@ func TestAutoSwitchOnLatencySLO(t *testing.T) {
 func TestAutoSwitchOnRetractionRate(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 60")
 	ctrl, err := adaptive.NewController(adaptive.Config{
-		InitialK:      50,
 		DecisionEvery: 30,
 		SLO:           adaptive.SLO{MaxRetractionRate: 0.05},
-	})
+	}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +206,9 @@ func TestAutoSwitchOnRetractionRate(t *testing.T) {
 func TestDegradationSheds(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 1000")
 	ctrl, err := adaptive.NewController(adaptive.Config{
-		InitialK: 500,
-		MinK:     1,
-		Limits:   adaptive.Limits{MaxBufferedEvents: 20},
-	})
+		MinK:   1,
+		Limits: adaptive.Limits{MaxBufferedEvents: 20},
+	}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestConcurrentSetKDuringProcess(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	events := shuffleBounded(rng, sortedStream(rng, 4_000, []string{"A", "B"}), 30)
 
-	ctrl := adaptive.MustController(adaptive.Config{InitialK: 30})
+	ctrl := adaptive.MustController(adaptive.Config{}, 30)
 	en := NewAdaptiveEngine(ctrl, core.MustNew(p, core.Options{}), engine.Env{})
 
 	done := make(chan struct{})

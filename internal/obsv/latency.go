@@ -58,8 +58,9 @@ type Stage uint8
 
 // Stages, in pipeline order.
 const (
-	// StageQueue is batch linger: from channel receive in
-	// Pipeline.RunBatched until the batch is handed to the engine.
+	// StageQueue is time an event waits between receipt and its engine
+	// call. No pipeline stamps it since batching moved to the caller's
+	// ProcessBatch, so it is absent from reports unless a caller stamps it.
 	StageQueue Stage = iota
 	// StageBuffer is reorder-buffer residency: kslack/adaptive buffering or
 	// the QuerySet shared-admission buffer, from admission to release.

@@ -221,7 +221,7 @@ type StateSnapshot struct {
 	// NegStoreSizes is the buffered-negative count per negation component.
 	NegStoreSizes []int `json:"negStoreSizes"`
 	// BufferLen is auxiliary buffer occupancy: the reorder buffer for
-	// kslack, the emission-order buffer for OrderedOutput.
+	// kslack and for a QuerySet.
 	BufferLen int `json:"bufferLen,omitempty"`
 	// Pending counts complete bindings parked until their negation gaps
 	// seal.

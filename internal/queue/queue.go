@@ -1,7 +1,7 @@
 // Package queue is the one release-by-watermark queue: it holds items by
 // timestamp and releases those a safe clock has passed. The K-slack reorder
-// buffer, both SSC engines' pending bindings, the ordered-output buffer and
-// every purge's expiry order are it (DESIGN.md §1 "Where an event is held").
+// buffer, both SSC engines' pending bindings and every purge's expiry order
+// are it (DESIGN.md §1 "Where an event is held").
 package queue
 
 import (

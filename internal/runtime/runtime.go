@@ -3,14 +3,13 @@
 // behind Engine.Run, and Supervisor, the write-ahead-logged, checkpointed
 // engine a durable Engine or QuerySet drives.
 //
-// Nothing here starts a goroutine: Pipeline.Run and RunBatched work on the
-// caller's, stop when the context does (every send selects on it), and
-// close their output channel before returning.
+// Nothing here starts a goroutine: Pipeline.Run works on the caller's,
+// stops when the context does (every send selects on it), and closes its
+// output channel before returning.
 package runtime
 
 import (
 	"context"
-	"time"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -52,100 +51,6 @@ func (p *Pipeline) Run(ctx context.Context, in <-chan event.Event, out chan<- pl
 				return err
 			}
 			p.lat.Finish(e.Seq)
-		}
-	}
-}
-
-// RunBatched is Run over the engine's batch path: it blocks for the first
-// event of a batch, then fills greedily up to size — without waiting when
-// linger is zero (whatever is queued on in forms the batch), or waiting up
-// to linger for stragglers otherwise — and hands the batch to the engine's
-// ProcessBatch in one call. Output is identical to Run by the ProcessBatch
-// contract; only throughput and latency change. size <= 1 falls back to
-// Run.
-func (p *Pipeline) RunBatched(ctx context.Context, in <-chan event.Event, out chan<- plan.Match, size int, linger time.Duration) error {
-	if size <= 1 {
-		return p.Run(ctx, in, out)
-	}
-	defer close(out)
-	batch := make([]event.Event, 0, size)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		for i := range batch {
-			// Time from channel receive to dispatch is batching linger:
-			// the event sat in the batch waiting for stragglers.
-			p.lat.StageEnd(batch[i].Seq, obsv.StageQueue)
-		}
-		err := emitAll(ctx, p.engine.ProcessBatch(batch), out)
-		for i := range batch {
-			p.lat.Finish(batch[i].Seq)
-		}
-		batch = batch[:0]
-		return err
-	}
-	finish := func() error {
-		if err := flush(); err != nil {
-			return err
-		}
-		return emitAll(ctx, p.engine.Flush(), out)
-	}
-	var timer *time.Timer
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case e, ok := <-in:
-			if !ok {
-				return finish()
-			}
-			p.lat.Begin(e.Seq)
-			batch = append(batch, e)
-		}
-		var deadline <-chan time.Time
-		if linger > 0 {
-			if timer == nil {
-				timer = time.NewTimer(linger)
-			} else {
-				timer.Reset(linger)
-			}
-			deadline = timer.C
-		}
-	fill:
-		for len(batch) < size {
-			if linger > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case e, ok := <-in:
-					if !ok {
-						return finish()
-					}
-					p.lat.Begin(e.Seq)
-					batch = append(batch, e)
-				case <-deadline:
-					deadline = nil // fired and drained; don't re-stop below
-					break fill
-				}
-			} else {
-				select {
-				case e, ok := <-in:
-					if !ok {
-						return finish()
-					}
-					p.lat.Begin(e.Seq)
-					batch = append(batch, e)
-				default:
-					break fill
-				}
-			}
-		}
-		if deadline != nil && !timer.Stop() {
-			<-timer.C
-		}
-		if err := flush(); err != nil {
-			return err
 		}
 	}
 }

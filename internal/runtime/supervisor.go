@@ -28,23 +28,14 @@ const (
 	// AdmitDeadLetter routes rejected events to the DeadLetter channel
 	// (best-effort, never blocking the hot path) and counts them.
 	AdmitDeadLetter
-	// AdmitBestEffort forwards bound violators to the engine anyway — the
-	// engine's own late policy decides what partial use it makes of them.
-	// Duplicates are still suppressed: replaying an event the engine has
-	// already consumed would fabricate duplicate matches.
-	AdmitBestEffort
 )
 
 // String names the policy.
 func (p AdmitPolicy) String() string {
-	switch p {
-	case AdmitDeadLetter:
+	if p == AdmitDeadLetter {
 		return "deadletter"
-	case AdmitBestEffort:
-		return "besteffort"
-	default:
-		return "drop"
 	}
+	return "drop"
 }
 
 // SupervisorOptions configure a Supervisor.
@@ -75,6 +66,12 @@ type SupervisorOptions struct {
 	// K is the admission disorder bound: an event with TS < clock−K is a
 	// bound violator (clock = max admitted timestamp). Use the engine's K.
 	K event.Time
+	// EngineBound leaves lateness to an engine whose bound moves (an
+	// adaptive controller's): admission then rejects duplicates only, and
+	// forgets an event's Seq once the engine's safe clock has passed its
+	// timestamp, below which the engine drops any duplicate as late. K is
+	// ignored.
+	EngineBound bool
 	// Policy is the admission policy for duplicates and bound violators.
 	Policy AdmitPolicy
 	// DeadLetter receives rejected events under AdmitDeadLetter. Sends
@@ -486,7 +483,7 @@ func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 		}
 		return false
 	}
-	if s.started && e.TS < s.clock-s.opts.K && s.opts.Policy != AdmitBestEffort {
+	if s.started && !s.opts.EngineBound && e.TS < s.clock-s.opts.K {
 		if !replaying {
 			if s.opts.Policy == AdmitDeadLetter {
 				s.deadLetter(e)
@@ -510,10 +507,13 @@ func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 
 // purgeSeen drops duplicate-horizon entries no duplicate can reuse: an
 // event below clock−K fails the bound check before the duplicate check
-// matters. (Under AdmitBestEffort a duplicate older than the horizon can
-// slip back in; exact dedup is guaranteed within the bound only.)
+// matters, and one below an EngineBound engine's safe clock is dropped by
+// the engine.
 func (s *Supervisor) purgeSeen() {
 	horizon := s.clock - s.opts.K
+	if s.opts.EngineBound {
+		horizon = s.en.StateSnapshot().Safe
+	}
 	for seq, ts := range s.seen {
 		if ts < horizon {
 			delete(s.seen, seq)

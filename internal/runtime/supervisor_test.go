@@ -333,17 +333,17 @@ func TestAdmissionPolicies(t *testing.T) {
 		}
 	})
 
-	t.Run("besteffort", func(t *testing.T) {
+	t.Run("engine-bound", func(t *testing.T) {
 		opts := supervOpts(t, p, 50)
-		opts.Policy = AdmitBestEffort
+		opts.EngineBound = true
 		s := openSuperv(t, t.TempDir(), opts)
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
 		driveAll(t, s, stream)
 		snap := s.Metrics()
-		// The violator reached the engine (the engine's own late counter
-		// picks it up); only the duplicate was suppressed.
+		// The engine decides what is late: the violator reached it, and
+		// only the duplicate was suppressed.
 		if snap.DuplicatesSuppressed != 1 || snap.EventsDropped != 0 {
 			t.Fatalf("dup=%d dropped=%d, want 1 and 0", snap.DuplicatesSuppressed, snap.EventsDropped)
 		}

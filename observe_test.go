@@ -48,27 +48,6 @@ func TestFlushIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestHeartbeatReleasesOrderedOutput drives an ordered-output engine into a
-// state where a completed match is held by the order buffer (its timestamp
-// is above the watermark), then checks a heartbeat alone releases it.
-func TestHeartbeatReleasesOrderedOutput(t *testing.T) {
-	q := pairQuery(t)
-	en := MustNewEngine(q, Config{K: 50, OrderedOutput: true})
-	var got []Match
-	got = append(got, en.Process(pairEvent("A", 10, 1, 7))...)
-	got = append(got, en.Process(pairEvent("B", 20, 2, 7))...)
-	if len(got) != 0 {
-		t.Fatalf("match released before the watermark reached it: %d matches", len(got))
-	}
-	released := en.Advance(100)
-	if len(released) != 1 {
-		t.Fatalf("Advance released %d matches, want 1", len(released))
-	}
-	if ms := en.Flush(); len(ms) != 0 {
-		t.Fatalf("Flush re-emitted %d matches after the heartbeat released them", len(ms))
-	}
-}
-
 func TestConfigObserverAndTrace(t *testing.T) {
 	q := pairQuery(t)
 	reg := NewObserver()

@@ -188,7 +188,6 @@ func SameResults(a, b []Match) (bool, string) { return plan.SameResults(a, b) }
 // plumbing.
 type Engine struct {
 	facade
-	batch Batch
 }
 
 // NewEngine builds an engine for the query. See Config for the strategy,
@@ -196,17 +195,16 @@ type Engine struct {
 func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg, nil) }
 
 // RestoreEngine rebuilds an engine from a Checkpoint, configured and
-// instrumented by cfg exactly as NewEngine would: Observer, Trace, Latency,
-// Provenance, and Batch apply to the restored engine. The query must be
-// compiled from the same text the checkpointed engine ran. The kernel's own
-// options (K, late policy, ablation knobs, the adaptive controller's state)
-// are restored from the checkpoint. Only compositions that checkpoint can be
-// restored — StrategyNative without OrderedOutput; any other cfg is an
-// error. A checkpoint written under the Config.Partition of earlier versions
-// restores too: its shards' states merge into the one engine, which keys by
-// the query's attribute itself. Checkpoints carry no lineage, so with
-// cfg.Provenance matches whose partial state predates the restore carry
-// records marked Truncated.
+// instrumented by cfg exactly as NewEngine would: Observer, Trace, Latency
+// and Provenance apply to the restored engine. The query must be compiled
+// from the same text the checkpointed engine ran. The kernel's own options
+// (K, ablation knobs, the adaptive controller's state) are restored from the
+// checkpoint. Only compositions that checkpoint can be restored —
+// StrategyNative; any other cfg is an error. A checkpoint written under the
+// Config.Partition of earlier versions restores too: its shards' states
+// merge into the one engine, which keys by the query's attribute itself.
+// Checkpoints carry no lineage, so with cfg.Provenance matches whose partial
+// state predates the restore carry records marked Truncated.
 func RestoreEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 	if r == nil {
 		return nil, fmt.Errorf("RestoreEngine: nil checkpoint reader")
@@ -228,20 +226,14 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{facade: inMemory(inner, b.lat), batch: cfg.Batch}, nil
+	return &Engine{facade: inMemory(inner, b.lat)}, nil
 }
 
 // validateQueryConfig checks the constraints that need both the compiled
 // query and the config: what an aggregate cannot be combined with.
 func validateQueryConfig(q *Query, cfg Config) error {
-	p := q.plan
-	if p.Agg != nil {
-		if cfg.adaptiveActive() {
-			return fmt.Errorf("aggregate queries need a fixed lateness bound; Adaptive disorder control cannot be combined with AGGREGATE")
-		}
-		if cfg.BestEffortLate {
-			return fmt.Errorf("aggregate queries cannot run BestEffortLate: bound violators would mutate already-sealed windows")
-		}
+	if q.plan.Agg != nil && cfg.adaptiveActive() {
+		return fmt.Errorf("aggregate queries need a fixed lateness bound; Adaptive disorder control cannot be combined with AGGREGATE")
 	}
 	return nil
 }
@@ -255,8 +247,8 @@ func MustNewEngine(q *Query, cfg Config) *Engine {
 	return en
 }
 
-// Strategy returns the engine's composition name, e.g. "native",
-// "ordered(native)", or "supervised(native)" for a durable engine.
+// Strategy returns the engine's composition name, e.g. "native", or
+// "supervised(native)" for a durable engine.
 func (e *Engine) Strategy() string { return e.inner.Name() }
 
 // RawEngine is the contract of the engine behind the facade, exposed for
@@ -272,11 +264,9 @@ type RawEngine = engine.Engine
 // and returns Err; a cancelled Run returns ctx.Err() and leaves it open. On
 // a sealed engine Run is refused like Process: it closes out and returns
 // the refusal. Auto-assignment of Seq is NOT applied on this path — feed
-// events with sequence numbers (generators assign them).
-//
-// When Config.Batch.Size > 1, Run drives the engine's batch path: events
-// are accumulated (up to Size, waiting at most Linger for a partial batch)
-// and handed to ProcessBatch in one call. Output is identical either way.
+// events with sequence numbers (generators assign them). Run hands the
+// engine one event at a time; a caller holding a slice of events uses
+// ProcessBatch.
 func (e *Engine) Run(ctx context.Context, in <-chan Event, out chan<- Match) error {
 	if e.shut != nil {
 		close(out)
@@ -284,13 +274,7 @@ func (e *Engine) Run(ctx context.Context, in <-chan Event, out chan<- Match) err
 		return e.shut
 	}
 	p := runtime.NewPipeline(e.inner, engine.Env{Latency: e.spans})
-	var err error
-	if e.batch.Size > 1 {
-		err = p.RunBatched(ctx, in, out, e.batch.Size, e.batch.Linger)
-	} else {
-		err = p.Run(ctx, in, out)
-	}
-	if err != nil {
+	if err := p.Run(ctx, in, out); err != nil {
 		return err
 	}
 	// End of stream: the pipeline flushed the inner engine.

@@ -107,9 +107,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(q, Config{Strategy: "bogus"}); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	if _, err := NewEngine(q, Config{Strategy: StrategyKSlack, BestEffortLate: true}); err == nil {
-		t.Error("BestEffortLate outside native accepted")
-	}
 	if _, err := NewEngine(q, Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}); err == nil {
 		t.Error("DisableTriggerOpt accepted by the strategy that does not run the kernel")
 	}
@@ -248,30 +245,6 @@ func TestMetricsExposed(t *testing.T) {
 	}
 	if en.StateSize() < 0 {
 		t.Error("state size negative")
-	}
-}
-
-func TestOrderedOutputConfig(t *testing.T) {
-	q := MustCompile("PATTERN SEQ(A a, B b) WITHIN 50", nil)
-	sorted := gen.Uniform(200, []string{"A", "B"}, 3, 5, 61)
-	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 40, Seed: 62})
-
-	plain := MustNewEngine(q, Config{K: 40}).ProcessAll(shuffled)
-	en := MustNewEngine(q, Config{K: 40, OrderedOutput: true})
-	got := en.ProcessAll(shuffled)
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Last().TS > got[i].Last().TS {
-			t.Fatalf("output not ordered at %d", i)
-		}
-	}
-	if ok, diff := SameResults(plain, got); !ok {
-		t.Fatalf("ordered output changed results:\n%s", diff)
-	}
-	if en.Strategy() != "ordered(native)" {
-		t.Errorf("Strategy = %q", en.Strategy())
-	}
-	if _, err := NewEngine(q, Config{Strategy: StrategySpeculate, K: 40, OrderedOutput: true}); err == nil {
-		t.Fatal("speculate + ordered accepted")
 	}
 }
 

@@ -165,7 +165,7 @@ func TestRestoreEngineTakesConfig(t *testing.T) {
 	}
 	checkInstrumented(t, reg, []string{"native"}, n, *emits, got, restored.LatencyReport())
 
-	for _, cfg := range []Config{{Strategy: StrategyKSlack, K: 10}, {K: 10, OrderedOutput: true}} {
+	for _, cfg := range []Config{{Strategy: StrategyKSlack, K: 10}, {Strategy: StrategySpeculate, K: 10}} {
 		if _, err := RestoreEngine(q, cfg, bytes.NewReader(nil)); err == nil {
 			t.Errorf("RestoreEngine accepted unrestorable config %+v", cfg)
 		}

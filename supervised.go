@@ -12,6 +12,9 @@ import (
 // AdmitPolicy decides what the supervised runtime does with events its
 // admission-control layer rejects: duplicates (an already-seen Seq) and
 // disorder-bound violators (timestamp below the admission clock minus K).
+// Under an adaptive controller (Config.Adaptive with Enabled or Limits) the
+// engine alone decides what is late, by the bound the controller derives,
+// and admission rejects duplicates only.
 type AdmitPolicy = runtime.AdmitPolicy
 
 // Admission policies, re-exported.
@@ -21,9 +24,6 @@ const (
 	// AdmitDeadLetter routes rejected events to the DeadLetter channel
 	// (best-effort, never blocking the hot path) and counts them.
 	AdmitDeadLetter = runtime.AdmitDeadLetter
-	// AdmitBestEffort forwards bound violators to the engine anyway;
-	// duplicates are still suppressed.
-	AdmitBestEffort = runtime.AdmitBestEffort
 )
 
 // SupervisorConfig configures the fault-tolerance runtime wrapped around
@@ -84,7 +84,8 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // offered event is logged durably before processing, whose matches carry
 // monotone sequence numbers committed on emission, whose engine panics
 // restart from the latest checkpoint with capped exponential backoff, and
-// whose admission control filters duplicates and bound violators.
+// whose admission control filters duplicates and bound violators (the
+// engine's own bound under an adaptive controller; see AdmitPolicy).
 //
 // Call Start before the first event. A process crash at any point loses
 // nothing: reopening the same directory (NewSupervisedEngine + Start)
@@ -95,7 +96,7 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // Seq, so they cannot be assigned across a restart. Advance is refused (the
 // log records no heartbeats), and so is Checkpoint.
 //
-// The native strategy (without OrderedOutput) recovers from snapshots;
+// The native strategy recovers from snapshots;
 // every other configuration runs WAL-only. A directory left by a
 // partitioned engine (Config.Partition of earlier versions) continues under
 // the one engine when its log holds no match committed past its newest
@@ -125,9 +126,10 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 	b := cfg.builder()
 	top := "supervised(" + string(cfg.Strategy) + ")"
 	opts := runtime.SupervisorOptions{
-		Env: engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
-		New: func() (engine.Engine, error) { return b.build(q.plan, cfg, top, nil) },
-		K:   cfg.K,
+		Env:         engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
+		New:         func() (engine.Engine, error) { return b.build(q.plan, cfg, top, nil) },
+		K:           cfg.K,
+		EngineBound: cfg.adaptiveActive(),
 	}
 	if cfg.restorable() {
 		opts.Restore = func(r io.Reader, suppress uint64) (engine.Engine, error) {
@@ -142,7 +144,7 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{facade: durable(sup, b.lat), batch: cfg.Batch}, nil
+	return &Engine{facade: durable(sup, b.lat)}, nil
 }
 
 // newSupervisor opens sc's (validated) durable store and wraps it in a
