@@ -44,11 +44,12 @@ func (c Config) builder() builder {
 	return newBuilder(c.Observer, c.Trace, c.Latency, c.Provenance)
 }
 
-// series resolves a registry series, or nil without an Observer (the layer
-// then keeps private counters and traces under its own name).
+// series resolves a registry series, or a private one without an Observer
+// (the layer then traces under its own name). Layers that must read as one —
+// a supervisor and the engine beneath it — are handed the same series.
 func (b builder) series(name string) *obsv.Series {
 	if b.obs == nil {
-		return nil
+		return obsv.NewSeries("")
 	}
 	return b.obs.Series(name)
 }
@@ -129,22 +130,23 @@ func openCheckpoint(r io.Reader) *checkpoint {
 }
 
 // build builds (from == nil) or restores the engine cfg describes for p: one
-// strategy engine with the aggregation wrapper p calls for, publishing under
-// name. cfg must already have defaults applied and be validated, against p
+// strategy engine with the aggregation wrapper p calls for, publishing into
+// series. cfg must already have defaults applied and be validated, against p
 // too (validateQueryConfig). The layer that
 // admits events from the stream and emits the query's visible output owns
 // the series, the hook, and the lineage; the layer that does the
 // construction work owns the sampler's construct boundary.
-func (b builder) build(p *plan.Plan, cfg Config, name string, from *checkpoint) (engine.Engine, error) {
-	outer := engine.Env{Series: b.series(name), Trace: b.trace, Provenance: b.prov}
+func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *checkpoint) (engine.Engine, error) {
+	outer := engine.Env{Series: series, Trace: b.trace, Provenance: b.prov}
 	strat := outer
 	strat.Latency = b.lat
 	if p.Agg != nil {
 		// The aggregation operator consumes the strategy's matches: its own
-		// collector and hook reflect the visible output, and it builds
-		// lineage itself (the strategy's records would never surface). The
-		// strategy beneath keeps only the construction stage boundary.
-		strat = engine.Env{Latency: b.lat}
+		// series and hook reflect the visible output, and it builds lineage
+		// itself (the strategy's records would never surface). The strategy
+		// beneath publishes into a series the operator's carries and keeps
+		// the construction stage boundary.
+		strat = engine.Env{Series: series.Carry(), Latency: b.lat}
 	}
 	if from != nil {
 		if from.err != nil {
@@ -213,9 +215,10 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 		// the series, the hook and the sampler (the kernel's view of the
 		// stream is delayed by K and would double-report; the levee stamps
 		// buffer residency and construction around the kernel's batch); the
-		// kernel builds the lineage records the levee restamps.
+		// kernel publishes into a series the levee's carries and builds the
+		// lineage records the levee restamps.
 		kernel.K = 0
-		kernel.Env = engine.Env{Provenance: env.Provenance}
+		kernel.Env = engine.Env{Series: env.Series.Carry(), Provenance: env.Provenance}
 		sorted, err := core.New(p, kernel)
 		if err != nil {
 			return nil, err

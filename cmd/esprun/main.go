@@ -378,7 +378,7 @@ func printLatency(w io.Writer, r *oostream.LatencyReport) {
 	fmt.Fprintf(w, "latency: 1/%d sampled=%d abandoned=%d dropped=%d wall{p50=%dµs p95=%dµs p99=%dµs max=%dµs}\n",
 		r.SampleEvery, r.SpansSampled, r.SpansAbandoned, r.SpansDropped,
 		r.Wall.P50Us, r.Wall.P95Us, r.Wall.P99Us, r.Wall.MaxUs)
-	for _, stage := range []string{"queue", "buffer", "wal", "construct", "emit"} {
+	for _, stage := range []string{"buffer", "wal", "construct", "emit"} {
 		s, ok := r.Stages[stage]
 		if !ok {
 			continue

@@ -4,10 +4,11 @@ import (
 	"math/bits"
 
 	"oostream/internal/event"
+	"oostream/internal/obsv"
 )
 
 // Estimator is an online, exponentially decayed lag-quantile estimator.
-// It mirrors the power-of-two bucket layout of obsv.Hist — bucket i counts
+// It shares the power-of-two bucket layout of obsv.Hist — bucket i counts
 // values whose bit length is i, so bucket 0 holds the value 0 and bucket
 // i ≥ 1 holds [2^(i−1), 2^i−1] — but keeps float counts so the whole
 // histogram can be decayed multiplicatively at every decision boundary.
@@ -22,7 +23,7 @@ import (
 // The zero value is ready to use. Not safe for concurrent use: the owning
 // controller serializes access.
 type Estimator struct {
-	buckets [65]float64
+	buckets [obsv.NumBuckets]float64
 	total   float64
 	// samples counts lifetime observations (undecayed), for cold-start
 	// detection.

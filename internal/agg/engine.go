@@ -37,7 +37,6 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/fiba"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -84,7 +83,7 @@ type Engine struct {
 	p     *plan.Plan
 	spec  *plan.AggSpec
 	inner engine.Engine
-	met   metrics.Collector
+	met   *obsv.Series
 
 	// speculative selects preview+revision emission; sealed otherwise.
 	speculative bool
@@ -119,7 +118,7 @@ type Engine struct {
 
 	// The instruments of the operator's Env. Series and hook bind to the
 	// operator itself: the inner engine's matches are consumed, not emitted,
-	// so the outer collector is the one that reflects the query's visible
+	// so the outer series is the one that reflects the query's visible
 	// output. prov builds lineage here for the same reason (the inner
 	// engine's records would never surface): each aggregate match cites the
 	// events of the inner matches contributing to its window, capped at
@@ -157,7 +156,7 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 		trace:       env.Trace,
 		prov:        env.Provenance,
 	}
-	en.met, en.traceName = env.Collector(en.Name())
+	en.met, en.traceName = env.Publish(en.Name())
 	return en
 }
 
@@ -258,18 +257,10 @@ func (en *Engine) Flush() []plan.Match {
 	return out
 }
 
-// Metrics implements engine.Engine: output and ingestion figures come from
-// the operator's collector; the inner engine's predicate-error, purge, and
-// irrelevance counters are added in (both layers do real work).
-func (en *Engine) Metrics() metrics.Snapshot {
-	outer := en.met.Snapshot()
-	inner := en.inner.Metrics()
-	outer.PredErrors += inner.PredErrors
-	outer.Purged += inner.Purged
-	outer.PurgeCalls += inner.PurgeCalls
-	outer.Irrelevant += inner.Irrelevant
-	return outer
-}
+// Metrics implements engine.Engine: the operator's series, which carries
+// the strategy's (the builder hands the strategy the operator's
+// Series.Carry).
+func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
 
 // StateSnapshot implements engine.Engine.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
@@ -335,7 +326,10 @@ func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	}
 	key := fiba.Key{TS: ts, Seq: en.elemSeq}
 	en.elemSeq++
-	en.met.IncAggInsert(g.run.Insert(key, part, aux))
+	en.met.AggInserts.Inc()
+	if g.run.Insert(key, part, aux) {
+		en.met.AggFingerHits.Inc()
+	}
 	en.elems++
 	en.byMatch[aux.matchKey] = elemRef{group: g, key: key}
 	if en.speculative {
@@ -521,7 +515,7 @@ func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan
 		if av == nil {
 			continue
 		}
-		en.met.IncAggWindow()
+		en.met.AggWindows.Inc()
 		if preview {
 			g.emitted[end] = av
 		}
@@ -577,16 +571,16 @@ func (en *Engine) revise(g *group, end event.Time, out []plan.Match) []plan.Matc
 	case old == nil:
 		// The window surfaced late (was empty or HAVING-rejected at
 		// preview time): a plain insert, no compensation needed.
-		en.met.IncAggWindow()
+		en.met.AggWindows.Inc()
 		g.emitted[end] = nv
 		out = en.emit(g, nv, plan.Insert, out)
 	case nv == nil:
-		en.met.IncAggRevision()
+		en.met.AggRevisions.Inc()
 		delete(g.emitted, end)
 		out = en.emit(g, old, plan.Retract, out)
 	case old.Same(nv):
 	default:
-		en.met.IncAggRevision()
+		en.met.AggRevisions.Inc()
 		g.emitted[end] = nv
 		out = en.emit(g, old, plan.Retract, out)
 		out = en.emit(g, nv, plan.Insert, out)
@@ -706,10 +700,11 @@ func (en *Engine) dropEmpty() {
 // publishGauges refreshes the state gauges at call boundaries.
 func (en *Engine) publishGauges() {
 	// A run has no levels: the height gauge reads 1 while anything is live.
-	en.met.SetAggTree(min(en.elems, 1), en.elems)
-	en.met.SetLiveState(en.StateSize())
+	en.met.AggTreeHeight.Set(int64(min(en.elems, 1)))
+	en.met.AggElements.Set(int64(en.elems))
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.spec.GroupSlot >= 0 {
-		en.met.SetKeyGroups(len(en.groups))
+		en.met.KeyGroups.Set(int64(len(en.groups)))
 	}
 }
 

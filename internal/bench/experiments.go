@@ -207,7 +207,7 @@ func E8Latency(s Scale) *Table {
 			r := runOne(q, oostream.Config{Strategy: strat, K: k}, shuffled)
 			lat := r.Metrics.LogicalLat
 			t.AddRow(fmtInt(int(k)), string(strat),
-				fmtF1(lat.Mean()), fmtU64(lat.Quantile(0.99)), fmtU64(lat.Max()))
+				fmtF1(lat.Mean()), fmtU64(lat.Quantile(0.99)), fmtU64(lat.Max))
 		}
 	}
 	t.Notes = append(t.Notes, "expected: kslack mean ~K; native mean << K (only disorder-affected results wait)")

@@ -205,7 +205,7 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 // CountKeyless adds n to the events refused for lacking the partition key
 // (errMissingKey): the ones the router of a partitioned checkpoint had
 // counted in front of the engines whose state Restore merged.
-func (en *Engine) CountKeyless(n uint64) { en.met.AddPredErrors(n) }
+func (en *Engine) CountKeyless(n uint64) { en.met.PredErrors.Add(n) }
 
 // restoreKey returns the key group a checkpointed event goes back to. An
 // event without the key (possible only in checkpoints written by an engine

@@ -69,7 +69,6 @@ import (
 	"oostream/internal/ais"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -214,7 +213,7 @@ type Engine struct {
 	// enumerated counts complete bindings found by construction; used to
 	// classify probes as empty (pure overhead) or productive.
 	enumerated uint64
-	met        metrics.Collector
+	met        *obsv.Series
 	// The instruments of opts.Env, fixed at construction. trace, when
 	// non-nil, observes match-lifecycle steps: every call site nil-checks
 	// first so the unhooked hot path pays one predictable branch and
@@ -296,7 +295,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		localScratch: make([]event.Event, 1),
 		verdict:      make([][]byte, p.Len()),
 	}
-	en.met, en.traceName = opts.Env.Collector(opts.Emit.String())
+	en.met, en.traceName = opts.Env.Publish(opts.Emit.String())
 	for i := range en.knegs {
 		en.knegs[i] = make(map[event.Value]*negStore)
 	}
@@ -335,7 +334,7 @@ func MustNew(p *plan.Plan, opts Options) *Engine {
 func (en *Engine) Name() string { return en.opts.Emit.String() }
 
 // Metrics implements engine.Engine.
-func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
+func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
 
 // Keyed reports whether the engine groups its state by a key attribute.
 // Only reports read it: state handling goes through keyOf.
@@ -508,7 +507,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
 	if !en.plan.Relevant(e.Type) {
-		en.met.IncIrrelevant()
+		en.met.Irrelevant.Inc()
 		return out
 	}
 	isOOO := en.started && e.TS < en.clock
@@ -533,13 +532,13 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			// The event violates only the degradation-clamped bound, not the
 			// nominal one: it was deliberately shed, not late.
 			en.shedded++
-			en.met.IncShedded()
+			en.met.SheddedEvents.Inc()
 			if en.trace != nil {
 				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 			}
 			return out
 		}
-		en.met.IncLate()
+		en.met.EventsLate.Inc()
 		if en.trace != nil {
 			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 		}
@@ -566,16 +565,15 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // publishGauges refreshes the state gauges: once per Process call, once
 // per batch on the ProcessBatch path.
 func (en *Engine) publishGauges() {
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.Keyed() {
-		en.met.SetKeyGroups(en.kstacks.Groups())
+		en.met.KeyGroups.Set(int64(en.kstacks.Groups()))
 	}
 	if en.prov {
-		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
+		en.met.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	if ad := en.opts.Adaptive; ad != nil {
-		en.met.SetCurrentK(ad.EffectiveK())
-		en.met.SetDegraded(ad.Degraded())
+		en.met.SetBound(ad.EffectiveK(), ad.Degraded())
 	}
 }
 
@@ -583,7 +581,9 @@ func (en *Engine) publishGauges() {
 // itself and any RIP repairs the insertion forced on the next stack.
 func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
 	fixups := st.LastFixups()
-	en.met.AddRepairs(fixups)
+	if fixups > 0 {
+		en.met.Repairs.Add(uint64(fixups))
+	}
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpStackPush, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
 		if fixups > 0 {
@@ -623,7 +623,10 @@ func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Mat
 			}
 			before := en.enumerated
 			out = en.construct(st, key, inst, pos, out)
-			en.met.ObserveProbe(en.enumerated == before)
+			en.met.Probes.Inc()
+			if en.enumerated == before {
+				en.met.EmptyProbes.Inc()
+			}
 		}
 	}
 	return out
@@ -671,9 +674,9 @@ func (en *Engine) Flush() []plan.Match {
 	clear(en.vuln)
 	en.vulnDue = ais.Due[event.Value]{}
 	en.liveVuln = 0
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.prov {
-		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
+		en.met.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
@@ -813,7 +816,7 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov.TriggerTS = en.walkTrigTS
 		pm.prov.TriggerPos = en.walkPos
 		pm.prov.Traversed = en.walkVisited
-		en.met.IncLineage()
+		en.met.LineageRecords.Inc()
 	}
 	if sealTS <= en.safe() {
 		return en.finalize(pm, out)
@@ -873,7 +876,7 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 			m.Prov.EmitClock = en.clock
 			inv := provenance.Ref(neg, -1)
 			m.Prov.InvalidatedBy = &inv
-			en.met.IncLineage()
+			en.met.LineageRecords.Inc()
 		}
 		en.met.AddMatch(true, 0, 0)
 		if en.trace != nil {
@@ -934,7 +937,7 @@ func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
 	if p == EmitThenRetract {
 		out = en.drainPending(math.MaxInt64, en.release, nil)
 	}
-	en.met.IncSwitch()
+	en.met.Switches.Inc()
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpSwitch, Engine: en.traceName, Type: p.String(), TS: en.safe(), N: len(out)})
 	}
@@ -1013,7 +1016,7 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 			// mark the record truncated.
 			rec = en.lineageFor(pm)
 			rec.Truncated = true
-			en.met.IncLineage()
+			en.met.LineageRecords.Inc()
 		}
 		rec.EmitClock = en.clock
 		m.Prov = rec

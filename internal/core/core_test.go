@@ -194,8 +194,8 @@ func TestNegationSealsWhenSafeClockPasses(t *testing.T) {
 		t.Fatalf("safe=35 >= 30: should emit, got %v", out)
 	}
 	s := en.Metrics()
-	if s.LogicalLat.Max() < 25 {
-		t.Errorf("sealing latency should reflect waiting, got %d", s.LogicalLat.Max())
+	if s.LogicalLat.Max < 25 {
+		t.Errorf("sealing latency should reflect waiting, got %d", s.LogicalLat.Max)
 	}
 }
 
@@ -263,8 +263,8 @@ func TestInOrderStreamZeroLatency(t *testing.T) {
 	}
 	// Without negation, in-order results are emitted the moment they
 	// complete: no K-slack latency tax (the paper's key latency claim).
-	if s.LogicalLat.Max() != 0 {
-		t.Errorf("native latency on in-order stream = %d, want 0", s.LogicalLat.Max())
+	if s.LogicalLat.Max != 0 {
+		t.Errorf("native latency on in-order stream = %d, want 0", s.LogicalLat.Max)
 	}
 }
 

@@ -135,8 +135,8 @@ func TestSpeculateLowerLatencyThanConservative(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatal("speculation should not wait for sealing")
 	}
-	if en.Metrics().LogicalLat.Max() != 0 {
-		t.Errorf("latency = %d, want 0", en.Metrics().LogicalLat.Max())
+	if en.Metrics().LogicalLat.Max != 0 {
+		t.Errorf("latency = %d, want 0", en.Metrics().LogicalLat.Max)
 	}
 }
 

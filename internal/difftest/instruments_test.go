@@ -18,8 +18,9 @@ import (
 // build, one seeded stream runs with every instrument on (Observer, Trace,
 // Latency at 1-in-1, Provenance) and with none. Output must be equal
 // modulo lineage, and with everything on every series the builder
-// registered has moved, the hook saw every emit and retract, every match
-// carries lineage, and spans were opened and accounted. This is the
+// registered has moved, the visible series reads on /varz what Metrics()
+// returns, the hook saw every emit and retract, every match carries
+// lineage, and spans were opened and accounted. This is the
 // "instrument forgotten by a wrapper" class as one table: a layer that
 // drops its Env, or a builder rule that hands a layer the wrong one, turns
 // a row red by name.
@@ -82,6 +83,7 @@ func (ci *covInstruments) setConfig(cfg oostream.QuerySetConfig) oostream.QueryS
 type covResult struct {
 	matches []plan.Match
 	lat     *oostream.LatencyReport
+	met     oostream.Metrics
 }
 
 // covRow is one composition. run builds it — instrumented by ci, or bare
@@ -90,7 +92,7 @@ type covRow struct {
 	name string
 	run  func(t *testing.T, ci *covInstruments) covResult
 	// series are the names the builder must have registered, all of which
-	// must have moved; replays marks rows whose restart re-runs events
+	// must have moved, the visible one (what Metrics reads) first; replays marks rows whose restart re-runs events
 	// (their hook sees emits the supervisor then suppresses); buffered marks
 	// rows that can hold spans open across a Kill.
 	series   []string
@@ -138,7 +140,8 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 						cfg = ci.config(cfg)
 					}
 					en := oostream.MustNewEngine(q, cfg)
-					return covResult{matches: en.ProcessAll(cloneEvents(events)), lat: en.LatencyReport()}
+					ms := en.ProcessAll(cloneEvents(events))
+					return covResult{matches: ms, lat: en.LatencyReport(), met: en.Metrics()}
 				},
 			})
 		}
@@ -157,7 +160,8 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 				}
 				qs := oostream.MustNewQuerySet(cfg)
 				covRegister(t, qs.Register)
-				return covResult{matches: qs.ProcessAll(cloneEvents(events)), lat: qs.LatencyReport()}
+				ms := qs.ProcessAll(cloneEvents(events))
+				return covResult{matches: ms, lat: qs.LatencyReport(), met: qs.Metrics()}
 			},
 		})
 	}
@@ -204,7 +208,7 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 					}
 					if len(span) == len(events)-cut {
 						res.matches = append(res.matches, en.Flush()...)
-						res.lat = en.LatencyReport()
+						res.lat, res.met = en.LatencyReport(), en.Metrics()
 					}
 					if err := en.Err(); err != nil {
 						t.Fatal(err)
@@ -238,7 +242,7 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 				}
 				if len(span) == len(events)-cut {
 					res.matches = append(res.matches, qs.Flush()...)
-					res.lat = qs.LatencyReport()
+					res.lat, res.met = qs.LatencyReport(), qs.Metrics()
 				}
 				if err := qs.Err(); err != nil {
 					t.Fatal(err)
@@ -325,13 +329,28 @@ func TestInstrumentCoverage(t *testing.T) {
 				}
 			}
 
+			// The scrape agrees with Metrics(): every counter and gauge of the
+			// visible series reads on /varz what Metrics() holds in the field of
+			// the same name — the work of a layer beneath included.
+			visible := moved[row.series[0]].(map[string]any)
+			met := reflect.ValueOf(on.met)
+			for _, in := range obsv.Instruments() {
+				if in.Varz == "" {
+					continue
+				}
+				field := in.SnapshotField()
+				if got, want := asInt(met.FieldByName(field)), asInt(reflect.ValueOf(visible[in.Varz])); got != want {
+					t.Errorf("Metrics().%s = %d, /varz %s of %q = %d", field, got, in.Varz, row.series[0], want)
+				}
+			}
+
 			// The hook saw every emit and retract.
 			gotEmit, gotRetract := ci.ops[obsv.OpEmit], ci.ops[obsv.OpRetract]
 			if row.replays {
 				// Replay re-runs events whose matches the supervisor then
 				// suppresses as already delivered; the hook saw those too.
 				var suppressed uint64
-				ci.reg.Each(func(s *obsv.Series) { suppressed += s.DupSuppressed.Load() })
+				ci.reg.Each(func(s *obsv.Series) { suppressed += s.DuplicatesSuppressed.Load() })
 				if want := inserts + retracts + int(suppressed); gotEmit+gotRetract != want {
 					t.Errorf("hook saw %d emits + %d retracts, want %d delivered + %d suppressed", gotEmit, gotRetract, inserts+retracts, suppressed)
 				}
@@ -363,4 +382,19 @@ func sameNames(got, want []string) bool {
 	slices.Sort(got)
 	slices.Sort(want)
 	return slices.Equal(got, want)
+}
+
+// asInt reads a counter, gauge or flag as an int64.
+func asInt(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case reflect.Uint, reflect.Uint64:
+		return int64(v.Uint())
+	default:
+		return v.Int()
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -52,8 +51,9 @@ type Engine interface {
 	// engine states) that cannot be serialized return an error wrapping
 	// ErrNoCheckpoint and write nothing.
 	Checkpoint(w io.Writer) error
-	// Metrics returns a snapshot of the engine's counters.
-	Metrics() metrics.Snapshot
+	// Metrics returns a snapshot of the series the engine publishes into —
+	// what a scrape of that series reads.
+	Metrics() obsv.Snapshot
 	// StateSize returns the current number of buffered items (stack
 	// instances, reorder buffers, negative stores, pending matches).
 	StateSize() int
@@ -94,15 +94,18 @@ type Env struct {
 	Provenance bool
 }
 
-// Collector builds the layer's collector over the Env's series and
-// resolves the identity its trace events and state snapshots carry: the
-// series name when a named series was handed over, else the layer's own
-// name.
-func (env Env) Collector(name string) (metrics.Collector, string) {
-	if env.Series != nil && env.Series.Name() != "" {
+// Publish returns the series the layer publishes into — the Env's, or a
+// private one — and the identity its trace events and state snapshots
+// carry: the series name when a named series was handed over, else the
+// layer's own name.
+func (env Env) Publish(name string) (*obsv.Series, string) {
+	if env.Series == nil {
+		return obsv.NewSeries(""), name
+	}
+	if env.Series.Name() != "" {
 		name = env.Series.Name()
 	}
-	return metrics.NewCollector(env.Series), name
+	return env.Series, name
 }
 
 // Drain runs a whole finite stream through an engine and returns every

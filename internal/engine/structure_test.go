@@ -9,11 +9,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"oostream/internal/obsv"
 )
 
 // walkModule parses every Go source of the root module and hands it to
@@ -349,6 +352,70 @@ func TestOneContract(t *testing.T) {
 	if interfaces != 1 {
 		t.Errorf("internal/engine declares %d interface types, want exactly one (Engine)", interfaces)
 	}
+}
+
+// TestOneInstrumentSet is the mechanical form of "one instrument set":
+// engines publish into obsv.Series and Metrics reads what the scrape reads.
+// internal/metrics (the forwarding collector and its second histogram) does
+// not exist; every Counter, Gauge and Hist field of obsv.Series is a row of
+// the one instrument table and a field of obsv.Snapshot of the same name;
+// and no non-test type outside internal/obsv declares a [65] bucket array,
+// the layout a second histogram starts with.
+func TestOneInstrumentSet(t *testing.T) {
+	if _, err := os.Stat(filepath.Join("..", "metrics")); err == nil {
+		t.Error("internal/metrics exists: engines publish into obsv.Series and Metrics is Series.Snapshot")
+	}
+	rows := map[string]bool{}
+	snap := reflect.TypeFor[obsv.Snapshot]()
+	for _, in := range obsv.Instruments() {
+		rows[in.Field] = true
+		if in.Metric == "" || in.Help == "" {
+			t.Errorf("instrument row %s has no Prometheus family", in.Field)
+		}
+	}
+	series := reflect.TypeFor[obsv.Series]()
+	instrument := map[reflect.Type]bool{
+		reflect.TypeFor[obsv.Counter](): true, reflect.TypeFor[obsv.Gauge](): true, reflect.TypeFor[obsv.Hist](): true,
+	}
+	for i := 0; i < series.NumField(); i++ {
+		f := series.Field(i)
+		if !instrument[f.Type] {
+			continue
+		}
+		if !rows[f.Name] {
+			t.Errorf("obsv.Series.%s is in no row of the instrument table", f.Name)
+		}
+		if _, ok := snap.FieldByName(f.Name); !ok {
+			t.Errorf("obsv.Series.%s has no obsv.Snapshot field of its name", f.Name)
+		}
+	}
+	for _, in := range obsv.Instruments() {
+		if f, _ := series.FieldByName(in.Field); instrument[f.Type] {
+			if _, ok := snap.FieldByName(in.SnapshotField()); !ok {
+				t.Errorf("instrument row %s fills no obsv.Snapshot field (%s)", in.Field, in.SnapshotField())
+			}
+		}
+	}
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || filepath.ToSlash(filepath.Dir(rel)) == "internal/obsv" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			ast.Inspect(ts.Type, func(n ast.Node) bool {
+				if at, ok := n.(*ast.ArrayType); ok {
+					if lit, ok := at.Len.(*ast.BasicLit); ok && lit.Value == "65" {
+						t.Errorf("%s: type %s declares a [65] bucket array; the histogram is obsv.Hist", rel, ts.Name.Name)
+					}
+				}
+				return true
+			})
+			return false
+		})
+	})
 }
 
 // TestOnePartitioning is the mechanical form of "the kernel's key groups are

@@ -23,7 +23,6 @@ import (
 	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -124,8 +123,9 @@ func (en *Engine) Switches() uint64 { return en.switches }
 // StateSize implements engine.Engine: the kernel's state, nothing else.
 func (en *Engine) StateSize() int { return en.core.StateSize() }
 
-// Metrics implements engine.Engine.
-func (en *Engine) Metrics() metrics.Snapshot { return en.core.Metrics() }
+// Metrics implements engine.Engine: the kernel's series, which is the
+// switch's (it adds no instrument of its own).
+func (en *Engine) Metrics() obsv.Snapshot { return en.core.Metrics() }
 
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {

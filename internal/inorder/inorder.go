@@ -19,7 +19,6 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -79,7 +78,7 @@ type Engine struct {
 	// most recent arrival (NOT the max — this engine trusts arrival order).
 	clock   event.Time
 	arrival uint64
-	met     metrics.Collector
+	met     *obsv.Series
 	maxSeen event.Time
 	// trace observes lifecycle steps when non-nil (nil-checked per site).
 	trace     obsv.TraceHook
@@ -128,7 +127,7 @@ func NewWithEnv(p *plan.Plan, env engine.Env) *Engine {
 		lat:       env.Latency,
 		prov:      env.Provenance,
 	}
-	en.met, en.traceName = env.Collector(en.Name())
+	en.met, en.traceName = env.Publish(en.Name())
 	for i := range en.stacks {
 		en.stacks[i] = &stack{}
 	}
@@ -139,7 +138,7 @@ func NewWithEnv(p *plan.Plan, env engine.Env) *Engine {
 func (en *Engine) Name() string { return "inorder" }
 
 // Metrics implements engine.Engine.
-func (en *Engine) Metrics() metrics.Snapshot { return en.met.Snapshot() }
+func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
 
 // Checkpoint implements engine.Engine: the baseline has no durable format.
 func (en *Engine) Checkpoint(io.Writer) error {
@@ -189,9 +188,9 @@ func (en *Engine) StateSize() int {
 func (en *Engine) Process(e event.Event) []plan.Match {
 	out := en.processOne(e, nil)
 	en.lat.StageEnd(e.Seq, obsv.StageConstruct)
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.prov {
-		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
+		en.met.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	return out
 }
@@ -208,9 +207,9 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 		out = en.processOne(batch[i], out)
 		en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
 	}
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.prov {
-		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
+		en.met.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	return out
 }
@@ -220,7 +219,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
 	if !en.plan.Relevant(e.Type) {
-		en.met.IncIrrelevant()
+		en.met.Irrelevant.Inc()
 		return out
 	}
 	var lag event.Time
@@ -366,7 +365,7 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 			TriggerPos: len(events) - 1,
 			Traversed:  en.visited,
 		}
-		en.met.IncLineage()
+		en.met.LineageRecords.Inc()
 	}
 	if sealTS <= en.clock {
 		return en.finalize(pm, out)
@@ -478,7 +477,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	}
 	out := en.drainPending(en.clock, nil)
 	en.purge()
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	return out
 }
 
@@ -486,9 +485,9 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 // can arrive, so every pending binding is final-checked and emitted.
 func (en *Engine) Flush() []plan.Match {
 	out := en.drainPending(math.MaxInt64, nil)
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.prov {
-		en.met.SetLineageRetained(en.lineageLive, en.lineageBytes)
+		en.met.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})

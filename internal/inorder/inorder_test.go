@@ -171,8 +171,8 @@ func TestMetricsLatencyZeroForImmediateEmit(t *testing.T) {
 		t.Fatal("no match")
 	}
 	s := en.Metrics()
-	if s.LogicalLat.Max() != 0 {
-		t.Errorf("immediate emission should have zero logical latency, got %d", s.LogicalLat.Max())
+	if s.LogicalLat.Max != 0 {
+		t.Errorf("immediate emission should have zero logical latency, got %d", s.LogicalLat.Max)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"oostream/internal/adaptive"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -22,7 +21,7 @@ import (
 type Engine struct {
 	buf   *Buffer
 	inner engine.Engine
-	met   metrics.Collector
+	met   *obsv.Series
 	// clock is the outer (arrival-side) max timestamp, used to measure
 	// true result latency including the buffering delay.
 	clock   event.Time
@@ -30,7 +29,7 @@ type Engine struct {
 	// trace observes the levee's own lifecycle steps (admit, drop, emit)
 	// when non-nil. The series and hook bind to the levee, not the inner
 	// engine: the inner view of the stream is delayed by K and would
-	// double-report, so the outer collector is the one that reflects the
+	// double-report, so the outer series is the one that reflects the
 	// live stream.
 	trace     obsv.TraceHook
 	traceName string
@@ -74,7 +73,7 @@ func NewAdaptiveEngine(ctrl *adaptive.Controller, inner engine.Engine, env engin
 
 func newEngine(buf *Buffer, inner engine.Engine, env engine.Env) *Engine {
 	en := &Engine{buf: buf, inner: inner, trace: env.Trace, prov: env.Provenance, lat: env.Latency}
-	en.met, en.traceName = env.Collector(en.Name())
+	en.met, en.traceName = env.Publish(en.Name())
 	return en
 }
 
@@ -128,7 +127,7 @@ func (en *Engine) StateSize() int { return en.buf.Len() + en.inner.StateSize() }
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
 	out := en.processOne(e, nil)
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	en.publishAdaptive()
 	return out
 }
@@ -139,8 +138,7 @@ func (en *Engine) publishAdaptive() {
 	if en.adapt == nil {
 		return
 	}
-	en.met.SetCurrentK(en.adapt.EffectiveK())
-	en.met.SetDegraded(en.adapt.Degraded())
+	en.met.SetBound(en.adapt.EffectiveK(), en.adapt.Degraded())
 }
 
 // ProcessBatch implements engine.Engine. The levee MUST admit
@@ -155,7 +153,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	for i := range batch {
 		out = en.processOne(batch[i], out)
 	}
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	en.publishAdaptive()
 	return out
 }
@@ -184,7 +182,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	before := en.buf.Dropped()
 	released := en.buf.Push(e)
 	if en.buf.Dropped() > before {
-		en.met.IncLate()
+		en.met.EventsLate.Inc()
 		en.lat.Abandon(e.Seq)
 		if en.trace != nil {
 			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
@@ -199,7 +197,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		if limit := en.adapt.Limits().MaxBufferedEvents; limit > 0 {
 			for _, shed := range en.buf.ShedOldest(limit) {
 				en.shedded++
-				en.met.IncShedded()
+				en.met.SheddedEvents.Inc()
 				en.lat.Abandon(shed.Seq)
 				if en.trace != nil {
 					en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: shed.Type, TS: shed.TS, Seq: shed.Seq})
@@ -228,7 +226,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 func (en *Engine) Flush() []plan.Match {
 	out := en.feed(en.buf.Flush())
 	out = append(out, en.restamp(en.inner.Flush())...)
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
 	}
@@ -237,7 +235,7 @@ func (en *Engine) Flush() []plan.Match {
 
 func (en *Engine) feed(released []event.Event) []plan.Match {
 	out := en.feedInto(released, nil)
-	en.met.SetLiveState(en.StateSize())
+	en.met.LiveState.Set(int64(en.StateSize()))
 	return out
 }
 
@@ -268,7 +266,7 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 }
 
 // restamp rewrites emission metadata to the outer clock so latency reflects
-// the buffering delay, and records the matches in the outer collector.
+// the buffering delay, and records the matches in the outer series.
 func (en *Engine) restamp(ms []plan.Match) []plan.Match {
 	for i := range ms {
 		ms[i].EmitClock = en.clock
@@ -293,16 +291,6 @@ func (en *Engine) restamp(ms []plan.Match) []plan.Match {
 	return ms
 }
 
-// Metrics implements engine.Engine: ingestion, state, and latency figures
-// come from the levee's own collector (the inner engine's view is delayed
-// by K and its state is only part of the total); predicate errors and purge
-// counters pass through from the inner engine.
-func (en *Engine) Metrics() metrics.Snapshot {
-	outer := en.met.Snapshot()
-	inner := en.inner.Metrics()
-	outer.PredErrors = inner.PredErrors
-	outer.Purged = inner.Purged
-	outer.PurgeCalls = inner.PurgeCalls
-	outer.Irrelevant = inner.Irrelevant
-	return outer
-}
+// Metrics implements engine.Engine: the levee's series, which carries the
+// kernel's (the builder hands the kernel the levee's Series.Carry).
+func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }

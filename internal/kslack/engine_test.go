@@ -6,7 +6,7 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
+	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
 )
@@ -40,7 +40,7 @@ func (s *stubEngine) Advance(ts event.Time) []plan.Match {
 }
 func (s *stubEngine) Flush() []plan.Match        { s.flushed = true; return nil }
 func (s *stubEngine) Checkpoint(io.Writer) error { return engine.ErrNoCheckpoint }
-func (s *stubEngine) Metrics() metrics.Snapshot  { return metrics.Snapshot{} }
+func (s *stubEngine) Metrics() obsv.Snapshot     { return obsv.Snapshot{} }
 func (s *stubEngine) StateSize() int             { return 0 }
 func (s *stubEngine) StateSnapshot() *provenance.StateSnapshot {
 	return &provenance.StateSnapshot{Engine: s.Name()}
@@ -87,8 +87,8 @@ func TestEngineRestampsEmissionMetadata(t *testing.T) {
 	if s.Matches != 1 {
 		t.Errorf("outer collector matches = %d", s.Matches)
 	}
-	if s.LogicalLat.Max() != 45 {
-		t.Errorf("latency = %d, want 50-5", s.LogicalLat.Max())
+	if s.LogicalLat.Max != 45 {
+		t.Errorf("latency = %d, want 50-5", s.LogicalLat.Max)
 	}
 }
 

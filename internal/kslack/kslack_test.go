@@ -236,8 +236,8 @@ func TestEngineLatencyReflectsBuffering(t *testing.T) {
 		t.Fatalf("matches = %v", out)
 	}
 	s := en.Metrics()
-	if s.LogicalLat.Max() < 50 {
-		t.Errorf("levee latency should be >= K-ish, got %d", s.LogicalLat.Max())
+	if s.LogicalLat.Max < 50 {
+		t.Errorf("levee latency should be >= K-ish, got %d", s.LogicalLat.Max)
 	}
 	if s.EventsIn != 3 {
 		t.Errorf("EventsIn = %d", s.EventsIn)

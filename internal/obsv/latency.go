@@ -48,7 +48,6 @@
 package obsv
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -58,13 +57,9 @@ type Stage uint8
 
 // Stages, in pipeline order.
 const (
-	// StageQueue is time an event waits between receipt and its engine
-	// call. No pipeline stamps it since batching moved to the caller's
-	// ProcessBatch, so it is absent from reports unless a caller stamps it.
-	StageQueue Stage = iota
 	// StageBuffer is reorder-buffer residency: kslack/adaptive buffering or
 	// the QuerySet shared-admission buffer, from admission to release.
-	StageBuffer
+	StageBuffer Stage = iota
 	// StageWAL is durability work in the supervised runtime: write-ahead
 	// append plus commit recording.
 	StageWAL
@@ -80,10 +75,9 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"queue", "buffer", "wal", "construct", "emit"}
+var stageNames = [NumStages]string{"buffer", "wal", "construct", "emit"}
 
-// String returns the stage's label ("queue", "buffer", "wal", "construct",
-// "emit").
+// String returns the stage's label ("buffer", "wal", "construct", "emit").
 func (st Stage) String() string {
 	if st < NumStages {
 		return stageNames[st]
@@ -320,40 +314,6 @@ func (ls *LatencySampler) Abandon(seq uint64) {
 	}
 	s.key.Store(0)
 	ls.series.SpansAbandoned.Inc()
-}
-
-// Quantile returns the q-quantile (0..1) of the observations as the upper
-// bound of the bucket containing that rank, clamped to the observed max —
-// the same bucket-edge convention as internal/metrics.Histogram.Quantile.
-func (v HistView) Quantile(q float64) uint64 {
-	if v.Count == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return v.Max
-	}
-	if q < 0 {
-		q = 0
-	}
-	target := uint64(math.Ceil(q * float64(v.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i := range v.Buckets {
-		cum += v.Buckets[i]
-		if cum >= target {
-			// Bucket i holds values of bit length i: upper bound 2^i − 1.
-			// At i=64 the shift wraps to 0 and the subtraction yields
-			// MaxUint64 — exactly bucket 64's true upper bound.
-			upper := uint64(1)<<uint(i) - 1
-			if upper > v.Max {
-				upper = v.Max
-			}
-			return upper
-		}
-	}
-	return v.Max
 }
 
 // HistSummary is the JSON-ready digest of one histogram.

@@ -18,7 +18,7 @@ func fakeClock() (advance func(time.Duration), restore func()) {
 	return func(d time.Duration) { now += int64(d) }, func() { nowNanos = saved }
 }
 
-// TestStageSumEqualsWall drives one span through five stage boundaries on
+// TestStageSumEqualsWall drives one span through four stage boundaries on
 // a fake clock and checks the accounting identity the package doc
 // promises: the per-stage sums add up to the end-to-end wall time exactly
 // (whole-microsecond durations, so no truncation slack is needed).
@@ -28,8 +28,6 @@ func TestStageSumEqualsWall(t *testing.T) {
 
 	ls := NewLatencySampler(1, NewSeries("t"), nil)
 	ls.Begin(0)
-	advance(5 * time.Microsecond)
-	ls.StageEnd(0, StageQueue)
 	advance(11 * time.Microsecond)
 	ls.StageEnd(0, StageBuffer)
 	advance(7 * time.Microsecond)
@@ -40,10 +38,10 @@ func TestStageSumEqualsWall(t *testing.T) {
 	ls.Finish(0) // tail → StageEmit
 
 	r := ls.Report()
-	if r.Wall.Count != 1 || r.Wall.SumUs != 49 {
-		t.Fatalf("wall = %+v, want count 1 sum 49", r.Wall)
+	if r.Wall.Count != 1 || r.Wall.SumUs != 44 {
+		t.Fatalf("wall = %+v, want count 1 sum 44", r.Wall)
 	}
-	want := map[string]uint64{"queue": 5, "buffer": 11, "wal": 7, "construct": 23, "emit": 3}
+	want := map[string]uint64{"buffer": 11, "wal": 7, "construct": 23, "emit": 3}
 	if len(r.Stages) != len(want) {
 		t.Fatalf("stages %v, want %d entries", r.Stages, len(want))
 	}
@@ -329,7 +327,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 			defer writers.Done()
 			for seq := uint64(g * 100_000); seq < uint64(g*100_000+20_000); seq++ {
 				ls.Begin(seq)
-				ls.StageEnd(seq, StageQueue)
+				ls.StageEnd(seq, StageBuffer)
 				ls.StageEnd(seq, StageConstruct)
 				if seq%32 == 0 {
 					ls.Abandon(seq)

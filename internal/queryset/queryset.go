@@ -39,7 +39,6 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/kslack"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -101,7 +100,7 @@ type Set struct {
 	lastDropped  uint64 // buffer drop count at last Push, for metrics
 	sinceAdvance int
 	sealed       bool
-	met          metrics.Collector
+	met          *obsv.Series
 	// lat is opts.Env.Latency (nil-safe at every stamp site).
 	lat *obsv.LatencySampler
 }
@@ -152,14 +151,15 @@ func New(opts Options) (*Set, error) {
 	if opts.AdvanceEvery == 0 {
 		opts.AdvanceEvery = DefaultAdvanceEvery
 	}
-	return &Set{
+	s := &Set{
 		opts:    opts,
 		buf:     kslack.NewBuffer(opts.K),
 		queries: make(map[string]*queryState),
 		index:   make(map[string][]dispatch),
-		met:     metrics.NewCollector(opts.Env.Series),
 		lat:     opts.Env.Latency,
-	}, nil
+	}
+	s.met, _ = opts.Env.Publish("queryset")
+	return s, nil
 }
 
 // Register adds a compiled query under the given id and returns an error
@@ -286,10 +286,10 @@ func (s *Set) Plan(id string) (*plan.Plan, bool) {
 }
 
 // QueryMetrics returns the inner engine counters of one registered query.
-func (s *Set) QueryMetrics(id string) (metrics.Snapshot, bool) {
+func (s *Set) QueryMetrics(id string) (obsv.Snapshot, bool) {
 	q, ok := s.queries[id]
 	if !ok {
-		return metrics.Snapshot{}, false
+		return obsv.Snapshot{}, false
 	}
 	return q.en.Metrics(), true
 }
@@ -357,8 +357,8 @@ func (s *Set) process(e event.Event, out *[]plan.Match) {
 	if d := s.buf.Dropped(); d != s.lastDropped {
 		s.lastDropped = d
 		s.lat.Abandon(e.Seq)
-		s.met.IncLate()
-		s.met.IncDropped()
+		s.met.EventsLate.Inc()
+		s.met.EventsDropped.Inc()
 		return
 	}
 	for _, r := range released {
@@ -385,7 +385,7 @@ func (s *Set) dispatch(e event.Event, out *[]plan.Match) {
 	s.lat.StageEnd(e.Seq, obsv.StageBuffer)
 	ds := s.index[e.Type]
 	if len(ds) == 0 {
-		s.met.IncIrrelevant()
+		s.met.Irrelevant.Inc()
 	}
 	for _, d := range ds {
 		q := d.q
@@ -455,7 +455,7 @@ func (s *Set) fan(out *[]plan.Match) {
 			}
 		}
 	}
-	s.met.SetLiveState(s.StateSize())
+	s.met.LiveState.Set(int64(s.StateSize()))
 }
 
 // Advance implements engine.Engine: the source promises stream time has
@@ -489,7 +489,7 @@ func (s *Set) Flush() []plan.Match {
 		s.tag(q, q.en.Flush(), &out)
 	}
 	s.sealed = true
-	s.met.SetLiveState(0)
+	s.met.LiveState.Set(0)
 	return out
 }
 
@@ -508,7 +508,7 @@ func (s *Set) tag(q *queryState, ms []plan.Match, out *[]plan.Match) {
 // counters: events in/late/dropped at the shared buffer, irrelevant types,
 // and the live-state gauge (buffer plus engines, refreshed at fan-out
 // cadence). Per-query engine counters are available via QueryMetrics.
-func (s *Set) Metrics() metrics.Snapshot { return s.met.Snapshot() }
+func (s *Set) Metrics() obsv.Snapshot { return s.met.Snapshot() }
 
 // StateSize implements engine.Engine: buffered events plus the state of
 // every registered engine.

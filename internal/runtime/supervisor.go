@@ -10,7 +10,6 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
@@ -132,7 +131,7 @@ type Supervisor struct {
 	opts  SupervisorOptions
 	store *recovery.Store
 	en    engine.Engine
-	met   metrics.Collector
+	met   *obsv.Series
 
 	// Admission state (rebuilt deterministically on replay).
 	clock    event.Time
@@ -184,7 +183,7 @@ func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, 
 		trace: opts.Env.Trace,
 		lat:   opts.Env.Latency,
 	}
-	s.met, s.traceName = opts.Env.Collector("supervised")
+	s.met, s.traceName = opts.Env.Publish("supervised")
 	return s, nil
 }
 
@@ -350,25 +349,10 @@ func (s *Supervisor) Checkpoint(io.Writer) error {
 	return fmt.Errorf("supervisor: %w: its checkpoints are its store's", engine.ErrNoCheckpoint)
 }
 
-// Metrics returns the inner engine's counters with the supervisor's
-// fault-tolerance counters merged in. Those counters are written only by
-// the supervisor, so assignment is exact whether or not the inner engine
-// shares the supervisor's series.
-func (s *Supervisor) Metrics() metrics.Snapshot {
-	var snap metrics.Snapshot
-	if s.en != nil {
-		snap = s.en.Metrics()
-	}
-	sup := s.met.Snapshot()
-	snap.EventsDropped = sup.EventsDropped
-	snap.EventsDeadLettered = sup.EventsDeadLettered
-	snap.DuplicatesSuppressed = sup.DuplicatesSuppressed
-	snap.Restarts = sup.Restarts
-	snap.Checkpoints = sup.Checkpoints
-	snap.CheckpointBytes = sup.CheckpointBytes
-	snap.CheckpointDuration = sup.CheckpointDuration
-	return snap
-}
+// Metrics returns the supervisor's series: its fault-tolerance counters
+// and, when the engines it builds publish into the same series (as the
+// facade's builder arranges), theirs.
+func (s *Supervisor) Metrics() obsv.Snapshot { return s.met.Snapshot() }
 
 // StateSize returns the inner engine's buffered-item count.
 func (s *Supervisor) StateSize() int {
@@ -476,7 +460,7 @@ func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, e
 func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 	if _, dup := s.seen[e.Seq]; dup {
 		if !replaying {
-			s.met.IncDupSuppressed()
+			s.met.DuplicatesSuppressed.Inc()
 			if s.opts.Policy == AdmitDeadLetter {
 				s.deadLetter(e)
 			}
@@ -488,7 +472,7 @@ func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 			if s.opts.Policy == AdmitDeadLetter {
 				s.deadLetter(e)
 			} else {
-				s.met.IncDropped()
+				s.met.EventsDropped.Inc()
 			}
 		}
 		return false
@@ -522,7 +506,7 @@ func (s *Supervisor) purgeSeen() {
 }
 
 func (s *Supervisor) deadLetter(e event.Event) {
-	s.met.IncDeadLettered()
+	s.met.EventsDeadLettered.Inc()
 	if s.opts.DeadLetter != nil {
 		select {
 		case s.opts.DeadLetter <- e:
@@ -541,7 +525,7 @@ func (s *Supervisor) emit(ms []plan.Match) ([]plan.Match, error) {
 	for _, m := range ms {
 		s.matchSeq++
 		if s.matchSeq <= s.durable {
-			s.met.IncDupSuppressed()
+			s.met.DuplicatesSuppressed.Inc()
 			continue
 		}
 		out = append(out, m)
@@ -593,7 +577,9 @@ func (s *Supervisor) checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.met.ObserveCheckpoint(n, time.Since(start))
+	s.met.Checkpoints.Inc()
+	s.met.CheckpointBytes.Set(int64(n))
+	s.met.CheckpointDuration.Set(int64(time.Since(start)))
 	if s.trace != nil {
 		s.trace.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.clock, N: n})
 	}
@@ -689,7 +675,7 @@ func (s *Supervisor) restartLoop() ([]plan.Match, error) {
 		if s.consecRestarts > s.opts.MaxRestarts {
 			return nil, s.fail(fmt.Errorf("supervisor: engine panicked %d consecutive times; giving up", s.consecRestarts-1))
 		}
-		s.met.IncRestart()
+		s.met.Restarts.Inc()
 		if s.trace != nil {
 			s.trace.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.clock, N: s.consecRestarts})
 		}

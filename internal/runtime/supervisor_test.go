@@ -10,6 +10,7 @@ import (
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
+	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/recovery"
 )
@@ -25,14 +26,18 @@ func supervStream(t *testing.T, n int, seed int64) []event.Event {
 // noSleep removes restart backoff from tests.
 func noSleep(time.Duration) {}
 
+// supervOpts hands the supervisor and every engine it builds one series,
+// as the facade's builder does, so Metrics reads both.
 func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 	t.Helper()
+	env := engine.Env{Series: obsv.NewSeries("")}
 	return SupervisorOptions{
+		Env: env,
 		New: func() (engine.Engine, error) {
-			return core.New(p, core.Options{K: k})
+			return core.New(p, core.Options{K: k, Env: env})
 		},
 		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) {
-			return core.Restore(p, engine.Env{}, r)
+			return core.Restore(p, env, r)
 		},
 		K:     k,
 		Sleep: noSleep,

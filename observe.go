@@ -38,8 +38,8 @@ type (
 
 // Wall-clock latency attribution re-exports (see Config.Latency): a
 // deterministic 1-in-N sample of events is span-tracked through the
-// pipeline, decomposing real elapsed time into stage durations (queue,
-// buffer, wal, construct, emit) whose sum equals the end-to-end wall time,
+// pipeline, decomposing real elapsed time into stage durations (buffer,
+// wal, construct, emit) whose sum equals the end-to-end wall time,
 // with optional multi-window SLO burn-rate tracking on top. Read via
 // Engine.LatencyReport / QuerySet.LatencyReport, StateSnapshot.Latency, or
 // the /debug/latency HTTP endpoint.

@@ -1,8 +1,16 @@
 package oostream
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"oostream/internal/gen"
 )
 
 func pairQuery(t *testing.T) *Query {
@@ -92,4 +100,89 @@ func TestRawAccessor(t *testing.T) {
 	if raw.StateSize() != en.StateSize() {
 		t.Fatal("Raw() does not share state with the facade")
 	}
+}
+
+// expositionRegistry is a registry populated by a native engine with
+// lineage and a supervised one over the same disordered RFID stream, with no latency
+// sampling, so every value it renders repeats run for run except the wall
+// time of the last checkpoint, which expositionText zeroes.
+func expositionRegistry(t *testing.T) *Observer {
+	t.Helper()
+	q := MustCompile("PATTERN SEQ(SHELF s, !(COUNTER c), EXIT e) WHERE s.id = e.id AND s.id = c.id WITHIN 6s", gen.RFIDSchema())
+	events := gen.Shuffle(gen.RFID(gen.DefaultRFID(600, 1)), gen.Disorder{Ratio: 0.3, MaxDelay: 2000, Seed: 1})
+	reg := NewObserver()
+	cfg := Config{K: 2000, Observer: reg}
+	lineage := cfg
+	lineage.Provenance = true
+	en := MustNewEngine(q, lineage)
+	en.ProcessAll(append([]Event(nil), events...))
+	sup, err := NewSupervisedEngine(q, cfg, SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 250, DisableFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Kill()
+	if _, err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		sup.Process(e)
+	}
+	sup.Flush()
+	if err := sup.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+var checkpointWallTime = regexp.MustCompile(`(oostream_checkpoint_duration_ns\{[^}]*\} |"checkpoint_nanos": )[0-9]+`)
+
+// expositionText renders reg's Prometheus text and indented /varz JSON with
+// the checkpoint wall time zeroed.
+func expositionText(t *testing.T, reg *Observer) (prom, varz []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.MarshalIndent(reg.Varz(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := []byte("${1}0")
+	return checkpointWallTime.ReplaceAll(buf.Bytes(), zero), checkpointWallTime.ReplaceAll(append(doc, '\n'), zero)
+}
+
+// TestExpositionGolden holds /metrics and /varz to the bytes an earlier
+// version rendered for the same registry (testdata/exposition, written
+// before the instrument set was folded into one table): metric names,
+// /varz keys, HELP text, order and values do not move.
+func TestExpositionGolden(t *testing.T) {
+	prom, varz := expositionText(t, expositionRegistry(t))
+	for name, got := range map[string][]byte{"metrics.txt": prom, "varz.json": varz} {
+		want, err := os.ReadFile(filepath.Join("testdata", "exposition", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from testdata/exposition/%s:\n%s", name, name, firstDiff(got, want))
+		}
+	}
+}
+
+// firstDiff names the first line at which got and want part.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d\n got: %s\nwant: %s", i+1, gl, wl)
+		}
+	}
+	return ""
 }

@@ -41,7 +41,7 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/metrics"
+	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/runtime"
 )
@@ -78,8 +78,9 @@ type (
 	Aggregate = plan.AggValue
 	// MatchKind distinguishes Insert results from Retract compensations.
 	MatchKind = plan.MatchKind
-	// Metrics is a snapshot of an engine's counters.
-	Metrics = metrics.Snapshot
+	// Metrics is a snapshot of an engine's counters: what a scrape of its
+	// series reads.
+	Metrics = obsv.Snapshot
 )
 
 // Value constructors and kinds, re-exported.
@@ -222,7 +223,7 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	b := cfg.builder()
-	inner, err := b.build(q.plan, cfg, string(cfg.Strategy), openCheckpoint(r))
+	inner, err := b.build(q.plan, cfg, b.series(string(cfg.Strategy)), openCheckpoint(r))
 	if err != nil {
 		return nil, err
 	}

@@ -82,22 +82,22 @@ func (cfg QuerySetConfig) validate() error {
 }
 
 // setOptions derives the Set's options from cfg and its builder: the Set
-// itself publishes into the series named top and owns the sampler (it
+// itself publishes into series and owns the sampler (it
 // stamps shared-buffer residency and per-query construction); every
 // per-query engine — the configured strategy at K=0, since the shared
 // buffer reorders — is built or restored through the same builder under
 // the "qs/<id>" identity with the hook and the provenance switch, and no
 // sampler.
-func (cfg QuerySetConfig) setOptions(b builder, top string) queryset.Options {
+func (cfg QuerySetConfig) setOptions(b builder, series *obsv.Series) queryset.Options {
 	ecfg := Config{Strategy: cfg.Strategy}
 	qb := b
 	qb.lat = nil
 	opts := queryset.Options{
 		K:            cfg.K,
 		AdvanceEvery: cfg.AdvanceEvery,
-		Env:          engine.Env{Series: b.series(top), Latency: b.lat},
+		Env:          engine.Env{Series: series, Latency: b.lat},
 		NewEngine: func(id string, p *plan.Plan) (engine.Engine, error) {
-			return qb.build(p, ecfg, "qs/"+id, nil)
+			return qb.build(p, ecfg, qb.series("qs/"+id), nil)
 		},
 		Compile: func(src string) (*plan.Plan, error) {
 			// The source was schema-checked when first compiled; restore
@@ -107,7 +107,7 @@ func (cfg QuerySetConfig) setOptions(b builder, top string) queryset.Options {
 	}
 	if ecfg.restorable() {
 		opts.RestoreEngine = func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-			return qb.build(p, ecfg, "qs/"+id, openCheckpoint(r))
+			return qb.build(p, ecfg, qb.series("qs/"+id), openCheckpoint(r))
 		}
 	}
 	if b.obs != nil {
@@ -177,7 +177,7 @@ func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 		return nil, fmt.Errorf("strategy %q does not support checkpointing", cfg.Strategy)
 	}
 	b := cfg.builder()
-	opts := cfg.setOptions(b, "queryset")
+	opts := cfg.setOptions(b, b.series("queryset"))
 	var set *queryset.Set
 	var err error
 	if r != nil {
@@ -218,11 +218,11 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 	b := cfg.builder()
 	// The Set beneath the supervisor shares its series (the instrument sets
 	// are disjoint), as a single engine does under NewSupervisedEngine.
-	top := "supervised(queryset)"
-	opts := cfg.setOptions(b, top)
+	series := b.series("supervised(queryset)")
+	opts := cfg.setOptions(b, series)
 	qs := &QuerySet{}
 	sopts := runtime.SupervisorOptions{
-		Env: engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
+		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
 		New: func() (engine.Engine, error) {
 			set, err := queryset.New(opts)
 			if err != nil {

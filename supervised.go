@@ -104,10 +104,10 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // delivered matches by count and one engine emits in another order than the
 // shards did.
 //
-// Observability: with Config.Observer set, the supervisor publishes one
-// series named "supervised(<strategy>)" carrying the fault-tolerance
-// counters, and the engine directly beneath it shares that series (the
-// instrument sets are disjoint, so one series carries the full picture).
+// Observability: the supervisor and the engine directly beneath it publish
+// into one series (the instrument sets are disjoint, so one series carries
+// the full picture, and Metrics reads it), registered on Config.Observer as
+// "supervised(<strategy>)".
 // Every engine the supervisor builds — fresh, restored from a checkpoint
 // after a crash, or rebuilt after a panic — is constructed with the same
 // instruments, so Observer, Trace, Latency, and Provenance survive
@@ -124,10 +124,10 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 		return nil, err
 	}
 	b := cfg.builder()
-	top := "supervised(" + string(cfg.Strategy) + ")"
+	series := b.series("supervised(" + string(cfg.Strategy) + ")")
 	opts := runtime.SupervisorOptions{
-		Env:         engine.Env{Series: b.series(top), Trace: b.trace, Latency: b.lat},
-		New:         func() (engine.Engine, error) { return b.build(q.plan, cfg, top, nil) },
+		Env:         engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
+		New:         func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
 		K:           cfg.K,
 		EngineBound: cfg.adaptiveActive(),
 	}
@@ -137,7 +137,7 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 			if from.partitioned && suppress > 0 {
 				return nil, fmt.Errorf("the newest checkpoint was written by a partitioned engine and the log holds %d matches committed past it: one engine emits in another order than the shards did, so replay cannot tell which of its emissions were delivered", suppress)
 			}
-			return b.build(q.plan, cfg, top, from)
+			return b.build(q.plan, cfg, series, from)
 		}
 	}
 	sup, err := newSupervisor(sc, opts)
