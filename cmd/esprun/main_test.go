@@ -144,6 +144,32 @@ func TestRunPlan(t *testing.T) {
 	}
 }
 
+// TestRunPlanGolden: -plan prints the same bytes on every run. A query
+// partitionable by two attributes lists them sorted, the key marked (it was
+// printed in map order, so either order came out).
+func TestRunPlanGolden(t *testing.T) {
+	const want = `plan for: PATTERN SEQ(A a, B b) WHERE ((a.x = b.x) AND (a.y = b.y)) WITHIN 10ms
+window: 10ms
+sequence:
+  [0] A AS a
+  [1] B AS b
+cross predicates (fire when all referenced slots bind):
+  slots {0,1}: (a.x = b.x)
+  slots {0,1}: (a.y = b.y)
+partitionable by: x (key), y
+`
+	for i := 0; i < 200; i++ {
+		var out bytes.Buffer
+		err := run([]string{"-plan", "-query", "PATTERN SEQ(A a, B b) WHERE a.x = b.x AND a.y = b.y WITHIN 10"}, strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != want {
+			t.Fatalf("run %d printed\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
 // TestRunExplain: -explain enables provenance and prints one lineage line
 // under each match, citing the contributing events.
 func TestRunExplain(t *testing.T) {

@@ -79,9 +79,13 @@ func TestEncodeRefusesNonCanonicalList(t *testing.T) {
 	}
 }
 
-// TestGetEveryWidth: Get finds every name and misses every other one on
-// canonical lists on both sides of scanWidth, where it starts to use the
-// order; up to scanWidth it does not, so any order will do.
+// TestGetEveryWidth: Get answers as a map lookup does, on canonical lists
+// on both sides of scanWidth, where it starts to use the order, and on
+// shorter lists in any order. Each name is asked as the list's own string
+// (the identity hit), as a byte-equal copy at another address, and as a
+// prefix of a listed name, which shares its address but not its length;
+// every absent name is asked too. A list whose names are copies, not the
+// name table's strings, gets the same answers.
 func TestGetEveryWidth(t *testing.T) {
 	for width := 0; width <= 5*scanWidth; width++ {
 		attrs := make(Attrs, width)
@@ -89,26 +93,33 @@ func TestGetEveryWidth(t *testing.T) {
 			attrs[fmt.Sprintf("n%02d", 2*i+1)] = Int(int64(i))
 		}
 		list := attrs.List()
-		for name, want := range attrs {
-			if v, ok := list.Get(name); !ok || v != want {
-				t.Fatalf("width %d: Get(%q) = %v, %v, want %v", width, name, v, ok, want)
-			}
+		copied := make(AttrList, len(list))
+		for i, a := range list {
+			copied[i] = Attr{strings.Clone(a.Name), a.Value}
+		}
+		asked := []string{"", "n", "n0", "n000"}
+		for _, a := range list {
+			asked = append(asked, a.Name, strings.Clone(a.Name), a.Name[:2])
 		}
 		for i := 0; i <= width; i++ {
-			if v, ok := list.Get(fmt.Sprintf("n%02d", 2*i)); ok {
-				t.Fatalf("width %d: Get of an absent name = %v", width, v)
-			}
+			asked = append(asked, fmt.Sprintf("n%02d", 2*i))
 		}
-		if _, ok := list.Get(""); ok {
-			t.Fatalf("width %d: Get(\"\") found something", width)
-		}
-		if width <= scanWidth {
-			rand.New(rand.NewSource(int64(width))).Shuffle(width, func(i, j int) { list[i], list[j] = list[j], list[i] })
-			for name, want := range attrs {
-				if v, ok := list.Get(name); !ok || v != want {
-					t.Fatalf("width %d, shuffled: Get(%q) = %v, %v, want %v", width, name, v, ok, want)
+		check := func(how string, l AttrList) {
+			for _, name := range asked {
+				want, wantOK := attrs[name]
+				if v, ok := l.Get(name); ok != wantOK || v != want {
+					t.Fatalf("width %d, %s: Get(%q) = %v, %v, want %v, %v", width, how, name, v, ok, want, wantOK)
 				}
 			}
+		}
+		check("canonical", list)
+		check("names copied", copied)
+		if width <= scanWidth {
+			rng := rand.New(rand.NewSource(int64(width)))
+			rng.Shuffle(width, func(i, j int) { list[i], list[j] = list[j], list[i] })
+			rng.Shuffle(width, func(i, j int) { copied[i], copied[j] = copied[j], copied[i] })
+			check("shuffled", list)
+			check("names copied, shuffled", copied)
 		}
 	}
 }
@@ -127,7 +138,7 @@ func TestDecodeSortsAndRefusesDuplicates(t *testing.T) {
 			members = append(members, fmt.Sprintf(`"%s":{"int":%d}`, n, n[0]-'a'+1))
 		}
 		obj := "{" + strings.Join(members, ",") + "}"
-		e, err := ParseJSON([]byte(`{"attrs":`+obj+`}`), copyName)
+		e, err := ParseJSON([]byte(`{"attrs":` + obj + `}`))
 		if err != nil || !reflect.DeepEqual(e.Attrs, want) {
 			t.Fatalf("ParseJSON %s = %v, %v; want %v", obj, e.Attrs, err, want)
 		}
@@ -136,7 +147,7 @@ func TestDecodeSortsAndRefusesDuplicates(t *testing.T) {
 			t.Fatalf("json.Unmarshal %s = %v, %v; want %v", obj, l, err, want)
 		}
 		dup := "{" + strings.Join(append(members, `"`+names[0]+`":{"int":9}`), ",") + "}"
-		if _, err := ParseJSON([]byte(`{"attrs":`+dup+`}`), copyName); err == nil ||
+		if _, err := ParseJSON([]byte(`{"attrs":` + dup + `}`)); err == nil ||
 			!strings.Contains(err.Error(), `duplicate attribute "`+names[0]+`"`) {
 			t.Fatalf("ParseJSON %s: err = %v, want duplicate attribute %q", dup, err, names[0])
 		}
@@ -196,7 +207,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendJSON %v: %v", e, err)
 		}
-		back, err := ParseJSON(line, copyName)
+		back, err := ParseJSON(line)
 		if err != nil || !reflect.DeepEqual(back, e) {
 			t.Fatalf("line codec: %v -> %s -> %v, %v", e, line, back, err)
 		}
@@ -220,7 +231,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 // decoder nil.)
 func TestAttrlessEventStaysNil(t *testing.T) {
 	made := New("A", 1, nil)
-	decoded, err := ParseJSON([]byte(`{"type":"A","ts":1,"attrs":{}}`), copyName)
+	decoded, err := ParseJSON([]byte(`{"type":"A","ts":1,"attrs":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,9 @@ var (
 // BenchmarkAttrGet is the lookup a predicate evaluation pays per attribute
 // reference, at the widths an event may have, beside the map it replaced
 // (EXPERIMENTS.md E27). Names are those of the benchmark's workloads plus
-// filler; each iteration looks up every name once, hits only.
+// filler; each iteration looks up every name once, hits only. list asks with
+// the name table's strings, as a compiled predicate does; copied asks with
+// byte-equal copies, which Get finds by content.
 func BenchmarkAttrGet(b *testing.B) {
 	for _, width := range []int{1, 3, 8, 12, 16, 32} {
 		attrs := make(Attrs, width)
@@ -256,23 +269,28 @@ func BenchmarkAttrGet(b *testing.B) {
 			attrs[fmt.Sprintf("attr%02d", i)] = Int(int64(i))
 		}
 		list := attrs.List()
-		names := make([]string, 0, width)
+		interned := make([]string, 0, width)
+		copied := make([]string, 0, width)
 		for _, a := range list {
-			// A fresh string, as a compiled predicate's name is not the
-			// event's: equal names must compare by content.
-			names = append(names, strings.Clone(a.Name))
+			interned = append(interned, Intern(a.Name))
+			copied = append(copied, strings.Clone(a.Name))
 		}
-		b.Run(fmt.Sprintf("list/%d", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, n := range names {
-					sinkValue, sinkOK = list.Get(n)
+		for _, side := range []struct {
+			name  string
+			asked []string
+		}{{"list", interned}, {"copied", copied}} {
+			b.Run(fmt.Sprintf("%s/%d", side.name, width), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, n := range side.asked {
+						sinkValue, sinkOK = list.Get(n)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/get")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/get")
+			})
+		}
 		b.Run(fmt.Sprintf("map/%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, n := range names {
+				for _, n := range copied {
 					sinkValue, sinkOK = attrs[n]
 				}
 			}

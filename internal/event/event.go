@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Time is a logical application timestamp in milliseconds.
@@ -55,13 +56,14 @@ type AttrList []Attr
 type Attrs map[string]Value
 
 // List returns the attributes as a canonical list, nil when there are none.
+// Its names are the name table's strings (Intern).
 func (a Attrs) List() AttrList {
 	if len(a) == 0 {
 		return nil
 	}
 	list := make(AttrList, 0, len(a))
 	for name, v := range a {
-		list = append(list, Attr{name, v})
+		list = append(list, Attr{Intern(name), v})
 	}
 	sortAttrs(list)
 	return list
@@ -75,14 +77,17 @@ func sortAttrs(list AttrList) {
 const scanWidth = 8
 
 // Get returns the named attribute and whether it is present. Events carry
-// a handful of attributes, so this is a scan, one string comparison each
-// and no hash, and it runs to the end of the list, which keeps it right on
-// a hand-built list that is not sorted. Only a list longer than scanWidth
-// is first halved by its order down to the one run that can hold the name
-// (BenchmarkAttrGet: the plain scan is level with a map lookup at eight
-// attributes and four times behind at 32), so a hand-built list that long
-// has to be canonical. Both loops are small enough for Get to inline into
-// a compiled predicate.
+// a handful of attributes, so this is a scan and no hash, and it runs to the
+// end of the list, which keeps it right on a hand-built list that is not
+// sorted. Each name is tested for identity before content: the decoder and
+// the compiler take their names from one table (Intern), so a hit is
+// usually the same string, found by comparing length and address, and any
+// other equal name is still found by its bytes. Only a list longer than
+// scanWidth is first halved by its order down to the one run that can hold
+// the name (BenchmarkAttrGet: the plain scan is level with a map lookup at
+// eight attributes and four times behind at 32), so a hand-built list that
+// long has to be canonical. Both loops are small enough for Get to inline
+// into a compiled predicate.
 func (l AttrList) Get(name string) (Value, bool) {
 	for len(l) > scanWidth {
 		if mid := len(l) / 2; l[mid].Name <= name {
@@ -92,7 +97,7 @@ func (l AttrList) Get(name string) (Value, bool) {
 		}
 	}
 	for i := range l {
-		if l[i].Name == name {
+		if n := l[i].Name; len(n) == len(name) && unsafe.StringData(n) == unsafe.StringData(name) || n == name {
 			return l[i].Value, true
 		}
 	}

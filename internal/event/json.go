@@ -74,7 +74,7 @@ func (l *AttrList) UnmarshalJSON(data []byte) error {
 	if string(data[i:]) == "null" {
 		return nil
 	}
-	list, i, err := parseAttrs(data, i, copyName)
+	list, i, err := parseAttrs(data, i)
 	if err != nil {
 		return err
 	}
@@ -84,9 +84,6 @@ func (l *AttrList) UnmarshalJSON(data []byte) error {
 	*l = list
 	return nil
 }
-
-// copyName is the intern function of a decoder that keeps no table.
-func copyName(b []byte) string { return string(b) }
 
 // AppendJSON appends the JSON object for e to dst, byte for byte what
 // encoding/json writes for an Event: attributes in name order, attrs left
@@ -182,15 +179,15 @@ func appendJSONString(dst []byte, s string) []byte {
 // after a syntax check. Numbers follow the JSON grammar strictly: ts, seq
 // and int take integer literals within range only, float any literal that
 // fits a float64. Strings are copied out of data, so the caller may reuse
-// it; intern is asked for the string of each event-type and attribute name
-// instead, so a reader can serve repeats from a table.
+// it; the event type and the attribute names come from the name table
+// (Intern), so a repeated name costs no allocation.
 //
 // Three inputs that encoding/json lets through are errors here, because
 // each means the line was not written by this package's encoder and
 // guessing which reading was meant would hide that: a known member given
 // twice, null in place of the line or of a known member, and a key that
 // matches a known one only after case folding.
-func ParseJSON(data []byte, intern func([]byte) string) (Event, error) {
+func ParseJSON(data []byte) (Event, error) {
 	var e Event
 	var seen [4]bool // indexed like eventKeys
 	i, more, err := openObject(data, skipSpace(data, 0))
@@ -211,14 +208,14 @@ func ParseJSON(data []byte, intern func([]byte) string) (Event, error) {
 		case 0:
 			var s []byte
 			if s, i, err = scanString(data, i); err == nil {
-				e.Type = intern(s)
+				e.Type = internBytes(s)
 			}
 		case 1:
 			e.TS, i, err = parseInt(data, i)
 		case 2:
 			e.Seq, i, err = parseDigits(data, i)
 		case 3:
-			e.Attrs, i, err = parseAttrs(data, i, intern)
+			e.Attrs, i, err = parseAttrs(data, i)
 		default:
 			i, err = skipMember(data, i, 1, eventKeys, key)
 		}
@@ -237,7 +234,7 @@ func ParseJSON(data []byte, intern func([]byte) string) (Event, error) {
 
 // parseAttrs reads the attrs object opening at data[i] into a canonical
 // list. An empty object gives a nil list, as a missing member does.
-func parseAttrs(data []byte, i int, intern func([]byte) string) (AttrList, int, error) {
+func parseAttrs(data []byte, i int) (AttrList, int, error) {
 	var buf [8]Attr // events carry a handful; more spill to the heap
 	list := buf[:0]
 	sorted := true
@@ -247,7 +244,7 @@ func parseAttrs(data []byte, i int, intern func([]byte) string) (AttrList, int, 
 		if key, i, err = parseKey(data, i); err != nil {
 			break
 		}
-		name := intern(key)
+		name := internBytes(key)
 		var v Value
 		if v, i, err = parseValueJSON(data, i, 3); err != nil {
 			err = fmt.Errorf("attribute %q: %w", name, err)

@@ -55,11 +55,11 @@ func (p *Plan) compileAggregate(a *query.Analyzed) error {
 	}
 	if agg.Arg != nil {
 		spec.ArgSlot = a.VarPosition[agg.Arg.Var]
-		spec.ArgAttr = agg.Arg.Attr
+		spec.ArgAttr = event.Intern(agg.Arg.Attr)
 	}
 	if agg.GroupBy != nil {
 		spec.GroupSlot = a.VarPosition[agg.GroupBy.Var]
-		spec.GroupAttr = agg.GroupBy.Attr
+		spec.GroupAttr = event.Intern(agg.GroupBy.Attr)
 	}
 	if agg.Having != nil {
 		c, err := predicate.Compile(agg.Having, func(v string) (int, bool) {
@@ -168,6 +168,16 @@ func (s *AggSpec) Result(p fiba.Partial) (v event.Value, count int64, ok bool) {
 	}
 }
 
+// The window pseudo-event's attribute names, from the name table like the
+// HAVING operands that read them.
+var (
+	havingCount = event.Intern(query.HavingCount)
+	havingEnd   = event.Intern(query.HavingEnd)
+	havingKey   = event.Intern(query.HavingKey)
+	havingStart = event.Intern(query.HavingStart)
+	havingValue = event.Intern(query.HavingValue)
+)
+
 // EvalHaving applies the HAVING filter to a candidate window value. Without
 // a HAVING clause every window passes. Evaluation errors count as
 // non-passing and are reported through errSink.
@@ -178,14 +188,14 @@ func (s *AggSpec) EvalHaving(v *AggValue, errSink func(error)) bool {
 	// In name order, as an event.AttrList is kept.
 	attrs := make(event.AttrList, 0, 5)
 	attrs = append(attrs,
-		event.Attr{Name: query.HavingCount, Value: event.Int(v.Count)},
-		event.Attr{Name: query.HavingEnd, Value: event.Int(int64(v.WindowEnd))})
+		event.Attr{Name: havingCount, Value: event.Int(v.Count)},
+		event.Attr{Name: havingEnd, Value: event.Int(int64(v.WindowEnd))})
 	if v.HasGroup {
-		attrs = append(attrs, event.Attr{Name: query.HavingKey, Value: v.Group})
+		attrs = append(attrs, event.Attr{Name: havingKey, Value: v.Group})
 	}
 	attrs = append(attrs,
-		event.Attr{Name: query.HavingStart, Value: event.Int(int64(v.WindowStart))},
-		event.Attr{Name: query.HavingValue, Value: v.Value})
+		event.Attr{Name: havingStart, Value: event.Int(int64(v.WindowStart))},
+		event.Attr{Name: havingValue, Value: v.Value})
 	w := event.Event{Type: WindowType, TS: v.WindowEnd, Attrs: attrs}
 	ok, err := s.Having.EvalBool([]event.Event{w})
 	if err != nil {

@@ -2,13 +2,16 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // Describe renders a human-readable explanation of the compiled plan: the
 // sequence steps with their local predicates, the cross predicates with
-// the slots they bind, the negation gaps, and the projection. Used by
-// `esprun -explain` and handy when debugging predicate distribution.
+// the slots they bind, the negation gaps, the projection, and the
+// attributes the query is partitionable by, sorted, the one the kernel keys
+// its state by marked "(key)". Printed by `esprun -plan` and handy when
+// debugging predicate distribution.
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan for: %s\n", p.Source)
@@ -77,20 +80,20 @@ func (p *Plan) Describe() string {
 			fmt.Fprintf(&b, "  having: %s\n", a.Having)
 		}
 	}
-	if len(p.EqLinks) > 0 {
-		attrs := map[string]bool{}
-		for _, l := range p.EqLinks {
-			attrs[l.Attr] = true
+	var attrs []string
+	for _, l := range p.EqLinks {
+		if !slices.Contains(attrs, l.Attr) && p.PartitionableBy(l.Attr) {
+			attrs = append(attrs, l.Attr)
 		}
-		var parts []string
-		for a := range attrs {
-			if p.PartitionableBy(a) {
-				parts = append(parts, a)
+	}
+	if len(attrs) > 0 {
+		slices.Sort(attrs)
+		for i, a := range attrs {
+			if a == p.PartitionKey {
+				attrs[i] += " (key)"
 			}
 		}
-		if len(parts) > 0 {
-			fmt.Fprintf(&b, "partitionable by: %s\n", strings.Join(parts, ", "))
-		}
+		fmt.Fprintf(&b, "partitionable by: %s\n", strings.Join(attrs, ", "))
 	}
 	return b.String()
 }

@@ -257,7 +257,8 @@ func (p *Plan) addCrossPred(a *query.Analyzed, conj query.Expr) error {
 }
 
 // sameAttrEquality recognizes conjuncts of the form x.attr = y.attr (same
-// attribute on both sides).
+// attribute on both sides). attr is the name table's string, so the
+// PartitionKey chosen from the links is one too.
 func sameAttrEquality(conj query.Expr) (varA, varB, attr string, ok bool) {
 	b, isBin := conj.(*query.BinaryExpr)
 	if !isBin || b.Op != query.OpEq {
@@ -268,7 +269,7 @@ func sameAttrEquality(conj query.Expr) (varA, varB, attr string, ok bool) {
 	if !lok || !rok || l.Attr != r.Attr {
 		return "", "", "", false
 	}
-	return l.Var, r.Var, l.Attr, true
+	return l.Var, r.Var, event.Intern(l.Attr), true
 }
 
 func (p *Plan) addNegativePred(a *query.Analyzed, conj query.Expr, negVar string) error {

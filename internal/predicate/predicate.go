@@ -207,7 +207,7 @@ func (c *compiler) operand(e query.Expr, resolve SlotResolver) (operand, bool, e
 			return operand{}, false, fmt.Errorf("slot %d out of range for %q", slot, n.Var)
 		}
 		c.mask |= 1 << uint(slot)
-		return operand{mode: attribute, slot: slot, attr: n.Attr, ts: n.Attr == TSAttr, ref: n.String()}, true, nil
+		return operand{mode: attribute, slot: slot, attr: event.Intern(n.Attr), ts: n.Attr == TSAttr, ref: n.String()}, true, nil
 	case *query.BinaryExpr:
 		attr, isAttr := n.Left.(*query.AttrRef)
 		k, isLit := n.Right.(*query.Literal)

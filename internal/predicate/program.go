@@ -69,6 +69,8 @@ type operand struct {
 	// no attribute of that name.
 	ts   bool
 	slot int
+	// attr is the name table's string (event.Intern), so the lookup finds
+	// a decoded event's name by its address.
 	attr string
 	// offset is OpAdd or OpSub when val is added to or taken from the
 	// attribute, else OpInvalid and val is the literal of a literal operand.

@@ -28,7 +28,10 @@
 // second, reflection-based path. Attributes go straight into the sorted
 // list an Event carries, allocated once per line at its size: one string
 // comparison per name confirms the order the Writer wrote, members in any
-// other order are sorted afterwards, and no map is built on the way. It
+// other order are sorted afterwards, and no map is built on the way. The
+// event type and the attribute names are the strings of internal/event's
+// process-wide name table, the one a compiled query's names come from, so
+// a repeated name costs no allocation and a predicate finds it by address. It
 // returns exactly the event encoding/json would decode from the line, its
 // attributes sorted by name, or an error, and is stricter
 // than encoding/json in three documented ways, each an error: a known
@@ -81,40 +84,17 @@ func (w *Writer) WriteAll(events []event.Event) error {
 // Flush flushes buffered output; call before closing the underlying file.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Event-type and attribute names repeat on every line of a trace, so the
-// Reader hands out one string per distinct name. The table is bounded in
-// entries and in name length: a stream with unbounded name cardinality
-// fills it once and from then on pays one allocation per name, as a reader
-// without a table would.
-const (
-	maxInterned    = 64
-	maxInternedLen = 64
-)
-
 // Reader decodes events from a stream.
 type Reader struct {
 	scanner *bufio.Scanner
 	line    int
-	names   map[string]string
 }
 
 // NewReader wraps r. Lines up to 16 MiB are accepted.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{scanner: sc, names: make(map[string]string)}
-}
-
-// intern returns the string of a name, from the table when it is there.
-func (r *Reader) intern(b []byte) string {
-	if s, ok := r.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(r.names) < maxInterned && len(s) <= maxInternedLen {
-		r.names[s] = s
-	}
-	return s
+	return &Reader{scanner: sc}
 }
 
 // Read returns the next event, or io.EOF at end of stream. A decode error
@@ -126,7 +106,7 @@ func (r *Reader) Read() (event.Event, error) {
 		if blank(raw) {
 			continue
 		}
-		e, err := event.ParseJSON(raw, r.intern)
+		e, err := event.ParseJSON(raw)
 		if err != nil {
 			return event.Event{}, fmt.Errorf("line %d: %w", r.line, err)
 		}

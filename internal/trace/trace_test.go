@@ -486,30 +486,6 @@ func TestStringsSurviveNextRead(t *testing.T) {
 	}
 }
 
-func TestInternTableIsBounded(t *testing.T) {
-	var buf bytes.Buffer
-	for i := 0; i < 10*maxInterned; i++ {
-		fmt.Fprintf(&buf, `{"type":"T%d","attrs":{"a%d":{"int":1}}}`+"\n", i, i)
-	}
-	fmt.Fprintf(&buf, `{"type":"%s"}`+"\n", strings.Repeat("n", maxInternedLen+1))
-	r := NewReader(&buf)
-	events, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 10*maxInterned+1 || events[len(events)-2].Type != fmt.Sprintf("T%d", 10*maxInterned-1) {
-		t.Fatalf("names past the bound decoded wrongly: %d events", len(events))
-	}
-	if len(r.names) != maxInterned {
-		t.Fatalf("intern table holds %d names, bound is %d", len(r.names), maxInterned)
-	}
-	for name := range r.names {
-		if len(name) > maxInternedLen {
-			t.Fatalf("intern table holds a %d-byte name", len(name))
-		}
-	}
-}
-
 func TestReadErrors(t *testing.T) {
 	tests := []struct {
 		name, input string
@@ -766,12 +742,13 @@ func rfidTrace(tb testing.TB) []byte {
 // TestDecodeAllocations pins the decoder's cost where the benchmark's
 // trace.allocs_per_event reads it: a two-attribute line is the attribute
 // list, allocated once at its size, and the string value; the type and the
-// attribute names come from the intern table. A third allocation per line
+// attribute names come from the name table. A third allocation per line
 // means a map, or a list grown by append, is back in the decoder.
 func TestDecodeAllocations(t *testing.T) {
 	line := `{"type":"SHELF","ts":65,"seq":3,"attrs":{"aisle":{"str":"a4"},"id":{"int":2}}}` + "\n"
-	// A Reader's own allocations and the three interned names are paid once
-	// per run, so the difference between two run lengths is the lines alone.
+	// A Reader's own allocations are paid once per run and the three names
+	// once per process, so the difference between two run lengths is the
+	// lines alone.
 	allocs := func(lines int) float64 {
 		input := strings.Repeat(line, lines)
 		return testing.AllocsPerRun(50, func() {
