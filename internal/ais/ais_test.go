@@ -27,7 +27,7 @@ func TestStackInsertKeepsOrder(t *testing.T) {
 	if s.Len() != 6 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.At(0).Event.TS != 1 || s.Top().Event.TS != 9 {
+	if s.At(0).TS != 1 || s.At(s.Len()-1).TS != 9 {
 		t.Errorf("bounds wrong: %s", s)
 	}
 }
@@ -36,10 +36,12 @@ func TestStackTiesOrderedBySeq(t *testing.T) {
 	a := New(1)
 	e1, e2 := ev(5), ev(5)
 	a.Insert(0, e2) // later seq inserted first
-	a.Insert(0, e1)
+	if idx := a.Insert(0, e1); idx != 0 {
+		t.Errorf("earlier seq inserted at %d, want 0", idx)
+	}
 	s := a.Stack(0)
-	if s.At(0).Event.Seq != e1.Seq || s.At(1).Event.Seq != e2.Seq {
-		t.Errorf("ties not ordered by seq: %v, %v", s.At(0).Event, s.At(1).Event)
+	if s.At(0).Seq != e1.Seq || s.At(1).Seq != e2.Seq {
+		t.Errorf("ties not ordered by seq: %v, %v", *s.At(0), *s.At(1))
 	}
 }
 
@@ -69,103 +71,135 @@ func TestSearchHelpers(t *testing.T) {
 			t.Errorf("FirstAfter(%d) = %d, want %d", tt.ts, got, tt.firstAfter)
 		}
 	}
-	if got := s.LatestBefore(20); got == nil || got.Event.TS != 10 {
-		t.Errorf("LatestBefore(20) = %v", got)
+}
+
+// both drives the value stacks and the pointer reference with the same
+// inserts; rip returns the timestamp of the derived RIP (UpperBound−1) of the
+// reference instance x at position pos, after checking that it names the
+// instance x's stored RIP points at, and that LastFixups agrees.
+type both struct {
+	t   *testing.T
+	a   *Stacks
+	ref *refStacks
+}
+
+func newBoth(t *testing.T, n int) *both { return &both{t, New(n), newRef(n)} }
+
+func (b *both) insert(pos int, ts event.Time) *refInstance {
+	e := ev(ts)
+	b.a.Insert(pos, e)
+	return b.ref.insert(pos, e)
+}
+
+func (b *both) rip(pos int, x *refInstance) any {
+	b.t.Helper()
+	if err := sameAsRef(b.a, b.ref); err != nil {
+		b.t.Fatal(err)
 	}
-	if got := s.LatestBefore(10); got != nil {
-		t.Errorf("LatestBefore(10) = %v, want nil", got)
+	if d := derivedRIP(b.a, pos, x.ev.TS); d != nil {
+		return d.TS
 	}
-	if got := s.LatestBefore(100); got == nil || got.Event.TS != 30 {
-		t.Errorf("LatestBefore(100) = %v", got)
-	}
+	return nil
 }
 
 func TestRIPInOrder(t *testing.T) {
 	// Classic SASE: in-order arrivals; RIP = top of previous stack.
-	a := New(3)
-	a.Insert(0, ev(1))      // A@1
-	a.Insert(0, ev(2))      // A@2
-	b := a.Insert(1, ev(3)) // B@3 -> RIP A@2
-	if b.RIP == nil || b.RIP.Event.TS != 2 {
-		t.Fatalf("B RIP = %v", ripTS(b))
+	s := newBoth(t, 3)
+	s.insert(0, 1)      // A@1
+	s.insert(0, 2)      // A@2
+	b := s.insert(1, 3) // B@3 -> RIP A@2
+	if got := s.rip(1, b); got != event.Time(2) {
+		t.Fatalf("B RIP = %v", got)
 	}
-	a.Insert(0, ev(4)) // A@4
-	c := a.Insert(2, ev(5))
-	if c.RIP == nil || c.RIP.Event.TS != 3 {
-		t.Fatalf("C RIP = %v", ripTS(c))
+	s.insert(0, 4) // A@4
+	c := s.insert(2, 5)
+	if got := s.rip(2, c); got != event.Time(3) {
+		t.Fatalf("C RIP = %v", got)
 	}
-	if err := a.CheckRIPInvariant(); err != nil {
-		t.Fatal(err)
+	if s.a.LastFixups() != 0 {
+		t.Errorf("an in-order push repaired %d", s.a.LastFixups())
 	}
 }
 
 func TestRIPNoViablePredecessor(t *testing.T) {
-	a := New(2)
-	b := a.Insert(1, ev(5)) // B before any A
-	if b.RIP != nil {
-		t.Fatalf("RIP should be nil, got %v", ripTS(b))
+	s := newBoth(t, 2)
+	b := s.insert(1, 5) // B before any A
+	if got := s.rip(1, b); got != nil {
+		t.Fatalf("RIP should be nil, got %v", got)
 	}
 	// A at the same timestamp is not viable (strict <).
-	a.Insert(0, ev(5))
-	if b.RIP != nil {
-		t.Fatalf("same-ts A must not become RIP, got %v", ripTS(b))
+	s.insert(0, 5)
+	if got := s.rip(1, b); got != nil {
+		t.Fatalf("same-ts A must not become RIP, got %v", got)
 	}
 	// An earlier A is.
-	a.Insert(0, ev(3))
-	if b.RIP == nil || b.RIP.Event.TS != 3 {
-		t.Fatalf("late-arriving earlier A should become RIP, got %v", ripTS(b))
+	s.insert(0, 3)
+	if got := s.rip(1, b); got != event.Time(3) {
+		t.Fatalf("late-arriving earlier A should become RIP, got %v", got)
 	}
 }
 
 func TestRIPFixupOnOutOfOrderInsert(t *testing.T) {
-	a := New(2)
-	a.Insert(0, ev(1)) // A@1
-	b1 := a.Insert(1, ev(4))
-	b2 := a.Insert(1, ev(8))
-	if b1.RIP.Event.TS != 1 || b2.RIP.Event.TS != 1 {
+	s := newBoth(t, 2)
+	s.insert(0, 1) // A@1
+	b1 := s.insert(1, 4)
+	b2 := s.insert(1, 8)
+	if s.rip(1, b1) != event.Time(1) || s.rip(1, b2) != event.Time(1) {
 		t.Fatal("setup RIPs wrong")
 	}
 	// Late A@6: must become RIP of B@8 but not B@4.
-	a.Insert(0, ev(6))
-	if b1.RIP.Event.TS != 1 {
-		t.Errorf("B@4 RIP = %v, want 1", ripTS(b1))
+	s.insert(0, 6)
+	if got := s.rip(1, b1); got != event.Time(1) {
+		t.Errorf("B@4 RIP = %v, want 1", got)
 	}
-	if b2.RIP.Event.TS != 6 {
-		t.Errorf("B@8 RIP = %v, want 6", ripTS(b2))
+	if got := s.rip(1, b2); got != event.Time(6) {
+		t.Errorf("B@8 RIP = %v, want 6", got)
+	}
+	if s.a.LastFixups() != 1 {
+		t.Errorf("LastFixups = %d, want 1", s.a.LastFixups())
 	}
 	// Late A@2: RIP of B@4 updates; B@8 keeps A@6.
-	a.Insert(0, ev(2))
-	if b1.RIP.Event.TS != 2 {
-		t.Errorf("B@4 RIP = %v, want 2", ripTS(b1))
+	s.insert(0, 2)
+	if got := s.rip(1, b1); got != event.Time(2) {
+		t.Errorf("B@4 RIP = %v, want 2", got)
 	}
-	if b2.RIP.Event.TS != 6 {
-		t.Errorf("B@8 RIP = %v, want 6", ripTS(b2))
-	}
-	if err := a.CheckRIPInvariant(); err != nil {
-		t.Fatal(err)
+	if got := s.rip(1, b2); got != event.Time(6) {
+		t.Errorf("B@8 RIP = %v, want 6", got)
 	}
 }
 
 func TestFixupRunIsContiguousAndStops(t *testing.T) {
-	a := New(2)
-	a.Insert(0, ev(5)) // A@5
-	bs := []*Instance{
-		a.Insert(1, ev(2)),  // B@2, RIP nil
-		a.Insert(1, ev(4)),  // B@4, RIP nil
-		a.Insert(1, ev(6)),  // B@6, RIP A@5
-		a.Insert(1, ev(10)), // B@10, RIP A@5
+	s := newBoth(t, 2)
+	s.insert(0, 5) // A@5
+	bs := []*refInstance{
+		s.insert(1, 2),  // B@2, RIP nil
+		s.insert(1, 4),  // B@4, RIP nil
+		s.insert(1, 6),  // B@6, RIP A@5
+		s.insert(1, 10), // B@10, RIP A@5
 	}
 	// Late A@3: becomes RIP of B@4 only; B@6, B@10 keep A@5.
-	a.Insert(0, ev(3))
+	s.insert(0, 3)
 	wantTS := []any{nil, event.Time(3), event.Time(5), event.Time(5)}
 	for i, b := range bs {
-		got := ripTS(b)
-		if (got == nil) != (wantTS[i] == nil) || (got != nil && got != wantTS[i]) {
+		if got := s.rip(1, b); got != wantTS[i] {
 			t.Errorf("B[%d] RIP = %v, want %v", i, got, wantTS[i])
 		}
 	}
-	if err := a.CheckRIPInvariant(); err != nil {
-		t.Fatal(err)
+	if s.a.LastFixups() != 1 {
+		t.Errorf("LastFixups = %d, want the one instance repointed", s.a.LastFixups())
+	}
+	// Late A@1 lands first and becomes the RIP of B@2 alone; each new last A
+	// (A@7, A@8, a second A@8 after the first) becomes the RIP of B@10; A@6
+	// lands in front of A@7 and becomes nobody's.
+	for _, c := range []struct {
+		ts    event.Time
+		fixes int
+	}{{1, 1}, {7, 1}, {8, 1}, {8, 1}, {6, 0}} {
+		s.insert(0, c.ts)
+		if s.a.LastFixups() != c.fixes {
+			t.Errorf("A@%d: LastFixups = %d, want %d", c.ts, s.a.LastFixups(), c.fixes)
+		}
+		s.rip(1, bs[0])
 	}
 }
 
@@ -186,10 +220,10 @@ func TestPurgeBefore(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("purged = %d, want 3", n)
 	}
-	if a.Stack(0).Len() != 2 || a.Stack(0).At(0).Event.TS != 5 {
+	if a.Stack(0).Len() != 2 || a.Stack(0).At(0).TS != 5 {
 		t.Errorf("stack0 after purge: %s", a.Stack(0))
 	}
-	if a.Stack(1).Len() != 1 || a.Stack(1).At(0).Event.TS != 6 {
+	if a.Stack(1).Len() != 1 || a.Stack(1).At(0).TS != 6 {
 		t.Errorf("stack1 after purge: %s", a.Stack(1))
 	}
 	if a.Size() != 3 {
@@ -198,41 +232,6 @@ func TestPurgeBefore(t *testing.T) {
 	// Purging nothing is a no-op.
 	if got := a.Stack(0).PurgeBefore(0); got != 0 {
 		t.Errorf("empty purge removed %d", got)
-	}
-}
-
-func TestRIPInvariantProperty(t *testing.T) {
-	// Random interleavings of inserts across 3 stacks must keep stacks
-	// sorted and every live RIP exact (no purging here, so no stale RIPs).
-	f := func(seed int64, nOps uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New(3)
-		for i := 0; i < int(nOps%64)+1; i++ {
-			pos := rng.Intn(3)
-			ts := event.Time(rng.Intn(50))
-			a.Insert(pos, ev(ts))
-		}
-		for i := 0; i < 3; i++ {
-			if !a.Stack(i).IsSorted() {
-				return false
-			}
-		}
-		// Strengthen CheckRIPInvariant: with no purging, nil-want means
-		// RIP must be nil.
-		for pos := 1; pos < 3; pos++ {
-			prev := a.Stack(pos - 1)
-			for i := 0; i < a.Stack(pos).Len(); i++ {
-				x := a.Stack(pos).At(i)
-				want := prev.LatestBefore(x.Event.TS)
-				if want == nil && x.RIP != nil {
-					return false
-				}
-			}
-		}
-		return a.CheckRIPInvariant() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -254,7 +253,7 @@ func TestPurgePropertyKeepsSuffix(t *testing.T) {
 		if s.Len() != total-purged || !s.IsSorted() {
 			return false
 		}
-		return s.Len() == 0 || s.At(0).Event.TS >= h
+		return s.Len() == 0 || s.At(0).TS >= h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

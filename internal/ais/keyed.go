@@ -18,13 +18,17 @@ import (
 // total size, and one expiry order per position (Due) through which a purge
 // pass reaches the groups holding something below the horizon — and only
 // those — dropping the ones it leaves empty (bounding the map at the number
-// of keys live inside the purge horizon).
+// of keys live inside the purge horizon). A dropped group keeps its arrays
+// and waits on a free list for the next new key, so a stream of short-lived
+// keys allocates no group once warm; groups in the map and on the list
+// together never outnumber the map's peak.
 //
 // Callers canonicalize keys (event.Value.MapKey / plan.KeyOf) before
 // routing, so Equal-comparing values share a group.
 type KeyedStacks struct {
 	n      int
 	groups map[event.Value]*group
+	free   []*group
 	// due[pos] holds one entry per live instance at position pos, in every
 	// group: {instance timestamp, its group}. Insert adds the entry and the
 	// pass that purges the instance pops it, with the same horizon and the
@@ -61,13 +65,19 @@ func (k *KeyedStacks) Group(key event.Value) *Stacks {
 	return nil
 }
 
-// Insert routes e to its key group (creating it on first use) and inserts
-// at position pos with the usual timestamp ordering and RIP fix-up,
-// returning the new instance and its group for construction to walk.
-func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (*Instance, *Stacks) {
+// Insert routes e to its key group (taking one from the free list, or
+// creating it, on the key's first use) and inserts at position pos as
+// Stacks.Insert does, returning e's index in its stack and the group for
+// construction to walk.
+func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (int, *Stacks) {
 	g, ok := k.groups[key]
 	if !ok {
-		g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key}
+		if n := len(k.free); n > 0 {
+			g, k.free = k.free[n-1], k.free[:n-1]
+			g.key = key
+		} else {
+			g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key}
+		}
 		k.groups[key] = g
 	}
 	k.size++
@@ -80,23 +90,24 @@ func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (*Instance
 func (k *KeyedStacks) Size() int { return k.size }
 
 // PurgeBefore removes, at every position, the instances with a timestamp
-// below horizon(pos) from every group and drops groups left empty,
-// returning the total number of instances removed. The horizon is read once
-// per position and only the groups with an entry below it are touched: the
-// work is proportional to what expired, not to what is alive.
+// below horizon(pos) from every group and moves groups left empty to the
+// free list, returning the total number of instances removed. The horizon is
+// read once per position and only the groups with an entry below it are
+// touched: the work is proportional to what expired, not to what is alive.
 func (k *KeyedStacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
 	for pos := range k.due {
 		h := horizon(pos)
 		k.due[pos].PopBefore(h, func(g *group) {
 			s := &g.stacks[pos]
-			if len(s.items) == 0 || s.items[0].Event.TS >= h {
+			if len(s.items) == 0 || s.items[0].TS >= h {
 				// An earlier entry of this pass purged the group already.
 				return
 			}
 			total += s.PurgeBefore(h)
 			if g.Size() == 0 {
 				delete(k.groups, g.key)
+				k.free = append(k.free, g)
 			}
 		})
 	}
@@ -114,9 +125,14 @@ func (k *KeyedStacks) Range(f func(key event.Value, st *Stacks)) {
 // CheckDue verifies the expiry orders against the stacks they index: per
 // position the entries are sorted, every entry names a group that is in the
 // map, and a group's entries are exactly the timestamps of its live
-// instances. It holds between passes; used by tests and property checks,
-// not called on hot paths.
+// instances; a group on the free list is empty and out of the map. It holds
+// between passes; used by tests and property checks, not called on hot paths.
 func (k *KeyedStacks) CheckDue() error {
+	for _, g := range k.free {
+		if g.Size() != 0 || k.groups[g.key] == g {
+			return fmt.Errorf("free group of key %s: %d instances, in the map %t", g.key, g.Size(), k.groups[g.key] == g)
+		}
+	}
 	for pos := range k.due {
 		filed, err := k.due[pos].Filed()
 		if err != nil {
@@ -133,8 +149,8 @@ func (k *KeyedStacks) CheckDue() error {
 				err = fmt.Errorf("position %d key %s: %d live instances, %d due entries", pos, key, len(items), len(want))
 			}
 			for i := 0; err == nil && i < len(items); i++ {
-				if items[i].Event.TS != want[i] {
-					err = fmt.Errorf("position %d key %s: instance %d has ts=%d, its due entry ts=%d", pos, key, i, items[i].Event.TS, want[i])
+				if items[i].TS != want[i] {
+					err = fmt.Errorf("position %d key %s: instance %d has ts=%d, its due entry ts=%d", pos, key, i, items[i].TS, want[i])
 				}
 			}
 		})

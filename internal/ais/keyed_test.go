@@ -32,11 +32,39 @@ func TestKeyedStacksRoutingAndSize(t *testing.T) {
 	if k.Group(event.Int(99)) != nil {
 		t.Fatal("unknown key should have no group")
 	}
-	// RIP stays group-local: b's stack 0 instance must not become a's
-	// stack 1 predecessor.
-	inst := k.Group(a).Stack(1).At(0)
-	if inst.RIP == nil || inst.RIP.Event.Seq != 1 {
-		t.Fatalf("group a RIP = %+v, want seq 1", inst.RIP)
+	// RIP stays group-local: b's stack 0 instance (TS 15) must not become the
+	// predecessor of a's stack 1 instance (TS 20).
+	if rip := derivedRIP(k.Group(a), 1, 20); rip == nil || rip.Seq != 1 {
+		t.Fatalf("group a RIP = %+v, want seq 1", rip)
+	}
+}
+
+// TestKeyedSteadyStateAllocFree: near-singleton keys — each lives for three
+// events, as on RFID traffic — cost no allocation once warm. An emptied group
+// waits on the free list, its arrays at capacity, for the next new key, and
+// the map, the expiry orders and the stacks reuse what the purge vacated.
+func TestKeyedSteadyStateAllocFree(t *testing.T) {
+	const alive = 1000
+	k := NewKeyed(3)
+	var ts event.Time
+	round := func() {
+		for i := 0; i < 64; i++ {
+			ts++
+			k.Insert(event.Int(int64(ts/3)), int(ts%3), event.Event{Type: "A", TS: ts, Seq: event.Seq(ts)})
+		}
+		k.PurgeBefore(func(int) event.Time { return ts - alive + 1 })
+	}
+	for ts < 100*alive {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Errorf("64 inserts and a purge allocated %.2f times", allocs)
+	}
+	if k.Size() != alive || k.Groups() > alive/3+1 {
+		t.Errorf("%d instances in %d groups, want %d in about %d", k.Size(), k.Groups(), alive, alive/3)
+	}
+	if err := k.CheckDue(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -114,8 +142,8 @@ func sameGroups(ref *scanKeyed, k *KeyedStacks) error {
 				return fmt.Errorf("group %s position %d: %s, reference %s", key, pos, g, w)
 			}
 			for i := 0; i < w.Len(); i++ {
-				if w.At(i).Event.Seq != g.At(i).Event.Seq {
-					return fmt.Errorf("group %s position %d index %d: seq %d, reference %d", key, pos, i, g.At(i).Event.Seq, w.At(i).Event.Seq)
+				if w.At(i).Seq != g.At(i).Seq {
+					return fmt.Errorf("group %s position %d index %d: seq %d, reference %d", key, pos, i, g.At(i).Seq, w.At(i).Seq)
 				}
 			}
 		}

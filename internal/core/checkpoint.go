@@ -39,11 +39,9 @@ var checkpointMagic = [6]byte{'O', 'O', 'C', 'K', 'P', 'T'}
 const envelopeVersion = 2
 
 // checkpointFile is the serialized engine state. Stack instances are
-// stored as plain events; RIP pointers are rebuilt on restore by
-// re-insertion (the RIP invariant is a pure function of stack contents).
-// Key groups flatten away — they merge into one sorted list per position /
-// negation, and restore re-derives each event's key — so the format is the
-// same whatever the engine keys by.
+// stored as the plain events the stacks hold. Key groups flatten away — they
+// merge into one sorted list per position / negation, and restore re-derives
+// each event's key — so the format is the same whatever the engine keys by.
 type checkpointFile struct {
 	Version    int                 `json:"version"`
 	PlanSource string              `json:"planSource"`
@@ -84,7 +82,7 @@ func (en *Engine) flatStacks() [][]event.Event {
 	en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
 		for pos := range out {
 			for s, i := st.Stack(pos), 0; i < s.Len(); i++ {
-				out[pos] = append(out[pos], s.At(i).Event)
+				out[pos] = append(out[pos], *s.At(i))
 			}
 		}
 	})
@@ -100,7 +98,9 @@ func (en *Engine) flatNegStores() [][]event.Event {
 	out := make([][]event.Event, len(en.plan.Negatives))
 	for i, m := range en.knegs {
 		for _, ns := range m {
-			out[i] = append(out[i], ns.items...)
+			for j := 0; j < ns.Len(); j++ {
+				out[i] = append(out[i], *ns.At(j))
+			}
 		}
 		sortEvents(out[i])
 	}

@@ -5,10 +5,10 @@
 //
 // The engine keeps the Active Instance Stacks sorted by timestamp
 // (internal/ais): an out-of-order event is inserted at its timestamp-correct
-// position and the predecessor pointers of affected successors are repaired.
-// Construction is *trigger-based*: every match is enumerated exactly once,
-// when its last-ARRIVING member is inserted. Three trigger rules make that
-// exact:
+// position, and construction finds each predecessor by binary search, so no
+// pointer needs repair. Construction is *trigger-based*: every match is
+// enumerated exactly once, when its last-ARRIVING member is inserted. Three
+// trigger rules make that exact:
 //
 //   - an event landing at the final pattern position always triggers
 //     (classic behaviour: it can complete matches as their last element);
@@ -22,8 +22,8 @@
 //     complete through it. (The scan optimization of the paper; disable
 //     with Options.DisableTriggerOpt for the ablation experiment.)
 //
-// All state lives in key groups (ais.KeyedStacks, one negative store per
-// negation and group): insertion, RIP fix-up, construction, and negation
+// All state lives in key groups (ais.KeyedStacks, one negative store — an
+// ais.Stack — per negation and group): insertion, construction, and negation
 // probes touch only the trigger's group. When the plan proves the query
 // partitionable by an equivalence attribute (plan.PartitionKey, e.g. the
 // item id of the RFID query's `s.id = e.id AND s.id = c.id` chain), an
@@ -160,13 +160,13 @@ type Engine struct {
 	// from cross (positives) and marked in negSkip (negations; nil without).
 	keyAttr string
 	kstacks *ais.KeyedStacks
-	knegs   []map[event.Value]*negStore
+	knegs   []map[event.Value]*ais.Stack
 	negSkip [][]bool
 	// negDue[i] is the expiry order over knegs[i]: one entry per buffered
 	// negative, {its timestamp, its store}, added by insertNeg and popped by
 	// the pass that purges the negative, so the two correspond one to one
 	// between passes (CheckDue).
-	negDue []ais.Due[*negStore]
+	negDue []ais.Due[*ais.Stack]
 
 	// cross is the construction-time cross-predicate view: the full set
 	// minus the key equalities the grouping pre-satisfies.
@@ -198,8 +198,9 @@ type Engine struct {
 	// (clock − effective K), monotone non-decreasing even when K shrinks.
 	// Every admitted event's timestamp is ≥ the frontier at admission
 	// ≥ clock − (max K ever published), which is what makes the adaptive
-	// run output-equivalent to a static run at K = max K observed. Unused
-	// (minTime) when opts.Adaptive is nil.
+	// run output-equivalent to a static run at K = max K observed. It starts
+	// at the bottom of the time range, so the first event's bound holds
+	// however low its timestamp; unused when opts.Adaptive is nil.
 	frontier event.Time
 	// shedded counts events discarded by overload degradation.
 	shedded uint64
@@ -283,10 +284,10 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		plan:         p,
 		opts:         opts,
 		kstacks:      ais.NewKeyed(p.Len()),
-		knegs:        make([]map[event.Value]*negStore, len(p.Negatives)),
-		negDue:       make([]ais.Due[*negStore], len(p.Negatives)),
+		knegs:        make([]map[event.Value]*ais.Stack, len(p.Negatives)),
+		negDue:       make([]ais.Due[*ais.Stack], len(p.Negatives)),
 		vuln:         make(map[event.Value]vulnList),
-		frontier:     minTime,
+		frontier:     math.MinInt64,
 		trace:        opts.Env.Trace,
 		lat:          opts.Env.Latency,
 		prov:         opts.Env.Provenance,
@@ -297,7 +298,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	}
 	en.met, en.traceName = opts.Env.Publish(opts.Emit.String())
 	for i := range en.knegs {
-		en.knegs[i] = make(map[event.Value]*negStore)
+		en.knegs[i] = make(map[event.Value]*ais.Stack)
 	}
 	skip := make(map[int]bool)
 	if attr := p.PartitionKey; attr != "" && !opts.DisableKeying {
@@ -378,7 +379,7 @@ func (en *Engine) recomputeStateSize() int {
 	})
 	for _, m := range en.knegs {
 		for _, ns := range m {
-			total += ns.len()
+			total += ns.Len()
 		}
 	}
 	return total
@@ -387,8 +388,8 @@ func (en *Engine) recomputeStateSize() int {
 // negKey returns the key group of a non-empty negative store: the key every
 // negative in it carries. A store reached through the expiry order
 // leaves the map under it when a purge empties it.
-func (en *Engine) negKey(ns *negStore) event.Value {
-	key, _ := en.keyOf(ns.items[0])
+func (en *Engine) negKey(ns *ais.Stack) event.Value {
+	key, _ := en.keyOf(*ns.At(0))
 	return key
 }
 
@@ -410,18 +411,18 @@ func (en *Engine) CheckDue() error {
 			return fmt.Errorf("negation %d: %w", negIdx, err)
 		}
 		for ns, tss := range filed {
-			if ns.len() == 0 || m[en.negKey(ns)] != ns {
+			if ns.Len() == 0 || m[en.negKey(ns)] != ns {
 				return fmt.Errorf("negation %d: %d due entries name a store that left the map", negIdx, len(tss))
 			}
 		}
 		for key, ns := range m {
 			want := filed[ns]
-			if len(ns.items) != len(want) {
-				return fmt.Errorf("negation %d key %s: %d buffered negatives, %d due entries", negIdx, key, len(ns.items), len(want))
+			if ns.Len() != len(want) {
+				return fmt.Errorf("negation %d key %s: %d buffered negatives, %d due entries", negIdx, key, ns.Len(), len(want))
 			}
-			for i, e := range ns.items {
-				if e.TS != want[i] {
-					return fmt.Errorf("negation %d key %s: negative %d has ts=%d, its due entry ts=%d", negIdx, key, i, e.TS, want[i])
+			for i := range want {
+				if ts := ns.At(i).TS; ts != want[i] {
+					return fmt.Errorf("negation %d key %s: negative %d has ts=%d, its due entry ts=%d", negIdx, key, i, ts, want[i])
 				}
 			}
 		}
@@ -445,8 +446,8 @@ func (en *Engine) CheckDue() error {
 }
 
 // safe returns the safe clock: every event with a timestamp below it has
-// arrived (under the disorder bound). maxTS − K for static K; the monotone
-// frontier when K is adaptive.
+// arrived (under the disorder bound). maxTS − K for static K, saturated at
+// the bottom of the time range; the monotone frontier when K is adaptive.
 func (en *Engine) safe() event.Time {
 	if !en.started {
 		return minTime
@@ -454,7 +455,7 @@ func (en *Engine) safe() event.Time {
 	if en.opts.Adaptive != nil {
 		return en.frontier
 	}
-	return en.clock - en.opts.K
+	return event.SubSat(en.clock, en.opts.K)
 }
 
 // advanceFrontier folds the controller's current effective K into the
@@ -465,7 +466,7 @@ func (en *Engine) advanceFrontier() {
 	if en.opts.Adaptive == nil || !en.started {
 		return
 	}
-	if cand := en.clock - en.opts.Adaptive.EffectiveK(); cand > en.frontier {
+	if cand := event.SubSat(en.clock, en.opts.Adaptive.EffectiveK()); cand > en.frontier {
 		en.frontier = cand
 	}
 }
@@ -528,7 +529,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	// is then provably within the current effective K of the clock.
 	en.advanceFrontier()
 	if en.started && e.TS < en.safe() {
-		if ad := en.opts.Adaptive; ad != nil && ad.Degraded() && e.TS >= en.clock-ad.NominalK() {
+		if ad := en.opts.Adaptive; ad != nil && ad.Degraded() && e.TS >= event.SubSat(en.clock, ad.NominalK()) {
 			// The event violates only the degradation-clamped bound, not the
 			// nominal one: it was deliberately shed, not late.
 			en.shedded++
@@ -578,7 +579,8 @@ func (en *Engine) publishGauges() {
 }
 
 // noteInsert records the instrumentation for one stack insertion: the push
-// itself and any RIP repairs the insertion forced on the next stack.
+// itself and, as repairs, the next-stack run whose RIP the insertion became
+// (ais.Stacks.LastFixups).
 func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
 	fixups := st.LastFixups()
 	if fixups > 0 {
@@ -614,7 +616,7 @@ func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Mat
 		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.met.IncPredError) {
 			continue
 		}
-		inst, st := en.kstacks.Insert(key, pos, e)
+		_, st := en.kstacks.Insert(key, pos, e)
 		en.liveStack++
 		en.noteInsert(st, e, pos)
 		if pos == last || isOOO || en.opts.DisableTriggerOpt {
@@ -622,7 +624,7 @@ func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Mat
 				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpTrigger, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
 			}
 			before := en.enumerated
-			out = en.construct(st, key, inst, pos, out)
+			out = en.construct(st, key, e, pos, out)
 			en.met.Probes.Inc()
 			if en.enumerated == before {
 				en.met.EmptyProbes.Inc()
@@ -638,10 +640,10 @@ func (en *Engine) insertNeg(negIdx int, key event.Value, e event.Event) {
 	m := en.knegs[negIdx]
 	ns := m[key]
 	if ns == nil {
-		ns = &negStore{}
+		ns = &ais.Stack{}
 		m[key] = ns
 	}
-	ns.insert(e)
+	ns.Insert(e)
 	en.negDue[negIdx].Insert(e.TS, ns)
 	en.liveNeg++
 }
@@ -692,8 +694,8 @@ func (en *Engine) Flush() []plan.Match {
 // plan.CrossView.SatisfiedAt), except the trigger-pair ones, which
 // pairHolds settles once per candidate. The binding buffer is engine
 // scratch, copied only when a complete match emits.
-func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger *ais.Instance, pos int, out []plan.Match) []plan.Match {
-	en.binding[pos] = trigger.Event
+func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event, pos int, out []plan.Match) []plan.Match {
+	en.binding[pos] = trigger
 	mask := uint64(1) << uint(pos)
 	if !en.cross.SatisfiedAt(pos, pos, mask, en.binding, en.met.IncPredError) {
 		return out
@@ -701,9 +703,9 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger *ais.Instan
 	en.walkStacks = st
 	en.walkKey = key
 	en.walkPos = pos
-	en.walkTrigTS = trigger.Event.TS
+	en.walkTrigTS = trigger.TS
 	if en.prov {
-		en.walkTrigSeq = trigger.Event.Seq
+		en.walkTrigSeq = trigger.Seq
 		en.walkVisited = 0
 	}
 	en.walkHoist = en.cross.Hoisted(pos)
@@ -724,10 +726,10 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger *ais.Instan
 // pairHolds reports whether the trigger-pair predicates of slot p hold for
 // the candidate at index i of its stack, evaluating them on the candidate's
 // first visit under this trigger. Only then does it touch the binding.
-func (en *Engine) pairHolds(p, i int, cand *ais.Instance) bool {
+func (en *Engine) pairHolds(p, i int, cand *event.Event) bool {
 	v := &en.verdict[p][i]
 	if *v == 0 {
-		en.binding[p] = cand.Event
+		en.binding[p] = *cand
 		*v = verdictFails
 		if en.cross.Holds(en.walkHoist[p], en.binding, en.met.IncPredError) {
 			*v = verdictHolds
@@ -737,17 +739,18 @@ func (en *Engine) pairHolds(p, i int, cand *ais.Instance) bool {
 }
 
 // walkDown binds positions pos-1 .. 0 with instances earlier than the
-// already-bound successor, then hands over to walkUp.
+// already-bound successor, then hands over to walkUp. The first candidate is
+// the successor's RIP, UpperBound−1.
 func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 	if p < 0 {
 		return en.walkUp(en.walkPos+1, mask, out)
 	}
 	s := en.walkStacks.Stack(p)
-	lowTS := en.walkTrigTS - en.plan.Window
+	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
 	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
 	for i := s.UpperBound(en.binding[p+1].TS) - 1; i >= 0; i-- {
 		cand := s.At(i)
-		if cand.Event.TS < lowTS {
+		if cand.TS < lowTS {
 			break
 		}
 		if en.prov {
@@ -756,7 +759,7 @@ func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 		if hoisted && !en.pairHolds(p, i, cand) {
 			continue
 		}
-		en.binding[p] = cand.Event
+		en.binding[p] = *cand
 		m := mask | 1<<uint(p)
 		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
 			out = en.walkDown(p-1, m, out)
@@ -772,11 +775,11 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 		return en.emit(en.binding, out)
 	}
 	s := en.walkStacks.Stack(p)
-	highTS := en.binding[0].TS + en.plan.Window
+	highTS := event.AddSat(en.binding[0].TS, en.plan.Window)
 	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
 	for i := s.FirstAfter(en.binding[p-1].TS); i < s.Len(); i++ {
 		cand := s.At(i)
-		if cand.Event.TS > highTS {
+		if cand.TS > highTS {
 			break
 		}
 		if en.prov {
@@ -785,7 +788,7 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 		if hoisted && !en.pairHolds(p, i, cand) {
 			continue
 		}
-		en.binding[p] = cand.Event
+		en.binding[p] = *cand
 		m := mask | 1<<uint(p)
 		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
 			out = en.walkUp(p+1, m, out)
@@ -818,7 +821,9 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov.Traversed = en.walkVisited
 		en.met.LineageRecords.Inc()
 	}
-	if sealTS <= en.safe() {
+	// Without negation the binding is sealed whatever the clock: minTime is
+	// only its label, and a safe clock near the bottom of the range is below it.
+	if len(en.plan.Negatives) == 0 || sealTS <= en.safe() {
 		return en.finalize(pm, out)
 	}
 	if en.opts.Emit == EmitThenRetract {
@@ -956,7 +961,7 @@ func (en *Engine) lineageFor(pm pendingMatch) *provenance.Record {
 		Kind:     provenance.KindInsert,
 		Events:   provenance.Refs(pm.events),
 		WindowLo: pm.events[0].TS,
-		WindowHi: pm.events[0].TS + en.plan.Window,
+		WindowHi: event.AddSat(pm.events[0].TS, en.plan.Window),
 		SealTS:   pm.sealTS,
 	}
 	if en.Keyed() {
@@ -990,8 +995,8 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 			continue
 		}
 		lo, hi := en.plan.GapBounds(negIdx, pm.events)
-		for i := ns.firstAfter(lo); i < ns.len() && ns.items[i].TS < hi; i++ {
-			if en.plan.NegMatchesScratch(negIdx, ns.items[i], pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
+		for i := ns.FirstAfter(lo); i < ns.Len() && ns.At(i).TS < hi; i++ {
+			if en.plan.NegMatchesScratch(negIdx, *ns.At(i), pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
 				return out
 			}
 		}
@@ -1060,23 +1065,23 @@ func (en *Engine) maybePurge() {
 		if pos == last {
 			return safe
 		}
-		return safe - en.plan.Window
+		return event.SubSat(safe, en.plan.Window)
 	}
 	purged := en.kstacks.PurgeBefore(horizon)
 	en.liveStack -= purged
 	// 2·Window cannot overflow: the query analysis caps Window at 1<<60.
-	negHorizon := safe - 2*en.plan.Window
+	negHorizon := event.SubSat(safe, 2*en.plan.Window)
 	negPurged := 0
 	for i := range en.negDue {
 		m := en.knegs[i]
-		en.negDue[i].PopBefore(negHorizon, func(ns *negStore) {
-			if ns.len() == 0 || ns.items[0].TS >= negHorizon {
+		en.negDue[i].PopBefore(negHorizon, func(ns *ais.Stack) {
+			if ns.Len() == 0 || ns.At(0).TS >= negHorizon {
 				// An earlier entry of this pass purged the store already.
 				return
 			}
 			key := en.negKey(ns)
-			negPurged += ns.purgeBefore(negHorizon)
-			if ns.len() == 0 {
+			negPurged += ns.PurgeBefore(negHorizon)
+			if ns.Len() == 0 {
 				delete(m, key)
 			}
 		})
@@ -1116,7 +1121,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 			Truncated: en.restored,
 		},
 	}
-	s.PurgeFrontier = s.Safe - en.plan.Window
+	s.PurgeFrontier = event.SubSat(s.Safe, en.plan.Window)
 	if ad := en.opts.Adaptive; ad != nil {
 		cs := ad.Snapshot()
 		s.Adaptive = &provenance.AdaptiveStats{
@@ -1138,7 +1143,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	})
 	for negIdx, m := range en.knegs {
 		for _, ns := range m {
-			s.NegStoreSizes[negIdx] += ns.len()
+			s.NegStoreSizes[negIdx] += ns.Len()
 		}
 	}
 	if en.Keyed() {

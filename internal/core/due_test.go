@@ -37,8 +37,8 @@ func fullScan(en *Engine, safe event.Time) keyedSurvivors {
 	for _, m := range en.knegs {
 		left := make(map[event.Value][]event.Seq)
 		for key, ns := range m {
-			for _, e := range ns.items {
-				if e.TS < negHorizon {
+			for i := 0; i < ns.Len(); i++ {
+				if e := ns.At(i); e.TS < negHorizon {
 					want.negPurged++
 				} else {
 					left[key] = append(left[key], e.Seq)
@@ -72,8 +72,8 @@ func (want keyedSurvivors) check(en *Engine) error {
 		}
 		for key, ns := range m {
 			var got []event.Seq
-			for _, e := range ns.items {
-				got = append(got, e.Seq)
+			for i := 0; i < ns.Len(); i++ {
+				got = append(got, ns.At(i).Seq)
 			}
 			if !slices.Equal(got, want.negs[i][key]) {
 				return fmt.Errorf("negation %d key %s: negatives %v, full scan leaves %v", i, key, got, want.negs[i][key])

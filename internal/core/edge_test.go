@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
 	"oostream/internal/oracle"
@@ -175,6 +178,56 @@ func TestVulnerableSealedAtMaxClock(t *testing.T) {
 		}
 		if err := en.CheckDue(); err != nil {
 			t.Errorf("Advance(%d): %v", clock, err)
+		}
+	}
+}
+
+// TestTimeLimits pins both ends of the time range against the oracle: the
+// walks' window bounds, the safe clock, the purge horizons and the gaps of a
+// leading or trailing negation saturate instead of wrapping. The stream spans
+// 180 ms ending at the top of the range or starting at its bottom, and
+// arrives in order, in reverse and in seeded shuffles, purging after every
+// event, under both emission policies.
+func TestTimeLimits(t *testing.T) {
+	const k = 200
+	rel := []struct {
+		typ string
+		at  event.Time
+	}{{"A", 0}, {"A", 30}, {"B", 50}, {"N", 60}, {"B", 90}, {"A", 120}, {"N", 125}, {"B", 180}}
+	for _, base := range []event.Time{math.MaxInt64 - 180, math.MinInt64} {
+		sorted := make([]event.Event, len(rel))
+		for i, r := range rel {
+			sorted[i] = event.Event{Type: r.typ, TS: base + r.at, Seq: event.Seq(i + 1)}
+		}
+		orders := [][]event.Event{sorted, slices.Clone(sorted)}
+		slices.Reverse(orders[1])
+		for seed := int64(0); seed < 20; seed++ {
+			shuffled := slices.Clone(sorted)
+			rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			orders = append(orders, shuffled)
+		}
+		for _, q := range []string{
+			"PATTERN SEQ(A a, B b) WITHIN 100",
+			"PATTERN SEQ(A a, B b, !(N n)) WITHIN 100",
+			"PATTERN SEQ(!(N n), A a, B b) WITHIN 100",
+		} {
+			p := compile(t, q)
+			want := oracle.Matches(p, sorted)
+			if len(want) == 0 {
+				t.Fatalf("%s at %d: the oracle finds nothing to compare", q, base)
+			}
+			for _, emit := range []EmitPolicy{SealThenEmit, EmitThenRetract} {
+				for i, in := range orders {
+					en := MustNew(p, Options{K: k, Emit: emit, PurgeEvery: 1})
+					got := engine.Drain(en, in)
+					if ok, diff := plan.SameResults(want, got); !ok {
+						t.Fatalf("%s at %d, %s, order %d: %d matches, oracle %d:\n%s", q, base, emit, i, len(got), len(want), diff)
+					}
+					if late := en.Metrics().EventsLate; late != 0 {
+						t.Fatalf("%s at %d, %s, order %d: %d late events inside K", q, base, emit, i, late)
+					}
+				}
+			}
 		}
 	}
 }

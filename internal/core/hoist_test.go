@@ -104,7 +104,8 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	// visits each.
 	feed("C", 1000, 0)
 	st := en.kstacks.Group(event.Value{})
-	trigger := st.Stack(2).Top()
+	cs := st.Stack(2)
+	trigger := *cs.At(cs.Len() - 1)
 	before := evals
 	allocs := testing.AllocsPerRun(50, func() {
 		if out := en.construct(st, event.Value{}, trigger, 2, nil); len(out) != 0 {

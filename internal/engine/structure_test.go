@@ -55,12 +55,37 @@ func walkModule(t *testing.T, visit func(rel string, f *ast.File)) {
 }
 
 // TestOneKernel is the mechanical form of "one out-of-order SSC kernel":
-// only internal/core builds on the active instance stacks, there is one
-// negative store, and the layers around the kernel (the reorder buffer, the
-// policy switch) reach neither the deleted speculative engine's shim nor
-// the in-order baseline.
+// only internal/core builds on the active instance stacks; the one sorted
+// run of events is ais.Stack, so no non-test source outside internal/ais
+// binary-searches events by timestamp (the stacks' and the negative stores'
+// search) and no struct inside it wraps one event or points at its own type
+// (the pointer-per-instance AIS with a stored RIP, now the package's test
+// reference); and the layers around the kernel (the reorder buffer, the
+// policy switch) reach neither the deleted speculative engine's shim nor the
+// in-order baseline.
 func TestOneKernel(t *testing.T) {
-	negStores := 0
+	// searchesEvents recognizes sort.Search or slices.BinarySearch* over
+	// timestamps: a call whose arguments read a .TS field or call Before.
+	searchesEvents := func(call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		if !ok || !(pkg.Name == "sort" && sel.Sel.Name == "Search" || pkg.Name == "slices" && strings.HasPrefix(sel.Sel.Name, "BinarySearch")) {
+			return false
+		}
+		found := false
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(n ast.Node) bool {
+				if s, ok := n.(*ast.SelectorExpr); ok && (s.Sel.Name == "TS" || s.Sel.Name == "Before") {
+					found = true
+				}
+				return !found
+			})
+		}
+		return found
+	}
 	walkModule(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		isTest := strings.HasSuffix(rel, "_test.go")
@@ -81,21 +106,41 @@ func TestOneKernel(t *testing.T) {
 			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "negStore" {
-				negStores++
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if dir != "internal/ais" && searchesEvents(n) {
+					t.Errorf("%s binary-searches events by timestamp: a sorted run of events is an ais.Stack", rel)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || dir != "internal/ais" {
+					break
+				}
+				for _, field := range st.Fields.List {
+					typ := field.Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && id.Name == n.Name.Name {
+							t.Errorf("%s: type %s points at itself (%v): a stack holds its events by value, and a RIP is derived by binary search", rel, n.Name.Name, field.Names)
+						}
+						typ = star.X
+					}
+					if sel, ok := typ.(*ast.SelectorExpr); ok && sel.Sel.Name == "Event" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "event" {
+							t.Errorf("%s: type %s wraps one event (%v): a stack holds its events by value", rel, n.Name.Name, field.Names)
+						}
+					}
+				}
 			}
 			return true
 		})
 	})
-	if negStores != 1 {
-		t.Errorf("found %d negStore types, want exactly one (internal/core)", negStores)
-	}
 }
 
 // TestOneLayout is the mechanical form of "the key group is the kernel's only
 // unit of state": internal/core keeps no bare stack set and no per-negation
-// store list beside the keyed structures (an engine without a key attribute
-// files everything under the zero key), and nothing outside internal/ais
+// store list (a slice of ais.Stack) beside the keyed structures (an engine
+// without a key attribute files everything under the zero key), and nothing
+// outside internal/ais
 // builds an ungrouped ais.Stacks. Non-test sources only; the nested
 // benchmark/ module, whose shadow for unkeyed plans still replays ais.New, is
 // not walked (ROADMAP 1(b)).
@@ -134,10 +179,12 @@ func TestOneLayout(t *testing.T) {
 						t.Errorf("%s: field %v is a bare *ais.Stacks: a second, ungrouped state layout", rel, field.Names)
 					}
 					if arr, ok := field.Type.(*ast.ArrayType); ok && arr.Len == nil {
-						if ptr, ok := arr.Elt.(*ast.StarExpr); ok {
-							if id, ok := ptr.X.(*ast.Ident); ok && id.Name == "negStore" {
-								t.Errorf("%s: field %v is a []*negStore: negative stores are per key group", rel, field.Names)
-							}
+						elt := arr.Elt
+						if ptr, ok := elt.(*ast.StarExpr); ok {
+							elt = ptr.X
+						}
+						if isAIS(elt, "Stack") {
+							t.Errorf("%s: field %v is a slice of ais.Stack: negative stores are per key group", rel, field.Names)
 						}
 					}
 				}

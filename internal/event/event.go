@@ -11,6 +11,7 @@ package event
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,6 +20,24 @@ import (
 
 // Time is a logical application timestamp in milliseconds.
 type Time = int64
+
+// AddSat returns t + d for a span d ≥ 0 (a window, a slack), saturated at
+// the top of the time range instead of wrapping to its bottom.
+func AddSat(t, d Time) Time {
+	if t > math.MaxInt64-d {
+		return math.MaxInt64
+	}
+	return t + d
+}
+
+// SubSat returns t − d for a span d ≥ 0, saturated at the bottom of the time
+// range instead of wrapping to its top.
+func SubSat(t, d Time) Time {
+	if t < math.MinInt64+d {
+		return math.MinInt64
+	}
+	return t - d
+}
 
 // Seq is an arrival sequence number assigned at ingestion.
 type Seq = uint64

@@ -668,16 +668,16 @@ func (p *Plan) NegMatchesScratch(negIdx int, t event.Event, positives []event.Ev
 // GapBounds returns the timestamp interval (lo, hi), exclusive on both ends,
 // within which a negative event of negation negIdx invalidates the binding.
 // For leading negation lo is first.TS−Window; for trailing, hi is
-// first.TS+Window.
+// first.TS+Window; both saturate at the ends of the time range.
 func (p *Plan) GapBounds(negIdx int, positives []event.Event) (lo, hi event.Time) {
 	gap := p.Negatives[negIdx].GapAfter
 	switch {
 	case gap == 0:
-		lo = positives[0].TS - p.Window
+		lo = event.SubSat(positives[0].TS, p.Window)
 		hi = positives[0].TS
 	case gap == len(p.Positives):
 		lo = positives[len(positives)-1].TS
-		hi = positives[0].TS + p.Window
+		hi = event.AddSat(positives[0].TS, p.Window)
 	default:
 		lo = positives[gap-1].TS
 		hi = positives[gap].TS
