@@ -93,17 +93,12 @@ func TestAggregateAllStrategiesAgree(t *testing.T) {
 		sorted[1], sorted[0], sorted[3], sorted[2], sorted[5],
 		sorted[4], sorted[6], sorted[8], sorted[7],
 	}
-	want := MustNewEngine(q, Config{Strategy: StrategyInOrder}).ProcessAll(sorted)
+	want := MustNewEngine(q, Config{}).ProcessAll(sorted)
 	if len(want) == 0 {
 		t.Fatal("no windows in sanity workload")
 	}
 	for _, s := range Strategies() {
-		in := disordered
-		if s == StrategyInOrder {
-			// The in-order strategy presumes sorted arrival.
-			in = sorted
-		}
-		got := MustNewEngine(q, Config{Strategy: s, K: 3}).ProcessAll(in)
+		got := MustNewEngine(q, Config{Strategy: s, K: 3}).ProcessAll(disordered)
 		if ok, diff := SameResults(want, got); !ok {
 			t.Errorf("strategy %s diverges:\n%s", s, diff)
 		}

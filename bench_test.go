@@ -81,13 +81,14 @@ func BenchmarkE1Correctness(b *testing.B) {
 	}
 }
 
-// BenchmarkE2ThroughputVsDisorder sweeps the disorder ratio for the three
-// strategies of the CPU-cost figure.
+// BenchmarkE2ThroughputVsDisorder sweeps the disorder ratio for the two
+// strategies of the CPU-cost figure (cmd/espbench adds the in-order
+// reference kernel's row).
 func BenchmarkE2ThroughputVsDisorder(b *testing.B) {
 	q := benchSeqQuery(b)
 	for _, ratio := range []float64{0, 0.10, 0.40} {
 		events := benchStream(ratio, benchK)
-		for _, strat := range []oostream.Strategy{oostream.StrategyInOrder, oostream.StrategyKSlack, oostream.StrategyNative} {
+		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative} {
 			b.Run(fmt.Sprintf("ooo=%.0f%%/%s", ratio*100, strat), func(b *testing.B) {
 				run(b, q, oostream.Config{Strategy: strat, K: benchK}, events)
 			})
@@ -301,27 +302,6 @@ func BenchmarkE12NetworkSim(b *testing.B) {
 	}
 }
 
-// BenchmarkE14KeyedStacks compares the native engine with key-partitioned
-// stacks on (the default for this equality-linked query) and off across
-// key cardinalities.
-func BenchmarkE14KeyedStacks(b *testing.B) {
-	q, err := oostream.Compile(
-		"PATTERN SEQ(SHELF s, !(COUNTER c), EXIT e) WHERE s.id = e.id AND s.id = c.id WITHIN 400", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ids := range []int{1, 100, 1000} {
-		sorted := gen.Uniform(5_000, []string{"SHELF", "COUNTER", "EXIT"}, ids, 10, int64(27+ids))
-		events := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.10, MaxDelay: 200, Seed: 28})
-		b.Run(fmt.Sprintf("ids=%d/keyed", ids), func(b *testing.B) {
-			run(b, q, oostream.Config{K: 200}, events)
-		})
-		b.Run(fmt.Sprintf("ids=%d/unkeyed", ids), func(b *testing.B) {
-			run(b, q, oostream.Config{K: 200, DisableKeyedStacks: true}, events)
-		})
-	}
-}
-
 // BenchmarkE15RecoveryOverhead measures the fault-tolerance tax: the
 // supervised runtime (write-ahead log + admission control + periodic
 // durable checkpoints) over the native engine, swept by checkpoint
@@ -397,35 +377,29 @@ func BenchmarkE16ObsvOverhead(b *testing.B) {
 
 // BenchmarkE18Batch prices the batched admission path: the native engine
 // driven through ProcessBatch at sweep batch sizes (1 = the per-event
-// degenerate case, paying only the dispatch wrapper) with key-partitioned
-// stacks on and off. The wins are amortized purge/gauge work and deferred
-// state reclamation; output is identical to per-event processing by the
-// ProcessBatch contract (proved by internal/difftest.RunBatch).
+// degenerate case, paying only the dispatch wrapper). The wins are amortized
+// purge/gauge work and deferred state reclamation; output is identical to
+// per-event processing by the ProcessBatch contract (proved by
+// internal/difftest.RunBatch).
 func BenchmarkE18Batch(b *testing.B) {
 	q := benchSeqQuery(b)
 	events := benchStream(0.20, benchK)
 	for _, size := range []int{1, 16, 256, 4096} {
-		for _, mode := range []string{"keyed", "unkeyed"} {
-			b.Run(fmt.Sprintf("batch=%d/%s", size, mode), func(b *testing.B) {
-				cfg := oostream.Config{K: benchK, DisableKeyedStacks: mode == "unkeyed"}
-				b.ReportAllocs()
-				var matches int
-				for i := 0; i < b.N; i++ {
-					en := oostream.MustNewEngine(q, cfg)
-					n := 0
-					for start := 0; start < len(events); start += size {
-						end := start + size
-						if end > len(events) {
-							end = len(events)
-						}
-						n += len(en.ProcessBatch(events[start:end]))
-					}
-					matches = n + len(en.Flush())
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			var matches int
+			for i := 0; i < b.N; i++ {
+				en := oostream.MustNewEngine(q, oostream.Config{K: benchK})
+				n := 0
+				for start := 0; start < len(events); start += size {
+					end := min(start+size, len(events))
+					n += len(en.ProcessBatch(events[start:end]))
 				}
-				b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
-				b.ReportMetric(float64(matches), "matches")
-			})
-		}
+				matches = n + len(en.Flush())
+			}
+			b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(matches), "matches")
+		})
 	}
 }
 

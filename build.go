@@ -12,7 +12,6 @@ import (
 	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/hybrid"
-	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
@@ -189,13 +188,11 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 	if err != nil {
 		return nil, err
 	}
-	// Every strategy but the in-order baseline runs the one out-of-order
-	// kernel; they differ in its emission policy and in what stands in
-	// front of it.
+	// Every strategy runs the one out-of-order kernel; they differ in its
+	// emission policy and in what stands in front of it.
 	kernel := core.Options{
 		K:                 cfg.K,
 		DisableTriggerOpt: cfg.DisableTriggerOpt,
-		DisableKeying:     cfg.DisableKeyedStacks,
 		PurgeEvery:        cfg.PurgeEvery,
 		Env:               env,
 	}
@@ -206,8 +203,6 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 		}
 		kernel.Adaptive = ctrl
 		return core.New(p, kernel)
-	case StrategyInOrder:
-		return inorder.NewWithEnv(p, env), nil
 	case StrategyKSlack:
 		// The reorder buffer carries all the slack: the kernel behind it
 		// sees a sorted stream and runs at K=0, exactly as a QuerySet's
@@ -244,14 +239,10 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 
 // aggLateness is the disorder bound the aggregation operator must absorb
 // on top of the wrapped strategy: the strategy can surface a match whose
-// last timestamp trails the stream clock by up to K (0 for the in-order
-// baseline, which buffers nothing), plus one window length when a trailing
-// negation defers emission until the gap seals.
+// last timestamp trails the stream clock by up to K, plus one window length
+// when a trailing negation defers emission until the gap seals.
 func aggLateness(p *plan.Plan, cfg Config) Time {
 	l := cfg.K
-	if cfg.Strategy == StrategyInOrder {
-		l = 0
-	}
 	if p.HasTrailingNegation() {
 		l += p.Window
 	}

@@ -22,7 +22,7 @@
 //
 // The committed BENCH_native.json baseline is regenerated with:
 //
-//	go run ./cmd/espbench -exp E2,E10,E14,E18,E19,E20,E21,E22 -json > BENCH_native.json
+//	go run ./cmd/espbench -exp E2,E10,E18,E19,E20,E21,E22 -json > BENCH_native.json
 package main
 
 import (

@@ -1,8 +1,7 @@
 // Command espfuzz runs long differential soak sessions: it draws trial
 // seeds sequentially, runs each through the full differential harness
-// (every strategy, keyed and unkeyed, a checkpoint round-trip, and a
-// latency-sampler on/off differential — all against the brute-force
-// oracle), shrinks any divergence, and prints a JSON summary. Exit status
+// (every strategy, a checkpoint round-trip, and a latency-sampler on/off
+// differential — all against the brute-force oracle), shrinks any divergence, and prints a JSON summary. Exit status
 // is non-zero when any trial diverged.
 //
 //	go run ./cmd/espfuzz -budget 30s

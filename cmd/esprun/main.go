@@ -61,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		queryFile = fs.String("query-file", "", "file containing the query text")
 		queries   = fs.String("queries", "", "multi-query file: one query per line (optionally \"id: QUERY ...\"), run as a shared QuerySet")
 		traceFile = fs.String("trace", "", "trace file (default stdin)")
-		strategy  = fs.String("strategy", "native", "strategy: native, inorder, kslack, speculate, hybrid")
+		strategy  = fs.String("strategy", "native", "strategy: native, kslack, speculate, hybrid (-queries: native only)")
 		k         = fs.Int64("k", 1000, "disorder bound K (logical ms)")
 		adaptOn   = fs.Bool("adaptive", false, "derive K online as a lag quantile (-k then only seeds the controller)")
 		adaptJSON = fs.String("adaptive-config", "", `adaptive controller config as JSON, e.g. '{"enabled":true,"quantile":0.99,"margin":1.5}' (-adaptive sets enabled)`)
@@ -155,6 +155,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if adaptiveSet && *queries != "" {
 		return fmt.Errorf("adaptive disorder control is per-engine; not supported with -queries")
 	}
+	if cfg.Strategy != oostream.StrategyNative && *queries != "" {
+		return fmt.Errorf("-strategy %s with -queries: every query of a set runs the native kernel behind the set's one reorder buffer, so -strategy must be native", cfg.Strategy)
+	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
@@ -247,8 +250,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	sc := oostream.SupervisorConfig{Dir: *ckptDir, CheckpointEvery: *ckptEvery}
 	if registry != nil {
 		qcfg := oostream.QuerySetConfig{
-			Strategy: cfg.Strategy, K: cfg.K,
-			Provenance: cfg.Provenance, Observer: cfg.Observer, Trace: cfg.Trace,
+			K: cfg.K, Provenance: cfg.Provenance, Observer: cfg.Observer, Trace: cfg.Trace,
 			Latency: cfg.Latency,
 		}
 		if *ckptDir != "" {
@@ -256,7 +258,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		} else {
 			set, err = oostream.NewQuerySet(qcfg)
 		}
-		en, name = set, func() string { return fmt.Sprintf("queryset(%s)×%d", cfg.Strategy, len(registry)) }
+		en, name = set, func() string { return fmt.Sprintf("queryset(native)×%d", len(registry)) }
 	} else {
 		var single *oostream.Engine
 		if *ckptDir != "" {

@@ -92,6 +92,30 @@ func TestRunQueryFile(t *testing.T) {
 	}
 }
 
+// TestRunQueriesTakeOnlyTheKernel: every query of a -queries set runs the
+// native kernel behind the set's buffer, so another -strategy is an error
+// that says so, not a setting silently ignored.
+func TestRunQueriesTakeOnlyTheKernel(t *testing.T) {
+	qPath := filepath.Join(t.TempDir(), "set.esp")
+	if err := os.WriteFile(qPath, []byte("pair: PATTERN SEQ(A a, B b) WITHIN 50\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTrace(t, sampleEvents())
+	for _, strategy := range []string{"kslack", "speculate", "hybrid"} {
+		err := run([]string{"-queries", qPath, "-trace", path, "-k", "100", "-strategy", strategy}, strings.NewReader(""), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "native kernel") {
+			t.Errorf("-strategy %s with -queries: err = %v, want the refusal naming the native kernel", strategy, err)
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-queries", qPath, "-trace", path, "-k", "100"}, strings.NewReader(""), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "strategy=queryset(native)×1 matches=2") {
+		t.Errorf("output: %s", out.String())
+	}
+}
+
 func TestRunMaxPrint(t *testing.T) {
 	path := writeTrace(t, sampleEvents())
 	var out bytes.Buffer

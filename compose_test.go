@@ -93,11 +93,11 @@ func TestChainTwoStageDetection(t *testing.T) {
 	sorted := gen.RFID(gen.DefaultRFID(400, 81))
 	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.2, MaxDelay: k, Seed: 82})
 
-	// Ground truth: chain over the sorted stream with in-order engines.
+	// Ground truth: chain over the sorted stream with no slack.
 	wantOut, err := Chain(
-		MustNewEngine(stage1, Config{Strategy: StrategyInOrder}),
+		MustNewEngine(stage1, Config{}),
 		comp,
-		MustNewEngine(stage2, Config{Strategy: StrategyInOrder}),
+		MustNewEngine(stage2, Config{}),
 		sorted)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package oostream
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"oostream/internal/adaptive"
@@ -15,10 +16,6 @@ const (
 	// StrategyNative is the paper's native out-of-order engine (default):
 	// the out-of-order kernel holding negation output until it seals.
 	StrategyNative Strategy = "native"
-	// StrategyInOrder is the classic SASE engine (exact only on sorted
-	// input; the paper's problem-analysis baseline). It is the one strategy
-	// that does not run the out-of-order kernel.
-	StrategyInOrder Strategy = "inorder"
 	// StrategyKSlack reorders with a K-slack buffer in front of the kernel
 	// running at K=0 (the levee baseline: every result waits at the buffer).
 	StrategyKSlack Strategy = "kslack"
@@ -38,9 +35,11 @@ const (
 	StrategyHybrid Strategy = "hybrid"
 )
 
-// Strategies lists every available strategy, in evaluation-table order.
+// Strategies lists every available strategy, in evaluation-table order. Each
+// runs the one out-of-order kernel; the paper's in-order baseline is a
+// reference kernel the experiments drive directly (internal/inorder).
 func Strategies() []Strategy {
-	return []Strategy{StrategyInOrder, StrategyKSlack, StrategyNative, StrategySpeculate, StrategyHybrid}
+	return []Strategy{StrategyKSlack, StrategyNative, StrategySpeculate, StrategyHybrid}
 }
 
 // Adaptive disorder-control configuration, re-exported from the internal
@@ -119,20 +118,11 @@ type Config struct {
 	// K is the disorder bound (slack) in logical milliseconds: no event is
 	// assumed to arrive more than K time units after the maximum timestamp
 	// seen, and one that does is dropped (counted in Metrics). With Adaptive
-	// it is the bound the controller starts at. Ignored by StrategyInOrder.
+	// it is the bound the controller starts at.
 	K Time
 	// DisableTriggerOpt disables the kernel's scan optimization (ablation
-	// knob; results are unchanged, CPU cost rises). Like the next two knobs
-	// it applies to every strategy but StrategyInOrder, which does not run
-	// the kernel.
+	// knob; results are unchanged, CPU cost rises).
 	DisableTriggerOpt bool
-	// DisableKeyedStacks makes the kernel file every event under one key
-	// group, as it does for a query with no partition attribute, where it
-	// would otherwise group by the attribute the query is provably
-	// partitionable by (see Query.AutoPartitionKey). Ablation knob: a choice
-	// of key, not of code path; results are unchanged, construction cost
-	// rises with key cardinality.
-	DisableKeyedStacks bool
 	// PurgeEvery runs state purging every PurgeEvery events; 0 = default
 	// (64), negative = never (ablation knob; memory then grows unbounded).
 	PurgeEvery int
@@ -167,8 +157,7 @@ type Config struct {
 	// online as a lag quantile (Config.K then only seeds the controller);
 	// Limits adds overload degradation (deterministic oldest-first shedding
 	// when state or lag exceeds the bounds); SLO drives StrategyHybrid's
-	// switching. Applies to the native, kslack, speculate, and hybrid
-	// strategies; incompatible with StrategyInOrder.
+	// switching.
 	Adaptive Adaptive
 }
 
@@ -180,26 +169,17 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
+	if !slices.Contains(Strategies(), c.Strategy) {
+		return fmt.Errorf("unknown strategy %q", c.Strategy)
+	}
 	if c.K < 0 {
 		return fmt.Errorf("K must be >= 0, got %d", c.K)
-	}
-	if c.DisableTriggerOpt && c.Strategy == StrategyInOrder {
-		return fmt.Errorf("DisableTriggerOpt does not apply to %q", StrategyInOrder)
-	}
-	if c.DisableKeyedStacks && c.Strategy == StrategyInOrder {
-		return fmt.Errorf("DisableKeyedStacks does not apply to %q", StrategyInOrder)
-	}
-	if c.PurgeEvery != 0 && c.Strategy == StrategyInOrder {
-		return fmt.Errorf("PurgeEvery does not apply to %q", StrategyInOrder)
 	}
 	if err := c.Latency.validate(); err != nil {
 		return err
 	}
 	if _, err := c.Adaptive.Normalized(); err != nil {
 		return fmt.Errorf("Adaptive: %w", err)
-	}
-	if c.adaptiveActive() && c.Strategy == StrategyInOrder {
-		return fmt.Errorf("Adaptive disorder control is meaningless for %q (no disorder bound)", StrategyInOrder)
 	}
 	return nil
 }

@@ -16,16 +16,17 @@ func TestConfigValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"negative K", Config{K: -1}, "K must be >= 0"},
-		{"trigger-opt without the kernel", Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}, "DisableTriggerOpt does not apply"},
-		{"keyed-stacks without the kernel", Config{Strategy: StrategyInOrder, DisableKeyedStacks: true}, "DisableKeyedStacks does not apply"},
-		{"purge cadence without the kernel", Config{Strategy: StrategyInOrder, PurgeEvery: 16}, "PurgeEvery does not apply"},
+		// The in-order engine is a reference kernel, not a strategy: a
+		// config written for it is refused, whatever else it sets.
+		{"trigger-opt without the kernel", Config{Strategy: "inorder", DisableTriggerOpt: true}, `unknown strategy "inorder"`},
+		{"purge cadence without the kernel", Config{Strategy: "inorder", PurgeEvery: 16}, `unknown strategy "inorder"`},
 		{"negative initial K", Config{K: -1, Adaptive: Adaptive{Enabled: true}}, "K must be >= 0"},
 		{"quantile out of range", Config{Adaptive: Adaptive{Enabled: true, Quantile: 1.5}}, "Adaptive"},
 		{"margin below one", Config{Adaptive: Adaptive{Enabled: true, Margin: 0.5}}, "Adaptive"},
 		{"min above max", Config{Adaptive: Adaptive{Enabled: true, MinK: 10, Limits: Limits{MaxLag: 5}}}, "Adaptive"},
 		{"negative buffer limit", Config{Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: -1}}}, "Adaptive"},
-		{"adaptive inorder", Config{Strategy: StrategyInOrder, Adaptive: Adaptive{Enabled: true}}, "no disorder bound"},
-		{"limits inorder", Config{Strategy: StrategyInOrder, Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: 10}}}, "no disorder bound"},
+		{"adaptive inorder", Config{Strategy: "inorder", Adaptive: Adaptive{Enabled: true}}, `unknown strategy "inorder"`},
+		{"limits inorder", Config{Strategy: "inorder", Adaptive: Adaptive{Limits: Limits{MaxBufferedEvents: 10}}}, `unknown strategy "inorder"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -92,20 +92,21 @@ func ExampleEngine_ProcessAll() {
 	// alert: avg 60 ms over 2 responses in (0,100]
 }
 
-// ExampleConfig shows the strategy trade-off on one disordered stream.
+// ExampleConfig shows the disorder bound on one disordered stream: an event
+// arriving more than K behind the latest timestamp is dropped as late.
 func ExampleConfig() {
 	q := oostream.MustCompile("PATTERN SEQ(A a, B b) WITHIN 100", nil)
 	stream := []oostream.Event{
-		{Type: "B", TS: 20, Seq: 2}, // out of order
-		{Type: "A", TS: 10, Seq: 1},
+		{Type: "B", TS: 20, Seq: 2},
+		{Type: "A", TS: 10, Seq: 1}, // 10 behind B@20
 		{Type: "A", TS: 200, Seq: 3},
 		{Type: "B", TS: 210, Seq: 4},
 	}
-	for _, strat := range []oostream.Strategy{oostream.StrategyInOrder, oostream.StrategyNative} {
-		en := oostream.MustNewEngine(q, oostream.Config{Strategy: strat, K: 50})
-		fmt.Printf("%s: %d matches\n", strat, len(en.ProcessAll(stream)))
+	for _, k := range []oostream.Time{5, 50} {
+		en := oostream.MustNewEngine(q, oostream.Config{K: k})
+		fmt.Printf("K=%d: %d matches\n", k, len(en.ProcessAll(stream)))
 	}
 	// Output:
-	// inorder: 1 matches
-	// native: 2 matches
+	// K=5: 1 matches
+	// K=50: 2 matches
 }

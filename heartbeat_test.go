@@ -94,17 +94,6 @@ func TestAdvancePurgesState(t *testing.T) {
 	}
 }
 
-func TestAdvanceOnInorderSealsTrailingNegation(t *testing.T) {
-	q := MustCompile("PATTERN SEQ(A a, B b, !(N n)) WITHIN 40", nil)
-	en := MustNewEngine(q, Config{Strategy: StrategyInOrder})
-	en.Process(Event{Type: "A", TS: 10, Seq: 1})
-	en.Process(Event{Type: "B", TS: 20, Seq: 2})
-	out := en.Advance(50)
-	if len(out) != 1 {
-		t.Fatalf("inorder heartbeat should seal trailing negation, got %v", out)
-	}
-}
-
 func TestAdvanceEquivalentToEventDrivenRun(t *testing.T) {
 	// Interleaving heartbeats must not change the result set.
 	q := negationQuery(t)

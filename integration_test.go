@@ -8,6 +8,7 @@ import (
 
 	"oostream"
 	"oostream/internal/gen"
+	"oostream/internal/inorder"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
 	"oostream/internal/trace"
@@ -55,22 +56,26 @@ func integrationCases() []integrationCase {
 
 // TestWorkloadStrategyMatrix is the end-to-end equivalence matrix: for
 // every workload and query, every exact strategy on the disordered stream
-// reproduces the in-order engine's results on the sorted stream, which in
-// turn match the brute-force oracle.
+// reproduces the in-order reference kernel's results on the sorted stream,
+// which in turn match the brute-force oracle.
 func TestWorkloadStrategyMatrix(t *testing.T) {
 	for _, tc := range integrationCases() {
 		shuffled := gen.Shuffle(tc.sorted, gen.Disorder{Ratio: 0.25, MaxDelay: tc.k, Seed: 7})
 		for qi, src := range tc.queries {
 			t.Run(fmt.Sprintf("%s/q%d", tc.name, qi), func(t *testing.T) {
 				q := oostream.MustCompile(src, nil)
-				truth := oostream.MustNewEngine(q, oostream.Config{Strategy: oostream.StrategyInOrder}).
-					ProcessAll(tc.sorted)
-
-				// Cross-check the in-order engine against the oracle.
 				p, err := plan.ParseAndCompile(src, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ref := inorder.New(p)
+				var truth []oostream.Match
+				for _, e := range tc.sorted {
+					truth = append(truth, ref.Process(e)...)
+				}
+				truth = append(truth, ref.Flush()...)
+
+				// Cross-check the in-order reference kernel against the oracle.
 				oracleMatches := oracle.Matches(p, tc.sorted)
 				if ok, diff := oostream.SameResults(truth, oracleMatches); !ok {
 					t.Fatalf("in-order engine vs oracle:\n%s", diff)

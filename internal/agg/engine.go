@@ -17,7 +17,7 @@
 //
 // Emission has two modes, mirroring the strategy split:
 //
-//   - sealed (native, kslack, inorder, hybrid): a window (end−W, end] is
+//   - sealed (native, kslack, hybrid): a window (end−W, end] is
 //     emitted exactly once, when the clock passes end + L — where the
 //     lateness bound L is K, plus one window length when the pattern has a
 //     trailing negation (such matches are withheld until their gap seals,

@@ -13,14 +13,15 @@ import (
 var oooRatios = []float64{0, 0.01, 0.05, 0.10, 0.20, 0.40}
 
 // E1Correctness reproduces the paper's problem analysis as a table: the
-// result quality of each strategy on increasingly disordered input, scored
-// against the exact result set (the in-order engine on the sorted stream).
-// Expected shape: inorder loses recall as disorder grows; kslack, native,
-// and (after convergence) speculate stay at 1.000/1.000.
+// result quality of the in-order reference kernel and of each strategy on
+// increasingly disordered input, scored against the exact result set (the
+// reference kernel on the sorted stream). Expected shape: inorder loses
+// recall as disorder grows; kslack, native, and (after convergence)
+// speculate stay at 1.000/1.000.
 func E1Correctness(s Scale) *Table {
 	q := negQuery()
 	sorted := rfidSorted(s, 1)
-	truth := runOne(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)
+	truth := runReference(q, sorted)
 
 	t := &Table{
 		ID:      "E1",
@@ -30,10 +31,13 @@ func E1Correctness(s Scale) *Table {
 	}
 	for _, ratio := range oooRatios {
 		shuffled := disorder(sorted, ratio, defaultK, 2)
-		for _, strat := range oostream.Strategies() {
-			r := runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled)
+		row := func(r Result) {
 			p, rec := precisionRecall(truth.Matches, r.Matches)
-			t.AddRow(fmtPct(ratio), string(strat), fmtInt(len(keyCounts(r.Matches))), fmtF3(p), fmtF3(rec))
+			t.AddRow(fmtPct(ratio), r.Strategy, fmtInt(len(keyCounts(r.Matches))), fmtF3(p), fmtF3(rec))
+		}
+		row(runReference(q, shuffled))
+		for _, strat := range oostream.Strategies() {
+			row(runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -42,10 +46,10 @@ func E1Correctness(s Scale) *Table {
 	return t
 }
 
-// E2ThroughputVsDisorder measures CPU cost (as events/second) of each
-// strategy across the disorder sweep. Expected shape: native tracks kslack
-// within a small factor and degrades gracefully with disorder; inorder is
-// fastest but wrong (see E1).
+// E2ThroughputVsDisorder measures CPU cost (as events/second) of the
+// in-order reference kernel and two strategies across the disorder sweep.
+// Expected shape: native tracks kslack within a small factor and degrades
+// gracefully with disorder; inorder is fastest but wrong (see E1).
 func E2ThroughputVsDisorder(s Scale) *Table {
 	q := seqQuery()
 	sorted := rfidSorted(s, 3)
@@ -57,9 +61,12 @@ func E2ThroughputVsDisorder(s Scale) *Table {
 	}
 	for _, ratio := range oooRatios {
 		shuffled := disorder(sorted, ratio, defaultK, 4)
-		for _, strat := range []oostream.Strategy{oostream.StrategyInOrder, oostream.StrategyKSlack, oostream.StrategyNative} {
-			r := runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled)
-			t.AddRow(fmtPct(ratio), string(strat), fmtKevS(r.Throughput()), fmtInt(len(r.Matches)))
+		rs := []Result{runReference(q, shuffled)}
+		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative} {
+			rs = append(rs, runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled))
+		}
+		for _, r := range rs {
+			t.AddRow(fmtPct(ratio), r.Strategy, fmtKevS(r.Throughput()), fmtInt(len(r.Matches)))
 		}
 	}
 	return t
@@ -246,25 +253,28 @@ func E9PatternLength(s Scale) *Table {
 }
 
 // E10Negation focuses on the shoplifting query: correctness, throughput,
-// and sealing latency of every strategy under disorder. Expected shape:
-// inorder produces false positives (premature output); native is exact with
-// sealing latency ~K; speculate is exact after retractions with zero
-// insert latency.
+// and sealing latency of the in-order reference kernel and every strategy
+// under disorder. Expected shape: inorder produces false positives
+// (premature output); native is exact with sealing latency ~K; speculate is
+// exact after retractions with zero insert latency.
 func E10Negation(s Scale) *Table {
 	q := negQuery()
 	sorted := rfidSorted(s, 19)
 	shuffled := disorder(sorted, 0.10, defaultK, 20)
-	truth := runOne(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)
+	truth := runReference(q, sorted)
 	t := &Table{
 		ID:      "E10",
 		Title:   "Negation query under disorder",
 		Anchor:  "paper §problem analysis + §sequence construction: negation needs sealing",
 		Columns: []string{"strategy", "kev/s", "precision", "recall", "retracts", "lat_mean(ms)"},
 	}
+	rs := []Result{runReference(q, shuffled)}
 	for _, strat := range oostream.Strategies() {
-		r := runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled)
+		rs = append(rs, runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled))
+	}
+	for _, r := range rs {
 		p, rec := precisionRecall(truth.Matches, r.Matches)
-		t.AddRow(string(strat), fmtKevS(r.Throughput()), fmtF3(p), fmtF3(rec),
+		t.AddRow(r.Strategy, fmtKevS(r.Throughput()), fmtF3(p), fmtF3(rec),
 			fmtU64(r.Metrics.Retractions), fmtF1(r.Metrics.LogicalLat.Mean()))
 	}
 	return t
@@ -277,7 +287,7 @@ func E10Negation(s Scale) *Table {
 func E11Speculation(s Scale) *Table {
 	q := negQuery()
 	sorted := rfidSorted(s, 21)
-	truth := runOne(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)
+	truth := runReference(q, sorted)
 	t := &Table{
 		ID:      "E11",
 		Title:   "Speculative output and compensation",
@@ -321,7 +331,7 @@ func E12NetworkSim(s Scale) *Table {
 	if err != nil {
 		panic(err) // static config; cannot fail
 	}
-	truth := runOne(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)
+	truth := runReference(q, sorted)
 	t := &Table{
 		ID:      "E12",
 		Title:   "Strategies under simulated network delivery",
@@ -344,39 +354,6 @@ func E12NetworkSim(s Scale) *Table {
 				fmtF3(p), fmtF3(rec), fmtF1(r.Metrics.LogicalLat.Mean()))
 		}
 	}
-	return t
-}
-
-// E14KeyCardinality measures the key-partitioned stacks optimization: the
-// native engine automatically keys its active instance stacks by the
-// equality-linked attribute (here the item id), so construction and
-// negation probes touch one key group instead of every instance in the
-// window. The sweep varies the number of distinct ids at fixed disorder and
-// compares against the same engine with keying disabled. Expected shape:
-// the keyed win grows with cardinality (each group shrinks); result sets
-// are identical at every point.
-func E14KeyCardinality(s Scale) *Table {
-	q := oostream.MustCompile(
-		"PATTERN SEQ(SHELF s, !(COUNTER c), EXIT e) WHERE s.id = e.id AND s.id = c.id WITHIN 400", nil)
-	t := &Table{
-		ID:      "E14",
-		Title:   "Keyed-stacks optimization vs. key cardinality (native)",
-		Anchor:  "extension: SASE partitioned stacks (SIGMOD'06) under out-of-order arrival",
-		Columns: []string{"ids", "variant", "kev/s", "exact", "peak_groups", "peak_state"},
-	}
-	for _, ids := range []int{1, 10, 100, 1000} {
-		sorted := gen.Uniform(s.uniformN(), []string{"SHELF", "COUNTER", "EXIT"}, ids, 10, int64(27+ids))
-		shuffled := disorder(sorted, 0.10, 200, 28)
-		keyed := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: 200}, shuffled)
-		unkeyed := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: 200, DisableKeyedStacks: true}, shuffled)
-		exact, _ := oostream.SameResults(unkeyed.Matches, keyed.Matches)
-		t.AddRow(fmtInt(ids), "keyed", fmtKevS(keyed.Throughput()),
-			fmt.Sprintf("%v", exact), fmtInt(keyed.Metrics.PeakKeyGroups), fmtInt(keyed.Metrics.PeakState))
-		t.AddRow(fmtInt(ids), "unkeyed", fmtKevS(unkeyed.Throughput()),
-			"-", fmtInt(unkeyed.Metrics.PeakKeyGroups), fmtInt(unkeyed.Metrics.PeakState))
-	}
-	t.Notes = append(t.Notes,
-		"expected: keyed throughput pulls ahead as cardinality grows (construction walks one key group); result sets identical")
 	return t
 }
 
@@ -442,11 +419,10 @@ func E16Observability(s Scale) *Table {
 
 // E18Batch prices the batched admission path: the native engine driven
 // through ProcessBatch at sweep batch sizes against the per-event
-// degenerate case (batch=1), with key-partitioned stacks on and off. The
-// batch entry amortizes purge scans and gauge publication across the
-// batch; output is identical to per-event processing by the
-// ProcessBatch contract (proved by internal/difftest.RunBatch), and each
-// row re-asserts result equality against the batch=1 run.
+// degenerate case (batch=1). The batch entry amortizes purge scans and gauge
+// publication across the batch; output is identical to per-event processing
+// by the ProcessBatch contract (proved by internal/difftest.RunBatch), and
+// each row re-asserts result equality against the batch=1 run.
 func E18Batch(s Scale) *Table {
 	q := seqQuery()
 	events := disorder(rfidSorted(s, 71), 0.20, defaultK, 72)
@@ -454,50 +430,44 @@ func E18Batch(s Scale) *Table {
 		ID:      "E18",
 		Title:   "Batched admission throughput vs. batch size",
 		Anchor:  "extension: first-class ProcessBatch with batch≡per-event semantics",
-		Columns: []string{"batch", "variant", "kev/s", "speedup", "exact"},
+		Columns: []string{"batch", "kev/s", "speedup", "exact"},
 	}
 	sizes := []int{1, 16, 256, 4096}
-	for _, mode := range []string{"keyed", "unkeyed"} {
-		cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK,
-			DisableKeyedStacks: mode == "unkeyed"}
-		// Sizes are interleaved rep by rep and the best wall time per size
-		// kept (the E16 discipline), so machine-load drift hits every size
-		// alike instead of masquerading as batching gain.
-		const reps = 7
-		best := make([]time.Duration, len(sizes))
-		for i := range best {
-			best[i] = -1
-		}
-		results := make([][]oostream.Match, len(sizes))
-		for rep := 0; rep < reps; rep++ {
-			for i, size := range sizes {
-				en := oostream.MustNewEngine(q, cfg)
-				start := time.Now()
-				var ms []oostream.Match
-				for lo := 0; lo < len(events); lo += size {
-					hi := lo + size
-					if hi > len(events) {
-						hi = len(events)
-					}
-					ms = append(ms, en.ProcessBatch(events[lo:hi])...)
-				}
-				ms = append(ms, en.Flush()...)
-				elapsed := time.Since(start)
-				if best[i] < 0 || elapsed < best[i] {
-					best[i] = elapsed
-				}
-				results[i] = ms
-			}
-		}
-		base := float64(len(events)) / best[0].Seconds()
+	cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}
+	// Sizes are interleaved rep by rep and the best wall time per size kept
+	// (the E16 discipline), so machine-load drift hits every size alike
+	// instead of masquerading as batching gain.
+	const reps = 7
+	best := make([]time.Duration, len(sizes))
+	for i := range best {
+		best[i] = -1
+	}
+	results := make([][]oostream.Match, len(sizes))
+	for rep := 0; rep < reps; rep++ {
 		for i, size := range sizes {
-			tput := float64(len(events)) / best[i].Seconds()
-			exact, _ := oostream.SameResults(results[0], results[i])
-			t.AddRow(fmtInt(size), mode, fmtKevS(tput),
-				fmt.Sprintf("%.2f", tput/base), fmt.Sprintf("%v", exact))
+			en := oostream.MustNewEngine(q, cfg)
+			start := time.Now()
+			var ms []oostream.Match
+			for lo := 0; lo < len(events); lo += size {
+				hi := min(lo+size, len(events))
+				ms = append(ms, en.ProcessBatch(events[lo:hi])...)
+			}
+			ms = append(ms, en.Flush()...)
+			elapsed := time.Since(start)
+			if best[i] < 0 || elapsed < best[i] {
+				best[i] = elapsed
+			}
+			results[i] = ms
 		}
 	}
+	base := float64(len(events)) / best[0].Seconds()
+	for i, size := range sizes {
+		tput := float64(len(events)) / best[i].Seconds()
+		exact, _ := oostream.SameResults(results[0], results[i])
+		t.AddRow(fmtInt(size), fmtKevS(tput),
+			fmt.Sprintf("%.2f", tput/base), fmt.Sprintf("%v", exact))
+	}
 	t.Notes = append(t.Notes,
-		"expected: keyed throughput grows with batch size as purge/gauge amortization kicks in, flattening once per-event admission dominates; exact stays true at every size")
+		"expected: throughput grows with batch size as purge/gauge amortization kicks in, flattening once per-event admission dominates; exact stays true at every size")
 	return t
 }

@@ -93,8 +93,7 @@ func MultiQuery(s Scale, counts []int) *Table {
 		loopMatches := make([][]oostream.Match, n)
 		var dispatched uint64
 		for rep := 0; rep < reps; rep++ {
-			set := oostream.MustNewQuerySet(oostream.QuerySetConfig{
-				Strategy: cfg.Strategy, K: cfg.K})
+			set := oostream.MustNewQuerySet(oostream.QuerySetConfig{K: cfg.K})
 			for i, q := range queries {
 				if err := set.Register(fmt.Sprintf("q%d", i), q); err != nil {
 					panic(err)

@@ -48,7 +48,6 @@ type checkpointFile struct {
 	K          event.Time          `json:"k"`
 	LatePolicy int                 `json:"latePolicy"`
 	NoTrigOpt  bool                `json:"noTriggerOpt"`
-	NoKeyed    bool                `json:"noKeyed,omitempty"`
 	PurgeEvery int                 `json:"purgeEvery"`
 	Clock      event.Time          `json:"clock"`
 	Started    bool                `json:"started"`
@@ -134,7 +133,6 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		K:          en.opts.K,
 		LatePolicy: dropLate,
 		NoTrigOpt:  en.opts.DisableTriggerOpt,
-		NoKeyed:    en.opts.DisableKeying,
 		PurgeEvery: en.opts.PurgeEvery,
 		Clock:      en.clock,
 		Started:    en.started,
@@ -270,7 +268,7 @@ func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
 // larger bound is kept, the bound the merged run stays equivalent to. Parts
 // written under different options are not one engine's state.
 func (cf *checkpointFile) absorb(o checkpointFile) error {
-	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt || o.NoKeyed != cf.NoKeyed ||
+	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt ||
 		o.PurgeEvery != cf.PurgeEvery || (o.Adaptive == nil) != (cf.Adaptive == nil) {
 		return fmt.Errorf("written under other options than the first part (K %d against %d, or the ablation switches)", o.K, cf.K)
 	}
@@ -301,8 +299,9 @@ func (cf *checkpointFile) absorb(o checkpointFile) error {
 // against the recorded canonical source); options are restored from the
 // checkpoint, instruments come from env exactly as core.Options.Env hands
 // them to New. A keyed engine restores from an unkeyed engine's checkpoint
-// (and vice versa, modulo the recorded DisableKeying option): the format
-// carries plain events and keys are recomputed on insertion.
+// and vice versa: the format carries plain events and keys are recomputed on
+// insertion. So a "noKeyed" flag, which engines that could turn keying off
+// recorded, is ignored: keying never changed what an engine emits.
 //
 // The payload is outside input even when the envelope's CRC holds (the
 // bare-JSON form has none): its shape is checked against the plan before any
@@ -331,7 +330,6 @@ func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) 
 	opts := Options{
 		K:                 cf.K,
 		DisableTriggerOpt: cf.NoTrigOpt,
-		DisableKeying:     cf.NoKeyed,
 		PurgeEvery:        cf.PurgeEvery,
 		Env:               env,
 	}

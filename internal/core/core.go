@@ -30,9 +30,9 @@
 // event's group is its value of that attribute, and the key-equality cross
 // predicates are skipped as structurally pre-satisfied: every match binds
 // events of one key, so the groups enumerate exactly the ungrouped result
-// set while probing a fraction of the state. Without such an attribute — or
-// with Options.DisableKeying (ablation) — every event files under the zero
-// Value: one group, every predicate evaluated.
+// set while probing a fraction of the state. Without such an attribute
+// every event files under the zero Value: one group, every predicate
+// evaluated.
 //
 // Correct output for negation cannot be produced eagerly under disorder: a
 // qualifying negative event may still be in flight. The engine relies on
@@ -108,10 +108,6 @@ type Options struct {
 	// DisableTriggerOpt turns off the scan optimization and probes for
 	// completions on every insertion (ablation; still exact, slower).
 	DisableTriggerOpt bool
-	// DisableKeying files every event under the zero key even when the plan
-	// proves the query partitionable (ablation; still exact, construction
-	// then scans every instance in the window).
-	DisableKeying bool
 	// PurgeEvery runs a purge pass every PurgeEvery processed events.
 	// 0 selects the default (64); negative disables purging (ablation).
 	PurgeEvery int
@@ -301,7 +297,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		en.knegs[i] = make(map[event.Value]*ais.Stack)
 	}
 	skip := make(map[int]bool)
-	if attr := p.PartitionKey; attr != "" && !opts.DisableKeying {
+	if attr := p.PartitionKey; attr != "" {
 		en.keyAttr = attr
 		for _, l := range p.EqLinks {
 			if l.Attr == attr {

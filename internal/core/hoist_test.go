@@ -73,7 +73,7 @@ func TestHoistedVerdictsMatchUnhoisted(t *testing.T) {
 	if len(keyed) == 0 {
 		t.Fatal("stream produced no match: the test checks nothing")
 	}
-	unkeyed := drain(t, p, Options{K: 40, DisableKeying: true}, shuffled)
+	unkeyed := drain(t, withoutKey(p), Options{K: 40}, shuffled)
 	if ok, diff := plan.SameResults(unkeyed, keyed); !ok {
 		t.Fatalf("keyed != unkeyed:\n%s", diff)
 	}

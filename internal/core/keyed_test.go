@@ -21,6 +21,15 @@ var keyedQueries = []string{
 	"PATTERN SEQ(SHELF s, !(COUNTER c), EXIT e) WHERE s.id = e.id AND s.id = c.id WITHIN 120",
 }
 
+// withoutKey returns p without its partition attribute: the kernel then
+// files every event under the zero key and evaluates every key equality, as
+// for a query that is not partitionable.
+func withoutKey(p *plan.Plan) *plan.Plan {
+	c := *p
+	c.PartitionKey = ""
+	return &c
+}
+
 func TestAutoKeyingEnables(t *testing.T) {
 	for _, q := range keyedQueries {
 		p := compile(t, q)
@@ -31,9 +40,8 @@ func TestAutoKeyingEnables(t *testing.T) {
 		if !en.Keyed() {
 			t.Fatalf("%s: engine not keyed", q)
 		}
-		off := MustNew(p, Options{K: 40, DisableKeying: true})
-		if off.Keyed() {
-			t.Fatalf("%s: DisableKeying ignored", q)
+		if MustNew(withoutKey(p), Options{K: 40}).Keyed() {
+			t.Fatalf("%s: a plan without a key built a keyed engine", q)
 		}
 	}
 	// No equality chain: keying must stay off.
@@ -58,7 +66,7 @@ func TestKeyedMatchesUnkeyedAcrossSkews(t *testing.T) {
 				k := event.Time(40)
 				shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: ratio, MaxDelay: k, Seed: 7})
 				keyed := drain(t, p, Options{K: k}, shuffled)
-				unkeyed := drain(t, p, Options{K: k, DisableKeying: true}, shuffled)
+				unkeyed := drain(t, withoutKey(p), Options{K: k}, shuffled)
 				if ok, diff := plan.SameResults(unkeyed, keyed); !ok {
 					t.Fatalf("%s ids=%d ratio=%.1f: keyed != unkeyed (%d vs %d):\n%s",
 						q, ids, ratio, len(keyed), len(unkeyed), diff)
@@ -75,58 +83,69 @@ func TestKeyedMatchesUnkeyedAcrossSkews(t *testing.T) {
 func TestStateSizeIncremental(t *testing.T) {
 	for _, q := range testQueries {
 		p := compile(t, q)
-		for _, opts := range []Options{
-			{K: 40},
-			{K: 40, DisableKeying: true},
-			{K: 40, PurgeEvery: 1},
-			{K: 40, DisableKeying: true, PurgeEvery: 1},
-			{K: 40, Emit: EmitThenRetract},
-			{K: 40, Emit: EmitThenRetract, PurgeEvery: 1},
-			{K: 40, Emit: EmitThenRetract, DisableKeying: true, PurgeEvery: 1},
+		for _, v := range []struct {
+			p    *plan.Plan
+			opts Options
+		}{
+			{p, Options{K: 40}},
+			{withoutKey(p), Options{K: 40}},
+			{p, Options{K: 40, PurgeEvery: 1}},
+			{withoutKey(p), Options{K: 40, PurgeEvery: 1}},
+			{p, Options{K: 40, Emit: EmitThenRetract}},
+			{p, Options{K: 40, Emit: EmitThenRetract, PurgeEvery: 1}},
+			{withoutKey(p), Options{K: 40, Emit: EmitThenRetract, PurgeEvery: 1}},
 		} {
+			opts, key := v.opts, v.p.PartitionKey
 			sorted := gen.Uniform(200, testTypes, 3, 6, 11)
 			shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.4, MaxDelay: 40, Seed: 3})
-			en := MustNew(p, opts)
+			en := MustNew(v.p, opts)
 			for i, e := range shuffled {
 				en.Process(e)
 				if got, want := en.StateSize(), en.recomputeStateSize(); got != want {
-					t.Fatalf("%s opts=%+v event %d: StateSize %d != recomputed %d", q, opts, i, got, want)
+					t.Fatalf("%s key=%q opts=%+v event %d: StateSize %d != recomputed %d", q, key, opts, i, got, want)
 				}
 				if err := en.CheckDue(); err != nil {
-					t.Fatalf("%s opts=%+v event %d: %v", q, opts, i, err)
+					t.Fatalf("%s key=%q opts=%+v event %d: %v", q, key, opts, i, err)
 				}
 			}
 			en.Flush()
 			if got, want := en.StateSize(), en.recomputeStateSize(); got != want {
-				t.Fatalf("%s opts=%+v after flush: StateSize %d != recomputed %d", q, opts, got, want)
+				t.Fatalf("%s key=%q opts=%+v after flush: StateSize %d != recomputed %d", q, key, opts, got, want)
 			}
 			if err := en.CheckDue(); err != nil {
-				t.Fatalf("%s opts=%+v after flush: %v", q, opts, err)
+				t.Fatalf("%s key=%q opts=%+v after flush: %v", q, key, opts, err)
 			}
 		}
 	}
 }
 
-// TestKeyedAblationsAgree extends the ablation matrix with keying off/on
-// crossed with the other knobs.
+// TestKeyedAblationsAgree extends the ablation matrix with the key on and
+// off crossed with the other knobs.
 func TestKeyedAblationsAgree(t *testing.T) {
-	variants := []Options{
-		{K: 40},
-		{K: 40, DisableKeying: true},
-		{K: 40, DisableKeying: true, DisableTriggerOpt: true},
-		{K: 40, DisableTriggerOpt: true},
-		{K: 40, PurgeEvery: 1},
-		{K: 40, DisableKeying: true, PurgeEvery: 1},
+	variants := []struct {
+		keyed bool
+		opts  Options
+	}{
+		{true, Options{K: 40}},
+		{false, Options{K: 40}},
+		{false, Options{K: 40, DisableTriggerOpt: true}},
+		{true, Options{K: 40, DisableTriggerOpt: true}},
+		{true, Options{K: 40, PurgeEvery: 1}},
+		{false, Options{K: 40, PurgeEvery: 1}},
 	}
 	for _, q := range keyedQueries {
 		p := compile(t, q)
 		sorted := gen.Uniform(250, []string{"A", "B", "C", "N", "SHELF", "COUNTER", "EXIT"}, 5, 4, 42)
 		shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 1})
-		base := drain(t, p, variants[0], shuffled)
-		for _, opts := range variants[1:] {
-			got := drain(t, p, opts, shuffled)
+		base := drain(t, p, variants[0].opts, shuffled)
+		for _, v := range variants[1:] {
+			vp := p
+			if !v.keyed {
+				vp = withoutKey(p)
+			}
+			got := drain(t, vp, v.opts, shuffled)
 			if ok, diff := plan.SameResults(base, got); !ok {
-				t.Fatalf("%s: variant %+v differs:\n%s", q, opts, diff)
+				t.Fatalf("%s: variant keyed=%v %+v differs:\n%s", q, v.keyed, v.opts, diff)
 			}
 		}
 	}
@@ -149,7 +168,7 @@ func TestKeyedDropsMissingKeyEvents(t *testing.T) {
 		kev("B", 40, 4, nil), // no id
 	}
 	keyed := drain(t, p, Options{K: 10}, events)
-	unkeyed := drain(t, p, Options{K: 10, DisableKeying: true}, events)
+	unkeyed := drain(t, withoutKey(p), Options{K: 10}, events)
 	if ok, diff := plan.SameResults(unkeyed, keyed); !ok {
 		t.Fatalf("keyed != unkeyed on missing-key stream:\n%s", diff)
 	}
@@ -183,7 +202,7 @@ func TestKeyedDropsNaNKeys(t *testing.T) {
 		t.Fatal("engine not keyed")
 	}
 	keyed := engine.Drain(en, events)
-	unkeyed := drain(t, p, Options{K: 10, DisableKeying: true}, events)
+	unkeyed := drain(t, withoutKey(p), Options{K: 10}, events)
 	if len(keyed) != 0 || len(unkeyed) != 0 {
 		t.Fatalf("NaN = NaN matched: %d keyed, %d unkeyed matches", len(keyed), len(unkeyed))
 	}
@@ -209,7 +228,7 @@ func TestKeyedDropsNaNKeys(t *testing.T) {
 		kev("TRADE", 40, 4, event.Attrs{"sym": event.Float(7)}),
 	}
 	keyed = drain(t, p, Options{K: 10}, mixed)
-	unkeyed = drain(t, p, Options{K: 10, DisableKeying: true}, mixed)
+	unkeyed = drain(t, withoutKey(p), Options{K: 10}, mixed)
 	if ok, diff := plan.SameResults(unkeyed, keyed); !ok || len(keyed) != 1 {
 		t.Fatalf("mixed NaN stream: %d keyed vs %d unkeyed matches, want 1 each:\n%s", len(keyed), len(unkeyed), diff)
 	}
@@ -251,7 +270,7 @@ func TestKeyedCrossKindKeys(t *testing.T) {
 		kev("B", 20, 2, event.Attrs{"id": event.Int(3)}),
 	}
 	keyed := drain(t, p, Options{K: 10}, events)
-	unkeyed := drain(t, p, Options{K: 10, DisableKeying: true}, events)
+	unkeyed := drain(t, withoutKey(p), Options{K: 10}, events)
 	if len(keyed) != 1 {
 		t.Fatalf("cross-kind key match lost: got %d matches", len(keyed))
 	}
@@ -342,11 +361,14 @@ func BenchmarkKeyedVsUnkeyed(b *testing.B) {
 	sorted := gen.Uniform(2000, []string{"SHELF", "COUNTER", "EXIT"}, 200, 4, 5)
 	stream := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 6})
 	for _, keyed := range []bool{true, false} {
+		bp := p
+		if !keyed {
+			bp = withoutKey(p)
+		}
 		b.Run(fmt.Sprintf("keyed=%v", keyed), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				en := MustNew(p, Options{K: 40, DisableKeying: !keyed})
-				engine.Drain(en, stream)
+				engine.Drain(MustNew(bp, Options{K: 40}), stream)
 			}
 		})
 	}

@@ -21,8 +21,10 @@ import (
 func TestUnkeyedReportsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
-		opts        Options
-		snapshot    string
+		// keyless files a partitionable query under the zero key.
+		keyless  bool
+		opts     Options
+		snapshot string
 	}{
 		{
 			name:     "no partition key",
@@ -33,7 +35,8 @@ func TestUnkeyedReportsGolden(t *testing.T) {
 		{
 			name:     "keying disabled",
 			query:    "PATTERN SEQ(A a, !(N n), B b) WHERE a.id = n.id AND a.id = b.id WITHIN 60",
-			opts:     Options{K: 40, DisableKeying: true},
+			keyless:  true,
+			opts:     Options{K: 40},
 			snapshot: `{"engine":"native","started":true,"clock":312,"safe":272,"purgeFrontier":212,"stackDepths":[27,24],"keyGroups":0,"negStoreSizes":[44],"pending":12,"lineage":{"enabled":true,"live":12,"bytes":2904}}`,
 		},
 		{
@@ -45,7 +48,11 @@ func TestUnkeyedReportsGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Env = engine.Env{Provenance: true}
-			en := MustNew(compile(t, tc.query), tc.opts)
+			p := compile(t, tc.query)
+			if tc.keyless {
+				p = withoutKey(p)
+			}
+			en := MustNew(p, tc.opts)
 			sorted := gen.Uniform(120, []string{"A", "B", "N"}, 3, 2, 7)
 			matches := 0
 			for _, e := range gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 8}) {
@@ -115,20 +122,19 @@ func TestUnkeyedVulnerableNotFilteredUntilDue(t *testing.T) {
 	}
 }
 
-// rekey returns the checkpoint ck rewritten to restore with keying disabled
-// or not: the payload re-encoded in its bare-JSON form with the noKeyed flag
-// set as asked, everything else as written.
-func rekey(t *testing.T, ck []byte, disableKeying bool) []byte {
+// withNoKeyed returns the checkpoint ck in its bare-JSON form with the
+// "noKeyed" flag set, as engines that could turn keying off wrote it.
+func withNoKeyed(t *testing.T, ck []byte) []byte {
 	t.Helper()
 	payload, err := readEnvelope(bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cf checkpointFile
+	var cf map[string]json.RawMessage
 	if err := json.Unmarshal(payload, &cf); err != nil {
 		t.Fatal(err)
 	}
-	cf.NoKeyed = disableKeying
+	cf["noKeyed"] = json.RawMessage("true")
 	out, err := json.Marshal(cf)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +147,8 @@ func rekey(t *testing.T, ck []byte, disableKeying bool) []byte {
 // third of the stream keyed by the plan's attribute, a third under the zero
 // key, the rest keyed again — with the expiry orders refilled each time and
 // the output of an uninterrupted run. What the zero-key engine writes is what
-// the keyed one wrote, flag aside.
+// the keyed one wrote, and a recorded "noKeyed" flag changes nothing: the
+// plan alone decides the key.
 func TestCheckpointCrossesKeying(t *testing.T) {
 	for _, q := range keyedQueries {
 		p := compile(t, q)
@@ -163,13 +170,16 @@ func TestCheckpointCrossesKeying(t *testing.T) {
 			if err := en.Checkpoint(&buf); err != nil {
 				t.Fatalf("%s: checkpoint %d: %v", q, i, err)
 			}
-			wasKeyed := en.Keyed()
+			next := p
+			if en.Keyed() {
+				next = withoutKey(p)
+			}
 			var err error
-			if en, err = Restore(p, engine.Env{}, bytes.NewReader(rekey(t, buf.Bytes(), wasKeyed))); err != nil {
+			if en, err = Restore(next, engine.Env{}, bytes.NewReader(withNoKeyed(t, buf.Bytes()))); err != nil {
 				t.Fatalf("%s: restore %d: %v", q, i, err)
 			}
-			if en.Keyed() == wasKeyed {
-				t.Fatalf("%s: restore %d kept Keyed() = %v", q, i, wasKeyed)
+			if en.Keyed() != (next.PartitionKey != "") {
+				t.Fatalf("%s: restore %d: Keyed() = %v under plan key %q", q, i, en.Keyed(), next.PartitionKey)
 			}
 			if err := en.CheckDue(); err != nil {
 				t.Fatalf("%s: restore %d: %v", q, i, err)
@@ -181,8 +191,8 @@ func TestCheckpointCrossesKeying(t *testing.T) {
 			if err := en.Checkpoint(&again); err != nil {
 				t.Fatalf("%s: checkpoint after restore %d: %v", q, i, err)
 			}
-			if a, b := rekey(t, buf.Bytes(), false), rekey(t, again.Bytes(), false); !bytes.Equal(a, b) {
-				t.Fatalf("%s: restore %d rewrote the state:\n was %s\n now %s", q, i, a, b)
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatalf("%s: restore %d rewrote the state:\n was %s\n now %s", q, i, buf.Bytes(), again.Bytes())
 			}
 		}
 		out = append(out, en.Flush()...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +151,44 @@ func TestSpeculateStateBoundedByPurge(t *testing.T) {
 	}
 	if s := en.Metrics(); s.PeakState > 2000 {
 		t.Errorf("peak state = %d", s.PeakState)
+	}
+}
+
+// TestSpeculateCompensationsLeaveInEmissionOrder: a negative that
+// invalidates several vulnerable matches retracts them in the order their
+// inserts were emitted — not by timestamp, not by the walk that finds them —
+// keyed by the plan's attribute or filed under the zero key. Crash recovery
+// replays against that order.
+func TestSpeculateCompensationsLeaveInEmissionOrder(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id AND a.id = n.id WITHIN 100")
+	id := event.Attrs{"id": event.Int(1)}
+	arrivals := []event.Event{
+		kev("A", 10, 1, id),
+		kev("B", 50, 2, id),
+		kev("B", 40, 3, id),
+		kev("B", 60, 4, id),
+		kev("A", 15, 5, id), // late: completes three matches at once
+	}
+	for _, pp := range []*plan.Plan{p, withoutKey(p)} {
+		en := MustNew(pp, Options{Emit: EmitThenRetract, K: 1000})
+		var inserts []string
+		for _, e := range arrivals {
+			for _, m := range en.Process(e) {
+				inserts = append(inserts, m.Key())
+			}
+		}
+		if len(inserts) != 6 {
+			t.Fatalf("keyed=%v: %d inserts %v, want 6", en.Keyed(), len(inserts), inserts)
+		}
+		var retracts []string
+		for _, m := range en.Process(kev("N", 20, 6, id)) {
+			if m.Kind != plan.Retract {
+				t.Fatalf("keyed=%v: %v, want only retractions", en.Keyed(), m)
+			}
+			retracts = append(retracts, m.Key())
+		}
+		if fmt.Sprint(retracts) != fmt.Sprint(inserts) {
+			t.Errorf("keyed=%v: retractions %v, want the emission order %v", en.Keyed(), retracts, inserts)
+		}
 	}
 }

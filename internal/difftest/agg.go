@@ -222,11 +222,6 @@ func RunAgg(c Case) *Failure {
 		return &Failure{Case: c, Check: check, Diff: err.Error(), Truth: len(truth)}
 	}
 
-	// The in-order baseline is exact on sorted input.
-	if f := fail("agg-inorder-sorted", run(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)); f != nil {
-		return f
-	}
-
 	// Every disorder-tolerant strategy on the arrival order. The
 	// speculative run emits preview + revision pairs; SameResults applies
 	// the retractions, so the check asserts net convergence (I7 lifted to

@@ -51,7 +51,6 @@ func RunBatch(c Case) *Failure {
 	// divergence the deferral-safety argument has to survive.
 	lateK := c.K / 2
 	cfgs := []batchCfg{
-		{"batch-inorder", oostream.Config{Strategy: oostream.StrategyInOrder}},
 		{"batch-native", oostream.Config{Strategy: oostream.StrategyNative, K: c.K}},
 		{"batch-native-purge1", oostream.Config{Strategy: oostream.StrategyNative, K: c.K, PurgeEvery: 1}},
 		{"batch-native-latedrop", oostream.Config{Strategy: oostream.StrategyNative, K: lateK, PurgeEvery: 1}},

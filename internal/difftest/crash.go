@@ -78,7 +78,6 @@ func RunCrash(c Case) *Failure {
 	cfgs := []crashCfg{
 		{name: "crash-native", truth: true, make: superv(native, 7)},
 		{name: "crash-native-corrupt", truth: true, corrupt: true, make: superv(native, 5)},
-		{name: "crash-inorder", make: superv(oostream.Config{Strategy: oostream.StrategyInOrder}, 0)},
 		{name: "crash-kslack", truth: true, make: superv(oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, 0)},
 		{name: "crash-speculate", make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 0)},
 	}

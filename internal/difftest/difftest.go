@@ -1,10 +1,9 @@
 // Package difftest is the randomized differential-testing harness that
 // guards the library's central claim: every strategy computes the same
 // match multiset. For a generated (query, stream, disorder) triple it runs
-// all five strategies and a mid-stream checkpoint/restore round-trip, and
-// compares
-// every result multiset against the brute-force oracle on the sorted
-// stream — which is, by I1, the normative semantics.
+// the strategies and a mid-stream checkpoint/restore round-trip, and
+// compares every result multiset against the brute-force oracle on the
+// sorted stream — which is, by I1, the normative semantics.
 //
 // The harness is deterministic: a trial is a pure function of its seed
 // (Generate), and a trial's verdict is a pure function of its Case (Run),
@@ -23,17 +22,13 @@
 //   - speculation convergence (I7): the speculative engine's inserts minus
 //     retracts equal the exact result set after sealing;
 //   - partitioning soundness (I8): on partitionable queries the kernel
-//     files its state per key by default; with keying disabled the
-//     native policy must produce the identical multiset and the
-//     speculative policy the identical insert/retract sequence;
-//   - expiry-order soundness: under either policy, keyed by the plan's
-//     attribute or filing everything under the zero key, the kernel's
-//     expiry orders must index exactly its live state
-//     (core.Engine.CheckDue);
+//     files its state per key, and every keyed run above must equal the
+//     oracle, which keys nothing;
+//   - expiry-order soundness: under either policy the kernel's expiry
+//     orders must index exactly its live state (core.Engine.CheckDue);
 //   - checkpoint transparency: native state serialized and restored
 //     mid-stream continues to the identical result set (through keyed
-//     stacks whenever the query is partitionable, since keying is the
-//     default);
+//     stacks whenever the query is partitionable);
 //   - latency-sampler transparency: a densely sampled wall-clock
 //     attribution run (Config.Latency, 1-in-4 with an SLO tracker) emits
 //     the identical output sequence as the uninstrumented run, on both the
@@ -115,7 +110,7 @@ func isNaN(v event.Value) bool {
 type Failure struct {
 	// Case is the failing trial (possibly shrunk).
 	Case Case
-	// Check names the property that failed, e.g. "native" or "native-unkeyed".
+	// Check names the property that failed, e.g. "native" or "checkpoint".
 	Check string
 	// Diff is the multiset diff (oracle vs engine) or error text.
 	Diff string
@@ -156,26 +151,10 @@ func Run(c Case) *Failure {
 		return &Failure{Case: c, Check: check, Diff: err.Error(), Truth: len(truth)}
 	}
 
-	// The in-order engine is exact only on sorted input: cross-check the
-	// engine lineage against the oracle lineage.
-	if f := fail("inorder-sorted", run(q, oostream.Config{Strategy: oostream.StrategyInOrder}, sorted)); f != nil {
-		return f
-	}
-
-	// The three disorder-tolerant strategies on the arrival order.
+	// The strategies on the arrival order.
 	native := oostream.Config{Strategy: oostream.StrategyNative, K: c.K}
 	if f := fail("native", run(q, native, c.Arrival)); f != nil {
 		return f
-	}
-	// Keyed vs unkeyed native: when the planner keys the stacks (any
-	// partitionable query), the ablated engine must agree. The default
-	// "native" run above exercises the keyed path; this one re-runs with
-	// key-partitioned stacks disabled.
-	if q.AutoPartitionKey() != "" {
-		unkeyed := oostream.Config{Strategy: oostream.StrategyNative, K: c.K, DisableKeyedStacks: true}
-		if f := fail("native-unkeyed", run(q, unkeyed, c.Arrival)); f != nil {
-			return f
-		}
 	}
 	if err := checkDueOrders(p, c); err != nil {
 		return errf("due-orders", err)
@@ -183,20 +162,8 @@ func Run(c Case) *Failure {
 	if f := fail("kslack", run(q, oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, c.Arrival)); f != nil {
 		return f
 	}
-	speculate := oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}
-	specGot := run(q, speculate, c.Arrival)
-	if f := fail("speculate", specGot); f != nil {
+	if f := fail("speculate", run(q, oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, c.Arrival)); f != nil {
 		return f
-	}
-	// The same ablation under the emit-then-retract policy: a negative
-	// probes only its key group's vulnerable matches, and must compensate
-	// exactly the ones the unkeyed engine finds walking all of them, in the
-	// same (emission) order — element for element, not as a multiset.
-	if q.AutoPartitionKey() != "" {
-		speculate.DisableKeyedStacks = true
-		if diff := identicalMatches(specGot, run(q, speculate, c.Arrival)); diff != "" {
-			return &Failure{Case: c, Check: "speculate-unkeyed", Diff: diff, Truth: len(truth)}
-		}
 	}
 
 	// Provenance-enabled runs: the multiset must be unchanged (lineage is
@@ -272,30 +239,23 @@ func Run(c Case) *Failure {
 }
 
 // checkDueOrders runs every kernel the strategies above are built on — both
-// emission policies, keyed by the plan's attribute and, where it has one,
-// with everything under the zero key as well — over the arrival order,
-// purging eight times as often as the default so that a short trial sees
-// several passes, and verifies with the stream fully admitted and not yet
-// flushed that its expiry orders index exactly the live stack instances,
-// buffered negatives and vulnerable matches: an entry lost on any insert
-// path would strand state that no purge pass reaches again.
+// emission policies — over the arrival order, purging eight times as often
+// as the default so that a short trial sees several passes, and verifies
+// with the stream fully admitted and not yet flushed that its expiry orders
+// index exactly the live stack instances, buffered negatives and vulnerable
+// matches: an entry lost on any insert path would strand state that no purge
+// pass reaches again.
 func checkDueOrders(p *plan.Plan, c Case) error {
-	keyings := []bool{false}
-	if p.PartitionKey != "" {
-		keyings = append(keyings, true)
-	}
 	for _, emit := range []core.EmitPolicy{core.SealThenEmit, core.EmitThenRetract} {
-		for _, noKey := range keyings {
-			en, err := core.New(p, core.Options{K: c.K, Emit: emit, DisableKeying: noKey, PurgeEvery: 8})
-			if err != nil {
-				return err
-			}
-			for _, e := range c.Arrival {
-				en.Process(e)
-			}
-			if err := en.CheckDue(); err != nil {
-				return fmt.Errorf("%s, keying disabled %v: %w", emit, noKey, err)
-			}
+		en, err := core.New(p, core.Options{K: c.K, Emit: emit, PurgeEvery: 8})
+		if err != nil {
+			return err
+		}
+		for _, e := range c.Arrival {
+			en.Process(e)
+		}
+		if err := en.CheckDue(); err != nil {
+			return fmt.Errorf("%s: %w", emit, err)
 		}
 	}
 	return nil

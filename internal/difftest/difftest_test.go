@@ -37,8 +37,7 @@ func TestDifferentialTrials(t *testing.T) {
 
 // TestGeneratorCoverage asserts the trial distribution actually exercises
 // the interesting regions: negation, disorder, partitionable queries (the
-// keyed-vs-unkeyed checks only run on those), timestamp ties, and non-empty
-// truth.
+// kernel keys only those), timestamp ties, and non-empty truth.
 // Without this, a generator regression could silently hollow out the
 // differential test.
 func TestGeneratorCoverage(t *testing.T) {

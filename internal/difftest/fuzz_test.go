@@ -6,8 +6,7 @@ import (
 
 // FuzzDifferential is the seed-driven fuzz entry: the fuzzer explores the
 // 64-bit seed space of Generate, each execution being one full differential
-// trial (all strategies, keyed and unkeyed, checkpoint round-trip vs the
-// oracle). Failures are shrunk before reporting, so a crash artifact's
+// trial (all strategies, checkpoint round-trip vs the oracle). Failures are shrunk before reporting, so a crash artifact's
 // output contains a paste-ready regression fixture.
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 16; seed++ {

@@ -113,7 +113,7 @@ func mustCompile(t *testing.T, src string) *oostream.Query {
 func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 	var rows []covRow
 
-	// Five strategies × {single, aggregate}.
+	// Four strategies × {single, aggregate}.
 	for _, strat := range oostream.Strategies() {
 		s := string(strat)
 		variants := []struct {
@@ -147,24 +147,21 @@ func covRows(t *testing.T, events []event.Event, k event.Time) []covRow {
 		}
 	}
 
-	// QuerySet, every strategy it accepts.
-	for _, strat := range []oostream.Strategy{oostream.StrategyNative, oostream.StrategyInOrder, oostream.StrategyKSlack, oostream.StrategySpeculate} {
-		cfg := oostream.QuerySetConfig{Strategy: strat, K: k}
-		rows = append(rows, covRow{
-			name:   "queryset/" + string(strat),
-			series: []string{"queryset", "qs/pattern", "qs/agg", "latency"},
-			run: func(t *testing.T, ci *covInstruments) covResult {
-				cfg := cfg
-				if ci != nil {
-					cfg = ci.setConfig(cfg)
-				}
-				qs := oostream.MustNewQuerySet(cfg)
-				covRegister(t, qs.Register)
-				ms := qs.ProcessAll(cloneEvents(events))
-				return covResult{matches: ms, lat: qs.LatencyReport(), met: qs.Metrics()}
-			},
-		})
-	}
+	// QuerySet: every registered query runs the native kernel at K=0.
+	rows = append(rows, covRow{
+		name:   "queryset/native",
+		series: []string{"queryset", "qs/pattern", "qs/agg", "latency"},
+		run: func(t *testing.T, ci *covInstruments) covResult {
+			cfg := oostream.QuerySetConfig{K: k}
+			if ci != nil {
+				cfg = ci.setConfig(cfg)
+			}
+			qs := oostream.MustNewQuerySet(cfg)
+			covRegister(t, qs.Register)
+			ms := qs.ProcessAll(cloneEvents(events))
+			return covResult{matches: ms, lat: qs.LatencyReport(), met: qs.Metrics()}
+		},
+	})
 
 	// Supervised forms, killed and reopened mid-stream. CheckpointEvery does
 	// not divide the kill offset, so every restart also replays a WAL tail.
@@ -281,7 +278,7 @@ func cloneEvents(events []event.Event) []event.Event {
 func TestInstrumentCoverage(t *testing.T) {
 	events, k := covStream()
 	rows := covRows(t, events, k)
-	if len(rows) < 10+4+4 {
+	if len(rows) < 8+1+4 {
 		t.Fatalf("table has %d rows; a composition stopped building", len(rows))
 	}
 	for _, row := range rows {

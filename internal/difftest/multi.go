@@ -34,7 +34,7 @@ type multiQuery struct {
 // registered queries must equal, per query, both the oracle and an
 // independent single-query engine — the shared admission pass, the
 // event-type index, and the prefix gates must be pure optimizations.
-// Beyond the all-strategies check it verifies batch-ingestion exactness,
+// Beyond that it verifies batch-ingestion exactness,
 // per-query lineage, live Register/Unregister at heartbeat boundaries,
 // and supervised kill/recover with the v2 (per-query namespaced)
 // checkpoint format, including live mutations across crashes.
@@ -52,7 +52,7 @@ func RunMulti(c Case) *Failure {
 	for i := range queries {
 		queries[i].truth = oracleOn(queries[i].p, c.Arrival)
 	}
-	if f := multiStrategies(c, queries); f != nil {
+	if f := multiKernel(c, queries); f != nil {
 		return f
 	}
 	if f := multiKSlack(c, queries); f != nil {
@@ -172,39 +172,24 @@ func sameOrderedTagged(want, got []plan.Match) string {
 	return ""
 }
 
-// multiStrategies checks every strategy's QuerySet against the per-query
-// oracle and against an independent single-query engine on the same
-// arrival order. The independent baseline for the in-order strategy is
-// kslack: inside a QuerySet the shared reorder buffer sorts the stream,
-// which makes the in-order inner engine exact under the bound — the
-// standalone equivalent of a K-slack engine.
-func multiStrategies(c Case, queries []multiQuery) *Failure {
-	for _, st := range oostream.Strategies() {
-		if st == oostream.StrategyHybrid {
-			// QuerySet rejects the hybrid strategy: inner engines run behind
-			// the shared reorder buffer, so the meta-engine never observes
-			// disorder. Hybrid is covered by the single-engine adaptive
-			// differential instead.
-			continue
+// multiKernel checks a QuerySet against the per-query oracle and
+// against an independent single-query native engine on the same arrival
+// order. Every registered query runs the kernel at K=0 behind the shared
+// reorder buffer.
+func multiKernel(c Case, queries []multiQuery) *Failure {
+	set, err := newMultiSet(oostream.QuerySetConfig{K: c.K, AdvanceEvery: multiAdvanceEvery(c)}, queries)
+	if err != nil {
+		return &Failure{Case: c, Check: "multi", Diff: err.Error()}
+	}
+	got := byQuery(set.ProcessAll(c.Arrival))
+	for _, mq := range queries {
+		check := "multi/" + mq.id
+		if ok, diff := plan.SameResults(mq.truth, got[mq.id]); !ok {
+			return &Failure{Case: c, Check: check, Diff: diff, Truth: len(mq.truth)}
 		}
-		set, err := newMultiSet(oostream.QuerySetConfig{Strategy: st, K: c.K, AdvanceEvery: multiAdvanceEvery(c)}, queries)
-		if err != nil {
-			return &Failure{Case: c, Check: "multi-" + string(st), Diff: err.Error()}
-		}
-		got := byQuery(set.ProcessAll(c.Arrival))
-		base := st
-		if st == oostream.StrategyInOrder {
-			base = oostream.StrategyKSlack
-		}
-		for _, mq := range queries {
-			check := fmt.Sprintf("multi-%s/%s", st, mq.id)
-			if ok, diff := plan.SameResults(mq.truth, got[mq.id]); !ok {
-				return &Failure{Case: c, Check: check, Diff: diff, Truth: len(mq.truth)}
-			}
-			ind := run(mq.q, oostream.Config{Strategy: base, K: c.K}, c.Arrival)
-			if ok, diff := plan.SameResults(ind, got[mq.id]); !ok {
-				return &Failure{Case: c, Check: check + "-independent", Diff: diff, Truth: len(ind)}
-			}
+		ind := run(mq.q, oostream.Config{Strategy: oostream.StrategyNative, K: c.K}, c.Arrival)
+		if ok, diff := plan.SameResults(ind, got[mq.id]); !ok {
+			return &Failure{Case: c, Check: check + "-independent", Diff: diff, Truth: len(ind)}
 		}
 	}
 	return nil
@@ -215,8 +200,9 @@ func multiStrategies(c Case, queries []multiQuery) *Failure {
 // at K=0: per query, every match of one appears in the other with the same
 // events, projection, and lineage. Emission instants are not compared: the
 // Set's prefix gates withhold events that cannot extend a match, so its
-// kernel's clock and traversal counts trail the facade's, whose kernel
-// sees every released event.
+// kernel's clock, which decides when a negation result seals, and its
+// traversal counts trail the facade's, whose kernel sees every released
+// event.
 func multiKSlack(c Case, queries []multiQuery) *Failure {
 	content := func(ms []plan.Match) []string {
 		out := make([]string, len(ms))
@@ -249,7 +235,7 @@ func multiKSlack(c Case, queries []multiQuery) *Failure {
 // batches interleaved) must produce the identical tagged emission
 // sequence as per-event calls — not merely the same multiset.
 func multiBatch(c Case, queries []multiQuery) *Failure {
-	cfg := oostream.QuerySetConfig{Strategy: oostream.StrategyNative, K: c.K, AdvanceEvery: multiAdvanceEvery(c)}
+	cfg := oostream.QuerySetConfig{K: c.K, AdvanceEvery: multiAdvanceEvery(c)}
 	perSet, err := newMultiSet(cfg, queries)
 	if err != nil {
 		return &Failure{Case: c, Check: "multi-batch", Diff: err.Error()}
@@ -280,7 +266,7 @@ func multiBatch(c Case, queries []multiQuery) *Failure {
 // path: every tagged match's record must validate against its own query's
 // plan, and enabling provenance must not change any query's multiset.
 func multiProvenance(c Case, queries []multiQuery) *Failure {
-	cfg := oostream.QuerySetConfig{Strategy: oostream.StrategyNative, K: c.K, Provenance: true, AdvanceEvery: multiAdvanceEvery(c)}
+	cfg := oostream.QuerySetConfig{K: c.K, Provenance: true, AdvanceEvery: multiAdvanceEvery(c)}
 	set, err := newMultiSet(cfg, queries)
 	if err != nil {
 		return &Failure{Case: c, Check: "multi-prov", Diff: err.Error()}
@@ -350,7 +336,7 @@ func multiLive(c Case, queries []multiQuery) *Failure {
 		return wm
 	}
 
-	set, err := oostream.NewQuerySet(oostream.QuerySetConfig{Strategy: oostream.StrategyNative, K: c.K, AdvanceEvery: multiAdvanceEvery(c)})
+	set, err := oostream.NewQuerySet(oostream.QuerySetConfig{K: c.K, AdvanceEvery: multiAdvanceEvery(c)})
 	if err != nil {
 		return &Failure{Case: c, Check: "multi-live", Diff: err.Error()}
 	}
@@ -458,7 +444,7 @@ func multiCrash(c Case, queries []multiQuery) *Failure {
 	}
 	mk := func(dir string) (*oostream.QuerySet, error) {
 		s, err := oostream.NewSupervisedQuerySet(
-			oostream.QuerySetConfig{Strategy: oostream.StrategyNative, K: c.K, AdvanceEvery: multiAdvanceEvery(c)},
+			oostream.QuerySetConfig{K: c.K, AdvanceEvery: multiAdvanceEvery(c)},
 			oostream.SupervisorConfig{Dir: dir, CheckpointEvery: 5, DisableFsync: true})
 		if err != nil {
 			return nil, err

@@ -12,14 +12,15 @@ import (
 // can never quietly return. Add new entries by pasting a Failure's
 // ReproSource() output and naming the scenario.
 //
-// All three cases below are minimized repros of the in-order engine's
-// equal-timestamp/RIP bug (fixed in internal/inorder): the classic RIP
-// walk checked candidates only against the *last* event's timestamp, so a
-// candidate equal to its immediate successor — or, for repeated-type
-// patterns, the successor event itself, reachable through the RIP it
-// recorded a moment earlier — could chain into a match, violating the
+// All three cases below were found as minimized repros of the in-order
+// engine's equal-timestamp/RIP bug (fixed in internal/inorder, whose
+// TestRIPRegressions now pins them against that reference kernel): the
+// classic RIP walk checked candidates only against the *last* event's
+// timestamp, so a candidate equal to its immediate successor — or, for
+// repeated-type patterns, the successor event itself, reachable through the
+// RIP it recorded a moment earlier — could chain into a match, violating the
 // strict-timestamp sequencing semantics (DESIGN.md §3) the oracle
-// implements.
+// implements. Here they keep the same ties in front of every strategy.
 var regressions = []struct {
 	name string
 	c    Case

@@ -77,13 +77,12 @@ func netEmits(t *testing.T, strategy oostream.Strategy, tr []obsv.TraceEvent) ma
 //     Insert / Retract match, identity for identity;
 //   - OpPurge events account for exactly Metrics().Purged items;
 //   - the emit-minus-retract identity multiset is the same for every
-//     strategy (on sorted input all four compute the same results, so
+//     strategy (on sorted input all three compute the same results, so
 //     their trace streams must agree once speculation's compensations
 //     cancel).
 func TestTraceOpsDifferential(t *testing.T) {
 	strategies := []oostream.Strategy{
 		oostream.StrategyNative,
-		oostream.StrategyInOrder,
 		oostream.StrategyKSlack,
 		oostream.StrategySpeculate,
 	}

@@ -26,7 +26,7 @@ import (
 // identity, never for ordering assumptions. Engines are not safe for
 // concurrent calls; wrap them in a runtime pipeline for channel-based use.
 type Engine interface {
-	// Name identifies the strategy, e.g. "inorder", "kslack", "native".
+	// Name identifies the strategy, e.g. "native", "kslack", "speculate".
 	Name() string
 	// Process ingests one event and returns any matches it emits.
 	Process(e event.Event) []plan.Match

@@ -8,7 +8,6 @@ import (
 	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/inorder"
 	"oostream/internal/kslack"
 	"oostream/internal/plan"
 )
@@ -29,7 +28,6 @@ func TestAllEnginesImplementTheContract(t *testing.T) {
 	p := testPlan(t)
 	engines := []engine.Engine{
 		core.MustNew(p, core.Options{K: 10}),
-		inorder.New(p),
 		kslack.NewEngine(10, core.MustNew(p, core.Options{}), engine.Env{}),
 		core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}),
 	}
@@ -48,7 +46,7 @@ func TestAllEnginesImplementTheContract(t *testing.T) {
 			t.Errorf("%s checkpoint: err=%v (want ErrNoCheckpoint), %d bytes written", en.Name(), err, buf.Len())
 		}
 	}
-	for _, want := range []string{"native", "inorder", "kslack", "speculate"} {
+	for _, want := range []string{"native", "kslack", "speculate"} {
 		if !names[want] {
 			t.Errorf("missing engine name %q (got %v)", want, names)
 		}

@@ -60,9 +60,11 @@ func walkModule(t *testing.T, visit func(rel string, f *ast.File)) {
 // binary-searches events by timestamp (the stacks' and the negative stores'
 // search) and no struct inside it wraps one event or points at its own type
 // (the pointer-per-instance AIS with a stored RIP, now the package's test
-// reference); and the layers around the kernel (the reorder buffer, the
-// policy switch) reach neither the deleted speculative engine's shim nor the
-// in-order baseline.
+// reference); the layers around the kernel (the reorder buffer, the policy
+// switch) reach neither the deleted speculative engine's shim nor the
+// in-order reference kernel; and only the experiments (internal/bench) and
+// the examples drive that reference kernel, so no strategy, set, supervisor
+// or operator can be built on it.
 func TestOneKernel(t *testing.T) {
 	// searchesEvents recognizes sort.Search or slices.BinarySearch* over
 	// timestamps: a call whose arguments read a .TS field or call Before.
@@ -100,6 +102,9 @@ func TestOneKernel(t *testing.T) {
 				if dir == "internal/hybrid" || dir == "internal/kslack" {
 					t.Errorf("%s imports %s: the layers around the kernel know only internal/core", rel, target)
 				}
+			}
+			if target == "oostream/internal/inorder" && !isTest && dir != "internal/bench" && !strings.HasPrefix(dir, "examples/") {
+				t.Errorf("%s imports %s: the in-order reference kernel is no strategy; only internal/bench and the examples drive it", rel, target)
 			}
 		}
 		if isTest {
@@ -784,34 +789,32 @@ func TestOneFacade(t *testing.T) {
 //	deployment: …    (supervisor settings and flags) a path or a durability
 //	                 trade that only the deployment can choose, stated
 var census = map[string]string{
-	"Config.Strategy":           "workload rfid-seq-native",
-	"Config.K":                  "workload rfid-seq-native",
-	"Config.DisableTriggerOpt":  "experiment E7",
-	"Config.DisableKeyedStacks": "experiment E14",
-	"Config.PurgeEvery":         "experiment E6",
-	"Config.Provenance":         "flag esprun -explain",
-	"Config.Observer":           "flag esprun -listen",
-	"Config.Trace":              "flag esprun -listen",
-	"Config.Latency":            "flag esprun -latency-sample",
-	"Config.Adaptive":           "experiment E20",
-	"Latency.SampleEvery":       "flag esprun -latency-sample",
-	"Latency.SLO":               "flag esprun -latency-slo",
-	"LatencySLO.Objective":      "flag esprun -latency-slo",
-	"LatencySLO.Target":         "flag esprun -latency-slo-target",
-	"Adaptive.Enabled":          "experiment E20",
-	"Adaptive.Quantile":         "experiment E20",
-	"Adaptive.Margin":           "experiment E20",
-	"Adaptive.MinK":             "experiment E20",
-	"Adaptive.DecisionEvery":    "experiment E20",
-	"Adaptive.ShrinkAfter":      "experiment E20",
-	"Adaptive.SLO":              "experiment E20",
-	"Adaptive.Limits":           "flag esprun -limits",
-	"SLO.MaxLatency":            "experiment E20",
-	"SLO.MaxRetractionRate":     "flag esprun -slo",
-	"Limits.MaxBufferedEvents":  "flag esprun -limits",
-	"Limits.MaxLag":             "flag esprun -limits",
+	"Config.Strategy":          "workload rfid-seq-native",
+	"Config.K":                 "workload rfid-seq-native",
+	"Config.DisableTriggerOpt": "experiment E7",
+	"Config.PurgeEvery":        "experiment E6",
+	"Config.Provenance":        "flag esprun -explain",
+	"Config.Observer":          "flag esprun -listen",
+	"Config.Trace":             "flag esprun -listen",
+	"Config.Latency":           "flag esprun -latency-sample",
+	"Config.Adaptive":          "experiment E20",
+	"Latency.SampleEvery":      "flag esprun -latency-sample",
+	"Latency.SLO":              "flag esprun -latency-slo",
+	"LatencySLO.Objective":     "flag esprun -latency-slo",
+	"LatencySLO.Target":        "flag esprun -latency-slo-target",
+	"Adaptive.Enabled":         "experiment E20",
+	"Adaptive.Quantile":        "experiment E20",
+	"Adaptive.Margin":          "experiment E20",
+	"Adaptive.MinK":            "experiment E20",
+	"Adaptive.DecisionEvery":   "experiment E20",
+	"Adaptive.ShrinkAfter":     "experiment E20",
+	"Adaptive.SLO":             "experiment E20",
+	"Adaptive.Limits":          "flag esprun -limits",
+	"SLO.MaxLatency":           "experiment E20",
+	"SLO.MaxRetractionRate":    "flag esprun -slo",
+	"Limits.MaxBufferedEvents": "flag esprun -limits",
+	"Limits.MaxLag":            "flag esprun -limits",
 
-	"QuerySetConfig.Strategy":   "experiment E19",
 	"QuerySetConfig.K":          "experiment E19",
 	"QuerySetConfig.Provenance": "flag esprun -explain",
 	"QuerySetConfig.Observer":   "flag esprun -listen",
@@ -826,7 +829,6 @@ var census = map[string]string{
 	"SupervisorConfig.MaxRestarts":     "deployment: how many engine panics a process survives",
 
 	"StrategyNative":    "workload rfid-seq-native",
-	"StrategyInOrder":   "experiment E1",
 	"StrategyKSlack":    "workload rfid-neg-kslack",
 	"StrategySpeculate": "workload rfid-neg-speculate",
 	"StrategyHybrid":    "experiment E20",

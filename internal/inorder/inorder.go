@@ -1,5 +1,5 @@
-// Package inorder implements the state-of-the-art SASE-style sequence scan
-// and construction engine the paper uses as its point of departure. It is
+// Package inorder is the reference kernel of the paper's point of departure:
+// the classic SASE-style sequence scan and construction operator. It is
 // exactly correct for streams that arrive in timestamp order — the oracle
 // cross-checks that in tests — and it is the engine whose misbehaviour on
 // out-of-order input the paper analyzes: its stacks record arrival order,
@@ -8,20 +8,18 @@
 // for negation, premature (false-positive) output.
 //
 // The implementation deliberately preserves those assumptions rather than
-// repairing them; the repairs are the contribution of the native engine in
-// internal/core.
+// repairing them; the repairs are the contribution of the out-of-order
+// kernel in internal/core, which every strategy of the library runs. Like
+// fiba.Tree and the pointer AIS, this kernel is a reference and not a
+// strategy: the experiments (internal/bench), the examples and the
+// repository benchmark drive it directly, with no instruments.
 package inorder
 
 import (
-	"fmt"
-	"io"
 	"math"
 
-	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
-	"oostream/internal/provenance"
 	"oostream/internal/queue"
 )
 
@@ -50,21 +48,18 @@ func (s *stack) topIndex() int { return s.base + len(s.items) - 1 }
 // at returns the instance at absolute index.
 func (s *stack) at(abs int) instance { return s.items[abs-s.base] }
 
-func (s *stack) len() int { return len(s.items) }
-
 // purgeWhile removes the longest prefix whose events satisfy pred.
-func (s *stack) purgeWhile(pred func(event.Event) bool) int {
+func (s *stack) purgeWhile(pred func(event.Event) bool) {
 	cut := 0
 	for cut < len(s.items) && pred(s.items[cut].ev) {
 		cut++
 	}
 	if cut == 0 {
-		return 0
+		return
 	}
 	n := copy(s.items, s.items[cut:])
 	s.items = s.items[:n]
 	s.base += cut
-	return cut
 }
 
 // Engine is the classic in-order SSC operator.
@@ -78,176 +73,54 @@ type Engine struct {
 	// most recent arrival (NOT the max — this engine trusts arrival order).
 	clock   event.Time
 	arrival uint64
-	met     *obsv.Series
-	maxSeen event.Time
-	// trace observes lifecycle steps when non-nil (nil-checked per site).
-	trace     obsv.TraceHook
-	traceName string
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// event spans.
-	lat *obsv.LatencySampler
 	// pending holds full bindings waiting for their negation gaps to close
 	// (only trailing negation ever has to wait under the in-order
 	// assumption), due at sealTS; ties leave in completion order.
 	pending queue.Queue[pendingMatch]
-
-	// prov enables lineage records on emitted matches (flag-checked per
-	// site, like trace). trig*/visited carry the current trigger through
-	// construction; lineageLive/lineageBytes track retained records.
-	prov         bool
-	trigSeq      event.Seq
-	trigTS       event.Time
-	visited      int
-	lineageLive  int
-	lineageBytes int
 }
 
-// pendingMatch is a binding whose negation gaps close at sealTS. prov is
-// its lineage record, nil unless provenance is enabled.
+// pendingMatch is a binding whose negation gaps close at sealTS.
 type pendingMatch struct {
-	events  []event.Event
-	sealTS  event.Time
-	madeSeq uint64 // arrival counter when the binding completed
-	prov    *provenance.Record
+	events []event.Event
+	sealTS event.Time
 }
 
-var _ engine.Engine = (*Engine)(nil)
-
-// New builds an in-order engine with no instruments (NewWithEnv's zero-Env
-// form, the signature the repository benchmark compiles against).
-func New(p *plan.Plan) *Engine { return NewWithEnv(p, engine.Env{}) }
-
-// NewWithEnv builds an in-order engine for the plan, instrumented by env.
-func NewWithEnv(p *plan.Plan, env engine.Env) *Engine {
+// New builds an in-order engine for the plan.
+func New(p *plan.Plan) *Engine {
 	en := &Engine{
 		plan:      p,
 		stacks:    make([]*stack, p.Len()),
 		negStores: make([][]event.Event, len(p.Negatives)),
-		trace:     env.Trace,
-		lat:       env.Latency,
-		prov:      env.Provenance,
 	}
-	en.met, en.traceName = env.Publish(en.Name())
 	for i := range en.stacks {
 		en.stacks[i] = &stack{}
 	}
 	return en
 }
 
-// Name implements engine.Engine.
-func (en *Engine) Name() string { return "inorder" }
-
-// Metrics implements engine.Engine.
-func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
-
-// Checkpoint implements engine.Engine: the baseline has no durable format.
-func (en *Engine) Checkpoint(io.Writer) error {
-	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
-}
-
-// StateSnapshot implements engine.Engine. The in-order engine trusts
-// arrival order, so its safe clock IS its clock.
-func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
-	s := &provenance.StateSnapshot{
-		Engine:        en.traceName,
-		Started:       en.arrival > 0,
-		Clock:         en.clock,
-		Safe:          en.clock,
-		PurgeFrontier: en.clock - en.plan.Window,
-		StackDepths:   make([]int, len(en.stacks)),
-		NegStoreSizes: make([]int, len(en.negStores)),
-		Pending:       en.pending.Len(),
-		Lineage: provenance.LineageStats{
-			Enabled: en.prov,
-			Live:    en.lineageLive,
-			Bytes:   en.lineageBytes,
-		},
-	}
-	for i, st := range en.stacks {
-		s.StackDepths[i] = st.len()
-	}
-	for i, ns := range en.negStores {
-		s.NegStoreSizes[i] = len(ns)
-	}
-	return s
-}
-
-// StateSize implements engine.Engine.
-func (en *Engine) StateSize() int {
-	total := 0
-	for _, s := range en.stacks {
-		total += s.len()
-	}
-	for _, ns := range en.negStores {
-		total += len(ns)
-	}
-	return total + en.pending.Len()
-}
-
-// Process implements engine.Engine.
+// Process admits one event and returns the matches it completes or seals.
+// A match's EmitClock is the clock at emission and its EmitSeq the arrival
+// count, as the kernel stamps them.
 func (en *Engine) Process(e event.Event) []plan.Match {
-	out := en.processOne(e, nil)
-	en.lat.StageEnd(e.Seq, obsv.StageConstruct)
-	en.met.LiveState.Set(int64(en.StateSize()))
-	if en.prov {
-		en.met.SetLineage(en.lineageLive, en.lineageBytes)
-	}
-	return out
-}
-
-// ProcessBatch implements engine.Engine. The classic engine's
-// clock is the latest arrival's timestamp — it can move backwards — so its
-// purge horizon is semantics-bearing (a deferred purge would retain
-// instances a regressed clock then wrongly re-binds). The batch path
-// therefore keeps the full per-event pipeline including the purge and only
-// amortizes the output slice and gauge publication.
-func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
-	var out []plan.Match
-	for i := range batch {
-		out = en.processOne(batch[i], out)
-		en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
-	}
-	en.met.LiveState.Set(int64(en.StateSize()))
-	if en.prov {
-		en.met.SetLineage(en.lineageLive, en.lineageBytes)
-	}
-	return out
-}
-
-// processOne is the per-event pipeline shared by Process and ProcessBatch,
-// everything except gauge publication.
-func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
 	if !en.plan.Relevant(e.Type) {
-		en.met.Irrelevant.Inc()
-		return out
-	}
-	var lag event.Time
-	if e.TS < en.maxSeen {
-		lag = en.maxSeen - e.TS
-	}
-	en.met.IncIn(e.TS < en.maxSeen, lag)
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
-	if e.TS > en.maxSeen {
-		en.maxSeen = e.TS
+		return nil
 	}
 	// The classic engine trusts arrival order: its clock is the latest
 	// arrival's timestamp, out-of-order or not.
 	en.clock = e.TS
-
 	if en.plan.ConstFalse {
-		return out
+		return nil
 	}
 
 	for _, negIdx := range en.plan.NegativesForType(e.Type) {
-		if plan.EvalLocal(en.plan.Negatives[negIdx].Local, e, en.met.IncPredError) {
+		if plan.EvalLocal(en.plan.Negatives[negIdx].Local, e, nil) {
 			en.negStores[negIdx] = append(en.negStores[negIdx], e)
 		}
 	}
+	var out []plan.Match
 	for _, pos := range en.plan.PositionsForType(e.Type) {
-		if !plan.EvalLocal(en.plan.Positives[pos].Local, e, en.met.IncPredError) {
+		if !plan.EvalLocal(en.plan.Positives[pos].Local, e, nil) {
 			continue
 		}
 		rip := -1
@@ -255,11 +128,8 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			rip = en.stacks[pos-1].topIndex()
 		}
 		en.stacks[pos].push(e, rip)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpStackPush, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-		}
 		if pos == en.plan.Len()-1 {
-			out = append(out, en.construct(e, rip)...)
+			out = en.construct(e, rip, out)
 		}
 	}
 	out = en.drainPending(en.clock, out)
@@ -270,19 +140,13 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // construct enumerates matches ending in the just-pushed last-position
 // event by the classic RIP walk: at each earlier position, candidates are
 // the instances at or below the RIP recorded by the successor.
-func (en *Engine) construct(last event.Event, rip int) []plan.Match {
+func (en *Engine) construct(last event.Event, rip int, out []plan.Match) []plan.Match {
 	n := en.plan.Len()
 	binding := make([]event.Event, n)
 	binding[n-1] = last
-	if en.prov {
-		en.trigSeq = last.Seq
-		en.trigTS = last.TS
-		en.visited = 0
-	}
-	var out []plan.Match
 	boundMask := uint64(1) << uint(n-1)
 	if n == 1 {
-		if en.plan.CrossSatisfiedAt(0, boundMask, binding, en.met.IncPredError) {
+		if en.plan.CrossSatisfiedAt(0, boundMask, binding, nil) {
 			out = en.emit(binding, out)
 		}
 		return out
@@ -292,9 +156,6 @@ func (en *Engine) construct(last event.Event, rip int) []plan.Match {
 		s := en.stacks[pos]
 		for abs := limit; abs >= s.base; abs-- {
 			inst := s.at(abs)
-			if en.prov {
-				en.visited++
-			}
 			// Window check against the last event's timestamp. For genuinely
 			// in-order streams every instance below the RIP is earlier, so
 			// this check only trims the window; on disordered input it is
@@ -315,7 +176,7 @@ func (en *Engine) construct(last event.Event, rip int) []plan.Match {
 			}
 			binding[pos] = inst.ev
 			m := mask | 1<<uint(pos)
-			if !en.plan.CrossSatisfiedAt(pos, m, binding, en.met.IncPredError) {
+			if !en.plan.CrossSatisfiedAt(pos, m, binding, nil) {
 				continue
 			}
 			if pos == 0 {
@@ -352,40 +213,18 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 			sealTS = hi
 		}
 	}
-	pm := pendingMatch{events: events, sealTS: sealTS, madeSeq: en.arrival}
-	if en.prov {
-		pm.prov = &provenance.Record{
-			Kind:       provenance.KindInsert,
-			Events:     provenance.Refs(events),
-			WindowLo:   events[0].TS,
-			WindowHi:   events[0].TS + en.plan.Window,
-			SealTS:     sealTS,
-			TriggerSeq: en.trigSeq,
-			TriggerTS:  en.trigTS,
-			TriggerPos: len(events) - 1,
-			Traversed:  en.visited,
-		}
-		en.met.LineageRecords.Inc()
-	}
+	pm := pendingMatch{events: events, sealTS: sealTS}
 	if sealTS <= en.clock {
 		return en.finalize(pm, out)
-	}
-	if pm.prov != nil {
-		en.lineageLive++
-		en.lineageBytes += pm.prov.SizeBytes()
 	}
 	en.pending.Insert(pm.sealTS, pm)
 	return out
 }
 
 // drainPending finalizes, in seal order, the pending bindings sealing at or
-// before through (the clock; the end of time at Flush), settling their lineage.
+// before through (the clock; the end of time at Flush).
 func (en *Engine) drainPending(through event.Time, out []plan.Match) []plan.Match {
 	en.pending.PopThrough(through, func(pm pendingMatch) {
-		if pm.prov != nil {
-			en.lineageLive--
-			en.lineageBytes -= pm.prov.SizeBytes()
-		}
 		out = en.finalize(pm, out)
 	})
 	return out
@@ -401,36 +240,22 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 			if t.TS <= lo || t.TS >= hi {
 				continue
 			}
-			if en.plan.NegMatches(negIdx, t, pm.events, en.met.IncPredError) {
+			if en.plan.NegMatches(negIdx, t, pm.events, nil) {
 				return out
 			}
 		}
 	}
 	fields, err := en.plan.Project(pm.events)
 	if err != nil {
-		en.met.IncPredError(err)
 		return out
 	}
-	m := plan.Match{
+	return append(out, plan.Match{
 		Kind:      plan.Insert,
 		Events:    pm.events,
 		Fields:    fields,
 		EmitSeq:   event.Seq(en.arrival),
 		EmitClock: en.clock,
-	}
-	if pm.prov != nil {
-		pm.prov.EmitClock = en.clock
-		m.Prov = pm.prov
-	}
-	en.met.AddMatch(false, en.clock-m.Last().TS, en.arrival-pm.madeSeq)
-	if en.trace != nil {
-		te := obsv.TraceEvent{Op: obsv.OpEmit, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-		if m.Prov != nil {
-			te.Match = m.Prov.MatchKey()
-		}
-		en.trace.Trace(te)
-	}
-	return append(out, m)
+	})
 }
 
 // purge removes state the in-order assumption says is dead: instances (and
@@ -438,9 +263,8 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 // future arrival, which the engine believes has timestamp >= clock.
 func (en *Engine) purge() {
 	horizon := en.clock - en.plan.Window
-	purged := 0
 	for _, s := range en.stacks {
-		purged += s.purgeWhile(func(e event.Event) bool { return e.TS < horizon })
+		s.purgeWhile(func(e event.Event) bool { return e.TS < horizon })
 	}
 	// A leading negation's gap reaches back to first.TS − W, and a future
 	// binding can have first.TS as old as clock − W, so negatives stay
@@ -454,43 +278,12 @@ func (en *Engine) purge() {
 		if cut > 0 {
 			n := copy(ns, ns[cut:])
 			en.negStores[i] = ns[:n]
-			purged += cut
-		}
-	}
-	if purged > 0 {
-		en.met.ObservePurge(purged)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpPurge, Engine: en.traceName, TS: en.clock, N: purged})
 		}
 	}
 }
 
-// Advance implements engine.Engine: a heartbeat carrying only a
-// timestamp. Under the in-order assumption it moves the clock like an
-// event would, sealing pending trailing-negation output and purging.
-func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if ts > en.clock {
-		en.clock = ts
-	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
-	out := en.drainPending(en.clock, nil)
-	en.purge()
-	en.met.LiveState.Set(int64(en.StateSize()))
-	return out
-}
-
-// Flush implements engine.Engine: end of stream means no further negative
-// can arrive, so every pending binding is final-checked and emitted.
+// Flush ends the stream: no further negative can arrive, so every pending
+// binding is final-checked and emitted.
 func (en *Engine) Flush() []plan.Match {
-	out := en.drainPending(math.MaxInt64, nil)
-	en.met.LiveState.Set(int64(en.StateSize()))
-	if en.prov {
-		en.met.SetLineage(en.lineageLive, en.lineageBytes)
-	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
-	}
-	return out
+	return en.drainPending(math.MaxInt64, nil)
 }

@@ -265,15 +265,24 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 	return out
 }
 
+// Restamp rewrites the emission metadata of a match relayed from behind a
+// reorder buffer to the clock and arrival count of the layer that admits the
+// stream: the engine behind the buffer sees the stream up to K late, so its
+// own stamps would leave the buffer's wait out of result latency. The levee
+// and a QuerySet both restamp what their K=0 kernels emit.
+func Restamp(m *plan.Match, clock event.Time, arrival uint64) {
+	m.EmitClock = clock
+	m.EmitSeq = event.Seq(arrival)
+	if m.Prov != nil {
+		m.Prov.EmitClock = clock
+	}
+}
+
 // restamp rewrites emission metadata to the outer clock so latency reflects
 // the buffering delay, and records the matches in the outer series.
 func (en *Engine) restamp(ms []plan.Match) []plan.Match {
 	for i := range ms {
-		ms[i].EmitClock = en.clock
-		ms[i].EmitSeq = event.Seq(en.arrival)
-		if ms[i].Prov != nil {
-			ms[i].Prov.EmitClock = en.clock
-		}
+		Restamp(&ms[i], en.clock, en.arrival)
 		retract := ms[i].Kind == plan.Retract
 		en.met.AddMatch(retract, en.clock-ms[i].Last().TS, 0)
 		if en.trace != nil {

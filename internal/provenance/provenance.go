@@ -199,8 +199,7 @@ type StateSnapshot struct {
 	Engine string `json:"engine"`
 	// Started reports whether the engine has seen an event.
 	Started bool `json:"started"`
-	// Clock is the engine's current clock (max timestamp seen for the
-	// disorder-tolerant engines; last arrival's timestamp for inorder).
+	// Clock is the engine's current clock: the maximum timestamp seen.
 	Clock event.Time `json:"clock"`
 	// Safe is the safe clock / watermark (Clock − K): everything below it
 	// has arrived under the disorder bound.

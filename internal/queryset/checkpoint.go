@@ -33,6 +33,9 @@ type setCheckpoint struct {
 	// replay must reproduce the original emission order, not merely the
 	// multiset.
 	SinceAdvance int `json:"sinceAdvance,omitempty"`
+	// Arrival is the count of events offered, which stamps emissions
+	// (absent from checkpoints written before emissions carried it).
+	Arrival uint64 `json:"arrival,omitempty"`
 	// Queries are the per-query namespaces, in registration order.
 	Queries []queryCheckpoint `json:"queries"`
 }
@@ -72,6 +75,7 @@ func (s *Set) Checkpoint(w io.Writer) error {
 		Started:      started,
 		Buffer:       s.buf.Pending(),
 		SinceAdvance: s.sinceAdvance,
+		Arrival:      s.arrival,
 		Queries:      make([]queryCheckpoint, 0, len(s.order)),
 	}
 	for _, q := range s.order {
@@ -136,6 +140,7 @@ func Restore(opts Options, r io.Reader) (*Set, error) {
 	}
 	s.buf = kslack.RestoreBuffer(opts.K, cp.MaxSeen, cp.Started, cp.Buffer)
 	s.sinceAdvance = cp.SinceAdvance
+	s.arrival = cp.Arrival
 	for _, qc := range cp.Queries {
 		// Register's rules hold for a listed id too: a repeated one would be
 		// dispatched twice, every match of it emitted twice.

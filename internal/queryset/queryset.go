@@ -27,7 +27,7 @@
 //
 // Correctness is differential: internal/difftest.RunMulti proves a Set's
 // per-query output equals N independent single-query engines (and the
-// brute-force oracle), across strategies, live Register/Unregister, batch
+// brute-force oracle), across live Register/Unregister, batch
 // ingestion, and supervised kill/recover via the v2 checkpoint format
 // (see checkpoint.go).
 package queryset
@@ -97,7 +97,11 @@ type Set struct {
 	index   map[string][]dispatch
 	nextReg uint64
 
-	lastDropped  uint64 // buffer drop count at last Push, for metrics
+	lastDropped uint64 // buffer drop count at last Push, for metrics
+	// arrival counts the events offered to the Set: with the buffer's
+	// maximum timestamp it stamps what the K=0 engines emit (kslack.Restamp),
+	// so a match's emission instant includes its wait in the shared buffer.
+	arrival      uint64
 	sinceAdvance int
 	sealed       bool
 	met          *obsv.Series
@@ -345,6 +349,7 @@ func (s *Set) process(e event.Event, out *[]plan.Match) {
 	if s.sealed {
 		return
 	}
+	s.arrival++
 	maxSeen, started := s.buf.MaxSeen()
 	ooo := started && e.TS < maxSeen
 	var lag event.Time
@@ -493,11 +498,14 @@ func (s *Set) Flush() []plan.Match {
 	return out
 }
 
-// tag stamps matches with the owning query id, counts them on the Set's
-// aggregate series, and appends them.
+// tag stamps matches with the owning query id and the Set's clock and
+// arrival count, counts them on the Set's aggregate series, and appends
+// them.
 func (s *Set) tag(q *queryState, ms []plan.Match, out *[]plan.Match) {
+	clock, _ := s.buf.MaxSeen()
 	for _, m := range ms {
 		m.Query = q.id
+		kslack.Restamp(&m, clock, s.arrival)
 		lat := m.EmitClock - m.Last().TS
 		s.met.AddMatch(m.Kind == plan.Retract, lat, 0)
 		*out = append(*out, m)

@@ -10,17 +10,15 @@
 //	WITHIN  12h
 //
 // over unbounded event streams whose events may arrive out of timestamp
-// order, under a bounded-disorder (K-slack) assumption. Five interchangeable
-// strategies implement the same query semantics; all but the in-order
-// baseline run one out-of-order kernel (timestamp-sorted active instance
-// stacks with out-of-order insertion and predecessor repair, construction
-// triggered by the out-of-order event itself, safe-clock state purging):
+// order, under a bounded-disorder (K-slack) assumption. Four interchangeable
+// strategies implement the same query semantics over one out-of-order kernel
+// (timestamp-sorted active instance stacks with out-of-order insertion and
+// predecessor repair, construction triggered by the out-of-order event
+// itself, safe-clock state purging); they differ in its emission policy and
+// in what stands in front of it:
 //
 //   - StrategyNative — the paper's contribution: the kernel holding each
 //     negation result until the safe clock seals its gaps (exact, final).
-//   - StrategyInOrder — the classic SASE engine. Exact on sorted input;
-//     misses matches and emits premature negation results under disorder
-//     (the paper's problem analysis).
 //   - StrategyKSlack — a K-slack reorder buffer in front of the kernel at
 //     K=0. Exact under the bound, but every result pays up to K latency
 //     and the buffer holds the whole recent stream.
@@ -29,6 +27,11 @@
 //   - StrategyHybrid — one kernel whose emission policy flips between the
 //     speculate and native behaviours as disorder and the configured
 //     service-level objectives demand.
+//
+// The classic in-order SASE engine of the paper's problem analysis — exact
+// on sorted input, missing matches and emitting premature negation results
+// under disorder — is not a strategy: it is a reference kernel the
+// experiments and examples drive directly (internal/inorder).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduced evaluation.
@@ -168,9 +171,9 @@ func (q *Query) HasAggregate() bool { return q.plan.Agg != nil }
 // AutoPartitionKey returns the equivalence attribute the planner selected
 // for key-partitioned stacks (the partitionable attribute appearing in the
 // most equality predicates), or "" when the query is not partitionable.
-// The native engine keys its active instance stacks and negation stores by
-// this attribute automatically, confining construction and negation probes
-// to one key group per trigger; Config.DisableKeyedStacks turns it off.
+// The kernel keys its active instance stacks and negation stores by this
+// attribute automatically, confining construction and negation probes to
+// one key group per trigger.
 func (q *Query) AutoPartitionKey() string { return q.plan.PartitionKey }
 
 // SameResults compares two match slices as multisets (applying Retract

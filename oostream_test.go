@@ -68,18 +68,12 @@ func TestExactStrategiesAgreeUnderDisorder(t *testing.T) {
 	sorted := gen.RFID(gen.DefaultRFID(200, 6))
 	shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.2, MaxDelay: 2000, Seed: 7})
 
-	want := MustNewEngine(q, Config{Strategy: StrategyInOrder}).ProcessAll(sorted)
+	want := MustNewEngine(q, Config{}).ProcessAll(sorted)
 	for _, s := range []Strategy{StrategyNative, StrategyKSlack, StrategySpeculate} {
 		got := MustNewEngine(q, Config{Strategy: s, K: 2000}).ProcessAll(shuffled)
 		if ok, diff := SameResults(want, got); !ok {
 			t.Errorf("strategy %s wrong under disorder:\n%s", s, diff)
 		}
-	}
-	// And the naive engine is NOT exact under disorder (sanity that the
-	// experiment's premise holds).
-	naive := MustNewEngine(q, Config{Strategy: StrategyInOrder}).ProcessAll(shuffled)
-	if ok, _ := SameResults(want, naive); ok {
-		t.Log("note: naive engine happened to be correct on this shuffle")
 	}
 }
 
@@ -107,8 +101,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(q, Config{Strategy: "bogus"}); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	if _, err := NewEngine(q, Config{Strategy: StrategyInOrder, DisableTriggerOpt: true}); err == nil {
-		t.Error("DisableTriggerOpt accepted by the strategy that does not run the kernel")
+	if _, err := NewEngine(q, Config{Strategy: "inorder"}); err == nil {
+		t.Error("the in-order reference kernel accepted as a strategy")
 	}
 	en, err := NewEngine(q, Config{})
 	if err != nil || en.Strategy() != "native" {
@@ -277,10 +271,22 @@ func TestHugeWindowRefused(t *testing.T) {
 			t.Fatalf("WITHIN %s: %v", w, err)
 		}
 		for _, unkeyed := range []bool{false, true} {
-			en := MustNewEngine(q, Config{Strategy: StrategyNative, K: 10, DisableKeyedStacks: unkeyed})
-			if got := en.ProcessAll(events); len(got) != 0 {
+			run := q
+			if unkeyed {
+				run = withoutKey(q)
+			}
+			if got := MustNewEngine(run, Config{K: 10}).ProcessAll(events); len(got) != 0 {
 				t.Errorf("WITHIN %s unkeyed=%v: %d matches, want 0 (N@150 cancels A@100 … B@500): %v", w, unkeyed, len(got), got)
 			}
 		}
 	}
+}
+
+// withoutKey returns q with no partition attribute: the kernel then files
+// every event under the zero key and evaluates every key equality, the
+// layout of a query that is not partitionable.
+func withoutKey(q *Query) *Query {
+	p := *q.plan
+	p.PartitionKey = ""
+	return &Query{plan: &p}
 }

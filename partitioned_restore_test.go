@@ -319,3 +319,46 @@ func TestRestorePartitionedHostile(t *testing.T) {
 		})
 	}
 }
+
+// testdata/nokeyed was written at e8986e8, the last commit where keying could
+// be turned off, over fixtureDir's neg.trace and the negation query:
+//
+//	neg.ckpt  checkpoint after 251 events under Config{K: 200} with
+//	          keying turned off (a Config field of that version): the payload
+//	          records "noKeyed":true, five bindings pending, the events
+//	          without id filed with the rest
+//	neg.rest  what that version emitted after restoring it under
+//	          Config{K: 200} and taking the rest of the trace and a flush
+//
+// Keying never changed results, so the flag is ignored: the checkpoint
+// restores into the keyed engine, which drops the events without id (they
+// can satisfy no key equality) and emits what the writer did.
+func TestRestoreNoKeyedFixture(t *testing.T) {
+	const cut = 251
+	ckpt, err := os.ReadFile("testdata/nokeyed/neg.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/nokeyed/neg.rest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(ckpt, []byte(`"noKeyed":true`)) {
+		t.Fatal("the fixture records no noKeyed flag: the test checks nothing")
+	}
+	q := MustCompile(fixtureNegQuery, nil)
+	en, err := RestoreEngine(q, Config{K: 200}, bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := en.StateSnapshot(); s.KeyAttr != "id" || s.Pending != 5 {
+		t.Errorf("restored engine keys by %q with %d pending, want id and 5", s.KeyAttr, s.Pending)
+	}
+	var got strings.Builder
+	for _, m := range en.ProcessAll(fixtureTrace(t, "neg.trace")[cut:]) {
+		fmt.Fprintln(&got, m)
+	}
+	if got.String() != string(want) {
+		t.Errorf("continuation differs from the writer's\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}

@@ -18,16 +18,13 @@ type QueryStats = queryset.QueryStats
 
 // QuerySetConfig configures a QuerySet — the multi-query engine that
 // shares admission, reordering, and purge scheduling across every
-// registered query. A QuerySet with one registered query computes the
-// results of a single-query Engine, but not at its latency: the shared
-// buffer holds every event for K, so a native query's results wait K too.
+// registered query. Every registered query runs the out-of-order kernel at
+// K=0 under the native (seal-then-emit) policy behind the shared reorder
+// buffer, which carries all disorder tolerance. A QuerySet with one
+// registered query computes the results of a single-query Engine, but not at
+// its latency: the shared buffer holds every event for K, so its results
+// wait K, as a StrategyKSlack engine's do.
 type QuerySetConfig struct {
-	// Strategy selects the per-query inner engine; default StrategyNative.
-	// Inner engines run at K=0 — the shared reorder buffer carries all
-	// disorder tolerance — so StrategyInOrder is exact under the bound
-	// inside a QuerySet (equivalent to a single-query StrategyKSlack
-	// engine), unlike the standalone in-order engine.
-	Strategy Strategy
 	// K is the shared disorder bound (slack) in logical milliseconds,
 	// paid once at the shared buffer instead of once per query.
 	K Time
@@ -55,23 +52,7 @@ type QuerySetConfig struct {
 	Latency Latency
 }
 
-func (cfg QuerySetConfig) withDefaults() QuerySetConfig {
-	if cfg.Strategy == "" {
-		cfg.Strategy = StrategyNative
-	}
-	return cfg
-}
-
 func (cfg QuerySetConfig) validate() error {
-	switch cfg.Strategy {
-	case StrategyNative, StrategyInOrder, StrategyKSlack, StrategySpeculate:
-	case StrategyHybrid:
-		// Inner engines see the shared buffer's sorted output, so the
-		// meta-engine would never observe disorder and never switch.
-		return fmt.Errorf("strategy %q is not meaningful inside a QuerySet: inner engines run behind the shared reorder buffer", StrategyHybrid)
-	default:
-		return fmt.Errorf("unknown strategy %q", cfg.Strategy)
-	}
 	if cfg.K < 0 {
 		return fmt.Errorf("K must be >= 0, got %d", cfg.K)
 	}
@@ -84,12 +65,12 @@ func (cfg QuerySetConfig) validate() error {
 // setOptions derives the Set's options from cfg and its builder: the Set
 // itself publishes into series and owns the sampler (it
 // stamps shared-buffer residency and per-query construction); every
-// per-query engine — the configured strategy at K=0, since the shared
-// buffer reorders — is built or restored through the same builder under
-// the "qs/<id>" identity with the hook and the provenance switch, and no
+// per-query engine — the native kernel at K=0, since the shared buffer
+// reorders — is built or restored through the same builder under the
+// "qs/<id>" identity with the hook and the provenance switch, and no
 // sampler.
 func (cfg QuerySetConfig) setOptions(b builder, series *obsv.Series) queryset.Options {
-	ecfg := Config{Strategy: cfg.Strategy}
+	ecfg := Config{Strategy: StrategyNative}
 	qb := b
 	qb.lat = nil
 	opts := queryset.Options{
@@ -104,11 +85,9 @@ func (cfg QuerySetConfig) setOptions(b builder, series *obsv.Series) queryset.Op
 			// recompiles the canonical text without re-checking.
 			return plan.ParseAndCompile(src, nil)
 		},
-	}
-	if ecfg.restorable() {
-		opts.RestoreEngine = func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
+		RestoreEngine: func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
 			return qb.build(p, ecfg, qb.series("qs/"+id), openCheckpoint(r))
-		}
+		},
 	}
 	if b.obs != nil {
 		// Per-query construct attribution lands in the same "qs/<id>"
@@ -159,7 +138,7 @@ func MustNewQuerySet(cfg QuerySetConfig) *QuerySet {
 // RestoreQuerySet rebuilds a QuerySet from a Checkpoint (format v2): the
 // shared buffer, the full query registry (sources are recompiled), and
 // every per-query engine state, instrumented by cfg exactly as NewQuerySet
-// would. Only StrategyNative supports it.
+// would.
 func RestoreQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	if r == nil {
 		return nil, fmt.Errorf("RestoreQuerySet: nil checkpoint reader")
@@ -169,12 +148,8 @@ func RestoreQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 
 // newQuerySet is NewQuerySet (r == nil) and RestoreQuerySet.
 func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if r != nil && cfg.Strategy != StrategyNative {
-		return nil, fmt.Errorf("strategy %q does not support checkpointing", cfg.Strategy)
 	}
 	b := cfg.builder()
 	opts := cfg.setOptions(b, b.series("queryset"))
@@ -201,14 +176,11 @@ func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 // ignored (reconcile via Queries after Start).
 //
 // As for NewSupervisedEngine, events must carry caller-assigned unique Seq
-// values, and Advance is refused. Live mutation requires the native
-// strategy (per-query snapshots); other strategies run WAL-only with the
-// registry staged before Start. One caveat mirrors the supervisor's
+// values, and Advance is refused. One caveat mirrors the supervisor's
 // mutations: the final flush a live Unregister returns sits outside the
 // exactly-once horizon — a crash racing the mutation re-runs it, making that
 // output at-least-once.
 func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -235,10 +207,8 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 			}
 			return set, nil
 		},
-		K: cfg.K,
-	}
-	if opts.RestoreEngine != nil {
-		sopts.Restore = func(r io.Reader, _ uint64) (engine.Engine, error) { return queryset.Restore(opts, r) }
+		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) { return queryset.Restore(opts, r) },
+		K:       cfg.K,
 	}
 	sup, err := newSupervisor(sc, sopts)
 	if err != nil {
@@ -261,8 +231,7 @@ func (qs *QuerySet) set() *queryset.Set {
 }
 
 // mutate applies a registry change: directly in memory; durably through
-// the supervisor, which seals it with a forced checkpoint (native strategy
-// only).
+// the supervisor, which seals it with a forced checkpoint.
 func (qs *QuerySet) mutate(fn func() ([]Match, error)) ([]Match, error) {
 	if qs.sup == nil {
 		return fn()

@@ -22,38 +22,23 @@ func querySetFixture(t *testing.T) (seq, neg *Query, events []Event) {
 
 // TestQuerySetMatchesIndependentEngines is the basic contract: each
 // registered query's tagged output equals a dedicated single-query engine
-// on the same arrival order, for every strategy.
+// of every strategy on the same arrival order.
 func TestQuerySetMatchesIndependentEngines(t *testing.T) {
 	seq, neg, events := querySetFixture(t)
+	set := MustNewQuerySet(QuerySetConfig{K: 400})
+	if err := set.Register("seq", seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Register("neg", neg); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string][]Match{}
+	for _, m := range set.ProcessAll(events) {
+		byID[m.Query] = append(byID[m.Query], m)
+	}
 	for _, st := range Strategies() {
-		if st == StrategyHybrid {
-			// Rejected by QuerySetConfig.validate: inner engines run behind
-			// the shared reorder buffer, so the meta-engine never observes
-			// disorder and never switches.
-			if _, err := NewQuerySet(QuerySetConfig{Strategy: st, K: 400}); err == nil {
-				t.Fatalf("QuerySet accepted strategy %q", st)
-			}
-			continue
-		}
-		set := MustNewQuerySet(QuerySetConfig{Strategy: st, K: 400})
-		if err := set.Register("seq", seq); err != nil {
-			t.Fatal(err)
-		}
-		if err := set.Register("neg", neg); err != nil {
-			t.Fatal(err)
-		}
-		byID := map[string][]Match{}
-		for _, m := range set.ProcessAll(events) {
-			byID[m.Query] = append(byID[m.Query], m)
-		}
-		// The shared buffer sorts the stream, which upgrades the in-order
-		// inner engines to exactly a standalone K-slack run.
-		base := st
-		if st == StrategyInOrder {
-			base = StrategyKSlack
-		}
 		for id, q := range map[string]*Query{"seq": seq, "neg": neg} {
-			want := MustNewEngine(q, Config{Strategy: base, K: 400}).ProcessAll(events)
+			want := MustNewEngine(q, Config{Strategy: st, K: 400}).ProcessAll(events)
 			if ok, diff := SameResults(want, byID[id]); !ok {
 				t.Errorf("%s/%s differs from independent engine:\n%s", st, id, diff)
 			}
@@ -231,9 +216,6 @@ func TestQuerySetSealed(t *testing.T) {
 
 // TestQuerySetConfigValidation exercises construction errors.
 func TestQuerySetConfigValidation(t *testing.T) {
-	if _, err := NewQuerySet(QuerySetConfig{Strategy: "warp"}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
 	if _, err := NewQuerySet(QuerySetConfig{K: -1}); err == nil {
 		t.Error("negative K accepted")
 	}
@@ -247,8 +229,8 @@ func TestQuerySetConfigValidation(t *testing.T) {
 	if err := set.Register("a", rfidQuery(t)); err == nil {
 		t.Error("duplicate query id accepted")
 	}
-	if _, err := RestoreQuerySet(QuerySetConfig{Strategy: StrategySpeculate}, bytes.NewReader(nil)); err == nil {
-		t.Error("RestoreQuerySet accepted a non-checkpointable strategy")
+	if _, err := RestoreQuerySet(QuerySetConfig{}, bytes.NewReader(nil)); err == nil {
+		t.Error("RestoreQuerySet accepted an empty checkpoint")
 	}
 }
 
@@ -280,29 +262,25 @@ func TestProcessBatchEmptyNoOp(t *testing.T) {
 			if ok, diff := SameResults(want, got); !ok {
 				t.Fatalf("engine output perturbed by no-op batches:\n%s", diff)
 			}
-
-			if st == StrategyHybrid {
-				// QuerySet rejects the hybrid strategy (see validate).
-				return
-			}
-			set := MustNewQuerySet(QuerySetConfig{Strategy: st, K: 400})
-			for id, q := range map[string]*Query{"seq": seq, "neg": neg} {
-				if err := set.Register(id, q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if out := set.ProcessBatch(nil); out != nil {
-				t.Fatalf("QuerySet.ProcessBatch(nil) = %d matches, want nil", len(out))
-			}
-			if out := set.ProcessBatch([]Event{}); out != nil {
-				t.Fatalf("QuerySet.ProcessBatch(empty) = %d matches, want nil", len(out))
-			}
-			setGot := set.ProcessAll(events)
-			if len(setGot) == 0 {
-				t.Fatal("no matches after no-op batches; fixture broken")
-			}
 		})
 	}
+	t.Run("queryset", func(t *testing.T) {
+		set := MustNewQuerySet(QuerySetConfig{K: 400})
+		for id, q := range map[string]*Query{"seq": seq, "neg": neg} {
+			if err := set.Register(id, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out := set.ProcessBatch(nil); out != nil {
+			t.Fatalf("QuerySet.ProcessBatch(nil) = %d matches, want nil", len(out))
+		}
+		if out := set.ProcessBatch([]Event{}); out != nil {
+			t.Fatalf("QuerySet.ProcessBatch(empty) = %d matches, want nil", len(out))
+		}
+		if setGot := set.ProcessAll(events); len(setGot) == 0 {
+			t.Fatal("no matches after no-op batches; fixture broken")
+		}
+	})
 }
 
 // TestQuerySetStatsOrder pins Stats registration order and ids.
@@ -322,5 +300,47 @@ func TestQuerySetStatsOrder(t *testing.T) {
 		if s.ID != fmt.Sprintf("q%d", i) {
 			t.Fatalf("Stats()[%d].ID = %q, want q%d (registration order)", i, s.ID, i)
 		}
+	}
+}
+
+// TestQuerySetLatencyIncludesTheBuffer: a one-query set is the kslack
+// composition (the reorder buffer in front of the kernel at K=0), so on a
+// query without negation every match leaves at the same instant and the
+// result latency counts the wait in the buffer, as the kslack engine's does.
+// Stamped with the inner kernel's clock instead, every result read 0.
+func TestQuerySetLatencyIncludesTheBuffer(t *testing.T) {
+	const k = 2000
+	q := MustCompile("PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN 6s", gen.RFIDSchema())
+	events := gen.Shuffle(gen.RFID(gen.DefaultRFID(500, 1)), gen.Disorder{Ratio: 0.2, MaxDelay: k, Seed: 2})
+
+	en := MustNewEngine(q, Config{Strategy: StrategyKSlack, K: k})
+	want := en.ProcessAll(events)
+	set := MustNewQuerySet(QuerySetConfig{K: k})
+	if err := set.Register("seq", q); err != nil {
+		t.Fatal(err)
+	}
+	got := set.ProcessAll(events)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("set emitted %d matches, kslack %d", len(got), len(want))
+	}
+	type stamp struct {
+		clock Time
+		seq   Seq
+	}
+	stamps := map[string]stamp{}
+	for _, m := range want {
+		stamps[m.Key()] = stamp{m.EmitClock, m.EmitSeq}
+	}
+	for _, m := range got {
+		if w, g := stamps[m.Key()], (stamp{m.EmitClock, m.EmitSeq}); w != g {
+			t.Fatalf("match %s: set stamps %+v, kslack %+v", m.Key(), g, w)
+		}
+	}
+	wl, gl := en.Metrics().LogicalLat, set.Metrics().LogicalLat
+	if wl != gl {
+		t.Errorf("result latency: set mean %.1f (max %d), kslack mean %.1f (max %d)", gl.Mean(), gl.Max, wl.Mean(), wl.Max)
+	}
+	if wl.Mean() < k/2 {
+		t.Errorf("kslack mean result latency %.1f: the buffer's wait is not in it", wl.Mean())
 	}
 }
