@@ -73,8 +73,10 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 }
 
 // restorable reports whether the composition cfg describes has a durable
-// format: the native strategy, aggregating or not.
-func (c Config) restorable() bool { return c.Strategy == StrategyNative }
+// format: the native strategy and the K-slack levee, aggregating or not.
+func (c Config) restorable() bool {
+	return c.Strategy == StrategyNative || c.Strategy == StrategyKSlack
+}
 
 // checkpoint is durable engine state opened for a restore: the engine
 // checkpoints it holds. A checkpoint an engine wrote is its own one part.
@@ -152,24 +154,19 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 			return nil, from.err
 		}
 		if !cfg.restorable() {
-			return nil, fmt.Errorf("strategy %q has no checkpoint format to restore from (only %q does)", cfg.Strategy, StrategyNative)
-		}
-		kernel := func(parts []io.Reader) (engine.Engine, error) {
-			en, err := core.Restore(p, strat, parts...)
-			if err != nil {
-				return nil, err
-			}
-			en.CountKeyless(from.keyless)
-			return en, nil
+			return nil, fmt.Errorf("strategy %q has no checkpoint format to restore from (only %q and %q do)", cfg.Strategy, StrategyNative, StrategyKSlack)
 		}
 		if p.Agg != nil {
 			// The operator's envelope leads each part's byte stream; its
-			// lateness bound rides in the payload.
-			return agg.Restore(p, outer, from.parts, kernel)
+			// lateness bound rides in the payload. The strategy restores from
+			// the rest of the same parts.
+			return agg.Restore(p, outer, from.parts, func([]io.Reader) (engine.Engine, error) {
+				return b.strategy(p, cfg, strat, from)
+			})
 		}
-		return kernel(from.parts)
+		return b.strategy(p, cfg, strat, from)
 	}
-	inner, err := b.strategy(p, cfg, strat)
+	inner, err := b.strategy(p, cfg, strat, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -182,8 +179,10 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 	return inner, nil
 }
 
-// strategy builds the bare strategy engine, instrumented by env.
-func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engine, error) {
+// strategy builds (from == nil) or restores the bare strategy engine,
+// instrumented by env. What restores is native or kslack (restorable); the
+// kernel's options and the controller come from the checkpoint.
+func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkpoint) (engine.Engine, error) {
 	ctrl, err := cfg.adaptiveController()
 	if err != nil {
 		return nil, err
@@ -202,18 +201,33 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env) (engine.Engi
 			kernel.Emit = core.EmitThenRetract
 		}
 		kernel.Adaptive = ctrl
+		if from != nil {
+			en, err := core.Restore(p, env, from.parts...)
+			if err != nil {
+				return nil, err
+			}
+			en.CountKeyless(from.keyless)
+			return en, nil
+		}
 		return core.New(p, kernel)
 	case StrategyKSlack:
 		// The reorder buffer carries all the slack: the kernel behind it
 		// sees a sorted stream and runs at K=0, exactly as a QuerySet's
-		// per-query kernels do behind their shared buffer. The levee keeps
-		// the series, the hook and the sampler (the kernel's view of the
-		// stream is delayed by K and would double-report; the levee stamps
-		// buffer residency and construction around the kernel's batch); the
-		// kernel publishes into a series the levee's carries and builds the
+		// per-query kernels do behind their levee. The levee keeps the
+		// series, the hook and the sampler (the kernel's view of the stream
+		// is delayed by K and would double-report; the levee stamps buffer
+		// residency and construction around the kernel's batch); the kernel
+		// publishes into a series the levee's carries and builds the
 		// lineage records the levee restamps.
 		kernel.K = 0
 		kernel.Env = engine.Env{Series: env.Series.Carry(), Provenance: env.Provenance}
+		if from != nil {
+			// A levee's checkpoint is one part (only native engines were
+			// ever partitioned, and their parts are no levee's).
+			return kslack.Restore(from.parts[0], cfg.K, env, func(r io.Reader) (engine.Engine, error) {
+				return core.Restore(p, kernel.Env, r)
+			})
+		}
 		sorted, err := core.New(p, kernel)
 		if err != nil {
 			return nil, err

@@ -29,6 +29,10 @@ var restoreTargets = []struct {
 	// one. Their clocks read about 2800.
 	{"partitioned", fixtureNegQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
 	{"partitioned-agg", fixtureAggQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
+	// The levee, its buffer holding events, static and adaptive.
+	{"kslack", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategyKSlack, K: 10}, restoreStream(100, 20)},
+	{"kslack-adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
+		Config{Strategy: StrategyKSlack, K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, Limits: Limits{MaxLag: 40, MaxBufferedEvents: 6}}}, restoreStream(100, 20)},
 	// The query of testdata/adaptive, whose checkpoints a controller with a
 	// second cap wrote (TestRestoreAdaptiveFixture). Their clocks read about
 	// 3600.
@@ -279,14 +283,28 @@ func setCheckpoint(tb testing.TB, from Time, n int) []byte {
 }
 
 // forgeSetCheckpoint returns a set checkpoint after edit has had its way
-// with the list of its queries' namespaces.
+// with the list of its queries' namespaces (in the levee's inner blob).
 func forgeSetCheckpoint(tb testing.TB, data []byte, edit func(queries []any) []any) []byte {
 	tb.Helper()
-	var cp map[string]any
+	var levee struct {
+		Inner []byte `json:"inner"`
+	}
+	var cp, set map[string]any
 	if err := json.Unmarshal(data, &cp); err != nil {
 		tb.Fatal(err)
 	}
-	cp["queries"] = edit(cp["queries"].([]any))
+	if err := json.Unmarshal(data, &levee); err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.Unmarshal(levee.Inner, &set); err != nil {
+		tb.Fatal(err)
+	}
+	set["queries"] = edit(set["queries"].([]any))
+	inner, err := json.Marshal(set)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cp["inner"] = inner
 	out, err := json.Marshal(cp)
 	if err != nil {
 		tb.Fatal(err)

@@ -23,8 +23,9 @@ const crashPoints = 3
 // seed-derived offsets and recovered from durable state — re-delivering
 // the event before each crash point to exercise duplicate admission — and
 // requires the exact ordered match sequence of the two runs to agree,
-// with zero duplicate or lost emissions. The native configuration is also
-// run with its newest checkpoint corrupted after each crash, which must
+// with zero duplicate or lost emissions. Native and kslack recover from
+// checkpoints (kslack also WAL-only, and with an adaptive bound); each is
+// also run with its newest checkpoint corrupted after each crash, which must
 // fall back to the previous valid one (or the log) transparently.
 //
 // Like Run it is a pure function of the Case (temp-directory naming
@@ -75,10 +76,16 @@ func RunCrash(c Case) *Failure {
 		}
 	}
 	native := oostream.Config{Strategy: oostream.StrategyNative, K: c.K}
+	kslack := oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}
+	// The adaptive levee may derive a K below the case's and drop what the
+	// oracle keeps, so it is held to its own uninterrupted run only.
+	adaptive := oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K, Adaptive: oostream.Adaptive{Enabled: true, DecisionEvery: 8}}
 	cfgs := []crashCfg{
 		{name: "crash-native", truth: true, make: superv(native, 7)},
 		{name: "crash-native-corrupt", truth: true, corrupt: true, make: superv(native, 5)},
-		{name: "crash-kslack", truth: true, make: superv(oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}, 0)},
+		{name: "crash-kslack", truth: true, make: superv(kslack, 0)},
+		{name: "crash-kslack-checkpointed", truth: true, corrupt: true, make: superv(kslack, 6)},
+		{name: "crash-kslack-adaptive", make: superv(adaptive, 5)},
 		{name: "crash-speculate", make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 0)},
 	}
 

@@ -1,9 +1,9 @@
 // Package engine defines the one contract every pattern-matching engine in
-// this library implements — the in-order baseline, the out-of-order kernel
-// (the paper's contribution) under either emission policy, and the layers
-// composed around it (the K-slack levee, the policy-switching hybrid, the
-// aggregation wrapper, the multi-query set, the write-ahead-logged
-// supervisor of a durable engine) — and Env,
+// this library implements — the out-of-order kernel (the paper's
+// contribution) under either emission policy, and the layers composed
+// around it (the K-slack levee, the policy-switching hybrid, the
+// aggregation wrapper, the multi-query dispatcher behind a levee, the
+// write-ahead-logged supervisor of a durable engine) — and Env,
 // the one value through which a layer receives its instruments when it is
 // built. The benchmark harness, the runtime pipeline, and the public facade
 // all program against this package.
@@ -65,10 +65,10 @@ type Engine interface {
 }
 
 // ErrNoCheckpoint is what Checkpoint returns (wrapped with the engine's
-// name) when the engine's state cannot be serialized: the in-order
-// baseline, the reorder buffer, the hybrid switch, the kernel while it
-// emits ahead of the seal, and the supervisor
-// (whose state is its store).
+// name) when the engine's state cannot be serialized: the hybrid switch,
+// the kernel while it emits ahead of the seal (and a layer over it, such as
+// the speculative aggregation operator), and the supervisor (whose state is
+// its store).
 var ErrNoCheckpoint = errors.New("engine does not support checkpointing")
 
 // Env is the set of instruments one layer is built with. It is passed to

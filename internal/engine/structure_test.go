@@ -471,6 +471,43 @@ func TestOneInstrumentSet(t *testing.T) {
 	})
 }
 
+// TestOneLevee is the mechanical form of "one admission layer": the K-slack
+// levee (kslack.Engine) is the only holder of a reorder buffer, so StrategyKSlack
+// and a QuerySet admit, count, restamp and checkpoint through one copy of
+// that code. No non-test source of the root module outside internal/kslack
+// names kslack.Buffer in a type, calls kslack.NewBuffer, or reaches the
+// buffer's restore or the restamp (kslack.RestoreBuffer, kslack.Restamp,
+// which that package keeps unexported). The nested benchmark/ module, whose
+// shadow times the bare buffer, is not part of the root module.
+func TestOneLevee(t *testing.T) {
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || filepath.ToSlash(filepath.Dir(rel)) == "internal/kslack" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				ast.Inspect(n.Type, func(m ast.Node) bool {
+					if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "Buffer" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "kslack" {
+							t.Errorf("%s: type %s holds a kslack.Buffer; the levee is the one reorder buffer's holder", rel, n.Name.Name)
+						}
+					}
+					return true
+				})
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "kslack" {
+					switch n.Sel.Name {
+					case "NewBuffer", "RestoreBuffer", "Restamp":
+						t.Errorf("%s uses kslack.%s: build a kslack.Engine (NewEngine, Restore) and let it hold the buffer", rel, n.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestOnePartitioning is the mechanical form of "the kernel's key groups are
 // the partition": nothing routes a stream across several engines of one
 // query. internal/shard does not exist, oostream.Config has no Partition

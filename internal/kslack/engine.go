@@ -1,8 +1,11 @@
 package kslack
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/engine"
@@ -12,19 +15,19 @@ import (
 	"oostream/internal/provenance"
 )
 
-// Engine is the buffer-and-reorder levee strategy: a K-slack buffer in
-// front of an engine that then sees a sorted stream — the out-of-order
-// kernel at K=0 behind the facade, the same composition a QuerySet builds
-// around its shared buffer. It is the second baseline of the evaluation:
-// exact under the disorder bound, but it pays the full K in result latency
-// and buffers the entire recent stream, relevant or not.
+// Engine is the buffer-and-reorder levee: a K-slack buffer in front of an
+// engine that then sees a sorted stream — the out-of-order kernel at K=0
+// (StrategyKSlack), or a QuerySet's dispatcher over one such kernel per
+// query. It is the second baseline of the evaluation: exact under the
+// disorder bound, but it pays the full K in result latency and buffers the
+// entire recent stream, relevant or not.
 type Engine struct {
 	buf   *Buffer
 	inner engine.Engine
 	met   *obsv.Series
-	// clock is the outer (arrival-side) max timestamp, used to measure
-	// true result latency including the buffering delay.
-	clock   event.Time
+	// arrival counts the events offered; with the buffer's maximum timestamp
+	// it stamps what the inner engine emits, so result latency includes the
+	// wait in the buffer.
 	arrival uint64
 	// trace observes the levee's own lifecycle steps (admit, drop, emit)
 	// when non-nil. The series and hook bind to the levee, not the inner
@@ -66,7 +69,7 @@ func NewEngine(k event.Time, inner engine.Engine, env engine.Env) *Engine {
 // controller watermark-lag observations and buffer occupancy (driving K
 // derivation and overload degradation).
 func NewAdaptiveEngine(ctrl *adaptive.Controller, inner engine.Engine, env engine.Env) *Engine {
-	en := newEngine(NewBufferDynamic(ctrl.EffectiveK), inner, env)
+	en := newEngine(newBufferDynamic(ctrl.EffectiveK), inner, env)
 	en.adapt = ctrl
 	return en
 }
@@ -80,19 +83,104 @@ func newEngine(buf *Buffer, inner engine.Engine, env engine.Env) *Engine {
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "kslack" }
 
-// Checkpoint implements engine.Engine: the reorder buffer has no durable
-// format.
-func (en *Engine) Checkpoint(io.Writer) error {
-	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
+// checkpointVersion is the levee's durable format. Version 2 is what a
+// QuerySet wrote before it sat behind a levee: the same buffer record, with
+// the set's registry beside it where Inner now holds it.
+const checkpointVersion = 3
+
+// bufferRecord is the reorder buffer's durable state under the field names
+// the version-2 QuerySet checkpoint gave it: the watermark position, the
+// events still held, and the arrival count that stamps emissions.
+type bufferRecord struct {
+	K       event.Time    `json:"k"`
+	MaxSeen event.Time    `json:"maxSeen"`
+	Started bool          `json:"started"`
+	Buffer  []event.Event `json:"buffer,omitempty"`
+	Arrival uint64        `json:"arrival,omitempty"`
+}
+
+// checkpointFile is the levee's serialized form: the buffer record, the
+// controller and the dynamic frontier when the slack is adaptive, and the
+// inner engine's own checkpoint.
+type checkpointFile struct {
+	Version int `json:"version"`
+	bufferRecord
+	Frontier event.Time      `json:"frontier,omitempty"`
+	Adaptive *adaptive.State `json:"adaptive,omitempty"`
+	Inner    []byte          `json:"inner,omitempty"`
+}
+
+// Checkpoint implements engine.Engine. The inner engine must checkpoint
+// too; if it refuses, nothing is written.
+func (en *Engine) Checkpoint(w io.Writer) error {
+	var inner bytes.Buffer
+	if err := en.inner.Checkpoint(&inner); err != nil {
+		return fmt.Errorf("kslack: inner engine %q: %w", en.inner.Name(), err)
+	}
+	maxSeen, started := en.buf.MaxSeen()
+	cf := checkpointFile{
+		Version:      checkpointVersion,
+		bufferRecord: bufferRecord{K: en.buf.k, MaxSeen: maxSeen, Started: started, Buffer: en.buf.pending(), Arrival: en.arrival},
+		Inner:        inner.Bytes(),
+	}
+	if en.adapt != nil {
+		st := en.adapt.Export()
+		cf.Adaptive, cf.Frontier = &st, en.buf.frontier
+	}
+	return json.NewEncoder(w).Encode(&cf)
+}
+
+// Restore rebuilds a levee from its checkpoint, instrumented by env as
+// NewEngine would; restoreInner rebuilds the engine behind the buffer from
+// the inner checkpoint. k is the configured slack: a static buffer written at
+// another K is refused, since whatever admits in front of the levee (a
+// supervisor) drops by k. A version-2 QuerySet checkpoint restores too: its
+// buffer record is the levee's, and the whole file is the set's own.
+func Restore(r io.Reader, k event.Time, env engine.Env, restoreInner func(io.Reader) (engine.Engine, error)) (*Engine, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("kslack: read checkpoint: %w", err)
+	}
+	var cf checkpointFile
+	if err := json.Unmarshal(data, &cf); err != nil {
+		return nil, fmt.Errorf("kslack: decode checkpoint: %w", err)
+	}
+	switch {
+	case cf.Adaptive == nil && cf.K != k:
+		return nil, fmt.Errorf("kslack: checkpoint written at K=%d, configured K=%d", cf.K, k)
+	case cf.Version == 2 && cf.Inner == nil && cf.Adaptive == nil:
+		cf.Inner = data
+	case cf.Version != checkpointVersion:
+		return nil, fmt.Errorf("kslack: checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	}
+	inner, err := restoreInner(bytes.NewReader(cf.Inner))
+	if err != nil {
+		return nil, err
+	}
+	var en *Engine
+	if cf.Adaptive == nil {
+		en = NewEngine(k, inner, env)
+	} else {
+		ctrl, err := adaptive.Restore(*cf.Adaptive)
+		if err != nil {
+			return nil, fmt.Errorf("kslack: restore adaptive controller: %w", err)
+		}
+		en = NewAdaptiveEngine(ctrl, inner, env)
+		en.buf.frontier = cf.Frontier
+	}
+	en.buf.restore(cf.MaxSeen, cf.Started, cf.Buffer)
+	en.arrival = cf.Arrival
+	return en, nil
 }
 
 // StateSnapshot implements engine.Engine: the levee's buffer occupancy and
 // watermark wrap the inner engine's snapshot.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
+	clock, _ := en.buf.MaxSeen()
 	s := &provenance.StateSnapshot{
 		Engine:    en.traceName,
 		Started:   en.arrival > 0,
-		Clock:     en.clock,
+		Clock:     clock,
 		Safe:      en.buf.Watermark(),
 		BufferLen: en.buf.Len(),
 		Lineage:   provenance.LineageStats{Enabled: en.prov},
@@ -120,6 +208,10 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	s.Lineage.Truncated = inner.Lineage.Truncated
 	return s
 }
+
+// Watermark returns the buffer's release watermark: nothing it releases
+// later is below it.
+func (en *Engine) Watermark() event.Time { return en.buf.Watermark() }
 
 // StateSize implements engine.Engine: buffered events plus inner state.
 func (en *Engine) StateSize() int { return en.buf.Len() + en.inner.StateSize() }
@@ -162,11 +254,15 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // releases to the inner engine.
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
+	maxSeen, started := en.buf.MaxSeen()
 	var lag event.Time
-	if e.TS < en.clock {
-		lag = en.clock - e.TS
+	ooo := started && e.TS < maxSeen
+	if ooo {
+		if lag = maxSeen - e.TS; lag < 0 {
+			lag = math.MaxInt64 // the two ends of the time range apart
+		}
 	}
-	en.met.IncIn(e.TS < en.clock, lag)
+	en.met.IncIn(ooo, lag)
 	if en.adapt != nil {
 		// Same observation point as Series.WatermarkLag — bound violators
 		// included, so a late storm is evidence to grow K, not invisible.
@@ -174,9 +270,6 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	}
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
-	if e.TS > en.clock {
-		en.clock = e.TS
 	}
 	en.lat.Hold(e.Seq)
 	before := en.buf.Dropped()
@@ -212,9 +305,6 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // watermark to ts − K, releasing (and processing) everything at or below
 // it, and forwards the heartbeat to the inner engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if ts > en.clock {
-		en.clock = ts
-	}
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
 	}
@@ -228,7 +318,8 @@ func (en *Engine) Flush() []plan.Match {
 	out = append(out, en.restamp(en.inner.Flush())...)
 	en.met.LiveState.Set(int64(en.StateSize()))
 	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
+		clock, _ := en.buf.MaxSeen()
+		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: clock})
 	}
 	return out
 }
@@ -265,34 +356,28 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 	return out
 }
 
-// Restamp rewrites the emission metadata of a match relayed from behind a
-// reorder buffer to the clock and arrival count of the layer that admits the
-// stream: the engine behind the buffer sees the stream up to K late, so its
-// own stamps would leave the buffer's wait out of result latency. The levee
-// and a QuerySet both restamp what their K=0 kernels emit.
-func Restamp(m *plan.Match, clock event.Time, arrival uint64) {
-	m.EmitClock = clock
-	m.EmitSeq = event.Seq(arrival)
-	if m.Prov != nil {
-		m.Prov.EmitClock = clock
-	}
-}
-
-// restamp rewrites emission metadata to the outer clock so latency reflects
-// the buffering delay, and records the matches in the outer series.
+// restamp rewrites the emission metadata of the inner engine's matches to
+// the buffer's clock and the arrival count — the inner engine sees the
+// stream up to K late, so its own stamps would leave the buffer's wait out
+// of result latency — and records the matches in the outer series.
 func (en *Engine) restamp(ms []plan.Match) []plan.Match {
+	clock, _ := en.buf.MaxSeen()
 	for i := range ms {
-		Restamp(&ms[i], en.clock, en.arrival)
-		retract := ms[i].Kind == plan.Retract
-		en.met.AddMatch(retract, en.clock-ms[i].Last().TS, 0)
+		m := &ms[i]
+		m.EmitClock, m.EmitSeq = clock, event.Seq(en.arrival)
+		if m.Prov != nil {
+			m.Prov.EmitClock = clock
+		}
+		retract := m.Kind == plan.Retract
+		en.met.AddMatch(retract, clock-m.Last().TS, 0)
 		if en.trace != nil {
 			op := obsv.OpEmit
 			if retract {
 				op = obsv.OpRetract
 			}
-			te := obsv.TraceEvent{Op: op, Engine: en.traceName, TS: ms[i].Last().TS, Seq: ms[i].EmitSeq, N: len(ms[i].Events)}
-			if ms[i].Prov != nil {
-				te.Match = ms[i].Prov.MatchKey()
+			te := obsv.TraceEvent{Op: op, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
+			if m.Prov != nil {
+				te.Match = m.Prov.MatchKey()
 			}
 			en.trace.Trace(te)
 		}

@@ -1,9 +1,15 @@
 package kslack
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"oostream/internal/adaptive"
+	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/obsv"
@@ -120,5 +126,75 @@ func TestEngineFlushFlushesInner(t *testing.T) {
 	}
 	if len(out) != 1 {
 		t.Errorf("flush output: %v", out)
+	}
+}
+
+// TestCheckpointContinuesExactly: a levee checkpointed mid-stream, its
+// buffer holding events, restores to a continuation that emits what the
+// uninterrupted levee does with the same stamps (EmitClock, EmitSeq) — the
+// arrival count and the buffer's clock travel in the checkpoint — static
+// and adaptive.
+func TestCheckpointContinuesExactly(t *testing.T) {
+	p, err := plan.ParseAndCompile("PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id WITHIN 40", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	events := shuffleBounded(rng, sortedStream(rng, 200, []string{"A", "B", "N"}), 30)
+	inner := func(r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) }
+	for name, mk := range map[string]func() *Engine{
+		"static": func() *Engine { return NewEngine(30, core.MustNew(p, core.Options{}), engine.Env{}) },
+		"adaptive": func() *Engine {
+			ctrl := adaptive.MustController(adaptive.Config{Enabled: true, DecisionEvery: 16}, 30)
+			return NewAdaptiveEngine(ctrl, core.MustNew(p, core.Options{}), engine.Env{})
+		},
+	} {
+		whole, cut := mk(), mk()
+		var want, got []plan.Match
+		for _, e := range events[:120] {
+			want = append(want, whole.Process(e)...)
+			got = append(got, cut.Process(e)...)
+		}
+		if cut.buf.Len() == 0 {
+			t.Fatalf("%s: nothing buffered at the cut", name)
+		}
+		var ckpt bytes.Buffer
+		if err := cut.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(&ckpt, 30, engine.Env{}, inner)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, e := range events[120:] {
+			want = append(want, whole.Process(e)...)
+			got = append(got, restored.Process(e)...)
+		}
+		want, got = append(want, whole.Flush()...), append(got, restored.Flush()...)
+		if len(want) != len(got) || len(want) == 0 {
+			t.Fatalf("%s: restored run emitted %d matches, uninterrupted %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if want[i].Key() != got[i].Key() || want[i].EmitClock != got[i].EmitClock || want[i].EmitSeq != got[i].EmitSeq {
+				t.Fatalf("%s: emission %d: %s @%d/%d, uninterrupted %s @%d/%d", name, i,
+					got[i].Key(), got[i].EmitClock, got[i].EmitSeq, want[i].Key(), want[i].EmitClock, want[i].EmitSeq)
+			}
+		}
+	}
+}
+
+// TestRestoreRejects pins the levee's refusals: another version, a static
+// buffer written at another K than the configured one (a negative one
+// included), and an inner checkpoint its restore function refuses.
+func TestRestoreRejects(t *testing.T) {
+	inner := func(io.Reader) (engine.Engine, error) { return &stubEngine{}, nil }
+	for _, data := range []string{`{"version":1,"k":5}`, `{"version":3,"k":7}`, `{"version":3,"k":-1}`, `{"version":2,"k":-5}`, `[]`} {
+		if _, err := Restore(strings.NewReader(data), 5, engine.Env{}, inner); err == nil {
+			t.Errorf("Restore accepted %s", data)
+		}
+	}
+	refuse := func(io.Reader) (engine.Engine, error) { return nil, errors.New("no") }
+	if _, err := Restore(strings.NewReader(`{"version":3,"k":5,"inner":""}`), 5, engine.Env{}, refuse); err == nil {
+		t.Error("Restore ignored the inner engine's refusal")
 	}
 }

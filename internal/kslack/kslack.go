@@ -10,12 +10,14 @@
 package kslack
 
 import (
+	"math"
+
 	"oostream/internal/event"
 	"oostream/internal/queue"
 )
 
 // Buffer is a K-slack reorder buffer. The zero value is not usable; use
-// NewBuffer or NewBufferDynamic.
+// NewBuffer.
 type Buffer struct {
 	k event.Time
 	// bound, when non-nil, makes the slack dynamic: it is loaded (one
@@ -36,8 +38,8 @@ func NewBuffer(k event.Time) *Buffer {
 	return &Buffer{k: k, held: queue.Queue[event.Event]{Tie: event.Event.Before}}
 }
 
-// NewBufferDynamic creates a reorder buffer whose slack is re-read from
-// bound at every push/advance (typically adaptive.Controller.EffectiveK).
+// newBufferDynamic creates a reorder buffer whose slack is re-read from
+// bound at every push/advance (the adaptive controller's EffectiveK).
 // The release watermark is the monotone frontier max over history of
 // (maxSeen − bound()): a growing bound takes effect immediately (the
 // frontier stops advancing), a shrinking bound only lets future arrivals
@@ -45,42 +47,32 @@ func NewBuffer(k event.Time) *Buffer {
 // admission ≥ maxSeen − max bound ever returned, so the released stream
 // equals what a static buffer with K = max bound observed would release
 // over the same admitted events.
-func NewBufferDynamic(bound func() event.Time) *Buffer {
+func newBufferDynamic(bound func() event.Time) *Buffer {
 	b := NewBuffer(0)
 	b.bound, b.frontier = bound, minTime
 	return b
-}
-
-// K returns the configured slack (the current bound for dynamic buffers).
-func (b *Buffer) K() event.Time {
-	if b.bound != nil {
-		return b.bound()
-	}
-	return b.k
 }
 
 // MaxSeen returns the maximum timestamp observed (via Push or Advance) and
 // whether anything has been observed at all.
 func (b *Buffer) MaxSeen() (event.Time, bool) { return b.maxSeen, b.started }
 
-// Pending returns a sorted copy of the still-buffered events, for
+// pending returns a sorted copy of the still-buffered events, for
 // checkpointing. The buffer is unchanged.
-func (b *Buffer) Pending() []event.Event {
+func (b *Buffer) pending() []event.Event {
 	out := make([]event.Event, 0, b.held.Len())
 	b.held.Each(func(_ event.Time, e event.Event) { out = append(out, e) })
 	return out
 }
 
-// RestoreBuffer rebuilds a buffer from checkpointed state (see Pending and
-// MaxSeen for the capture side): the watermark position and the events above
-// it, in whatever order the file lists them — inserting sorts them.
-func RestoreBuffer(k event.Time, maxSeen event.Time, started bool, pending []event.Event) *Buffer {
-	b := NewBuffer(k)
+// restore puts checkpointed state back (see pending and MaxSeen for the
+// capture side): the watermark position and the events above it, in
+// whatever order the file lists them — inserting sorts them.
+func (b *Buffer) restore(maxSeen event.Time, started bool, pending []event.Event) {
 	b.maxSeen, b.started = maxSeen, started
 	for _, e := range pending {
 		b.held.Insert(e.TS, e)
 	}
-	return b
 }
 
 // Len returns the number of buffered events.
@@ -100,7 +92,7 @@ func (b *Buffer) Watermark() event.Time {
 	if b.bound != nil {
 		return b.frontier
 	}
-	return b.maxSeen - b.k
+	return event.SubSat(b.maxSeen, b.k)
 }
 
 // syncFrontier folds the current dynamic bound into the monotone frontier.
@@ -110,12 +102,14 @@ func (b *Buffer) syncFrontier() {
 	if b.bound == nil || !b.started {
 		return
 	}
-	if cand := b.maxSeen - b.bound(); cand > b.frontier {
+	if cand := event.SubSat(b.maxSeen, b.bound()); cand > b.frontier {
 		b.frontier = cand
 	}
 }
 
-const minTime = event.Time(-1 << 62)
+// minTime is the watermark before anything is seen: no timestamp is below
+// it, so no event is late against it.
+const minTime = event.Time(math.MinInt64)
 
 // Push inserts an event and returns the events that become releasable, in
 // nondecreasing timestamp order. An event arriving strictly below the

@@ -91,7 +91,8 @@ func TestAdvanceHeartbeat(t *testing.T) {
 // releases everything held, the event at the top included.
 func TestAdvanceToMaxTime(t *testing.T) {
 	// A K=0 buffer holds something only when restored with it.
-	b := RestoreBuffer(0, 5, true, []event.Event{{TS: 7, Seq: 2}, {TS: math.MaxInt64, Seq: 3}})
+	b := NewBuffer(0)
+	b.restore(5, true, []event.Event{{TS: 7, Seq: 2}, {TS: math.MaxInt64, Seq: 3}})
 	out := b.Advance(math.MaxInt64)
 	if len(out) != 2 || out[0].Seq != 2 || out[1].Seq != 3 || b.Len() != 0 {
 		t.Fatalf("Advance(MaxInt64) at K=0 released %v, %d left; want seq 2 then 3 and none", out, b.Len())
@@ -101,9 +102,10 @@ func TestAdvanceToMaxTime(t *testing.T) {
 // TestRestoreBufferSortsPending: the restored events are released on
 // (TS, Seq) whatever order the checkpoint listed them in.
 func TestRestoreBufferSortsPending(t *testing.T) {
-	b := RestoreBuffer(10, 20, true, []event.Event{{TS: 18, Seq: 4}, {TS: 12, Seq: 9}, {TS: 30, Seq: 1}, {TS: 12, Seq: 2}})
-	if !event.IsSortedByTime(b.Pending()) {
-		t.Errorf("Pending() = %v, want it sorted", b.Pending())
+	b := NewBuffer(10)
+	b.restore(20, true, []event.Event{{TS: 18, Seq: 4}, {TS: 12, Seq: 9}, {TS: 30, Seq: 1}, {TS: 12, Seq: 2}})
+	if !event.IsSortedByTime(b.pending()) {
+		t.Errorf("pending() = %v, want it sorted", b.pending())
 	}
 	out := b.Advance(28)
 	if len(out) != 3 || out[0].Seq != 2 || out[1].Seq != 9 || out[2].Seq != 4 || b.Len() != 1 {

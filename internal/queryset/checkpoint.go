@@ -7,35 +7,27 @@ import (
 	"io"
 
 	"oostream/internal/event"
-	"oostream/internal/kslack"
 )
 
 // checkpointVersion is the Set's durable format version. Version 1 is the
 // single-engine native envelope (internal/core, wrapped in the OOCKPT
-// magic); the multi-query format is version 2: the shared reorder buffer
-// plus one namespaced record per registered query — identity, canonical
-// source, prefix-gate table, and the inner engine's own opaque state blob
-// — so live Register/Unregister survives a kill/recover: the recovered
-// Set rebuilds exactly the query registry the checkpoint captured.
+// magic); the multi-query format is version 2: one namespaced record per
+// registered query — identity, canonical source, prefix-gate table, and the
+// inner engine's own opaque state blob — so live Register/Unregister
+// survives a kill/recover: the recovered Set rebuilds exactly the query
+// registry the checkpoint captured. The levee in front writes its buffer
+// beside it (internal/kslack); a version-2 file written before the Set sat
+// behind a levee holds both in one object, which restores unchanged.
 const checkpointVersion = 2
 
 // setCheckpoint is the serialized form of a Set.
 type setCheckpoint struct {
-	Version int        `json:"version"`
-	K       event.Time `json:"k"`
-	// MaxSeen/Started position the shared buffer's watermark; Buffer holds
-	// the still-unreleased events in sorted order.
-	MaxSeen event.Time    `json:"maxSeen"`
-	Started bool          `json:"started"`
-	Buffer  []event.Event `json:"buffer,omitempty"`
+	Version int `json:"version"`
 	// SinceAdvance is the fan-out cadence position, captured so a restored
 	// Set advances its engines at exactly the original points — recovery
 	// replay must reproduce the original emission order, not merely the
 	// multiset.
 	SinceAdvance int `json:"sinceAdvance,omitempty"`
-	// Arrival is the count of events offered, which stamps emissions
-	// (absent from checkpoints written before emissions carried it).
-	Arrival uint64 `json:"arrival,omitempty"`
 	// Queries are the per-query namespaces, in registration order.
 	Queries []queryCheckpoint `json:"queries"`
 }
@@ -67,15 +59,9 @@ type gateEntry struct {
 // format. Every inner engine must itself support checkpointing (the native
 // strategy does); otherwise an error is returned and nothing is written.
 func (s *Set) Checkpoint(w io.Writer) error {
-	maxSeen, started := s.buf.MaxSeen()
 	cp := setCheckpoint{
 		Version:      checkpointVersion,
-		K:            s.opts.K,
-		MaxSeen:      maxSeen,
-		Started:      started,
-		Buffer:       s.buf.Pending(),
 		SinceAdvance: s.sinceAdvance,
-		Arrival:      s.arrival,
 		Queries:      make([]queryCheckpoint, 0, len(s.order)),
 	}
 	for _, q := range s.order {
@@ -114,11 +100,10 @@ func sortGates(gs []gateEntry) {
 	}
 }
 
-// Restore rebuilds a Set from a v2 checkpoint. opts must carry the same K
-// the checkpointed Set ran with, plus the Compile and RestoreEngine
-// factories. The restored Set is an exact continuation: registry, shared
-// buffer, prefix gates, and fan-out cadence all resume where the
-// checkpoint was taken, so a recovered run emits the same matches in the
+// Restore rebuilds a Set from a v2 checkpoint, with the Compile and
+// RestoreEngine factories of opts. The restored Set is an exact
+// continuation: registry, prefix gates, and fan-out cadence all resume where
+// the checkpoint was taken, so a recovered run emits the same matches in the
 // same order as an uninterrupted one.
 func Restore(opts Options, r io.Reader) (*Set, error) {
 	s, err := New(opts)
@@ -135,12 +120,7 @@ func Restore(opts Options, r io.Reader) (*Set, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("queryset: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
-	if cp.K != opts.K {
-		return nil, fmt.Errorf("queryset: checkpoint was written with K=%d, restoring with K=%d", cp.K, opts.K)
-	}
-	s.buf = kslack.RestoreBuffer(opts.K, cp.MaxSeen, cp.Started, cp.Buffer)
 	s.sinceAdvance = cp.SinceAdvance
-	s.arrival = cp.Arrival
 	for _, qc := range cp.Queries {
 		// Register's rules hold for a listed id too: a repeated one would be
 		// dispatched twice, every match of it emitted twice.

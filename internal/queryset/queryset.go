@@ -1,17 +1,16 @@
-// Package queryset implements the shared-admission multi-query runtime:
-// many compiled queries evaluated over one event stream, with each event
-// admitted, reordered, and purge-scheduled once instead of once per query.
+// Package queryset implements the multi-query dispatcher: many compiled
+// queries evaluated over one event stream, with each event admitted,
+// reordered, and purge-scheduled once instead of once per query.
 //
 // The naive tenant-scale deployment — one engine per query, every event
 // offered to every engine — pays N admission checks, N reorder buffers,
-// and N clock advances per event. A Set shares that work:
+// and N clock advances per event. A QuerySet is one K-slack levee
+// (internal/kslack) in front of a Set, which shares the rest:
 //
-//   - One K-slack reorder buffer admits the stream. Released events are in
-//     (timestamp, sequence) order, so every per-query inner engine runs
-//     with K=0: disorder tolerance is paid once, at the shared buffer, and
-//     the engines run in cheap near-in-order mode with a tight purge
-//     horizon. Bound violators are dropped once, under the same inclusive
-//     watermark rule the single-engine admission layers use.
+//   - The levee admits the stream, drops bound violators and releases
+//     runs in (timestamp, sequence) order, so every per-query inner engine
+//     runs with K=0: disorder tolerance is paid once, and the engines run
+//     in cheap near-in-order mode with a tight purge horizon.
 //   - An event-type index maps each event type to the queries whose
 //     positive or negated components can consume it; an event whose type no
 //     registered query mentions costs one map lookup.
@@ -19,17 +18,16 @@
 //     query is probed with a non-initial component type only once its first
 //     positive component type has been seen in-window for that event's key
 //     group. Gating is sound only because the dispatched stream is sorted
-//     (the shared buffer guarantees it); leading negations (GapAfter 0)
-//     are exempt, since their events precede the anchor they guard.
-//   - One watermark computation fans a periodic Advance to every engine,
+//     (the levee guarantees it); leading negations (GapAfter 0) are exempt,
+//     since their events precede the anchor they guard.
+//   - One watermark, the levee's, fans a periodic Advance to every engine,
 //     sealing deferred negation output and driving state purges — one
 //     clock, one purge frontier, N consumers.
 //
-// Correctness is differential: internal/difftest.RunMulti proves a Set's
+// Correctness is differential: internal/difftest.RunMulti proves a QuerySet's
 // per-query output equals N independent single-query engines (and the
 // brute-force oracle), across live Register/Unregister, batch
-// ingestion, and supervised kill/recover via the v2 checkpoint format
-// (see checkpoint.go).
+// ingestion, and supervised kill/recover (see checkpoint.go).
 package queryset
 
 import (
@@ -38,39 +36,36 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/kslack"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/provenance"
 )
 
 // DefaultAdvanceEvery is the default fan-out cadence: after this many
-// released events the Set advances every engine to the shared watermark,
-// sealing negation output and purging state through quiet queries.
+// dispatched events the Set advances every engine to the watermark, sealing
+// negation output and purging state through quiet queries.
 const DefaultAdvanceEvery = 256
 
 // Options configure a Set.
 type Options struct {
-	// K is the shared disorder bound (slack) in logical milliseconds. The
-	// Set's reorder buffer tolerates arrivals up to K behind the maximum
-	// timestamp seen; inner engines run at K=0 on the sorted output.
-	K event.Time
-	// AdvanceEvery is the watermark fan-out cadence in released events;
-	// 0 means DefaultAdvanceEvery. It trades sealing/purge latency for
-	// per-event cost and never affects final output.
+	// AdvanceEvery is the fan-out cadence in dispatched events; 0 means
+	// DefaultAdvanceEvery. It trades sealing/purge latency for per-event
+	// cost and never affects final output.
 	AdvanceEvery int
-	// Env carries the Set's own instruments: the series its shared-admission
-	// counters publish into and the latency sampler. The Set stamps
-	// shared-buffer residency and per-query construct segments on sampled
-	// spans itself; inner engines never see the sampler (they run at K=0 on
-	// the sorted stream and add no further buffering). The trace hook and
-	// the provenance switch are not the Set's: the NewEngine and
+	// Watermark reports the release watermark of the levee in front, to
+	// which the fan-out advances every engine: nothing it releases later is
+	// below it. Required.
+	Watermark func() event.Time
+	// Env carries the Set's own instruments: the series its irrelevant-type
+	// count publishes into (the levee's Series.Carry) and the latency
+	// sampler on which each query's construct segment is stamped. The trace
+	// hook and the provenance switch are not the Set's: the NewEngine and
 	// RestoreEngine factories build every per-query engine with them.
 	Env engine.Env
 	// NewEngine builds the inner engine for a registered query. Required.
-	// It MUST build the engine with a zero disorder bound (the shared
-	// buffer carries all slack) and with the query's own Env (the facade
-	// names its series "qs/<id>").
+	// It MUST build the engine with a zero disorder bound (the levee
+	// carries all slack) and with the query's own Env (the facade names its
+	// series "qs/<id>").
 	NewEngine func(id string, p *plan.Plan) (engine.Engine, error)
 	// Compile recompiles a query source during Restore. Only required by
 	// Restore.
@@ -84,27 +79,24 @@ type Options struct {
 	QuerySeries func(id string) *obsv.Series
 }
 
-// Set is the multi-query runtime. It implements engine.Engine, with every
-// emitted match tagged with the owning query's id (Match.Query), so it
-// drops into the supervised runtime and pipelines unchanged.
+// Set is the multi-query dispatcher. It implements engine.Engine over a
+// sorted stream, with every emitted match tagged with the owning query's id
+// (Match.Query), so a levee in front of it makes it a whole QuerySet.
 //
 // Sets are not safe for concurrent use, like every engine.
 type Set struct {
 	opts    Options
-	buf     *kslack.Buffer
 	queries map[string]*queryState
 	order   []*queryState // registration order (dispatch determinism)
 	index   map[string][]dispatch
 	nextReg uint64
 
-	lastDropped uint64 // buffer drop count at last Push, for metrics
-	// arrival counts the events offered to the Set: with the buffer's
-	// maximum timestamp it stamps what the K=0 engines emit (kslack.Restamp),
-	// so a match's emission instant includes its wait in the shared buffer.
-	arrival      uint64
 	sinceAdvance int
-	sealed       bool
-	met          *obsv.Series
+	// size is the registered engines' StateSize summed, kept current at
+	// every call into one (queryState.size is each query's share).
+	size   int
+	sealed bool
+	met    *obsv.Series
 	// lat is opts.Env.Latency (nil-safe at every stamp site).
 	lat *obsv.LatencySampler
 }
@@ -128,6 +120,7 @@ type queryState struct {
 	// series receives this query's construct-stage attribution (resolved
 	// via Options.QuerySeries; nil when unconfigured).
 	series *obsv.Series
+	size   int
 
 	// Prefix gate: the last timestamp the first positive component type
 	// was seen, per key group (keyAttr != "") or globally. An event opens
@@ -143,11 +136,8 @@ type queryState struct {
 
 // New builds an empty Set.
 func New(opts Options) (*Set, error) {
-	if opts.NewEngine == nil {
-		return nil, fmt.Errorf("queryset: Options.NewEngine is required")
-	}
-	if opts.K < 0 {
-		return nil, fmt.Errorf("queryset: K must be >= 0, got %d", opts.K)
+	if opts.NewEngine == nil || opts.Watermark == nil {
+		return nil, fmt.Errorf("queryset: Options.NewEngine and Options.Watermark are required")
 	}
 	if opts.AdvanceEvery < 0 {
 		return nil, fmt.Errorf("queryset: AdvanceEvery must be >= 0, got %d", opts.AdvanceEvery)
@@ -157,7 +147,6 @@ func New(opts Options) (*Set, error) {
 	}
 	s := &Set{
 		opts:    opts,
-		buf:     kslack.NewBuffer(opts.K),
 		queries: make(map[string]*queryState),
 		index:   make(map[string][]dispatch),
 		lat:     opts.Env.Latency,
@@ -168,8 +157,8 @@ func New(opts Options) (*Set, error) {
 
 // Register adds a compiled query under the given id and returns an error
 // on a duplicate or empty id or a sealed Set. The query observes events
-// released from the shared buffer after registration; buffered and
-// already-released events are not replayed into it.
+// dispatched after registration; events still held in the levee in front
+// are among them, already-released ones are not replayed into it.
 func (s *Set) Register(id string, p *plan.Plan) error {
 	if s.sealed {
 		return fmt.Errorf("queryset: Register after Flush; the stream is sealed")
@@ -205,6 +194,7 @@ func (s *Set) attach(q *queryState) {
 	}
 	s.queries[q.id] = q
 	s.order = append(s.order, q) // nextReg is monotone: stays reg-sorted
+	s.track(q)
 
 	// Index the query's relevant types. The first positive component type
 	// and leading-negation types are never gated: the former starts
@@ -231,10 +221,18 @@ func (s *Set) attach(q *queryState) {
 	}
 }
 
-// Unregister removes a query, finalizes it against the events released so
-// far (events still held in the shared reorder buffer are not seen — call
-// Advance first to drain up to a known horizon), and returns its final
-// matches, tagged. Unknown ids and sealed Sets return an error.
+// track refreshes q's share of the summed state size after a call into
+// its engine.
+func (s *Set) track(q *queryState) {
+	n := q.en.StateSize()
+	s.size += n - q.size
+	q.size = n
+}
+
+// Unregister removes a query, finalizes it against the events dispatched
+// so far (events still held in the levee in front are not seen — Advance
+// it first to drain up to a known horizon), and returns its final matches,
+// tagged. Unknown ids and sealed Sets return an error.
 func (s *Set) Unregister(id string) ([]plan.Match, error) {
 	if s.sealed {
 		return nil, fmt.Errorf("queryset: Unregister after Flush; the stream is sealed")
@@ -245,6 +243,7 @@ func (s *Set) Unregister(id string) ([]plan.Match, error) {
 	}
 	var out []plan.Match
 	s.tag(q, q.en.Flush(), &out)
+	s.size -= q.size
 	delete(s.queries, id)
 	for i, o := range s.order {
 		if o == q {
@@ -277,18 +276,6 @@ func (s *Set) Queries() []string {
 	return ids
 }
 
-// Len returns the number of registered queries.
-func (s *Set) Len() int { return len(s.order) }
-
-// Plan returns the registered query's compiled plan.
-func (s *Set) Plan(id string) (*plan.Plan, bool) {
-	q, ok := s.queries[id]
-	if !ok {
-		return nil, false
-	}
-	return q.p, true
-}
-
 // QueryMetrics returns the inner engine counters of one registered query.
 func (s *Set) QueryMetrics(id string) (obsv.Snapshot, bool) {
 	q, ok := s.queries[id]
@@ -318,76 +305,32 @@ func (s *Set) Stats() []QueryStats {
 // Name implements engine.Engine.
 func (s *Set) Name() string { return "queryset" }
 
-// Process admits one event: it enters the shared reorder buffer, and
-// every event the watermark releases is dispatched through the type index
-// to the gated subset of registered engines. Returned matches are tagged
-// with their query id (Match.Query). A sealed Set takes nothing: after Flush
-// Process and Advance return nil (the facade refuses them first, and records
-// why).
-func (s *Set) Process(e event.Event) []plan.Match {
-	var out []plan.Match
-	s.process(e, &out)
-	return out
-}
+// Process dispatches one event, as a run of one.
+func (s *Set) Process(e event.Event) []plan.Match { return s.ProcessBatch([]event.Event{e}) }
 
-// ProcessBatch implements engine.Engine. A nil or empty batch is
-// a documented no-op returning nil. Output is identical to per-event
-// Process calls, including the watermark fan-out cadence, so the batch
-// path amortizes only call and output-slice overhead.
+// ProcessBatch implements engine.Engine: every event of a sorted run is
+// dispatched through the type index to the gated subset of registered
+// engines, and the returned matches are tagged with their query id
+// (Match.Query). A nil or empty batch is a documented no-op returning nil.
 func (s *Set) ProcessBatch(batch []event.Event) []plan.Match {
-	if len(batch) == 0 {
-		return nil
-	}
 	var out []plan.Match
-	for _, e := range batch {
-		s.process(e, &out)
+	for i := range batch {
+		s.dispatch(batch[i], &out)
+	}
+	// The cadence check sits between released runs, never inside one (fan
+	// moves the K=0 engines to the watermark: the run's undispatched tail
+	// would be late), and skips the run a flush releases above it: that
+	// goes to each query's Flush unfanned, query by query.
+	if n := len(batch); n > 0 && s.sinceAdvance >= s.opts.AdvanceEvery && batch[n-1].TS <= s.opts.Watermark() {
+		s.fan(s.opts.Watermark(), &out)
 	}
 	return out
 }
 
-func (s *Set) process(e event.Event, out *[]plan.Match) {
-	if s.sealed {
-		return
-	}
-	s.arrival++
-	maxSeen, started := s.buf.MaxSeen()
-	ooo := started && e.TS < maxSeen
-	var lag event.Time
-	if ooo {
-		lag = maxSeen - e.TS
-	}
-	s.met.IncIn(ooo, lag)
-	s.lat.Hold(e.Seq)
-	released := s.buf.Push(e)
-	if d := s.buf.Dropped(); d != s.lastDropped {
-		s.lastDropped = d
-		s.lat.Abandon(e.Seq)
-		s.met.EventsLate.Inc()
-		s.met.EventsDropped.Inc()
-		return
-	}
-	for _, r := range released {
-		s.dispatch(r, out)
-	}
-	// The cadence check sits here — between release batches, never inside
-	// one. fan advances inner engines to the shared watermark, and every
-	// event of the current batch is at or below that watermark: advancing
-	// mid-batch would make the K=0 inner buffers drop the batch's
-	// still-undispatched tail as late.
-	if s.sinceAdvance >= s.opts.AdvanceEvery {
-		s.fan(out)
-	}
-}
-
-// dispatch routes one released (sorted-order) event through the type
-// index. Inner engines run at K=0 and never see disorder, so no per-query
-// clock synchronization is needed before Process.
+// dispatch routes one (sorted-order) event through the type index. Inner
+// engines run at K=0 and never see disorder, so no per-query clock
+// synchronization is needed before Process.
 func (s *Set) dispatch(e event.Event, out *[]plan.Match) {
-	// Release closes the buffer stage; each query's Process closes a
-	// construct segment mirrored into that query's own series; FinishHeld
-	// seals the span here at dispatch end (the residual send time after the
-	// Set returns is not observable from inside it).
-	s.lat.StageEnd(e.Seq, obsv.StageBuffer)
 	ds := s.index[e.Type]
 	if len(ds) == 0 {
 		s.met.Irrelevant.Inc()
@@ -403,10 +346,12 @@ func (s *Set) dispatch(e event.Event, out *[]plan.Match) {
 		}
 		q.dispatched++
 		s.tag(q, q.en.Process(e), out)
+		s.track(q)
+		// Each query's Process closes a construct segment mirrored into
+		// that query's own series.
 		s.lat.StageInto(q.series, e.Seq, obsv.StageConstruct)
 	}
 	s.sinceAdvance++
-	s.lat.FinishHeld(e.Seq)
 }
 
 // openGate records a first-component occurrence for the event's key group.
@@ -425,7 +370,7 @@ func (q *queryState) openGate(e event.Event) {
 // Events without the key attribute pass ungated — they cannot be proven
 // irrelevant cheaply, and correctness beats a skipped probe.
 func (q *queryState) gateOpen(e event.Event) bool {
-	horizon := e.TS - q.p.Window
+	horizon := event.SubSat(e.TS, q.p.Window)
 	if q.keyAttr == "" {
 		return q.gateAllSet && q.gateAll >= horizon
 	}
@@ -437,106 +382,70 @@ func (q *queryState) gateOpen(e event.Event) bool {
 	return seen && ts >= horizon
 }
 
-// fan advances every engine to the shared watermark — one clock and purge
+// fan advances every engine to the watermark wm — one clock and purge
 // frontier computation fanned out to N consumers — and prunes dead prefix
 // gate entries. Purely a latency/memory action: it never changes output
 // multisets (heartbeat-insertion invariance, I9).
-func (s *Set) fan(out *[]plan.Match) {
+func (s *Set) fan(wm event.Time, out *[]plan.Match) {
 	s.sinceAdvance = 0
-	_, started := s.buf.MaxSeen()
-	if !started {
-		return
-	}
-	wm := s.buf.Watermark()
 	for _, q := range s.order {
 		s.tag(q, q.en.Advance(wm), out)
+		s.track(q)
 		// A gate entry opens probes for events with TS ≤ entry + Window;
 		// future releases have TS ≥ wm, so older entries are dead.
 		if q.keyAttr != "" {
 			for key, ts := range q.gateByKey {
-				if ts+q.p.Window < wm {
+				if event.AddSat(ts, q.p.Window) < wm {
 					delete(q.gateByKey, key)
 				}
 			}
 		}
 	}
-	s.met.LiveState.Set(int64(s.StateSize()))
 }
 
-// Advance implements engine.Engine: the source promises stream time has
-// reached ts. The shared buffer releases everything at or below ts − K,
-// and every engine is immediately advanced to the new watermark (sealing
-// deferred negation output through silent periods).
+// Advance implements engine.Engine: the levee has moved its watermark to
+// ts, and every engine is immediately advanced to it (sealing deferred
+// negation output through silent periods).
 func (s *Set) Advance(ts event.Time) []plan.Match {
-	if s.sealed {
-		return nil
-	}
 	var out []plan.Match
-	for _, r := range s.buf.Advance(ts) {
-		s.dispatch(r, &out)
-	}
-	s.fan(&out)
+	s.fan(ts, &out)
 	return out
 }
 
-// Flush implements engine.Engine: the shared buffer drains in sorted
-// order and every query is finalized, in registration order. The Set is
-// sealed afterwards.
+// Flush implements engine.Engine: every query is finalized, in
+// registration order. The Set is sealed afterwards.
 func (s *Set) Flush() []plan.Match {
-	if s.sealed {
-		return nil
-	}
 	var out []plan.Match
-	for _, r := range s.buf.Flush() {
-		s.dispatch(r, &out)
-	}
 	for _, q := range s.order {
 		s.tag(q, q.en.Flush(), &out)
+		s.track(q)
 	}
 	s.sealed = true
-	s.met.LiveState.Set(0)
 	return out
 }
 
-// tag stamps matches with the owning query id and the Set's clock and
-// arrival count, counts them on the Set's aggregate series, and appends
-// them.
+// tag stamps matches with the owning query id and appends them.
 func (s *Set) tag(q *queryState, ms []plan.Match, out *[]plan.Match) {
-	clock, _ := s.buf.MaxSeen()
-	for _, m := range ms {
-		m.Query = q.id
-		kslack.Restamp(&m, clock, s.arrival)
-		lat := m.EmitClock - m.Last().TS
-		s.met.AddMatch(m.Kind == plan.Retract, lat, 0)
-		*out = append(*out, m)
+	for i := range ms {
+		ms[i].Query = q.id
 	}
+	*out = append(*out, ms...)
 }
 
-// Metrics implements engine.Engine with the Set's shared-admission
-// counters: events in/late/dropped at the shared buffer, irrelevant types,
-// and the live-state gauge (buffer plus engines, refreshed at fan-out
-// cadence). Per-query engine counters are available via QueryMetrics.
+// Metrics implements engine.Engine with the Set's own series: the events
+// no registered query could consume. The levee in front counts the rest;
+// per-query engine counters are available via QueryMetrics.
 func (s *Set) Metrics() obsv.Snapshot { return s.met.Snapshot() }
 
-// StateSize implements engine.Engine: buffered events plus the state of
-// every registered engine.
-func (s *Set) StateSize() int {
-	n := s.buf.Len()
-	for _, q := range s.order {
-		n += q.en.StateSize()
-	}
-	return n
-}
+// StateSize implements engine.Engine: the state of every registered engine.
+func (s *Set) StateSize() int { return s.size }
 
 // StateSnapshot implements engine.Engine: per-query snapshots in
-// registration order, aggregated under the set's name (provenance.Aggregate),
-// with the shared buffer's occupancy added.
+// registration order, aggregated under the set's name (provenance.Aggregate).
 func (s *Set) StateSnapshot() *provenance.StateSnapshot {
 	subs := make([]*provenance.StateSnapshot, len(s.order))
 	for i, q := range s.order {
 		subs[i] = q.en.StateSnapshot()
 	}
-	snap := provenance.Aggregate(s.Name(), subs)
-	snap.BufferLen += s.buf.Len()
-	return snap
+	return provenance.Aggregate(s.Name(), subs)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"oostream/internal/core"
@@ -13,10 +14,12 @@ import (
 )
 
 // testOptions wires native K=0 inner engines, the contract the Set
-// requires (the shared buffer carries all slack).
-func testOptions(k event.Time) Options {
+// requires (the levee in front carries all slack). With no levee in front,
+// the watermark stays at the bottom of the time range: a fan-out moves no
+// engine.
+func testOptions() Options {
 	return Options{
-		K: k,
+		Watermark: func() event.Time { return math.MinInt64 },
 		NewEngine: func(id string, p *plan.Plan) (engine.Engine, error) {
 			return core.New(p, core.Options{})
 		},
@@ -43,7 +46,7 @@ func compile(t *testing.T, src string) *plan.Plan {
 // types are indexed ungated (they precede the anchor whose gap they
 // guard); later component types are gated; unreferenced types are absent.
 func TestIndexGating(t *testing.T) {
-	s, err := New(testOptions(10))
+	s, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestIndexGating(t *testing.T) {
 // must canonicalize their order.
 func TestCheckpointDeterministicBytes(t *testing.T) {
 	mk := func() *Set {
-		s, err := New(testOptions(5))
+		s, err := New(testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,10 +117,10 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestRestoreRejects pins the Restore error surface: version and K
-// mismatches, and missing factories.
+// TestRestoreRejects pins the Restore error surface: a version mismatch
+// and missing factories.
 func TestRestoreRejects(t *testing.T) {
-	s, err := New(testOptions(5))
+	s, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +128,12 @@ func TestRestoreRejects(t *testing.T) {
 	if err := s.Checkpoint(&blob); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(testOptions(7), bytes.NewReader(blob.Bytes())); err == nil {
-		t.Error("Restore accepted a K mismatch")
-	}
-	bad := testOptions(5)
+	bad := testOptions()
 	bad.Compile = nil
 	if _, err := Restore(bad, bytes.NewReader(blob.Bytes())); err == nil {
 		t.Error("Restore accepted nil Compile")
 	}
-	if _, err := Restore(testOptions(5), bytes.NewReader([]byte(`{"version":1}`))); err == nil {
+	if _, err := Restore(testOptions(), bytes.NewReader([]byte(`{"version":1}`))); err == nil {
 		t.Error("Restore accepted a version-1 checkpoint")
 	}
 }
@@ -141,8 +141,10 @@ func TestRestoreRejects(t *testing.T) {
 // TestGatePruning fills gates for keys that go quiet and checks the
 // fan-out prunes them without costing matches that are still reachable.
 func TestGatePruning(t *testing.T) {
-	opts := testOptions(10)
-	opts.AdvanceEvery = 1 // prune at every release
+	ts := event.Time(0)
+	opts := testOptions()
+	opts.AdvanceEvery = 1                            // prune at every release
+	opts.Watermark = func() event.Time { return ts } // the events come in order
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +154,6 @@ func TestGatePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []plan.Match
-	ts := event.Time(0)
 	seq := event.Seq(0)
 	push := func(typ string, id int64) {
 		ts += 5
@@ -186,7 +187,7 @@ func TestGatePruning(t *testing.T) {
 // TestRegistrationOrderStable registers out of lexical order and checks
 // order, Queries, and Stats all follow registration order.
 func TestRegistrationOrderStable(t *testing.T) {
-	s, err := New(testOptions(5))
+	s, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

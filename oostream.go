@@ -203,8 +203,10 @@ func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg,
 // and Provenance apply to the restored engine. The query must be compiled
 // from the same text the checkpointed engine ran. The kernel's own options
 // (K, ablation knobs, the adaptive controller's state) are restored from the
-// checkpoint. Only compositions that checkpoint can be restored —
-// StrategyNative; any other cfg is an error. A checkpoint written under the
+// checkpoint; for StrategyKSlack the held events too, and a static buffer
+// written at another K than cfg.K is refused (a supervisor admits by it). Only
+// compositions that checkpoint can be restored — StrategyNative and
+// StrategyKSlack; any other cfg is an error. A checkpoint written under the
 // Config.Partition of earlier versions restores too: its shards' states
 // merge into the one engine, which keys by the query's attribute itself.
 // Checkpoints carry no lineage, so with cfg.Provenance matches whose partial

@@ -103,23 +103,26 @@ func TestKeyedMetricsDuringProcess(t *testing.T) {
 
 func TestFacadeCheckpointRestore(t *testing.T) {
 	q := MustCompile("PATTERN SEQ(A a, B b) WITHIN 100", nil)
-	en := MustNewEngine(q, Config{K: 50})
-	en.Process(Event{Type: "A", TS: 10, Seq: 1})
-	var buf strings.Builder
-	if err := en.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
+	// The levee's checkpoint holds A in its buffer; the kernel's in a stack.
+	for _, cfg := range []Config{{K: 50}, {Strategy: StrategyKSlack, K: 50}} {
+		en := MustNewEngine(q, cfg)
+		en.Process(Event{Type: "A", TS: 10, Seq: 1})
+		var buf strings.Builder
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreEngine(q, cfg, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append(restored.Process(Event{Type: "B", TS: 20, Seq: 2}), restored.Flush()...)
+		if len(out) != 1 || out[0].Key() != "1|2" {
+			t.Fatalf("%s: restored engine: %v", cfg.Strategy, out)
+		}
 	}
-	restored, err := RestoreEngine(q, Config{K: 50}, strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := restored.Process(Event{Type: "B", TS: 20, Seq: 2})
-	if len(out) != 1 || out[0].Key() != "1|2" {
-		t.Fatalf("restored engine: %v", out)
-	}
-	// Non-native strategies refuse.
-	ks := MustNewEngine(q, Config{Strategy: StrategyKSlack, K: 50})
-	if err := ks.Checkpoint(&strings.Builder{}); err == nil {
-		t.Fatal("kslack checkpoint should fail")
+	// The speculative strategy refuses.
+	sp := MustNewEngine(q, Config{Strategy: StrategySpeculate, K: 50})
+	if err := sp.Checkpoint(&strings.Builder{}); err == nil {
+		t.Fatal("speculate checkpoint should fail")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"oostream/internal/engine"
+	"oostream/internal/kslack"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
 	"oostream/internal/queryset"
@@ -62,21 +63,24 @@ func (cfg QuerySetConfig) validate() error {
 	return cfg.Latency.validate()
 }
 
-// setOptions derives the Set's options from cfg and its builder: the Set
-// itself publishes into series and owns the sampler (it
-// stamps shared-buffer residency and per-query construction); every
-// per-query engine — the native kernel at K=0, since the shared buffer
-// reorders — is built or restored through the same builder under the
-// "qs/<id>" identity with the hook and the provenance switch, and no
-// sampler.
-func (cfg QuerySetConfig) setOptions(b builder, series *obsv.Series) queryset.Options {
+// levee builds (r == nil, with staged registered) or restores a QuerySet's
+// engine: the K-slack levee, publishing into series and owning the
+// sampler's buffer stage, in front of the Set, which it also returns as the
+// live registry, and fans its engines out to the levee's watermark. The Set
+// publishes into series' carry and stamps per-query
+// construction on the sampler; every per-query engine — the native kernel
+// at K=0, since the levee reorders — is built or restored through the same
+// builder under the "qs/<id>" identity with the hook and the provenance
+// switch, and no sampler.
+func (cfg QuerySetConfig) levee(b builder, series *obsv.Series, r io.Reader, staged []namedQuery) (*kslack.Engine, *queryset.Set, error) {
 	ecfg := Config{Strategy: StrategyNative}
 	qb := b
 	qb.lat = nil
+	var lv *kslack.Engine
 	opts := queryset.Options{
-		K:            cfg.K,
 		AdvanceEvery: cfg.AdvanceEvery,
-		Env:          engine.Env{Series: series, Latency: b.lat},
+		Watermark:    func() Time { return lv.Watermark() },
+		Env:          engine.Env{Series: series.Carry(), Latency: b.lat},
 		NewEngine: func(id string, p *plan.Plan) (engine.Engine, error) {
 			return qb.build(p, ecfg, qb.series("qs/"+id), nil)
 		},
@@ -94,7 +98,28 @@ func (cfg QuerySetConfig) setOptions(b builder, series *obsv.Series) queryset.Op
 		// series the query's counters publish into.
 		opts.QuerySeries = func(id string) *obsv.Series { return b.obs.Series("qs/" + id) }
 	}
-	return opts
+	env := engine.Env{Series: series, Latency: b.lat, Provenance: b.prov}
+	if r != nil {
+		var set *queryset.Set
+		var err error
+		lv, err = kslack.Restore(r, cfg.K, env, func(r io.Reader) (engine.Engine, error) {
+			var err error
+			set, err = queryset.Restore(opts, r)
+			return set, err
+		})
+		return lv, set, err
+	}
+	set, err := queryset.New(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, nq := range staged {
+		if err := set.Register(nq.id, nq.q.plan); err != nil {
+			return nil, nil, err
+		}
+	}
+	lv = kslack.NewEngine(cfg.K, set, env)
+	return lv, set, nil
 }
 
 func (cfg QuerySetConfig) builder() builder {
@@ -102,17 +127,21 @@ func (cfg QuerySetConfig) builder() builder {
 }
 
 // QuerySet evaluates many registered queries over one event stream,
-// processing each event once: a shared K-slack admission/reorder pass, an
-// event-type index dispatching only to queries whose components can
-// consume the event, and prefix gating that skips queries whose pattern
-// cannot have started for the event's key group. Every emitted Match
-// carries the owning query's id in Match.Query. It runs in memory
-// (NewQuerySet, RestoreQuerySet) or durably (NewSupervisedQuerySet), with
-// the method set and the refusals of Engine.
+// processing each event once: a K-slack levee admits and reorders the
+// stream (the StrategyKSlack composition), and behind it an event-type
+// index dispatches only to queries whose components can consume the event,
+// with prefix gating that skips queries whose pattern cannot have started
+// for the event's key group. Every emitted Match carries the owning query's
+// id in Match.Query. It runs in memory (NewQuerySet, RestoreQuerySet) or
+// durably (NewSupervisedQuerySet), with the method set and the refusals of
+// Engine.
 //
 // Like Engine, a QuerySet is not safe for concurrent calls.
 type QuerySet struct {
 	facade
+	// live is the registry behind the levee: nil before a durable set's
+	// Start, replaced on every restart.
+	live *queryset.Set
 	// staged is the fresh registry of a durable set, Registered before
 	// Start (a resumed directory's checkpointed registry wins).
 	staged []namedQuery
@@ -135,10 +164,11 @@ func MustNewQuerySet(cfg QuerySetConfig) *QuerySet {
 	return qs
 }
 
-// RestoreQuerySet rebuilds a QuerySet from a Checkpoint (format v2): the
-// shared buffer, the full query registry (sources are recompiled), and
-// every per-query engine state, instrumented by cfg exactly as NewQuerySet
-// would.
+// RestoreQuerySet rebuilds a QuerySet from a Checkpoint: the levee's
+// buffer, the full query registry (sources are recompiled), and every
+// per-query engine state, instrumented by cfg exactly as NewQuerySet would.
+// A checkpoint written at another K than cfg.K is refused. One a QuerySet
+// wrote before it sat behind the levee (one v2 object) restores too.
 func RestoreQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	if r == nil {
 		return nil, fmt.Errorf("RestoreQuerySet: nil checkpoint reader")
@@ -152,25 +182,18 @@ func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 		return nil, err
 	}
 	b := cfg.builder()
-	opts := cfg.setOptions(b, b.series("queryset"))
-	var set *queryset.Set
-	var err error
-	if r != nil {
-		set, err = queryset.Restore(opts, r)
-	} else {
-		set, err = queryset.New(opts)
-	}
+	lv, set, err := cfg.levee(b, b.series("queryset"), r, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &QuerySet{facade: inMemory(set, b.lat)}, nil
+	return &QuerySet{facade: inMemory(lv, b.lat), live: set}, nil
 }
 
 // NewSupervisedQuerySet builds a durable QuerySet persisting to sc.Dir:
 // events are logged before processing, matches are committed to the
-// exactly-once horizon on emission, and checkpoints use format v2 with
-// per-query state namespaces, so a live Register or Unregister survives a
-// kill and recovery (each forces a checkpoint; the log replays events
+// exactly-once horizon on emission, and checkpoints hold the levee's buffer
+// and per-query state namespaces, so a live Register or Unregister survives
+// a kill and recovery (each forces a checkpoint; the log replays events
 // only). Register the initial queries before Start on a fresh directory; on
 // a resumed one the checkpointed registry wins and those registrations are
 // ignored (reconcile via Queries after Start).
@@ -188,26 +211,14 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 		return nil, err
 	}
 	b := cfg.builder()
-	// The Set beneath the supervisor shares its series (the instrument sets
-	// are disjoint), as a single engine does under NewSupervisedEngine.
+	// The levee beneath the supervisor shares its series (the instrument
+	// sets are disjoint), as a single engine does under NewSupervisedEngine.
 	series := b.series("supervised(queryset)")
-	opts := cfg.setOptions(b, series)
 	qs := &QuerySet{}
 	sopts := runtime.SupervisorOptions{
-		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
-		New: func() (engine.Engine, error) {
-			set, err := queryset.New(opts)
-			if err != nil {
-				return nil, err
-			}
-			for _, nq := range qs.staged {
-				if err := set.Register(nq.id, nq.q.plan); err != nil {
-					return nil, err
-				}
-			}
-			return set, nil
-		},
-		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) { return queryset.Restore(opts, r) },
+		Env:     engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
+		New:     func() (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, nil, qs.staged)) },
+		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, r, nil)) },
 		K:       cfg.K,
 	}
 	sup, err := newSupervisor(sc, sopts)
@@ -218,16 +229,14 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 	return qs, nil
 }
 
-// set is the live registry: the facade's engine in memory; when durable,
-// the supervisor's current one (replaced on every restart), nil before
-// Start.
-func (qs *QuerySet) set() *queryset.Set {
-	en := qs.inner
-	if qs.sup != nil {
-		en = qs.sup.Engine()
+// rebuilt hands the supervisor the engine it just had built and keeps that
+// engine's registry as the live one.
+func (qs *QuerySet) rebuilt(lv *kslack.Engine, set *queryset.Set, err error) (engine.Engine, error) {
+	if err != nil {
+		return nil, err
 	}
-	set, _ := en.(*queryset.Set)
-	return set
+	qs.live = set
+	return lv, nil
 }
 
 // mutate applies a registry change: directly in memory; durably through
@@ -245,8 +254,7 @@ func (qs *QuerySet) mutate(fn func() ([]Match, error)) ([]Match, error) {
 // Start stages the query for the fresh registry; after Start it is a
 // durable live mutation.
 func (qs *QuerySet) Register(id string, q *Query) error {
-	set := qs.set()
-	if set == nil {
+	if qs.live == nil {
 		for _, nq := range qs.staged {
 			if nq.id == id {
 				return fmt.Errorf("queryset: query id %q already registered", id)
@@ -255,7 +263,7 @@ func (qs *QuerySet) Register(id string, q *Query) error {
 		qs.staged = append(qs.staged, namedQuery{id: id, q: q})
 		return nil
 	}
-	_, err := qs.mutate(func() ([]Match, error) { return nil, set.Register(id, q.plan) })
+	_, err := qs.mutate(func() ([]Match, error) { return nil, qs.live.Register(id, q.plan) })
 	return err
 }
 
@@ -266,8 +274,7 @@ func (qs *QuerySet) Register(id string, q *Query) error {
 // durable set it is a live mutation like Register, and the returned matches
 // sit outside the exactly-once horizon (see NewSupervisedQuerySet).
 func (qs *QuerySet) Unregister(id string) ([]Match, error) {
-	set := qs.set()
-	if set == nil {
+	if qs.live == nil {
 		for i, nq := range qs.staged {
 			if nq.id == id {
 				qs.staged = append(qs.staged[:i], qs.staged[i+1:]...)
@@ -276,13 +283,13 @@ func (qs *QuerySet) Unregister(id string) ([]Match, error) {
 		}
 		return nil, fmt.Errorf("queryset: query id %q is not registered", id)
 	}
-	return qs.mutate(func() ([]Match, error) { return set.Unregister(id) })
+	return qs.mutate(func() ([]Match, error) { return qs.live.Unregister(id) })
 }
 
 // Queries returns the registered query ids in registration order.
 func (qs *QuerySet) Queries() []string {
-	if set := qs.set(); set != nil {
-		return set.Queries()
+	if qs.live != nil {
+		return qs.live.Queries()
 	}
 	ids := make([]string, len(qs.staged))
 	for i, nq := range qs.staged {
@@ -294,16 +301,16 @@ func (qs *QuerySet) Queries() []string {
 // QueryMetrics returns one registered query's inner-engine counters (the
 // shared-admission counters are Metrics).
 func (qs *QuerySet) QueryMetrics(id string) (Metrics, bool) {
-	if set := qs.set(); set != nil {
-		return set.QueryMetrics(id)
+	if qs.live != nil {
+		return qs.live.QueryMetrics(id)
 	}
 	return Metrics{}, false
 }
 
 // Stats returns per-query dispatch/skip accounting in registration order.
 func (qs *QuerySet) Stats() []QueryStats {
-	if set := qs.set(); set != nil {
-		return set.Stats()
+	if qs.live != nil {
+		return qs.live.Stats()
 	}
 	return nil
 }

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"oostream/internal/gen"
+	"oostream/internal/trace"
 )
 
 // querySetFixture builds a disordered RFID stream plus two queries over
@@ -191,6 +197,89 @@ func TestQuerySetCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestRestoreQuerySetRefusesOtherK: a set checkpoint restores only under the
+// K it was written at, in memory and under a supervisor. Restored at another
+// K, the levee would release and mark late by the checkpoint's K while the
+// supervisor in front admits by the configured one.
+func TestRestoreQuerySetRefusesOtherK(t *testing.T) {
+	q := pairQuery(t)
+	set := MustNewQuerySet(QuerySetConfig{K: 5})
+	if err := set.Register("q", q); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range pairStream(0, 20) {
+		set.Process(ev)
+	}
+	var blob bytes.Buffer
+	if err := set.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreQuerySet(QuerySetConfig{K: 7}, bytes.NewReader(blob.Bytes())); err == nil {
+		t.Error("RestoreQuerySet accepted a checkpoint written at K=5 under K=7")
+	}
+	if _, err := RestoreQuerySet(QuerySetConfig{K: 5}, bytes.NewReader(blob.Bytes())); err != nil {
+		t.Errorf("RestoreQuerySet refused its own K: %v", err)
+	}
+
+	sc := SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, DisableFsync: true}
+	durable, err := NewSupervisedQuerySet(QuerySetConfig{K: 5}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Register("q", q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := durable.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range pairStream(0, 20) {
+		durable.Process(ev)
+	}
+	durable.Kill()
+	for k, refused := range map[Time]bool{7: true, 5: false} {
+		resumed, err := NewSupervisedQuerySet(QuerySetConfig{K: k}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = resumed.Start()
+		if (err != nil) != refused {
+			t.Errorf("resumed at K=%d over checkpoints written at K=5: Start error %v", k, err)
+		}
+		resumed.Kill()
+	}
+}
+
+// TestFlushEmitsQueryByQuery: at Flush the levee releases its tail and each
+// query then finalizes in registration order, unfanned, as the set did when
+// it held its own buffer. Here the tail is irrelevant to both queries but
+// carries the fan-out cadence past AdvanceEvery: a fan to the watermark
+// (402) would emit both queries' matches sealed at 400 ahead of each query's
+// own flush (the match sealed at 405), interleaving the queries.
+func TestFlushEmitsQueryByQuery(t *testing.T) {
+	set := MustNewQuerySet(QuerySetConfig{K: 1000, AdvanceEvery: 16})
+	for _, q := range [][2]string{{"ab", "B"}, {"ac", "C"}} {
+		src := "PATTERN SEQ(A a, " + q[1] + " x, !(N n)) WITHIN 20"
+		if err := set.Register(q[0], MustCompile(src, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, at := range []Time{380, 382, 383, 385, 390, 391} {
+		if ms := set.Process(NewEvent([]string{"A", "B", "C"}[i%3], at, nil)); len(ms) != 0 {
+			t.Fatalf("emitted %v before the flush", ms)
+		}
+	}
+	for at := Time(1383); at <= 1402; at++ {
+		set.Process(NewEvent("X", at, nil))
+	}
+	var order []string
+	for _, m := range set.Flush() {
+		order = append(order, m.Query)
+	}
+	if want := []string{"ab", "ab", "ab", "ac", "ac", "ac"}; !slices.Equal(order, want) {
+		t.Errorf("flush emitted for queries %v, want %v", order, want)
+	}
+}
+
 // TestQuerySetSealed pins the post-Flush surface: Register and Unregister
 // error, Process is refused into Err, a second Flush is a silent no-op.
 func TestQuerySetSealed(t *testing.T) {
@@ -342,5 +431,161 @@ func TestQuerySetLatencyIncludesTheBuffer(t *testing.T) {
 	}
 	if wl.Mean() < k/2 {
 		t.Errorf("kslack mean result latency %.1f: the buffer's wait is not in it", wl.Mean())
+	}
+}
+
+// TestLateIsNotDropped: an event beyond the bound is late, counted once in
+// EventsLate, and counted alike by StrategyKSlack and a one-query QuerySet
+// (one levee admits both). EventsDropped is admission control's count and
+// stays 0 in memory; the set used to count every late event there too.
+func TestLateIsNotDropped(t *testing.T) {
+	q := MustCompile("PATTERN SEQ(A a, B b) WITHIN 100", nil)
+	var events []Event
+	for i := 1; i <= 40; i++ {
+		ts := Time(10 * i)
+		if i%7 == 0 {
+			ts -= 60 // three times K behind: late
+		}
+		events = append(events, NewEvent([]string{"A", "B"}[i%2], ts, nil))
+	}
+	en := MustNewEngine(q, Config{Strategy: StrategyKSlack, K: 20})
+	en.ProcessAll(events)
+	set := MustNewQuerySet(QuerySetConfig{K: 20})
+	if err := set.Register("q", q); err != nil {
+		t.Fatal(err)
+	}
+	set.ProcessAll(events)
+	em, sm := en.Metrics(), set.Metrics()
+	if em.EventsLate == 0 {
+		t.Fatal("no late event: the stream checks nothing")
+	}
+	if sm.EventsLate != em.EventsLate || em.EventsDropped != 0 || sm.EventsDropped != 0 {
+		t.Errorf("late/dropped: kslack %d/%d, set %d/%d; want equal late and nothing dropped",
+			em.EventsLate, em.EventsDropped, sm.EventsLate, sm.EventsDropped)
+	}
+}
+
+// TestLeveeTimeLimits pins both ends of the time range for the levee, in the
+// style of core's TestTimeLimits: the reorder buffer's watermark and the
+// adaptive frontier saturate instead of wrapping, so kslack, static and
+// adaptive, and a one-query QuerySet emit what native does and find no event
+// inside K late. The stream spans 180 ms ending at the top of the range or
+// starting at its bottom, and arrives in order, in reverse and in seeded
+// shuffles.
+func TestLeveeTimeLimits(t *testing.T) {
+	const k = 200
+	rel := []struct {
+		typ string
+		at  Time
+	}{{"A", 0}, {"A", 30}, {"B", 50}, {"N", 60}, {"B", 90}, {"A", 120}, {"N", 125}, {"B", 180}}
+	for _, base := range []Time{math.MaxInt64 - 180, math.MinInt64} {
+		sorted := make([]Event, len(rel))
+		for i, r := range rel {
+			sorted[i] = NewEvent(r.typ, base+r.at, nil)
+			sorted[i].Seq = Seq(i + 1)
+		}
+		orders := [][]Event{sorted, slices.Clone(sorted)}
+		slices.Reverse(orders[1])
+		for seed := int64(0); seed < 10; seed++ {
+			shuffled := slices.Clone(sorted)
+			rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			orders = append(orders, shuffled)
+		}
+		for _, src := range []string{
+			"PATTERN SEQ(A a, B b) WITHIN 100",
+			"PATTERN SEQ(A a, B b, !(N n)) WITHIN 100",
+			"PATTERN SEQ(!(N n), A a, B b) WITHIN 100",
+		} {
+			q := MustCompile(src, nil)
+			levees := map[string]func([]Event) ([]Match, Metrics){
+				"kslack":          engineRun(q, Config{Strategy: StrategyKSlack, K: k}),
+				"kslack-adaptive": engineRun(q, Config{Strategy: StrategyKSlack, K: k, Adaptive: Adaptive{Enabled: true, MinK: k}}),
+				"queryset": func(in []Event) ([]Match, Metrics) {
+					set := MustNewQuerySet(QuerySetConfig{K: k})
+					if err := set.Register("q", q); err != nil {
+						t.Fatal(err)
+					}
+					return set.ProcessAll(in), set.Metrics()
+				},
+			}
+			for i, in := range orders {
+				want := MustNewEngine(q, Config{K: k}).ProcessAll(in)
+				if len(want) == 0 {
+					t.Fatalf("%s at %d: native finds nothing to compare", src, base)
+				}
+				for name, run := range levees {
+					got, m := run(in)
+					if ok, diff := SameResults(want, got); !ok {
+						t.Fatalf("%s at %d, %s, order %d: %d matches, native %d:\n%s", src, base, name, i, len(got), len(want), diff)
+					}
+					if m.EventsLate != 0 {
+						t.Fatalf("%s at %d, %s, order %d: %d late events inside K", src, base, name, i, m.EventsLate)
+					}
+				}
+			}
+		}
+	}
+}
+
+// engineRun runs a stream through a fresh engine of q under cfg.
+func engineRun(q *Query, cfg Config) func([]Event) ([]Match, Metrics) {
+	return func(in []Event) ([]Match, Metrics) {
+		en := MustNewEngine(q, cfg)
+		return en.ProcessAll(in), en.Metrics()
+	}
+}
+
+// testdata/queryset was written at adc73ce, the last commit at which a
+// QuerySet held its own reorder buffer, over stream.trace (623 events in
+// arrival order) and two queries keyed by id:
+//
+//	set.ckpt  the set's checkpoint (format v2: buffer and registry in one
+//	          object) after 300 events under QuerySetConfig{K: 2000,
+//	          AdvanceEvery: 16}: 211 events held in the buffer, each query's
+//	          prefix gates open for 68 keys
+//	set.rest  what that set emitted for the rest of the trace and a flush,
+//	          one "<query> <match>" a line
+//
+// The restored set emits the same, in the same order: a supervised set's
+// resume suppresses the matches delivered before a crash by count.
+func TestRestoreQuerySetFixture(t *testing.T) {
+	read := func(name string) []byte {
+		data, err := os.ReadFile("testdata/queryset/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	events, err := trace.NewReader(bytes.NewReader(read("stream.trace"))).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(read("set.rest"))
+	cfg := QuerySetConfig{K: 2000, AdvanceEvery: 16}
+	continuation := func(ckpt []byte) (string, []byte) {
+		qs, err := RestoreQuerySet(cfg, bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids := qs.Queries(); !slices.Equal(ids, []string{"seq", "neg"}) {
+			t.Fatalf("restored registry %v, want [seq neg]", ids)
+		}
+		var again bytes.Buffer
+		if err := qs.Checkpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for _, m := range qs.ProcessAll(events[300:]) {
+			fmt.Fprintf(&out, "%s %s\n", m.Query, m)
+		}
+		return out.String(), again.Bytes()
+	}
+	got, again := continuation(read("set.ckpt"))
+	if got != want {
+		t.Errorf("the restored set continues differently from the writer\n got:\n%s\nwant:\n%s", got, want)
+	}
+	// Written again in the levee's format, it continues the same way.
+	if got, _ := continuation(again); got != want {
+		t.Error("the checkpoint a restored set writes continues differently")
 	}
 }

@@ -139,36 +139,83 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 }
 
 // TestRestoreEngineTakesConfig: RestoreEngine(q, cfg, r) instruments the
-// restored engine from cfg, and refuses a cfg whose composition has no
-// durable format.
+// restored engine from cfg, for each composition with a durable format, and
+// refuses a cfg whose composition has none.
 func TestRestoreEngineTakesConfig(t *testing.T) {
 	q := pairQuery(t)
-	cfg, _, _ := everythingOn()
-	en := MustNewEngine(q, cfg)
-	for _, ev := range pairStream(0, 8) {
-		en.Process(ev)
-	}
-	var buf bytes.Buffer
-	if err := en.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 12
-	cfg, reg, emits := everythingOn()
-	restored, err := RestoreEngine(q, cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Match
-	for _, ev := range pairStream(8, n) {
-		got = append(got, restored.Process(ev)...)
-	}
-	checkInstrumented(t, reg, []string{"native"}, n, *emits, got, restored.LatencyReport())
-
-	for _, cfg := range []Config{{Strategy: StrategyKSlack, K: 10}, {Strategy: StrategySpeculate, K: 10}} {
-		if _, err := RestoreEngine(q, cfg, bytes.NewReader(nil)); err == nil {
-			t.Errorf("RestoreEngine accepted unrestorable config %+v", cfg)
+	for _, strat := range []Strategy{StrategyNative, StrategyKSlack} {
+		cfg, _, _ := everythingOn()
+		cfg.Strategy = strat
+		en := MustNewEngine(q, cfg)
+		for _, ev := range pairStream(0, 8) {
+			en.Process(ev)
 		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+
+		const n = 12
+		cfg, reg, emits := everythingOn()
+		cfg.Strategy = strat
+		restored, err := RestoreEngine(q, cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Match
+		for _, ev := range pairStream(8, n) {
+			got = append(got, restored.Process(ev)...)
+		}
+		// The flush releases what the levee still holds, closing its spans.
+		got = append(got, restored.Flush()...)
+		checkInstrumented(t, reg, []string{string(strat)}, n, *emits, got, restored.LatencyReport())
+	}
+
+	if _, err := RestoreEngine(q, Config{Strategy: StrategySpeculate, K: 10}, bytes.NewReader(nil)); err == nil {
+		t.Error("RestoreEngine accepted the speculative strategy, which has no durable format")
+	}
+}
+
+// TestSupervisedKSlackCheckpoints: a supervised levee snapshots every
+// CheckpointEvery events (it used to run WAL-only and ignore the setting),
+// keeps Retain snapshots, and a process killed and reopened resumes from the
+// newest one to the uninterrupted run's output.
+func TestSupervisedKSlackCheckpoints(t *testing.T) {
+	q := pairQuery(t)
+	cfg := Config{Strategy: StrategyKSlack, K: 10}
+	sc := SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, Retain: 2, DisableFsync: true}
+	var got []Match
+	for _, span := range [][]Event{pairStream(0, 40), pairStream(40, 20)} {
+		en, err := NewSupervisedEngine(q, cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := en.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ms...)
+		for _, ev := range span {
+			got = append(got, en.Process(ev)...)
+		}
+		if span[0].Seq == 1 {
+			if n := en.Metrics().Checkpoints; n != 8 {
+				t.Errorf("%d checkpoints over 40 events, want 8", n)
+			}
+			if n := recovery.CountValidCheckpoints(sc.Dir); n != 2 {
+				t.Errorf("%d checkpoints on disk, want Retain = 2", n)
+			}
+			en.Kill()
+			continue
+		}
+		got = append(got, en.Flush()...)
+		if err := en.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := MustNewEngine(q, cfg).ProcessAll(append(pairStream(0, 40), pairStream(40, 20)...))
+	if ok, diff := SameResults(want, got); !ok {
+		t.Errorf("resumed run differs from the uninterrupted one:\n%s", diff)
 	}
 }
 

@@ -35,9 +35,9 @@ type SupervisorConfig struct {
 	Dir string
 	// CheckpointEvery takes a durable engine snapshot every this many
 	// offered events. 0 disables periodic checkpoints (WAL-only recovery:
-	// the full log replays on restart). Snapshots require a
-	// checkpoint-capable engine (the native strategy); other strategies run
-	// WAL-only regardless.
+	// the full log replays on restart). StrategyNative and StrategyKSlack
+	// (and every QuerySet) snapshot; speculate and hybrid run WAL-only
+	// regardless.
 	CheckpointEvery int
 	// Retain keeps the newest N checkpoints (older ones and their log
 	// prefixes are pruned). 0 = default 3.
@@ -96,8 +96,8 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // Seq, so they cannot be assigned across a restart. Advance is refused (the
 // log records no heartbeats), and so is Checkpoint.
 //
-// The native strategy recovers from snapshots;
-// every other configuration runs WAL-only. A directory left by a
+// StrategyNative and StrategyKSlack recover from snapshots; speculate and
+// hybrid run WAL-only. A directory left by a
 // partitioned engine (Config.Partition of earlier versions) continues under
 // the one engine when its log holds no match committed past its newest
 // checkpoint; otherwise Start refuses it, because replay suppresses
