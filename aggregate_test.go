@@ -3,7 +3,12 @@ package oostream
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"testing"
+
+	"oostream/internal/event"
+	"oostream/internal/plan"
 )
 
 // aggQuery compiles a small grouped aggregate over an id-linked pair
@@ -201,5 +206,62 @@ func TestPatternMatchHasNoAgg(t *testing.T) {
 	}
 	if len(ms[0].Events) != 2 {
 		t.Errorf("match has %d events, want 2", len(ms[0].Events))
+	}
+}
+
+// TestAggregateTimeLimits: an aggregate's windows do not depend on where in
+// the time range the stream lies. At a negative base the first event used to
+// count as late against a clock that started at 0, and the windows sealed
+// before their matches arrived (1, 1, 1, 1 where the counts are 3, 3, 1, 1);
+// at the top of the range the window-end arithmetic wrapped and ProcessAll
+// never returned; at the bottom, clock − lateness wrapped. Each base lies on
+// the slide grid, so the windows are the base-1000 run's, shifted, with the
+// window start saturated where it falls below the range; the top one is the
+// highest whose last window end (base + 200) is in the range. Off the grid
+// at MaxInt64 − 160, the last end is past the range and saturates.
+func TestAggregateTimeLimits(t *testing.T) {
+	q := aggQuery(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100 SLIDE 50")
+	const window, slide = 100, 50
+	run := func(s Strategy, base Time) []Match {
+		var sorted []Event
+		for i, at := range []Time{0, 10, 30, 50, 120, 150} {
+			typ := "A"
+			if i%2 == 1 {
+				typ = "B"
+			}
+			sorted = append(sorted, Event{Type: typ, TS: base + at, Seq: Seq(i + 1)})
+		}
+		// B@10 arrives before A@0: disorder within K.
+		arrival := append([]Event{sorted[1], sorted[0]}, sorted[2:]...)
+		return MustNewEngine(q, Config{Strategy: s, K: 20}).ProcessAll(arrival)
+	}
+	counts := func(ms []Match) (out []int64) {
+		for _, m := range ms {
+			out = append(out, m.Agg.Count)
+		}
+		return out
+	}
+	if got := counts(run(StrategyNative, 1000)); fmt.Sprint(got) != "[3 3 1 1]" {
+		t.Fatalf("window counts at base 1000 = %v, want [3 3 1 1]", got)
+	}
+	for _, s := range Strategies() {
+		want := run(s, 1000)
+		for _, base := range []Time{-1000, plan.AlignUp(math.MinInt64, slide), (math.MaxInt64 - 200) / slide * slide} {
+			got := run(s, base)
+			if len(got) != len(want) {
+				t.Fatalf("%s at %d: %d windows %v, base 1000 gives %d", s, base, len(got), counts(got), len(want))
+			}
+			for i, m := range got {
+				a, w := *m.Agg, *want[i].Agg
+				if m.Kind != want[i].Kind || a.WindowEnd-(base-1000) != w.WindowEnd ||
+					a.WindowStart != event.SubSat(a.WindowEnd, window) || a.Count != w.Count || a.Value != w.Value {
+					t.Fatalf("%s at %d: window %d is %v %+v, base 1000 gives %v %+v", s, base, i, m.Kind, a, want[i].Kind, w)
+				}
+			}
+		}
+		top := run(s, math.MaxInt64-160)
+		if got := counts(top); fmt.Sprint(got) != "[3 3 1 1]" || top[3].Agg.WindowEnd != math.MaxInt64 {
+			t.Errorf("%s at MaxInt64-160: window counts %v, last end %d; want [3 3 1 1] ending at MaxInt64", s, got, top[len(top)-1].Agg.WindowEnd)
+		}
 	}
 }

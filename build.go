@@ -72,12 +72,6 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 	return ls
 }
 
-// restorable reports whether the composition cfg describes has a durable
-// format: the native strategy and the K-slack levee, aggregating or not.
-func (c Config) restorable() bool {
-	return c.Strategy == StrategyNative || c.Strategy == StrategyKSlack
-}
-
 // checkpoint is durable engine state opened for a restore: the engine
 // checkpoints it holds. A checkpoint an engine wrote is its own one part.
 // One written by the key-partitioned router this library had until
@@ -153,9 +147,6 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 		if from.err != nil {
 			return nil, from.err
 		}
-		if !cfg.restorable() {
-			return nil, fmt.Errorf("strategy %q has no checkpoint format to restore from (only %q and %q do)", cfg.Strategy, StrategyNative, StrategyKSlack)
-		}
 		if p.Agg != nil {
 			// The operator's envelope leads each part's byte stream; its
 			// lateness bound rides in the payload. The strategy restores from
@@ -180,8 +171,8 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 }
 
 // strategy builds (from == nil) or restores the bare strategy engine,
-// instrumented by env. What restores is native or kslack (restorable); the
-// kernel's options and the controller come from the checkpoint.
+// instrumented by env. A restored kernel's options and controller come from
+// the checkpoint; its emission policy must be the strategy's.
 func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkpoint) (engine.Engine, error) {
 	ctrl, err := cfg.adaptiveController()
 	if err != nil {
@@ -205,6 +196,9 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkp
 			en, err := core.Restore(p, env, from.parts...)
 			if err != nil {
 				return nil, err
+			}
+			if en.EmitPolicy() != kernel.Emit {
+				return nil, fmt.Errorf("checkpoint was written by strategy %q, not %q", en.Name(), cfg.Strategy)
 			}
 			en.CountKeyless(from.keyless)
 			return en, nil
@@ -241,6 +235,9 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkp
 		// disabled the effective K stays pinned at Config.K and only the SLO
 		// switching logic runs. The switch adds no instrument of its own: the
 		// kernel carries them all.
+		if from != nil {
+			return hybrid.Restore(p, env, from.parts[0])
+		}
 		hctrl, err := adaptive.NewController(cfg.Adaptive, cfg.K)
 		if err != nil {
 			return nil, err

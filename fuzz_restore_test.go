@@ -33,6 +33,10 @@ var restoreTargets = []struct {
 	{"kslack", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategyKSlack, K: 10}, restoreStream(100, 20)},
 	{"kslack-adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
 		Config{Strategy: StrategyKSlack, K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, Limits: Limits{MaxLag: 40, MaxBufferedEvents: 6}}}, restoreStream(100, 20)},
+	// The kernel holding vulnerable matches, and the hybrid's record in front
+	// of it.
+	{"speculate", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategySpeculate, K: 10}, restoreStream(100, 20)},
+	{"hybrid", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategyHybrid, K: 10}, restoreStream(100, 20)},
 	// The query of testdata/adaptive, whose checkpoints a controller with a
 	// second cap wrote (TestRestoreAdaptiveFixture). Their clocks read about
 	// 3600.
@@ -170,8 +174,8 @@ func FuzzRestoreEngine(f *testing.F) {
 	})
 }
 
-// aggRestoreTargets are the sealed-mode aggregate compositions
-// FuzzRestoreAgg restores into, ungrouped and grouped.
+// aggRestoreTargets are the aggregate compositions FuzzRestoreAgg restores
+// into: sealed, ungrouped and grouped, and previewing.
 var aggRestoreTargets = []struct {
 	name  string
 	query string
@@ -180,6 +184,7 @@ var aggRestoreTargets = []struct {
 	{"ungrouped", "AGGREGATE MAX(b.id) OVER SEQ(A a, B b) WITHIN 50 SLIDE 5", Config{K: 10}},
 	{"grouped", "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 50 SLIDE 10 GROUP BY a.id", Config{K: 10}},
 	{"trailing-negation", "AGGREGATE SUM(a.id) OVER SEQ(A a, B b, !(C c)) WITHIN 30 SLIDE 10 GROUP BY b.id", Config{K: 10}},
+	{"speculative", "AGGREGATE SUM(b.id) OVER SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 30 SLIDE 5 GROUP BY a.id", Config{Strategy: StrategySpeculate, K: 10}},
 }
 
 // resealAgg recomputes the CRC of an aggregate checkpoint envelope whose

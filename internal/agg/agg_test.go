@@ -388,15 +388,54 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpeculativeCheckpointRefused(t *testing.T) {
-	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100")
-	sp, err := core.New(p, core.Options{K: 10, Emit: core.EmitThenRetract})
-	if err != nil {
-		t.Fatal(err)
+// TestSpeculativeCheckpointRoundTrip: a speculative operator over the
+// speculative kernel checkpoints at any cut, and the restored one continues
+// element for element as the uninterrupted run does — previews, revisions
+// and the kernel's retractions beneath them included — since the
+// checkpoint holds the previews a revision must retract.
+func TestSpeculativeCheckpointRoundTrip(t *testing.T) {
+	src := "AGGREGATE SUM(b.v) OVER SEQ(A a, !(A n), B b) WHERE a.id = b.id AND a.id = n.id WITHIN 80 SLIDE 20 GROUP BY a.id"
+	p := compile(t, src)
+	const k = event.Time(24)
+	events := genStream(rand.New(rand.NewSource(11)), 160, k)
+	fresh := func() *Engine {
+		return New(p, core.MustNew(p, core.Options{K: k, Emit: core.EmitThenRetract}), true, k)
 	}
-	en := New(p, sp, true, 10)
-	if err := en.Checkpoint(&bytes.Buffer{}); err == nil {
-		t.Fatalf("speculative checkpoint must be refused")
+	want := engine.Drain(fresh(), events)
+	revisions := 0
+	for _, m := range want {
+		if m.Kind == plan.Retract {
+			revisions++
+		}
+	}
+	if revisions == 0 {
+		t.Fatal("the stream revises no window: the round trip proves nothing")
+	}
+	for cut := 0; cut <= len(events); cut += 16 {
+		en := fresh()
+		var got []plan.Match
+		for _, e := range events[:cut] {
+			got = append(got, en.Process(e)...)
+		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatalf("cut %d: checkpoint: %v", cut, err)
+		}
+		restored, err := Restore(p, engine.Env{}, []io.Reader{&buf}, func(parts []io.Reader) (engine.Engine, error) {
+			return core.Restore(p, engine.Env{}, parts...)
+		})
+		if err != nil {
+			t.Fatalf("cut %d: restore: %v", cut, err)
+		}
+		got = append(got, engine.Drain(restored, events[cut:])...)
+		if len(got) != len(want) {
+			t.Fatalf("cut %d: %d matches, uninterrupted %d", cut, len(got), len(want))
+		}
+		for i := range want {
+			if g, w := fmt.Sprintf("%+v", got[i]), fmt.Sprintf("%+v", want[i]); g != w {
+				t.Fatalf("cut %d: match %d\n got  %s\n want %s", cut, i, g, w)
+			}
+		}
 	}
 }
 

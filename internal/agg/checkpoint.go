@@ -2,12 +2,14 @@ package agg
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -30,9 +32,7 @@ var aggMagic = [6]byte{'O', 'O', 'A', 'G', 'G', 'T'}
 
 const aggEnvelopeVersion = 1
 
-// aggCheckpoint is the serialized operator state. Only sealed mode is
-// checkpointable: speculative previews are compensated state downstream
-// consumers hold, which a restore cannot reconstruct.
+// aggCheckpoint is the serialized operator state.
 type aggCheckpoint struct {
 	// Lateness is the operator's disorder bound, persisted so a restore
 	// needs only the plan and the byte stream.
@@ -43,6 +43,12 @@ type aggCheckpoint struct {
 	Sealed     event.Time `json:"sealed"`
 	SealedInit bool       `json:"sealedInit"`
 	Groups     []ckGroup  `json:"groups"`
+	// Speculative marks the preview+revision mode and Previewed is its
+	// previewed frontier (absent before the first preview). A sealed
+	// operator writes neither, so its checkpoint reads as before they
+	// existed.
+	Speculative bool        `json:"speculative,omitempty"`
+	Previewed   *event.Time `json:"previewed,omitempty"`
 }
 
 // ckGroup is one key group: its GROUP BY value (absent when the query is
@@ -55,6 +61,17 @@ type ckGroup struct {
 	Key    *event.Value `json:"key,omitempty"`
 	Sealed *event.Time  `json:"sealed,omitempty"`
 	Elems  []ckElem     `json:"elems"`
+	// Emitted is what a speculative operator previewed for the group's
+	// windows that can still be revised, by ascending end: a revision after
+	// the restore retracts exactly what went out.
+	Emitted []ckPreview `json:"emitted,omitempty"`
+}
+
+// ckPreview is one previewed window value of a group.
+type ckPreview struct {
+	End   event.Time  `json:"end"`
+	Value event.Value `json:"value"`
+	Count int64       `json:"count"`
 }
 
 // ckElem is one run element. Min/Max are pointers because the zero
@@ -72,13 +89,10 @@ type ckElem struct {
 	Match  string       `json:"match"`
 }
 
-// Checkpoint implements engine.Engine for sealed-mode operators over a
-// checkpointable inner engine.
+// Checkpoint implements engine.Engine: the operator's envelope, then the
+// inner engine's checkpoint.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	if en.speculative {
-		return fmt.Errorf("agg: speculative aggregation: %w", engine.ErrNoCheckpoint)
-	}
-	// The envelope leads the stream, so an inner engine that refuses must be
+	// The envelope leads the stream, so an inner engine that fails must be
 	// found out before anything is written.
 	var inner bytes.Buffer
 	if err := en.inner.Checkpoint(&inner); err != nil {
@@ -92,6 +106,12 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		Sealed:     en.sealed,
 		SealedInit: en.sealedInit,
 		Groups:     make([]ckGroup, 0, len(en.groups)),
+	}
+	if en.speculative {
+		cf.Speculative = true
+		if en.previewInit {
+			cf.Previewed = &en.previewed
+		}
 	}
 	for _, g := range en.groups {
 		cg := ckGroup{Elems: make([]ckElem, 0, g.run.Size())}
@@ -116,6 +136,10 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 			})
 			return true
 		})
+		for end, av := range g.emitted {
+			cg.Emitted = append(cg.Emitted, ckPreview{End: end, Value: av.Value, Count: av.Count})
+		}
+		slices.SortFunc(cg.Emitted, func(a, b ckPreview) int { return cmp.Compare(a.End, b.End) })
 		cf.Groups = append(cf.Groups, cg)
 	}
 	payload, err := json.Marshal(&cf)
@@ -180,8 +204,8 @@ func readCheckpoint(r io.Reader) (aggCheckpoint, error) {
 	return cf, nil
 }
 
-// Restore rebuilds a sealed-mode operator from a checkpoint, instrumented
-// by env as NewWithEnv would: from one part, or from the checkpoints of
+// Restore rebuilds an operator, in the mode it ran in, from a checkpoint,
+// instrumented by env as NewWithEnv would: from one part, or from the checkpoints of
 // several operators that each aggregated a share of one stream split by the
 // GROUP BY key, merged into the one operator that would have seen the whole
 // stream. p must be the same compiled plan the checkpointed engine ran with
@@ -210,15 +234,22 @@ func Restore(p *plan.Plan, env engine.Env, parts []io.Reader, restoreInner func(
 		if files[i].Lateness != files[0].Lateness {
 			return nil, fmt.Errorf("agg: checkpoint parts disagree on the lateness bound: %d against %d", files[i].Lateness, files[0].Lateness)
 		}
+		if files[i].Speculative && len(parts) > 1 {
+			// Only sealed operators were ever split by key.
+			return nil, fmt.Errorf("agg: a speculative checkpoint has one part, not %d", len(parts))
+		}
 		front = min(front, files[i].frontier())
 	}
 	inner, err := restoreInner(parts)
 	if err != nil {
 		return nil, err
 	}
-	en := NewWithEnv(p, inner, false, files[0].Lateness, env)
+	en := NewWithEnv(p, inner, files[0].Speculative, files[0].Lateness, env)
 	if front != math.MinInt64 {
 		en.sealed, en.sealedInit = front, true
+	}
+	if pv := files[0].Previewed; pv != nil {
+		en.previewed, en.previewInit = *pv, true
 	}
 	for _, cf := range files {
 		en.clock = max(en.clock, cf.Clock)
@@ -262,6 +293,12 @@ func Restore(p *plan.Plan, env engine.Env, parts []io.Reader, restoreInner func(
 				if ce.Seq >= en.elemSeq {
 					en.elemSeq = ce.Seq + 1
 				}
+			}
+			for _, pv := range cg.Emitted {
+				if !en.speculative {
+					return nil, fmt.Errorf("agg: sealed checkpoint holds previews in group %s", g.key)
+				}
+				g.emitted[pv.End] = en.aggValue(g, pv.End, pv.Value, pv.Count)
 			}
 		}
 	}

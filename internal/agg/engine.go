@@ -76,9 +76,8 @@ type elemAux struct {
 	refs     []provenance.EventRef
 }
 
-// Engine is the windowed-aggregation operator. It implements engine.Engine;
-// Checkpoint works in sealed mode over a checkpointable inner engine and
-// refuses otherwise.
+// Engine is the windowed-aggregation operator. It implements engine.Engine,
+// in either mode.
 type Engine struct {
 	p     *plan.Plan
 	spec  *plan.AggSpec
@@ -91,8 +90,10 @@ type Engine struct {
 	// completion timestamp older than clock − L.
 	lateness event.Time
 
-	// clock is the outer max-seen timestamp; arrival the outer event
-	// count (aggregate matches are restamped against both).
+	// clock is the outer max-seen timestamp, the bottom of the time range
+	// before the first event (so that event is never late, however low its
+	// timestamp); arrival the outer event count (aggregate matches are
+	// restamped against both).
 	clock   event.Time
 	arrival uint64
 
@@ -151,6 +152,7 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 		inner:       inner,
 		speculative: speculative,
 		lateness:    lateness,
+		clock:       math.MinInt64,
 		byKey:       make(map[event.Value]*group),
 		byMatch:     make(map[string]elemRef),
 		trace:       env.Trace,
@@ -268,12 +270,12 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		Engine:  en.traceName,
 		Started: en.arrival > 0,
 		Clock:   en.clock,
-		Safe:    en.clock - en.lateness,
+		Safe:    event.SubSat(en.clock, en.lateness),
 		Pending: len(en.byMatch),
 		Lineage: provenance.LineageStats{Enabled: en.prov},
 	}
 	if en.sealedInit {
-		s.PurgeFrontier = en.sealed + en.spec.Slide - en.p.Window
+		s.PurgeFrontier = en.purgeCut(en.sealed)
 	}
 	if en.speculative {
 		for _, g := range en.groups {
@@ -391,10 +393,10 @@ func mapKey(key event.Value, has bool) event.Value {
 func (en *Engine) advanceOutput(out []plan.Match) []plan.Match {
 	if en.speculative {
 		out = en.previewTo(en.clock, false, out)
-		en.reclaim(en.clock - en.lateness)
+		en.reclaim(event.SubSat(en.clock, en.lateness))
 		return out
 	}
-	return en.sealTo(en.clock-en.lateness, false, out)
+	return en.sealTo(event.SubSat(en.clock, en.lateness), false, out)
 }
 
 // sealTo emits every still-unsealed window with end < watermark as final,
@@ -436,7 +438,7 @@ func (en *Engine) previewTo(limit event.Time, flush bool, out []plan.Match) []pl
 // and their dead elements purge. Nothing is emitted — previews already
 // were.
 func (en *Engine) reclaim(watermark event.Time) {
-	end := alignDown(watermark-1, en.spec.Slide)
+	end := alignDown(event.SubSat(watermark, 1), en.spec.Slide)
 	if en.sealedInit && end <= en.sealed {
 		return
 	}
@@ -466,8 +468,12 @@ func (en *Engine) nextEnd(cursor event.Time, cursorInit bool) (event.Time, bool)
 		}
 		return plan.AlignUp(m, slide), true
 	}
-	end := cursor + slide
-	m, ok := en.firstAfter(end - en.p.Window)
+	if cursor == math.MaxInt64 {
+		// The last end of the time range: none follows.
+		return 0, false
+	}
+	end := event.AddSat(cursor, slide)
+	m, ok := en.firstAfter(en.windowStart(end))
 	if !ok {
 		return 0, false
 	}
@@ -527,25 +533,29 @@ func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan
 // windowValue computes the window (end−W, end] for one group, or nil when
 // the window is empty or HAVING rejects it.
 func (en *Engine) windowValue(g *group, end event.Time) *plan.AggValue {
-	w := en.p.Window
-	part := g.run.Query(fiba.Key{TS: end - w, Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
+	part := g.run.Query(fiba.Key{TS: en.windowStart(end), Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
 	v, n, ok := en.spec.Result(part)
 	if !ok {
 		return nil
 	}
-	av := &plan.AggValue{
+	av := en.aggValue(g, end, v, n)
+	if !en.spec.EvalHaving(av, en.met.IncPredError) {
+		return nil
+	}
+	return av
+}
+
+// aggValue is group g's value v over n elements for the window ending at end.
+func (en *Engine) aggValue(g *group, end event.Time, v event.Value, n int64) *plan.AggValue {
+	return &plan.AggValue{
 		Func:        string(en.spec.Func),
-		WindowStart: end - w,
+		WindowStart: en.windowStart(end),
 		WindowEnd:   end,
 		Group:       g.key,
 		HasGroup:    g.has,
 		Value:       v,
 		Count:       n,
 	}
-	if !en.spec.EvalHaving(av, en.met.IncPredError) {
-		return nil
-	}
-	return av
 }
 
 // reviseAround re-evaluates every already-previewed window an element at
@@ -555,9 +565,11 @@ func (en *Engine) reviseAround(g *group, ts event.Time, out []plan.Match) []plan
 	if !en.previewInit {
 		return out
 	}
-	w := en.p.Window
-	for end := plan.AlignUp(ts, en.spec.Slide); end <= en.previewed && end-w < ts; end += en.spec.Slide {
+	for end := plan.AlignUp(ts, en.spec.Slide); end <= en.previewed && en.windowStart(end) < ts; end += en.spec.Slide {
 		out = en.revise(g, end, out)
+		if end > math.MaxInt64-en.spec.Slide {
+			break // the last end of the time range
+		}
 	}
 	return out
 }
@@ -628,7 +640,7 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 		Kind:      provenance.KindInsert,
 		WindowLo:  av.WindowStart,
 		WindowHi:  av.WindowEnd,
-		SealTS:    av.WindowEnd + en.lateness,
+		SealTS:    event.AddSat(av.WindowEnd, en.lateness),
 		EmitClock: en.clock,
 	}
 	if kind == plan.Retract {
@@ -658,7 +670,7 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 // end (ts <= end + slide − W), drops their retraction bookkeeping, and in
 // speculative mode forgets preview records for sealed windows.
 func (en *Engine) purgeFor(end event.Time) {
-	cut := end + en.spec.Slide - en.p.Window
+	cut := en.purgeCut(end)
 	n := 0
 	for _, g := range en.groups {
 		n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, func(aux any) {
@@ -681,6 +693,23 @@ func (en *Engine) purgeFor(end event.Time) {
 		}
 	}
 	en.dropEmpty()
+}
+
+// windowStart is the exclusive start of the window ending at end: end − W,
+// saturated at the bottom of the time range. An end saturated at the top
+// (plan.AlignUp) stands for the first grid end past the range, whose window
+// starts one slide after the last grid end in it.
+func (en *Engine) windowStart(end event.Time) event.Time {
+	if slide := en.spec.Slide; end == math.MaxInt64 && end%slide != 0 {
+		return alignDown(end, slide) - (en.p.Window - slide)
+	}
+	return event.SubSat(end, en.p.Window)
+}
+
+// purgeCut is the latest element timestamp no window past end can hold:
+// end + slide − W, saturated at the ends of the time range.
+func (en *Engine) purgeCut(end event.Time) event.Time {
+	return event.SubSat(event.AddSat(end, en.spec.Slide), en.p.Window)
 }
 
 // dropEmpty retires groups with no elements and no revisable previews.
@@ -708,11 +737,12 @@ func (en *Engine) publishGauges() {
 	}
 }
 
-// alignDown returns the largest multiple of slide that is <= ts.
+// alignDown returns the largest multiple of slide that is <= ts, or the
+// bottom of the time range when that multiple lies below it.
 func alignDown(ts, slide event.Time) event.Time {
-	d := plan.AlignUp(ts, slide)
+	d := ts / slide * slide // toward zero: up, for a negative ts
 	if d > ts {
-		d -= slide
+		d = event.SubSat(d, slide)
 	}
 	return d
 }

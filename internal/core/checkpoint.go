@@ -65,6 +65,12 @@ type checkpointFile struct {
 	// restore unchanged.
 	Frontier event.Time      `json:"frontier,omitempty"`
 	Adaptive *adaptive.State `json:"adaptive,omitempty"`
+	// Emit is the emission policy and Vulnerable the emitted matches that can
+	// still be retracted, key group after key group, each group's in emission
+	// order. Both are absent from a sealing engine that holds none, so its
+	// checkpoint reads as it did before they existed.
+	Emit       EmitPolicy          `json:"emit,omitempty"`
+	Vulnerable []checkpointPending `json:"vulnerable,omitempty"`
 }
 
 type checkpointPending struct {
@@ -106,6 +112,39 @@ func (en *Engine) flatNegStores() [][]event.Event {
 	return out
 }
 
+// flatVulnerable returns the vulnerable matches key group after key group,
+// the groups ordered by their first match's first event (map iteration order
+// must not leak into the serialized form), each in emission order: the order
+// its retractions leave in. Only a group's own order is state — a negative
+// probes one group — so restore may file them back group by group.
+func (en *Engine) flatVulnerable() []checkpointPending {
+	lists := make([][]pendingMatch, 0, len(en.vuln))
+	for _, l := range en.vuln {
+		lists = append(lists, l.items)
+	}
+	sort.Slice(lists, func(i, j int) bool { return lists[i][0].events[0].Before(lists[j][0].events[0]) })
+	var out []checkpointPending
+	for _, items := range lists {
+		for _, pm := range items {
+			out = append(out, pm.checkpointed())
+		}
+	}
+	return out
+}
+
+// checkpointed is a binding's serialized form (lineage is not checkpointed).
+func (pm pendingMatch) checkpointed() checkpointPending {
+	return checkpointPending{Events: pm.events, SealTS: pm.sealTS, MadeSeq: pm.madeSeq}
+}
+
+// restoredMatch rebuilds a checkpointed binding in its key group. Every slot
+// of a complete binding carries the partition key (the equality chain spans
+// all positions), so slot 0 is representative.
+func (en *Engine) restoredMatch(cp checkpointPending) pendingMatch {
+	key, _ := en.keyOf(cp.Events[0])
+	return pendingMatch{events: cp.Events, key: key, sealTS: cp.SealTS, madeSeq: cp.MadeSeq}
+}
+
 // sortEvents orders a merged list by (TS, Seq). Stable, so the events of a
 // single group — already in that order, ties in arrival order — are written
 // as their stack holds them.
@@ -120,13 +159,7 @@ func sortEvents(events []event.Event) {
 //
 // Metrics counters are NOT checkpointed: a restored engine starts fresh
 // counters (operational metrics describe a process, not the computation).
-//
-// The format holds no vulnerable matches, so an engine that emits ahead of
-// the seal (or still carries vulnerable output from when it did) refuses.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	if en.opts.Emit == EmitThenRetract || en.liveVuln > 0 {
-		return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
-	}
 	cf := checkpointFile{
 		Version:    checkpointVersion,
 		PlanSource: en.plan.Source,
@@ -141,6 +174,8 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		Since:      en.since,
 		Stacks:     en.flatStacks(),
 		NegStores:  en.flatNegStores(),
+		Emit:       en.opts.Emit,
+		Vulnerable: en.flatVulnerable(),
 	}
 	if ad := en.opts.Adaptive; ad != nil {
 		st := ad.Export()
@@ -148,11 +183,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		cf.Frontier = en.frontier
 	}
 	en.pending.Each(func(_ event.Time, pm pendingMatch) {
-		cf.Pending = append(cf.Pending, checkpointPending{
-			Events:  pm.events,
-			SealTS:  pm.sealTS,
-			MadeSeq: pm.madeSeq,
-		})
+		cf.Pending = append(cf.Pending, pm.checkpointed())
 	})
 	payload, err := json.Marshal(cf)
 	if err != nil {
@@ -252,9 +283,11 @@ func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
 	if cf.LatePolicy != dropLate {
 		return cf, fmt.Errorf("checkpoint written under late policy %d: this version drops every event beyond K (policy %d)", cf.LatePolicy, dropLate)
 	}
-	for i, pm := range cf.Pending {
-		if len(pm.Events) != p.Len() {
-			return cf, fmt.Errorf("checkpoint shape mismatch: pending binding %d holds %d events, the pattern has %d positions", i, len(pm.Events), p.Len())
+	for i, list := range [][]checkpointPending{cf.Pending, cf.Vulnerable} {
+		for j, pm := range list {
+			if len(pm.Events) != p.Len() {
+				return cf, fmt.Errorf("checkpoint shape mismatch: %s binding %d holds %d events, the pattern has %d positions", [...]string{"pending", "vulnerable"}[i], j, len(pm.Events), p.Len())
+			}
 		}
 	}
 	return cf, nil
@@ -268,9 +301,9 @@ func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
 // larger bound is kept, the bound the merged run stays equivalent to. Parts
 // written under different options are not one engine's state.
 func (cf *checkpointFile) absorb(o checkpointFile) error {
-	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt ||
-		o.PurgeEvery != cf.PurgeEvery || (o.Adaptive == nil) != (cf.Adaptive == nil) {
-		return fmt.Errorf("written under other options than the first part (K %d against %d, or the ablation switches)", o.K, cf.K)
+	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt || o.PurgeEvery != cf.PurgeEvery ||
+		(o.Adaptive == nil) != (cf.Adaptive == nil) || o.Emit != cf.Emit {
+		return fmt.Errorf("written under other options than the first part (K %d against %d, or the ablation switches, or the emission policy)", o.K, cf.K)
 	}
 	cf.Clock = max(cf.Clock, o.Clock)
 	cf.Frontier = max(cf.Frontier, o.Frontier)
@@ -285,6 +318,7 @@ func (cf *checkpointFile) absorb(o checkpointFile) error {
 		cf.NegStores[i] = append(cf.NegStores[i], o.NegStores[i]...)
 	}
 	cf.Pending = append(cf.Pending, o.Pending...)
+	cf.Vulnerable = append(cf.Vulnerable, o.Vulnerable...)
 	if o.Adaptive != nil && o.Adaptive.MaxK > cf.Adaptive.MaxK {
 		cf.Adaptive = o.Adaptive
 	}
@@ -329,6 +363,7 @@ func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) 
 	}
 	opts := Options{
 		K:                 cf.K,
+		Emit:              cf.Emit,
 		DisableTriggerOpt: cf.NoTrigOpt,
 		PurgeEvery:        cf.PurgeEvery,
 		Env:               env,
@@ -371,19 +406,15 @@ func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) 
 			}
 		}
 	}
-	for _, pm := range cf.Pending {
-		// Every slot of a complete binding carries the partition key (the
-		// equality chain spans all positions), so slot 0 is representative.
-		key, _ := en.keyOf(pm.Events[0])
+	for _, cp := range cf.Pending {
 		// The file lists pending in any order (a heap's array, before the
 		// queue): inserting sorts it by sealTS, file order among equals, the
 		// parts in the order given.
-		en.pending.Insert(pm.SealTS, pendingMatch{
-			events:  pm.Events,
-			key:     key,
-			sealTS:  pm.SealTS,
-			madeSeq: pm.MadeSeq,
-		})
+		pm := en.restoredMatch(cp)
+		en.pending.Insert(pm.sealTS, pm)
+	}
+	for _, cp := range cf.Vulnerable {
+		en.fileVulnerable(en.restoredMatch(cp))
 	}
 	// Lineage is not checkpointed: restored pendings have nil prov, so if
 	// provenance is enabled on the restored engine their matches emit

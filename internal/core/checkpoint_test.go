@@ -59,6 +59,69 @@ func TestCheckpointRestoreContinuesExactly(t *testing.T) {
 	}
 }
 
+// TestVulnerableCheckpointRoundTrip: the emitted matches that can still be
+// retracted survive a checkpoint — under EmitThenRetract, and in a sealing
+// kernel that still holds them from a speculative phase — so the restored
+// engine retracts what the uninterrupted one does, in the same order, and
+// its expiry order indexes them (CheckDue).
+func TestVulnerableCheckpointRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		"PATTERN SEQ(A a, !(N n), B b) WHERE a.id = b.id AND a.id = n.id WITHIN 60",
+		"PATTERN SEQ(A a, B b, !(N n)) WITHIN 40",
+	} {
+		p := compile(t, src)
+		sorted := gen.Uniform(400, []string{"A", "B", "N"}, 3, 5, 43)
+		shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: 44})
+		for _, sealAt := range []int{-1, 150} {
+			// sealAt flips the kernel to SealThenEmit before that event.
+			run := func(en *Engine, from int, events []event.Event, out []plan.Match) []plan.Match {
+				for i, e := range events {
+					if from+i == sealAt {
+						out = append(out, en.SetEmitPolicy(SealThenEmit)...)
+					}
+					out = append(out, en.Process(e)...)
+				}
+				return out
+			}
+			want := append(run(MustNew(p, Options{K: 40, Emit: EmitThenRetract}), 0, shuffled, nil), plan.Match{})
+			retracts, vulnerable := 0, 0
+			for _, cut := range []int{37, 153, 333} {
+				first := MustNew(p, Options{K: 40, Emit: EmitThenRetract})
+				got := run(first, 0, shuffled[:cut], nil)
+				if cut > sealAt {
+					vulnerable += first.liveVuln
+				}
+				var buf bytes.Buffer
+				if err := first.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				second, err := Restore(p, engine.Env{}, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if second.EmitPolicy() != first.EmitPolicy() || second.liveVuln != first.liveVuln || second.StateSize() != first.StateSize() {
+					t.Fatalf("%s cut %d: restored %s with %d vulnerable, want %s with %d", src, cut, second.EmitPolicy(), second.liveVuln, first.EmitPolicy(), first.liveVuln)
+				}
+				if err := second.CheckDue(); err != nil {
+					t.Fatalf("%s cut %d: %v", src, cut, err)
+				}
+				got = append(run(second, cut, shuffled[cut:], got), plan.Match{})
+				if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+					t.Fatalf("%s seal at %d, cut %d: the restored run differs", src, sealAt, cut)
+				}
+				for _, m := range got {
+					if m.Kind == plan.Retract {
+						retracts++
+					}
+				}
+			}
+			if retracts == 0 || vulnerable == 0 {
+				t.Fatalf("%s seal at %d: %d retractions, %d vulnerable matches checkpointed: nothing to compare", src, sealAt, retracts, vulnerable)
+			}
+		}
+	}
+}
+
 func TestCheckpointPreservesPendingNegation(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
 	en := MustNew(p, Options{K: 50})

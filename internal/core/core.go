@@ -841,13 +841,19 @@ func (en *Engine) release(pm pendingMatch, out []plan.Match) []plan.Match {
 	out = en.finalize(pm, out)
 	if len(out) > n {
 		pm.prov = nil // the record left with the match
-		l := en.vuln[pm.key]
-		l.items = append(l.items, pm)
-		en.vuln[pm.key] = l
-		en.liveVuln++
-		en.vulnDue.Insert(pm.sealTS, pm.key)
+		en.fileVulnerable(pm)
 	}
 	return out
+}
+
+// fileVulnerable appends an emitted match to its key group's vulnerable list
+// and enters it in the expiry order.
+func (en *Engine) fileVulnerable(pm pendingMatch) {
+	l := en.vuln[pm.key]
+	l.items = append(l.items, pm)
+	en.vuln[pm.key] = l
+	en.liveVuln++
+	en.vulnDue.Insert(pm.sealTS, pm.key)
 }
 
 // retract compensates the vulnerable matches of the negative's key group
@@ -948,6 +954,10 @@ func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
 
 // EmitPolicy returns the emission policy in force.
 func (en *Engine) EmitPolicy() EmitPolicy { return en.opts.Emit }
+
+// Controller returns the adaptive controller the kernel feeds (restored with
+// it from a checkpoint), nil under a static K.
+func (en *Engine) Controller() *adaptive.Controller { return en.opts.Adaptive }
 
 // lineageFor builds the binding-derivable part of a pending match's lineage
 // record (events, key, window, seal). Trigger details are added by emit;

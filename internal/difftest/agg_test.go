@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"oostream/internal/event"
@@ -31,10 +32,10 @@ func TestAggDifferentialTrials(t *testing.T) {
 // exercises the interesting regions: every function, SLIDE, GROUP BY,
 // HAVING, trailing negation (the widened lateness bound), grouped trials
 // partitionable by the GROUP BY attribute (a keyed kernel beneath grouped
-// windows), and non-empty window truth.
+// windows), streams below zero, and non-empty window truth.
 func TestAggGeneratorCoverage(t *testing.T) {
 	funcs := map[string]int{}
-	var slide, grouped, having, trailingNeg, keyedGrouped, nonEmpty int
+	var slide, grouped, having, trailingNeg, keyedGrouped, negative, nonEmpty int
 	n := 300
 	if testing.Short() {
 		n = 60
@@ -64,6 +65,9 @@ func TestAggGeneratorCoverage(t *testing.T) {
 		if p.Agg.GroupAttr == PartitionAttr && p.PartitionableBy(PartitionAttr) {
 			keyedGrouped++
 		}
+		if slices.ContainsFunc(c.Arrival, func(e event.Event) bool { return e.TS < 0 }) {
+			negative++
+		}
 		if len(aggTruth(p, sortedCopy(c))) > 0 {
 			nonEmpty++
 		}
@@ -83,6 +87,10 @@ func TestAggGeneratorCoverage(t *testing.T) {
 	}
 	if nonEmpty < n/3 {
 		t.Errorf("only %d/%d trials have non-empty window truth", nonEmpty, n)
+	}
+	// One trial in eight lies below zero: 38 of the first 300, 1 of the first 60.
+	if negative == 0 || !testing.Short() && negative < n/20 {
+		t.Errorf("only %d/%d trials exercise negative timestamps", negative, n)
 	}
 }
 

@@ -23,10 +23,12 @@ const crashPoints = 3
 // seed-derived offsets and recovered from durable state — re-delivering
 // the event before each crash point to exercise duplicate admission — and
 // requires the exact ordered match sequence of the two runs to agree,
-// with zero duplicate or lost emissions. Native and kslack recover from
-// checkpoints (kslack also WAL-only, and with an adaptive bound); each is
-// also run with its newest checkpoint corrupted after each crash, which must
-// fall back to the previous valid one (or the log) transparently.
+// with zero duplicate or lost emissions. Every strategy recovers from
+// checkpoints (kslack also from the log alone, and with an adaptive bound;
+// the hybrid under a latency objective that makes it switch mid-trial);
+// native, kslack and speculate are also run with their newest checkpoint
+// corrupted after each crash, which must fall back to the previous valid one
+// (or the log) transparently.
 //
 // Like Run it is a pure function of the Case (temp-directory naming
 // aside), so shrinking against it is sound.
@@ -87,6 +89,8 @@ func RunCrash(c Case) *Failure {
 		{name: "crash-kslack-checkpointed", truth: true, corrupt: true, make: superv(kslack, 6)},
 		{name: "crash-kslack-adaptive", make: superv(adaptive, 5)},
 		{name: "crash-speculate", make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 0)},
+		{name: "crash-speculate-checkpointed", truth: true, corrupt: true, make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 6)},
+		{name: "crash-hybrid-checkpointed", truth: true, make: superv(hybridSwitching(c.K), 5)},
 	}
 
 	for _, cfg := range cfgs {
@@ -108,6 +112,17 @@ func RunCrash(c Case) *Failure {
 		}
 	}
 	return nil
+}
+
+// hybridSwitching is the hybrid configuration the crash differential runs:
+// a static bound K under a latency objective below it, so the engine leaves
+// speculation for sealing at its first decision past the dwell, 16 admitted
+// events in (a static bound that dominates the disorder keeps the oracle's
+// answer across the switch).
+func hybridSwitching(k event.Time) oostream.Config {
+	return oostream.Config{Strategy: oostream.StrategyHybrid, K: k, Adaptive: oostream.Adaptive{
+		DecisionEvery: 8, SLO: oostream.SLO{MaxLatency: max(k-1, 1)},
+	}}
 }
 
 // GenerateFaulty derives a crash trial whose arrival stream passed

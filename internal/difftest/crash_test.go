@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"oostream"
 	"oostream/internal/event"
 )
 
@@ -118,5 +119,44 @@ func TestJSONSafeStripsOnlyNaN(t *testing.T) {
 	}
 	if withNaN < 10 || floats < 10 || missing < 10 {
 		t.Errorf("200 seeds: %d cases with a NaN, %d float and %d missing values kept; generator drifted", withNaN, floats, missing)
+	}
+}
+
+// TestCrashHybridSwitches: the crash differential's hybrid leg is not
+// vacuous — in many trials the supervised hybrid switches (37 of the first
+// 60, 4 of the first 12), so the kills land
+// before, between and after switches, with the switch state in the
+// checkpoints it restores from.
+func TestCrashHybridSwitches(t *testing.T) {
+	n := crashTrialCount
+	if testing.Short() {
+		n = 12
+	}
+	switched := 0
+	for seed := int64(1); seed <= int64(n); seed++ {
+		c, _ := Generate(seed).jsonSafe()
+		q, err := oostream.Compile(c.Query, Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := oostream.NewSupervisedEngine(q, hybridSwitching(c.K), oostream.SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, DisableFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := en.Start(); err != nil {
+			t.Fatal(err)
+		}
+		en.ProcessAll(c.Arrival)
+		if err := en.Err(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if en.Metrics().Switches > 0 {
+			switched++
+		}
+		en.Close()
+	}
+	t.Logf("the hybrid switched in %d of %d trials", switched, n)
+	if switched < n/4 {
+		t.Errorf("the hybrid switched in only %d of %d trials", switched, n)
 	}
 }

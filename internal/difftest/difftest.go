@@ -26,9 +26,10 @@
 //     oracle, which keys nothing;
 //   - expiry-order soundness: under either policy the kernel's expiry
 //     orders must index exactly its live state (core.Engine.CheckDue);
-//   - checkpoint transparency: native state serialized and restored
-//     mid-stream continues to the identical result set (through keyed
-//     stacks whenever the query is partitionable);
+//   - checkpoint transparency: the native, speculative and hybrid state
+//     serialized and restored mid-stream continues to the identical output
+//     sequence (through keyed stacks whenever the query is partitionable;
+//     the hybrid switched before the cut);
 //   - latency-sampler transparency: a densely sampled wall-clock
 //     attribution run (Config.Latency, 1-in-4 with an SLO tracker) emits
 //     the identical output sequence as the uninstrumented run, on both the
@@ -42,8 +43,11 @@ import (
 	"time"
 
 	"oostream"
+	"oostream/internal/adaptive"
 	"oostream/internal/core"
+	"oostream/internal/engine"
 	"oostream/internal/event"
+	"oostream/internal/hybrid"
 	"oostream/internal/oracle"
 	"oostream/internal/plan"
 )
@@ -223,19 +227,65 @@ func Run(c Case) *Failure {
 	if d, changed := c.jsonSafe(); changed {
 		ck, want = d, oracleOn(p, d.Arrival)
 	}
-	got, err := runCheckpointed(q, native, ck.Arrival)
-	if err != nil {
-		return errf("checkpoint", err)
+	speculate := oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}
+	for _, leg := range []struct {
+		name    string
+		run     func([]event.Event) []plan.Match
+		restore func([]event.Event) ([]plan.Match, error)
+	}{
+		{"", func(ev []event.Event) []plan.Match { return run(q, native, ev) },
+			func(ev []event.Event) ([]plan.Match, error) { return runCheckpointed(q, native, ev) }},
+		{"-speculate", func(ev []event.Event) []plan.Match { return run(q, speculate, ev) },
+			func(ev []event.Event) ([]plan.Match, error) { return runCheckpointed(q, speculate, ev) }},
+		{"-hybrid", func(ev []event.Event) []plan.Match { got, _ := runHybrid(p, c.K, ev, false); return got },
+			func(ev []event.Event) ([]plan.Match, error) { return runHybrid(p, c.K, ev, true) }},
+	} {
+		got, err := leg.restore(ck.Arrival)
+		if err != nil {
+			return errf("checkpoint"+leg.name, err)
+		}
+		if ok, diff := plan.SameResults(want, got); !ok {
+			return &Failure{Case: c, Check: "checkpoint" + leg.name, Diff: diff, Truth: len(want)}
+		}
+		// Bindings that seal together leave in completion order, and
+		// vulnerable matches retract in emission order, across a restore.
+		if diff := identicalMatches(leg.run(ck.Arrival), got); diff != "" {
+			return &Failure{Case: c, Check: "checkpoint-order" + leg.name, Diff: diff, Truth: len(want)}
+		}
 	}
-	if ok, diff := plan.SameResults(want, got); !ok {
-		return &Failure{Case: c, Check: "checkpoint", Diff: diff, Truth: len(want)}
-	}
-	// Bindings that seal together leave in completion order across a restore.
-	if diff := identicalMatches(run(q, native, ck.Arrival), got); diff != "" {
-		return &Failure{Case: c, Check: "checkpoint-order", Diff: diff, Truth: len(want)}
-	}
-
 	return nil
+}
+
+// runHybrid drives the hybrid meta-engine, starting speculative, over the
+// events with a switch to sealing forced a quarter of the way in; with
+// checkpointed it serializes the engine halfway, restores it, and finishes
+// the stream on the restored one.
+func runHybrid(p *plan.Plan, k event.Time, events []event.Event, checkpointed bool) ([]plan.Match, error) {
+	ctrl, err := adaptive.NewController(adaptive.Config{}, k)
+	if err != nil {
+		return nil, err
+	}
+	en, err := hybrid.New(p, core.Options{}, hybrid.Options{Controller: ctrl})
+	if err != nil {
+		return nil, err
+	}
+	var out []plan.Match
+	for i, e := range events {
+		if i == len(events)/4 {
+			out = append(out, en.ForceSwitch()...)
+		}
+		if i == len(events)/2 && checkpointed {
+			var buf bytes.Buffer
+			if err := en.Checkpoint(&buf); err != nil {
+				return nil, fmt.Errorf("checkpoint: %w", err)
+			}
+			if en, err = hybrid.Restore(p, engine.Env{}, &buf); err != nil {
+				return nil, fmt.Errorf("restore: %w", err)
+			}
+		}
+		out = append(out, en.Process(e)...)
+	}
+	return append(out, en.Flush()...), nil
 }
 
 // checkDueOrders runs every kernel the strategies above are built on — both
@@ -308,8 +358,8 @@ func runWithHeartbeats(q *oostream.Query, cfg oostream.Config, events []event.Ev
 	return append(out, en.Flush()...)
 }
 
-// runCheckpointed processes half the arrival order, serializes the native
-// engine, restores it, and finishes the stream on the restored engine.
+// runCheckpointed processes half the arrival order, serializes the engine,
+// restores it, and finishes the stream on the restored engine.
 func runCheckpointed(q *oostream.Query, cfg oostream.Config, events []event.Event) ([]plan.Match, error) {
 	en := oostream.MustNewEngine(q, cfg)
 	half := len(events) / 2

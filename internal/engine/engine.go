@@ -47,9 +47,7 @@ type Engine interface {
 	Flush() []plan.Match
 	// Checkpoint serializes the engine's full state synchronously, so that
 	// a restored engine continues the stream exactly where this one
-	// stopped; the engine may keep processing afterwards. Engines (or
-	// engine states) that cannot be serialized return an error wrapping
-	// ErrNoCheckpoint and write nothing.
+	// stopped; the engine may keep processing afterwards.
 	Checkpoint(w io.Writer) error
 	// Metrics returns a snapshot of the series the engine publishes into —
 	// what a scrape of that series reads.
@@ -64,11 +62,8 @@ type Engine interface {
 	StateSnapshot() *provenance.StateSnapshot
 }
 
-// ErrNoCheckpoint is what Checkpoint returns (wrapped with the engine's
-// name) when the engine's state cannot be serialized: the hybrid switch,
-// the kernel while it emits ahead of the seal (and a layer over it, such as
-// the speculative aggregation operator), and the supervisor (whose state is
-// its store).
+// ErrNoCheckpoint is what the supervisor's Checkpoint returns, wrapped: its
+// state is its store.
 var ErrNoCheckpoint = errors.New("engine does not support checkpointing")
 
 // Env is the set of instruments one layer is built with. It is passed to

@@ -2,55 +2,79 @@ package engine_test
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
+	"io"
 	"testing"
 
+	"oostream/internal/adaptive"
 	"oostream/internal/core"
 	"oostream/internal/engine"
 	"oostream/internal/event"
+	"oostream/internal/hybrid"
 	"oostream/internal/kslack"
 	"oostream/internal/plan"
 )
 
-func testPlan(t *testing.T) *plan.Plan {
-	t.Helper()
-	p, err := plan.ParseAndCompile("PATTERN SEQ(A a, B b) WITHIN 100", nil)
+// TestAllEnginesImplementTheContract pins the one contract: every strategy
+// is an engine.Engine, checkpoints mid-stream, and restores to an engine that
+// finishes the stream as the uninterrupted one does.
+func TestAllEnginesImplementTheContract(t *testing.T) {
+	p, err := plan.ParseAndCompile("PATTERN SEQ(A a, !(C c), B b) WITHIN 100", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	kernel := func(r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) }
+	hybridEngine := func() engine.Engine {
+		ctrl, err := adaptive.NewController(adaptive.Config{}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return must(hybrid.New(p, core.Options{}, hybrid.Options{Controller: ctrl}))
+	}
+	for _, c := range []struct {
+		fresh   func() engine.Engine
+		restore func(io.Reader) (engine.Engine, error)
+	}{
+		{func() engine.Engine { return core.MustNew(p, core.Options{K: 10}) }, kernel},
+		{func() engine.Engine { return kslack.NewEngine(10, core.MustNew(p, core.Options{}), engine.Env{}) },
+			func(r io.Reader) (engine.Engine, error) { return kslack.Restore(r, 10, engine.Env{}, kernel) }},
+		{func() engine.Engine { return core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}) }, kernel},
+		{hybridEngine, func(r io.Reader) (engine.Engine, error) { return hybrid.Restore(p, engine.Env{}, r) }},
+	} {
+		// A speculative engine emits a1·b3 at once and retracts it at c2.
+		events := []event.Event{
+			{Type: "A", TS: 10, Seq: 1}, {Type: "B", TS: 30, Seq: 3},
+			{Type: "C", TS: 20, Seq: 2}, {Type: "A", TS: 40, Seq: 4}, {Type: "B", TS: 50, Seq: 5},
+		}
+		want := engine.Drain(c.fresh(), events)
+		en := c.fresh()
+		var got []plan.Match
+		for _, e := range events[:2] {
+			got = append(got, en.Process(e)...)
+		}
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatalf("%s checkpoint: %v", en.Name(), err)
+		}
+		restored, err := c.restore(&buf)
+		if err != nil {
+			t.Fatalf("%s restore: %v", en.Name(), err)
+		}
+		if restored.Name() != en.Name() {
+			t.Errorf("restored %s as %s", en.Name(), restored.Name())
+		}
+		got = append(got, engine.Drain(restored, events[2:])...)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: restored run %v, uninterrupted %v", en.Name(), got, want)
+		}
+	}
 }
 
-// TestAllEnginesImplementTheContract pins the one contract: every strategy
-// is an engine.Engine; native and kslack checkpoint, and the others refuse
-// Checkpoint with ErrNoCheckpoint, writing nothing.
-func TestAllEnginesImplementTheContract(t *testing.T) {
-	p := testPlan(t)
-	engines := []engine.Engine{
-		core.MustNew(p, core.Options{K: 10}),
-		kslack.NewEngine(10, core.MustNew(p, core.Options{}), engine.Env{}),
-		core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}),
+func must(en *hybrid.Engine, err error) engine.Engine {
+	if err != nil {
+		panic(err)
 	}
-	names := map[string]bool{}
-	for _, en := range engines {
-		names[en.Name()] = true
-		var buf bytes.Buffer
-		err := en.Checkpoint(&buf)
-		if en.Name() == "native" || en.Name() == "kslack" {
-			if err != nil || buf.Len() == 0 {
-				t.Errorf("%s checkpoint: err=%v, %d bytes", en.Name(), err, buf.Len())
-			}
-			continue
-		}
-		if !errors.Is(err, engine.ErrNoCheckpoint) || buf.Len() != 0 {
-			t.Errorf("%s checkpoint: err=%v (want ErrNoCheckpoint), %d bytes written", en.Name(), err, buf.Len())
-		}
-	}
-	for _, want := range []string{"native", "kslack", "speculate"} {
-		if !names[want] {
-			t.Errorf("missing engine name %q (got %v)", want, names)
-		}
-	}
+	return en
 }
 
 func TestDrainIncludesFlush(t *testing.T) {

@@ -508,6 +508,33 @@ func TestOneLevee(t *testing.T) {
 	})
 }
 
+// TestOneDurablePath is the mechanical form of "every strategy checkpoints":
+// recovery restores a checkpoint and replays the log suffix, whatever the
+// strategy. No non-test code outside internal/runtime (the supervisor, whose
+// state is its store) refuses a checkpoint with engine.ErrNoCheckpoint, and
+// the capability checks that chose a WAL-only path — Config.restorable,
+// Supervisor.canSnapshot — stay deleted.
+func TestOneDurablePath(t *testing.T) {
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "ErrNoCheckpoint" && filepath.ToSlash(filepath.Dir(rel)) != "internal/runtime" {
+					t.Errorf("%s refuses a checkpoint with ErrNoCheckpoint: every strategy checkpoints, only the supervisor refuses", rel)
+				}
+			case *ast.FuncDecl:
+				if name := n.Name.Name; name == "restorable" || name == "canSnapshot" {
+					t.Errorf("%s declares %s: there is one durable path, no capability to check", rel, name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestOnePartitioning is the mechanical form of "the kernel's key groups are
 // the partition": nothing routes a stream across several engines of one
 // query. internal/shard does not exist, oostream.Config has no Partition

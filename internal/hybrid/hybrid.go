@@ -16,6 +16,8 @@
 package hybrid
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -55,8 +57,8 @@ const defaultMinDwell = 2
 // disorder, speculation retracts almost nothing, so its latency win is free.
 const fallbackOOORate = 0.01
 
-// Engine is the switching meta-engine: the kernel's contract, minus a
-// durable format.
+// Engine is the switching meta-engine: the kernel's contract, with the
+// switch's own record in front of the kernel's checkpoint.
 type Engine struct {
 	opts Options
 	core *core.Engine
@@ -72,7 +74,15 @@ type Engine struct {
 
 // counters are the kernel figures the switch policy is a function of.
 type counters struct {
-	admitted, ooo, retracted uint64
+	Admitted  uint64 `json:"admitted"`
+	OOO       uint64 `json:"ooo"`
+	Retracted uint64 `json:"retracted"`
+}
+
+// minus is c − o, counter by counter (modulo 2^64, so a window restored onto
+// a series that counts from zero reads its partial counts back).
+func (c counters) minus(o counters) counters {
+	return counters{Admitted: c.Admitted - o.Admitted, OOO: c.OOO - o.OOO, Retracted: c.Retracted - o.Retracted}
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -97,17 +107,73 @@ func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 	if opts.StartNative {
 		kernel.Emit = core.SealThenEmit
 	}
-	if kernel.Env.Series == nil {
-		// A named series of its own keeps the kernel's trace events under
-		// the meta-engine's identity when no registry series is handed over.
-		kernel.Env.Series = obsv.NewSeries("hybrid")
-	}
+	kernel.Env = named(kernel.Env)
 	k, err := core.New(p, kernel)
 	if err != nil {
 		return nil, err
 	}
 	en := &Engine{opts: opts, core: k, series: kernel.Env.Series}
 	en.win = en.read()
+	return en, nil
+}
+
+// named gives the kernel a named series of its own when no registry series
+// is handed over, keeping its trace events under the meta-engine's identity.
+func named(env engine.Env) engine.Env {
+	if env.Series == nil {
+		env.Series = obsv.NewSeries("hybrid")
+	}
+	return env
+}
+
+// checkpointVersion guards the switch's record.
+const checkpointVersion = 1
+
+// checkpointFile is the switch's record in front of the kernel's checkpoint,
+// as the K-slack levee writes its buffer record. The mode is the kernel's
+// emission policy and the controller rides in the kernel's checkpoint; the
+// record holds the rest of the decision: the dwell, the switch count, and
+// the current decision window's partial counts (admitted, out of order and
+// retracted since it opened), so a restored engine switches at the events
+// the uninterrupted one does, whatever its series counted before.
+type checkpointFile struct {
+	Version  int      `json:"version"`
+	MinDwell int      `json:"minDwell"`
+	Dwell    int      `json:"dwell"`
+	Switches uint64   `json:"switches"`
+	Window   counters `json:"window"`
+	Kernel   []byte   `json:"kernel"`
+}
+
+// Restore rebuilds a hybrid meta-engine from its checkpoint, the kernel
+// instrumented by env as New's is by kernel.Env.
+func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
+	var cf checkpointFile
+	if err := json.NewDecoder(r).Decode(&cf); err != nil {
+		return nil, fmt.Errorf("hybrid: decode checkpoint: %w", err)
+	}
+	if cf.Version != checkpointVersion {
+		return nil, fmt.Errorf("hybrid: checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	}
+	if cf.MinDwell < 1 {
+		return nil, fmt.Errorf("hybrid: checkpoint holds MinDwell %d, want >= 1", cf.MinDwell)
+	}
+	env = named(env)
+	k, err := core.Restore(p, env, bytes.NewReader(cf.Kernel))
+	if err != nil {
+		return nil, err
+	}
+	if k.Controller() == nil {
+		return nil, fmt.Errorf("hybrid: the kernel's checkpoint holds no controller")
+	}
+	en := &Engine{
+		opts:     Options{Controller: k.Controller(), MinDwell: cf.MinDwell},
+		core:     k,
+		series:   env.Series,
+		switches: cf.Switches,
+		dwell:    cf.Dwell,
+	}
+	en.win = en.read().minus(cf.Window)
 	return en, nil
 }
 
@@ -146,10 +212,21 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // Advance implements engine.Engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match { return en.core.Advance(ts) }
 
-// Checkpoint implements engine.Engine: the switch state (dwell, window
-// counters) has no durable format, and the kernel refuses while speculative.
-func (en *Engine) Checkpoint(io.Writer) error {
-	return fmt.Errorf("strategy %q: %w", en.Name(), engine.ErrNoCheckpoint)
+// Checkpoint implements engine.Engine: the switch's record, then the
+// kernel's checkpoint.
+func (en *Engine) Checkpoint(w io.Writer) error {
+	var kernel bytes.Buffer
+	if err := en.core.Checkpoint(&kernel); err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(&checkpointFile{
+		Version:  checkpointVersion,
+		MinDwell: en.opts.MinDwell,
+		Dwell:    en.dwell,
+		Switches: en.switches,
+		Window:   en.read().minus(en.win),
+		Kernel:   kernel.Bytes(),
+	})
 }
 
 // Flush implements engine.Engine.
@@ -158,9 +235,9 @@ func (en *Engine) Flush() []plan.Match { return en.core.Flush() }
 func (en *Engine) read() counters {
 	s := en.series
 	return counters{
-		admitted:  s.EventsIn.Load() - s.EventsLate.Load() - s.SheddedEvents.Load(),
-		ooo:       s.EventsOOO.Load(),
-		retracted: s.Retractions.Load(),
+		Admitted:  s.EventsIn.Load() - s.EventsLate.Load() - s.SheddedEvents.Load(),
+		OOO:       s.EventsOOO.Load(),
+		Retracted: s.Retractions.Load(),
 	}
 }
 
@@ -168,13 +245,13 @@ func (en *Engine) read() counters {
 // of events has been admitted since the last one.
 func (en *Engine) decide(out []plan.Match) []plan.Match {
 	now := en.read()
-	n := now.admitted - en.win.admitted
+	part := now.minus(en.win)
 	ctrl := en.opts.Controller
-	if n < uint64(ctrl.Config().DecisionEvery) {
+	if part.Admitted < uint64(ctrl.Config().DecisionEvery) {
 		return out
 	}
-	retRate := float64(now.retracted-en.win.retracted) / float64(n)
-	oooRate := float64(now.ooo-en.win.ooo) / float64(n)
+	retRate := float64(part.Retracted) / float64(part.Admitted)
+	oooRate := float64(part.OOO) / float64(part.Admitted)
 	en.win = now
 	en.dwell++
 	if en.dwell < en.opts.MinDwell {

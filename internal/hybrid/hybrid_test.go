@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"oostream/internal/adaptive"
@@ -392,6 +394,83 @@ func TestSwitchCycleKeepsFinalMatches(t *testing.T) {
 			check(en.Flush())
 			if en.Mode() != ModeSpeculate || en.Switches() != 2 {
 				t.Fatalf("mode %q after %d switches", en.Mode(), en.Switches())
+			}
+		}
+	}
+}
+
+// TestRestoredSwitchesWhereUninterrupted: a hybrid checkpointed at any event
+// and restored switches at the same events as the uninterrupted run and
+// emits the same sequence, whether the restored kernel publishes into a
+// fresh series (a new process) or into the series the checkpointed one
+// counted into (a supervisor's restart re-binds it): the checkpoint carries
+// the dwell and the open decision window's partial counts, not the series'
+// totals.
+func TestRestoredSwitchesWhereUninterrupted(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 60")
+	// Stretches of triples whose N arrives late (each retracts a speculative
+	// match) alternate with in-order pairs (no disorder): the retraction SLO
+	// drives the engine to native, the calm drives it back.
+	var arrival []event.Event
+	seq := event.Seq(0)
+	mk := func(typ string, ts event.Time) event.Event {
+		seq++
+		return event.Event{Type: typ, TS: ts, Seq: seq}
+	}
+	for i := 0; i < 120; i++ {
+		t0 := event.Time(i * 10)
+		if i/20%2 == 0 {
+			arrival = append(arrival, mk("A", t0), mk("B", t0+2), mk("N", t0+1))
+		} else {
+			arrival = append(arrival, mk("A", t0), mk("B", t0+2))
+		}
+	}
+	fresh := func(series *obsv.Series) *Engine {
+		ctrl, err := adaptive.NewController(adaptive.Config{DecisionEvery: 12, SLO: adaptive.SLO{MaxRetractionRate: 0.05}}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := New(p, core.Options{Env: engine.Env{Series: series}}, Options{Controller: ctrl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return en
+	}
+	// run feeds events, recording the output and the switch count after each.
+	run := func(en *Engine, events []event.Event, out []plan.Match, switches []uint64) ([]plan.Match, []uint64) {
+		for _, e := range events {
+			out = append(out, en.Process(e)...)
+			switches = append(switches, en.Switches())
+		}
+		return out, switches
+	}
+	want, wantSw := run(fresh(nil), arrival, nil, nil)
+	if wantSw[len(wantSw)-1] < 3 {
+		t.Fatalf("the stream switches %d times: too few to compare", wantSw[len(wantSw)-1])
+	}
+	for cut := 0; cut <= len(arrival); cut += 7 {
+		for _, rebind := range []bool{false, true} {
+			series := obsv.NewSeries("hybrid")
+			en := fresh(series)
+			got, sw := run(en, arrival[:cut], nil, nil)
+			var buf bytes.Buffer
+			if err := en.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			env := engine.Env{}
+			if rebind {
+				env.Series = series
+			}
+			restored, err := Restore(p, env, &buf)
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			got, sw = run(restored, arrival[cut:], got, sw)
+			if fmt.Sprint(sw) != fmt.Sprint(wantSw) {
+				t.Fatalf("cut %d rebind=%v: switch counts per event\n got  %v\n want %v", cut, rebind, sw, wantSw)
+			}
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Fatalf("cut %d rebind=%v: the restored run emits otherwise", cut, rebind)
 			}
 		}
 	}

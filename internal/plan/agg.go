@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -88,10 +89,14 @@ func (p *Plan) HasTrailingNegation() bool {
 }
 
 // AlignUp returns the smallest multiple of slide that is >= ts — the first
-// window end whose window can contain an element at ts.
+// window end whose window can contain an element at ts — or the top of the
+// time range when that multiple lies beyond it.
 func AlignUp(ts, slide event.Time) event.Time {
 	q := ts / slide
 	if q*slide < ts {
+		if q >= math.MaxInt64/slide {
+			return math.MaxInt64
+		}
 		q++
 	}
 	return q * slide

@@ -73,7 +73,7 @@ type ckptPayload struct {
 	WalSeg uint64 `json:"walSeg"`
 	// Meta is supervisor state (admission clock, duplicate horizon).
 	Meta json.RawMessage `json:"meta,omitempty"`
-	// Engine is the engine snapshot; empty for WAL-only engines.
+	// Engine is the engine snapshot.
 	Engine []byte `json:"engine,omitempty"`
 }
 
@@ -260,9 +260,8 @@ func (s *Store) rotate() error {
 	return nil
 }
 
-// Checkpoint durably snapshots the pipeline: save serializes the engine
-// (nil for WAL-only engines, recording counters and metadata alone), meta
-// carries supervisor state, and matches is the cumulative emission count.
+// Checkpoint durably snapshots the pipeline: save serializes the engine,
+// meta carries supervisor state, and matches is the cumulative emission count.
 // The WAL rotates so replay after this checkpoint starts at a fresh
 // segment; obsolete checkpoints and segments are pruned. Returns the
 // checkpoint's byte size.
@@ -281,14 +280,11 @@ func (s *Store) Checkpoint(save func(w io.Writer) error, meta any, matches uint6
 		}
 		pl.Meta = raw
 	}
-	if save != nil {
-		var buf strings.Builder
-		bw := &countWriter{w: &buf}
-		if err := save(bw); err != nil {
-			return 0, fmt.Errorf("engine snapshot: %w", err)
-		}
-		pl.Engine = []byte(buf.String())
+	var buf strings.Builder
+	if err := save(&buf); err != nil {
+		return 0, fmt.Errorf("engine snapshot: %w", err)
 	}
+	pl.Engine = []byte(buf.String())
 	payload, err := json.Marshal(pl)
 	if err != nil {
 		return 0, err
@@ -306,11 +302,6 @@ func (s *Store) Checkpoint(save func(w io.Writer) error, meta any, matches uint6
 	s.prune()
 	return len(blob), nil
 }
-
-// countWriter wraps a strings.Builder as an io.Writer.
-type countWriter struct{ w *strings.Builder }
-
-func (c *countWriter) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // writeFileAtomic writes data so a crash leaves either the old state or
 // the complete new file: temp file in the same directory, write, fsync,

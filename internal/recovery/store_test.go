@@ -345,7 +345,7 @@ func TestRetentionPrunes(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		appendN(t, s, round*4, 4)
-		if _, err := s.Checkpoint(nil, nil, uint64(round)); err != nil {
+		if _, err := s.Checkpoint(func(io.Writer) error { return nil }, nil, uint64(round)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,14 +53,12 @@ type SupervisorOptions struct {
 	Env engine.Env
 	// New builds a fresh engine. Required.
 	New func() (engine.Engine, error)
-	// Restore rebuilds an engine from a snapshot written by its
-	// Checkpoint method. When nil the supervisor runs WAL-only: no
-	// checkpoint files are written and recovery replays the full log. Give
-	// one only for engines whose Checkpoint works. suppress is how many
-	// matches the log holds committed past the snapshot: replay drops the
-	// restored engine's first suppress emissions, by count, as delivered
-	// before the crash, so a Restore that cannot promise the emission order
-	// of the engine that wrote the snapshot must fail unless it is zero.
+	// Restore rebuilds an engine from a snapshot written by its Checkpoint
+	// method. Required. suppress is how many matches the log holds committed
+	// past the snapshot: replay drops the restored engine's first suppress
+	// emissions, by count, as delivered before the crash, so a Restore that
+	// cannot promise the emission order of the engine that wrote the
+	// snapshot must fail unless it is zero.
 	Restore func(r io.Reader, suppress uint64) (engine.Engine, error)
 	// K is the admission disorder bound: an event with TS < clock−K is a
 	// bound violator (clock = max admitted timestamp). Use the engine's K.
@@ -77,8 +75,7 @@ type SupervisorOptions struct {
 	// never block: if the channel is full the event is counted but lost.
 	DeadLetter chan<- event.Event
 	// CheckpointEvery takes a durable checkpoint every this many offered
-	// events (when the engine supports snapshots). 0 disables periodic
-	// checkpoints.
+	// events. 0 disables periodic checkpoints.
 	CheckpointEvery int
 	// MaxRestarts bounds consecutive panic restarts before the supervisor
 	// fails sticky; the counter resets after a restart whose replay
@@ -161,8 +158,8 @@ type Supervisor struct {
 // NewSupervisor wraps store and opts. Call Start before processing: it
 // performs recovery (a no-op on a fresh directory) and builds the engine.
 func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, error) {
-	if opts.New == nil {
-		return nil, errors.New("supervisor: New factory is required")
+	if opts.New == nil || opts.Restore == nil {
+		return nil, errors.New("supervisor: New and Restore factories are required")
 	}
 	if opts.MaxRestarts <= 0 {
 		opts.MaxRestarts = 3
@@ -394,9 +391,6 @@ func (s *Supervisor) Mutate(fn func() ([]plan.Match, error)) ([]plan.Match, erro
 	if s.flushed {
 		return nil, errors.New("supervisor: stream already flushed")
 	}
-	if !s.canSnapshot() {
-		return nil, errors.New("supervisor: mutations require a checkpoint-capable engine and a Restore factory")
-	}
 	ms, err := fn()
 	if err != nil {
 		return nil, err
@@ -560,12 +554,8 @@ func (s *Supervisor) guardedFlush() (out []plan.Match, panicked bool) {
 	return s.en.Flush(), false
 }
 
-// canSnapshot reports whether checkpoints are worth writing: only when
-// there is a way to read them back.
-func (s *Supervisor) canSnapshot() bool { return s.opts.Restore != nil }
-
 func (s *Supervisor) shouldCheckpoint() bool {
-	return s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery && s.canSnapshot()
+	return s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery
 }
 
 // checkpoint durably snapshots the engine plus the supervisor's admission
@@ -599,9 +589,6 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	}
 	var en engine.Engine
 	if len(rec.Snapshot) > 0 {
-		if s.opts.Restore == nil {
-			return nil, false, errors.New("supervisor: found an engine snapshot but no Restore factory")
-		}
 		en, err = s.opts.Restore(bytes.NewReader(rec.Snapshot), rec.Matches-min(rec.Matches, rec.CkptMatches))
 		if err != nil {
 			return nil, false, fmt.Errorf("restore engine snapshot: %w", err)
@@ -655,7 +642,7 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	}
 	// Collapse a non-trivial WAL into a fresh checkpoint so the next
 	// crash replays from here instead of re-walking this log.
-	if len(rec.Replay) > 0 && s.opts.CheckpointEvery > 0 && s.canSnapshot() && !s.flushed {
+	if len(rec.Replay) > 0 && s.opts.CheckpointEvery > 0 && !s.flushed {
 		if err := s.checkpoint(); err != nil {
 			return out, false, err
 		}

@@ -393,8 +393,9 @@ func TestAdmissionSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestWALOnlySupervision: a strategy with no snapshot support (Restore
-// nil) still crash-recovers by full WAL replay.
+// TestWALOnlySupervision: without periodic checkpoints (CheckpointEvery 0)
+// a supervisor crash-recovers by replaying the full log; and it is not
+// built without a way to read a checkpoint back.
 func TestWALOnlySupervision(t *testing.T) {
 	p := compile(t, supervQuery)
 	events := supervStream(t, 150, 71)
@@ -402,15 +403,23 @@ func TestWALOnlySupervision(t *testing.T) {
 
 	dir := t.TempDir()
 	opts := supervOpts(t, p, 40)
-	opts.Restore = nil
-	opts.CheckpointEvery = 8 // ignored without Restore
+	noRestore := opts
+	noRestore.Restore = nil
+	st, err := recovery.Open(t.TempDir(), recovery.Options{DisableFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSupervisor(st, noRestore); err == nil {
+		t.Error("NewSupervisor accepted options without a Restore factory")
+	}
+	st.Close()
 	s := openSuperv(t, dir, opts)
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	got := offer(t, s, events[:90])
 	if s.Metrics().Checkpoints != 0 {
-		t.Fatal("WAL-only supervisor wrote checkpoints")
+		t.Fatal("supervisor without CheckpointEvery wrote checkpoints")
 	}
 	s.Kill()
 

@@ -2,10 +2,14 @@ package oostream
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"oostream/internal/gen"
 	"oostream/internal/recovery"
 	"oostream/internal/trace"
 )
@@ -139,11 +143,11 @@ func TestInstrumentsSurviveSupervisedRestart(t *testing.T) {
 }
 
 // TestRestoreEngineTakesConfig: RestoreEngine(q, cfg, r) instruments the
-// restored engine from cfg, for each composition with a durable format, and
-// refuses a cfg whose composition has none.
+// restored engine from cfg, for every strategy, and refuses a checkpoint
+// another strategy wrote.
 func TestRestoreEngineTakesConfig(t *testing.T) {
 	q := pairQuery(t)
-	for _, strat := range []Strategy{StrategyNative, StrategyKSlack} {
+	for _, strat := range []Strategy{StrategyNative, StrategyKSlack, StrategySpeculate, StrategyHybrid} {
 		cfg, _, _ := everythingOn()
 		cfg.Strategy = strat
 		en := MustNewEngine(q, cfg)
@@ -171,18 +175,32 @@ func TestRestoreEngineTakesConfig(t *testing.T) {
 		checkInstrumented(t, reg, []string{string(strat)}, n, *emits, got, restored.LatencyReport())
 	}
 
-	if _, err := RestoreEngine(q, Config{Strategy: StrategySpeculate, K: 10}, bytes.NewReader(nil)); err == nil {
-		t.Error("RestoreEngine accepted the speculative strategy, which has no durable format")
+	for _, pair := range [][2]Strategy{{StrategySpeculate, StrategyNative}, {StrategyNative, StrategySpeculate}, {StrategyHybrid, StrategyNative}, {StrategyNative, StrategyHybrid}} {
+		en := MustNewEngine(q, Config{Strategy: pair[0], K: 10})
+		en.ProcessAll(pairStream(0, 8))
+		var buf bytes.Buffer
+		if err := en.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreEngine(q, Config{Strategy: pair[1], K: 10}, &buf); err == nil {
+			t.Errorf("RestoreEngine under %s accepted a checkpoint %s wrote", pair[1], pair[0])
+		}
 	}
 }
 
-// TestSupervisedKSlackCheckpoints: a supervised levee snapshots every
-// CheckpointEvery events (it used to run WAL-only and ignore the setting),
-// keeps Retain snapshots, and a process killed and reopened resumes from the
-// newest one to the uninterrupted run's output.
+// TestSupervisedKSlackCheckpoints: a supervised engine of every strategy —
+// the levee first — snapshots every CheckpointEvery events, keeps Retain
+// snapshots, and a process killed and reopened resumes from the newest one
+// to the uninterrupted run's output.
 func TestSupervisedKSlackCheckpoints(t *testing.T) {
+	for _, s := range []Strategy{StrategyKSlack, StrategyNative, StrategySpeculate, StrategyHybrid} {
+		checkSupervisedCheckpoints(t, Config{Strategy: s, K: 10})
+	}
+}
+
+func checkSupervisedCheckpoints(t *testing.T, cfg Config) {
+	t.Helper()
 	q := pairQuery(t)
-	cfg := Config{Strategy: StrategyKSlack, K: 10}
 	sc := SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, Retain: 2, DisableFsync: true}
 	var got []Match
 	for _, span := range [][]Event{pairStream(0, 40), pairStream(40, 20)} {
@@ -200,10 +218,10 @@ func TestSupervisedKSlackCheckpoints(t *testing.T) {
 		}
 		if span[0].Seq == 1 {
 			if n := en.Metrics().Checkpoints; n != 8 {
-				t.Errorf("%d checkpoints over 40 events, want 8", n)
+				t.Errorf("%s: %d checkpoints over 40 events, want 8", cfg.Strategy, n)
 			}
 			if n := recovery.CountValidCheckpoints(sc.Dir); n != 2 {
-				t.Errorf("%d checkpoints on disk, want Retain = 2", n)
+				t.Errorf("%s: %d checkpoints on disk, want Retain = 2", cfg.Strategy, n)
 			}
 			en.Kill()
 			continue
@@ -215,7 +233,7 @@ func TestSupervisedKSlackCheckpoints(t *testing.T) {
 	}
 	want := MustNewEngine(q, cfg).ProcessAll(append(pairStream(0, 40), pairStream(40, 20)...))
 	if ok, diff := SameResults(want, got); !ok {
-		t.Errorf("resumed run differs from the uninterrupted one:\n%s", diff)
+		t.Errorf("%s: resumed run differs from the uninterrupted one:\n%s", cfg.Strategy, diff)
 	}
 }
 
@@ -287,5 +305,53 @@ func TestAttrlessEventRoundTrips(t *testing.T) {
 	got := append(restored.Process(b), restored.Flush()...)
 	if len(got) != 1 || !reflect.DeepEqual(got[0].Events, []Event{a, b}) {
 		t.Errorf("checkpoint: matches %v, want one of %#v", got, []Event{a, b})
+	}
+}
+
+// TestEveryStrategyRestoresMidStream: every strategy, with and without an
+// aggregate, checkpoints at any cut and restores through RestoreEngine to an
+// engine whose continuation is the uninterrupted run's, element for element:
+// emissions, retractions and revisions in the same order with the same
+// stamps. The negation makes the speculative strategies retract across the
+// cut.
+func TestEveryStrategyRestoresMidStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sorted []Event
+	for i := 0; i < 120; i++ {
+		e := pairEvent([]string{"A", "B", "C"}[rng.Intn(3)], Time(3*i), Seq(i+1), int64(rng.Intn(3)))
+		sorted = append(sorted, e)
+	}
+	arrival := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 20, Seed: 6})
+	for _, src := range []string{
+		"PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 30",
+		"AGGREGATE COUNT(*) OVER SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 30 SLIDE 10 GROUP BY a.id",
+	} {
+		q := MustCompile(src, nil)
+		for _, s := range Strategies() {
+			cfg := Config{Strategy: s, K: 20}
+			want := MustNewEngine(q, cfg).ProcessAll(arrival)
+			if s == StrategySpeculate && !slices.ContainsFunc(want, func(m Match) bool { return m.Kind == Retract }) {
+				t.Fatalf("%q: the speculative run retracts nothing", src)
+			}
+			for cut := 0; cut <= len(arrival); cut += 7 {
+				en := MustNewEngine(q, cfg)
+				var got []Match
+				for _, e := range arrival[:cut] {
+					got = append(got, en.Process(e)...)
+				}
+				var buf bytes.Buffer
+				if err := en.Checkpoint(&buf); err != nil {
+					t.Fatalf("%s %q cut %d: %v", s, src, cut, err)
+				}
+				restored, err := RestoreEngine(q, cfg, &buf)
+				if err != nil {
+					t.Fatalf("%s %q cut %d: %v", s, src, cut, err)
+				}
+				got = append(got, restored.ProcessAll(arrival[cut:])...)
+				if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+					t.Fatalf("%s %q cut %d: the restored run differs\n got  %s\n want %s", s, src, cut, g, w)
+				}
+			}
+		}
 	}
 }

@@ -34,10 +34,8 @@ type SupervisorConfig struct {
 	// Required. Reopening the same directory resumes the stream.
 	Dir string
 	// CheckpointEvery takes a durable engine snapshot every this many
-	// offered events. 0 disables periodic checkpoints (WAL-only recovery:
-	// the full log replays on restart). StrategyNative and StrategyKSlack
-	// (and every QuerySet) snapshot; speculate and hybrid run WAL-only
-	// regardless.
+	// offered events, whatever the strategy. 0 disables periodic checkpoints:
+	// the full log replays on restart.
 	CheckpointEvery int
 	// Retain keeps the newest N checkpoints (older ones and their log
 	// prefixes are pruned). 0 = default 3.
@@ -96,8 +94,7 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // Seq, so they cannot be assigned across a restart. Advance is refused (the
 // log records no heartbeats), and so is Checkpoint.
 //
-// StrategyNative and StrategyKSlack recover from snapshots; speculate and
-// hybrid run WAL-only. A directory left by a
+// Every strategy recovers from its snapshots. A directory left by a
 // partitioned engine (Config.Partition of earlier versions) continues under
 // the one engine when its log holds no match committed past its newest
 // checkpoint; otherwise Start refuses it, because replay suppresses
@@ -126,19 +123,17 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 	b := cfg.builder()
 	series := b.series("supervised(" + string(cfg.Strategy) + ")")
 	opts := runtime.SupervisorOptions{
-		Env:         engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
-		New:         func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
-		K:           cfg.K,
-		EngineBound: cfg.adaptiveActive(),
-	}
-	if cfg.restorable() {
-		opts.Restore = func(r io.Reader, suppress uint64) (engine.Engine, error) {
+		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
+		New: func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
+		Restore: func(r io.Reader, suppress uint64) (engine.Engine, error) {
 			from := openCheckpoint(r)
 			if from.partitioned && suppress > 0 {
 				return nil, fmt.Errorf("the newest checkpoint was written by a partitioned engine and the log holds %d matches committed past it: one engine emits in another order than the shards did, so replay cannot tell which of its emissions were delivered", suppress)
 			}
 			return b.build(q.plan, cfg, series, from)
-		}
+		},
+		K:           cfg.K,
+		EngineBound: cfg.adaptiveActive(),
 	}
 	sup, err := newSupervisor(sc, opts)
 	if err != nil {
