@@ -226,11 +226,10 @@ func (f *facade) LatencyReport() *LatencyReport { return f.lat.Report() }
 
 // Checkpoint serializes the state for crash recovery: RestoreEngine (or
 // RestoreQuerySet) continues the stream exactly where this one stopped.
-// StrategyNative, StrategyKSlack and every QuerySet support it; speculate
-// and hybrid return an error, and so does a durable engine, whose
-// checkpoints are its directory's. The auto-assigned Seq counter is not
-// part of a checkpoint: feed events with explicit Seq values across the
-// restore boundary.
+// Every strategy and every QuerySet support it; only a durable engine
+// returns an error, since its checkpoints are its directory's. The
+// auto-assigned Seq counter is not part of a checkpoint: feed events with
+// explicit Seq values across the restore boundary.
 func (f *facade) Checkpoint(w io.Writer) error { return f.inner.Checkpoint(w) }
 
 // Raw exposes the engine behind the facade for harnesses that compose

@@ -11,9 +11,9 @@
 // the previous stack with a strictly smaller timestamp. For in-order arrival
 // it is the top of the previous stack at insertion time. Here it is derived
 // where construction needs it, by binary search: the RIP of an instance with
-// timestamp ts is index UpperBound(ts)−1 of the previous stack. No pointer is
-// stored, so no pointer needs repair. The out-of-order extension of the paper
-// supports:
+// timestamp ts is index FirstAtOrAfter(ts)−1 of the previous stack. No
+// pointer is stored, so no pointer needs repair. The out-of-order extension
+// of the paper supports:
 //
 //   - insert at the timestamp-correct position (binary search);
 //   - the RIP fix-up count: the instances of the *next* stack whose RIP the
@@ -44,9 +44,9 @@ func (s *Stack) Len() int { return len(s.items) }
 // the stack next changes.
 func (s *Stack) At(i int) *event.Event { return &s.items[i] }
 
-// UpperBound returns the first index whose instance has TS >= ts, which is
-// also the count of instances with TS < ts.
-func (s *Stack) UpperBound(ts event.Time) int {
+// FirstAtOrAfter returns the first index whose instance has TS >= ts, which
+// is also the count of instances with TS < ts.
+func (s *Stack) FirstAtOrAfter(ts event.Time) int {
 	return sort.Search(len(s.items), func(i int) bool {
 		return s.items[i].TS >= ts
 	})
@@ -75,7 +75,7 @@ func (s *Stack) Insert(e event.Event) int {
 // removed. The array keeps its capacity; the vacated tail is zeroed so the
 // removed events' attributes can be collected.
 func (s *Stack) PurgeBefore(ts event.Time) int {
-	idx := s.UpperBound(ts)
+	idx := s.FirstAtOrAfter(ts)
 	if idx == 0 {
 		return 0
 	}
@@ -166,6 +166,35 @@ func (a *Stacks) Insert(pos int, e event.Event) int {
 // became the RIP of: the run the paper's fix-up repoints (0 for a plain
 // in-order push).
 func (a *Stacks) LastFixups() int { return a.lastFix }
+
+// Reach sets reach[p] = [lo, hi) to the run of position p's stack that a
+// sequence through an instance at position pos with timestamp ts, spanning
+// at most window, can bind, and reports whether every run is non-empty.
+// Going down, a run starts at ts − window and ends below the latest instance
+// of the run one position up (at pos−1, it ends with the instance's RIP);
+// going up, it starts above the earliest instance of the run one position
+// down and ends at ts + window. reach[pos] is left alone, and so is every
+// position beyond the first empty run.
+func (a *Stacks) Reach(pos int, ts, window event.Time, reach [][2]int) bool {
+	low, high := event.SubSat(ts, window), event.AddSat(ts, window)
+	for p, bound := pos-1, ts; p >= 0; p-- {
+		s := &a.stacks[p]
+		reach[p] = [2]int{s.FirstAtOrAfter(low), s.FirstAtOrAfter(bound)}
+		if reach[p][0] >= reach[p][1] {
+			return false
+		}
+		bound = s.items[reach[p][1]-1].TS
+	}
+	for p, bound := pos+1, ts; p < len(a.stacks); p++ {
+		s := &a.stacks[p]
+		reach[p] = [2]int{s.FirstAfter(bound), s.FirstAfter(high)}
+		if reach[p][0] >= reach[p][1] {
+			return false
+		}
+		bound = s.items[reach[p][0]].TS
+	}
+	return true
+}
 
 // PurgeBefore removes, at every position, instances with TS < horizon(pos).
 // The per-position horizon function lets engines keep the final stack on a

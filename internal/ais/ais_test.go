@@ -52,8 +52,8 @@ func TestSearchHelpers(t *testing.T) {
 	}
 	s := a.Stack(0)
 	tests := []struct {
-		ts                event.Time
-		upper, firstAfter int
+		ts                    event.Time
+		atOrAfter, firstAfter int
 	}{
 		{5, 0, 0},
 		{10, 0, 1},
@@ -64,8 +64,8 @@ func TestSearchHelpers(t *testing.T) {
 		{35, 4, 4},
 	}
 	for _, tt := range tests {
-		if got := s.UpperBound(tt.ts); got != tt.upper {
-			t.Errorf("UpperBound(%d) = %d, want %d", tt.ts, got, tt.upper)
+		if got := s.FirstAtOrAfter(tt.ts); got != tt.atOrAfter {
+			t.Errorf("FirstAtOrAfter(%d) = %d, want %d", tt.ts, got, tt.atOrAfter)
 		}
 		if got := s.FirstAfter(tt.ts); got != tt.firstAfter {
 			t.Errorf("FirstAfter(%d) = %d, want %d", tt.ts, got, tt.firstAfter)
@@ -73,9 +73,104 @@ func TestSearchHelpers(t *testing.T) {
 	}
 }
 
+// TestReachCoversEverySequence: on random stacks, Reach sets each position's
+// run as a linear scan derives it, and every instance of every sequence
+// through the given instance — strictly rising timestamps, last minus first
+// at most window — lies in its position's run, so an empty run means there is
+// no such sequence.
+func TestReachCoversEverySequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(3)
+		a := New(n)
+		for p := 0; p < n; p++ {
+			for k := rng.Intn(6); k > 0; k-- {
+				a.Insert(p, ev(event.Time(rng.Intn(40))))
+			}
+		}
+		pos, ts, window := rng.Intn(n), event.Time(rng.Intn(40)), event.Time(1+rng.Intn(30))
+		reach := make([][2]int, n)
+		ok := a.Reach(pos, ts, window, reach)
+		// The linear scan, level by level outwards from pos.
+		want, wantOK := make([][2]int, n), true
+		for p, bound := pos-1, ts; p >= 0 && wantOK; p-- {
+			s := a.Stack(p)
+			want[p] = [2]int{s.Len(), 0}
+			for i := 0; i < s.Len(); i++ {
+				if s.At(i).TS >= ts-window && s.At(i).TS < bound {
+					want[p] = [2]int{min(want[p][0], i), i + 1}
+				}
+			}
+			if wantOK = want[p][0] < want[p][1]; wantOK {
+				bound = s.At(want[p][1] - 1).TS
+			}
+		}
+		for p, bound := pos+1, ts; p < n && wantOK; p++ {
+			s := a.Stack(p)
+			want[p] = [2]int{s.Len(), 0}
+			for i := s.Len() - 1; i >= 0; i-- {
+				if s.At(i).TS > bound && s.At(i).TS <= ts+window {
+					want[p] = [2]int{i, max(want[p][1], i+1)}
+				}
+			}
+			if wantOK = want[p][0] < want[p][1]; wantOK {
+				bound = s.At(want[p][0]).TS
+			}
+		}
+		if ok != wantOK {
+			t.Fatalf("trial %d: Reach = %v, the scan says %v", trial, ok, wantOK)
+		}
+		if ok {
+			for p := range reach {
+				if p != pos && reach[p] != want[p] {
+					t.Fatalf("trial %d: position %d reach %v, the scan says %v", trial, p, reach[p], want[p])
+				}
+			}
+		}
+		// Every sequence through (pos, ts): choose an index per other position.
+		idx := make([]int, n)
+		var walk func(p int)
+		walk = func(p int) {
+			if p == n {
+				tsAt := func(q int) event.Time {
+					if q == pos {
+						return ts
+					}
+					return a.Stack(q).At(idx[q]).TS
+				}
+				for q := 1; q < n; q++ {
+					if tsAt(q) <= tsAt(q-1) {
+						return
+					}
+				}
+				if tsAt(n-1)-tsAt(0) > window {
+					return
+				}
+				if !ok {
+					t.Fatalf("trial %d: a sequence exists but Reach reports an empty run", trial)
+				}
+				for q := 0; q < n; q++ {
+					if q != pos && (idx[q] < reach[q][0] || idx[q] >= reach[q][1]) {
+						t.Fatalf("trial %d: position %d index %d of a sequence is outside its reach %v", trial, q, idx[q], reach[q])
+					}
+				}
+				return
+			}
+			if p == pos {
+				walk(p + 1)
+				return
+			}
+			for idx[p] = 0; idx[p] < a.Stack(p).Len(); idx[p]++ {
+				walk(p + 1)
+			}
+		}
+		walk(0)
+	}
+}
+
 // both drives the value stacks and the pointer reference with the same
-// inserts; rip returns the timestamp of the derived RIP (UpperBound−1) of the
-// reference instance x at position pos, after checking that it names the
+// inserts; rip returns the timestamp of the derived RIP (FirstAtOrAfter−1) of
+// the reference instance x at position pos, after checking that it names the
 // instance x's stored RIP points at, and that LastFixups agrees.
 type both struct {
 	t   *testing.T
@@ -244,7 +339,7 @@ func TestPurgePropertyKeepsSuffix(t *testing.T) {
 			a.Insert(0, ev(event.Time(rng.Intn(100))))
 		}
 		h := event.Time(horizon % 100)
-		before := a.Stack(0).UpperBound(h)
+		before := a.Stack(0).FirstAtOrAfter(h)
 		purged := a.Stack(0).PurgeBefore(h)
 		if purged != before {
 			return false

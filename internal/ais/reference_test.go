@@ -15,7 +15,7 @@ import (
 // its stacks held events by value: every instance stores its RIP, set at
 // insertion by binary search in the previous stack and repointed by fixupNext
 // when a later-arriving predecessor lands in front of it. They are the
-// reference the value stacks, their derived RIP (UpperBound−1) and
+// reference the value stacks, their derived RIP (FirstAtOrAfter−1) and
 // LastFixups are held against.
 type refInstance struct {
 	ev  event.Event
@@ -82,11 +82,11 @@ func (a *refStacks) purgeBefore(pos int, h event.Time) int {
 }
 
 // derivedRIP returns the event the value stacks name as the RIP of an
-// instance with timestamp ts at position pos: index UpperBound(ts)−1 of
+// instance with timestamp ts at position pos: index FirstAtOrAfter(ts)−1 of
 // position pos−1, or nil when there is none.
 func derivedRIP(a *Stacks, pos int, ts event.Time) *event.Event {
 	prev := a.Stack(pos - 1)
-	if i := prev.UpperBound(ts) - 1; i >= 0 {
+	if i := prev.FirstAtOrAfter(ts) - 1; i >= 0 {
 		return prev.At(i)
 	}
 	return nil

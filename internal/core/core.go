@@ -64,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/ais"
@@ -254,19 +255,14 @@ type Engine struct {
 	walkVisited  int
 	// walkHoist is cross.Hoisted(walkPos): per slot, the predicates over
 	// exactly {trigger, slot} at the levels the walk revisits; nil when the
-	// trigger position has none. verdict[p][i] remembers their outcome for
-	// the candidate at index i of stack p, for the current construct only
-	// (the stacks do not change during a walk).
+	// trigger position has none. reach[p] is level p's reach and, at a
+	// hoisted slot, pass[p] the indices in it that pass them, ascending;
+	// both hold for the current construct only (the stacks do not change
+	// during a walk).
 	walkHoist [][]int
-	verdict   [][]byte
+	reach     [][2]int
+	pass      [][]int32
 }
-
-// Verdicts of a candidate's trigger-pair predicates; the zero value is
-// "not evaluated for this trigger yet".
-const (
-	verdictHolds byte = iota + 1
-	verdictFails
-)
 
 var _ engine.Engine = (*Engine)(nil)
 
@@ -290,7 +286,8 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
 		localScratch: make([]event.Event, 1),
-		verdict:      make([][]byte, p.Len()),
+		reach:        make([][2]int, p.Len()),
+		pass:         make([][]int32, p.Len()),
 	}
 	en.met, en.traceName = opts.Env.Publish(opts.Emit.String())
 	for i := range en.knegs {
@@ -688,8 +685,8 @@ func (en *Engine) Flush() []plan.Match {
 // positions walking up; cross predicates fire as soon
 // as their referenced slots are all bound (order-independent, see
 // plan.CrossView.SatisfiedAt), except the trigger-pair ones, which
-// pairHolds settles once per candidate. The binding buffer is engine
-// scratch, copied only when a complete match emits.
+// prefilter settles once per candidate before the walk. The binding buffer
+// is engine scratch, copied only when a complete match emits.
 func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event, pos int, out []plan.Match) []plan.Match {
 	en.binding[pos] = trigger
 	mask := uint64(1) << uint(pos)
@@ -705,55 +702,78 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event
 		en.walkVisited = 0
 	}
 	en.walkHoist = en.cross.Hoisted(pos)
-	for p, idxs := range en.walkHoist {
-		if len(idxs) == 0 {
-			continue
-		}
-		n := st.Stack(p).Len()
-		if cap(en.verdict[p]) < n {
-			en.verdict[p] = make([]byte, n, 2*n)
-		}
-		en.verdict[p] = en.verdict[p][:n]
-		clear(en.verdict[p])
+	if en.walkHoist != nil && !en.prefilter() {
+		return out
 	}
 	return en.walkDown(pos-1, mask, out)
 }
 
-// pairHolds reports whether the trigger-pair predicates of slot p hold for
-// the candidate at index i of its stack, evaluating them on the candidate's
-// first visit under this trigger. Only then does it touch the binding.
-func (en *Engine) pairHolds(p, i int, cand *event.Event) bool {
-	v := &en.verdict[p][i]
-	if *v == 0 {
-		en.binding[p] = *cand
-		*v = verdictFails
-		if en.cross.Holds(en.walkHoist[p], en.binding, en.met.IncPredError) {
-			*v = verdictHolds
+// prefilter evaluates the trigger-pair predicates once per candidate in its
+// slot's reach (ais.Stacks.Reach) and lists the passing indices, ascending, in
+// pass. It reports false when a level's reach or a pass list is empty: the
+// trigger completes no match.
+func (en *Engine) prefilter() bool {
+	if !en.walkStacks.Reach(en.walkPos, en.walkTrigTS, en.plan.Window, en.reach) {
+		return false
+	}
+	for p, idxs := range en.walkHoist {
+		if len(idxs) == 0 {
+			continue
+		}
+		s, r := en.walkStacks.Stack(p), en.reach[p]
+		pass := en.pass[p][:0]
+		for i := r[0]; i < r[1]; i++ {
+			en.binding[p] = *s.At(i)
+			if en.cross.Holds(idxs, en.binding, en.met.IncPredError) {
+				pass = append(pass, int32(i))
+			}
+		}
+		en.pass[p] = pass
+		if en.prov {
+			en.walkVisited += r[1] - r[0]
+		}
+		if len(pass) == 0 {
+			return false
 		}
 	}
-	return *v == verdictHolds
+	return true
+}
+
+// candidates returns the pass list level p iterates, nil when it iterates its
+// stack; the position there of stack index i; and the list's length.
+func (en *Engine) candidates(p, i int) (pass []int32, j, n int) {
+	if en.walkHoist == nil || len(en.walkHoist[p]) == 0 {
+		return nil, i, en.walkStacks.Stack(p).Len()
+	}
+	j, _ = slices.BinarySearch(en.pass[p], int32(i))
+	return en.pass[p], j, len(en.pass[p])
+}
+
+// at is the stack index of a level's j-th candidate.
+func at(pass []int32, j int) int {
+	if pass == nil {
+		return j
+	}
+	return int(pass[j])
 }
 
 // walkDown binds positions pos-1 .. 0 with instances earlier than the
 // already-bound successor, then hands over to walkUp. The first candidate is
-// the successor's RIP, UpperBound−1.
+// the successor's RIP, FirstAtOrAfter−1.
 func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 	if p < 0 {
 		return en.walkUp(en.walkPos+1, mask, out)
 	}
 	s := en.walkStacks.Stack(p)
 	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
-	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
-	for i := s.UpperBound(en.binding[p+1].TS) - 1; i >= 0; i-- {
-		cand := s.At(i)
+	pass, j, _ := en.candidates(p, s.FirstAtOrAfter(en.binding[p+1].TS))
+	for j--; j >= 0; j-- {
+		cand := s.At(at(pass, j))
 		if cand.TS < lowTS {
 			break
 		}
 		if en.prov {
 			en.walkVisited++
-		}
-		if hoisted && !en.pairHolds(p, i, cand) {
-			continue
 		}
 		en.binding[p] = *cand
 		m := mask | 1<<uint(p)
@@ -772,17 +792,14 @@ func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
 	}
 	s := en.walkStacks.Stack(p)
 	highTS := event.AddSat(en.binding[0].TS, en.plan.Window)
-	hoisted := en.walkHoist != nil && len(en.walkHoist[p]) > 0
-	for i := s.FirstAfter(en.binding[p-1].TS); i < s.Len(); i++ {
-		cand := s.At(i)
+	pass, j, n := en.candidates(p, s.FirstAfter(en.binding[p-1].TS))
+	for ; j < n; j++ {
+		cand := s.At(at(pass, j))
 		if cand.TS > highTS {
 			break
 		}
 		if en.prov {
 			en.walkVisited++
-		}
-		if hoisted && !en.pairHolds(p, i, cand) {
-			continue
 		}
 		en.binding[p] = *cand
 		m := mask | 1<<uint(p)

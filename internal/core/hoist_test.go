@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/gen"
 	"oostream/internal/oracle"
@@ -55,8 +56,8 @@ func TestHoistedPredicateEvaluatedOnce(t *testing.T) {
 
 // TestHoistedVerdictsMatchUnhoisted: on a V-shape whose {a,c} predicate
 // passes for some candidates, fails for some and errors for others, the
-// walk's matches are the oracle's — construct must not carry a verdict from
-// one trigger (or one key group) to the next.
+// walk's matches are the oracle's — construct must not carry a pass list
+// from one trigger (or one key group) to the next.
 func TestHoistedVerdictsMatchUnhoisted(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(T a, T b, T c) WHERE a.id = b.id AND b.id = c.id "+
 		"AND b.v < a.v - 1 AND c.v > a.v + 1 WITHIN 60")
@@ -82,8 +83,8 @@ func TestHoistedVerdictsMatchUnhoisted(t *testing.T) {
 	}
 }
 
-// TestTriggerWithoutMatchAllocFree: the verdict tables are engine scratch.
-// Once grown, a construction that completes no match allocates nothing.
+// TestTriggerWithoutMatchAllocFree: the pass lists are engine scratch. Once
+// grown, a construction that completes no match allocates nothing.
 func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.v > b.v AND c.v > a.v + 3 WITHIN 1000000")
 	var evals uint64
@@ -100,8 +101,7 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		feed("B", event.Time(200+i), int64(i%5))
 	}
-	// c.v = 0 exceeds no a.v + 3: every a fails its trigger pair, on 100
-	// visits each.
+	// c.v = 0 exceeds no a.v + 3: every a in reach fails its trigger pair.
 	feed("C", 1000, 0)
 	st := en.kstacks.Group(event.Value{})
 	cs := st.Stack(2)
@@ -115,27 +115,111 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("construct allocated %.1f times per trigger, want 0", allocs)
 	}
-	// 51 runs (one warm-up), 100 a-candidates, one evaluation each.
+	// 51 runs (one warm-up), 100 a-candidates in reach, one evaluation each.
 	if got := evals - before; got != 51*100 {
 		t.Errorf("%d evaluations over 51 triggers, want %d", got, 51*100)
+	}
+}
+
+// countEvalsByMask is countEvals with one counter per cross predicate,
+// keyed by the slots it reads.
+func countEvalsByMask(p *plan.Plan) map[uint64]*uint64 {
+	n := make(map[uint64]*uint64)
+	for i := range p.Cross {
+		c := new(uint64)
+		n[p.Cross[i].Mask] = c
+		p.Cross[i].Pred = p.Cross[i].Pred.Counted(c)
+	}
+	return n
+}
+
+// TestTriggerThatCannotCompleteWalksNothing pins the early return: a trigger
+// evaluates its trigger-pair predicate once per candidate in reach and, when
+// none passes or a level has nothing in reach, walks no level — the
+// predicate over {a, b}, which only the walk evaluates, is never reached.
+func TestTriggerThatCannotCompleteWalksNothing(t *testing.T) {
+	const ab, ac = 1<<0 | 1<<1, 1<<0 | 1<<2
+	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.v > b.v AND c.v > a.v + 3 WITHIN 1000")
+	evals := countEvalsByMask(p)
+	en := MustNew(p, Options{K: 2000, PurgeEvery: -1})
+	steps := []struct {
+		typ    string
+		ts     event.Time
+		v      int64
+		ab, ac uint64
+		why    string
+	}{
+		{"A", 10, 9, 0, 0, "in order, not last: no trigger"},
+		{"A", 20, 9, 0, 0, ""},
+		{"A", 30, 9, 0, 0, ""},
+		{"B", 40, 1, 0, 0, ""},
+		{"A", 50, 9, 0, 0, "after the latest b: out of every c's reach"},
+		{"C", 60, 0, 0, 3, "no a in reach passes: A10, A20 and A30 evaluated once, no level walked"},
+		{"C", 1045, 20, 0, 0, "B40 is below 1045 − 1000: the b level is empty, nothing evaluated"},
+		{"A", 1040, 1, 0, 0, "late a: no b after it, the b level is empty going up"},
+		{"A", 35, 2, 0, 1, "late a: C60 in reach (C1045 is past 35 + 1000) and not above a.v + 3"},
+	}
+	probes := en.Metrics().Probes
+	for i, st := range steps {
+		beforeAB, beforeAC := *evals[ab], *evals[ac]
+		if out := en.Process(kev(st.typ, st.ts, event.Seq(i+1), event.Attrs{"v": event.Int(st.v)})); len(out) != 0 {
+			t.Fatalf("%s@%d: %d matches, want none", st.typ, st.ts, len(out))
+		}
+		if got := *evals[ab] - beforeAB; got != st.ab {
+			t.Errorf("%s@%d: %d evaluations of a.v > b.v, want %d (%s)", st.typ, st.ts, got, st.ab, st.why)
+		}
+		if got := *evals[ac] - beforeAC; got != st.ac {
+			t.Errorf("%s@%d: %d evaluations of c.v > a.v + 3, want %d (%s)", st.typ, st.ts, got, st.ac, st.why)
+		}
+	}
+	m := en.Metrics()
+	if m.Probes-probes != 4 || m.EmptyProbes != m.Probes {
+		t.Errorf("probes %d (empty %d), want 4 probes, all empty: a trigger that stops early is still an empty probe", m.Probes-probes, m.EmptyProbes)
+	}
+}
+
+// vshape is the repository benchmark's stock-vshape-native workload on its
+// own: the same query, K, generator and disorder.
+func vshape(tb testing.TB) (*plan.Plan, []event.Event, event.Time) {
+	tb.Helper()
+	p, err := plan.ParseAndCompile("PATTERN SEQ(TRADE a, TRADE b, TRADE c) WHERE a.sym = b.sym AND b.sym = c.sym "+
+		"AND b.price < a.price - 3 AND c.price > a.price + 3 WITHIN 2000", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const k = 500
+	return p, gen.Shuffle(gen.Stock(gen.DefaultStock(12000, 1)), gen.Disorder{Ratio: 0.2, MaxDelay: k, Seed: 2}), k
+}
+
+// TestVShapeCounts is the host-independent gate on the construction's unit of
+// work on stock-vshape-native: its matches and probes are fixed by the
+// stream, and the evaluations an event costs may not rise above the 83.73
+// the verdict table reached.
+func TestVShapeCounts(t *testing.T) {
+	p, stream, k := vshape(t)
+	var evals uint64
+	countEvals(p, &evals)
+	en := MustNew(p, Options{K: k})
+	matches := len(engine.Drain(en, stream))
+	m := en.Metrics()
+	if matches != 3731 || m.Probes != 16596 || m.EmptyProbes != 16065 {
+		t.Errorf("%d matches, %d probes (%d empty), want 3731, 16596 (16065)", matches, m.Probes, m.EmptyProbes)
+	}
+	perEvent := float64(evals) / float64(len(stream))
+	t.Logf("%.2f evaluations per event", perEvent)
+	if perEvent > 83.73 {
+		t.Errorf("%.2f evaluations per event, want at most 83.73", perEvent)
 	}
 }
 
 var sinkMatches int
 
 // BenchmarkConstructVShape is the construction DFS of the repository
-// benchmark's stock-vshape-native workload on its own (same query, K,
-// generator and disorder; no decode, no rendering):
-// go test -run '^$' -bench ConstructVShape ./internal/core.
+// benchmark's stock-vshape-native workload on its own (no decode, no
+// rendering): go test -run '^$' -bench ConstructVShape ./internal/core.
 // evals/event and matches/op are exact and repeat; ns/event is the host's.
 func BenchmarkConstructVShape(b *testing.B) {
-	p, err := plan.ParseAndCompile("PATTERN SEQ(TRADE a, TRADE b, TRADE c) WHERE a.sym = b.sym AND b.sym = c.sym "+
-		"AND b.price < a.price - 3 AND c.price > a.price + 3 WITHIN 2000", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const k = 500
-	stream := gen.Shuffle(gen.Stock(gen.DefaultStock(12000, 1)), gen.Disorder{Ratio: 0.2, MaxDelay: k, Seed: 2})
+	p, stream, k := vshape(b)
 	var evals uint64
 	countEvals(p, &evals)
 	b.ReportAllocs()

@@ -13,9 +13,8 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	// Two arithmetic value predicates through a shared slot over a stream
-	// with missing, float and NaN v — the construction walk's remembered
-	// trigger-pair verdicts: unkeyed with 12 matches, keyed with negation
-	// and 10.
+	// with missing, float and NaN v — the construction's trigger-pair pass
+	// lists: unkeyed with 12 matches, keyed with negation and 10.
 	f.Add(int64(116))
 	f.Add(int64(169))
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -314,6 +314,45 @@ func TestOneEvaluator(t *testing.T) {
 	}
 }
 
+// TestOneCandidateFilter is the mechanical form of "a trigger filters its
+// partner slot once": internal/core settles the trigger-pair predicates in
+// per-trigger pass lists before the walk, and the per-visit verdict table
+// they replaced — pairHolds, the verdictHolds/verdictFails states, the
+// Engine's verdict field — stays deleted. Non-test sources only.
+func TestOneCandidateFilter(t *testing.T) {
+	walked := false
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || filepath.ToSlash(filepath.Dir(rel)) != "internal/core" {
+			return
+		}
+		walked = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Name.Name == "pairHolds" {
+					t.Errorf("%s declares pairHolds: trigger-pair predicates are evaluated once per candidate in reach, into a pass list", rel)
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if name.Name == "verdictHolds" || name.Name == "verdictFails" {
+						t.Errorf("%s declares %s: there is one filter, the pass lists", rel, name.Name)
+					}
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					if name.Name == "verdict" {
+						t.Errorf("%s: a field named verdict is back beside the pass lists", rel)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if !walked {
+		t.Fatal("no source of internal/core walked: the test checks nothing")
+	}
+}
+
 // TestTreeIsAReference: the aggregation operator runs fiba.Run; fiba.Tree is
 // the structure it is tested and measured against. No non-test source builds
 // one (fiba.New) outside internal/fiba and the experiment harness

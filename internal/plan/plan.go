@@ -422,11 +422,12 @@ func KeyOf(e event.Event, attr string) (event.Value, bool) {
 // A walk triggered at position t binds t first, then t−1 … 0, then
 // t+1 … n−1, so it visits the candidates of every slot p < t−1, p > t+1 and
 // (when t > 0) p = t+1 once per binding of the slots between. A predicate
-// over exactly {t, p} has one verdict per (trigger, candidate) however
+// over exactly {t, p} has one outcome per (trigger, candidate) however
 // often the candidate comes up: the view hoists those out of SatisfiedAt
-// into Hoisted, for the walk to evaluate on a candidate's first visit and
-// remember. Predicates between two non-trigger slots (patterns of four or
-// more steps) are not hoisted.
+// into Hoisted, for the engine to evaluate once over the slot's candidates
+// before the walk, which then iterates only the ones that pass. Predicates
+// between two non-trigger slots (patterns of four or more steps) are not
+// hoisted.
 type CrossView struct {
 	cross []CrossPred
 	// bySlot[t][p] lists what SatisfiedAt evaluates when slot p binds in a

@@ -85,7 +85,8 @@ type Record struct {
 	TriggerTS  event.Time `json:"triggerTS,omitempty"`
 	TriggerPos int        `json:"triggerPos,omitempty"`
 	// Traversed counts the AIS instances examined while constructing the
-	// binding (the candidates the enumeration walked, productive or not).
+	// binding: the candidates in reach the trigger-pair pre-filter scanned,
+	// plus the candidates the enumeration walked, productive or not.
 	Traversed int `json:"traversed,omitempty"`
 	// EmitClock is the engine clock at emission.
 	EmitClock event.Time `json:"emitClock"`

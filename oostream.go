@@ -204,9 +204,9 @@ func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg,
 // from the same text the checkpointed engine ran. The kernel's own options
 // (K, ablation knobs, the adaptive controller's state) are restored from the
 // checkpoint; for StrategyKSlack the held events too, and a static buffer
-// written at another K than cfg.K is refused (a supervisor admits by it). Only
-// compositions that checkpoint can be restored — StrategyNative and
-// StrategyKSlack; any other cfg is an error. A checkpoint written under the
+// written at another K than cfg.K is refused (a supervisor admits by it).
+// Every strategy restores, but only under the strategy that wrote the
+// checkpoint: another cfg.Strategy is an error. A checkpoint written under the
 // Config.Partition of earlier versions restores too: its shards' states
 // merge into the one engine, which keys by the query's attribute itself.
 // Checkpoints carry no lineage, so with cfg.Provenance matches whose partial
