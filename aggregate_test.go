@@ -263,5 +263,12 @@ func TestAggregateTimeLimits(t *testing.T) {
 		if got := counts(top); fmt.Sprint(got) != "[3 3 1 1]" || top[3].Agg.WindowEnd != math.MaxInt64 {
 			t.Errorf("%s at MaxInt64-160: window counts %v, last end %d; want [3 3 1 1] ending at MaxInt64", s, got, top[len(top)-1].Agg.WindowEnd)
 		}
+		// The lag of an event the whole range behind the clock saturates at
+		// the top of the range instead of wrapping below zero.
+		en := MustNewEngine(q, Config{Strategy: s, K: 20})
+		en.ProcessAll([]Event{{Type: "A", TS: math.MaxInt64, Seq: 1}, {Type: "B", TS: math.MinInt64, Seq: 2}})
+		if lag := en.Metrics().WatermarkLag.Max; lag != math.MaxInt64 {
+			t.Errorf("%s: an event the range behind lags %d, want MaxInt64", s, lag)
+		}
 	}
 }

@@ -303,7 +303,7 @@ func BenchmarkE12NetworkSim(b *testing.B) {
 }
 
 // BenchmarkE15RecoveryOverhead measures the fault-tolerance tax: the
-// supervised runtime (write-ahead log + admission control + periodic
+// supervised runtime (write-ahead log + Seq deduplication + periodic
 // durable checkpoints) over the native engine, swept by checkpoint
 // interval, against the unsupervised engine. "wal-only" logs events but
 // never snapshots. Fsync is disabled so the numbers isolate protocol cost

@@ -118,29 +118,44 @@ func TestExplainEvent(t *testing.T) {
 	}
 }
 
+// TestExplainDroppedEvent: the engine that drops an event as late traces
+// the drop, in memory and durable alike, so the verdict is the same.
 func TestExplainDroppedEvent(t *testing.T) {
 	q := oostream.MustCompile("PATTERN SEQ(A a, B b) WITHIN 50", nil)
-	flight := oostream.NewFlightRecorder(64)
-	en := oostream.MustNewEngine(q, oostream.Config{K: 5, Provenance: true, Trace: flight})
-	en.Process(oostream.Event{Type: "A", TS: 100, Seq: 1})
-	en.Process(oostream.Event{Type: "A", TS: 10, Seq: 2}) // far below clock−K: dropped
-	en.Flush()
+	for _, durable := range []bool{false, true} {
+		flight := oostream.NewFlightRecorder(64)
+		cfg := oostream.Config{K: 5, Provenance: true, Trace: flight}
+		en := oostream.MustNewEngine(q, cfg)
+		dir := t.TempDir()
+		if durable {
+			var err error
+			if en, err = oostream.NewSupervisedEngine(q, cfg, oostream.SupervisorConfig{Dir: filepath.Join(dir, "state"), DisableFsync: true}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := en.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		en.Process(oostream.Event{Type: "A", TS: 100, Seq: 1})
+		en.Process(oostream.Event{Type: "A", TS: 10, Seq: 2}) // far below clock−K: dropped
+		en.Flush()
+		en.Close()
 
-	dir := t.TempDir()
-	flightPath := filepath.Join(dir, "flight.jsonl")
-	var buf bytes.Buffer
-	if err := flight.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(flightPath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-flight", flightPath, "-event", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "verdict: DROPPED at admission") {
-		t.Errorf("drop verdict missing:\n%s", out.String())
+		flightPath := filepath.Join(dir, "flight.jsonl")
+		var buf bytes.Buffer
+		if err := flight.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(flightPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-flight", flightPath, "-event", "2"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "verdict: DROPPED at admission") {
+			t.Errorf("durable=%v: drop verdict missing:\n%s", durable, out.String())
+		}
 	}
 }
 

@@ -10,9 +10,10 @@
 // With -checkpoint-dir the run is supervised by the fault-tolerant
 // runtime: every event is logged to a write-ahead log before processing
 // and the engine state is checkpointed every -checkpoint-every events. A
-// killed run resumes with -resume over the same trace — admission control
-// skips everything already processed, so matches are printed exactly once
-// across the two invocations:
+// killed run resumes with -resume over the same trace — everything already
+// processed is dropped, as a duplicate or, once the engine's safe clock has
+// passed it, as late — so matches are printed exactly once across the two
+// invocations:
 //
 //	esprun -query ... -trace trace.jsonl -checkpoint-dir state/
 //	^C (or crash)
@@ -296,8 +297,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	// The supervised path needs stable event identity across invocations:
 	// trace positions are deterministic, so events without a Seq get their
-	// 1-based trace position. On -resume, admission control then drops or
-	// deduplicates everything already processed before the crash.
+	// 1-based trace position. On -resume, everything processed before the
+	// crash is then dropped as a duplicate, or by the engine as late.
 	var pos oostream.Seq
 	var batch []oostream.Event
 	if *batchSize > 1 {

@@ -265,8 +265,8 @@ func TestRunResume(t *testing.T) {
 		t.Fatalf("non-empty dir accepted without -resume: %v", err)
 	}
 
-	// Resume over the FULL trace: already-processed events are skipped by
-	// admission control, so only the second match is printed.
+	// Resume over the FULL trace: already-processed events are dropped as
+	// duplicates, so only the second match is printed.
 	out.Reset()
 	err = run([]string{"-query", query, "-trace", path, "-k", "100",
 		"-checkpoint-dir", dir, "-resume"}, strings.NewReader(""), &out)

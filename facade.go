@@ -195,8 +195,8 @@ func (f *facade) assign(ev *Event) {
 }
 
 // Metrics returns a snapshot of the counters; a durable engine's carry the
-// fault-tolerance counters (drops, dead letters, duplicate suppressions,
-// restarts, checkpoint size and duration) too.
+// fault-tolerance counters (duplicate suppressions, restarts, checkpoint
+// size and duration) too.
 func (f *facade) Metrics() Metrics { return f.inner.Metrics() }
 
 // StateSize returns the current buffered-item count.

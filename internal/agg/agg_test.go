@@ -477,6 +477,19 @@ func TestMetricsAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotSafeIsInners: the operator drops nothing, so the safe clock it
+// reports is the inner engine's, below which that engine drops an event as
+// late. Its own clock runs ahead on an event type the pattern ignores.
+func TestSnapshotSafeIsInners(t *testing.T) {
+	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100")
+	en := New(p, core.MustNew(p, core.Options{K: 10}), false, 10)
+	en.Process(ev("A", 100, 1, nil))
+	en.Process(ev("C", 5000, 2, nil))
+	if s := en.StateSnapshot(); s.Clock != 5000 || s.Safe != 90 || s.Inner.Safe != 90 {
+		t.Fatalf("clock %d, safe %d, inner safe %d; want 5000, 90 and 90", s.Clock, s.Safe, s.Inner.Safe)
+	}
+}
+
 func TestStatePurgesAsWindowsSeal(t *testing.T) {
 	p := compile(t, "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 40 SLIDE 20")
 	en := New(p, core.MustNew(p, core.Options{K: 10}), false, 10)

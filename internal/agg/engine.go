@@ -197,11 +197,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // that window seals.
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
-	var lag event.Time
-	if e.TS < en.clock {
-		lag = en.clock - e.TS
-	}
-	en.met.IncIn(e.TS < en.clock, lag)
+	en.met.IncIn(e.TS < en.clock, event.Lag(en.clock, e.TS))
 	if en.trace != nil {
 		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 	}
@@ -264,13 +260,16 @@ func (en *Engine) Flush() []plan.Match {
 // Series.Carry).
 func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
 
-// StateSnapshot implements engine.Engine.
+// StateSnapshot implements engine.Engine. Safe is the inner engine's: the
+// operator drops nothing itself, and its own clock runs ahead of the inner
+// one on event types the pattern does not mention.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
+	inner := en.inner.StateSnapshot()
 	s := &provenance.StateSnapshot{
 		Engine:  en.traceName,
 		Started: en.arrival > 0,
 		Clock:   en.clock,
-		Safe:    event.SubSat(en.clock, en.lateness),
+		Safe:    inner.Safe,
 		Pending: len(en.byMatch),
 		Lineage: provenance.LineageStats{Enabled: en.prov},
 	}
@@ -291,7 +290,6 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		}
 		s.TopKeyGroups = provenance.TopK(gs, 8)
 	}
-	inner := en.inner.StateSnapshot()
 	s.Inner = inner
 	s.StackDepths = inner.StackDepths
 	s.NegStoreSizes = inner.NegStoreSizes

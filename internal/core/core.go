@@ -507,7 +507,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	isOOO := en.started && e.TS < en.clock
 	var lag event.Time
 	if isOOO {
-		lag = en.clock - e.TS
+		lag = event.Lag(en.clock, e.TS)
 	}
 	en.met.IncIn(isOOO, lag)
 	if en.opts.Adaptive != nil {
@@ -527,12 +527,14 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			// nominal one: it was deliberately shed, not late.
 			en.shedded++
 			en.met.SheddedEvents.Inc()
+			en.lat.Abandon(e.Seq)
 			if en.trace != nil {
 				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 			}
 			return out
 		}
 		en.met.EventsLate.Inc()
+		en.lat.Abandon(e.Seq)
 		if en.trace != nil {
 			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 		}

@@ -230,6 +230,16 @@ func TestTimeLimits(t *testing.T) {
 			}
 		}
 	}
+	// An event the whole range behind the clock is late, and its lag
+	// saturates at the top of the range instead of wrapping below zero.
+	for _, emit := range []EmitPolicy{SealThenEmit, EmitThenRetract} {
+		en := MustNew(compile(t, "PATTERN SEQ(A a, B b) WITHIN 100"), Options{K: k, Emit: emit})
+		en.Process(event.Event{Type: "A", TS: math.MaxInt64, Seq: 1})
+		en.Process(event.Event{Type: "B", TS: math.MinInt64, Seq: 2})
+		if m := en.Metrics(); m.EventsLate != 1 || m.WatermarkLag.Max != math.MaxInt64 {
+			t.Errorf("%s: an event the range behind: late %d, lag %d; want 1 and MaxInt64", emit, m.EventsLate, m.WatermarkLag.Max)
+		}
+	}
 }
 
 func TestDuplicateSeqDoesNotCrash(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
 	"oostream"
 	"oostream/internal/event"
@@ -28,7 +29,10 @@ const crashPoints = 3
 // the hybrid under a latency objective that makes it switch mid-trial);
 // native, kslack and speculate are also run with their newest checkpoint
 // corrupted after each crash, which must fall back to the previous valid one
-// (or the log) transparently.
+// (or the log) transparently. Every uninterrupted supervised run must also
+// equal, element for element, the same Config run in memory over the first
+// occurrence of each Seq: the engine alone judges lateness, so this holds
+// beyond the bound too, where the oracle's answer is not the engines'.
 //
 // Like Run it is a pure function of the Case (temp-directory naming
 // aside), so shrinking against it is sound.
@@ -43,18 +47,19 @@ func RunCrash(c Case) *Failure {
 		return &Failure{Case: c, Check: "compile", Diff: err.Error()}
 	}
 
-	// Truth is the oracle over the sorted first occurrence of each Seq:
-	// admission control deduplicates by Seq, so a fault-injected arrival
-	// stream (GenerateFaulty) reduces to its first-occurrence substream.
-	// For a duplicate-free stream this is the plain sorted stream.
+	// Admission deduplicates by Seq, so a fault-injected arrival stream
+	// (GenerateFaulty) reduces to its first-occurrence substream, firsts.
+	// Truth is the oracle over firsts sorted. For a duplicate-free stream
+	// this is the plain sorted stream.
 	seen := make(map[event.Seq]bool, len(c.Arrival))
-	sorted := make([]event.Event, 0, len(c.Arrival))
+	firsts := make([]event.Event, 0, len(c.Arrival))
 	for _, e := range c.Arrival {
 		if !seen[e.Seq] {
 			seen[e.Seq] = true
-			sorted = append(sorted, e)
+			firsts = append(firsts, e)
 		}
 	}
+	sorted := slices.Clone(firsts)
 	event.SortByTime(sorted)
 	truth := oracle.Matches(p, sorted)
 
@@ -66,44 +71,54 @@ func RunCrash(c Case) *Failure {
 
 	type crashCfg struct {
 		name    string
+		cfg     oostream.Config
+		every   int  // SupervisorConfig.CheckpointEvery
 		truth   bool // also compare the baseline against the oracle
 		corrupt bool
-		make    func(dir string) (*oostream.Engine, error)
-	}
-	superv := func(cfg oostream.Config, every int) func(string) (*oostream.Engine, error) {
-		return func(dir string) (*oostream.Engine, error) {
-			return oostream.NewSupervisedEngine(q, cfg, oostream.SupervisorConfig{
-				Dir: dir, CheckpointEvery: every, DisableFsync: true,
-			})
-		}
 	}
 	native := oostream.Config{Strategy: oostream.StrategyNative, K: c.K}
 	kslack := oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}
+	speculate := oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}
 	// The adaptive levee may derive a K below the case's and drop what the
-	// oracle keeps, so it is held to its own uninterrupted run only.
+	// oracle keeps, so it is held to its own uninterrupted run and to memory.
 	adaptive := oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K, Adaptive: oostream.Adaptive{Enabled: true, DecisionEvery: 8}}
 	cfgs := []crashCfg{
-		{name: "crash-native", truth: true, make: superv(native, 7)},
-		{name: "crash-native-corrupt", truth: true, corrupt: true, make: superv(native, 5)},
-		{name: "crash-kslack", truth: true, make: superv(kslack, 0)},
-		{name: "crash-kslack-checkpointed", truth: true, corrupt: true, make: superv(kslack, 6)},
-		{name: "crash-kslack-adaptive", make: superv(adaptive, 5)},
-		{name: "crash-speculate", make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 0)},
-		{name: "crash-speculate-checkpointed", truth: true, corrupt: true, make: superv(oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}, 6)},
-		{name: "crash-hybrid-checkpointed", truth: true, make: superv(hybridSwitching(c.K), 5)},
+		{name: "crash-native", cfg: native, every: 7, truth: true},
+		{name: "crash-native-corrupt", cfg: native, every: 5, truth: true, corrupt: true},
+		{name: "crash-kslack", cfg: kslack, truth: true},
+		{name: "crash-kslack-checkpointed", cfg: kslack, every: 6, truth: true, corrupt: true},
+		{name: "crash-kslack-adaptive", cfg: adaptive, every: 5},
+		{name: "crash-speculate", cfg: speculate},
+		{name: "crash-speculate-checkpointed", cfg: speculate, every: 6, truth: true, corrupt: true},
+		{name: "crash-hybrid-checkpointed", cfg: hybridSwitching(c.K), every: 5, truth: true},
 	}
+	// Beyond the bound some arrivals are late and the engines drop them, so
+	// the oracle over every event is no longer their answer.
+	withinBound := c.K >= gen.MaxDelay(c.Arrival)
 
 	for _, cfg := range cfgs {
-		want, err := runSupervised(cfg.make, c.Arrival)
+		mk := func(dir string) (*oostream.Engine, error) {
+			return oostream.NewSupervisedEngine(q, cfg.cfg, oostream.SupervisorConfig{
+				Dir: dir, CheckpointEvery: cfg.every, DisableFsync: true,
+			})
+		}
+		want, err := runSupervised(mk, c.Arrival)
 		if err != nil {
 			return &Failure{Case: c, Check: cfg.name + "-baseline", Diff: err.Error(), Truth: len(truth)}
 		}
-		if cfg.truth {
+		if cfg.truth && withinBound {
 			if ok, diff := plan.SameResults(truth, want); !ok {
 				return &Failure{Case: c, Check: cfg.name + "-truth", Diff: diff, Truth: len(truth)}
 			}
 		}
-		got, err := runCrashed(cfg.make, c.Arrival, crashes, cfg.corrupt)
+		mem, err := oostream.NewEngine(q, cfg.cfg)
+		if err != nil {
+			return &Failure{Case: c, Check: cfg.name + "-memory", Diff: err.Error(), Truth: len(truth)}
+		}
+		if diff := sameOrdered(mem.ProcessAll(firsts), want); diff != "" {
+			return &Failure{Case: c, Check: cfg.name + "-memory", Diff: "in memory against durable: " + diff, Truth: len(truth)}
+		}
+		got, err := runCrashed(mk, c.Arrival, crashes, cfg.corrupt)
 		if err != nil {
 			return &Failure{Case: c, Check: cfg.name, Diff: err.Error(), Truth: len(truth)}
 		}
@@ -130,7 +145,8 @@ func hybridSwitching(k event.Time) oostream.Config {
 // duplicated (same Seq, later arrival), and held by stalled sources. The
 // duplicates make the admission layer's dedup load-bearing — without it
 // the crashed and uninterrupted runs would both double-count, but truth
-// (first occurrences) would diverge.
+// (first occurrences) would diverge. One trial in three draws K below the
+// arrivals' disorder, and one in eight lies below zero.
 func GenerateFaulty(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	query, qtypes := genQuery(rng)
@@ -156,8 +172,23 @@ func GenerateFaulty(seed int64) Case {
 		panic(err)
 	}
 	k := gen.MaxDelay(arrival)
+	if k > 1 && rng.Intn(3) == 0 {
+		// A bound below the disorder: some arrivals are late.
+		k = rng.Int63n(k)
+	}
 	if k == 0 {
 		k = 1
+	}
+	if rng.Intn(8) == 0 {
+		// The whole stream below zero, where no clock may start at 0.
+		var top event.Time
+		for _, e := range arrival {
+			top = max(top, e.TS)
+		}
+		shift := top + 1 + rng.Int63n(1000)
+		for i := range arrival {
+			arrival[i].TS -= shift
+		}
 	}
 	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}
 }

@@ -574,6 +574,40 @@ func TestOneDurablePath(t *testing.T) {
 	})
 }
 
+// TestOneJudgeOfLateness is the mechanical form of "the engine alone judges
+// lateness": a durable engine sees what an in-memory one sees, less the
+// duplicates of a Seq. The supervisor's admission bound and its settings
+// stay deleted: no non-test source names EngineBound, AdmitPolicy,
+// DeadLetter, EventsDropped or EventsDeadLettered, and internal/runtime
+// reads no opts.K.
+func TestOneJudgeOfLateness(t *testing.T) {
+	gone := map[string]bool{"EngineBound": true, "AdmitPolicy": true, "DeadLetter": true, "EventsDropped": true, "EventsDeadLettered": true}
+	walkModule(t, func(rel string, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		runtime := filepath.ToSlash(filepath.Dir(rel)) == "internal/runtime"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if gone[n.Name] {
+					t.Errorf("%s names %s: lateness is the engine's to judge, and admission only deduplicates", rel, n.Name)
+				}
+			case *ast.SelectorExpr:
+				// opts.K or s.opts.K
+				opts, _ := n.X.(*ast.Ident)
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					opts = sel.Sel
+				}
+				if runtime && n.Sel.Name == "K" && opts != nil && opts.Name == "opts" {
+					t.Errorf("%s reads opts.K: the supervisor keeps no disorder bound of its own", rel)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestOnePartitioning is the mechanical form of "the kernel's key groups are
 // the partition": nothing routes a stream across several engines of one
 // query. internal/shard does not exist, oostream.Config has no Partition
@@ -874,8 +908,8 @@ func TestOneFacade(t *testing.T) {
 // census names, for every settable value of the library and its commands,
 // what reads it: the reason the value exists. Keys are Config.<Field> (and
 // QuerySetConfig, SupervisorConfig, Latency, LatencySLO, and the Adaptive,
-// SLO and Limits blocks of internal/adaptive), a Strategy or AdmitPolicy
-// constant, or "<command> -<flag>". A reader is one of
+// SLO and Limits blocks of internal/adaptive), a Strategy constant, or
+// "<command> -<flag>". A reader is one of
 //
 //	experiment E<n>  cited in the claim table at the foot of EXPERIMENTS.md,
 //	                 and a file declaring E<n>… (internal/bench) or
@@ -971,13 +1005,9 @@ var census = map[string]string{
 // unread lists the settable values nothing above reads yet, each with why it
 // stays and the ROADMAP item that owes its verdict. Each verdict is a
 // one-line edit: a reader in census, or the value deleted. The list may
-// shrink and not grow (maxUnread is its length when the census began).
+// shrink and not grow (maxUnread is its length; lower it as rows go).
 var unread = map[string]string{
 	"QuerySetConfig.AdvanceEvery": "a sealing cadence that never changes output, set by tests only; ROADMAP 3, judged on 1(d)'s multi-100",
-	"SupervisorConfig.Policy":     "admission outcomes; ROADMAP 8(c) counts them in the conservation ledger",
-	"SupervisorConfig.DeadLetter": "admission outcomes; ROADMAP 8(c) counts them in the conservation ledger",
-	"AdmitDrop":                   "the zero Policy; goes with SupervisorConfig.Policy, ROADMAP 8(c)",
-	"AdmitDeadLetter":             "goes with SupervisorConfig.DeadLetter, ROADMAP 8(c)",
 
 	"espbench -scale":  "ROADMAP 2 decides which experiments and modes espbench keeps",
 	"espbench -exp":    "ROADMAP 2 decides which experiments and modes espbench keeps",
@@ -1012,7 +1042,7 @@ var unread = map[string]string{
 	"esprun -latency-slo-target": "ROADMAP 8(d) measures the instruments together",
 }
 
-const maxUnread = 32
+const maxUnread = 28
 
 // TestEverySettableValueHasAReader is the census gate (ROADMAP item 3): it
 // finds every settable value in the tree (struct fields and constants by
@@ -1074,7 +1104,7 @@ func TestEverySettableValueHasAReader(t *testing.T) {
 					}
 					typ, _ := spec.Type.(*ast.Ident)
 					for _, id := range spec.Names {
-						if (typ != nil && typ.Name == "Strategy") || strings.HasPrefix(id.Name, "Admit") {
+						if typ != nil && typ.Name == "Strategy" {
 							values[id.Name] = value{ident: id.Name}
 						}
 					}
@@ -1097,7 +1127,7 @@ func TestEverySettableValueHasAReader(t *testing.T) {
 			})
 		}
 	})
-	for _, want := range []string{"Config.K", "Adaptive.Quantile", "StrategyNative", "AdmitDrop", "esprun -k"} {
+	for _, want := range []string{"Config.K", "Adaptive.Quantile", "StrategyNative", "esprun -k"} {
 		if _, ok := values[want]; !ok {
 			t.Fatalf("the walk found no %s: the census checks nothing", want)
 		}

@@ -39,6 +39,18 @@ func SubSat(t, d Time) Time {
 	return t - d
 }
 
+// Lag returns how far t lies behind clock: 0 unless t < clock, saturated
+// at the top of the time range when the two lie further apart than it spans.
+func Lag(clock, t Time) Time {
+	if t >= clock {
+		return 0
+	}
+	if d := clock - t; d > 0 {
+		return d
+	}
+	return math.MaxInt64
+}
+
 // Seq is an arrival sequence number assigned at ingestion.
 type Seq = uint64
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"oostream/internal/adaptive"
 	"oostream/internal/engine"
@@ -258,9 +257,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	var lag event.Time
 	ooo := started && e.TS < maxSeen
 	if ooo {
-		if lag = maxSeen - e.TS; lag < 0 {
-			lag = math.MaxInt64 // the two ends of the time range apart
-		}
+		lag = event.Lag(maxSeen, e.TS)
 	}
 	en.met.IncIn(ooo, lag)
 	if en.adapt != nil {

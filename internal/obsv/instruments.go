@@ -61,8 +61,6 @@ var instruments = []Instrument{
 	{Field: "Probes", Varz: "probes", Metric: "oostream_probes_total", Help: "Construction probes triggered"},
 	{Field: "EmptyProbes", Varz: "empty_probes", Metric: "oostream_empty_probes_total", Help: "Construction probes that enumerated no match"},
 	{Field: "Repairs", Varz: "repairs", Metric: "oostream_repairs_total", Help: "Predecessor (RIP) pointer repairs caused by out-of-order insertion"},
-	{Field: "EventsDropped", Varz: "dropped", Metric: "oostream_events_dropped_total", Help: "Events rejected by admission control"},
-	{Field: "EventsDeadLettered", Varz: "dead_lettered", Metric: "oostream_events_dead_lettered_total", Help: "Events routed to the dead-letter channel"},
 	{Field: "DuplicatesSuppressed", Varz: "dup_suppressed", Metric: "oostream_duplicates_suppressed_total", Help: "Duplicate events and replayed emissions suppressed"},
 	{Field: "Restarts", Varz: "restarts", Metric: "oostream_restarts_total", Help: "Supervised restarts from a checkpoint after a panic"},
 	{Field: "Checkpoints", Varz: "checkpoints", Metric: "oostream_checkpoints_total", Help: "Durable checkpoints written"},
@@ -197,11 +195,6 @@ type Snapshot struct {
 	// out-of-order ones. Its quantiles are what adaptive K selection reads.
 	WatermarkLag HistView
 
-	// EventsDropped counts events admission control rejected under the Drop
-	// policy (bound violators and duplicates); EventsDeadLettered those
-	// routed to the dead-letter channel.
-	EventsDropped      uint64
-	EventsDeadLettered uint64
 	// DuplicatesSuppressed counts duplicate input events turned away at
 	// admission plus replayed match emissions already delivered before a
 	// crash.

@@ -180,8 +180,6 @@ type Series struct {
 	EmptyProbes Counter
 	Repairs     Counter
 
-	EventsDropped        Counter
-	EventsDeadLettered   Counter
 	DuplicatesSuppressed Counter
 	Restarts             Counter
 	Checkpoints          Counter

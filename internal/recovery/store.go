@@ -71,7 +71,7 @@ type ckptPayload struct {
 	Ingested uint64 `json:"ingested"`
 	// WalSeg is the first WAL segment to replay after this checkpoint.
 	WalSeg uint64 `json:"walSeg"`
-	// Meta is supervisor state (admission clock, duplicate horizon).
+	// Meta is supervisor state (the duplicate horizon).
 	Meta json.RawMessage `json:"meta,omitempty"`
 	// Engine is the engine snapshot.
 	Engine []byte `json:"engine,omitempty"`

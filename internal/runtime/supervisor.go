@@ -16,27 +16,6 @@ import (
 	"oostream/internal/recovery"
 )
 
-// AdmitPolicy decides what happens to events the admission-control layer
-// rejects: duplicates (an already-seen Seq) and bound violators (timestamp
-// below the admission clock minus K).
-type AdmitPolicy int
-
-const (
-	// AdmitDrop silently drops rejected events, counting them.
-	AdmitDrop AdmitPolicy = iota
-	// AdmitDeadLetter routes rejected events to the DeadLetter channel
-	// (best-effort, never blocking the hot path) and counts them.
-	AdmitDeadLetter
-)
-
-// String names the policy.
-func (p AdmitPolicy) String() string {
-	if p == AdmitDeadLetter {
-		return "deadletter"
-	}
-	return "drop"
-}
-
 // SupervisorOptions configure a Supervisor.
 type SupervisorOptions struct {
 	// Env carries the supervisor's own instruments: the series its
@@ -60,20 +39,6 @@ type SupervisorOptions struct {
 	// cannot promise the emission order of the engine that wrote the
 	// snapshot must fail unless it is zero.
 	Restore func(r io.Reader, suppress uint64) (engine.Engine, error)
-	// K is the admission disorder bound: an event with TS < clock−K is a
-	// bound violator (clock = max admitted timestamp). Use the engine's K.
-	K event.Time
-	// EngineBound leaves lateness to an engine whose bound moves (an
-	// adaptive controller's): admission then rejects duplicates only, and
-	// forgets an event's Seq once the engine's safe clock has passed its
-	// timestamp, below which the engine drops any duplicate as late. K is
-	// ignored.
-	EngineBound bool
-	// Policy is the admission policy for duplicates and bound violators.
-	Policy AdmitPolicy
-	// DeadLetter receives rejected events under AdmitDeadLetter. Sends
-	// never block: if the channel is full the event is counted but lost.
-	DeadLetter chan<- event.Event
 	// CheckpointEvery takes a durable checkpoint every this many offered
 	// events. 0 disables periodic checkpoints.
 	CheckpointEvery int
@@ -94,19 +59,18 @@ type SupervisorOptions struct {
 }
 
 // supervMeta is the supervisor's own state stored alongside an engine
-// snapshot: the admission clock and the duplicate horizon.
+// snapshot: the duplicate horizon. (Metas written before lateness was the
+// engine's alone also carry an admission clock, which decoding ignores.)
 type supervMeta struct {
-	Clock   event.Time            `json:"clock"`
-	Started bool                  `json:"started"`
-	Seen    map[uint64]event.Time `json:"seen,omitempty"`
+	Seen map[uint64]event.Time `json:"seen,omitempty"`
 }
 
 // Supervisor wraps an engine with the fault-tolerance runtime: every
 // offered event is logged to a durable store before processing, matches
 // carry monotone sequence numbers committed to the log on emission,
 // engine panics trigger restart-from-checkpoint with capped exponential
-// backoff, and an admission-control layer filters duplicates and disorder
-// bound violators under a configurable policy.
+// backoff, and admission suppresses duplicates by Seq. What is late is the
+// engine's to judge, against its own clock and bound, as in memory.
 //
 // It is one more engine.Engine. Process, ProcessBatch and Flush return the
 // committed matches; a failure is recorded in Err (sticky) and every later
@@ -131,8 +95,6 @@ type Supervisor struct {
 	met   *obsv.Series
 
 	// Admission state (rebuilt deterministically on replay).
-	clock    event.Time
-	started  bool
 	seen     map[uint64]event.Time
 	admitted uint64
 
@@ -243,8 +205,8 @@ func (s *Supervisor) Name() string {
 	return "supervised(" + s.en.Name() + ")"
 }
 
-// Process offers one event: it is logged to the WAL, filtered by
-// admission control, processed under the panic guard (restarting from the
+// Process offers one event: it is logged to the WAL, dropped if admission
+// remembers its Seq, processed under the panic guard (restarting from the
 // latest checkpoint on panic), and any surviving matches are committed as
 // delivered before they are returned. The event must carry a unique
 // non-zero Seq.
@@ -433,8 +395,8 @@ func (s *Supervisor) Close() error {
 func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, error) {
 	if !s.admit(e, replaying) {
 		if !replaying {
-			// Admission-rejected (duplicate/late) events leave the pipeline
-			// here; their spans must not skew the wall histogram.
+			// A duplicate leaves the pipeline here; its span must not skew
+			// the wall histogram.
 			s.lat.Abandon(e.Seq)
 		}
 		return nil, false, nil
@@ -447,35 +409,18 @@ func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, e
 	return out, false, err
 }
 
-// admit decides whether the engine sees e. It must be deterministic in
-// the event sequence alone: replay re-runs it to rebuild the clock and
-// duplicate horizon. Metrics and dead-letter delivery are suppressed
-// during replay (they already happened the first time).
+// admit decides whether the engine sees e: once per Seq. It must be
+// deterministic in the event sequence alone: replay re-runs it to rebuild
+// the duplicate horizon. The counter is not bumped during replay (that
+// happened the first time).
 func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 	if _, dup := s.seen[e.Seq]; dup {
 		if !replaying {
 			s.met.DuplicatesSuppressed.Inc()
-			if s.opts.Policy == AdmitDeadLetter {
-				s.deadLetter(e)
-			}
-		}
-		return false
-	}
-	if s.started && !s.opts.EngineBound && e.TS < s.clock-s.opts.K {
-		if !replaying {
-			if s.opts.Policy == AdmitDeadLetter {
-				s.deadLetter(e)
-			} else {
-				s.met.EventsDropped.Inc()
-			}
 		}
 		return false
 	}
 	s.seen[e.Seq] = e.TS
-	s.started = true
-	if e.TS > s.clock {
-		s.clock = e.TS
-	}
 	s.admitted++
 	if s.admitted%1024 == 0 {
 		s.purgeSeen()
@@ -483,28 +428,13 @@ func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 	return true
 }
 
-// purgeSeen drops duplicate-horizon entries no duplicate can reuse: an
-// event below clock−K fails the bound check before the duplicate check
-// matters, and one below an EngineBound engine's safe clock is dropped by
-// the engine.
+// purgeSeen forgets the Seqs no duplicate can reuse: the engine drops any
+// event below its safe clock as late, a duplicate included.
 func (s *Supervisor) purgeSeen() {
-	horizon := s.clock - s.opts.K
-	if s.opts.EngineBound {
-		horizon = s.en.StateSnapshot().Safe
-	}
+	horizon := s.en.StateSnapshot().Safe
 	for seq, ts := range s.seen {
 		if ts < horizon {
 			delete(s.seen, seq)
-		}
-	}
-}
-
-func (s *Supervisor) deadLetter(e event.Event) {
-	s.met.EventsDeadLettered.Inc()
-	if s.opts.DeadLetter != nil {
-		select {
-		case s.opts.DeadLetter <- e:
-		default:
 		}
 	}
 }
@@ -558,10 +488,10 @@ func (s *Supervisor) shouldCheckpoint() bool {
 	return s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery
 }
 
-// checkpoint durably snapshots the engine plus the supervisor's admission
-// state and rotates the WAL.
+// checkpoint durably snapshots the engine plus the supervisor's duplicate
+// horizon and rotates the WAL.
 func (s *Supervisor) checkpoint() error {
-	meta := supervMeta{Clock: s.clock, Started: s.started, Seen: s.seen}
+	meta := supervMeta{Seen: s.seen}
 	start := time.Now()
 	n, err := s.store.Checkpoint(s.en.Checkpoint, meta, s.matchSeq)
 	if err != nil {
@@ -571,7 +501,7 @@ func (s *Supervisor) checkpoint() error {
 	s.met.CheckpointBytes.Set(int64(n))
 	s.met.CheckpointDuration.Set(int64(time.Since(start)))
 	if s.trace != nil {
-		s.trace.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.clock, N: n})
+		s.trace.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.en.StateSnapshot().Clock, N: n})
 	}
 	s.sinceCkpt = 0
 	return nil
@@ -579,7 +509,7 @@ func (s *Supervisor) checkpoint() error {
 
 // rebuild reconstructs the supervisor from durable state: restore the
 // newest valid checkpoint (or a fresh engine), replay the WAL suffix
-// through the same admission logic, suppress emissions numbered at or
+// through the same duplicate check, suppress emissions numbered at or
 // below the durable commit horizon, and return the rest. panicked reports
 // that replay hit a panic (the caller retries through the restart loop).
 func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
@@ -600,14 +530,12 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 		}
 	}
 	s.en = en
-	s.clock, s.started = 0, false
 	s.seen = make(map[uint64]event.Time)
 	if len(rec.Snapshot) > 0 && len(rec.Meta) > 0 {
 		var meta supervMeta
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return nil, false, fmt.Errorf("decode supervisor meta: %w", err)
 		}
-		s.clock, s.started = meta.Clock, meta.Started
 		if meta.Seen != nil {
 			s.seen = meta.Seen
 		}
@@ -664,7 +592,7 @@ func (s *Supervisor) restartLoop() ([]plan.Match, error) {
 		}
 		s.met.Restarts.Inc()
 		if s.trace != nil {
-			s.trace.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.clock, N: s.consecRestarts})
+			s.trace.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.en.StateSnapshot().Clock, N: s.consecRestarts})
 		}
 		s.opts.Sleep(backoff)
 		backoff *= 2

@@ -39,7 +39,6 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) {
 			return core.Restore(p, env, r)
 		},
-		K:     k,
 		Sleep: noSleep,
 	}
 }
@@ -279,8 +278,10 @@ func TestPoisonEventExhaustsRestarts(t *testing.T) {
 	}
 }
 
-// TestAdmissionPolicies: duplicates and bound violators are handled per
-// policy, with the right counters; the engine never sees a duplicate.
+// TestAdmissionPolicies: admission has one policy left, a Seq is processed
+// once, and lateness is the engine's to judge, by its own clock. The engine
+// never sees the duplicate and sees the rest as it would in memory: B@120,
+// which a clock moved by an ignored event type would reject, matches.
 func TestAdmissionPolicies(t *testing.T) {
 	p := compile(t, supervQuery)
 	mk := func(typ string, ts event.Time, seq uint64) event.Event {
@@ -290,82 +291,39 @@ func TestAdmissionPolicies(t *testing.T) {
 	stream := []event.Event{
 		mk("A", 100, 1),
 		mk("A", 100, 1), // duplicate
-		mk("C", 200, 2), // advances the clock
-		mk("B", 120, 3), // violates the bound (120 < 200-50)
-		mk("B", 180, 4), // in-bound, but outside A@100's window (180-100 > WITHIN 50): no match
+		mk("C", 200, 2), // an event type the query ignores: no clock moves
+		mk("B", 120, 3), // within K of the engine's clock (100): matches A@100
+		mk("B", 180, 4), // outside A@100's window (180-100 > WITHIN 50): no match
 		mk("A", 190, 5), // fresh A
 		mk("B", 210, 6), // matches A@190
+		mk("A", 30, 7),  // below the engine's safe clock (210-50): late
 	}
 
-	t.Run("drop", func(t *testing.T) {
-		opts := supervOpts(t, p, 50)
-		opts.Policy = AdmitDrop
-		s := openSuperv(t, t.TempDir(), opts)
+	t.Run("engine-bound", func(t *testing.T) {
+		s := openSuperv(t, t.TempDir(), supervOpts(t, p, 50))
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
 		got := driveAll(t, s, stream)
+		want := baseline(t, p, 50, append(stream[:1:1], stream[2:]...))
+		if ok, diff := plan.SameResults(want, got); !ok || len(got) != 2 {
+			t.Fatalf("%d matches, want the in-memory engine's 2:\n%s", len(got), diff)
+		}
 		snap := s.Metrics()
-		if snap.DuplicatesSuppressed != 1 || snap.EventsDropped != 1 {
-			t.Fatalf("dup=%d dropped=%d, want 1 and 1", snap.DuplicatesSuppressed, snap.EventsDropped)
+		if snap.DuplicatesSuppressed != 1 || snap.EventsLate != 1 {
+			t.Fatalf("dup=%d late=%d, want 1 and 1", snap.DuplicatesSuppressed, snap.EventsLate)
 		}
-		if len(got) != 1 {
-			t.Fatalf("%d matches, want 1", len(got))
-		}
-	})
-
-	t.Run("deadletter", func(t *testing.T) {
-		dl := make(chan event.Event, 8)
-		opts := supervOpts(t, p, 50)
-		opts.Policy = AdmitDeadLetter
-		opts.DeadLetter = dl
-		s := openSuperv(t, t.TempDir(), opts)
-		if _, err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		driveAll(t, s, stream)
-		snap := s.Metrics()
-		if snap.EventsDeadLettered != 2 {
-			t.Fatalf("deadlettered=%d, want 2 (one dup, one violator)", snap.EventsDeadLettered)
-		}
-		close(dl)
-		var seqs []uint64
-		for e := range dl {
-			seqs = append(seqs, e.Seq)
-		}
-		if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 3 {
-			t.Fatalf("dead-letter channel got %v, want [1 3]", seqs)
-		}
-	})
-
-	t.Run("engine-bound", func(t *testing.T) {
-		opts := supervOpts(t, p, 50)
-		opts.EngineBound = true
-		s := openSuperv(t, t.TempDir(), opts)
-		if _, err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		driveAll(t, s, stream)
-		snap := s.Metrics()
-		// The engine decides what is late: the violator reached it, and
-		// only the duplicate was suppressed.
-		if snap.DuplicatesSuppressed != 1 || snap.EventsDropped != 0 {
-			t.Fatalf("dup=%d dropped=%d, want 1 and 0", snap.DuplicatesSuppressed, snap.EventsDropped)
-		}
-		// 6 events reached the engine (all but the duplicate): 5 relevant
-		// plus the C, which the engine counts as irrelevant. (The engine
-		// itself doesn't flag the violator late: the irrelevant C never
-		// advanced its internal clock, only the admission clock.)
-		if snap.EventsIn != 5 || snap.Irrelevant != 1 {
-			t.Fatalf("in=%d irrelevant=%d, want 5 and 1",
-				snap.EventsIn, snap.Irrelevant)
+		// 7 events reached the engine (all but the duplicate): 6 relevant
+		// plus the C, which the engine counts as irrelevant.
+		if snap.EventsIn != 6 || snap.Irrelevant != 1 {
+			t.Fatalf("in=%d irrelevant=%d, want 6 and 1", snap.EventsIn, snap.Irrelevant)
 		}
 	})
 }
 
-// TestAdmissionSurvivesCrash: the duplicate horizon and clock are part of
-// checkpoint metadata, so a duplicate of a pre-crash event is still
-// rejected after recovery.
+// TestAdmissionSurvivesCrash: the duplicate horizon is part of checkpoint
+// metadata, so a duplicate of a pre-crash event is still rejected after
+// recovery.
 func TestAdmissionSurvivesCrash(t *testing.T) {
 	p := compile(t, supervQuery)
 	events := supervStream(t, 60, 61)

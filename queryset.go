@@ -219,7 +219,6 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 		Env:     engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
 		New:     func() (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, nil, qs.staged)) },
 		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, r, nil)) },
-		K:       cfg.K,
 	}
 	sup, err := newSupervisor(sc, sopts)
 	if err != nil {

@@ -9,26 +9,9 @@ import (
 	"oostream/internal/runtime"
 )
 
-// AdmitPolicy decides what the supervised runtime does with events its
-// admission-control layer rejects: duplicates (an already-seen Seq) and
-// disorder-bound violators (timestamp below the admission clock minus K).
-// Under an adaptive controller (Config.Adaptive with Enabled or Limits) the
-// engine alone decides what is late, by the bound the controller derives,
-// and admission rejects duplicates only.
-type AdmitPolicy = runtime.AdmitPolicy
-
-// Admission policies, re-exported.
-const (
-	// AdmitDrop silently drops rejected events, counting them.
-	AdmitDrop = runtime.AdmitDrop
-	// AdmitDeadLetter routes rejected events to the DeadLetter channel
-	// (best-effort, never blocking the hot path) and counts them.
-	AdmitDeadLetter = runtime.AdmitDeadLetter
-)
-
 // SupervisorConfig configures the fault-tolerance runtime wrapped around
-// an engine: where durable state lives, how often to checkpoint, and what
-// to do with rejected events.
+// an engine: where durable state lives, how often to checkpoint, and how
+// many engine panics to survive.
 type SupervisorConfig struct {
 	// Dir is the durable state directory (checkpoints + write-ahead log).
 	// Required. Reopening the same directory resumes the stream.
@@ -40,11 +23,6 @@ type SupervisorConfig struct {
 	// Retain keeps the newest N checkpoints (older ones and their log
 	// prefixes are pruned). 0 = default 3.
 	Retain int
-	// Policy is the admission policy; default AdmitDrop.
-	Policy AdmitPolicy
-	// DeadLetter receives rejected events under AdmitDeadLetter. Sends
-	// never block: if the channel is full the event is counted but lost.
-	DeadLetter chan<- Event
 	// MaxRestarts bounds consecutive panic restarts before the supervisor
 	// fails sticky. 0 = default 3.
 	MaxRestarts int
@@ -82,8 +60,8 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // offered event is logged durably before processing, whose matches carry
 // monotone sequence numbers committed on emission, whose engine panics
 // restart from the latest checkpoint with capped exponential backoff, and
-// whose admission control filters duplicates and bound violators (the
-// engine's own bound under an adaptive controller; see AdmitPolicy).
+// which processes each Seq once. What is late is the engine's to judge, by
+// its own clock and bound, exactly as in memory.
 //
 // Call Start before the first event. A process crash at any point loses
 // nothing: reopening the same directory (NewSupervisedEngine + Start)
@@ -132,8 +110,6 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 			}
 			return b.build(q.plan, cfg, series, from)
 		},
-		K:           cfg.K,
-		EngineBound: cfg.adaptiveActive(),
 	}
 	sup, err := newSupervisor(sc, opts)
 	if err != nil {
@@ -143,14 +119,13 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 }
 
 // newSupervisor opens sc's (validated) durable store and wraps it in a
-// supervisor running opts' factories under sc's policies.
+// supervisor running opts' factories under sc's checkpoint and restart
+// settings.
 func newSupervisor(sc SupervisorConfig, opts runtime.SupervisorOptions) (*runtime.Supervisor, error) {
 	store, err := recovery.Open(sc.Dir, sc.storeOptions())
 	if err != nil {
 		return nil, err
 	}
-	opts.Policy = sc.Policy
-	opts.DeadLetter = sc.DeadLetter
 	opts.CheckpointEvery = sc.CheckpointEvery
 	opts.MaxRestarts = sc.MaxRestarts
 	sup, err := runtime.NewSupervisor(store, opts)
