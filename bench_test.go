@@ -306,7 +306,8 @@ func BenchmarkE12NetworkSim(b *testing.B) {
 // supervised runtime (write-ahead log + Seq deduplication + periodic
 // durable checkpoints) over the native engine, swept by checkpoint
 // interval, against the unsupervised engine. "wal-only" logs events but
-// never snapshots. Fsync is disabled so the numbers isolate protocol cost
+// never snapshots; ckpt-bytes is the size of the last checkpoint written.
+// Fsync is disabled so the numbers isolate protocol cost
 // (serialization, CRC framing, admission bookkeeping) from disk sync
 // latency, which SyncEveryEvent would make the only visible term.
 func BenchmarkE15RecoveryOverhead(b *testing.B) {
@@ -323,6 +324,7 @@ func BenchmarkE15RecoveryOverhead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var matches int
+			var ckptBytes uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir, err := os.MkdirTemp("", "oobench-*")
@@ -342,6 +344,7 @@ func BenchmarkE15RecoveryOverhead(b *testing.B) {
 				if err := en.Err(); err != nil {
 					b.Fatal(err)
 				}
+				ckptBytes = en.Metrics().CheckpointBytes
 				if err := en.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -351,6 +354,9 @@ func BenchmarkE15RecoveryOverhead(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
 			b.ReportMetric(float64(matches), "matches")
+			if every > 0 {
+				b.ReportMetric(float64(ckptBytes), "ckpt-bytes")
+			}
 		})
 	}
 }

@@ -1,9 +1,6 @@
 package oostream
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -72,66 +69,15 @@ func (b builder) newLatencySampler(l Latency) *obsv.LatencySampler {
 	return ls
 }
 
-// checkpoint is durable engine state opened for a restore: the engine
-// checkpoints it holds. A checkpoint an engine wrote is its own one part.
-// One written by the key-partitioned router this library had until
-// EXPERIMENTS.md E34 holds a part per shard — each the state of an engine
-// that saw the events of its share of the keys — and the count of events the
-// router refused for lacking the key; core.Restore and agg.Restore merge the
-// parts into the one engine that would have seen the whole stream, which
-// files its state per key as the shards did between them.
-type checkpoint struct {
-	parts       []io.Reader
-	keyless     uint64
-	partitioned bool
-	// err is why r could not be opened; build returns it.
-	err error
-}
-
-// openCheckpoint reads what r holds; nil for no reader (a fresh engine). The
-// router's envelope is a JSON object naming its attribute, its shard count,
-// its refused events and the shards' checkpoints; anything else is an
-// engine's own checkpoint and is left unread (the kernel's bare-JSON form of
-// before its envelope is an object too, without "parts").
-func openCheckpoint(r io.Reader) *checkpoint {
-	if r == nil {
-		return nil
-	}
-	br := bufio.NewReader(r)
-	if first, err := br.Peek(1); err != nil || first[0] != '{' {
-		return &checkpoint{parts: []io.Reader{br}}
-	}
-	data, err := io.ReadAll(br)
-	if err != nil {
-		return &checkpoint{err: fmt.Errorf("read checkpoint: %w", err)}
-	}
-	var env struct {
-		Shards      int      `json:"shards"`
-		RouteErrors uint64   `json:"routeErrors"`
-		Parts       [][]byte `json:"parts"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil || env.Parts == nil {
-		// Not the router's: the kernel reports what is wrong with it.
-		return &checkpoint{parts: []io.Reader{bytes.NewReader(data)}}
-	}
-	if len(env.Parts) == 0 || len(env.Parts) != env.Shards {
-		return &checkpoint{err: fmt.Errorf("partitioned checkpoint holds %d parts for %d shards", len(env.Parts), env.Shards)}
-	}
-	ck := &checkpoint{keyless: env.RouteErrors, partitioned: true}
-	for _, part := range env.Parts {
-		ck.parts = append(ck.parts, bytes.NewReader(part))
-	}
-	return ck
-}
-
-// build builds (from == nil) or restores the engine cfg describes for p: one
-// strategy engine with the aggregation wrapper p calls for, publishing into
-// series. cfg must already have defaults applied and be validated, against p
-// too (validateQueryConfig). The layer that
-// admits events from the stream and emits the query's visible output owns
-// the series, the hook, and the lineage; the layer that does the
-// construction work owns the sampler's construct boundary.
-func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *checkpoint) (engine.Engine, error) {
+// build builds (from == nil) or restores the engine cfg describes for p
+// from the sections engine.Open read: one strategy engine with the
+// aggregation wrapper p calls for, publishing into series. cfg must already
+// have defaults applied and be validated, against p too
+// (validateQueryConfig). The layer that admits events from the stream and
+// emits the query's visible output owns the series, the hook, and the
+// lineage; the layer that does the construction work owns the sampler's
+// construct boundary.
+func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *engine.Sections) (engine.Engine, error) {
 	outer := engine.Env{Series: series, Trace: b.trace, Provenance: b.prov}
 	strat := outer
 	strat.Latency = b.lat
@@ -144,14 +90,10 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 		strat = engine.Env{Series: series.Carry(), Latency: b.lat}
 	}
 	if from != nil {
-		if from.err != nil {
-			return nil, from.err
-		}
 		if p.Agg != nil {
-			// The operator's envelope leads each part's byte stream; its
-			// lateness bound rides in the payload. The strategy restores from
-			// the rest of the same parts.
-			return agg.Restore(p, outer, from.parts, func([]io.Reader) (engine.Engine, error) {
+			// The operator's record comes first, its lateness bound in it; the
+			// strategy restores from the sections after it.
+			return agg.Restore(p, outer, from, func(*engine.Sections) (engine.Engine, error) {
 				return b.strategy(p, cfg, strat, from)
 			})
 		}
@@ -173,7 +115,7 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *chec
 // strategy builds (from == nil) or restores the bare strategy engine,
 // instrumented by env. A restored kernel's options and controller come from
 // the checkpoint; its emission policy must be the strategy's.
-func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkpoint) (engine.Engine, error) {
+func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *engine.Sections) (engine.Engine, error) {
 	ctrl, err := cfg.adaptiveController()
 	if err != nil {
 		return nil, err
@@ -193,14 +135,14 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkp
 		}
 		kernel.Adaptive = ctrl
 		if from != nil {
-			en, err := core.Restore(p, env, from.parts...)
+			en, err := core.Restore(p, env, from)
 			if err != nil {
 				return nil, err
 			}
 			if en.EmitPolicy() != kernel.Emit {
 				return nil, fmt.Errorf("checkpoint was written by strategy %q, not %q", en.Name(), cfg.Strategy)
 			}
-			en.CountKeyless(from.keyless)
+			en.CountKeyless(from.Keyless)
 			return en, nil
 		}
 		return core.New(p, kernel)
@@ -216,10 +158,8 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkp
 		kernel.K = 0
 		kernel.Env = engine.Env{Series: env.Series.Carry(), Provenance: env.Provenance}
 		if from != nil {
-			// A levee's checkpoint is one part (only native engines were
-			// ever partitioned, and their parts are no levee's).
-			return kslack.Restore(from.parts[0], cfg.K, env, func(r io.Reader) (engine.Engine, error) {
-				return core.Restore(p, kernel.Env, r)
+			return kslack.Restore(from, cfg.K, env, func(s *engine.Sections) (engine.Engine, error) {
+				return core.Restore(p, kernel.Env, s)
 			})
 		}
 		sorted, err := core.New(p, kernel)
@@ -236,7 +176,7 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *checkp
 		// switching logic runs. The switch adds no instrument of its own: the
 		// kernel carries them all.
 		if from != nil {
-			return hybrid.Restore(p, env, from.parts[0])
+			return hybrid.Restore(p, env, from)
 		}
 		hctrl, err := adaptive.NewController(cfg.Adaptive, cfg.K)
 		if err != nil {

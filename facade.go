@@ -230,7 +230,13 @@ func (f *facade) LatencyReport() *LatencyReport { return f.lat.Report() }
 // returns an error, since its checkpoints are its directory's. The
 // auto-assigned Seq counter is not part of a checkpoint: feed events with
 // explicit Seq values across the restore boundary.
-func (f *facade) Checkpoint(w io.Writer) error { return f.inner.Checkpoint(w) }
+func (f *facade) Checkpoint(w io.Writer) error {
+	blob, err := engine.Seal(f.inner.Checkpoint)
+	if err == nil {
+		_, err = w.Write(blob)
+	}
+	return err
+}
 
 // Raw exposes the engine behind the facade for harnesses that compose
 // engines directly: the strategy composition (or the multi-query set) in

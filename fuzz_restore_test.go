@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"strings"
 	"testing"
+
+	"oostream/internal/engine"
 )
 
 // restoreTargets are the compositions FuzzRestoreEngine restores into: the
@@ -187,11 +190,12 @@ var aggRestoreTargets = []struct {
 	{"speculative", "AGGREGATE SUM(b.id) OVER SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 30 SLIDE 5 GROUP BY a.id", Config{Strategy: StrategySpeculate, K: 10}},
 }
 
-// resealAgg recomputes the CRC of an aggregate checkpoint envelope whose
-// declared payload length fits the bytes present, so that a mutated payload
-// reaches the decoder behind the checksum; anything else is returned as is.
-func resealAgg(data []byte) []byte {
-	if len(data) < 15 || string(data[:6]) != "OOAGGT" {
+// reseal recomputes the CRC of a checkpoint envelope (this format's, or an
+// aggregate's of before it) whose declared payload length fits the bytes
+// present, so that a mutated payload reaches the decoders behind the
+// checksum; anything else is returned as is.
+func reseal(data []byte) []byte {
+	if len(data) < 15 || string(data[:6]) != "OOSECT" && string(data[:6]) != "OOAGGT" {
 		return data
 	}
 	size := binary.LittleEndian.Uint32(data[7:11])
@@ -204,9 +208,9 @@ func resealAgg(data []byte) []byte {
 }
 
 // FuzzRestoreAgg is FuzzRestoreEngine for the aggregation operator's
-// envelope (its payload first, the kernel's checkpoint after it): error or
-// equivalent state after one more checkpoint-and-restore, never a panic. Each
-// input is tried as given and with its checksum made good.
+// section in front of the kernel's: error or equivalent state after one more
+// checkpoint-and-restore, never a panic. Each input is tried as given and
+// with its checksum made good.
 func FuzzRestoreAgg(f *testing.F) {
 	queries := make([]*Query, len(aggRestoreTargets))
 	for i, tgt := range aggRestoreTargets {
@@ -223,12 +227,13 @@ func FuzzRestoreAgg(f *testing.F) {
 	}
 	// A declared payload of 4 GiB over a few bytes: refused without
 	// allocating it.
+	f.Add(uint8(0), append([]byte("OOSECT\x01\xff\xff\xff\xff\x00\x00\x00\x00"), "{}"...))
 	f.Add(uint8(0), append([]byte("OOAGGT\x01\xff\xff\xff\xff\x00\x00\x00\x00"), "{}"...))
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
 		i := int(target) % len(aggRestoreTargets)
 		tgt, q := aggRestoreTargets[i], queries[i]
-		for _, data := range [][]byte{data, resealAgg(data)} {
+		for _, data := range [][]byte{data, reseal(data)} {
 			first, err := RestoreEngine(q, tgt.cfg, bytes.NewReader(data))
 			if err != nil {
 				continue
@@ -288,33 +293,56 @@ func setCheckpoint(tb testing.TB, from Time, n int) []byte {
 }
 
 // forgeSetCheckpoint returns a set checkpoint after edit has had its way
-// with the list of its queries' namespaces (in the levee's inner blob).
+// with the list of its queries' namespaces (in the set's section, after the
+// levee's).
 func forgeSetCheckpoint(tb testing.TB, data []byte, edit func(queries []any) []any) []byte {
 	tb.Helper()
-	var levee struct {
-		Inner []byte `json:"inner"`
-	}
-	var cp, set map[string]any
-	if err := json.Unmarshal(data, &cp); err != nil {
-		tb.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &levee); err != nil {
-		tb.Fatal(err)
-	}
-	if err := json.Unmarshal(levee.Inner, &set); err != nil {
+	secs := checkpointSections(tb, data)
+	var set map[string]any
+	if err := json.Unmarshal(secs[1], &set); err != nil {
 		tb.Fatal(err)
 	}
 	set["queries"] = edit(set["queries"].([]any))
-	inner, err := json.Marshal(set)
+	var err error
+	if secs[1], err = json.Marshal(set); err != nil {
+		tb.Fatal(err)
+	}
+	return sealSections(tb, secs)
+}
+
+// checkpointSections returns the sections of a checkpoint, outermost first.
+func checkpointSections(tb testing.TB, data []byte) []json.RawMessage {
+	tb.Helper()
+	s, err := engine.Open(bytes.NewReader(data))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cp["inner"] = inner
-	out, err := json.Marshal(cp)
+	var secs []json.RawMessage
+	for s.More() {
+		var raw json.RawMessage
+		if err := s.Next("any", "", &raw); err != nil {
+			tb.Fatal(err)
+		}
+		secs = append(secs, raw)
+	}
+	return secs
+}
+
+// sealSections writes sections back into one checkpoint.
+func sealSections(tb testing.TB, secs []json.RawMessage) []byte {
+	tb.Helper()
+	blob, err := engine.Seal(func(w io.Writer) error {
+		for _, sec := range secs {
+			if err := engine.WriteSection(w, sec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return out
+	return blob
 }
 
 // hostileSetIDs are two forgeries of a set checkpoint that Register would

@@ -1,12 +1,8 @@
 package agg
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -16,21 +12,6 @@ import (
 	"oostream/internal/fiba"
 	"oostream/internal/plan"
 )
-
-// Checkpoint envelope, following the internal/core layout:
-//
-//	magic   [6]byte  "OOAGGT"
-//	version byte     aggEnvelopeVersion
-//	length  uint32le payload byte count
-//	crc     uint32le CRC32 (IEEE) of the payload
-//	payload []byte   JSON aggCheckpoint
-//	inner   []byte   the wrapped engine's own checkpoint stream
-//
-// The inner engine's checkpoint follows the envelope verbatim; Restore
-// hands the remainder of the reader to the inner restore function.
-var aggMagic = [6]byte{'O', 'O', 'A', 'G', 'G', 'T'}
-
-const aggEnvelopeVersion = 1
 
 // aggCheckpoint is the serialized operator state.
 type aggCheckpoint struct {
@@ -78,26 +59,20 @@ type ckPreview struct {
 // event.Value is invalid and refuses to marshal (COUNT partials carry no
 // values).
 type ckElem struct {
-	TS     event.Time   `json:"ts"`
-	Seq    uint64       `json:"seq"`
-	Count  int64        `json:"count"`
-	SumI   int64        `json:"sumI,omitempty"`
-	SumF   float64      `json:"sumF,omitempty"`
-	Min    *event.Value `json:"min,omitempty"`
-	Max    *event.Value `json:"max,omitempty"`
-	Floaty bool         `json:"floaty,omitempty"`
-	Match  string       `json:"match"`
+	TS     event.Time      `json:"ts"`
+	Seq    uint64          `json:"seq"`
+	Count  int64           `json:"count"`
+	SumI   int64           `json:"sumI,omitempty"`
+	SumF   event.JSONFloat `json:"sumF,omitempty"`
+	Min    *event.Value    `json:"min,omitempty"`
+	Max    *event.Value    `json:"max,omitempty"`
+	Floaty bool            `json:"floaty,omitempty"`
+	Match  string          `json:"match"`
 }
 
-// Checkpoint implements engine.Engine: the operator's envelope, then the
-// inner engine's checkpoint.
+// Checkpoint implements engine.Engine: the operator's section, then the
+// inner engine's.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	// The envelope leads the stream, so an inner engine that fails must be
-	// found out before anything is written.
-	var inner bytes.Buffer
-	if err := en.inner.Checkpoint(&inner); err != nil {
-		return fmt.Errorf("agg: inner engine %q: %w", en.inner.Name(), err)
-	}
 	cf := aggCheckpoint{
 		Lateness:   en.lateness,
 		Clock:      en.clock,
@@ -128,7 +103,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 				Seq:    k.Seq,
 				Count:  p.Count,
 				SumI:   p.SumI,
-				SumF:   p.SumF,
+				SumF:   event.JSONFloat(p.SumF),
 				Min:    optVal(p.Min),
 				Max:    optVal(p.Max),
 				Floaty: p.Floaty,
@@ -142,23 +117,13 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		slices.SortFunc(cg.Emitted, func(a, b ckPreview) int { return cmp.Compare(a.End, b.End) })
 		cf.Groups = append(cf.Groups, cg)
 	}
-	payload, err := json.Marshal(&cf)
-	if err != nil {
+	if err := engine.WriteSection(w, &cf); err != nil {
 		return err
 	}
-	var hdr [15]byte
-	copy(hdr[:6], aggMagic[:])
-	hdr[6] = aggEnvelopeVersion
-	binary.LittleEndian.PutUint32(hdr[7:11], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[11:15], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if err := en.inner.Checkpoint(w); err != nil {
+		return fmt.Errorf("agg: inner engine %q: %w", en.inner.Name(), err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err = w.Write(inner.Bytes())
-	return err
+	return nil
 }
 
 // frontier is the highest window end the checkpointed operator had sealed,
@@ -170,49 +135,15 @@ func (cf aggCheckpoint) frontier() event.Time {
 	return cf.Sealed
 }
 
-// readCheckpoint consumes one operator envelope from r and returns its
-// validated payload decoded; r is left at the wrapped engine's checkpoint.
-func readCheckpoint(r io.Reader) (aggCheckpoint, error) {
-	var cf aggCheckpoint
-	var hdr [15]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return cf, fmt.Errorf("agg: checkpoint header truncated: %w", err)
-	}
-	if [6]byte(hdr[:6]) != aggMagic {
-		return cf, fmt.Errorf("agg: bad checkpoint magic %q", hdr[:6])
-	}
-	if hdr[6] != aggEnvelopeVersion {
-		return cf, fmt.Errorf("agg: checkpoint envelope version %d, want %d", hdr[6], aggEnvelopeVersion)
-	}
-	size := binary.LittleEndian.Uint32(hdr[7:11])
-	want := binary.LittleEndian.Uint32(hdr[11:15])
-	// The declared length is outside input (up to 4 GiB): the buffer grows
-	// with the bytes that actually arrive, never ahead of them.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
-	if err != nil {
-		return cf, fmt.Errorf("agg: read checkpoint payload: %w", err)
-	}
-	if uint32(len(payload)) != size {
-		return cf, fmt.Errorf("agg: checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
-	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return cf, fmt.Errorf("agg: checkpoint corrupt: CRC32 %08x, want %08x", got, want)
-	}
-	if err := json.Unmarshal(payload, &cf); err != nil {
-		return cf, fmt.Errorf("agg: decode checkpoint: %w", err)
-	}
-	return cf, nil
-}
-
-// Restore rebuilds an operator, in the mode it ran in, from a checkpoint,
-// instrumented by env as NewWithEnv would: from one part, or from the checkpoints of
-// several operators that each aggregated a share of one stream split by the
-// GROUP BY key, merged into the one operator that would have seen the whole
-// stream. p must be the same compiled plan the checkpointed engine ran with
-// (the lateness bound travels in the checkpoint); restoreInner consumes the
-// remainder of every part and rebuilds the wrapped engine. Lineage citations
-// are not checkpointed: records emitted for restored elements carry
-// Truncated.
+// Restore rebuilds an operator, in the mode it ran in, from the next
+// operator record of s, instrumented by env as NewWithEnv would: from one
+// part, or from the records of s.Parts operators that each aggregated a
+// share of one stream split by the GROUP BY key, merged into the one
+// operator that would have seen the whole stream. p must be the same
+// compiled plan the checkpointed engine ran with (the lateness bound travels
+// in the checkpoint); restoreInner reads the sections after the operator's
+// records and rebuilds the wrapped engine. Lineage citations are not
+// checkpointed: records emitted for restored elements carry Truncated.
 //
 // Merged, the groups unite (one in two parts is not a split by key), the
 // clock is the latest and the event count the sum. Operators that each
@@ -220,27 +151,23 @@ func readCheckpoint(r io.Reader) (aggCheckpoint, error) {
 // one resumes from the earliest frontier, what a lagging part has not
 // emitted being still owed, and a group sits out the windows its own
 // operator had already emitted (group.sealed).
-func Restore(p *plan.Plan, env engine.Env, parts []io.Reader, restoreInner func([]io.Reader) (engine.Engine, error)) (*Engine, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("agg: checkpoint has no parts")
-	}
-	files := make([]aggCheckpoint, len(parts))
+func Restore(p *plan.Plan, env engine.Env, s *engine.Sections, restoreInner func(*engine.Sections) (engine.Engine, error)) (*Engine, error) {
+	files := make([]aggCheckpoint, s.Parts)
 	front := event.Time(math.MaxInt64)
-	for i, r := range parts {
-		var err error
-		if files[i], err = readCheckpoint(r); err != nil {
-			return nil, err
+	for i := range files {
+		if err := s.Next("aggregate", "lateness", &files[i]); err != nil {
+			return nil, fmt.Errorf("agg: %w", err)
 		}
 		if files[i].Lateness != files[0].Lateness {
 			return nil, fmt.Errorf("agg: checkpoint parts disagree on the lateness bound: %d against %d", files[i].Lateness, files[0].Lateness)
 		}
-		if files[i].Speculative && len(parts) > 1 {
+		if files[i].Speculative && s.Parts > 1 {
 			// Only sealed operators were ever split by key.
-			return nil, fmt.Errorf("agg: a speculative checkpoint has one part, not %d", len(parts))
+			return nil, fmt.Errorf("agg: a speculative checkpoint has one part, not %d", s.Parts)
 		}
 		front = min(front, files[i].frontier())
 	}
-	inner, err := restoreInner(parts)
+	inner, err := restoreInner(s)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +199,7 @@ func Restore(p *plan.Plan, env engine.Env, parts []io.Reader, restoreInner func(
 				part := fiba.Partial{
 					Count:  ce.Count,
 					SumI:   ce.SumI,
-					SumF:   ce.SumF,
+					SumF:   float64(ce.SumF),
 					Floaty: ce.Floaty,
 				}
 				if ce.Min != nil {

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
@@ -16,34 +12,15 @@ import (
 	"oostream/internal/plan"
 )
 
-// checkpointVersion guards the JSON payload shape.
-const checkpointVersion = 1
-
 // dropLate is the one late policy, recorded in every checkpoint as versions
 // that also had a best-effort policy (2) wrote it.
 const dropLate = 1
-
-// Checkpoint envelope: a fixed binary header protects the JSON payload
-// against truncation and bit rot. Layout:
-//
-//	magic   [6]byte  "OOCKPT"
-//	version byte     envelopeVersion
-//	length  uint32le payload byte count
-//	crc     uint32le CRC32 (IEEE) of the payload
-//	payload []byte   JSON checkpointFile
-//
-// Version 1 checkpoints (bare JSON, written before the envelope existed)
-// are still restorable: Restore sniffs the first byte.
-var checkpointMagic = [6]byte{'O', 'O', 'C', 'K', 'P', 'T'}
-
-const envelopeVersion = 2
 
 // checkpointFile is the serialized engine state. Stack instances are
 // stored as the plain events the stacks hold. Key groups flatten away — they
 // merge into one sorted list per position / negation, and restore re-derives
 // each event's key — so the format is the same whatever the engine keys by.
 type checkpointFile struct {
-	Version    int                 `json:"version"`
 	PlanSource string              `json:"planSource"`
 	K          event.Time          `json:"k"`
 	LatePolicy int                 `json:"latePolicy"`
@@ -152,16 +129,15 @@ func sortEvents(events []event.Event) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Before(events[j]) })
 }
 
-// Checkpoint serializes the engine's full state (stacks, negative stores,
-// pending matches, clocks) so that a Restore'd engine continues the stream
-// exactly where this one stopped. The engine can keep processing after a
+// Checkpoint writes the engine's full state (stacks, negative stores,
+// pending matches, clocks) as the kernel's section, so that a Restore'd
+// engine continues the stream exactly where this one stopped. The engine can keep processing after a
 // checkpoint; the snapshot is taken synchronously.
 //
 // Metrics counters are NOT checkpointed: a restored engine starts fresh
 // counters (operational metrics describe a process, not the computation).
 func (en *Engine) Checkpoint(w io.Writer) error {
 	cf := checkpointFile{
-		Version:    checkpointVersion,
 		PlanSource: en.plan.Source,
 		K:          en.opts.K,
 		LatePolicy: dropLate,
@@ -185,50 +161,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	en.pending.Each(func(_ event.Time, pm pendingMatch) {
 		cf.Pending = append(cf.Pending, pm.checkpointed())
 	})
-	payload, err := json.Marshal(cf)
-	if err != nil {
-		return err
-	}
-	var hdr [15]byte
-	copy(hdr[:6], checkpointMagic[:])
-	hdr[6] = envelopeVersion
-	binary.LittleEndian.PutUint32(hdr[7:11], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[11:15], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// readEnvelope consumes a version-2 envelope and returns the validated
-// payload. The reader must be positioned at the magic.
-func readEnvelope(r io.Reader) ([]byte, error) {
-	var hdr [15]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint header truncated: %w", err)
-	}
-	if [6]byte(hdr[:6]) != checkpointMagic {
-		return nil, fmt.Errorf("bad checkpoint magic %q", hdr[:6])
-	}
-	if hdr[6] != envelopeVersion {
-		return nil, fmt.Errorf("checkpoint envelope version %d, want %d", hdr[6], envelopeVersion)
-	}
-	size := binary.LittleEndian.Uint32(hdr[7:11])
-	want := binary.LittleEndian.Uint32(hdr[11:15])
-	// The declared length is outside input (up to 4 GiB): the buffer grows
-	// with the bytes that actually arrive, never ahead of them.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
-	if err != nil {
-		return nil, fmt.Errorf("read checkpoint payload: %w", err)
-	}
-	if uint32(len(payload)) != size {
-		return nil, fmt.Errorf("checkpoint truncated: want %d payload bytes, got %d", size, len(payload))
-	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("checkpoint corrupt: CRC32 %08x, want %08x", got, want)
-	}
-	return payload, nil
+	return engine.WriteSection(w, cf)
 }
 
 // CountKeyless adds n to the events refused for lacking the partition key
@@ -248,31 +181,12 @@ func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
 	return key, ok
 }
 
-// readCheckpoint decodes one checkpoint (enveloped, or the bare JSON written
-// before the envelope existed) and checks its shape against the plan.
-func readCheckpoint(p *plan.Plan, r io.Reader) (checkpointFile, error) {
+// readCheckpoint decodes the next kernel record and checks its shape
+// against the plan.
+func readCheckpoint(p *plan.Plan, s *engine.Sections) (checkpointFile, error) {
 	var cf checkpointFile
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return cf, fmt.Errorf("read checkpoint: %w", err)
-	}
-	if first[0] == '{' {
-		// Legacy version-1 checkpoint: bare JSON, no envelope.
-		if err := json.NewDecoder(br).Decode(&cf); err != nil {
-			return cf, fmt.Errorf("decode checkpoint: %w", err)
-		}
-	} else {
-		payload, err := readEnvelope(br)
-		if err != nil {
-			return cf, err
-		}
-		if err := json.Unmarshal(payload, &cf); err != nil {
-			return cf, fmt.Errorf("decode checkpoint: %w", err)
-		}
-	}
-	if cf.Version != checkpointVersion {
-		return cf, fmt.Errorf("checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	if err := s.Next("kernel", "planSource", &cf); err != nil {
+		return cf, err
 	}
 	if cf.PlanSource != p.Source {
 		return cf, fmt.Errorf("checkpoint is for query %q, not %q", cf.PlanSource, p.Source)
@@ -325,10 +239,10 @@ func (cf *checkpointFile) absorb(o checkpointFile) error {
 	return nil
 }
 
-// Restore rebuilds an engine from a checkpoint: from one, or from the
-// checkpoints of several engines that each ran the same query over a share
-// of one stream split by key (the parts of a partitioned checkpoint), merged
-// into the one engine that would have seen the whole stream. The plan must
+// Restore rebuilds an engine from the next kernel record of s: from one, or
+// from the records of s.Parts engines that each ran the same query over a
+// share of one stream split by key (the parts of a partitioned checkpoint),
+// merged into the one engine that would have seen the whole stream. The plan must
 // be compiled from the same query text the checkpointed engine ran (verified
 // against the recorded canonical source); options are restored from the
 // checkpoint, instruments come from env exactly as core.Options.Env hands
@@ -337,28 +251,21 @@ func (cf *checkpointFile) absorb(o checkpointFile) error {
 // insertion. So a "noKeyed" flag, which engines that could turn keying off
 // recorded, is ignored: keying never changed what an engine emits.
 //
-// The payload is outside input even when the envelope's CRC holds (the
-// bare-JSON form has none): its shape is checked against the plan before any
-// of it becomes state the engine indexes by position.
-//
-// Truncated or corrupted checkpoints are rejected with a descriptive
-// error: the envelope's length and CRC32 are validated before any state is
-// deserialized, so a damaged snapshot can never restore garbage state.
-func Restore(p *plan.Plan, env engine.Env, parts ...io.Reader) (*Engine, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("read checkpoint: no parts")
-	}
-	cf, err := readCheckpoint(p, parts[0])
+// The record is outside input even when the envelope's CRC holds (old
+// layouts had none): its shape is checked against the plan before any of it
+// becomes state the engine indexes by position.
+func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) {
+	cf, err := readCheckpoint(p, s)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range parts[1:] {
-		o, err := readCheckpoint(p, r)
+	for i := 1; i < s.Parts; i++ {
+		o, err := readCheckpoint(p, s)
 		if err == nil {
 			err = cf.absorb(o)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("part %d: %w", i+1, err)
+			return nil, fmt.Errorf("part %d: %w", i, err)
 		}
 	}
 	opts := Options{

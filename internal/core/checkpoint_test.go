@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,7 +45,7 @@ func TestCheckpointRestoreContinuesExactly(t *testing.T) {
 			if err := first.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			second, err := Restore(p, engine.Env{}, &buf)
+			second, err := restore(p, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestVulnerableCheckpointRoundTrip(t *testing.T) {
 				if err := first.Checkpoint(&buf); err != nil {
 					t.Fatal(err)
 				}
-				second, err := Restore(p, engine.Env{}, &buf)
+				second, err := restore(p, &buf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +134,7 @@ func TestCheckpointPreservesPendingNegation(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(p, engine.Env{}, &buf)
+	restored, err := restore(p, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +148,16 @@ func TestCheckpointPreservesPendingNegation(t *testing.T) {
 	}
 }
 
+// restore rebuilds a kernel from what r holds, opened as the facade opens a
+// checkpoint: the envelope, or any older layout.
+func restore(p *plan.Plan, r io.Reader) (*Engine, error) {
+	s, err := engine.Open(r)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(p, engine.Env{}, s)
+}
+
 func TestRestoreErrors(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WITHIN 50")
 	en := MustNew(p, Options{K: 10})
@@ -156,18 +167,18 @@ func TestRestoreErrors(t *testing.T) {
 	}
 
 	other := compile(t, "PATTERN SEQ(A a, C c) WITHIN 50")
-	if _, err := Restore(other, engine.Env{}, bytes.NewReader(buf.Bytes())); err == nil ||
+	if _, err := restore(other, bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "is for query") {
 		t.Errorf("plan mismatch: %v", err)
 	}
-	if _, err := Restore(p, engine.Env{}, strings.NewReader("{garbage")); err == nil {
+	if _, err := restore(p, strings.NewReader("{garbage")); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
-	if _, err := Restore(p, engine.Env{}, strings.NewReader(`{"version":99}`)); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("bad version: %v", err)
+	if _, err := restore(p, strings.NewReader(`{"version":99}`)); err == nil ||
+		!strings.Contains(err.Error(), "not the kernel's") {
+		t.Errorf("a record naming no query: %v", err)
 	}
-	if _, err := Restore(p, engine.Env{}, strings.NewReader(`{"version":1,"planSource":"`+p.Source+`","stacks":[[]]}`)); err == nil ||
+	if _, err := restore(p, strings.NewReader(`{"version":1,"planSource":"`+p.Source+`","stacks":[[]]}`)); err == nil ||
 		!strings.Contains(err.Error(), "shape") {
 		t.Errorf("shape mismatch: %v", err)
 	}
@@ -185,31 +196,35 @@ func TestCheckpointEnvelopeRejectsDamage(t *testing.T) {
 	for _, e := range gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 20, Seed: 8}) {
 		en.Process(e)
 	}
-	var buf bytes.Buffer
-	if err := en.Checkpoint(&buf); err != nil {
+	full, err := engine.Seal(en.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 
 	// Sanity: the intact envelope restores.
-	if _, err := Restore(p, engine.Env{}, bytes.NewReader(full)); err != nil {
+	if _, err := restore(p, bytes.NewReader(full)); err != nil {
 		t.Fatalf("intact checkpoint rejected: %v", err)
 	}
 
 	for _, cut := range []int{0, 1, 5, 14, 15, len(full) / 2, len(full) - 1} {
-		if _, err := Restore(p, engine.Env{}, bytes.NewReader(full[:cut])); err == nil {
+		if _, err := restore(p, bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d accepted", cut, len(full))
 		}
 	}
 	for _, pos := range []int{0, 6, 8, 12, 15, 40, len(full) - 1} {
 		flipped := append([]byte(nil), full...)
 		flipped[pos] ^= 0x20
-		if _, err := Restore(p, engine.Env{}, bytes.NewReader(flipped)); err == nil {
+		if _, err := restore(p, bytes.NewReader(flipped)); err == nil {
 			t.Errorf("bit flip at %d accepted", pos)
 		}
 	}
-	if _, err := Restore(p, engine.Env{}, bytes.NewReader(nil)); err == nil {
+	if _, err := restore(p, bytes.NewReader(nil)); err == nil {
 		t.Error("empty checkpoint accepted")
+	}
+	for _, tail := range []string{"\n", "x", string(full)} {
+		if _, err := restore(p, strings.NewReader(string(full)+tail)); err == nil || !strings.Contains(err.Error(), "after its payload") {
+			t.Errorf("%d bytes after the payload: %v", len(tail), err)
+		}
 	}
 
 	// A header declaring 2 GiB in front of a few bytes is a truncation like
@@ -218,7 +233,7 @@ func TestCheckpointEnvelopeRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint32(huge[7:11], 1<<31)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Restore(p, engine.Env{}, bytes.NewReader(huge))
+	_, err = restore(p, bytes.NewReader(huge))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("2 GiB declared, 17 bytes present: %v", err)
@@ -238,7 +253,7 @@ func TestRestoreRejectsShortPending(t *testing.T) {
 		ck := `{"version":1,"planSource":"` + p.Source + `","k":10,"latePolicy":1,"purgeEvery":64,` +
 			`"clock":100,"started":true,"arrival":1,"enumerated":1,"since":1,"stacks":[[],[]],"negStores":[[]],` +
 			`"pending":[{"events":` + events + `,"sealTS":95,"madeSeq":1}]}`
-		if _, err := Restore(p, engine.Env{}, strings.NewReader(ck)); err == nil ||
+		if _, err := restore(p, strings.NewReader(ck)); err == nil ||
 			!strings.Contains(err.Error(), "pending binding 0 holds") {
 			t.Errorf("pending events %s: %v, want a pending-binding shape error", events, err)
 		}
@@ -253,7 +268,7 @@ func TestRestoreRefusesOtherLatePolicy(t *testing.T) {
 	for _, policy := range []string{`"latePolicy":2,`, ``} {
 		ck := `{"version":1,"planSource":"` + p.Source + `","k":10,` + policy + `"purgeEvery":64,` +
 			`"clock":100,"started":true,"stacks":[[],[]],"negStores":[]}`
-		if _, err := Restore(p, engine.Env{}, strings.NewReader(ck)); err == nil ||
+		if _, err := restore(p, strings.NewReader(ck)); err == nil ||
 			!strings.Contains(err.Error(), "late policy") {
 			t.Errorf("checkpoint with %q: %v, want a late-policy error", policy, err)
 		}
@@ -267,7 +282,7 @@ func TestCheckpointLegacyV1Restores(t *testing.T) {
 	legacy := `{"version":1,"planSource":"` + p.Source + `","k":10,"latePolicy":1,` +
 		`"purgeEvery":64,"clock":100,"started":true,"arrival":3,"enumerated":0,"since":0,` +
 		`"stacks":[[{"type":"A","ts":100,"seq":1}],[]],"negStores":[],"pending":null}`
-	en, err := Restore(p, engine.Env{}, strings.NewReader(legacy))
+	en, err := restore(p, strings.NewReader(legacy))
 	if err != nil {
 		t.Fatalf("legacy checkpoint rejected: %v", err)
 	}
@@ -284,7 +299,7 @@ func TestCheckpointRestoresOptionsAndClock(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(p, engine.Env{}, &buf)
+	r, err := restore(p, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +395,7 @@ func TestRestoreAcceptsAnyPendingOrder(t *testing.T) {
 			slices.SortFunc(l, func(a, b checkpointPending) int { return int(a.SealTS - b.SealTS) })
 		})},
 	} {
-		en, err := Restore(p, engine.Env{}, bytes.NewReader(tc.data))
+		en, err := restore(p, bytes.NewReader(tc.data))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -438,7 +453,7 @@ func TestEqualSealLeavesInCompletionOrder(t *testing.T) {
 		t.Errorf("batch: B timestamps %s, want %s", got, want)
 	}
 
-	restored, err := Restore(p, engine.Env{}, &buf)
+	restored, err := restore(p, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func TestKeyedCheckpointRoundtrip(t *testing.T) {
 		if err := en.Checkpoint(&buf); err != nil {
 			t.Fatalf("%s: checkpoint: %v", q, err)
 		}
-		restored, err := Restore(p, engine.Env{}, &buf)
+		restored, err := restore(p, &buf)
 		if err != nil {
 			t.Fatalf("%s: restore: %v", q, err)
 		}

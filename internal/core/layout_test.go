@@ -122,16 +122,12 @@ func TestUnkeyedVulnerableNotFilteredUntilDue(t *testing.T) {
 	}
 }
 
-// withNoKeyed returns the checkpoint ck in its bare-JSON form with the
-// "noKeyed" flag set, as engines that could turn keying off wrote it.
+// withNoKeyed returns the kernel's section ck with the "noKeyed" flag set,
+// as engines that could turn keying off wrote it.
 func withNoKeyed(t *testing.T, ck []byte) []byte {
 	t.Helper()
-	payload, err := readEnvelope(bytes.NewReader(ck))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var cf map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &cf); err != nil {
+	if err := json.Unmarshal(ck, &cf); err != nil {
 		t.Fatal(err)
 	}
 	cf["noKeyed"] = json.RawMessage("true")
@@ -175,7 +171,7 @@ func TestCheckpointCrossesKeying(t *testing.T) {
 				next = withoutKey(p)
 			}
 			var err error
-			if en, err = Restore(next, engine.Env{}, bytes.NewReader(withNoKeyed(t, buf.Bytes()))); err != nil {
+			if en, err = restore(next, bytes.NewReader(withNoKeyed(t, buf.Bytes()))); err != nil {
 				t.Fatalf("%s: restore %d: %v", q, i, err)
 			}
 			if en.Keyed() != (next.PartitionKey != "") {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"oostream/internal/engine"
 	"oostream/internal/event"
 	"oostream/internal/recovery"
 	"oostream/internal/trace"
@@ -103,7 +102,7 @@ func TestDecodedNamesAreCanonical(t *testing.T) {
 	if err := en.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(p, engine.Env{}, &buf)
+	restored, err := restore(p, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

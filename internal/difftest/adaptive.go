@@ -78,7 +78,6 @@ func RunAdaptive(c Case) *Failure {
 	if ok, diff := plan.SameResults(truth, run(q, oostream.Config{Strategy: oostream.StrategyHybrid, K: c.K}, c.Arrival)); !ok {
 		return &Failure{Case: c, Check: "hybrid-facade", Diff: diff, Truth: len(truth)}
 	}
-	c, _ = c.jsonSafe() // a checkpoint holds no NaN; the check is self-relative
 	return adaptiveCheckpoint(c, q, acfg)
 }
 

@@ -21,13 +21,6 @@ func GenerateAgg(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	query, qtypes := genAggQuery(rng)
 	sorted := genStream(rng, qtypes)
-	for i := range sorted {
-		// MIN and MAX over a NaN depend on the order partials merge in (no
-		// ordering holds against it), which the tree and the brute-force
-		// truth do not share: ROADMAP item 5b, not this differential's claim.
-		// Only v can hold one; id is always an int.
-		sorted[i].Attrs = withoutNaN(sorted[i].Attrs)
-	}
 	arrival, k := genDisorder(rng, sorted)
 	if rng.Intn(8) == 0 {
 		// One trial in eight lies below zero, where an operator whose clock

@@ -37,7 +37,6 @@ const crashPoints = 3
 // Like Run it is a pure function of the Case (temp-directory naming
 // aside), so shrinking against it is sound.
 func RunCrash(c Case) *Failure {
-	c, _ = c.jsonSafe() // the write-ahead log holds no NaN
 	p, err := plan.ParseAndCompile(c.Query, Schema())
 	if err != nil {
 		return &Failure{Case: c, Check: "compile", Diff: err.Error()}

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"oostream"
@@ -76,49 +77,33 @@ func TestGenerateFaultyInjects(t *testing.T) {
 	}
 }
 
-// TestJSONSafeStripsOnlyNaN: the durability checks run every generated
-// case. jsonSafe leaves out exactly the NaN attributes (a NaN has no JSON
-// form), keeps the missing and float values of a hostile stream, and does
-// not touch the case it was called on.
-func TestJSONSafeStripsOnlyNaN(t *testing.T) {
-	var withNaN, floats, missing int
-	for seed := int64(1); seed <= 200; seed++ {
-		c := Generate(seed)
-		d, changed := c.jsonSafe()
-		if len(d.Arrival) != len(c.Arrival) {
-			t.Fatalf("seed %d: %d events became %d", seed, len(c.Arrival), len(d.Arrival))
-		}
-		stripped := false
-		for i, e := range c.Arrival {
-			v, has := e.Attr("v")
-			dv, dhas := d.Arrival[i].Attr("v")
-			switch {
-			case isNaN(v):
-				stripped = true
-				if dhas {
-					t.Fatalf("seed %d event %d: NaN survived as %v", seed, i, dv)
-				}
-			case has != dhas || v != dv:
-				t.Fatalf("seed %d event %d: v %v (present %v) became %v (present %v)", seed, i, v, has, dv, dhas)
-			case !has:
-				missing++
-			case v.Kind() == event.KindFloat:
-				floats++
-			}
-			id, _ := e.Attr("id")
-			if did, _ := d.Arrival[i].Attr("id"); did != id || d.Arrival[i].Seq != e.Seq {
-				t.Fatalf("seed %d event %d: identity changed", seed, i)
-			}
-		}
-		if stripped != changed {
-			t.Fatalf("seed %d: case holds a NaN: %v, jsonSafe reports a change: %v", seed, stripped, changed)
-		}
-		if stripped {
-			withNaN++
-		}
+// TestDurableChecksKeepNaN: the durability checks run every generated case
+// as generated, NaN attributes included (the one codec writes a NaN as
+// {"float":"NaN"}, in the log and in checkpoints): the first cases that hold
+// one pass the crash differential, which logs, checkpoints, kills and
+// recovers every strategy over them, and the aggregate differential, whose
+// MIN and MAX no longer depend on the order partials merge in.
+func TestDurableChecksKeepNaN(t *testing.T) {
+	holdsNaN := func(c Case) bool {
+		return slices.ContainsFunc(c.Arrival, func(e event.Event) bool { v, _ := e.Attr("v"); return isNaN(v) })
 	}
-	if withNaN < 10 || floats < 10 || missing < 10 {
-		t.Errorf("200 seeds: %d cases with a NaN, %d float and %d missing values kept; generator drifted", withNaN, floats, missing)
+	for _, gen := range []struct {
+		name string
+		make func(int64) Case
+		run  func(Case) *Failure
+	}{{"crash", Generate, RunCrash}, {"aggregate", GenerateAgg, RunAgg}} {
+		found := 0
+		for seed := int64(1); seed <= 400 && found < 6; seed++ {
+			if c := gen.make(seed); holdsNaN(c) {
+				found++
+				if f := gen.run(c); f != nil {
+					t.Fatalf("%s seed %d: %v", gen.name, seed, f)
+				}
+			}
+		}
+		if found < 6 {
+			t.Errorf("%s: %d of 400 seeds hold a NaN; generator drifted", gen.name, found)
+		}
 	}
 }
 
@@ -134,7 +119,7 @@ func TestCrashHybridSwitches(t *testing.T) {
 	}
 	switched := 0
 	for seed := int64(1); seed <= int64(n); seed++ {
-		c, _ := Generate(seed).jsonSafe()
+		c := Generate(seed)
 		q, err := oostream.Compile(c.Query, Schema())
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"testing"
 
 	"oostream/internal/adaptive"
@@ -23,7 +22,7 @@ func TestAllEnginesImplementTheContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel := func(r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) }
+	kernel := func(s *engine.Sections) (engine.Engine, error) { return core.Restore(p, engine.Env{}, s) }
 	hybridEngine := func() engine.Engine {
 		ctrl, err := adaptive.NewController(adaptive.Config{}, 10)
 		if err != nil {
@@ -33,13 +32,13 @@ func TestAllEnginesImplementTheContract(t *testing.T) {
 	}
 	for _, c := range []struct {
 		fresh   func() engine.Engine
-		restore func(io.Reader) (engine.Engine, error)
+		restore func(*engine.Sections) (engine.Engine, error)
 	}{
 		{func() engine.Engine { return core.MustNew(p, core.Options{K: 10}) }, kernel},
 		{func() engine.Engine { return kslack.NewEngine(10, core.MustNew(p, core.Options{}), engine.Env{}) },
-			func(r io.Reader) (engine.Engine, error) { return kslack.Restore(r, 10, engine.Env{}, kernel) }},
+			func(s *engine.Sections) (engine.Engine, error) { return kslack.Restore(s, 10, engine.Env{}, kernel) }},
 		{func() engine.Engine { return core.MustNew(p, core.Options{K: 10, Emit: core.EmitThenRetract}) }, kernel},
-		{hybridEngine, func(r io.Reader) (engine.Engine, error) { return hybrid.Restore(p, engine.Env{}, r) }},
+		{hybridEngine, func(s *engine.Sections) (engine.Engine, error) { return hybrid.Restore(p, engine.Env{}, s) }},
 	} {
 		// A speculative engine emits a1·b3 at once and retracts it at c2.
 		events := []event.Event{
@@ -52,11 +51,15 @@ func TestAllEnginesImplementTheContract(t *testing.T) {
 		for _, e := range events[:2] {
 			got = append(got, en.Process(e)...)
 		}
-		var buf bytes.Buffer
-		if err := en.Checkpoint(&buf); err != nil {
+		blob, err := engine.Seal(en.Checkpoint)
+		if err != nil {
 			t.Fatalf("%s checkpoint: %v", en.Name(), err)
 		}
-		restored, err := c.restore(&buf)
+		sec, err := engine.Open(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%s open: %v", en.Name(), err)
+		}
+		restored, err := c.restore(sec)
 		if err != nil {
 			t.Fatalf("%s restore: %v", en.Name(), err)
 		}

@@ -553,20 +553,52 @@ func TestOneLevee(t *testing.T) {
 // state is its store) refuses a checkpoint with engine.ErrNoCheckpoint, and
 // the capability checks that chose a WAL-only path — Config.restorable,
 // Supervisor.canSnapshot — stay deleted.
+//
+// One envelope: outside the envelope's file (internal/engine/durable.go) and
+// the write-ahead log's record frame (internal/recovery/wal.go), no non-test
+// source calls hash/crc32 or declares a checkpoint magic (a [6]byte literal,
+// or a six-letter "OO…" string), and no Checkpoint method buffers its inner
+// engine's checkpoint (a bytes.Buffer or strings.Builder): each layer writes
+// its section and hands the same writer down.
 func TestOneDurablePath(t *testing.T) {
+	magic := regexp.MustCompile(`^"OO[A-Z]{4}"$`)
 	walkModule(t, func(rel string, f *ast.File) {
 		if strings.HasSuffix(rel, "_test.go") {
 			return
 		}
+		framing := rel == "internal/engine/durable.go" || rel == "internal/recovery/wal.go"
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if n.Sel.Name == "ErrNoCheckpoint" && filepath.ToSlash(filepath.Dir(rel)) != "internal/runtime" {
 					t.Errorf("%s refuses a checkpoint with ErrNoCheckpoint: every strategy checkpoints, only the supervisor refuses", rel)
 				}
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "crc32" && !framing {
+					t.Errorf("%s calls crc32.%s: one envelope checksums a checkpoint (internal/engine/durable.go)", rel, n.Sel.Name)
+				}
+			case *ast.CompositeLit:
+				if at, ok := n.Type.(*ast.ArrayType); ok && !framing {
+					if l, ok := at.Len.(*ast.BasicLit); ok && l.Value == "6" {
+						t.Errorf("%s declares a [6]byte literal: the checkpoint magics live in internal/engine/durable.go", rel)
+					}
+				}
+			case *ast.BasicLit:
+				if magic.MatchString(n.Value) && !framing {
+					t.Errorf("%s declares the magic %s: the checkpoint magics live in internal/engine/durable.go", rel, n.Value)
+				}
 			case *ast.FuncDecl:
 				if name := n.Name.Name; name == "restorable" || name == "canSnapshot" {
 					t.Errorf("%s declares %s: there is one durable path, no capability to check", rel, name)
+				}
+				if n.Recv != nil && n.Name.Name == "Checkpoint" && n.Body != nil {
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						if sel, ok := m.(*ast.SelectorExpr); ok {
+							if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "bytes" && sel.Sel.Name == "Buffer" || pkg.Name == "strings" && sel.Sel.Name == "Builder") {
+								t.Errorf("%s: a Checkpoint method buffers in a %s.%s: each layer writes its section to the writer it is handed", rel, pkg.Name, sel.Sel.Name)
+							}
+						}
+						return true
+					})
 				}
 			}
 			return true
@@ -1043,6 +1075,26 @@ var unread = map[string]string{
 }
 
 const maxUnread = 28
+
+// docCaps are the line counts the three documents a newcomer reads may not
+// exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
+// raised: a change that writes an E-section pays for it by trimming
+// elsewhere.
+var docCaps = map[string]int{"DESIGN.md": 1659, "EXPERIMENTS.md": 4089, "README.md": 776}
+
+// TestDocsOnlyShrink holds DESIGN.md, EXPERIMENTS.md and README.md to their
+// caps.
+func TestDocsOnlyShrink(t *testing.T) {
+	for name, limit := range docCaps {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n > limit {
+			t.Errorf("%s has %d lines, at most %d: the documents only shrink", name, n, limit)
+		}
+	}
+}
 
 // TestEverySettableValueHasAReader is the census gate (ROADMAP item 3): it
 // finds every settable value in the tree (struct fields and constants by

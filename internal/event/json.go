@@ -18,8 +18,10 @@ import (
 // inside a WAL record or a checkpoint is still written by encoding/json
 // over Event's struct tags, which yields the same bytes
 // (TestValueJSONKeepsItsBytes holds the two together). The encoder's output
-// is what encoding/json produces for the same data held in a map; the
-// decoder accepts what encoding/json accepts into those shapes except where
+// is what encoding/json produces for the same data held in a map, except
+// that a float JSON has no number for (NaN, ±Inf), which encoding/json
+// refuses, is the string "NaN", "+Inf" or "-Inf"; the decoder accepts
+// what encoding/json accepts into those shapes except where
 // noted on ParseJSON, and hands any token it does not want to interpret
 // itself (a string with escapes or non-ASCII bytes, a float outside the
 // plain decimal range, the value of a key it does not know) to encoding/json
@@ -87,9 +89,10 @@ func (l *AttrList) UnmarshalJSON(data []byte) error {
 
 // AppendJSON appends the JSON object for e to dst, byte for byte what
 // encoding/json writes for an Event: attributes in name order, attrs left
-// out when empty, <, >, & and U+2028/9 escaped, NaN and ±Inf an error. So
-// is an attribute list out of canonical form: ParseJSON would refuse the
-// duplicate and read back a different list for the disorder.
+// out when empty, <, >, & and U+2028/9 escaped. A float that is NaN or ±Inf,
+// which JSON has no number for, is the string "NaN", "+Inf" or "-Inf". An
+// attribute list out of canonical form is an error: ParseJSON would refuse
+// the duplicate and read back a different list for the disorder.
 func AppendJSON(dst []byte, e Event) ([]byte, error) {
 	dst = append(dst, `{"type":`...)
 	dst = appendJSONString(dst, e.Type)
@@ -136,17 +139,7 @@ func appendValueJSON(dst []byte, v Value) ([]byte, error) {
 		dst = strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
 		dst = append(dst, `{"float":`...)
-		f := v.float()
-		if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
-			dst = strconv.AppendFloat(dst, f, 'f', -1, 64)
-		} else {
-			// Exponent form, NaN and ±Inf follow encoding/json's rules.
-			b, err := json.Marshal(f)
-			if err != nil {
-				return nil, err
-			}
-			dst = append(dst, b...)
-		}
+		dst = appendFloatJSON(dst, v.float())
 	case KindString:
 		dst = append(dst, `{"str":`...)
 		dst = appendJSONString(dst, v.s)
@@ -157,6 +150,45 @@ func appendValueJSON(dst []byte, v Value) ([]byte, error) {
 		return nil, fmt.Errorf("cannot marshal %s value", v.kind)
 	}
 	return append(dst, '}'), nil
+}
+
+// appendFloatJSON appends f as encoding/json writes a float64, or, for the
+// values JSON has no number for, as the string "NaN", "+Inf" or "-Inf".
+func appendFloatJSON(dst []byte, f float64) []byte {
+	switch abs := math.Abs(f); {
+	case f != f:
+		return append(dst, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(dst, `"+Inf"`...)
+	case math.IsInf(f, -1):
+		return append(dst, `"-Inf"`...)
+	case abs == 0 || 1e-6 <= abs && abs < 1e21:
+		return strconv.AppendFloat(dst, f, 'f', -1, 64)
+	}
+	// The exponent form follows encoding/json's rules.
+	b, _ := json.Marshal(f) // cannot fail for a finite float
+	return append(dst, b...)
+}
+
+// JSONFloat is a float64 whose JSON form is a float Value's: a number, or
+// the string "NaN", "+Inf" or "-Inf". Durable records that hold a bare
+// float use it, so a NaN is as durable there as in an event.
+type JSONFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) { return appendFloatJSON(nil, float64(f)), nil }
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *JSONFloat) UnmarshalJSON(data []byte) error {
+	v, i, err := parseFloat(data, skipSpace(data, 0))
+	if err != nil {
+		return err
+	}
+	if i = skipSpace(data, i); i != len(data) {
+		return jsonErr(data, i, "end of value")
+	}
+	*f = JSONFloat(v)
+	return nil
 }
 
 // appendJSONString quotes s. Anything encoding/json would escape (and
@@ -178,7 +210,8 @@ func appendJSONString(dst []byte, s string) []byte {
 // order; missing ones keep their zero value and unknown ones are skipped
 // after a syntax check. Numbers follow the JSON grammar strictly: ts, seq
 // and int take integer literals within range only, float any literal that
-// fits a float64. Strings are copied out of data, so the caller may reuse
+// fits a float64 or one of the strings "NaN", "+Inf" and "-Inf". Strings
+// are copied out of data, so the caller may reuse
 // it; the event type and the attribute names come from the name table
 // (Intern), so a repeated name costs no allocation.
 //
@@ -471,8 +504,16 @@ func parseInt(data []byte, i int) (int64, int, error) {
 
 // parseFloat checks the number token at data[i] against the JSON grammar
 // -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and only then converts it:
-// strconv.ParseFloat alone would take Inf, NaN, hex and underscores.
+// strconv.ParseFloat alone would take Inf, NaN, hex and underscores. A
+// string token is read as one of nonFinite's.
 func parseFloat(data []byte, i int) (float64, int, error) {
+	if i < len(data) && data[i] == '"' {
+		s, next, err := scanString(data, i)
+		if f, ok := nonFinite[string(s)]; ok && err == nil {
+			return f, next, nil
+		}
+		return 0, i, fmt.Errorf("offset %d: a float string must be NaN, +Inf or -Inf", i)
+	}
 	start := i
 	if i < len(data) && data[i] == '-' {
 		i++
@@ -505,6 +546,9 @@ func parseFloat(data []byte, i int) (float64, int, error) {
 	}
 	return f, i, nil
 }
+
+// nonFinite are the floats JSON has no number for, by their string form.
+var nonFinite = map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
 
 func skipDigits(data []byte, i int) int {
 	for i < len(data) && '0' <= data[i] && data[i] <= '9' {

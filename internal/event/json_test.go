@@ -170,9 +170,28 @@ func TestValueJSONKeepsItsBytes(t *testing.T) {
 			t.Errorf("round trip %v -> %s -> %v, reference %v", v, got, back, wantBack)
 		}
 	}
-	for _, v := range []Value{{}, Float(math.NaN()), Float(math.Inf(1))} {
-		if _, err := json.Marshal(v); err == nil {
-			t.Errorf("%v marshaled", v)
+	if _, err := json.Marshal(Value{}); err == nil {
+		t.Error("the invalid value marshaled")
+	}
+	// JSON has no number for these: each is a string under "float", and
+	// reads back bit for bit.
+	for _, tc := range []struct {
+		f    float64
+		want string
+	}{{math.NaN(), `{"float":"NaN"}`}, {math.Inf(1), `{"float":"+Inf"}`}, {math.Inf(-1), `{"float":"-Inf"}`}} {
+		got, err := json.Marshal(Float(tc.f))
+		if err != nil || string(got) != tc.want {
+			t.Errorf("marshal %v: %s, %v; want %s", tc.f, got, err, tc.want)
+		}
+		var back Value
+		if err := json.Unmarshal(got, &back); err != nil || !identical(back, Float(tc.f)) {
+			t.Errorf("round trip %v -> %s -> %v, %v", tc.f, got, back, err)
+		}
+	}
+	for _, bad := range []string{`{"float":"nan"}`, `{"float":"Inf"}`, `{"float":""}`, `{"float":"1"}`} {
+		var back Value
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("%s read as %v", bad, back)
 		}
 	}
 	// A literal golden, so the reference itself cannot drift; reflection

@@ -104,6 +104,10 @@ func (p Partial) Merge(o Partial) Partial {
 	return out
 }
 
+// minValue and maxValue order NaN above every number, so that MIN and MAX
+// do not depend on the order partials merge in: Compare calls a NaN equal
+// to everything, so a tie keeps the non-NaN side for MIN and the NaN for
+// MAX.
 func minValue(a, b event.Value) event.Value {
 	if !a.Valid() {
 		return b
@@ -111,7 +115,7 @@ func minValue(a, b event.Value) event.Value {
 	if !b.Valid() {
 		return a
 	}
-	if c, err := a.Compare(b); err == nil && c > 0 {
+	if c, err := a.Compare(b); err == nil && (c > 0 || c == 0 && isNaN(a)) {
 		return b
 	}
 	return a
@@ -124,10 +128,15 @@ func maxValue(a, b event.Value) event.Value {
 	if !b.Valid() {
 		return a
 	}
-	if c, err := a.Compare(b); err == nil && c < 0 {
+	if c, err := a.Compare(b); err == nil && (c < 0 || c == 0 && isNaN(b)) {
 		return b
 	}
 	return a
+}
+
+func isNaN(v event.Value) bool {
+	f, ok := v.AsFloat()
+	return ok && f != f
 }
 
 // Stats counts structural operations for observability: FingerHits are

@@ -1,6 +1,7 @@
 package fiba
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -308,5 +309,26 @@ func TestLateInsertClimbsNotFullSearch(t *testing.T) {
 	climbed := tr.Stats().Climbs - base
 	if int(climbed) >= tr.Height() {
 		t.Fatalf("near-frontier insert climbed %d of %d levels", climbed, tr.Height())
+	}
+}
+
+// TestMergeOrdersNaNAboveNumbers: MIN and MAX over a NaN do not depend on
+// the order partials merge in. NaN orders above every number, so MAX is
+// NaN and MIN the least number whichever way a window is folded.
+func TestMergeOrdersNaNAboveNumbers(t *testing.T) {
+	vals := []event.Value{event.Float(2.5), event.Float(math.NaN()), event.Int(-3), event.Float(math.Inf(1)), event.Float(math.NaN())}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var p Partial
+		for _, i := range rng.Perm(len(vals)) {
+			if rng.Intn(2) == 0 {
+				p = p.Merge(Of(vals[i]))
+			} else {
+				p = Of(vals[i]).Merge(p)
+			}
+		}
+		if mx, _ := p.Max.AsFloat(); mx == mx || p.Min != event.Int(-3) {
+			t.Fatalf("trial %d: MIN %v MAX %v, want -3 and NaN", trial, p.Min, p.Max)
+		}
 	}
 }

@@ -16,8 +16,6 @@
 package hybrid
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -126,9 +124,6 @@ func named(env engine.Env) engine.Env {
 	return env
 }
 
-// checkpointVersion guards the switch's record.
-const checkpointVersion = 1
-
 // checkpointFile is the switch's record in front of the kernel's checkpoint,
 // as the K-slack levee writes its buffer record. The mode is the kernel's
 // emission policy and the controller rides in the kernel's checkpoint; the
@@ -137,29 +132,25 @@ const checkpointVersion = 1
 // retracted since it opened), so a restored engine switches at the events
 // the uninterrupted one does, whatever its series counted before.
 type checkpointFile struct {
-	Version  int      `json:"version"`
 	MinDwell int      `json:"minDwell"`
 	Dwell    int      `json:"dwell"`
 	Switches uint64   `json:"switches"`
 	Window   counters `json:"window"`
-	Kernel   []byte   `json:"kernel"`
 }
 
-// Restore rebuilds a hybrid meta-engine from its checkpoint, the kernel
-// instrumented by env as New's is by kernel.Env.
-func Restore(p *plan.Plan, env engine.Env, r io.Reader) (*Engine, error) {
+// Restore rebuilds a hybrid meta-engine from the next switch record of s
+// and the kernel's after it, the kernel instrumented by env as New's is by
+// kernel.Env.
+func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) {
 	var cf checkpointFile
-	if err := json.NewDecoder(r).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("hybrid: decode checkpoint: %w", err)
-	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("hybrid: checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	if err := s.Next("hybrid", "minDwell", &cf); err != nil {
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 	if cf.MinDwell < 1 {
 		return nil, fmt.Errorf("hybrid: checkpoint holds MinDwell %d, want >= 1", cf.MinDwell)
 	}
 	env = named(env)
-	k, err := core.Restore(p, env, bytes.NewReader(cf.Kernel))
+	k, err := core.Restore(p, env, s)
 	if err != nil {
 		return nil, err
 	}
@@ -212,21 +203,19 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // Advance implements engine.Engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match { return en.core.Advance(ts) }
 
-// Checkpoint implements engine.Engine: the switch's record, then the
-// kernel's checkpoint.
+// Checkpoint implements engine.Engine: the switch's section, then the
+// kernel's.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	var kernel bytes.Buffer
-	if err := en.core.Checkpoint(&kernel); err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(&checkpointFile{
-		Version:  checkpointVersion,
+	err := engine.WriteSection(w, &checkpointFile{
 		MinDwell: en.opts.MinDwell,
 		Dwell:    en.dwell,
 		Switches: en.switches,
 		Window:   en.read().minus(en.win),
-		Kernel:   kernel.Bytes(),
 	})
+	if err != nil {
+		return err
+	}
+	return en.core.Checkpoint(w)
 }
 
 // Flush implements engine.Engine.

@@ -461,7 +461,11 @@ func TestRestoredSwitchesWhereUninterrupted(t *testing.T) {
 			if rebind {
 				env.Series = series
 			}
-			restored, err := Restore(p, env, &buf)
+			sec, err := engine.Open(&buf)
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			restored, err := Restore(p, env, sec)
 			if err != nil {
 				t.Fatalf("cut %d: %v", cut, err)
 			}

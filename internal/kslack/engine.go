@@ -1,8 +1,6 @@
 package kslack
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -82,77 +80,53 @@ func newEngine(buf *Buffer, inner engine.Engine, env engine.Env) *Engine {
 // Name implements engine.Engine.
 func (en *Engine) Name() string { return "kslack" }
 
-// checkpointVersion is the levee's durable format. Version 2 is what a
-// QuerySet wrote before it sat behind a levee: the same buffer record, with
-// the set's registry beside it where Inner now holds it.
-const checkpointVersion = 3
-
-// bufferRecord is the reorder buffer's durable state under the field names
-// the version-2 QuerySet checkpoint gave it: the watermark position, the
-// events still held, and the arrival count that stamps emissions.
-type bufferRecord struct {
-	K       event.Time    `json:"k"`
-	MaxSeen event.Time    `json:"maxSeen"`
-	Started bool          `json:"started"`
-	Buffer  []event.Event `json:"buffer,omitempty"`
-	Arrival uint64        `json:"arrival,omitempty"`
-}
-
-// checkpointFile is the levee's serialized form: the buffer record, the
-// controller and the dynamic frontier when the slack is adaptive, and the
-// inner engine's own checkpoint.
+// checkpointFile is the levee's record: the reorder buffer's watermark
+// position, the events still held and the arrival count that stamps
+// emissions (under the field names the QuerySet's checkpoint first gave
+// them), and the controller and the dynamic frontier when the slack is
+// adaptive.
 type checkpointFile struct {
-	Version int `json:"version"`
-	bufferRecord
+	K        event.Time      `json:"k"`
+	MaxSeen  event.Time      `json:"maxSeen"`
+	Started  bool            `json:"started"`
+	Buffer   []event.Event   `json:"buffer,omitempty"`
+	Arrival  uint64          `json:"arrival,omitempty"`
 	Frontier event.Time      `json:"frontier,omitempty"`
 	Adaptive *adaptive.State `json:"adaptive,omitempty"`
-	Inner    []byte          `json:"inner,omitempty"`
 }
 
-// Checkpoint implements engine.Engine. The inner engine must checkpoint
-// too; if it refuses, nothing is written.
+// Checkpoint implements engine.Engine: the levee's section, then the inner
+// engine's.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	var inner bytes.Buffer
-	if err := en.inner.Checkpoint(&inner); err != nil {
-		return fmt.Errorf("kslack: inner engine %q: %w", en.inner.Name(), err)
-	}
 	maxSeen, started := en.buf.MaxSeen()
-	cf := checkpointFile{
-		Version:      checkpointVersion,
-		bufferRecord: bufferRecord{K: en.buf.k, MaxSeen: maxSeen, Started: started, Buffer: en.buf.pending(), Arrival: en.arrival},
-		Inner:        inner.Bytes(),
-	}
+	cf := checkpointFile{K: en.buf.k, MaxSeen: maxSeen, Started: started, Buffer: en.buf.pending(), Arrival: en.arrival}
 	if en.adapt != nil {
 		st := en.adapt.Export()
 		cf.Adaptive, cf.Frontier = &st, en.buf.frontier
 	}
-	return json.NewEncoder(w).Encode(&cf)
+	if err := engine.WriteSection(w, &cf); err != nil {
+		return err
+	}
+	if err := en.inner.Checkpoint(w); err != nil {
+		return fmt.Errorf("kslack: inner engine %q: %w", en.inner.Name(), err)
+	}
+	return nil
 }
 
-// Restore rebuilds a levee from its checkpoint, instrumented by env as
-// NewEngine would; restoreInner rebuilds the engine behind the buffer from
-// the inner checkpoint. k is the configured slack: a static buffer written at
-// another K is refused, since whatever admits in front of the levee (a
-// supervisor) drops by k. A version-2 QuerySet checkpoint restores too: its
-// buffer record is the levee's, and the whole file is the set's own.
-func Restore(r io.Reader, k event.Time, env engine.Env, restoreInner func(io.Reader) (engine.Engine, error)) (*Engine, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("kslack: read checkpoint: %w", err)
-	}
+// Restore rebuilds a levee from the next levee record of s, instrumented by
+// env as NewEngine would; restoreInner rebuilds the engine behind the buffer
+// from the sections after it. k is the configured slack: a static buffer
+// written at another K is refused, since whatever admits in front of the
+// levee (a supervisor) drops by k.
+func Restore(s *engine.Sections, k event.Time, env engine.Env, restoreInner func(*engine.Sections) (engine.Engine, error)) (*Engine, error) {
 	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return nil, fmt.Errorf("kslack: decode checkpoint: %w", err)
+	if err := s.Next("levee", "maxSeen", &cf); err != nil {
+		return nil, fmt.Errorf("kslack: %w", err)
 	}
-	switch {
-	case cf.Adaptive == nil && cf.K != k:
+	if cf.Adaptive == nil && cf.K != k {
 		return nil, fmt.Errorf("kslack: checkpoint written at K=%d, configured K=%d", cf.K, k)
-	case cf.Version == 2 && cf.Inner == nil && cf.Adaptive == nil:
-		cf.Inner = data
-	case cf.Version != checkpointVersion:
-		return nil, fmt.Errorf("kslack: checkpoint version %d, want %d", cf.Version, checkpointVersion)
 	}
-	inner, err := restoreInner(bytes.NewReader(cf.Inner))
+	inner, err := restoreInner(s)
 	if err != nil {
 		return nil, err
 	}

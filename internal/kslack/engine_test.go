@@ -141,7 +141,7 @@ func TestCheckpointContinuesExactly(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	events := shuffleBounded(rng, sortedStream(rng, 200, []string{"A", "B", "N"}), 30)
-	inner := func(r io.Reader) (engine.Engine, error) { return core.Restore(p, engine.Env{}, r) }
+	inner := func(s *engine.Sections) (engine.Engine, error) { return core.Restore(p, engine.Env{}, s) }
 	for name, mk := range map[string]func() *Engine{
 		"static": func() *Engine { return NewEngine(30, core.MustNew(p, core.Options{}), engine.Env{}) },
 		"adaptive": func() *Engine {
@@ -162,7 +162,7 @@ func TestCheckpointContinuesExactly(t *testing.T) {
 		if err := cut.Checkpoint(&ckpt); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := Restore(&ckpt, 30, engine.Env{}, inner)
+		restored, err := Restore(open(t, ckpt.String()), 30, engine.Env{}, inner)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -183,18 +183,36 @@ func TestCheckpointContinuesExactly(t *testing.T) {
 	}
 }
 
-// TestRestoreRejects pins the levee's refusals: another version, a static
-// buffer written at another K than the configured one (a negative one
-// included), and an inner checkpoint its restore function refuses.
+// open opens checkpoint sections as the facade does.
+func open(t *testing.T, data string) *engine.Sections {
+	t.Helper()
+	s, err := engine.Open(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRestoreRejects pins the levee's refusals: a static buffer written at
+// another K than the configured one (a negative one included), a record
+// that does not decode, another layer's record (one without "maxSeen": the
+// hybrid's, the kernel's, an empty one), and an inner checkpoint its
+// restore function refuses.
 func TestRestoreRejects(t *testing.T) {
-	inner := func(io.Reader) (engine.Engine, error) { return &stubEngine{}, nil }
-	for _, data := range []string{`{"version":1,"k":5}`, `{"version":3,"k":7}`, `{"version":3,"k":-1}`, `{"version":2,"k":-5}`, `[]`} {
-		if _, err := Restore(strings.NewReader(data), 5, engine.Env{}, inner); err == nil {
+	inner := func(*engine.Sections) (engine.Engine, error) { return &stubEngine{}, nil }
+	for _, data := range []string{
+		`{"k":7,"maxSeen":0}`, `{"version":3,"k":-1,"maxSeen":0}`, `{"version":2,"k":-5,"maxSeen":0}`, `{"k":"5","maxSeen":0}`,
+		`{"k":5}`, `{}`, `{"minDwell":1,"dwell":0,"switches":0}`, `{"planSource":"PATTERN SEQ(A a) WITHIN 5"}`,
+	} {
+		if _, err := Restore(open(t, data), 5, engine.Env{}, inner); err == nil {
 			t.Errorf("Restore accepted %s", data)
 		}
 	}
-	refuse := func(io.Reader) (engine.Engine, error) { return nil, errors.New("no") }
-	if _, err := Restore(strings.NewReader(`{"version":3,"k":5,"inner":""}`), 5, engine.Env{}, refuse); err == nil {
+	if _, err := Restore(open(t, `{"k":5,"maxSeen":0}`), 5, engine.Env{}, inner); err != nil {
+		t.Errorf("Restore refused an empty buffer at the configured K: %v", err)
+	}
+	refuse := func(*engine.Sections) (engine.Engine, error) { return nil, errors.New("no") }
+	if _, err := Restore(open(t, `{"k":5,"maxSeen":0}`), 5, engine.Env{}, refuse); err == nil {
 		t.Error("Restore ignored the inner engine's refusal")
 	}
 }

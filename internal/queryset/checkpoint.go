@@ -1,28 +1,23 @@
 package queryset
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 )
 
-// checkpointVersion is the Set's durable format version. Version 1 is the
-// single-engine native envelope (internal/core, wrapped in the OOCKPT
-// magic); the multi-query format is version 2: one namespaced record per
-// registered query — identity, canonical source, prefix-gate table, and the
-// inner engine's own opaque state blob — so live Register/Unregister
-// survives a kill/recover: the recovered Set rebuilds exactly the query
-// registry the checkpoint captured. The levee in front writes its buffer
-// beside it (internal/kslack); a version-2 file written before the Set sat
-// behind a levee holds both in one object, which restores unchanged.
-const checkpointVersion = 2
-
-// setCheckpoint is the serialized form of a Set.
+// setCheckpoint is the Set's record: the fan-out cadence and the registry.
+// Each registered query's engine writes its own sections after it, in
+// registration order, so live Register/Unregister survives a kill/recover:
+// the recovered Set rebuilds exactly the query registry the checkpoint
+// captured. The levee in front writes its record before it
+// (internal/kslack).
 type setCheckpoint struct {
-	Version int `json:"version"`
 	// SinceAdvance is the fan-out cadence position, captured so a restored
 	// Set advances its engines at exactly the original points — recovery
 	// replay must reproduce the original emission order, not merely the
@@ -33,12 +28,10 @@ type setCheckpoint struct {
 }
 
 // queryCheckpoint is one query's namespace: identity, the canonical query
-// source (recompiled on restore), the prefix-gate state, and the inner
-// engine's own opaque checkpoint blob.
+// source (recompiled on restore) and the prefix-gate state.
 type queryCheckpoint struct {
 	ID     string `json:"id"`
 	Source string `json:"source"`
-	Engine []byte `json:"engine"`
 	// Gates is the keyed prefix-gate table; GateAll the unkeyed gate. Both
 	// are captured verbatim: a conservative reconstruction would dispatch
 	// events the original Set's gates skipped, advancing inner-engine
@@ -55,57 +48,47 @@ type gateEntry struct {
 	TS  event.Time  `json:"ts"`
 }
 
-// Checkpoint implements engine.Engine, serializing the Set in the v2
-// format. Every inner engine must itself support checkpointing (the native
-// strategy does); otherwise an error is returned and nothing is written.
+// Checkpoint implements engine.Engine: the Set's section, then each
+// query's engine's, in registration order.
 func (s *Set) Checkpoint(w io.Writer) error {
 	cp := setCheckpoint{
-		Version:      checkpointVersion,
 		SinceAdvance: s.sinceAdvance,
 		Queries:      make([]queryCheckpoint, 0, len(s.order)),
 	}
 	for _, q := range s.order {
-		var blob bytes.Buffer
-		if err := q.en.Checkpoint(&blob); err != nil {
-			return fmt.Errorf("queryset: checkpoint query %q: %w", q.id, err)
-		}
-		qc := queryCheckpoint{ID: q.id, Source: q.p.Source, Engine: blob.Bytes()}
+		qc := queryCheckpoint{ID: q.id, Source: q.p.Source}
 		for key, ts := range q.gateByKey {
 			qc.Gates = append(qc.Gates, gateEntry{Key: key, TS: ts})
 		}
-		// Map iteration order is random; canonicalize for stable bytes.
-		sortGates(qc.Gates)
+		// Map iteration order is random: order by (TS, canonical key) for
+		// stable bytes.
+		slices.SortFunc(qc.Gates, func(a, b gateEntry) int {
+			return cmp.Or(cmp.Compare(a.TS, b.TS), strings.Compare(a.Key.String(), b.Key.String()))
+		})
 		if q.gateAllSet {
 			ts := q.gateAll
 			qc.GateAll = &ts
 		}
 		cp.Queries = append(cp.Queries, qc)
 	}
-	return json.NewEncoder(w).Encode(&cp)
-}
-
-// sortGates orders gate entries by (TS, canonical key string) so
-// checkpoint bytes are deterministic for identical state.
-func sortGates(gs []gateEntry) {
-	less := func(a, b gateEntry) bool {
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.Key.String() < b.Key.String()
+	if err := engine.WriteSection(w, &cp); err != nil {
+		return err
 	}
-	for i := 1; i < len(gs); i++ {
-		for j := i; j > 0 && less(gs[j], gs[j-1]); j-- {
-			gs[j], gs[j-1] = gs[j-1], gs[j]
+	for _, q := range s.order {
+		if err := q.en.Checkpoint(w); err != nil {
+			return fmt.Errorf("queryset: checkpoint query %q: %w", q.id, err)
 		}
 	}
+	return nil
 }
 
-// Restore rebuilds a Set from a v2 checkpoint, with the Compile and
-// RestoreEngine factories of opts. The restored Set is an exact
+// Restore rebuilds a Set from the next registry record of s and its
+// queries' sections after it, with the Compile and RestoreEngine factories
+// of opts. The restored Set is an exact
 // continuation: registry, prefix gates, and fan-out cadence all resume where
 // the checkpoint was taken, so a recovered run emits the same matches in the
 // same order as an uninterrupted one.
-func Restore(opts Options, r io.Reader) (*Set, error) {
+func Restore(opts Options, sec *engine.Sections) (*Set, error) {
 	s, err := New(opts)
 	if err != nil {
 		return nil, err
@@ -114,11 +97,8 @@ func Restore(opts Options, r io.Reader) (*Set, error) {
 		return nil, fmt.Errorf("queryset: Restore requires Options.Compile and Options.RestoreEngine")
 	}
 	var cp setCheckpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("queryset: decode checkpoint: %w", err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("queryset: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	if err := sec.Next("query set", "queries", &cp); err != nil {
+		return nil, fmt.Errorf("queryset: %w", err)
 	}
 	s.sinceAdvance = cp.SinceAdvance
 	for _, qc := range cp.Queries {
@@ -134,7 +114,7 @@ func Restore(opts Options, r io.Reader) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("queryset: recompile query %q: %w", qc.ID, err)
 		}
-		en, err := opts.RestoreEngine(qc.ID, p, bytes.NewReader(qc.Engine))
+		en, err := opts.RestoreEngine(qc.ID, p, sec)
 		if err != nil {
 			return nil, fmt.Errorf("queryset: restore query %q: %w", qc.ID, err)
 		}

@@ -32,7 +32,6 @@ package queryset
 
 import (
 	"fmt"
-	"io"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -70,9 +69,10 @@ type Options struct {
 	// Compile recompiles a query source during Restore. Only required by
 	// Restore.
 	Compile func(src string) (*plan.Plan, error)
-	// RestoreEngine rebuilds an inner engine from its checkpoint blob, with
-	// the same Env NewEngine would give it. Only required by Restore.
-	RestoreEngine func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error)
+	// RestoreEngine rebuilds an inner engine from its sections of a
+	// checkpoint, with the same Env NewEngine would give it. Only required by
+	// Restore.
+	RestoreEngine func(id string, p *plan.Plan, s *engine.Sections) (engine.Engine, error)
 	// QuerySeries resolves a registered query's observability series, used
 	// to attribute per-query construct time when Env.Latency is set.
 	// Optional; nil keeps attribution on the shared series only.

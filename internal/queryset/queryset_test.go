@@ -3,8 +3,8 @@ package queryset
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"oostream/internal/core"
@@ -26,8 +26,8 @@ func testOptions() Options {
 		Compile: func(src string) (*plan.Plan, error) {
 			return plan.ParseAndCompile(src, nil)
 		},
-		RestoreEngine: func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-			return core.Restore(p, engine.Env{}, r)
+		RestoreEngine: func(id string, p *plan.Plan, s *engine.Sections) (engine.Engine, error) {
+			return core.Restore(p, engine.Env{}, s)
 		},
 	}
 }
@@ -117,8 +117,9 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestRestoreRejects pins the Restore error surface: a version mismatch
-// and missing factories.
+// TestRestoreRejects pins the Restore error surface: missing factories, a
+// registry that does not decode, and another layer's record (one without
+// "queries": the levee's, the kernel's, an empty one).
 func TestRestoreRejects(t *testing.T) {
 	s, err := New(testOptions())
 	if err != nil {
@@ -130,11 +131,23 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	bad := testOptions()
 	bad.Compile = nil
-	if _, err := Restore(bad, bytes.NewReader(blob.Bytes())); err == nil {
+	sec, err := engine.Open(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(bad, sec); err == nil {
 		t.Error("Restore accepted nil Compile")
 	}
-	if _, err := Restore(testOptions(), bytes.NewReader([]byte(`{"version":1}`))); err == nil {
-		t.Error("Restore accepted a version-1 checkpoint")
+	for _, data := range []string{
+		`{"queries":[],"sinceAdvance":"1"}`, `{}`, `{"sinceAdvance":1}`,
+		`{"k":10,"maxSeen":0,"started":false}`, `{"planSource":"PATTERN SEQ(A a) WITHIN 5"}`,
+	} {
+		if sec, err = engine.Open(strings.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(testOptions(), sec); err == nil {
+			t.Errorf("Restore accepted %s", data)
+		}
 	}
 }
 

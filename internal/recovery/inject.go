@@ -19,7 +19,7 @@ func CountValidCheckpoints(dir string) int {
 	}
 	valid := 0
 	for _, name := range names {
-		if _, err := readCkptFile(name); err == nil {
+		if _, _, err := readCkptFile(name); err == nil {
 			valid++
 		}
 	}

@@ -13,9 +13,10 @@
 //     that replay uses to suppress duplicate emissions);
 //   - every CheckpointEvery events the supervisor snapshots the engine:
 //     the checkpoint file is written atomically (temp file + fsync +
-//     rename + directory fsync), carries a magic/version header and a
-//     CRC32 over its payload, and names the WAL segment replay resumes
-//     from; the WAL rotates to a fresh segment at the same instant.
+//     rename + directory fsync) in the one durable format (internal/engine's
+//     envelope around the store's header section and the engine's
+//     sections), and names the WAL segment replay resumes from; the WAL
+//     rotates to a fresh segment at the same instant.
 //
 // Recovery (Store.Recover) scans checkpoints newest-first, skips any that
 // are truncated or corrupt (falling back to the previous valid one — a
@@ -24,14 +25,15 @@
 // segment onward, tolerating a torn final record.
 //
 // The last Retain checkpoints are kept; older checkpoints and the WAL
-// segments only they referenced are pruned after each new checkpoint.
+// segments only they referenced are pruned after each new checkpoint. The
+// store remembers each retained checkpoint's resume segment (read once per
+// file at Open, known for the ones it writes), so pruning reads no file.
 package recovery
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 )
 
@@ -51,20 +54,10 @@ const (
 	walSuffix  = ".seg"
 )
 
-// Checkpoint file envelope (same framing as the core engine's):
-//
-//	magic   [6]byte  "OORCPT"
-//	version byte     1
-//	length  uint32le payload byte count
-//	crc     uint32le CRC32 (IEEE) of the payload
-//	payload []byte   JSON ckptPayload
-var storeMagic = [6]byte{'O', 'O', 'R', 'C', 'P', 'T'}
-
-const storeVersion = 1
-
-// ckptPayload is the recovery-level checkpoint: supervisor counters, the
-// WAL resume point, opaque supervisor metadata, and the engine snapshot.
-type ckptPayload struct {
+// ckptHeader is the store's section, the first of a checkpoint file:
+// supervisor counters, the WAL resume point and opaque supervisor
+// metadata. The engine's sections follow it.
+type ckptHeader struct {
 	// Matches is the cumulative match-emission count at the checkpoint.
 	Matches uint64 `json:"matches"`
 	// Ingested is the cumulative offered-event count at the checkpoint.
@@ -73,8 +66,6 @@ type ckptPayload struct {
 	WalSeg uint64 `json:"walSeg"`
 	// Meta is supervisor state (the duplicate horizon).
 	Meta json.RawMessage `json:"meta,omitempty"`
-	// Engine is the engine snapshot.
-	Engine []byte `json:"engine,omitempty"`
 }
 
 // Options configure a Store.
@@ -116,20 +107,29 @@ type Store struct {
 	nextCkpt  uint64   // sequence for the next checkpoint file
 	appended  uint64   // cumulative offered events (continues across recovery)
 	killed    bool
+
+	// walSeg is the resume segment of each checkpoint file whose header
+	// could be read; a checkpoint missing from it pins every segment.
+	walSeg map[uint64]uint64
 }
 
-// Open prepares a Store over dir, creating it if needed. Existing state is
-// not read until Recover; call Recover before the first Append when
-// resuming an existing directory.
+// Open prepares a Store over dir, creating it if needed. Of the existing
+// state it reads only each checkpoint's resume segment; call Recover before
+// the first Append when resuming an existing directory.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir, opts: opts, walSeg: make(map[uint64]uint64)}
 	ckpts, segs, err := s.scan()
 	if err != nil {
 		return nil, err
+	}
+	for _, seq := range ckpts {
+		if h, _, err := readCkptFile(s.ckptPath(seq)); err == nil {
+			s.walSeg[seq] = h.WalSeg
+		}
 	}
 	if n := len(ckpts); n > 0 {
 		s.nextCkpt = ckpts[n-1] + 1
@@ -141,12 +141,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Ingested returns the cumulative offered-event count.
-func (s *Store) Ingested() uint64 { return s.appended }
 
 // scan lists checkpoint and segment sequence numbers in ascending order.
 func (s *Store) scan() (ckpts, segs []uint64, err error) {
@@ -272,32 +266,30 @@ func (s *Store) Checkpoint(save func(w io.Writer) error, meta any, matches uint6
 	if err := s.rotate(); err != nil {
 		return 0, err
 	}
-	pl := ckptPayload{Matches: matches, Ingested: s.appended, WalSeg: s.segSeq}
+	h := ckptHeader{Matches: matches, Ingested: s.appended, WalSeg: s.segSeq}
 	if meta != nil {
 		raw, err := json.Marshal(meta)
 		if err != nil {
 			return 0, err
 		}
-		pl.Meta = raw
+		h.Meta = raw
 	}
-	var buf strings.Builder
-	if err := save(&buf); err != nil {
-		return 0, fmt.Errorf("engine snapshot: %w", err)
-	}
-	pl.Engine = []byte(buf.String())
-	payload, err := json.Marshal(pl)
+	blob, err := engine.Seal(func(w io.Writer) error {
+		if err := engine.WriteSection(w, &h); err != nil {
+			return err
+		}
+		if err := save(w); err != nil {
+			return fmt.Errorf("engine snapshot: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	blob := make([]byte, 15+len(payload))
-	copy(blob[:6], storeMagic[:])
-	blob[6] = storeVersion
-	binary.LittleEndian.PutUint32(blob[7:11], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(blob[11:15], crc32.ChecksumIEEE(payload))
-	copy(blob[15:], payload)
 	if err := s.writeFileAtomic(s.ckptPath(s.nextCkpt), blob); err != nil {
 		return 0, err
 	}
+	s.walSeg[s.nextCkpt] = h.WalSeg
 	s.nextCkpt++
 	s.prune()
 	return len(blob), nil
@@ -354,20 +346,19 @@ func (s *Store) prune() {
 	}
 	if len(ckpts) > s.opts.Retain {
 		for _, seq := range ckpts[:len(ckpts)-s.opts.Retain] {
-			os.Remove(s.ckptPath(seq))
+			if os.Remove(s.ckptPath(seq)) == nil {
+				delete(s.walSeg, seq)
+			}
 		}
 		ckpts = ckpts[len(ckpts)-s.opts.Retain:]
 	}
-	// The oldest retained checkpoint needs segments >= its WalSeg. Its
-	// WalSeg requires reading the file; a corrupt one is treated as
-	// needing everything from its own sequence on (conservative: never
+	// The oldest retained checkpoint needs segments >= its WalSeg. One whose
+	// header could not be read at Open needs everything (conservative: never
 	// prune a segment a fallback might replay).
 	minSeg := s.segSeq
 	for _, seq := range ckpts {
-		if pl, err := readCkptFile(s.ckptPath(seq)); err == nil {
-			if pl.WalSeg < minSeg {
-				minSeg = pl.WalSeg
-			}
+		if ws, ok := s.walSeg[seq]; ok {
+			minSeg = min(minSeg, ws)
 		} else {
 			minSeg = 0
 		}
@@ -379,41 +370,29 @@ func (s *Store) prune() {
 	}
 }
 
-// readCkptFile reads and validates one checkpoint file.
-func readCkptFile(path string) (*ckptPayload, error) {
+// readCkptFile reads and validates one checkpoint file: its header, and
+// the engine's sections after it.
+func readCkptFile(path string) (ckptHeader, *engine.Sections, error) {
+	var h ckptHeader
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return h, nil, err
 	}
-	if len(blob) < 15 {
-		return nil, fmt.Errorf("%s: checkpoint header truncated", filepath.Base(path))
+	sec, err := engine.Open(bytes.NewReader(blob))
+	if err == nil {
+		err = sec.Next("store", "walSeg", &h)
 	}
-	if [6]byte(blob[:6]) != storeMagic {
-		return nil, fmt.Errorf("%s: bad checkpoint magic %q", filepath.Base(path), blob[:6])
+	if err != nil {
+		return h, nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
-	if blob[6] != storeVersion {
-		return nil, fmt.Errorf("%s: checkpoint version %d, want %d", filepath.Base(path), blob[6], storeVersion)
-	}
-	size := binary.LittleEndian.Uint32(blob[7:11])
-	want := binary.LittleEndian.Uint32(blob[11:15])
-	if int(size) != len(blob)-15 {
-		return nil, fmt.Errorf("%s: checkpoint truncated: want %d payload bytes, got %d", filepath.Base(path), size, len(blob)-15)
-	}
-	if got := crc32.ChecksumIEEE(blob[15:]); got != want {
-		return nil, fmt.Errorf("%s: checkpoint corrupt: CRC32 %08x, want %08x", filepath.Base(path), got, want)
-	}
-	var pl ckptPayload
-	if err := json.Unmarshal(blob[15:], &pl); err != nil {
-		return nil, fmt.Errorf("%s: decode checkpoint: %w", filepath.Base(path), err)
-	}
-	return &pl, nil
+	return h, sec, nil
 }
 
 // Recovered is the durable state read back after a crash.
 type Recovered struct {
-	// Snapshot is the engine snapshot to restore from; nil means start a
+	// Snapshot is the engine's sections to restore from; nil means start a
 	// fresh engine and replay from the beginning.
-	Snapshot []byte
+	Snapshot *engine.Sections
 	// Meta is the supervisor metadata recorded with the snapshot.
 	Meta json.RawMessage
 	// Replay holds the WAL events after the snapshot, in offer order.
@@ -444,24 +423,22 @@ func (s *Store) Recover() (*Recovered, error) {
 		return nil, err
 	}
 	rec := &Recovered{}
-	var chosen *ckptPayload
+	replayFrom := uint64(0)
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		pl, err := readCkptFile(s.ckptPath(ckpts[i]))
+		h, sec, err := readCkptFile(s.ckptPath(ckpts[i]))
 		if err != nil {
 			rec.CorruptCheckpoints++
 			continue
 		}
-		chosen = pl
+		if sec.More() {
+			rec.Snapshot = sec
+		}
+		rec.Meta = h.Meta
+		rec.CkptMatches = h.Matches
+		rec.Matches = h.Matches
+		rec.Ingested = h.Ingested
+		replayFrom = h.WalSeg
 		break
-	}
-	replayFrom := uint64(0)
-	if chosen != nil {
-		rec.Snapshot = chosen.Engine
-		rec.Meta = chosen.Meta
-		rec.CkptMatches = chosen.Matches
-		rec.Matches = chosen.Matches
-		rec.Ingested = chosen.Ingested
-		replayFrom = chosen.WalSeg
 	}
 	for i, seq := range segs {
 		if seq < replayFrom {

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"oostream/internal/engine"
 	"oostream/internal/event"
 )
 
@@ -29,6 +31,23 @@ func mkEvent(i int) event.Event {
 		Seq:   uint64(i + 1),
 		Attrs: event.Attrs{"id": event.Int(int64(i % 3))}.List(),
 	}
+}
+
+// saveTag writes tag as the engine's one section.
+func saveTag(tag string) func(io.Writer) error {
+	return func(w io.Writer) error { return engine.WriteSection(w, tag) }
+}
+
+// snapshot reads back the engine section saveTag wrote, "" for none.
+func snapshot(t *testing.T, rec *Recovered) string {
+	t.Helper()
+	var tag string
+	if rec.Snapshot != nil {
+		if err := rec.Snapshot.Next("engine", "", &tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tag
 }
 
 func appendN(t *testing.T, s *Store, from, n int) {
@@ -97,8 +116,8 @@ func TestWALRoundTripAfterKill(t *testing.T) {
 	if !rec.Flushed {
 		t.Fatal("flush marker lost")
 	}
-	if rec.Ingested != 10 || s2.Ingested() != 10 {
-		t.Fatalf("Ingested = %d/%d, want 10", rec.Ingested, s2.Ingested())
+	if rec.Ingested != 10 || s2.appended != 10 {
+		t.Fatalf("Ingested = %d/%d, want 10", rec.Ingested, s2.appended)
 	}
 }
 
@@ -115,10 +134,7 @@ func TestCheckpointTrimsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	type meta struct{ Clock int }
-	bytesWritten, err := s.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte("ENGINE-STATE"))
-		return err
-	}, meta{Clock: 40}, 2)
+	bytesWritten, err := s.Checkpoint(saveTag("ENGINE-STATE"), meta{Clock: 40}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +155,8 @@ func TestCheckpointTrimsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "ENGINE-STATE" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
+	if got := snapshot(t, rec); got != "ENGINE-STATE" {
+		t.Fatalf("snapshot = %q", got)
 	}
 	if !strings.Contains(string(rec.Meta), `"Clock":40`) {
 		t.Fatalf("meta = %s", rec.Meta)
@@ -238,9 +254,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	save := func(tag string) func(io.Writer) error {
-		return func(w io.Writer) error { _, err := w.Write([]byte(tag)); return err }
-	}
+	save := saveTag
 	appendN(t, s, 0, 3)
 	if _, err := s.Checkpoint(save("CKPT-1"), nil, 1); err != nil {
 		t.Fatal(err)
@@ -279,8 +293,8 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(rec.Snapshot) != "CKPT-1" {
-				t.Fatalf("fell back to %q, want CKPT-1", rec.Snapshot)
+			if got := snapshot(t, rec); got != "CKPT-1" {
+				t.Fatalf("fell back to %q, want CKPT-1", got)
 			}
 			if rec.CorruptCheckpoints != 1 {
 				t.Fatalf("CorruptCheckpoints = %d", rec.CorruptCheckpoints)
@@ -325,7 +339,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rec.Snapshot != nil || rec.CorruptCheckpoints != 2 {
-			t.Fatalf("snapshot=%q corrupt=%d", rec.Snapshot, rec.CorruptCheckpoints)
+			t.Fatalf("snapshot=%q corrupt=%d", snapshot(t, rec), rec.CorruptCheckpoints)
 		}
 		// Checkpoint 1 pruned the segment holding events 1..3.
 		if len(rec.Replay) != 5 || rec.Replay[0].Seq != 4 {
@@ -357,7 +371,7 @@ func TestRetentionPrunes(t *testing.T) {
 		t.Fatalf("%d checkpoints retained, want 2", len(ckpts))
 	}
 	// Segments before the oldest retained checkpoint's WalSeg are gone.
-	oldest, err := readCkptFile(s.ckptPath(ckpts[0]))
+	oldest, _, err := readCkptFile(s.ckptPath(ckpts[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +569,7 @@ func BenchmarkAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	fmt.Fprint(io.Discard, s.Ingested())
+	fmt.Fprint(io.Discard, s.appended)
 }
 
 // TestSegmentNumberingSurvivesCrashAfterCheckpoint: a checkpoint rotates
@@ -573,10 +587,7 @@ func TestSegmentNumberingSurvivesCrashAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, s, 0, 5)
-	if _, err := s.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte("STATE"))
-		return err
-	}, nil, 0); err != nil {
+	if _, err := s.Checkpoint(saveTag("STATE"), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Crash at the checkpoint boundary: nothing appended to the fresh
@@ -603,8 +614,8 @@ func TestSegmentNumberingSurvivesCrashAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "STATE" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
+	if got := snapshot(t, rec); got != "STATE" {
+		t.Fatalf("snapshot = %q", got)
 	}
 	if len(rec.Replay) != 3 {
 		t.Fatalf("replay has %d events, want the 3 appended after the crash", len(rec.Replay))
@@ -612,4 +623,129 @@ func TestSegmentNumberingSurvivesCrashAfterCheckpoint(t *testing.T) {
 	if rec.Replay[0].Seq != 6 {
 		t.Fatalf("replay starts at seq %d, want 6", rec.Replay[0].Seq)
 	}
+}
+
+// TestPruneKeepsFallbackSegments: the store prunes by the resume segments
+// it remembers, reading no file. A retained checkpoint corrupted on disk
+// still pins what a fallback past it replays: with the two newest of three
+// retained checkpoints damaged, recovery falls back to the oldest and
+// replays every event logged after it, across segment rotations. A store
+// reopened over the damaged files cannot read their resume segments, so
+// once they are the oldest retained it prunes no segment.
+func TestPruneKeepsFallbackSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{DisableFsync: true, Retain: 3, SegmentEvents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	checkpoint := func(m uint64) {
+		appendN(t, s, n, 5)
+		n += 5
+		if _, err := s.Checkpoint(saveTag(fmt.Sprint(m)), nil, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(0)
+	checkpoint(1)
+	checkpoint(2)
+	pinned := s.walSeg[s.nextCkpt-1]
+	if err := CorruptNewestCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(3)
+	appendN(t, s, n, 3)
+	n += 3
+	s.Kill()
+	if err := CorruptNewestCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{DisableFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(t, rec); got != "1" || rec.CorruptCheckpoints != 2 {
+		t.Fatalf("recovered checkpoint %q past %d damaged ones, want 1 past 2", got, rec.CorruptCheckpoints)
+	}
+	if len(rec.Replay) != n-10 || rec.Replay[0].Seq != 11 {
+		t.Fatalf("replayed %d events from seq %d, want the %d logged after checkpoint 1, from seq 11", len(rec.Replay), rec.Replay[0].Seq, n-10)
+	}
+
+	// Checkpoint 1 ages out; the damaged 2 and 3 are now the oldest retained.
+	appendN(t, s2, n, 3)
+	if _, err := s2.Checkpoint(saveTag("4"), nil, 4); err != nil {
+		t.Fatal(err)
+	}
+	_, segs, err := s2.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) == 0 || segs[0] > pinned {
+		t.Errorf("segments %v left after pruning behind damaged checkpoints, want every one from %d on", segs, pinned)
+	}
+}
+
+// FuzzRecover feeds Recover an arbitrary checkpoint file and log segment:
+// an error or recovered state, never a panic. It is seeded with the
+// supervised directories under testdata. The segment is named after the
+// resume segment the checkpoint's header names, when it has one.
+func FuzzRecover(f *testing.F) {
+	dirs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*", "dir"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	more, err := filepath.Glob(filepath.Join("..", "..", "testdata", "partitioned", "supervised*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, dir := range append(dirs, more...) {
+		ckpts, _ := filepath.Glob(filepath.Join(dir, ckptPrefix+"*"+ckptSuffix))
+		segs, _ := filepath.Glob(filepath.Join(dir, walPrefix+"*"+walSuffix))
+		for _, c := range ckpts {
+			for _, w := range segs {
+				ck, err := os.ReadFile(c)
+				if err != nil {
+					f.Fatal(err)
+				}
+				seg, err := os.ReadFile(w)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(ck, seg)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ck, seg []byte) {
+		dir := t.TempDir()
+		s := &Store{dir: dir}
+		if err := os.WriteFile(s.ckptPath(0), ck, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		segSeq := uint64(1)
+		if h, _, err := readCkptFile(s.ckptPath(0)); err == nil {
+			segSeq = h.WalSeg
+		}
+		if err := os.WriteFile(s.segPath(segSeq), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir, Options{DisableFsync: true})
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		rec, err := st.Recover()
+		if err != nil || rec.Snapshot == nil {
+			return
+		}
+		for rec.Snapshot.More() {
+			var raw json.RawMessage
+			if rec.Snapshot.Next("any", "", &raw) != nil {
+				break
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,13 +31,13 @@ type SupervisorOptions struct {
 	Env engine.Env
 	// New builds a fresh engine. Required.
 	New func() (engine.Engine, error)
-	// Restore rebuilds an engine from a snapshot written by its Checkpoint
-	// method. Required. suppress is how many matches the log holds committed
+	// Restore rebuilds an engine from the sections its Checkpoint method
+	// wrote. Required. suppress is how many matches the log holds committed
 	// past the snapshot: replay drops the restored engine's first suppress
 	// emissions, by count, as delivered before the crash, so a Restore that
 	// cannot promise the emission order of the engine that wrote the
 	// snapshot must fail unless it is zero.
-	Restore func(r io.Reader, suppress uint64) (engine.Engine, error)
+	Restore func(s *engine.Sections, suppress uint64) (engine.Engine, error)
 	// CheckpointEvery takes a durable checkpoint every this many offered
 	// events. 0 disables periodic checkpoints.
 	CheckpointEvery int
@@ -518,8 +517,11 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 		return nil, false, err
 	}
 	var en engine.Engine
-	if len(rec.Snapshot) > 0 {
-		en, err = s.opts.Restore(bytes.NewReader(rec.Snapshot), rec.Matches-min(rec.Matches, rec.CkptMatches))
+	if rec.Snapshot != nil {
+		en, err = s.opts.Restore(rec.Snapshot, rec.Matches-min(rec.Matches, rec.CkptMatches))
+		if err == nil {
+			err = rec.Snapshot.Done()
+		}
 		if err != nil {
 			return nil, false, fmt.Errorf("restore engine snapshot: %w", err)
 		}
@@ -531,7 +533,7 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	}
 	s.en = en
 	s.seen = make(map[uint64]event.Time)
-	if len(rec.Snapshot) > 0 && len(rec.Meta) > 0 {
+	if rec.Snapshot != nil && len(rec.Meta) > 0 {
 		var meta supervMeta
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return nil, false, fmt.Errorf("decode supervisor meta: %w", err)

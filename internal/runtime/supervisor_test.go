@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -36,8 +35,8 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 		New: func() (engine.Engine, error) {
 			return core.New(p, core.Options{K: k, Env: env})
 		},
-		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) {
-			return core.Restore(p, env, r)
+		Restore: func(s *engine.Sections, _ uint64) (engine.Engine, error) {
+			return core.Restore(p, env, s)
 		},
 		Sleep: noSleep,
 	}

@@ -575,9 +575,28 @@ func TestReadEOF(t *testing.T) {
 
 func TestWriteInvalidValue(t *testing.T) {
 	w := NewWriter(io.Discard)
-	for _, v := range []event.Value{{}, event.Float(math.NaN()), event.Float(math.Inf(-1))} {
-		if err := w.Write(event.Event{Type: "A", Attrs: event.Attrs{"x": v}.List()}); err == nil {
-			t.Errorf("%v should not serialize", v)
+	if err := w.Write(event.Event{Type: "A", Attrs: event.Attrs{"x": {}}.List()}); err == nil {
+		t.Error("the invalid value should not serialize")
+	}
+	// NaN and ±Inf have no JSON number but a string form, and round-trip.
+	var buf bytes.Buffer
+	nw := NewWriter(&buf)
+	for _, f := range []float64{math.NaN(), math.Inf(-1), math.Inf(1)} {
+		if err := nw.Write(event.Event{Type: "A", Attrs: event.Attrs{"x": event.Float(f)}.List()}); err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+	}
+	if err := nw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := NewReader(&buf).ReadAll()
+	if err != nil || len(back) != 3 {
+		t.Fatalf("read back %d events, %v", len(back), err)
+	}
+	for i, want := range []float64{math.NaN(), math.Inf(-1), math.Inf(1)} {
+		x, _ := back[i].Attr("x")
+		if f, _ := x.AsFloat(); math.Float64bits(f) != math.Float64bits(want) && !(f != f && want != want) {
+			t.Errorf("event %d: x = %v, want %v", i, x, want)
 		}
 	}
 	// The Writer is usable after a refused event.

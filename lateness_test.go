@@ -174,30 +174,39 @@ func TestDedupeHorizon(t *testing.T) {
 // TestResumeSupervisedFixture: such a directory resumes with the same
 // delivered output, element for element; the clock in its metas is ignored.
 func TestResumeSupervisedFixture(t *testing.T) {
+	resumeFixture(t, "supervised", Config{K: 39})
+}
+
+// resumeFixture copies testdata/<name>/dir, a supervised directory of the
+// query above killed after 150 events of testdata/supervised/stream.trace,
+// resumes it under cfg as the writing version did, and checks the delivery
+// against that version's (resumed) and, with what was delivered before the
+// kill (emitted), against the uninterrupted run.
+func resumeFixture(t *testing.T, name string, cfg Config) {
+	t.Helper()
 	const cut = 150
 	q := MustCompile("PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 50", nil)
-	read := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join("testdata", "supervised", name))
+	read := func(dir, name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	events, err := trace.NewReader(bytes.NewReader(read("stream.trace"))).ReadAll()
+	events, err := trace.NewReader(bytes.NewReader(read("supervised", "stream.trace"))).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	files, err := os.ReadDir(filepath.Join("testdata", "supervised", "dir"))
+	files, err := os.ReadDir(filepath.Join("testdata", name, "dir"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.Name()), read(filepath.Join("dir", f.Name())), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), read(name, filepath.Join("dir", f.Name())), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg := Config{K: 39}
 	en, err := NewSupervisedEngine(q, cfg, SupervisorConfig{Dir: dir, CheckpointEvery: 64, DisableFsync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +224,10 @@ func TestResumeSupervisedFixture(t *testing.T) {
 	for _, m := range got {
 		keys = append(keys, m.Key())
 	}
-	if want := strings.Fields(string(read("resumed"))); !slices.Equal(keys, want) {
-		t.Errorf("resumed delivery %v, the writing version delivered %v", keys, want)
+	if want := strings.Fields(string(read(name, "resumed"))); !slices.Equal(keys, want) {
+		t.Errorf("%s: resumed delivery %v, the writing version delivered %v", name, keys, want)
 	}
-	delivered := strings.Fields(string(read("emitted")) + " " + strings.Join(keys, " "))
+	delivered := strings.Fields(string(read(name, "emitted")) + " " + strings.Join(keys, " "))
 	var whole []string
 	for _, m := range MustNewEngine(q, cfg).ProcessAll(events) {
 		whole = append(whole, m.Key())
@@ -226,6 +235,6 @@ func TestResumeSupervisedFixture(t *testing.T) {
 	slices.Sort(delivered)
 	slices.Sort(whole)
 	if !slices.Equal(delivered, whole) {
-		t.Errorf("delivered before and after the kill %v, the uninterrupted run %v", delivered, whole)
+		t.Errorf("%s: delivered before and after the kill %v, the uninterrupted run %v", name, delivered, whole)
 	}
 }

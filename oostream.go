@@ -227,8 +227,15 @@ func newEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {
 	if err := validateQueryConfig(q, cfg); err != nil {
 		return nil, err
 	}
+	from, err := engine.Open(r)
+	if err != nil {
+		return nil, err
+	}
 	b := cfg.builder()
-	inner, err := b.build(q.plan, cfg, b.series(string(cfg.Strategy)), openCheckpoint(r))
+	inner, err := b.build(q.plan, cfg, b.series(string(cfg.Strategy)), from)
+	if err == nil {
+		err = from.Done()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -63,8 +63,8 @@ func (cfg QuerySetConfig) validate() error {
 	return cfg.Latency.validate()
 }
 
-// levee builds (r == nil, with staged registered) or restores a QuerySet's
-// engine: the K-slack levee, publishing into series and owning the
+// levee builds (from == nil, with staged registered) or restores a
+// QuerySet's engine: the K-slack levee, publishing into series and owning the
 // sampler's buffer stage, in front of the Set, which it also returns as the
 // live registry, and fans its engines out to the levee's watermark. The Set
 // publishes into series' carry and stamps per-query
@@ -72,7 +72,7 @@ func (cfg QuerySetConfig) validate() error {
 // at K=0, since the levee reorders — is built or restored through the same
 // builder under the "qs/<id>" identity with the hook and the provenance
 // switch, and no sampler.
-func (cfg QuerySetConfig) levee(b builder, series *obsv.Series, r io.Reader, staged []namedQuery) (*kslack.Engine, *queryset.Set, error) {
+func (cfg QuerySetConfig) levee(b builder, series *obsv.Series, from *engine.Sections, staged []namedQuery) (*kslack.Engine, *queryset.Set, error) {
 	ecfg := Config{Strategy: StrategyNative}
 	qb := b
 	qb.lat = nil
@@ -89,8 +89,8 @@ func (cfg QuerySetConfig) levee(b builder, series *obsv.Series, r io.Reader, sta
 			// recompiles the canonical text without re-checking.
 			return plan.ParseAndCompile(src, nil)
 		},
-		RestoreEngine: func(id string, p *plan.Plan, r io.Reader) (engine.Engine, error) {
-			return qb.build(p, ecfg, qb.series("qs/"+id), openCheckpoint(r))
+		RestoreEngine: func(id string, p *plan.Plan, s *engine.Sections) (engine.Engine, error) {
+			return qb.build(p, ecfg, qb.series("qs/"+id), s)
 		},
 	}
 	if b.obs != nil {
@@ -99,12 +99,12 @@ func (cfg QuerySetConfig) levee(b builder, series *obsv.Series, r io.Reader, sta
 		opts.QuerySeries = func(id string) *obsv.Series { return b.obs.Series("qs/" + id) }
 	}
 	env := engine.Env{Series: series, Latency: b.lat, Provenance: b.prov}
-	if r != nil {
+	if from != nil {
 		var set *queryset.Set
 		var err error
-		lv, err = kslack.Restore(r, cfg.K, env, func(r io.Reader) (engine.Engine, error) {
+		lv, err = kslack.Restore(from, cfg.K, env, func(s *engine.Sections) (engine.Engine, error) {
 			var err error
-			set, err = queryset.Restore(opts, r)
+			set, err = queryset.Restore(opts, s)
 			return set, err
 		})
 		return lv, set, err
@@ -181,8 +181,15 @@ func newQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	from, err := engine.Open(r)
+	if err != nil {
+		return nil, err
+	}
 	b := cfg.builder()
-	lv, set, err := cfg.levee(b, b.series("queryset"), r, nil)
+	lv, set, err := cfg.levee(b, b.series("queryset"), from, nil)
+	if err == nil {
+		err = from.Done()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -216,9 +223,11 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 	series := b.series("supervised(queryset)")
 	qs := &QuerySet{}
 	sopts := runtime.SupervisorOptions{
-		Env:     engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
-		New:     func() (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, nil, qs.staged)) },
-		Restore: func(r io.Reader, _ uint64) (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, r, nil)) },
+		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
+		New: func() (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, nil, qs.staged)) },
+		Restore: func(s *engine.Sections, _ uint64) (engine.Engine, error) {
+			return qs.rebuilt(cfg.levee(b, series, s, nil))
+		},
 	}
 	sup, err := newSupervisor(sc, sopts)
 	if err != nil {

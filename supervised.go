@@ -2,7 +2,6 @@ package oostream
 
 import (
 	"fmt"
-	"io"
 
 	"oostream/internal/engine"
 	"oostream/internal/recovery"
@@ -103,9 +102,8 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 	opts := runtime.SupervisorOptions{
 		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
 		New: func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
-		Restore: func(r io.Reader, suppress uint64) (engine.Engine, error) {
-			from := openCheckpoint(r)
-			if from.partitioned && suppress > 0 {
+		Restore: func(from *engine.Sections, suppress uint64) (engine.Engine, error) {
+			if from.Parts > 1 && suppress > 0 {
 				return nil, fmt.Errorf("the newest checkpoint was written by a partitioned engine and the log holds %d matches committed past it: one engine emits in another order than the shards did, so replay cannot tell which of its emissions were delivered", suppress)
 			}
 			return b.build(q.plan, cfg, series, from)
