@@ -72,6 +72,7 @@ import (
 	"oostream/internal/event"
 	"oostream/internal/obsv"
 	"oostream/internal/plan"
+	"oostream/internal/predicate"
 	"oostream/internal/provenance"
 	"oostream/internal/queue"
 )
@@ -243,7 +244,10 @@ type Engine struct {
 	// emit), negScratch the negation-probe binding, localScratch the
 	// one-slot local-predicate binding. walk* carry the current trigger's
 	// group/key/position through the recursive enumeration; walkTrigSeq
-	// and walkVisited are maintained only under prov.
+	// is maintained only under prov. visited counts the candidates every
+	// walk so far has visited; walkFrom is its value when the current
+	// construction started, less the candidates its pre-filter scanned, so
+	// visited − walkFrom is the trigger's lineage Traversed.
 	binding      []event.Event
 	negScratch   []event.Event
 	localScratch []event.Event
@@ -252,16 +256,34 @@ type Engine struct {
 	walkPos      int
 	walkTrigTS   event.Time
 	walkTrigSeq  event.Seq
-	walkVisited  int
-	// walkHoist is cross.Hoisted(walkPos): per slot, the predicates over
-	// exactly {trigger, slot} at the levels the walk revisits; nil when the
-	// trigger position has none. reach[p] is level p's reach and, at a
-	// hoisted slot, pass[p] the indices in it that pass them, ascending;
-	// both hold for the current construct only (the stacks do not change
-	// during a walk).
-	walkHoist [][]int
-	reach     [][2]int
-	pass      [][]int32
+	visited      uint64
+	walkFrom     uint64
+	// walkLevels is cross.Walk(walkPos), what each level evaluates, and
+	// walkPairs says one of them has a pair. reach[p] is level p's reach
+	// and, at a level with hoisted predicates, pass[p] the indices in it
+	// that pass them, ascending; cols[p][i] is the column of the level's
+	// i-th check when that is a pair, filled[p] says it is loaded. All of
+	// them hold for the current construct only (the stacks do not change
+	// during a walk). trigSides holds the trigger's sides of a level's
+	// hoisted pairs while prefilter runs.
+	walkLevels []plan.Level
+	walkPairs  bool
+	reach      [][2]int
+	pass       [][]int32
+	cols       [][]column
+	filled     []bool
+	trigSides  []predicate.Side
+}
+
+// column is one pair check's candidate sides at a level, aligned with the
+// level's candidates (its pass list, else its reach), and the partner side
+// loaded when the walk enters the level. bounds[k] folds the sides a walk
+// entering at position k can visit: sides[:k] going down, sides[k:] going
+// up; it is kept for an ordered comparison only.
+type column struct {
+	sides   []predicate.Side
+	bounds  []predicate.Bound
+	partner predicate.Side
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -288,6 +310,8 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		localScratch: make([]event.Event, 1),
 		reach:        make([][2]int, p.Len()),
 		pass:         make([][]int32, p.Len()),
+		cols:         make([][]column, p.Len()),
+		filled:       make([]bool, p.Len()),
 	}
 	en.met, en.traceName = opts.Env.Publish(opts.Emit.String())
 	for i := range en.knegs {
@@ -312,6 +336,13 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		}
 	}
 	en.cross = p.CrossView(func(i int) bool { return skip[i] })
+	for t := range p.Positives {
+		for lvl, lv := range en.cross.Walk(t) {
+			if len(lv.Checks) > len(en.cols[lvl]) {
+				en.cols[lvl] = make([]column, len(lv.Checks))
+			}
+		}
+	}
 	return en, nil
 }
 
@@ -684,56 +715,65 @@ func (en *Engine) Flush() []plan.Match {
 // construct enumerates every match that contains the just-inserted instance
 // at position pos, using only instances already in st, the trigger's key
 // group. Earlier positions are bound walking down from pos, then later
-// positions walking up; cross predicates fire as soon
-// as their referenced slots are all bound (order-independent, see
-// plan.CrossView.SatisfiedAt), except the trigger-pair ones, which
-// prefilter settles once per candidate before the walk. The binding buffer
-// is engine scratch, copied only when a complete match emits.
+// positions walking up; each level evaluates the cross predicates whose
+// last slot it binds (plan.CrossView.Walk), except the trigger-pair ones,
+// which prefilter settles once per candidate before the walk. A pair is
+// compared on loaded sides: the candidate's from the level's column, the
+// partner's loaded when the walk enters the level. The binding buffer is
+// engine scratch, copied only when a complete match emits.
 func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event, pos int, out []plan.Match) []plan.Match {
 	en.binding[pos] = trigger
-	mask := uint64(1) << uint(pos)
-	if !en.cross.SatisfiedAt(pos, pos, mask, en.binding, en.met.IncPredError) {
-		return out
-	}
 	en.walkStacks = st
 	en.walkKey = key
 	en.walkPos = pos
 	en.walkTrigTS = trigger.TS
+	en.walkFrom = en.visited
 	if en.prov {
 		en.walkTrigSeq = trigger.Seq
-		en.walkVisited = 0
 	}
-	en.walkHoist = en.cross.Hoisted(pos)
-	if en.walkHoist != nil && !en.prefilter() {
-		return out
+	en.walkLevels = en.cross.Walk(pos)
+	en.walkPairs = en.cross.HasPairs(pos)
+	hoists := en.cross.Hoists(pos)
+	if en.walkPairs || hoists {
+		// A walk never enters a level past an empty run, so the reach of
+		// the levels it enters is set even when Reach stops early.
+		reached := en.walkStacks.Reach(pos, trigger.TS, en.plan.Window, en.reach)
+		if hoists && (!reached || !en.prefilter()) {
+			return out
+		}
+		clear(en.filled)
 	}
-	return en.walkDown(pos-1, mask, out)
+	return en.walkDown(pos-1, out)
 }
 
 // prefilter evaluates the trigger-pair predicates once per candidate in its
 // slot's reach (ais.Stacks.Reach) and lists the passing indices, ascending, in
-// pass. It reports false when a level's reach or a pass list is empty: the
-// trigger completes no match.
+// pass. It reports false when a pass list is empty: the trigger completes
+// no match.
 func (en *Engine) prefilter() bool {
-	if !en.walkStacks.Reach(en.walkPos, en.walkTrigTS, en.plan.Window, en.reach) {
-		return false
-	}
-	for p, idxs := range en.walkHoist {
-		if len(idxs) == 0 {
+	trigger := &en.binding[en.walkPos]
+	for p := range en.walkLevels {
+		hoisted := en.walkLevels[p].Hoisted
+		if len(hoisted) == 0 {
 			continue
+		}
+		en.trigSides = en.trigSides[:0]
+		for i := range hoisted {
+			if c := &hoisted[i]; c.Pair != nil {
+				en.trigSides = append(en.trigSides, c.Pair.Load(1-c.Cand, trigger))
+			} else {
+				en.trigSides = append(en.trigSides, predicate.Side{})
+			}
 		}
 		s, r := en.walkStacks.Stack(p), en.reach[p]
 		pass := en.pass[p][:0]
 		for i := r[0]; i < r[1]; i++ {
-			en.binding[p] = *s.At(i)
-			if en.cross.Holds(idxs, en.binding, en.met.IncPredError) {
+			if en.hoistedHold(p, hoisted, s.At(i)) {
 				pass = append(pass, int32(i))
 			}
 		}
 		en.pass[p] = pass
-		if en.prov {
-			en.walkVisited += r[1] - r[0]
-		}
+		en.walkFrom -= uint64(r[1] - r[0])
 		if len(pass) == 0 {
 			return false
 		}
@@ -741,10 +781,47 @@ func (en *Engine) prefilter() bool {
 	return true
 }
 
+// hoistedHold evaluates level p's hoisted predicates, in order, on its
+// candidate cand.
+func (en *Engine) hoistedHold(p int, hoisted []plan.Check, cand *event.Event) bool {
+	bound := false
+	for i := range hoisted {
+		c := &hoisted[i]
+		if c.Pair != nil {
+			side := c.Pair.Load(c.Cand, cand)
+			if !en.compare(c, &side, &en.trigSides[i]) {
+				return false
+			}
+			continue
+		}
+		if !bound {
+			en.binding[p] = *cand
+			bound = true
+		}
+		if !c.Holds(en.binding, en.met.IncPredError) {
+			return false
+		}
+	}
+	return true
+}
+
+// compare runs a pair check on its candidate's side and its partner's.
+func (en *Engine) compare(c *plan.Check, cand, partner *predicate.Side) bool {
+	l, r := partner, cand
+	if c.Cand == 0 {
+		l, r = cand, partner
+	}
+	ok, err := c.Pair.Compare(l, r)
+	if err != nil {
+		en.met.IncPredError(err)
+	}
+	return ok
+}
+
 // candidates returns the pass list level p iterates, nil when it iterates its
 // stack; the position there of stack index i; and the list's length.
 func (en *Engine) candidates(p, i int) (pass []int32, j, n int) {
-	if en.walkHoist == nil || len(en.walkHoist[p]) == 0 {
+	if len(en.walkLevels[p].Hoisted) == 0 {
 		return nil, i, en.walkStacks.Stack(p).Len()
 	}
 	j, _ = slices.BinarySearch(en.pass[p], int32(i))
@@ -759,28 +836,140 @@ func at(pass []int32, j int) int {
 	return int(pass[j])
 }
 
+// origin is the position in level p's candidates that its columns start at:
+// 0 in a pass list, the reach's first index in the stack.
+func (en *Engine) origin(pass []int32, p int) int {
+	if pass != nil {
+		return 0
+	}
+	return en.reach[p][0]
+}
+
+// enter loads the partner sides of level p's pairs in a walk that has
+// pairs, filling its columns on the first entry of the walk, and reports
+// whether to visit the candidates a walk entering at column position k can
+// reach. It says no when an ordered pair excludes them all by its bound and
+// every check before it is a Quiet pair: then each visit would have been
+// false without an error, and the matches and PredErrors are the same.
+func (en *Engine) enter(p int, pass []int32, k int) bool {
+	if !en.filled[p] {
+		en.fill(p, pass)
+		en.filled[p] = true
+	}
+	quiet := true
+	for i := range en.walkLevels[p].Checks {
+		c := &en.walkLevels[p].Checks[i]
+		if c.Pair == nil {
+			quiet = false
+			continue
+		}
+		col := &en.cols[p][i]
+		col.partner = c.Pair.Load(1-c.Cand, &en.binding[c.Partner])
+		if !quiet || len(col.bounds) == 0 {
+			quiet = false
+			continue
+		}
+		if c.Pair.Excludes(&col.bounds[k], c.Cand, &col.partner) {
+			return false
+		}
+		quiet = c.Pair.Quiet(&col.bounds[k], &col.partner)
+	}
+	return true
+}
+
+// fill loads level p's columns: each pair check's candidate side of every
+// candidate in the level's pass list, else its reach, and, for an ordered
+// pair, the bounds of the runs the walk can visit.
+func (en *Engine) fill(p int, pass []int32) {
+	s := en.walkStacks.Stack(p)
+	lo, n := en.reach[p][0], en.reach[p][1]-en.reach[p][0]
+	if pass != nil {
+		n = len(pass)
+	}
+	for i := range en.walkLevels[p].Checks {
+		c := &en.walkLevels[p].Checks[i]
+		if c.Pair == nil {
+			continue
+		}
+		col := &en.cols[p][i]
+		col.sides = col.sides[:0]
+		for j := 0; j < n; j++ {
+			idx := lo + j
+			if pass != nil {
+				idx = int(pass[j])
+			}
+			col.sides = append(col.sides, c.Pair.Load(c.Cand, s.At(idx)))
+		}
+		col.bounds = col.bounds[:0]
+		if !c.Pair.Ordered() {
+			continue
+		}
+		col.bounds = slices.Grow(col.bounds, n+1)[:n+1]
+		if p < en.walkPos {
+			col.bounds[0] = predicate.Bound{}
+			for j := 0; j < n; j++ {
+				col.bounds[j+1] = c.Pair.Fold(col.bounds[j], c.Cand, &col.sides[j])
+			}
+		} else {
+			col.bounds[n] = predicate.Bound{}
+			for j := n - 1; j >= 0; j-- {
+				col.bounds[j] = c.Pair.Fold(col.bounds[j+1], c.Cand, &col.sides[j])
+			}
+		}
+	}
+}
+
+// admit evaluates level p's checks, in order, on its candidate cand at
+// column position k, and binds cand when all hold. A candidate that fails
+// a pair is not copied into the binding.
+func (en *Engine) admit(p, k int, cand *event.Event) bool {
+	checks := en.walkLevels[p].Checks
+	bound := false
+	for i := range checks {
+		c := &checks[i]
+		if c.Pair != nil {
+			col := &en.cols[p][i]
+			if !en.compare(c, &col.sides[k], &col.partner) {
+				return false
+			}
+			continue
+		}
+		if !bound {
+			en.binding[p] = *cand
+			bound = true
+		}
+		if !c.Holds(en.binding, en.met.IncPredError) {
+			return false
+		}
+	}
+	if !bound {
+		en.binding[p] = *cand
+	}
+	return true
+}
+
 // walkDown binds positions pos-1 .. 0 with instances earlier than the
 // already-bound successor, then hands over to walkUp. The first candidate is
 // the successor's RIP, FirstAtOrAfter−1.
-func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
+func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 	if p < 0 {
-		return en.walkUp(en.walkPos+1, mask, out)
+		return en.walkUp(en.walkPos+1, out)
 	}
 	s := en.walkStacks.Stack(p)
 	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
 	pass, j, _ := en.candidates(p, s.FirstAtOrAfter(en.binding[p+1].TS))
+	origin := en.origin(pass, p)
+	if en.walkPairs && !en.enter(p, pass, j-origin) {
+		return out
+	}
 	for j--; j >= 0; j-- {
 		cand := s.At(at(pass, j))
 		if cand.TS < lowTS {
 			break
 		}
-		if en.prov {
-			en.walkVisited++
-		}
-		en.binding[p] = *cand
-		m := mask | 1<<uint(p)
-		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
-			out = en.walkDown(p-1, m, out)
+		en.visited++
+		if en.admit(p, j-origin, cand) {
+			out = en.walkDown(p-1, out)
 		}
 	}
 	return out
@@ -788,25 +977,25 @@ func (en *Engine) walkDown(p int, mask uint64, out []plan.Match) []plan.Match {
 
 // walkUp binds positions walkPos+1 .. n-1 with instances later than the
 // already-bound predecessor, emitting when the binding completes.
-func (en *Engine) walkUp(p int, mask uint64, out []plan.Match) []plan.Match {
+func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 	if p >= en.plan.Len() {
 		return en.emit(en.binding, out)
 	}
 	s := en.walkStacks.Stack(p)
 	highTS := event.AddSat(en.binding[0].TS, en.plan.Window)
 	pass, j, n := en.candidates(p, s.FirstAfter(en.binding[p-1].TS))
+	origin := en.origin(pass, p)
+	if en.walkPairs && !en.enter(p, pass, j-origin) {
+		return out
+	}
 	for ; j < n; j++ {
 		cand := s.At(at(pass, j))
 		if cand.TS > highTS {
 			break
 		}
-		if en.prov {
-			en.walkVisited++
-		}
-		en.binding[p] = *cand
-		m := mask | 1<<uint(p)
-		if en.cross.SatisfiedAt(en.walkPos, p, m, en.binding, en.met.IncPredError) {
-			out = en.walkUp(p+1, m, out)
+		en.visited++
+		if en.admit(p, j-origin, cand) {
+			out = en.walkUp(p+1, out)
 		}
 	}
 	return out
@@ -833,7 +1022,7 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov.TriggerSeq = en.walkTrigSeq
 		pm.prov.TriggerTS = en.walkTrigTS
 		pm.prov.TriggerPos = en.walkPos
-		pm.prov.Traversed = en.walkVisited
+		pm.prov.Traversed = int(en.visited - en.walkFrom)
 		en.met.LineageRecords.Inc()
 	}
 	// Without negation the binding is sealed whatever the clock: minTime is

@@ -1080,7 +1080,7 @@ const maxUnread = 28
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1659, "EXPERIMENTS.md": 4089, "README.md": 776}
+var docCaps = map[string]int{"DESIGN.md": 1658, "EXPERIMENTS.md": 3816, "README.md": 776}
 
 // TestDocsOnlyShrink holds DESIGN.md, EXPERIMENTS.md and README.md to their
 // caps.

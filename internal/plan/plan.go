@@ -18,6 +18,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 
 	"oostream/internal/event"
 	"oostream/internal/predicate"
@@ -413,112 +414,105 @@ func KeyOf(e event.Event, attr string) (event.Value, bool) {
 	return event.Value{}, false
 }
 
-// CrossView is a slot-indexed view over a subset of the plan's cross
-// predicates, scheduled for the middle-out construction walk. Engines that
-// prove some predicates structurally satisfied (key-partitioned state
-// pre-satisfies the key equalities) evaluate construction through a view
-// excluding them; a nil-skip view holds the full predicate set.
+// CrossView is the plan's cross predicates, less a subset, scheduled for
+// the middle-out construction walk. Engines that prove some predicates
+// structurally satisfied (key-partitioned state pre-satisfies the key
+// equalities) evaluate construction through a view excluding them; a
+// nil-skip view holds the full predicate set.
 //
 // A walk triggered at position t binds t first, then t−1 … 0, then
-// t+1 … n−1, so it visits the candidates of every slot p < t−1, p > t+1 and
-// (when t > 0) p = t+1 once per binding of the slots between. A predicate
-// over exactly {t, p} has one outcome per (trigger, candidate) however
-// often the candidate comes up: the view hoists those out of SatisfiedAt
-// into Hoisted, for the engine to evaluate once over the slot's candidates
-// before the walk, which then iterates only the ones that pass. Predicates
-// between two non-trigger slots (patterns of four or more steps) are not
-// hoisted.
+// t+1 … n−1, so the slots bound before each level are fixed, and so is the
+// list of predicates whose last slot the level binds: Walk(t)[p].Checks.
+// The walk visits the candidates of every slot p < t−1, p > t+1 and (when
+// t > 0) p = t+1 once per binding of the slots between. A predicate over
+// exactly {t, p} has one outcome per (trigger, candidate) however often the
+// candidate comes up: the view moves those from Checks to Hoisted, for the
+// engine to evaluate once over the slot's candidates before the walk, which
+// then iterates only the ones that pass. Predicates between two non-trigger
+// slots (patterns of four or more steps) are not hoisted.
 type CrossView struct {
-	cross []CrossPred
-	// bySlot[t][p] lists what SatisfiedAt evaluates when slot p binds in a
-	// walk triggered at t; hoisted[t][p] lists what it leaves to the walk.
-	// hoisted[t] is nil, and bySlot[t] the plain per-slot index, for a
-	// trigger position with nothing to hoist.
-	bySlot  [][][]int
-	hoisted [][][]int
+	// walks[t][p] is what a walk triggered at t evaluates at level p.
+	walks [][]Level
+	// pairs[t] says some level of walks[t] has a pair, and hoists[t] that
+	// some level has a hoisted predicate.
+	pairs, hoists []bool
+}
+
+// Level is what a walk evaluates when it binds one slot.
+type Level struct {
+	// Hoisted lists the predicates over exactly {trigger, slot} at a level
+	// the walk revisits; Checks lists the others whose last slot the level
+	// binds. Both are in Plan.Cross order.
+	Hoisted, Checks []Check
+}
+
+// Check is one cross predicate as a level evaluates it.
+type Check struct {
+	Pred *predicate.Compiled
+	// Pair is Pred's pair form (predicate.Compiled.Pair), nil when it has
+	// none. Cand is the side of it that the level's slot binds, and Partner
+	// the slot of the other side, which an earlier level binds.
+	Pair          *predicate.Pair
+	Cand, Partner int
 }
 
 // CrossView builds a view excluding the cross predicates (by index into
 // Plan.Cross) for which skip returns true. A nil skip keeps all.
 func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
-	n := len(p.CrossBySlot)
-	base := make([][]int, n)
-	for slot, idxs := range p.CrossBySlot {
-		for _, idx := range idxs {
-			if skip == nil || !skip(idx) {
-				base[slot] = append(base[slot], idx)
-			}
-		}
+	n := p.Len()
+	v := &CrossView{walks: make([][]Level, n), pairs: make([]bool, n), hoists: make([]bool, n)}
+	pairs := make([]*predicate.Pair, len(p.Cross))
+	for idx, cp := range p.Cross {
+		pairs[idx] = cp.Pred.Pair()
 	}
-	v := &CrossView{cross: p.Cross, bySlot: make([][][]int, n), hoisted: make([][][]int, n)}
 	for t := 0; t < n; t++ {
-		v.bySlot[t] = base
-		for slot := 0; slot < n; slot++ {
-			revisited := slot < t-1 || slot > t+1 || (slot == t+1 && t > 0)
-			if !revisited {
+		v.walks[t] = make([]Level, n)
+		for idx, cp := range p.Cross {
+			if skip != nil && skip(idx) {
 				continue
 			}
-			pair := uint64(1)<<uint(t) | uint64(1)<<uint(slot)
-			var keep, hoist []int
-			for _, idx := range base[slot] {
-				if p.Cross[idx].Mask == pair {
-					hoist = append(hoist, idx)
-				} else {
-					keep = append(keep, idx)
+			// The level that binds the predicate's last slot: the highest
+			// slot of the mask when that is above t, else the lowest.
+			slot := 63 - bits.LeadingZeros64(cp.Mask)
+			if slot <= t {
+				slot = bits.TrailingZeros64(cp.Mask)
+			}
+			c := Check{Pred: cp.Pred, Pair: pairs[idx]}
+			if c.Pair != nil {
+				if c.Pair.Slot(1) == slot {
+					c.Cand = 1
 				}
+				c.Partner = c.Pair.Slot(1 - c.Cand)
+				v.pairs[t] = true
 			}
-			if hoist == nil {
-				continue
+			lv := &v.walks[t][slot]
+			revisited := slot < t-1 || slot > t+1 || (slot == t+1 && t > 0)
+			if revisited && cp.Mask == uint64(1)<<uint(t)|uint64(1)<<uint(slot) {
+				lv.Hoisted = append(lv.Hoisted, c)
+				v.hoists[t] = true
+			} else {
+				lv.Checks = append(lv.Checks, c)
 			}
-			if v.hoisted[t] == nil {
-				v.hoisted[t] = make([][]int, n)
-				v.bySlot[t] = append([][]int(nil), base...)
-			}
-			v.hoisted[t][slot] = hoist
-			v.bySlot[t][slot] = keep
 		}
 	}
 	return v
 }
 
-// Hoisted returns, per slot, the predicates over exactly {trig, slot} that
-// SatisfiedAt leaves out of a walk triggered at trig (evaluate them with
-// Holds); nil when the trigger position has none.
-func (v *CrossView) Hoisted(trig int) [][]int { return v.hoisted[trig] }
+// Walk returns the levels of a walk triggered at trig, indexed by slot.
+func (v *CrossView) Walk(trig int) []Level { return v.walks[trig] }
 
-// Holds evaluates the given predicates (indices from Hoisted) under the
-// binding; an evaluation error counts as false and goes to errSink.
-func (v *CrossView) Holds(idxs []int, binding []event.Event, errSink func(error)) bool {
-	for _, idx := range idxs {
-		if !v.holds(idx, binding, errSink) {
-			return false
-		}
-	}
-	return true
-}
+// HasPairs reports whether some level of a walk triggered at trig
+// evaluates a pair, hoisted or not.
+func (v *CrossView) HasPairs(trig int) bool { return v.pairs[trig] }
 
-// SatisfiedAt evaluates, in a walk triggered at position trig, the retained
-// cross predicates that become fully bound by binding the given slot, less
-// the ones Hoisted(trig) lists for it. boundMask must include slot.
-func (v *CrossView) SatisfiedAt(trig, slot int, boundMask uint64, binding []event.Event, errSink func(error)) bool {
-	prevMask := boundMask &^ (1 << uint(slot))
-	for _, idx := range v.bySlot[trig][slot] {
-		mask := v.cross[idx].Mask
-		if mask&^boundMask != 0 {
-			continue // not all referenced slots bound yet
-		}
-		if mask&^prevMask == 0 {
-			continue // was already fully bound before this slot; fired earlier
-		}
-		if !v.holds(idx, binding, errSink) {
-			return false
-		}
-	}
-	return true
-}
+// Hoists reports whether some level of a walk triggered at trig has a
+// hoisted predicate.
+func (v *CrossView) Hoists(trig int) bool { return v.hoists[trig] }
 
-func (v *CrossView) holds(idx int, binding []event.Event, errSink func(error)) bool {
-	ok, err := v.cross[idx].Pred.EvalBool(binding) // ok is false on error
+// Holds runs the check's program over the binding; an evaluation error
+// counts as false and goes to errSink.
+func (c *Check) Holds(binding []event.Event, errSink func(error)) bool {
+	ok, err := c.Pred.EvalBool(binding) // ok is false on error
 	if err != nil && errSink != nil {
 		errSink(err)
 	}

@@ -308,6 +308,29 @@ func TestKeyOf(t *testing.T) {
 	}
 }
 
+// holdsAll runs the checks' programs over the binding.
+func holdsAll(checks []Check, binding []event.Event) bool {
+	for i := range checks {
+		if !checks[i].Holds(binding, nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// crossIdxs returns the indices into p.Cross of the checks' predicates.
+func crossIdxs(p *Plan, checks []Check) []int {
+	var idxs []int
+	for _, c := range checks {
+		for i := range p.Cross {
+			if p.Cross[i].Pred == c.Pred {
+				idxs = append(idxs, i)
+			}
+		}
+	}
+	return idxs
+}
+
 func TestCrossViewSkipsKeyEqualities(t *testing.T) {
 	p := compile(t, "PATTERN SEQ(A a, B b) WHERE a.id = b.id AND a.x < b.x WITHIN 100")
 	skip := make(map[int]bool)
@@ -323,57 +346,65 @@ func TestCrossViewSkipsKeyEqualities(t *testing.T) {
 		event.New("A", 1, event.Attrs{"id": event.Int(1), "x": event.Int(1)}),
 		event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(5)}),
 	}
-	if !v.SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
+	if !holdsAll(v.Walk(0)[1].Checks, binding) {
 		t.Error("view with id skipped should accept ascending x")
 	}
 	// Descending x must still be rejected by the remaining predicate.
 	binding[1] = event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(0)})
-	if v.SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
+	if holdsAll(v.Walk(0)[1].Checks, binding) {
 		t.Error("view must still evaluate non-key predicates")
 	}
 	// The unfiltered view rejects mismatched ids.
 	binding[1] = event.New("B", 2, event.Attrs{"id": event.Int(2), "x": event.Int(5)})
-	if p.CrossView(nil).SatisfiedAt(0, 1, 1<<0|1<<1, binding, nil) {
+	if holdsAll(p.CrossView(nil).Walk(0)[1].Checks, binding) {
 		t.Error("unfiltered view must evaluate the id equality")
 	}
 }
 
-// TestCrossViewHoistsTriggerPairs: a predicate over exactly {trigger, slot}
-// moves from SatisfiedAt to Hoisted at the levels a walk revisits (slot <
-// t-1, slot > t+1, slot = t+1 when t > 0) and nowhere else.
+// TestCrossViewHoistsTriggerPairs: each predicate fires at the level that
+// binds its last slot in the walk's order (t, t−1 … 0, t+1 … n−1); one over
+// exactly {trigger, slot} moves from Checks to Hoisted at the levels a walk
+// revisits (slot < t-1, slot > t+1, slot = t+1 when t > 0) and nowhere
+// else; a pair names the side its level binds and the partner's slot.
 func TestCrossViewHoistsTriggerPairs(t *testing.T) {
-	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.x > b.x AND b.x < c.x AND c.x > a.x + 3 WITHIN 100")
+	p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE a.x > b.x AND b.x < c.x AND c.x > a.x + 3 "+
+		"AND a.x + b.x < c.x WITHIN 100")
 	v := p.CrossView(nil)
-	bc, ac := 1, 2 // indices into p.Cross, in WHERE order
-	want := map[int]map[int][]int{
+	ab, bc, ac, abc := 0, 1, 2, 3 // indices into p.Cross, in WHERE order
+	hoisted := map[int]map[int][]int{
 		0: {2: {ac}}, // a triggers: b is visited once, c once per b
 		1: {2: {bc}}, // b triggers: a is visited once, c once per a
 		2: {0: {ac}}, // c triggers: b is visited once, a once per b
 	}
+	checks := map[int]map[int][]int{
+		0: {1: {ab}, 2: {bc, abc}},
+		1: {0: {ab}, 2: {ac, abc}},
+		2: {1: {bc}, 0: {ab, abc}},
+	}
 	for trig := 0; trig < 3; trig++ {
-		h := v.Hoisted(trig)
-		for slot := 0; slot < 3; slot++ {
-			if got := h[slot]; !reflect.DeepEqual(got, want[trig][slot]) {
-				t.Errorf("Hoisted(%d)[%d] = %v, want %v", trig, slot, got, want[trig][slot])
+		if !v.Hoists(trig) || !v.HasPairs(trig) {
+			t.Errorf("trigger %d: Hoists %v, HasPairs %v, want both", trig, v.Hoists(trig), v.HasPairs(trig))
+		}
+		for slot, lv := range v.Walk(trig) {
+			if got := crossIdxs(p, lv.Hoisted); !reflect.DeepEqual(got, hoisted[trig][slot]) {
+				t.Errorf("Walk(%d)[%d].Hoisted = %v, want %v", trig, slot, got, hoisted[trig][slot])
+			}
+			if got := crossIdxs(p, lv.Checks); !reflect.DeepEqual(got, checks[trig][slot]) {
+				t.Errorf("Walk(%d)[%d].Checks = %v, want %v", trig, slot, got, checks[trig][slot])
 			}
 		}
 	}
-	// c=10, b=1, a=9: a.x > b.x holds and c.x > a.x + 3 does not. A walk
-	// triggered at c leaves the second to the caller when a binds; one
-	// triggered at b binds a on its once-visited level and evaluates both.
-	binding := []event.Event{
-		event.New("A", 1, event.Attrs{"x": event.Int(9)}),
-		event.New("B", 2, event.Attrs{"x": event.Int(1)}),
-		event.New("C", 3, event.Attrs{"x": event.Int(10)}),
+	// Trigger c: at a's level, a.x > b.x is a pair whose candidate is the
+	// left side and whose partner is b; a.x + b.x < c.x is no pair.
+	lv := v.Walk(2)[0]
+	if c := lv.Checks[0]; c.Pair == nil || c.Cand != 0 || c.Partner != 1 {
+		t.Errorf("a.x > b.x at a under trigger c: pair %v, cand %d, partner %d; want a pair, 0, 1", c.Pair != nil, c.Cand, c.Partner)
 	}
-	if !v.SatisfiedAt(2, 0, 1<<0|1<<1|1<<2, binding, nil) {
-		t.Error("SatisfiedAt(trig=2, slot=0) evaluated the hoisted {a,c} predicate")
+	if c := lv.Checks[1]; c.Pair != nil {
+		t.Error("a.x + b.x < c.x is not a pair")
 	}
-	if v.Holds(v.Hoisted(2)[0], binding, nil) {
-		t.Error("Holds must evaluate the hoisted predicate")
-	}
-	if !v.SatisfiedAt(1, 0, 1<<0|1<<1, binding, nil) || v.SatisfiedAt(1, 2, 1<<0|1<<1|1<<2, binding, nil) {
-		t.Error("trigger b: {a,b} fires at a, and {a,c} stays in SatisfiedAt at c")
+	if c := lv.Hoisted[0]; c.Pair == nil || c.Cand != 1 || c.Partner != 2 {
+		t.Errorf("c.x > a.x + 3 at a under trigger c: pair %v, cand %d, partner %d; want a pair, 1, 2", c.Pair != nil, c.Cand, c.Partner)
 	}
 
 	// Nothing to hoist: two steps (every level is visited once), no cross
@@ -384,13 +415,13 @@ func TestCrossViewHoistsTriggerPairs(t *testing.T) {
 		"no predicates": compile(t, "PATTERN SEQ(A a, B b, C c) WITHIN 100").CrossView(nil),
 		"skipped chain": chain.CrossView(func(int) bool { return true }),
 	} {
-		for trig := range qv.hoisted {
-			if qv.Hoisted(trig) != nil {
-				t.Errorf("%s: Hoisted(%d) = %v, want nil", name, trig, qv.Hoisted(trig))
+		for trig := range qv.walks {
+			if qv.Hoists(trig) {
+				t.Errorf("%s: Hoists(%d), want none", name, trig)
 			}
 		}
 	}
-	if chain.CrossView(nil).Hoisted(0) == nil {
+	if !chain.CrossView(nil).Hoists(0) {
 		t.Error("unkeyed chain: a.id = c.id is a trigger pair of a walk triggered at a")
 	}
 }

@@ -58,6 +58,8 @@ type Compiled struct {
 	// mask is the slot set as a bitmask (slots < 64).
 	mask uint64
 	src  string
+	// count, when set, is added one to per evaluation (Counted).
+	count *uint64
 }
 
 // Refs returns the slots the expression reads, in ascending order.
@@ -83,11 +85,12 @@ func (c *Compiled) EvalBool(binding []event.Event) (bool, error) {
 
 // Counted returns a copy of c that adds one to *n each time it is
 // evaluated, before anything else: a predicate that does not error leaves
-// no other trace of having run. The count is an instruction at the head of
-// the copy's program, so a Compiled nobody counts pays nothing for it.
+// no other trace of having run. The pair form of the copy (Pair) counts each
+// comparison it makes, so a counted predicate runs the path an uncounted one
+// runs.
 func (c *Compiled) Counted(n *uint64) *Compiled {
 	counted := *c
-	counted.code = append([]instr{{op: opCount, count: n}}, c.code...)
+	counted.count = n
 	return &counted
 }
 

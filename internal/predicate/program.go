@@ -35,8 +35,6 @@ const (
 	opTruth
 	// opValue pushes the verdict as a bool value.
 	opValue
-	// opCount adds one to *count (Compiled.Counted).
-	opCount
 )
 
 type instr struct {
@@ -48,7 +46,6 @@ type instr struct {
 	a, b operand
 	// connective is the AND, OR or NOT opTruth converts an operand of.
 	connective string
-	count      *uint64
 }
 
 // operandMode says where an operand's value comes from.
@@ -110,6 +107,9 @@ const fixedDepth = 4
 // run executes the program. The result goes to *value, or, when value is
 // nil, is returned as the bool it then has to be.
 func (c *Compiled) run(binding []event.Event, value *event.Value) (bool, error) {
+	if c.count != nil {
+		*c.count++
+	}
 	var stack []event.Value
 	if c.depth > fixedDepth {
 		stack = make([]event.Value, c.depth)
@@ -124,9 +124,10 @@ func (c *Compiled) run(binding []event.Event, value *event.Value) (bool, error) 
 		in := &code[pc]
 		switch in.op {
 		case opPush:
-			v, st := in.a.load(binding)
+			e := bound(binding, in.a.slot)
+			v, st := in.a.load(e)
 			if st != stOK {
-				return false, in.a.fail(st, v, binding)
+				return false, in.a.fail(st, v, e)
 			}
 			stack[sp] = v
 			sp++
@@ -137,16 +138,19 @@ func (c *Compiled) run(binding []event.Event, value *event.Value) (bool, error) 
 			var st status
 			switch in.pops {
 			case 0:
-				if l, st = in.a.load(binding); st != stOK {
-					return false, in.a.fail(st, l, binding)
+				e := bound(binding, in.a.slot)
+				if l, st = in.a.load(e); st != stOK {
+					return false, in.a.fail(st, l, e)
 				}
-				if r, st = in.b.load(binding); st != stOK {
-					return false, in.b.fail(st, r, binding)
+				e = bound(binding, in.b.slot)
+				if r, st = in.b.load(e); st != stOK {
+					return false, in.b.fail(st, r, e)
 				}
 			case 1:
 				l = stack[sp-1]
-				if r, st = in.b.load(binding); st != stOK {
-					return false, in.b.fail(st, r, binding)
+				e := bound(binding, in.b.slot)
+				if r, st = in.b.load(e); st != stOK {
+					return false, in.b.fail(st, r, e)
 				}
 			default:
 				l, r = stack[sp-2], stack[sp-1]
@@ -205,8 +209,6 @@ func (c *Compiled) run(binding []event.Event, value *event.Value) (bool, error) 
 		case opValue:
 			stack[sp] = event.Bool(verdict)
 			sp++
-		case opCount:
-			*in.count++
 		}
 	}
 	switch {
@@ -226,15 +228,24 @@ func (c *Compiled) run(binding []event.Event, value *event.Value) (bool, error) 
 	return false, nil
 }
 
-// load reads an operand that is not on the stack. When the status is not
-// stOK, the value returned is the attribute's as far as it was read.
+// bound returns the event binding holds at slot, nil when it is shorter.
+func bound(binding []event.Event, slot int) *event.Event {
+	if slot < len(binding) {
+		return &binding[slot]
+	}
+	return nil
+}
+
+// load reads an operand that is not on the stack; e is the event bound to
+// its slot, nil when the slot is unbound. When the status is not stOK, the
+// value returned is the attribute's as far as it was read.
 //
 // The first block is what the construction walk runs: an attribute that is
 // there, offset on the int64 or float64 itself. Everything else is out of
 // line so that this stays small.
-func (o *operand) load(binding []event.Event) (event.Value, status) {
-	if o.mode == attribute && o.slot < len(binding) {
-		if v, found := binding[o.slot].Attrs.Get(o.attr); found {
+func (o *operand) load(e *event.Event) (event.Value, status) {
+	if o.mode == attribute && e != nil {
+		if v, found := e.Attrs.Get(o.attr); found {
 			switch {
 			case o.offset == query.OpInvalid:
 				return v, stOK
@@ -247,11 +258,12 @@ func (o *operand) load(binding []event.Event) (event.Value, status) {
 			}
 			return o.shift(v)
 		}
+		return o.absent(e)
 	}
 	if o.mode == literal {
 		return o.val, stOK
 	}
-	return o.absent(binding)
+	return event.Value{}, stUnbound
 }
 
 // shift applies the offset by the general rules: an int attribute under a
@@ -264,27 +276,25 @@ func (o *operand) shift(v event.Value) (event.Value, status) {
 	return sum, stOK
 }
 
-// absent is load for an attribute the payload does not have: the timestamp
-// when it is ts, otherwise the reason.
-func (o *operand) absent(binding []event.Event) (event.Value, status) {
+// absent is load for an attribute e does not have: the timestamp when it
+// is ts, otherwise the reason.
+func (o *operand) absent(e *event.Event) (event.Value, status) {
 	switch {
-	case o.slot >= len(binding):
-		return event.Value{}, stUnbound
 	case !o.ts:
 		return event.Value{}, stMissing
 	case o.offset == query.OpInvalid:
-		return event.Int(binding[o.slot].TS), stOK
+		return event.Int(e.TS), stOK
 	}
-	return o.shift(event.Int(binding[o.slot].TS))
+	return o.shift(event.Int(e.TS))
 }
 
-// fail renders a failed load: v is what load returned beside st.
-func (o *operand) fail(st status, v event.Value, binding []event.Event) *evalError {
-	e := &evalError{st: st, ref: o.ref, slot: o.slot, op: o.offset, lk: v.Kind(), rk: o.val.Kind()}
+// fail renders a failed load of e: v is what load returned beside st.
+func (o *operand) fail(st status, v event.Value, e *event.Event) *evalError {
+	err := &evalError{st: st, ref: o.ref, slot: o.slot, op: o.offset, lk: v.Kind(), rk: o.val.Kind()}
 	if st == stMissing {
-		e.typ = binding[o.slot].Type
+		err.typ = e.Type
 	}
-	return e
+	return err
 }
 
 // arith computes l op r for the five arithmetic operators: on int64 when
@@ -331,13 +341,17 @@ func arith(op query.BinaryOp, l, r event.Value) (event.Value, status) {
 	return event.Value{}, stModType
 }
 
-// compare is opCmp for every pair but two ints and two floats, which the
-// loop decides itself: an int against a float compares as float64 (so a NaN
-// is unordered and unequal to everything), strings by byte order, bools
-// false before true; = and != accept any pair of kinds, the ordered four
-// do not.
+// compare is opCmp's verdict: two ints on int64, two floats on float64, an
+// int against a float as float64 (so a NaN is unordered and unequal to
+// everything), strings by byte order, bools false before true; = and !=
+// accept any pair of kinds, the ordered four do not.
 func compare(op query.BinaryOp, l, r event.Value) (bool, status) {
 	lk, rk := l.Kind(), r.Kind()
+	if lk == event.KindInt && rk == event.KindInt {
+		li, _ := l.AsInt()
+		ri, _ := r.AsInt()
+		return ordered(op, li, ri), stOK
+	}
 	lf, lnum := l.AsFloat()
 	rf, rnum := r.AsFloat()
 	switch {

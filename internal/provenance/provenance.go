@@ -86,7 +86,8 @@ type Record struct {
 	TriggerPos int        `json:"triggerPos,omitempty"`
 	// Traversed counts the AIS instances examined while constructing the
 	// binding: the candidates in reach the trigger-pair pre-filter scanned,
-	// plus the candidates the enumeration walked, productive or not.
+	// plus the candidates the enumeration visited, productive or not (a
+	// level the walk does not enter adds none).
 	Traversed int `json:"traversed,omitempty"`
 	// EmitClock is the engine clock at emission.
 	EmitClock event.Time `json:"emitClock"`
