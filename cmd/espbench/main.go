@@ -1,32 +1,20 @@
-// Command espbench regenerates the evaluation tables of the reproduced
-// paper (see DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md
-// for recorded results).
+// Command espbench prints the evaluation tables of the reproduced paper
+// (see DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md for
+// recorded results).
 //
 // Usage:
 //
 //	espbench                       # every experiment at smoke scale
 //	espbench -scale full           # paper-scale streams (slower)
 //	espbench -exp E2,E8            # a subset
-//	espbench -csv                  # machine-readable output
-//	espbench -json                 # JSON output (one array of tables)
 //	espbench -cpuprofile cpu.out   # pprof CPU profile of the run
 //	espbench -memprofile mem.out   # pprof heap profile after the run
-//	espbench -queries 100          # multi-query benchmark at one query count
 //
-// -queries N runs only the multi-query shared-admission benchmark (E19's
-// harness) at the single given query count — the cheap CI smoke form of
-// the full E19 sweep.
-//
-// JSON output stamps each table with host metadata (CPU count,
-// GOMAXPROCS, Go version) so recorded baselines carry provenance.
-//
-// The committed BENCH_native.json baseline is regenerated with:
-//
-//	go run ./cmd/espbench -exp E2,E10,E18,E19,E20,E21,E22 -json > BENCH_native.json
+// The first line names the host, the Go version and the reps behind every
+// timing cell; a timing cell reads "median [q1–q3]" over those reps.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,9 +23,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"oostream"
 	"oostream/internal/bench"
-	"oostream/internal/obsv/httpx"
 )
 
 func main() {
@@ -52,36 +38,11 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		scaleName  = fs.String("scale", "smoke", "workload scale: smoke or full")
 		expList    = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
-		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut    = fs.Bool("json", false, "emit one JSON array of tables")
-		list       = fs.Bool("list", false, "list experiments and exit")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
-		listen     = fs.String("listen", "", "serve live observability HTTP on this address while experiments run (/metrics, /varz, /healthz, /debug/pprof)")
-		queries    = fs.Int("queries", 0, "run only the multi-query benchmark at this registered-query count (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *csv && *jsonOut {
-		return fmt.Errorf("-csv and -json are mutually exclusive")
-	}
-	if *listen != "" {
-		reg := oostream.NewObserver()
-		bench.Observer = reg
-		srv, err := httpx.Listen(*listen, reg, nil, nil, nil)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "espbench: observability on http://%s/metrics\n", srv.Addr())
-	}
-
-	if *list {
-		for _, e := range bench.All() {
-			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
-		}
-		return nil
 	}
 
 	var scale bench.Scale
@@ -92,23 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		scale = bench.Full
 	default:
 		return fmt.Errorf("unknown scale %q (want smoke or full)", *scaleName)
-	}
-
-	if *queries > 0 {
-		if *expList != "" {
-			return fmt.Errorf("-queries is exclusive with -exp")
-		}
-		tbl := bench.MultiQuery(scale, []int{*queries})
-		tbl.Host = bench.HostInfo()
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode([]*bench.Table{tbl})
-		}
-		if *csv {
-			return tbl.RenderCSV(stdout)
-		}
-		return tbl.Render(stdout)
 	}
 
 	experiments := bench.All()
@@ -135,28 +79,16 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	var tables []*bench.Table
-	host := bench.HostInfo()
-	for _, e := range experiments {
-		tbl := e.Run(scale)
-		tbl.Host = host
-		var err error
-		switch {
-		case *jsonOut:
-			tables = append(tables, tbl) // encoded together below
-		case *csv:
-			err = tbl.RenderCSV(stdout)
-		default:
-			err = tbl.Render(stdout)
-		}
-		if err != nil {
-			return err
-		}
+	host, err := os.Hostname()
+	if err != nil {
+		host = "unknown"
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tables); err != nil {
+	if _, err := fmt.Fprintf(stdout, "host %s (%d CPUs, GOMAXPROCS %d), %s, %s scale, %d reps a timing cell: median [q1–q3]\n\n",
+		host, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), *scaleName, scale.Reps()); err != nil {
+		return err
+	}
+	for _, e := range experiments {
+		if err := e.Run(scale).Render(stdout); err != nil {
 			return err
 		}
 	}

@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-func TestRunList(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-list"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"E1", "E11"} {
-		if !strings.Contains(out.String(), id) {
-			t.Errorf("list missing %s: %s", id, out.String())
-		}
-	}
-}
-
 func TestRunSingleExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-exp", "E3", "-scale", "smoke"}, &out); err != nil {
@@ -26,15 +14,8 @@ func TestRunSingleExperiment(t *testing.T) {
 	if !strings.Contains(out.String(), "E3: Throughput vs. slack bound K") {
 		t.Errorf("output: %s", out.String())
 	}
-}
-
-func TestRunCSV(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "E3", "-csv"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "# E3,") {
-		t.Errorf("CSV header missing: %s", out.String())
+	if header, _, _ := strings.Cut(out.String(), "\n"); !strings.Contains(header, "go1.") || !strings.Contains(header, "3 reps") {
+		t.Errorf("header names no Go version or rep count: %q", header)
 	}
 }
 
@@ -45,5 +26,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "E99"}, &out); err == nil {
 		t.Error("bad experiment accepted")
+	}
+	for _, removed := range []string{"-csv", "-json", "-list", "-listen=:0", "-queries=1"} {
+		if err := run([]string{removed}, &out); err == nil {
+			t.Errorf("removed flag %s accepted", removed)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"oostream"
 	"oostream/internal/netsim"
@@ -96,10 +95,17 @@ func E20Adaptive(s Scale) *Table {
 				return ac
 			}()}},
 	}
-	for _, row := range rows {
-		r, meanBuf := runSampled(q, row.cfg, delivered)
+	results := make([]Result, len(rows))
+	meanBufs := make([]float64, len(rows))
+	sides := make([]func(), len(rows))
+	for i, row := range rows {
+		sides[i] = func() { results[i], meanBufs[i] = runSampled(q, row.cfg, delivered) }
+	}
+	times := timeSides(s.Reps(), sides...)
+	for i, row := range rows {
+		r, meanBuf := results[i], meanBufs[i]
 		dropped := r.Metrics.EventsLate + r.Metrics.SheddedEvents
-		t.AddRow(row.label, fmtKevS(r.Throughput()),
+		t.AddRow(row.label, spread("%.0f", kevS(len(delivered), times[i])),
 			fmtF1(100*float64(dropped)/float64(len(delivered))),
 			fmtU64(r.Metrics.SheddedEvents),
 			fmtF1(meanBuf), fmtInt(r.Metrics.PeakState),
@@ -132,11 +138,9 @@ func phaseP99(delivered []oostream.Event, delays []oostream.Time, boundary oostr
 // runSampled drives a fresh engine per-event, sampling StateSize every 64
 // events for the mean occupancy the throughput tables can't show.
 func runSampled(q *oostream.Query, cfg oostream.Config, events []oostream.Event) (Result, float64) {
-	cfg.Observer = Observer
 	en := oostream.MustNewEngine(q, cfg)
 	var matches []oostream.Match
 	var sumState, samples int64
-	start := time.Now()
 	for i, e := range events {
 		matches = append(matches, en.Process(e)...)
 		if i%64 == 0 {
@@ -145,16 +149,9 @@ func runSampled(q *oostream.Query, cfg oostream.Config, events []oostream.Event)
 		}
 	}
 	matches = append(matches, en.Flush()...)
-	elapsed := time.Since(start)
 	mean := 0.0
 	if samples > 0 {
 		mean = float64(sumState) / float64(samples)
 	}
-	return Result{
-		Strategy: string(cfg.Strategy),
-		Matches:  matches,
-		Elapsed:  elapsed,
-		Metrics:  en.Metrics(),
-		Events:   len(events),
-	}, mean
+	return Result{Strategy: string(cfg.Strategy), Matches: matches, Metrics: en.Metrics()}, mean
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	"oostream"
 	"oostream/internal/fiba"
@@ -38,8 +37,8 @@ func E21FibaAggregation(s Scale) *Table {
 			"MAX(e.id) over SEQ(SHELF, EXIT) matches, WITHIN 120s; disorder 20% bounded by K=2000",
 			"operator = the AGGREGATE query through the facade (fiba.Run inside, Match records, metrics, HAVING, checkpointable)",
 			"run / tree / rescan = the plain pattern engine feeding the bare structure, emitting bare (end,value,count) tuples",
-			"run/tree and run/rescan are wall-time ratios of the bare columns (>1 means the run wins)",
-			"agree = all four window multisets equal; BenchmarkE21Fiba compares the structures without the pattern engine",
+			"run/tree and run/rescan are wall-time ratios of the bare columns, rep by rep (>1 means the run wins)",
+			"agree = all four window multisets equal; BenchmarkSlidingMax in internal/fiba compares the structures without the pattern engine",
 		},
 	}
 	for _, slide := range []oostream.Time{2_000, 500, 100, 20} {
@@ -47,7 +46,20 @@ func E21FibaAggregation(s Scale) *Table {
 			AGGREGATE MAX(e.id) OVER SEQ(SHELF s, EXIT e)
 			WHERE s.id = e.id
 			WITHIN %d SLIDE %d`, window, slide), gen.RFIDSchema())
-		opRes := runOne(aggQ, oostream.Config{K: defaultK}, events)
+		// Same WITHIN as the aggregate query so the pattern side of every
+		// pipeline does identical work.
+		patQ := oostream.MustCompile(fmt.Sprintf(
+			"PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN %d", window),
+			gen.RFIDSchema())
+		var (
+			opRes Result
+			wins  [3]map[string]int
+		)
+		sides := []func(){func() { opRes = runOne(aggQ, oostream.Config{K: defaultK}, events) }}
+		for i, mk := range []func() windowStore{newRunStore, newTreeStore, newScanStore} {
+			sides = append(sides, func() { wins[i] = runBare(patQ, events, window, slide, mk) })
+		}
+		times := timeSides(s.Reps(), sides...)
 
 		opWins := make(map[string]int)
 		var windows, contributors int64
@@ -61,12 +73,9 @@ func E21FibaAggregation(s Scale) *Table {
 			contributors += agg.Count
 		}
 		agree := true
-		var elapsed [3]time.Duration
-		for i, mk := range []func() windowStore{newRunStore, newTreeStore, newScanStore} {
-			var wins map[string]int
-			elapsed[i], wins = runBare(events, window, slide, mk)
-			agree = agree && len(wins) == len(opWins)
-			for k, n := range wins {
+		for _, w := range wins {
+			agree = agree && len(w) == len(opWins)
+			for k, n := range w {
 				agree = agree && opWins[k] == n
 			}
 		}
@@ -74,11 +83,14 @@ func E21FibaAggregation(s Scale) *Table {
 		if windows > 0 {
 			elemsPerWin = float64(contributors) / float64(windows)
 		}
-		kevS := func(d time.Duration) string { return fmtKevS(float64(len(events)) / d.Seconds()) }
+		var tput [4][]float64
+		for i := range tput {
+			tput[i] = kevS(len(events), times[i])
+		}
 		t.AddRow(fmt.Sprintf("%d", slide), fmtInt(int(windows)), fmtF1(elemsPerWin),
-			fmtKevS(opRes.Throughput()), kevS(elapsed[0]), kevS(elapsed[1]), kevS(elapsed[2]),
-			fmtF1(elapsed[1].Seconds()/elapsed[0].Seconds()),
-			fmtF1(elapsed[2].Seconds()/elapsed[0].Seconds()),
+			spread("%.0f", tput[0]), spread("%.0f", tput[1]), spread("%.0f", tput[2]), spread("%.0f", tput[3]),
+			spread("%.1f", ratio(tput[1], tput[2])),
+			spread("%.1f", ratio(tput[1], tput[3])),
 			fmt.Sprintf("%v", agree))
 	}
 	const live = 6000
@@ -91,8 +103,8 @@ func winKey(end oostream.Time, val string, count int64) string {
 	return fmt.Sprintf("%d|%s|%d", end, val, count)
 }
 
-// windowStore is what E21 and BenchmarkE21Fiba drive: the window state of
-// one ungrouped MAX query, in sealed mode.
+// windowStore is what E21 drives: the window state of one ungrouped MAX
+// query, in sealed mode.
 type windowStore interface {
 	// insert adds one element; seq makes equal timestamps distinct.
 	insert(ts oostream.Time, seq uint64, val int64)
@@ -177,66 +189,49 @@ func (s *scanStore) size() int { return len(s.elems) }
 
 // runBare feeds the plain pattern engine's matches (completion timestamp,
 // MAX argument) to a bare window store and seals every grid end the stream
-// clock passes by the lateness bound, as the operator does. Returns the best
-// wall time of three repetitions and the emitted window multiset.
-func runBare(events []oostream.Event, window, slide oostream.Time, mk func() windowStore) (time.Duration, map[string]int) {
-	// Same WITHIN as the aggregate query so the pattern side of every
-	// pipeline does identical work.
-	q := oostream.MustCompile(fmt.Sprintf(
-		"PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN %d", window),
-		gen.RFIDSchema())
-	const reps = 3
+// clock passes by the lateness bound, as the operator does. Returns the
+// emitted window multiset.
+func runBare(q *oostream.Query, events []oostream.Event, window, slide oostream.Time, mk func() windowStore) map[string]int {
+	en := oostream.MustNewEngine(q, oostream.Config{K: defaultK})
 	var (
-		best time.Duration = -1
-		wins map[string]int
+		store   = mk()
+		seq     uint64
+		clock   oostream.Time
+		nextEnd oostream.Time = slide
+		wins                  = make(map[string]int)
 	)
-	for rep := 0; rep < reps; rep++ {
-		en := oostream.MustNewEngine(q, oostream.Config{K: defaultK})
-		var (
-			store   = mk()
-			seq     uint64
-			clock   oostream.Time
-			nextEnd oostream.Time = slide
-		)
-		wins = make(map[string]int)
-		seal := func(end oostream.Time) {
-			if max, n, ok := store.seal(end, window, slide); ok {
-				wins[winKey(end, fmt.Sprintf("%d", max), n)]++
-			}
-		}
-		absorb := func(ms []oostream.Match) {
-			for _, m := range ms {
-				last := m.Events[len(m.Events)-1]
-				id, _ := last.Attr("id")
-				val, _ := id.AsInt()
-				seq++
-				store.insert(last.TS, seq, val)
-			}
-		}
-		start := time.Now()
-		for _, ev := range events {
-			absorb(en.Process(ev))
-			if ev.TS > clock {
-				clock = ev.TS
-				// Seal as the aggregate operator does: lateness defaultK
-				// behind the stream clock, window ends on the slide grid.
-				for nextEnd < clock-defaultK {
-					seal(nextEnd)
-					nextEnd += slide
-				}
-			}
-		}
-		absorb(en.Flush())
-		for store.size() > 0 {
-			seal(nextEnd)
-			nextEnd += slide
-		}
-		elapsed := time.Since(start)
-		if best < 0 || elapsed < best {
-			best = elapsed
+	seal := func(end oostream.Time) {
+		if max, n, ok := store.seal(end, window, slide); ok {
+			wins[winKey(end, fmt.Sprintf("%d", max), n)]++
 		}
 	}
-	return best, wins
+	absorb := func(ms []oostream.Match) {
+		for _, m := range ms {
+			last := m.Events[len(m.Events)-1]
+			id, _ := last.Attr("id")
+			val, _ := id.AsInt()
+			seq++
+			store.insert(last.TS, seq, val)
+		}
+	}
+	for _, ev := range events {
+		absorb(en.Process(ev))
+		if ev.TS > clock {
+			clock = ev.TS
+			// Seal as the aggregate operator does: lateness defaultK
+			// behind the stream clock, window ends on the slide grid.
+			for nextEnd < clock-defaultK {
+				seal(nextEnd)
+				nextEnd += slide
+			}
+		}
+	}
+	absorb(en.Flush())
+	for store.size() > 0 {
+		seal(nextEnd)
+		nextEnd += slide
+	}
+	return wins
 }
 
 // liveHeapKB is the live heap a window store holds with `live` elements in

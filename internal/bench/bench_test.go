@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"oostream"
 )
 
 func TestAllExperimentsRunAtSmokeScale(t *testing.T) {
@@ -31,13 +29,6 @@ func TestAllExperimentsRunAtSmokeScale(t *testing.T) {
 			}
 			if !strings.Contains(buf.String(), exp.ID) {
 				t.Error("render missing experiment ID")
-			}
-			buf.Reset()
-			if err := tbl.RenderCSV(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if lines := strings.Count(buf.String(), "\n"); lines != len(tbl.Rows)+2 {
-				t.Errorf("CSV lines = %d, want %d", lines, len(tbl.Rows)+2)
 			}
 		})
 	}
@@ -167,17 +158,88 @@ func TestE4Shape(t *testing.T) {
 	}
 }
 
-// Sanity: the Result helper computes throughput from elapsed time.
-func TestResultThroughput(t *testing.T) {
-	r := Result{Events: 1000}
-	if r.Throughput() != 0 {
-		t.Error("zero elapsed should give zero throughput")
+// TestTimeSides holds the one timing routine: every side runs once per rep,
+// in the order given, rep after rep, and each side gets one wall time per
+// rep; the quartiles interpolate between closest ranks.
+func TestTimeSides(t *testing.T) {
+	var order []string
+	times := timeSides(3,
+		func() { order = append(order, "a") },
+		func() { order = append(order, "b") },
+		func() { order = append(order, "c") })
+	if got, want := strings.Join(order, ""), "abcabcabc"; got != want {
+		t.Errorf("run order %q, want %q", got, want)
 	}
-	q := oostream.MustCompile("PATTERN SEQ(A a) WITHIN 10", nil)
-	events := []oostream.Event{{Type: "A", TS: 1, Seq: 1}}
-	res := runOne(q, oostream.Config{K: 1}, events)
-	if res.Throughput() <= 0 || res.Events != 1 {
-		t.Errorf("runOne: %+v", res)
+	if len(times) != 3 {
+		t.Fatalf("%d sides timed, want 3", len(times))
+	}
+	for i, ts := range times {
+		if len(ts) != 3 {
+			t.Errorf("side %d has %d wall times, want 3", i, len(ts))
+		}
+	}
+
+	for _, c := range []struct {
+		xs          []float64
+		q1, med, q3 float64
+	}{
+		{[]float64{9, 1, 8, 2, 7, 3, 6, 4, 5}, 3, 5, 7},
+		{[]float64{4, 1, 3, 2}, 1.75, 2.5, 3.25},
+		{[]float64{30, 10, 20}, 15, 20, 25},
+		{[]float64{10, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 3.25, 5.5, 7.75},
+		{[]float64{42}, 42, 42, 42},
+	} {
+		q1, med, q3 := quartiles(c.xs)
+		if q1 != c.q1 || med != c.med || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v; want %v, %v, %v", c.xs, q1, med, q3, c.q1, c.med, c.q3)
+		}
+	}
+	if got, want := spread("%.1f", []float64{30, 10, 20}), "20.0 [15.0–25.0]"; got != want {
+		t.Errorf("spread = %q, want %q", got, want)
+	}
+}
+
+// TestE7Shape checks the scan optimization's deterministic evidence: probe
+// counts repeat exactly across runs, the optimized engine probes less than
+// probe-always at every ratio, and both find the same matches.
+func TestE7Shape(t *testing.T) {
+	first, second := E7OptAblation(Smoke), E7OptAblation(Smoke)
+	col := func(tbl *Table, ratio, variant, name string) string {
+		return cell(t, tbl, func(r []string) bool { return r[0] == ratio && r[1] == variant }, name)
+	}
+	for _, ratio := range []string{"0%", "1%", "5%", "10%", "20%", "40%"} {
+		for _, variant := range []string{"optimized", "probe-always"} {
+			for _, name := range []string{"probes", "empty_probes", "matches"} {
+				if a, b := col(first, ratio, variant, name), col(second, ratio, variant, name); a != b {
+					t.Errorf("%s %s %s: %s then %s, want a count that repeats", ratio, variant, name, a, b)
+				}
+			}
+		}
+		opt, always := parseF(t, col(first, ratio, "optimized", "probes")), parseF(t, col(first, ratio, "probe-always", "probes"))
+		if opt >= always {
+			t.Errorf("%s: optimized probes %v, probe-always %v; want fewer", ratio, opt, always)
+		}
+		if a, b := col(first, ratio, "optimized", "matches"), col(first, ratio, "probe-always", "matches"); a != b {
+			t.Errorf("%s: optimized finds %s matches, probe-always %s", ratio, a, b)
+		}
+	}
+}
+
+// TestE10Shape checks the negation claim: the four strategies are exact
+// under 10 % disorder and the in-order reference kernel emits false
+// positives.
+func TestE10Shape(t *testing.T) {
+	tbl := E10Negation(Smoke)
+	at := func(strat, col string) float64 {
+		return parseF(t, cell(t, tbl, func(r []string) bool { return r[0] == strat }, col))
+	}
+	for _, strat := range []string{"kslack", "native", "speculate", "hybrid"} {
+		if p, r := at(strat, "precision"), at(strat, "recall"); p != 1 || r != 1 {
+			t.Errorf("%s: precision=%.3f recall=%.3f, want exact", strat, p, r)
+		}
+	}
+	if p := at("inorder", "precision"); p >= 1 {
+		t.Errorf("inorder precision at 10%% disorder = %.3f, want below 1", p)
 	}
 }
 

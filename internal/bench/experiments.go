@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"oostream"
 	"oostream/internal/gen"
@@ -46,10 +45,11 @@ func E1Correctness(s Scale) *Table {
 	return t
 }
 
-// E2ThroughputVsDisorder measures CPU cost (as events/second) of the
-// in-order reference kernel and two strategies across the disorder sweep.
-// Expected shape: native tracks kslack within a small factor and degrades
-// gracefully with disorder; inorder is fastest but wrong (see E1).
+// E2ThroughputVsDisorder measures CPU cost (as events/second) of the levee
+// and the native kernel across the disorder sweep, both under the query's
+// key, so the gap is disorder handling alone. Expected shape: native tracks
+// or beats kslack and degrades gracefully with disorder. The in-order
+// reference kernel is E1's and E10's correctness contrast and is not timed.
 func E2ThroughputVsDisorder(s Scale) *Table {
 	q := seqQuery()
 	sorted := rfidSorted(s, 3)
@@ -58,23 +58,28 @@ func E2ThroughputVsDisorder(s Scale) *Table {
 		Title:   "Throughput vs. disorder ratio",
 		Anchor:  "paper §experiments: CPU cost as out-of-order percentage grows",
 		Columns: []string{"ooo%", "strategy", "kev/s", "matches"},
+		Notes:   []string{keyNote(q)},
 	}
+	// Every cell alternates with every other, so a trend along the sweep is
+	// not drift between its points.
+	var runs []run
 	for _, ratio := range oooRatios {
 		shuffled := disorder(sorted, ratio, defaultK, 4)
-		rs := []Result{runReference(q, shuffled)}
 		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative} {
-			rs = append(rs, runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled))
+			runs = append(runs, run{q, oostream.Config{Strategy: strat, K: defaultK}, shuffled})
 		}
-		for _, r := range rs {
-			t.AddRow(fmtPct(ratio), r.Strategy, fmtKevS(r.Throughput()), fmtInt(len(r.Matches)))
-		}
+	}
+	rs, tput := timeRuns(s, runs...)
+	for i, r := range rs {
+		t.AddRow(fmtPct(oooRatios[i/2]), r.Strategy, spread("%.0f", tput[i]), fmtInt(len(r.Matches)))
 	}
 	return t
 }
 
 // E3ThroughputVsK measures CPU cost against the slack bound K at fixed
-// disorder. Expected shape: kslack's cost grows with K (bigger buffer, more
-// heap churn); native is largely insensitive to K for CPU.
+// disorder, both strategies under the query's key. Expected shape: kslack's
+// cost grows with K (bigger buffer, more queue churn); native is largely
+// insensitive to K for CPU.
 func E3ThroughputVsK(s Scale) *Table {
 	q := seqQuery()
 	sorted := rfidSorted(s, 5)
@@ -83,13 +88,20 @@ func E3ThroughputVsK(s Scale) *Table {
 		Title:   "Throughput vs. slack bound K",
 		Anchor:  "paper §experiments: CPU cost vs. K-slack parameter",
 		Columns: []string{"K(ms)", "strategy", "kev/s"},
+		Notes:   []string{keyNote(q)},
 	}
+	// Every cell alternates with every other, so a trend in K is not drift
+	// between its points.
+	var runs []run
 	for _, k := range []oostream.Time{100, 500, 1_000, 5_000, 10_000} {
 		shuffled := disorder(sorted, 0.10, k, 6)
 		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative} {
-			r := runOne(q, oostream.Config{Strategy: strat, K: k}, shuffled)
-			t.AddRow(fmtInt(int(k)), string(strat), fmtKevS(r.Throughput()))
+			runs = append(runs, run{q, oostream.Config{Strategy: strat, K: k}, shuffled})
 		}
+	}
+	rs, tput := timeRuns(s, runs...)
+	for i, r := range rs {
+		t.AddRow(fmtInt(int(runs[i].cfg.K)), r.Strategy, spread("%.0f", tput[i]))
 	}
 	return t
 }
@@ -129,13 +141,19 @@ func E5Window(s Scale) *Table {
 		Anchor:  "paper §experiments: window parameter sweep",
 		Columns: []string{"window(ms)", "kev/s", "peak_state", "matches"},
 	}
-	for _, w := range []int{1_000, 5_000, 10_000, 50_000, 100_000} {
+	windows := []int{1_000, 5_000, 10_000, 50_000, 100_000}
+	runs := make([]run, len(windows))
+	for i, w := range windows {
 		q := oostream.MustCompile(fmt.Sprintf(
 			"PATTERN SEQ(SHELF s, EXIT e) WHERE s.id = e.id WITHIN %d", w),
 			gen.RFIDSchema())
-		r := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}, shuffled)
-		t.AddRow(fmtInt(w), fmtKevS(r.Throughput()), fmtInt(r.Metrics.PeakState), fmtInt(len(r.Matches)))
+		runs[i] = run{q, oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}, shuffled}
 	}
+	rs, tput := timeRuns(s, runs...)
+	for i, w := range windows {
+		t.AddRow(fmtInt(w), spread("%.0f", tput[i]), fmtInt(rs[i].Metrics.PeakState), fmtInt(len(rs[i].Matches)))
+	}
+	t.Notes = append(t.Notes, keyNote(runs[0].q))
 	return t
 }
 
@@ -152,13 +170,18 @@ func E6PurgeAblation(s Scale) *Table {
 		Anchor:  "paper §state purging: minimizing memory consumption",
 		Columns: []string{"purge_every", "kev/s", "peak_state", "purged"},
 	}
-	for _, pe := range []int{1, 16, 64, 256, -1} {
+	cadences := []int{1, 16, 64, 256, -1}
+	runs := make([]run, len(cadences))
+	for i, pe := range cadences {
+		runs[i] = run{q, oostream.Config{Strategy: oostream.StrategyNative, K: defaultK, PurgeEvery: pe}, shuffled}
+	}
+	rs, tput := timeRuns(s, runs...)
+	for i, pe := range cadences {
 		label := fmtInt(pe)
 		if pe < 0 {
 			label = "never"
 		}
-		r := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: defaultK, PurgeEvery: pe}, shuffled)
-		t.AddRow(label, fmtKevS(r.Throughput()), fmtInt(r.Metrics.PeakState), fmtU64(r.Metrics.Purged))
+		t.AddRow(label, spread("%.0f", tput[i]), fmtInt(rs[i].Metrics.PeakState), fmtU64(rs[i].Metrics.Purged))
 	}
 	t.Notes = append(t.Notes, "expected: peak_state explodes with purging disabled; cadence trades CPU for memory slack")
 	return t
@@ -179,18 +202,19 @@ func E7OptAblation(s Scale) *Table {
 		ID:      "E7",
 		Title:   "Sequence-scan optimization ablation (native)",
 		Anchor:  "paper §optimizations for sequence scan and construction",
-		Columns: []string{"ooo%", "variant", "kev/s", "probes", "empty_probes"},
+		Columns: []string{"ooo%", "variant", "kev/s", "probes", "empty_probes", "matches"},
 	}
 	for _, ratio := range oooRatios {
 		shuffled := disorder(sorted, ratio, 200, 14)
-		opt := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: 200}, shuffled)
-		noopt := runOne(q, oostream.Config{Strategy: oostream.StrategyNative, K: 200, DisableTriggerOpt: true}, shuffled)
-		t.AddRow(fmtPct(ratio), "optimized", fmtKevS(opt.Throughput()),
-			fmtU64(opt.Metrics.Probes), fmtU64(opt.Metrics.EmptyProbes))
-		t.AddRow(fmtPct(ratio), "probe-always", fmtKevS(noopt.Throughput()),
-			fmtU64(noopt.Metrics.Probes), fmtU64(noopt.Metrics.EmptyProbes))
+		rs, tput := timeRuns(s,
+			run{q, oostream.Config{Strategy: oostream.StrategyNative, K: 200}, shuffled},
+			run{q, oostream.Config{Strategy: oostream.StrategyNative, K: 200, DisableTriggerOpt: true}, shuffled})
+		for i, variant := range []string{"optimized", "probe-always"} {
+			t.AddRow(fmtPct(ratio), variant, spread("%.0f", tput[i]),
+				fmtU64(rs[i].Metrics.Probes), fmtU64(rs[i].Metrics.EmptyProbes), fmtInt(len(rs[i].Matches)))
+		}
 	}
-	t.Notes = append(t.Notes,
+	t.Notes = append(t.Notes, keyNote(q),
 		"probes/empty_probes are deterministic: the optimization's saving is the probe-always empty_probes surplus")
 	return t
 }
@@ -229,7 +253,8 @@ func E9PatternLength(s Scale) *Table {
 		ID:      "E9",
 		Title:   "Throughput vs. pattern length",
 		Anchor:  "paper §experiments: query complexity scaling",
-		Columns: []string{"len", "strategy", "kev/s", "matches"},
+		Columns: []string{"len", "key", "strategy", "kev/s", "matches"},
+		Notes:   []string{"key: the attribute the kernel groups the stacks by (none: unkeyed), the same for both strategies of a length"},
 	}
 	allTypes := []string{"T1", "T2", "T3", "T4", "T5", "T6"}
 	events := gen.Uniform(s.uniformN(), allTypes, 4, 10, 17)
@@ -244,19 +269,22 @@ func E9PatternLength(s Scale) *Table {
 		}
 		src += ") WHERE v1.id = v2.id WITHIN 400"
 		q := oostream.MustCompile(src, nil)
-		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative} {
-			r := runOne(q, oostream.Config{Strategy: strat, K: 200}, shuffled)
-			t.AddRow(fmtInt(n), string(strat), fmtKevS(r.Throughput()), fmtInt(len(r.Matches)))
+		rs, tput := timeRuns(s,
+			run{q, oostream.Config{Strategy: oostream.StrategyKSlack, K: 200}, shuffled},
+			run{q, oostream.Config{Strategy: oostream.StrategyNative, K: 200}, shuffled})
+		for i, r := range rs {
+			t.AddRow(fmtInt(n), keyOf(q), r.Strategy, spread("%.0f", tput[i]), fmtInt(len(r.Matches)))
 		}
 	}
 	return t
 }
 
-// E10Negation focuses on the shoplifting query: correctness, throughput,
-// and sealing latency of the in-order reference kernel and every strategy
-// under disorder. Expected shape: inorder produces false positives
-// (premature output); native is exact with sealing latency ~K; speculate is
-// exact after retractions with zero insert latency.
+// E10Negation focuses on the shoplifting query: correctness and sealing
+// latency of the in-order reference kernel and every strategy under
+// disorder, and the strategies' throughput (the reference kernel is the
+// correctness contrast and is not timed). Expected shape: inorder produces
+// false positives (premature output); native is exact with sealing latency
+// ~K; speculate is exact after retractions with zero insert latency.
 func E10Negation(s Scale) *Table {
 	q := negQuery()
 	sorted := rfidSorted(s, 19)
@@ -268,15 +296,22 @@ func E10Negation(s Scale) *Table {
 		Anchor:  "paper §problem analysis + §sequence construction: negation needs sealing",
 		Columns: []string{"strategy", "kev/s", "precision", "recall", "retracts", "lat_mean(ms)"},
 	}
-	rs := []Result{runReference(q, shuffled)}
+	var runs []run
 	for _, strat := range oostream.Strategies() {
-		rs = append(rs, runOne(q, oostream.Config{Strategy: strat, K: defaultK}, shuffled))
+		runs = append(runs, run{q, oostream.Config{Strategy: strat, K: defaultK}, shuffled})
 	}
-	for _, r := range rs {
+	rs, tput := timeRuns(s, runs...)
+	rs = append([]Result{runReference(q, shuffled)}, rs...)
+	for i, r := range rs {
+		kev := "-"
+		if i > 0 {
+			kev = spread("%.0f", tput[i-1])
+		}
 		p, rec := precisionRecall(truth.Matches, r.Matches)
-		t.AddRow(r.Strategy, fmtKevS(r.Throughput()), fmtF3(p), fmtF3(rec),
+		t.AddRow(r.Strategy, kev, fmtF3(p), fmtF3(rec),
 			fmtU64(r.Metrics.Retractions), fmtF1(r.Metrics.LogicalLat.Mean()))
 	}
+	t.Notes = append(t.Notes, keyNote(q))
 	return t
 }
 
@@ -294,9 +329,13 @@ func E11Speculation(s Scale) *Table {
 		Anchor:  "extension: aggressive strategy (ICDE'09 follow-up) vs. conservative sealing",
 		Columns: []string{"ooo%", "inserts", "retracts", "retract_rate", "kev/s", "precision", "recall"},
 	}
-	for _, ratio := range oooRatios {
-		shuffled := disorder(sorted, ratio, defaultK, 22)
-		r := runOne(q, oostream.Config{Strategy: oostream.StrategySpeculate, K: defaultK}, shuffled)
+	runs := make([]run, len(oooRatios))
+	for i, ratio := range oooRatios {
+		runs[i] = run{q, oostream.Config{Strategy: oostream.StrategySpeculate, K: defaultK}, disorder(sorted, ratio, defaultK, 22)}
+	}
+	rs, tput := timeRuns(s, runs...)
+	for i, ratio := range oooRatios {
+		r := rs[i]
 		inserts := r.Metrics.Matches
 		retracts := r.Metrics.Retractions
 		rate := 0.0
@@ -305,8 +344,9 @@ func E11Speculation(s Scale) *Table {
 		}
 		p, rec := precisionRecall(truth.Matches, r.Matches)
 		t.AddRow(fmtPct(ratio), fmtU64(inserts), fmtU64(retracts), fmtF3(rate),
-			fmtKevS(r.Throughput()), fmtF3(p), fmtF3(rec))
+			spread("%.0f", tput[i]), fmtF3(p), fmtF3(rec))
 	}
+	t.Notes = append(t.Notes, keyNote(q))
 	return t
 }
 
@@ -322,7 +362,7 @@ func E11Speculation(s Scale) *Table {
 func E12NetworkSim(s Scale) *Table {
 	q := seqQuery()
 	sorted := rfidSorted(s, 23)
-	delivered, delays, prof, err := netsim.Deliver(sorted, netsim.Config{
+	delivered, _, prof, err := netsim.Deliver(sorted, netsim.Config{
 		Sources: 8,
 		Link:    netsim.DefaultLink(),
 		Failure: netsim.FailureConfig{MTBF: 60_000, OutageMean: 2_000},
@@ -339,20 +379,28 @@ func E12NetworkSim(s Scale) *Table {
 		Columns: []string{"K", "strategy", "kev/s", "late", "precision", "recall", "lat_mean(ms)"},
 		Notes: []string{
 			"delivery profile: " + prof.String(),
+			keyNote(q),
 		},
 	}
+	var (
+		runs   []run
+		labels []string
+	)
 	for _, k := range []oostream.Time{prof.DelayP99, prof.MaxDelay} {
 		label := fmt.Sprintf("p99(%d)", k)
 		if k == prof.MaxDelay {
 			label = fmt.Sprintf("max(%d)", k)
 		}
-		_ = netsim.ExceedingK(delays, k)
 		for _, strat := range []oostream.Strategy{oostream.StrategyKSlack, oostream.StrategyNative, oostream.StrategySpeculate} {
-			r := runOne(q, oostream.Config{Strategy: strat, K: k}, delivered)
-			p, rec := precisionRecall(truth.Matches, r.Matches)
-			t.AddRow(label, string(strat), fmtKevS(r.Throughput()), fmtU64(r.Metrics.EventsLate),
-				fmtF3(p), fmtF3(rec), fmtF1(r.Metrics.LogicalLat.Mean()))
+			runs = append(runs, run{q, oostream.Config{Strategy: strat, K: k}, delivered})
+			labels = append(labels, label)
 		}
+	}
+	rs, tput := timeRuns(s, runs...)
+	for i, r := range rs {
+		p, rec := precisionRecall(truth.Matches, r.Matches)
+		t.AddRow(labels[i], r.Strategy, spread("%.0f", tput[i]), fmtU64(r.Metrics.EventsLate),
+			fmtF3(p), fmtF3(rec), fmtF1(r.Metrics.LogicalLat.Mean()))
 	}
 	return t
 }
@@ -372,7 +420,7 @@ func E16Observability(s Scale) *Table {
 		Columns: []string{"instrumentation", "kev/s", "overhead%"},
 	}
 	modes := []string{"off", "registry", "registry+trace"}
-	configs := make([]oostream.Config, len(modes))
+	runs := make([]run, len(modes))
 	for i, mode := range modes {
 		cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}
 		switch mode {
@@ -382,35 +430,12 @@ func E16Observability(s Scale) *Table {
 			cfg.Observer = oostream.NewObserver()
 			cfg.Trace = oostream.NewFlightRecorder(256)
 		}
-		configs[i] = cfg
+		runs[i] = run{q, cfg, events}
 	}
-	// The modes are interleaved rep by rep and the best wall time per mode
-	// kept, so slow drift in machine load hits every mode alike instead of
-	// masquerading as instrumentation cost.
-	const reps = 9
-	best := make([]time.Duration, len(modes))
-	for i := range best {
-		best[i] = -1
-	}
-	for rep := 0; rep < reps; rep++ {
-		for i := range modes {
-			en := oostream.MustNewEngine(q, configs[i])
-			start := time.Now()
-			en.ProcessAll(events)
-			elapsed := time.Since(start)
-			if best[i] < 0 || elapsed < best[i] {
-				best[i] = elapsed
-			}
-		}
-	}
-	base := float64(len(events)) / best[0].Seconds()
+	_, tput := timeRuns(s, runs...)
 	for i, mode := range modes {
-		tput := float64(len(events)) / best[i].Seconds()
-		var over float64
-		if i > 0 && base > 0 {
-			over = (1 - tput/base) * 100
-		}
-		t.AddRow(mode, fmtKevS(tput), fmtF1(over))
+		over := overhead(tput[i], tput[0])
+		t.AddRow(mode, spread("%.0f", tput[i]), spread("%.1f", over))
 	}
 	t.Notes = append(t.Notes,
 		"expected: a few percent at most; series counters are uncontended atomics, the trace fast path is one branch")
@@ -434,38 +459,27 @@ func E18Batch(s Scale) *Table {
 	}
 	sizes := []int{1, 16, 256, 4096}
 	cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK}
-	// Sizes are interleaved rep by rep and the best wall time per size kept
-	// (the E16 discipline), so machine-load drift hits every size alike
-	// instead of masquerading as batching gain.
-	const reps = 7
-	best := make([]time.Duration, len(sizes))
-	for i := range best {
-		best[i] = -1
-	}
 	results := make([][]oostream.Match, len(sizes))
-	for rep := 0; rep < reps; rep++ {
-		for i, size := range sizes {
+	sides := make([]func(), len(sizes))
+	for i, size := range sizes {
+		sides[i] = func() {
 			en := oostream.MustNewEngine(q, cfg)
-			start := time.Now()
 			var ms []oostream.Match
 			for lo := 0; lo < len(events); lo += size {
 				hi := min(lo+size, len(events))
 				ms = append(ms, en.ProcessBatch(events[lo:hi])...)
 			}
-			ms = append(ms, en.Flush()...)
-			elapsed := time.Since(start)
-			if best[i] < 0 || elapsed < best[i] {
-				best[i] = elapsed
-			}
-			results[i] = ms
+			results[i] = append(ms, en.Flush()...)
 		}
 	}
-	base := float64(len(events)) / best[0].Seconds()
+	times := timeSides(s.Reps(), sides...)
+	base := kevS(len(events), times[0])
 	for i, size := range sizes {
-		tput := float64(len(events)) / best[i].Seconds()
+		tput := kevS(len(events), times[i])
 		exact, _ := oostream.SameResults(results[0], results[i])
-		t.AddRow(fmtInt(size), fmtKevS(tput),
-			fmt.Sprintf("%.2f", tput/base), fmt.Sprintf("%v", exact))
+		t.AddRow(fmtInt(size), spread("%.0f", tput),
+			spread("%.2f", ratio(tput, base)),
+			fmt.Sprintf("%v", exact))
 	}
 	t.Notes = append(t.Notes,
 		"expected: throughput grows with batch size as purge/gauge amortization kicks in, flattening once per-event admission dominates; exact stays true at every size")

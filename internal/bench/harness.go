@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"oostream"
 	"oostream/internal/gen"
@@ -14,8 +13,8 @@ import (
 // Scale sizes an experiment.
 type Scale int
 
-// Scales. Smoke keeps unit-test and `go test -bench` runs fast; Full is
-// what cmd/espbench uses to regenerate the paper-scale tables.
+// Scales. Smoke keeps unit tests and CI fast; Full is the paper scale
+// EXPERIMENTS.md records.
 const (
 	Smoke Scale = iota + 1
 	Full
@@ -37,105 +36,80 @@ func (s Scale) uniformN() int {
 	return 5_000
 }
 
-// Result is one strategy's measured run.
+// Result is one run's output.
 type Result struct {
 	Strategy string
 	Matches  []oostream.Match
-	Elapsed  time.Duration
 	Metrics  oostream.Metrics
-	Events   int
 }
 
-// Throughput returns events per second.
-func (r Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Events) / r.Elapsed.Seconds()
-}
-
-// Observer, when non-nil, is injected into every engine the harness
-// builds, so a live HTTP endpoint (espbench -listen) can watch experiment
-// counters as they run. Series accumulate across repetitions and
-// experiments; they are a live view, not a measurement.
-var Observer *oostream.Observer
-
-// runOne drives a fresh engine over the events and measures it. The run is
-// repeated and the best wall time kept, so single-shot scheduler noise does
-// not distort the throughput tables; matches and metrics come from the
-// final repetition (they are deterministic across repetitions).
+// runOne drives a fresh engine over the events once.
 func runOne(q *oostream.Query, cfg oostream.Config, events []oostream.Event) Result {
-	cfg.Observer = Observer
-	return runConfigured(q, cfg, events)
+	en := oostream.MustNewEngine(q, cfg)
+	matches := en.ProcessAll(events)
+	return Result{Strategy: string(cfg.Strategy), Matches: matches, Metrics: en.Metrics()}
 }
 
-// runConfigured is runOne without the package Observer injection, for
-// experiments (E16) that control instrumentation explicitly.
-func runConfigured(q *oostream.Query, cfg oostream.Config, events []oostream.Event) Result {
-	const reps = 3
-	var (
-		best    time.Duration = -1
-		matches []oostream.Match
-		met     oostream.Metrics
-	)
-	for i := 0; i < reps; i++ {
-		en := oostream.MustNewEngine(q, cfg)
-		start := time.Now()
-		matches = en.ProcessAll(events)
-		elapsed := time.Since(start)
-		met = en.Metrics()
-		if best < 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return Result{
-		Strategy: string(cfg.Strategy),
-		Matches:  matches,
-		Elapsed:  best,
-		Metrics:  met,
-		Events:   len(events),
-	}
+// run is one engine configuration over one stream: a side of a timing cell.
+type run struct {
+	q      *oostream.Query
+	cfg    oostream.Config
+	events []oostream.Event
 }
 
-// runReference is runOne for the in-order reference kernel
-// (internal/inorder), the paper's problem-analysis baseline: exact on sorted
-// input, wrong by design under disorder. It is no strategy of the facade and
-// runs bare, so the Result's Metrics hold what its matches carry: their
-// count and their logical latency.
+// timeRuns times the runs against each other through timeSides. It returns
+// each run's result, which every rep reproduces exactly, and its throughput
+// per rep in kev/s.
+func timeRuns(s Scale, runs ...run) ([]Result, [][]float64) {
+	results := make([]Result, len(runs))
+	sides := make([]func(), len(runs))
+	for i, r := range runs {
+		sides[i] = func() { results[i] = runOne(r.q, r.cfg, r.events) }
+	}
+	times := timeSides(s.Reps(), sides...)
+	tput := make([][]float64, len(runs))
+	for i, r := range runs {
+		tput[i] = kevS(len(r.events), times[i])
+	}
+	return results, tput
+}
+
+// runReference runs the in-order reference kernel (internal/inorder) once:
+// the paper's problem-analysis baseline, exact on sorted input and wrong by
+// design under disorder. It is the correctness contrast and is not timed.
+// It is no strategy of the facade and runs bare, so the Result's Metrics
+// hold what its matches carry: their count and their logical latency.
 func runReference(q *oostream.Query, events []oostream.Event) Result {
 	// A compiled query's canonical text compiles again, schema-checked once.
 	p, err := plan.ParseAndCompile(q.Source(), nil)
 	if err != nil {
 		panic(err)
 	}
-	const reps = 3
-	var (
-		best    time.Duration = -1
-		matches []oostream.Match
-	)
-	for i := 0; i < reps; i++ {
-		en := inorder.New(p)
-		start := time.Now()
-		matches = nil
-		for _, e := range events {
-			matches = append(matches, en.Process(e)...)
-		}
-		matches = append(matches, en.Flush()...)
-		if elapsed := time.Since(start); best < 0 || elapsed < best {
-			best = elapsed
-		}
+	en := inorder.New(p)
+	var matches []oostream.Match
+	for _, e := range events {
+		matches = append(matches, en.Process(e)...)
 	}
+	matches = append(matches, en.Flush()...)
 	met := obsv.NewSeries("")
 	for _, m := range matches {
 		met.AddMatch(false, m.EmitClock-m.Last().TS, 0)
 	}
-	return Result{
-		Strategy: "inorder",
-		Matches:  matches,
-		Elapsed:  best,
-		Metrics:  met.Snapshot(),
-		Events:   len(events),
+	return Result{Strategy: "inorder", Matches: matches, Metrics: met.Snapshot()}
+}
+
+// keyNote names the key the kernel groups the query's stacks by, the same
+// on every side of the table.
+func keyNote(q *oostream.Query) string {
+	return "key: " + keyOf(q) + ", on every side"
+}
+
+// keyOf is the query's partition key, or "none" when it is unkeyed.
+func keyOf(q *oostream.Query) string {
+	if k := q.AutoPartitionKey(); k != "" {
+		return k
 	}
+	return "none"
 }
 
 // precisionRecall scores got against want as key multisets, ignoring
@@ -189,7 +163,7 @@ func keyCounts(ms []oostream.Match) map[string]int {
 
 // Experiment is one reproducible figure/table.
 type Experiment struct {
-	// ID is the experiment identifier ("E1".."E11").
+	// ID is the experiment identifier, e.g. "E2".
 	ID string
 	// Title names the experiment.
 	Title string

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"oostream"
 )
@@ -14,9 +13,8 @@ import (
 // root-level allocation test pins that to exactly zero), so the expected
 // shape is overhead within noise at 1-in-256 and at most a few percent at
 // 1-in-16. Sampled rows also report the wall-latency quantiles the sampler
-// measured, which is how recorded baselines (BENCH_native.json) carry
-// end-to-end p50/p95/p99 wall latency; every sampled row re-asserts result
-// equality against the off run (sampling must never perturb matches).
+// measured; every sampled row re-asserts result equality against the off
+// run (sampling must never perturb matches).
 func E22LatencyAttribution(s Scale) *Table {
 	q := seqQuery()
 	events := disorder(rfidSorted(s, 91), 0.20, defaultK, 92)
@@ -28,38 +26,23 @@ func E22LatencyAttribution(s Scale) *Table {
 	}
 	every := []int{0, 256, 16}
 	labels := []string{"off", "1/256", "1/16"}
-	// The modes are interleaved rep by rep and the best wall time per mode
-	// kept (the E16 discipline), so slow drift in machine load hits every
-	// mode alike instead of masquerading as sampler cost.
-	const reps = 9
-	best := make([]time.Duration, len(every))
-	for i := range best {
-		best[i] = -1
-	}
 	results := make([][]oostream.Match, len(every))
 	reports := make([]*oostream.LatencyReport, len(every))
-	for rep := 0; rep < reps; rep++ {
-		for i, n := range every {
-			cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK,
-				Latency: oostream.Latency{SampleEvery: n}}
+	sides := make([]func(), len(every))
+	for i, n := range every {
+		cfg := oostream.Config{Strategy: oostream.StrategyNative, K: defaultK,
+			Latency: oostream.Latency{SampleEvery: n}}
+		sides[i] = func() {
 			en := oostream.MustNewEngine(q, cfg)
-			start := time.Now()
-			ms := en.ProcessAll(events)
-			elapsed := time.Since(start)
-			if best[i] < 0 || elapsed < best[i] {
-				best[i] = elapsed
-			}
-			results[i] = ms
+			results[i] = en.ProcessAll(events)
 			reports[i] = en.LatencyReport()
 		}
 	}
-	base := float64(len(events)) / best[0].Seconds()
+	times := timeSides(s.Reps(), sides...)
+	base := kevS(len(events), times[0])
 	for i, label := range labels {
-		tput := float64(len(events)) / best[i].Seconds()
-		var over float64
-		if i > 0 && base > 0 {
-			over = (1 - tput/base) * 100
-		}
+		tput := kevS(len(events), times[i])
+		over := overhead(tput, base)
 		wall := []string{"-", "-", "-", "-"}
 		exact := "-"
 		if r := reports[i]; r != nil {
@@ -68,7 +51,7 @@ func E22LatencyAttribution(s Scale) *Table {
 			ok, _ := oostream.SameResults(results[0], results[i])
 			exact = fmt.Sprintf("%v", ok)
 		}
-		t.AddRow(label, fmtKevS(tput), fmtF1(over), wall[0], wall[1], wall[2], wall[3], exact)
+		t.AddRow(label, spread("%.0f", tput), spread("%.1f", over), wall[0], wall[1], wall[2], wall[3], exact)
 	}
 	t.Notes = append(t.Notes,
 		"expected: 1/256 within noise of off (≤1%), 1/16 a few percent; exact stays true — sampling never changes matches",

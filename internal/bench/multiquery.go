@@ -3,29 +3,10 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"oostream"
 	"oostream/internal/gen"
 )
-
-// Host records the machine the benchmark ran on, stamped into JSON output
-// (BENCH_native.json) so recorded numbers carry their provenance.
-type Host struct {
-	NumCPU     int
-	GOMAXPROCS int
-	GoVersion  string
-}
-
-// HostInfo captures the current process's host metadata.
-func HostInfo() *Host {
-	return &Host{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-}
 
 // multiQueryTypes is the event-type universe of the multi-query workload.
 // 200 types with two-type queries gives sparse overlap: each query is
@@ -59,17 +40,17 @@ func multiQueries(n int, seed int64) []*oostream.Query {
 	return qs
 }
 
-// MultiQuery measures shared-admission multi-query throughput: one
-// QuerySet holding q registered queries versus a loop over q independent
-// single-query engines fed the same stream in the same run. Both sides run
-// the native strategy at the same K; the QuerySet pays admission
+// E19MultiQuery measures shared-admission multi-query throughput at 10, 100
+// and 1000 registered queries: one QuerySet holding them versus a loop over
+// as many independent single-query engines fed the same stream. Both sides
+// run the native kernel at the same K; the QuerySet pays admission
 // (reorder/purge) once per event and uses its event-type index plus prefix
 // gating to skip (query, event) pairs that cannot extend a match, while
 // the loop pays full admission per (engine, event) pair. Rows report both
 // aggregate throughputs, the speedup, the measured dispatch rate per
 // event, and an exactness check of the QuerySet's per-query output against
 // the corresponding independent engine.
-func MultiQuery(s Scale, counts []int) *Table {
+func E19MultiQuery(s Scale) *Table {
 	const k = 200
 	events := gen.Shuffle(
 		gen.Uniform(s.uniformN(), multiQueryUniverse(multiQueryTypes), 8, 10, 91),
@@ -80,45 +61,33 @@ func MultiQuery(s Scale, counts []int) *Table {
 		Anchor:  "extension: QuerySet with per-event-type predicate indexing",
 		Columns: []string{"queries", "qs kev/s", "loop kev/s", "speedup", "disp/ev", "exact"},
 	}
-	for _, n := range counts {
+	for _, n := range []int{10, 100, 1000} {
 		queries := multiQueries(n, int64(100+n))
 		cfg := oostream.Config{Strategy: oostream.StrategyNative, K: k}
-
-		// Loop baseline: q independent engines, each re-admitting the
-		// full stream. Reps interleave with the QuerySet reps below via
-		// best-of so load drift hits both sides alike.
-		reps := 3
-		var qsBest, loopBest time.Duration = -1, -1
-		var qsMatches []oostream.Match
+		var (
+			qsMatches  []oostream.Match
+			dispatched uint64
+		)
 		loopMatches := make([][]oostream.Match, n)
-		var dispatched uint64
-		for rep := 0; rep < reps; rep++ {
+		times := timeSides(s.Reps(), func() {
 			set := oostream.MustNewQuerySet(oostream.QuerySetConfig{K: cfg.K})
 			for i, q := range queries {
 				if err := set.Register(fmt.Sprintf("q%d", i), q); err != nil {
 					panic(err)
 				}
 			}
-			start := time.Now()
-			ms := set.ProcessAll(events)
-			if d := time.Since(start); qsBest < 0 || d < qsBest {
-				qsBest = d
-			}
-			qsMatches = ms
+			qsMatches = set.ProcessAll(events)
 			dispatched = 0
 			for _, st := range set.Stats() {
 				dispatched += st.Dispatched
 			}
-
-			start = time.Now()
+		}, func() {
+			// The baseline: n independent engines, each re-admitting the
+			// full stream.
 			for i, q := range queries {
-				en := oostream.MustNewEngine(q, cfg)
-				loopMatches[i] = en.ProcessAll(events)
+				loopMatches[i] = oostream.MustNewEngine(q, cfg).ProcessAll(events)
 			}
-			if d := time.Since(start); loopBest < 0 || d < loopBest {
-				loopBest = d
-			}
-		}
+		})
 		// Per-query exactness: the QuerySet's tagged output grouped by
 		// query id must equal each independent engine's output.
 		byQuery := make(map[string][]oostream.Match)
@@ -131,11 +100,9 @@ func MultiQuery(s Scale, counts []int) *Table {
 				exact = false
 			}
 		}
-
-		qsTput := float64(len(events)) / qsBest.Seconds()
-		loopTput := float64(len(events)) / loopBest.Seconds()
-		t.AddRow(fmtInt(n), fmtKevS(qsTput), fmtKevS(loopTput),
-			fmt.Sprintf("%.1f", qsTput/loopTput),
+		qsTput, loopTput := kevS(len(events), times[0]), kevS(len(events), times[1])
+		t.AddRow(fmtInt(n), spread("%.0f", qsTput), spread("%.0f", loopTput),
+			spread("%.1f", ratio(qsTput, loopTput)),
 			fmt.Sprintf("%.2f", float64(dispatched)/float64(len(events))),
 			fmt.Sprintf("%v", exact))
 	}
@@ -143,10 +110,4 @@ func MultiQuery(s Scale, counts []int) *Table {
 		"expected: speedup grows with query count — the QuerySet admits each event once and its type index touches only the ~1% of queries whose first step or gate matches, while the loop baseline re-admits the stream per engine",
 		"disp/ev is inner-engine dispatches per admitted event; well under 1 means the index and prefix gates are doing the filtering")
 	return t
-}
-
-// E19MultiQuery is the registered experiment: the MultiQuery sweep at
-// 10, 100, and 1000 registered queries.
-func E19MultiQuery(s Scale) *Table {
-	return MultiQuery(s, []int{10, 100, 1000})
 }

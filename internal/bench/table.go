@@ -1,7 +1,8 @@
 // Package bench implements the evaluation harness: one experiment per
 // figure/table of the reproduced paper (see DESIGN.md §4 for the index),
-// each producing a rendered table that cmd/espbench prints and
-// bench_test.go exercises as Go benchmarks.
+// each producing a rendered table that cmd/espbench prints. Every timing
+// cell comes from one routine, timeSides, and reads "median [q1–q3]" over
+// Scale.Reps alternating reps.
 package bench
 
 import (
@@ -25,9 +26,6 @@ type Table struct {
 	Rows [][]string
 	// Notes carries qualitative observations (who wins, expected shape).
 	Notes []string
-	// Host identifies the machine the experiment ran on; cmd/espbench
-	// stamps it on JSON output so recorded baselines carry provenance.
-	Host *Host `json:",omitempty"`
 }
 
 // AddRow appends a row from formatted values.
@@ -62,27 +60,10 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderCSV writes the table as CSV (ID and title as comment lines).
-func (t *Table) RenderCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# %s,%s\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Cell formatting helpers shared by the experiments.
 
-func fmtInt(v int) string      { return fmt.Sprintf("%d", v) }
-func fmtU64(v uint64) string   { return fmt.Sprintf("%d", v) }
-func fmtF1(v float64) string   { return fmt.Sprintf("%.1f", v) }
-func fmtF3(v float64) string   { return fmt.Sprintf("%.3f", v) }
-func fmtPct(v float64) string  { return fmt.Sprintf("%.0f%%", v*100) }
-func fmtKevS(v float64) string { return fmt.Sprintf("%.0f", v/1000) }
+func fmtInt(v int) string     { return fmt.Sprintf("%d", v) }
+func fmtU64(v uint64) string  { return fmt.Sprintf("%d", v) }
+func fmtF1(v float64) string  { return fmt.Sprintf("%.1f", v) }
+func fmtF3(v float64) string  { return fmt.Sprintf("%.3f", v) }
+func fmtPct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }

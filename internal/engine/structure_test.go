@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"oostream/internal/bench"
 	"oostream/internal/obsv"
 )
 
@@ -1002,7 +1003,8 @@ var census = map[string]string{
 	"StrategySpeculate": "workload rfid-neg-speculate",
 	"StrategyHybrid":    "experiment E20",
 
-	"espbench -queries":        "ci",
+	"espbench -scale":          "ci",
+	"espbench -exp":            "ci",
 	"espbench -cpuprofile":     "deployment: where a profile is written",
 	"espbench -memprofile":     "deployment: where a profile is written",
 	"espfuzz -budget":          "ci",
@@ -1041,13 +1043,6 @@ var census = map[string]string{
 var unread = map[string]string{
 	"QuerySetConfig.AdvanceEvery": "a sealing cadence that never changes output, set by tests only; ROADMAP 3, judged on 1(d)'s multi-100",
 
-	"espbench -scale":  "ROADMAP 2 decides which experiments and modes espbench keeps",
-	"espbench -exp":    "ROADMAP 2 decides which experiments and modes espbench keeps",
-	"espbench -csv":    "ROADMAP 2 decides which experiments and modes espbench keeps",
-	"espbench -json":   "ROADMAP 2 decides which experiments and modes espbench keeps",
-	"espbench -list":   "ROADMAP 2 decides which experiments and modes espbench keeps",
-	"espbench -listen": "ROADMAP 2 decides which experiments and modes espbench keeps",
-
 	"espexplain -state":  "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
 	"espexplain -flight": "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
 	"espexplain -match":  "no step runs espexplain; ROADMAP 8(b) makes it the one identity query",
@@ -1074,13 +1069,13 @@ var unread = map[string]string{
 	"esprun -latency-slo-target": "ROADMAP 8(d) measures the instruments together",
 }
 
-const maxUnread = 28
+const maxUnread = 22
 
 // docCaps are the line counts the three documents a newcomer reads may not
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1658, "EXPERIMENTS.md": 3816, "README.md": 776}
+var docCaps = map[string]int{"DESIGN.md": 1658, "EXPERIMENTS.md": 3169, "README.md": 776}
 
 // TestDocsOnlyShrink holds DESIGN.md, EXPERIMENTS.md and README.md to their
 // caps.
@@ -1306,6 +1301,56 @@ func TestEverySettableValueHasAReader(t *testing.T) {
 	}
 	if len(unread) > maxUnread {
 		t.Errorf("%d unread values, at most %d: the list only shrinks", len(unread), maxUnread)
+	}
+}
+
+// TestOneImplementationPerExperiment holds every experiment of the harness
+// to one implementation and one timing loop: the root module declares no
+// BenchmarkE<n> for an ID bench.All() runs (its implementation is the
+// internal/bench table cmd/espbench prints), and no non-test internal/bench
+// code reads the clock outside timeSides, the one routine that times the
+// compared sides in alternation.
+func TestOneImplementationPerExperiment(t *testing.T) {
+	ids := map[string]bool{}
+	for _, e := range bench.All() {
+		ids[e.ID] = true
+	}
+	benchmarkE := regexp.MustCompile(`^Benchmark(E\d+)`)
+	routine := false
+	walkModule(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			if dir == "." && fn != nil {
+				if m := benchmarkE.FindStringSubmatch(fn.Name.Name); m != nil && ids[m[1]] {
+					t.Errorf("%s declares %s: %s is implemented once, as the internal/bench table", rel, fn.Name.Name, m[1])
+				}
+			}
+			if dir != "internal/bench" || strings.HasSuffix(rel, "_test.go") {
+				continue
+			}
+			if fn != nil && fn.Name.Name == "timeSides" {
+				routine = true
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
+					where := "a package-level declaration"
+					if fn != nil {
+						where = fn.Name.Name
+					}
+					t.Errorf("%s: %s calls time.%s: internal/bench times only through timeSides", rel, where, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	})
+	if !routine {
+		t.Error("internal/bench declares no timeSides: the gate checks nothing")
 	}
 }
 

@@ -12,7 +12,7 @@
 // Tangwongsan, Hirzel & Schneider's "Optimal and General Out-of-Order
 // Sliding-Window Aggregation". It pays O(log n) merges per window whatever
 // the disorder, which is why it stays the better structure for elements that
-// arrive later than any bound (BenchmarkE21Fiba, beyond-bound rows); the
+// arrive later than any bound (BenchmarkSlidingMax, beyond-bound rows); the
 // repository benchmark's per-layer shadow still times it.
 //
 // The tree is a small-fanout B+-tree keyed by (timestamp, sequence) with a
