@@ -272,3 +272,45 @@ func TestAggregateTimeLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateRetractsWhatWasRetracted: a retraction removes the element of
+// the match it retracts, even when two matches bind events with the same
+// sequence numbers. Both (A#1, B#2) pairs below render the same match key;
+// the late C@15 kills the first, and the retraction must take away MAX 50,
+// not the 9 of the pair that stands. The negation-free query over the four
+// pairs' events reports its two live elements as pending state.
+func TestAggregateRetractsWhatWasRetracted(t *testing.T) {
+	q := aggQuery(t, "AGGREGATE MAX(b.v) OVER SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 100 SLIDE 10")
+	events := []Event{
+		aggEvent("A", 10, 1, 5, 0),
+		aggEvent("B", 20, 2, 5, 50),
+		aggEvent("A", 30, 1, 7, 0),
+		aggEvent("B", 40, 2, 7, 9),
+		aggEvent("C", 15, 3, 5, 0),
+	}
+	want := MustNewEngine(q, Config{Strategy: StrategyNative, K: 50}).ProcessAll(events)
+	if len(want) == 0 {
+		t.Fatal("native emits no window")
+	}
+	for _, m := range want {
+		if m.Agg.Value != Int(9) || m.Agg.Count != 1 {
+			t.Fatalf("native window %s: want MAX 9 over one match", m)
+		}
+	}
+	for _, s := range Strategies() {
+		got := MustNewEngine(q, Config{Strategy: s, K: 50}).ProcessAll(events)
+		if ok, diff := SameResults(want, got); !ok {
+			t.Errorf("strategy %s diverges from native:\n%s", s, diff)
+		}
+	}
+
+	plain := aggQuery(t, "AGGREGATE MAX(b.v) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 100 SLIDE 10")
+	en := MustNewEngine(plain, Config{Strategy: StrategyNative, K: 50})
+	for _, e := range events[:4] {
+		en.Process(e)
+	}
+	// Two elements, under the kernel's four stacked events.
+	if s := en.StateSnapshot(); s.Pending != 2 || en.StateSize() != 6 {
+		t.Fatalf("Pending %d, StateSize %d; want the 2 live elements and 6", s.Pending, en.StateSize())
+	}
+}

@@ -55,7 +55,9 @@ type ckPreview struct {
 	Count int64       `json:"count"`
 }
 
-// ckElem is one run element. Min/Max are pointers because the zero
+// ckElem is one run element: its key and partial. (Checkpoints written
+// before elements lost their match identity also carry a "match" member,
+// which a restore ignores.) Min/Max are pointers because the zero
 // event.Value is invalid and refuses to marshal (COUNT partials carry no
 // values).
 type ckElem struct {
@@ -67,7 +69,6 @@ type ckElem struct {
 	Min    *event.Value    `json:"min,omitempty"`
 	Max    *event.Value    `json:"max,omitempty"`
 	Floaty bool            `json:"floaty,omitempty"`
-	Match  string          `json:"match"`
 }
 
 // Checkpoint implements engine.Engine: the operator's section, then the
@@ -97,7 +98,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 		if g.sealed != math.MinInt64 && (!en.sealedInit || g.sealed > en.sealed) {
 			cg.Sealed = &g.sealed
 		}
-		g.run.All(func(k fiba.Key, p fiba.Partial, aux any) bool {
+		g.run.All(func(k fiba.Key, p fiba.Partial, _ any) bool {
 			cg.Elems = append(cg.Elems, ckElem{
 				TS:     k.TS,
 				Seq:    k.Seq,
@@ -107,7 +108,6 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 				Min:    optVal(p.Min),
 				Max:    optVal(p.Max),
 				Floaty: p.Floaty,
-				Match:  aux.(*elemAux).matchKey,
 			})
 			return true
 		})
@@ -213,9 +213,8 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections, restoreInner func
 					return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
 				}
 				last = key
-				g.run.Insert(key, part, &elemAux{matchKey: ce.Match})
+				g.run.Insert(key, part, nil)
 				en.elems++
-				en.byMatch[ce.Match] = elemRef{group: g, key: key}
 				// Keys minted from here on must not collide with a restored one.
 				if ce.Seq >= en.elemSeq {
 					en.elemSeq = ce.Seq + 1

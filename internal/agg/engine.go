@@ -33,6 +33,7 @@ package agg
 
 import (
 	"math"
+	"slices"
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
@@ -60,20 +61,6 @@ type group struct {
 	// parts' frontiers, which may lie before it); below every end for a
 	// group made since.
 	sealed event.Time
-}
-
-// elemRef locates one inner match's run element for retraction.
-type elemRef struct {
-	group *group
-	key   fiba.Key
-}
-
-// elemAux is the per-element payload stored in the run: the inner match's
-// identity (for retraction and purge bookkeeping) and, when provenance is
-// on, the citations of the events the match bound.
-type elemAux struct {
-	matchKey string
-	refs     []provenance.EventRef
 }
 
 // Engine is the windowed-aggregation operator. It implements engine.Engine,
@@ -111,9 +98,8 @@ type Engine struct {
 	// groups holds the live groups in insertion order, which is the order
 	// windows are emitted and checkpointed in and the only way they are
 	// walked; byKey finds the group of an arriving element.
-	groups  []*group
-	byKey   map[event.Value]*group
-	byMatch map[string]elemRef
+	groups []*group
+	byKey  map[event.Value]*group
 	// elems is the number of live elements across all groups.
 	elems int
 
@@ -154,7 +140,6 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 		lateness:    lateness,
 		clock:       math.MinInt64,
 		byKey:       make(map[event.Value]*group),
-		byMatch:     make(map[string]elemRef),
 		trace:       env.Trace,
 		prov:        env.Provenance,
 	}
@@ -167,7 +152,7 @@ func (en *Engine) Name() string { return "agg(" + en.inner.Name() + ")" }
 
 // StateSize implements engine.Engine: live elements plus inner state.
 func (en *Engine) StateSize() int {
-	return len(en.byMatch) + en.inner.StateSize()
+	return en.elems + en.inner.StateSize()
 }
 
 // Process implements engine.Engine.
@@ -270,7 +255,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		Started: en.arrival > 0,
 		Clock:   en.clock,
 		Safe:    inner.Safe,
-		Pending: len(en.byMatch),
+		Pending: en.elems,
 		Lineage: provenance.LineageStats{Enabled: en.prov},
 	}
 	if en.sealedInit {
@@ -310,7 +295,9 @@ func (en *Engine) absorb(ms []plan.Match, out []plan.Match) []plan.Match {
 	return out
 }
 
-// addElem maps one inner match to a run element and inserts it.
+// addElem maps one inner match to a run element and inserts it. An element
+// is its timestamp and partial; with provenance on it also carries the
+// citations of the events the match bound.
 func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	ts, part, gv, ok := en.spec.ElementOf(m, en.met.IncPredError)
 	if !ok {
@@ -320,42 +307,89 @@ func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	if g == nil {
 		g = en.newGroup(gv, en.spec.GroupSlot >= 0)
 	}
-	aux := &elemAux{matchKey: m.Key()}
+	var refs any
 	if en.prov {
-		aux.refs = provenance.Refs(m.Events)
+		refs = provenance.Refs(m.Events)
 	}
 	key := fiba.Key{TS: ts, Seq: en.elemSeq}
 	en.elemSeq++
 	en.met.AggInserts.Inc()
-	if g.run.Insert(key, part, aux) {
+	if g.run.Insert(key, part, refs) {
 		en.met.AggFingerHits.Inc()
 	}
 	en.elems++
-	en.byMatch[aux.matchKey] = elemRef{group: g, key: key}
 	if en.speculative {
 		out = en.reviseAround(g, ts, out)
 	}
 	return out
 }
 
-// removeElem deletes the element an inner retraction points at. A missing
-// element is benign: the match never produced one (attribute error) or its
-// window already sealed and purged — in sealed mode the insert/retract
-// pair always lands before the seal, so nothing wrong was emitted.
+// removeElem deletes the element an inner retraction stands for: the first,
+// in key order, of its group's elements at its timestamp with a bit-identical
+// partial and, with provenance on, equal citations (failing that, a restored
+// element, which has none). Equal elements give every window the same value,
+// count and HAVING verdict. None found is benign: the match produced none
+// (attribute error) or its window sealed and purged — in sealed mode the
+// insert/retract pair lands before the seal, so nothing wrong was emitted.
 func (en *Engine) removeElem(m plan.Match, out []plan.Match) []plan.Match {
-	k := m.Key()
-	ref, ok := en.byMatch[k]
+	// No error sink: the insert counted the match's errors.
+	ts, part, gv, ok := en.spec.ElementOf(m, nil)
 	if !ok {
 		return out
 	}
-	delete(en.byMatch, k)
-	if _, ok := ref.group.run.Delete(ref.key); ok {
-		en.elems--
+	g := en.byKey[mapKey(gv, en.spec.GroupSlot >= 0)]
+	if g == nil {
+		return out
 	}
+	var refs []provenance.EventRef
+	if en.prov {
+		refs = provenance.Refs(m.Events)
+	}
+	var key, uncited fiba.Key
+	found, hasUncited := false, false
+	visit := func(k fiba.Key, p fiba.Partial, aux any) bool {
+		if k.TS != ts {
+			return false
+		}
+		if !samePartial(p, part) {
+			return true
+		}
+		cited, _ := aux.([]provenance.EventRef)
+		if slices.Equal(cited, refs) {
+			key, found = k, true
+			return false
+		}
+		if aux == nil && !hasUncited {
+			uncited, hasUncited = k, true
+		}
+		return true
+	}
+	if ts == math.MinInt64 {
+		g.run.All(visit) // ts − 1 would wrap; the elements at ts come first
+	} else {
+		g.run.Ascend(fiba.Key{TS: ts - 1, Seq: fiba.MaxSeq}, fiba.Key{TS: ts, Seq: fiba.MaxSeq}, visit)
+	}
+	if !found {
+		if !hasUncited {
+			return out
+		}
+		key = uncited
+	}
+	g.run.Delete(key)
+	en.elems--
 	if en.speculative {
-		out = en.reviseAround(ref.group, ref.key.TS, out)
+		out = en.reviseAround(g, ts, out)
 	}
 	return out
+}
+
+// samePartial reports whether two partials are bit for bit the same: a float
+// sum by its bits, MIN and MAX by kind and bits, so NaN finds NaN and Int(3)
+// stays apart from Float(3.0).
+func samePartial(a, b fiba.Partial) bool {
+	return a.Count == b.Count && a.SumI == b.SumI && a.Floaty == b.Floaty &&
+		math.Float64bits(a.SumF) == math.Float64bits(b.SumF) &&
+		a.Min == b.Min && a.Max == b.Max
 }
 
 // newGroup registers an empty group. Its run's margin is how far behind the
@@ -451,7 +485,6 @@ func (en *Engine) reclaimAll() {
 	}
 	en.groups, en.elems = nil, 0
 	en.byKey = make(map[event.Value]*group)
-	en.byMatch = make(map[string]elemRef)
 }
 
 // nextEnd returns the smallest grid end after cursor whose window holds at
@@ -651,29 +684,27 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 	lo := fiba.Key{TS: av.WindowStart, Seq: fiba.MaxSeq}
 	hi := fiba.Key{TS: av.WindowEnd, Seq: fiba.MaxSeq}
 	g.run.Ascend(lo, hi, func(_ fiba.Key, _ fiba.Partial, aux any) bool {
-		a := aux.(*elemAux)
-		if len(a.refs) == 0 || len(r.Events)+len(a.refs) > maxProvRefs {
+		refs, _ := aux.([]provenance.EventRef)
+		if len(refs) == 0 || len(r.Events)+len(refs) > maxProvRefs {
 			// Elements restored from a checkpoint carry no citations;
 			// either way the record is an undercount, so mark it.
 			r.Truncated = true
-			return len(a.refs) == 0
+			return len(refs) == 0
 		}
-		r.Events = append(r.Events, a.refs...)
+		r.Events = append(r.Events, refs...)
 		return true
 	})
 	return r
 }
 
 // purgeFor removes elements that can never contribute to a window past
-// end (ts <= end + slide − W), drops their retraction bookkeeping, and in
-// speculative mode forgets preview records for sealed windows.
+// end (ts <= end + slide − W) and in speculative mode forgets preview
+// records for sealed windows.
 func (en *Engine) purgeFor(end event.Time) {
 	cut := en.purgeCut(end)
 	n := 0
 	for _, g := range en.groups {
-		n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, func(aux any) {
-			delete(en.byMatch, aux.(*elemAux).matchKey)
-		})
+		n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, nil)
 		if !en.speculative {
 			continue
 		}

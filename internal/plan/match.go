@@ -114,20 +114,16 @@ func (m Match) String() string {
 }
 
 // KeySet collects the keys of a slice of matches into a multiset
-// (key -> count). Retractions subtract.
+// (key -> count). Retractions subtract. Each match's key is rendered once.
 func KeySet(matches []Match) map[string]int {
 	out := make(map[string]int, len(matches))
 	for _, m := range matches {
+		k, d := m.Key(), 1
 		if m.Kind == Retract {
-			out[m.Key()]--
-			if out[m.Key()] == 0 {
-				delete(out, m.Key())
-			}
-		} else {
-			out[m.Key()]++
-			if out[m.Key()] == 0 {
-				delete(out, m.Key())
-			}
+			d = -1
+		}
+		if out[k] += d; out[k] == 0 {
+			delete(out, k)
 		}
 	}
 	return out
