@@ -69,7 +69,12 @@ type Engine struct {
 	p     *plan.Plan
 	spec  *plan.AggSpec
 	inner engine.Engine
-	met   *obsv.Series
+	// tap reports the operator's steps. Series and hook bind to the operator
+	// itself: the inner engine's matches are consumed, not emitted, so the
+	// outer series is the one that reflects the query's visible output. Its
+	// sampler is the builder's to withhold: the inner strategy engine owns
+	// the construction stage boundary.
+	tap engine.Tap
 
 	// speculative selects preview+revision emission; sealed otherwise.
 	speculative bool
@@ -103,17 +108,10 @@ type Engine struct {
 	// elems is the number of live elements across all groups.
 	elems int
 
-	// The instruments of the operator's Env. Series and hook bind to the
-	// operator itself: the inner engine's matches are consumed, not emitted,
-	// so the outer series is the one that reflects the query's visible
-	// output. prov builds lineage here for the same reason (the inner
-	// engine's records would never surface): each aggregate match cites the
-	// events of the inner matches contributing to its window, capped at
-	// maxProvRefs. The latency sampler is not the operator's: the inner
-	// strategy engine owns the construction stage boundary.
-	trace     obsv.TraceHook
-	traceName string
-	prov      bool
+	// prov builds lineage here, not in the inner engine, whose records
+	// would never surface: each aggregate match cites the events of the
+	// inner matches contributing to its window, capped at maxProvRefs.
+	prov bool
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -140,10 +138,9 @@ func NewWithEnv(p *plan.Plan, inner engine.Engine, speculative bool, lateness ev
 		lateness:    lateness,
 		clock:       math.MinInt64,
 		byKey:       make(map[event.Value]*group),
-		trace:       env.Trace,
 		prov:        env.Provenance,
 	}
-	en.met, en.traceName = env.Publish(en.Name())
+	en.tap = env.Publish(en.Name())
 	return en
 }
 
@@ -182,10 +179,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // that window seals.
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
-	en.met.IncIn(e.TS < en.clock, event.Lag(en.clock, e.TS))
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
+	en.tap.Admit(e, e.TS < en.clock, event.Lag(en.clock, e.TS))
 	out = en.absorb(en.inner.Process(e), out)
 	if e.TS > en.clock {
 		en.clock = e.TS
@@ -211,9 +205,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // before the outer clock moves), then windows are sealed under the new
 // watermark.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
+	en.tap.Mark(obsv.OpHeartbeat, "", ts, 0)
 	out := en.absorb(en.inner.Advance(ts), nil)
 	if ts > en.clock {
 		en.clock = ts
@@ -234,16 +226,14 @@ func (en *Engine) Flush() []plan.Match {
 	}
 	en.reclaimAll()
 	en.publishGauges()
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
-	}
+	en.tap.Mark(obsv.OpFlush, "", en.clock, 0)
 	return out
 }
 
 // Metrics implements engine.Engine: the operator's series, which carries
 // the strategy's (the builder hands the strategy the operator's
 // Series.Carry).
-func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
+func (en *Engine) Metrics() obsv.Snapshot { return en.tap.Snapshot() }
 
 // StateSnapshot implements engine.Engine. Safe is the inner engine's: the
 // operator drops nothing itself, and its own clock runs ahead of the inner
@@ -251,7 +241,7 @@ func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	inner := en.inner.StateSnapshot()
 	s := &provenance.StateSnapshot{
-		Engine:  en.traceName,
+		Engine:  en.tap.Name(),
 		Started: en.arrival > 0,
 		Clock:   en.clock,
 		Safe:    inner.Safe,
@@ -299,7 +289,7 @@ func (en *Engine) absorb(ms []plan.Match, out []plan.Match) []plan.Match {
 // is its timestamp and partial; with provenance on it also carries the
 // citations of the events the match bound.
 func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
-	ts, part, gv, ok := en.spec.ElementOf(m, en.met.IncPredError)
+	ts, part, gv, ok := en.spec.ElementOf(m, en.tap.IncPredError)
 	if !ok {
 		return out
 	}
@@ -313,9 +303,9 @@ func (en *Engine) addElem(m plan.Match, out []plan.Match) []plan.Match {
 	}
 	key := fiba.Key{TS: ts, Seq: en.elemSeq}
 	en.elemSeq++
-	en.met.AggInserts.Inc()
+	en.tap.AggInserts.Inc()
 	if g.run.Insert(key, part, refs) {
-		en.met.AggFingerHits.Inc()
+		en.tap.AggFingerHits.Inc()
 	}
 	en.elems++
 	if en.speculative {
@@ -481,7 +471,7 @@ func (en *Engine) reclaim(watermark event.Time) {
 // reclaimAll drops every element and group after a flush.
 func (en *Engine) reclaimAll() {
 	if en.elems > 0 {
-		en.met.ObservePurge(en.elems)
+		en.tap.Purge(en.clock, en.elems)
 	}
 	en.groups, en.elems = nil, 0
 	en.byKey = make(map[event.Value]*group)
@@ -552,7 +542,7 @@ func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan
 		if av == nil {
 			continue
 		}
-		en.met.AggWindows.Inc()
+		en.tap.AggWindows.Inc()
 		if preview {
 			g.emitted[end] = av
 		}
@@ -570,7 +560,7 @@ func (en *Engine) windowValue(g *group, end event.Time) *plan.AggValue {
 		return nil
 	}
 	av := en.aggValue(g, end, v, n)
-	if !en.spec.EvalHaving(av, en.met.IncPredError) {
+	if !en.spec.EvalHaving(av, en.tap.IncPredError) {
 		return nil
 	}
 	return av
@@ -614,16 +604,16 @@ func (en *Engine) revise(g *group, end event.Time, out []plan.Match) []plan.Matc
 	case old == nil:
 		// The window surfaced late (was empty or HAVING-rejected at
 		// preview time): a plain insert, no compensation needed.
-		en.met.AggWindows.Inc()
+		en.tap.AggWindows.Inc()
 		g.emitted[end] = nv
 		out = en.emit(g, nv, plan.Insert, out)
 	case nv == nil:
-		en.met.AggRevisions.Inc()
+		en.tap.AggRevisions.Inc()
 		delete(g.emitted, end)
 		out = en.emit(g, old, plan.Retract, out)
 	case old.Same(nv):
 	default:
-		en.met.AggRevisions.Inc()
+		en.tap.AggRevisions.Inc()
 		g.emitted[end] = nv
 		out = en.emit(g, old, plan.Retract, out)
 		out = en.emit(g, nv, plan.Insert, out)
@@ -643,23 +633,7 @@ func (en *Engine) emit(g *group, av *plan.AggValue, kind plan.MatchKind, out []p
 	if en.prov {
 		m.Prov = en.record(g, av, kind)
 	}
-	retract := kind == plan.Retract
-	lat := en.clock - av.WindowEnd
-	if lat < 0 {
-		lat = 0
-	}
-	en.met.AddMatch(retract, lat, 0)
-	if en.trace != nil {
-		op := obsv.OpEmit
-		if retract {
-			op = obsv.OpRetract
-		}
-		te := obsv.TraceEvent{Op: op, Engine: en.traceName, TS: av.WindowEnd, Seq: m.EmitSeq, N: int(av.Count)}
-		if m.Prov != nil {
-			te.Match = m.Prov.MatchKey()
-		}
-		en.trace.Trace(te)
-	}
+	en.tap.Emit(&m, en.clock-av.WindowEnd, 0)
 	return append(out, m)
 }
 
@@ -716,10 +690,7 @@ func (en *Engine) purgeFor(end event.Time) {
 	}
 	if n > 0 {
 		en.elems -= n
-		en.met.ObservePurge(n)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpPurge, Engine: en.traceName, TS: cut, N: n})
-		}
+		en.tap.Purge(cut, n)
 	}
 	en.dropEmpty()
 }
@@ -758,11 +729,11 @@ func (en *Engine) dropEmpty() {
 // publishGauges refreshes the state gauges at call boundaries.
 func (en *Engine) publishGauges() {
 	// A run has no levels: the height gauge reads 1 while anything is live.
-	en.met.AggTreeHeight.Set(int64(min(en.elems, 1)))
-	en.met.AggElements.Set(int64(en.elems))
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.AggTreeHeight.Set(int64(min(en.elems, 1)))
+	en.tap.AggElements.Set(int64(en.elems))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	if en.spec.GroupSlot >= 0 {
-		en.met.KeyGroups.Set(int64(len(en.groups)))
+		en.tap.KeyGroups.Set(int64(len(en.groups)))
 	}
 }
 

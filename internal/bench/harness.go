@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"oostream"
+	"oostream/internal/engine"
 	"oostream/internal/gen"
 	"oostream/internal/inorder"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 )
 
@@ -91,11 +91,11 @@ func runReference(q *oostream.Query, events []oostream.Event) Result {
 		matches = append(matches, en.Process(e)...)
 	}
 	matches = append(matches, en.Flush()...)
-	met := obsv.NewSeries("")
-	for _, m := range matches {
-		met.AddMatch(false, m.EmitClock-m.Last().TS, 0)
+	tap := engine.Env{}.Publish("inorder")
+	for i := range matches {
+		tap.Emit(&matches[i], matches[i].EmitClock-matches[i].Last().TS, 0)
 	}
-	return Result{Strategy: "inorder", Matches: matches, Metrics: met.Snapshot()}
+	return Result{Strategy: "inorder", Matches: matches, Metrics: tap.Snapshot()}
 }
 
 // keyNote names the key the kernel groups the query's stacks by, the same

@@ -167,7 +167,7 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 // CountKeyless adds n to the events refused for lacking the partition key
 // (errMissingKey): the ones the router of a partitioned checkpoint had
 // counted in front of the engines whose state Restore merged.
-func (en *Engine) CountKeyless(n uint64) { en.met.PredErrors.Add(n) }
+func (en *Engine) CountKeyless(n uint64) { en.tap.PredErrors.Add(n) }
 
 // restoreKey returns the key group a checkpointed event goes back to. An
 // event without the key (possible only in checkpoints written by an engine
@@ -176,7 +176,7 @@ func (en *Engine) CountKeyless(n uint64) { en.met.PredErrors.Add(n) }
 func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
 	key, ok := en.keyOf(e)
 	if !ok {
-		en.met.IncPredError(errMissingKey)
+		en.tap.IncPredError(errMissingKey)
 	}
 	return key, ok
 }

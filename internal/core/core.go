@@ -212,24 +212,15 @@ type Engine struct {
 	// enumerated counts complete bindings found by construction; used to
 	// classify probes as empty (pure overhead) or productive.
 	enumerated uint64
-	met        *obsv.Series
-	// The instruments of opts.Env, fixed at construction. trace, when
-	// non-nil, observes match-lifecycle steps: every call site nil-checks
-	// first so the unhooked hot path pays one predictable branch and
-	// constructs no TraceEvent. traceName labels emitted trace events and
-	// state snapshots (the series name, or the strategy name at
-	// construction).
-	trace     obsv.TraceHook
-	traceName string
+	// tap reports each lifecycle step into the instruments of opts.Env,
+	// fixed at construction, under the series name or the strategy's; its
+	// sampler stamps the construction stage boundary (admission to the end
+	// of processOne) on sampled spans.
+	tap engine.Tap
 
-	// lat, when non-nil, stamps the construction stage boundary on sampled
-	// event spans (admission to the end of processOne); nil costs one
-	// predictable branch per event.
-	lat *obsv.LatencySampler
-
-	// prov enables lineage-record construction on emitted matches. Like the
-	// trace hook, every site checks the flag first, so the disabled hot
-	// path pays one predictable branch and builds nothing. restored marks
+	// prov enables lineage-record construction on emitted matches. Every
+	// site checks the flag first, so the disabled hot path pays one
+	// predictable branch and builds nothing. restored marks
 	// an engine rebuilt from a checkpoint: lineage is not checkpointed, so
 	// matches sealed from restored pending state carry truncated records.
 	// lineageLive/lineageBytes track records currently retained by pending
@@ -302,8 +293,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		negDue:       make([]ais.Due[*ais.Stack], len(p.Negatives)),
 		vuln:         make(map[event.Value]vulnList),
 		frontier:     math.MinInt64,
-		trace:        opts.Env.Trace,
-		lat:          opts.Env.Latency,
+		tap:          opts.Env.Publish(opts.Emit.String()),
 		prov:         opts.Env.Provenance,
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
@@ -313,7 +303,6 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		cols:         make([][]column, p.Len()),
 		filled:       make([]bool, p.Len()),
 	}
-	en.met, en.traceName = opts.Env.Publish(opts.Emit.String())
 	for i := range en.knegs {
 		en.knegs[i] = make(map[event.Value]*ais.Stack)
 	}
@@ -359,7 +348,7 @@ func MustNew(p *plan.Plan, opts Options) *Engine {
 func (en *Engine) Name() string { return en.opts.Emit.String() }
 
 // Metrics implements engine.Engine.
-func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
+func (en *Engine) Metrics() obsv.Snapshot { return en.tap.Snapshot() }
 
 // Keyed reports whether the engine groups its state by a key attribute.
 // Only reports read it: state handling goes through keyOf.
@@ -500,7 +489,7 @@ const minTime = event.Time(-1 << 62)
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
 	out := en.processOne(e, nil)
-	en.lat.StageEnd(e.Seq, obsv.StageConstruct)
+	en.tap.Spans.StageEnd(e.Seq, obsv.StageConstruct)
 	en.maybePurge()
 	en.publishGauges()
 	return out
@@ -518,7 +507,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	var out []plan.Match
 	for i := range batch {
 		out = en.processOne(batch[i], out)
-		en.lat.StageEnd(batch[i].Seq, obsv.StageConstruct)
+		en.tap.Spans.StageEnd(batch[i].Seq, obsv.StageConstruct)
 	}
 	en.maybePurge()
 	en.publishGauges()
@@ -532,7 +521,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
 	if !en.plan.Relevant(e.Type) {
-		en.met.Irrelevant.Inc()
+		en.tap.Irrelevant.Inc()
 		return out
 	}
 	isOOO := en.started && e.TS < en.clock
@@ -540,14 +529,11 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	if isOOO {
 		lag = event.Lag(en.clock, e.TS)
 	}
-	en.met.IncIn(isOOO, lag)
+	en.tap.Admit(e, isOOO, lag)
 	if en.opts.Adaptive != nil {
 		// Same observation point as Series.WatermarkLag — bound violators
 		// included, so a late storm is evidence to grow K, not invisible.
 		en.opts.Adaptive.ObserveLag(lag)
-	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
 	}
 	// Sample the frontier before the late check: every event admitted below
 	// is then provably within the current effective K of the clock.
@@ -557,18 +543,10 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 			// The event violates only the degradation-clamped bound, not the
 			// nominal one: it was deliberately shed, not late.
 			en.shedded++
-			en.met.SheddedEvents.Inc()
-			en.lat.Abandon(e.Seq)
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-			}
+			en.tap.Reject(e, true)
 			return out
 		}
-		en.met.EventsLate.Inc()
-		en.lat.Abandon(e.Seq)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-		}
+		en.tap.Reject(e, false)
 		return out
 	}
 	if e.TS > en.clock || !en.started {
@@ -592,31 +570,15 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // publishGauges refreshes the state gauges: once per Process call, once
 // per batch on the ProcessBatch path.
 func (en *Engine) publishGauges() {
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	if en.Keyed() {
-		en.met.KeyGroups.Set(int64(en.kstacks.Groups()))
+		en.tap.KeyGroups.Set(int64(en.kstacks.Groups()))
 	}
 	if en.prov {
-		en.met.SetLineage(en.lineageLive, en.lineageBytes)
+		en.tap.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	if ad := en.opts.Adaptive; ad != nil {
-		en.met.SetBound(ad.EffectiveK(), ad.Degraded())
-	}
-}
-
-// noteInsert records the instrumentation for one stack insertion: the push
-// itself and, as repairs, the next-stack run whose RIP the insertion became
-// (ais.Stacks.LastFixups).
-func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
-	fixups := st.LastFixups()
-	if fixups > 0 {
-		en.met.Repairs.Add(uint64(fixups))
-	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpStackPush, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-		if fixups > 0 {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpRepair, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: fixups})
-		}
+		en.tap.SetBound(ad.EffectiveK(), ad.Degraded())
 	}
 }
 
@@ -628,32 +590,30 @@ func (en *Engine) noteInsert(st *ais.Stacks, e event.Event, pos int) {
 func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Match {
 	key, ok := en.keyOf(e)
 	if !ok {
-		en.met.IncPredError(errMissingKey)
+		en.tap.IncPredError(errMissingKey)
 		return out
 	}
 	for _, negIdx := range en.plan.NegativesForType(e.Type) {
-		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.met.IncPredError) {
+		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.tap.IncPredError) {
 			en.insertNeg(negIdx, key, e)
 			out = en.retract(negIdx, key, e, out)
 		}
 	}
 	last := en.plan.Len() - 1
 	for _, pos := range en.plan.PositionsForType(e.Type) {
-		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.met.IncPredError) {
+		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.tap.IncPredError) {
 			continue
 		}
 		_, st := en.kstacks.Insert(key, pos, e)
 		en.liveStack++
-		en.noteInsert(st, e, pos)
+		// The repair is the next-stack run whose RIP the insertion became.
+		en.tap.Push(e, pos, st.LastFixups())
 		if pos == last || isOOO || en.opts.DisableTriggerOpt {
-			if en.trace != nil {
-				en.trace.Trace(obsv.TraceEvent{Op: obsv.OpTrigger, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq, N: pos})
-			}
+			en.tap.Trigger(e, pos)
 			before := en.enumerated
 			out = en.construct(st, key, e, pos, out)
-			en.met.Probes.Inc()
 			if en.enumerated == before {
-				en.met.EmptyProbes.Inc()
+				en.tap.EmptyProbes.Inc()
 			}
 		}
 	}
@@ -684,9 +644,7 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 		en.started = true
 	}
 	en.advanceFrontier()
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
+	en.tap.Mark(obsv.OpHeartbeat, "", ts, 0)
 	out := en.drainPending(en.safe(), en.finalize, nil)
 	en.since = en.opts.PurgeEvery // force the next purge check to run
 	en.maybePurge()
@@ -702,13 +660,11 @@ func (en *Engine) Flush() []plan.Match {
 	clear(en.vuln)
 	en.vulnDue = ais.Due[event.Value]{}
 	en.liveVuln = 0
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	if en.prov {
-		en.met.SetLineage(en.lineageLive, en.lineageBytes)
+		en.tap.SetLineage(en.lineageLive, en.lineageBytes)
 	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: en.clock})
-	}
+	en.tap.Mark(obsv.OpFlush, "", en.clock, 0)
 	return out
 }
 
@@ -798,7 +754,7 @@ func (en *Engine) hoistedHold(p int, hoisted []plan.Check, cand *event.Event) bo
 			en.binding[p] = *cand
 			bound = true
 		}
-		if !c.Holds(en.binding, en.met.IncPredError) {
+		if !c.Holds(en.binding, en.tap.IncPredError) {
 			return false
 		}
 	}
@@ -813,7 +769,7 @@ func (en *Engine) compare(c *plan.Check, cand, partner *predicate.Side) bool {
 	}
 	ok, err := c.Pair.Compare(l, r)
 	if err != nil {
-		en.met.IncPredError(err)
+		en.tap.IncPredError(err)
 	}
 	return ok
 }
@@ -938,7 +894,7 @@ func (en *Engine) admit(p, k int, cand *event.Event) bool {
 			en.binding[p] = *cand
 			bound = true
 		}
-		if !c.Holds(en.binding, en.met.IncPredError) {
+		if !c.Holds(en.binding, en.tap.IncPredError) {
 			return false
 		}
 	}
@@ -1023,7 +979,7 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov.TriggerTS = en.walkTrigTS
 		pm.prov.TriggerPos = en.walkPos
 		pm.prov.Traversed = int(en.visited - en.walkFrom)
-		en.met.LineageRecords.Inc()
+		en.tap.LineageRecords.Inc()
 	}
 	// Without negation the binding is sealed whatever the clock: minTime is
 	// only its label, and a safe clock near the bottom of the range is below it.
@@ -1075,7 +1031,7 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 	for _, pm := range l.items {
 		lo, hi := en.plan.GapBounds(negIdx, pm.events)
 		if neg.TS <= lo || neg.TS >= hi ||
-			!en.plan.NegMatchesScratch(negIdx, neg, pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
+			!en.plan.NegMatchesScratch(negIdx, neg, pm.events, en.negSkipFor(negIdx), en.negScratch, en.tap.IncPredError) {
 			kept = append(kept, pm)
 			continue
 		}
@@ -1091,16 +1047,9 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 			m.Prov.EmitClock = en.clock
 			inv := provenance.Ref(neg, -1)
 			m.Prov.InvalidatedBy = &inv
-			en.met.LineageRecords.Inc()
+			en.tap.LineageRecords.Inc()
 		}
-		en.met.AddMatch(true, 0, 0)
-		if en.trace != nil {
-			te := obsv.TraceEvent{Op: obsv.OpRetract, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-			if en.prov {
-				te.Match = m.Prov.MatchKey()
-			}
-			en.trace.Trace(te)
-		}
+		en.tap.Emit(&m, 0, 0)
 		out = append(out, m)
 	}
 	if len(kept) < len(l.items) {
@@ -1152,10 +1101,7 @@ func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
 	if p == EmitThenRetract {
 		out = en.drainPending(math.MaxInt64, en.release, nil)
 	}
-	en.met.Switches.Inc()
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpSwitch, Engine: en.traceName, Type: p.String(), TS: en.safe(), N: len(out)})
-	}
+	en.tap.Mark(obsv.OpSwitch, p.String(), en.safe(), len(out))
 	en.publishGauges()
 	return out
 }
@@ -1210,14 +1156,14 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 		}
 		lo, hi := en.plan.GapBounds(negIdx, pm.events)
 		for i := ns.FirstAfter(lo); i < ns.Len() && ns.At(i).TS < hi; i++ {
-			if en.plan.NegMatchesScratch(negIdx, *ns.At(i), pm.events, en.negSkipFor(negIdx), en.negScratch, en.met.IncPredError) {
+			if en.plan.NegMatchesScratch(negIdx, *ns.At(i), pm.events, en.negSkipFor(negIdx), en.negScratch, en.tap.IncPredError) {
 				return out
 			}
 		}
 	}
 	fields, err := en.plan.Project(pm.events)
 	if err != nil {
-		en.met.IncPredError(err)
+		en.tap.IncPredError(err)
 		return out
 	}
 	m := plan.Match{
@@ -1235,19 +1181,12 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 			// mark the record truncated.
 			rec = en.lineageFor(pm)
 			rec.Truncated = true
-			en.met.LineageRecords.Inc()
+			en.tap.LineageRecords.Inc()
 		}
 		rec.EmitClock = en.clock
 		m.Prov = rec
 	}
-	en.met.AddMatch(false, en.clock-m.Last().TS, en.arrival-pm.madeSeq)
-	if en.trace != nil {
-		te := obsv.TraceEvent{Op: obsv.OpEmit, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-		if en.prov {
-			te.Match = m.Prov.MatchKey()
-		}
-		en.trace.Trace(te)
-	}
+	en.tap.Emit(&m, en.clock-m.Last().TS, en.arrival-pm.madeSeq)
 	return append(out, m)
 }
 
@@ -1309,10 +1248,7 @@ func (en *Engine) maybePurge() {
 		}
 	})
 	if purged+negPurged > 0 {
-		en.met.ObservePurge(purged + negPurged)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpPurge, Engine: en.traceName, TS: safe, N: purged + negPurged})
-		}
+		en.tap.Purge(safe, purged+negPurged)
 	}
 }
 
@@ -1320,7 +1256,7 @@ func (en *Engine) maybePurge() {
 // live state. Not safe concurrently with Process.
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	s := &provenance.StateSnapshot{
-		Engine:        en.traceName,
+		Engine:        en.tap.Name(),
 		Started:       en.started,
 		Clock:         en.clock,
 		Safe:          en.safe(),

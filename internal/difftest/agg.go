@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -122,9 +123,19 @@ func genAggQuery(rng *rand.Rand) (string, map[string]bool) {
 
 // aggTruth computes the normative aggregate output by brute force: oracle
 // pattern matches on the sorted stream, bucketed into every grid window
-// that contains them with the same spec helpers the operator uses.
+// that contains them with the same spec helpers the operator uses, and its
+// rules at the ends of the time range: grid ends saturate at the top, and a
+// window's start is end − W saturated at the bottom, except that an end
+// saturated at the top (not on the grid) stands for the first grid end past
+// the range, whose window starts one slide after the last grid end in it.
 func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 	spec := p.Agg
+	windowStart := func(end event.Time) event.Time {
+		if end == math.MaxInt64 && end%spec.Slide != 0 {
+			return end - end%spec.Slide - (p.Window - spec.Slide)
+		}
+		return event.SubSat(end, p.Window)
+	}
 	type elem struct {
 		ts    event.Time
 		part  fiba.Partial
@@ -140,8 +151,11 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 	}
 	endSet := map[event.Time]bool{}
 	for _, el := range elems {
-		for end := plan.AlignUp(el.ts, spec.Slide); end-p.Window < el.ts; end += spec.Slide {
+		for end := plan.AlignUp(el.ts, spec.Slide); windowStart(end) < el.ts; end = event.AddSat(end, spec.Slide) {
 			endSet[end] = true
+			if end == math.MaxInt64 {
+				break
+			}
 		}
 	}
 	ends := make([]event.Time, 0, len(endSet))
@@ -156,7 +170,7 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 		seen := map[event.Value]bool{}
 		parts := map[event.Value]fiba.Partial{}
 		for _, el := range elems {
-			if el.ts <= end-p.Window || el.ts > end {
+			if el.ts <= windowStart(end) || el.ts > end {
 				continue
 			}
 			gk := event.Value{}
@@ -176,7 +190,7 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 			}
 			av := &plan.AggValue{
 				Func:        string(spec.Func),
-				WindowStart: end - p.Window,
+				WindowStart: windowStart(end),
 				WindowEnd:   end,
 				Group:       gk,
 				HasGroup:    spec.GroupSlot >= 0,

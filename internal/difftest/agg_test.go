@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -99,4 +100,45 @@ func sortedCopy(c Case) []event.Event {
 	copy(s, c.Arrival)
 	event.SortByTime(s)
 	return s
+}
+
+// TestAggTruthAtTimeLimits holds the window truth to the operator's rules at
+// the ends of the time range: two A/B pairs, at +0/+20 and +30/+45, COUNT(*)
+// over 100 sliding by 10, placed mid-range, at the bottom (where end − W
+// would wrap) and at the top (where the last grid end saturates at
+// MaxInt64). Every strategy must agree with the truth, and the truth must
+// hold the windows the operator emits there.
+func TestAggTruthAtTimeLimits(t *testing.T) {
+	const query = "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 100 SLIDE 10"
+	p, err := plan.ParseAndCompile(query, Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		base             event.Time
+		windows          int
+		firstEnd, endEnd event.Time
+	}{
+		{"mid-range", 1000, 13, 1020, 1140},
+		{"bottom", math.MinInt64 + 3, 12, -9223372036854775780, -9223372036854775670},
+		{"top", math.MaxInt64 - 60, 5, 9223372036854775770, math.MaxInt64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Case{Query: query, Arrival: []event.Event{
+				Ev("A", tc.base, 1, 1, 0), Ev("B", tc.base+20, 2, 1, 0),
+				Ev("A", tc.base+30, 3, 2, 0), Ev("B", tc.base+45, 4, 2, 0),
+			}}
+			truth := aggTruth(p, sortedCopy(c))
+			if len(truth) != tc.windows {
+				t.Fatalf("truth has %d windows, want %d", len(truth), tc.windows)
+			}
+			if first, last := truth[0].Agg.WindowEnd, truth[len(truth)-1].Agg.WindowEnd; first != tc.firstEnd || last != tc.endEnd {
+				t.Errorf("truth's windows end from %d to %d, want %d to %d", first, last, tc.firstEnd, tc.endEnd)
+			}
+			if fail := RunAgg(c); fail != nil {
+				t.Fatalf("%s", fail.Report())
+			}
+		})
+	}
 }

@@ -55,17 +55,51 @@ type covInstruments struct {
 	reg *oostream.Observer
 	mu  sync.Mutex
 	ops map[obsv.Op]int
+	// byEngine counts the ops per reporting identity (TraceEvent.Engine),
+	// purged sums their OpPurge items.
+	byEngine map[string]map[obsv.Op]int
+	purged   map[string]uint64
 }
 
 func newCovInstruments() *covInstruments {
-	return &covInstruments{reg: oostream.NewObserver(), ops: make(map[obsv.Op]int)}
+	return &covInstruments{reg: oostream.NewObserver(), ops: make(map[obsv.Op]int), byEngine: make(map[string]map[obsv.Op]int), purged: make(map[string]uint64)}
 }
 
 func (ci *covInstruments) Trace(te obsv.TraceEvent) {
 	ci.mu.Lock()
 	ci.ops[te.Op]++
+	if ci.byEngine[te.Engine] == nil {
+		ci.byEngine[te.Engine] = make(map[obsv.Op]int)
+	}
+	ci.byEngine[te.Engine][te.Op]++
+	if te.Op == obsv.OpPurge {
+		ci.purged[te.Engine] += uint64(te.N)
+	}
 	ci.mu.Unlock()
 }
+
+// stepCounters pairs each lifecycle op with the counter its step moves.
+var stepCounters = []struct {
+	op      obsv.Op
+	counter func(*obsv.Series) *obsv.Counter
+}{
+	{obsv.OpAdmit, func(s *obsv.Series) *obsv.Counter { return &s.EventsIn }},
+	{obsv.OpDrop, func(s *obsv.Series) *obsv.Counter { return &s.EventsLate }},
+	{obsv.OpShed, func(s *obsv.Series) *obsv.Counter { return &s.SheddedEvents }},
+	{obsv.OpEmit, func(s *obsv.Series) *obsv.Counter { return &s.Matches }},
+	{obsv.OpRetract, func(s *obsv.Series) *obsv.Counter { return &s.Retractions }},
+	{obsv.OpCheckpoint, func(s *obsv.Series) *obsv.Counter { return &s.Checkpoints }},
+	{obsv.OpRestart, func(s *obsv.Series) *obsv.Counter { return &s.Restarts }},
+	{obsv.OpSwitch, func(s *obsv.Series) *obsv.Counter { return &s.Switches }},
+	{obsv.OpPurge, func(s *obsv.Series) *obsv.Counter { return &s.PurgeCalls }},
+}
+
+// unhookedLevee names the series whose admitting layer is a QuerySet's
+// levee: it is built without the hook by design (its emits are the queries'
+// emits, which each query's engine traces under "qs/<id>"), so the hook sees
+// none of its admit, drop, shed, emit or retract steps while the series
+// counts them all.
+var unhookedLevee = map[string]bool{"queryset": true, "supervised(queryset)": true}
 
 func (ci *covInstruments) config(cfg oostream.Config) oostream.Config {
 	cfg.Observer, cfg.Trace, cfg.Provenance = ci.reg, ci, true
@@ -357,6 +391,23 @@ func TestInstrumentCoverage(t *testing.T) {
 			if ci.ops[obsv.OpAdmit] == 0 {
 				t.Error("hook saw no admissions")
 			}
+
+			// Per series, each step's counter equals the hook's count of its
+			// op under that series' name: the two are one report.
+			ci.reg.Each(func(s *obsv.Series) {
+				for _, sc := range stepCounters {
+					got, want := uint64(ci.byEngine[s.Name()][sc.op]), sc.counter(s).Load()
+					if unhookedLevee[s.Name()] && sc.op != obsv.OpCheckpoint && sc.op != obsv.OpRestart {
+						want = 0
+					}
+					if got != want {
+						t.Errorf("series %q: hook saw %d %s ops, counter reads %d", s.Name(), got, sc.op, sc.counter(s).Load())
+					}
+				}
+				if got, want := ci.purged[s.Name()], s.Purged.Load(); got != want {
+					t.Errorf("series %q: the hook's purge ops reclaimed %d items, Purged reads %d", s.Name(), got, want)
+				}
+			})
 
 			// Spans were opened for every offered event and are accounted.
 			lr := on.lat

@@ -89,18 +89,140 @@ type Env struct {
 	Provenance bool
 }
 
-// Publish returns the series the layer publishes into — the Env's, or a
-// private one — and the identity its trace events and state snapshots
-// carry: the series name when a named series was handed over, else the
-// layer's own name.
-func (env Env) Publish(name string) (*obsv.Series, string) {
-	if env.Series == nil {
-		return obsv.NewSeries(""), name
+// Publish returns the tap of a layer called name: the Env's series (or a
+// private one), its hook and its sampler, under the identity the layer's
+// trace events and state snapshots carry — the series name when a named
+// series was handed over, else name.
+func (env Env) Publish(name string) Tap {
+	s := env.Series
+	if s == nil {
+		s = obsv.NewSeries("")
+	} else if s.Name() != "" {
+		name = s.Name()
 	}
-	if env.Series.Name() != "" {
-		name = env.Series.Name()
+	return Tap{Series: s, Spans: env.Latency, hook: env.Trace, name: name}
+}
+
+// Tap is what a layer reports its match-lifecycle steps through. Each step
+// is one call, which moves the step's counters, abandons the event's span
+// when the step ends it, and — only when a hook is set — builds one
+// TraceEvent and hands it to the hook, so an unhooked step builds nothing
+// and the counters and the trace ops cannot disagree. The series is
+// embedded: a layer's other counters and gauges are its fields.
+type Tap struct {
+	*obsv.Series
+	// Spans is the sampler the layer stamps its own stage boundaries on; a
+	// nil sampler makes every stamp a no-op.
+	Spans *obsv.LatencySampler
+	hook  obsv.TraceHook
+	name  string
+}
+
+// Name returns the identity the layer's trace events and state snapshots
+// carry; unlike the series' own Name it is never empty.
+func (t *Tap) Name() string { return t.name }
+
+// Admit reports an event entering the layer: ooo marks it out of timestamp
+// order, lag is its distance behind the watermark (clamped at 0).
+func (t *Tap) Admit(e event.Event, ooo bool, lag event.Time) {
+	t.EventsIn.Inc()
+	if ooo {
+		t.EventsOOO.Inc()
 	}
-	return env.Series, name
+	t.WatermarkLag.Observe(uint64(max(lag, 0)))
+	t.trace(obsv.OpAdmit, e.Type, e.TS, e.Seq, 0)
+}
+
+// Reject reports an admitted event the layer discards: shed by overload
+// degradation, else dropped for violating the disorder bound. Its span
+// ends unfinished.
+func (t *Tap) Reject(e event.Event, shed bool) {
+	op := obsv.OpDrop
+	if shed {
+		op = obsv.OpShed
+		t.SheddedEvents.Inc()
+	} else {
+		t.EventsLate.Inc()
+	}
+	t.Spans.Abandon(e.Seq)
+	t.trace(op, e.Type, e.TS, e.Seq, 0)
+}
+
+// Push reports e inserted into the stack of pattern position pos, and as a
+// repair the fixups instances whose predecessor pointer it became.
+func (t *Tap) Push(e event.Event, pos, fixups int) {
+	if fixups > 0 {
+		t.Repairs.Add(uint64(fixups))
+	}
+	t.trace(obsv.OpStackPush, e.Type, e.TS, e.Seq, pos)
+	if fixups > 0 {
+		t.trace(obsv.OpRepair, e.Type, e.TS, e.Seq, fixups)
+	}
+}
+
+// Trigger reports a construction probe triggered by e at position pos.
+func (t *Tap) Trigger(e event.Event, pos int) {
+	t.Probes.Inc()
+	t.trace(obsv.OpTrigger, e.Type, e.TS, e.Seq, pos)
+}
+
+// Emit reports a match the layer emits, an insert or a retraction. For an
+// insert, logical is the emission clock less the match's last timestamp
+// (clamped at 0) and arrival the arrivals between its completion and its
+// emission. The trace event counts the match's events, or its window's
+// for an aggregate, and names the match when it carries lineage.
+func (t *Tap) Emit(m *plan.Match, logical event.Time, arrival uint64) {
+	op := obsv.OpEmit
+	if m.Kind == plan.Retract {
+		op = obsv.OpRetract
+		t.Retractions.Inc()
+	} else {
+		t.Matches.Inc()
+		t.LogicalLat.Observe(uint64(max(logical, 0)))
+		t.ArrivalLat.Observe(arrival)
+	}
+	if t.hook == nil {
+		return
+	}
+	te := obsv.TraceEvent{Op: op, Engine: t.name, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
+	if m.Agg != nil {
+		te.N = int(m.Agg.Count)
+	}
+	if m.Prov != nil {
+		te.Match = m.Prov.MatchKey()
+	}
+	t.hook.Trace(te)
+}
+
+// Purge reports a purge pass that reclaimed n items up to ts.
+func (t *Tap) Purge(ts event.Time, n int) {
+	t.PurgeCalls.Inc()
+	t.Purged.Add(uint64(n))
+	t.trace(obsv.OpPurge, "", ts, 0, n)
+}
+
+// Mark reports a step of the stream rather than of an event: a heartbeat
+// promising ts, a flush at clock ts, a checkpoint of n bytes, a restart
+// (n the consecutive count), or a switch to the policy typ releasing n
+// matches.
+func (t *Tap) Mark(op obsv.Op, typ string, ts event.Time, n int) {
+	switch op {
+	case obsv.OpCheckpoint:
+		t.Checkpoints.Inc()
+		t.CheckpointBytes.Set(int64(n))
+	case obsv.OpRestart:
+		t.Restarts.Inc()
+	case obsv.OpSwitch:
+		t.Switches.Inc()
+	}
+	t.trace(op, typ, ts, 0, n)
+}
+
+// trace hands the hook one step, when there is a hook.
+func (t *Tap) trace(op obsv.Op, typ string, ts event.Time, seq event.Seq, n int) {
+	if t.hook != nil {
+		t.hook.Trace(obsv.TraceEvent{Op: op, Engine: t.name, Type: typ, TS: ts, Seq: seq, N: n})
+	}
 }
 
 // Drain runs a whole finite stream through an engine and returns every

@@ -21,18 +21,22 @@ import (
 type Engine struct {
 	buf   *Buffer
 	inner engine.Engine
-	met   *obsv.Series
+	// tap reports the levee's own lifecycle steps (admit, drop, shed, emit
+	// at restamp). Series and hook bind to the levee, not the inner engine:
+	// the inner view of the stream is delayed by K and would double-report,
+	// so the outer series is the one that reflects the live stream. Its
+	// sampler stamps wall-clock stage boundaries on sampled spans: the levee
+	// owns the buffer-residency stage, so admitted events are Held (the
+	// facade's unconditional Finish cannot close a span still sitting in the
+	// reorder buffer) and FinishHeld at release, after the inner engine has
+	// processed them. The inner engine gets no sampler — the levee stamps
+	// StageConstruct around the inner batch itself, keeping one stamp per
+	// stage.
+	tap engine.Tap
 	// arrival counts the events offered; with the buffer's maximum timestamp
 	// it stamps what the inner engine emits, so result latency includes the
 	// wait in the buffer.
 	arrival uint64
-	// trace observes the levee's own lifecycle steps (admit, drop, emit)
-	// when non-nil. The series and hook bind to the levee, not the inner
-	// engine: the inner view of the stream is delayed by K and would
-	// double-report, so the outer series is the one that reflects the
-	// live stream.
-	trace     obsv.TraceHook
-	traceName string
 	// prov mirrors the inner engine's provenance switch (the inner engine
 	// builds the records); restamp then rewrites each relayed record's emit
 	// clock to the outer clock (the inner engine's clock lags by K).
@@ -42,14 +46,6 @@ type Engine struct {
 	// controller lag observations and buffer occupancy.
 	adapt   *adaptive.Controller
 	shedded uint64
-	// lat, when non-nil, stamps wall-clock stage boundaries on sampled
-	// spans. The levee owns the buffer-residency stage: admitted events
-	// are Held (so the facade's unconditional Finish cannot close a span
-	// still sitting in the reorder buffer) and FinishHeld at release,
-	// after the inner engine has processed them. The inner engine gets no
-	// sampler — the levee stamps StageConstruct around the inner batch
-	// itself, keeping one stamp per stage.
-	lat *obsv.LatencySampler
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -72,9 +68,7 @@ func NewAdaptiveEngine(ctrl *adaptive.Controller, inner engine.Engine, env engin
 }
 
 func newEngine(buf *Buffer, inner engine.Engine, env engine.Env) *Engine {
-	en := &Engine{buf: buf, inner: inner, trace: env.Trace, prov: env.Provenance, lat: env.Latency}
-	en.met, en.traceName = env.Publish(en.Name())
-	return en
+	return &Engine{buf: buf, inner: inner, tap: env.Publish("kslack"), prov: env.Provenance}
 }
 
 // Name implements engine.Engine.
@@ -151,7 +145,7 @@ func Restore(s *engine.Sections, k event.Time, env engine.Env, restoreInner func
 func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	clock, _ := en.buf.MaxSeen()
 	s := &provenance.StateSnapshot{
-		Engine:    en.traceName,
+		Engine:    en.tap.Name(),
 		Started:   en.arrival > 0,
 		Clock:     clock,
 		Safe:      en.buf.Watermark(),
@@ -192,7 +186,7 @@ func (en *Engine) StateSize() int { return en.buf.Len() + en.inner.StateSize() }
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
 	out := en.processOne(e, nil)
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	en.publishAdaptive()
 	return out
 }
@@ -203,7 +197,7 @@ func (en *Engine) publishAdaptive() {
 	if en.adapt == nil {
 		return
 	}
-	en.met.SetBound(en.adapt.EffectiveK(), en.adapt.Degraded())
+	en.tap.SetBound(en.adapt.EffectiveK(), en.adapt.Degraded())
 }
 
 // ProcessBatch implements engine.Engine. The levee MUST admit
@@ -218,7 +212,7 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 	for i := range batch {
 		out = en.processOne(batch[i], out)
 	}
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	en.publishAdaptive()
 	return out
 }
@@ -233,24 +227,17 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	if ooo {
 		lag = event.Lag(maxSeen, e.TS)
 	}
-	en.met.IncIn(ooo, lag)
+	en.tap.Admit(e, ooo, lag)
 	if en.adapt != nil {
 		// Same observation point as Series.WatermarkLag — bound violators
 		// included, so a late storm is evidence to grow K, not invisible.
 		en.adapt.ObserveLag(lag)
 	}
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpAdmit, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-	}
-	en.lat.Hold(e.Seq)
+	en.tap.Spans.Hold(e.Seq)
 	before := en.buf.Dropped()
 	released := en.buf.Push(e)
 	if en.buf.Dropped() > before {
-		en.met.EventsLate.Inc()
-		en.lat.Abandon(e.Seq)
-		if en.trace != nil {
-			en.trace.Trace(obsv.TraceEvent{Op: obsv.OpDrop, Engine: en.traceName, Type: e.Type, TS: e.TS, Seq: e.Seq})
-		}
+		en.tap.Reject(e, false)
 	}
 	out = en.feedInto(released, out)
 	if en.adapt != nil {
@@ -261,11 +248,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		if limit := en.adapt.Limits().MaxBufferedEvents; limit > 0 {
 			for _, shed := range en.buf.ShedOldest(limit) {
 				en.shedded++
-				en.met.SheddedEvents.Inc()
-				en.lat.Abandon(shed.Seq)
-				if en.trace != nil {
-					en.trace.Trace(obsv.TraceEvent{Op: obsv.OpShed, Engine: en.traceName, Type: shed.Type, TS: shed.TS, Seq: shed.Seq})
-				}
+				en.tap.Reject(shed, true)
 			}
 		}
 	}
@@ -276,9 +259,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // watermark to ts − K, releasing (and processing) everything at or below
 // it, and forwards the heartbeat to the inner engine.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
-	if en.trace != nil {
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpHeartbeat, Engine: en.traceName, TS: ts})
-	}
+	en.tap.Mark(obsv.OpHeartbeat, "", ts, 0)
 	out := en.feed(en.buf.Advance(ts))
 	return append(out, en.restamp(en.inner.Advance(en.buf.Watermark()))...)
 }
@@ -287,17 +268,15 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 func (en *Engine) Flush() []plan.Match {
 	out := en.feed(en.buf.Flush())
 	out = append(out, en.restamp(en.inner.Flush())...)
-	en.met.LiveState.Set(int64(en.StateSize()))
-	if en.trace != nil {
-		clock, _ := en.buf.MaxSeen()
-		en.trace.Trace(obsv.TraceEvent{Op: obsv.OpFlush, Engine: en.traceName, TS: clock})
-	}
+	en.tap.LiveState.Set(int64(en.StateSize()))
+	clock, _ := en.buf.MaxSeen()
+	en.tap.Mark(obsv.OpFlush, "", clock, 0)
 	return out
 }
 
 func (en *Engine) feed(released []event.Event) []plan.Match {
 	out := en.feedInto(released, nil)
-	en.met.LiveState.Set(int64(en.StateSize()))
+	en.tap.LiveState.Set(int64(en.StateSize()))
 	return out
 }
 
@@ -314,15 +293,15 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 	// and close the (held) spans once their matches are restamped. Every
 	// call is a one-branch no-op for unsampled seqs or a nil sampler.
 	for i := range released {
-		en.lat.StageEnd(released[i].Seq, obsv.StageBuffer)
+		en.tap.Spans.StageEnd(released[i].Seq, obsv.StageBuffer)
 	}
 	ms := en.inner.ProcessBatch(released)
 	for i := range released {
-		en.lat.StageEnd(released[i].Seq, obsv.StageConstruct)
+		en.tap.Spans.StageEnd(released[i].Seq, obsv.StageConstruct)
 	}
 	out = append(out, en.restamp(ms)...)
 	for i := range released {
-		en.lat.FinishHeld(released[i].Seq)
+		en.tap.Spans.FinishHeld(released[i].Seq)
 	}
 	return out
 }
@@ -339,23 +318,11 @@ func (en *Engine) restamp(ms []plan.Match) []plan.Match {
 		if m.Prov != nil {
 			m.Prov.EmitClock = clock
 		}
-		retract := m.Kind == plan.Retract
-		en.met.AddMatch(retract, clock-m.Last().TS, 0)
-		if en.trace != nil {
-			op := obsv.OpEmit
-			if retract {
-				op = obsv.OpRetract
-			}
-			te := obsv.TraceEvent{Op: op, Engine: en.traceName, TS: m.Last().TS, Seq: m.EmitSeq, N: len(m.Events)}
-			if m.Prov != nil {
-				te.Match = m.Prov.MatchKey()
-			}
-			en.trace.Trace(te)
-		}
+		en.tap.Emit(m, clock-m.Last().TS, 0)
 	}
 	return ms
 }
 
 // Metrics implements engine.Engine: the levee's series, which carries the
 // kernel's (the builder hands the kernel the levee's Series.Carry).
-func (en *Engine) Metrics() obsv.Snapshot { return en.met.Snapshot() }
+func (en *Engine) Metrics() obsv.Snapshot { return en.tap.Snapshot() }

@@ -11,7 +11,8 @@
 //     either side.
 //   - Series groups the instruments of one engine instance under a name
 //     ("native", "qs/q1", "supervised(native)"); an engine layer holds the
-//     series it was built with and publishes into its fields directly.
+//     series it was built with in its engine.Tap, whose lifecycle steps
+//     move the step counters, and publishes the rest into its fields.
 //   - One instrument table (instruments.go) names every Series field for
 //     each of its readers: Series.Snapshot (what an engine's Metrics
 //     returns), and the Registry's Prometheus text and JSON /varz, so the
@@ -19,8 +20,8 @@
 //
 // Trace hooks (trace.go) are the event-granular complement: a TraceHook
 // receives one TraceEvent per lifecycle step (admit, drop, push, repair,
-// trigger, emit, retract, purge, checkpoint, restart) with a nil fast path
-// — an unhooked engine pays one predictable branch per site.
+// trigger, emit, retract, purge, checkpoint, restart), which a layer
+// reports through its engine.Tap together with the step's counters.
 package obsv
 
 import (
@@ -240,38 +241,9 @@ func (s *Series) Carry() *Series {
 	return s.carried.Load()
 }
 
-// IncIn counts an admitted event; ooo marks it out of timestamp order and
-// lag is its distance behind the watermark (clamped at 0).
-func (s *Series) IncIn(ooo bool, lag event.Time) {
-	s.EventsIn.Inc()
-	if ooo {
-		s.EventsOOO.Inc()
-	}
-	s.WatermarkLag.Observe(uint64(max(lag, 0)))
-}
-
-// AddMatch counts an emitted match with its latencies, or a retraction:
-// logical is the emission clock minus the match's last timestamp (clamped
-// at 0), arrival the arrivals between its completion and its emission.
-func (s *Series) AddMatch(retract bool, logical event.Time, arrival uint64) {
-	if retract {
-		s.Retractions.Inc()
-		return
-	}
-	s.Matches.Inc()
-	s.LogicalLat.Observe(uint64(max(logical, 0)))
-	s.ArrivalLat.Observe(arrival)
-}
-
 // IncPredError counts a predicate evaluation error (treated as non-match);
 // its signature is the callback the evaluators take.
 func (s *Series) IncPredError(error) { s.PredErrors.Inc() }
-
-// ObservePurge counts a purge pass that reclaimed n items.
-func (s *Series) ObservePurge(n int) {
-	s.PurgeCalls.Inc()
-	s.Purged.Add(uint64(n))
-}
 
 // SetLineage gauges the lineage records an engine retains and their
 // estimated heap footprint.

@@ -12,17 +12,22 @@ import (
 
 func TestSnapshotCounters(t *testing.T) {
 	s := NewSeries("")
-	s.IncIn(false, 0)
-	s.IncIn(true, 3)
-	s.IncIn(true, 3)
+	for _, lag := range []uint64{0, 3, 3} {
+		s.EventsIn.Inc()
+		s.WatermarkLag.Observe(lag)
+	}
+	s.EventsOOO.Add(2)
 	s.EventsLate.Inc()
 	s.Irrelevant.Inc()
 	s.IncPredError(errors.New("x"))
-	s.AddMatch(false, 10, 2)
-	s.AddMatch(false, 30, 4)
-	s.AddMatch(true, 0, 0)
-	s.ObservePurge(5)
-	s.ObservePurge(3)
+	for _, lat := range [][2]uint64{{10, 2}, {30, 4}} {
+		s.Matches.Inc()
+		s.LogicalLat.Observe(lat[0])
+		s.ArrivalLat.Observe(lat[1])
+	}
+	s.Retractions.Inc()
+	s.PurgeCalls.Add(2)
+	s.Purged.Add(5 + 3)
 	s.LiveState.Set(7)
 	s.LiveState.Set(3)
 	s.SetBound(40, true)
@@ -54,23 +59,11 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-func TestNegativeLatencyClamped(t *testing.T) {
-	s := NewSeries("")
-	s.AddMatch(false, -5, 0)
-	s.IncIn(true, -2)
-	m := s.Snapshot()
-	if m.LogicalLat.Sum != 0 || m.LogicalLat.Count != 1 {
-		t.Errorf("negative latency not clamped: %+v", m.LogicalLat)
-	}
-	if m.WatermarkLag.Sum != 0 || m.WatermarkLag.Count != 1 {
-		t.Errorf("negative lag not clamped: %+v", m.WatermarkLag)
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
 	s := NewSeries("")
-	s.IncIn(false, 0)
-	s.AddMatch(false, 8, 1)
+	s.EventsIn.Inc()
+	s.Matches.Inc()
+	s.LogicalLat.Observe(8)
 	out := s.Snapshot().String()
 	for _, part := range []string{"in=1", "matches=1", "p99=8"} {
 		if !strings.Contains(out, part) {
@@ -91,8 +84,10 @@ func TestSnapshotCarried(t *testing.T) {
 	}
 	inner := mid.Carry()
 	outer.Irrelevant.Inc()
-	mid.ObservePurge(4)
-	inner.ObservePurge(6)
+	mid.PurgeCalls.Inc()
+	mid.Purged.Add(4)
+	inner.PurgeCalls.Inc()
+	inner.Purged.Add(6)
 	inner.IncPredError(nil)
 	inner.EventsIn.Inc() // not carried: the outer layer admits its own events
 
@@ -119,10 +114,10 @@ func TestSnapshotCarried(t *testing.T) {
 func TestQuantileNearestRank(t *testing.T) {
 	s := NewSeries("")
 	for i := 0; i < 148; i++ {
-		s.AddMatch(false, 0, 0)
+		s.LogicalLat.Observe(0)
 	}
-	s.AddMatch(false, 100, 0)
-	s.AddMatch(false, 100, 0)
+	s.LogicalLat.Observe(100)
+	s.LogicalLat.Observe(100)
 	if got := s.Snapshot().LogicalLat.Quantile(0.99); got != 100 {
 		t.Fatalf("p99 of 148×0 + 2×100 = %d, want 100", got)
 	}
@@ -202,8 +197,10 @@ func TestSnapshotConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		s.IncIn(i%2 == 0, 1)
-		s.AddMatch(false, int64(i), uint64(i))
+		s.EventsIn.Inc()
+		s.WatermarkLag.Observe(1)
+		s.Matches.Inc()
+		s.LogicalLat.Observe(uint64(i))
 		s.LiveState.Set(int64(i))
 	}
 	close(stop)

@@ -123,9 +123,9 @@ func (t TraceEvent) String() string {
 // TraceHook observes match-lifecycle steps. Implementations must be safe
 // for concurrent use (one hook may serve engines on different goroutines,
 // and /debug/flight reads a recorder while its engine writes it) and must
-// not retain the TraceEvent beyond the call. Engines
-// guard every call site with a nil check, so an unhooked engine pays one
-// branch per site and constructs no TraceEvent.
+// not retain the TraceEvent beyond the call. A layer reports each step
+// through its engine.Tap, which builds a TraceEvent only when a hook is
+// set.
 type TraceHook interface {
 	Trace(TraceEvent)
 }

@@ -96,9 +96,10 @@ type Set struct {
 	// every call into one (queryState.size is each query's share).
 	size   int
 	sealed bool
-	met    *obsv.Series
-	// lat is opts.Env.Latency (nil-safe at every stamp site).
-	lat *obsv.LatencySampler
+	// tap holds opts.Env: the Set reports no lifecycle step, its series
+	// counts events of a type no query reads, and its sampler stamps each
+	// query's construct segment.
+	tap engine.Tap
 }
 
 // dispatch is one (event type → query) index entry.
@@ -149,9 +150,8 @@ func New(opts Options) (*Set, error) {
 		opts:    opts,
 		queries: make(map[string]*queryState),
 		index:   make(map[string][]dispatch),
-		lat:     opts.Env.Latency,
+		tap:     opts.Env.Publish("queryset"),
 	}
-	s.met, _ = opts.Env.Publish("queryset")
 	return s, nil
 }
 
@@ -333,7 +333,7 @@ func (s *Set) ProcessBatch(batch []event.Event) []plan.Match {
 func (s *Set) dispatch(e event.Event, out *[]plan.Match) {
 	ds := s.index[e.Type]
 	if len(ds) == 0 {
-		s.met.Irrelevant.Inc()
+		s.tap.Irrelevant.Inc()
 	}
 	for _, d := range ds {
 		q := d.q
@@ -349,7 +349,7 @@ func (s *Set) dispatch(e event.Event, out *[]plan.Match) {
 		s.track(q)
 		// Each query's Process closes a construct segment mirrored into
 		// that query's own series.
-		s.lat.StageInto(q.series, e.Seq, obsv.StageConstruct)
+		s.tap.Spans.StageInto(q.series, e.Seq, obsv.StageConstruct)
 	}
 	s.sinceAdvance++
 }
@@ -435,7 +435,7 @@ func (s *Set) tag(q *queryState, ms []plan.Match, out *[]plan.Match) {
 // Metrics implements engine.Engine with the Set's own series: the events
 // no registered query could consume. The levee in front counts the rest;
 // per-query engine counters are available via QueryMetrics.
-func (s *Set) Metrics() obsv.Snapshot { return s.met.Snapshot() }
+func (s *Set) Metrics() obsv.Snapshot { return s.tap.Snapshot() }
 
 // StateSize implements engine.Engine: the state of every registered engine.
 func (s *Set) StateSize() int { return s.size }

@@ -13,23 +13,22 @@ import (
 
 	"oostream/internal/engine"
 	"oostream/internal/event"
-	"oostream/internal/obsv"
 	"oostream/internal/plan"
 )
 
 // Pipeline drives one engine from an event channel to a match channel.
 type Pipeline struct {
 	engine engine.Engine
-	// lat, when non-nil, opens spans at channel receive and closes them
-	// after the event's matches are sent downstream, so the emit stage
-	// covers output-channel backpressure.
-	lat *obsv.LatencySampler
+	// tap's sampler opens spans at channel receive and closes them after
+	// the event's matches are sent downstream, so the emit stage covers
+	// output-channel backpressure.
+	tap engine.Tap
 }
 
-// NewPipeline wraps an engine. Of env the pipeline keeps the latency
+// NewPipeline wraps an engine. Of env the pipeline uses the latency
 // sampler (nil for none).
 func NewPipeline(en engine.Engine, env engine.Env) *Pipeline {
-	return &Pipeline{engine: en, lat: env.Latency}
+	return &Pipeline{engine: en, tap: env.Publish("pipeline")}
 }
 
 // Run consumes events from in until it is closed or ctx is cancelled,
@@ -46,11 +45,11 @@ func (p *Pipeline) Run(ctx context.Context, in <-chan event.Event, out chan<- pl
 			if !ok {
 				return emitAll(ctx, p.engine.Flush(), out)
 			}
-			p.lat.Begin(e.Seq)
+			p.tap.Spans.Begin(e.Seq)
 			if err := emitAll(ctx, p.engine.Process(e), out); err != nil {
 				return err
 			}
-			p.lat.Finish(e.Seq)
+			p.tap.Spans.Finish(e.Seq)
 		}
 	}
 }

@@ -91,7 +91,11 @@ type Supervisor struct {
 	opts  SupervisorOptions
 	store *recovery.Store
 	en    engine.Engine
-	met   *obsv.Series
+	// tap holds the instruments of opts.Env: the hook sees checkpoint and
+	// restart steps, and the sampler opens the span at offer, stamps
+	// StageWAL around the append and commit barriers and closes it after
+	// commit.
+	tap engine.Tap
 
 	// Admission state (rebuilt deterministically on replay).
 	seen     map[uint64]event.Time
@@ -107,13 +111,6 @@ type Supervisor struct {
 	running bool
 	flushed bool
 	err     error
-
-	// The instruments of opts.Env: trace sees checkpoint and restart steps
-	// under traceName; lat, when non-nil, stamps StageWAL around the append
-	// and commit barriers on sampled spans.
-	trace     obsv.TraceHook
-	traceName string
-	lat       *obsv.LatencySampler
 }
 
 // NewSupervisor wraps store and opts. Call Start before processing: it
@@ -138,10 +135,8 @@ func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, 
 		opts:  opts,
 		store: store,
 		seen:  make(map[uint64]event.Time),
-		trace: opts.Env.Trace,
-		lat:   opts.Env.Latency,
+		tap:   opts.Env.Publish("supervised"),
 	}
-	s.met, s.traceName = opts.Env.Publish("supervised")
 	return s, nil
 }
 
@@ -219,18 +214,18 @@ func (s *Supervisor) Process(e event.Event) []plan.Match {
 	}
 	// The span opens at offer and closes once the event's matches are
 	// committed (a buffering engine holds it until release).
-	s.lat.Begin(e.Seq)
-	defer s.lat.Finish(e.Seq)
+	s.tap.Spans.Begin(e.Seq)
+	defer s.tap.Spans.Finish(e.Seq)
 	if err := s.store.Append(e); err != nil {
 		s.fail(err)
 		return nil
 	}
-	s.lat.StageEnd(e.Seq, obsv.StageWAL)
+	s.tap.Spans.StageEnd(e.Seq, obsv.StageWAL)
 	out, panicked, err := s.offer(e, false)
 	// Second WAL stamp: the commit barrier inside offer/emit. The two
 	// stamps sum into one StageWAL total per span; the inner engine's
 	// construction stamp between them keeps the segments disjoint.
-	s.lat.StageEnd(e.Seq, obsv.StageWAL)
+	s.tap.Spans.StageEnd(e.Seq, obsv.StageWAL)
 	if err != nil {
 		s.fail(err)
 		return nil
@@ -310,7 +305,7 @@ func (s *Supervisor) Checkpoint(io.Writer) error {
 // Metrics returns the supervisor's series: its fault-tolerance counters
 // and, when the engines it builds publish into the same series (as the
 // facade's builder arranges), theirs.
-func (s *Supervisor) Metrics() obsv.Snapshot { return s.met.Snapshot() }
+func (s *Supervisor) Metrics() obsv.Snapshot { return s.tap.Snapshot() }
 
 // StateSize returns the inner engine's buffered-item count.
 func (s *Supervisor) StateSize() int {
@@ -396,7 +391,7 @@ func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, e
 		if !replaying {
 			// A duplicate leaves the pipeline here; its span must not skew
 			// the wall histogram.
-			s.lat.Abandon(e.Seq)
+			s.tap.Spans.Abandon(e.Seq)
 		}
 		return nil, false, nil
 	}
@@ -415,7 +410,7 @@ func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, e
 func (s *Supervisor) admit(e event.Event, replaying bool) bool {
 	if _, dup := s.seen[e.Seq]; dup {
 		if !replaying {
-			s.met.DuplicatesSuppressed.Inc()
+			s.tap.DuplicatesSuppressed.Inc()
 		}
 		return false
 	}
@@ -448,7 +443,7 @@ func (s *Supervisor) emit(ms []plan.Match) ([]plan.Match, error) {
 	for _, m := range ms {
 		s.matchSeq++
 		if s.matchSeq <= s.durable {
-			s.met.DuplicatesSuppressed.Inc()
+			s.tap.DuplicatesSuppressed.Inc()
 			continue
 		}
 		out = append(out, m)
@@ -496,12 +491,8 @@ func (s *Supervisor) checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.met.Checkpoints.Inc()
-	s.met.CheckpointBytes.Set(int64(n))
-	s.met.CheckpointDuration.Set(int64(time.Since(start)))
-	if s.trace != nil {
-		s.trace.Trace(obsv.TraceEvent{Op: obsv.OpCheckpoint, Engine: s.traceName, TS: s.en.StateSnapshot().Clock, N: n})
-	}
+	s.tap.CheckpointDuration.Set(int64(time.Since(start)))
+	s.tap.Mark(obsv.OpCheckpoint, "", s.en.StateSnapshot().Clock, n)
 	s.sinceCkpt = 0
 	return nil
 }
@@ -592,10 +583,7 @@ func (s *Supervisor) restartLoop() ([]plan.Match, error) {
 		if s.consecRestarts > s.opts.MaxRestarts {
 			return nil, s.fail(fmt.Errorf("supervisor: engine panicked %d consecutive times; giving up", s.consecRestarts-1))
 		}
-		s.met.Restarts.Inc()
-		if s.trace != nil {
-			s.trace.Trace(obsv.TraceEvent{Op: obsv.OpRestart, Engine: s.traceName, TS: s.en.StateSnapshot().Clock, N: s.consecRestarts})
-		}
+		s.tap.Mark(obsv.OpRestart, "", s.en.StateSnapshot().Clock, s.consecRestarts)
 		s.opts.Sleep(backoff)
 		backoff *= 2
 		if backoff > s.opts.BackoffMax {
