@@ -32,6 +32,13 @@ import (
 // comparison each confirms the order the encoder wrote them in, and the
 // list is then allocated once at its exact size. Members in any other order
 // are sorted into place afterwards. No map is built on either path.
+//
+// A Decoder reads a stream of lines in two passes over one grammar: a line
+// in the layout AppendJSON writes is matched literal by literal, its tokens
+// read by the scanner's own token readers, and any other line, at the first
+// byte that differs, is read from its start by the scanner ParseJSON is,
+// which alone defines what a line may hold and what each error says.
+// FuzzWriterLayout holds the two passes equal.
 
 // maxJSONDepth is encoding/json's nesting limit. Skipped members are held
 // to it so that no line encoding/json rejects is accepted here.
@@ -76,7 +83,7 @@ func (l *AttrList) UnmarshalJSON(data []byte) error {
 	if string(data[i:]) == "null" {
 		return nil
 	}
-	list, i, err := parseAttrs(data, i)
+	list, i, err := parseAttrs(data, i, nil)
 	if err != nil {
 		return err
 	}
@@ -220,7 +227,10 @@ func appendJSONString(dst []byte, s string) []byte {
 // guessing which reading was meant would hide that: a known member given
 // twice, null in place of the line or of a known member, and a key that
 // matches a known one only after case folding.
-func ParseJSON(data []byte) (Event, error) {
+func ParseJSON(data []byte) (Event, error) { return scanEvent(data, nil) }
+
+// scanEvent is ParseJSON, serving names from d's caches when d is not nil.
+func scanEvent(data []byte, d *Decoder) (Event, error) {
 	var e Event
 	var seen [4]bool // indexed like eventKeys
 	i, more, err := openObject(data, skipSpace(data, 0))
@@ -241,14 +251,14 @@ func ParseJSON(data []byte) (Event, error) {
 		case 0:
 			var s []byte
 			if s, i, err = scanString(data, i); err == nil {
-				e.Type = internBytes(s)
+				e.Type = d.typeName(s)
 			}
 		case 1:
 			e.TS, i, err = parseInt(data, i)
 		case 2:
 			e.Seq, i, err = parseDigits(data, i)
 		case 3:
-			e.Attrs, i, err = parseAttrs(data, i)
+			e.Attrs, i, err = parseAttrs(data, i, d)
 		default:
 			i, err = skipMember(data, i, 1, eventKeys, key)
 		}
@@ -265,9 +275,149 @@ func ParseJSON(data []byte) (Event, error) {
 	return e, nil
 }
 
+// Decoder reads a stream of trace lines, one ParseJSON at a time, keeping
+// the names that repeat from line to line (see typeName and attrName). A
+// zero Decoder is ready; it is not safe for concurrent use.
+type Decoder struct {
+	types [recentTypes]string
+	names [recentTypes][namesPerType]string
+	slot  int // the types entry of the last line
+}
+
+// Parse decodes one line as ParseJSON does, to the same Event or the same
+// error. A line laid out as AppendJSON writes it is read by one straight
+// pass over the writer's literals (parseLayout); at the first byte that
+// differs the line is scanned again from its start, so the scanner remains
+// the one definition of the grammar and of every error.
+func (d *Decoder) Parse(data []byte) (Event, error) {
+	if e, ok := d.parseLayout(data); ok {
+		return e, nil
+	}
+	return scanEvent(data, d)
+}
+
+// parseLayout reads data if it holds the members AppendJSON writes, in
+// its order and with no white space:
+// {"type":S,"ts":N,"seq":N[,"attrs":{S:{"int"|"float"|"str"|"bool":V},…}]}
+// with the attribute names strictly ascending. Every token is read by the
+// scanner's own reader for it (scanString, parseInt, parseDigits,
+// parseFloat, parseBool), so a token reads alike in both passes, and every
+// line AppendJSON writes is read here. Anything else, including every line
+// the scanner refuses, returns ok false.
+func (d *Decoder) parseLayout(data []byte) (e Event, ok bool) {
+	i, ok := token(data, 0, `{"type":`, tokStr)
+	if !ok {
+		return Event{}, false
+	}
+	s, i, err := scanString(data, i)
+	if err != nil {
+		return Event{}, false
+	}
+	e.Type = d.typeName(s)
+	if i, ok = token(data, i, `,"ts":`, tokInt); !ok {
+		return Event{}, false
+	}
+	if e.TS, i, err = parseInt(data, i); err != nil {
+		return Event{}, false
+	}
+	if i, ok = token(data, i, `,"seq":`, tokUint); !ok {
+		return Event{}, false
+	}
+	if e.Seq, i, err = parseDigits(data, i); err != nil {
+		return Event{}, false
+	}
+	if string(data[i:]) == "}" {
+		return e, true
+	}
+	if i, ok = token(data, i, `,"attrs":{`, tokStr); !ok {
+		return Event{}, false
+	}
+	var buf [namesPerType]Attr // events carry a handful; more spill to the heap
+	list := buf[:0]
+	for {
+		var a Attr
+		if s, i, err = scanString(data, i); err != nil {
+			return Event{}, false
+		}
+		a.Name = d.attrName(len(list), s)
+		if len(list) > 0 && list[len(list)-1].Name >= a.Name {
+			return Event{}, false
+		}
+		if a.Value, i, ok = layoutValue(data, i); !ok {
+			return Event{}, false
+		}
+		list = append(list, a)
+		if i, ok = token(data, i, `},`, tokStr); !ok {
+			break
+		}
+	}
+	if string(data[i:]) != "}}}" {
+		return Event{}, false
+	}
+	e.Attrs = make(AttrList, len(list))
+	copy(e.Attrs, list)
+	return e, true
+}
+
+// layoutValue reads an attribute's value object, from the colon after its
+// name to the value object's closing brace.
+func layoutValue(data []byte, i int) (v Value, next int, ok bool) {
+	var err error
+	if next, ok = token(data, i, `:{"int":`, tokInt); ok {
+		var n int64
+		n, next, err = parseInt(data, next)
+		v = Int(n)
+	} else if next, ok = token(data, i, `:{"str":`, tokStr); ok {
+		var s []byte
+		s, next, err = scanString(data, next)
+		v = Str(string(s))
+	} else if next, ok = token(data, i, `:{"float":`, tokFloat); ok {
+		var f float64
+		f, next, err = parseFloat(data, next)
+		v = Float(f)
+	} else if next, ok = token(data, i, `:{"bool":`, tokBool); ok {
+		var b bool
+		b, next, err = parseBool(data, next)
+		v = Bool(b)
+	}
+	return v, next, ok && err == nil
+}
+
+// The kinds of token parseLayout reads, as bits of startOf: byte c can
+// start a token of kind k when startOf[c]&k is not 0.
+const (
+	tokStr = 1 << iota
+	tokUint
+	tokInt
+	tokFloat
+	tokBool
+)
+
+var startOf = [256]uint8{
+	'"': tokStr | tokFloat, // a float may be "NaN", "+Inf" or "-Inf"
+	'-': tokInt | tokFloat,
+	'0': digit, '1': digit, '2': digit, '3': digit, '4': digit,
+	'5': digit, '6': digit, '7': digit, '8': digit, '9': digit,
+	't': tokBool, 'f': tokBool,
+}
+
+const digit = tokUint | tokInt | tokFloat
+
+// token reports whether lit stands at data[i] followed by a byte that can
+// start a token of kind, and the offset after lit. parseLayout calls a
+// token reader only where its token can start, so a line it declines for
+// white space or for another kind of token costs no error value.
+func token(data []byte, i int, lit string, kind uint8) (int, bool) {
+	j := i + len(lit)
+	if len(data) <= j || string(data[i:j]) != lit || startOf[data[j]]&kind == 0 {
+		return i, false
+	}
+	return j, true
+}
+
 // parseAttrs reads the attrs object opening at data[i] into a canonical
 // list. An empty object gives a nil list, as a missing member does.
-func parseAttrs(data []byte, i int) (AttrList, int, error) {
+func parseAttrs(data []byte, i int, d *Decoder) (AttrList, int, error) {
 	var buf [8]Attr // events carry a handful; more spill to the heap
 	list := buf[:0]
 	sorted := true
@@ -277,7 +427,7 @@ func parseAttrs(data []byte, i int) (AttrList, int, error) {
 		if key, i, err = parseKey(data, i); err != nil {
 			break
 		}
-		name := internBytes(key)
+		name := d.attrName(len(list), key)
 		var v Value
 		if v, i, err = parseValueJSON(data, i, 3); err != nil {
 			err = fmt.Errorf("attribute %q: %w", name, err)
@@ -466,7 +616,8 @@ func parseDigits(data []byte, i int) (uint64, int, error) {
 	var n uint64
 	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
 		d := uint64(data[i] - '0')
-		if n > (math.MaxUint64-d)/10 {
+		// Nineteen digits fit; only a twentieth or later can overflow.
+		if i-start >= 19 && n > (math.MaxUint64-d)/10 {
 			return 0, start, fmt.Errorf("offset %d: integer out of range", start)
 		}
 		n = n*10 + d

@@ -70,3 +70,50 @@ func addName(s string) string {
 	names.Store(&m)
 	return s
 }
+
+// A Decoder keeps the names of the lines it read last, so the next line
+// finds its names without a hash: a few recent event types, and for each
+// the attribute name last read at each of the first namesPerType positions
+// of its list, which on a stream of one writer's events is the same name
+// line after line. Both hold what the table returned, so a cached name is
+// still the table's string and a compiled predicate still finds it by
+// address. Values are not cached: each string value is copied out.
+const (
+	recentTypes  = 4
+	namesPerType = 8
+)
+
+// typeName returns the table's string for an event type, and makes its
+// slot the one attrName reads. A nil d reads the table alone, as does
+// attrName.
+func (d *Decoder) typeName(b []byte) string {
+	if d == nil {
+		return internBytes(b)
+	}
+	for k, t := range d.types {
+		if string(b) == t {
+			d.slot = k
+			return t
+		}
+	}
+	t := internBytes(b)
+	d.slot = (d.slot + 1) % recentTypes
+	d.types[d.slot] = t
+	d.names[d.slot] = [namesPerType]string{}
+	return t
+}
+
+// attrName returns the table's string for the name of the k-th attribute
+// of a line of the last type read.
+func (d *Decoder) attrName(k int, b []byte) string {
+	if d == nil || k >= namesPerType {
+		return internBytes(b)
+	}
+	names := &d.names[d.slot]
+	if n := names[k]; string(b) == n {
+		return n
+	}
+	n := internBytes(b)
+	names[k] = n
+	return n
+}

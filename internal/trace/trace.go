@@ -24,21 +24,28 @@
 // writes nothing, for a hand-built list that is out of order or names an
 // attribute twice.
 //
-// The Reader decodes with internal/event's single-pass scanner and has no
-// second, reflection-based path. Attributes go straight into the sorted
-// list an Event carries, allocated once per line at its size: one string
-// comparison per name confirms the order the Writer wrote, members in any
-// other order are sorted afterwards, and no map is built on the way. The
-// event type and the attribute names are the strings of internal/event's
-// process-wide name table, the one a compiled query's names come from, so
-// a repeated name costs no allocation and a predicate finds it by address. It
-// returns exactly the event encoding/json would decode from the line, its
-// attributes sorted by name, or an error, and is stricter
-// than encoding/json in three documented ways, each an error: a known
-// member or an attribute name given twice (encoding/json keeps the last),
-// null in place of the line or of a known member (encoding/json keeps the
-// zero value), and a key that equals a known one only after case folding,
-// such as "TS" (encoding/json matches it).
+// The Reader decodes with an internal/event Decoder, in two passes over one
+// grammar. A line in the Writer's layout (members in the order above, no
+// white space, attribute names ascending) is matched literal by literal in
+// one straight pass, each token read by the scanner's own reader for it,
+// so every line the Writer writes takes this pass. Any other line is read
+// from its start, at the first byte that differs, by internal/event's
+// single-pass scanner, which alone defines the grammar and every error;
+// FuzzWriterLayout holds the two passes to the same event. Attributes go
+// straight into the sorted list an Event carries, allocated once per line
+// at its size, and no map is built on the way. The event type and the
+// attribute names are the strings of internal/event's process-wide name
+// table, the one a compiled query's names come from, served first from the
+// Decoder's caches of recent types and names, so a repeated name costs no
+// allocation and a predicate finds it by address. String values are
+// copied out of the line.
+// The Reader returns exactly the event encoding/json would decode from the
+// line, its attributes sorted by name, or an error, and is stricter than
+// encoding/json in three documented ways, each an error: a known member or
+// an attribute name given twice (encoding/json keeps the last), null in
+// place of the line or of a known member (encoding/json keeps the zero
+// value), and a key that equals a known one only after case folding, such
+// as "TS" (encoding/json matches it).
 package trace
 
 import (
@@ -87,6 +94,7 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 // Reader decodes events from a stream.
 type Reader struct {
 	scanner *bufio.Scanner
+	dec     event.Decoder
 	line    int
 }
 
@@ -106,7 +114,7 @@ func (r *Reader) Read() (event.Event, error) {
 		if blank(raw) {
 			continue
 		}
-		e, err := event.ParseJSON(raw)
+		e, err := r.dec.Parse(raw)
 		if err != nil {
 			return event.Event{}, fmt.Errorf("line %d: %w", r.line, err)
 		}
