@@ -59,6 +59,7 @@ func run(b *testing.B, q *oostream.Query, cfg oostream.Config, events []oostream
 func BenchmarkComponents(b *testing.B) {
 	b.Run("kslack-buffer", func(b *testing.B) {
 		events := benchStream(0.20, benchK)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf := kslack.NewBuffer(benchK)

@@ -21,20 +21,24 @@ import (
 // of keys live inside the purge horizon). A dropped group keeps its arrays
 // and waits on a free list for the next new key, so a stream of short-lived
 // keys allocates no group once warm; groups in the map and on the list
-// together never outnumber the map's peak.
+// together never outnumber the map's peak. Each group has an id, its index
+// among all of them, and the expiry orders name groups by id: their entries
+// carry no pointer.
 //
 // Callers canonicalize keys (event.Value.MapKey / plan.KeyOf) before
 // routing, so Equal-comparing values share a group.
 type KeyedStacks struct {
 	n      int
 	groups map[event.Value]*group
-	free   []*group
+	// all holds every group, in the map or on the free list, at its id.
+	all  []*group
+	free []*group
 	// due[pos] holds one entry per live instance at position pos, in every
-	// group: {instance timestamp, its group}. Insert adds the entry and the
-	// pass that purges the instance pops it, with the same horizon and the
-	// same comparison, so entries and live instances correspond one to one
-	// between passes (CheckDue).
-	due  []Due[*group]
+	// group: {instance timestamp, its group's id}. Insert adds the entry and
+	// the pass that purges the instance pops it, with the same horizon and
+	// the same comparison, so entries and live instances correspond one to
+	// one between passes (CheckDue).
+	due  []Due[uint32]
 	size int
 }
 
@@ -43,11 +47,12 @@ type KeyedStacks struct {
 type group struct {
 	Stacks
 	key event.Value
+	id  uint32
 }
 
 // NewKeyed creates a keyed AIS with n positions per key group.
 func NewKeyed(n int) *KeyedStacks {
-	return &KeyedStacks{n: n, groups: make(map[event.Value]*group), due: make([]Due[*group], n)}
+	return &KeyedStacks{n: n, groups: make(map[event.Value]*group), due: make([]Due[uint32], n)}
 }
 
 // Positions returns the number of pattern positions per group.
@@ -76,12 +81,13 @@ func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (int, *Sta
 			g, k.free = k.free[n-1], k.free[:n-1]
 			g.key = key
 		} else {
-			g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key}
+			g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key, id: uint32(len(k.all))}
+			k.all = append(k.all, g)
 		}
 		k.groups[key] = g
 	}
 	k.size++
-	k.due[pos].Insert(e.TS, g)
+	k.due[pos].Insert(e.TS, g.id)
 	return g.Insert(pos, e), &g.Stacks
 }
 
@@ -98,7 +104,8 @@ func (k *KeyedStacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
 	for pos := range k.due {
 		h := horizon(pos)
-		k.due[pos].PopBefore(h, func(g *group) {
+		k.due[pos].PopBefore(h, func(id uint32) {
+			g := k.all[id]
 			s := &g.stacks[pos]
 			if len(s.items) == 0 || s.items[0].TS >= h {
 				// An earlier entry of this pass purged the group already.
@@ -125,9 +132,18 @@ func (k *KeyedStacks) Range(f func(key event.Value, st *Stacks)) {
 // CheckDue verifies the expiry orders against the stacks they index: per
 // position the entries are sorted, every entry names a group that is in the
 // map, and a group's entries are exactly the timestamps of its live
-// instances; a group on the free list is empty and out of the map. It holds
-// between passes; used by tests and property checks, not called on hot paths.
+// instances; a group on the free list is empty and out of the map; every
+// group is at its id in one or the other. It holds between passes; used by
+// tests and property checks, not called on hot paths.
 func (k *KeyedStacks) CheckDue() error {
+	if len(k.all) != len(k.groups)+len(k.free) {
+		return fmt.Errorf("%d groups made, %d in the map and %d free", len(k.all), len(k.groups), len(k.free))
+	}
+	for id, g := range k.all {
+		if g.id != uint32(id) {
+			return fmt.Errorf("group of key %s at id %d carries id %d", g.key, id, g.id)
+		}
+	}
 	for _, g := range k.free {
 		if g.Size() != 0 || k.groups[g.key] == g {
 			return fmt.Errorf("free group of key %s: %d instances, in the map %t", g.key, g.Size(), k.groups[g.key] == g)
@@ -138,13 +154,16 @@ func (k *KeyedStacks) CheckDue() error {
 		if err != nil {
 			return fmt.Errorf("position %d: %w", pos, err)
 		}
-		for g, tss := range filed {
-			if k.groups[g.key] != g {
+		for id, tss := range filed {
+			if int(id) >= len(k.all) {
+				return fmt.Errorf("position %d: %d due entries name group %d of %d", pos, len(tss), id, len(k.all))
+			}
+			if g := k.all[id]; k.groups[g.key] != g {
 				return fmt.Errorf("position %d: %d due entries name a group of key %s that left the map", pos, len(tss), g.key)
 			}
 		}
 		k.Range(func(key event.Value, st *Stacks) {
-			items, want := st.stacks[pos].items, filed[k.groups[key]]
+			items, want := st.stacks[pos].items, filed[k.groups[key].id]
 			if err == nil && len(items) != len(want) {
 				err = fmt.Errorf("position %d key %s: %d live instances, %d due entries", pos, key, len(items), len(want))
 			}

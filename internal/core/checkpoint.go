@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"oostream/internal/adaptive"
@@ -126,7 +128,9 @@ func (en *Engine) restoredMatch(cp checkpointPending) pendingMatch {
 // single group — already in that order, ties in arrival order — are written
 // as their stack holds them.
 func sortEvents(events []event.Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Before(events[j]) })
+	slices.SortStableFunc(events, func(a, b event.Event) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Seq, b.Seq))
+	})
 }
 
 // Checkpoint writes the engine's full state (stacks, negative stores,

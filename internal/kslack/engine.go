@@ -283,7 +283,9 @@ func (en *Engine) feed(released []event.Event) []plan.Match {
 // feedInto runs a released run through the inner engine's batch path
 // (identical to per-event feeding by the ProcessBatch contract — the
 // outer clock and arrival counter are fixed for the whole run, so every
-// restamp is unchanged) and appends the restamped matches to out.
+// restamp is unchanged) and appends the restamped matches to out, or
+// returns them as they are when out is empty. The run is the buffer's
+// reused slice: the inner engine copies the events it keeps.
 func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Match {
 	if len(released) == 0 {
 		return out
@@ -299,7 +301,11 @@ func (en *Engine) feedInto(released []event.Event, out []plan.Match) []plan.Matc
 	for i := range released {
 		en.tap.Spans.StageEnd(released[i].Seq, obsv.StageConstruct)
 	}
-	out = append(out, en.restamp(ms)...)
+	if ms = en.restamp(ms); len(out) == 0 {
+		out = ms
+	} else {
+		out = append(out, ms...)
+	}
 	for i := range released {
 		en.tap.Spans.FinishHeld(released[i].Seq)
 	}

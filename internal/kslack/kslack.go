@@ -1,12 +1,19 @@
 // Package kslack implements the K-slack reorder buffer: the classic
 // "levee" defense against out-of-order arrival that the paper contrasts
-// with its native approach. Events are held in (timestamp, sequence) order in
-// the engine's one release-by-watermark queue (internal/queue) and released
-// in that order once the watermark maxSeen − K passes them. Under the
-// disorder bound (no event delayed more than K time units) the released
-// stream is perfectly sorted, so the engine downstream needs no disorder
-// tolerance of its own (K=0) to produce exact results — at the price of
-// buffering memory and up to K added latency on every result.
+// with its native approach. Events are held in (timestamp, sequence) order
+// and released in that order once the watermark maxSeen − K passes them.
+// Under the disorder bound (no event delayed more than K time units) the
+// released stream is perfectly sorted, so the engine downstream needs no
+// disorder tolerance of its own (K=0) to produce exact results — at the
+// price of buffering memory and up to K added latency on every result.
+//
+// The order is the engine's one release-by-watermark queue
+// (internal/queue), over entries that carry no pointer: a slot names an
+// event by its sequence number (the tie among events due together) and its
+// index in an arena the buffer owns, where freed indexes are reused. A late
+// splice or a release then moves 24-byte entries with no GC write barrier,
+// and a buffer whose releases keep pace with its arrivals allocates
+// nothing: every release goes into one slice the buffer reuses.
 package kslack
 
 import (
@@ -26,16 +33,53 @@ type Buffer struct {
 	// the watermark backwards — releases stay sorted no matter how K moves.
 	bound    func() event.Time
 	frontier event.Time
-	held     queue.Queue[event.Event]
-	maxSeen  event.Time
-	started  bool
-	dropped  uint64
+	held     queue.Queue[slot]
+	// events is the arena the slots index; free lists the indexes whose
+	// event has left, zeroed so that the arena keeps nothing alive.
+	events []event.Event
+	free   []uint32
+	// out is the slice every release is written into, valid until the next
+	// call that releases.
+	out     []event.Event
+	maxSeen event.Time
+	started bool
+	dropped uint64
 }
+
+// slot is a held event's queue entry: its sequence number, which orders the
+// events due at one timestamp as event.Event.Before does, and its index in
+// the arena.
+type slot struct {
+	seq event.Seq
+	i   uint32
+}
+
+func (s slot) before(t slot) bool { return s.seq < t.seq }
 
 // NewBuffer creates a reorder buffer with static slack k (logical
 // milliseconds).
 func NewBuffer(k event.Time) *Buffer {
-	return &Buffer{k: k, held: queue.Queue[event.Event]{Tie: event.Event.Before}}
+	return &Buffer{k: k, held: queue.Queue[slot]{Tie: slot.before}}
+}
+
+// hold files e in the queue under a free arena index.
+func (b *Buffer) hold(e event.Event) {
+	var i uint32
+	if n := len(b.free) - 1; n >= 0 {
+		i, b.free = b.free[n], b.free[:n]
+		b.events[i] = e
+	} else {
+		i = uint32(len(b.events))
+		b.events = append(b.events, e)
+	}
+	b.held.Insert(e.TS, slot{e.Seq, i})
+}
+
+// release appends the slot's event to out and frees its index.
+func (b *Buffer) release(s slot) {
+	b.out = append(b.out, b.events[s.i])
+	b.events[s.i] = event.Event{}
+	b.free = append(b.free, s.i)
 }
 
 // newBufferDynamic creates a reorder buffer whose slack is re-read from
@@ -61,7 +105,7 @@ func (b *Buffer) MaxSeen() (event.Time, bool) { return b.maxSeen, b.started }
 // checkpointing. The buffer is unchanged.
 func (b *Buffer) pending() []event.Event {
 	out := make([]event.Event, 0, b.held.Len())
-	b.held.Each(func(_ event.Time, e event.Event) { out = append(out, e) })
+	b.held.Each(func(_ event.Time, s slot) { out = append(out, b.events[s.i]) })
 	return out
 }
 
@@ -71,7 +115,7 @@ func (b *Buffer) pending() []event.Event {
 func (b *Buffer) restore(maxSeen event.Time, started bool, pending []event.Event) {
 	b.maxSeen, b.started = maxSeen, started
 	for _, e := range pending {
-		b.held.Insert(e.TS, e)
+		b.hold(e)
 	}
 }
 
@@ -112,33 +156,35 @@ func (b *Buffer) syncFrontier() {
 const minTime = event.Time(math.MinInt64)
 
 // Push inserts an event and returns the events that become releasable, in
-// nondecreasing timestamp order. An event arriving strictly below the
-// current watermark violates the disorder bound and is dropped (counted
-// via Dropped); an event exactly at the watermark (delay exactly K) is
-// still safe — everything already released has a timestamp at or below it,
-// so it is accepted and released immediately, matching the native engine's
-// inclusive interpretation of the bound.
+// nondecreasing timestamp order, in a slice the buffer reuses: it is valid
+// until the next Push, Advance, ShedOldest or Flush. An event arriving
+// strictly below the current watermark violates the disorder bound and is
+// dropped (counted via Dropped); an event exactly at the watermark (delay
+// exactly K) is still safe — everything already released has a timestamp
+// at or below it, so it is accepted and released immediately, matching the
+// native engine's inclusive interpretation of the bound.
 func (b *Buffer) Push(e event.Event) []event.Event {
 	if b.started && e.TS < b.Watermark() {
 		b.dropped++
 		return nil
 	}
-	b.held.Insert(e.TS, e)
+	b.hold(e)
 	return b.Advance(e.TS)
 }
 
 // Advance moves the watermark as if an event with timestamp ts had been
 // seen, releasing everything at or below ts − K. Sources use this to
-// propagate heartbeats/punctuation through silent periods.
+// propagate heartbeats/punctuation through silent periods. The slice is
+// reused as Push's is.
 func (b *Buffer) Advance(ts event.Time) []event.Event {
 	if !b.started || ts > b.maxSeen {
 		b.maxSeen = ts
 		b.started = true
 	}
 	b.syncFrontier()
-	var out []event.Event
-	b.held.PopThrough(b.Watermark(), func(e event.Event) { out = append(out, e) })
-	return out
+	b.out = b.out[:0]
+	b.held.PopThrough(b.Watermark(), b.release)
+	return b.out
 }
 
 // ShedOldest pops and returns the oldest buffered events until at most
@@ -146,17 +192,19 @@ func (b *Buffer) Advance(ts event.Time) []event.Event {
 // outright, never delivered downstream: the remaining minimum only
 // rises, so subsequent releases stay sorted, and the net output over the
 // surviving events is exactly what a run fed only the survivors produces.
+// The slice is reused as Push's is.
 func (b *Buffer) ShedOldest(limit int) []event.Event {
 	if limit < 0 || b.held.Len() <= limit {
 		return nil
 	}
-	out := make([]event.Event, 0, b.held.Len()-limit)
+	b.out = b.out[:0]
 	for b.held.Len() > limit {
-		e, _ := b.held.Pop()
-		out = append(out, e)
+		s, _ := b.held.Pop()
+		b.release(s)
 	}
-	return out
+	return b.out
 }
 
-// Flush releases everything regardless of the watermark (end of stream).
+// Flush releases everything regardless of the watermark (end of stream),
+// into the slice Push reuses.
 func (b *Buffer) Flush() []event.Event { return b.ShedOldest(0) }

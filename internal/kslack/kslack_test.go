@@ -3,6 +3,7 @@ package kslack
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -176,26 +177,136 @@ func sortedStream(rng *rand.Rand, n int, types []string) []event.Event {
 	return events
 }
 
+// TestBufferSortsAnyBoundedShuffleProperty: whatever the shuffle within K,
+// the released stream is the admitted stream sorted on (TS, Seq), event for
+// event and ties included — with each released run copied before the next
+// push (the buffer reuses its slice), the oldest events shed part-way (shed
+// events are discarded, not admitted), and the buffer checkpointed and
+// restored into a fresh one mid-stream. At the end every arena slot is free
+// and zeroed.
 func TestBufferSortsAnyBoundedShuffleProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := event.Time(rng.Intn(40) + 1)
 		events := sortedStream(rng, 100, []string{"A", "B"})
+		for i := 1; i < len(events); i += 2 {
+			// Pairs due together: they leave in Seq order.
+			events[i].TS = events[i-1].TS
+		}
 		shuffled := shuffleBounded(rng, events, k)
+		shedAt, restoreAt := rng.Intn(len(shuffled)), rng.Intn(len(shuffled))
 		b := NewBuffer(k)
-		var released []event.Event
-		for _, e := range shuffled {
+		var released, shed []event.Event
+		dropped := uint64(0)
+		for i, e := range shuffled {
+			if i == restoreAt {
+				// A checkpoint may list the held events in any order.
+				maxSeen, started := b.MaxSeen()
+				pending := b.pending()
+				rng.Shuffle(len(pending), func(x, y int) { pending[x], pending[y] = pending[y], pending[x] })
+				dropped += b.Dropped()
+				b = NewBuffer(k)
+				b.restore(maxSeen, started, pending)
+			}
 			released = append(released, b.Push(e)...)
+			if i == shedAt {
+				shed = append(shed, b.ShedOldest(b.Len()/2)...)
+			}
 		}
 		released = append(released, b.Flush()...)
-		if len(released)+int(b.Dropped()) != len(events) {
+		dropped += b.Dropped()
+		if len(released)+len(shed)+int(dropped) != len(events) {
+			t.Logf("seed %d: %d released + %d shed + %d dropped != %d", seed, len(released), len(shed), dropped, len(events))
 			return false
 		}
-		return event.IsSortedByTime(released)
+		gone := make(map[event.Seq]bool, len(shed))
+		for _, e := range shed {
+			gone[e.Seq] = true
+		}
+		var want []event.Event
+		for _, e := range events {
+			if !gone[e.Seq] {
+				want = append(want, e)
+			}
+		}
+		if !reflect.DeepEqual(released, want) {
+			t.Logf("seed %d: released %v, want %v", seed, released, want)
+			return false
+		}
+		for i, e := range b.events {
+			if !reflect.DeepEqual(e, event.Event{}) {
+				t.Logf("seed %d: arena slot %d still holds %v", seed, i, e)
+				return false
+			}
+		}
+		return len(b.free) == len(b.events)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBufferSteadyStateAllocFree: the entries the buffer's queue moves
+// carry no pointer, and once the arena, the queue's chunks and the release
+// slice have grown to the stream's needs, a push allocates nothing — in
+// order, where each push releases one event, and with one event in five
+// arriving late within K, spliced into the held run.
+func TestBufferSteadyStateAllocFree(t *testing.T) {
+	chunks, _ := reflect.TypeOf(NewBuffer(0).held).FieldByName("chunks")
+	if entry := chunks.Type.Elem().Elem(); hasPointers(entry) {
+		t.Errorf("the reorder queue's entry %s carries a pointer", entry)
+	}
+	const k, warm, runs = 1000, 20 * 1000, 1000
+	for _, late := range []float64{0, 0.2} {
+		rng := rand.New(rand.NewSource(1))
+		events := make([]event.Event, warm+runs+1)
+		var maxTS event.Time
+		for i := range events {
+			ts := maxTS + 1
+			if rng.Float64() < late {
+				ts = maxTS - event.Time(rng.Intn(k))
+			} else {
+				maxTS = ts
+			}
+			events[i] = event.Event{Type: "A", TS: ts, Seq: event.Seq(i + 1), Attrs: event.Attrs{"id": event.Int(int64(i % 7))}.List()}
+		}
+		b := NewBuffer(k)
+		for _, e := range events[:warm] {
+			b.Push(e)
+		}
+		next, released := warm, 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			released += len(b.Push(events[next]))
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("late share %.1f: a push allocated %.3f times", late, allocs)
+		}
+		if b.Dropped() != 0 || released == 0 {
+			t.Errorf("late share %.1f: %d dropped, %d released", late, b.Dropped(), released)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }
 
 func TestEngineMatchesOracleOnDisorderedStreams(t *testing.T) {

@@ -230,10 +230,19 @@ var arrivals = []arrival{
 	{"reversed", func(i, k int, _ *rand.Rand) event.Time { return event.Time(i - i%k + k - 1 - i%k) }},
 }
 
+// slotItem is the 16-byte, pointer-free shape of the K-slack buffer's
+// entries (a sequence number and an arena index), beside item's 56 bytes,
+// the size of an event.
+type slotItem struct {
+	rank uint64
+	id   uint32
+}
+
 // BenchmarkQueue times one insert and the release it triggers (everything
 // more than the bound behind the newest timestamp, as the K-slack buffer
 // does) with about `resident` items held, the queue and the heap it replaced
-// side by side.
+// side by side, and the queue again over 16-byte items (`queue-16B`): what
+// a late splice and a release move is the entry size.
 func BenchmarkQueue(b *testing.B) {
 	for _, shape := range arrivals {
 		for _, resident := range []int{1_000, 10_000, 100_000} {
@@ -245,16 +254,14 @@ func BenchmarkQueue(b *testing.B) {
 			}
 			name := fmt.Sprintf("%s/resident=%d", shape.name, resident)
 			b.Run(name+"/queue", func(b *testing.B) {
-				b.ReportAllocs()
-				q := Queue[item]{Tie: byRank}
-				maxTS := event.Time(0)
-				for i := 0; i < b.N; i++ {
-					x := stream[i%len(stream)]
-					x.ts += event.Time(i / len(stream) * len(stream))
-					q.Insert(x.ts, x)
-					maxTS = max(maxTS, x.ts)
-					q.PopThrough(maxTS-event.Time(resident), func(item) {})
+				timeQueue(b, &Queue[item]{Tie: byRank}, stream, stream, resident)
+			})
+			b.Run(name+"/queue-16B", func(b *testing.B) {
+				slots := make([]slotItem, len(stream))
+				for i, x := range stream {
+					slots[i] = slotItem{uint64(x.rank), uint32(x.id)}
 				}
+				timeQueue(b, &Queue[slotItem]{Tie: func(a, b slotItem) bool { return a.rank < b.rank }}, stream, slots, resident)
 			})
 			b.Run(name+"/heap", func(b *testing.B) {
 				b.ReportAllocs()
@@ -271,5 +278,18 @@ func BenchmarkQueue(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// timeQueue is BenchmarkQueue's loop over q: arrival i holds items[i], due
+// at stream[i].ts.
+func timeQueue[T any](b *testing.B, q *Queue[T], stream []item, items []T, resident int) {
+	b.ReportAllocs()
+	maxTS := event.Time(0)
+	for i := 0; i < b.N; i++ {
+		ts := stream[i%len(stream)].ts + event.Time(i/len(stream)*len(stream))
+		q.Insert(ts, items[i%len(items)])
+		maxTS = max(maxTS, ts)
+		q.PopThrough(maxTS-event.Time(resident), func(T) {})
 	}
 }
