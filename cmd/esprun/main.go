@@ -220,20 +220,25 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	printed := 0
 	total := 0
+	// line is one result's output, appended into a reused buffer and
+	// written at once.
+	var line []byte
 	emit := func(matches []oostream.Match) {
 		for _, m := range matches {
 			total++
 			if *quiet || (*maxPrint > 0 && printed >= *maxPrint) {
 				continue
 			}
+			line = line[:0]
 			if m.Query != "" {
-				fmt.Fprintf(stdout, "[%s] %s\n", m.Query, m)
-			} else {
-				fmt.Fprintln(stdout, m)
+				line = append(append(append(line, '['), m.Query...), "] "...)
 			}
+			line, _ = m.AppendText(line)
+			line = append(line, '\n')
 			if *explain && m.Prov != nil {
-				fmt.Fprintf(stdout, "  lineage: %s\n", m.Prov)
+				line = append(append(append(line, "  lineage: "...), m.Prov.String()...), '\n')
 			}
+			stdout.Write(line)
 			printed++
 		}
 	}

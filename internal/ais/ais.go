@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"oostream/internal/event"
+	"oostream/internal/predicate"
 )
 
 // Stack is a sorted run of events, ascending by (TS, Seq): one position's
@@ -114,10 +115,49 @@ type Stacks struct {
 	// stacks holds the positions by value: a key group is a Stacks, and RFID
 	// workloads open one for every third event.
 	stacks []Stack
+	// cols is nil unless construction reads operands from some position
+	// (KeyedStacks built by NewKeyedColumns).
+	cols *columns
 	// lastFix is the RIP fix-up count of the most recent Insert, which
 	// engines read via LastFixups right after it to feed repair metrics.
 	lastFix int
 }
+
+// columns holds, per position, one column per operand construction reads
+// from it, aligned with the position's stack: sides[pos][k][i] is
+// ops[pos][k] loaded from instance i. Each entry is loaded once, when its
+// instance is inserted; inserts and purges move the columns with the
+// instances, so a restore that inserts rebuilds them and no checkpoint holds
+// them.
+type columns struct {
+	ops   [][]predicate.Operand
+	sides [][][]predicate.Side
+}
+
+// insert loads position pos's operands from e, inserted at index idx.
+func (c *columns) insert(pos, idx int, e *event.Event) {
+	for k, op := range c.ops[pos] {
+		col := append(c.sides[pos][k], predicate.Side{})
+		copy(col[idx+1:], col[idx:])
+		col[idx] = op.Load(e)
+		c.sides[pos][k] = col
+	}
+}
+
+// trim drops the first n entries of position pos's columns, zeroing the
+// vacated tail as Stack.PurgeBefore does.
+func (c *columns) trim(pos, n int) {
+	for k, col := range c.sides[pos] {
+		m := copy(col, col[n:])
+		clear(col[m:])
+		c.sides[pos][k] = col[:m]
+	}
+}
+
+// Column returns the column of operand k at position pos: entry i is the
+// operand loaded from the position's instance i. It is valid until the
+// stacks next change.
+func (a *Stacks) Column(pos, k int) []predicate.Side { return a.cols.sides[pos][k] }
 
 // New creates an AIS with n positions.
 func New(n int) *Stacks {
@@ -150,6 +190,9 @@ func (a *Stacks) Size() int {
 func (a *Stacks) Insert(pos int, e event.Event) int {
 	s := &a.stacks[pos]
 	idx := s.Insert(e)
+	if a.cols != nil {
+		a.cols.insert(pos, idx, &s.items[idx])
+	}
 	a.lastFix = 0
 	if pos+1 < len(a.stacks) {
 		next := &a.stacks[pos+1]
@@ -203,7 +246,45 @@ func (a *Stacks) Reach(pos int, ts, window event.Time, reach [][2]int) bool {
 func (a *Stacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
 	for i := range a.stacks {
-		total += a.stacks[i].PurgeBefore(horizon(i))
+		total += a.purge(i, horizon(i))
 	}
 	return total
+}
+
+// purge removes position pos's instances with TS < ts, and their column
+// entries, and returns how many it removed.
+func (a *Stacks) purge(pos int, ts event.Time) int {
+	n := a.stacks[pos].PurgeBefore(ts)
+	if a.cols != nil && n > 0 {
+		a.cols.trim(pos, n)
+	}
+	return n
+}
+
+// checkColumns verifies a's columns against ops, per position the operands
+// read from it (nil when none are): a column per operand, one entry per
+// instance, each what loading its operand from the instance gives now.
+func (a *Stacks) checkColumns(ops [][]predicate.Operand) error {
+	if ops == nil || a.cols == nil {
+		if ops != nil || a.cols != nil {
+			return fmt.Errorf("columns present %t, operands read %t", a.cols != nil, ops != nil)
+		}
+		return nil
+	}
+	for pos, s := range a.stacks {
+		if len(a.cols.sides[pos]) != len(ops[pos]) {
+			return fmt.Errorf("position %d: %d columns for %d operands", pos, len(a.cols.sides[pos]), len(ops[pos]))
+		}
+		for k, col := range a.cols.sides[pos] {
+			if len(col) != len(s.items) {
+				return fmt.Errorf("position %d column %d: %d entries for %d instances", pos, k, len(col), len(s.items))
+			}
+			for i := range col {
+				if !col[i].Same(ops[pos][k].Load(&s.items[i])) {
+					return fmt.Errorf("position %d column %d entry %d (ts=%d) differs from its instance's load", pos, k, i, s.items[i].TS)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oostream/internal/event"
+	"oostream/internal/predicate"
 )
 
 // KeyedStacks partitions Active Instance Stacks by an equivalence-class
@@ -40,6 +41,9 @@ type KeyedStacks struct {
 	// one between passes (CheckDue).
 	due  []Due[uint32]
 	size int
+	// ops[pos] are the operands every group's stack at pos loads into its
+	// columns (NewKeyedColumns); nil when construction reads none.
+	ops [][]predicate.Operand
 }
 
 // group is one key's stacks. It carries the key so that a purge reaching it
@@ -53,6 +57,20 @@ type group struct {
 // NewKeyed creates a keyed AIS with n positions per key group.
 func NewKeyed(n int) *KeyedStacks {
 	return &KeyedStacks{n: n, groups: make(map[event.Value]*group), due: make([]Due[uint32], n)}
+}
+
+// NewKeyedColumns creates a keyed AIS with len(ops) positions per key group
+// whose stacks load ops[pos] from every instance inserted at pos
+// (Stacks.Column). With no operand at any position it is NewKeyed.
+func NewKeyedColumns(ops [][]predicate.Operand) *KeyedStacks {
+	k := NewKeyed(len(ops))
+	for _, o := range ops {
+		if len(o) > 0 {
+			k.ops = ops
+			break
+		}
+	}
+	return k
 }
 
 // Positions returns the number of pattern positions per group.
@@ -82,6 +100,12 @@ func (k *KeyedStacks) Insert(key event.Value, pos int, e event.Event) (int, *Sta
 			g.key = key
 		} else {
 			g = &group{Stacks: Stacks{stacks: make([]Stack, k.n)}, key: key, id: uint32(len(k.all))}
+			if k.ops != nil {
+				g.cols = &columns{ops: k.ops, sides: make([][][]predicate.Side, k.n)}
+				for pos := range g.cols.sides {
+					g.cols.sides[pos] = make([][]predicate.Side, len(k.ops[pos]))
+				}
+			}
 			k.all = append(k.all, g)
 		}
 		k.groups[key] = g
@@ -111,7 +135,7 @@ func (k *KeyedStacks) PurgeBefore(horizon func(pos int) event.Time) int {
 				// An earlier entry of this pass purged the group already.
 				return
 			}
-			total += s.PurgeBefore(h)
+			total += g.purge(pos, h)
 			if g.Size() == 0 {
 				delete(k.groups, g.key)
 				k.free = append(k.free, g)
@@ -127,6 +151,19 @@ func (k *KeyedStacks) Range(f func(key event.Value, st *Stacks)) {
 	for key, g := range k.groups {
 		f(key, &g.Stacks)
 	}
+}
+
+// CheckColumns verifies every group's columns against its stacks: a column
+// per operand of the position, one entry per live instance, each equal to
+// loading its operand from the instance again (predicate.Side.Same). Like
+// CheckDue it is for tests and property checks.
+func (k *KeyedStacks) CheckColumns() error {
+	for _, g := range k.all {
+		if err := g.checkColumns(k.ops); err != nil {
+			return fmt.Errorf("key %s: %w", g.key, err)
+		}
+	}
+	return nil
 }
 
 // CheckDue verifies the expiry orders against the stacks they index: per

@@ -2,11 +2,14 @@ package ais
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"oostream/internal/event"
+	"oostream/internal/plan"
 )
 
 func TestKeyedStacksRoutingAndSize(t *testing.T) {
@@ -279,5 +282,80 @@ func BenchmarkKeyedPurge(b *testing.B) {
 			}
 			b.ReportMetric(float64(inPass.Nanoseconds())/float64(b.N), "ns/pass")
 		})
+	}
+}
+
+// TestColumnsFollowTheirInstances: a stack at a position construction reads
+// loads its operands once per insert, and its columns move with its items
+// through late inserts, purges that empty groups onto the free list and the
+// reuse of those groups by new keys. After every step each entry equals
+// its instance's load again (CheckColumns), errors and NaN included; once
+// warm, inserting numbers and purging allocates nothing.
+func TestColumnsFollowTheirInstances(t *testing.T) {
+	p, err := plan.ParseAndCompile("PATTERN SEQ(A a, B b, C c) WHERE b.v < a.v - 3 AND c.v >= a.v WITHIN 100", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := p.CrossView(nil).Operands()
+	if len(ops[0]) != 2 || len(ops[1]) != 1 || len(ops[2]) != 1 {
+		t.Fatalf("operands per slot %d, %d, %d, want 2, 1, 1", len(ops[0]), len(ops[1]), len(ops[2]))
+	}
+	rng := rand.New(rand.NewSource(1))
+	lists := []event.AttrList{nil}
+	for _, v := range []event.Value{event.Int(4), event.Float(2.5), event.Float(math.NaN()), event.Str("x")} {
+		lists = append(lists, event.AttrList{{Name: "v", Value: v}})
+	}
+	k := NewKeyedColumns(ops)
+	var clock event.Time
+	step := func() {
+		for i := 0; i < 16; i++ {
+			clock += event.Time(rng.Intn(3))
+			ts := clock - event.Time(rng.Intn(20))
+			e := event.Event{Type: "A", TS: ts, Seq: event.Seq(clock), Attrs: lists[rng.Intn(len(lists))]}
+			// Keys live about 40 time units, so purges empty groups and
+			// new keys take them back from the free list.
+			k.Insert(event.Int(int64(ts/40)), rng.Intn(3), e)
+		}
+		k.PurgeBefore(func(int) event.Time { return clock - 30 })
+	}
+	reused := 0
+	for i := 0; i < 400; i++ {
+		free := len(k.free)
+		step()
+		if len(k.free) < free {
+			reused++
+		}
+		if err := k.CheckColumns(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if err := k.CheckDue(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no group came back from the free list: the reuse path was not exercised")
+	}
+	// A load that errs allocates its error; the numbers load in place.
+	lists = lists[1:4]
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("16 inserts of numbers and a purge allocated %.2f times", allocs)
+	}
+	if err := NewKeyed(3).CheckColumns(); err != nil {
+		t.Fatalf("stacks without operands: %v", err)
+	}
+}
+
+// TestStackSize pins the layout: a stack is its items alone, so a negative
+// store pays nothing for columns, and a key group's stacks hold them behind
+// one pointer, nil when construction reads no operand.
+func TestStackSize(t *testing.T) {
+	if got := unsafe.Sizeof(Stack{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Stack{}) = %d, want 24", got)
+	}
+	if got := unsafe.Sizeof(Stacks{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(Stacks{}) = %d, want at most 40", got)
+	}
+	if _, st := NewKeyed(2).Insert(event.Int(1), 0, event.Event{TS: 1}); st.cols != nil {
+		t.Error("a key group without operands holds columns")
 	}
 }

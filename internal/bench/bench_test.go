@@ -197,6 +197,18 @@ func TestTimeSides(t *testing.T) {
 	if got, want := spread("%.1f", []float64{30, 10, 20}), "20.0 [15.0–25.0]"; got != want {
 		t.Errorf("spread = %q, want %q", got, want)
 	}
+	for _, c := range []struct {
+		a, b []float64
+		want bool
+	}{
+		{[]float64{10, 20, 30}, []float64{26, 30, 40}, true}, // 15–25 below 28–35
+		{[]float64{26, 30, 40}, []float64{10, 20, 30}, true},
+		{[]float64{10, 20, 30}, []float64{20, 24, 28}, false}, // 15–25 and 22–26 overlap
+	} {
+		if got := apart(c.a, c.b); got != c.want {
+			t.Errorf("apart(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
 }
 
 // TestE7Shape checks the scan optimization's deterministic evidence: probe

@@ -47,7 +47,8 @@ func multiQueries(n int, seed int64) []*oostream.Query {
 // (reorder/purge) once per event and uses its event-type index plus prefix
 // gating to skip (query, event) pairs that cannot extend a match, while
 // the loop pays full admission per (engine, event) pair. Rows report both
-// aggregate throughputs, the speedup, the measured dispatch rate per
+// aggregate throughputs, the speedup (unresolved where the sides' quartile
+// ranges overlap), the measured dispatch rate per
 // event, and an exactness check of the QuerySet's per-query output against
 // the corresponding independent engine.
 func E19MultiQuery(s Scale) *Table {
@@ -101,13 +102,17 @@ func E19MultiQuery(s Scale) *Table {
 			}
 		}
 		qsTput, loopTput := kevS(len(events), times[0]), kevS(len(events), times[1])
-		t.AddRow(fmtInt(n), spread("%.0f", qsTput), spread("%.0f", loopTput),
-			spread("%.1f", ratio(qsTput, loopTput)),
+		speedup := "unresolved"
+		if apart(qsTput, loopTput) {
+			speedup = spread("%.1f", ratio(qsTput, loopTput))
+		}
+		t.AddRow(fmtInt(n), spread("%.0f", qsTput), spread("%.0f", loopTput), speedup,
 			fmt.Sprintf("%.2f", float64(dispatched)/float64(len(events))),
 			fmt.Sprintf("%v", exact))
 	}
 	t.Notes = append(t.Notes,
 		"expected: speedup grows with query count — the QuerySet admits each event once and its type index touches only the ~1% of queries whose first step or gate matches, while the loop baseline re-admits the stream per engine",
-		"disp/ev is inner-engine dispatches per admitted event; well under 1 means the index and prefix gates are doing the filtering")
+		"disp/ev is inner-engine dispatches per admitted event; well under 1 means the index and prefix gates are doing the filtering",
+		"speedup is unresolved where the two sides' quartile ranges overlap; at -scale smoke (3 reps a cell) the table is a smoke test of exactness and dispatch, not a comparison: the host's noise there exceeds 40 %")
 	return t
 }

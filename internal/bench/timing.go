@@ -53,6 +53,14 @@ func spread(verb string, xs []float64) string {
 	return fmt.Sprintf(verb+" ["+verb+"–"+verb+"]", median, q1, q3)
 }
 
+// apart reports whether the quartile ranges of a and b do not overlap: only
+// then does a cell comparing the two say more than the host's noise.
+func apart(a, b []float64) bool {
+	aq1, _, aq3 := quartiles(a)
+	bq1, _, bq3 := quartiles(b)
+	return aq3 < bq1 || bq3 < aq1
+}
+
 // kevS is the throughput of each rep of a side that processed n events, in
 // thousands of events a second.
 func kevS(n int, times []time.Duration) []float64 {

@@ -253,28 +253,40 @@ type Engine struct {
 	// walkPairs says one of them has a pair. reach[p] is level p's reach
 	// and, at a level with hoisted predicates, pass[p] the indices in it
 	// that pass them, ascending; cols[p][i] is the column of the level's
-	// i-th check when that is a pair, filled[p] says it is loaded. All of
-	// them hold for the current construct only (the stacks do not change
-	// during a walk). trigSides holds the trigger's sides of a level's
-	// hoisted pairs while prefilter runs.
+	// i-th check when that is a pair, filled[p] says it is set. bound[p] is
+	// the stack index of the instance bound at slot p, the trigger's at
+	// walkPos. cur[p] is where the current loop one level nearer the
+	// trigger last entered level p, as a position in its candidates, or −1
+	// before its first entry. All of them hold for the current construct
+	// only (the stacks do not change during a walk). hoist holds a level's
+	// hoisted pairs' columns while prefilter runs.
 	walkLevels []plan.Level
 	walkPairs  bool
 	reach      [][2]int
 	pass       [][]int32
 	cols       [][]column
 	filled     []bool
-	trigSides  []predicate.Side
+	bound      []int
+	cur        []int
+	hoist      []hoistedPair
 }
 
 // column is one pair check's candidate sides at a level, aligned with the
-// level's candidates (its pass list, else its reach), and the partner side
-// loaded when the walk enters the level. bounds[k] folds the sides a walk
-// entering at position k can visit: sides[:k] going down, sides[k:] going
-// up; it is kept for an ordered comparison only.
+// level's candidates: its stack's column over the reach, or, with a pass
+// list, gathered into own. partner is the side of the instance bound at the
+// check's partner slot, set when the walk enters the level. bounds[k] folds
+// the sides a walk entering at position k can visit: sides[:k] going down,
+// sides[k:] going up; it is kept for an ordered comparison only.
 type column struct {
-	sides   []predicate.Side
-	bounds  []predicate.Bound
-	partner predicate.Side
+	sides, own []predicate.Side
+	bounds     []predicate.Bound
+	partner    *predicate.Side
+}
+
+// hoistedPair is a hoisted pair's candidate column and the trigger's side.
+type hoistedPair struct {
+	cand []predicate.Side
+	trig *predicate.Side
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -288,7 +300,6 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 	en := &Engine{
 		plan:         p,
 		opts:         opts,
-		kstacks:      ais.NewKeyed(p.Len()),
 		knegs:        make([]map[event.Value]*ais.Stack, len(p.Negatives)),
 		negDue:       make([]ais.Due[*ais.Stack], len(p.Negatives)),
 		vuln:         make(map[event.Value]vulnList),
@@ -302,6 +313,8 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		pass:         make([][]int32, p.Len()),
 		cols:         make([][]column, p.Len()),
 		filled:       make([]bool, p.Len()),
+		bound:        make([]int, p.Len()),
+		cur:          make([]int, p.Len()),
 	}
 	for i := range en.knegs {
 		en.knegs[i] = make(map[event.Value]*ais.Stack)
@@ -325,6 +338,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		}
 	}
 	en.cross = p.CrossView(func(i int) bool { return skip[i] })
+	en.kstacks = ais.NewKeyedColumns(en.cross.Operands())
 	for t := range p.Positives {
 		for lvl, lv := range en.cross.Walk(t) {
 			if len(lv.Checks) > len(en.cols[lvl]) {
@@ -520,7 +534,8 @@ func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
 // publication are the caller's responsibility.
 func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 	en.arrival++
-	if !en.plan.Relevant(e.Type) {
+	steps := en.plan.Steps(e.Type)
+	if steps == nil {
 		en.tap.Irrelevant.Inc()
 		return out
 	}
@@ -555,7 +570,7 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 		en.advanceFrontier()
 	}
 	if !en.plan.ConstFalse {
-		out = en.insert(e, isOOO, out)
+		out = en.insert(e, steps, isOOO, out)
 	}
 	if en.pending.Len() > 0 {
 		out = en.drainPending(en.safe(), en.finalize, out)
@@ -587,31 +602,31 @@ func (en *Engine) publishGauges() {
 // match — the trigger of a construction over that group. Events lacking the
 // key cannot satisfy the key-equality predicates and are counted and dropped,
 // as the predicate error they would raise ungrouped.
-func (en *Engine) insert(e event.Event, isOOO bool, out []plan.Match) []plan.Match {
+func (en *Engine) insert(e event.Event, steps *plan.TypeSteps, isOOO bool, out []plan.Match) []plan.Match {
 	key, ok := en.keyOf(e)
 	if !ok {
 		en.tap.IncPredError(errMissingKey)
 		return out
 	}
-	for _, negIdx := range en.plan.NegativesForType(e.Type) {
+	for _, negIdx := range steps.Negatives {
 		if plan.EvalLocalScratch(en.plan.Negatives[negIdx].Local, e, en.localScratch, en.tap.IncPredError) {
 			en.insertNeg(negIdx, key, e)
 			out = en.retract(negIdx, key, e, out)
 		}
 	}
 	last := en.plan.Len() - 1
-	for _, pos := range en.plan.PositionsForType(e.Type) {
+	for _, pos := range steps.Positions {
 		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.tap.IncPredError) {
 			continue
 		}
-		_, st := en.kstacks.Insert(key, pos, e)
+		idx, st := en.kstacks.Insert(key, pos, e)
 		en.liveStack++
 		// The repair is the next-stack run whose RIP the insertion became.
 		en.tap.Push(e, pos, st.LastFixups())
 		if pos == last || isOOO || en.opts.DisableTriggerOpt {
 			en.tap.Trigger(e, pos)
 			before := en.enumerated
-			out = en.construct(st, key, e, pos, out)
+			out = en.construct(st, key, pos, idx, out)
 			if en.enumerated == before {
 				en.tap.EmptyProbes.Inc()
 			}
@@ -668,17 +683,19 @@ func (en *Engine) Flush() []plan.Match {
 	return out
 }
 
-// construct enumerates every match that contains the just-inserted instance
-// at position pos, using only instances already in st, the trigger's key
-// group. Earlier positions are bound walking down from pos, then later
-// positions walking up; each level evaluates the cross predicates whose
-// last slot it binds (plan.CrossView.Walk), except the trigger-pair ones,
-// which prefilter settles once per candidate before the walk. A pair is
-// compared on loaded sides: the candidate's from the level's column, the
-// partner's loaded when the walk enters the level. The binding buffer is
-// engine scratch, copied only when a complete match emits.
-func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event, pos int, out []plan.Match) []plan.Match {
-	en.binding[pos] = trigger
+// construct enumerates every match that contains the instance at index idx
+// of position pos's stack, the one just inserted, using only instances
+// already in st, the trigger's key group. Earlier positions are bound walking
+// down from pos, then later positions walking up; each level evaluates the
+// cross predicates whose last slot it binds (plan.CrossView.Walk), except the
+// trigger-pair ones, which prefilter settles once per candidate before the
+// walk. A pair is compared on sides the stacks loaded when each instance was
+// pushed (ais.Stacks.Column). The binding buffer is engine scratch, copied
+// only when a complete match emits.
+func (en *Engine) construct(st *ais.Stacks, key event.Value, pos, idx int, out []plan.Match) []plan.Match {
+	trigger := st.Stack(pos).At(idx)
+	en.binding[pos] = *trigger
+	en.bound[pos] = idx
 	en.walkStacks = st
 	en.walkKey = key
 	en.walkPos = pos
@@ -699,6 +716,12 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event
 		}
 		clear(en.filled)
 	}
+	if pos > 0 {
+		en.cur[pos-1] = -1
+	}
+	if pos+1 < len(en.cur) {
+		en.cur[pos+1] = -1
+	}
 	return en.walkDown(pos-1, out)
 }
 
@@ -707,24 +730,23 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, trigger event.Event
 // pass. It reports false when a pass list is empty: the trigger completes
 // no match.
 func (en *Engine) prefilter() bool {
-	trigger := &en.binding[en.walkPos]
 	for p := range en.walkLevels {
 		hoisted := en.walkLevels[p].Hoisted
 		if len(hoisted) == 0 {
 			continue
 		}
-		en.trigSides = en.trigSides[:0]
-		for i := range hoisted {
-			if c := &hoisted[i]; c.Pair != nil {
-				en.trigSides = append(en.trigSides, c.Pair.Load(1-c.Cand, trigger))
-			} else {
-				en.trigSides = append(en.trigSides, predicate.Side{})
-			}
-		}
 		s, r := en.walkStacks.Stack(p), en.reach[p]
+		en.hoist = en.hoist[:0]
+		for i := range hoisted {
+			var h hoistedPair
+			if c := &hoisted[i]; c.Pair != nil {
+				h = hoistedPair{cand: en.walkStacks.Column(p, c.CandCol), trig: en.partner(c)}
+			}
+			en.hoist = append(en.hoist, h)
+		}
 		pass := en.pass[p][:0]
 		for i := r[0]; i < r[1]; i++ {
-			if en.hoistedHold(p, hoisted, s.At(i)) {
+			if en.hoistedHold(p, hoisted, s, i) {
 				pass = append(pass, int32(i))
 			}
 		}
@@ -738,20 +760,19 @@ func (en *Engine) prefilter() bool {
 }
 
 // hoistedHold evaluates level p's hoisted predicates, in order, on its
-// candidate cand.
-func (en *Engine) hoistedHold(p int, hoisted []plan.Check, cand *event.Event) bool {
+// candidate at index i of its stack s.
+func (en *Engine) hoistedHold(p int, hoisted []plan.Check, s *ais.Stack, i int) bool {
 	bound := false
-	for i := range hoisted {
-		c := &hoisted[i]
+	for k := range hoisted {
+		c := &hoisted[k]
 		if c.Pair != nil {
-			side := c.Pair.Load(c.Cand, cand)
-			if !en.compare(c, &side, &en.trigSides[i]) {
+			if h := &en.hoist[k]; !en.compare(c, &h.cand[i], h.trig) {
 				return false
 			}
 			continue
 		}
 		if !bound {
-			en.binding[p] = *cand
+			en.binding[p] = *s.At(i)
 			bound = true
 		}
 		if !c.Holds(en.binding, en.tap.IncPredError) {
@@ -759,6 +780,12 @@ func (en *Engine) hoistedHold(p int, hoisted []plan.Check, cand *event.Event) bo
 		}
 	}
 	return true
+}
+
+// partner is the side of c's partner slot loaded from the instance bound
+// there.
+func (en *Engine) partner(c *plan.Check) *predicate.Side {
+	return &en.walkStacks.Column(c.Partner, c.PartnerCol)[en.bound[c.Partner]]
 }
 
 // compare runs a pair check on its candidate's side and its partner's.
@@ -775,13 +802,12 @@ func (en *Engine) compare(c *plan.Check, cand, partner *predicate.Side) bool {
 }
 
 // candidates returns the pass list level p iterates, nil when it iterates its
-// stack; the position there of stack index i; and the list's length.
-func (en *Engine) candidates(p, i int) (pass []int32, j, n int) {
+// stack, and the number of candidates.
+func (en *Engine) candidates(p int) (pass []int32, n int) {
 	if len(en.walkLevels[p].Hoisted) == 0 {
-		return nil, i, en.walkStacks.Stack(p).Len()
+		return nil, en.walkStacks.Stack(p).Len()
 	}
-	j, _ = slices.BinarySearch(en.pass[p], int32(i))
-	return en.pass[p], j, len(en.pass[p])
+	return en.pass[p], len(en.pass[p])
 }
 
 // at is the stack index of a level's j-th candidate.
@@ -790,6 +816,15 @@ func at(pass []int32, j int) int {
 		return j
 	}
 	return int(pass[j])
+}
+
+// search is the position in level p's candidates of stack index i.
+func search(pass []int32, i int) int {
+	if pass == nil {
+		return i
+	}
+	j, _ := slices.BinarySearch(pass, int32(i))
+	return j
 }
 
 // origin is the position in level p's candidates that its columns start at:
@@ -801,8 +836,8 @@ func (en *Engine) origin(pass []int32, p int) int {
 	return en.reach[p][0]
 }
 
-// enter loads the partner sides of level p's pairs in a walk that has
-// pairs, filling its columns on the first entry of the walk, and reports
+// enter points level p's pairs at their partners' sides in a walk that has
+// pairs, setting its columns on the first entry of the walk, and reports
 // whether to visit the candidates a walk entering at column position k can
 // reach. It says no when an ordered pair excludes them all by its bound and
 // every check before it is a Quiet pair: then each visit would have been
@@ -820,42 +855,42 @@ func (en *Engine) enter(p int, pass []int32, k int) bool {
 			continue
 		}
 		col := &en.cols[p][i]
-		col.partner = c.Pair.Load(1-c.Cand, &en.binding[c.Partner])
+		col.partner = en.partner(c)
 		if !quiet || len(col.bounds) == 0 {
 			quiet = false
 			continue
 		}
-		if c.Pair.Excludes(&col.bounds[k], c.Cand, &col.partner) {
+		if c.Pair.Excludes(&col.bounds[k], c.Cand, col.partner) {
 			return false
 		}
-		quiet = c.Pair.Quiet(&col.bounds[k], &col.partner)
+		quiet = c.Pair.Quiet(&col.bounds[k], col.partner)
 	}
 	return true
 }
 
-// fill loads level p's columns: each pair check's candidate side of every
-// candidate in the level's pass list, else its reach, and, for an ordered
-// pair, the bounds of the runs the walk can visit.
+// fill sets level p's columns: each pair check's candidate side of every
+// candidate in the level's reach, a slice of its stack's column, or in its
+// pass list, gathered from it; and, for an ordered pair, the bounds of the
+// runs the walk can visit.
 func (en *Engine) fill(p int, pass []int32) {
-	s := en.walkStacks.Stack(p)
-	lo, n := en.reach[p][0], en.reach[p][1]-en.reach[p][0]
-	if pass != nil {
-		n = len(pass)
-	}
+	lo, hi := en.reach[p][0], en.reach[p][1]
 	for i := range en.walkLevels[p].Checks {
 		c := &en.walkLevels[p].Checks[i]
 		if c.Pair == nil {
 			continue
 		}
 		col := &en.cols[p][i]
-		col.sides = col.sides[:0]
-		for j := 0; j < n; j++ {
-			idx := lo + j
-			if pass != nil {
-				idx = int(pass[j])
+		src := en.walkStacks.Column(p, c.CandCol)
+		if pass == nil {
+			col.sides = src[lo:hi]
+		} else {
+			col.own = col.own[:0]
+			for _, idx := range pass {
+				col.own = append(col.own, src[idx])
 			}
-			col.sides = append(col.sides, c.Pair.Load(c.Cand, s.At(idx)))
+			col.sides = col.own
 		}
+		n := len(col.sides)
 		col.bounds = col.bounds[:0]
 		if !c.Pair.Ordered() {
 			continue
@@ -885,7 +920,7 @@ func (en *Engine) admit(p, k int, cand *event.Event) bool {
 		c := &checks[i]
 		if c.Pair != nil {
 			col := &en.cols[p][i]
-			if !en.compare(c, &col.sides[k], &col.partner) {
+			if !en.compare(c, &col.sides[k], col.partner) {
 				return false
 			}
 			continue
@@ -906,25 +941,48 @@ func (en *Engine) admit(p, k int, cand *event.Event) bool {
 
 // walkDown binds positions pos-1 .. 0 with instances earlier than the
 // already-bound successor, then hands over to walkUp. The first candidate is
-// the successor's RIP, FirstAtOrAfter−1.
+// the successor's RIP, the one before the first at or after it: found by
+// search on a loop's first entry into the level, and by moving the cursor
+// down from the previous entry after that, the successors coming in
+// descending order. A level with a Floor stops at the next level's earliest
+// passing candidate.
 func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 	if p < 0 {
 		return en.walkUp(en.walkPos+1, out)
 	}
 	s := en.walkStacks.Stack(p)
-	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
-	pass, j, _ := en.candidates(p, s.FirstAtOrAfter(en.binding[p+1].TS))
+	pass, _ := en.candidates(p)
+	succ := en.binding[p+1].TS
+	j := en.cur[p]
+	if j < 0 {
+		j = search(pass, s.FirstAtOrAfter(succ))
+	} else {
+		for j > 0 && s.At(at(pass, j-1)).TS >= succ {
+			j--
+		}
+	}
+	en.cur[p] = j
 	origin := en.origin(pass, p)
 	if en.walkPairs && !en.enter(p, pass, j-origin) {
 		return out
 	}
+	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
+	if p > 0 {
+		if en.walkLevels[p].Floor {
+			first := en.walkStacks.Stack(p - 1).At(int(en.pass[p-1][0])).TS
+			lowTS = max(lowTS, event.AddSat(first, 1))
+		}
+		en.cur[p-1] = -1
+	}
 	for j--; j >= 0; j-- {
-		cand := s.At(at(pass, j))
+		i := at(pass, j)
+		cand := s.At(i)
 		if cand.TS < lowTS {
 			break
 		}
 		en.visited++
 		if en.admit(p, j-origin, cand) {
+			en.bound[p] = i
 			out = en.walkDown(p-1, out)
 		}
 	}
@@ -932,25 +990,47 @@ func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 }
 
 // walkUp binds positions walkPos+1 .. n-1 with instances later than the
-// already-bound predecessor, emitting when the binding completes.
+// already-bound predecessor, emitting when the binding completes. Its cursor
+// moves up from the loop's previous entry, and a level with a Floor stops at
+// the next level's latest passing candidate.
 func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 	if p >= en.plan.Len() {
 		return en.emit(en.binding, out)
 	}
 	s := en.walkStacks.Stack(p)
-	highTS := event.AddSat(en.binding[0].TS, en.plan.Window)
-	pass, j, n := en.candidates(p, s.FirstAfter(en.binding[p-1].TS))
+	pass, n := en.candidates(p)
+	pred := en.binding[p-1].TS
+	j := en.cur[p]
+	if j < 0 {
+		j = search(pass, s.FirstAfter(pred))
+	} else {
+		for j < n && s.At(at(pass, j)).TS <= pred {
+			j++
+		}
+	}
+	en.cur[p] = j
 	origin := en.origin(pass, p)
 	if en.walkPairs && !en.enter(p, pass, j-origin) {
 		return out
 	}
+	highTS := event.AddSat(en.binding[0].TS, en.plan.Window)
+	if p+1 < en.plan.Len() {
+		if en.walkLevels[p].Floor {
+			next := en.pass[p+1]
+			last := en.walkStacks.Stack(p + 1).At(int(next[len(next)-1])).TS
+			highTS = min(highTS, event.SubSat(last, 1))
+		}
+		en.cur[p+1] = -1
+	}
 	for ; j < n; j++ {
-		cand := s.At(at(pass, j))
+		i := at(pass, j)
+		cand := s.At(i)
 		if cand.TS > highTS {
 			break
 		}
 		en.visited++
 		if en.admit(p, j-origin, cand) {
+			en.bound[p] = i
 			out = en.walkUp(p+1, out)
 		}
 	}

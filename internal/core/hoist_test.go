@@ -20,6 +20,14 @@ func countEvals(p *plan.Plan, n *uint64) {
 	}
 }
 
+// countLoads makes every pair of p add one to *n per side it loads
+// (predicate.Compiled.LoadsCounted). Call it before building an engine on p.
+func countLoads(p *plan.Plan, n *uint64) {
+	for i := range p.Cross {
+		p.Cross[i].Pred = p.Cross[i].Pred.LoadsCounted(n)
+	}
+}
+
 // TestHoistedPredicateEvaluatedOnce pins the evaluation count of a
 // trigger-pair predicate. `c.missing > a.missing` errors on every
 // evaluation, so PredErrors counts them: one per distinct (trigger,
@@ -105,11 +113,10 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	// c.v = 0 exceeds no a.v + 3: every a in reach fails its trigger pair.
 	feed("C", 1000, 0)
 	st := en.kstacks.Group(event.Value{})
-	cs := st.Stack(2)
-	trigger := *cs.At(cs.Len() - 1)
+	trigger := st.Stack(2).Len() - 1
 	before := evals
 	allocs := testing.AllocsPerRun(50, func() {
-		if out := en.construct(st, event.Value{}, trigger, 2, nil); len(out) != 0 {
+		if out := en.construct(st, event.Value{}, 2, trigger, nil); len(out) != 0 {
 			t.Fatalf("got %d matches, want none", len(out))
 		}
 	})
@@ -194,13 +201,16 @@ func vshape(tb testing.TB) (*plan.Plan, []event.Event, event.Time) {
 
 // TestVShapeCounts is the host-independent gate on the construction's unit of
 // work on stock-vshape-native: its matches and probes are fixed by the
-// stream, and the evaluations and walk visits an event costs may not rise
-// above the 25.47 and 13.70 that loaded pair sides and the level skip
-// reached (83.60 evaluations and 71.83 visits before them).
+// stream, and the evaluations, walk visits and pair loads an event costs may
+// not rise above what loaded pair sides, the level skip (25.47 evaluations;
+// 83.60 and 71.83 visits before them), and the pass-list floor and loading
+// each side once per push (11.70 visits, 6 loads; 13.70 and 43.4 before)
+// reached.
 func TestVShapeCounts(t *testing.T) {
 	p, stream, k := vshape(t)
-	var evals uint64
+	var evals, loads uint64
 	countEvals(p, &evals)
+	countLoads(p, &loads)
 	en := MustNew(p, Options{K: k})
 	matches := len(engine.Drain(en, stream))
 	m := en.Metrics()
@@ -209,12 +219,16 @@ func TestVShapeCounts(t *testing.T) {
 	}
 	perEvent := float64(evals) / float64(len(stream))
 	visits := float64(en.visited) / float64(len(stream))
-	t.Logf("%.2f evaluations, %.2f walk visits per event", perEvent, visits)
+	loadsPerEvent := float64(loads) / float64(len(stream))
+	t.Logf("%.2f evaluations, %.2f walk visits, %.2f pair loads per event", perEvent, visits, loadsPerEvent)
 	if perEvent > 25.47 {
 		t.Errorf("%.2f evaluations per event, want at most 25.47", perEvent)
 	}
-	if visits > 13.70 {
-		t.Errorf("%.2f walk visits per event, want at most 13.70", visits)
+	if visits > 11.70 {
+		t.Errorf("%.2f walk visits per event, want at most 11.70", visits)
+	}
+	if loadsPerEvent > 6 {
+		t.Errorf("%.2f pair loads per event, want at most 6", loadsPerEvent)
 	}
 }
 
@@ -223,12 +237,13 @@ var sinkMatches int
 // BenchmarkConstructVShape is the construction DFS of the repository
 // benchmark's stock-vshape-native workload on its own (no decode, no
 // rendering): go test -run '^$' -bench ConstructVShape ./internal/core.
-// evals/event, visits/event and matches/op are exact and repeat; ns/event
-// is the host's.
+// evals/event, loads/event, visits/event and matches/op are exact and
+// repeat; ns/event is the host's.
 func BenchmarkConstructVShape(b *testing.B) {
 	p, stream, k := vshape(b)
-	var evals, visits uint64
+	var evals, loads, visits uint64
 	countEvals(p, &evals)
+	countLoads(p, &loads)
 	b.ReportAllocs()
 	b.ResetTimer()
 	matches := 0
@@ -244,6 +259,7 @@ func BenchmarkConstructVShape(b *testing.B) {
 	events := float64(b.N) * float64(len(stream))
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 	b.ReportMetric(float64(evals)/events, "evals/event")
+	b.ReportMetric(float64(loads)/events, "loads/event")
 	b.ReportMetric(float64(visits)/events, "visits/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 }

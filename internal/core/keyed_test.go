@@ -77,9 +77,11 @@ func TestKeyedMatchesUnkeyedAcrossSkews(t *testing.T) {
 }
 
 // TestStateSizeIncremental asserts the O(1) StateSize counters equal a full
-// recomputation, and the keyed expiry orders index exactly the live state
-// (CheckDue), after every event, for keyed and unkeyed engines under both
-// emission policies, purging at the default cadence and after every event.
+// recomputation, the keyed expiry orders index exactly the live state
+// (CheckDue) and the stacks' columns hold their instances' loads
+// (CheckColumns; unkeyed, a.id = b.id is a pair), after every event, for
+// keyed and unkeyed engines under both emission policies, purging at the
+// default cadence and after every event.
 func TestStateSizeIncremental(t *testing.T) {
 	for _, q := range testQueries {
 		p := compile(t, q)
@@ -105,6 +107,9 @@ func TestStateSizeIncremental(t *testing.T) {
 					t.Fatalf("%s key=%q opts=%+v event %d: StateSize %d != recomputed %d", q, key, opts, i, got, want)
 				}
 				if err := en.CheckDue(); err != nil {
+					t.Fatalf("%s key=%q opts=%+v event %d: %v", q, key, opts, i, err)
+				}
+				if err := en.kstacks.CheckColumns(); err != nil {
 					t.Fatalf("%s key=%q opts=%+v event %d: %v", q, key, opts, i, err)
 				}
 			}

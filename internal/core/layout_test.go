@@ -183,6 +183,9 @@ func TestCheckpointCrossesKeying(t *testing.T) {
 			if got, want := en.StateSize(), en.recomputeStateSize(); got != want {
 				t.Fatalf("%s: restore %d: StateSize %d != recomputed %d", q, i, got, want)
 			}
+			if err := en.kstacks.CheckColumns(); err != nil {
+				t.Fatalf("%s: restore %d: %v", q, i, err)
+			}
 			var again bytes.Buffer
 			if err := en.Checkpoint(&again); err != nil {
 				t.Fatalf("%s: checkpoint after restore %d: %v", q, i, err)

@@ -89,12 +89,18 @@ func (m Match) Last() event.Event { return m.Events[len(m.Events)-1] }
 // Span is the time extent Last.TS − First.TS.
 func (m Match) Span() event.Time { return m.Last().TS - m.First().TS }
 
-// String renders the match for logs and test failures. It is the line
-// esprun prints per result, so it is built in one stack-seeded buffer and
-// costs the returned string only.
+// String renders the match for logs and test failures: AppendText into a
+// stack-seeded buffer, so it costs the returned string only.
 func (m Match) String() string {
 	var buf [512]byte
-	dst := buf[:0]
+	dst, _ := m.AppendText(buf[:0])
+	return string(dst)
+}
+
+// AppendText appends the line esprun prints per result to dst and returns
+// the extended buffer (encoding.TextAppender); the error is always nil. Into
+// a buffer with room it allocates nothing.
+func (m Match) AppendText(dst []byte) ([]byte, error) {
 	if m.Kind == Retract {
 		dst = append(dst, '-')
 	}
@@ -109,8 +115,7 @@ func (m Match) String() string {
 			dst = event.AppendEvent(dst, m.Events[i])
 		}
 	}
-	dst = append(dst, ']')
-	return string(dst)
+	return append(dst, ']'), nil
 }
 
 // KeySet collects the keys of a slice of matches into a multiset

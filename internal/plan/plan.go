@@ -61,8 +61,14 @@ type Plan struct {
 	// aggregation operator and emit aggregate matches (Match.Agg) instead.
 	Agg *AggSpec
 
-	typeIndex    map[string][]int
-	negTypeIndex map[string][]int
+	// types holds the steps of every type the pattern names.
+	types map[string]*TypeSteps
+}
+
+// TypeSteps is where events of one type go in a plan: the positive
+// positions and the negations the type occupies.
+type TypeSteps struct {
+	Positions, Negatives []int
 }
 
 // EqLink is an equality v_i.Attr = v_j.Attr between positive slots.
@@ -131,15 +137,21 @@ type ReturnCol struct {
 func Compile(a *query.Analyzed) (*Plan, error) {
 	n := len(a.Positives)
 	p := &Plan{
-		Window:       a.Query.Within,
-		Source:       a.Query.String(),
-		CrossBySlot:  make([][]int, n),
-		typeIndex:    make(map[string][]int),
-		negTypeIndex: make(map[string][]int),
+		Window:      a.Query.Within,
+		Source:      a.Query.String(),
+		CrossBySlot: make([][]int, n),
+		types:       make(map[string]*TypeSteps),
+	}
+	steps := func(typ string) *TypeSteps {
+		if p.types[typ] == nil {
+			p.types[typ] = &TypeSteps{}
+		}
+		return p.types[typ]
 	}
 	for i, c := range a.Positives {
 		p.Positives = append(p.Positives, PosStep{Type: c.Type, Var: c.Var})
-		p.typeIndex[c.Type] = append(p.typeIndex[c.Type], i)
+		st := steps(c.Type)
+		st.Positions = append(st.Positions, i)
 	}
 	for i, neg := range a.Negatives {
 		p.Negatives = append(p.Negatives, NegStep{
@@ -147,7 +159,8 @@ func Compile(a *query.Analyzed) (*Plan, error) {
 			Var:      neg.Component.Var,
 			GapAfter: neg.GapAfter,
 		})
-		p.negTypeIndex[neg.Component.Type] = append(p.negTypeIndex[neg.Component.Type], i)
+		st := steps(neg.Component.Type)
+		st.Negatives = append(st.Negatives, i)
 	}
 
 	if err := p.distributeWhere(a); err != nil {
@@ -436,6 +449,10 @@ type CrossView struct {
 	// pairs[t] says some level of walks[t] has a pair, and hoists[t] that
 	// some level has a hoisted predicate.
 	pairs, hoists []bool
+	// operands[p] lists the pair sides that read slot p, in Plan.Cross
+	// order: each pair in the view contributes one side to each of its
+	// two slots.
+	operands [][]predicate.Operand
 }
 
 // Level is what a walk evaluates when it binds one slot.
@@ -444,6 +461,11 @@ type Level struct {
 	// the walk revisits; Checks lists the others whose last slot the level
 	// binds. Both are in Plan.Cross order.
 	Hoisted, Checks []Check
+	// Floor says the level checks nothing and the next level the walk
+	// binds (one slot further from the trigger) has hoisted predicates: a
+	// candidate here with no passing candidate beyond it completes nothing
+	// and evaluates nothing, so the walk may stop short of it.
+	Floor bool
 }
 
 // Check is one cross predicate as a level evaluates it.
@@ -451,19 +473,33 @@ type Check struct {
 	Pred *predicate.Compiled
 	// Pair is Pred's pair form (predicate.Compiled.Pair), nil when it has
 	// none. Cand is the side of it that the level's slot binds, and Partner
-	// the slot of the other side, which an earlier level binds.
-	Pair          *predicate.Pair
-	Cand, Partner int
+	// the slot of the other side, which an earlier level binds. CandCol and
+	// PartnerCol are the indices of the two sides in Operands of the level's
+	// slot and of Partner.
+	Pair                *predicate.Pair
+	Cand, Partner       int
+	CandCol, PartnerCol int
 }
 
 // CrossView builds a view excluding the cross predicates (by index into
 // Plan.Cross) for which skip returns true. A nil skip keeps all.
 func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
 	n := p.Len()
-	v := &CrossView{walks: make([][]Level, n), pairs: make([]bool, n), hoists: make([]bool, n)}
+	v := &CrossView{walks: make([][]Level, n), pairs: make([]bool, n), hoists: make([]bool, n),
+		operands: make([][]predicate.Operand, n)}
 	pairs := make([]*predicate.Pair, len(p.Cross))
+	cols := make([][2]int, len(p.Cross))
 	for idx, cp := range p.Cross {
-		pairs[idx] = cp.Pred.Pair()
+		if skip != nil && skip(idx) {
+			continue
+		}
+		if pairs[idx] = cp.Pred.Pair(); pairs[idx] != nil {
+			for side := range cols[idx] {
+				slot := pairs[idx].Slot(side)
+				cols[idx][side] = len(v.operands[slot])
+				v.operands[slot] = append(v.operands[slot], predicate.Operand{Pair: pairs[idx], Side: side})
+			}
+		}
 	}
 	for t := 0; t < n; t++ {
 		v.walks[t] = make([]Level, n)
@@ -483,6 +519,7 @@ func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
 					c.Cand = 1
 				}
 				c.Partner = c.Pair.Slot(1 - c.Cand)
+				c.CandCol, c.PartnerCol = cols[idx][c.Cand], cols[idx][1-c.Cand]
 				v.pairs[t] = true
 			}
 			lv := &v.walks[t][slot]
@@ -493,6 +530,15 @@ func (p *Plan) CrossView(skip func(crossIdx int) bool) *CrossView {
 			} else {
 				lv.Checks = append(lv.Checks, c)
 			}
+		}
+		levels := v.walks[t]
+		for slot := range levels {
+			next := slot - 1
+			if slot > t {
+				next = slot + 1
+			}
+			levels[slot].Floor = slot != t && next >= 0 && next < n &&
+				len(levels[slot].Hoisted)+len(levels[slot].Checks) == 0 && len(levels[next].Hoisted) > 0
 		}
 	}
 	return v
@@ -508,6 +554,11 @@ func (v *CrossView) HasPairs(trig int) bool { return v.pairs[trig] }
 // Hoists reports whether some level of a walk triggered at trig has a
 // hoisted predicate.
 func (v *CrossView) Hoists(trig int) bool { return v.hoists[trig] }
+
+// Operands returns, per slot, the pair sides the view reads from it (nil
+// for a slot none reads): what a stack of the slot's events may load once
+// per event, for Check.CandCol and PartnerCol to index.
+func (v *CrossView) Operands() [][]predicate.Operand { return v.operands }
 
 // Holds runs the check's program over the binding; an evaluation error
 // counts as false and goes to errSink.
@@ -536,17 +587,30 @@ func (p *Plan) compileReturn(a *query.Analyzed) error {
 // Len returns the number of positive steps.
 func (p *Plan) Len() int { return len(p.Positives) }
 
+// Steps returns where events of a type go, or nil when the pattern does not
+// name the type: one lookup serves an event's relevance, negations and
+// positions.
+func (p *Plan) Steps(typ string) *TypeSteps { return p.types[typ] }
+
 // PositionsForType returns the positive positions an event type occupies.
 // A type may occur at multiple positions (e.g. SEQ(TRADE a, TRADE b)).
-func (p *Plan) PositionsForType(typ string) []int { return p.typeIndex[typ] }
+func (p *Plan) PositionsForType(typ string) []int {
+	if st := p.types[typ]; st != nil {
+		return st.Positions
+	}
+	return nil
+}
 
 // NegativesForType returns the negation indices an event type occupies.
-func (p *Plan) NegativesForType(typ string) []int { return p.negTypeIndex[typ] }
+func (p *Plan) NegativesForType(typ string) []int {
+	if st := p.types[typ]; st != nil {
+		return st.Negatives
+	}
+	return nil
+}
 
 // Relevant reports whether the event type occurs anywhere in the pattern.
-func (p *Plan) Relevant(typ string) bool {
-	return len(p.typeIndex[typ]) > 0 || len(p.negTypeIndex[typ]) > 0
-}
+func (p *Plan) Relevant(typ string) bool { return p.types[typ] != nil }
 
 // HasNegation reports whether the plan contains negated components.
 func (p *Plan) HasNegation() bool { return len(p.Negatives) > 0 }

@@ -207,6 +207,24 @@ func TestMatchStringAllocations(t *testing.T) {
 	}
 }
 
+// TestMatchAppendText: AppendText writes what String returns, after what
+// dst holds, and into a buffer it reuses costs nothing.
+func TestMatchAppendText(t *testing.T) {
+	matches := rfidMatches(t)
+	buf := []byte("> ")
+	for _, m := range matches {
+		got, err := m.AppendText(buf[:2])
+		if err != nil || string(got) != "> "+m.String() {
+			t.Fatalf("AppendText = %q, %v; want %q", got, err, "> "+m.String())
+		}
+		buf = got
+	}
+	m := matches[0]
+	if n := testing.AllocsPerRun(200, func() { buf, _ = m.AppendText(buf[:0]) }); n != 0 {
+		t.Errorf("AppendText into a reused buffer: %.0f allocations, want 0", n)
+	}
+}
+
 var sinkString string
 
 // BenchmarkMatchString is the plan.render_* layer of the repository

@@ -14,9 +14,9 @@ import (
 // and compares loaded sides (Compare), instead of running the program once
 // per binding; the verdict and the error are the program's.
 type Pair struct {
-	oper  query.BinaryOp
-	sides [2]operand
-	count *uint64
+	oper         query.BinaryOp
+	sides        [2]operand
+	count, loads *uint64
 }
 
 // Side is one side of a pair loaded from one event: its value, or the error
@@ -36,7 +36,7 @@ func (c *Compiled) Pair() *Pair {
 	if in.op != opCmp || in.pops != 0 || in.a.mode != attribute || in.b.mode != attribute || in.a.slot == in.b.slot {
 		return nil
 	}
-	return &Pair{oper: in.oper, sides: [2]operand{in.a, in.b}, count: c.count}
+	return &Pair{oper: in.oper, sides: [2]operand{in.a, in.b}, count: c.count, loads: c.loads}
 }
 
 // Slot returns the slot side i reads: 0 the left side, 1 the right.
@@ -49,6 +49,9 @@ func (p *Pair) Ordered() bool { return p.oper != query.OpEq && p.oper != query.O
 // Load reads side i from e, the event bound to its slot, as the program
 // reads it: the offset applied, the timestamp for an absent ts.
 func (p *Pair) Load(i int, e *event.Event) Side {
+	if p.loads != nil {
+		*p.loads++
+	}
 	o := &p.sides[i]
 	v, st := o.load(e)
 	if st != stOK {
@@ -56,6 +59,24 @@ func (p *Pair) Load(i int, e *event.Event) Side {
 	}
 	return Side{v: v}
 }
+
+// Same reports whether s and t are one load: equal values (floats by bit
+// pattern), or equal errors.
+func (s Side) Same(t Side) bool {
+	if s.err == nil || t.err == nil {
+		return s.err == t.err && s.v == t.v
+	}
+	return *s.err == *t.err && s.v == t.v
+}
+
+// Operand is one side of a pair, as a column of loaded sides holds it.
+type Operand struct {
+	Pair *Pair
+	Side int
+}
+
+// Load reads the operand from e, the event bound to its slot.
+func (o Operand) Load(e *event.Event) Side { return o.Pair.Load(o.Side, e) }
 
 // Compare is the program's verdict on the binding the two sides were loaded
 // from: the left side's error first, then the right's, then opCmp's. A

@@ -58,8 +58,9 @@ type Compiled struct {
 	// mask is the slot set as a bitmask (slots < 64).
 	mask uint64
 	src  string
-	// count, when set, is added one to per evaluation (Counted).
-	count *uint64
+	// count, when set, is added one to per evaluation (Counted), and loads
+	// per side its pair form loads (LoadsCounted).
+	count, loads *uint64
 }
 
 // Refs returns the slots the expression reads, in ascending order.
@@ -91,6 +92,14 @@ func (c *Compiled) EvalBool(binding []event.Event) (bool, error) {
 func (c *Compiled) Counted(n *uint64) *Compiled {
 	counted := *c
 	counted.count = n
+	return &counted
+}
+
+// LoadsCounted returns a copy of c whose pair form (Pair) adds one to *n
+// each time it loads a side: what a construction pays per operand read.
+func (c *Compiled) LoadsCounted(n *uint64) *Compiled {
+	counted := *c
+	counted.loads = n
 	return &counted
 }
 
