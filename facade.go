@@ -3,6 +3,7 @@ package oostream
 import (
 	"errors"
 	"io"
+	"slices"
 
 	"oostream/internal/engine"
 	"oostream/internal/obsv"
@@ -66,6 +67,14 @@ func (f *facade) Start() ([]Match, error) {
 // deduplicates by it across restarts — and commits the matches it returns
 // as delivered before returning them.
 //
+// The returned matches are the caller's to keep: the engine never writes
+// them or their Events again, and each slice's capacity ends at its length,
+// so an append never reaches another call's results. They share backing
+// arrays with other calls' results: a kept match keeps at most one block
+// of 65 matches (6.6 KiB) and one of 292 events (16 KiB) alive, more only
+// after a call that returned more than a block holds. Copy a match and its
+// Events to keep less.
+//
 // After Flush the stream is sealed: pending negation output has been
 // finalized, so further events would silently produce wrong results.
 // Process then returns nil and records the refusal in Err, as it does for
@@ -78,7 +87,7 @@ func (f *facade) Process(ev Event) []Match {
 	f.spans.Begin(ev.Seq)
 	ms := f.inner.Process(ev)
 	f.spans.Finish(ev.Seq)
-	return ms
+	return slices.Clip(ms)
 }
 
 // ProcessBatch ingests a slice of events through the engine's batch path
@@ -93,8 +102,9 @@ func (f *facade) Process(ev Event) []Match {
 // returned.
 //
 // A nil or empty batch is a documented no-op: it returns nil and leaves
-// all subsequent output unchanged. Seq assignment and refusals match
-// Process; assigned numbers are written into the caller's slice in place.
+// all subsequent output unchanged. Seq assignment, refusals and what the
+// returned matches share match Process; assigned numbers are written into
+// the caller's slice in place.
 func (f *facade) ProcessBatch(events []Event) []Match {
 	if f.shut != nil {
 		return f.refuse()
@@ -107,7 +117,7 @@ func (f *facade) ProcessBatch(events []Event) []Match {
 	for i := range events {
 		f.spans.Finish(events[i].Seq)
 	}
-	return ms
+	return slices.Clip(ms)
 }
 
 // ProcessAll ingests a finite slice and returns all matches, including the
@@ -125,23 +135,24 @@ func (f *facade) ProcessAll(events []Event) []Match {
 // it to seal pending negation output and purge state through silent
 // periods; every strategy supports it. A durable engine refuses it (its log
 // records no heartbeats, so recovery could not replay what one emitted), as
-// both kinds do after Flush.
+// both kinds do after Flush. The returned matches share what Process's do.
 func (f *facade) Advance(ts Time) []Match {
 	if f.shut != nil {
 		return f.refuse()
 	}
-	return f.inner.Advance(ts)
+	return slices.Clip(f.inner.Advance(ts))
 }
 
 // Flush seals the stream: pending negation output is finalized (a durable
 // engine logs end-of-stream first, so a crash mid-flush replays to the same
-// final matches). A second Flush is a no-op returning nil.
+// final matches). A second Flush is a no-op returning nil. The returned
+// matches share what Process's do.
 func (f *facade) Flush() []Match {
 	if f.shut != nil {
 		return nil
 	}
 	f.shut = errSealed
-	return f.inner.Flush()
+	return slices.Clip(f.inner.Flush())
 }
 
 // Err returns the first failure or refused call, or nil. It is sticky: a

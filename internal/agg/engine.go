@@ -112,6 +112,10 @@ type Engine struct {
 	// would never surface: each aggregate match cites the events of the
 	// inner matches contributing to its window, capped at maxProvRefs.
 	prov bool
+
+	// res carves each call's matches and their window events from
+	// append-only blocks, as the kernel does.
+	res plan.Blocks
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -154,9 +158,9 @@ func (en *Engine) StateSize() int {
 
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
-	out := en.processOne(e, nil)
+	out := en.processOne(e, en.res.Open())
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // ProcessBatch implements engine.Engine: the per-event pipeline in
@@ -164,12 +168,12 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 // metadata depends on that moment), sharing one output slice and deferring
 // only gauge publication to the batch boundary.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
-	var out []plan.Match
+	out := en.res.Open()
 	for i := range batch {
 		out = en.processOne(batch[i], out)
 	}
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // processOne admits one event: feed the inner engine, absorb the matches
@@ -206,19 +210,19 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 // watermark.
 func (en *Engine) Advance(ts event.Time) []plan.Match {
 	en.tap.Mark(obsv.OpHeartbeat, "", ts, 0)
-	out := en.absorb(en.inner.Advance(ts), nil)
+	out := en.absorb(en.inner.Advance(ts), en.res.Open())
 	if ts > en.clock {
 		en.clock = ts
 	}
 	out = en.advanceOutput(out)
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // Flush implements engine.Engine: absorb the inner engine's final matches,
 // then emit every remaining window as final.
 func (en *Engine) Flush() []plan.Match {
-	out := en.absorb(en.inner.Flush(), nil)
+	out := en.absorb(en.inner.Flush(), en.res.Open())
 	if en.speculative {
 		out = en.previewTo(0, true, out)
 	} else {
@@ -227,7 +231,7 @@ func (en *Engine) Flush() []plan.Match {
 	en.reclaimAll()
 	en.publishGauges()
 	en.tap.Mark(obsv.OpFlush, "", en.clock, 0)
-	return out
+	return en.res.Close(out)
 }
 
 // Metrics implements engine.Engine: the operator's series, which carries
@@ -494,7 +498,13 @@ func (en *Engine) nextEnd(cursor event.Time, cursorInit bool) (event.Time, bool)
 		return 0, false
 	}
 	end := event.AddSat(cursor, slide)
-	m, ok := en.firstAfter(en.windowStart(end))
+	var m event.Time
+	var ok bool
+	if en.bottomless(end) {
+		m, ok = en.minElemTS()
+	} else {
+		m, ok = en.firstAfter(en.windowStart(end))
+	}
 	if !ok {
 		return 0, false
 	}
@@ -554,7 +564,13 @@ func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan
 // windowValue computes the window (end−W, end] for one group, or nil when
 // the window is empty or HAVING rejects it.
 func (en *Engine) windowValue(g *group, end event.Time) *plan.AggValue {
-	part := g.run.Query(fiba.Key{TS: en.windowStart(end), Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
+	hi := fiba.Key{TS: end, Seq: fiba.MaxSeq}
+	var part fiba.Partial
+	if en.bottomless(end) {
+		part = g.run.QueryThrough(hi)
+	} else {
+		part = g.run.Query(fiba.Key{TS: en.windowStart(end), Seq: fiba.MaxSeq}, hi)
+	}
 	v, n, ok := en.spec.Result(part)
 	if !ok {
 		return nil
@@ -586,7 +602,7 @@ func (en *Engine) reviseAround(g *group, ts event.Time, out []plan.Match) []plan
 	if !en.previewInit {
 		return out
 	}
-	for end := plan.AlignUp(ts, en.spec.Slide); end <= en.previewed && en.windowStart(end) < ts; end += en.spec.Slide {
+	for end := plan.AlignUp(ts, en.spec.Slide); end <= en.previewed && en.startsBefore(end, ts); end += en.spec.Slide {
 		out = en.revise(g, end, out)
 		if end > math.MaxInt64-en.spec.Slide {
 			break // the last end of the time range
@@ -623,9 +639,10 @@ func (en *Engine) revise(g *group, end event.Time, out []plan.Match) []plan.Matc
 
 // emit builds and accounts one aggregate match.
 func (en *Engine) emit(g *group, av *plan.AggValue, kind plan.MatchKind, out []plan.Match) []plan.Match {
+	window := [1]event.Event{plan.WindowEvent(av.WindowEnd)}
 	m := plan.Match{
 		Kind:      kind,
-		Events:    []event.Event{plan.WindowEvent(av.WindowEnd)},
+		Events:    en.res.Events(window[:]),
 		EmitSeq:   event.Seq(en.arrival),
 		EmitClock: en.clock,
 		Agg:       av,
@@ -634,7 +651,7 @@ func (en *Engine) emit(g *group, av *plan.AggValue, kind plan.MatchKind, out []p
 		m.Prov = en.record(g, av, kind)
 	}
 	en.tap.Emit(&m, en.clock-av.WindowEnd, 0)
-	return append(out, m)
+	return en.res.Append(out, m)
 }
 
 // record builds the lineage record for one aggregate match: the window
@@ -655,9 +672,11 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 		r.Key = av.Group.String()
 		r.KeyAttr = en.spec.GroupAttr
 	}
-	lo := fiba.Key{TS: av.WindowStart, Seq: fiba.MaxSeq}
 	hi := fiba.Key{TS: av.WindowEnd, Seq: fiba.MaxSeq}
-	g.run.Ascend(lo, hi, func(_ fiba.Key, _ fiba.Partial, aux any) bool {
+	cite := func(k fiba.Key, _ fiba.Partial, aux any) bool {
+		if hi.Less(k) {
+			return false
+		}
 		refs, _ := aux.([]provenance.EventRef)
 		if len(refs) == 0 || len(r.Events)+len(refs) > maxProvRefs {
 			// Elements restored from a checkpoint carry no citations;
@@ -667,7 +686,12 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 		}
 		r.Events = append(r.Events, refs...)
 		return true
-	})
+	}
+	if en.bottomless(av.WindowEnd) {
+		g.run.All(cite)
+	} else {
+		g.run.Ascend(fiba.Key{TS: av.WindowStart, Seq: fiba.MaxSeq}, hi, cite)
+	}
 	return r
 }
 
@@ -676,9 +700,15 @@ func (en *Engine) record(g *group, av *plan.AggValue, kind plan.MatchKind) *prov
 // records for sealed windows.
 func (en *Engine) purgeFor(end event.Time) {
 	cut := en.purgeCut(end)
+	// The next grid window holds every element through its end when it
+	// starts below the time range: nothing is dead yet. (end itself may be
+	// off the grid: reclaim saturates it at the bottom of the range.)
+	live := en.bottomless(plan.AlignUp(event.AddSat(end, 1), en.spec.Slide))
 	n := 0
 	for _, g := range en.groups {
-		n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, nil)
+		if !live {
+			n += g.run.PurgeThrough(fiba.Key{TS: cut, Seq: fiba.MaxSeq}, nil)
+		}
 		if !en.speculative {
 			continue
 		}
@@ -696,14 +726,28 @@ func (en *Engine) purgeFor(end event.Time) {
 }
 
 // windowStart is the exclusive start of the window ending at end: end − W,
-// saturated at the bottom of the time range. An end saturated at the top
-// (plan.AlignUp) stands for the first grid end past the range, whose window
-// starts one slide after the last grid end in it.
+// saturated at the bottom of the time range (where the window is
+// bottomless). An end saturated at the top (plan.AlignUp) stands for the
+// first grid end past the range, whose window starts one slide after the
+// last grid end in it.
 func (en *Engine) windowStart(end event.Time) event.Time {
 	if slide := en.spec.Slide; end == math.MaxInt64 && end%slide != 0 {
 		return alignDown(end, slide) - (en.p.Window - slide)
 	}
 	return event.SubSat(end, en.p.Window)
+}
+
+// bottomless reports that the window ending at end starts below the time
+// range: end − W saturates, and the window holds every element through end,
+// those at MinInt64 included, which its saturated start would exclude.
+func (en *Engine) bottomless(end event.Time) bool {
+	return end < math.MinInt64+en.p.Window
+}
+
+// startsBefore reports that the window ending at end starts before ts: an
+// element at ts lies in it when ts <= end.
+func (en *Engine) startsBefore(end, ts event.Time) bool {
+	return en.bottomless(end) || en.windowStart(end) < ts
 }
 
 // purgeCut is the latest element timestamp no window past end can hold:

@@ -269,18 +269,23 @@ type Engine struct {
 	bound      []int
 	cur        []int
 	hoist      []hoistedPair
+
+	// res carves what each call returns from append-only blocks: the
+	// matches, and the events of a match sealed at emission.
+	res plan.Blocks
 }
 
-// column is one pair check's candidate sides at a level, aligned with the
-// level's candidates: its stack's column over the reach, or, with a pass
-// list, gathered into own. partner is the side of the instance bound at the
-// check's partner slot, set when the walk enters the level. bounds[k] folds
-// the sides a walk entering at position k can visit: sides[:k] going down,
-// sides[k:] going up; it is kept for an ordered comparison only.
+// column is one pair check's candidate sides at a level: its stack's
+// column, indexed by stack index, so a pass list's candidates are read
+// through the list and not copied. partner is the side of the instance bound at the check's partner
+// slot, set when the walk enters the level. bounds[k] folds the sides of the
+// candidates a walk entering at column position k (a position in the pass
+// list, or in the reach) can visit: those before k going down, from k on
+// going up; it is kept for an ordered comparison only.
 type column struct {
-	sides, own []predicate.Side
-	bounds     []predicate.Bound
-	partner    *predicate.Side
+	sides   []predicate.Side
+	bounds  []predicate.Bound
+	partner *predicate.Side
 }
 
 // hoistedPair is a hoisted pair's candidate column and the trigger's side.
@@ -502,11 +507,11 @@ const minTime = event.Time(-1 << 62)
 
 // Process implements engine.Engine.
 func (en *Engine) Process(e event.Event) []plan.Match {
-	out := en.processOne(e, nil)
+	out := en.processOne(e, en.res.Open())
 	en.tap.Spans.StageEnd(e.Seq, obsv.StageConstruct)
 	en.maybePurge()
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // ProcessBatch implements engine.Engine: the per-event admission,
@@ -518,14 +523,14 @@ func (en *Engine) Process(e event.Event) []plan.Match {
 // touching them), so matches, retractions, lineage, and non-purge trace
 // operations are identical to the per-event path.
 func (en *Engine) ProcessBatch(batch []event.Event) []plan.Match {
-	var out []plan.Match
+	out := en.res.Open()
 	for i := range batch {
 		out = en.processOne(batch[i], out)
 		en.tap.Spans.StageEnd(batch[i].Seq, obsv.StageConstruct)
 	}
 	en.maybePurge()
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // processOne is the per-event pipeline shared by Process and ProcessBatch:
@@ -660,17 +665,17 @@ func (en *Engine) Advance(ts event.Time) []plan.Match {
 	}
 	en.advanceFrontier()
 	en.tap.Mark(obsv.OpHeartbeat, "", ts, 0)
-	out := en.drainPending(en.safe(), en.finalize, nil)
+	out := en.drainPending(en.safe(), en.finalize, en.res.Open())
 	en.since = en.opts.PurgeEvery // force the next purge check to run
 	en.maybePurge()
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // Flush implements engine.Engine: end of stream seals every pending match
 // and makes every vulnerable one final.
 func (en *Engine) Flush() []plan.Match {
-	out := en.drainPending(math.MaxInt64, en.finalize, nil)
+	out := en.drainPending(math.MaxInt64, en.finalize, en.res.Open())
 	// Whatever is still vulnerable is final: no negative can follow.
 	clear(en.vuln)
 	en.vulnDue = ais.Due[event.Value]{}
@@ -680,7 +685,7 @@ func (en *Engine) Flush() []plan.Match {
 		en.tap.SetLineage(en.lineageLive, en.lineageBytes)
 	}
 	en.tap.Mark(obsv.OpFlush, "", en.clock, 0)
-	return out
+	return en.res.Close(out)
 }
 
 // construct enumerates every match that contains the instance at index idx
@@ -868,29 +873,21 @@ func (en *Engine) enter(p int, pass []int32, k int) bool {
 	return true
 }
 
-// fill sets level p's columns: each pair check's candidate side of every
-// candidate in the level's reach, a slice of its stack's column, or in its
-// pass list, gathered from it; and, for an ordered pair, the bounds of the
-// runs the walk can visit.
+// fill sets level p's columns: each pair check's candidate sides, its
+// stack's column; and, for an ordered pair, the bounds of the runs the walk
+// can visit, folded over the level's candidates in its reach or pass list.
 func (en *Engine) fill(p int, pass []int32) {
-	lo, hi := en.reach[p][0], en.reach[p][1]
+	origin, n := en.reach[p][0], en.reach[p][1]-en.reach[p][0]
+	if pass != nil {
+		origin, n = 0, len(pass)
+	}
 	for i := range en.walkLevels[p].Checks {
 		c := &en.walkLevels[p].Checks[i]
 		if c.Pair == nil {
 			continue
 		}
 		col := &en.cols[p][i]
-		src := en.walkStacks.Column(p, c.CandCol)
-		if pass == nil {
-			col.sides = src[lo:hi]
-		} else {
-			col.own = col.own[:0]
-			for _, idx := range pass {
-				col.own = append(col.own, src[idx])
-			}
-			col.sides = col.own
-		}
-		n := len(col.sides)
+		col.sides = en.walkStacks.Column(p, c.CandCol)
 		col.bounds = col.bounds[:0]
 		if !c.Pair.Ordered() {
 			continue
@@ -899,28 +896,28 @@ func (en *Engine) fill(p int, pass []int32) {
 		if p < en.walkPos {
 			col.bounds[0] = predicate.Bound{}
 			for j := 0; j < n; j++ {
-				col.bounds[j+1] = c.Pair.Fold(col.bounds[j], c.Cand, &col.sides[j])
+				col.bounds[j+1] = c.Pair.Fold(col.bounds[j], c.Cand, &col.sides[at(pass, origin+j)])
 			}
 		} else {
 			col.bounds[n] = predicate.Bound{}
 			for j := n - 1; j >= 0; j-- {
-				col.bounds[j] = c.Pair.Fold(col.bounds[j+1], c.Cand, &col.sides[j])
+				col.bounds[j] = c.Pair.Fold(col.bounds[j+1], c.Cand, &col.sides[at(pass, origin+j)])
 			}
 		}
 	}
 }
 
 // admit evaluates level p's checks, in order, on its candidate cand at
-// column position k, and binds cand when all hold. A candidate that fails
-// a pair is not copied into the binding.
-func (en *Engine) admit(p, k int, cand *event.Event) bool {
+// stack index i, and binds cand when all hold. A candidate that fails a
+// pair is not copied into the binding.
+func (en *Engine) admit(p, i int, cand *event.Event) bool {
 	checks := en.walkLevels[p].Checks
 	bound := false
-	for i := range checks {
-		c := &checks[i]
+	for k := range checks {
+		c := &checks[k]
 		if c.Pair != nil {
-			col := &en.cols[p][i]
-			if !en.compare(c, &col.sides[k], col.partner) {
+			col := &en.cols[p][k]
+			if !en.compare(c, &col.sides[i], col.partner) {
 				return false
 			}
 			continue
@@ -981,7 +978,7 @@ func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 			break
 		}
 		en.visited++
-		if en.admit(p, j-origin, cand) {
+		if en.admit(p, i, cand) {
 			en.bound[p] = i
 			out = en.walkDown(p-1, out)
 		}
@@ -1029,7 +1026,7 @@ func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 			break
 		}
 		en.visited++
-		if en.admit(p, j-origin, cand) {
+		if en.admit(p, i, cand) {
 			en.bound[p] = i
 			out = en.walkUp(p+1, out)
 		}
@@ -1040,19 +1037,24 @@ func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 // emit routes a complete positive binding: sealed immediately when the safe
 // clock already passed every negation gap; otherwise released as vulnerable
 // (EmitThenRetract) or parked in the pending queue until it does. The
-// scratch binding is copied here — the single allocation a match costs.
+// scratch binding is copied here. A match sealed at emission lives only in
+// what the call returns, so once no negative invalidates it its copy is
+// carved from the event block and costs no allocation of its own; a pending
+// or vulnerable binding outlives the call and gets its own slice, so no
+// block stays alive for it.
 func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 	en.enumerated++
-	events := make([]event.Event, len(binding))
-	copy(events, binding)
 	sealTS := minTime
 	for negIdx := range en.plan.Negatives {
-		_, hi := en.plan.GapBounds(negIdx, events)
+		_, hi := en.plan.GapBounds(negIdx, binding)
 		if hi > sealTS {
 			sealTS = hi
 		}
 	}
-	pm := pendingMatch{events: events, key: en.walkKey, sealTS: sealTS, madeSeq: en.arrival}
+	// Without negation the binding is sealed whatever the clock: minTime is
+	// only its label, and a safe clock near the bottom of the range is below it.
+	sealed := len(en.plan.Negatives) == 0 || sealTS <= en.safe()
+	pm := pendingMatch{events: binding, key: en.walkKey, sealTS: sealTS, madeSeq: en.arrival}
 	if en.prov {
 		pm.prov = en.lineageFor(pm)
 		pm.prov.TriggerSeq = en.walkTrigSeq
@@ -1061,11 +1063,15 @@ func (en *Engine) emit(binding []event.Event, out []plan.Match) []plan.Match {
 		pm.prov.Traversed = int(en.visited - en.walkFrom)
 		en.tap.LineageRecords.Inc()
 	}
-	// Without negation the binding is sealed whatever the clock: minTime is
-	// only its label, and a safe clock near the bottom of the range is below it.
-	if len(en.plan.Negatives) == 0 || sealTS <= en.safe() {
-		return en.finalize(pm, out)
+	if sealed {
+		if en.invalidated(pm) {
+			return out
+		}
+		pm.events = en.res.Events(binding)
+		return en.output(pm, out)
 	}
+	pm.events = make([]event.Event, len(binding))
+	copy(pm.events, binding)
 	if en.opts.Emit == EmitThenRetract {
 		return en.release(pm, out)
 	}
@@ -1130,7 +1136,7 @@ func (en *Engine) retract(negIdx int, key event.Value, neg event.Event, out []pl
 			en.tap.LineageRecords.Inc()
 		}
 		en.tap.Emit(&m, 0, 0)
-		out = append(out, m)
+		out = en.res.Append(out, m)
 	}
 	if len(kept) < len(l.items) {
 		en.setVulnerable(key, l, kept)
@@ -1177,13 +1183,13 @@ func (en *Engine) sealVulnerable(key event.Value, l vulnList, safe event.Time) {
 // stay retractable until they seal.
 func (en *Engine) SetEmitPolicy(p EmitPolicy) []plan.Match {
 	en.opts.Emit = p
-	var out []plan.Match
+	out := en.res.Open()
 	if p == EmitThenRetract {
-		out = en.drainPending(math.MaxInt64, en.release, nil)
+		out = en.drainPending(math.MaxInt64, en.release, out)
 	}
 	en.tap.Mark(obsv.OpSwitch, p.String(), en.safe(), len(out))
 	en.publishGauges()
-	return out
+	return en.res.Close(out)
 }
 
 // EmitPolicy returns the emission policy in force.
@@ -1227,6 +1233,15 @@ func (en *Engine) drainPending(through event.Time, emit func(pendingMatch, []pla
 
 // finalize checks the (now sealed) negation gaps and emits the match.
 func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
+	if en.invalidated(pm) {
+		return out
+	}
+	return en.output(pm, out)
+}
+
+// invalidated reports whether a buffered negative of pm's key group falls
+// into one of its negation gaps and matches it.
+func (en *Engine) invalidated(pm pendingMatch) bool {
 	for negIdx := range en.plan.Negatives {
 		// The store of the match's key group; nil when the group has no
 		// buffered negatives — common, and trivially no invalidator.
@@ -1237,10 +1252,15 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 		lo, hi := en.plan.GapBounds(negIdx, pm.events)
 		for i := ns.FirstAfter(lo); i < ns.Len() && ns.At(i).TS < hi; i++ {
 			if en.plan.NegMatchesScratch(negIdx, *ns.At(i), pm.events, en.negSkipFor(negIdx), en.negScratch, en.tap.IncPredError) {
-				return out
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// output projects pm's RETURN values and emits it as an insert.
+func (en *Engine) output(pm pendingMatch, out []plan.Match) []plan.Match {
 	fields, err := en.plan.Project(pm.events)
 	if err != nil {
 		en.tap.IncPredError(err)
@@ -1267,7 +1287,7 @@ func (en *Engine) finalize(pm pendingMatch, out []plan.Match) []plan.Match {
 		m.Prov = rec
 	}
 	en.tap.Emit(&m, en.clock-m.Last().TS, en.arrival-pm.madeSeq)
-	return append(out, m)
+	return en.res.Append(out, m)
 }
 
 // negSkipFor returns the pre-satisfied cross-predicate mask for a negation

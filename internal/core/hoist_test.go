@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"oostream/internal/engine"
@@ -238,13 +239,36 @@ var sinkMatches int
 // benchmark's stock-vshape-native workload on its own (no decode, no
 // rendering): go test -run '^$' -bench ConstructVShape ./internal/core.
 // evals/event, loads/event, visits/event and matches/op are exact and
-// repeat; ns/event is the host's.
+// repeat; allocs/match nearly so; ns/event is the host's.
 func BenchmarkConstructVShape(b *testing.B) {
 	p, stream, k := vshape(b)
-	var evals, loads, visits uint64
+	var evals, loads uint64
 	countEvals(p, &evals)
 	countLoads(p, &loads)
+	visits := benchConstruct(b, p, stream, k)
+	events := float64(b.N) * float64(len(stream))
+	b.ReportMetric(float64(evals)/events, "evals/event")
+	b.ReportMetric(float64(loads)/events, "loads/event")
+	b.ReportMetric(float64(visits)/events, "visits/event")
+}
+
+// BenchmarkConstructFanout is the kernel on the repository benchmark's
+// uniform-fanout-native workload, where emission is the largest layer:
+// go test -run '^$' -bench ConstructFanout ./internal/core.
+func BenchmarkConstructFanout(b *testing.B) {
+	p, stream, k := fanout(b)
+	benchConstruct(b, p, stream, k)
+}
+
+// benchConstruct runs stream through a fresh engine per op and reports
+// matches/op, allocs/match (every allocation of the op, the engine's
+// construction included, over the matches it returns) and ns/event. It
+// returns the walk visits of all ops.
+func benchConstruct(b *testing.B, p *plan.Plan, stream []event.Event, k event.Time) (visits uint64) {
 	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	b.ResetTimer()
 	matches := 0
 	for i := 0; i < b.N; i++ {
@@ -255,11 +279,12 @@ func BenchmarkConstructVShape(b *testing.B) {
 		matches += len(en.Flush())
 		visits += en.visited
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
 	sinkMatches = matches
 	events := float64(b.N) * float64(len(stream))
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
-	b.ReportMetric(float64(evals)/events, "evals/event")
-	b.ReportMetric(float64(loads)/events, "loads/event")
-	b.ReportMetric(float64(visits)/events, "visits/event")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(max(matches, 1)), "allocs/match")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	return visits
 }

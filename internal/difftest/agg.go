@@ -127,7 +127,8 @@ func genAggQuery(rng *rand.Rand) (string, map[string]bool) {
 // rules at the ends of the time range: grid ends saturate at the top, and a
 // window's start is end − W saturated at the bottom, except that an end
 // saturated at the top (not on the grid) stands for the first grid end past
-// the range, whose window starts one slide after the last grid end in it.
+// the range, whose window starts one slide after the last grid end in it. A
+// window whose start saturates begins below the range and holds MinInt64.
 func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 	spec := p.Agg
 	windowStart := func(end event.Time) event.Time {
@@ -135,6 +136,9 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 			return end - end%spec.Slide - (p.Window - spec.Slide)
 		}
 		return event.SubSat(end, p.Window)
+	}
+	startsBefore := func(end, ts event.Time) bool {
+		return end < math.MinInt64+p.Window || windowStart(end) < ts
 	}
 	type elem struct {
 		ts    event.Time
@@ -151,7 +155,7 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 	}
 	endSet := map[event.Time]bool{}
 	for _, el := range elems {
-		for end := plan.AlignUp(el.ts, spec.Slide); windowStart(end) < el.ts; end = event.AddSat(end, spec.Slide) {
+		for end := plan.AlignUp(el.ts, spec.Slide); startsBefore(end, el.ts); end = event.AddSat(end, spec.Slide) {
 			endSet[end] = true
 			if end == math.MaxInt64 {
 				break
@@ -170,7 +174,7 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 		seen := map[event.Value]bool{}
 		parts := map[event.Value]fiba.Partial{}
 		for _, el := range elems {
-			if el.ts <= windowStart(end) || el.ts > end {
+			if !startsBefore(end, el.ts) || el.ts > end {
 				continue
 			}
 			gk := event.Value{}

@@ -107,13 +107,12 @@ func sortedCopy(c Case) []event.Event {
 // over 100 sliding by 10, placed mid-range, at the bottom (where end − W
 // would wrap) and at the top (where the last grid end saturates at
 // MaxInt64). Every strategy must agree with the truth, and the truth must
-// hold the windows the operator emits there.
+// hold the windows the operator emits there. At the floor, single A's
+// complete matches at MinInt64 itself and at +25: the ten windows whose start
+// saturates hold the two at MinInt64 (a start that saturates lies below the
+// range, not at MinInt64).
 func TestAggTruthAtTimeLimits(t *testing.T) {
 	const query = "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 100 SLIDE 10"
-	p, err := plan.ParseAndCompile(query, Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name             string
 		base             event.Time
@@ -122,6 +121,7 @@ func TestAggTruthAtTimeLimits(t *testing.T) {
 	}{
 		{"mid-range", 1000, 13, 1020, 1140},
 		{"bottom", math.MinInt64 + 3, 12, -9223372036854775780, -9223372036854775670},
+		{"floor", math.MinInt64, 12, -9223372036854775800, -9223372036854775690},
 		{"top", math.MaxInt64 - 60, 5, 9223372036854775770, math.MaxInt64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,12 +129,24 @@ func TestAggTruthAtTimeLimits(t *testing.T) {
 				Ev("A", tc.base, 1, 1, 0), Ev("B", tc.base+20, 2, 1, 0),
 				Ev("A", tc.base+30, 3, 2, 0), Ev("B", tc.base+45, 4, 2, 0),
 			}}
+			if tc.name == "floor" {
+				c = Case{Query: "AGGREGATE COUNT(*) OVER SEQ(A a) WITHIN 100 SLIDE 10", Arrival: []event.Event{
+					Ev("A", tc.base, 1, 1, 0), Ev("A", tc.base, 2, 2, 0), Ev("A", tc.base+25, 3, 3, 0),
+				}}
+			}
+			p, err := plan.ParseAndCompile(c.Query, Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
 			truth := aggTruth(p, sortedCopy(c))
 			if len(truth) != tc.windows {
 				t.Fatalf("truth has %d windows, want %d", len(truth), tc.windows)
 			}
 			if first, last := truth[0].Agg.WindowEnd, truth[len(truth)-1].Agg.WindowEnd; first != tc.firstEnd || last != tc.endEnd {
 				t.Errorf("truth's windows end from %d to %d, want %d to %d", first, last, tc.firstEnd, tc.endEnd)
+			}
+			if n := truth[0].Agg.Count; tc.name == "floor" && n != 2 {
+				t.Errorf("the first window counts %d, want the 2 matches at MinInt64", n)
 			}
 			if fail := RunAgg(c); fail != nil {
 				t.Fatalf("%s", fail.Report())

@@ -28,7 +28,11 @@ import (
 type Engine interface {
 	// Name identifies the strategy, e.g. "native", "kslack", "speculate".
 	Name() string
-	// Process ingests one event and returns any matches it emits.
+	// Process ingests one event and returns any matches it emits. The
+	// caller owns the returned matches: the engine never writes them or
+	// their Events again (the kernel and the aggregate operator carve them
+	// from append-only blocks, plan.Blocks), and the same holds for what
+	// ProcessBatch, Advance and Flush return.
 	Process(e event.Event) []plan.Match
 	// ProcessBatch ingests a batch of events in order and returns exactly
 	// the concatenation of Process(e) over the batch — same matches, same

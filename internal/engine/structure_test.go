@@ -1178,7 +1178,7 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1640, "EXPERIMENTS.md": 1898, "README.md": 776}
+var docCaps = map[string]int{"DESIGN.md": 1640, "EXPERIMENTS.md": 1841, "README.md": 776}
 
 // TestDocsOnlyShrink holds DESIGN.md, EXPERIMENTS.md and README.md to their
 // caps.

@@ -346,7 +346,22 @@ func (r *Run) Query(lo, hi Key) Partial {
 	if r.size == 0 || !lo.Less(hi) {
 		return Partial{}
 	}
-	i := r.upper(lo, r.loPos-r.base)
+	return r.query(r.upper(lo, r.loPos-r.base), hi)
+}
+
+// QueryThrough aggregates every key up to hi, the least key of the time
+// range included, which no exclusive lower bound reaches: a window whose
+// start lies below the range.
+func (r *Run) QueryThrough(hi Key) Partial {
+	r.stats.Queries++
+	if r.size == 0 {
+		return Partial{}
+	}
+	return r.query(0, hi)
+}
+
+// query aggregates from logical index i through hi.
+func (r *Run) query(i int, hi Key) Partial {
 	j := r.upper(hi, r.hiPos-r.base)
 	r.loPos, r.hiPos = r.base+i, r.base+j
 	if i >= j {

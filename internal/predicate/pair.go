@@ -101,21 +101,41 @@ func (p *Pair) Compare(l, r *Side) (bool, error) {
 // Bound is what a run of candidate sides offers an ordered comparison: the
 // candidate most likely to pass, when every side folded in loaded without
 // error as a number of one kind. A NaN passes no ordered comparison, so it
-// takes no part. The zero Bound is the empty run's.
+// takes no part. The best is a number, so it is kept as its kind and bits,
+// and a Bound holds no pointer. The zero Bound is the empty run's.
 type Bound struct {
-	best  event.Value
+	kind  event.Kind
+	bits  uint64
 	mixed bool
+}
+
+// best is the bound's best candidate side; invalid for an empty run.
+func (b *Bound) best() event.Value {
+	switch b.kind {
+	case event.KindInt:
+		return event.Int(int64(b.bits))
+	case event.KindFloat:
+		return event.Float(math.Float64frombits(b.bits))
+	}
+	return event.Value{}
 }
 
 // Fold returns b widened by s, a candidate's side i.
 func (p *Pair) Fold(b Bound, i int, s *Side) Bound {
+	k := s.v.Kind()
 	switch {
 	case b.mixed:
-	case s.err != nil || !s.v.IsNumeric() || (b.best.Valid() && b.best.Kind() != s.v.Kind()):
+	case s.err != nil || !s.v.IsNumeric() || (b.kind != event.KindInvalid && b.kind != k):
 		b.mixed = true
-	case s.v.Kind() == event.KindFloat && isNaN(s.v):
-	case !b.best.Valid() || p.rising(i) == above(s.v, b.best):
-		b.best = s.v
+	case k == event.KindFloat && isNaN(s.v):
+	case b.kind == event.KindInvalid || p.rising(i) == above(s.v, b.best()):
+		b.kind = k
+		if n, ok := s.v.AsInt(); ok {
+			b.bits = uint64(n)
+		} else {
+			f, _ := s.v.AsFloat()
+			b.bits = math.Float64bits(f)
+		}
 	}
 	return b
 }
@@ -135,10 +155,10 @@ func (p *Pair) Excludes(b *Bound, i int, partner *Side) bool {
 	if !p.Quiet(b, partner) {
 		return false
 	}
-	if !b.best.Valid() {
+	if b.kind == event.KindInvalid {
 		return true
 	}
-	l, r := partner.v, b.best
+	l, r := partner.v, b.best()
 	if i == 0 {
 		l, r = r, l
 	}
