@@ -142,7 +142,6 @@ func (b builder) strategy(p *plan.Plan, cfg Config, env engine.Env, from *engine
 			if en.EmitPolicy() != kernel.Emit {
 				return nil, fmt.Errorf("checkpoint was written by strategy %q, not %q", en.Name(), cfg.Strategy)
 			}
-			en.CountKeyless(from.Keyless)
 			return en, nil
 		}
 		return core.New(p, kernel)

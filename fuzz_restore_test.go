@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -27,11 +28,6 @@ var restoreTargets = []struct {
 	{"negation", "PATTERN SEQ(A a, !(C c), B b) WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
 	{"adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
 		Config{K: 10, Adaptive: Adaptive{Enabled: true, MinK: 2, Limits: Limits{MaxLag: 40}}}, restoreStream(100, 20)},
-	// The queries of testdata/partitioned: what restores here is a checkpoint a
-	// partitioned engine wrote (TestRestorePartitionedFixture), or a forgery of
-	// one. Their clocks read about 2800.
-	{"partitioned", fixtureNegQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
-	{"partitioned-agg", fixtureAggQuery, Config{K: 200}, shopStream(restoreStream(2700, 40))},
 	// The levee, its buffer holding events, static and adaptive.
 	{"kslack", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategyKSlack, K: 10}, restoreStream(100, 20)},
 	{"kslack-adaptive", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50",
@@ -40,20 +36,11 @@ var restoreTargets = []struct {
 	// of it.
 	{"speculate", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategySpeculate, K: 10}, restoreStream(100, 20)},
 	{"hybrid", "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 50", Config{Strategy: StrategyHybrid, K: 10}, restoreStream(100, 20)},
-	// The query of testdata/adaptive, whose checkpoints a controller with a
-	// second cap wrote (TestRestoreAdaptiveFixture). Their clocks read about
-	// 3600.
-	{"adaptive-legacy", adaptiveFixtureQuery, Config{K: 10, Adaptive: Adaptive{Enabled: true, Limits: Limits{MaxLag: 700}}},
-		shopStream(restoreStream(3500, 40))},
-}
-
-// shopStream renames a restoreStream to the fixtures' vocabulary.
-func shopStream(events []Event) []Event {
-	shop := map[string]string{"A": "SHELF", "C": "COUNTER", "B": "EXIT"}
-	for i := range events {
-		events[i].Type = shop[events[i].Type]
-	}
-	return events
+	// The query of the supervised and hybrid fixtures (fixtureQuery), whose
+	// clocks read about 800 at the cut; the fixtures restore here.
+	{"supervised-fixture", fixtureQuery, Config{K: 39}, restoreStream(800, 20)},
+	{"kslack-fixture", fixtureQuery, Config{Strategy: StrategyKSlack, K: 39}, restoreStream(800, 20)},
+	{"hybrid-fixture", fixtureQuery, Config{Strategy: StrategyHybrid, K: 39}, restoreStream(800, 20)},
 }
 
 // restoreStream is the fixed stream a restored engine must take: A, C and B
@@ -72,19 +59,27 @@ func restoreStream(from Time, n int) []Event {
 	return events
 }
 
-// pendingCheckpoint is the bare-JSON (v1, no CRC envelope) checkpoint of
-// restoreTargets' negation query holding the given pending bindings (JSON
-// objects), in the order given.
-func pendingCheckpoint(pending ...string) string {
+// pendingCheckpoint is the checkpoint of restoreTargets' negation query
+// holding the given pending bindings (JSON objects), in the order given.
+func pendingCheckpoint(pending ...string) []byte {
 	q := MustCompile("PATTERN SEQ(A a, !(C c), B b) WITHIN 50", nil)
-	return `{"version":1,"planSource":"` + q.Source() + `","k":10,"latePolicy":1,"purgeEvery":64,` +
+	return sealRecord(`{"planSource":"` + q.Source() + `","k":10,"latePolicy":1,"purgeEvery":64,` +
 		`"clock":100,"started":true,"arrival":1,"enumerated":1,"since":1,"stacks":[[],[]],"negStores":[[]],` +
-		`"pending":[` + strings.Join(pending, ",") + `]}`
+		`"pending":[` + strings.Join(pending, ",") + `]}`)
+}
+
+// sealRecord is a checkpoint of one section, record.
+func sealRecord(record string) []byte {
+	blob, err := engine.Seal(func(w io.Writer) error { return engine.WriteSection(w, json.RawMessage(record)) })
+	if err != nil {
+		panic(err)
+	}
+	return blob
 }
 
 // shortPendingCheckpoint's one pending binding holds `events` where the
 // pattern has two positions.
-func shortPendingCheckpoint(events string) string {
+func shortPendingCheckpoint(events string) []byte {
 	return pendingCheckpoint(`{"events":` + events + `,"sealTS":95,"madeSeq":1}`)
 }
 
@@ -102,7 +97,7 @@ func pendingBinding(aTS, bTS Time, madeSeq int) string {
 func TestRestoreEngineRejectsShortPending(t *testing.T) {
 	q := MustCompile(restoreTargets[2].query, nil)
 	for _, events := range []string{`[{"type":"A","ts":90,"seq":1}]`, `[]`} {
-		en, err := RestoreEngine(q, restoreTargets[2].cfg, strings.NewReader(shortPendingCheckpoint(events)))
+		en, err := RestoreEngine(q, restoreTargets[2].cfg, bytes.NewReader(shortPendingCheckpoint(events)))
 		if err == nil || !strings.Contains(err.Error(), "pending binding") {
 			t.Errorf("pending events %s: restored %v with error %v, want a pending-binding shape error", events, en, err)
 		}
@@ -115,36 +110,51 @@ func TestRestoreEngineRejectsShortPending(t *testing.T) {
 // must produce the same output after one more checkpoint-and-restore in front
 // of that stream.
 func FuzzRestoreEngine(f *testing.F) {
-	// Real checkpoints written by this commit, one per target, taken after a
-	// prefix of the stream (the negation targets hold pending bindings).
+	// Real checkpoints written by this commit, two per target, taken after
+	// prefixes of the stream (the negation targets hold pending bindings).
 	queries := make([]*Query, len(restoreTargets))
 	for i, tgt := range restoreTargets {
 		queries[i] = MustCompile(tgt.query, nil)
-		en := MustNewEngine(queries[i], tgt.cfg)
-		for _, e := range tgt.drive[:12] {
-			e.TS, e.Seq = e.TS-60, e.Seq-60 // the stream as it was 60 ms earlier
-			en.Process(e)
+		for _, n := range []int{6, 12} {
+			en := MustNewEngine(queries[i], tgt.cfg)
+			for _, e := range tgt.drive[:n] {
+				e.TS, e.Seq = e.TS-60, e.Seq-60 // the stream as it was 60 ms earlier
+				en.Process(e)
+			}
+			var buf bytes.Buffer
+			if err := en.Checkpoint(&buf); err != nil {
+				f.Fatalf("%s: %v", tgt.name, err)
+			}
+			f.Add(uint8(i), buf.Bytes())
 		}
-		var buf bytes.Buffer
-		if err := en.Checkpoint(&buf); err != nil {
-			f.Fatalf("%s: %v", tgt.name, err)
-		}
-		f.Add(uint8(i), buf.Bytes())
 	}
-	f.Add(uint8(2), []byte(shortPendingCheckpoint(`[{"type":"A","ts":90,"seq":1}]`)))
-	f.Add(uint8(2), []byte(shortPendingCheckpoint(`[]`)))
+	f.Add(uint8(2), shortPendingCheckpoint(`[{"type":"A","ts":90,"seq":1}]`))
+	f.Add(uint8(2), shortPendingCheckpoint(`[]`))
 	// pending in no order at all (a heap's array, or worse), and several
 	// bindings on one sealTS: restore sorts, file order among equals.
-	f.Add(uint8(2), []byte(pendingCheckpoint(pendingBinding(60, 99, 1), pendingBinding(61, 93, 2),
-		pendingBinding(62, 97, 3), pendingBinding(63, 91, 4), pendingBinding(64, 95, 5))))
-	f.Add(uint8(2), []byte(pendingCheckpoint(pendingBinding(70, 96, 1), pendingBinding(71, 92, 2),
-		pendingBinding(72, 96, 3), pendingBinding(73, 92, 4), pendingBinding(74, 96, 5))))
-	// What a partitioned engine wrote at a1962f3, and forgeries of it.
-	for _, h := range hostilePartitioned(f) {
-		f.Add(h.target, h.data)
+	f.Add(uint8(2), pendingCheckpoint(pendingBinding(60, 99, 1), pendingBinding(61, 93, 2),
+		pendingBinding(62, 97, 3), pendingBinding(63, 91, 4), pendingBinding(64, 95, 5)))
+	f.Add(uint8(2), pendingCheckpoint(pendingBinding(70, 96, 1), pendingBinding(71, 92, 2),
+		pendingBinding(72, 96, 3), pendingBinding(73, 92, 4), pendingBinding(74, 96, 5)))
+	// The fixtures, each to the target of its writer: a supervised
+	// directory's checkpoint as the store wrote it, and less the store's
+	// record, which leaves what the engine wrote.
+	target := func(name string) uint8 {
+		for i, tgt := range restoreTargets {
+			if tgt.name == name {
+				return uint8(i)
+			}
+		}
+		panic(name)
 	}
-	for _, name := range []string{"maxk.ckpt", "limits.ckpt"} {
-		f.Add(uint8(len(restoreTargets)-1), adaptiveFixture(f, name))
+	f.Add(target("hybrid-fixture"), fixtureFile(f, "testdata/hybrid/hybrid.ckpt"))
+	for _, dir := range []string{"supervised", "kslack"} {
+		names, _ := filepath.Glob(filepath.Join("testdata", dir, "dir", "*.ck"))
+		for _, name := range names {
+			data := fixtureFile(f, name)
+			f.Add(target(dir+"-fixture"), data)
+			f.Add(target(dir+"-fixture"), sealSections(f, checkpointSections(f, data)[1:]))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
@@ -188,14 +198,15 @@ var aggRestoreTargets = []struct {
 	{"grouped", "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WHERE a.id = b.id WITHIN 50 SLIDE 10 GROUP BY a.id", Config{K: 10}},
 	{"trailing-negation", "AGGREGATE SUM(a.id) OVER SEQ(A a, B b, !(C c)) WITHIN 30 SLIDE 10 GROUP BY b.id", Config{K: 10}},
 	{"speculative", "AGGREGATE SUM(b.id) OVER SEQ(A a, !(C c), B b) WHERE a.id = b.id WITHIN 30 SLIDE 5 GROUP BY a.id", Config{Strategy: StrategySpeculate, K: 10}},
+	{"kslack", "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 50 SLIDE 10 GROUP BY b.id", Config{Strategy: StrategyKSlack, K: 10}},
+	{"hybrid", "AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 50 SLIDE 10 GROUP BY b.id", Config{Strategy: StrategyHybrid, K: 10}},
 }
 
-// reseal recomputes the CRC of a checkpoint envelope (this format's, or an
-// aggregate's of before it) whose declared payload length fits the bytes
-// present, so that a mutated payload reaches the decoders behind the
-// checksum; anything else is returned as is.
+// reseal recomputes the CRC of a checkpoint envelope whose declared payload
+// length fits the bytes present, so that a mutated payload reaches the
+// decoders behind the checksum; anything else is returned as is.
 func reseal(data []byte) []byte {
-	if len(data) < 15 || string(data[:6]) != "OOSECT" && string(data[:6]) != "OOAGGT" {
+	if len(data) < 15 || string(data[:6]) != "OOSECT" {
 		return data
 	}
 	size := binary.LittleEndian.Uint32(data[7:11])
@@ -228,7 +239,8 @@ func FuzzRestoreAgg(f *testing.F) {
 	// A declared payload of 4 GiB over a few bytes: refused without
 	// allocating it.
 	f.Add(uint8(0), append([]byte("OOSECT\x01\xff\xff\xff\xff\x00\x00\x00\x00"), "{}"...))
-	f.Add(uint8(0), append([]byte("OOAGGT\x01\xff\xff\xff\xff\x00\x00\x00\x00"), "{}"...))
+	// A group carrying its own emitted frontier: refused.
+	f.Add(uint8(0), aggWithGroupFrontier(f))
 
 	f.Fuzz(func(t *testing.T, target uint8, data []byte) {
 		i := int(target) % len(aggRestoreTargets)
@@ -388,6 +400,15 @@ func FuzzRestoreQuerySet(f *testing.F) {
 	for _, h := range hostileSetIDs(f) {
 		f.Add(h.data)
 	}
+	// The set fixture (written under another K: refused), what this version
+	// writes, and the supervised set's newest less the store's record, the
+	// set's as the set wrote it.
+	f.Add(fixtureFile(f, "testdata/queryset/set.ckpt"))
+	written := writtenCheckpoints(f)
+	for _, data := range written {
+		f.Add(data)
+	}
+	f.Add(sealSections(f, checkpointSections(f, written[len(written)-1])[1:]))
 	drive := restoreStream(100, 20)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, err := RestoreQuerySet(setRestoreConfig, bytes.NewReader(data))

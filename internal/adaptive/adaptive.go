@@ -30,7 +30,6 @@
 package adaptive
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -392,39 +391,6 @@ func (c *Controller) Export() State {
 		Samples:       samples,
 		MaxLag:        maxLag,
 	}
-}
-
-// UnmarshalJSON reads a State, also one written when the tuning was
-// settable. Its config.maxK, a second cap clamping exactly as Limits.MaxLag
-// does, folds into Limits.MaxLag; its config.initialK is dropped, since a
-// restored controller resumes at NominalK; and a decay, tolerance or grow
-// streak other than the constants here is refused, since the restored
-// controller would not decide as the one that wrote it.
-func (st *State) UnmarshalJSON(data []byte) error {
-	type plain State
-	var legacy struct {
-		Config struct {
-			MaxK      event.Time `json:"maxK"`
-			Decay     float64    `json:"decay"`
-			Tolerance float64    `json:"tolerance"`
-			GrowAfter int        `json:"growAfter"`
-		} `json:"config"`
-	}
-	if err := json.Unmarshal(data, (*plain)(st)); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, &legacy); err != nil {
-		return err
-	}
-	lc := legacy.Config
-	if (lc.Decay != 0 && lc.Decay != decay) || (lc.Tolerance != 0 && lc.Tolerance != tolerance) || lc.GrowAfter > 1 {
-		return fmt.Errorf("adaptive state tuned with decay %g, tolerance %g, growAfter %d: this version pins %g, %g and 1",
-			lc.Decay, lc.Tolerance, lc.GrowAfter, decay, tolerance)
-	}
-	if lc.MaxK > 0 && (st.Config.Limits.MaxLag == 0 || lc.MaxK < st.Config.Limits.MaxLag) {
-		st.Config.Limits.MaxLag = lc.MaxK
-	}
-	return nil
 }
 
 // Restore rebuilds a controller from checkpointed state.

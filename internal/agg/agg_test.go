@@ -348,9 +348,17 @@ func TestDifferentialVsOracle(t *testing.T) {
 	}
 }
 
-// restore rebuilds an operator over the kernel from what r holds.
+// restore rebuilds an operator over the kernel from the sections r holds,
+// as Checkpoint writes them, sealed in the envelope as the facade seals them.
 func restore(p *plan.Plan, r io.Reader) (*Engine, error) {
-	s, err := engine.Open(r)
+	blob, err := engine.Seal(func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s, err := engine.Open(bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
@@ -738,11 +746,11 @@ func TestRetractionFindsItsElement(t *testing.T) {
 						t.Fatalf("%s: a window was previewed before the cut: %v", name, out)
 					}
 				}
-				var buf bytes.Buffer
-				if err := sp.Checkpoint(&buf); err != nil {
+				blob, err := engine.Seal(sp.Checkpoint)
+				if err != nil {
 					t.Fatal(err)
 				}
-				sections, err := engine.Open(&buf)
+				sections, err := engine.Open(bytes.NewReader(blob))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,9 +2,9 @@ package agg
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"oostream/internal/engine"
@@ -35,13 +35,14 @@ type aggCheckpoint struct {
 // ckGroup is one key group: its GROUP BY value (absent when the query is
 // ungrouped) and its elements in strictly ascending key order, so the
 // restore rebuilds each run by appends. The folds over a run are caches and
-// are not serialized. Sealed is written only between a merged restore and
-// the first event after it, for a group whose windows were emitted further
-// than the operator's frontier says (group.sealed).
+// are not serialized.
 type ckGroup struct {
-	Key    *event.Value `json:"key,omitempty"`
-	Sealed *event.Time  `json:"sealed,omitempty"`
-	Elems  []ckElem     `json:"elems"`
+	Key *event.Value `json:"key,omitempty"`
+	// Merged is the group's own emitted frontier, which a version that merged
+	// partitioned checkpoints wrote after such a restore. That state is
+	// refused (engine.ErrHorizon), not read.
+	Merged json.RawMessage `json:"sealed,omitempty"`
+	Elems  []ckElem        `json:"elems"`
 	// Emitted is what a speculative operator previewed for the group's
 	// windows that can still be revised, by ascending end: a revision after
 	// the restore retracts exactly what went out.
@@ -95,9 +96,6 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 			key := g.key
 			cg.Key = &key
 		}
-		if g.sealed != math.MinInt64 && (!en.sealedInit || g.sealed > en.sealed) {
-			cg.Sealed = &g.sealed
-		}
 		g.run.All(func(k fiba.Key, p fiba.Partial, _ any) bool {
 			cg.Elems = append(cg.Elems, ckElem{
 				TS:     k.TS,
@@ -126,106 +124,76 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// frontier is the highest window end the checkpointed operator had sealed,
-// below every end when it had sealed none.
-func (cf aggCheckpoint) frontier() event.Time {
-	if !cf.SealedInit {
-		return math.MinInt64
-	}
-	return cf.Sealed
-}
-
 // Restore rebuilds an operator, in the mode it ran in, from the next
-// operator record of s, instrumented by env as NewWithEnv would: from one
-// part, or from the records of s.Parts operators that each aggregated a
-// share of one stream split by the GROUP BY key, merged into the one
-// operator that would have seen the whole stream. p must be the same
-// compiled plan the checkpointed engine ran with (the lateness bound travels
-// in the checkpoint); restoreInner reads the sections after the operator's
-// records and rebuilds the wrapped engine. Lineage citations are not
-// checkpointed: records emitted for restored elements carry Truncated.
-//
-// Merged, the groups unite (one in two parts is not a split by key), the
-// clock is the latest and the event count the sum. Operators that each
-// watched their own clock have sealed through different windows: the merged
-// one resumes from the earliest frontier, what a lagging part has not
-// emitted being still owed, and a group sits out the windows its own
-// operator had already emitted (group.sealed).
+// operator record of s, instrumented by env as NewWithEnv would. p must be
+// the same compiled plan the checkpointed engine ran with (the lateness bound
+// travels in the checkpoint); restoreInner reads the sections after the
+// operator's record and rebuilds the wrapped engine. Lineage citations are
+// not checkpointed: records emitted for restored elements carry Truncated.
 func Restore(p *plan.Plan, env engine.Env, s *engine.Sections, restoreInner func(*engine.Sections) (engine.Engine, error)) (*Engine, error) {
-	files := make([]aggCheckpoint, s.Parts)
-	front := event.Time(math.MaxInt64)
-	for i := range files {
-		if err := s.Next("aggregate", "lateness", &files[i]); err != nil {
-			return nil, fmt.Errorf("agg: %w", err)
+	var cf aggCheckpoint
+	if err := s.Next("aggregate", "lateness", &cf); err != nil {
+		return nil, fmt.Errorf("agg: %w", err)
+	}
+	for _, cg := range cf.Groups {
+		if cg.Merged != nil {
+			return nil, fmt.Errorf("agg: a group carries its own emitted frontier: %w", engine.ErrHorizon)
 		}
-		if files[i].Lateness != files[0].Lateness {
-			return nil, fmt.Errorf("agg: checkpoint parts disagree on the lateness bound: %d against %d", files[i].Lateness, files[0].Lateness)
-		}
-		if files[i].Speculative && s.Parts > 1 {
-			// Only sealed operators were ever split by key.
-			return nil, fmt.Errorf("agg: a speculative checkpoint has one part, not %d", s.Parts)
-		}
-		front = min(front, files[i].frontier())
 	}
 	inner, err := restoreInner(s)
 	if err != nil {
 		return nil, err
 	}
-	en := NewWithEnv(p, inner, files[0].Speculative, files[0].Lateness, env)
-	if front != math.MinInt64 {
-		en.sealed, en.sealedInit = front, true
+	en := NewWithEnv(p, inner, cf.Speculative, cf.Lateness, env)
+	if cf.SealedInit {
+		en.sealed, en.sealedInit = cf.Sealed, true
 	}
-	if pv := files[0].Previewed; pv != nil {
+	if pv := cf.Previewed; pv != nil {
 		en.previewed, en.previewInit = *pv, true
 	}
-	for _, cf := range files {
-		en.clock = max(en.clock, cf.Clock)
-		en.arrival += cf.Arrival
-		en.elemSeq = max(en.elemSeq, cf.ElemSeq)
-		for _, cg := range cf.Groups {
-			var key event.Value
-			if cg.Key != nil {
-				key = *cg.Key
+	en.clock = cf.Clock
+	en.arrival = cf.Arrival
+	en.elemSeq = cf.ElemSeq
+	for _, cg := range cf.Groups {
+		var key event.Value
+		if cg.Key != nil {
+			key = *cg.Key
+		}
+		if en.byKey[mapKey(key, cg.Key != nil)] != nil {
+			return nil, fmt.Errorf("agg: checkpoint holds group %s twice", key)
+		}
+		g := en.newGroup(key, cg.Key != nil)
+		var last fiba.Key
+		for i, ce := range cg.Elems {
+			part := fiba.Partial{
+				Count:  ce.Count,
+				SumI:   ce.SumI,
+				SumF:   float64(ce.SumF),
+				Floaty: ce.Floaty,
 			}
-			if en.byKey[mapKey(key, cg.Key != nil)] != nil {
-				return nil, fmt.Errorf("agg: checkpoint holds group %s twice", key)
+			if ce.Min != nil {
+				part.Min = *ce.Min
 			}
-			g := en.newGroup(key, cg.Key != nil)
-			if g.sealed = cf.frontier(); cg.Sealed != nil {
-				g.sealed = max(g.sealed, *cg.Sealed)
+			if ce.Max != nil {
+				part.Max = *ce.Max
 			}
-			var last fiba.Key
-			for i, ce := range cg.Elems {
-				part := fiba.Partial{
-					Count:  ce.Count,
-					SumI:   ce.SumI,
-					SumF:   float64(ce.SumF),
-					Floaty: ce.Floaty,
-				}
-				if ce.Min != nil {
-					part.Min = *ce.Min
-				}
-				if ce.Max != nil {
-					part.Max = *ce.Max
-				}
-				key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
-				if i > 0 && !last.Less(key) {
-					return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
-				}
-				last = key
-				g.run.Insert(key, part, nil)
-				en.elems++
-				// Keys minted from here on must not collide with a restored one.
-				if ce.Seq >= en.elemSeq {
-					en.elemSeq = ce.Seq + 1
-				}
+			key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
+			if i > 0 && !last.Less(key) {
+				return nil, fmt.Errorf("agg: checkpoint elements out of order in group %s: %v after %v", g.key, key, last)
 			}
-			for _, pv := range cg.Emitted {
-				if !en.speculative {
-					return nil, fmt.Errorf("agg: sealed checkpoint holds previews in group %s", g.key)
-				}
-				g.emitted[pv.End] = en.aggValue(g, pv.End, pv.Value, pv.Count)
+			last = key
+			g.run.Insert(key, part, nil)
+			en.elems++
+			// Keys minted from here on must not collide with a restored one.
+			if ce.Seq >= en.elemSeq {
+				en.elemSeq = ce.Seq + 1
 			}
+		}
+		for _, pv := range cg.Emitted {
+			if !en.speculative {
+				return nil, fmt.Errorf("agg: sealed checkpoint holds previews in group %s", g.key)
+			}
+			g.emitted[pv.End] = en.aggValue(g, pv.End, pv.Value, pv.Count)
 		}
 	}
 	return en, nil

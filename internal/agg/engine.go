@@ -56,11 +56,6 @@ type group struct {
 	has     bool
 	run     *fiba.Run
 	emitted map[event.Time]*plan.AggValue
-	// sealed is the highest window end the operator this group was restored
-	// from had emitted (a merged restore resumes from the earliest of its
-	// parts' frontiers, which may lie before it); below every end for a
-	// group made since.
-	sealed event.Time
 }
 
 // Engine is the windowed-aggregation operator. It implements engine.Engine,
@@ -393,7 +388,7 @@ func samePartial(a, b fiba.Partial) bool {
 // where a late element re-reads the previewed windows that contain it (the
 // slide keeps an element exactly at the bound on the covered side).
 func (en *Engine) newGroup(key event.Value, has bool) *group {
-	g := &group{key: key, has: has, sealed: math.MinInt64}
+	g := &group{key: key, has: has}
 	if en.speculative {
 		g.run = fiba.NewRun(en.lateness + en.spec.Slide)
 		g.emitted = make(map[event.Time]*plan.AggValue)
@@ -545,9 +540,6 @@ func (en *Engine) firstAfter(t event.Time) (event.Time, bool) {
 // passing HAVING, in group insertion order.
 func (en *Engine) emitEnd(end event.Time, preview bool, out []plan.Match) []plan.Match {
 	for _, g := range en.groups {
-		if end <= g.sealed {
-			continue
-		}
 		av := en.windowValue(g, end)
 		if av == nil {
 			continue

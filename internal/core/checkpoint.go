@@ -127,11 +127,10 @@ func (en *Engine) restoredMatch(cp checkpointPending) pendingMatch {
 // sortEvents orders a merged list by (TS, Seq). Stable, so the events of a
 // single group — already in that order, ties in arrival order — are written
 // as their stack holds them.
-func sortEvents(events []event.Event) {
-	slices.SortStableFunc(events, func(a, b event.Event) int {
-		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Seq, b.Seq))
-	})
-}
+func sortEvents(events []event.Event) { slices.SortStableFunc(events, byTSSeq) }
+
+// byTSSeq is the order of a checkpoint's stack and negative-store lists.
+func byTSSeq(a, b event.Event) int { return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Seq, b.Seq)) }
 
 // Checkpoint writes the engine's full state (stacks, negative stores,
 // pending matches, clocks) as the kernel's section, so that a Restore'd
@@ -168,14 +167,8 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 	return engine.WriteSection(w, cf)
 }
 
-// CountKeyless adds n to the events refused for lacking the partition key
-// (errMissingKey): the ones the router of a partitioned checkpoint had
-// counted in front of the engines whose state Restore merged.
-func (en *Engine) CountKeyless(n uint64) { en.tap.PredErrors.Add(n) }
-
 // restoreKey returns the key group a checkpointed event goes back to. An
-// event without the key (possible only in checkpoints written by an engine
-// that keyed by nothing) is counted and dropped: it can never satisfy the
+// event without the key is counted and dropped: it can never satisfy the
 // key-equality predicates, so no match is lost.
 func (en *Engine) restoreKey(e event.Event) (event.Value, bool) {
 	key, ok := en.keyOf(e)
@@ -201,6 +194,13 @@ func readCheckpoint(p *plan.Plan, s *engine.Sections) (checkpointFile, error) {
 	if cf.LatePolicy != dropLate {
 		return cf, fmt.Errorf("checkpoint written under late policy %d: this version drops every event beyond K (policy %d)", cf.LatePolicy, dropLate)
 	}
+	for i, lists := range [][][]event.Event{cf.Stacks, cf.NegStores} {
+		for j, events := range lists {
+			if !slices.IsSortedFunc(events, byTSSeq) {
+				return cf, fmt.Errorf("checkpoint damaged: %s list %d is not in (TS, Seq) order", [...]string{"stack", "negative-store"}[i], j)
+			}
+		}
+	}
 	for i, list := range [][]checkpointPending{cf.Pending, cf.Vulnerable} {
 		for j, pm := range list {
 			if len(pm.Events) != p.Len() {
@@ -211,66 +211,20 @@ func readCheckpoint(p *plan.Plan, s *engine.Sections) (checkpointFile, error) {
 	return cf, nil
 }
 
-// absorb merges another part of the same engine's state into cf: the state
-// of engines that each saw a share of one stream, split by key. Lists
-// concatenate (Restore sorts them), the clocks take the later reading, the
-// event counters add up — so no restored binding was made after the merged
-// arrival count — and of two controllers the one that has enforced the
-// larger bound is kept, the bound the merged run stays equivalent to. Parts
-// written under different options are not one engine's state.
-func (cf *checkpointFile) absorb(o checkpointFile) error {
-	if o.K != cf.K || o.NoTrigOpt != cf.NoTrigOpt || o.PurgeEvery != cf.PurgeEvery ||
-		(o.Adaptive == nil) != (cf.Adaptive == nil) || o.Emit != cf.Emit {
-		return fmt.Errorf("written under other options than the first part (K %d against %d, or the ablation switches, or the emission policy)", o.K, cf.K)
-	}
-	cf.Clock = max(cf.Clock, o.Clock)
-	cf.Frontier = max(cf.Frontier, o.Frontier)
-	cf.Started = cf.Started || o.Started
-	cf.Arrival += o.Arrival
-	cf.Enumerated += o.Enumerated
-	cf.Since = max(cf.Since, o.Since)
-	for pos := range cf.Stacks {
-		cf.Stacks[pos] = append(cf.Stacks[pos], o.Stacks[pos]...)
-	}
-	for i := range cf.NegStores {
-		cf.NegStores[i] = append(cf.NegStores[i], o.NegStores[i]...)
-	}
-	cf.Pending = append(cf.Pending, o.Pending...)
-	cf.Vulnerable = append(cf.Vulnerable, o.Vulnerable...)
-	if o.Adaptive != nil && o.Adaptive.MaxK > cf.Adaptive.MaxK {
-		cf.Adaptive = o.Adaptive
-	}
-	return nil
-}
-
-// Restore rebuilds an engine from the next kernel record of s: from one, or
-// from the records of s.Parts engines that each ran the same query over a
-// share of one stream split by key (the parts of a partitioned checkpoint),
-// merged into the one engine that would have seen the whole stream. The plan must
-// be compiled from the same query text the checkpointed engine ran (verified
-// against the recorded canonical source); options are restored from the
-// checkpoint, instruments come from env exactly as core.Options.Env hands
-// them to New. A keyed engine restores from an unkeyed engine's checkpoint
-// and vice versa: the format carries plain events and keys are recomputed on
-// insertion. So a "noKeyed" flag, which engines that could turn keying off
-// recorded, is ignored: keying never changed what an engine emits.
+// Restore rebuilds an engine from the next kernel record of s. The plan
+// must be compiled from the same query text the checkpointed engine ran
+// (verified against the recorded canonical source); options are restored
+// from the checkpoint, instruments come from env exactly as
+// core.Options.Env hands them to New. The format carries plain events and
+// keys are recomputed on insertion.
 //
-// The record is outside input even when the envelope's CRC holds (old
-// layouts had none): its shape is checked against the plan before any of it
-// becomes state the engine indexes by position.
+// The record is outside input even when the envelope's CRC holds: its shape
+// is checked against the plan, and each list's order against the one the
+// writer keeps, before any of it becomes state the engine indexes.
 func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) {
 	cf, err := readCheckpoint(p, s)
 	if err != nil {
 		return nil, err
-	}
-	for i := 1; i < s.Parts; i++ {
-		o, err := readCheckpoint(p, s)
-		if err == nil {
-			err = cf.absorb(o)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("part %d: %w", i, err)
-		}
 	}
 	opts := Options{
 		K:                 cf.K,
@@ -298,10 +252,9 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) 
 	en.arrival = cf.Arrival
 	en.enumerated = cf.Enumerated
 	en.since = cf.Since
-	// A position's list is (TS, Seq)-sorted within a part; across parts it is
-	// sorted here, so each stack is rebuilt by appends.
+	// Each list is (TS, Seq)-sorted as written, so each stack is rebuilt by
+	// appends.
 	for pos, events := range cf.Stacks {
-		sortEvents(events)
 		for _, e := range events {
 			if key, ok := en.restoreKey(e); ok {
 				en.kstacks.Insert(key, pos, e)
@@ -310,7 +263,6 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) 
 		}
 	}
 	for i, events := range cf.NegStores {
-		sortEvents(events)
 		for _, e := range events {
 			if key, ok := en.restoreKey(e); ok {
 				en.insertNeg(i, key, e)
@@ -319,8 +271,7 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) 
 	}
 	for _, cp := range cf.Pending {
 		// The file lists pending in any order (a heap's array, before the
-		// queue): inserting sorts it by sealTS, file order among equals, the
-		// parts in the order given.
+		// queue): inserting sorts it by sealTS, file order among equals.
 		pm := en.restoredMatch(cp)
 		en.pending.Insert(pm.sealTS, pm)
 	}

@@ -665,15 +665,25 @@ func TestOneLevee(t *testing.T) {
 // or a six-letter "OO…" string), and no Checkpoint method buffers its inner
 // engine's checkpoint (a bytes.Buffer or strings.Builder): each layer writes
 // its section and hands the same writer down.
+//
+// One layout: durable.go declares exactly one magic, and no non-test source
+// names the parts of a partitioned checkpoint (Sections.Parts, Keyless,
+// CountKeyless) or merges them (an absorb method on a checkpoint record).
 func TestOneDurablePath(t *testing.T) {
-	magic := regexp.MustCompile(`^"OO[A-Z]{4}"$`)
+	magic := regexp.MustCompile(`^"OO[A-Z]{4}`)
+	magics := 0
 	walkModule(t, func(rel string, f *ast.File) {
 		if strings.HasSuffix(rel, "_test.go") {
 			return
 		}
-		framing := rel == "internal/engine/durable.go" || rel == "internal/recovery/wal.go"
+		durable := rel == "internal/engine/durable.go"
+		framing := durable || rel == "internal/recovery/wal.go"
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "Parts" || n.Name == "Keyless" || n.Name == "CountKeyless" {
+					t.Errorf("%s names %s: a checkpoint is one engine's, in one part", rel, n.Name)
+				}
 			case *ast.SelectorExpr:
 				if n.Sel.Name == "ErrNoCheckpoint" && filepath.ToSlash(filepath.Dir(rel)) != "internal/runtime" {
 					t.Errorf("%s refuses a checkpoint with ErrNoCheckpoint: every strategy checkpoints, only the supervisor refuses", rel)
@@ -684,16 +694,23 @@ func TestOneDurablePath(t *testing.T) {
 			case *ast.CompositeLit:
 				if at, ok := n.Type.(*ast.ArrayType); ok && !framing {
 					if l, ok := at.Len.(*ast.BasicLit); ok && l.Value == "6" {
-						t.Errorf("%s declares a [6]byte literal: the checkpoint magics live in internal/engine/durable.go", rel)
+						t.Errorf("%s declares a [6]byte literal: the checkpoint magic lives in internal/engine/durable.go", rel)
 					}
+				} else if ok && durable && at.Len != nil {
+					magics++
 				}
 			case *ast.BasicLit:
 				if magic.MatchString(n.Value) && !framing {
-					t.Errorf("%s declares the magic %s: the checkpoint magics live in internal/engine/durable.go", rel, n.Value)
+					t.Errorf("%s declares the magic %s: the checkpoint magic lives in internal/engine/durable.go", rel, n.Value)
+				} else if magic.MatchString(n.Value) && durable {
+					magics++
 				}
 			case *ast.FuncDecl:
 				if name := n.Name.Name; name == "restorable" || name == "canSnapshot" {
 					t.Errorf("%s declares %s: there is one durable path, no capability to check", rel, name)
+				}
+				if n.Recv != nil && n.Name.Name == "absorb" && strings.Contains(strings.ToLower(types.ExprString(n.Recv.List[0].Type)), "checkpoint") {
+					t.Errorf("%s declares %s.absorb: a checkpoint is one engine's, nothing merges parts", rel, types.ExprString(n.Recv.List[0].Type))
 				}
 				if n.Recv != nil && n.Name.Name == "Checkpoint" && n.Body != nil {
 					ast.Inspect(n.Body, func(m ast.Node) bool {
@@ -709,6 +726,9 @@ func TestOneDurablePath(t *testing.T) {
 			return true
 		})
 	})
+	if magics != 1 {
+		t.Errorf("internal/engine/durable.go declares %d checkpoint magics, want the one envelope's", magics)
+	}
 }
 
 // TestOneJudgeOfLateness is the mechanical form of "the engine alone judges
@@ -1178,7 +1198,7 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1640, "EXPERIMENTS.md": 1841, "README.md": 776}
+var docCaps = map[string]int{"DESIGN.md": 1607, "EXPERIMENTS.md": 1841, "README.md": 776}
 
 // TestDocsOnlyShrink holds DESIGN.md, EXPERIMENTS.md and README.md to their
 // caps.

@@ -453,15 +453,15 @@ func TestRestoredSwitchesWhereUninterrupted(t *testing.T) {
 			series := obsv.NewSeries("hybrid")
 			en := fresh(series)
 			got, sw := run(en, arrival[:cut], nil, nil)
-			var buf bytes.Buffer
-			if err := en.Checkpoint(&buf); err != nil {
+			blob, err := engine.Seal(en.Checkpoint)
+			if err != nil {
 				t.Fatal(err)
 			}
 			env := engine.Env{}
 			if rebind {
 				env.Series = series
 			}
-			sec, err := engine.Open(&buf)
+			sec, err := engine.Open(bytes.NewReader(blob))
 			if err != nil {
 				t.Fatalf("cut %d: %v", cut, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"oostream/internal/adaptive"
@@ -183,10 +182,18 @@ func TestCheckpointContinuesExactly(t *testing.T) {
 	}
 }
 
-// open opens checkpoint sections as the facade does.
+// open opens checkpoint sections, sealed in the envelope, as the facade
+// does.
 func open(t *testing.T, data string) *engine.Sections {
 	t.Helper()
-	s, err := engine.Open(strings.NewReader(data))
+	blob, err := engine.Seal(func(w io.Writer) error {
+		_, err := io.WriteString(w, data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := engine.Open(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}

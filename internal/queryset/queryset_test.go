@@ -3,8 +3,8 @@ package queryset
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"oostream/internal/core"
@@ -125,13 +125,13 @@ func TestRestoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blob bytes.Buffer
-	if err := s.Checkpoint(&blob); err != nil {
+	blob, err := engine.Seal(s.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bad := testOptions()
 	bad.Compile = nil
-	sec, err := engine.Open(&blob)
+	sec, err := engine.Open(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,14 @@ func TestRestoreRejects(t *testing.T) {
 		`{"queries":[],"sinceAdvance":"1"}`, `{}`, `{"sinceAdvance":1}`,
 		`{"k":10,"maxSeen":0,"started":false}`, `{"planSource":"PATTERN SEQ(A a) WITHIN 5"}`,
 	} {
-		if sec, err = engine.Open(strings.NewReader(data)); err != nil {
+		blob, err := engine.Seal(func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sec, err = engine.Open(bytes.NewReader(blob)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Restore(testOptions(), sec); err == nil {

@@ -32,12 +32,10 @@ type SupervisorOptions struct {
 	// New builds a fresh engine. Required.
 	New func() (engine.Engine, error)
 	// Restore rebuilds an engine from the sections its Checkpoint method
-	// wrote. Required. suppress is how many matches the log holds committed
-	// past the snapshot: replay drops the restored engine's first suppress
-	// emissions, by count, as delivered before the crash, so a Restore that
-	// cannot promise the emission order of the engine that wrote the
-	// snapshot must fail unless it is zero.
-	Restore func(s *engine.Sections, suppress uint64) (engine.Engine, error)
+	// wrote. Required. Replay drops the restored engine's first emissions,
+	// by count, as many as the log holds committed past the snapshot: they
+	// were delivered before the crash.
+	Restore func(s *engine.Sections) (engine.Engine, error)
 	// CheckpointEvery takes a durable checkpoint every this many offered
 	// events. 0 disables periodic checkpoints.
 	CheckpointEvery int
@@ -509,7 +507,7 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	}
 	var en engine.Engine
 	if rec.Snapshot != nil {
-		en, err = s.opts.Restore(rec.Snapshot, rec.Matches-min(rec.Matches, rec.CkptMatches))
+		en, err = s.opts.Restore(rec.Snapshot)
 		if err == nil {
 			err = rec.Snapshot.Done()
 		}

@@ -35,7 +35,7 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 		New: func() (engine.Engine, error) {
 			return core.New(p, core.Options{K: k, Env: env})
 		},
-		Restore: func(s *engine.Sections, _ uint64) (engine.Engine, error) {
+		Restore: func(s *engine.Sections) (engine.Engine, error) {
 			return core.Restore(p, env, s)
 		},
 		Sleep: noSleep,

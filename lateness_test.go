@@ -158,34 +158,39 @@ func TestDedupeHorizon(t *testing.T) {
 	}
 }
 
-// The files under testdata/supervised were written by the last version
-// whose supervisor judged lateness by a clock of its own, from the query
-// below over stream.trace (200 events in arrival order, K = 39, their
+// The files under testdata/supervised were written at 2999302 from
+// fixtureQuery over stream.trace (200 events in arrival order, K = 39, their
 // largest delay):
 //
-//	dir/     a supervised directory checkpointed every 64 events, each
-//	         checkpoint's meta carrying that clock, and killed after 150
-//	         events with two matches committed past the newest checkpoint
+//	dir/     a supervised directory checkpointed every 64 events and killed
+//	         after 150 events with two matches committed past the newest
+//	         checkpoint
 //	emitted  the keys of what it had delivered by then, one a line
 //	resumed  the keys of what that version delivered on reopening the
 //	         directory: Start, the 150th event offered again, the rest of
 //	         the stream and a flush
 //
+// Both lists are the ones the first version of the directory delivered, the
+// last whose supervisor judged lateness by a clock of its own.
+//
 // TestResumeSupervisedFixture: such a directory resumes with the same
-// delivered output, element for element; the clock in its metas is ignored.
+// delivered output, element for element.
 func TestResumeSupervisedFixture(t *testing.T) {
 	resumeFixture(t, "supervised", Config{K: 39})
 }
 
-// resumeFixture copies testdata/<name>/dir, a supervised directory of the
-// query above killed after 150 events of testdata/supervised/stream.trace,
+// fixtureQuery is the query of the supervised, kslack and hybrid fixtures.
+const fixtureQuery = "PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 50"
+
+// resumeFixture copies testdata/<name>/dir, a supervised directory of
+// fixtureQuery killed after 150 events of testdata/supervised/stream.trace,
 // resumes it under cfg as the writing version did, and checks the delivery
 // against that version's (resumed) and, with what was delivered before the
 // kill (emitted), against the uninterrupted run.
 func resumeFixture(t *testing.T, name string, cfg Config) {
 	t.Helper()
 	const cut = 150
-	q := MustCompile("PATTERN SEQ(A a, !(C c), B b) WHERE a.id = b.id AND a.id = c.id WITHIN 50", nil)
+	q := MustCompile(fixtureQuery, nil)
 	read := func(dir, name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", dir, name))
 		if err != nil {

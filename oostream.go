@@ -206,9 +206,9 @@ func NewEngine(q *Query, cfg Config) (*Engine, error) { return newEngine(q, cfg,
 // checkpoint; for StrategyKSlack the held events too, and a static buffer
 // written at another K than cfg.K is refused (a supervisor admits by it).
 // Every strategy restores, but only under the strategy that wrote the
-// checkpoint: another cfg.Strategy is an error. A checkpoint written under the
-// Config.Partition of earlier versions restores too: its shards' states
-// merge into the one engine, which keys by the query's attribute itself.
+// checkpoint: another cfg.Strategy is an error. A checkpoint in a layout
+// older than this version's envelope is refused with an error naming the
+// last commit that reads it.
 // Checkpoints carry no lineage, so with cfg.Provenance matches whose partial
 // state predates the restore carry records marked Truncated.
 func RestoreEngine(q *Query, cfg Config, r io.Reader) (*Engine, error) {

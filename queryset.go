@@ -167,8 +167,7 @@ func MustNewQuerySet(cfg QuerySetConfig) *QuerySet {
 // RestoreQuerySet rebuilds a QuerySet from a Checkpoint: the levee's
 // buffer, the full query registry (sources are recompiled), and every
 // per-query engine state, instrumented by cfg exactly as NewQuerySet would.
-// A checkpoint written at another K than cfg.K is refused. One a QuerySet
-// wrote before it sat behind the levee (one v2 object) restores too.
+// A checkpoint written at another K than cfg.K is refused.
 func RestoreQuerySet(cfg QuerySetConfig, r io.Reader) (*QuerySet, error) {
 	if r == nil {
 		return nil, fmt.Errorf("RestoreQuerySet: nil checkpoint reader")
@@ -225,7 +224,7 @@ func NewSupervisedQuerySet(cfg QuerySetConfig, sc SupervisorConfig) (*QuerySet, 
 	sopts := runtime.SupervisorOptions{
 		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
 		New: func() (engine.Engine, error) { return qs.rebuilt(cfg.levee(b, series, nil, qs.staged)) },
-		Restore: func(s *engine.Sections, _ uint64) (engine.Engine, error) {
+		Restore: func(s *engine.Sections) (engine.Engine, error) {
 			return qs.rebuilt(cfg.levee(b, series, s, nil))
 		},
 	}

@@ -71,12 +71,7 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // Seq, so they cannot be assigned across a restart. Advance is refused (the
 // log records no heartbeats), and so is Checkpoint.
 //
-// Every strategy recovers from its snapshots. A directory left by a
-// partitioned engine (Config.Partition of earlier versions) continues under
-// the one engine when its log holds no match committed past its newest
-// checkpoint; otherwise Start refuses it, because replay suppresses
-// delivered matches by count and one engine emits in another order than the
-// shards did.
+// Every strategy recovers from its snapshots.
 //
 // Observability: the supervisor and the engine directly beneath it publish
 // into one series (the instrument sets are disjoint, so one series carries
@@ -100,14 +95,9 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 	b := cfg.builder()
 	series := b.series("supervised(" + string(cfg.Strategy) + ")")
 	opts := runtime.SupervisorOptions{
-		Env: engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
-		New: func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
-		Restore: func(from *engine.Sections, suppress uint64) (engine.Engine, error) {
-			if from.Parts > 1 && suppress > 0 {
-				return nil, fmt.Errorf("the newest checkpoint was written by a partitioned engine and the log holds %d matches committed past it: one engine emits in another order than the shards did, so replay cannot tell which of its emissions were delivered", suppress)
-			}
-			return b.build(q.plan, cfg, series, from)
-		},
+		Env:     engine.Env{Series: series, Trace: b.trace, Latency: b.lat},
+		New:     func() (engine.Engine, error) { return b.build(q.plan, cfg, series, nil) },
+		Restore: func(from *engine.Sections) (engine.Engine, error) { return b.build(q.plan, cfg, series, from) },
 	}
 	sup, err := newSupervisor(sc, opts)
 	if err != nil {
