@@ -33,6 +33,7 @@ package recovery
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -414,9 +415,11 @@ type Recovered struct {
 }
 
 // Recover reads the directory's durable state: the newest valid
-// checkpoint (skipping damaged ones) plus the WAL suffix after it. The
-// store continues appending after the recovered state; call it before the
-// first Append when resuming an existing directory.
+// checkpoint (skipping damaged ones) plus the WAL suffix after it. A
+// checkpoint met in a layout older than the envelope fails it with
+// engine.ErrHorizon, and no file is removed. The store continues
+// appending after the recovered state; call it before the first Append
+// when resuming an existing directory.
 func (s *Store) Recover() (*Recovered, error) {
 	ckpts, segs, err := s.scan()
 	if err != nil {
@@ -426,6 +429,12 @@ func (s *Store) Recover() (*Recovered, error) {
 	replayFrom := uint64(0)
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		h, sec, err := readCkptFile(s.ckptPath(ckpts[i]))
+		if errors.Is(err, engine.ErrHorizon) {
+			// An older layout is not damage: skipped, it would resume from
+			// an older state or none, and the next checkpoint's pruning
+			// would delete what it holds.
+			return nil, err
+		}
 		if err != nil {
 			rec.CorruptCheckpoints++
 			continue
