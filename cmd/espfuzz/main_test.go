@@ -48,14 +48,16 @@ func TestTrialCap(t *testing.T) {
 
 func TestBadFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	for _, args := range [][]string{{"-nope"}, {"-mode", "nope"}, {"-crash"}} {
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
 	}
 }
 
 func TestCrashSoakSmoke(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-budget", soakBudget, "-trials", "10", "-seed", "1", "-crash"}, &out, &errOut)
+	code := run([]string{"-budget", soakBudget, "-trials", "10", "-seed", "1", "-mode", "crash"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
 	}
@@ -73,7 +75,7 @@ func TestCrashSoakSmoke(t *testing.T) {
 
 func TestAdaptiveSoakSmoke(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-budget", soakBudget, "-trials", "10", "-seed", "1", "-adaptive"}, &out, &errOut)
+	code := run([]string{"-budget", soakBudget, "-trials", "10", "-seed", "1", "-mode", "adaptive"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
 	}

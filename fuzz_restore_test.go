@@ -44,7 +44,8 @@ var restoreTargets = []struct {
 }
 
 // restoreStream is the fixed stream a restored engine must take: A, C and B
-// over three ids, every fourth event 7 ms late, timestamps continuing from
+// in turn over two ids drawn apart from the type (so that a keyed A meets a
+// B of its id), every fourth event 7 ms late, timestamps continuing from
 // `from`.
 func restoreStream(from Time, n int) []Event {
 	events := make([]Event, n)
@@ -53,7 +54,7 @@ func restoreStream(from Time, n int) []Event {
 		if i%4 == 3 {
 			ts -= 7
 		}
-		events[i] = NewEvent([]string{"A", "C", "B"}[i%3], ts, Attrs{"id": Int(int64(i % 3))})
+		events[i] = NewEvent([]string{"A", "C", "B"}[i%3], ts, Attrs{"id": Int(int64(i / 3 % 2))})
 		events[i].Seq = Seq(1000 + int(from) + i)
 	}
 	return events
@@ -112,7 +113,9 @@ func TestRestoreEngineRejectsShortPending(t *testing.T) {
 func FuzzRestoreEngine(f *testing.F) {
 	// Real checkpoints written by this commit, two per target, taken after
 	// prefixes of the stream (the negation targets hold pending bindings).
-	queries := make([]*Query, len(restoreTargets))
+	// At least one keyed target's must hold a partial match that the
+	// stream then completes, an A from before the cut joined to a later B.
+	queries, carried := make([]*Query, len(restoreTargets)), false
 	for i, tgt := range restoreTargets {
 		queries[i] = MustCompile(tgt.query, nil)
 		for _, n := range []int{6, 12} {
@@ -126,7 +129,17 @@ func FuzzRestoreEngine(f *testing.F) {
 				f.Fatalf("%s: %v", tgt.name, err)
 			}
 			f.Add(uint8(i), buf.Bytes())
+			restored, err := RestoreEngine(queries[i], tgt.cfg, &buf)
+			if err != nil {
+				f.Fatalf("%s: %v", tgt.name, err)
+			}
+			for _, m := range restored.ProcessAll(tgt.drive) {
+				carried = carried || strings.Contains(tgt.query, "a.id = b.id") && m.Events[0].Seq < tgt.drive[0].Seq
+			}
 		}
+	}
+	if !carried {
+		f.Fatal("no keyed target's seed checkpoint holds a partial match that the stream completes")
 	}
 	f.Add(uint8(2), shortPendingCheckpoint(`[{"type":"A","ts":90,"seq":1}]`))
 	f.Add(uint8(2), shortPendingCheckpoint(`[]`))

@@ -446,7 +446,7 @@ func E16Observability(s Scale) *Table {
 // through ProcessBatch at sweep batch sizes against the per-event
 // degenerate case (batch=1). The batch entry amortizes purge scans and gauge
 // publication across the batch; output is identical to per-event processing
-// by the ProcessBatch contract (proved by internal/difftest.RunBatch), and
+// by the ProcessBatch contract (proved by internal/difftest's Batch mode), and
 // each row re-asserts result equality against the batch=1 run.
 func E18Batch(s Scale) *Table {
 	q := seqQuery()

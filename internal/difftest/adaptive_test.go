@@ -10,7 +10,7 @@ import (
 // the budget is smaller than the main differential's.
 const adaptiveTrialCount = 200
 
-// TestAdaptiveDifferentialTrials drives RunAdaptive over random trials:
+// TestAdaptiveDifferentialTrials drives the Adaptive mode over random trials:
 // dynamic-K admission equivalence, shedding accounting, hybrid switch
 // protocol, facade wiring, and checkpoint round-trips, all against the
 // oracle.
@@ -23,8 +23,8 @@ func TestAdaptiveDifferentialTrials(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
 			t.Parallel()
-			if fail := RunAdaptive(Generate(seed)); fail != nil {
-				t.Fatalf("%s", fail.Report())
+			if fail := Run(Adaptive, Generate(seed)); fail != nil {
+				t.Fatalf("%s", Shrink(fail).Report())
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"oostream"
 	"oostream/internal/event"
 	"oostream/internal/fiba"
 	"oostream/internal/oracle"
@@ -37,51 +36,13 @@ func GenerateAgg(seed int64) Case {
 // genAggQuery builds a random AGGREGATE query over the trial universe.
 func genAggQuery(rng *rand.Rand) (string, map[string]bool) {
 	n := 2 + rng.Intn(2)
-	comps := make([]string, n)
-	used := make(map[string]bool)
-	for i := range comps {
-		comps[i] = types[rng.Intn(len(types))]
-		used[comps[i]] = true
-	}
-
-	negated := rng.Float64() < 0.4
-	negType, negVar := "", ""
-	negGap := 0
-	if negated {
-		negType = types[rng.Intn(len(types))]
-		used[negType] = true
-		negVar = "n0"
-		// Biased toward the trailing gap: it defers emission by a full
-		// window, the widest lateness the operator must absorb.
-		negGap = rng.Intn(n + 1)
-		if rng.Float64() < 0.4 {
-			negGap = n
-		}
-	}
-
-	var parts []string
-	for i := 0; i < n; i++ {
-		if negated && negGap == i {
-			parts = append(parts, fmt.Sprintf("!(%s %s)", negType, negVar))
-		}
-		parts = append(parts, fmt.Sprintf("%s x%d", comps[i], i))
-	}
-	if negated && negGap == n {
-		parts = append(parts, fmt.Sprintf("!(%s %s)", negType, negVar))
-	}
-	pattern := strings.Join(parts, ", ")
-
-	// The id-equality chain makes the query PartitionableBy("id"): the
-	// kernel beneath the operator then files its state per id.
-	linked := rng.Float64() < 0.7
+	// A negation biased toward the trailing gap: it defers emission by a
+	// full window, the widest lateness the operator must absorb.
+	pattern, chain, _, used := genPattern(rng, n, 0.4, 0.4)
+	// The id chain: the kernel beneath the operator files its state per id.
 	var conjuncts []string
-	if linked {
-		for i := 1; i < n; i++ {
-			conjuncts = append(conjuncts, fmt.Sprintf("x0.id = x%d.id", i))
-		}
-		if negated {
-			conjuncts = append(conjuncts, fmt.Sprintf("x0.id = %s.id", negVar))
-		}
+	if rng.Float64() < 0.7 {
+		conjuncts = chain
 	}
 	if rng.Float64() < 0.3 {
 		i := rng.Intn(n)
@@ -208,117 +169,4 @@ func aggTruth(p *plan.Plan, sorted []event.Event) []plan.Match {
 		}
 	}
 	return out
-}
-
-// RunAgg executes every engine configuration over an aggregate case and
-// returns the first divergence from the brute-force window truth, or nil.
-// Like Run it is a pure function of the case.
-func RunAgg(c Case) *Failure {
-	p, err := plan.ParseAndCompile(c.Query, Schema())
-	if err != nil {
-		return &Failure{Case: c, Check: "agg-compile", Diff: err.Error()}
-	}
-	if p.Agg == nil {
-		return &Failure{Case: c, Check: "agg-compile", Diff: "query compiled without an aggregate spec"}
-	}
-	q, err := oostream.Compile(c.Query, Schema())
-	if err != nil {
-		return &Failure{Case: c, Check: "agg-compile", Diff: err.Error()}
-	}
-
-	sorted := make([]event.Event, len(c.Arrival))
-	copy(sorted, c.Arrival)
-	event.SortByTime(sorted)
-	truth := aggTruth(p, sorted)
-
-	fail := func(check string, got []plan.Match) *Failure {
-		if ok, diff := plan.SameResults(truth, got); !ok {
-			return &Failure{Case: c, Check: check, Diff: diff, Truth: len(truth)}
-		}
-		return nil
-	}
-	errf := func(check string, err error) *Failure {
-		return &Failure{Case: c, Check: check, Diff: err.Error(), Truth: len(truth)}
-	}
-
-	// Every disorder-tolerant strategy on the arrival order. The
-	// speculative run emits preview + revision pairs; SameResults applies
-	// the retractions, so the check asserts net convergence (I7 lifted to
-	// windows).
-	native := oostream.Config{Strategy: oostream.StrategyNative, K: c.K}
-	for _, sc := range []struct {
-		check string
-		cfg   oostream.Config
-	}{
-		{"agg-native", native},
-		{"agg-kslack", oostream.Config{Strategy: oostream.StrategyKSlack, K: c.K}},
-		{"agg-speculate", oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}},
-		{"agg-hybrid", oostream.Config{Strategy: oostream.StrategyHybrid, K: c.K}},
-	} {
-		if f := fail(sc.check, run(q, sc.cfg, c.Arrival)); f != nil {
-			return f
-		}
-	}
-
-	// Heartbeat-insertion invariance (I9) holds through the operator.
-	if f := fail("agg-native-heartbeat", runWithHeartbeats(q, native, c.Arrival, c.K)); f != nil {
-		return f
-	}
-
-	// The batch path must agree (ProcessBatch contract through the
-	// operator); the partition sizes derive from the seed, keeping the
-	// trial pure.
-	if f := fail("agg-native-batch", runAggBatched(q, native, c.Arrival, c.Seed)); f != nil {
-		return f
-	}
-
-	// Provenance on: observation must not change the window multiset, and
-	// every emitted window must carry a lineage record.
-	pgot := run(q, oostream.Config{Strategy: oostream.StrategyNative, K: c.K, Provenance: true}, c.Arrival)
-	if f := fail("agg-native-prov", pgot); f != nil {
-		return f
-	}
-	for _, m := range pgot {
-		if m.Prov == nil {
-			return &Failure{Case: c, Check: "agg-native-prov", Diff: fmt.Sprintf("window %s has no lineage record", m.Agg), Truth: len(truth)}
-		}
-	}
-
-	// Checkpoint/restore transparency: the operator serializes with the
-	// strategy's state, sealed or previewing, and the restored run continues
-	// exactly.
-	speculate := oostream.Config{Strategy: oostream.StrategySpeculate, K: c.K}
-	for _, leg := range []struct {
-		check string
-		cfg   oostream.Config
-	}{{"agg-checkpoint", native}, {"agg-checkpoint-speculate", speculate}} {
-		got, err := runCheckpointed(q, leg.cfg, c.Arrival)
-		if err != nil {
-			return errf(leg.check, err)
-		}
-		if f := fail(leg.check, got); f != nil {
-			return f
-		}
-		if diff := identicalMatches(run(q, leg.cfg, c.Arrival), got); diff != "" {
-			return &Failure{Case: c, Check: leg.check + "-order", Diff: diff, Truth: len(truth)}
-		}
-	}
-	return nil
-}
-
-// runAggBatched drives the facade batch path with seed-derived batch
-// boundaries (1–6 events per call).
-func runAggBatched(q *oostream.Query, cfg oostream.Config, events []event.Event, seed int64) []plan.Match {
-	rng := rand.New(rand.NewSource(seed ^ 0x5eedba7c4))
-	en := oostream.MustNewEngine(q, cfg)
-	var out []plan.Match
-	for i := 0; i < len(events); {
-		n := 1 + rng.Intn(6)
-		if i+n > len(events) {
-			n = len(events) - i
-		}
-		out = append(out, en.ProcessBatch(events[i:i+n])...)
-		i += n
-	}
-	return append(out, en.Flush()...)
 }

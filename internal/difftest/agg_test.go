@@ -22,8 +22,8 @@ func TestAggDifferentialTrials(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
 			t.Parallel()
-			if fail := RunAgg(GenerateAgg(seed)); fail != nil {
-				t.Fatalf("%s", fail.Report())
+			if fail := Run(Agg, GenerateAgg(seed)); fail != nil {
+				t.Fatalf("%s", Shrink(fail).Report())
 			}
 		})
 	}
@@ -148,7 +148,7 @@ func TestAggTruthAtTimeLimits(t *testing.T) {
 			if n := truth[0].Agg.Count; tc.name == "floor" && n != 2 {
 				t.Errorf("the first window counts %d, want the 2 matches at MinInt64", n)
 			}
-			if fail := RunAgg(c); fail != nil {
+			if fail := Run(Agg, c); fail != nil {
 				t.Fatalf("%s", fail.Report())
 			}
 		})

@@ -29,8 +29,8 @@ func TestCrashDifferentialTrials(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
 			t.Parallel()
-			if fail := RunCrash(Generate(seed)); fail != nil {
-				t.Fatalf("%v", fail)
+			if fail := Run(Crash, Generate(seed)); fail != nil {
+				t.Fatalf("%s", Shrink(fail).Report())
 			}
 		})
 	}
@@ -49,8 +49,8 @@ func TestCrashDifferentialFaulty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
 			t.Parallel()
-			if fail := RunCrash(GenerateFaulty(seed)); fail != nil {
-				t.Fatalf("%v", fail)
+			if fail := Run(Crash, GenerateFaulty(seed)); fail != nil {
+				t.Fatalf("%s", Shrink(fail).Report())
 			}
 		})
 	}
@@ -90,13 +90,13 @@ func TestDurableChecksKeepNaN(t *testing.T) {
 	for _, gen := range []struct {
 		name string
 		make func(int64) Case
-		run  func(Case) *Failure
-	}{{"crash", Generate, RunCrash}, {"aggregate", GenerateAgg, RunAgg}} {
+		mode Mode
+	}{{"crash", Generate, Crash}, {"aggregate", GenerateAgg, Agg}} {
 		found := 0
 		for seed := int64(1); seed <= 400 && found < 6; seed++ {
 			if c := gen.make(seed); holdsNaN(c) {
 				found++
-				if f := gen.run(c); f != nil {
+				if f := Run(gen.mode, c); f != nil {
 					t.Fatalf("%s seed %d: %v", gen.name, seed, f)
 				}
 			}
@@ -124,7 +124,7 @@ func TestCrashHybridSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		en, err := oostream.NewSupervisedEngine(q, hybridSwitching(c.K), oostream.SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, DisableFsync: true})
+		en, err := oostream.NewSupervisedEngine(q, *hybridSwitching(c.K), oostream.SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 5, DisableFsync: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(116))
 	f.Add(int64(169))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if fail := Run(Generate(seed)); fail != nil {
+		if fail := Run(Plain, Generate(seed)); fail != nil {
 			t.Fatalf("%s", Shrink(fail).Report())
 		}
 	})
@@ -34,7 +34,7 @@ func FuzzArrival(f *testing.F) {
 	f.Add(int64(7), []byte{3, 1, 4, 1, 5, 9, 2, 6})
 	f.Add(int64(42), []byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Fuzz(func(t *testing.T, seed int64, perm []byte) {
-		if fail := Run(GeneratePermuted(seed, perm)); fail != nil {
+		if fail := Run(Plain, GeneratePermuted(seed, perm)); fail != nil {
 			t.Fatalf("%s", Shrink(fail).Report())
 		}
 	})

@@ -63,6 +63,71 @@ func Generate(seed int64) Case {
 	query, qtypes := genQuery(rng)
 	sorted := genStream(rng, qtypes)
 	arrival, k := genDisorder(rng, sorted)
+	// Edges (ROADMAP 7(d)), one trial in 16 each: K beyond the stream's
+	// span, so nothing purges before Flush; and every event its own id, key
+	// cardinality without bound at trial scale.
+	if rng.Intn(16) == 0 {
+		k = sorted[len(sorted)-1].TS + 1
+	}
+	if rng.Intn(16) == 0 {
+		for i, e := range arrival {
+			v, _ := e.Attr("v")
+			arrival[i] = EvWith(e.Type, e.TS, e.Seq, int64(e.Seq), v)
+		}
+	}
+	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}
+}
+
+// GenerateFaulty derives a crash trial whose arrival stream passed
+// through the fault-injecting delivery simulator: deliveries are dropped,
+// duplicated (same Seq, later arrival), and held by stalled sources. The
+// duplicates make the admission layer's dedup load-bearing — without it
+// the crashed and uninterrupted runs would both double-count, but truth
+// (first occurrences) would diverge. One trial in three draws K below the
+// arrivals' disorder, and one in eight lies below zero.
+func GenerateFaulty(seed int64) Case {
+	rng := rand.New(rand.NewSource(seed))
+	query, qtypes := genQuery(rng)
+	sorted := genStream(rng, qtypes)
+	cfg := netsim.Config{
+		Sources: 1 + rng.Intn(3),
+		Link: netsim.LinkConfig{
+			BaseDelay:  event.Time(rng.Intn(3)),
+			JitterMean: 1 + 5*rng.Float64(),
+			HeavyTailP: 0.1,
+			HeavyTailX: 4,
+		},
+	}
+	f := netsim.FaultConfig{
+		DropP:        0.05 * rng.Float64(),
+		DupP:         0.05 + 0.15*rng.Float64(),
+		DupDelayMean: 10,
+		StallP:       0.03 * rng.Float64(),
+		StallMean:    20,
+	}
+	arrival, _, _, _, err := netsim.DeliverFaults(sorted, cfg, f, rng)
+	if err != nil { // unreachable for the ranges above
+		panic(err)
+	}
+	k := gen.MaxDelay(arrival)
+	if k > 1 && rng.Intn(3) == 0 {
+		// A bound below the disorder: some arrivals are late.
+		k = rng.Int63n(k)
+	}
+	if k == 0 {
+		k = 1
+	}
+	if rng.Intn(8) == 0 {
+		// The whole stream below zero, where no clock may start at 0.
+		var top event.Time
+		for _, e := range arrival {
+			top = max(top, e.TS)
+		}
+		shift := top + 1 + rng.Int63n(1000)
+		for i := range arrival {
+			arrival[i].TS -= shift
+		}
+	}
 	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}
 }
 
@@ -100,50 +165,12 @@ func GeneratePermuted(seed int64, perm []byte) Case {
 // references (stream generation biases toward them).
 func genQuery(rng *rand.Rand) (string, map[string]bool) {
 	n := 2 + rng.Intn(3)
-	comps := make([]string, n) // component types
-	used := make(map[string]bool)
-	for i := range comps {
-		comps[i] = types[rng.Intn(len(types))]
-		used[comps[i]] = true
-	}
-	vars := make([]string, n)
-	for i := range vars {
-		vars[i] = fmt.Sprintf("x%d", i)
-	}
-
-	negated := rng.Float64() < 0.5
-	negType, negVar := "", ""
-	negGap := 0
-	if negated {
-		negType = types[rng.Intn(len(types))]
-		used[negType] = true
-		negVar = "n0"
-		negGap = rng.Intn(n + 1)
-	}
-
-	var parts []string
-	for i := 0; i < n; i++ {
-		if negated && negGap == i {
-			parts = append(parts, fmt.Sprintf("!(%s %s)", negType, negVar))
-		}
-		parts = append(parts, fmt.Sprintf("%s %s", comps[i], vars[i]))
-	}
-	if negated && negGap == n {
-		parts = append(parts, fmt.Sprintf("!(%s %s)", negType, negVar))
-	}
-	pattern := strings.Join(parts, ", ")
-
+	pattern, chain, negated, used := genPattern(rng, n, 0.5, 0)
 	var conjuncts []string
-	// Partition chain on id: links every component (incl. the negation) to
-	// x0, making the query PartitionableBy("id"). High probability — the
-	// shard checks only run on these.
+	// The id chain, most of the time: the shard checks only run on
+	// partitionable queries.
 	if rng.Float64() < 0.8 {
-		for i := 1; i < n; i++ {
-			conjuncts = append(conjuncts, fmt.Sprintf("x0.id = x%d.id", i))
-		}
-		if negated {
-			conjuncts = append(conjuncts, fmt.Sprintf("x0.id = %s.id", negVar))
-		}
+		conjuncts = chain
 	} else if rng.Float64() < 0.5 && n >= 2 {
 		// A partial link or an id-inequality: not partitionable, exercises
 		// the non-sharded lineage with cross predicates.
@@ -180,7 +207,7 @@ func genQuery(rng *rand.Rand) (string, map[string]bool) {
 	}
 	if negated && rng.Float64() < 0.3 {
 		op := [...]string{"!=", "<", ">"}[rng.Intn(3)]
-		conjuncts = append(conjuncts, fmt.Sprintf("%s.v %s %d", negVar, op, rng.Intn(valRange)))
+		conjuncts = append(conjuncts, fmt.Sprintf("n0.v %s %d", op, rng.Intn(valRange)))
 	}
 
 	window := 4 + rng.Intn(80)
@@ -191,6 +218,43 @@ func genQuery(rng *rand.Rand) (string, map[string]bool) {
 	}
 	fmt.Fprintf(&q, " WITHIN %d", window)
 	return q.String(), used
+}
+
+// genPattern draws n component types and, with probability negP, a
+// negation at a random gap — the trailing one with probability trailP. It
+// returns the SEQ body over x0…x(n−1) and n0, the id chain linking every
+// slot to x0 (which makes the query PartitionableBy("id")), whether it
+// negates, and the types it names.
+func genPattern(rng *rand.Rand, n int, negP, trailP float64) (string, []string, bool, map[string]bool) {
+	comps, used := make([]string, n), map[string]bool{}
+	for i := range comps {
+		comps[i] = types[rng.Intn(len(types))]
+		used[comps[i]] = true
+	}
+	neg, gap := "", -1
+	if rng.Float64() < negP {
+		neg, gap = types[rng.Intn(len(types))], rng.Intn(n+1)
+		used[neg] = true
+		if trailP > 0 && rng.Float64() < trailP {
+			gap = n
+		}
+	}
+	var parts, chain []string
+	for i := 0; i <= n; i++ {
+		if i == gap {
+			parts = append(parts, fmt.Sprintf("!(%s n0)", neg))
+		}
+		if i < n {
+			parts = append(parts, fmt.Sprintf("%s x%d", comps[i], i))
+		}
+		if i > 0 && i < n {
+			chain = append(chain, fmt.Sprintf("x0.id = x%d.id", i))
+		}
+	}
+	if gap >= 0 {
+		chain = append(chain, "x0.id = n0.id")
+	}
+	return strings.Join(parts, ", "), chain, gap >= 0, used
 }
 
 // genStream builds a sorted, sequence-numbered stream of 12–48 events with

@@ -341,7 +341,7 @@ func TestInstrumentCoverage(t *testing.T) {
 				bare[i] = m
 				bare[i].Prov = nil
 			}
-			if diff := sameMatchSequence(off.matches, bare); diff != "" {
+			if diff := compare(&outcome{out: off.matches}, &outcome{out: bare}, exact); diff != "" {
 				t.Errorf("instruments changed the output (first run bare, second instrumented): %s", diff)
 			}
 

@@ -8,7 +8,8 @@ import (
 	"oostream/internal/provenance"
 )
 
-// validateLineage checks every emitted match's lineage record against the
+// validateLineage checks that every emitted match carries a lineage record
+// and, for a pattern query, checks the record against the
 // query plan and the event universe: the citations must resolve to real
 // stream events, bind the pattern in strictly increasing timestamp order
 // inside the window, satisfy every local and cross predicate, agree on
@@ -19,6 +20,9 @@ func validateLineage(p *plan.Plan, universe map[event.Seq]event.Event, ms []plan
 	for _, m := range ms {
 		if m.Prov == nil {
 			return fmt.Sprintf("match %s: provenance enabled but no lineage record", m.Key())
+		}
+		if p.Agg != nil {
+			continue // a window's record cites no pattern binding
 		}
 		if msg := validateRecord(p, universe, m); msg != "" {
 			return fmt.Sprintf("match %s: %s\n  lineage: %s", m.Key(), msg, m.Prov)

@@ -23,8 +23,8 @@ func TestMultiDifferentialTrials(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
 			t.Parallel()
-			if fail := RunMulti(Generate(seed)); fail != nil {
-				t.Fatalf("%s", ShrinkMulti(fail).Report())
+			if fail := Run(Multi, Generate(seed)); fail != nil {
+				t.Fatalf("%s", Shrink(fail).Report())
 			}
 		})
 	}
@@ -32,8 +32,8 @@ func TestMultiDifferentialTrials(t *testing.T) {
 
 // TestShrinkMultiPreservesFailure plants a deliberate divergence by
 // corrupting K below the stream's real disorder (so the shared buffer
-// drops events the oracle sees) and checks the multi-query shrinker keeps
-// a failing, no-larger case.
+// drops events the oracle sees) and checks that Shrink, re-running the Multi
+// mode, keeps a failing, no-larger case.
 func TestShrinkMultiPreservesFailure(t *testing.T) {
 	var planted *Failure
 	for seed := int64(1); seed <= 400 && planted == nil; seed++ {
@@ -42,18 +42,18 @@ func TestShrinkMultiPreservesFailure(t *testing.T) {
 			continue
 		}
 		c.K = 1
-		if fail := RunMulti(c); fail != nil {
+		if fail := Run(Multi, c); fail != nil {
 			planted = fail
 		}
 	}
 	if planted == nil {
 		t.Skip("no K-violation failure found in 400 seeds")
 	}
-	shrunk := ShrinkMulti(planted)
+	shrunk := Shrink(planted)
 	if shrunk == nil {
-		t.Fatal("ShrinkMulti returned nil for a failing case")
+		t.Fatal("Shrink returned nil for a failing multi-query case")
 	}
-	if RunMulti(shrunk.Case) == nil {
+	if Run(Multi, shrunk.Case) == nil {
 		t.Fatalf("shrunk case no longer fails:\n%s", shrunk.Report())
 	}
 	if len(shrunk.Case.Arrival) > len(planted.Case.Arrival) {

@@ -81,7 +81,7 @@ func TestRegressions(t *testing.T) {
 	for _, r := range regressions {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
-			if fail := Run(r.c); fail != nil {
+			if fail := Run(Plain, r.c); fail != nil {
 				t.Fatalf("regression resurfaced:\n%s", fail.Report())
 			}
 		})

@@ -2,7 +2,10 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"oostream/internal/event"
 )
 
 // Report renders a failure for humans: the verdict, the stream, and a
@@ -10,22 +13,23 @@ import (
 // nothing depends on process state.
 func (f *Failure) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DIVERGENCE seed=%d check=%s truth=%d\n", f.Case.Seed, f.Check, f.Truth)
+	fmt.Fprintf(&b, "DIVERGENCE mode=%s seed=%d check=%s truth=%d\n", f.Mode, f.Case.Seed, f.Check, f.Truth)
 	fmt.Fprintf(&b, "query: %s\n", f.Case.Query)
 	fmt.Fprintf(&b, "K=%d arrival (%d events):\n", f.Case.K, len(f.Case.Arrival))
 	for _, e := range f.Case.Arrival {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	fmt.Fprintf(&b, "diff (oracle vs engine):\n%s\n", indent(f.Diff))
+	fmt.Fprintf(&b, "diff (want vs got):\n%s\n", indent(f.Diff))
 	fmt.Fprintf(&b, "repro:\n%s", indent(f.ReproSource()))
 	return b.String()
 }
 
 // ReproSource renders the failing case as a Go composite literal using the
-// difftest.Ev helper, directly usable as a regress_test.go fixture.
+// difftest.Ev helper, directly usable as a regress_test.go fixture under
+// difftest.Run(difftest.Mode(<mode>), c).
 func (f *Failure) ReproSource() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "// seed %d, check %q\n", f.Case.Seed, f.Check)
+	fmt.Fprintf(&b, "// mode %q, seed %d, check %q\n", f.Mode, f.Case.Seed, f.Check)
 	b.WriteString("difftest.Case{\n")
 	fmt.Fprintf(&b, "\tQuery: %q,\n", f.Case.Query)
 	fmt.Fprintf(&b, "\tK:     %d,\n", f.Case.K)
@@ -59,4 +63,66 @@ func indent(s string) string {
 		lines[i] = "  " + l
 	}
 	return strings.Join(lines, "\n")
+}
+
+// maxShrinkRuns bounds the number of Run calls one Shrink may spend.
+// Streams are ≤ ~50 events, so ddmin converges far below this; the bound
+// is a backstop against pathological oscillation.
+const maxShrinkRuns = 4000
+
+// Shrink minimizes a failing case's arrival list while preserving failure
+// under its mode (of any check, not necessarily the original one — a
+// smaller stream often shifts which comparison trips first, and any
+// divergence is a bug). The arrival order of surviving events is preserved, as are their Seq
+// numbers, so the disorder pattern that provoked the failure survives
+// minimization; K is left untouched (removing events can only shrink
+// realized delays, so the bound keeps holding), and so is everything a
+// mode derives from the seed alone (a Multi trial's registry). Returns the
+// smallest failure found.
+func Shrink(f *Failure) *Failure {
+	best, runs := f, 0
+	minimize(best.Case.Arrival, func(sub []event.Event) bool {
+		if runs >= maxShrinkRuns {
+			return false
+		}
+		runs++
+		c := best.Case
+		c.Arrival = sub
+		if fail := Run(f.Mode, c); fail != nil {
+			best = fail
+			return true
+		}
+		return false
+	})
+	return best
+}
+
+// minimize is a ddmin-style list minimizer: it removes contiguous chunks
+// of halving size while pred keeps holding, then single elements, until a
+// fixpoint. pred must hold for the input list; the returned list is
+// 1-minimal with respect to single-element removal (bounded by the
+// caller's budget via pred returning false).
+func minimize(list []event.Event, pred func([]event.Event) bool) []event.Event {
+	cur := list
+	for chunk := max(len(cur)/2, 1); chunk >= 1; {
+		removed := false
+		for start := 0; start < len(cur); {
+			end := min(start+chunk, len(cur))
+			candidate := slices.Concat(cur[:start], cur[end:])
+			if len(candidate) > 0 && pred(candidate) {
+				cur = candidate
+				removed = true
+				// keep start: the next chunk slid into this position
+			} else {
+				start = end
+			}
+		}
+		if !removed {
+			if chunk == 1 {
+				break
+			}
+			chunk /= 2
+		}
+	}
+	return cur
 }

@@ -39,7 +39,7 @@ type Engine interface {
 	// retractions, same lineage, same trace operations (purge timing
 	// excepted: engines for which purge cadence is provably
 	// output-invisible may defer it, and gauge publication, to the batch
-	// boundary). The differential harness enforces it (difftest.RunBatch).
+	// boundary). The differential harness enforces it (difftest's Batch mode).
 	ProcessBatch(batch []event.Event) []plan.Match
 	// Advance is a heartbeat (punctuation): the source guarantees no future
 	// event will carry a timestamp below ts − K. The engine moves its clock

@@ -24,7 +24,7 @@
 //     sealing deferred negation output and driving state purges — one
 //     clock, one purge frontier, N consumers.
 //
-// Correctness is differential: internal/difftest.RunMulti proves a QuerySet's
+// Correctness is differential: the Multi mode of internal/difftest proves a QuerySet's
 // per-query output equals N independent single-query engines (and the
 // brute-force oracle), across live Register/Unregister, batch
 // ingestion, and supervised kill/recover (see checkpoint.go).
