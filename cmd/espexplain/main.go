@@ -169,6 +169,12 @@ func printState(w io.Writer, s *provenance.StateSnapshot, indent string) {
 		depths := make([]string, len(s.StackDepths))
 		for i, d := range s.StackDepths {
 			depths[i] = strconv.Itoa(d)
+			// A shared stack is counted once, at its first position.
+			if i < len(s.StackShared) {
+				if lead := s.StackShared[i]; lead != i && lead >= 0 && lead < len(s.StackDepths) {
+					depths[i] = fmt.Sprintf("%d(shared with %d)", s.StackDepths[lead], lead)
+				}
+			}
 		}
 		p("  stack depths by position: [%s]", strings.Join(depths, " "))
 	}

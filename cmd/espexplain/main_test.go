@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -176,5 +177,50 @@ func TestRunErrors(t *testing.T) {
 				t.Fatal("want error")
 			}
 		})
+	}
+}
+
+// TestStateSharedStack: positions of one type with no local predicate
+// share one stack. The snapshot counts it once, at its first position, and
+// names the stack each position reads; the rendering shows its depth at
+// every position that reads it, marked as shared.
+func TestStateSharedStack(t *testing.T) {
+	q := oostream.MustCompile("PATTERN SEQ(T a, T b, T c) WITHIN 50", nil)
+	en := oostream.MustNewEngine(q, oostream.Config{K: 100})
+	for i, ts := range []oostream.Time{3, 1, 2} {
+		e := oostream.NewEvent("T", ts, nil)
+		e.Seq = oostream.Seq(i + 1)
+		en.Process(e)
+	}
+	snap := en.StateSnapshot()
+	if got, want := fmt.Sprint(snap.StackDepths, snap.StackShared), "[3 0 0] [0 0 0]"; got != want {
+		t.Fatalf("stack depths and sharing %s, want %s", got, want)
+	}
+	if en.StateSize() != 3 {
+		t.Fatalf("StateSize %d, want 3: the shared stack counted once", en.StateSize())
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-state", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "stack depths by position: [3 3(shared with 0) 3(shared with 0)]"; !strings.Contains(out.String(), want) {
+		t.Errorf("state rendering misses %q:\n%s", want, out.String())
+	}
+	// A document naming a position that is not there renders its depths
+	// as they are.
+	if err := os.WriteFile(path, []byte(`{"engine":"native","stackDepths":[1,2],"stackShared":[0,7]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-state", path}, &out); err != nil || !strings.Contains(out.String(), "[1 2]") {
+		t.Errorf("state with a stray stackShared: %v\n%s", err, out.String())
 	}
 }

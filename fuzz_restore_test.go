@@ -41,6 +41,8 @@ var restoreTargets = []struct {
 	{"supervised-fixture", fixtureQuery, Config{K: 39}, restoreStream(800, 20)},
 	{"kslack-fixture", fixtureQuery, Config{Strategy: StrategyKSlack, K: 39}, restoreStream(800, 20)},
 	{"hybrid-fixture", fixtureQuery, Config{Strategy: StrategyHybrid, K: 39}, restoreStream(800, 20)},
+	// Two positions of one type with no local predicate: one shared stack.
+	{"shared", "PATTERN SEQ(A a, A b, !(C c), B d) WHERE a.id = b.id AND b.id = d.id AND a.id = c.id WITHIN 50", Config{K: 10}, restoreStream(100, 20)},
 }
 
 // restoreStream is the fixed stream a restored engine must take: A, C and B

@@ -265,7 +265,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		s.TopKeyGroups = provenance.TopK(gs, 8)
 	}
 	s.Inner = inner
-	s.StackDepths = inner.StackDepths
+	s.StackDepths, s.StackShared = inner.StackDepths, inner.StackShared
 	s.NegStoreSizes = inner.NegStoreSizes
 	return s
 }

@@ -4,8 +4,9 @@
 //
 // One stack per positive pattern position holds the *active instances*:
 // events of the position's type that passed the position's local predicates
-// and are still inside the purge horizon. A stack holds its events by value,
-// sorted by (timestamp, arrival sequence).
+// and are still inside the purge horizon. Positions that admit the same
+// events (one type, no local predicate) share one stack. A stack holds its
+// events by value, sorted by (timestamp, arrival sequence).
 //
 // An instance's RIP (rightmost viable predecessor) is the latest instance in
 // the previous stack with a strictly smaller timestamp. For in-order arrival
@@ -25,6 +26,8 @@ package ais
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -110,67 +113,165 @@ func (s *Stack) String() string {
 	return b.String()
 }
 
-// Stacks is the full AIS structure: one stack per positive position.
+// Stacks is the full AIS structure: one stack per class of positions that
+// admit the same events (Classes). A position of its own is a class of one.
 type Stacks struct {
-	// stacks holds the positions by value: a key group is a Stacks, and RFID
-	// workloads open one for every third event.
+	// stacks holds one stack per class, by value: a key group is a Stacks,
+	// and RFID workloads open one for every third event.
 	stacks []Stack
-	// cols is nil unless construction reads operands from some position
-	// (KeyedStacks built by NewKeyedColumns).
-	cols *columns
+	// cols is the layout: which stack each position reads, and the operand
+	// columns. It is nil unless positions share a stack or construction
+	// reads operands from some position (KeyedStacks built by
+	// NewKeyedClasses).
+	cols *layout
 	// lastFix is the RIP fix-up count of the most recent Insert, which
 	// engines read via LastFixups right after it to feed repair metrics.
 	lastFix int
 }
 
-// columns holds, per position, one column per operand construction reads
-// from it, aligned with the position's stack: sides[pos][k][i] is
-// ops[pos][k] loaded from instance i. Each entry is loaded once, when its
-// instance is inserted; inserts and purges move the columns with the
-// instances, so a restore that inserts rebuilds them and no checkpoint holds
-// them.
-type columns struct {
-	ops   [][]predicate.Operand
+// layout says which stack each position reads and holds, per class, one
+// column per operand construction reads from its positions, aligned with
+// the class's stack: sides[c][k][i] is ops[c][k] loaded from instance i.
+// Each entry is loaded once, when its instance is inserted; inserts and
+// purges move the columns with the instances, so a restore that inserts
+// rebuilds them and no checkpoint holds them.
+type layout struct {
+	// class[pos] is the class of position pos; nil when each position is
+	// its own.
+	class []int
+	// ops[c] concatenates the operands of class c's positions, in position
+	// order, and span[pos] is position pos's run of them.
+	ops  [][]predicate.Operand
+	span [][2]int
+	// sides is the one part a group owns (fork); the rest every group of a
+	// KeyedStacks shares.
 	sides [][][]predicate.Side
 }
 
-// insert loads position pos's operands from e, inserted at index idx.
-func (c *columns) insert(pos, idx int, e *event.Event) {
-	for k, op := range c.ops[pos] {
-		col := append(c.sides[pos][k], predicate.Side{})
+// Classes numbers the stacks of n positions: same(p, q) says positions p
+// and q admit the same events, so that one stack can hold both. Classes are
+// numbered in order of their first position; it returns nil when no two
+// positions share, the layout of New and NewKeyed.
+func Classes(n int, same func(p, q int) bool) []int {
+	class, classes := make([]int, n), 0
+	for p := range class {
+		q := 0
+		for q < p && !same(q, p) {
+			q++
+		}
+		if q < p {
+			class[p] = class[q]
+		} else {
+			class[p], classes = classes, classes+1
+		}
+	}
+	if classes == n {
+		return nil
+	}
+	return class
+}
+
+// newLayout lays out n positions in classes (nil: one each) reading ops
+// (per position; nil: none), or returns nil when the stacks need no layout.
+func newLayout(class []int, ops [][]predicate.Operand, n int) *layout {
+	if class == nil && ops == nil {
+		return nil
+	}
+	l := &layout{class: class, ops: make([][]predicate.Operand, classCount(class, n)), span: make([][2]int, n)}
+	for pos := range l.span {
+		c := l.classOf(pos)
+		l.span[pos][0] = len(l.ops[c])
+		if ops != nil {
+			l.ops[c] = append(l.ops[c], ops[pos]...)
+		}
+		l.span[pos][1] = len(l.ops[c])
+	}
+	return l
+}
+
+// classCount is the number of classes of n positions.
+func classCount(class []int, n int) int {
+	if class == nil {
+		return n
+	}
+	return slices.Max(class) + 1
+}
+
+// fork returns a layout of l's shape with empty columns, for a new group
+// (nil for a nil layout).
+func (l *layout) fork() *layout {
+	if l == nil {
+		return nil
+	}
+	f := &layout{class: l.class, ops: l.ops, span: l.span, sides: make([][][]predicate.Side, len(l.ops))}
+	for c, ops := range l.ops {
+		f.sides[c] = make([][]predicate.Side, len(ops))
+	}
+	return f
+}
+
+// classOf returns the class of position pos (pos itself in a nil layout).
+func (l *layout) classOf(pos int) int {
+	if l == nil || l.class == nil {
+		return pos
+	}
+	return l.class[pos]
+}
+
+// insert loads class c's operands from e, inserted at index idx.
+func (l *layout) insert(c, idx int, e *event.Event) {
+	for k, op := range l.ops[c] {
+		col := append(l.sides[c][k], predicate.Side{})
 		copy(col[idx+1:], col[idx:])
 		col[idx] = op.Load(e)
-		c.sides[pos][k] = col
+		l.sides[c][k] = col
 	}
 }
 
-// trim drops the first n entries of position pos's columns, zeroing the
-// vacated tail as Stack.PurgeBefore does.
-func (c *columns) trim(pos, n int) {
-	for k, col := range c.sides[pos] {
+// trim drops the first n entries of class c's columns, zeroing the vacated
+// tail as Stack.PurgeBefore does.
+func (l *layout) trim(c, n int) {
+	for k, col := range l.sides[c] {
 		m := copy(col, col[n:])
 		clear(col[m:])
-		c.sides[pos][k] = col[:m]
+		l.sides[c][k] = col[:m]
 	}
 }
 
-// Column returns the column of operand k at position pos: entry i is the
-// operand loaded from the position's instance i. It is valid until the
-// stacks next change.
-func (a *Stacks) Column(pos, k int) []predicate.Side { return a.cols.sides[pos][k] }
+// class returns the class of position pos.
+func (a *Stacks) class(pos int) int { return a.cols.classOf(pos) }
 
-// New creates an AIS with n positions.
+// Columns returns the columns of the operands construction reads from
+// position pos (nil when it reads none): entry i of column k is the operand
+// loaded from instance i of the position's stack. They are valid until the
+// stacks next change, so a walk resolves them once.
+func (a *Stacks) Columns(pos int) [][]predicate.Side {
+	if a.cols == nil {
+		return nil
+	}
+	sp := a.cols.span[pos]
+	return a.cols.sides[a.class(pos)][sp[0]:sp[1]:sp[1]]
+}
+
+// New creates an AIS with n positions, each with a stack of its own.
 func New(n int) *Stacks {
 	return &Stacks{stacks: make([]Stack, n)}
 }
 
 // Len returns the number of positions.
-func (a *Stacks) Len() int { return len(a.stacks) }
+func (a *Stacks) Len() int {
+	if a.cols == nil {
+		return len(a.stacks)
+	}
+	return len(a.cols.span)
+}
 
-// Stack returns the stack at position i.
-func (a *Stacks) Stack(i int) *Stack { return &a.stacks[i] }
+// Stack returns the stack that holds position pos's instances, shared with
+// every position of its class. A walk resolves it once per level.
+func (a *Stacks) Stack(pos int) *Stack { return &a.stacks[a.class(pos)] }
 
-// Size returns the total number of live instances across all stacks.
+// Size returns the total number of live instances across all stacks, each
+// shared stack counted once.
 func (a *Stacks) Size() int {
 	total := 0
 	for i := range a.stacks {
@@ -179,30 +280,41 @@ func (a *Stacks) Size() int {
 	return total
 }
 
-// Insert places e into the stack at position pos, keeping timestamp order,
-// and returns its index there. It records the RIP fix-up count: the
-// next-stack instances whose RIP e becomes are those with a timestamp above
-// e's and at most the timestamp of e's successor in its own stack (any
-// timestamp when e is last), a contiguous run.
+// Insert places e into the stack of position pos (once for its whole
+// class), keeping timestamp order, and returns its index there. It records
+// pos's RIP fix-up count (Fixups).
 //
 // For in-order arrival (e later than everything seen) this degenerates to
 // the classic SASE push: an append, and no next-stack instance to repoint.
 func (a *Stacks) Insert(pos int, e event.Event) int {
-	s := &a.stacks[pos]
+	c := a.class(pos)
+	s := &a.stacks[c]
 	idx := s.Insert(e)
 	if a.cols != nil {
-		a.cols.insert(pos, idx, &s.items[idx])
+		a.cols.insert(c, idx, &s.items[idx])
 	}
-	a.lastFix = 0
-	if pos+1 < len(a.stacks) {
-		next := &a.stacks[pos+1]
-		end := len(next.items)
-		if idx+1 < len(s.items) {
-			end = next.FirstAfter(s.items[idx+1].TS)
-		}
-		a.lastFix = end - next.FirstAfter(e.TS)
-	}
+	a.lastFix = a.Fixups(pos, idx)
 	return idx
+}
+
+// Fixups returns the RIP fix-up count of the instance at index idx of
+// position pos's stack: the next position's instances whose RIP it is are
+// those with a timestamp above its own and at most the timestamp of its
+// successor in its stack (any timestamp when it is last), a contiguous
+// run. An instance inserted once for a class reports the count for each of
+// the class's positions: where the next position shares the stack, the
+// instance itself sits at or below both ends of the run, which it therefore
+// does not lengthen.
+func (a *Stacks) Fixups(pos, idx int) int {
+	if pos+1 >= a.Len() {
+		return 0
+	}
+	s, next := a.Stack(pos), a.Stack(pos+1)
+	end := len(next.items)
+	if idx+1 < len(s.items) {
+		end = next.FirstAfter(s.items[idx+1].TS)
+	}
+	return end - next.FirstAfter(s.items[idx].TS)
 }
 
 // LastFixups returns how many next-stack instances the most recent Insert
@@ -221,15 +333,15 @@ func (a *Stacks) LastFixups() int { return a.lastFix }
 func (a *Stacks) Reach(pos int, ts, window event.Time, reach [][2]int) bool {
 	low, high := event.SubSat(ts, window), event.AddSat(ts, window)
 	for p, bound := pos-1, ts; p >= 0; p-- {
-		s := &a.stacks[p]
+		s := a.Stack(p)
 		reach[p] = [2]int{s.FirstAtOrAfter(low), s.FirstAtOrAfter(bound)}
 		if reach[p][0] >= reach[p][1] {
 			return false
 		}
 		bound = s.items[reach[p][1]-1].TS
 	}
-	for p, bound := pos+1, ts; p < len(a.stacks); p++ {
-		s := &a.stacks[p]
+	for p, bound := pos+1, ts; p < a.Len(); p++ {
+		s := a.Stack(p)
 		reach[p] = [2]int{s.FirstAfter(bound), s.FirstAfter(high)}
 		if reach[p][0] >= reach[p][1] {
 			return false
@@ -242,46 +354,65 @@ func (a *Stacks) Reach(pos int, ts, window event.Time, reach [][2]int) bool {
 // PurgeBefore removes, at every position, instances with TS < horizon(pos).
 // The per-position horizon function lets engines keep the final stack on a
 // different schedule than intermediate stacks (see the purge rules in the
-// core engine). It returns the total number purged.
+// core engine); a shared stack is purged at the lowest horizon of its
+// positions. It returns the total number purged.
 func (a *Stacks) PurgeBefore(horizon func(pos int) event.Time) int {
 	total := 0
-	for i := range a.stacks {
-		total += a.purge(i, horizon(i))
+	for c := range a.stacks {
+		total += a.purge(c, a.cols.horizon(c, horizon))
 	}
 	return total
 }
 
-// purge removes position pos's instances with TS < ts, and their column
+// horizon returns the lowest of h(pos) over the positions of class c,
+// calling h once for each: a shared stack keeps what any of its positions
+// may still bind.
+func (l *layout) horizon(c int, h func(pos int) event.Time) event.Time {
+	if l == nil || l.class == nil {
+		return h(c)
+	}
+	low := event.Time(math.MaxInt64)
+	for pos, pc := range l.class {
+		if pc == c {
+			low = min(low, h(pos))
+		}
+	}
+	return low
+}
+
+// purge removes class c's instances with TS < ts, and their column
 // entries, and returns how many it removed.
-func (a *Stacks) purge(pos int, ts event.Time) int {
-	n := a.stacks[pos].PurgeBefore(ts)
+func (a *Stacks) purge(c int, ts event.Time) int {
+	n := a.stacks[c].PurgeBefore(ts)
 	if a.cols != nil && n > 0 {
-		a.cols.trim(pos, n)
+		a.cols.trim(c, n)
 	}
 	return n
 }
 
-// checkColumns verifies a's columns against ops, per position the operands
-// read from it (nil when none are): a column per operand, one entry per
-// instance, each what loading its operand from the instance gives now.
-func (a *Stacks) checkColumns(ops [][]predicate.Operand) error {
-	if ops == nil || a.cols == nil {
-		if ops != nil || a.cols != nil {
-			return fmt.Errorf("columns present %t, operands read %t", a.cols != nil, ops != nil)
+// checkLayout verifies a's columns against want, the layout its key group
+// was forked from (nil when none): per class a column per operand, one
+// entry per instance, each what loading its operand from the instance
+// gives now.
+func (a *Stacks) checkLayout(want *layout) error {
+	if want == nil || a.cols == nil {
+		if want != nil || a.cols != nil {
+			return fmt.Errorf("layout present %t, wanted %t", a.cols != nil, want != nil)
 		}
 		return nil
 	}
-	for pos, s := range a.stacks {
-		if len(a.cols.sides[pos]) != len(ops[pos]) {
-			return fmt.Errorf("position %d: %d columns for %d operands", pos, len(a.cols.sides[pos]), len(ops[pos]))
+	for c, s := range a.stacks {
+		ops := want.ops[c]
+		if len(a.cols.sides[c]) != len(ops) {
+			return fmt.Errorf("class %d: %d columns for %d operands", c, len(a.cols.sides[c]), len(ops))
 		}
-		for k, col := range a.cols.sides[pos] {
+		for k, col := range a.cols.sides[c] {
 			if len(col) != len(s.items) {
-				return fmt.Errorf("position %d column %d: %d entries for %d instances", pos, k, len(col), len(s.items))
+				return fmt.Errorf("class %d column %d: %d entries for %d instances", c, k, len(col), len(s.items))
 			}
 			for i := range col {
-				if !col[i].Same(ops[pos][k].Load(&s.items[i])) {
-					return fmt.Errorf("position %d column %d entry %d (ts=%d) differs from its instance's load", pos, k, i, s.items[i].TS)
+				if !col[i].Same(ops[k].Load(&s.items[i])) {
+					return fmt.Errorf("class %d column %d entry %d (ts=%d) differs from its instance's load", c, k, i, s.items[i].TS)
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 
 	"oostream/internal/event"
 	"oostream/internal/plan"
+	"oostream/internal/predicate"
 )
 
 func TestKeyedStacksRoutingAndSize(t *testing.T) {
@@ -288,8 +289,9 @@ func BenchmarkKeyedPurge(b *testing.B) {
 // TestColumnsFollowTheirInstances: a stack at a position construction reads
 // loads its operands once per insert, and its columns move with its items
 // through late inserts, purges that empty groups onto the free list and the
-// reuse of those groups by new keys. After every step each entry equals
-// its instance's load again (CheckColumns), errors and NaN included; once
+// reuse of those groups by new keys, with a stack per position and with
+// two positions sharing one. After every step each entry equals its
+// instance's load again (CheckColumns), errors and NaN included; once
 // warm, inserting numbers and purging allocates nothing.
 func TestColumnsFollowTheirInstances(t *testing.T) {
 	p, err := plan.ParseAndCompile("PATTERN SEQ(A a, B b, C c) WHERE b.v < a.v - 3 AND c.v >= a.v WITHIN 100", nil)
@@ -300,12 +302,22 @@ func TestColumnsFollowTheirInstances(t *testing.T) {
 	if len(ops[0]) != 2 || len(ops[1]) != 1 || len(ops[2]) != 1 {
 		t.Fatalf("operands per slot %d, %d, %d, want 2, 1, 1", len(ops[0]), len(ops[1]), len(ops[2]))
 	}
+	t.Run("own", func(t *testing.T) { columnsFollow(t, NewKeyedClasses(nil, ops)) })
+	// Positions 0 and 2 share a stack, which loads both their operands.
+	t.Run("shared", func(t *testing.T) { columnsFollow(t, NewKeyedClasses([]int{0, 1, 0}, ops)) })
+	if err := NewKeyed(3).CheckColumns(); err != nil {
+		t.Fatalf("stacks without operands: %v", err)
+	}
+}
+
+// columnsFollow runs TestColumnsFollowTheirInstances on k, whose positions
+// load the operands of its plan.
+func columnsFollow(t *testing.T, k *KeyedStacks) {
 	rng := rand.New(rand.NewSource(1))
 	lists := []event.AttrList{nil}
 	for _, v := range []event.Value{event.Int(4), event.Float(2.5), event.Float(math.NaN()), event.Str("x")} {
 		lists = append(lists, event.AttrList{{Name: "v", Value: v}})
 	}
-	k := NewKeyedColumns(ops)
 	var clock event.Time
 	step := func() {
 		for i := 0; i < 16; i++ {
@@ -340,9 +352,6 @@ func TestColumnsFollowTheirInstances(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Errorf("16 inserts of numbers and a purge allocated %.2f times", allocs)
 	}
-	if err := NewKeyed(3).CheckColumns(); err != nil {
-		t.Fatalf("stacks without operands: %v", err)
-	}
 }
 
 // TestStackSize pins the layout: a stack is its items alone, so a negative
@@ -357,5 +366,76 @@ func TestStackSize(t *testing.T) {
 	}
 	if _, st := NewKeyed(2).Insert(event.Int(1), 0, event.Event{TS: 1}); st.cols != nil {
 		t.Error("a key group without operands holds columns")
+	}
+}
+
+// TestSharedStackMatchesOwnStacks: three positions that admit the same
+// events, held once in a shared stack and once in a stack each, over keyed
+// disordered inserts and purges that keep the final position on a later
+// horizon. Each position's fix-up count is the same either way, the shared
+// stack holds what the first two positions' stacks hold, the final
+// position's stack is a suffix of it, and sizes count the shared instances
+// once.
+func TestSharedStackMatchesOwnStacks(t *testing.T) {
+	const n, disorder, window = 3, 12, 30
+	class := Classes(n, func(p, q int) bool { return true })
+	if len(class) != n || class[1] != 0 || class[2] != 0 {
+		t.Fatalf("classes %v, want [0 0 0]", class)
+	}
+	if c := Classes(n, func(p, q int) bool { return false }); c != nil {
+		t.Fatalf("classes %v of positions that share nothing, want nil", c)
+	}
+	own, shared := NewKeyed(n), NewKeyedClasses(class, make([][]predicate.Operand, n))
+	rng := rand.New(rand.NewSource(7))
+	var clock event.Time
+	for i := 1; i <= 2000; i++ {
+		clock += event.Time(rng.Intn(3))
+		// Admitted events are at or above the safe clock, clock − disorder.
+		e := event.Event{Type: "T", TS: clock - event.Time(rng.Intn(disorder+1)), Seq: event.Seq(i)}
+		key := event.Int(int64(rng.Intn(4)))
+		idx, st := shared.Insert(key, 0, e)
+		for pos := 0; pos < n; pos++ {
+			_, ost := own.Insert(key, pos, e)
+			fix := st.LastFixups()
+			if pos > 0 {
+				fix = st.Fixups(pos, idx)
+			}
+			if fix != ost.LastFixups() {
+				t.Fatalf("event %d position %d: %d fix-ups shared, %d on its own stack", i, pos, fix, ost.LastFixups())
+			}
+		}
+		if i%8 == 0 {
+			horizon := func(pos int) event.Time {
+				if pos == n-1 {
+					return clock - disorder
+				}
+				return clock - disorder - window
+			}
+			own.PurgeBefore(horizon)
+			shared.PurgeBefore(horizon)
+		}
+		if err := shared.CheckDue(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	ownSize := 0
+	own.Range(func(key event.Value, ost *Stacks) {
+		st := shared.Group(key)
+		for pos := 0; pos < n; pos++ {
+			s, o := st.Stack(pos), ost.Stack(pos)
+			skip := s.Len() - o.Len()
+			if skip < 0 || (pos < n-1 && skip != 0) {
+				t.Fatalf("key %s position %d: %d shared instances, %d on its own stack", key, pos, s.Len(), o.Len())
+			}
+			for i := 0; i < o.Len(); i++ {
+				if s.At(skip+i).Seq != o.At(i).Seq {
+					t.Fatalf("key %s position %d: instance %d differs", key, pos, i)
+				}
+			}
+		}
+		ownSize += ost.Stack(0).Len()
+	})
+	if shared.Size() != ownSize || shared.Groups() != own.Groups() {
+		t.Fatalf("shared: %d instances in %d groups; own stacks: %d at the first position in %d groups", shared.Size(), shared.Groups(), ownSize, own.Groups())
 	}
 }

@@ -60,7 +60,8 @@ type checkpointPending struct {
 
 // flatStacks returns the engine's stack contents as one (TS, Seq)-sorted
 // event list per position, merging the key groups (map iteration order must
-// not leak into the serialized form).
+// not leak into the serialized form). Positions that share a stack list the
+// same events.
 func (en *Engine) flatStacks() [][]event.Event {
 	out := make([][]event.Event, en.plan.Len())
 	en.kstacks.Range(func(_ event.Value, st *ais.Stacks) {
@@ -253,8 +254,14 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections) (*Engine, error) 
 	en.enumerated = cf.Enumerated
 	en.since = cf.Since
 	// Each list is (TS, Seq)-sorted as written, so each stack is rebuilt by
-	// appends.
+	// appends. A shared stack is rebuilt from its first position's list: a
+	// version that kept a stack per position wrote there a superset of the
+	// others', the first position being non-final (its instances purge
+	// later), and this one the same list at each.
 	for pos, events := range cf.Stacks {
+		if en.lead != nil && en.lead[pos] != pos {
+			continue
+		}
 		for _, e := range events {
 			if key, ok := en.restoreKey(e); ok {
 				en.kstacks.Insert(key, pos, e)

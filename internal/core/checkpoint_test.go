@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -486,5 +487,86 @@ func TestEqualSealLeavesInCompletionOrder(t *testing.T) {
 	}
 	if got := order(restored.Process(sealing)); got != want {
 		t.Errorf("restored: B timestamps %s, want %s", got, want)
+	}
+}
+
+// sharedQuery repeats a type with no local predicate around a negation: its
+// three positions share one stack.
+const sharedQuery = "PATTERN SEQ(T a, T b, !(N n), T c) WHERE a.id = b.id AND b.id = c.id AND a.id = n.id AND c.v > a.v WITHIN 40"
+
+// sharedStream is 400 events of sharedQuery's types, three keys, disordered
+// by up to ten ticks.
+func sharedStream() []event.Event {
+	var out []event.Event
+	for i := 0; i < 400; i++ {
+		typ := "T"
+		if i%7 == 3 {
+			typ = "N"
+		}
+		ts := event.Time(2*i - 37*i%11)
+		out = append(out, kev(typ, ts, event.Seq(i+1), event.Attrs{"id": event.Int(int64(i % 3)), "v": event.Int(int64(13 * i % 10))}))
+	}
+	return out
+}
+
+// TestRestoreSharedFromPerPositionStacks: testdata/shared_stacks_eb4773e.ckpt
+// is the checkpoint a version that kept one stack per position wrote after
+// the first 200 events of sharedStream (K 12, a purge every 8 events), when
+// its final position had purged instances the first still held. Restored
+// into one shared stack, the engine's expiry orders and columns hold, and it
+// continues as the uninterrupted run, match for match.
+func TestRestoreSharedFromPerPositionStacks(t *testing.T) {
+	p := compile(t, sharedQuery)
+	if en := MustNew(p, Options{}); en.lead == nil {
+		t.Fatal("the positions of T share no stack")
+	}
+	stream := sharedStream()
+	opts := Options{K: 12, PurgeEvery: 8}
+	whole := MustNew(p, opts)
+	for _, e := range stream[:200] {
+		whole.Process(e)
+	}
+	var want []plan.Match
+	for _, e := range stream[200:] {
+		want = append(want, whole.Process(e)...)
+	}
+	want = append(want, whole.Flush()...)
+	if len(want) == 0 {
+		t.Fatal("the continuation emits nothing: the test checks nothing")
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "shared_stacks_eb4773e.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf checkpointFile
+	if err := json.Unmarshal(data[15:], &cf); err != nil {
+		t.Fatal(err)
+	}
+	if len(cf.Stacks[2]) >= len(cf.Stacks[0]) {
+		t.Fatalf("the file's final list holds %d instances, its first %d: want fewer", len(cf.Stacks[2]), len(cf.Stacks[0]))
+	}
+	en, err := open(p, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := en.CheckDue(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.kstacks.CheckColumns(); err != nil {
+		t.Fatal(err)
+	}
+	var got []plan.Match
+	for _, e := range stream[200:] {
+		got = append(got, en.Process(e)...)
+	}
+	got = append(got, en.Flush()...)
+	if len(got) != len(want) {
+		t.Fatalf("restored run emitted %d matches, the uninterrupted %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("match %d: restored %+v, uninterrupted %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -53,9 +53,11 @@
 //
 // The same safe clock drives state purging: an instance at a non-final
 // position is dead once safe − Window passes its timestamp; a final-position
-// instance once safe passes it; buffered negatives once safe − 2·Window
-// passes them (a leading negation's gap reaches one window behind a match
-// whose first element can itself be one window behind the safe clock).
+// instance once safe passes it, unless a stack it shares with a non-final
+// position (ais.Classes) keeps it until safe − Window; buffered negatives
+// once safe − 2·Window passes them (a leading negation's gap reaches one
+// window behind a match whose first element can itself be one window
+// behind the safe clock).
 // A purge pass reaches through an expiry order (ais.Due) the key groups that
 // hold something below those horizons and drops the ones that come up empty.
 package core
@@ -160,6 +162,15 @@ type Engine struct {
 	kstacks *ais.KeyedStacks
 	knegs   []map[event.Value]*ais.Stack
 	negSkip [][]bool
+	// lead[pos] is the first position of pos's stack class (ais.Classes):
+	// positions of one type with no local predicate admit the same events,
+	// so one stack holds them and an event is pushed once, at the lead,
+	// whose index pushed[lead] the others read. Both nil when no two
+	// positions share.
+	lead, pushed []int
+	// negFree holds the negative stores purges emptied, for insertNeg to
+	// take before making one.
+	negFree []*ais.Stack
 	// negDue[i] is the expiry order over knegs[i]: one entry per buffered
 	// negative, {its timestamp, its store}, added by insertNeg and popped by
 	// the pass that purges the negative, so the two correspond one to one
@@ -234,15 +245,18 @@ type Engine struct {
 	// not allocate: binding holds the partial binding (copied only on
 	// emit), negScratch the negation-probe binding, localScratch the
 	// one-slot local-predicate binding. walk* carry the current trigger's
-	// group/key/position through the recursive enumeration; walkTrigSeq
-	// is maintained only under prov. visited counts the candidates every
-	// walk so far has visited; walkFrom is its value when the current
-	// construction started, less the candidates its pre-filter scanned, so
-	// visited − walkFrom is the trigger's lineage Traversed.
+	// key and position through the recursive enumeration, walkStack[p] and
+	// columns[p] are level p's stack and operand columns in the trigger's
+	// group, resolved once per construct, and walkTrigSeq is maintained
+	// only under prov. visited counts the candidates every walk so far has
+	// visited; walkFrom is its value when the current construction started,
+	// less the candidates its pre-filter scanned, so visited − walkFrom is
+	// the trigger's lineage Traversed.
 	binding      []event.Event
 	negScratch   []event.Event
 	localScratch []event.Event
-	walkStacks   *ais.Stacks
+	walkStack    []*ais.Stack
+	columns      [][][]predicate.Side
 	walkKey      event.Value
 	walkPos      int
 	walkTrigTS   event.Time
@@ -314,6 +328,8 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
 		localScratch: make([]event.Event, 1),
+		walkStack:    make([]*ais.Stack, p.Len()),
+		columns:      make([][][]predicate.Side, p.Len()),
 		reach:        make([][2]int, p.Len()),
 		pass:         make([][]int32, p.Len()),
 		cols:         make([][]column, p.Len()),
@@ -343,7 +359,17 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		}
 	}
 	en.cross = p.CrossView(func(i int) bool { return skip[i] })
-	en.kstacks = ais.NewKeyedColumns(en.cross.Operands())
+	class := ais.Classes(p.Len(), func(a, b int) bool {
+		pa, pb := &p.Positives[a], &p.Positives[b]
+		return pa.Type == pb.Type && len(pa.Local) == 0 && len(pb.Local) == 0
+	})
+	en.kstacks = ais.NewKeyedClasses(class, en.cross.Operands())
+	if class != nil {
+		en.lead, en.pushed = make([]int, p.Len()), make([]int, p.Len())
+		for pos, c := range class {
+			en.lead[pos] = slices.Index(class, c)
+		}
+	}
 	for t := range p.Positives {
 		for lvl, lv := range en.cross.Walk(t) {
 			if len(lv.Checks) > len(en.cols[lvl]) {
@@ -620,14 +646,26 @@ func (en *Engine) insert(e event.Event, steps *plan.TypeSteps, isOOO bool, out [
 		}
 	}
 	last := en.plan.Len() - 1
+	var st *ais.Stacks
 	for _, pos := range steps.Positions {
 		if !plan.EvalLocalScratch(en.plan.Positives[pos].Local, e, en.localScratch, en.tap.IncPredError) {
 			continue
 		}
-		idx, st := en.kstacks.Insert(key, pos, e)
-		en.liveStack++
 		// The repair is the next-stack run whose RIP the insertion became.
-		en.tap.Push(e, pos, st.LastFixups())
+		var idx, fixups int
+		if en.lead == nil || en.lead[pos] == pos {
+			idx, st = en.kstacks.Insert(key, pos, e)
+			en.liveStack++
+			fixups = st.LastFixups()
+			if en.pushed != nil {
+				en.pushed[pos] = idx
+			}
+		} else {
+			// The lead, an earlier position of the event's type, pushed it.
+			idx = en.pushed[en.lead[pos]]
+			fixups = st.Fixups(pos, idx)
+		}
+		en.tap.Push(e, pos, fixups)
 		if pos == last || isOOO || en.opts.DisableTriggerOpt {
 			en.tap.Trigger(e, pos)
 			before := en.enumerated
@@ -640,13 +678,18 @@ func (en *Engine) insert(e event.Event, steps *plan.TypeSteps, isOOO bool, out [
 	return out
 }
 
-// insertNeg buffers a negative in its key group's store and files it in the
+// insertNeg buffers a negative in its key group's store, taken from the
+// free list or made on the group's first negative, and files it in the
 // negation's expiry order.
 func (en *Engine) insertNeg(negIdx int, key event.Value, e event.Event) {
 	m := en.knegs[negIdx]
 	ns := m[key]
 	if ns == nil {
-		ns = &ais.Stack{}
+		if n := len(en.negFree); n > 0 {
+			ns, en.negFree = en.negFree[n-1], en.negFree[:n-1]
+		} else {
+			ns = &ais.Stack{}
+		}
 		m[key] = ns
 	}
 	ns.Insert(e)
@@ -695,13 +738,15 @@ func (en *Engine) Flush() []plan.Match {
 // cross predicates whose last slot it binds (plan.CrossView.Walk), except the
 // trigger-pair ones, which prefilter settles once per candidate before the
 // walk. A pair is compared on sides the stacks loaded when each instance was
-// pushed (ais.Stacks.Column). The binding buffer is engine scratch, copied
+// pushed (ais.Stacks.Columns). The binding buffer is engine scratch, copied
 // only when a complete match emits.
 func (en *Engine) construct(st *ais.Stacks, key event.Value, pos, idx int, out []plan.Match) []plan.Match {
-	trigger := st.Stack(pos).At(idx)
+	for p := range en.walkStack {
+		en.walkStack[p] = st.Stack(p)
+	}
+	trigger := en.walkStack[pos].At(idx)
 	en.binding[pos] = *trigger
 	en.bound[pos] = idx
-	en.walkStacks = st
 	en.walkKey = key
 	en.walkPos = pos
 	en.walkTrigTS = trigger.TS
@@ -713,9 +758,12 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, pos, idx int, out [
 	en.walkPairs = en.cross.HasPairs(pos)
 	hoists := en.cross.Hoists(pos)
 	if en.walkPairs || hoists {
+		for p := range en.columns {
+			en.columns[p] = st.Columns(p)
+		}
 		// A walk never enters a level past an empty run, so the reach of
 		// the levels it enters is set even when Reach stops early.
-		reached := en.walkStacks.Reach(pos, trigger.TS, en.plan.Window, en.reach)
+		reached := st.Reach(pos, trigger.TS, en.plan.Window, en.reach)
 		if hoists && (!reached || !en.prefilter()) {
 			return out
 		}
@@ -740,12 +788,12 @@ func (en *Engine) prefilter() bool {
 		if len(hoisted) == 0 {
 			continue
 		}
-		s, r := en.walkStacks.Stack(p), en.reach[p]
+		s, r := en.walkStack[p], en.reach[p]
 		en.hoist = en.hoist[:0]
 		for i := range hoisted {
 			var h hoistedPair
 			if c := &hoisted[i]; c.Pair != nil {
-				h = hoistedPair{cand: en.walkStacks.Column(p, c.CandCol), trig: en.partner(c)}
+				h = hoistedPair{cand: en.columns[p][c.CandCol], trig: en.partner(c)}
 			}
 			en.hoist = append(en.hoist, h)
 		}
@@ -790,7 +838,7 @@ func (en *Engine) hoistedHold(p int, hoisted []plan.Check, s *ais.Stack, i int) 
 // partner is the side of c's partner slot loaded from the instance bound
 // there.
 func (en *Engine) partner(c *plan.Check) *predicate.Side {
-	return &en.walkStacks.Column(c.Partner, c.PartnerCol)[en.bound[c.Partner]]
+	return &en.columns[c.Partner][c.PartnerCol][en.bound[c.Partner]]
 }
 
 // compare runs a pair check on its candidate's side and its partner's.
@@ -810,7 +858,7 @@ func (en *Engine) compare(c *plan.Check, cand, partner *predicate.Side) bool {
 // stack, and the number of candidates.
 func (en *Engine) candidates(p int) (pass []int32, n int) {
 	if len(en.walkLevels[p].Hoisted) == 0 {
-		return nil, en.walkStacks.Stack(p).Len()
+		return nil, en.walkStack[p].Len()
 	}
 	return en.pass[p], len(en.pass[p])
 }
@@ -887,7 +935,7 @@ func (en *Engine) fill(p int, pass []int32) {
 			continue
 		}
 		col := &en.cols[p][i]
-		col.sides = en.walkStacks.Column(p, c.CandCol)
+		col.sides = en.columns[p][c.CandCol]
 		col.bounds = col.bounds[:0]
 		if !c.Pair.Ordered() {
 			continue
@@ -947,7 +995,7 @@ func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 	if p < 0 {
 		return en.walkUp(en.walkPos+1, out)
 	}
-	s := en.walkStacks.Stack(p)
+	s := en.walkStack[p]
 	pass, _ := en.candidates(p)
 	succ := en.binding[p+1].TS
 	j := en.cur[p]
@@ -966,7 +1014,7 @@ func (en *Engine) walkDown(p int, out []plan.Match) []plan.Match {
 	lowTS := event.SubSat(en.walkTrigTS, en.plan.Window)
 	if p > 0 {
 		if en.walkLevels[p].Floor {
-			first := en.walkStacks.Stack(p - 1).At(int(en.pass[p-1][0])).TS
+			first := en.walkStack[p-1].At(int(en.pass[p-1][0])).TS
 			lowTS = max(lowTS, event.AddSat(first, 1))
 		}
 		en.cur[p-1] = -1
@@ -994,7 +1042,7 @@ func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 	if p >= en.plan.Len() {
 		return en.emit(en.binding, out)
 	}
-	s := en.walkStacks.Stack(p)
+	s := en.walkStack[p]
 	pass, n := en.candidates(p)
 	pred := en.binding[p-1].TS
 	j := en.cur[p]
@@ -1014,7 +1062,7 @@ func (en *Engine) walkUp(p int, out []plan.Match) []plan.Match {
 	if p+1 < en.plan.Len() {
 		if en.walkLevels[p].Floor {
 			next := en.pass[p+1]
-			last := en.walkStacks.Stack(p + 1).At(int(next[len(next)-1])).TS
+			last := en.walkStack[p+1].At(int(next[len(next)-1])).TS
 			highTS = min(highTS, event.SubSat(last, 1))
 		}
 		en.cur[p+1] = -1
@@ -1335,7 +1383,9 @@ func (en *Engine) maybePurge() {
 			key := en.negKey(ns)
 			negPurged += ns.PurgeBefore(negHorizon)
 			if ns.Len() == 0 {
+				// No entry names it now: this pass popped every one.
 				delete(m, key)
+				en.negFree = append(en.negFree, ns)
 			}
 		})
 	}
@@ -1372,6 +1422,9 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 		},
 	}
 	s.PurgeFrontier = event.SubSat(s.Safe, en.plan.Window)
+	if en.lead != nil {
+		s.StackShared = slices.Clone(en.lead)
+	}
 	if ad := en.opts.Adaptive; ad != nil {
 		cs := ad.Snapshot()
 		s.Adaptive = &provenance.AdaptiveStats{
@@ -1387,7 +1440,9 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	groups := make([]provenance.KeyGroupStat, 0, en.kstacks.Groups())
 	en.kstacks.Range(func(key event.Value, st *ais.Stacks) {
 		for pos := 0; pos < en.plan.Len(); pos++ {
-			s.StackDepths[pos] += st.Stack(pos).Len()
+			if en.lead == nil || en.lead[pos] == pos {
+				s.StackDepths[pos] += st.Stack(pos).Len()
+			}
 		}
 		groups = append(groups, provenance.KeyGroupStat{Key: key.String(), Size: st.Size()})
 	})

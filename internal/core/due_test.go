@@ -231,3 +231,36 @@ func TestHotKeyVulnerableFilteredOncePerPass(t *testing.T) {
 		t.Errorf("StateSize %d != recomputed %d", got, want)
 	}
 }
+
+// TestNegativeStoresRecycled: a negative store a purge empties waits on a
+// free list for the next key group's first negative, as ais.KeyedStacks
+// recycles its groups, so on a warm engine fed short-lived keys negative
+// inserts and purges allocate nothing.
+func TestNegativeStoresRecycled(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WHERE a.id = n.id AND a.id = b.id WITHIN 10")
+	en := MustNew(p, Options{K: 0, PurgeEvery: 8})
+	stream := make([]event.Event, 80*64)
+	for i := range stream {
+		// A key lives four ticks; its store empties 2·Window later.
+		ts := event.Time(i)
+		stream[i] = kev("N", ts, event.Seq(i+1), event.Attrs{"id": event.Int(int64(ts / 4))})
+	}
+	feed := func() {
+		for _, e := range stream[:64] {
+			en.Process(e)
+		}
+		stream = stream[64:]
+	}
+	for i := 0; i < 20; i++ {
+		feed()
+	}
+	if en.liveNeg == 0 || len(en.negFree) == 0 {
+		t.Fatalf("%d negatives buffered, %d stores free: the test exercises nothing", en.liveNeg, len(en.negFree))
+	}
+	if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
+		t.Errorf("64 negatives over short-lived keys and their purges allocated %.2f times", allocs)
+	}
+	if err := en.CheckDue(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -287,3 +287,60 @@ func TestSoakLongStream(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeOnTheGapBound puts a negative at the upper bound of a
+// match's negation gap and one tick to either side, arriving when the safe
+// clock is one tick below the bound. The gap is open, so only the negative
+// one tick inside it (admitted: it is at the safe clock) withdraws the
+// match. Sealing the binding one tick early — at safe+1 — emits it as final
+// before that negative arrives. Each row runs under both emission policies,
+// event by event and as one batch, and must net the oracle's count.
+func TestNegativeOnTheGapBound(t *testing.T) {
+	p := compile(t, "PATTERN SEQ(A a, !(N n), B b) WITHIN 100")
+	const k = 10
+	for _, tc := range []struct {
+		neg  event.Time
+		want int
+	}{
+		{49, 0}, // inside the gap (0, 50): the match is withdrawn
+		{50, 1}, // on the bound: outside the open gap
+		{51, 1},
+	} {
+		arrival := []event.Event{
+			{Type: "A", TS: 0, Seq: 1},
+			{Type: "A", TS: 59, Seq: 2}, // safe clock 49
+			{Type: "B", TS: 50, Seq: 3}, // binds a@0: gap (0, 50), sealing at 50
+			{Type: "N", TS: tc.neg, Seq: 4},
+		}
+		sorted := slices.Clone(arrival)
+		slices.SortFunc(sorted, byTSSeq)
+		if n := len(oracle.Matches(p, sorted)); n != tc.want {
+			t.Fatalf("negative at %d: the oracle finds %d matches, want %d", tc.neg, n, tc.want)
+		}
+		for _, emit := range []EmitPolicy{SealThenEmit, EmitThenRetract} {
+			for _, batch := range []bool{false, true} {
+				en := MustNew(p, Options{K: k, Emit: emit})
+				var out []plan.Match
+				if batch {
+					out = en.ProcessBatch(arrival)
+				} else {
+					for _, e := range arrival {
+						out = append(out, en.Process(e)...)
+					}
+				}
+				out = append(out, en.Flush()...)
+				net := 0
+				for _, m := range out {
+					if m.Kind == plan.Retract {
+						net--
+					} else {
+						net++
+					}
+				}
+				if late := en.Metrics().EventsLate; net != tc.want || late != 0 {
+					t.Errorf("negative at %d, %s, batch %t: net %d matches (%d late), want %d", tc.neg, emit, batch, net, late, tc.want)
+				}
+			}
+		}
+	}
+}

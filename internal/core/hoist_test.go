@@ -206,7 +206,8 @@ func vshape(tb testing.TB) (*plan.Plan, []event.Event, event.Time) {
 // not rise above what loaded pair sides, the level skip (25.47 evaluations;
 // 83.60 and 71.83 visits before them), and the pass-list floor and loading
 // each side once per push (11.70 visits, 6 loads; 13.70 and 43.4 before)
-// reached.
+// reached; nor may the stack inserts an event and the peak of live
+// instances above what one stack for the three TRADE positions reached.
 func TestVShapeCounts(t *testing.T) {
 	p, stream, k := vshape(t)
 	var evals, loads uint64
@@ -230,6 +231,18 @@ func TestVShapeCounts(t *testing.T) {
 	}
 	if loadsPerEvent > 6 {
 		t.Errorf("%.2f pair loads per event, want at most 6", loadsPerEvent)
+	}
+	// The three positions admit every tick and share one stack: each is
+	// pushed once (3.00 a tick with a stack per position) and held once
+	// (peak 745 live instances with one per position). Without a negation,
+	// Purged counts stack instances only.
+	inserts := float64(m.Purged+uint64(en.liveStack)) / float64(len(stream))
+	t.Logf("%.2f stack inserts per event, peak %d live instances", inserts, m.PeakState)
+	if inserts > 1 {
+		t.Errorf("%.2f stack inserts per event, want at most 1.00", inserts)
+	}
+	if m.PeakState != 316 {
+		t.Errorf("peak %d live instances, want 316", m.PeakState)
 	}
 }
 

@@ -114,9 +114,7 @@ func GenerateFaulty(seed int64) Case {
 		// A bound below the disorder: some arrivals are late.
 		k = rng.Int63n(k)
 	}
-	if k == 0 {
-		k = 1
-	}
+	k = max(k, 1)
 	if rng.Intn(8) == 0 {
 		// The whole stream below zero, where no clock may start at 0.
 		var top event.Time
@@ -142,18 +140,12 @@ func GeneratePermuted(seed int64, perm []byte) Case {
 	sorted := genStream(rng, qtypes)
 	arrival := make([]event.Event, len(sorted))
 	copy(arrival, sorted)
-	for i, b := len(arrival)-1, 0; i > 0; i-- {
-		if len(perm) == 0 {
-			break
-		}
+	for i, b := len(arrival)-1, 0; i > 0 && len(perm) > 0; i-- {
 		j := int(perm[b%len(perm)]) % (i + 1)
 		b++
 		arrival[i], arrival[j] = arrival[j], arrival[i]
 	}
-	k := gen.MaxDelay(arrival)
-	if k == 0 {
-		k = 1
-	}
+	k := max(gen.MaxDelay(arrival), 1)
 	return Case{Seed: seed, Query: query, K: k, Arrival: arrival}
 }
 
@@ -221,14 +213,19 @@ func genQuery(rng *rand.Rand) (string, map[string]bool) {
 }
 
 // genPattern draws n component types and, with probability negP, a
-// negation at a random gap — the trailing one with probability trailP. It
-// returns the SEQ body over x0…x(n−1) and n0, the id chain linking every
-// slot to x0 (which makes the query PartitionableBy("id")), whether it
-// negates, and the types it names.
+// negation at a random gap — the trailing one with probability trailP. A
+// component repeats an earlier one's type one time in three: positions of
+// one type with no local predicate share a stack in the kernel, and most
+// trials have such a pair. It returns the SEQ body over x0…x(n−1) and n0,
+// the id chain linking every slot to x0 (which makes the query
+// PartitionableBy("id")), whether it negates, and the types it names.
 func genPattern(rng *rand.Rand, n int, negP, trailP float64) (string, []string, bool, map[string]bool) {
 	comps, used := make([]string, n), map[string]bool{}
 	for i := range comps {
 		comps[i] = types[rng.Intn(len(types))]
+		if i > 0 && rng.Intn(3) == 0 {
+			comps[i] = comps[rng.Intn(i)]
+		}
 		used[comps[i]] = true
 	}
 	neg, gap := "", -1
@@ -349,10 +346,7 @@ func genDisorder(rng *rand.Rand, sorted []event.Event) ([]event.Event, event.Tim
 			panic(err)
 		}
 	}
-	k := gen.MaxDelay(arrival)
-	if k == 0 {
-		k = 1
-	}
+	k := max(gen.MaxDelay(arrival), 1)
 	if rng.Float64() < 0.3 {
 		k += event.Time(rng.Intn(6))
 	}

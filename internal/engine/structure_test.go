@@ -176,9 +176,10 @@ func TestOneLayout(t *testing.T) {
 					break
 				}
 				for _, field := range n.Fields.List {
-					if len(field.Names) == 1 && field.Names[0].Name == "walkStacks" {
-						// Construction scratch: the group of the trigger being
-						// walked, borrowed from the keyed stacks for one construct.
+					if len(field.Names) == 1 && (field.Names[0].Name == "walkStack" || field.Names[0].Name == "negFree") {
+						// Construction scratch: the stacks of the trigger's group,
+						// borrowed from the keyed stacks for one construct; and
+						// the negative stores purges emptied, which hold nothing.
 						continue
 					}
 					if ptr, ok := field.Type.(*ast.StarExpr); ok && isAIS(ptr.X, "Stacks") {
@@ -1194,12 +1195,12 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1605, "EXPERIMENTS.md": 1841, "README.md": 775}
+var docCaps = map[string]int{"DESIGN.md": 1605, "EXPERIMENTS.md": 1755, "README.md": 775}
 
 // difftestCap is the line count internal/difftest's non-test Go may not
 // exceed: the differential harness is one drive function over compositions
 // (ROADMAP 16), and like docCaps the cap may be lowered and never raised.
-const difftestCap = 2037
+const difftestCap = 2031
 
 // TestDifftestOnlyShrinks holds internal/difftest's non-test Go to
 // difftestCap lines.

@@ -167,7 +167,7 @@ func (en *Engine) StateSnapshot() *provenance.StateSnapshot {
 	inner := en.inner.StateSnapshot()
 	s.Inner = inner
 	s.PurgeFrontier = inner.PurgeFrontier
-	s.StackDepths = inner.StackDepths
+	s.StackDepths, s.StackShared = inner.StackDepths, inner.StackShared
 	s.NegStoreSizes = inner.NegStoreSizes
 	s.Pending = inner.Pending
 	s.Lineage.Live = inner.Lineage.Live

@@ -210,8 +210,14 @@ type StateSnapshot struct {
 	// (or will next be) reclaimed — Safe minus the query window.
 	PurgeFrontier event.Time `json:"purgeFrontier"`
 	// StackDepths is the live instance count per positive pattern
-	// position, summed across key groups when the engine is keyed.
+	// position, summed across key groups when the engine is keyed. A stack
+	// that positions share (StackShared) is counted once, at its first
+	// position, and reads 0 at the others.
 	StackDepths []int `json:"stackDepths"`
+	// StackShared is, per position, the first position of the stack it
+	// reads: positions of one type with no local predicate admit the same
+	// events and share one. Absent when every position has its own.
+	StackShared []int `json:"stackShared,omitempty"`
 	// KeyAttr is the partition attribute the stacks are keyed on ("" when
 	// unkeyed).
 	KeyAttr string `json:"keyAttr,omitempty"`
