@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -55,7 +56,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdin io.Reader, stdout io.Writer) error {
+func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("esprun", flag.ContinueOnError)
 	var (
 		queryText = fs.String("query", "", "query text (required unless -query-file or -queries)")
@@ -200,6 +201,17 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}()
 		fmt.Fprintf(os.Stderr, "esprun: observability on http://%s/metrics\n", srv.Addr())
 	}
+	// Results and the summary go through one buffer. It is flushed before
+	// every read of the input, so a pipe fed line by line gets each result
+	// before its next line is read, and on every return, before any
+	// -linger (deferred after it, so run first). A failed write or flush
+	// ends the run with its error.
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 
 	in := stdin
 	if *traceFile != "" {
@@ -211,7 +223,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		in = f
 	}
 
-	r, closer, err := trace.NewAutoReader(in)
+	r, closer, err := trace.NewAutoReader(flushing{in, out})
 	if err != nil {
 		return err
 	}
@@ -223,7 +235,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// line is one result's output, appended into a reused buffer and
 	// written at once.
 	var line []byte
-	emit := func(matches []oostream.Match) {
+	emit := func(matches []oostream.Match) error {
 		for _, m := range matches {
 			total++
 			if *quiet || (*maxPrint > 0 && printed >= *maxPrint) {
@@ -238,9 +250,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			if *explain && m.Prov != nil {
 				line = append(append(append(line, "  lineage: "...), m.Prov.String()...), '\n')
 			}
-			stdout.Write(line)
+			if _, err := out.Write(line); err != nil {
+				return err
+			}
 			printed++
 		}
+		return nil
 	}
 
 	if *ckptDir != "" && !*resume {
@@ -287,7 +302,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emit(recovered)
+	if err := emit(recovered); err != nil {
+		return err
+	}
 	publish := func() {
 		if *listen == "" {
 			return
@@ -313,8 +330,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		emit(en.ProcessBatch(batch))
+		err := emit(en.ProcessBatch(batch))
 		batch = batch[:0]
+		if err != nil {
+			return err
+		}
 		return en.Err()
 	}
 	for {
@@ -337,7 +357,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				}
 			}
 		} else {
-			emit(en.Process(e))
+			if err := emit(en.Process(e)); err != nil {
+				return err
+			}
 			if err := en.Err(); err != nil {
 				return err
 			}
@@ -351,32 +373,51 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := drainBatch(); err != nil {
 		return err
 	}
-	emit(en.Flush())
+	if err := emit(en.Flush()); err != nil {
+		return err
+	}
 	if err := en.Err(); err != nil {
 		return err
 	}
 	publish()
 	if !*quiet && *maxPrint > 0 && total > printed {
-		fmt.Fprintf(stdout, "… %d more matches (raise -max-print)\n", total-printed)
+		fmt.Fprintf(out, "… %d more matches (raise -max-print)\n", total-printed)
 	}
-	fmt.Fprintf(stdout, "strategy=%s matches=%d %s\n", name(), total, en.Metrics())
+	if err := out.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "strategy=%s matches=%d %s\n", name(), total, en.Metrics())
 	if *latSample > 0 {
 		if r := en.LatencyReport(); r != nil {
-			printLatency(stdout, r)
+			printLatency(out, r)
 		}
 	}
 	if adaptiveSet || cfg.Strategy == oostream.StrategyHybrid {
 		if s := en.StateSnapshot(); s != nil && s.Adaptive != nil {
 			a := s.Adaptive
-			fmt.Fprintf(stdout, "adaptive: k=%d nominal=%d max=%d resizes=%d shed=%d degraded=%v",
+			fmt.Fprintf(out, "adaptive: k=%d nominal=%d max=%d resizes=%d shed=%d degraded=%v",
 				a.EffectiveK, a.NominalK, a.MaxKObserved, a.Resizes, a.Shedded, a.Degraded)
 			if a.Mode != "" {
-				fmt.Fprintf(stdout, " mode=%s switches=%d", a.Mode, a.Switches)
+				fmt.Fprintf(out, " mode=%s switches=%d", a.Mode, a.Switches)
 			}
-			fmt.Fprintln(stdout)
+			fmt.Fprintln(out)
 		}
 	}
 	return nil
+}
+
+// flushing reads from r after flushing w, so that what the run wrote
+// reaches its reader before the run waits for more input.
+type flushing struct {
+	r io.Reader
+	w *bufio.Writer
+}
+
+func (f flushing) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.r.Read(p)
 }
 
 // printLatency renders the end-of-run wall-clock attribution summary: the

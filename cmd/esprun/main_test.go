@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"oostream"
 	"oostream/internal/event"
@@ -365,6 +370,80 @@ func TestRunSummaryGoldenUnkeyed(t *testing.T) {
 		}
 		if got := out.String(); got != want {
 			t.Errorf("%s summary\n got %q\nwant %q", strategy, got, want)
+		}
+	}
+}
+
+// TestPipeGetsEachResultBeforeItsNextLine: with stdin and stdout pipes, each
+// result is readable before the trace's next line is written: esprun
+// flushes its output before every read of the input.
+func TestPipeGetsEachResultBeforeItsNextLine(t *testing.T) {
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-k", "0", "-max-print", "0"}, inR, outW)
+		outW.Close()
+		done <- err
+	}()
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(outR)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	next := func() string {
+		t.Helper()
+		select {
+		case l, ok := <-lines:
+			if !ok {
+				t.Fatal("output closed early")
+			}
+			return l
+		case <-time.After(10 * time.Second):
+			t.Fatal("no result before the next line was asked for")
+		}
+		return ""
+	}
+	w := trace.NewWriter(inW)
+	for i := range 3 {
+		ts := event.Time(100 * i)
+		for _, e := range []event.Event{{Type: "A", TS: ts, Seq: event.Seq(2*i + 1)}, {Type: "B", TS: ts + 10, Seq: event.Seq(2*i + 2)}} {
+			if err := w.Write(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := next(), fmt.Sprintf("B@%d#%d", ts+10, 2*i+2); !strings.Contains(got, want) {
+			t.Fatalf("result %d: %q, want one ending in %s", i, got, want)
+		}
+	}
+	inW.Close()
+	if got := next(); !strings.Contains(got, "matches=3") {
+		t.Fatalf("summary %q, want matches=3", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteErrorEndsTheRun: a result or summary that cannot be written is
+// the run's error, not dropped.
+func TestWriteErrorEndsTheRun(t *testing.T) {
+	path := writeTrace(t, sampleEvents())
+	for _, args := range [][]string{{"-k", "100"}, {"-k", "100", "-quiet"}} {
+		err := run(append([]string{"-query", "PATTERN SEQ(A a, B b) WITHIN 50", "-trace", path}, args...), strings.NewReader(""), failingWriter{})
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("%v: run returned %v, want the write error", args, err)
 		}
 	}
 }

@@ -139,10 +139,14 @@ type layout struct {
 	// class[pos] is the class of position pos; nil when each position is
 	// its own.
 	class []int
-	// ops[c] concatenates the operands of class c's positions, in position
-	// order, and span[pos] is position pos's run of them.
-	ops  [][]predicate.Operand
-	span [][2]int
+	// ops[c] holds the distinct operands of class c's positions, in
+	// position order: operands that load the same value from every event
+	// (predicate.Operand.Equal) share a column, whichever positions read
+	// them. at[pos][k] is the column of position pos's k-th operand,
+	// posOps[pos][k] (which CheckColumns loads again).
+	ops    [][]predicate.Operand
+	at     [][]int
+	posOps [][]predicate.Operand
 	// sides is the one part a group owns (fork); the rest every group of a
 	// KeyedStacks shares.
 	sides [][][]predicate.Side
@@ -177,14 +181,20 @@ func newLayout(class []int, ops [][]predicate.Operand, n int) *layout {
 	if class == nil && ops == nil {
 		return nil
 	}
-	l := &layout{class: class, ops: make([][]predicate.Operand, classCount(class, n)), span: make([][2]int, n)}
-	for pos := range l.span {
-		c := l.classOf(pos)
-		l.span[pos][0] = len(l.ops[c])
-		if ops != nil {
-			l.ops[c] = append(l.ops[c], ops[pos]...)
+	l := &layout{class: class, ops: make([][]predicate.Operand, classCount(class, n)), at: make([][]int, n), posOps: ops}
+	for pos := range l.at {
+		if ops == nil {
+			continue
 		}
-		l.span[pos][1] = len(l.ops[c])
+		c := l.classOf(pos)
+		for _, op := range ops[pos] {
+			k := slices.IndexFunc(l.ops[c], op.Equal)
+			if k < 0 {
+				k = len(l.ops[c])
+				l.ops[c] = append(l.ops[c], op)
+			}
+			l.at[pos] = append(l.at[pos], k)
+		}
 	}
 	return l
 }
@@ -203,7 +213,7 @@ func (l *layout) fork() *layout {
 	if l == nil {
 		return nil
 	}
-	f := &layout{class: l.class, ops: l.ops, span: l.span, sides: make([][][]predicate.Side, len(l.ops))}
+	f := &layout{class: l.class, ops: l.ops, at: l.at, posOps: l.posOps, sides: make([][][]predicate.Side, len(l.ops))}
 	for c, ops := range l.ops {
 		f.sides[c] = make([][]predicate.Side, len(ops))
 	}
@@ -241,16 +251,20 @@ func (l *layout) trim(c, n int) {
 // class returns the class of position pos.
 func (a *Stacks) class(pos int) int { return a.cols.classOf(pos) }
 
-// Columns returns the columns of the operands construction reads from
-// position pos (nil when it reads none): entry i of column k is the operand
-// loaded from instance i of the position's stack. They are valid until the
-// stacks next change, so a walk resolves them once.
-func (a *Stacks) Columns(pos int) [][]predicate.Side {
+// Columns appends to dst the columns of the operands construction reads
+// from position pos, in the order of its operands: entry i of column k is
+// its k-th operand loaded from instance i of the position's stack. They are
+// valid until the stacks next change, so a walk resolves them once, into
+// its own scratch.
+func (a *Stacks) Columns(pos int, dst [][]predicate.Side) [][]predicate.Side {
 	if a.cols == nil {
-		return nil
+		return dst
 	}
-	sp := a.cols.span[pos]
-	return a.cols.sides[a.class(pos)][sp[0]:sp[1]:sp[1]]
+	cols := a.cols.sides[a.class(pos)]
+	for _, k := range a.cols.at[pos] {
+		dst = append(dst, cols[k])
+	}
+	return dst
 }
 
 // New creates an AIS with n positions, each with a stack of its own.
@@ -263,7 +277,7 @@ func (a *Stacks) Len() int {
 	if a.cols == nil {
 		return len(a.stacks)
 	}
-	return len(a.cols.span)
+	return len(a.cols.at)
 }
 
 // Stack returns the stack that holds position pos's instances, shared with
@@ -391,9 +405,9 @@ func (a *Stacks) purge(c int, ts event.Time) int {
 }
 
 // checkLayout verifies a's columns against want, the layout its key group
-// was forked from (nil when none): per class a column per operand, one
-// entry per instance, each what loading its operand from the instance
-// gives now.
+// was forked from (nil when none): per class a column per distinct operand,
+// one entry per instance, and each position's columns what loading its own
+// operands from the instances gives now.
 func (a *Stacks) checkLayout(want *layout) error {
 	if want == nil || a.cols == nil {
 		if want != nil || a.cols != nil {
@@ -402,17 +416,24 @@ func (a *Stacks) checkLayout(want *layout) error {
 		return nil
 	}
 	for c, s := range a.stacks {
-		ops := want.ops[c]
-		if len(a.cols.sides[c]) != len(ops) {
-			return fmt.Errorf("class %d: %d columns for %d operands", c, len(a.cols.sides[c]), len(ops))
+		if len(a.cols.sides[c]) != len(want.ops[c]) {
+			return fmt.Errorf("class %d: %d columns for %d operands", c, len(a.cols.sides[c]), len(want.ops[c]))
 		}
 		for k, col := range a.cols.sides[c] {
 			if len(col) != len(s.items) {
 				return fmt.Errorf("class %d column %d: %d entries for %d instances", c, k, len(col), len(s.items))
 			}
+		}
+	}
+	if want.posOps == nil {
+		return nil
+	}
+	for pos, ops := range want.posOps {
+		s := a.Stack(pos)
+		for k, col := range a.Columns(pos, nil) {
 			for i := range col {
 				if !col[i].Same(ops[k].Load(&s.items[i])) {
-					return fmt.Errorf("class %d column %d entry %d (ts=%d) differs from its instance's load", c, k, i, s.items[i].TS)
+					return fmt.Errorf("position %d operand %d entry %d (ts=%d) differs from its instance's load", pos, k, i, s.items[i].TS)
 				}
 			}
 		}

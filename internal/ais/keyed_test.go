@@ -10,7 +10,6 @@ import (
 
 	"oostream/internal/event"
 	"oostream/internal/plan"
-	"oostream/internal/predicate"
 )
 
 func TestKeyedStacksRoutingAndSize(t *testing.T) {
@@ -303,8 +302,15 @@ func TestColumnsFollowTheirInstances(t *testing.T) {
 		t.Fatalf("operands per slot %d, %d, %d, want 2, 1, 1", len(ops[0]), len(ops[1]), len(ops[2]))
 	}
 	t.Run("own", func(t *testing.T) { columnsFollow(t, NewKeyedClasses(nil, ops)) })
-	// Positions 0 and 2 share a stack, which loads both their operands.
-	t.Run("shared", func(t *testing.T) { columnsFollow(t, NewKeyedClasses([]int{0, 1, 0}, ops)) })
+	// Positions 0 and 2 share a stack, which loads a.v - 3 and, once for
+	// both positions, a.v = c.v.
+	t.Run("shared", func(t *testing.T) {
+		k := NewKeyedClasses([]int{0, 1, 0}, ops)
+		if got := len(k.lay.ops[0]); got != 2 {
+			t.Fatalf("%d columns for the shared stack, want 2", got)
+		}
+		columnsFollow(t, k)
+	})
 	if err := NewKeyed(3).CheckColumns(); err != nil {
 		t.Fatalf("stacks without operands: %v", err)
 	}
@@ -375,7 +381,9 @@ func TestStackSize(t *testing.T) {
 // horizon. Each position's fix-up count is the same either way, the shared
 // stack holds what the first two positions' stacks hold, the final
 // position's stack is a suffix of it, and sizes count the shared instances
-// once.
+// once. The positions read the V-shape's operands: b.v and c.v share one
+// column of the shared stack, and each position's columns load what its own
+// stack's do, a missing v included.
 func TestSharedStackMatchesOwnStacks(t *testing.T) {
 	const n, disorder, window = 3, 12, 30
 	class := Classes(n, func(p, q int) bool { return true })
@@ -385,13 +393,24 @@ func TestSharedStackMatchesOwnStacks(t *testing.T) {
 	if c := Classes(n, func(p, q int) bool { return false }); c != nil {
 		t.Fatalf("classes %v of positions that share nothing, want nil", c)
 	}
-	own, shared := NewKeyed(n), NewKeyedClasses(class, make([][]predicate.Operand, n))
+	p, err := plan.ParseAndCompile("PATTERN SEQ(T a, T b, T c) WHERE b.v < a.v - 3 AND c.v > a.v + 3 WITHIN 30", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := p.CrossView(nil).Operands()
+	own, shared := NewKeyedClasses(nil, ops), NewKeyedClasses(class, ops)
+	if got := len(shared.lay.ops[0]); got != 3 {
+		t.Fatalf("%d columns for the shared stack, want 3: a.v - 3, a.v + 3, and b.v = c.v", got)
+	}
 	rng := rand.New(rand.NewSource(7))
 	var clock event.Time
 	for i := 1; i <= 2000; i++ {
 		clock += event.Time(rng.Intn(3))
 		// Admitted events are at or above the safe clock, clock − disorder.
 		e := event.Event{Type: "T", TS: clock - event.Time(rng.Intn(disorder+1)), Seq: event.Seq(i)}
+		if i%7 != 0 {
+			e.Attrs = event.AttrList{{Name: event.Intern("v"), Value: event.Float(float64(rng.Intn(20)) / 2)}}
+		}
 		key := event.Int(int64(rng.Intn(4)))
 		idx, st := shared.Insert(key, 0, e)
 		for pos := 0; pos < n; pos++ {
@@ -417,6 +436,9 @@ func TestSharedStackMatchesOwnStacks(t *testing.T) {
 		if err := shared.CheckDue(); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
+		if err := shared.CheckColumns(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
 	}
 	ownSize := 0
 	own.Range(func(key event.Value, ost *Stacks) {
@@ -427,9 +449,18 @@ func TestSharedStackMatchesOwnStacks(t *testing.T) {
 			if skip < 0 || (pos < n-1 && skip != 0) {
 				t.Fatalf("key %s position %d: %d shared instances, %d on its own stack", key, pos, s.Len(), o.Len())
 			}
+			sc, oc := st.Columns(pos, nil), ost.Columns(pos, nil)
+			if len(sc) != len(oc) {
+				t.Fatalf("position %d: %d columns shared, %d on its own stack", pos, len(sc), len(oc))
+			}
 			for i := 0; i < o.Len(); i++ {
 				if s.At(skip+i).Seq != o.At(i).Seq {
 					t.Fatalf("key %s position %d: instance %d differs", key, pos, i)
+				}
+				for k := range oc {
+					if !sc[k][skip+i].Same(oc[k][i]) {
+						t.Fatalf("key %s position %d: operand %d of instance %d differs", key, pos, k, i)
+					}
 				}
 			}
 		}

@@ -272,8 +272,7 @@ type Engine struct {
 	// walkPos. cur[p] is where the current loop one level nearer the
 	// trigger last entered level p, as a position in its candidates, or −1
 	// before its first entry. All of them hold for the current construct
-	// only (the stacks do not change during a walk). hoist holds a level's
-	// hoisted pairs' columns while prefilter runs.
+	// only (the stacks do not change during a walk).
 	walkLevels []plan.Level
 	walkPairs  bool
 	reach      [][2]int
@@ -282,7 +281,6 @@ type Engine struct {
 	filled     []bool
 	bound      []int
 	cur        []int
-	hoist      []hoistedPair
 
 	// res carves what each call returns from append-only blocks: the
 	// matches, and the events of a match sealed at emission.
@@ -300,12 +298,6 @@ type column struct {
 	sides   []predicate.Side
 	bounds  []predicate.Bound
 	partner *predicate.Side
-}
-
-// hoistedPair is a hoisted pair's candidate column and the trigger's side.
-type hoistedPair struct {
-	cand []predicate.Side
-	trig *predicate.Side
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -759,7 +751,7 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, pos, idx int, out [
 	hoists := en.cross.Hoists(pos)
 	if en.walkPairs || hoists {
 		for p := range en.columns {
-			en.columns[p] = st.Columns(p)
+			en.columns[p] = st.Columns(p, en.columns[p][:0])
 		}
 		// A walk never enters a level past an empty run, so the reach of
 		// the levels it enters is set even when Reach stops early.
@@ -780,28 +772,29 @@ func (en *Engine) construct(st *ais.Stacks, key event.Value, pos, idx int, out [
 
 // prefilter evaluates the trigger-pair predicates once per candidate in its
 // slot's reach (ais.Stacks.Reach) and lists the passing indices, ascending, in
-// pass. It reports false when a pass list is empty: the trigger completes
-// no match.
+// pass. It applies a level's predicates one after another, each to the
+// candidates the ones before it passed, so a candidate meets the
+// evaluations, in the order, that testing it alone would give it. It
+// reports false when a pass list is empty: the trigger completes no match.
 func (en *Engine) prefilter() bool {
 	for p := range en.walkLevels {
 		hoisted := en.walkLevels[p].Hoisted
 		if len(hoisted) == 0 {
 			continue
 		}
-		s, r := en.walkStack[p], en.reach[p]
-		en.hoist = en.hoist[:0]
-		for i := range hoisted {
-			var h hoistedPair
-			if c := &hoisted[i]; c.Pair != nil {
-				h = hoistedPair{cand: en.columns[p][c.CandCol], trig: en.partner(c)}
-			}
-			en.hoist = append(en.hoist, h)
-		}
+		r := en.reach[p]
+		var list []int32 // nil: the first predicate reads the reach
 		pass := en.pass[p][:0]
-		for i := r[0]; i < r[1]; i++ {
-			if en.hoistedHold(p, hoisted, s, i) {
-				pass = append(pass, int32(i))
+		for k := range hoisted {
+			if c := &hoisted[k]; c.Pair != nil {
+				pass = c.Pair.Filter(c.Cand, en.partner(c), en.columns[p][c.CandCol], list, r[0], r[1], pass[:0], en.tap.IncPredError)
+			} else {
+				pass = en.filterHolds(p, c, list, r[0], r[1], pass[:0])
 			}
+			if len(pass) == 0 {
+				break
+			}
+			list = pass
 		}
 		en.pass[p] = pass
 		en.walkFrom -= uint64(r[1] - r[0])
@@ -812,27 +805,23 @@ func (en *Engine) prefilter() bool {
 	return true
 }
 
-// hoistedHold evaluates level p's hoisted predicates, in order, on its
-// candidate at index i of its stack s.
-func (en *Engine) hoistedHold(p int, hoisted []plan.Check, s *ais.Stack, i int) bool {
-	bound := false
-	for k := range hoisted {
-		c := &hoisted[k]
-		if c.Pair != nil {
-			if h := &en.hoist[k]; !en.compare(c, &h.cand[i], h.trig) {
-				return false
-			}
-			continue
-		}
-		if !bound {
-			en.binding[p] = *s.At(i)
-			bound = true
-		}
-		if !c.Holds(en.binding, en.tap.IncPredError) {
-			return false
+// filterHolds appends to pass each candidate of level p, the indices in
+// list or, when list is nil, lo up to hi, for which c, a predicate with no
+// pair form, holds. pass may share list's array.
+func (en *Engine) filterHolds(p int, c *plan.Check, list []int32, lo, hi int, pass []int32) []int32 {
+	s := en.walkStack[p]
+	n := hi - lo
+	if list != nil {
+		lo, n = 0, len(list)
+	}
+	for j := range n {
+		i := at(list, lo+j)
+		en.binding[p] = *s.At(i)
+		if c.Holds(en.binding, en.tap.IncPredError) {
+			pass = append(pass, int32(i))
 		}
 	}
-	return true
+	return pass
 }
 
 // partner is the side of c's partner slot loaded from the instance bound
@@ -925,9 +914,10 @@ func (en *Engine) enter(p int, pass []int32, k int) bool {
 // stack's column; and, for an ordered pair, the bounds of the runs the walk
 // can visit, folded over the level's candidates in its reach or pass list.
 func (en *Engine) fill(p int, pass []int32) {
-	origin, n := en.reach[p][0], en.reach[p][1]-en.reach[p][0]
+	lo, hi := en.reach[p][0], en.reach[p][1]
+	n := hi - lo
 	if pass != nil {
-		origin, n = 0, len(pass)
+		n = len(pass)
 	}
 	for i := range en.walkLevels[p].Checks {
 		c := &en.walkLevels[p].Checks[i]
@@ -941,17 +931,7 @@ func (en *Engine) fill(p int, pass []int32) {
 			continue
 		}
 		col.bounds = slices.Grow(col.bounds, n+1)[:n+1]
-		if p < en.walkPos {
-			col.bounds[0] = predicate.Bound{}
-			for j := 0; j < n; j++ {
-				col.bounds[j+1] = c.Pair.Fold(col.bounds[j], c.Cand, &col.sides[at(pass, origin+j)])
-			}
-		} else {
-			col.bounds[n] = predicate.Bound{}
-			for j := n - 1; j >= 0; j-- {
-				col.bounds[j] = c.Pair.Fold(col.bounds[j+1], c.Cand, &col.sides[at(pass, origin+j)])
-			}
-		}
+		c.Pair.Folds(c.Cand, col.sides, pass, lo, hi, p > en.walkPos, col.bounds)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"oostream/internal/engine"
@@ -26,6 +27,16 @@ func countEvals(p *plan.Plan, n *uint64) {
 func countLoads(p *plan.Plan, n *uint64) {
 	for i := range p.Cross {
 		p.Cross[i].Pred = p.Cross[i].Pred.LoadsCounted(n)
+	}
+}
+
+// countUntyped makes every pair of p add one to *n per candidate its
+// pre-filter or bound fold takes one at a time instead of in a float64 loop
+// (predicate.Compiled.UntypedCounted). Call it before building an engine
+// on p.
+func countUntyped(p *plan.Plan, n *uint64) {
+	for i := range p.Cross {
+		p.Cross[i].Pred = p.Cross[i].Pred.UntypedCounted(n)
 	}
 }
 
@@ -130,6 +141,42 @@ func TestTriggerWithoutMatchAllocFree(t *testing.T) {
 	}
 }
 
+// TestHoistedChecksNarrowInTurn: two trigger-pair predicates at one level,
+// a pair and one with no pair form, in either order. prefilter applies them
+// one after another, the second only to what the first passed, so the
+// matches (the oracle's), PredErrors and evaluations are those of testing
+// each candidate against both in turn, as one loop per candidate did
+// before; w is missing on one event in nine, so each predicate errs.
+func TestHoistedChecksNarrowInTurn(t *testing.T) {
+	for _, tc := range []struct {
+		where       string
+		errs, evals uint64
+	}{
+		{"c.w * 2 > a.w AND c.v > a.v + 1", 498, 24006},
+		{"c.v > a.v + 1 AND c.w * 2 > a.w", 195, 20967},
+	} {
+		p := compile(t, "PATTERN SEQ(A a, B b, C c) WHERE "+tc.where+" WITHIN 200")
+		var evals uint64
+		countEvals(p, &evals)
+		sorted := gen.Uniform(600, []string{"A", "B", "C"}, 3, 5, 7)
+		for i := range sorted {
+			sorted[i].Attrs = append(sorted[i].Attrs, event.Attr{Name: event.Intern("v"), Value: event.Int(int64(i*7919) % 13)})
+			if i%9 != 0 {
+				sorted[i].Attrs = append(sorted[i].Attrs, event.Attr{Name: event.Intern("w"), Value: event.Float(float64(i*104729%17) / 2)})
+			}
+		}
+		shuffled := gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 50, Seed: 3})
+		en := MustNew(p, Options{K: 50})
+		out := engine.Drain(en, shuffled)
+		if ok, diff := plan.SameResults(oracle.Matches(p, sorted), out); !ok {
+			t.Fatalf("%s: engine != oracle:\n%s", tc.where, diff)
+		}
+		if errs := en.Metrics().PredErrors; len(out) != 2740 || errs != tc.errs || evals != tc.evals {
+			t.Errorf("%s: %d matches, %d predicate errors, %d evaluations; want 2740, %d, %d", tc.where, len(out), errs, evals, tc.errs, tc.evals)
+		}
+	}
+}
+
 // countEvalsByMask is countEvals with one counter per cross predicate,
 // keyed by the slots it reads.
 func countEvalsByMask(p *plan.Plan) map[uint64]*uint64 {
@@ -204,15 +251,20 @@ func vshape(tb testing.TB) (*plan.Plan, []event.Event, event.Time) {
 // work on stock-vshape-native: its matches and probes are fixed by the
 // stream, and the evaluations, walk visits and pair loads an event costs may
 // not rise above what loaded pair sides, the level skip (25.47 evaluations;
-// 83.60 and 71.83 visits before them), and the pass-list floor and loading
-// each side once per push (11.70 visits, 6 loads; 13.70 and 43.4 before)
-// reached; nor may the stack inserts an event and the peak of live
-// instances above what one stack for the three TRADE positions reached.
+// 83.60 and 71.83 visits before them), the pass-list floor, loading each
+// side once per push and each distinct operand once per shared stack
+// reached (11.70 visits, 3.00 loads; 13.70, 43.4 and 4.00 before); nor may
+// the candidates the pre-filter and the bound folds take one at a time rise
+// above what their float64 loops over the ticks' prices reached (0.01;
+// 30.80, all of them, before);
+// nor the stack inserts an event and the peak of live instances above what
+// one stack for the three TRADE positions reached.
 func TestVShapeCounts(t *testing.T) {
 	p, stream, k := vshape(t)
-	var evals, loads uint64
+	var evals, loads, untyped uint64
 	countEvals(p, &evals)
 	countLoads(p, &loads)
+	countUntyped(p, &untyped)
 	en := MustNew(p, Options{K: k})
 	matches := len(engine.Drain(en, stream))
 	m := en.Metrics()
@@ -222,15 +274,19 @@ func TestVShapeCounts(t *testing.T) {
 	perEvent := float64(evals) / float64(len(stream))
 	visits := float64(en.visited) / float64(len(stream))
 	loadsPerEvent := float64(loads) / float64(len(stream))
-	t.Logf("%.2f evaluations, %.2f walk visits, %.2f pair loads per event", perEvent, visits, loadsPerEvent)
+	untypedPerEvent := float64(untyped) / float64(len(stream))
+	t.Logf("%.2f evaluations, %.2f candidates taken one at a time, %.2f walk visits, %.2f pair loads per event", perEvent, untypedPerEvent, visits, loadsPerEvent)
 	if perEvent > 25.47 {
 		t.Errorf("%.2f evaluations per event, want at most 25.47", perEvent)
+	}
+	if untypedPerEvent > 0.01 {
+		t.Errorf("%.2f candidates taken one at a time per event, want at most 0.01", untypedPerEvent)
 	}
 	if visits > 11.70 {
 		t.Errorf("%.2f walk visits per event, want at most 11.70", visits)
 	}
-	if loadsPerEvent > 6 {
-		t.Errorf("%.2f pair loads per event, want at most 6", loadsPerEvent)
+	if loadsPerEvent > 3 {
+		t.Errorf("%.2f pair loads per event, want at most 3.00", loadsPerEvent)
 	}
 	// The three positions admit every tick and share one stack: each is
 	// pushed once (3.00 a tick with a stack per position) and held once
@@ -246,21 +302,58 @@ func TestVShapeCounts(t *testing.T) {
 	}
 }
 
+// TestTickWithoutPrice: on the V-shape stream one tick lacks price, so the
+// pre-filter and the bound folds take every run that holds it, and every
+// run with it as the partner, one candidate at a time instead of in their
+// float64 loops, raising its errors. Matches, PredErrors and evaluations
+// are those of taking every run one at a time, per event and batched.
+func TestTickWithoutPrice(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		p, stream, k := vshape(t)
+		var evals, untyped uint64
+		countEvals(p, &evals)
+		countUntyped(p, &untyped)
+		stream = slices.Clone(stream)
+		e := &stream[len(stream)/2]
+		e.Attrs = slices.DeleteFunc(slices.Clone(e.Attrs), func(a event.Attr) bool { return a.Name == "price" })
+		en := MustNew(p, Options{K: k})
+		matches := 0
+		if batched {
+			for i := 0; i < len(stream); i += 64 {
+				matches += len(en.ProcessBatch(stream[i:min(i+64, len(stream))]))
+			}
+			matches += len(en.Flush())
+		} else {
+			matches = len(engine.Drain(en, stream))
+		}
+		if errs := en.Metrics().PredErrors; matches != 3731 || errs != 163 || evals != 305831 {
+			t.Errorf("batched %v: %d matches, %d predicate errors, %d evaluations; want 3731, 163, 305831", batched, matches, errs, evals)
+		}
+		t.Logf("batched %v: %d candidates taken one at a time", batched, untyped)
+		if untyped == 0 || untyped > evals/100 {
+			t.Errorf("batched %v: %d candidates taken one at a time beside %d evaluations, want some, up to 1 %%", batched, untyped, evals)
+		}
+	}
+}
+
 var sinkMatches int
 
 // BenchmarkConstructVShape is the construction DFS of the repository
 // benchmark's stock-vshape-native workload on its own (no decode, no
 // rendering): go test -run '^$' -bench ConstructVShape ./internal/core.
-// evals/event, loads/event, visits/event and matches/op are exact and
-// repeat; allocs/match nearly so; ns/event is the host's.
+// evals/event, untyped/event (the candidates taken one at a time),
+// loads/event, visits/event and matches/op are exact and repeat;
+// allocs/match nearly so; ns/event is the host's.
 func BenchmarkConstructVShape(b *testing.B) {
 	p, stream, k := vshape(b)
-	var evals, loads uint64
+	var evals, loads, untyped uint64
 	countEvals(p, &evals)
 	countLoads(p, &loads)
+	countUntyped(p, &untyped)
 	visits := benchConstruct(b, p, stream, k)
 	events := float64(b.N) * float64(len(stream))
 	b.ReportMetric(float64(evals)/events, "evals/event")
+	b.ReportMetric(float64(untyped)/events, "untyped/event")
 	b.ReportMetric(float64(loads)/events, "loads/event")
 	b.ReportMetric(float64(visits)/events, "visits/event")
 }

@@ -1195,7 +1195,7 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1605, "EXPERIMENTS.md": 1755, "README.md": 775}
+var docCaps = map[string]int{"DESIGN.md": 1605, "EXPERIMENTS.md": 1715, "README.md": 775}
 
 // difftestCap is the line count internal/difftest's non-test Go may not
 // exceed: the differential harness is one drive function over compositions

@@ -3,6 +3,7 @@ package predicate
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"oostream/internal/event"
@@ -113,7 +114,7 @@ func FuzzPairMatchesProgram(f *testing.F) {
 			if cand == 1 {
 				partner = &l
 			}
-			b := p.Fold(Bound{}, cand, side)
+			b := p.fold(Bound{}, cand, side)
 			if p.Excludes(&b, cand, partner) && (want || wantErr != nil) {
 				t.Fatalf("%s under %v: side %d's bound excludes a comparison that gives %v, %v", e, binding, cand, want, wantErr)
 			}
@@ -152,4 +153,176 @@ func TestCountedPairCountsCompares(t *testing.T) {
 	if holds, err := p.Compare(&missing, &r); holds || !errors.Is(err, ErrMissingAttr) {
 		t.Errorf("Compare on a side without the attribute = %v, %v; want false, %v", holds, err, ErrMissingAttr)
 	}
+}
+
+// kernelValues are the values FuzzPairKernels draws a side from, by class:
+// the int64 ends and the integers next to 2^53, where a float64 can no
+// longer tell them apart, and the floats a typed loop could mistake: NaN,
+// the zeros, the infinities and the subnormals.
+var kernelValues = [...][]event.Value{
+	{event.Int(math.MinInt64), event.Int(math.MaxInt64), event.Int(1<<53 + 1), event.Int(-(1<<53 + 1)), event.Int(1 << 53), event.Int(0), event.Int(-1), event.Int(1)},
+	{event.Float(math.NaN()), event.Float(0), event.Float(math.Copysign(0, -1)), event.Float(math.Inf(1)), event.Float(math.Inf(-1)),
+		event.Float(5e-324), event.Float(-5e-324), event.Float(math.SmallestNonzeroFloat64 * 3), event.Float(1 << 53), event.Float(1.5), event.Float(-2.5), event.Float(math.MaxFloat64)},
+	{event.Str(""), event.Str("a"), event.Str("b")},
+	{event.Bool(false), event.Bool(true)},
+}
+
+// kernelSide is the event one byte of FuzzPairKernels' input gives a side:
+// without x (class 0), or with x drawn from kernelValues or a small int or
+// float, so that runs hold ties and near values.
+func kernelSide(b byte) event.Event {
+	e := event.Event{Type: "T", TS: 7}
+	var v event.Value
+	switch n := int(b >> 3); b & 7 {
+	case 0:
+		return e
+	case 1, 2, 3, 4:
+		class := kernelValues[b&7-1]
+		v = class[n%len(class)]
+	case 5:
+		v = event.Int(int64(n) - 16)
+	default:
+		v = event.Float(float64(n)/4 - 8)
+	}
+	e.Attrs = event.AttrList{{Name: event.Intern("x"), Value: v}}
+	return e
+}
+
+// FuzzPairKernels: the run kernels, Pair.Filter and Pair.Folds, give what
+// Compare and fold give one candidate at a time over every run an operator,
+// a candidate side and a partner draw: ints, floats, strings, bools,
+// missing attributes and mixed kinds, as a range or as a list of indices,
+// filtered into a fresh list or into the list's own array. The same pass
+// list, the same Counted increments, the same errors in the same order, the
+// same bounds going down and going up; and the float loops run exactly when
+// the run (and, for Filter, the partner) is floats loaded without error.
+func FuzzPairKernels(f *testing.F) {
+	// One row per case: a float run with NaN and both zeros; the zeros
+	// tied, where a fold keeps the later best; an int run at
+	// the int64 ends and ±(2^53+1) against a partner of 2^53; a run with a
+	// missing attribute; strings; bools; ints and floats mixed; a partner
+	// that errs; an empty run; a list of indices filtered in place; and,
+	// for each operator, a float run with a tie against the partner.
+	f.Add(uint8(2), uint8(1), byte(0x02), []byte{0x02, 0x0a, 0x12, 0x1a, 0x22, 0x2a, 0x06, 0x36}, uint8(0), uint64(0), uint8(0), uint8(8))
+	f.Add(uint8(2), uint8(0), byte(0x06), []byte{0x0a, 0x12, 0x0a, 0x12}, uint8(0), uint64(0), uint8(0), uint8(4))
+	f.Add(uint8(3), uint8(0), byte(0x21), []byte{0x01, 0x09, 0x11, 0x19, 0x21, 0x29, 0x31, 0x39}, uint8(0), uint64(0), uint8(0), uint8(8))
+	f.Add(uint8(4), uint8(1), byte(0x4e), []byte{0x4e, 0x00, 0x56, 0x86}, uint8(0), uint64(0), uint8(0), uint8(4))
+	f.Add(uint8(0), uint8(0), byte(0x0b), []byte{0x03, 0x0b, 0x13, 0x03}, uint8(0), uint64(0), uint8(1), uint8(3))
+	f.Add(uint8(1), uint8(1), byte(0x04), []byte{0x04, 0x0c, 0x04}, uint8(0), uint64(0), uint8(0), uint8(3))
+	f.Add(uint8(5), uint8(0), byte(0x45), []byte{0x45, 0x46, 0x4d, 0x0e, 0x01}, uint8(0), uint64(0), uint8(0), uint8(5))
+	f.Add(uint8(2), uint8(0), byte(0x00), []byte{0x46, 0x4e, 0x56}, uint8(0), uint64(0), uint8(0), uint8(3))
+	f.Add(uint8(3), uint8(1), byte(0x46), []byte{}, uint8(0), uint64(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(0), byte(0x66), []byte{0x46, 0x4e, 0x56, 0x5e, 0x66, 0x6e, 0x76, 0x7e}, uint8(1), uint64(0xb5), uint8(0), uint8(0))
+	for op := range uint8(6) {
+		f.Add(op, op%2, byte(0x46), []byte{0x3e, 0x46, 0x4e}, uint8(0), uint64(0), uint8(0), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, op, cand uint8, partnerByte byte, data []byte, shape uint8, mask uint64, lo, hi uint8) {
+		oper := comparisons[int(op)%len(comparisons)]
+		var count, untyped uint64
+		c, err := Compile(&query.BinaryExpr{Op: oper, Left: &query.AttrRef{Var: "a", Attr: "x"}, Right: &query.AttrRef{Var: "b", Attr: "x"}}, twoSlots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, p := c.Pair(), c.Counted(&count).UntypedCounted(&untyped).Pair()
+		i := int(cand % 2)
+		pe := kernelSide(partnerByte)
+		partner := p.Load(1-i, &pe)
+		sides := make([]Side, len(data))
+		for k, b := range data {
+			e := kernelSide(b)
+			sides[k] = p.Load(i, &e)
+		}
+		var list []int32
+		first := int(lo) % (len(data) + 1)
+		last := first + int(hi)%(len(data)-first+1)
+		if shape&1 != 0 {
+			list = []int32{}
+			for k := range data {
+				if mask>>(k%64)&1 != 0 {
+					list = append(list, int32(k))
+				}
+			}
+		}
+		n := span(list, first, last)
+
+		// One candidate at a time.
+		var want []int32
+		var wantErrs []error
+		floatRun := true
+		for j := range n {
+			k := index(list, first, j)
+			l, r := &sides[k], &partner
+			if i == 1 {
+				l, r = r, l
+			}
+			holds, err := ref.Compare(l, r)
+			if holds {
+				want = append(want, int32(k))
+			}
+			if err != nil {
+				wantErrs = append(wantErrs, err)
+			}
+			if s := &sides[k]; s.err != nil || s.v.Kind() != event.KindFloat {
+				floatRun = false
+			}
+		}
+
+		filter := func(pass, list []int32) {
+			t.Helper()
+			var errs []error
+			count, untyped = 0, 0
+			got := p.Filter(i, &partner, sides, list, first, last, pass, func(err error) { errs = append(errs, err) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, side %d against %v: Filter passed %v, Compare %v", oper, i, partner.v, got, want)
+			}
+			if count != uint64(n) {
+				t.Fatalf("Filter counted %d comparisons over %d candidates", count, n)
+			}
+			typed := floatRun && partner.err == nil && partner.v.Kind() == event.KindFloat
+			if typed && untyped != 0 || !typed && untyped != uint64(n) {
+				t.Fatalf("float run %v: %d of %d candidates taken one at a time", typed, untyped, n)
+			}
+			if len(errs) != len(wantErrs) {
+				t.Fatalf("Filter raised %d errors, Compare %d", len(errs), len(wantErrs))
+			}
+			for k := range errs {
+				if errs[k].Error() != wantErrs[k].Error() || sentinelOf(errs[k]) != sentinelOf(wantErrs[k]) {
+					t.Fatalf("error %d: Filter %q, Compare %q", k, errs[k], wantErrs[k])
+				}
+			}
+		}
+		filter(nil, list)
+		if list != nil {
+			own := slices.Clone(list)
+			filter(own[:0], own)
+		}
+
+		if !p.Ordered() {
+			return
+		}
+		for _, up := range []bool{false, true} {
+			wantBounds := make([]Bound, n+1)
+			if up {
+				for j := n - 1; j >= 0; j-- {
+					wantBounds[j] = ref.fold(wantBounds[j+1], i, &sides[index(list, first, j)])
+				}
+			} else {
+				for j := range n {
+					wantBounds[j+1] = ref.fold(wantBounds[j], i, &sides[index(list, first, j)])
+				}
+			}
+			got := make([]Bound, n+1)
+			for k := range got {
+				got[k] = Bound{kind: event.KindString, mixed: true} // stale entries a fold must overwrite
+			}
+			untyped = 0
+			p.Folds(i, sides, list, first, last, up, got)
+			if !slices.Equal(got, wantBounds) {
+				t.Fatalf("%s, side %d, up %v: Folds %v, fold %v", oper, i, up, got, wantBounds)
+			}
+			if floatRun && untyped != 0 || !floatRun && untyped != uint64(n) {
+				t.Fatalf("float run %v: Folds took %d of %d candidates one at a time", floatRun, untyped, n)
+			}
+		}
+	})
 }

@@ -58,9 +58,10 @@ type Compiled struct {
 	// mask is the slot set as a bitmask (slots < 64).
 	mask uint64
 	src  string
-	// count, when set, is added one to per evaluation (Counted), and loads
-	// per side its pair form loads (LoadsCounted).
-	count, loads *uint64
+	// count, when set, is added one to per evaluation (Counted), loads per
+	// side its pair form loads (LoadsCounted), and untyped per candidate its
+	// pair form's run kernels take one at a time (UntypedCounted).
+	count, loads, untyped *uint64
 }
 
 // Refs returns the slots the expression reads, in ascending order.
@@ -100,6 +101,16 @@ func (c *Compiled) Counted(n *uint64) *Compiled {
 func (c *Compiled) LoadsCounted(n *uint64) *Compiled {
 	counted := *c
 	counted.loads = n
+	return &counted
+}
+
+// UntypedCounted returns a copy of c whose pair form (Pair) adds one to *n
+// for each candidate Filter or Folds takes one at a time, through Compare
+// or fold, instead of in their float64 loops: what a construction's
+// pre-filter and bounds pay the general path.
+func (c *Compiled) UntypedCounted(n *uint64) *Compiled {
+	counted := *c
+	counted.untyped = n
 	return &counted
 }
 
