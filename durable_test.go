@@ -617,3 +617,98 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// TestSupervisedHookPanicIsACrash: a Config.Trace hook that panics once is
+// a crash to a supervised Engine or QuerySet. No panic escapes Process: the
+// call returns nil and Err names the event and the panic. Reopening the
+// directory with a quiet hook resumes, and the output equals the in-memory
+// run's.
+func TestSupervisedHookPanicIsACrash(t *testing.T) {
+	q := pairQuery(t)
+	events := pairStream(0, 40)
+	type durable interface {
+		Start() ([]Match, error)
+		Process(Event) []Match
+		Flush() []Match
+		Err() error
+		Close() error
+	}
+	kinds := []struct {
+		name   string
+		memory func() durable
+		open   func(t *testing.T, hook TraceHook, sc SupervisorConfig) durable
+	}{
+		{"engine", func() durable { return MustNewEngine(q, Config{K: 10}) },
+			func(t *testing.T, hook TraceHook, sc SupervisorConfig) durable {
+				en, err := NewSupervisedEngine(q, Config{K: 10, Trace: hook}, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return en
+			}},
+		{"queryset", func() durable {
+			qs := MustNewQuerySet(QuerySetConfig{K: 10})
+			qs.Register("pair", q)
+			return qs
+		}, func(t *testing.T, hook TraceHook, sc SupervisorConfig) durable {
+			qs, err := NewSupervisedQuerySet(QuerySetConfig{K: 10, Trace: hook}, sc)
+			if err == nil {
+				err = qs.Register("pair", q)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qs
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			mem := kind.memory()
+			var want []Match
+			for _, ev := range events {
+				want = append(want, mem.Process(ev)...)
+			}
+			want = append(want, mem.Flush()...)
+
+			sc := SupervisorConfig{Dir: t.TempDir(), CheckpointEvery: 4, DisableFsync: true}
+			fired := false
+			hook := TraceFunc(func(te TraceEvent) {
+				if te.Op == OpEmit && !fired {
+					fired = true
+					panic("hook fault")
+				}
+			})
+			s := kind.open(t, hook, sc)
+			if _, err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var got []Match
+			at := 0
+			for ; at < len(events) && s.Err() == nil; at++ {
+				got = append(got, s.Process(events[at])...)
+			}
+			if err := s.Err(); !fired || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("event Seq %d: hook fault", events[at-1].Seq)) {
+				t.Fatalf("hook fired %v, Err %v", fired, err)
+			}
+			s.Close()
+
+			s = kind.open(t, TraceFunc(func(TraceEvent) {}), sc)
+			recovered, err := s.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, recovered...)
+			for _, ev := range events[at:] {
+				got = append(got, s.Process(ev)...)
+			}
+			got = append(got, s.Flush()...)
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if ok, diff := SameResults(want, got); !ok || len(want) == 0 {
+				t.Fatalf("%d matches resumed, %d in memory:\n%s", len(got), len(want), diff)
+			}
+		})
+	}
+}

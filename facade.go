@@ -156,8 +156,8 @@ func (f *facade) Flush() []Match {
 }
 
 // Err returns the first failure or refused call, or nil. It is sticky: a
-// durable engine that failed (a store error, an exhausted restart budget)
-// or was killed refuses every later call.
+// durable engine that failed (a store error, a panic) or was killed
+// refuses every later call.
 func (f *facade) Err() error {
 	if f.sup != nil && f.sup.Err() != nil {
 		return f.sup.Err()
@@ -206,8 +206,8 @@ func (f *facade) assign(ev *Event) {
 }
 
 // Metrics returns a snapshot of the counters; a durable engine's carry the
-// fault-tolerance counters (duplicate suppressions, restarts, checkpoint
-// size and duration) too.
+// fault-tolerance counters (duplicate suppressions, checkpoint count, size
+// and duration) too.
 func (f *facade) Metrics() Metrics { return f.inner.Metrics() }
 
 // StateSize returns the current buffered-item count.

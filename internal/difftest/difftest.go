@@ -47,11 +47,6 @@ type Case struct {
 	Arrival []event.Event
 }
 
-func isNaN(v event.Value) bool {
-	f, _ := v.AsFloat()
-	return f != f
-}
-
 // Failure describes a divergence found by Run.
 type Failure struct {
 	Mode Mode
@@ -138,9 +133,16 @@ type registered struct {
 // Run drives every composition of the mode over the case and returns the
 // first divergence, or nil when all agree. It is a pure function of the
 // mode and the case (temporary directories aside), which is what makes
-// shrinking sound.
-func Run(mode Mode, c Case) *Failure {
+// shrinking sound. A panic is a failure too, of check "panic", naming the
+// composition that raised it ("setup" before the first).
+func Run(mode Mode, c Case) (f *Failure) {
 	t := &trial{mode: mode, c: c, named: map[string]composition{}, runs: map[string]*outcome{}, truths: map[int][]plan.Match{}, exactly: map[string]bool{}}
+	at := "setup"
+	defer func() {
+		if r := recover(); r != nil {
+			f = t.fail("panic", fmt.Sprintf("%s: %v", at, r), nil)
+		}
+	}()
 	if modes[mode] == nil {
 		return t.fail("mode", fmt.Sprintf("no mode %q", mode), nil)
 	}
@@ -188,6 +190,7 @@ func Run(mode Mode, c Case) *Failure {
 		}
 	}
 	for _, m := range comps {
+		at = m.name
 		if f := t.check(m); f != nil {
 			return f
 		}

@@ -185,7 +185,8 @@ func TestShrinkPreservesFailure(t *testing.T) {
 	}
 }
 
-// Three lists a mode must refuse, registered before any test runs.
+// Three lists a mode must refuse and one that panics, registered before any
+// test runs.
 func init() {
 	cfg := strategy(oostream.StrategyNative, 0)
 	a, c := composition{name: "a", cfg: cfg}, composition{name: "c", cfg: cfg}
@@ -194,6 +195,26 @@ func init() {
 	}
 	modes["later-want"] = func(*trial) []composition { return []composition{a, {name: "b", cfg: cfg, want: "c"}, c} }
 	modes["named-twice"] = func(*trial) []composition { return []composition{a, a} }
+	// A composition whose input panics on every non-empty arrival.
+	modes["panicky"] = func(*trial) []composition {
+		return []composition{a, {name: "boom", cfg: cfg, input: func(t *trial) ([]event.Event, event.Time, error) {
+			panic(fmt.Sprintf("boom at %d events", len(t.c.Arrival)))
+		}}}
+	}
+}
+
+// TestPanicIsAFailure: a trial that panics fails with check "panic", naming
+// the composition and the value, and shrinks like any failure.
+func TestPanicIsAFailure(t *testing.T) {
+	c := Generate(3)
+	f := Run("panicky", c)
+	if f == nil || f.Check != "panic" || f.Diff != fmt.Sprintf("boom: boom at %d events", len(c.Arrival)) {
+		t.Fatalf("panicking trial: %v", f)
+	}
+	shrunk := Shrink(f)
+	if shrunk.Check != "panic" || len(shrunk.Case.Arrival) != 1 || !strings.Contains(shrunk.Report(), "check=panic") {
+		t.Fatalf("shrunk to %d events:\n%s", len(shrunk.Case.Arrival), shrunk.Report())
+	}
 }
 
 // TestWantsNameEarlierCompositions: a want that names no composition listed

@@ -327,12 +327,13 @@ func feed(en target, chunk []event.Event, batched bool) []plan.Match {
 
 // split cuts events into chunks of the given sizes, or of one event each.
 func split(events []event.Event, sizes []int) [][]event.Event {
-	if sizes == nil {
-		sizes = ones(len(events))
-	}
-	chunks := make([][]event.Event, len(sizes))
-	for i, n := range sizes {
-		chunks[i], events = events[:n], events[n:]
+	var chunks [][]event.Event
+	for i := 0; len(events) > 0; i++ {
+		n := 1
+		if sizes != nil {
+			n = sizes[i]
+		}
+		chunks, events = append(chunks, events[:n]), events[n:]
 	}
 	return chunks
 }
@@ -349,15 +350,7 @@ func minFuture(events []event.Event) []event.Time {
 	return future
 }
 
-// ones is n sizes of one; upto is the positions 1..n.
-func ones(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
+// upto is the positions 1..n.
 func upto(n int) []int {
 	out := make([]int, n)
 	for i := range out {

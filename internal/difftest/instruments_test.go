@@ -89,7 +89,6 @@ var stepCounters = []struct {
 	{obsv.OpEmit, func(s *obsv.Series) *obsv.Counter { return &s.Matches }},
 	{obsv.OpRetract, func(s *obsv.Series) *obsv.Counter { return &s.Retractions }},
 	{obsv.OpCheckpoint, func(s *obsv.Series) *obsv.Counter { return &s.Checkpoints }},
-	{obsv.OpRestart, func(s *obsv.Series) *obsv.Counter { return &s.Restarts }},
 	{obsv.OpSwitch, func(s *obsv.Series) *obsv.Counter { return &s.Switches }},
 	{obsv.OpPurge, func(s *obsv.Series) *obsv.Counter { return &s.PurgeCalls }},
 }
@@ -397,7 +396,7 @@ func TestInstrumentCoverage(t *testing.T) {
 			ci.reg.Each(func(s *obsv.Series) {
 				for _, sc := range stepCounters {
 					got, want := uint64(ci.byEngine[s.Name()][sc.op]), sc.counter(s).Load()
-					if unhookedLevee[s.Name()] && sc.op != obsv.OpCheckpoint && sc.op != obsv.OpRestart {
+					if unhookedLevee[s.Name()] && sc.op != obsv.OpCheckpoint {
 						want = 0
 					}
 					if got != want {

@@ -72,7 +72,7 @@ func batchMode(t *trial) []composition {
 	}
 	native, kslack, speculate := oostream.StrategyNative, oostream.StrategyKSlack, oostream.StrategySpeculate
 	rng := rand.New(rand.NewSource(t.c.Seed ^ 0xba7c4))
-	schemes := [][]int{ones(n)}
+	schemes := [][]int{nil} // one event a batch
 	if n > 0 {
 		schemes = append(schemes, []int{n})
 	}

@@ -46,9 +46,9 @@ func (f *Failure) ReproSource() string {
 		}
 		// Off-schema v (generate.go's hostile streams): missing, float or NaN.
 		lit := "event.Value{}"
-		if isNaN(v) {
+		if x, ok := v.AsFloat(); x != x {
 			lit = "event.Float(math.NaN())"
-		} else if x, ok := v.AsFloat(); ok {
+		} else if ok {
 			lit = fmt.Sprintf("event.Float(%v)", x)
 		}
 		fmt.Fprintf(&b, "\t\tdifftest.EvWith(%q, %d, %d, %d, %s),\n", e.Type, e.TS, e.Seq, id, lit)

@@ -206,16 +206,13 @@ func (t *Tap) Purge(ts event.Time, n int) {
 }
 
 // Mark reports a step of the stream rather than of an event: a heartbeat
-// promising ts, a flush at clock ts, a checkpoint of n bytes, a restart
-// (n the consecutive count), or a switch to the policy typ releasing n
-// matches.
+// promising ts, a flush at clock ts, a checkpoint of n bytes, or a switch
+// to the policy typ releasing n matches.
 func (t *Tap) Mark(op obsv.Op, typ string, ts event.Time, n int) {
 	switch op {
 	case obsv.OpCheckpoint:
 		t.Checkpoints.Inc()
 		t.CheckpointBytes.Set(int64(n))
-	case obsv.OpRestart:
-		t.Restarts.Inc()
 	case obsv.OpSwitch:
 		t.Switches.Inc()
 	}

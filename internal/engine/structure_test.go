@@ -1121,7 +1121,6 @@ var census = map[string]string{
 	"SupervisorConfig.DisableFsync":    "experiment E15",
 	"SupervisorConfig.Retain":          "deployment: how many checkpoints the disk keeps",
 	"SupervisorConfig.SyncEveryEvent":  "deployment: fsync per event, the durability of the log's tail",
-	"SupervisorConfig.MaxRestarts":     "deployment: how many engine panics a process survives",
 
 	"StrategyNative":    "workload rfid-seq-native",
 	"StrategyKSlack":    "workload rfid-neg-kslack",
@@ -1195,7 +1194,7 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1605, "EXPERIMENTS.md": 1715, "README.md": 775}
+var docCaps = map[string]int{"DESIGN.md": 1603, "EXPERIMENTS.md": 1609, "README.md": 774}
 
 // difftestCap is the line count internal/difftest's non-test Go may not
 // exceed: the differential harness is one drive function over compositions

@@ -62,7 +62,6 @@ var instruments = []Instrument{
 	{Field: "EmptyProbes", Varz: "empty_probes", Metric: "oostream_empty_probes_total", Help: "Construction probes that enumerated no match"},
 	{Field: "Repairs", Varz: "repairs", Metric: "oostream_repairs_total", Help: "Predecessor (RIP) pointer repairs caused by out-of-order insertion"},
 	{Field: "DuplicatesSuppressed", Varz: "dup_suppressed", Metric: "oostream_duplicates_suppressed_total", Help: "Duplicate events and replayed emissions suppressed"},
-	{Field: "Restarts", Varz: "restarts", Metric: "oostream_restarts_total", Help: "Supervised restarts from a checkpoint after a panic"},
 	{Field: "Checkpoints", Varz: "checkpoints", Metric: "oostream_checkpoints_total", Help: "Durable checkpoints written"},
 	{Field: "LineageRecords", Varz: "lineage_records", Metric: "oostream_lineage_records_total", Help: "Lineage records built by the provenance layer"},
 	{Field: "SheddedEvents", Varz: "shedded_events", Metric: "oostream_shedded_events_total", Help: "Events discarded by overload degradation (Limits policy)"},
@@ -199,10 +198,8 @@ type Snapshot struct {
 	// admission plus replayed match emissions already delivered before a
 	// crash.
 	DuplicatesSuppressed uint64
-	// Restarts counts supervised restarts from a checkpoint after a panic;
-	// Checkpoints the durable checkpoints written, CheckpointBytes and
-	// CheckpointDuration the size and wall time of the most recent one.
-	Restarts           uint64
+	// Checkpoints counts the durable checkpoints written, CheckpointBytes
+	// and CheckpointDuration the size and wall time of the most recent one.
 	Checkpoints        uint64
 	CheckpointBytes    uint64
 	CheckpointDuration time.Duration

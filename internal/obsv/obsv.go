@@ -20,7 +20,7 @@
 //
 // Trace hooks (trace.go) are the event-granular complement: a TraceHook
 // receives one TraceEvent per lifecycle step (admit, drop, push, repair,
-// trigger, emit, retract, purge, checkpoint, restart), which a layer
+// trigger, emit, retract, purge, checkpoint), which a layer
 // reports through its engine.Tap together with the step's counters.
 package obsv
 
@@ -182,7 +182,6 @@ type Series struct {
 	Repairs     Counter
 
 	DuplicatesSuppressed Counter
-	Restarts             Counter
 	Checkpoints          Counter
 	LineageRecords       Counter
 	SheddedEvents        Counter
@@ -231,8 +230,8 @@ func (s *Series) Name() string { return s.name }
 // reorder buffer, the strategy beneath an aggregation operator. Its
 // Irrelevant, PredErrors, Purged and PurgeCalls (and those of what it
 // carries in turn) count as s's own in Snapshot, /varz and /metrics.
-// Get-or-create, so an inner layer rebuilt under s (a supervised restart)
-// continues the same counts.
+// Get-or-create, so an inner layer rebuilt under s (a supervised engine
+// reopened on the same registry) continues the same counts.
 func (s *Series) Carry() *Series {
 	if c := s.carried.Load(); c != nil {
 		return c

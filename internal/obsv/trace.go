@@ -38,9 +38,9 @@ const (
 	OpHeartbeat
 	// OpCheckpoint: a durable checkpoint was written. N is its byte size.
 	OpCheckpoint
-	// OpRestart: a supervised engine restarted from a checkpoint. N is the
-	// consecutive-restart count.
-	OpRestart
+	// 11 is reserved: it numbered a step that is gone, and dumps carry Op
+	// as a number.
+	_
 	// OpFlush: the stream was sealed.
 	OpFlush
 	// OpShed: an event was deliberately discarded by overload degradation
@@ -75,8 +75,6 @@ func (o Op) String() string {
 		return "heartbeat"
 	case OpCheckpoint:
 		return "checkpoint"
-	case OpRestart:
-		return "restart"
 	case OpFlush:
 		return "flush"
 	case OpShed:

@@ -152,19 +152,24 @@ func TestTraceWriteTo(t *testing.T) {
 	}
 }
 
+// TestOpStrings pins every op's number and name: dumps carry Op as a JSON
+// number (FlightRecorder.WriteJSON, read back by espexplain -flight), so a
+// number once given is never reused, and 11 stays reserved.
 func TestOpStrings(t *testing.T) {
-	ops := []Op{OpAdmit, OpDrop, OpStackPush, OpRepair, OpTrigger, OpEmit,
-		OpRetract, OpPurge, OpHeartbeat, OpCheckpoint, OpRestart, OpFlush}
-	seen := map[string]bool{}
-	for _, op := range ops {
-		s := op.String()
-		if s == "" || seen[s] {
-			t.Fatalf("op %d has bad/duplicate name %q", op, s)
+	for _, c := range []struct {
+		op   Op
+		n    uint8
+		name string
+	}{
+		{OpAdmit, 1, "admit"}, {OpDrop, 2, "drop"}, {OpStackPush, 3, "push"},
+		{OpRepair, 4, "repair"}, {OpTrigger, 5, "trigger"}, {OpEmit, 6, "emit"},
+		{OpRetract, 7, "retract"}, {OpPurge, 8, "purge"}, {OpHeartbeat, 9, "heartbeat"},
+		{OpCheckpoint, 10, "checkpoint"}, {Op(11), 11, "op(11)"}, {OpFlush, 12, "flush"},
+		{OpShed, 13, "shed"}, {OpSwitch, 14, "switch"}, {Op(99), 99, "op(99)"},
+	} {
+		if uint8(c.op) != c.n || c.op.String() != c.name {
+			t.Errorf("op %d %q, want %d %q", uint8(c.op), c.op.String(), c.n, c.name)
 		}
-		seen[s] = true
-	}
-	if Op(99).String() != "op(99)" {
-		t.Fatalf("unknown op = %q", Op(99).String())
 	}
 }
 

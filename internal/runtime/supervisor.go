@@ -19,12 +19,12 @@ import (
 type SupervisorOptions struct {
 	// Env carries the supervisor's own instruments: the series its
 	// fault-tolerance counters publish into, the hook that sees checkpoint
-	// and restart steps, and the latency sampler (the supervisor owns the
-	// WAL stage: append plus commit barrier). The inner engine's instruments
-	// are not the supervisor's business: the New and Restore factories close
-	// over the Env they build it with, so every rebuild — first start, crash
-	// restart, panic restart — yields an engine instrumented the same way,
-	// and nothing is re-applied afterwards. A single inner engine typically
+	// steps, and the latency sampler (the supervisor owns the WAL stage:
+	// append plus commit barrier). The inner engine's instruments are not
+	// the supervisor's business: the New and Restore factories close over
+	// the Env they build it with, so every Start — on a fresh directory or a
+	// reopened one — yields an engine instrumented the same way, and nothing
+	// is re-applied afterwards. A single inner engine typically
 	// shares the supervisor's series: the instrument sets are disjoint
 	// (engines never write the fault-tolerance counters), so one named
 	// series carries the full picture.
@@ -39,20 +39,6 @@ type SupervisorOptions struct {
 	// CheckpointEvery takes a durable checkpoint every this many offered
 	// events. 0 disables periodic checkpoints.
 	CheckpointEvery int
-	// MaxRestarts bounds consecutive panic restarts before the supervisor
-	// fails sticky; the counter resets after a restart whose replay
-	// completes. Default 3.
-	MaxRestarts int
-	// Backoff is the delay before the first restart, doubling per
-	// consecutive restart up to BackoffMax. Defaults 10ms and 1s.
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// Sleep replaces time.Sleep between restarts (test hook).
-	Sleep func(time.Duration)
-	// FaultHook runs before every engine Process call (test hook for
-	// panic injection). A panic from the hook is supervised exactly like
-	// an engine panic.
-	FaultHook func(e event.Event)
 }
 
 // supervMeta is the supervisor's own state stored alongside an engine
@@ -64,10 +50,9 @@ type supervMeta struct {
 
 // Supervisor wraps an engine with the fault-tolerance runtime: every
 // offered event is logged to a durable store before processing, matches
-// carry monotone sequence numbers committed to the log on emission,
-// engine panics trigger restart-from-checkpoint with capped exponential
-// backoff, and admission suppresses duplicates by Seq. What is late is the
-// engine's to judge, against its own clock and bound, as in memory.
+// carry monotone sequence numbers committed to the log on emission, and
+// admission suppresses duplicates by Seq. What is late is the engine's to
+// judge, against its own clock and bound, as in memory.
 //
 // It is one more engine.Engine. Process, ProcessBatch and Flush return the
 // committed matches; a failure is recorded in Err (sticky) and every later
@@ -85,12 +70,18 @@ type supervMeta struct {
 // delivery holds under the transactional-sink assumption: a match
 // returned by Process is considered delivered (its commit marker is
 // logged before the call returns).
+//
+// A panic — the engine's, or a Trace hook's — is a crash: the supervisor
+// recovers it into Err, naming the event and the panic value, and writes
+// nothing more to the store. The event was logged before it was processed,
+// so reopening the directory replays it as recovery from any crash does;
+// a poison event, one that panics on every run, fails that Start too.
 type Supervisor struct {
 	opts  SupervisorOptions
 	store *recovery.Store
 	en    engine.Engine
-	// tap holds the instruments of opts.Env: the hook sees checkpoint and
-	// restart steps, and the sampler opens the span at offer, stamps
+	// tap holds the instruments of opts.Env: the hook sees checkpoint
+	// steps, and the sampler opens the span at offer, stamps
 	// StageWAL around the append and commit barriers and closes it after
 	// commit.
 	tap engine.Tap
@@ -103,8 +94,10 @@ type Supervisor struct {
 	committed uint64 // highest commit marker written to the WAL
 	durable   uint64 // suppression horizon from the last recovery
 
-	sinceCkpt      int
-	consecRestarts int
+	sinceCkpt int
+	// at is the Seq of the event in hand, which a panic names; 0 in Flush
+	// and Mutate.
+	at event.Seq
 
 	running bool
 	flushed bool
@@ -116,18 +109,6 @@ type Supervisor struct {
 func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, error) {
 	if opts.New == nil || opts.Restore == nil {
 		return nil, errors.New("supervisor: New and Restore factories are required")
-	}
-	if opts.MaxRestarts <= 0 {
-		opts.MaxRestarts = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 10 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = time.Second
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
 	}
 	s := &Supervisor{
 		opts:  opts,
@@ -142,24 +123,17 @@ func NewSupervisor(store *recovery.Store, opts SupervisorOptions) (*Supervisor, 
 // directory it just builds the engine; on a crashed one it restores the
 // newest valid checkpoint, replays the WAL, and returns the matches that
 // the crash interrupted (completed but not yet committed as delivered).
-func (s *Supervisor) Start() ([]plan.Match, error) {
+func (s *Supervisor) Start() (out []plan.Match, err error) {
 	if s.running {
 		return nil, errors.New("supervisor: already started")
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	out, panicked, err := s.rebuild()
-	if err != nil {
+	defer s.crashed(&err)
+	if out, err = s.rebuild(); err != nil {
 		return nil, s.fail(err)
 	}
-	if panicked {
-		out, err = s.restartLoop()
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.consecRestarts = 0
 	s.running = true
 	return out, nil
 }
@@ -172,6 +146,24 @@ func (s *Supervisor) fail(err error) error {
 		s.err = err
 	}
 	return s.err
+}
+
+// crashed is deferred by every call that runs the engine. It turns a panic
+// into the sticky failure, passed back through err when err is not nil;
+// the call returns no matches.
+func (s *Supervisor) crashed(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	in := "Flush or Mutate"
+	if s.at != 0 {
+		in = fmt.Sprintf("event Seq %d", s.at)
+	}
+	s.fail(fmt.Errorf("supervisor: panic in %s: %v", in, r))
+	if err != nil {
+		*err = s.err
+	}
 }
 
 // open reports whether the stream takes a call, recording why not: a sticky
@@ -198,8 +190,7 @@ func (s *Supervisor) Name() string {
 }
 
 // Process offers one event: it is logged to the WAL, dropped if admission
-// remembers its Seq, processed under the panic guard (restarting from the
-// latest checkpoint on panic), and any surviving matches are committed as
+// remembers its Seq, processed, and any surviving matches are committed as
 // delivered before they are returned. The event must carry a unique
 // non-zero Seq.
 func (s *Supervisor) Process(e event.Event) []plan.Match {
@@ -214,12 +205,13 @@ func (s *Supervisor) Process(e event.Event) []plan.Match {
 	// committed (a buffering engine holds it until release).
 	s.tap.Spans.Begin(e.Seq)
 	defer s.tap.Spans.Finish(e.Seq)
+	defer s.crashed(nil)
 	if err := s.store.Append(e); err != nil {
 		s.fail(err)
 		return nil
 	}
 	s.tap.Spans.StageEnd(e.Seq, obsv.StageWAL)
-	out, panicked, err := s.offer(e, false)
+	out, err := s.offer(e, false)
 	// Second WAL stamp: the commit barrier inside offer/emit. The two
 	// stamps sum into one StageWAL total per span; the inner engine's
 	// construction stamp between them keeps the segments disjoint.
@@ -227,11 +219,6 @@ func (s *Supervisor) Process(e event.Event) []plan.Match {
 	if err != nil {
 		s.fail(err)
 		return nil
-	}
-	if panicked {
-		if out, err = s.restartLoop(); err != nil {
-			return nil
-		}
 	}
 	s.sinceCkpt++
 	if s.shouldCheckpoint() {
@@ -276,17 +263,12 @@ func (s *Supervisor) Flush() []plan.Match {
 	if s.flushed || !s.open() {
 		return nil
 	}
+	defer s.crashed(nil)
 	if err := s.store.AppendFlush(); err != nil {
 		s.fail(err)
 		return nil
 	}
-	s.flushed = true
-	ms, panicked := s.guardedFlush()
-	if panicked {
-		out, _ := s.restartLoop() // rebuild replays the flush marker too
-		return out
-	}
-	out, err := s.emit(ms)
+	out, err := s.flush()
 	if err != nil {
 		s.fail(err)
 		return nil
@@ -314,8 +296,7 @@ func (s *Supervisor) StateSize() int {
 }
 
 // Engine exposes the live inner engine for read-only inspection (query
-// listings, per-query metrics); nil before Start. The instance is replaced
-// on every restart; do not retain it across calls. Mutations must go
+// listings, per-query metrics); nil before Start. Mutations must go
 // through Mutate.
 func (s *Supervisor) Engine() engine.Engine { return s.en }
 
@@ -334,8 +315,9 @@ func (s *Supervisor) Engine() engine.Engine { return s.en }
 // making mutation-flush output at-least-once rather than exactly-once.
 //
 // An error from fn leaves the supervisor healthy (the mutation is assumed
-// rejected before changing state); a checkpoint failure is sticky.
-func (s *Supervisor) Mutate(fn func() ([]plan.Match, error)) ([]plan.Match, error) {
+// rejected before changing state); a checkpoint failure, or a panic, is
+// sticky.
+func (s *Supervisor) Mutate(fn func() ([]plan.Match, error)) (ms []plan.Match, err error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -345,8 +327,9 @@ func (s *Supervisor) Mutate(fn func() ([]plan.Match, error)) ([]plan.Match, erro
 	if s.flushed {
 		return nil, errors.New("supervisor: stream already flushed")
 	}
-	ms, err := fn()
-	if err != nil {
+	s.at = 0
+	defer s.crashed(&err)
+	if ms, err = fn(); err != nil {
 		return nil, err
 	}
 	if err := s.checkpoint(); err != nil {
@@ -382,23 +365,19 @@ func (s *Supervisor) Close() error {
 	return s.store.Close()
 }
 
-// offer runs one event through admission and the guarded engine,
-// returning the surviving (committed) matches.
-func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, bool, error) {
+// offer runs one event through admission and the engine, returning the
+// surviving (committed) matches.
+func (s *Supervisor) offer(e event.Event, replaying bool) ([]plan.Match, error) {
+	s.at = e.Seq
 	if !s.admit(e, replaying) {
 		if !replaying {
 			// A duplicate leaves the pipeline here; its span must not skew
 			// the wall histogram.
 			s.tap.Spans.Abandon(e.Seq)
 		}
-		return nil, false, nil
+		return nil, nil
 	}
-	ms, panicked := s.guardedProcess(e)
-	if panicked {
-		return nil, true, nil
-	}
-	out, err := s.emit(ms)
-	return out, false, err
+	return s.emit(s.en.Process(e))
 }
 
 // admit decides whether the engine sees e: once per Seq. It must be
@@ -455,25 +434,10 @@ func (s *Supervisor) emit(ms []plan.Match) ([]plan.Match, error) {
 	return out, nil
 }
 
-func (s *Supervisor) guardedProcess(e event.Event) (out []plan.Match, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, panicked = nil, true
-		}
-	}()
-	if s.opts.FaultHook != nil {
-		s.opts.FaultHook(e)
-	}
-	return s.en.Process(e), false
-}
-
-func (s *Supervisor) guardedFlush() (out []plan.Match, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, panicked = nil, true
-		}
-	}()
-	return s.en.Flush(), false
+// flush seals the engine and commits what it emits.
+func (s *Supervisor) flush() ([]plan.Match, error) {
+	s.flushed, s.at = true, 0
+	return s.emit(s.en.Flush())
 }
 
 func (s *Supervisor) shouldCheckpoint() bool {
@@ -498,12 +462,11 @@ func (s *Supervisor) checkpoint() error {
 // rebuild reconstructs the supervisor from durable state: restore the
 // newest valid checkpoint (or a fresh engine), replay the WAL suffix
 // through the same duplicate check, suppress emissions numbered at or
-// below the durable commit horizon, and return the rest. panicked reports
-// that replay hit a panic (the caller retries through the restart loop).
-func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
+// below the durable commit horizon, and return the rest.
+func (s *Supervisor) rebuild() ([]plan.Match, error) {
 	rec, err := s.store.Recover()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	var en engine.Engine
 	if rec.Snapshot != nil {
@@ -512,20 +475,16 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 			err = rec.Snapshot.Done()
 		}
 		if err != nil {
-			return nil, false, fmt.Errorf("restore engine snapshot: %w", err)
+			return nil, fmt.Errorf("restore engine snapshot: %w", err)
 		}
-	} else {
-		en, err = s.opts.New()
-		if err != nil {
-			return nil, false, err
-		}
+	} else if en, err = s.opts.New(); err != nil {
+		return nil, err
 	}
 	s.en = en
-	s.seen = make(map[uint64]event.Time)
 	if rec.Snapshot != nil && len(rec.Meta) > 0 {
 		var meta supervMeta
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
-			return nil, false, fmt.Errorf("decode supervisor meta: %w", err)
+			return nil, fmt.Errorf("decode supervisor meta: %w", err)
 		}
 		if meta.Seen != nil {
 			s.seen = meta.Seen
@@ -534,66 +493,28 @@ func (s *Supervisor) rebuild() (out []plan.Match, panicked bool, err error) {
 	s.matchSeq = rec.CkptMatches
 	s.committed = rec.Matches
 	s.durable = rec.Matches
-	s.flushed = false
-	s.sinceCkpt = 0
 
+	var out []plan.Match
 	for _, e := range rec.Replay {
-		ms, p, err := s.offer(e, true)
+		ms, err := s.offer(e, true)
 		if err != nil {
-			return out, false, err
-		}
-		if p {
-			return out, true, nil
+			return nil, err
 		}
 		out = append(out, ms...)
 	}
 	if rec.Flushed {
-		ms, p := s.guardedFlush()
-		if p {
-			return out, true, nil
-		}
-		s.flushed = true
-		emitted, err := s.emit(ms)
+		ms, err := s.flush()
 		if err != nil {
-			return out, false, err
+			return nil, err
 		}
-		out = append(out, emitted...)
+		out = append(out, ms...)
 	}
 	// Collapse a non-trivial WAL into a fresh checkpoint so the next
 	// crash replays from here instead of re-walking this log.
 	if len(rec.Replay) > 0 && s.opts.CheckpointEvery > 0 && !s.flushed {
 		if err := s.checkpoint(); err != nil {
-			return out, false, err
+			return nil, err
 		}
 	}
-	return out, false, nil
-}
-
-// restartLoop recovers from an engine panic: restore the latest
-// checkpoint and replay, backing off exponentially between attempts. A
-// deterministic panic (a poison event at the WAL tail) re-fires on every
-// replay and exhausts MaxRestarts into a sticky failure; a transient one
-// clears and the replay's new emissions are returned.
-func (s *Supervisor) restartLoop() ([]plan.Match, error) {
-	backoff := s.opts.Backoff
-	for {
-		s.consecRestarts++
-		if s.consecRestarts > s.opts.MaxRestarts {
-			return nil, s.fail(fmt.Errorf("supervisor: engine panicked %d consecutive times; giving up", s.consecRestarts-1))
-		}
-		s.tap.Mark(obsv.OpRestart, "", s.en.StateSnapshot().Clock, s.consecRestarts)
-		s.opts.Sleep(backoff)
-		backoff *= 2
-		if backoff > s.opts.BackoffMax {
-			backoff = s.opts.BackoffMax
-		}
-		out, panicked, err := s.rebuild()
-		if err != nil {
-			return nil, s.fail(err)
-		}
-		if !panicked {
-			s.consecRestarts = 0
-			return out, nil
-		}
-	}
+	return out, nil
 }

@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"fmt"
+	"maps"
+	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"oostream/internal/core"
 	"oostream/internal/engine"
@@ -22,9 +24,6 @@ func supervStream(t *testing.T, n int, seed int64) []event.Event {
 	return gen.Shuffle(sorted, gen.Disorder{Ratio: 0.3, MaxDelay: 40, Seed: seed + 1})
 }
 
-// noSleep removes restart backoff from tests.
-func noSleep(time.Duration) {}
-
 // supervOpts hands the supervisor and every engine it builds one series,
 // as the facade's builder does, so Metrics reads both.
 func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
@@ -38,8 +37,57 @@ func supervOpts(t *testing.T, p *plan.Plan, k event.Time) SupervisorOptions {
 		Restore: func(s *engine.Sections) (engine.Engine, error) {
 			return core.Restore(p, env, s)
 		},
-		Sleep: noSleep,
 	}
+}
+
+// panicky is an engine whose Process panics on the event numbered at while
+// shots are left, spending one each time.
+type panicky struct {
+	engine.Engine
+	at    event.Seq
+	shots *int
+}
+
+func (p panicky) Process(e event.Event) []plan.Match {
+	if e.Seq == p.at && *p.shots > 0 {
+		*p.shots--
+		panic("injected fault")
+	}
+	return p.Engine.Process(e)
+}
+
+// panicOpts is supervOpts whose factories wrap every engine they build,
+// fresh or restored, in a panicky.
+func panicOpts(t *testing.T, p *plan.Plan, k event.Time, at event.Seq, shots *int) SupervisorOptions {
+	opts := supervOpts(t, p, k)
+	fresh, restore := opts.New, opts.Restore
+	wrap := func(en engine.Engine, err error) (engine.Engine, error) {
+		if err != nil {
+			return nil, err
+		}
+		return panicky{en, at, shots}, nil
+	}
+	opts.New = func() (engine.Engine, error) { return wrap(fresh()) }
+	opts.Restore = func(s *engine.Sections) (engine.Engine, error) { return wrap(restore(s)) }
+	return opts
+}
+
+// files lists dir's files with their sizes.
+func files(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
 }
 
 func openSuperv(t *testing.T, dir string, opts SupervisorOptions) *Supervisor {
@@ -108,8 +156,8 @@ func TestSupervisedMatchesUnsupervised(t *testing.T) {
 	if snap.Checkpoints == 0 {
 		t.Error("no checkpoints taken")
 	}
-	if snap.CheckpointBytes == 0 || snap.Restarts != 0 {
-		t.Errorf("bytes=%d restarts=%d", snap.CheckpointBytes, snap.Restarts)
+	if snap.CheckpointBytes == 0 {
+		t.Error("checkpoint bytes not gauged")
 	}
 }
 
@@ -174,7 +222,6 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 	dir := t.TempDir()
 	opts := supervOpts(t, p, 40)
 	opts.CheckpointEvery = 16
-	opts.FaultHook = func(event.Event) {}
 	s := openSuperv(t, dir, opts)
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -201,79 +248,90 @@ func TestCrashDuringFlushRecovers(t *testing.T) {
 	}
 }
 
-// TestPanicRestartIsTransparent: a one-shot panic mid-stream restarts the
-// engine from the last checkpoint and the total output is unchanged.
-func TestPanicRestartIsTransparent(t *testing.T) {
+// TestPanicIsACrash: a one-shot engine panic fails the supervisor sticky,
+// naming the event and the panic, and writes nothing more to the
+// directory; reopening it recovers as from any crash, and the total output
+// equals an uninterrupted run's.
+func TestPanicIsACrash(t *testing.T) {
 	p := compile(t, supervQuery)
 	events := supervStream(t, 200, 41)
 	want := baseline(t, p, 40, events)
 
 	for _, panicAt := range []int{0, 5, 99, 199} {
-		opts := supervOpts(t, p, 40)
+		shots := 1
+		opts := panicOpts(t, p, 40, events[panicAt].Seq, &shots)
 		opts.CheckpointEvery = 16
-		fired := false
-		opts.FaultHook = func(e event.Event) {
-			if !fired && e.Seq == events[panicAt].Seq {
-				fired = true
-				panic("injected fault")
-			}
-		}
-		s := openSuperv(t, t.TempDir(), opts)
+		dir := t.TempDir()
+		s := openSuperv(t, dir, opts)
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		got := driveAll(t, s, events)
+		got := offer(t, s, events[:panicAt])
+		if ms := s.Process(events[panicAt]); ms != nil {
+			t.Fatalf("panic at %d: the panicking call returned %d matches", panicAt, len(ms))
+		}
+		err := s.Err()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("event Seq %d: injected fault", events[panicAt].Seq)) {
+			t.Fatalf("panic at %d: Err = %v", panicAt, err)
+		}
+		before := files(t, dir)
+		if ms := append(s.Process(events[0]), s.Flush()...); ms != nil || s.Err() != err {
+			t.Fatalf("panic at %d: the crashed supervisor took a call: %v, err %v", panicAt, ms, s.Err())
+		}
 		s.Close()
+		if after := files(t, dir); !maps.Equal(before, after) {
+			t.Fatalf("panic at %d: the crashed supervisor wrote to its directory: %v, then %v", panicAt, before, after)
+		}
+
+		s2 := openSuperv(t, dir, opts)
+		recovered, err := s2.Start()
+		if err != nil {
+			t.Fatalf("panic at %d: reopening: %v", panicAt, err)
+		}
+		got = append(got, recovered...)
+		got = append(got, driveAll(t, s2, events[panicAt+1:])...)
+		s2.Close()
 		if ok, diff := plan.SameResults(want, got); !ok {
 			t.Fatalf("panic at %d: output differs:\n%s", panicAt, diff)
-		}
-		if snap := s.Metrics(); snap.Restarts != 1 {
-			t.Fatalf("panic at %d: %d restarts, want 1", panicAt, snap.Restarts)
 		}
 	}
 }
 
-// TestPoisonEventExhaustsRestarts: a deterministic panic replays into the
-// same panic until MaxRestarts, then the supervisor fails sticky.
-func TestPoisonEventExhaustsRestarts(t *testing.T) {
+// TestPoisonEventFailsReopen: an event that panics on every run fails the
+// call that offered it and then the Start that replays it, and the failed
+// Start leaves the directory as it found it.
+func TestPoisonEventFailsReopen(t *testing.T) {
 	p := compile(t, supervQuery)
 	events := supervStream(t, 50, 51)
-
-	opts := supervOpts(t, p, 40)
-	opts.MaxRestarts = 2
 	poison := events[20].Seq
-	opts.FaultHook = func(e event.Event) {
-		if e.Seq == poison {
-			panic("poison")
-		}
-	}
-	var slept []time.Duration
-	opts.Backoff = 10 * time.Millisecond
-	opts.BackoffMax = 15 * time.Millisecond
-	opts.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	shots := len(events)
+	opts := panicOpts(t, p, 40, poison, &shots)
+	opts.CheckpointEvery = 8
 
-	s := openSuperv(t, t.TempDir(), opts)
+	dir := t.TempDir()
+	s := openSuperv(t, dir, opts)
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events {
-		if s.Process(e); s.Err() != nil {
-			break
-		}
+	offer(t, s, events[:20])
+	s.Process(events[20])
+	if s.Err() == nil {
+		t.Fatal("the poison event did not fail the supervisor")
 	}
-	gotErr := s.Err()
-	if gotErr == nil || !strings.Contains(gotErr.Error(), "giving up") {
-		t.Fatalf("poison event did not exhaust restarts: %v", gotErr)
+	s.Close()
+
+	before := files(t, dir)
+	s2 := openSuperv(t, dir, opts)
+	_, err := s2.Start()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("event Seq %d: injected fault", poison)) {
+		t.Fatalf("reopened Start over a poison event: %v", err)
 	}
-	if ms := s.Process(events[0]); ms != nil || s.Err() != gotErr {
-		t.Fatalf("sticky-failed supervisor took an event: %v, err %v", ms, s.Err())
+	if ms := s2.Process(events[21]); ms != nil || s2.Err() != err {
+		t.Fatalf("the failed supervisor took an event: %v, err %v", ms, s2.Err())
 	}
-	// Backoff doubled then capped: 10ms, 15ms.
-	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 15*time.Millisecond {
-		t.Fatalf("backoff schedule = %v", slept)
-	}
-	if snap := s.Metrics(); snap.Restarts != 2 {
-		t.Fatalf("restarts = %d, want 2", snap.Restarts)
+	s2.Close()
+	if after := files(t, dir); !maps.Equal(before, after) {
+		t.Fatalf("the failed Start wrote to its directory: %v, then %v", before, after)
 	}
 }
 

@@ -106,6 +106,5 @@ const (
 	OpPurge      = obsv.OpPurge
 	OpHeartbeat  = obsv.OpHeartbeat
 	OpCheckpoint = obsv.OpCheckpoint
-	OpRestart    = obsv.OpRestart
 	OpFlush      = obsv.OpFlush
 )

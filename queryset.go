@@ -140,7 +140,7 @@ func (cfg QuerySetConfig) builder() builder {
 type QuerySet struct {
 	facade
 	// live is the registry behind the levee: nil before a durable set's
-	// Start, replaced on every restart.
+	// Start.
 	live *queryset.Set
 	// staged is the fresh registry of a durable set, Registered before
 	// Start (a resumed directory's checkpointed registry wins).

@@ -9,8 +9,7 @@ import (
 )
 
 // SupervisorConfig configures the fault-tolerance runtime wrapped around
-// an engine: where durable state lives, how often to checkpoint, and how
-// many engine panics to survive.
+// an engine: where durable state lives and how often to checkpoint.
 type SupervisorConfig struct {
 	// Dir is the durable state directory (checkpoints + write-ahead log).
 	// Required. Reopening the same directory resumes the stream.
@@ -22,9 +21,6 @@ type SupervisorConfig struct {
 	// Retain keeps the newest N checkpoints (older ones and their log
 	// prefixes are pruned). 0 = default 3.
 	Retain int
-	// MaxRestarts bounds consecutive panic restarts before the supervisor
-	// fails sticky. 0 = default 3.
-	MaxRestarts int
 	// SyncEveryEvent fsyncs the log after every append (maximum
 	// durability, large throughput cost). Default: sync at checkpoints
 	// and segment rotations only.
@@ -57,16 +53,17 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // NewSupervisedEngine builds a durable engine over the strategy and
 // disorder bound in cfg, persisting to sc.Dir: an Engine whose every
 // offered event is logged durably before processing, whose matches carry
-// monotone sequence numbers committed on emission, whose engine panics
-// restart from the latest checkpoint with capped exponential backoff, and
-// which processes each Seq once. What is late is the engine's to judge, by
-// its own clock and bound, exactly as in memory.
+// monotone sequence numbers committed on emission, and which processes
+// each Seq once. What is late is the engine's to judge, by its own clock
+// and bound, exactly as in memory.
 //
 // Call Start before the first event. A process crash at any point loses
 // nothing: reopening the same directory (NewSupervisedEngine + Start)
 // restores the newest valid checkpoint, replays the logged suffix,
 // suppresses matches already delivered before the crash, and returns the
-// ones the crash interrupted. Events must carry caller-assigned unique Seq
+// ones the crash interrupted. A panic, the engine's or Config.Trace's, is
+// such a crash: no call lets it escape; Err names the event and the panic,
+// every later call is refused, and reopening resumes. Events must carry caller-assigned unique Seq
 // values — duplicate detection and crash-consistent identity are keyed on
 // Seq, so they cannot be assigned across a restart. Advance is refused (the
 // log records no heartbeats), and so is Checkpoint.
@@ -77,10 +74,9 @@ func (sc SupervisorConfig) storeOptions() recovery.Options {
 // into one series (the instrument sets are disjoint, so one series carries
 // the full picture, and Metrics reads it), registered on Config.Observer as
 // "supervised(<strategy>)".
-// Every engine the supervisor builds — fresh, restored from a checkpoint
-// after a crash, or rebuilt after a panic — is constructed with the same
-// instruments, so Observer, Trace, Latency, and Provenance survive
-// restarts.
+// Every engine the supervisor builds — fresh, or restored from a checkpoint
+// after a crash — is constructed with the same instruments, so Observer,
+// Trace, Latency, and Provenance survive a reopening.
 func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -107,15 +103,13 @@ func NewSupervisedEngine(q *Query, cfg Config, sc SupervisorConfig) (*Engine, er
 }
 
 // newSupervisor opens sc's (validated) durable store and wraps it in a
-// supervisor running opts' factories under sc's checkpoint and restart
-// settings.
+// supervisor running opts' factories under sc's checkpoint setting.
 func newSupervisor(sc SupervisorConfig, opts runtime.SupervisorOptions) (*runtime.Supervisor, error) {
 	store, err := recovery.Open(sc.Dir, sc.storeOptions())
 	if err != nil {
 		return nil, err
 	}
 	opts.CheckpointEvery = sc.CheckpointEvery
-	opts.MaxRestarts = sc.MaxRestarts
 	sup, err := runtime.NewSupervisor(store, opts)
 	if err != nil {
 		store.Close()
