@@ -86,8 +86,13 @@ func (b builder) build(p *plan.Plan, cfg Config, series *obsv.Series, from *engi
 		// series and hook reflect the visible output, and it builds lineage
 		// itself (the strategy's records would never surface). The strategy
 		// beneath publishes into a series the operator's carries and keeps
-		// the construction stage boundary.
-		strat = engine.Env{Series: series.Carry(), Latency: b.lat}
+		// the construction stage boundary. The operator reads each call's
+		// matches before its next call and keeps none, so a bare kernel
+		// lends them from the same blocks; the levee, whose Advance and
+		// Flush join several kernel calls, and the hybrid switch keep the
+		// kernel's output owned.
+		strat = engine.Env{Series: series.Carry(), Latency: b.lat,
+			Borrowed: cfg.Strategy == StrategyNative || cfg.Strategy == StrategySpeculate}
 	}
 	if from != nil {
 		if p.Agg != nil {

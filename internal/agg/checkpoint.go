@@ -103,8 +103,8 @@ func (en *Engine) Checkpoint(w io.Writer) error {
 				Count:  p.Count,
 				SumI:   p.SumI,
 				SumF:   event.JSONFloat(p.SumF),
-				Min:    optVal(p.Min),
-				Max:    optVal(p.Max),
+				Min:    optVal(p.Min()),
+				Max:    optVal(p.Max()),
 				Floaty: p.Floaty,
 			})
 			return true
@@ -165,17 +165,21 @@ func Restore(p *plan.Plan, env engine.Env, s *engine.Sections, restoreInner func
 		g := en.newGroup(key, cg.Key != nil)
 		var last fiba.Key
 		for i, ce := range cg.Elems {
-			part := fiba.Partial{
+			var min, max event.Value
+			if ce.Min != nil {
+				min = *ce.Min
+			}
+			if ce.Max != nil {
+				max = *ce.Max
+			}
+			part, ok := fiba.Partial{
 				Count:  ce.Count,
 				SumI:   ce.SumI,
 				SumF:   float64(ce.SumF),
 				Floaty: ce.Floaty,
-			}
-			if ce.Min != nil {
-				part.Min = *ce.Min
-			}
-			if ce.Max != nil {
-				part.Max = *ce.Max
+			}.WithMinMax(min, max)
+			if !ok {
+				return nil, fmt.Errorf("agg: checkpoint element %d of group %s has a MIN or MAX that is not a number", i, g.key)
 			}
 			key := fiba.Key{TS: ce.TS, Seq: ce.Seq}
 			if i > 0 && !last.Less(key) {

@@ -102,6 +102,8 @@ type Engine struct {
 	byKey  map[event.Value]*group
 	// elems is the number of live elements across all groups.
 	elems int
+	// dropped sums the run counters of the groups retired so far.
+	dropped fiba.RunStats
 
 	// prov builds lineage here, not in the inner engine, whose records
 	// would never surface: each aggregate match cites the events of the
@@ -373,12 +375,12 @@ func (en *Engine) removeElem(m plan.Match, out []plan.Match) []plan.Match {
 }
 
 // samePartial reports whether two partials are bit for bit the same: a float
-// sum by its bits, MIN and MAX by kind and bits, so NaN finds NaN and Int(3)
-// stays apart from Float(3.0).
+// sum by its bits, MIN and MAX by kind and bits (as a Partial holds them), so
+// NaN finds NaN and Int(3) stays apart from Float(3.0).
 func samePartial(a, b fiba.Partial) bool {
-	return a.Count == b.Count && a.SumI == b.SumI && a.Floaty == b.Floaty &&
-		math.Float64bits(a.SumF) == math.Float64bits(b.SumF) &&
-		a.Min == b.Min && a.Max == b.Max
+	sa, sb := math.Float64bits(a.SumF), math.Float64bits(b.SumF)
+	a.SumF, b.SumF = 0, 0
+	return sa == sb && a == b
 }
 
 // newGroup registers an empty group. Its run's margin is how far behind the
@@ -472,6 +474,7 @@ func (en *Engine) reclaimAll() {
 	if en.elems > 0 {
 		en.tap.Purge(en.clock, en.elems)
 	}
+	en.dropped = en.RunStats()
 	en.groups, en.elems = nil, 0
 	en.byKey = make(map[event.Value]*group)
 }
@@ -754,12 +757,23 @@ func (en *Engine) dropEmpty() {
 	for _, g := range en.groups {
 		if g.run.Size() == 0 && len(g.emitted) == 0 {
 			delete(en.byKey, mapKey(g.key, g.has))
+			en.dropped = en.dropped.Plus(g.run.Stats())
 			continue
 		}
 		kept = append(kept, g)
 	}
 	clear(en.groups[len(kept):])
 	en.groups = kept
+}
+
+// RunStats sums the counters of every run the operator has kept, those of
+// retired groups included.
+func (en *Engine) RunStats() fiba.RunStats {
+	s := en.dropped
+	for _, g := range en.groups {
+		s = s.Plus(g.run.Stats())
+	}
+	return s
 }
 
 // publishGauges refreshes the state gauges at call boundaries.

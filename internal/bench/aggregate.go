@@ -142,7 +142,7 @@ func (s *fibaStore) insert(ts oostream.Time, seq uint64, val int64) {
 func (s *fibaStore) seal(end, window, slide oostream.Time) (int64, int64, bool) {
 	p := s.w.Query(fiba.Key{TS: end - window, Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
 	s.w.PurgeThrough(fiba.Key{TS: end + slide - window, Seq: fiba.MaxSeq}, nil)
-	max, _ := p.Max.AsInt()
+	max, _ := p.Max().AsInt()
 	return max, p.Count, p.Count > 0
 }
 

@@ -283,7 +283,9 @@ type Engine struct {
 	cur        []int
 
 	// res carves what each call returns from append-only blocks: the
-	// matches, and the events of a match sealed at emission.
+	// matches, and the events of a match sealed at emission. It lends them
+	// from the same blocks each call when Env.Borrowed says the caller keeps
+	// none.
 	res plan.Blocks
 }
 
@@ -317,6 +319,7 @@ func New(p *plan.Plan, opts Options) (*Engine, error) {
 		frontier:     math.MinInt64,
 		tap:          opts.Env.Publish(opts.Emit.String()),
 		prov:         opts.Env.Provenance,
+		res:          plan.Blocks{Reuse: opts.Env.Borrowed},
 		binding:      make([]event.Event, p.Len()),
 		negScratch:   make([]event.Event, p.Len()+1),
 		localScratch: make([]event.Event, 1),
@@ -606,8 +609,11 @@ func (en *Engine) processOne(e event.Event, out []plan.Match) []plan.Match {
 }
 
 // publishGauges refreshes the state gauges: once per Process call, once
-// per batch on the ProcessBatch path.
+// per batch on the ProcessBatch path. A carried series carries no gauge.
 func (en *Engine) publishGauges() {
+	if en.tap.Inner() {
+		return
+	}
 	en.tap.LiveState.Set(int64(en.StateSize()))
 	if en.Keyed() {
 		en.tap.KeyGroups.Set(int64(en.kstacks.Groups()))
@@ -662,7 +668,7 @@ func (en *Engine) insert(e event.Event, steps *plan.TypeSteps, isOOO bool, out [
 			en.tap.Trigger(e, pos)
 			before := en.enumerated
 			out = en.construct(st, key, pos, idx, out)
-			if en.enumerated == before {
+			if en.enumerated == before && !en.tap.Inner() {
 				en.tap.EmptyProbes.Inc()
 			}
 		}

@@ -91,12 +91,18 @@ type Env struct {
 	// Provenance makes the layer attach (or, for relaying layers, augment)
 	// lineage records on the matches it emits.
 	Provenance bool
+	// Borrowed says the layer's caller reads every match a call returns
+	// before its next call and keeps none, so the layer may lend each call's
+	// output from the same blocks (plan.Blocks.Reuse). Only a caller that
+	// makes one call at a time on the layer may set it.
+	Borrowed bool
 }
 
 // Publish returns the tap of a layer called name: the Env's series (or a
 // private one), its hook and its sampler, under the identity the layer's
 // trace events and state snapshots carry — the series name when a named
-// series was handed over, else name.
+// series was handed over, else name. On a carried series (Series.Inner) the
+// tap writes only the rows the instrument table marks carried.
 func (env Env) Publish(name string) Tap {
 	s := env.Series
 	if s == nil {
@@ -104,7 +110,7 @@ func (env Env) Publish(name string) Tap {
 	} else if s.Name() != "" {
 		name = s.Name()
 	}
-	return Tap{Series: s, Spans: env.Latency, hook: env.Trace, name: name}
+	return Tap{Series: s, Spans: env.Latency, hook: env.Trace, name: name, inner: s.Inner()}
 }
 
 // Tap is what a layer reports its match-lifecycle steps through. Each step
@@ -120,6 +126,8 @@ type Tap struct {
 	Spans *obsv.LatencySampler
 	hook  obsv.TraceHook
 	name  string
+	// inner skips every row nothing reads: set on a carried series.
+	inner bool
 }
 
 // Name returns the identity the layer's trace events and state snapshots
@@ -129,11 +137,13 @@ func (t *Tap) Name() string { return t.name }
 // Admit reports an event entering the layer: ooo marks it out of timestamp
 // order, lag is its distance behind the watermark (clamped at 0).
 func (t *Tap) Admit(e event.Event, ooo bool, lag event.Time) {
-	t.EventsIn.Inc()
-	if ooo {
-		t.EventsOOO.Inc()
+	if !t.inner {
+		t.EventsIn.Inc()
+		if ooo {
+			t.EventsOOO.Inc()
+		}
+		t.WatermarkLag.Observe(uint64(max(lag, 0)))
 	}
-	t.WatermarkLag.Observe(uint64(max(lag, 0)))
 	t.trace(obsv.OpAdmit, e.Type, e.TS, e.Seq, 0)
 }
 
@@ -144,7 +154,9 @@ func (t *Tap) Reject(e event.Event, shed bool) {
 	op := obsv.OpDrop
 	if shed {
 		op = obsv.OpShed
-		t.SheddedEvents.Inc()
+		if !t.inner {
+			t.SheddedEvents.Inc()
+		}
 	} else {
 		t.EventsLate.Inc()
 	}
@@ -155,7 +167,7 @@ func (t *Tap) Reject(e event.Event, shed bool) {
 // Push reports e inserted into the stack of pattern position pos, and as a
 // repair the fixups instances whose predecessor pointer it became.
 func (t *Tap) Push(e event.Event, pos, fixups int) {
-	if fixups > 0 {
+	if fixups > 0 && !t.inner {
 		t.Repairs.Add(uint64(fixups))
 	}
 	t.trace(obsv.OpStackPush, e.Type, e.TS, e.Seq, pos)
@@ -166,7 +178,9 @@ func (t *Tap) Push(e event.Event, pos, fixups int) {
 
 // Trigger reports a construction probe triggered by e at position pos.
 func (t *Tap) Trigger(e event.Event, pos int) {
-	t.Probes.Inc()
+	if !t.inner {
+		t.Probes.Inc()
+	}
 	t.trace(obsv.OpTrigger, e.Type, e.TS, e.Seq, pos)
 }
 
@@ -177,10 +191,13 @@ func (t *Tap) Trigger(e event.Event, pos int) {
 // for an aggregate, and names the match when it carries lineage.
 func (t *Tap) Emit(m *plan.Match, logical event.Time, arrival uint64) {
 	op := obsv.OpEmit
-	if m.Kind == plan.Retract {
+	switch {
+	case m.Kind == plan.Retract:
 		op = obsv.OpRetract
-		t.Retractions.Inc()
-	} else {
+		if !t.inner {
+			t.Retractions.Inc()
+		}
+	case !t.inner:
 		t.Matches.Inc()
 		t.LogicalLat.Observe(uint64(max(logical, 0)))
 		t.ArrivalLat.Observe(arrival)
@@ -209,11 +226,12 @@ func (t *Tap) Purge(ts event.Time, n int) {
 // promising ts, a flush at clock ts, a checkpoint of n bytes, or a switch
 // to the policy typ releasing n matches.
 func (t *Tap) Mark(op obsv.Op, typ string, ts event.Time, n int) {
-	switch op {
-	case obsv.OpCheckpoint:
+	switch {
+	case t.inner:
+	case op == obsv.OpCheckpoint:
 		t.Checkpoints.Inc()
 		t.CheckpointBytes.Set(int64(n))
-	case obsv.OpSwitch:
+	case op == obsv.OpSwitch:
 		t.Switches.Inc()
 	}
 	t.trace(op, typ, ts, 0, n)

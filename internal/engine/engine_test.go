@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,6 +149,25 @@ func TestTapSteps(t *testing.T) {
 	}
 	if m.LogicalLat.Sum != 10 || m.ArrivalLat.Sum != 2 || m.WatermarkLag.Sum != 3 || m.CheckpointBytes != 128 {
 		t.Errorf("latencies %d/%d, lag %d, checkpoint bytes %d", m.LogicalLat.Sum, m.ArrivalLat.Sum, m.WatermarkLag.Sum, m.CheckpointBytes)
+	}
+
+	// On a carried series the steps write the rows the table marks carried,
+	// as on any series, and no other.
+	carried := engine.Env{Series: obsv.NewSeries("").Carry()}.Publish("native")
+	steps(&carried)
+	full, only := reflect.ValueOf(m), reflect.ValueOf(carried.Snapshot())
+	for _, in := range obsv.Instruments() {
+		f := in.SnapshotField()
+		if !only.FieldByName(f).IsValid() {
+			continue
+		}
+		want := full.FieldByName(f).Interface()
+		if !in.Carried() {
+			want = reflect.Zero(full.FieldByName(f).Type()).Interface()
+		}
+		if got := only.FieldByName(f).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on a carried series: %v, want %v (carried row: %v)", f, got, want, in.Carried())
+		}
 	}
 
 	bare := engine.Env{}.Publish("native")

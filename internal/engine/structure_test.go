@@ -1194,7 +1194,7 @@ const maxUnread = 18
 // exceed (ROADMAP 9). Like maxUnread, a cap may be lowered and never
 // raised: a change that writes an E-section pays for it by trimming
 // elsewhere.
-var docCaps = map[string]int{"DESIGN.md": 1603, "EXPERIMENTS.md": 1609, "README.md": 774}
+var docCaps = map[string]int{"DESIGN.md": 1600, "EXPERIMENTS.md": 1581, "README.md": 774}
 
 // difftestCap is the line count internal/difftest's non-test Go may not
 // exceed: the differential harness is one drive function over compositions

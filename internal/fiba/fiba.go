@@ -32,6 +32,9 @@
 package fiba
 
 import (
+	"cmp"
+	"math"
+
 	"oostream/internal/event"
 )
 
@@ -57,13 +60,21 @@ const MaxSeq = ^uint64(0)
 // (Count == 0). Sums are kept in both integer and float form: SumI is exact
 // while every contribution is an int (Floaty == false); SumF is the float
 // fallback that also feeds AVG.
+//
+// MIN and MAX are only ever numbers, so each is kept as its kind and its
+// exact bits (an int64's, or a float64's IEEE-754 bits), as predicate.Bound
+// keeps its best: a Partial holds no pointer, and neither do the runs and
+// folds built of it, which the collector then never scans. Min and Max
+// return them as values; the invalid Value while no number contributed.
 type Partial struct {
-	Count  int64
-	SumI   int64
-	SumF   float64
-	Min    event.Value
-	Max    event.Value
-	Floaty bool
+	Count int64
+	SumI  int64
+	SumF  float64
+	// min and max are the bits of MIN and MAX, of kinds minKind and
+	// maxKind (event.KindInvalid while none is set).
+	min, max         uint64
+	minKind, maxKind uint8
+	Floaty           bool
 }
 
 // CountOnly builds a counting partial carrying no summed value.
@@ -72,18 +83,39 @@ func CountOnly() Partial { return Partial{Count: 1} }
 // Of builds the singleton partial for one numeric value. Non-numeric values
 // yield the identity (callers are expected to have kind-checked upstream).
 func Of(v event.Value) Partial {
-	f, ok := v.AsFloat()
+	k, bits, ok := numberOf(v)
 	if !ok {
 		return Partial{}
 	}
-	p := Partial{Count: 1, SumF: f, Min: v, Max: v}
-	if i, isInt := v.AsInt(); isInt {
-		p.SumI = i
+	p := Partial{Count: 1, min: bits, max: bits, minKind: k, maxKind: k}
+	if k == kindInt {
+		p.SumI = int64(bits)
+		p.SumF = float64(p.SumI)
 	} else {
+		p.SumF = math.Float64frombits(bits)
 		p.Floaty = true
 	}
 	return p
 }
+
+// WithMinMax returns p with MIN and MAX set to min and max, each a number
+// or the invalid Value; ok is false when either is another kind.
+func (p Partial) WithMinMax(min, max event.Value) (Partial, bool) {
+	var ok bool
+	if p.minKind, p.min, ok = numberOf(min); !ok && min.Valid() {
+		return p, false
+	}
+	if p.maxKind, p.max, ok = numberOf(max); !ok && max.Valid() {
+		return p, false
+	}
+	return p, true
+}
+
+// Min returns MIN, the invalid Value when no number contributed.
+func (p Partial) Min() event.Value { return valueOf(p.minKind, p.min) }
+
+// Max returns MAX, the invalid Value when no number contributed.
+func (p Partial) Max() event.Value { return valueOf(p.maxKind, p.max) }
 
 // Merge combines two partials; the zero Partial is the identity.
 func (p Partial) Merge(o Partial) Partial {
@@ -98,45 +130,96 @@ func (p Partial) Merge(o Partial) Partial {
 		SumI:   p.SumI + o.SumI,
 		SumF:   p.SumF + o.SumF,
 		Floaty: p.Floaty || o.Floaty,
-		Min:    minValue(p.Min, o.Min),
-		Max:    maxValue(p.Max, o.Max),
 	}
+	out.minKind, out.min = least(p.minKind, p.min, o.minKind, o.min)
+	out.maxKind, out.max = greatest(p.maxKind, p.max, o.maxKind, o.max)
 	return out
 }
 
-// minValue and maxValue order NaN above every number, so that MIN and MAX
-// do not depend on the order partials merge in: Compare calls a NaN equal
-// to everything, so a tie keeps the non-NaN side for MIN and the NaN for
-// MAX.
-func minValue(a, b event.Value) event.Value {
-	if !a.Valid() {
-		return b
+// The kinds a MIN or MAX takes, as stored.
+const (
+	kindInt   = uint8(event.KindInt)
+	kindFloat = uint8(event.KindFloat)
+)
+
+// numberOf returns a number's kind and bits; ok is false for any other
+// value.
+func numberOf(v event.Value) (kind uint8, bits uint64, ok bool) {
+	if i, isInt := v.AsInt(); isInt {
+		return kindInt, uint64(i), true
 	}
-	if !b.Valid() {
-		return a
+	if v.Kind() == event.KindFloat {
+		f, _ := v.AsFloat()
+		return kindFloat, math.Float64bits(f), true
 	}
-	if c, err := a.Compare(b); err == nil && (c > 0 || c == 0 && isNaN(a)) {
-		return b
-	}
-	return a
+	return 0, 0, false
 }
 
-func maxValue(a, b event.Value) event.Value {
-	if !a.Valid() {
-		return b
+func valueOf(kind uint8, bits uint64) event.Value {
+	switch kind {
+	case kindInt:
+		return event.Int(int64(bits))
+	case kindFloat:
+		return event.Float(math.Float64frombits(bits))
 	}
-	if !b.Valid() {
-		return a
-	}
-	if c, err := a.Compare(b); err == nil && (c < 0 || c == 0 && isNaN(b)) {
-		return b
-	}
-	return a
+	return event.Value{}
 }
 
-func isNaN(v event.Value) bool {
-	f, ok := v.AsFloat()
-	return ok && f != f
+// least and greatest pick MIN and MAX of two numbers, a missing one (kind
+// 0) losing to any. They order NaN above every number, so that MIN and MAX
+// do not depend on the order partials merge in: compare calls a NaN equal to
+// everything, so a tie keeps the non-NaN side for MIN and the NaN for MAX.
+func least(ak uint8, a uint64, bk uint8, b uint64) (uint8, uint64) {
+	if ak == 0 {
+		return bk, b
+	}
+	if bk == 0 {
+		return ak, a
+	}
+	if c := compare(ak, a, bk, b); c > 0 || c == 0 && isNaN(ak, a) {
+		return bk, b
+	}
+	return ak, a
+}
+
+func greatest(ak uint8, a uint64, bk uint8, b uint64) (uint8, uint64) {
+	if ak == 0 {
+		return bk, b
+	}
+	if bk == 0 {
+		return ak, a
+	}
+	if c := compare(ak, a, bk, b); c < 0 || c == 0 && isNaN(bk, b) {
+		return bk, b
+	}
+	return ak, a
+}
+
+// compare orders two numbers as event.Value.Compare does: two ints as ints,
+// anything else as floats, where a NaN is equal to everything.
+func compare(ak uint8, a uint64, bk uint8, b uint64) int {
+	if ak == kindInt && bk == kindInt {
+		return cmp.Compare(int64(a), int64(b))
+	}
+	af, bf := asFloat(ak, a), asFloat(bk, b)
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	}
+	return 0
+}
+
+func asFloat(kind uint8, bits uint64) float64 {
+	if kind == kindInt {
+		return float64(int64(bits))
+	}
+	return math.Float64frombits(bits)
+}
+
+func isNaN(kind uint8, bits uint64) bool {
+	return kind == kindFloat && math.IsNaN(math.Float64frombits(bits))
 }
 
 // Stats counts structural operations for observability: FingerHits are

@@ -65,10 +65,10 @@ func samePartial(a, b Partial) bool {
 	if a.SumF != b.SumF {
 		return false
 	}
-	if a.Min.Valid() != b.Min.Valid() || (a.Min.Valid() && !a.Min.Equal(b.Min)) {
+	if a.Min().Valid() != b.Min().Valid() || (a.Min().Valid() && !a.Min().Equal(b.Min())) {
 		return false
 	}
-	if a.Max.Valid() != b.Max.Valid() || (a.Max.Valid() && !a.Max.Equal(b.Max)) {
+	if a.Max().Valid() != b.Max().Valid() || (a.Max().Valid() && !a.Max().Equal(b.Max())) {
 		return false
 	}
 	return true
@@ -89,11 +89,11 @@ func TestPartialMonoid(t *testing.T) {
 	if ab.Count != 2 || ab.SumF != 4.5 || !ab.Floaty {
 		t.Fatalf("merge int+float: %+v", ab)
 	}
-	if mn, _ := ab.Min.AsFloat(); mn != 1.5 {
-		t.Fatalf("min: %v", ab.Min)
+	if mn, _ := ab.Min().AsFloat(); mn != 1.5 {
+		t.Fatalf("min: %v", ab.Min())
 	}
-	if mx, _ := ab.Max.AsFloat(); mx != 3 {
-		t.Fatalf("max: %v", ab.Max)
+	if mx, _ := ab.Max().AsFloat(); mx != 3 {
+		t.Fatalf("max: %v", ab.Max())
 	}
 	// Associativity on a small sample.
 	left := a.Merge(b).Merge(c)
@@ -103,7 +103,7 @@ func TestPartialMonoid(t *testing.T) {
 	}
 	// COUNT-only partials (invalid Min/Max) stay well-formed through merges.
 	cnt := CountOnly().Merge(CountOnly())
-	if cnt.Count != 2 || cnt.Min.Valid() || cnt.Max.Valid() {
+	if cnt.Count != 2 || cnt.Min().Valid() || cnt.Max().Valid() {
 		t.Fatalf("count merge: %+v", cnt)
 	}
 }
@@ -327,8 +327,8 @@ func TestMergeOrdersNaNAboveNumbers(t *testing.T) {
 				p = Of(vals[i]).Merge(p)
 			}
 		}
-		if mx, _ := p.Max.AsFloat(); mx == mx || p.Min != event.Int(-3) {
-			t.Fatalf("trial %d: MIN %v MAX %v, want -3 and NaN", trial, p.Min, p.Max)
+		if mx, _ := p.Max().AsFloat(); mx == mx || p.Min() != event.Int(-3) {
+			t.Fatalf("trial %d: MIN %v MAX %v, want -3 and NaN", trial, p.Min(), p.Max())
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"oostream/internal/event"
 )
 
-// chunkLen is the number of elements per storage chunk: 16 KiB of 128-byte
+// chunkLen is the number of elements per storage chunk: 8 KiB of 64-byte
 // elements, large enough that a window is a few dozen chunks and small enough
 // that a late splice within K of the tail moves one or two of them.
 const (
@@ -14,13 +14,18 @@ const (
 	chunkLen   = 1 << chunkShift
 )
 
+// An element is its key and partial, and holds no pointer: a chunk is
+// never scanned by the collector, and a splice or purge moves it without a
+// write barrier. Its aux value, a citation, lives in its chunk's side array.
 type elem struct {
 	key  Key
 	part Partial
-	aux  any
 }
 
 type chunk [chunkLen]elem
+
+// cites is a chunk's side array of aux values, slot for slot.
+type cites [chunkLen]any
 
 // RunStats counts what a Run did. Merges are counted where they happen, so
 // a test can hold the structure to its claim: QueryMerges is what Query
@@ -46,6 +51,16 @@ type RunStats struct {
 	Fallbacks uint64
 }
 
+// Plus returns s and o counted together.
+func (s RunStats) Plus(o RunStats) RunStats {
+	return RunStats{
+		Inserts: s.Inserts + o.Inserts, Appends: s.Appends + o.Appends,
+		Queries: s.Queries + o.Queries, QueryMerges: s.QueryMerges + o.QueryMerges,
+		Flips: s.Flips + o.Flips, FlipMerges: s.FlipMerges + o.FlipMerges,
+		Fallbacks: s.Fallbacks + o.Fallbacks,
+	}
+}
+
 // Run is a sorted run of elements with a two-stacks fold over it: the window
 // structure the aggregation operator runs. It answers the same range queries
 // as Tree in amortized O(1) merges instead of O(log n), on the premise the
@@ -68,8 +83,11 @@ type RunStats struct {
 // scan or a refold, counted in RunStats.Fallbacks. Not safe for concurrent use.
 type Run struct {
 	// chunks holds the elements in key order; logical index i lives in slot
-	// off+i, so every chunk but the first and last is full.
+	// off+i, so every chunk but the first and last is full. aux[c] is chunk
+	// c's side array, made on the first non-nil aux value stored in it: a
+	// run whose elements cite nothing allocates none.
 	chunks []*chunk
+	aux    []*cites
 	off    int
 	size   int
 	// spare is one emptied chunk kept for the next append, so a run whose
@@ -142,6 +160,28 @@ func (r *Run) at(i int) *elem {
 	return &r.chunks[p>>chunkShift][p&(chunkLen-1)]
 }
 
+// auxAt returns the aux value in slot p (a slot, not a logical index).
+func (r *Run) auxAt(p int) any {
+	if c := r.aux[p>>chunkShift]; c != nil {
+		return c[p&(chunkLen-1)]
+	}
+	return nil
+}
+
+// setAux stores v in slot p, making its chunk's side array for the first
+// non-nil value.
+func (r *Run) setAux(p int, v any) {
+	c := r.aux[p>>chunkShift]
+	if c == nil {
+		if v == nil {
+			return
+		}
+		c = new(cites)
+		r.aux[p>>chunkShift] = c
+	}
+	c[p&(chunkLen-1)] = v
+}
+
 // upper returns the first logical index whose key is greater than k (size
 // when none is), galloping outward from the index from: the cost is
 // logarithmic in the distance between from and the answer.
@@ -198,6 +238,7 @@ func (r *Run) Insert(k Key, p Partial, aux any) (appended bool) {
 			c = new(chunk)
 		}
 		r.chunks = append(r.chunks, c)
+		r.aux = append(r.aux, nil)
 	}
 	i := r.size
 	if i > 0 && k.Less(r.at(i-1).key) {
@@ -209,7 +250,8 @@ func (r *Run) Insert(k Key, p Partial, aux any) (appended bool) {
 		appended = true
 	}
 	r.size++
-	*r.at(i) = elem{key: k, part: p, aux: aux}
+	*r.at(i) = elem{key: k, part: p}
+	r.setAux(r.off+i, aux)
 	return appended
 }
 
@@ -219,7 +261,7 @@ func (r *Run) Delete(k Key) (any, bool) {
 	if i < 0 || r.at(i).key != k {
 		return nil, false
 	}
-	aux := r.at(i).aux
+	aux := r.auxAt(r.off + i)
 	r.disturb(r.base + i)
 	r.closeSlot(i)
 	r.size--
@@ -249,11 +291,12 @@ func (r *Run) disturb(a int) {
 }
 
 // openSlot shifts the elements from logical index i on one slot toward the
-// tail. The slot after the last element exists (Insert saw to it).
+// tail, aux values with them. The slot after the last element exists (Insert
+// saw to it); the slot at i keeps a copy of what moved on.
 func (r *Run) openSlot(i int) {
 	first, last := r.off+i, r.off+r.size
 	for ci := last / chunkLen; ; ci-- {
-		c := r.chunks[ci]
+		c, a := r.chunks[ci], r.aux[ci]
 		lo, hi := 0, chunkLen-1
 		if ci == first/chunkLen {
 			lo = first % chunkLen
@@ -262,19 +305,23 @@ func (r *Run) openSlot(i int) {
 			hi = last % chunkLen
 		}
 		copy(c[lo+1:hi+1], c[lo:hi])
+		if a != nil {
+			copy(a[lo+1:hi+1], a[lo:hi])
+		}
 		if ci == first/chunkLen {
 			return
 		}
 		c[0] = r.chunks[ci-1][chunkLen-1]
+		r.setAux(ci*chunkLen, r.auxAt(ci*chunkLen-1))
 	}
 }
 
 // closeSlot shifts the elements after logical index i one slot toward the
-// head, over it, and clears the slot the last one left.
+// head, over it, aux values with them, and clears the aux the last one left.
 func (r *Run) closeSlot(i int) {
 	first, last := r.off+i, r.off+r.size-1
 	for ci := first / chunkLen; ; ci++ {
-		c := r.chunks[ci]
+		c, a := r.chunks[ci], r.aux[ci]
 		lo, hi := 0, chunkLen-1
 		if ci == first/chunkLen {
 			lo = first % chunkLen
@@ -283,11 +330,17 @@ func (r *Run) closeSlot(i int) {
 			hi = last % chunkLen
 		}
 		copy(c[lo:hi], c[lo+1:hi+1])
+		if a != nil {
+			copy(a[lo:hi], a[lo+1:hi+1])
+		}
 		if ci == last/chunkLen {
-			c[hi] = elem{}
+			if a != nil {
+				a[hi] = nil
+			}
 			return
 		}
 		c[chunkLen-1] = r.chunks[ci+1][0]
+		r.setAux(ci*chunkLen+chunkLen-1, r.auxAt((ci+1)*chunkLen))
 	}
 }
 
@@ -300,8 +353,8 @@ func (r *Run) releaseTail() {
 	need := (r.off + r.size + chunkLen - 1) / chunkLen
 	for len(r.chunks) > need {
 		n := len(r.chunks) - 1
-		r.spare, r.chunks[n] = r.chunks[n], nil
-		r.chunks = r.chunks[:n]
+		r.spare, r.chunks[n], r.aux[n] = r.chunks[n], nil, nil
+		r.chunks, r.aux = r.chunks[:n], r.aux[:n]
 	}
 }
 
@@ -314,17 +367,11 @@ func (r *Run) PurgeThrough(k Key, onRemove func(aux any)) int {
 		return 0
 	}
 	n := r.upper(k, 0)
-	for i := 0; i < n; {
-		p := r.off + i
-		c := r.chunks[p/chunkLen]
-		s := c[p%chunkLen : min(chunkLen, p%chunkLen+n-i)]
+	for p := r.off; p < r.off+n; p++ {
 		if onRemove != nil {
-			for j := range s {
-				onRemove(s[j].aux)
-			}
+			onRemove(r.auxAt(p))
 		}
-		clear(s)
-		i += len(s)
+		r.setAux(p, nil)
 	}
 	r.off += n
 	r.size -= n
@@ -332,8 +379,10 @@ func (r *Run) PurgeThrough(k Key, onRemove func(aux any)) int {
 	if drop := r.off / chunkLen; drop > 0 {
 		r.spare = r.chunks[0]
 		kept := copy(r.chunks, r.chunks[drop:])
+		copy(r.aux, r.aux[drop:])
 		clear(r.chunks[kept:])
-		r.chunks = r.chunks[:kept]
+		clear(r.aux[kept:])
+		r.chunks, r.aux = r.chunks[:kept], r.aux[:kept]
 		r.off %= chunkLen
 	}
 	r.releaseTail()
@@ -459,7 +508,7 @@ func (r *Run) trimBack() {
 // returning false stops the walk.
 func (r *Run) All(f func(k Key, p Partial, aux any) bool) {
 	for i := 0; i < r.size; i++ {
-		if e := r.at(i); !f(e.key, e.part, e.aux) {
+		if e := r.at(i); !f(e.key, e.part, r.auxAt(r.off+i)) {
 			return
 		}
 	}
@@ -470,7 +519,7 @@ func (r *Run) All(f func(k Key, p Partial, aux any) bool) {
 func (r *Run) Ascend(lo, hi Key, f func(k Key, p Partial, aux any) bool) {
 	for i := r.upper(lo, r.loPos-r.base); i < r.size; i++ {
 		e := r.at(i)
-		if hi.Less(e.key) || !f(e.key, e.part, e.aux) {
+		if hi.Less(e.key) || !f(e.key, e.part, r.auxAt(r.off+i)) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"oostream/internal/event"
@@ -26,7 +27,8 @@ func elemsOf(walk func(func(Key, Partial, any) bool)) []string {
 // refilled. Values come from a small range in both numeric kinds, so MIN and
 // MAX tie constantly between an Int and the equal Float and must resolve to
 // the leftmost element: against the naive left fold Partials are compared
-// field for field, kind included. (The tree agrees on the number, not always
+// field for field, kind included. Aux values (one insert in three has none)
+// must stay with their elements. (The tree agrees on the number, not always
 // on the kind: its node caches merge a late element on the right.)
 func TestRunMatchesTree(t *testing.T) {
 	for _, margin := range []event.Time{0, 25, 400} {
@@ -74,11 +76,18 @@ func TestRunMatchesTree(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						p = Of(event.Float(float64(rng.Intn(12)) / 2))
 					}
+					// One insert in three cites nothing, so chunks are made
+					// without a side array and gain one later, through every
+					// splice, delete and purge.
+					var aux any = seq
+					if seq%3 == 0 {
+						aux = nil
+					}
 					wantAppend := len(ref.keys) == 0 || ref.keys[len(ref.keys)-1].Less(k)
-					if got := run.Insert(k, p, seq); got != wantAppend {
+					if got := run.Insert(k, p, aux); got != wantAppend {
 						t.Fatalf("margin %d seed %d step %d: insert %v reported append=%v", margin, seed, step, k, got)
 					}
-					tree.Insert(k, p, seq)
+					tree.Insert(k, p, aux)
 					ref.insert(k, p)
 					liveKeys = append(liveKeys, k)
 				case op < 11 && len(liveKeys) > 0: // delete: any key ever inserted
@@ -318,4 +327,45 @@ func TestRunBeyondMargin(t *testing.T) {
 			t.Fatalf("%d flips, %d fallbacks, want 1 and 1", st.Flips, st.Fallbacks)
 		}
 	})
+}
+
+// TestWindowStateHoldsNoPointer: the partial, the run element (hence a
+// chunk) and the fold entry hold no pointer, so the collector never scans
+// a chunk or a fold, and a splice, refold or purge takes no write barrier.
+// Citations live in a chunk's side array, outside the element. The sizes are
+// pinned too: a partial is 48 bytes, an element 64 (96 and 128 when MIN and
+// MAX were values).
+func TestWindowStateHoldsNoPointer(t *testing.T) {
+	fold := reflect.TypeOf(Run{}.front).Elem()
+	for _, typ := range []reflect.Type{reflect.TypeFor[Partial](), reflect.TypeFor[elem](), reflect.TypeFor[chunk](), fold} {
+		if path := pointerIn(typ, typ.String()); path != "" {
+			t.Errorf("%s holds a pointer at %s", typ, path)
+		}
+	}
+	if got := reflect.TypeFor[Partial]().Size(); got != 48 {
+		t.Errorf("a Partial is %d bytes, want 48", got)
+	}
+	if got := reflect.TypeFor[elem]().Size(); got != 64 {
+		t.Errorf("a run element is %d bytes, want 64", got)
+	}
+}
+
+// pointerIn returns the path to the first field of t that holds a pointer,
+// or "" when none does.
+func pointerIn(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerIn(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if p := pointerIn(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return path
+	}
+	return ""
 }

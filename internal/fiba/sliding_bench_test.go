@@ -75,7 +75,7 @@ func BenchmarkSlidingMax(b *testing.B) {
 			seal: func(end, window oostream.Time) (int64, bool) {
 				p := query(fiba.Key{TS: end - window, Seq: fiba.MaxSeq}, fiba.Key{TS: end, Seq: fiba.MaxSeq})
 				purge(fiba.Key{TS: end + slide - window, Seq: fiba.MaxSeq}, nil)
-				return p.Max.AsInt()
+				return p.Max().AsInt()
 			},
 		}
 	}

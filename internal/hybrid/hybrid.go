@@ -117,10 +117,13 @@ func New(p *plan.Plan, kernel core.Options, opts Options) (*Engine, error) {
 
 // named gives the kernel a named series of its own when no registry series
 // is handed over, keeping its trace events under the meta-engine's identity.
+// A carried series (the strategy beneath an aggregation operator) counts
+// every row all the same: the decision windows read its step counters.
 func named(env engine.Env) engine.Env {
 	if env.Series == nil {
 		env.Series = obsv.NewSeries("hybrid")
 	}
+	env.Series.CountAll()
 	return env
 }
 

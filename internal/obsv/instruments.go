@@ -51,7 +51,7 @@ func histP95(v HistView) any   { return v.Quantile(0.95) }
 var instruments = []Instrument{
 	{Field: "EventsIn", Varz: "events_in", Metric: "oostream_events_in_total", Help: "Pattern-relevant events ingested"},
 	{Field: "EventsOOO", Varz: "events_ooo", Metric: "oostream_events_ooo_total", Help: "Events that arrived out of timestamp order (within the bound)"},
-	{Field: "EventsLate", Varz: "events_late", Metric: "oostream_events_late_total", Help: "Events that violated the disorder bound K"},
+	{Field: "EventsLate", Varz: "events_late", Metric: "oostream_events_late_total", Help: "Events that violated the disorder bound K", carried: true},
 	{Field: "Irrelevant", Varz: "irrelevant", Metric: "oostream_events_irrelevant_total", Help: "Events whose type the pattern does not mention", carried: true},
 	{Field: "Matches", Varz: "matches", Metric: "oostream_matches_total", Help: "Insert matches emitted"},
 	{Field: "Retractions", Varz: "retractions", Metric: "oostream_retractions_total", Help: "Retract compensations emitted"},
@@ -123,6 +123,10 @@ func init() {
 
 // Instruments returns the instrument table, in exposition order.
 func Instruments() []Instrument { return append([]Instrument(nil), instruments...) }
+
+// Carried reports that the row of a series counts what it carries too
+// (Series.Carry): the only rows a carried series publishes.
+func (in *Instrument) Carried() bool { return in.carried }
 
 // SnapshotField is the name of the Snapshot field the row fills.
 func (in *Instrument) SnapshotField() string {

@@ -167,6 +167,8 @@ type Series struct {
 	// carried is the private series of an inner layer whose work this
 	// series counts as its own (see Carry).
 	carried atomic.Pointer[Series]
+	// inner marks a series Carry made: only its carried rows are read.
+	inner bool
 
 	EventsIn    Counter
 	EventsOOO   Counter
@@ -227,18 +229,29 @@ func (s *Series) Name() string { return s.name }
 
 // Carry returns the private series an inner layer publishes into when the
 // layer holding s consumes its output but not its work: the kernel behind a
-// reorder buffer, the strategy beneath an aggregation operator. Its
-// Irrelevant, PredErrors, Purged and PurgeCalls (and those of what it
-// carries in turn) count as s's own in Snapshot, /varz and /metrics.
-// Get-or-create, so an inner layer rebuilt under s (a supervised engine
-// reopened on the same registry) continues the same counts.
+// reorder buffer, the strategy beneath an aggregation operator. Its carried
+// rows — Irrelevant, EventsLate, PredErrors, Purged and PurgeCalls — (and
+// those of what it carries in turn) count as s's own in Snapshot, /varz and
+// /metrics, and nothing reads its other rows, so a layer publishing into it
+// skips them (Inner). Get-or-create, so an inner layer rebuilt under s (a
+// supervised engine reopened on the same registry) continues the same
+// counts.
 func (s *Series) Carry() *Series {
 	if c := s.carried.Load(); c != nil {
 		return c
 	}
-	s.carried.CompareAndSwap(nil, NewSeries(""))
+	s.carried.CompareAndSwap(nil, &Series{inner: true})
 	return s.carried.Load()
 }
+
+// Inner reports that s came from Carry and nothing reads its rows but the
+// carried ones: a layer publishing into it writes no other row.
+func (s *Series) Inner() bool { return s.inner }
+
+// CountAll makes a carried series count every row, for a layer that reads
+// more of it than what carries it does: the hybrid switch's decision
+// windows. Call it before the layer publishing into s is built.
+func (s *Series) CountAll() { s.inner = false }
 
 // IncPredError counts a predicate evaluation error (treated as non-match);
 // its signature is the callback the evaluators take.

@@ -165,9 +165,9 @@ func (s *AggSpec) Result(p fiba.Partial) (v event.Value, count int64, ok bool) {
 	case query.AggAvg:
 		return event.Float(p.SumF / float64(p.Count)), p.Count, true
 	case query.AggMin:
-		return p.Min, p.Count, true
+		return p.Min(), p.Count, true
 	case query.AggMax:
-		return p.Max, p.Count, true
+		return p.Max(), p.Count, true
 	default:
 		return event.Value{}, 0, false
 	}

@@ -35,13 +35,31 @@ type Blocks struct {
 	matches []Match
 	// events is the current event block, its length the slots handed out.
 	events []event.Event
+	// Reuse lends each call's output instead of handing it out: every call
+	// is carved from the start of the same blocks, which grow past the cap
+	// to the largest call's output and are then never allocated again. For
+	// a caller that reads each call's output before the next call and keeps
+	// none of it.
+	Reuse bool
 }
 
 // Open returns the empty output of a call, the free tail of the current
-// block. Append to it only with Append.
+// block (all of it, reused). Append to it only with Append.
 func (b *Blocks) Open() []Match {
+	if b.Reuse {
+		b.matches, b.events = b.matches[:0], b.events[:0]
+	}
 	l := len(b.matches)
 	return b.matches[l:l]
+}
+
+// grown is the size of the block after one of size n: twice as large, at
+// least first and, unless reused, at most limit.
+func (b *Blocks) grown(n, first, limit int) int {
+	if b.Reuse {
+		return max(2*n, first)
+	}
+	return min(max(2*n, first), limit)
 }
 
 // Append appends m to out, the open call's output, moving the output to a
@@ -49,7 +67,7 @@ func (b *Blocks) Open() []Match {
 // behind were never handed out; they are cleared so they pin nothing.
 func (b *Blocks) Append(out []Match, m Match) []Match {
 	if len(out) == cap(out) {
-		size := min(max(2*cap(b.matches), firstMatches), maxMatches)
+		size := b.grown(cap(b.matches), firstMatches, maxMatches)
 		blk := slices.Grow([]Match(nil), max(size, 2*len(out)))[:len(out)]
 		copy(blk, out)
 		clear(out)
@@ -76,7 +94,7 @@ func (b *Blocks) Close(out []Match) []Match {
 func (b *Blocks) Events(src []event.Event) []event.Event {
 	n := len(src)
 	if cap(b.events)-len(b.events) < n {
-		size := min(max(2*cap(b.events), firstEvents), maxEvents)
+		size := b.grown(cap(b.events), firstEvents, maxEvents)
 		b.events = slices.Grow([]event.Event(nil), max(size, n))
 	}
 	l := len(b.events)

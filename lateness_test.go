@@ -243,3 +243,30 @@ func resumeFixture(t *testing.T, name string, cfg Config) {
 		t.Errorf("%s: delivered before and after the kill %v, the uninterrupted run %v", name, delivered, whole)
 	}
 }
+
+// TestAggregateCountsLateEvents: an event beyond the disorder bound is
+// counted late once, in an aggregate as in the pattern it aggregates, under
+// every strategy. The drop happens beneath the aggregation operator, in the
+// series the operator's carries: before EventsLate was a carried row an
+// aggregate read 0 here where the pattern read 2.
+func TestAggregateCountsLateEvents(t *testing.T) {
+	queries := []*Query{
+		MustCompile("PATTERN SEQ(A a, B b) WITHIN 100", nil),
+		MustCompile("AGGREGATE COUNT(*) OVER SEQ(A a, B b) WITHIN 100 SLIDE 10", nil),
+	}
+	for _, q := range queries {
+		for _, s := range []Strategy{StrategyNative, StrategyKSlack, StrategySpeculate, StrategyHybrid} {
+			en, err := NewEngine(q, Config{Strategy: s, K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range seqd(pairEvent("A", 10, 0, 1), pairEvent("B", 100, 0, 1), pairEvent("A", 20, 0, 1), pairEvent("B", 30, 0, 1)) {
+				en.Process(e)
+			}
+			en.Flush()
+			if got := en.Metrics().EventsLate; got != 2 {
+				t.Errorf("%s under %s: %d events late, want 2 (A@20 and B@30 behind B@100 at K 5)", q.Source(), s, got)
+			}
+		}
+	}
+}
